@@ -101,15 +101,18 @@ use op2_runtime::{
 /// `cost` dat sets the spin count, so clustered heavy blocks straggle
 /// inside each color level. The spin feeds the output (it cannot be
 /// optimized away) and every operation is dyadic, so the result is
-/// bit-comparable across executors.
+/// bit-comparable across executors. The endpoints are declared `Rw`,
+/// not `Inc`: an `Inc`-only sweep lowers owner-computes — one level,
+/// nothing for the dataflow drain to do — while an indirect `Rw` gets
+/// the colored ladder this fixture exists to measure.
 fn df_flux(args: &Args<'_>) {
     let w = args.get(0, 0) as usize;
     let mut acc = (args.get(1, 0) - args.get(2, 0)) * 0.5;
     for _ in 0..w {
         acc = acc * 0.5 + 0.25;
     }
-    args.inc(3, 0, acc * 0.0078125);
-    args.inc(4, 0, -acc * 0.0078125);
+    args.set(3, 0, args.get(3, 0) + acc * 0.0078125);
+    args.set(4, 0, args.get(4, 0) - acc * 0.0078125);
 }
 
 /// Direct node relaxation between the skewed edge sweeps — a cheap
@@ -746,8 +749,8 @@ fn main() {
                     Arg::dat_direct(cost, AccessMode::Read),
                     Arg::dat_indirect(val, m.e2n, 0, AccessMode::Read),
                     Arg::dat_indirect(val, m.e2n, 1, AccessMode::Read),
-                    Arg::dat_indirect(res, m.e2n, 0, AccessMode::Inc),
-                    Arg::dat_indirect(res, m.e2n, 1, AccessMode::Inc),
+                    Arg::dat_indirect(res, m.e2n, 0, AccessMode::Rw),
+                    Arg::dat_indirect(res, m.e2n, 1, AccessMode::Rw),
                 ],
                 df_flux,
             ));

@@ -475,6 +475,12 @@ fn threads_json(t: &RankTrace) -> Json {
         .iter()
         .filter(|r| r.kind == op2_runtime::SchedKind::Tiled)
         .count() as u64;
+    let owned_execs = t
+        .threads
+        .iter()
+        .filter(|r| r.kind == op2_runtime::SchedKind::Owned)
+        .count() as u64;
+    let redundant_iters: u64 = t.threads.iter().map(|r| r.redundant_iters as u64).sum();
     let n_threads = t.threads.iter().map(|r| r.n_threads as u64).max().unwrap_or(1);
     let chunks: u64 = t.threads.iter().map(|r| r.n_chunks as u64).sum();
     let max_levels = t.threads.iter().map(|r| r.n_levels as u64).max().unwrap_or(0);
@@ -495,6 +501,8 @@ fn threads_json(t: &RankTrace) -> Json {
     Json::obj(vec![
         ("execs", Json::U64(execs)),
         ("tiled_execs", Json::U64(tiled_execs)),
+        ("owned_execs", Json::U64(owned_execs)),
+        ("redundant_iters", Json::U64(redundant_iters)),
         ("dataflow_execs", Json::U64(dataflow_execs)),
         ("n_threads", Json::U64(n_threads)),
         ("chunks", Json::U64(chunks)),
@@ -558,6 +566,13 @@ mod tests {
             level_ns: vec![10, 20],
             ..Default::default()
         });
+        t.threads.push(op2_runtime::ThreadRec {
+            name: "update".into(),
+            kind: op2_runtime::SchedKind::Owned,
+            redundant_iters: 11,
+            n_levels: 1,
+            ..Default::default()
+        });
         t.tuner.push(TunerRec {
             chain: "synthetic".into(),
             gain_milli_pct: 1250,
@@ -578,7 +593,9 @@ mod tests {
         assert!(s.contains("\"chain\": \"synthetic\""));
         assert!(s.contains("\"gain_milli_pct\": 1250"));
         assert!(s.contains("\"color_hits\": 4"));
-        assert!(s.contains("\"execs\": 1"));
+        assert!(s.contains("\"execs\": 2"));
+        assert!(s.contains("\"owned_execs\": 1"));
+        assert!(s.contains("\"redundant_iters\": 11"));
         assert!(s.contains("\"max_levels\": 2"));
         assert!(s.contains("\"level_ns\": 30"));
         assert!(s.contains("\"payload_allocs\": 7"));

@@ -123,6 +123,13 @@ impl ChunkDag {
     /// imply the earlier ones finished), a reader depends on the last
     /// writer only. Self-edges cannot arise (a chunk's own accesses are
     /// recorded only after its predecessors are gathered).
+    ///
+    /// Chunk windows ([`crate::schedule::Chunk::mask`]) are not
+    /// consulted: owner-computes schedules have a single level, which
+    /// the runtime always drains leveled, so no windowed chunk reaches
+    /// this builder. (Given one anyway it would stay correct but
+    /// serialize the level: unmasked, the chunks' cut iterations
+    /// conflict.)
     pub fn build(
         sched: &Schedule,
         set_sizes: &[usize],
@@ -238,14 +245,11 @@ pub fn dag_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<Confli
                         continue;
                     }
                     match map {
-                        Some((m, idx)) => {
-                            let md = &maps[m.idx()];
-                            out.push(ConflictAccess {
-                                map: Some((md.values.as_slice(), md.arity, *idx as usize)),
-                                set: md.to.idx(),
-                                writes: mode.modifies(),
-                            });
-                        }
+                        Some((m, idx)) => out.push(ConflictAccess::indirect(
+                            &maps[m.idx()],
+                            *idx,
+                            mode.modifies(),
+                        )),
                         None => out.push(ConflictAccess {
                             map: None,
                             set: sig.set.idx(),
@@ -366,12 +370,12 @@ mod tests {
         );
         // Hand-built: level 0 = {it0}, level 1 = {it1}, {it2}, level 2 =
         // {it3}. it1 and it2 only read x[0] → conflict-free, same level.
-        let chunk = |s: u32, e: u32| Chunk {
-            pieces: vec![Piece::Range {
+        let chunk = |s: u32, e: u32| {
+            Chunk::new(vec![Piece::Range {
                 loop_idx: 0,
                 start: s,
                 end: e,
-            }],
+            }])
         };
         let sched = Schedule {
             n_loops: 1,
@@ -439,22 +443,18 @@ mod tests {
             kind: ScheduleKind::Tiled { n_tiles: 1 },
             levels: vec![
                 Level {
-                    chunks: vec![Chunk {
-                        pieces: vec![Piece::Range {
-                            loop_idx: 0,
-                            start: 0,
-                            end: 3,
-                        }],
-                    }],
+                    chunks: vec![Chunk::new(vec![Piece::Range {
+                        loop_idx: 0,
+                        start: 0,
+                        end: 3,
+                    }])],
                 },
                 Level {
-                    chunks: vec![Chunk {
-                        pieces: vec![Piece::Range {
-                            loop_idx: 1,
-                            start: 0,
-                            end: 2,
-                        }],
-                    }],
+                    chunks: vec![Chunk::new(vec![Piece::Range {
+                        loop_idx: 1,
+                        start: 0,
+                        end: 2,
+                    }])],
                 },
             ],
             fused: Vec::new(),
@@ -472,12 +472,12 @@ mod tests {
         let (dom, spec) = path_fixture(33);
         let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
         let acc = dag_accesses(dom.maps(), &[spec.sig()]);
-        let fused_chunk = |s: u32, e: u32| Chunk {
-            pieces: vec![Piece::Fused {
+        let fused_chunk = |s: u32, e: u32| {
+            Chunk::new(vec![Piece::Fused {
                 group: 0,
                 start: s,
                 end: e,
-            }],
+            }])
         };
         let sched = Schedule {
             n_loops: 1,

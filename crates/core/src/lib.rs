@@ -98,12 +98,13 @@ pub use kernel::{Args, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
     adaptive_block_size, color_blocks, color_blocks_raw, conflict_accesses, conflict_degree,
-    is_valid_block_coloring, is_valid_block_coloring_raw, BlockColoring, ConflictAccess,
+    is_valid_block_coloring, is_valid_block_coloring_raw, owned_schedule,
+    owner_computes_accesses, thread_schedule, touch_windows, BlockColoring, ConflictAccess,
 };
 pub use schedule::{
     bind_chain, elision_valid, run_chunk, run_elem, run_schedule, run_schedule_ctx,
-    run_schedule_threads, slots_for, BoundArg, BoundLoop, Chunk, FusedGroup, Level, Piece,
-    SchedCtx, Schedule, ScheduleKind, ScratchBind,
+    run_schedule_threads, slots_for, ArgWindow, BoundArg, BoundLoop, Chunk, FusedGroup, Level,
+    Piece, SchedCtx, Schedule, ScheduleKind, ScratchBind,
 };
 pub use tiling::{
     build_tile_plan, is_valid_tile_levels, run_chain_tiled, run_chain_tiled_threads, seed_blocks,

@@ -23,14 +23,35 @@
 //!   block schedule within a color. (Plain greedy coloring cannot promise
 //!   this — it reorders conflicting iterations across colors.)
 //!
-//! The price is more colors than a greedy minimum; block counts are small
-//! (`n/block_size`), so the per-color barrier cost stays negligible for
-//! the loop sizes worth threading.
+//! The price is more colors than a greedy minimum — and on any
+//! locality-preserving numbering it is steep: consecutive blocks of an
+//! edge loop share nodes, so the levels form a ladder of ~`n/block_size`
+//! barriers with one or two blocks each. The coloring is therefore only
+//! the **fallback** of [`thread_schedule`]. Loops that modify through
+//! maps by `Inc` alone — the common case — get the **owner-computes**
+//! lowering instead ([`owned_schedule`]), OP2's distributed-memory rule
+//! applied to the threads of a rank:
+//!
+//! * every target set is cut into one contiguous *window* per thread,
+//!   balanced by how many increments land in it;
+//! * thread `t` runs, in ascending order, every iteration that
+//!   increments into one of its windows, and drops the increments that
+//!   land outside them (a cut iteration is executed by each thread it
+//!   increments for — the redundant execution of OP2's import-execute
+//!   halo, without the copy);
+//! * so each element receives its increments from exactly one thread in
+//!   sequential order: **bitwise equal** to [`crate::seq::run_loop`] at
+//!   any thread count, in one level instead of a ladder.
+//!
+//! The caveat is the distributed exec halo's too: a kernel must not
+//! *read* (`get`) an `Inc` argument, because a dropped increment's slot
+//! points at a scratch sink, not at the element.
 
-use crate::access::Arg;
+use crate::access::{AccessMode, Arg};
 use crate::coloring::Coloring;
 use crate::domain::{Domain, MapData};
 use crate::loops::LoopSig;
+use crate::schedule::{ArgWindow, Chunk, Level, Piece, Schedule, ScheduleKind};
 
 /// A coloring of contiguous iteration blocks over `[start, end)`.
 #[derive(Debug, Clone)]
@@ -105,7 +126,16 @@ pub struct ConflictAccess<'a> {
     pub writes: bool,
 }
 
-impl ConflictAccess<'_> {
+impl<'a> ConflictAccess<'a> {
+    /// An access through entry `idx` of map `md`.
+    pub(crate) fn indirect(md: &'a MapData, idx: u16, writes: bool) -> Self {
+        ConflictAccess {
+            map: Some((md.values.as_slice(), md.arity, idx as usize)),
+            set: md.to.idx(),
+            writes,
+        }
+    }
+
     /// Target element of iteration `e` in the access's target set.
     #[inline]
     pub(crate) fn target(&self, e: usize) -> usize {
@@ -135,14 +165,11 @@ pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<Conflict
                     continue;
                 }
                 match map {
-                    Some((m, idx)) => {
-                        let md = &maps[m.idx()];
-                        out.push(ConflictAccess {
-                            map: Some((md.values.as_slice(), md.arity, *idx as usize)),
-                            set: md.to.idx(),
-                            writes: mode.modifies(),
-                        });
-                    }
+                    Some((m, idx)) => out.push(ConflictAccess::indirect(
+                        &maps[m.idx()],
+                        *idx,
+                        mode.modifies(),
+                    )),
                     None => out.push(ConflictAccess {
                         map: None,
                         set: sig.set.idx(),
@@ -153,6 +180,222 @@ pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<Conflict
         }
     }
     out
+}
+
+/// The `Inc`-through-a-map arguments of a loop eligible for the
+/// owner-computes lowering, as `(argument index, access)` pairs — or
+/// `None` when the loop must fall back to the block coloring. Eligible
+/// means: some dat is modified through a map; every argument on every
+/// such dat is itself an `Inc` through a map (an indirect `Rw`/`Write`
+/// is order-dependent, and a `Read` of the incremented dat would see
+/// another thread's partial sums); and no argument modifies a dat
+/// directly (cut iterations run on several threads at once) or reduces
+/// into a global.
+pub fn owner_computes_accesses<'a>(
+    maps: &'a [MapData],
+    sig: &LoopSig,
+) -> Option<Vec<(u32, ConflictAccess<'a>)>> {
+    let mut out = Vec::new();
+    for (i, a) in sig.args.iter().enumerate() {
+        match a {
+            Arg::Gbl { mode, .. } if mode.modifies() => return None,
+            Arg::Gbl { .. } => {}
+            Arg::Dat { map: None, mode, .. } if mode.modifies() => return None,
+            Arg::Dat { dat, map, mode } => {
+                let (merged, indirect) = sig.access_of(*dat).expect("dat is an argument");
+                if !(merged.modifies() && indirect) {
+                    continue;
+                }
+                let (Some((m, idx)), AccessMode::Inc) = (map, mode) else {
+                    return None;
+                };
+                out.push((i as u32, ConflictAccess::indirect(&maps[m.idx()], *idx, true)));
+            }
+        }
+    }
+    (!out.is_empty()).then_some(out)
+}
+
+/// Cut every target set of `accesses` into `n_windows` contiguous
+/// windows holding near-equal shares of the increments that iterations
+/// `[start, end)` land on it. Returns, per set, the `n_windows + 1`
+/// ascending bounds from `0` to the set size (empty for sets no access
+/// targets); windows may be empty when a set has fewer touched elements
+/// than windows.
+pub fn touch_windows(
+    start: usize,
+    end: usize,
+    n_windows: usize,
+    set_sizes: &[usize],
+    accesses: &[(u32, ConflictAccess<'_>)],
+) -> Vec<Vec<u32>> {
+    assert!(n_windows >= 1, "at least one window");
+    let mut touches: Vec<Vec<u32>> = vec![Vec::new(); set_sizes.len()];
+    for (_, a) in accesses {
+        if touches[a.set].is_empty() {
+            touches[a.set] = vec![0; set_sizes[a.set]];
+        }
+    }
+    for i in start..end {
+        for (_, a) in accesses {
+            touches[a.set][a.target(i)] += 1;
+        }
+    }
+    touches
+        .iter()
+        .zip(set_sizes)
+        .map(|(counts, &size)| {
+            if counts.is_empty() {
+                return Vec::new();
+            }
+            let total: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+            let mut bounds = Vec::with_capacity(n_windows + 1);
+            bounds.push(0u32);
+            let mut seen = 0u64;
+            for (elem, &c) in counts.iter().enumerate() {
+                // Close window `w` before the element that would carry it
+                // past its share `total·w/n`.
+                while bounds.len() < n_windows
+                    && seen * n_windows as u64 >= total * bounds.len() as u64
+                {
+                    bounds.push(elem as u32);
+                }
+                seen += u64::from(c);
+            }
+            bounds.resize(n_windows, size as u32);
+            bounds.push(size as u32);
+            bounds
+        })
+        .collect()
+}
+
+/// Shortest run of consecutive iterations worth a [`Piece::Range`] of its
+/// own; shorter runs are gathered into [`Piece::List`]s.
+const MIN_RANGE_RUN: u32 = 8;
+
+/// One thread's ascending iteration list, compressed into pieces as it
+/// grows.
+#[derive(Default)]
+struct PieceRun {
+    pieces: Vec<Piece>,
+    /// Current run of consecutive iterations `[run.0, run.1)`.
+    run: Option<(u32, u32)>,
+}
+
+impl PieceRun {
+    fn push(&mut self, i: u32) {
+        match &mut self.run {
+            Some((_, e)) if *e == i => *e += 1,
+            _ => {
+                self.flush();
+                self.run = Some((i, i + 1));
+            }
+        }
+    }
+
+    fn flush(&mut self) {
+        let Some((s, e)) = self.run.take() else {
+            return;
+        };
+        if e - s >= MIN_RANGE_RUN {
+            self.pieces.push(Piece::Range {
+                loop_idx: 0,
+                start: s,
+                end: e,
+            });
+        } else if let Some(Piece::List { iters, .. }) = self.pieces.last_mut() {
+            iters.extend(s..e);
+        } else {
+            self.pieces.push(Piece::List {
+                loop_idx: 0,
+                iters: (s..e).collect(),
+            });
+        }
+    }
+}
+
+/// The owner-computes lowering of iterations `[start, end)` for
+/// `n_threads` workers (see the module docs): one level holding, per
+/// thread with any work, one chunk of ascending pieces covering every
+/// iteration that increments into the thread's [`touch_windows`], with
+/// the windows as the chunk's mask. `accesses` comes from
+/// [`owner_computes_accesses`].
+pub fn owned_schedule(
+    start: usize,
+    end: usize,
+    n_threads: usize,
+    set_sizes: &[usize],
+    accesses: &[(u32, ConflictAccess<'_>)],
+) -> Schedule {
+    let bounds = touch_windows(start, end, n_threads, set_sizes, accesses);
+    let owner = |a: &ConflictAccess<'_>, i: usize| {
+        let t = a.target(i) as u32;
+        bounds[a.set].partition_point(|&b| b <= t) - 1
+    };
+    let mut runs: Vec<PieceRun> = (0..n_threads).map(|_| PieceRun::default()).collect();
+    let mut owners: Vec<usize> = Vec::with_capacity(accesses.len());
+    for i in start..end {
+        owners.clear();
+        for (_, a) in accesses {
+            let t = owner(a, i);
+            if !owners.contains(&t) {
+                owners.push(t);
+                runs[t].push(i as u32);
+            }
+        }
+    }
+    let chunks: Vec<Chunk> = runs
+        .into_iter()
+        .enumerate()
+        .filter_map(|(t, mut run)| {
+            run.flush();
+            (!run.pieces.is_empty()).then(|| Chunk {
+                pieces: run.pieces,
+                mask: accesses
+                    .iter()
+                    .map(|(arg, a)| ArgWindow {
+                        arg: *arg,
+                        lo: bounds[a.set][t],
+                        hi: bounds[a.set][t + 1],
+                    })
+                    .collect(),
+            })
+        })
+        .collect();
+    Schedule {
+        n_loops: 1,
+        kind: ScheduleKind::Owned { start, end },
+        levels: if chunks.is_empty() {
+            Vec::new()
+        } else {
+            vec![Level { chunks }]
+        },
+        fused: Vec::new(),
+    }
+}
+
+/// Lower iterations `[start, end)` of one loop for `n_threads` pool
+/// threads — the single lowering the threaded executor and the tuner
+/// share. The choice is made from the access descriptors alone:
+/// [`owned_schedule`] when [`owner_computes_accesses`] admits the loop,
+/// the levelized block coloring at `block_size` otherwise.
+pub fn thread_schedule(
+    maps: &[MapData],
+    sig: &LoopSig,
+    start: usize,
+    end: usize,
+    n_threads: usize,
+    block_size: usize,
+    set_sizes: &[usize],
+) -> Schedule {
+    match owner_computes_accesses(maps, sig) {
+        Some(accesses) => owned_schedule(start, end, n_threads, set_sizes, &accesses),
+        None => {
+            let accesses = conflict_accesses(maps, sig);
+            let bc = color_blocks_raw(start, end, block_size, set_sizes, &accesses);
+            Schedule::from_block_coloring(&bc)
+        }
+    }
 }
 
 /// Levelized order-preserving block coloring of `[start, end)` (see the
@@ -375,7 +618,7 @@ mod tests {
     use crate::access::AccessMode;
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
-    use crate::schedule::{run_loop_schedule_threads, Schedule};
+    use crate::schedule::{run_loop_schedule, run_loop_schedule_threads, BoundLoop};
 
     fn noop(_: &Args<'_>) {}
 
@@ -549,5 +792,215 @@ mod tests {
         );
         let bc = color_blocks(&dom, &spec.sig(), 4);
         assert_eq!(bc.n_colors, 1);
+    }
+
+    /// Eligibility is read off the access descriptors: `Inc` through
+    /// maps only. A directly modified argument, an indirect `Rw` or
+    /// `Write`, a `Read` of the incremented dat, a global reduction and
+    /// a loop that modifies nothing through a map each force the
+    /// fallback.
+    #[test]
+    fn owner_computes_eligibility() {
+        let (mut dom, spec) = path_fixture(9);
+        let e2n = dom.map_by_name("e2n").unwrap();
+        let r = dom.dat_by_name("res").unwrap();
+        let p = dom.dat_by_name("pres").unwrap();
+        let edges = dom.map(e2n).from;
+        let w = dom.decl_dat_zeros("w", edges, 1);
+        let eligible = |args: Vec<Arg>| {
+            let spec = LoopSpec::new("l", edges, args, noop);
+            owner_computes_accesses(dom.maps(), &spec.sig()).map(|acc| {
+                acc.iter().map(|(arg, a)| (*arg, a.set)).collect::<Vec<_>>()
+            })
+        };
+        let inc = |idx| Arg::dat_indirect(r, e2n, idx, AccessMode::Inc);
+        let nodes = dom.map(e2n).to.idx();
+
+        // The reference shape: the windowed arguments are the two Incs.
+        let acc = owner_computes_accesses(dom.maps(), &spec.sig()).unwrap();
+        assert_eq!(acc.iter().map(|(a, _)| *a).collect::<Vec<_>>(), vec![0, 1]);
+        // A direct Read of another dat rides along.
+        assert_eq!(
+            eligible(vec![Arg::dat_direct(w, AccessMode::Read), inc(0), inc(1)]),
+            Some(vec![(1, nodes), (2, nodes)])
+        );
+
+        assert_eq!(eligible(vec![inc(0), Arg::dat_direct(w, AccessMode::Write)]), None);
+        assert_eq!(eligible(vec![inc(0), Arg::dat_direct(w, AccessMode::Rw)]), None);
+        for mode in [AccessMode::Rw, AccessMode::Write] {
+            assert_eq!(eligible(vec![Arg::dat_indirect(r, e2n, 0, mode)]), None);
+            // …even on a different dat than the incremented one.
+            assert_eq!(eligible(vec![inc(0), Arg::dat_indirect(p, e2n, 1, mode)]), None);
+        }
+        assert_eq!(
+            eligible(vec![inc(0), Arg::dat_indirect(r, e2n, 1, AccessMode::Read)]),
+            None
+        );
+        assert_eq!(eligible(vec![inc(0), Arg::gbl(0, AccessMode::Inc)]), None);
+        assert_eq!(
+            eligible(vec![Arg::dat_indirect(p, e2n, 0, AccessMode::Read)]),
+            None
+        );
+        assert_eq!(eligible(vec![Arg::dat_direct(w, AccessMode::Rw)]), None);
+    }
+
+    /// `thread_schedule` picks by eligibility alone: one windowed level
+    /// for the Inc loop, the colored ladder once an argument turns `Rw`.
+    #[test]
+    fn thread_schedule_selects_by_descriptors() {
+        let (dom, spec) = path_fixture(65);
+        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+        let lower = |spec: &LoopSpec| {
+            thread_schedule(dom.maps(), &spec.sig(), 0, 64, 2, 16, &set_sizes)
+        };
+        let owned = lower(&spec);
+        assert_eq!(owned.kind, ScheduleKind::Owned { start: 0, end: 64 });
+        assert_eq!((owned.n_levels(), owned.n_chunks()), (1, 2));
+        // The path's one cut edge runs on both threads.
+        assert_eq!(owned.redundant_iters(), 1);
+
+        let mut rw = spec.clone();
+        let (r, e2n) = (dom.dat_by_name("res").unwrap(), dom.map_by_name("e2n").unwrap());
+        rw.args[1] = Arg::dat_indirect(r, e2n, 1, AccessMode::Rw);
+        let colored = lower(&rw);
+        assert_eq!(colored.kind, ScheduleKind::Colored { block_size: 16 });
+        assert_eq!(colored.n_levels(), 4);
+        assert_eq!(colored.redundant_iters(), 0);
+    }
+
+    /// Scattered edges, every fifth a self-loop, through two maps into
+    /// two target sets of different sizes.
+    fn two_target_fixture(n_a: usize, n_b: usize, n_iter: usize) -> (Domain, LoopSpec) {
+        fn kernel(args: &Args<'_>) {
+            let w = args.get(0, 0);
+            args.inc(1, 0, w * 0.123456789);
+            args.inc(2, 0, w * -0.987654321 + 0.1);
+            args.inc(3, 0, w * w);
+            args.inc(3, 1, 0.3 - w);
+        }
+        let mut dom = Domain::new();
+        let a = dom.decl_set("a", n_a);
+        let b = dom.decl_set("b", n_b);
+        let it = dom.decl_set("it", n_iter);
+        let to_a: Vec<u32> = (0..n_iter)
+            .flat_map(|k| {
+                let x = (k * 7 + 3) % n_a;
+                let y = if k % 5 == 0 { x } else { (k * 13 + 1) % n_a };
+                [x as u32, y as u32]
+            })
+            .collect();
+        let to_b: Vec<u32> = (0..n_iter).map(|k| ((k * 11 + 2) % n_b) as u32).collect();
+        let i2a = dom.decl_map("i2a", it, a, 2, to_a).unwrap();
+        let i2b = dom.decl_map("i2b", it, b, 1, to_b).unwrap();
+        let w: Vec<f64> = (0..n_iter).map(|k| (k as f64 * 0.37).cos()).collect();
+        let w = dom.decl_dat("w", it, 1, w);
+        let on_a = dom.decl_dat_zeros("on_a", a, 1);
+        let on_b = dom.decl_dat_zeros("on_b", b, 2);
+        let spec = LoopSpec::new(
+            "two",
+            it,
+            vec![
+                Arg::dat_direct(w, AccessMode::Read),
+                Arg::dat_indirect(on_a, i2a, 0, AccessMode::Inc),
+                Arg::dat_indirect(on_a, i2a, 1, AccessMode::Inc),
+                Arg::dat_indirect(on_b, i2b, 0, AccessMode::Inc),
+            ],
+            kernel,
+        );
+        (dom, spec)
+    }
+
+    /// The construction invariant over thread counts, sub-ranges and
+    /// more threads than targets: windows partition every target set,
+    /// every (iteration, modifying argument) pair is unmasked in exactly
+    /// one chunk (`windows_valid`), and execution — sequential or on
+    /// threads — is bitwise the plain range walk.
+    #[test]
+    fn owned_windows_partition_and_execute_bitwise() {
+        for (n_a, n_b, n_iter, start, end) in [
+            (41, 17, 200, 0, 200),
+            (41, 17, 200, 37, 151),
+            (3, 2, 64, 0, 64),
+            (5, 1, 9, 2, 9),
+        ] {
+            let (dom, spec) = two_target_fixture(n_a, n_b, n_iter);
+            let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+            let accesses = owner_computes_accesses(dom.maps(), &spec.sig()).unwrap();
+            let mut reference = dom.clone();
+            run_loop_schedule(&mut reference, &spec, &Schedule::range(start, end));
+
+            for n_threads in 1..=5usize {
+                let bounds = touch_windows(start, end, n_threads, &set_sizes, &accesses);
+                for (set, b) in bounds.iter().enumerate() {
+                    if !accesses.iter().any(|(_, a)| a.set == set) {
+                        assert!(b.is_empty());
+                        continue;
+                    }
+                    assert_eq!(b.len(), n_threads + 1);
+                    assert_eq!((b[0], b[n_threads]), (0, set_sizes[set] as u32));
+                    assert!(b.windows(2).all(|w| w[0] <= w[1]), "{b:?}");
+                }
+
+                let sched = owned_schedule(start, end, n_threads, &set_sizes, &accesses);
+                // No chunk without a target element to own.
+                assert!(sched.n_chunks() <= n_threads.min(n_a + n_b));
+                let mut par_dom = dom.clone();
+                let mut gbls = Vec::new();
+                let bound = BoundLoop::bind(&mut par_dom, &spec, &mut gbls);
+                assert!(sched.windows_valid(&bound), "{n_threads} threads");
+                assert_eq!(
+                    sched.loop_iters(0) - sched.redundant_iters(),
+                    end - start
+                );
+
+                // A widened window double-counts, a dropped chunk loses
+                // increments: both must fail the check.
+                let mut wide = sched.clone();
+                if let Some(w) = wide.levels[0].chunks[0].mask.first_mut() {
+                    w.hi += 1;
+                }
+                let mut short = sched.clone();
+                short.levels[0].chunks.pop();
+                if sched.n_chunks() > 1 {
+                    assert!(!wide.windows_valid(&bound));
+                    assert!(!short.windows_valid(&bound));
+                }
+
+                let mut seq_dom = dom.clone();
+                run_loop_schedule(&mut seq_dom, &spec, &sched);
+                run_loop_schedule_threads(&mut par_dom, &spec, &sched, n_threads);
+                for d in ["on_a", "on_b"] {
+                    let id = dom.dat_by_name(d).unwrap();
+                    assert_eq!(seq_dom.dat(id).data, reference.dat(id).data, "{d} seq walk");
+                    assert_eq!(par_dom.dat(id).data, reference.dat(id).data, "{d} threads");
+                }
+            }
+        }
+    }
+
+    /// Windows are balanced by touch count, not by element count: a set
+    /// whose increments all land on its first elements is cut there.
+    #[test]
+    fn touch_windows_follow_the_touches() {
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", 100);
+        let edges = dom.decl_set("edges", 40);
+        // 40 edges over nodes 0..10 only.
+        let vals: Vec<u32> = (0..40u32).flat_map(|i| [i % 10, (i + 1) % 10]).collect();
+        let e2n = dom.decl_map("e2n", edges, nodes, 2, vals).unwrap();
+        let r = dom.decl_dat_zeros("res", nodes, 1);
+        let spec = LoopSpec::new(
+            "inc",
+            edges,
+            vec![
+                Arg::dat_indirect(r, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(r, e2n, 1, AccessMode::Inc),
+            ],
+            noop,
+        );
+        let accesses = owner_computes_accesses(dom.maps(), &spec.sig()).unwrap();
+        let bounds = touch_windows(0, 40, 2, &[100, 40], &accesses);
+        assert_eq!(bounds[nodes.idx()], vec![0, 5, 100]);
+        assert!(bounds[edges.idx()].is_empty());
     }
 }

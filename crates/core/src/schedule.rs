@@ -16,11 +16,12 @@
 //!
 //! Lowerings build schedules from each scheduling strategy
 //! ([`Schedule::range`], [`Schedule::from_coloring`],
-//! [`Schedule::from_block_coloring`], [`Schedule::from_tile_plan`]), and
-//! a single pair of executors runs them: [`run_schedule`] (sequential,
-//! one thread, level and chunk order) and [`run_schedule_threads`]
-//! (scoped OS threads per level — the reference threaded executor; the
-//! runtime crate's pool executes the same schedules per rank).
+//! [`Schedule::from_block_coloring`], [`Schedule::from_tile_plan`],
+//! [`crate::par::owned_schedule`]), and a single pair of executors runs
+//! them: [`run_schedule`] (sequential, one thread, level and chunk
+//! order) and [`run_schedule_threads`] (scoped OS threads per level —
+//! the reference threaded executor; the runtime crate's pool executes
+//! the same schedules per rank).
 //!
 //! **Determinism contract.** When the lowering guarantees that (a)
 //! same-level chunks touch disjoint modified elements and (b) every
@@ -28,7 +29,12 @@
 //! order — as the levelized block coloring and the leveled tile plan do —
 //! the per-element update sequence under any thread count equals the
 //! sequential one, so results are **bitwise identical** to
-//! [`crate::seq::run_loop`] / the sequential tiled walk.
+//! [`crate::seq::run_loop`] / the sequential tiled walk. The
+//! owner-computes lowering meets (a) differently: its chunks *overlap*
+//! in iterations but each carries a window per modifying argument
+//! ([`Chunk::mask`]) and keeps only the increments landing inside it, so
+//! one chunk alone updates each element, in ascending iteration order —
+//! (b) has no pair left to order and one level suffices.
 //!
 //! [`BoundLoop`] is the one argument-resolution and kernel-invocation
 //! path shared by every executor: base pointers resolved once per loop,
@@ -104,14 +110,40 @@ impl Piece {
     }
 }
 
+/// The slice of one `Inc`-through-a-map argument's target set that a
+/// windowed chunk owns: increments landing in `[lo, hi)` are applied,
+/// the rest are dropped into the worker's sink (another chunk of the
+/// same level owns them). See [`crate::par::owned_schedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArgWindow {
+    /// Argument index in the chunk's loop.
+    pub arg: u32,
+    /// First owned target element.
+    pub lo: u32,
+    /// One-past-last owned target element.
+    pub hi: u32,
+}
+
 /// The unit of work one worker executes without interruption: pieces in
 /// order (for tiles, the tile's slice of `L_0`, then of `L_1`, …).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Chunk {
     pub pieces: Vec<Piece>,
+    /// Owner-computes windows, one per modifying argument (empty for
+    /// every other lowering). A windowed chunk holds plain `Range` /
+    /// `List` pieces of a single loop.
+    pub mask: Vec<ArgWindow>,
 }
 
 impl Chunk {
+    /// An unwindowed chunk of `pieces`.
+    pub fn new(pieces: Vec<Piece>) -> Chunk {
+        Chunk {
+            pieces,
+            mask: Vec::new(),
+        }
+    }
+
     /// Total iterations across all pieces.
     pub fn iters(&self) -> usize {
         self.pieces.iter().map(Piece::len).sum()
@@ -132,6 +164,11 @@ pub enum ScheduleKind {
     Direct,
     /// Lowered from a (block) coloring: level per color.
     Colored { block_size: usize },
+    /// Owner-computes lowering of iterations `[start, end)`
+    /// ([`crate::par::owned_schedule`]): one level, one windowed chunk
+    /// per thread, cut iterations executed by every chunk they
+    /// increment into.
+    Owned { start: usize, end: usize },
     /// Lowered from a leveled tile plan: level per tile-conflict level.
     Tiled { n_tiles: usize },
 }
@@ -199,13 +236,11 @@ impl Schedule {
             n_loops: 1,
             kind: ScheduleKind::Direct,
             levels: vec![Level {
-                chunks: vec![Chunk {
-                    pieces: vec![Piece::Range {
-                        loop_idx: 0,
-                        start: start as u32,
-                        end: end.max(start) as u32,
-                    }],
-                }],
+                chunks: vec![Chunk::new(vec![Piece::Range {
+                    loop_idx: 0,
+                    start: start as u32,
+                    end: end.max(start) as u32,
+                }])],
             }],
             fused: Vec::new(),
         }
@@ -218,12 +253,10 @@ impl Schedule {
             n_loops: 1,
             kind: ScheduleKind::Direct,
             levels: vec![Level {
-                chunks: vec![Chunk {
-                    pieces: vec![Piece::List {
-                        loop_idx: 0,
-                        iters,
-                    }],
-                }],
+                chunks: vec![Chunk::new(vec![Piece::List {
+                    loop_idx: 0,
+                    iters,
+                }])],
             }],
             fused: Vec::new(),
         }
@@ -243,11 +276,11 @@ impl Schedule {
             .map(|bucket| Level {
                 chunks: bucket
                     .chunks(chunk_size)
-                    .map(|piece| Chunk {
-                        pieces: vec![Piece::List {
+                    .map(|piece| {
+                        Chunk::new(vec![Piece::List {
                             loop_idx: 0,
                             iters: piece.to_vec(),
-                        }],
+                        }])
                     })
                     .collect(),
             })
@@ -272,13 +305,11 @@ impl Schedule {
                     .iter()
                     .map(|&b| {
                         let (s, e) = bc.block_range(b as usize);
-                        Chunk {
-                            pieces: vec![Piece::Range {
-                                loop_idx: 0,
-                                start: s as u32,
-                                end: e as u32,
-                            }],
-                        }
+                        Chunk::new(vec![Piece::Range {
+                            loop_idx: 0,
+                            start: s as u32,
+                            end: e as u32,
+                        }])
                     })
                     .collect(),
             })
@@ -354,15 +385,15 @@ impl Schedule {
     /// One tile as an executable chunk: its slice of every loop in
     /// program order, empty slices skipped.
     fn tile_chunk(plan: &TilePlan, t: u32) -> Chunk {
-        Chunk {
-            pieces: (0..plan.iters.len())
+        Chunk::new(
+            (0..plan.iters.len())
                 .filter(|&j| !plan.iters[j][t as usize].is_empty())
                 .map(|j| Piece::List {
                     loop_idx: j as u32,
                     iters: plan.iters[j][t as usize].clone(),
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Number of barrier-delimited levels.
@@ -395,6 +426,100 @@ impl Schedule {
             })
             .map(Piece::len)
             .sum()
+    }
+
+    /// Iterations executed more than once: an owner-computes schedule
+    /// runs every cut iteration in each chunk it increments into. Zero
+    /// for every other lowering.
+    pub fn redundant_iters(&self) -> usize {
+        match self.kind {
+            ScheduleKind::Owned { start, end } => {
+                self.loop_iters(0).saturating_sub(end.saturating_sub(start))
+            }
+            _ => 0,
+        }
+    }
+
+    /// The owner-computes construction invariant, checked against the
+    /// loop the schedule will run: a single level whose chunks carry
+    /// ascending, pairwise disjoint windows over exactly the loop's
+    /// modifying arguments (all `Inc` through a map), visit iterations of
+    /// `[start, end)` in ascending order, and between them leave every
+    /// (iteration, modifying argument) pair unmasked **exactly once** —
+    /// so same-level chunks write disjoint elements and each element
+    /// receives its increments from one chunk in sequential order.
+    /// Schedules of any other kind must carry no windows at all.
+    pub fn windows_valid(&self, bound: &BoundLoop) -> bool {
+        let chunks = || self.levels.iter().flat_map(|l| &l.chunks);
+        let ScheduleKind::Owned { start, end } = self.kind else {
+            return chunks().all(|c| c.mask.is_empty());
+        };
+        let Some(first) = chunks().next() else {
+            return start >= end;
+        };
+        if self.levels.len() != 1 {
+            return false;
+        }
+        // The windowed arguments are exactly the loop's dat-modifying
+        // ones, each an `Inc` through a map.
+        let windowed: Vec<usize> = first.mask.iter().map(|w| w.arg as usize).collect();
+        let windowed_ok = windowed.iter().all(|&i| {
+            bound
+                .args
+                .get(i)
+                .is_some_and(|a| a.mode == AccessMode::Inc && a.map.is_some())
+        });
+        let rest_ok = bound.args.iter().enumerate().all(|(i, a)| {
+            windowed.contains(&i) || !(a.mode.modifies() && (a.map.is_some() || a.direct))
+        });
+        if !windowed_ok || !rest_ok {
+            return false;
+        }
+        let n_mask = first.mask.len();
+        let mut unmasked = vec![0u8; end.saturating_sub(start) * n_mask];
+        let mut prev: Option<&Chunk> = None;
+        for chunk in chunks() {
+            let same_args = chunk.mask.len() == n_mask
+                && chunk.mask.iter().zip(&first.mask).all(|(a, b)| a.arg == b.arg);
+            let ascending = prev
+                .is_none_or(|p| p.mask.iter().zip(&chunk.mask).all(|(a, b)| a.hi <= b.lo));
+            if !same_args || !ascending || chunk.mask.iter().any(|w| w.lo > w.hi) {
+                return false;
+            }
+            prev = Some(chunk);
+            let mut last: Option<usize> = None;
+            for piece in &chunk.pieces {
+                let iters: Box<dyn Iterator<Item = usize> + '_> = match piece {
+                    Piece::Range {
+                        loop_idx: 0,
+                        start,
+                        end,
+                    } => Box::new(*start as usize..*end as usize),
+                    Piece::List { loop_idx: 0, iters } => {
+                        Box::new(iters.iter().map(|&e| e as usize))
+                    }
+                    _ => return false,
+                };
+                for e in iters {
+                    if e < start || e >= end || last.is_some_and(|l| l >= e) {
+                        return false;
+                    }
+                    last = Some(e);
+                    for (k, w) in chunk.mask.iter().enumerate() {
+                        let (mbase, arity, idx) =
+                            bound.args[w.arg as usize].map.expect("windowed_ok");
+                        // SAFETY: `BoundLoop` contract; `e` is an
+                        // iteration the schedule is about to execute.
+                        let v = unsafe { *mbase.add(e * arity + idx) };
+                        if (w.lo..w.hi).contains(&v) {
+                            let n = &mut unmasked[(e - start) * n_mask + k];
+                            *n = n.saturating_add(1);
+                        }
+                    }
+                }
+            }
+        }
+        unmasked.iter().all(|&n| n == 1)
     }
 
     /// Whether running the schedule on threads can use more than one
@@ -497,7 +622,7 @@ impl Schedule {
             n_loops: ends.len(),
             kind: ScheduleKind::Direct,
             levels: vec![Level {
-                chunks: vec![Chunk { pieces }],
+                chunks: vec![Chunk::new(pieces)],
             }],
             fused: groups,
         }
@@ -623,15 +748,24 @@ pub struct BoundArg {
 /// The pointers must reference buffers that outlive the `BoundLoop` and
 /// are not reallocated while it is used. Concurrent execution is sound
 /// only under a schedule whose same-level chunks modify disjoint
-/// elements; all data access is value-based through [`Args`], so no
-/// references are formed.
+/// elements — disjoint blocks or tiles under the colored and tiled
+/// lowerings, disjoint *windows* of each target set under the
+/// owner-computes one, where a chunk's out-of-window increments land in
+/// its worker's private sink; all data access is value-based through
+/// [`Args`], so no references are formed.
 pub struct BoundLoop {
     pub kernel: KernelFn,
     pub args: Vec<BoundArg>,
 }
 
-// SAFETY: see the struct-level contract — callers only share a BoundLoop
-// across threads under a conflict-free-by-construction schedule.
+// SAFETY: `kernel` is a plain fn pointer; `args` holds raw pointers into
+// dat, map and gbl buffers that the struct-level contract keeps alive and
+// unmoved. Callers only share a BoundLoop across threads under a
+// schedule whose same-level chunks modify disjoint elements: disjoint
+// iteration blocks/tiles (colored, tiled) or disjoint target *windows*
+// with every out-of-window increment diverted to the worker's own sink
+// (owner-computes; `Schedule::windows_valid` is the checkable form).
+// Map and read-only dat buffers are never written during execution.
 unsafe impl Sync for BoundLoop {}
 unsafe impl Send for BoundLoop {}
 
@@ -750,6 +884,46 @@ pub fn run_elem(kernel: KernelFn, args: &[BoundArg], slots: &mut [ArgSlot], e: u
     (kernel)(&Args::new(slots));
 }
 
+/// [`run_elem`] for a windowed chunk: `wins[i] = (lo, len)` is argument
+/// `i`'s owned target window (`(0, u32::MAX)` = unwindowed); an indirect
+/// argument whose target falls outside it is pointed at `sink` instead,
+/// so the kernel's increment is dropped (the chunk owning that target
+/// applies it). One compare per indirect argument.
+///
+/// `sink` must be valid for writes of the widest windowed argument's
+/// `dim` and private to the calling worker.
+#[inline]
+fn run_elem_masked(
+    kernel: KernelFn,
+    args: &[BoundArg],
+    slots: &mut [ArgSlot],
+    e: usize,
+    wins: &[(u32, u32)],
+    sink: *mut f64,
+) {
+    for ((slot, r), &(lo, len)) in slots.iter_mut().zip(args.iter()).zip(wins.iter()) {
+        slot.ptr = match (&r.map, r.direct) {
+            (Some((mbase, arity, idx)), _) => {
+                // SAFETY: as in `run_elem`.
+                let v = unsafe { *mbase.add(e * arity + idx) };
+                debug_assert_ne!(v, u32::MAX, "map entry beyond built halo depth dereferenced");
+                if v.wrapping_sub(lo) < len {
+                    // SAFETY: in-bounds per dat declaration; concurrent
+                    // writers are excluded by the windows.
+                    unsafe { r.base.add(v as usize * r.dim as usize) }
+                } else {
+                    sink
+                }
+            }
+            // SAFETY: in-bounds per dat declaration; windowed loops
+            // modify nothing directly.
+            (None, true) => unsafe { r.base.add(e * r.dim as usize) },
+            (None, false) => r.base, // gbl
+        };
+    }
+    (kernel)(&Args::new(slots));
+}
+
 /// Reusable per-worker execution state: one slot buffer per chain loop,
 /// the scratch pool backing elided intermediates, and per-loop bound-arg
 /// overrides that point scratch-bound arguments into that pool. Prepared
@@ -766,7 +940,14 @@ pub struct SchedCtx {
     /// Per chain loop: bound args with scratch rebinds applied (empty =
     /// the loop has no elided args; use the `BoundLoop`'s own).
     overrides: Vec<Vec<BoundArg>>,
-    /// Heap (re)allocations performed by `prepare` so far.
+    /// Where windowed chunks drop out-of-window increments; grown to the
+    /// widest windowed argument by the first windowed chunk this worker
+    /// runs, never read.
+    sink: Vec<f64>,
+    /// The running windowed chunk's per-argument `(lo, len)` windows.
+    wins: Vec<(u32, u32)>,
+    /// Heap (re)allocations performed by `prepare` (and sink growths)
+    /// so far.
     allocs: u64,
 }
 
@@ -865,6 +1046,9 @@ impl SchedCtx {
 /// this worker's slot buffers, scratch pool and arg overrides (prepared
 /// for `sched`).
 pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut SchedCtx) {
+    if !chunk.mask.is_empty() {
+        return run_chunk_masked(bound, chunk, ctx);
+    }
     let SchedCtx {
         slots, overrides, ..
     } = ctx;
@@ -914,6 +1098,58 @@ pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut
                         run_elem(bound[j].kernel, args_of(j), &mut slots[j], e as usize);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// [`run_chunk`] for a windowed (owner-computes) chunk: plain pieces of
+/// one loop, every iteration through [`run_elem_masked`].
+fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
+    let Some(first) = chunk.pieces.first() else {
+        return;
+    };
+    let j = first
+        .loop_idx()
+        .expect("windowed chunks hold plain single-loop pieces");
+    let BoundLoop { kernel, args } = &bound[j];
+    let SchedCtx {
+        slots,
+        sink,
+        wins,
+        allocs,
+        ..
+    } = ctx;
+    let caps = (sink.capacity(), wins.capacity());
+    wins.clear();
+    wins.resize(args.len(), (0, u32::MAX));
+    let mut widest = 0usize;
+    for w in &chunk.mask {
+        wins[w.arg as usize] = (w.lo, w.hi - w.lo);
+        widest = widest.max(args[w.arg as usize].dim as usize);
+    }
+    if sink.len() < widest {
+        sink.resize(widest, 0.0);
+    }
+    *allocs += u64::from(caps != (sink.capacity(), wins.capacity()));
+    let sink = sink.as_mut_ptr();
+    let slots = &mut slots[j];
+    for piece in &chunk.pieces {
+        // The windows index loop `j`'s arguments.
+        assert_eq!(piece.loop_idx(), Some(j), "windowed chunk mixes loops");
+        match piece {
+            Piece::Range { start, end, .. } => {
+                for e in *start as usize..*end as usize {
+                    run_elem_masked(*kernel, args, slots, e, wins, sink);
+                }
+            }
+            Piece::List { iters, .. } => {
+                for &e in iters {
+                    run_elem_masked(*kernel, args, slots, e as usize, wins, sink);
+                }
+            }
+            Piece::Fused { .. } | Piece::FusedList { .. } => {
+                unreachable!("loop_idx() is None for fused pieces")
             }
         }
     }
@@ -1056,20 +1292,16 @@ mod tests {
             kind: ScheduleKind::Direct,
             levels: vec![Level {
                 chunks: vec![
-                    Chunk {
-                        pieces: vec![Piece::Range {
-                            loop_idx: 0,
-                            start: 0,
-                            end: 50,
-                        }],
-                    },
-                    Chunk {
-                        pieces: vec![Piece::Range {
-                            loop_idx: 0,
-                            start: 50,
-                            end: 100,
-                        }],
-                    },
+                    Chunk::new(vec![Piece::Range {
+                        loop_idx: 0,
+                        start: 0,
+                        end: 50,
+                    }]),
+                    Chunk::new(vec![Piece::Range {
+                        loop_idx: 0,
+                        start: 50,
+                        end: 100,
+                    }]),
                 ],
             }],
             fused: Vec::new(),
@@ -1132,12 +1364,8 @@ mod tests {
             kind: ScheduleKind::Direct,
             levels: vec![Level {
                 chunks: vec![
-                    Chunk {
-                        pieces: vec![raw(0, 0, 4), raw(1, 0, 4)],
-                    },
-                    Chunk {
-                        pieces: vec![raw(0, 4, 8), raw(1, 4, 6)],
-                    },
+                    Chunk::new(vec![raw(0, 0, 4), raw(1, 0, 4)]),
+                    Chunk::new(vec![raw(0, 4, 8), raw(1, 4, 6)]),
                 ],
             }],
             fused: Vec::new(),

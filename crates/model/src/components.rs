@@ -208,22 +208,26 @@ impl ChainComponents {
 
     /// These components with every loop's `g` replaced by the effective
     /// `threads`-way cost ([`crate::profit::threaded_g`]), each loop
-    /// amortising `n_colors` per-color barriers over its own iteration
-    /// count. Communication terms are untouched — threading shrinks only
-    /// the compute side of Eqs 1–3.
+    /// re-executing a share `redundancy` of its iterations and
+    /// amortising `n_levels` barriers over its own iteration count.
+    /// Communication terms are untouched — threading shrinks only the
+    /// compute side of Eqs 1–3.
     pub fn with_threads(
         &self,
         threads: usize,
-        n_colors: usize,
-        color_sync_s: f64,
+        n_levels: usize,
+        redundancy: f64,
+        sync_s: f64,
     ) -> ChainComponents {
+        let threaded = |g: f64, iters: usize| {
+            crate::profit::threaded_g(g, threads, n_levels, redundancy, sync_s, iters)
+        };
         let mut out = self.clone();
         for l in &mut out.op2_loops {
-            let iters = l.s_core + l.s_halo;
-            l.g = crate::profit::threaded_g(l.g, threads, n_colors, color_sync_s, iters);
+            l.g = threaded(l.g, l.s_core + l.s_halo);
         }
         for (g, core, halo) in &mut out.ca.loops {
-            *g = crate::profit::threaded_g(*g, threads, n_colors, color_sync_s, *core + *halo);
+            *g = threaded(*g, *core + *halo);
         }
         out
     }

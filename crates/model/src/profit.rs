@@ -68,28 +68,31 @@ pub fn classify(mach: &Machine, comp: &ChainComponents) -> Profitability {
     }
 }
 
-/// Default per-color synchronisation cost of the threaded executor
+/// Default per-level synchronisation cost of the threaded executor
 /// (seconds): one pool barrier — dispatch, cursor drain, latch — per
-/// color. Calibrated to the in-process `std::thread` pool; real MPI+X
-/// runs would measure it.
+/// schedule level. Calibrated to the in-process `std::thread` pool; real
+/// MPI+X runs would measure it.
 pub const COLOR_SYNC_S: f64 = 5e-6;
 
-/// Effective per-iteration cost with `threads`-way colored execution:
-/// `g/t` for the compute (perfect intra-color scaling, the model's
-/// idealisation) plus the coloring overhead amortised over the loop —
-/// `n_colors` pool barriers of `color_sync_s` spread across `iters`
-/// iterations. With 1 thread or no iterations this is `g` unchanged.
+/// Effective per-iteration cost with `threads`-way execution of a loop
+/// whose lowering has `n_levels` levels and re-executes a share
+/// `redundancy` of its iterations (owner-computes cut iterations; 0 for
+/// the colored fallback): `g·(1+ρ)/t` for the compute (perfect
+/// intra-level scaling, the model's idealisation) plus `n_levels` pool
+/// barriers of `sync_s` amortised over the loop's `iters` iterations.
+/// With 1 thread or no iterations this is `g` unchanged.
 pub fn threaded_g(
     g: f64,
     threads: usize,
-    n_colors: usize,
-    color_sync_s: f64,
+    n_levels: usize,
+    redundancy: f64,
+    sync_s: f64,
     iters: usize,
 ) -> f64 {
     if threads <= 1 || iters == 0 {
         return g;
     }
-    g / threads as f64 + n_colors as f64 * color_sync_s / iters as f64
+    g * (1.0 + redundancy) / threads as f64 + n_levels as f64 * sync_s / iters as f64
 }
 
 /// [`classify`] with every loop's `g` replaced by its `threads`-way
@@ -100,19 +103,21 @@ pub fn classify_threaded(
     mach: &Machine,
     comp: &ChainComponents,
     threads: usize,
-    n_colors: usize,
-    color_sync_s: f64,
+    n_levels: usize,
+    redundancy: f64,
+    sync_s: f64,
 ) -> Profitability {
-    classify(mach, &comp.with_threads(threads, n_colors, color_sync_s))
+    classify(mach, &comp.with_threads(threads, n_levels, redundancy, sync_s))
 }
 
 /// [`classify`] for the **threaded-tiled** CA executor: compute shrinks
-/// `threads`-way exactly as in [`classify_threaded`], but the barrier
-/// count is the tile plan's *level* count — the tiled chain executor
-/// pays one pool round per conflict level for the **whole chain**, not
-/// `n_colors` rounds per loop. The cache-locality benefit of tiling
-/// (the reason §2.2 exists) is deliberately unmodelled, so this is a
-/// conservative lower bound on tiling's advantage.
+/// `threads`-way exactly as in [`classify_threaded`] (tiles execute
+/// nothing twice), but the barrier count is the tile plan's *level*
+/// count — the tiled chain executor pays one pool round per conflict
+/// level for the **whole chain**, not the per-loop lowering's levels
+/// for every loop. The cache-locality benefit of tiling (the reason
+/// §2.2 exists) is deliberately unmodelled, so this is a conservative
+/// lower bound on tiling's advantage.
 pub fn classify_threaded_tiled(
     mach: &Machine,
     comp: &ChainComponents,
@@ -124,14 +129,15 @@ pub fn classify_threaded_tiled(
     // with_threads amortises `n` barriers per *loop*; the tiled executor
     // pays `n_tile_levels` per *chain*, so spread them across the loops.
     let per_loop = n_tile_levels.div_ceil(n_loops);
-    classify(mach, &comp.with_threads(threads, per_loop, color_sync_s))
+    classify(mach, &comp.with_threads(threads, per_loop, 0.0, color_sync_s))
 }
 
 /// Which pool-backed executor a threaded rank should run a CA-approved
 /// chain on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadedBackend {
-    /// [Alg 2] chain executor, each loop colored-blocked on the pool.
+    /// [Alg 2] chain executor, each loop lowered on its own for the pool
+    /// (owner-computes windows, or the block coloring as fallback).
     Colored,
     /// The §2.2 sparse-tiled chain executor with same-level tiles run
     /// concurrently on the pool.
@@ -343,8 +349,23 @@ mod tests {
         // Few tile levels → barely any barrier cost: the tiled arm's
         // gain must be at least the colored arm's with many colors.
         let tiled = classify_threaded_tiled(&m, &c, 4, 4, COLOR_SYNC_S);
-        let colored = classify_threaded(&m, &c, 4, 64, COLOR_SYNC_S);
+        let colored = classify_threaded(&m, &c, 4, 64, 0.0, COLOR_SYNC_S);
         assert!(tiled.gain_pct >= colored.gain_pct);
+    }
+
+    /// `g·(1+ρ)/t + levels·sync/iters`: redundancy scales the compute
+    /// term, levels the barrier term; one thread pays neither.
+    #[test]
+    fn threaded_g_prices_redundancy_and_levels() {
+        let g = 8e-8;
+        assert_eq!(threaded_g(g, 1, 100, 0.5, COLOR_SYNC_S, 1000), g);
+        let owned = threaded_g(g, 2, 1, 0.02, COLOR_SYNC_S, 100_000);
+        assert!((owned - (g * 1.02 / 2.0 + COLOR_SYNC_S / 1e5)).abs() < 1e-18);
+        // A ladder of one level per 256-iteration block costs more than
+        // one thread; the single windowed level does not.
+        let ladder = threaded_g(g, 2, 100_000 / 256, 0.0, COLOR_SYNC_S, 100_000);
+        assert!(owned < g && g < ladder * 2.0);
+        assert!(owned < ladder);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::threads::{
 };
 use crate::trace::{ExchangeRec, RankTrace, SchedKind, ThreadRec};
 use op2_core::dag::{dag_accesses, ChunkDag};
-use op2_core::par::{adaptive_block_size, color_blocks_raw, conflict_accesses, BlockColoring};
+use op2_core::par::{adaptive_block_size, conflict_accesses, thread_schedule};
 use op2_core::schedule::{
     run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
 };
@@ -484,43 +484,30 @@ impl<'a> RankEnv<'a> {
         adaptive_block_size(start, end, &set_sizes, &accesses)
     }
 
-    /// Inspector: the levelized order-preserving block coloring of
-    /// `[start, end)` under `spec`'s access pattern, over this rank's
-    /// localized maps. Only executable iterations are colored, so every
-    /// dereferenced map target is a valid local index (the layout
-    /// invariant the executor itself relies on).
-    pub fn build_block_coloring(
-        &self,
-        spec: &LoopSpec,
-        start: usize,
-        end: usize,
-    ) -> BlockColoring {
-        let sig = spec.sig();
-        let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
-        let accesses = conflict_accesses(&self.layout.maps, &sig);
-        color_blocks_raw(
-            start,
-            end,
-            self.chosen_block_size(spec, start, end),
-            &set_sizes,
-            &accesses,
-        )
-    }
-
-    /// Inspector: lower `[start, end)` of `spec` to a colored
-    /// [`Schedule`] with the given block size.
-    fn build_loop_schedule(
+    /// Inspector: lower `[start, end)` of `spec` for this rank's pool
+    /// width over its localized maps ([`thread_schedule`]) —
+    /// owner-computes windows when the access descriptors admit it, the
+    /// block coloring at `block_size` otherwise. The one lowering the
+    /// executor runs and the tuner prices. Only executable iterations
+    /// are lowered, so every dereferenced map target is a valid local
+    /// index (the layout invariant the executor itself relies on).
+    pub fn build_loop_schedule(
         &self,
         spec: &LoopSpec,
         start: usize,
         end: usize,
         block_size: usize,
     ) -> Schedule {
-        let sig = spec.sig();
         let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
-        let accesses = conflict_accesses(&self.layout.maps, &sig);
-        let bc = color_blocks_raw(start, end, block_size, &set_sizes, &accesses);
-        Schedule::from_block_coloring(&bc)
+        thread_schedule(
+            &self.layout.maps,
+            &spec.sig(),
+            start,
+            end,
+            self.threads.opts.n_threads,
+            block_size,
+            &set_sizes,
+        )
     }
 
     /// Resolve one loop's arguments against this rank's local buffers
@@ -608,7 +595,10 @@ impl<'a> RankEnv<'a> {
     /// Drain `bound` over `sched` on the rank's pool, through whichever
     /// executor [`RankEnv::dataflow_chosen`] picks — dataflow needs the
     /// chunk DAG ([`RankEnv::resolve_dag`]), levels pays one barrier per
-    /// level. Bitwise identical either way.
+    /// level. Bitwise identical either way. A single-level schedule has
+    /// no barrier for dataflow to remove and always takes the leveled
+    /// drain, whatever [`ExecMode`] says — which also keeps windowed
+    /// (owner-computes) chunks, always a single level, out of the DAG.
     fn drain_schedule(
         &mut self,
         sigs: &[LoopSig],
@@ -617,7 +607,7 @@ impl<'a> RankEnv<'a> {
         plan: Option<&ChainPlan>,
     ) -> ExecStats {
         let pool = self.threads.pool();
-        if self.exec != ExecMode::Levels && sched.has_parallelism() {
+        if self.exec != ExecMode::Levels && sched.n_levels() > 1 && sched.has_parallelism() {
             let dag = self.resolve_dag(sigs, sched, plan);
             if self.dataflow_chosen(sched, &dag) {
                 return run_schedule_dataflow(
@@ -634,15 +624,18 @@ impl<'a> RankEnv<'a> {
         run_schedule_pooled_ctx(&pool, bound, sched, &mut self.threads.sched_ctxs)
     }
 
-    /// Executor: run one loop's colored schedule on the rank's own pool.
-    /// Same-level chunks touch disjoint modified elements (race-free)
-    /// and conflicting chunks are ordered by ascending level = ascending
-    /// block index — and the dataflow drain preserves exactly the
-    /// conflicting-pair order through the chunk DAG — so per-element
-    /// update order equals the sequential executor's: results are
-    /// bitwise identical for any thread count and either drain. Appends
-    /// a [`ThreadRec`] with per-level wall times and per-worker
-    /// idle/steal/fire counters to the trace.
+    /// Executor: run one loop's lowered schedule on the rank's own pool.
+    /// Same-level chunks write disjoint elements (race-free): disjoint
+    /// windows under the owner-computes lowering, where each element
+    /// takes its increments from one chunk in ascending iteration order;
+    /// disjoint blocks under the colored fallback, where conflicting
+    /// chunks are ordered by ascending level = ascending block index —
+    /// and the dataflow drain preserves exactly the conflicting-pair
+    /// order through the chunk DAG. Either way per-element update order
+    /// equals the sequential executor's: results are bitwise identical
+    /// for any thread count and either drain. Appends a [`ThreadRec`]
+    /// with per-level wall times and per-worker idle/steal/fire counters
+    /// to the trace.
     fn exec_schedule_threaded(
         &mut self,
         spec: &LoopSpec,
@@ -653,18 +646,21 @@ impl<'a> RankEnv<'a> {
         let bound = self.bind_loop(spec, gbl_bufs);
         let sigs = [spec.sig()];
         let stats = self.drain_schedule(&sigs, std::slice::from_ref(&bound), sched, plan);
-        let block_size = match sched.kind {
-            ScheduleKind::Colored { block_size } => block_size,
-            _ => 0,
+        let (kind, block_size) = match sched.kind {
+            ScheduleKind::Owned { .. } => (SchedKind::Owned, 0),
+            ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size),
+            _ => (SchedKind::Colored, 0),
         };
+        let redundant_iters = sched.redundant_iters();
         self.trace.threads.push(ThreadRec {
             name: spec.name.clone(),
-            iters: sched.loop_iters(0),
+            iters: sched.loop_iters(0) - redundant_iters,
+            redundant_iters,
             n_threads: self.threads.pool().n_threads(),
             block_size,
             n_chunks: sched.n_chunks(),
             n_levels: sched.n_levels(),
-            kind: SchedKind::Colored,
+            kind,
             level_ns: stats.level_ns,
             crit_path: stats.crit_path,
             dataflow: stats.dataflow,
@@ -717,6 +713,7 @@ impl<'a> RankEnv<'a> {
             self.trace.threads.push(ThreadRec {
                 name: chain.name.clone(),
                 iters,
+                redundant_iters: 0,
                 n_threads: self.threads.pool().n_threads(),
                 block_size: 0,
                 n_chunks: sched.n_chunks(),

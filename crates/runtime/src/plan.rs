@@ -737,9 +737,7 @@ fn colored_fused(
                 .iter()
                 .map(|&b| {
                     let (s, e) = bc.block_range(b as usize);
-                    Chunk {
-                        pieces: vec![piece(s as u32, e as u32)],
-                    }
+                    Chunk::new(vec![piece(s as u32, e as u32)])
                 })
                 .collect();
             if !chunks.is_empty() {

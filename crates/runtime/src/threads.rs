@@ -4,10 +4,12 @@
 //! Each rank (already an OS thread under the harness) can spread its
 //! kernel iterations over a pool of worker threads by executing a
 //! lowered [`Schedule`] level by level: within a level, chunks are
-//! claimed from a shared cursor; between levels the pool barriers.
-//! Order-preserving lowerings (the levelized block coloring, the leveled
-//! tile plan) keep results bitwise identical to sequential execution for
-//! every thread count — see [`op2_core::schedule`].
+//! claimed from a shared cursor; between levels the pool barriers (a
+//! level of one chunk runs on the caller, no round at all).
+//! Order-preserving lowerings (owner-computes windows, the levelized
+//! block coloring, the leveled tile plan) keep results bitwise identical
+//! to sequential execution for every thread count — see
+//! [`op2_core::schedule`].
 //!
 //! Each rank **owns** its pool ([`ThreadCtx::pool`]), created lazily at
 //! the rank's configured width; the harness divides `OP2_THREADS` across
@@ -408,18 +410,28 @@ pub fn run_schedule_pooled_ctx(
     });
     let busy: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
     let fires: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
+    // Same-level windowed chunks are race-free only if their windows
+    // are disjoint and every increment is kept by exactly one of them.
+    debug_assert!(bound.first().is_none_or(|b| sched.windows_valid(b)));
     let mut level_ns = Vec::with_capacity(sched.levels.len());
     let t0 = Instant::now();
     for level in &sched.levels {
         let l0 = Instant::now();
-        pool.run_indexed(level.chunks.len(), &|w, ci| {
+        let run = |w: usize, ci: usize| {
             // SAFETY: see `CtxSlab` — worker `w` owns slot `w`.
             let ctx = unsafe { &mut *slab.slot(w) };
             let c0 = Instant::now();
             run_chunk(bound, sched, &level.chunks[ci], ctx);
             busy[w].fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             fires[w].fetch_add(1, Ordering::Relaxed);
-        });
+        };
+        if level.chunks.len() == 1 {
+            // Nothing to share: the caller runs the chunk as worker 0
+            // instead of waking every worker to find an empty cursor.
+            run(0, 0);
+        } else {
+            pool.run_indexed(level.chunks.len(), &run);
+        }
         level_ns.push(l0.elapsed().as_nanos() as u64);
     }
     let total_ns = t0.elapsed().as_nanos() as u64;
@@ -483,10 +495,11 @@ impl DataflowScratch {
         for w in 0..workers {
             let mut q = self.queues[w].lock().expect("steal queue poisoned");
             q.clear();
-            let cap = q.capacity();
-            if cap < n_chunks {
+            if q.capacity() < n_chunks {
                 self.allocs += 1;
-                q.reserve_exact(n_chunks - cap);
+                // On the cleared queue `reserve_exact(n)` guarantees
+                // capacity `n`, so no later `push` can reallocate.
+                q.reserve_exact(n_chunks);
             }
             self.sizes[w].store(0, Ordering::Relaxed);
             self.busy[w].store(0, Ordering::Relaxed);
@@ -1155,6 +1168,26 @@ mod tests {
         assert!(warm > 0);
         for _ in 0..5 {
             run_dag(&pool, &dag, true, &mut scratch, &|_, _| {});
+        }
+        assert_eq!(scratch.allocs(), warm);
+    }
+
+    /// Warming on a small DAG and then draining a larger one sizes every
+    /// queue for the larger one in a single growth: alternating the two
+    /// allocates nothing after the first pair.
+    #[test]
+    fn dataflow_scratch_alternating_shapes_stay_flat() {
+        let (_s, small) = path_dag(33, 8);
+        let (_s, large) = path_dag(257, 4);
+        assert!(small.n_chunks < large.n_chunks);
+        let pool = ThreadPool::new(2);
+        let mut scratch = DataflowScratch::default();
+        run_dag(&pool, &small, false, &mut scratch, &|_, _| {});
+        run_dag(&pool, &large, false, &mut scratch, &|_, _| {});
+        let warm = scratch.allocs();
+        for _ in 0..3 {
+            run_dag(&pool, &small, false, &mut scratch, &|_, _| {});
+            run_dag(&pool, &large, false, &mut scratch, &|_, _| {});
         }
         assert_eq!(scratch.allocs(), warm);
     }

@@ -212,15 +212,19 @@ pub struct TunerRec {
 /// Which lowering produced a pooled [`op2_core::Schedule`] execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedKind {
-    /// A single loop range lowered through the levelized block coloring.
+    /// A single loop range lowered through the levelized block coloring
+    /// (the fallback for loops the owner-computes rule does not admit).
     #[default]
     Colored,
+    /// A single loop range lowered owner-computes: one level, one
+    /// windowed chunk per thread.
+    Owned,
     /// A whole chain lowered through the leveled tile plan.
     Tiled,
 }
 
-/// One pooled [`op2_core::Schedule`] execution — a colored loop range or
-/// a tiled chain (see [`crate::threads`]): the schedule shape plus
+/// One pooled [`op2_core::Schedule`] execution — a loop range lowered
+/// owner-computes or colored, or a tiled chain (see [`crate::threads`]): the schedule shape plus
 /// per-level wall time.
 ///
 /// Equality ignores the *values* in `level_ns` (wall clock varies run to
@@ -231,9 +235,13 @@ pub enum SchedKind {
 pub struct ThreadRec {
     /// Loop or chain name.
     pub name: String,
-    /// Total iterations executed (summed over the chain's loops for
+    /// Distinct iterations executed (summed over the chain's loops for
     /// tiled schedules).
     pub iters: usize,
+    /// Iterations executed beyond `iters`: the cut iterations an
+    /// owner-computes schedule runs once per thread they increment for
+    /// (0 under every other lowering).
+    pub redundant_iters: usize,
     /// Threads that executed it.
     pub n_threads: usize,
     /// Iterations per coloring block (0 for tiled schedules, which
@@ -272,6 +280,7 @@ impl PartialEq for ThreadRec {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.iters == other.iters
+            && self.redundant_iters == other.redundant_iters
             && self.n_threads == other.n_threads
             && self.block_size == other.block_size
             && self.n_chunks == other.n_chunks

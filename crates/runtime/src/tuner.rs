@@ -206,7 +206,7 @@ impl Tuner {
         let entry_valid: Vec<u8> = env.valid.clone();
 
         // Measure `g` with threading *suspended*: the model's threaded
-        // extension derives the `t`-way cost as `g/t + coloring
+        // extension derives the `t`-way cost as `g·(1+ρ)/t + barrier
         // overhead` from the sequential `g` — measuring with the
         // threaded executor live would count the speedup twice.
         let threading = env.threads.opts;
@@ -234,23 +234,27 @@ impl Tuner {
             return Err(e);
         }
 
-        // Coloring cost estimate for the thread-aware model: the widest
-        // schedule any loop of the chain would execute (colors = pool
-        // barriers per loop). Rank-local here, allreduced below.
+        // Lowering cost for the thread-aware model, from the very
+        // schedules the executor would run: the deepest any loop of the
+        // chain gets (levels = pool barriers per loop) and the largest
+        // share of iterations any re-executes (owner-computes cut
+        // iterations). Rank-local here, allreduced below.
         let threads = threading.n_threads;
-        let n_colors_local = if threads > 1 {
+        let (n_levels_local, redundancy_local) = if threads > 1 {
             chain
                 .loops
                 .iter()
                 .zip(&chain.halo_ext)
                 .map(|(spec, &ext)| {
                     let end = env.layout.sets[spec.set.idx()].exec_end(ext);
-                    env.build_block_coloring(spec, 0, end).n_colors
+                    let block = env.chosen_block_size(spec, 0, end);
+                    let sched = env.build_loop_schedule(spec, 0, end, block);
+                    let redundancy = sched.redundant_iters() as f64 / end.max(1) as f64;
+                    (sched.n_levels(), redundancy)
                 })
-                .max()
-                .unwrap_or(1)
+                .fold((1, 0.0), |(l, r), (l2, r2)| (l.max(l2), f64::max(r, r2)))
         } else {
-            1
+            (1, 0.0)
         };
 
         // Measured per-barrier cost of *this rank's own pool* — an empty
@@ -298,11 +302,13 @@ impl Tuner {
         };
 
         let sigs = chain.sigs();
-        // Agree on g (critical path), the color count, the measured sync
-        // cost, the tile level count and the pack cost across ranks
-        // before shaping, so shape and decision are rank-identical.
+        // Agree on g (critical path), the lowering's level count and
+        // redundancy, the measured sync cost, the tile level count and
+        // the pack cost across ranks before shaping, so shape and
+        // decision are rank-identical.
         let tag = env.next_tag();
-        g.push(n_colors_local as f64);
+        g.push(n_levels_local as f64);
+        g.push(redundancy_local);
         g.push(sync_local);
         g.push(tile_levels_local as f64);
         g.push(pack_local);
@@ -310,7 +316,8 @@ impl Tuner {
         let pack_s = g.pop().expect("pack cost appended above");
         let n_tile_levels = g.pop().expect("tile levels appended above") as usize;
         let sync_s = g.pop().expect("sync cost appended above");
-        let n_colors = g.pop().expect("color count appended above") as usize;
+        let redundancy = g.pop().expect("redundancy appended above");
+        let n_levels = g.pop().expect("level count appended above") as usize;
         // A degenerate measurement (clock too coarse) falls back to the
         // model constant rather than pricing barriers as free.
         let sync_s = if sync_s > 0.0 {
@@ -322,11 +329,11 @@ impl Tuner {
             entry_valid[d.idx()] as usize
         });
         let comp = agreed_components(env, &shape)?;
-        // `g → g/t + coloring overhead`: compute shrinks with threads,
-        // communication doesn't — CA turns profitable earlier on
-        // threaded ranks.
+        // `g → g·(1+ρ)/t + barrier overhead`: compute shrinks with
+        // threads, communication doesn't — CA turns profitable earlier
+        // on threaded ranks.
         let comp = if threads > 1 {
-            comp.with_threads(threads, n_colors, sync_s)
+            comp.with_threads(threads, n_levels, redundancy, sync_s)
         } else {
             comp
         };
@@ -343,15 +350,15 @@ impl Tuner {
             Backend::Op2
         } else if self.tile_auto {
             if threads > 1 {
-                // Model-driven colored-vs-tiled arm: the tiled executor
+                // Model-driven per-loop-vs-tiled arm: the tiled executor
                 // pays one barrier per conflict level per chain, the
-                // colored one `n_colors` per loop — fewer total barriers
+                // per-loop one `n_levels` per loop — fewer total barriers
                 // wins (tiling's locality benefit is unmodelled, so ties
                 // go to tiled).
                 match op2_model::choose_threaded_backend(
                     threads,
                     chain.len(),
-                    n_colors,
+                    n_levels,
                     n_tile_levels,
                 ) {
                     op2_model::ThreadedBackend::Tiled => Backend::Tiled,

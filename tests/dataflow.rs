@@ -14,7 +14,10 @@
 //!
 //! 1. **Dataflow == levels == sequential** to the bit at 1/2/4 pool
 //!    threads, pinned and unpinned, across the direct, colored and
-//!    tiled chain lowerings (proptest).
+//!    tiled chain lowerings (proptest). An `Inc`-only edge sweep lowers
+//!    owner-computes — one level, which always drains leveled — so the
+//!    sweep also comes as an indirect `Rw`, which only the colored
+//!    fallback admits and whose ladder of levels the DAG replaces.
 //! 2. **Engagement**: on a mesh big enough for real parallelism the
 //!    trace records dataflow drains with fires covering every chunk —
 //!    the property above is not vacuously running the levels fallback.
@@ -44,6 +47,14 @@ fn flux(args: &Args<'_>) {
     args.inc(3, 0, -d * 0.25);
 }
 
+/// [`flux`] with the endpoints declared `Rw`: the same arithmetic, but
+/// order-dependent by its descriptors, so it lowers to colored blocks.
+fn flux_rw(args: &Args<'_>) {
+    let d = (args.get(0, 0) - args.get(1, 0)) * 0.5;
+    args.set(2, 0, args.get(2, 0) + d * 0.25);
+    args.set(3, 0, args.get(3, 0) - d * 0.25);
+}
+
 /// Direct node relaxation between sweeps; its chunks depend on every
 /// Inc chunk covering their nodes, so the DAG crosses level bounds.
 fn relax(args: &Args<'_>) {
@@ -62,9 +73,9 @@ struct Case {
 }
 
 /// `[flux, relax] × sweeps` over a quad or tet mesh: alternating
-/// indirect-Inc and direct levels, the shape the dataflow DAG threads
-/// through.
-fn build_case(nx: usize, ny: usize, nz: usize, sweeps: usize, tet: bool) -> Case {
+/// indirect-Inc (or, with `rw`, indirect-`Rw`) and direct levels, the
+/// shape the dataflow DAG threads through.
+fn build_case(nx: usize, ny: usize, nz: usize, sweeps: usize, tet: bool, rw: bool) -> Case {
     let (mut dom, nodes, edges, e2n, coords, cdim) = if tet {
         let m = Tet3D::generate(nx.min(6), ny.min(6), nz);
         (m.dom, m.nodes, m.edges, m.e2n, m.coords, 3)
@@ -76,6 +87,11 @@ fn build_case(nx: usize, ny: usize, nz: usize, sweeps: usize, tet: bool) -> Case
     let s0: Vec<f64> = (0..n).map(|i| ((i * 13 + 7) % 17) as f64).collect();
     let val = dom.decl_dat("val", nodes, 1, s0);
     let res = dom.decl_dat_zeros("res", nodes, 1);
+    let (mode, kernel) = if rw {
+        (AccessMode::Rw, flux_rw as fn(&Args<'_>))
+    } else {
+        (AccessMode::Inc, flux as fn(&Args<'_>))
+    };
     let mut loops = Vec::with_capacity(2 * sweeps);
     for _ in 0..sweeps {
         loops.push(LoopSpec::new(
@@ -84,10 +100,10 @@ fn build_case(nx: usize, ny: usize, nz: usize, sweeps: usize, tet: bool) -> Case
             vec![
                 Arg::dat_indirect(val, e2n, 0, AccessMode::Read),
                 Arg::dat_indirect(val, e2n, 1, AccessMode::Read),
-                Arg::dat_indirect(res, e2n, 0, AccessMode::Inc),
-                Arg::dat_indirect(res, e2n, 1, AccessMode::Inc),
+                Arg::dat_indirect(res, e2n, 0, mode),
+                Arg::dat_indirect(res, e2n, 1, mode),
             ],
-            flux,
+            kernel,
         ));
         loops.push(LoopSpec::new(
             "relax",
@@ -191,9 +207,10 @@ proptest! {
         n_tiles in 2usize..6,
         tet in proptest::bool::ANY,
         pin in proptest::bool::ANY,
+        rw in proptest::bool::ANY,
     ) {
         let iters = 3;
-        let case = build_case(nx, ny, nz, sweeps, tet);
+        let case = build_case(nx, ny, nz, sweeps, tet, rw);
         let seq_bits = run_seq(&case, iters);
         let layouts = layouts_for(&case, nparts);
 
@@ -235,7 +252,7 @@ proptest! {
 #[test]
 fn dataflow_engages_and_fires_every_chunk() {
     let iters = 3;
-    let case = build_case(16, 16, 2, 3, false);
+    let case = build_case(16, 16, 2, 3, false, true);
     let seq_bits = run_seq(&case, iters);
     let layouts = layouts_for(&case, 2);
     let threading = Threading { n_threads: 4, block_size: 8, auto_block: false };
@@ -343,7 +360,7 @@ fn dataflow_over_fused_pieces_bitwise() {
 /// nothing.
 #[test]
 fn dataflow_steady_state_allocates_nothing() {
-    let case = build_case(12, 12, 2, 3, false);
+    let case = build_case(12, 12, 2, 3, false, true);
     let layouts = layouts_for(&case, 2);
     let mut dom = case.dom.clone();
     let opts = RunOptions::default()
@@ -397,7 +414,7 @@ mod chaos {
         let sites = [(BoundaryKind::Chain, 1u64), (BoundaryKind::Loop, 1)];
         for n_threads in [1usize, 4] {
             for &(kind, k) in &sites {
-                let case = build_case(10, 8, 2, 2, false);
+                let case = build_case(10, 8, 2, 2, false, true);
                 let bump_loop = LoopSpec::new(
                     "bump",
                     case.nodes,

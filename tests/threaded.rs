@@ -1,23 +1,31 @@
 //! Threaded-executor equivalence properties.
 //!
-//! The colored-threaded executor's contract is *bitwise identity*: the
-//! levelized block coloring preserves ascending per-element update
-//! order, so thread count and block size are invisible in the results —
-//! not "equal up to reassociation tolerance", equal to the bit. These
-//! properties pin that contract on randomly generated 2-D quad and 3-D
-//! tet meshes, for chains with `OP_INC` through maps, against both the
-//! sequential reference and the unplanned distributed path, at 1, 2 and
-//! 4 threads.
+//! The threaded executor's contract is *bitwise identity*: both of its
+//! lowerings — owner-computes windows for loops that modify through
+//! maps by `OP_INC` alone, the levelized block coloring for the rest —
+//! preserve ascending per-element update order, so thread count and
+//! block size are invisible in the results — not "equal up to
+//! reassociation tolerance", equal to the bit. These properties pin
+//! that contract on randomly generated 2-D quad and 3-D tet meshes, for
+//! chains with `OP_INC` through maps, against both the sequential
+//! reference and the unplanned distributed path, at 1, 2 and 4 threads.
 //!
-//! The kernels keep all values dyadic rationals of small magnitude, so
-//! floating-point addition is exact and the sequential reference is
-//! bit-comparable even across the distributed runs' local renumbering.
+//! The kernels of the first group keep all values dyadic rationals of
+//! small magnitude, so floating-point addition is exact and the
+//! sequential reference is bit-comparable even across the distributed
+//! runs' local renumbering. That makes them blind to *reordered*
+//! increments, so the owner-computes group further down uses
+//! order-sensitive arithmetic and compares runs that share one local
+//! numbering: 1 to 4 pool threads against the same layouts run
+//! single-threaded, and against [`seq::run_loop`] itself on one rank.
 
 use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, SetId};
-use op2::mesh::{Quad2D, Tet3D};
+use op2::mesh::{shuffle::shuffle_set, Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_chain_unplanned, run_loop};
-use op2::runtime::{run_distributed_with, RankTrace, RunOptions, Threading};
+use op2::runtime::{
+    run_distributed_with, RankEnv, RankTrace, RunOptions, RuntimeError, SchedKind, Threading,
+};
 use proptest::prelude::*;
 
 fn bump(args: &Args<'_>) {
@@ -130,12 +138,13 @@ fn run_dist(
         Ok(())
     });
     assert!(out.all_ok(), "failures: {:?}", out.failures());
-    let data = case
-        .dats
-        .iter()
+    (out.traces, bits_of(dom, &case.dats))
+}
+
+fn bits_of(dom: &Domain, dats: &[DatId]) -> Vec<Vec<u64>> {
+    dats.iter()
         .map(|&d| dom.dat(d).data.iter().map(|x| x.to_bits()).collect())
-        .collect();
-    (out.traces, data)
+        .collect()
 }
 
 /// The sequential reference of the same program: dat bit patterns.
@@ -147,10 +156,7 @@ fn run_seq(case: &Case) -> Vec<Vec<u64>> {
             seq::run_loop(&mut dom, l);
         }
     }
-    case.dats
-        .iter()
-        .map(|&d| dom.dat(d).data.iter().map(|x| x.to_bits()).collect())
-        .collect()
+    bits_of(&dom, &case.dats)
 }
 
 proptest! {
@@ -263,4 +269,266 @@ fn threaded_path_engages_on_large_mesh() {
             assert!(rec.n_chunks > 0 && rec.n_levels > 0);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Owner-computes lowering: order-sensitive kernels, shared numbering.
+// ---------------------------------------------------------------------
+
+/// Edge flux with irrational-ish factors: any reassociation, dropped or
+/// doubled increment changes the bits of `res`.
+fn flux_os(args: &Args<'_>) {
+    let (a, b) = (args.get(2, 0), args.get(3, 0));
+    args.inc(0, 0, (b - a) * 0.123456789 + 0.1);
+    args.inc(1, 0, (a - b) * 0.987654321 - 0.3);
+}
+
+/// Declare `pres`/`res` on `nodes` and the [`flux_os`] loop over `edges`
+/// incrementing `res` through both entries of `e2n`.
+fn flux_os_loop(
+    dom: &mut Domain,
+    nodes: SetId,
+    edges: SetId,
+    e2n: op2::core::MapId,
+) -> (LoopSpec, DatId) {
+    let n = dom.set(nodes).size;
+    let pres: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+    let p = dom.decl_dat("pres", nodes, 1, pres);
+    let r = dom.decl_dat_zeros("res", nodes, 1);
+    let spec = LoopSpec::new(
+        "flux_os",
+        edges,
+        vec![
+            Arg::dat_indirect(r, e2n, 0, AccessMode::Inc),
+            Arg::dat_indirect(r, e2n, 1, AccessMode::Inc),
+            Arg::dat_indirect(p, e2n, 0, AccessMode::Read),
+            Arg::dat_indirect(p, e2n, 1, AccessMode::Read),
+        ],
+        flux_os,
+    );
+    (spec, r)
+}
+
+/// Increments through two maps into two different target sets (nodes
+/// and cells), scaled by a directly read edge weight.
+fn two_sets_os(args: &Args<'_>) {
+    let w = args.get(0, 0);
+    args.inc(1, 0, w * 0.377);
+    args.inc(2, 0, w * -0.291 + 0.7);
+    args.inc(3, 0, w * 1.113);
+    args.inc(3, 1, w * 0.017);
+    args.inc(4, 0, 0.5 - w);
+    args.inc(4, 1, w * w);
+}
+
+/// Run `prog` on every rank of `layouts` single-threaded, then under 1
+/// to 4 pool threads (block size 4, so small ranges still thread), and
+/// require the bits of `dats` to match throughout. Returns the reference
+/// bits and the 4-thread traces.
+fn assert_thread_count_invisible(
+    dom: &Domain,
+    layouts: &[RankLayout],
+    dats: &[DatId],
+    prog: &(dyn Fn(&mut RankEnv<'_>) -> Result<(), RuntimeError> + Sync),
+) -> (Vec<Vec<u64>>, Vec<RankTrace>) {
+    let run = |threading: Threading| {
+        let mut d = dom.clone();
+        let opts = RunOptions::default().threading(threading);
+        let out = run_distributed_with(&mut d, layouts, &opts, prog);
+        assert!(out.all_ok(), "failures: {:?}", out.failures());
+        (bits_of(&d, dats), out.traces)
+    };
+    let (reference, _) = run(Threading::single());
+    let mut traces = Vec::new();
+    for n_threads in 1..=4usize {
+        let threading = Threading {
+            n_threads,
+            block_size: 4,
+            auto_block: false,
+        };
+        let (bits, t) = run(threading);
+        assert_eq!(bits, reference, "{n_threads} threads != single-threaded");
+        traces = t;
+    }
+    (reference, traces)
+}
+
+/// Every threaded record of `name` ran owner-computes, in one level.
+fn assert_owned(traces: &[RankTrace], name: &str) {
+    let recs: Vec<_> = traces
+        .iter()
+        .flat_map(|t| &t.threads)
+        .filter(|r| r.name == name)
+        .collect();
+    assert!(!recs.is_empty(), "`{name}` never ran threaded");
+    for r in recs {
+        assert_eq!(r.kind, SchedKind::Owned, "`{name}` fell back to {:?}", r.kind);
+        assert_eq!(r.n_levels, 1);
+        assert!(r.n_chunks <= r.n_threads);
+    }
+}
+
+/// Nodes-based layouts for a hand-built domain: node `i` of `n` goes to
+/// rank `i * nparts / n`.
+fn block_layouts(dom: &Domain, nodes: SetId, nparts: usize) -> Vec<RankLayout> {
+    let n = dom.set(nodes).size;
+    let owner = (0..n).map(|i| (i * nparts / n) as u32).collect();
+    build_layouts(dom, &derive_ownership(dom, nodes, owner, nparts), 1)
+}
+
+/// `n_edges` edges over `n_nodes` nodes with scattered endpoints; every
+/// fifth edge is a self-loop (both map entries alias one node).
+fn scattered_graph(n_nodes: usize, n_edges: usize) -> (Domain, SetId, LoopSpec, DatId) {
+    let mut dom = Domain::new();
+    let nodes = dom.decl_set("nodes", n_nodes);
+    let edges = dom.decl_set("edges", n_edges);
+    let vals: Vec<u32> = (0..n_edges)
+        .flat_map(|k| {
+            let a = (k * 7 + 3) % n_nodes;
+            let b = if k % 5 == 0 { a } else { (k * 13 + 1) % n_nodes };
+            [a as u32, b as u32]
+        })
+        .collect();
+    let e2n = dom.decl_map("e2n", edges, nodes, 2, vals).unwrap();
+    let (spec, r) = flux_os_loop(&mut dom, nodes, edges, e2n);
+    (dom, nodes, spec, r)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Shuffled numbering (most edges cut, pieces mostly lists): 1 to 4
+    /// threads are bitwise equal to the single-threaded run of the same
+    /// layouts on 1 to 3 ranks, and on one rank to `seq::run_loop`.
+    #[test]
+    fn owned_bitwise_on_shuffled_meshes(
+        nx in 4usize..9,
+        ny in 4usize..9,
+        nparts in 1usize..4,
+        seed in 0u64..1000,
+        tet in proptest::bool::ANY,
+    ) {
+        let (mut dom, nodes, edges, e2n, coords, cdim) = if tet {
+            let m = Tet3D::generate(nx.min(6), ny.min(6), 3);
+            (m.dom, m.nodes, m.edges, m.e2n, m.coords, 3)
+        } else {
+            let m = Quad2D::generate(nx, ny);
+            (m.dom, m.nodes, m.edges, m.e2n, m.coords, 2)
+        };
+        shuffle_set(&mut dom, nodes, seed);
+        shuffle_set(&mut dom, edges, seed + 1);
+        let (spec, r) = flux_os_loop(&mut dom, nodes, edges, e2n);
+        let base = rcb_partition(&dom.dat(coords).data, cdim, nparts);
+        let layouts = build_layouts(&dom, &derive_ownership(&dom, nodes, base, nparts), 1);
+        let (bits, traces) = assert_thread_count_invisible(&dom, &layouts, &[r], &|env| {
+            run_loop(env, &spec)?;
+            run_loop(env, &spec)?;
+            Ok(())
+        });
+        assert_owned(&traces, "flux_os");
+        if nparts == 1 {
+            let mut seq_dom = dom.clone();
+            seq::run_loop(&mut seq_dom, &spec);
+            seq::run_loop(&mut seq_dom, &spec);
+            prop_assert_eq!(bits, bits_of(&seq_dom, &[r]), "1 rank != seq::run_loop");
+        }
+    }
+}
+
+/// One loop incrementing through two maps into two different target
+/// sets: each set gets its own windows, an edge runs on every thread
+/// owning one of its four targets.
+#[test]
+fn owned_two_maps_two_target_sets() {
+    let m = Quad2D::generate(9, 7);
+    let mut dom = m.dom;
+    shuffle_set(&mut dom, m.cells, 5);
+    let n_edges = dom.set(m.edges).size;
+    let w: Vec<f64> = (0..n_edges).map(|i| (i as f64 * 0.37).cos()).collect();
+    let weight = dom.decl_dat("w", m.edges, 1, w);
+    let on_nodes = dom.decl_dat_zeros("on_nodes", m.nodes, 1);
+    let on_cells = dom.decl_dat_zeros("on_cells", m.cells, 2);
+    let spec = LoopSpec::new(
+        "two_sets_os",
+        m.edges,
+        vec![
+            Arg::dat_direct(weight, AccessMode::Read),
+            Arg::dat_indirect(on_nodes, m.e2n, 0, AccessMode::Inc),
+            Arg::dat_indirect(on_nodes, m.e2n, 1, AccessMode::Inc),
+            Arg::dat_indirect(on_cells, m.e2c, 0, AccessMode::Inc),
+            Arg::dat_indirect(on_cells, m.e2c, 1, AccessMode::Inc),
+        ],
+        two_sets_os,
+    );
+    for nparts in [1usize, 2] {
+        let base = rcb_partition(&dom.dat(m.coords).data, 2, nparts);
+        let layouts = build_layouts(&dom, &derive_ownership(&dom, m.nodes, base, nparts), 1);
+        let (bits, traces) =
+            assert_thread_count_invisible(&dom, &layouts, &[on_nodes, on_cells], &|env| {
+                run_loop(env, &spec).map(|_| ())
+            });
+        assert_owned(&traces, "two_sets_os");
+        if nparts == 1 {
+            let mut seq_dom = dom.clone();
+            seq::run_loop(&mut seq_dom, &spec);
+            assert_eq!(bits, bits_of(&seq_dom, &[on_nodes, on_cells]));
+        }
+    }
+}
+
+/// Self-loop edges: both `Inc` arguments of one iteration alias one
+/// node, in one window — both increments land, in argument order.
+#[test]
+fn owned_aliased_map_entries() {
+    let (dom, nodes, spec, r) = scattered_graph(41, 160);
+    for nparts in [1usize, 2] {
+        let layouts = block_layouts(&dom, nodes, nparts);
+        let (bits, traces) = assert_thread_count_invisible(&dom, &layouts, &[r], &|env| {
+            run_loop(env, &spec).map(|_| ())
+        });
+        assert_owned(&traces, "flux_os");
+        if nparts == 1 {
+            let mut seq_dom = dom.clone();
+            seq::run_loop(&mut seq_dom, &spec);
+            assert_eq!(bits, bits_of(&seq_dom, &[r]));
+        }
+    }
+}
+
+/// Three target nodes, four threads: at least one window is empty and
+/// its thread gets no chunk.
+#[test]
+fn owned_more_threads_than_targets() {
+    let (dom, nodes, spec, r) = scattered_graph(3, 64);
+    let layouts = block_layouts(&dom, nodes, 1);
+    let (bits, traces) = assert_thread_count_invisible(&dom, &layouts, &[r], &|env| {
+        run_loop(env, &spec).map(|_| ())
+    });
+    assert_owned(&traces, "flux_os");
+    assert!(traces[0].threads.iter().all(|rec| rec.n_chunks <= 3));
+    let mut seq_dom = dom.clone();
+    seq::run_loop(&mut seq_dom, &spec);
+    assert_eq!(bits, bits_of(&seq_dom, &[r]));
+}
+
+/// A sub-range `[start, end)` with `start > 0` (the shape of every halo
+/// phase): windows are balanced over the sub-range's own touches and
+/// only its iterations run.
+#[test]
+fn owned_subrange_with_positive_start() {
+    let (dom, nodes, spec, r) = scattered_graph(67, 300);
+    let layouts = block_layouts(&dom, nodes, 1);
+    let (bits, traces) = assert_thread_count_invisible(&dom, &layouts, &[r], &|env| {
+        env.exec_range(&spec, 37, 251, &mut []);
+        Ok(())
+    });
+    assert_owned(&traces, "flux_os");
+    assert!(traces[0].threads.iter().all(|rec| rec.iters == 251 - 37));
+    let mut seq_dom = dom.clone();
+    op2::core::schedule::run_loop_schedule(
+        &mut seq_dom,
+        &spec,
+        &op2::core::Schedule::range(37, 251),
+    );
+    assert_eq!(bits, bits_of(&seq_dom, &[r]));
 }
