@@ -17,8 +17,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mg_cfd::{MgCfd, MgCfdParams};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
-use op2_runtime::exec::{run_chain, run_loop};
-use op2_runtime::{run_distributed, CheckpointConfig, RankEnv, RankState, RuntimeError};
+use op2_runtime::exec::run_loop;
+use op2_runtime::{
+    exec_job_program, run_distributed, CheckpointConfig, Job, JobStep, RankEnv, RankState,
+    RuntimeError,
+};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 
@@ -46,23 +49,14 @@ fn run_reps(
     body: impl Fn(&mut RankEnv<'_>, &mut dyn FnMut(&mut RankEnv<'_>) -> Result<(), RuntimeError>) + Sync,
 ) {
     let init = fix.app.init_loop(0);
-    let iteration = fix.app.iteration(true);
+    let steps = fix.app.iteration(true).into_iter().map(JobStep::from);
+    let iteration = Job::new("iteration", steps.collect(), 1);
     let slot = Arc::new(Mutex::new(RankState::new()));
     let slot_ref = &slot;
     let out = run_distributed(&mut fix.app.dom, &fix.layouts, |env| {
         env.ckpt_attach(CheckpointConfig::new(u64::MAX), Arc::clone(slot_ref));
         run_loop(env, &init)?;
-        let mut step = |env: &mut RankEnv<'_>| -> Result<(), RuntimeError> {
-            for s in &iteration {
-                match s {
-                    mg_cfd::Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    mg_cfd::Step::Chain(c) => run_chain(env, c)?,
-                }
-            }
-            Ok(())
-        };
+        let mut step = |env: &mut RankEnv<'_>| exec_job_program(env, &iteration).map(drop);
         for _ in 0..reps {
             body(env, &mut step);
         }

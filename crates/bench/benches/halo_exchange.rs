@@ -13,9 +13,10 @@
 //!   per-loop path (one message per dat per neighbour) on a 4-rank
 //!   synthetic MG-CFD chain.
 //!
-//! The machine-readable counterpart is `bench_report --exchange`, which
-//! emits `BENCH_exchange.json` with the traced pack/unpack/wait times
-//! and allocation counters of the same two executor modes.
+//! The machine-readable counterpart is the `mgcfd-wire` workload of
+//! `benchmark/`: its `result.json` carries the traced `comm.pack_ms` /
+//! `comm.unpack_ms` / `comm.wait_ms` and `comm.payload_allocs_steady`
+//! of the same two executor modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mg_cfd::{MgCfd, MgCfdParams};

@@ -7,7 +7,7 @@
 //! slices + renumbering tables over the fault-tolerant transport, then
 //! applied to the domain). This bench times each on a 3D mesh with a
 //! strongly skewed cost field — the same forced-migration setup the
-//! acceptance tests and `bench_report --rebalance` use — and prints the
+//! acceptance tests (`tests/rebalance.rs`) use — and prints the
 //! migration volume once on stderr.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,6 +1,6 @@
 //! Resident-service throughput: what keeping the world alive buys.
 //!
-//! A standalone `run_ca` pays mesh-world boot, chain inspection and
+//! A standalone `mg_cfd::run` pays mesh-world boot, chain inspection and
 //! transport warm-up on every invocation; a resident [`Service`] pays
 //! them once per mesh and amortizes them across every later job via
 //! the shared plan registry and recycled payload pools. Measured here
@@ -19,9 +19,9 @@
 //! world saves every tenant after the first.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mg_cfd::{register_service_mesh, run_ca_service, service_job, MgCfd, MgCfdParams};
+use mg_cfd::{job, MgCfd, MgCfdParams, RunOutcome, Variant};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
-use op2_runtime::{Service, ServiceConfig};
+use op2_runtime::{Job, Service, ServiceConfig};
 use std::hint::black_box;
 
 const ITERS: usize = 2;
@@ -35,42 +35,47 @@ fn fixture() -> (MgCfd, Vec<RankLayout>) {
     (app, layouts)
 }
 
+/// One CA job through the resident service, folded to its residual.
+fn submit(svc: &Service, mesh: u64, app: &MgCfd, ca: &Job) -> f64 {
+    let out = svc.submit(mesh, ca).expect("service job");
+    RunOutcome::from_job(app, out.into()).rms
+}
+
 fn bench_service_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("service_throughput");
 
     g.bench_function("cold_submit", |b| {
         let (app, layouts) = fixture();
+        let ca = job(&app, Variant::Ca, ITERS);
         b.iter(|| {
             let svc = Service::new(ServiceConfig::default());
-            let mesh = register_service_mesh(&svc, &app, layouts.clone());
-            let out = run_ca_service(&svc, mesh, &app, ITERS).expect("cold job");
-            black_box(out.rms)
+            let mesh = svc.register_mesh(app.dom.clone(), layouts.clone());
+            black_box(submit(&svc, mesh, &app, &ca))
         })
     });
 
     g.bench_function("warm_submit", |b| {
         let (app, layouts) = fixture();
         let svc = Service::new(ServiceConfig::default());
-        let mesh = register_service_mesh(&svc, &app, layouts);
+        let mesh = svc.register_mesh(app.dom.clone(), layouts);
+        let ca = job(&app, Variant::Ca, ITERS);
         // Two warm-up jobs: job 2 fills the registry, job 3 reaches the
         // zero-allocation pool steady state the repetitions measure.
         for _ in 0..2 {
-            run_ca_service(&svc, mesh, &app, ITERS).expect("warm-up job");
+            submit(&svc, mesh, &app, &ca);
         }
-        b.iter(|| {
-            let out = run_ca_service(&svc, mesh, &app, ITERS).expect("warm job");
-            black_box(out.rms)
-        })
+        b.iter(|| black_box(submit(&svc, mesh, &app, &ca)))
     });
 
     g.bench_function("warm_batch4", |b| {
         let (app, layouts) = fixture();
         let svc = Service::new(ServiceConfig::default());
-        let mesh = register_service_mesh(&svc, &app, layouts);
+        let mesh = svc.register_mesh(app.dom.clone(), layouts);
+        let ca = job(&app, Variant::Ca, ITERS);
         for _ in 0..2 {
-            run_ca_service(&svc, mesh, &app, ITERS).expect("warm-up job");
+            submit(&svc, mesh, &app, &ca);
         }
-        let burst: Vec<_> = (0..4).map(|_| service_job(&app, ITERS)).collect();
+        let burst = vec![ca; 4];
         b.iter(|| {
             for r in svc.submit_batch(mesh, black_box(&burst)).expect("batch") {
                 black_box(r.expect("batched job").job);

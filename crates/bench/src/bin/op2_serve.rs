@@ -14,7 +14,7 @@
 //! Flags: `--jobs N` (default 4), `--iters N`, `--size N`, `--ranks N`,
 //! `--batch` (submit all jobs as one same-shape batch).
 
-use mg_cfd::{register_service_mesh, service_job, MgCfd, MgCfdParams};
+use mg_cfd::{MgCfd, MgCfdParams, Variant};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
 use op2_runtime::{JobOutcome, Service};
 
@@ -60,7 +60,7 @@ fn main() {
     let base = rcb_partition(coords, 3, ranks);
     let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, ranks);
     let layouts = build_layouts(&app.dom, &own, 2);
-    let mesh = register_service_mesh(&svc, &app, layouts);
+    let mesh = svc.register_mesh(app.dom.clone(), layouts);
     let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
     println!(
         "op2-serve: mesh {mesh:#018x} registered ({ranks} ranks); \
@@ -68,7 +68,7 @@ fn main() {
         if batch { ", batched" } else { "" }
     );
 
-    let job = service_job(&app, iters);
+    let job = mg_cfd::job(&app, Variant::Ca, iters);
     println!(
         "{:>4}  {:>10}  {:>5}  {:>7}  {:>9}  {:>9}  {:>7}  rms",
         "job", "latency", "warm", "batched", "inspects", "reg hits", "allocs"

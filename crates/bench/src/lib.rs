@@ -14,6 +14,5 @@
 //! `--csv` emits machine-readable rows after the human-readable table.
 
 pub mod harness;
-pub mod json;
 
 pub use harness::*;

@@ -38,7 +38,7 @@ use crate::ChainSpec;
 
 /// A sparse-tiling schedule for one chain over one memory space,
 /// annotated with inter-tile conflict levels (see
-/// [`tile_conflict_levels`]): same-level tiles touch disjoint modified
+/// `tile_conflict_levels`): same-level tiles touch disjoint modified
 /// elements, so they may execute concurrently, and conflicting tiles sit
 /// on strictly ascending levels in tile-id order, so level-order
 /// execution is bitwise identical to the ascending-tile sequential walk.
@@ -540,7 +540,7 @@ pub fn run_chain_tiled(dom: &mut Domain, chain: &ChainSpec, plan: &TilePlan) {
 /// Execute a chain tile by tile with `n_threads` workers: same-level
 /// tiles run concurrently, with a barrier between levels. Bitwise
 /// identical to [`run_chain_tiled`] for any thread count (the levels
-/// order every conflicting tile pair; see [`tile_conflict_levels`]).
+/// order every conflicting tile pair; see `tile_conflict_levels`).
 ///
 /// # Panics
 /// Panics if any loop of the chain carries global reduction arguments.

@@ -9,9 +9,10 @@
 //! transitive (strict) or published (relaxed) halo extents for the CA
 //! back-end. Prints each chain's execution plan and the run statistics.
 
-use hydra_sim::{run_ca_staged, run_op2_staged, run_sequential_staged, ExtentMode, Hydra, HydraParams};
+use hydra_sim::{job, run, run_sequential, ExtentMode, Hydra, HydraParams, Variant};
 use op2_mesh::AnnulusParams;
 use op2_partition::{build_layouts, derive_ownership, rib_partition};
+use op2_runtime::RunOptions;
 
 struct Opts {
     n: usize,
@@ -87,17 +88,23 @@ fn main() {
     }
 
     let outcome = match o.backend.as_str() {
-        "seq" => run_sequential_staged(&mut app, o.iters, o.stages),
+        "seq" => run_sequential(&mut app, o.iters, o.stages),
         "op2" | "ca" => {
             let depth = app.required_depth(mode).max(2);
             let base = rib_partition(app.mesh.node_coords(), 3, o.ranks);
             let own = derive_ownership(&app.mesh.dom, app.mesh.nodes, base, o.ranks);
             let layouts = build_layouts(&app.mesh.dom, &own, depth);
-            if o.backend == "op2" {
-                run_op2_staged(&mut app, &layouts, o.iters, o.stages)
+            let stages = o.stages;
+            let variant = if o.backend == "op2" {
+                Variant::Op2 { stages }
             } else {
-                run_ca_staged(&mut app, &layouts, o.iters, mode, o.stages)
-            }
+                Variant::Ca { mode, stages }
+            };
+            let job = job(&app, variant, o.iters);
+            run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {
+                eprintln!("hydra: {e}");
+                std::process::exit(1);
+            })
         }
         other => panic!("unknown backend `{other}` (seq|op2|ca)"),
     };

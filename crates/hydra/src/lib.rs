@@ -36,9 +36,4 @@ pub mod kernels;
 pub mod run;
 
 pub use app::{ExtentMode, Hydra, HydraParams};
-pub use run::{
-    register_service_mesh, run_auto, run_ca, run_ca_dataflow, run_ca_fused, run_ca_rebalanced,
-    run_ca_service, run_ca_staged, run_ca_supervised, run_ca_threaded, run_ca_tiled,
-    run_ca_tiled_threaded, run_op2, run_op2_staged, run_sequential, run_sequential_staged,
-    run_tuned, service_job,
-};
+pub use run::{job, run, run_sequential, RunOutcome, Variant};

@@ -1,25 +1,41 @@
-//! Drivers: sequential reference, OP2 baseline, CA back-end, and the
-//! model-driven adaptive back-end ([`run_auto`]).
+//! The driver surface: the hand-written sequential reference
+//! ([`run_sequential`]), the one program builder ([`job`]) and the one
+//! distributed entry point ([`run`]).
+//!
+//! Everything else is the caller's composition: threading, drain policy,
+//! pinning, fusion and faults through [`RunOptions`]; tiled or tuned
+//! dispatch of the *strict* chains through [`Job::dispatch`] (relaxed
+//! chains always keep their pinned-extent executor); supervision,
+//! rebalancing and the resident service by handing [`job`]'s program to
+//! [`op2_runtime::run_job_supervised`],
+//! [`op2_runtime::run_job_rebalanced`] or
+//! [`op2_runtime::Service::submit`] and folding the result with
+//! [`RunOutcome::from_job`].
 
 use crate::app::{ExtentMode, Hydra, Step};
 use op2_core::seq;
-use op2_model::Machine;
 use op2_partition::RankLayout;
-use op2_runtime::exec::{run_chain, run_chain_relaxed, run_chain_tiled, run_loop};
-use op2_runtime::{
-    run_distributed, run_distributed_with, run_supervised, run_supervised_with_state, ExecMode,
-    FuseMode, Job, JobStep, RankState, RankTrace, RebalancePolicy, RebalanceRec, RunOptions,
-    RuntimeError, Service, ServiceError, SuperviseOptions, Threading, Tuner, TunerMode,
-};
-use std::sync::{Arc, Mutex};
+use op2_runtime::{run_job, Job, JobRun, JobStep, RankTrace, RunOptions, RuntimeError};
 
-/// Result of a driver run.
+/// Result of a run.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Final residual norm.
     pub norm: f64,
     /// Per-rank traces (empty for sequential).
     pub traces: Vec<RankTrace>,
+}
+
+impl RunOutcome {
+    /// Fold a hosted run of one of [`job`]'s programs (whose single
+    /// finish step is the norm reduction) into an outcome.
+    pub fn from_job(app: &Hydra, run: JobRun) -> Self {
+        let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
+        RunOutcome {
+            norm: (run.gbls[0][0][0] / n).sqrt(),
+            traces: run.traces,
+        }
+    }
 }
 
 fn seq_steps(app: &mut Hydra, steps: &[Step]) {
@@ -37,13 +53,13 @@ fn seq_steps(app: &mut Hydra, steps: &[Step]) {
     }
 }
 
-/// Run `iters` iterations sequentially.
-pub fn run_sequential(app: &mut Hydra, iters: usize) -> RunOutcome {
-    run_sequential_staged(app, iters, 1)
-}
-
-/// [`run_sequential`] with `stages` Runge–Kutta stages per iteration.
-pub fn run_sequential_staged(app: &mut Hydra, iters: usize, stages: usize) -> RunOutcome {
+/// Run `iters` iterations of `stages` Runge–Kutta stages sequentially
+/// (the reference every back-end is tested against). Hand-written over
+/// `seq::run_loop`, and it reduces the norm every iteration — the
+/// distributed programs reduce once, as their finish step; the norm loop
+/// only reads, so the two agree, and every test comparing [`run`]
+/// against this function is the check that they do.
+pub fn run_sequential(app: &mut Hydra, iters: usize, stages: usize) -> RunOutcome {
     let setup = app.setup(false, ExtentMode::Safe);
     let iteration = app.rk_iteration(false, ExtentMode::Safe, stages);
     let norm_spec = app.norm_loop();
@@ -61,592 +77,84 @@ pub fn run_sequential_staged(app: &mut Hydra, iters: usize, stages: usize) -> Ru
     }
 }
 
-fn run_dist(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    ca: bool,
-    mode: ExtentMode,
-    stages: usize,
-    opts: &RunOptions,
-) -> RunOutcome {
-    let setup = app.setup(ca, mode);
-    let iteration = app.rk_iteration(ca, mode, stages);
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let exec_steps = |env: &mut op2_runtime::RankEnv<'_>,
-                      steps: &[Step]|
-     -> Result<(), op2_runtime::RuntimeError> {
-        for step in steps {
-            match step {
-                Step::Loop(l) => {
-                    run_loop(env, l)?;
-                }
-                Step::Chain(c, relaxed) => {
-                    if *relaxed {
-                        run_chain_relaxed(env, c)?;
-                    } else {
-                        run_chain(env, c)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    let out = run_distributed_with(&mut app.mesh.dom, layouts, opts, |env| {
-        exec_steps(env, &setup)?;
-        let mut norm = 0.0;
-        for _ in 0..iters {
-            exec_steps(env, &iteration)?;
-            let r = run_loop(env, &norm_spec)?;
-            norm = (r.gbls[0][0] / n).sqrt();
-        }
-        Ok(norm)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let norm = match &results[0] {
-        Ok(n) => *n,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { norm, traces }
+/// Which program [`job`] builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variant {
+    /// The standard OP2 back-end: every chain flattened into Alg 1
+    /// loops, `stages` Runge–Kutta stages per iteration (Hydra's
+    /// production time-marcher uses 5, §4.2).
+    Op2 {
+        /// RK stages per iteration.
+        stages: usize,
+    },
+    /// The CA back-end with the chosen extent mode (`Paper` runs the
+    /// chains relaxed).
+    Ca {
+        /// Halo extents the chains are built with.
+        mode: ExtentMode,
+        /// RK stages per iteration.
+        stages: usize,
+    },
+    /// Only the fusable `state_jac` glue pair ([`Hydra::fused_chain`])
+    /// per iteration, after the field initialisation — the fusion
+    /// fixture.
+    FusedChain,
 }
 
-/// Distributed, standard OP2 back-end (every chain flattened).
-pub fn run_op2(app: &mut Hydra, layouts: &[RankLayout], iters: usize) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        false,
-        ExtentMode::Safe,
-        1,
-        &RunOptions::default(),
-    )
-}
-
-/// Distributed, CA back-end with the chosen extent mode.
-pub fn run_ca(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        true,
-        mode,
-        1,
-        &RunOptions::default(),
-    )
-}
-
-/// Run the fusable `state_jac` glue pair ([`Hydra::fused_chain`]) for
-/// `iters` iterations under the given [`FuseMode`]: `Off` executes it
-/// loop-by-loop, `On` through the fused whole-chain schedule — both
-/// node-direct kernels interleaved per element — and `Auto` defers to
-/// the profit arm. Bitwise identical across modes and thread counts.
-pub fn run_ca_fused(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    fuse: FuseMode,
-    threading: Option<Threading>,
-) -> RunOutcome {
-    let init = app.init_loop();
-    let chain = app.fused_chain().expect("fused chain is valid");
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let mut opts = RunOptions::default().fuse(fuse);
-    if let Some(t) = threading {
-        opts = opts.threading(t);
+impl Variant {
+    /// The single-stage CA program (what the tests run).
+    pub fn ca(mode: ExtentMode) -> Self {
+        Variant::Ca { mode, stages: 1 }
     }
-    let out = run_distributed_with(&mut app.mesh.dom, layouts, &opts, |env| {
-        run_loop(env, &init)?;
-        let mut norm = 0.0;
-        for _ in 0..iters {
-            run_chain(env, &chain)?;
-            let r = run_loop(env, &norm_spec)?;
-            norm = (r.gbls[0][0] / n).sqrt();
-        }
-        Ok(norm)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let norm = match &results[0] {
-        Ok(n) => *n,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { norm, traces }
 }
 
-/// [`run_ca`] under the self-healing supervisor: chain-boundary
-/// checkpointing, coordinated rollback on rank death or straggler
-/// timeout, and bitwise-deterministic replay, bounded by the recovery
-/// budget in `opts`. Returns [`RuntimeError::RecoveryExhausted`] when
-/// the budget runs out.
-pub fn run_ca_supervised(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    opts: &SuperviseOptions,
-) -> Result<RunOutcome, RuntimeError> {
-    let setup = app.setup(true, mode);
-    let iteration = app.rk_iteration(true, mode, 1);
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let exec_steps = |env: &mut op2_runtime::RankEnv<'_>,
-                      steps: &[Step]|
-     -> Result<(), RuntimeError> {
-        for step in steps {
-            match step {
-                Step::Loop(l) => {
-                    run_loop(env, l)?;
-                }
-                Step::Chain(c, relaxed) => {
-                    if *relaxed {
-                        run_chain_relaxed(env, c)?;
-                    } else {
-                        run_chain(env, c)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    let out = run_supervised(&mut app.mesh.dom, layouts, opts, |env| {
-        exec_steps(env, &setup)?;
-        let mut norm = 0.0;
-        for _ in 0..iters {
-            exec_steps(env, &iteration)?;
-            let r = run_loop(env, &norm_spec)?;
-            norm = (r.gbls[0][0] / n).sqrt();
-        }
-        Ok(norm)
-    })?;
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let norm = match &results[0] {
-        Ok(n) => *n,
-        Err(f) => panic!("supervised run reported success with a failed rank: {f}"),
-    };
-    Ok(RunOutcome { norm, traces })
-}
-
-/// [`run_ca_supervised`] with **online rebalancing** (the Hydra twin of
-/// `mg-cfd`'s `run_ca_rebalanced`): segmented supervised execution over
-/// shared state slots, windowed imbalance detection at segment
-/// boundaries, cost-weighted re-shard + element migration over the
-/// transport, and an epoch fence on the carried state before the next
-/// segment runs on the new layouts. The residual norm matches a
-/// never-migrated [`run_ca`] of the same `mode` bitwise (strict chains;
-/// relaxed extent trades exactness by design), while partition-boundary
-/// dat entries may drift by ~1 ULP of Inc reassociation — exactly as
-/// any two *static* partitions do (see `mg-cfd`'s driver doc and
-/// DESIGN.md §15).
-pub fn run_ca_rebalanced(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    opts: &SuperviseOptions,
-    policy: &RebalancePolicy,
-) -> Result<(RunOutcome, RebalanceRec, Vec<RankLayout>), RuntimeError> {
-    let nparts = layouts.len();
-    let setup = app.setup(true, mode);
-    let iteration = app.rk_iteration(true, mode, 1);
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let base_set = app.mesh.nodes;
-    let coords = app.mesh.coords;
-    let exec_steps =
-        |env: &mut op2_runtime::RankEnv<'_>, steps: &[Step]| -> Result<(), RuntimeError> {
-            for step in steps {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c, relaxed) => {
-                        if *relaxed {
-                            run_chain_relaxed(env, c)?;
-                        } else {
-                            run_chain(env, c)?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-
-    let slots: Vec<Arc<Mutex<RankState>>> = (0..nparts)
-        .map(|_| Arc::new(Mutex::new(RankState::new())))
-        .collect();
-    let mut cur = layouts.to_vec();
-    let seg_len = if policy.segment_iters == 0 {
-        iters.max(1)
-    } else {
-        policy.segment_iters
-    };
-    let mut done = 0usize;
-    let mut migrations = 0usize;
-    let mut post_migration = false;
-    let mut rec = RebalanceRec::default();
-    let mut norm = 0.0;
-    let mut traces = Vec::new();
-    while done < iters || done == 0 {
-        let seg = seg_len.min(iters - done);
-        let first = done == 0;
-        let mut sopts = opts.clone();
-        if post_migration {
-            sopts.run.faults = policy.post_migration_faults.clone();
-            post_migration = false;
-        }
-        let out = run_supervised_with_state(&mut app.mesh.dom, &cur, &sopts, &slots, |env| {
-            if first {
-                exec_steps(env, &setup)?;
-            }
-            let mut norm = 0.0;
-            for _ in 0..seg {
-                exec_steps(env, &iteration)?;
-                let r = run_loop(env, &norm_spec)?;
-                norm = (r.gbls[0][0] / n).sqrt();
-            }
-            Ok(norm)
-        })?;
-        let op2_runtime::DistOutcome { traces: t, results } = out;
-        if seg > 0 {
-            norm = match &results[0] {
-                Ok(r) => *r,
-                Err(f) => panic!("supervised run reported success with a failed rank: {f}"),
-            };
-        }
-        traces = t;
-        done += seg;
-        if done >= iters {
-            break;
-        }
-        if policy.max_migrations != 0 && migrations >= policy.max_migrations {
-            continue;
-        }
-        if let Some(est) = op2_runtime::detect(&traces, &policy.cfg) {
-            let costs = match &policy.costs {
-                Some(c) => c.clone(),
-                None => op2_runtime::element_costs(&app.mesh.dom, base_set, &cur, &est),
-            };
-            let mut ship_opts = opts.run.clone();
-            ship_opts.faults = None;
-            if let Some(outcome) = op2_runtime::rebalance(
-                &mut app.mesh.dom,
-                base_set,
-                coords,
-                3,
-                &cur,
-                &costs,
-                est.imbalance_milli(),
-                &ship_opts,
-            )? {
-                op2_runtime::fence_slots(&slots);
-                cur = outcome.layouts;
-                rec.add(&outcome.rec);
-                migrations += 1;
-                post_migration = true;
-            }
+impl From<Step> for JobStep {
+    fn from(s: Step) -> JobStep {
+        match s {
+            Step::Loop(l) => JobStep::Loop(l),
+            Step::Chain(c, false) => JobStep::Chain(c),
+            Step::Chain(c, true) => JobStep::ChainRelaxed(c),
         }
     }
-    Ok((RunOutcome { norm, traces }, rec, cur))
 }
 
-/// Describe `iters` CA iterations of this app as a service [`Job`]:
-/// the setup program as setup steps, one RK iteration as the repeated
-/// step list (strict chains as [`JobStep::Chain`], relaxed chains as
-/// [`JobStep::ChainRelaxed`]), and the pure norm reduction as the
-/// finish step. Mirrors [`run_ca`]'s instruction stream.
-pub fn service_job(app: &Hydra, iters: usize, mode: ExtentMode) -> Job {
-    let map_steps = |steps: Vec<Step>| -> Vec<JobStep> {
-        steps
-            .into_iter()
-            .map(|s| match s {
-                Step::Loop(l) => JobStep::Loop(l),
-                Step::Chain(c, relaxed) => {
-                    if relaxed {
-                        JobStep::ChainRelaxed(c)
-                    } else {
-                        JobStep::Chain(c)
-                    }
-                }
-            })
-            .collect()
+/// Describe `iters` iterations of this app as a [`Job`]: the setup
+/// program as setup steps, one RK iteration of `variant` as the repeated
+/// step list, and the pure norm reduction as the finish step.
+pub fn job(app: &Hydra, variant: Variant, iters: usize) -> Job {
+    let (name, setup, steps) = match variant {
+        Variant::Op2 { stages } => (
+            "hydra-op2",
+            app.setup(false, ExtentMode::Safe),
+            app.rk_iteration(false, ExtentMode::Safe, stages),
+        ),
+        Variant::Ca { mode, stages } => (
+            "hydra-ca",
+            app.setup(true, mode),
+            app.rk_iteration(true, mode, stages),
+        ),
+        Variant::FusedChain => (
+            "hydra-fused",
+            vec![Step::Loop(app.init_loop())],
+            vec![Step::Chain(app.fused_chain().expect("fused chain is valid"), false)],
+        ),
     };
-    Job::new("hydra-ca", map_steps(app.rk_iteration(true, mode, 1)), iters)
-        .setup(map_steps(app.setup(true, mode)))
+    let lower = |steps: Vec<Step>| steps.into_iter().map(JobStep::from).collect();
+    Job::new(name, lower(steps), iters)
+        .setup(lower(setup))
         .finish(vec![JobStep::Loop(app.norm_loop())])
 }
 
-/// Register this app's domain as a resident service world.
-pub fn register_service_mesh(svc: &Service, app: &Hydra, layouts: Vec<RankLayout>) -> u64 {
-    svc.register_mesh(app.mesh.dom.clone(), layouts)
-}
-
-/// [`run_ca`] through a resident [`Service`]: one submitted job against
-/// a registered mesh, returning the same residual norm bitwise; repeat
-/// jobs on the mesh run warm (shared plans, recycled buffer pools).
-pub fn run_ca_service(
-    svc: &Service,
-    mesh: u64,
-    app: &Hydra,
-    iters: usize,
-    mode: ExtentMode,
-) -> Result<RunOutcome, ServiceError> {
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let out = svc.submit(mesh, &service_job(app, iters, mode))?;
-    let norm = (out.gbls[0][0][0] / n).sqrt();
-    Ok(RunOutcome {
-        norm,
-        traces: out.trace.ranks,
-    })
-}
-
-/// [`run_ca`] with `threading.n_threads` colored pool threads per rank.
-/// Bitwise identical to [`run_ca`] by the order-preserving block
-/// coloring contract (see `op2_core::par`).
-pub fn run_ca_threaded(
+/// Run one of [`job`]'s programs distributed over `layouts`. `Err` if
+/// *any* rank failed — the first failure in rank order, typed.
+pub fn run(
     app: &mut Hydra,
     layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    threading: Threading,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        true,
-        mode,
-        1,
-        &RunOptions::default().threading(threading),
-    )
-}
-
-/// [`run_ca_threaded`] under an explicit schedule drain policy
-/// (`OP2_EXEC`) and first-touch chunk pinning (`OP2_THREAD_PIN`):
-/// `ExecMode::Dataflow` drains every lowered schedule through the
-/// per-chunk dependency-counter executor instead of one pool barrier
-/// per level. Bitwise identical to [`run_ca`] under either drain.
-pub fn run_ca_dataflow(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    threading: Threading,
-    exec: ExecMode,
-    pin: bool,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        true,
-        mode,
-        1,
-        &RunOptions::default()
-            .threading(threading)
-            .exec(exec)
-            .thread_pin(pin),
-    )
-}
-
-/// [`run_ca`] with intra-rank sparse tiling of every *strict* chain
-/// (`n_tiles` tiles per rank through the leveled [`op2_core::Schedule`]
-/// lowering); relaxed chains keep their pinned-extent executor, whose
-/// accuracy contract the tiling inspection does not model.
-pub fn run_ca_tiled(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    n_tiles: usize,
-) -> RunOutcome {
-    run_dist_tiled(app, layouts, iters, mode, n_tiles, &RunOptions::default())
-}
-
-/// [`run_ca_tiled`] with `threading.n_threads` pool threads per rank:
-/// same-level (provably conflict-free) tiles run concurrently, bitwise
-/// identical to the sequential tiled executor at any thread count.
-pub fn run_ca_tiled_threaded(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    n_tiles: usize,
-    threading: Threading,
-) -> RunOutcome {
-    run_dist_tiled(
-        app,
-        layouts,
-        iters,
-        mode,
-        n_tiles,
-        &RunOptions::default().threading(threading),
-    )
-}
-
-fn run_dist_tiled(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    n_tiles: usize,
+    job: &Job,
     opts: &RunOptions,
-) -> RunOutcome {
-    let setup = app.setup(true, mode);
-    let iteration = app.rk_iteration(true, mode, 1);
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let exec_steps = |env: &mut op2_runtime::RankEnv<'_>,
-                      steps: &[Step]|
-     -> Result<(), op2_runtime::RuntimeError> {
-        for step in steps {
-            match step {
-                Step::Loop(l) => {
-                    run_loop(env, l)?;
-                }
-                Step::Chain(c, relaxed) => {
-                    if *relaxed {
-                        run_chain_relaxed(env, c)?;
-                    } else {
-                        run_chain_tiled(env, c, n_tiles)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    };
-    let out = run_distributed_with(&mut app.mesh.dom, layouts, opts, |env| {
-        exec_steps(env, &setup)?;
-        let mut norm = 0.0;
-        for _ in 0..iters {
-            exec_steps(env, &iteration)?;
-            let r = run_loop(env, &norm_spec)?;
-            norm = (r.gbls[0][0] / n).sqrt();
-        }
-        Ok(norm)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let norm = match &results[0] {
-        Ok(n) => *n,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { norm, traces }
-}
-
-/// [`run_op2`] with `stages` Runge–Kutta stages per iteration (Hydra's
-/// production time-marcher uses 5, §4.2).
-pub fn run_op2_staged(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    stages: usize,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        false,
-        ExtentMode::Safe,
-        stages,
-        &RunOptions::default(),
-    )
-}
-
-/// [`run_ca`] with `stages` Runge–Kutta stages per iteration.
-pub fn run_ca_staged(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    stages: usize,
-) -> RunOutcome {
-    run_dist(app, layouts, iters, true, mode, stages, &RunOptions::default())
-}
-
-/// Distributed, **adaptive** back-end: strict chains go through a
-/// per-rank [`Tuner`] (calibrate once, classify with the §3.2 model on
-/// `mach`, dispatch repeats to the winner); relaxed chains — whose
-/// pinned extents encode an application-level accuracy contract, not a
-/// performance choice — always run the planned relaxed chain executor.
-/// `fixed_g` pins the per-iteration cost for deterministic decisions.
-pub fn run_auto(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-    mach: &Machine,
-    tmode: TunerMode,
-    fixed_g: Option<f64>,
-) -> RunOutcome {
-    let setup = app.setup(true, mode);
-    let iteration = app.rk_iteration(true, mode, 1);
-    let norm_spec = app.norm_loop();
-    let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
-    let out = run_distributed(&mut app.mesh.dom, layouts, |env| {
-        let mut tuner = Tuner::new(mach.clone(), tmode);
-        if let Some(g) = fixed_g {
-            tuner = tuner.with_fixed_g(g);
-        }
-        let exec_steps = |env: &mut op2_runtime::RankEnv<'_>,
-                          tuner: &mut Tuner,
-                          steps: &[Step]|
-         -> Result<(), op2_runtime::RuntimeError> {
-            for step in steps {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c, relaxed) => {
-                        if *relaxed {
-                            run_chain_relaxed(env, c)?;
-                        } else {
-                            tuner.run_chain(env, c)?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        };
-        exec_steps(env, &mut tuner, &setup)?;
-        let mut norm = 0.0;
-        for _ in 0..iters {
-            exec_steps(env, &mut tuner, &iteration)?;
-            let r = run_loop(env, &norm_spec)?;
-            norm = (r.gbls[0][0] / n).sqrt();
-        }
-        Ok(norm)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let norm = match &results[0] {
-        Ok(n) => *n,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { norm, traces }
-}
-
-/// [`run_auto`] with deployment defaults: ARCHER2-like machine model,
-/// measured costs, policy from the `OP2_TUNER` env var.
-pub fn run_tuned(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-) -> RunOutcome {
-    run_auto(
-        app,
-        layouts,
-        iters,
-        mode,
-        &Machine::archer2(),
-        TunerMode::from_env(),
-        None,
-    )
+) -> Result<RunOutcome, RuntimeError> {
+    let out = run_job(&mut app.mesh.dom, layouts, job, opts)?;
+    Ok(RunOutcome::from_job(app, out))
 }
 
 #[cfg(test)]
@@ -654,6 +162,35 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
+    use op2_runtime::{ChainDispatch, Service, TunerMode};
+
+    /// Build `variant`'s job with the given chain dispatch and run it.
+    fn go(
+        app: &mut Hydra,
+        layouts: &[RankLayout],
+        variant: Variant,
+        iters: usize,
+        dispatch: ChainDispatch,
+        opts: &RunOptions,
+    ) -> RunOutcome {
+        let job = job(app, variant, iters).dispatch(dispatch);
+        run(app, layouts, &job, opts).expect("every rank completes")
+    }
+
+    fn run_op2(app: &mut Hydra, layouts: &[RankLayout], iters: usize) -> RunOutcome {
+        let (v, opts) = (Variant::Op2 { stages: 1 }, RunOptions::default());
+        go(app, layouts, v, iters, ChainDispatch::Planned, &opts)
+    }
+
+    fn run_ca(
+        app: &mut Hydra,
+        layouts: &[RankLayout],
+        iters: usize,
+        mode: ExtentMode,
+    ) -> RunOutcome {
+        let opts = RunOptions::default();
+        go(app, layouts, Variant::ca(mode), iters, ChainDispatch::Planned, &opts)
+    }
 
     fn layouts_for(app: &Hydra, nparts: usize, depth: usize) -> Vec<RankLayout> {
         // Hydra's default partitioner is recursive inertial bisection.
@@ -685,7 +222,7 @@ mod tests {
         let iters = 2;
 
         let mut seq_app = Hydra::new(params);
-        let s = run_sequential(&mut seq_app, iters);
+        let s = run_sequential(&mut seq_app, iters, 1);
 
         let mut op2_app = Hydra::new(params);
         let l = layouts_for(&op2_app, 4, op2_app.required_depth(ExtentMode::Safe));
@@ -720,7 +257,7 @@ mod tests {
         let iters = 2;
 
         let mut seq_app = Hydra::new(params);
-        let s = run_sequential(&mut seq_app, iters);
+        let s = run_sequential(&mut seq_app, iters, 1);
 
         let mut ca_app = Hydra::new(params);
         let l = layouts_for(&ca_app, 4, ca_app.required_depth(ExtentMode::Paper));
@@ -754,19 +291,17 @@ mod tests {
         let iters = 3;
 
         let mut seq_app = Hydra::new(params);
-        let s = run_sequential(&mut seq_app, iters);
+        let s = run_sequential(&mut seq_app, iters, 1);
 
         let mut app = Hydra::new(params);
         let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
-        let c = run_auto(
-            &mut app,
-            &l,
-            iters,
-            ExtentMode::Safe,
-            &Machine::archer2(),
-            TunerMode::Auto,
-            Some(5e-8),
-        );
+        let tuned = ChainDispatch::Tuned {
+            mach: op2_model::Machine::archer2(),
+            mode: TunerMode::Auto,
+            fixed_g: Some(5e-8),
+        };
+        let safe = Variant::ca(ExtentMode::Safe);
+        let c = go(&mut app, &l, safe, iters, tuned, &RunOptions::default());
         assert!(c.norm.is_finite());
         assert!(
             (s.norm - c.norm).abs() <= 1e-10 * s.norm.abs().max(1e-30),
@@ -818,12 +353,13 @@ mod tests {
 
         let mut app = Hydra::new(params);
         let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
-        let threading = Threading {
+        let opts = RunOptions::default().threading(op2_runtime::Threading {
             n_threads: 4,
             block_size: 16,
             auto_block: false,
-        };
-        let out = run_ca_threaded(&mut app, &l, iters, ExtentMode::Safe, threading);
+        });
+        let safe = Variant::ca(ExtentMode::Safe);
+        let out = go(&mut app, &l, safe, iters, ChainDispatch::Planned, &opts);
 
         assert_eq!(
             out.norm.to_bits(),
@@ -860,18 +396,13 @@ mod tests {
 
         let mut ref_app = Hydra::new(params);
         let l0 = layouts_for(&ref_app, 2, ref_app.required_depth(ExtentMode::Safe));
-        let reference = run_ca_tiled(&mut ref_app, &l0, iters, ExtentMode::Safe, n_tiles);
+        let safe = Variant::ca(ExtentMode::Safe);
+        let tiled = ChainDispatch::Tiled(n_tiles);
+        let reference = go(&mut ref_app, &l0, safe, iters, tiled.clone(), &RunOptions::default());
 
         let mut app = Hydra::new(params);
         let l = layouts_for(&app, 2, app.required_depth(ExtentMode::Safe));
-        let out = run_ca_tiled_threaded(
-            &mut app,
-            &l,
-            iters,
-            ExtentMode::Safe,
-            n_tiles,
-            Threading::with_threads(4),
-        );
+        let out = go(&mut app, &l, safe, iters, tiled, &RunOptions::default().with_threads(4));
 
         assert_eq!(
             out.norm.to_bits(),
@@ -905,7 +436,7 @@ mod tests {
         }
     }
 
-    /// Resident-service execution matches [`run_ca`] bitwise (safe
+    /// Resident-service execution matches the standalone CA run bitwise (safe
     /// mode, relaxed chains included), and the second job runs warm on
     /// the shared plan registry with recycled payload pools.
     #[test]
@@ -920,11 +451,13 @@ mod tests {
         let app = Hydra::new(params);
         let layouts = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
         let svc = Service::new(op2_runtime::ServiceConfig::default());
-        let mesh = register_service_mesh(&svc, &app, layouts);
+        let mesh = svc.register_mesh(app.mesh.dom.clone(), layouts);
+        let ca = job(&app, Variant::ca(ExtentMode::Safe), iters);
+        let submit = || RunOutcome::from_job(&app, svc.submit(mesh, &ca).unwrap().into());
 
-        let cold = run_ca_service(&svc, mesh, &app, iters, ExtentMode::Safe).unwrap();
-        let warm = run_ca_service(&svc, mesh, &app, iters, ExtentMode::Safe).unwrap();
-        let steady = run_ca_service(&svc, mesh, &app, iters, ExtentMode::Safe).unwrap();
+        let cold = submit();
+        let warm = submit();
+        let steady = submit();
         assert_eq!(cold.norm.to_bits(), reference.norm.to_bits());
         assert_eq!(warm.norm.to_bits(), reference.norm.to_bits());
         assert_eq!(steady.norm.to_bits(), reference.norm.to_bits());

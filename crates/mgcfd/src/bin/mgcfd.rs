@@ -11,9 +11,10 @@
 //! across each rank's pool). Prints the final flow norm, per-backend
 //! message statistics and the chain's execution plan.
 
-use mg_cfd::{run_ca, run_ca_tiled, run_op2, run_sequential, MgCfd, MgCfdParams};
+use mg_cfd::{job, run, run_sequential, MgCfd, MgCfdParams, Variant};
 use op2_mesh::Hex3DParams;
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+use op2_runtime::{ChainDispatch, RunOptions};
 
 struct Opts {
     n: usize,
@@ -92,11 +93,16 @@ fn main() {
             let base = rcb_partition(coords, 3, o.ranks);
             let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, o.ranks);
             let layouts = build_layouts(&app.dom, &own, 2);
-            match o.backend.as_str() {
-                "op2" => run_op2(&mut app, &layouts, o.iters),
-                "ca" => run_ca(&mut app, &layouts, o.iters),
-                _ => run_ca_tiled(&mut app, &layouts, o.iters, o.tiles),
-            }
+            let (variant, dispatch) = match o.backend.as_str() {
+                "op2" => (Variant::Op2, ChainDispatch::Planned),
+                "ca" => (Variant::Ca, ChainDispatch::Planned),
+                _ => (Variant::Ca, ChainDispatch::Tiled(o.tiles)),
+            };
+            let job = job(&app, variant, o.iters).dispatch(dispatch);
+            run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {
+                eprintln!("mgcfd: {e}");
+                std::process::exit(1);
+            })
         }
         other => panic!("unknown backend `{other}` (seq|op2|ca|tiled)"),
     };

@@ -16,8 +16,10 @@
 //!   V-cycle, and the synthetic loop-chain construction with the
 //!   `nchains` parameter of §4.1.1 (a `[update, edge_flux]` pair
 //!   repeated, forming a single 2·nchains-loop chain with r = 2);
-//! * [`run`] — sequential and distributed drivers (OP2 baseline and CA
-//!   back-end) used by tests, examples and benchmarks.
+//! * [`mod@run`] — the sequential reference, the one program builder
+//!   ([`job`]: the app's iteration as an [`op2_runtime::Job`]) and the
+//!   one distributed entry point ([`run()`]) used by tests, examples and
+//!   benchmarks.
 //!
 //! The NASA Rotor 37 meshes are replaced by [`op2_mesh::Hex3D`] grids of
 //! the same node counts (see DESIGN.md for the substitution argument).
@@ -27,8 +29,4 @@ pub mod kernels;
 pub mod run;
 
 pub use app::{MgCfd, MgCfdParams, Step};
-pub use run::{
-    register_service_mesh, run_auto, run_ca, run_ca_dataflow, run_ca_fused, run_ca_rebalanced,
-    run_ca_service, run_ca_supervised, run_ca_threaded, run_ca_tiled, run_ca_tiled_threaded,
-    run_op2, run_sequential, run_tuned, service_job, RunOutcome,
-};
+pub use run::{job, run, run_sequential, RunOutcome, Variant};

@@ -1,30 +1,49 @@
-//! Drivers: sequential reference, OP2 baseline, CA back-end, and the
-//! model-driven adaptive back-end ([`run_auto`] / [`run_tuned`]).
+//! The driver surface: the hand-written sequential reference
+//! ([`run_sequential`]), the one program builder ([`job`]) and the one
+//! distributed entry point ([`run`]).
+//!
+//! Everything else is the caller's composition: threading, drain policy,
+//! pinning, fusion and faults through [`RunOptions`]; tiled or tuned
+//! chain dispatch through [`Job::dispatch`]; supervision, rebalancing
+//! and the resident service by handing [`job`]'s program to
+//! [`op2_runtime::run_job_supervised`],
+//! [`op2_runtime::run_job_rebalanced`] or
+//! [`op2_runtime::Service::submit`] and folding the result with
+//! [`RunOutcome::from_job`].
 
 use crate::app::{MgCfd, Step};
 use op2_core::seq;
-use op2_model::Machine;
 use op2_partition::RankLayout;
-use op2_runtime::exec::{run_chain, run_loop};
-use op2_runtime::{
-    run_distributed, run_distributed_with, run_supervised, run_supervised_with_state, ExecMode,
-    FuseMode, Job, JobStep, RankState, RankTrace, RebalancePolicy, RebalanceRec, RunOptions,
-    RuntimeError, Service, ServiceError, SuperviseOptions, Threading, Tuner, TunerMode,
-};
-use std::sync::{Arc, Mutex};
+use op2_runtime::{run_job, Job, JobRun, JobStep, RankTrace, RunOptions, RuntimeError};
 
-/// Outcome of a driver run: final RMS residual plus (for distributed
-/// runs) the per-rank traces.
+/// Outcome of a run: final RMS residual plus (for distributed runs) the
+/// per-rank traces.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// √(Σ flux² / n) at the last iteration.
+    /// √(Σ q² / n) over the finest nodes after the last iteration.
     pub rms: f64,
     /// Per-rank traces (empty for sequential runs).
     pub traces: Vec<RankTrace>,
 }
 
+impl RunOutcome {
+    /// Fold a hosted run of one of [`job`]'s programs (whose single
+    /// finish step is the RMS reduction) into an outcome.
+    pub fn from_job(app: &MgCfd, run: JobRun) -> Self {
+        let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
+        RunOutcome {
+            rms: (run.gbls[0][0][0] / n_fine).sqrt(),
+            traces: run.traces,
+        }
+    }
+}
+
 /// Run `iters` time-marching iterations sequentially (the reference all
-/// back-ends are tested against).
+/// back-ends are tested against). Hand-written over `seq::run_loop`, and
+/// it reduces the residual every iteration — the distributed programs
+/// reduce once, as their finish step; the RMS loop only reads, so the
+/// two agree, and every test comparing [`run`] against this function is
+/// the check that they do.
 pub fn run_sequential(app: &mut MgCfd, iters: usize) -> RunOutcome {
     let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
     let iteration = app.iteration(false);
@@ -56,505 +75,62 @@ pub fn run_sequential(app: &mut MgCfd, iters: usize) -> RunOutcome {
     }
 }
 
-fn run_dist(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    ca: bool,
-    opts: &RunOptions,
-) -> RunOutcome {
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let program: Vec<Vec<Step>> = (0..iters).map(|_| app.iteration(ca)).collect();
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let out = run_distributed_with(&mut app.dom, layouts, opts, |env| {
-        for l in &init {
-            run_loop(env, l)?;
-        }
-        let mut rms = 0.0;
-        for iteration in &program {
-            for step in iteration {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c) => run_chain(env, c)?,
-                }
-            }
-            let r = run_loop(env, &rms_spec)?;
-            rms = (r.gbls[0][0] / n_fine).sqrt();
-        }
-        Ok(rms)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let rms = match &results[0] {
-        Ok(r) => *r,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { rms, traces }
+/// Which program [`job`] builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Variant {
+    /// The standard OP2 back-end: the synthetic chain flattened into
+    /// Alg 1 loops.
+    Op2,
+    /// The CA back-end: Alg 2 for the synthetic chain, Alg 1 for
+    /// everything else — the paper's mixed execution.
+    Ca,
+    /// Only the fusable flux → step-factor → time-step chain
+    /// ([`MgCfd::fused_chain`]) per iteration — the fusion fixture.
+    /// Under `FuseMode::On` its two node-direct loops interleave per
+    /// element with `adt` elided into per-worker scratch.
+    FusedChain,
 }
 
-/// Run distributed with the standard OP2 back-end (Alg 1 per loop).
-pub fn run_op2(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
-    run_dist(app, layouts, iters, false, &RunOptions::default())
-}
-
-/// Run distributed with the CA back-end (Alg 2 for the synthetic
-/// chain, Alg 1 for everything else — the paper's mixed execution).
-pub fn run_ca(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
-    run_dist(app, layouts, iters, true, &RunOptions::default())
-}
-
-/// [`run_ca`] under the self-healing supervisor: the CA iteration runs
-/// with chain-boundary checkpointing attached; a rank that dies
-/// mid-chain (or a straggler that trips its receive deadline) triggers
-/// coordinated rollback to the last globally consistent epoch and a
-/// bitwise-deterministic replay, bounded by the recovery budget in
-/// `opts`. Returns [`RuntimeError::RecoveryExhausted`] when the budget
-/// runs out.
-pub fn run_ca_supervised(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    opts: &SuperviseOptions,
-) -> Result<RunOutcome, RuntimeError> {
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let program: Vec<Vec<Step>> = (0..iters).map(|_| app.iteration(true)).collect();
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let out = run_supervised(&mut app.dom, layouts, opts, |env| {
-        for l in &init {
-            run_loop(env, l)?;
-        }
-        let mut rms = 0.0;
-        for iteration in &program {
-            for step in iteration {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c) => run_chain(env, c)?,
-                }
-            }
-            let r = run_loop(env, &rms_spec)?;
-            rms = (r.gbls[0][0] / n_fine).sqrt();
-        }
-        Ok(rms)
-    })?;
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let rms = match &results[0] {
-        Ok(r) => *r,
-        Err(f) => panic!("supervised run reported success with a failed rank: {f}"),
-    };
-    Ok(RunOutcome { rms, traces })
-}
-
-/// [`run_ca_supervised`] with **online rebalancing**: the iteration
-/// sequence is split into segments of `policy.segment_iters`; each
-/// segment runs under supervision over shared per-rank state slots, and
-/// at every segment boundary the windowed imbalance detector inspects
-/// the segment's measured per-rank wall times. When it trips, the base
-/// set is re-sharded from per-element costs (measured, or
-/// `policy.costs`), the moved elements' dat slices and renumbering
-/// tables ship over the transport, the carried state is epoch-fenced
-/// ([`op2_runtime::fence_slots`] — old-layout checkpoints dropped, plan
-/// caches bumped, thread contexts discarded), and the remaining
-/// segments run on the new layouts.
-///
-/// The instruction stream each env executes is [`run_ca`]'s (init loops
-/// first, then per iteration the CA steps plus the RMS loop), and the
-/// migration machinery is value-preserving: for exact (integer-valued)
-/// arithmetic a migrated run is **bitwise identical** to a
-/// never-migrated [`run_ca`] — at any thread count, and with a crash +
-/// rollback straddling the migration (`policy.post_migration_faults`).
-/// For rounding kernels like MG-CFD's the RMS stays bit-identical,
-/// while a handful of partition-boundary dat entries may differ by
-/// ~1 ULP: indirect `Inc` contributions accumulate core-first /
-/// halo-after, an order the (now different) owner assignment decides —
-/// the same low-bit drift any two *static* partitions exhibit (see
-/// `tests/rebalance.rs` and DESIGN.md §15).
-///
-/// Returns the outcome (final segment's traces), the aggregate
-/// [`RebalanceRec`], and the layouts the run finished on.
-pub fn run_ca_rebalanced(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    opts: &SuperviseOptions,
-    policy: &RebalancePolicy,
-) -> Result<(RunOutcome, RebalanceRec, Vec<RankLayout>), RuntimeError> {
-    let nparts = layouts.len();
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let base_set = app.levels[0].ids.nodes;
-    let coords = app.levels[0].ids.coords;
-
-    let slots: Vec<Arc<Mutex<RankState>>> = (0..nparts)
-        .map(|_| Arc::new(Mutex::new(RankState::new())))
-        .collect();
-    let mut cur = layouts.to_vec();
-    let seg_len = if policy.segment_iters == 0 {
-        iters.max(1)
-    } else {
-        policy.segment_iters
-    };
-    let mut done = 0usize;
-    let mut migrations = 0usize;
-    let mut post_migration = false;
-    let mut rec = RebalanceRec::default();
-    let mut rms = 0.0;
-    let mut traces = Vec::new();
-    while done < iters || done == 0 {
-        let seg = seg_len.min(iters - done);
-        let first = done == 0;
-        let program: Vec<Vec<Step>> = (0..seg).map(|_| app.iteration(true)).collect();
-        let mut sopts = opts.clone();
-        if post_migration {
-            // The chaos hook: faults aimed at the first segment that
-            // runs on the migrated layout.
-            sopts.run.faults = policy.post_migration_faults.clone();
-            post_migration = false;
-        }
-        let out = run_supervised_with_state(&mut app.dom, &cur, &sopts, &slots, |env| {
-            if first {
-                for l in &init {
-                    run_loop(env, l)?;
-                }
-            }
-            let mut rms = 0.0;
-            for iteration in &program {
-                for step in iteration {
-                    match step {
-                        Step::Loop(l) => {
-                            run_loop(env, l)?;
-                        }
-                        Step::Chain(c) => run_chain(env, c)?,
-                    }
-                }
-                let r = run_loop(env, &rms_spec)?;
-                rms = (r.gbls[0][0] / n_fine).sqrt();
-            }
-            Ok(rms)
-        })?;
-        let op2_runtime::DistOutcome { traces: t, results } = out;
-        if seg > 0 {
-            rms = match &results[0] {
-                Ok(r) => *r,
-                Err(f) => panic!("supervised run reported success with a failed rank: {f}"),
-            };
-        }
-        traces = t;
-        done += seg;
-        if done >= iters {
-            break;
-        }
-        if policy.max_migrations != 0 && migrations >= policy.max_migrations {
-            continue;
-        }
-        if let Some(est) = op2_runtime::detect(&traces, &policy.cfg) {
-            let costs = match &policy.costs {
-                Some(c) => c.clone(),
-                None => op2_runtime::element_costs(&app.dom, base_set, &cur, &est),
-            };
-            let mut ship_opts = opts.run.clone();
-            ship_opts.faults = None; // migration traffic is not a fault target
-            if let Some(outcome) = op2_runtime::rebalance(
-                &mut app.dom,
-                base_set,
-                coords,
-                3,
-                &cur,
-                &costs,
-                est.imbalance_milli(),
-                &ship_opts,
-            )? {
-                op2_runtime::fence_slots(&slots);
-                cur = outcome.layouts;
-                rec.add(&outcome.rec);
-                migrations += 1;
-                post_migration = true;
-            }
-        }
-    }
-    Ok((RunOutcome { rms, traces }, rec, cur))
-}
-
-/// Describe `iters` CA iterations of this app as a service [`Job`]:
-/// the per-level init loops as setup, the CA iteration as the repeated
-/// step list, and the (pure, reduction-only) RMS loop as the finish
-/// step whose global lands in the job outcome. The instruction stream
-/// is the one [`run_ca`] executes, so results are bitwise identical.
-pub fn service_job(app: &MgCfd, iters: usize) -> Job {
-    let setup = (0..app.params.levels)
-        .map(|l| JobStep::Loop(app.init_loop(l)))
-        .collect();
-    let steps = app
-        .iteration(true)
-        .into_iter()
-        .map(|s| match s {
+impl From<Step> for JobStep {
+    fn from(s: Step) -> JobStep {
+        match s {
             Step::Loop(l) => JobStep::Loop(l),
             Step::Chain(c) => JobStep::Chain(c),
-        })
-        .collect();
-    Job::new("mgcfd-ca", steps, iters)
-        .setup(setup)
+        }
+    }
+}
+
+/// Describe `iters` iterations of this app as a [`Job`]: the per-level
+/// init loops as setup, one iteration of `variant` as the repeated step
+/// list, and the (pure, reduction-only) RMS loop as the finish step.
+pub fn job(app: &MgCfd, variant: Variant, iters: usize) -> Job {
+    let (name, steps) = match variant {
+        Variant::Op2 => ("mgcfd-op2", app.iteration(false)),
+        Variant::Ca => ("mgcfd-ca", app.iteration(true)),
+        Variant::FusedChain => (
+            "mgcfd-fused",
+            vec![Step::Chain(app.fused_chain(0).expect("fused chain is valid"))],
+        ),
+    };
+    Job::new(name, steps.into_iter().map(JobStep::from).collect(), iters)
+        .setup(
+            (0..app.params.levels)
+                .map(|l| JobStep::Loop(app.init_loop(l)))
+                .collect(),
+        )
         .finish(vec![JobStep::Loop(app.rms_loop())])
 }
 
-/// Register this app's domain as a resident service world; jobs built
-/// by [`service_job`] submit against the returned mesh signature.
-pub fn register_service_mesh(svc: &Service, app: &MgCfd, layouts: Vec<RankLayout>) -> u64 {
-    svc.register_mesh(app.dom.clone(), layouts)
-}
-
-/// [`run_ca`] through a resident [`Service`]: submit one CA job against
-/// a mesh registered with [`register_service_mesh`]. The second call on
-/// the same service re-uses the shared plan registry and warmed buffer
-/// pools — zero inspection, zero payload allocation — while producing
-/// the same RMS residual, bitwise.
-pub fn run_ca_service(
-    svc: &Service,
-    mesh: u64,
-    app: &MgCfd,
-    iters: usize,
-) -> Result<RunOutcome, ServiceError> {
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let out = svc.submit(mesh, &service_job(app, iters))?;
-    let rms = (out.gbls[0][0][0] / n_fine).sqrt();
-    Ok(RunOutcome {
-        rms,
-        traces: out.trace.ranks,
-    })
-}
-
-/// [`run_ca`] with intra-rank colored threading: every rank executes
-/// its kernels on `threading.n_threads` pool threads. The levelized
-/// block coloring keeps results **bitwise identical** to [`run_ca`] at
-/// any thread count (the hybrid MPI+threads execution of the paper's
-/// back-ends, minus nondeterminism).
-pub fn run_ca_threaded(
+/// Run one of [`job`]'s programs distributed over `layouts`. `Err` if
+/// *any* rank failed — the first failure in rank order, typed.
+pub fn run(
     app: &mut MgCfd,
     layouts: &[RankLayout],
-    iters: usize,
-    threading: Threading,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        true,
-        &RunOptions::default().threading(threading),
-    )
-}
-
-/// [`run_ca_threaded`] under an explicit schedule drain policy
-/// (`OP2_EXEC`) and first-touch chunk pinning (`OP2_THREAD_PIN`):
-/// `ExecMode::Dataflow` drains every lowered schedule through the
-/// per-chunk dependency-counter executor (owner-first deques, LIFO
-/// steal-from-richest) instead of one pool barrier per level;
-/// `ExecMode::Auto` lets the profit arm pick per schedule. Bitwise
-/// identical to [`run_ca`] at any thread count under either drain — the
-/// chunk DAG orders every conflicting pair in sequential order.
-pub fn run_ca_dataflow(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    threading: Threading,
-    exec: ExecMode,
-    pin: bool,
-) -> RunOutcome {
-    run_dist(
-        app,
-        layouts,
-        iters,
-        true,
-        &RunOptions::default()
-            .threading(threading)
-            .exec(exec)
-            .thread_pin(pin),
-    )
-}
-
-/// Run the fusable flux→step-factor→time-step chain
-/// ([`MgCfd::fused_chain`]) for `iters` iterations under the given
-/// [`FuseMode`]: `Off` executes the chain loop-by-loop (Alg 2), `On`
-/// through the fused whole-chain schedule — the two node-direct loops
-/// interleaved per element with `adt` elided into per-worker scratch —
-/// and `Auto` lets the calibrated profit arm pick. Bitwise identical
-/// across modes and thread counts by the fusion legality rules; the
-/// traces' plan stats carry the fused-piece and elided-byte counters.
-pub fn run_ca_fused(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    fuse: FuseMode,
-    threading: Option<Threading>,
-) -> RunOutcome {
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let chain = app.fused_chain(0).expect("fused chain is valid");
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let mut opts = RunOptions::default().fuse(fuse);
-    if let Some(t) = threading {
-        opts = opts.threading(t);
-    }
-    let out = run_distributed_with(&mut app.dom, layouts, &opts, |env| {
-        for l in &init {
-            run_loop(env, l)?;
-        }
-        let mut rms = 0.0;
-        for _ in 0..iters {
-            run_chain(env, &chain)?;
-            let r = run_loop(env, &rms_spec)?;
-            rms = (r.gbls[0][0] / n_fine).sqrt();
-        }
-        Ok(rms)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let rms = match &results[0] {
-        Ok(r) => *r,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { rms, traces }
-}
-
-/// Run distributed with the CA back-end *plus* intra-rank sparse tiling
-/// of the synthetic chain (`n_tiles` per rank) — both CA levels of the
-/// paper combined (MPI rank = outer tile, §2.2 inner tiles).
-pub fn run_ca_tiled(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    n_tiles: usize,
-) -> RunOutcome {
-    run_ca_tiled_with(app, layouts, iters, n_tiles, &RunOptions::default())
-}
-
-/// [`run_ca_tiled`] with `threading.n_threads` pool threads per rank:
-/// same-level (provably conflict-free) tiles of the chain's leveled
-/// schedule run concurrently, **bitwise identical** to the sequential
-/// tiled executor at any thread count — all three communication-avoiding
-/// layers of the paper at once (grouped exchange, sparse tiling,
-/// intra-rank threading).
-pub fn run_ca_tiled_threaded(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    n_tiles: usize,
-    threading: Threading,
-) -> RunOutcome {
-    run_ca_tiled_with(
-        app,
-        layouts,
-        iters,
-        n_tiles,
-        &RunOptions::default().threading(threading),
-    )
-}
-
-fn run_ca_tiled_with(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    n_tiles: usize,
+    job: &Job,
     opts: &RunOptions,
-) -> RunOutcome {
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let program: Vec<Vec<Step>> = (0..iters).map(|_| app.iteration(true)).collect();
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let out = run_distributed_with(&mut app.dom, layouts, opts, |env| {
-        for l in &init {
-            run_loop(env, l)?;
-        }
-        let mut rms = 0.0;
-        for iteration in &program {
-            for step in iteration {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c) => {
-                        op2_runtime::exec::run_chain_tiled(env, c, n_tiles)?
-                    }
-                }
-            }
-            let r = run_loop(env, &rms_spec)?;
-            rms = (r.gbls[0][0] / n_fine).sqrt();
-        }
-        Ok(rms)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let rms = match &results[0] {
-        Ok(r) => *r,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { rms, traces }
-}
-
-/// Run distributed with the **adaptive** back-end: every chain goes
-/// through a per-rank [`Tuner`] that measures the first invocation
-/// (flattened Alg 1), classifies the chain with the §3.2 model on
-/// `mach`, and dispatches repeats to the winning backend. Decisions are
-/// rank-agreed (allreduced components) and recorded in the traces'
-/// `tuner` lists. `fixed_g` pins the per-iteration cost for
-/// deterministic decisions (tests); pass `None` to measure.
-pub fn run_auto(
-    app: &mut MgCfd,
-    layouts: &[RankLayout],
-    iters: usize,
-    mach: &Machine,
-    mode: TunerMode,
-    fixed_g: Option<f64>,
-) -> RunOutcome {
-    let init: Vec<_> = (0..app.params.levels).map(|l| app.init_loop(l)).collect();
-    let program: Vec<Vec<Step>> = (0..iters).map(|_| app.iteration(true)).collect();
-    let rms_spec = app.rms_loop();
-    let n_fine = app.dom.set(app.levels[0].ids.nodes).size as f64;
-    let out = run_distributed(&mut app.dom, layouts, |env| {
-        let mut tuner = Tuner::new(mach.clone(), mode);
-        if let Some(g) = fixed_g {
-            tuner = tuner.with_fixed_g(g);
-        }
-        for l in &init {
-            run_loop(env, l)?;
-        }
-        let mut rms = 0.0;
-        for iteration in &program {
-            for step in iteration {
-                match step {
-                    Step::Loop(l) => {
-                        run_loop(env, l)?;
-                    }
-                    Step::Chain(c) => tuner.run_chain(env, c)?,
-                }
-            }
-            let r = run_loop(env, &rms_spec)?;
-            rms = (r.gbls[0][0] / n_fine).sqrt();
-        }
-        Ok(rms)
-    });
-    let op2_runtime::DistOutcome { traces, results } = out;
-    let rms = match &results[0] {
-        Ok(r) => *r,
-        Err(f) => panic!("{f}"),
-    };
-    RunOutcome { rms, traces }
-}
-
-/// [`run_auto`] with the deployment defaults: an ARCHER2-like machine
-/// model, measured per-iteration costs, and the dispatch policy taken
-/// from the `OP2_TUNER` env var (`auto|op2|ca|tiled`, default `auto`).
-pub fn run_tuned(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
-    run_auto(
-        app,
-        layouts,
-        iters,
-        &Machine::archer2(),
-        TunerMode::from_env(),
-        None,
-    )
+) -> Result<RunOutcome, RuntimeError> {
+    let out = run_job(&mut app.dom, layouts, job, opts)?;
+    Ok(RunOutcome::from_job(app, out))
 }
 
 #[cfg(test)]
@@ -562,6 +138,40 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+    use op2_runtime::{ChainDispatch, Service, Threading, Tuner, TunerMode};
+
+    /// Build `variant`'s job with the given chain dispatch and run it.
+    fn go(
+        app: &mut MgCfd,
+        layouts: &[RankLayout],
+        variant: Variant,
+        iters: usize,
+        dispatch: ChainDispatch,
+        opts: &RunOptions,
+    ) -> RunOutcome {
+        let job = job(app, variant, iters).dispatch(dispatch);
+        run(app, layouts, &job, opts).expect("every rank completes")
+    }
+
+    fn run_op2(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
+        let opts = RunOptions::default();
+        go(app, layouts, Variant::Op2, iters, ChainDispatch::Planned, &opts)
+    }
+
+    fn run_ca(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
+        let opts = RunOptions::default();
+        go(app, layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts)
+    }
+
+    fn run_ca_tiled(
+        app: &mut MgCfd,
+        layouts: &[RankLayout],
+        iters: usize,
+        n_tiles: usize,
+        opts: &RunOptions,
+    ) -> RunOutcome {
+        go(app, layouts, Variant::Ca, iters, ChainDispatch::Tiled(n_tiles), opts)
+    }
 
     fn layouts_for(app: &MgCfd, nparts: usize) -> Vec<RankLayout> {
         let coords = &app.dom.dat(app.levels[0].ids.coords).data;
@@ -660,7 +270,7 @@ mod tests {
         for n_tiles in [1, 4] {
             let mut app = MgCfd::new(params);
             let layouts = layouts_for(&app, 4);
-            let out = run_ca_tiled(&mut app, &layouts, iters, n_tiles);
+            let out = run_ca_tiled(&mut app, &layouts, iters, n_tiles, &RunOptions::default());
             let err = (reference.rms - out.rms).abs() / reference.rms.abs().max(1e-30);
             assert!(err < 1e-10, "n_tiles {n_tiles}: {err}");
         }
@@ -677,14 +287,12 @@ mod tests {
 
         let mut app = MgCfd::new(params);
         let layouts = layouts_for(&app, 4);
-        let out = run_auto(
-            &mut app,
-            &layouts,
-            iters,
-            &op2_model::Machine::archer2(),
-            TunerMode::Auto,
-            Some(5e-8),
-        );
+        let tuned = ChainDispatch::Tuned {
+            mach: op2_model::Machine::archer2(),
+            mode: TunerMode::Auto,
+            fixed_g: Some(5e-8),
+        };
+        let out = go(&mut app, &layouts, Variant::Ca, iters, tuned, &RunOptions::default());
         let err = (reference.rms - out.rms).abs() / reference.rms.abs().max(1e-30);
         assert!(err < 1e-10, "adaptive back-end diverged: {err}");
 
@@ -703,6 +311,22 @@ mod tests {
         for t in &out.traces[1..] {
             assert_eq!(agreed(t), first, "rank {} decided differently", t.rank);
         }
+    }
+
+    /// Calibration measures wall-clock, which a journaled replay cannot
+    /// reproduce: the supervised hosts refuse a tuned job, typed.
+    #[test]
+    fn tuned_job_is_rejected_under_supervision() {
+        let mut app = MgCfd::new(MgCfdParams::small(6));
+        let layouts = layouts_for(&app, 2);
+        let tuned = job(&app, Variant::Ca, 1).dispatch(ChainDispatch::Tuned {
+            mach: op2_model::Machine::archer2(),
+            mode: TunerMode::Auto,
+            fixed_g: None,
+        });
+        let sopts = op2_runtime::SuperviseOptions::default();
+        let out = op2_runtime::run_job_supervised(&mut app.dom, &layouts, &tuned, &sopts);
+        assert!(matches!(out, Err(RuntimeError::Core(_))), "{out:?}");
     }
 
     /// Acceptance criterion: on the synthetic `update`/`edge_flux` chain
@@ -811,7 +435,8 @@ mod tests {
                 block_size: 16,
                 auto_block: false,
             };
-            let out = run_ca_threaded(&mut app, &layouts, iters, threading);
+            let opts = RunOptions::default().threading(threading);
+            let out = go(&mut app, &layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts);
             assert_eq!(
                 out.rms.to_bits(),
                 reference.rms.to_bits(),
@@ -857,18 +482,13 @@ mod tests {
 
         let mut ref_app = MgCfd::new(params);
         let l0 = layouts_for(&ref_app, 2);
-        let reference = run_ca_tiled(&mut ref_app, &l0, iters, n_tiles);
+        let reference = run_ca_tiled(&mut ref_app, &l0, iters, n_tiles, &RunOptions::default());
 
         for n_threads in [2usize, 4] {
             let mut app = MgCfd::new(params);
             let layouts = layouts_for(&app, 2);
-            let out = run_ca_tiled_threaded(
-                &mut app,
-                &layouts,
-                iters,
-                n_tiles,
-                Threading::with_threads(n_threads),
-            );
+            let opts = RunOptions::default().with_threads(n_threads);
+            let out = run_ca_tiled(&mut app, &layouts, iters, n_tiles, &opts);
             assert_eq!(
                 out.rms.to_bits(),
                 reference.rms.to_bits(),
@@ -903,7 +523,7 @@ mod tests {
         }
     }
 
-    /// Resident-service execution matches [`run_ca`] bitwise, and the
+    /// Resident-service execution matches the standalone CA run bitwise, and the
     /// second job on the same mesh is fully warm: zero chain
     /// inspections (plan-registry hits instead) and zero payload-pool
     /// allocations (carried buffers).
@@ -919,11 +539,13 @@ mod tests {
         let app = MgCfd::new(params);
         let layouts = layouts_for(&app, 4);
         let svc = Service::new(op2_runtime::ServiceConfig::default());
-        let mesh = register_service_mesh(&svc, &app, layouts);
+        let mesh = svc.register_mesh(app.dom.clone(), layouts);
+        let ca = job(&app, Variant::Ca, iters);
+        let submit = || RunOutcome::from_job(&app, svc.submit(mesh, &ca).unwrap().into());
 
-        let cold = run_ca_service(&svc, mesh, &app, iters).unwrap();
-        let warm = run_ca_service(&svc, mesh, &app, iters).unwrap();
-        let steady = run_ca_service(&svc, mesh, &app, iters).unwrap();
+        let cold = submit();
+        let warm = submit();
+        let steady = submit();
         assert_eq!(cold.rms.to_bits(), reference.rms.to_bits());
         assert_eq!(warm.rms.to_bits(), reference.rms.to_bits());
         assert_eq!(steady.rms.to_bits(), reference.rms.to_bits());
@@ -945,6 +567,30 @@ mod tests {
         assert_eq!(m.completed, 3);
         assert_eq!(m.warm_jobs, 2);
         assert!(m.registry_plans >= 1);
+    }
+
+    /// A failure on a rank other than 0 is the run's typed error — not
+    /// dropped (the old drivers read `results[0]` only and would have
+    /// returned `Ok`), not a panic. Rank 1 of a 2-rank CA run crashes at
+    /// its very last loop boundary — after contributing to the residual
+    /// allreduce, so rank 0 completes cleanly.
+    #[test]
+    fn failure_on_rank_1_is_a_typed_error() {
+        use op2_runtime::{Boundary, BoundaryKind, FaultPlan, FaultSpec};
+        let mut app = MgCfd::new(MgCfdParams::small(6));
+        let layouts = layouts_for(&app, 2);
+        let ca = job(&app, Variant::Ca, 2);
+        let is_loop = |s: &&JobStep| matches!(s, JobStep::Loop(_));
+        let n_loops = ca.setup.len()
+            + ca.iters * ca.steps.iter().filter(is_loop).count()
+            + ca.finish.len();
+        let last = Boundary::new(BoundaryKind::Loop, n_loops as u64 - 1);
+        let spec = FaultSpec::default().with_crash_site(1, last);
+        let opts = RunOptions::with_faults(FaultPlan::new(spec));
+        match run(&mut app, &layouts, &ca, &opts) {
+            Err(RuntimeError::Panicked { rank: 1, .. }) => {}
+            other => panic!("expected rank 1's crash as a typed error, got {other:?}"),
+        }
     }
 
     /// The solver converges (RMS falls) over a few iterations, i.e. the

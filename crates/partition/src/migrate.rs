@@ -16,7 +16,7 @@
 //!
 //! The planner is pure and deterministic: same domain, same old
 //! ownership, same new base assignment → same plan on every rank. The
-//! runtime-side executor ([`op2-runtime`]'s `rebalance` module) ships
+//! runtime-side executor (`op2-runtime`'s `rebalance` module) ships
 //! the dat slices named by the move lists over the fault-tolerant
 //! transport and bumps the layout epoch.
 

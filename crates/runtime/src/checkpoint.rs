@@ -29,7 +29,7 @@
 //!
 //! ## Replay journal
 //!
-//! Completed units are journaled ([`UnitRecord`]), loops with their
+//! Completed units are journaled (`UnitRecord`), loops with their
 //! bit-exact global-argument results. After a restore, units before the
 //! checkpoint's cut are *skipped*: the executor returns the journaled
 //! result without touching dats, communicating, or crossing fault
@@ -173,6 +173,14 @@ impl RankState {
     /// Fresh state for one rank of a supervised run.
     pub fn new() -> Self {
         RankState::default()
+    }
+
+    /// One fresh shared slot per rank — what a supervised host hands to
+    /// [`crate::supervise::run_supervised_with_state`].
+    pub fn fresh_slots(nparts: usize) -> Vec<Arc<Mutex<RankState>>> {
+        (0..nparts)
+            .map(|_| Arc::new(Mutex::new(RankState::new())))
+            .collect()
     }
 
     /// Epoch of the newest checkpoint, if any (supervisor-side view for
@@ -349,7 +357,7 @@ impl RankEnv<'_> {
 
     /// Rewind this env to its newest checkpoint in place (the
     /// single-rank restore path, used by benches and tests; supervised
-    /// rollbacks go through [`RankState::restore`] and a fresh attach
+    /// rollbacks go through the `RankState::restore` flag and a fresh attach
     /// instead). Returns false when there is nothing to restore.
     pub fn ckpt_rewind(&mut self) -> bool {
         let Some(shared) = self.ckpt.shared.clone() else {

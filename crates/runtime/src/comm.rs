@@ -14,7 +14,7 @@
 //! substrate. Every message carries a sequence number and a checksum;
 //! [`RankComm::recv`] verifies both under a configurable deadline with
 //! bounded retry/backoff and returns typed [`CommError`]s instead of
-//! panicking. A deterministic [`FaultPlan`](crate::fault::FaultPlan) can
+//! panicking. A deterministic [`FaultPlan`] can
 //! be attached to the world to delay, drop, duplicate or corrupt traffic
 //! (dropped/corrupted attempts are followed by scheduled retransmissions,
 //! modelling a sender-side retransmit timer), and `hangup` sentinels let
@@ -614,7 +614,7 @@ impl RankComm {
     /// cleared first, so pooled buffers never carry previous payloads
     /// (a corrupted or duplicated delivery unpacked from a borrowed
     /// buffer cannot poison later messages). Beyond
-    /// [`POOL_MAX_PER_PEER`] buffers the return is dropped instead.
+    /// `POOL_MAX_PER_PEER` buffers the return is dropped instead.
     pub fn recycle(&mut self, peer: u32, mut buf: Vec<f64>) {
         let slot = &mut self.pool[peer as usize];
         if slot.len() >= POOL_MAX_PER_PEER || buf.capacity() == 0 {

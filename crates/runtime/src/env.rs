@@ -56,7 +56,7 @@ enum ExecIters<'a> {
 /// harness validates configuration once at startup and tests cover every
 /// malformed shape without mutating process state. `parse` returning
 /// `None` means the value is malformed and becomes `err(value)` — a
-/// typed [`ConfigError`] instead of a silent fallback or a panic inside
+/// typed [`crate::error::ConfigError`] instead of a silent fallback or a panic inside
 /// a rank thread.
 pub fn parse_knob<T>(
     raw: Option<&str>,

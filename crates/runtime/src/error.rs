@@ -144,6 +144,15 @@ pub enum RuntimeError {
     },
     /// A runtime configuration knob failed to parse at startup.
     Config(ConfigError),
+    /// A rank's thread panicked (an injected crash, a kernel bug); the
+    /// harness contained it. What a [`RankFailure::Panicked`] becomes
+    /// when a job host folds per-rank verdicts into one error.
+    Panicked {
+        /// The panicking rank.
+        rank: u32,
+        /// The panic payload, if it was a string.
+        message: String,
+    },
     /// Supervised recovery ran out of budget: the fault kept recurring
     /// after `attempts` coordinated rollbacks. Carries the partial
     /// per-rank traces and failures of the final attempt for post
@@ -176,6 +185,9 @@ impl fmt::Display for RuntimeError {
                  valid to depth {need}, have {have}"
             ),
             RuntimeError::Config(e) => write!(f, "invalid runtime configuration: {e}"),
+            RuntimeError::Panicked { rank, message } => {
+                write!(f, "rank {rank} panicked: {message}")
+            }
             RuntimeError::RecoveryExhausted {
                 attempts, failures, ..
             } => {
@@ -195,7 +207,9 @@ impl std::error::Error for RuntimeError {
             RuntimeError::Comm(e) => Some(e),
             RuntimeError::Core(e) => Some(e),
             RuntimeError::Config(e) => Some(e),
-            RuntimeError::Validity { .. } | RuntimeError::RecoveryExhausted { .. } => None,
+            RuntimeError::Validity { .. }
+            | RuntimeError::Panicked { .. }
+            | RuntimeError::RecoveryExhausted { .. } => None,
         }
     }
 }
@@ -261,6 +275,15 @@ impl fmt::Display for RankFailure {
 }
 
 impl std::error::Error for RankFailure {}
+
+impl From<RankFailure> for RuntimeError {
+    fn from(f: RankFailure) -> Self {
+        match f {
+            RankFailure::Failed { error, .. } => error,
+            RankFailure::Panicked { rank, message } => RuntimeError::Panicked { rank, message },
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

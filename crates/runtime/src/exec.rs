@@ -195,18 +195,6 @@ pub fn chain_import_depths(env: &RankEnv<'_>, chain: &ChainSpec) -> Vec<(DatId, 
         .collect()
 }
 
-/// Relaxed-mode import plan (see
-/// [`op2_core::chain::import_depths_relaxed`]).
-pub fn chain_import_depths_relaxed(env: &RankEnv<'_>, chain: &ChainSpec) -> Vec<(DatId, u8)> {
-    let sigs = chain.sigs();
-    op2_core::chain::import_depths_relaxed(&sigs, &chain.halo_ext, &|d| {
-        env.valid[d.idx()] as usize
-    })
-    .into_iter()
-    .map(|(d, t)| (d, t as u8))
-    .collect()
-}
-
 /// Algorithm 2: execute a loop-chain with the communication-avoiding
 /// back-end. Panics if the chain requires deeper halos than the layout
 /// was built with (a program error); transport failures surface as
@@ -214,8 +202,8 @@ pub fn chain_import_depths_relaxed(env: &RankEnv<'_>, chain: &ChainSpec) -> Vec<
 ///
 /// When the env's [`FuseMode`](crate::env::FuseMode) is `On` (or `Auto`
 /// and the profit arm predicts a win) and the chain has at least one
-/// fusable group, execution goes through [`run_chain_fused`] instead of
-/// the per-loop walk — bitwise identical by the fusion legality rules,
+/// fusable group, execution goes through the fused whole-chain schedule
+/// instead of the per-loop walk — bitwise identical by the fusion legality rules,
 /// with elidable intermediates kept in per-worker scratch. Relaxed-mode
 /// and hooked entries never fuse (staleness is counted per loop, which a
 /// whole-chain schedule cannot attribute).
@@ -243,15 +231,6 @@ pub fn run_chain_hooked(
     hooks: &mut dyn ExecHooks,
 ) -> Result<(), RuntimeError> {
     run_chain_mode(env, chain, hooks, false)
-}
-
-/// [`run_chain_relaxed`] with observation hooks.
-pub fn run_chain_relaxed_hooked(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    hooks: &mut dyn ExecHooks,
-) -> Result<(), RuntimeError> {
-    run_chain_mode(env, chain, hooks, true)
 }
 
 fn run_chain_mode(
@@ -377,7 +356,7 @@ fn fused_key(env: &RankEnv<'_>, chain: &ChainSpec, plan: &crate::plan::ChainPlan
 /// ([`op2_model::classify_fused`]): elided intermediate traffic priced
 /// against the exchanged payload whose overlap the fused executor
 /// forgoes. Builds (and caches) the fused schedule as a side effect —
-/// the subsequent [`run_chain_fused`] lookup is a hash hit.
+/// the subsequent `run_chain_fused` lookup is a hash hit.
 fn fuse_wanted(env: &mut RankEnv<'_>, chain: &ChainSpec) -> bool {
     let plan = crate::plan::plan_for(env, chain, false);
     let key = fused_key(env, chain, &plan);
@@ -413,7 +392,7 @@ fn fuse_wanted(env: &mut RankEnv<'_>, chain: &ChainSpec) -> bool {
 /// validity-0 (contents unspecified — the `with_scratch` contract), and
 /// are *not* dirty-marked for checkpointing: rollback restores the same
 /// untouched bytes, and replay re-fuses deterministically.
-pub fn run_chain_fused(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
+fn run_chain_fused(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
         return Ok(());
     }
@@ -497,22 +476,6 @@ pub fn run_chain_fused(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), R
 /// reference path: property tests assert the planned executor is
 /// bitwise-equal to this one on random meshes.
 pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    run_chain_unplanned_mode(env, chain, false)
-}
-
-/// Relaxed-mode companion of [`run_chain_unplanned`].
-pub fn run_chain_unplanned_relaxed(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-) -> Result<(), RuntimeError> {
-    run_chain_unplanned_mode(env, chain, true)
-}
-
-fn run_chain_unplanned_mode(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    relaxed: bool,
-) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
         return Ok(());
     }
@@ -525,21 +488,13 @@ fn run_chain_unplanned_mode(
         chain.name,
         env.layout.depth
     );
-    let exch = if relaxed {
-        chain_import_depths_relaxed(env, chain)
-    } else {
-        chain_import_depths(env, chain)
-    };
+    let exch = chain_import_depths(env, chain);
 
     // Grouped message per neighbour (lines 5-7 of Alg 2).
     let mut rec = env.exchange(&exch, true);
 
     // Core of every loop while the exchange is in flight (lines 8-12).
-    let cdepth = if relaxed {
-        vec![1usize; chain.len()]
-    } else {
-        op2_core::chain::core_depths(&chain.sigs())
-    };
+    let cdepth = op2_core::chain::core_depths(&chain.sigs());
     let mut gbls: Vec<Vec<f64>> = Vec::new();
     for (pos, spec) in chain.loops.iter().enumerate() {
         debug_assert!(!spec.has_reduction());
@@ -554,7 +509,6 @@ fn run_chain_unplanned_mode(
 
     // Halo regions in loop order (lines 14-18).
     let mut per_loop = Vec::with_capacity(chain.len());
-    let mut stale_reads = 0usize;
     for (pos, spec) in chain.loops.iter().enumerate() {
         let ext = chain.halo_ext[pos];
         let sig = spec.sig();
@@ -562,18 +516,14 @@ fn run_chain_unplanned_mode(
             if let Some((mode, indirect)) = sig.access_of(d) {
                 let req = read_requirement(mode, indirect, ext);
                 if (env.valid[d.idx()] as usize) < req {
-                    if relaxed {
-                        stale_reads += 1;
-                    } else {
-                        return Err(RuntimeError::Validity {
-                            rank: env.rank,
-                            chain: chain.name.clone(),
-                            loop_name: spec.name.clone(),
-                            dat: env.dom.dat(d).name.clone(),
-                            need: req as u8,
-                            have: env.valid[d.idx()],
-                        });
-                    }
+                    return Err(RuntimeError::Validity {
+                        rank: env.rank,
+                        chain: chain.name.clone(),
+                        loop_name: spec.name.clone(),
+                        dat: env.dom.dat(d).name.clone(),
+                        need: req as u8,
+                        have: env.valid[d.idx()],
+                    });
                 }
             }
         }
@@ -601,7 +551,7 @@ fn run_chain_unplanned_mode(
         d_exchanged: exch.len(),
         depth,
         exch: rec,
-        stale_reads,
+        stale_reads: 0,
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);

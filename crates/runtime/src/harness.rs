@@ -38,9 +38,9 @@ pub struct RunOptions {
     /// Intra-rank threading for kernel execution, **per rank**. `None`
     /// (the default) reads the `OP2_THREADS`/`OP2_BLOCK_SIZE`
     /// environment and divides the thread budget across the co-located
-    /// ranks ([`Threading::split_across`]) so one node-wide `OP2_THREADS`
-    /// never oversubscribes the machine. `Some` is taken verbatim as the
-    /// per-rank configuration.
+    /// ranks ([`crate::threads::Threading::split_across`]) so one
+    /// node-wide `OP2_THREADS` never oversubscribes the machine. `Some`
+    /// is taken verbatim as the per-rank configuration.
     pub threading: Option<crate::threads::Threading>,
     /// Checkpoint cadence for supervised runs
     /// ([`run_supervised`](crate::supervise::run_supervised)). `None`

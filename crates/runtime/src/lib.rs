@@ -45,12 +45,16 @@
 //!   consistent epoch, world restart with carried plan caches and buffer
 //!   pools, and a bounded recovery budget degrading into
 //!   [`RuntimeError::RecoveryExhausted`].
+//! * [`job`] — the program representation ([`Job`]: setup / repeated
+//!   steps / finish, as data) and its one interpreter
+//!   ([`exec_job_program`]), plus the plain and supervised hosts that
+//!   fold per-rank verdicts into one `Result`.
 //! * [`service`] — the resident mesh-compute server: boot a world once
 //!   (ranks, thread pools, warmed transports), register meshes, and
 //!   multiplex many supervised jobs over them with a shared plan
 //!   registry, bounded admission, same-shape batching, and per-job
 //!   trace/crash isolation.
-//! * [`rebalance`] — online rebalancing: a windowed imbalance detector
+//! * [`mod@rebalance`] — online rebalancing: a windowed imbalance detector
 //!   over the measured per-unit wall times, cost-weighted re-sharding
 //!   through `op2-partition`'s migration planner, a migration executor
 //!   shipping dat slices and renumbering tables over the fault-tolerant
@@ -70,6 +74,7 @@ pub mod error;
 pub mod exec;
 pub mod fault;
 pub mod harness;
+pub mod job;
 pub mod lazy;
 pub mod plan;
 pub mod rebalance;
@@ -84,8 +89,8 @@ pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::{ExecMode, FuseMode, RankEnv};
 pub use error::{ConfigError, RankFailure, RuntimeError};
 pub use exec::{
-    run_chain, run_chain_fused, run_chain_relaxed, run_chain_tiled, run_chain_unplanned,
-    run_chain_unplanned_relaxed, run_loop, ExecHooks, NoHooks,
+    run_chain, run_chain_relaxed, run_chain_tiled, run_chain_unplanned, run_loop, ExecHooks,
+    NoHooks,
 };
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
@@ -95,13 +100,16 @@ pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, FusedChain,
     FusedKey, PlanCache, PlanRegistry, PlanStats,
 };
-pub use service::{
-    exec_job_program, Job, JobOutcome, JobStep, JobTrace, Service, ServiceConfig, ServiceError,
-    ServiceMetrics,
+pub use job::{
+    exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
+    JobStep,
 };
 pub use rebalance::{
-    detect, element_costs, fence_slots, rebalance, ship_migration, LoadEstimate, RebalanceConfig,
-    RebalanceOutcome, RebalancePolicy,
+    detect, element_costs, fence_slots, rebalance, run_job_rebalanced, ship_migration,
+    LoadEstimate, RebalanceConfig, RebalanceOutcome, RebalancePolicy, ShardBasis,
+};
+pub use service::{
+    JobOutcome, JobTrace, Service, ServiceConfig, ServiceError, ServiceMetrics,
 };
 pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
 pub use threads::{

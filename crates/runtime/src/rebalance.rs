@@ -8,7 +8,7 @@
 //!
 //! 1. **Detector** — [`LoadEstimate`] aggregates the measured per-unit
 //!    wall times each executor already stamps into
-//!    [`RankTrace`](crate::trace::RankTrace) (a sliding window of the
+//!    [`RankTrace`] (a sliding window of the
 //!    most recent units) into a per-rank load vector; migration triggers
 //!    when `max/mean` exceeds [`RebalanceConfig::threshold`]
 //!    (`OP2_REBALANCE_THRESHOLD` / `OP2_REBALANCE_WINDOW`).
@@ -48,6 +48,8 @@
 use crate::checkpoint::RankState;
 use crate::error::{ConfigError, RuntimeError};
 use crate::harness::{run_distributed_with, RunOptions};
+use crate::job::{run_job_with_state, Job, JobRun};
+use crate::supervise::SuperviseOptions;
 use crate::trace::{RankTrace, RebalanceRec};
 use op2_core::{DatId, Domain, SetId};
 use op2_partition::{
@@ -133,10 +135,10 @@ impl RebalanceConfig {
     }
 }
 
-/// Driver-level rebalancing policy: the detector knobs plus how a
-/// segmented run (detection at segment boundaries) behaves. Drivers
-/// like `mg-cfd`'s `run_ca_rebalanced` split their iteration sequence
-/// into segments, run each under supervision, and consult the detector
+/// Host-level rebalancing policy: the detector knobs plus how a
+/// segmented run (detection at segment boundaries) behaves.
+/// [`run_job_rebalanced`] splits a job's iteration sequence into
+/// segments, runs each under supervision, and consults the detector
 /// between segments.
 #[derive(Debug, Clone, Default)]
 pub struct RebalancePolicy {
@@ -441,6 +443,96 @@ pub fn rebalance(
         rec,
         per_rank,
     }))
+}
+
+/// What a re-shard partitions: the base set, its coordinate dat and the
+/// coordinate dimension.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardBasis {
+    /// The set ownership derives from.
+    pub set: SetId,
+    /// Its coordinates (weighted RCB cuts along these).
+    pub coords: DatId,
+    /// Coordinates per element.
+    pub dims: usize,
+}
+
+/// [`crate::job::run_job_supervised`] with **online rebalancing** — the
+/// one segmented host. The job's iterations are split into segments of
+/// `policy.segment_iters`; each segment runs under supervision over
+/// shared per-rank state slots (setup with the first, finish with the
+/// last — [`crate::job::exec_job_program`] stays the only walker), and
+/// at every segment boundary the windowed detector inspects the
+/// segment's measured per-rank wall times. When it trips, the base set
+/// is re-sharded from per-element costs (measured, or `policy.costs`),
+/// the moved elements ship over the transport ([`rebalance`]), the
+/// carried state is epoch-fenced ([`fence_slots`]), and the remaining
+/// segments run on the new layouts. `policy.post_migration_faults`
+/// replace the caller's fault plan for the first segment on a migrated
+/// layout (the chaos hook); migration traffic itself is never a fault
+/// target.
+///
+/// The machinery is value-preserving (see the module docs for the
+/// bitwise contract). Returns the run (final segment's traces), the
+/// aggregate [`RebalanceRec`], and the layouts the run finished on.
+pub fn run_job_rebalanced(
+    dom: &mut Domain,
+    layouts: &[RankLayout],
+    job: &Job,
+    opts: &SuperviseOptions,
+    policy: &RebalancePolicy,
+    basis: ShardBasis,
+) -> Result<(JobRun, RebalanceRec, Vec<RankLayout>), RuntimeError> {
+    let slots = RankState::fresh_slots(layouts.len());
+    let mut cur = layouts.to_vec();
+    let seg_len = match policy.segment_iters {
+        0 => job.iters.max(1),
+        n => n,
+    };
+    let mut done = 0usize;
+    let mut migrations = 0usize;
+    let mut post_migration = false;
+    let mut rec = RebalanceRec::default();
+    loop {
+        let seg = seg_len.min(job.iters - done);
+        let mut sopts = opts.clone();
+        if std::mem::take(&mut post_migration) {
+            sopts.run.faults = policy.post_migration_faults.clone();
+        }
+        let run = run_job_with_state(dom, &cur, &job.segment(done, seg), &sopts, &slots, 0)?;
+        done += seg;
+        if done >= job.iters {
+            return Ok((run, rec, cur));
+        }
+        if policy.max_migrations != 0 && migrations >= policy.max_migrations {
+            continue;
+        }
+        let Some(est) = detect(&run.traces, &policy.cfg) else {
+            continue;
+        };
+        let costs = match &policy.costs {
+            Some(c) => c.clone(),
+            None => element_costs(dom, basis.set, &cur, &est),
+        };
+        let mut ship_opts = opts.run.clone();
+        ship_opts.faults = None;
+        if let Some(outcome) = rebalance(
+            dom,
+            basis.set,
+            basis.coords,
+            basis.dims,
+            &cur,
+            &costs,
+            est.imbalance_milli(),
+            &ship_opts,
+        )? {
+            fence_slots(&slots);
+            cur = outcome.layouts;
+            rec.add(&outcome.rec);
+            migrations += 1;
+            post_migration = true;
+        }
+    }
 }
 
 /// Epoch fence over carried supervisor state after a migration: bump

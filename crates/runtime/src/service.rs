@@ -7,8 +7,8 @@
 //! a standalone [`crate::harness::run_distributed`] throws all of it
 //! away on return. A [`Service`] keeps it resident: meshes are
 //! registered once (domain + layouts, keyed by [`mesh_signature`]), and
-//! **jobs** — data-described programs over a registered mesh — are
-//! submitted against them.
+//! **jobs** — data-described programs over a registered mesh
+//! ([`crate::job`]) — are submitted against them.
 //!
 //! ## Job lifecycle
 //!
@@ -16,7 +16,7 @@
 //! [`ServiceError::Saturated`] beyond `OP2_SERVE_MAX_INFLIGHT`), then
 //! queues on the mesh's world lock — execution is serialized per world
 //! (one set of rank resources), concurrent across worlds. Each job runs
-//! under full PR-6 supervision ([`run_supervised_with_state`]) on a
+//! under full PR-6 supervision ([`run_job_with_state`]) on a
 //! fresh clone of the registered domain with the job's initial dat
 //! overrides applied, with per-rank state slots **pre-seeded** from the
 //! world's carried resources:
@@ -60,18 +60,14 @@
 
 use crate::checkpoint::{CheckpointConfig, RankState};
 use crate::comm::CommCounters;
-use crate::env::RankEnv;
 use crate::error::{ConfigError, RuntimeError};
-use crate::exec::{run_chain, run_chain_relaxed, run_chain_tiled, run_loop};
-use crate::fault::FaultPlan;
 use crate::harness::RunOptions;
-use crate::plan::{
-    self, chain_signature, loop_signature, mesh_signature, PlanCache, PlanRegistry, PlanStats,
-};
-use crate::supervise::{run_supervised_with_state, SuperviseOptions};
+use crate::job::{run_job_with_state, Job, JobRun};
+use crate::plan::{mesh_signature, PlanCache, PlanRegistry, PlanStats};
+use crate::supervise::SuperviseOptions;
 use crate::threads::{ThreadCtx, Threading};
 use crate::trace::RankTrace;
-use op2_core::{ChainSpec, DatId, Domain, LoopSpec, SetId};
+use op2_core::{DatId, Domain, SetId};
 use op2_partition::RankLayout;
 use std::collections::HashMap;
 use std::fmt;
@@ -245,123 +241,6 @@ impl From<ConfigError> for ServiceError {
     }
 }
 
-/// One instruction of a job's data-described program. Jobs carry data,
-/// not closures, so the service's supervised execution and a standalone
-/// [`crate::harness::run_distributed`] comparison run byte-for-byte the
-/// same instruction stream.
-#[derive(Debug, Clone)]
-pub enum JobStep {
-    /// A standard Alg 1 loop ([`run_loop`]).
-    Loop(LoopSpec),
-    /// A strict CA chain ([`run_chain`]).
-    Chain(ChainSpec),
-    /// A relaxed (paper-mode) CA chain ([`run_chain_relaxed`]).
-    ChainRelaxed(ChainSpec),
-    /// A sparse-tiled CA chain with the given tile count
-    /// ([`run_chain_tiled`]).
-    ChainTiled(ChainSpec, usize),
-}
-
-impl JobStep {
-    /// Structural signature of this step (loop/chain signature plus the
-    /// execution mode) — the ingredient of [`Job::shape`].
-    fn sig(&self) -> u64 {
-        match self {
-            JobStep::Loop(l) => loop_signature(l),
-            JobStep::Chain(c) => chain_signature(c, false),
-            JobStep::ChainRelaxed(c) => chain_signature(c, true),
-            JobStep::ChainTiled(c, n) => {
-                let mut h = chain_signature(c, false);
-                plan::fnv_usize(&mut h, *n);
-                h
-            }
-        }
-    }
-}
-
-/// A simulation job: a program over a registered mesh, initial dat
-/// state, and an iteration count.
-#[derive(Debug, Clone, Default)]
-pub struct Job {
-    /// Human-readable name (trace/reporting only).
-    pub name: String,
-    /// Run once before the iterations (initialization loops).
-    pub setup: Vec<JobStep>,
-    /// One iteration's steps, repeated `iters` times.
-    pub steps: Vec<JobStep>,
-    /// Run once after the iterations; these steps' loop results (e.g. a
-    /// residual reduction) land in [`JobOutcome::gbls`].
-    pub finish: Vec<JobStep>,
-    /// Iteration count.
-    pub iters: usize,
-    /// Initial dat payloads overriding the registered domain's (global
-    /// numbering; unlisted dats keep the registered values).
-    pub init: Vec<(DatId, Vec<f64>)>,
-    /// Fault plan for this job only (chaos testing a single tenant).
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Checkpoint cadence override for this job.
-    pub checkpoint_every: Option<u64>,
-}
-
-impl Job {
-    /// A job running `steps` for `iters` iterations.
-    pub fn new(name: impl Into<String>, steps: Vec<JobStep>, iters: usize) -> Self {
-        Job {
-            name: name.into(),
-            steps,
-            iters,
-            ..Job::default()
-        }
-    }
-
-    /// Setup steps, run once before the iterations (builder style).
-    pub fn setup(mut self, setup: Vec<JobStep>) -> Self {
-        self.setup = setup;
-        self
-    }
-
-    /// Finish steps, run once after the iterations (builder style).
-    pub fn finish(mut self, finish: Vec<JobStep>) -> Self {
-        self.finish = finish;
-        self
-    }
-
-    /// Initial dat payload override (builder style).
-    pub fn with_init(mut self, dat: DatId, data: Vec<f64>) -> Self {
-        self.init.push((dat, data));
-        self
-    }
-
-    /// Fault plan for this job (builder style).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Checkpoint cadence for this job (builder style).
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Structural shape of this job: setup/steps/finish signatures and
-    /// the iteration count (initial data excluded — same-shaped jobs
-    /// differ exactly by their inputs). Jobs with equal shapes on one
-    /// mesh batch together: identical plans, schedules and buffer
-    /// demands, so back-to-back execution re-warms nothing.
-    pub fn shape(&self) -> u64 {
-        let mut h = plan::FNV_OFFSET;
-        for part in [&self.setup, &self.steps, &self.finish] {
-            plan::fnv_usize(&mut h, part.len());
-            for s in part {
-                plan::fnv_bytes(&mut h, &s.sig().to_le_bytes());
-            }
-        }
-        plan::fnv_usize(&mut h, self.iters);
-        h
-    }
-}
-
 /// Per-job trace: the job's per-rank [`RankTrace`]s plus job-level
 /// context, isolated from every other job on the world.
 #[derive(Debug, Clone)]
@@ -422,46 +301,15 @@ pub struct JobOutcome {
     pub trace: JobTrace,
 }
 
-/// Execute one job's program on a rank env — **the** instruction
-/// stream, used verbatim by the service's supervised closure and by
-/// standalone `run_distributed` comparisons, so the bitwise-identity
-/// contract is between two executions of the same function.
-pub fn exec_job_program(
-    env: &mut RankEnv<'_>,
-    job: &Job,
-) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-    for s in &job.setup {
-        exec_step(env, s)?;
-    }
-    for _ in 0..job.iters {
-        for s in &job.steps {
-            exec_step(env, s)?;
+impl From<JobOutcome> for JobRun {
+    /// Drop the service-side context, keeping what every other host
+    /// returns: the finish results and the per-rank traces.
+    fn from(out: JobOutcome) -> JobRun {
+        JobRun {
+            gbls: out.gbls,
+            traces: out.trace.ranks,
         }
     }
-    let mut gbls = Vec::with_capacity(job.finish.len());
-    for s in &job.finish {
-        gbls.push(exec_step(env, s)?.unwrap_or_default());
-    }
-    Ok(gbls)
-}
-
-/// Run one step; `Some(gbls)` for loops, `None` for chains.
-fn exec_step(env: &mut RankEnv<'_>, step: &JobStep) -> Result<Option<Vec<Vec<f64>>>, RuntimeError> {
-    Ok(match step {
-        JobStep::Loop(l) => Some(run_loop(env, l)?.gbls),
-        JobStep::Chain(c) => {
-            run_chain(env, c)?;
-            None
-        }
-        JobStep::ChainRelaxed(c) => {
-            run_chain_relaxed(env, c)?;
-            None
-        }
-        JobStep::ChainTiled(c, n) => {
-            run_chain_tiled(env, c, *n)?;
-            None
-        }
-    })
 }
 
 /// Carried per-rank resources of a world, between jobs.
@@ -859,10 +707,7 @@ impl Service {
             escalate_deadline: self.cfg.escalate_deadline,
         };
 
-        let result = run_supervised_with_state(&mut dom, &world.layouts, &sopts, &slots, |env| {
-            env.job = job_id;
-            exec_job_program(env, job)
-        });
+        let result = run_job_with_state(&mut dom, &world.layouts, job, &sopts, &slots, job_id);
 
         // Harvest carried resources — sealed by `ckpt_seal` even for
         // failed ranks, so a lost job still returns its buffers.
@@ -881,8 +726,8 @@ impl Service {
         rebalance_pools(&mut world.carry);
         world.jobs_run += 1;
 
-        let out = match result {
-            Ok(out) => out,
+        let JobRun { gbls, traces } = match result {
+            Ok(run) => run,
             Err(RuntimeError::Config(e)) => {
                 self.with_metrics(|m| m.failed += 1);
                 return Err(ServiceError::Config(e));
@@ -895,11 +740,6 @@ impl Service {
                 });
             }
         };
-        let mut results = out.results;
-        let gbls = match results.remove(0) {
-            Ok(g) => g,
-            Err(f) => unreachable!("supervised success with failed rank 0: {f}"),
-        };
         let dats: Vec<Vec<f64>> = (0..dom.n_dats())
             .map(|d| dom.dat(DatId(d as u32)).data.clone())
             .collect();
@@ -908,7 +748,7 @@ impl Service {
             name: job.name.clone(),
             warm: false,
             batched,
-            ranks: out.traces,
+            ranks: traces,
         };
         let plan_total = trace.plan_total();
         let warm = plan_total.misses == 0;

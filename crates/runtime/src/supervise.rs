@@ -152,10 +152,7 @@ where
     F: Fn(&mut RankEnv<'_>) -> Result<R, RuntimeError> + Sync,
     R: Send,
 {
-    let slots: Vec<Arc<Mutex<RankState>>> = layouts
-        .iter()
-        .map(|_| Arc::new(Mutex::new(RankState::new())))
-        .collect();
+    let slots = RankState::fresh_slots(layouts.len());
     run_supervised_with_state(dom, layouts, opts, &slots, program)
 }
 

@@ -448,7 +448,7 @@ pub struct RankTrace {
     pub recovery: RecoveryRec,
     /// Online-rebalancing counters (migrations, moved elements/bytes,
     /// replan cost). All zero unless the program ran under
-    /// [`crate::rebalance`].
+    /// [`mod@crate::rebalance`].
     pub rebalance: RebalanceRec,
 }
 

@@ -19,7 +19,7 @@
 //! loop/chain trace records remain replay-deterministic.
 //!
 //! The override env var `OP2_TUNER=auto|op2|ca|tiled` (see
-//! [`TunerMode::from_env`]) forces a backend, bypassing calibration.
+//! [`TunerMode::try_from_env`]) forces a backend, bypassing calibration.
 
 use crate::env::RankEnv;
 use crate::error::RuntimeError;
@@ -70,8 +70,8 @@ pub enum TunerMode {
 impl TunerMode {
     /// Parse an `OP2_TUNER`-style override: `auto` (or empty/absent) /
     /// `op2` / `ca` / `tiled`. Anything else is a typed
-    /// [`ConfigError::Tuner`] — a silent fallback would mask a typo'd
-    /// override.
+    /// [`ConfigError::Tuner`](crate::error::ConfigError::Tuner) — a silent
+    /// fallback would mask a typo'd override.
     pub fn parse(raw: Option<&str>) -> Result<TunerMode, crate::error::ConfigError> {
         crate::env::parse_knob(
             raw,
@@ -91,13 +91,6 @@ impl TunerMode {
     pub fn try_from_env() -> Result<TunerMode, crate::error::ConfigError> {
         let raw = std::env::var("OP2_TUNER").ok();
         TunerMode::parse(raw.as_deref())
-    }
-
-    /// [`TunerMode::try_from_env`], panicking with the typed error's
-    /// message on a malformed value (the non-`Result` entry point the
-    /// drivers use, mirroring [`crate::threads::Threading::from_env`]).
-    pub fn from_env() -> TunerMode {
-        TunerMode::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

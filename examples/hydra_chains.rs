@@ -8,13 +8,19 @@
 //! Run with `cargo run --release --example hydra_chains`.
 
 use op2::core::chain::{calc_halo_extents, calc_halo_layers};
-use op2::hydra::{run_ca, run_op2, run_sequential, ExtentMode, Hydra, HydraParams};
+use op2::hydra::{job, run, run_sequential, ExtentMode, Hydra, HydraParams, RunOutcome, Variant};
 use op2::partition::{build_layouts, derive_ownership, rib_partition, RankLayout};
+use op2::runtime::RunOptions;
 
 fn layouts_for(app: &Hydra, nparts: usize, depth: usize) -> Vec<RankLayout> {
     let base = rib_partition(app.mesh.node_coords(), 3, nparts);
     let own = derive_ownership(&app.mesh.dom, app.mesh.nodes, base, nparts);
     build_layouts(&app.mesh.dom, &own, depth)
+}
+
+fn run_variant(app: &mut Hydra, layouts: &[RankLayout], variant: Variant, iters: usize) -> RunOutcome {
+    let job = job(app, variant, iters);
+    run(app, layouts, &job, &RunOptions::default()).expect("every rank completes")
 }
 
 fn main() {
@@ -47,18 +53,18 @@ fn main() {
     let nparts = 4;
 
     let mut seq_app = Hydra::new(params);
-    let seq = run_sequential(&mut seq_app, iters);
+    let seq = run_sequential(&mut seq_app, iters, 1);
     println!("\nsequential            : norm {:.6e}", seq.norm);
 
     let mut op2_app = Hydra::new(params);
     let l = layouts_for(&op2_app, nparts, op2_app.required_depth(ExtentMode::Safe));
-    let op2 = run_op2(&mut op2_app, &l, iters);
+    let op2 = run_variant(&mut op2_app, &l, Variant::Op2 { stages: 1 }, iters);
     let op2_msgs: usize = op2.traces.iter().map(|t| t.total_msgs()).sum();
     println!("OP2 baseline          : norm {:.6e}, {op2_msgs} msgs", op2.norm);
 
     let mut safe_app = Hydra::new(params);
     let l = layouts_for(&safe_app, nparts, safe_app.required_depth(ExtentMode::Safe));
-    let safe = run_ca(&mut safe_app, &l, iters, ExtentMode::Safe);
+    let safe = run_variant(&mut safe_app, &l, Variant::ca(ExtentMode::Safe), iters);
     let safe_msgs: usize = safe.traces.iter().map(|t| t.total_msgs()).sum();
     println!(
         "CA (safe extents)     : norm {:.6e}, {safe_msgs} msgs",
@@ -67,7 +73,7 @@ fn main() {
 
     let mut paper_app = Hydra::new(params);
     let l = layouts_for(&paper_app, nparts, paper_app.required_depth(ExtentMode::Paper));
-    let paper = run_ca(&mut paper_app, &l, iters, ExtentMode::Paper);
+    let paper = run_variant(&mut paper_app, &l, Variant::ca(ExtentMode::Paper), iters);
     let paper_msgs: usize = paper.traces.iter().map(|t| t.total_msgs()).sum();
     let stale: usize = paper
         .traces

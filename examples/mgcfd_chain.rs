@@ -7,8 +7,9 @@
 //!
 //! Run with `cargo run --release --example mgcfd_chain`.
 
-use op2::mgcfd::{run_ca, run_op2, run_sequential, MgCfd, MgCfdParams};
+use op2::mgcfd::{job, run, run_sequential, MgCfd, MgCfdParams, Variant};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
+use op2::runtime::RunOptions;
 
 fn layouts_for(app: &MgCfd, nparts: usize) -> Vec<RankLayout> {
     let coords = &app.dom.dat(app.levels[0].ids.coords).data;
@@ -39,7 +40,8 @@ fn main() {
     // OP2 baseline.
     let mut op2_app = MgCfd::new(params);
     let layouts = layouts_for(&op2_app, nparts);
-    let op2 = run_op2(&mut op2_app, &layouts, iters);
+    let op2_job = job(&op2_app, Variant::Op2, iters);
+    let op2 = run(&mut op2_app, &layouts, &op2_job, &RunOptions::default()).expect("OP2 run");
     let op2_msgs: usize = op2.traces.iter().map(|t| t.total_msgs()).sum();
     let op2_bytes: usize = op2.traces.iter().map(|t| t.total_bytes()).sum();
     println!(
@@ -50,7 +52,8 @@ fn main() {
     // CA back-end.
     let mut ca_app = MgCfd::new(params);
     let layouts = layouts_for(&ca_app, nparts);
-    let ca = run_ca(&mut ca_app, &layouts, iters);
+    let ca_job = job(&ca_app, Variant::Ca, iters);
+    let ca = run(&mut ca_app, &layouts, &ca_job, &RunOptions::default()).expect("CA run");
     let ca_msgs: usize = ca.traces.iter().map(|t| t.total_msgs()).sum();
     let ca_bytes: usize = ca.traces.iter().map(|t| t.total_bytes()).sum();
     println!(

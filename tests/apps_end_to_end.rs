@@ -6,7 +6,28 @@ use op2::mgcfd::{self, MgCfd, MgCfdParams};
 use op2::partition::{
     build_layouts, derive_ownership, kway_partition, rcb_partition, rib_partition, RankLayout,
 };
+use op2::runtime::RunOptions;
 use op2_mesh::Csr;
+
+fn run_mgcfd(
+    app: &mut MgCfd,
+    layouts: &[RankLayout],
+    variant: mgcfd::Variant,
+    iters: usize,
+) -> mgcfd::RunOutcome {
+    let job = mgcfd::job(app, variant, iters);
+    mgcfd::run(app, layouts, &job, &RunOptions::default()).expect("every rank completes")
+}
+
+fn run_hydra_ca(
+    app: &mut Hydra,
+    layouts: &[RankLayout],
+    iters: usize,
+    mode: ExtentMode,
+) -> hydra::RunOutcome {
+    let job = hydra::job(app, hydra::Variant::ca(mode), iters);
+    hydra::run(app, layouts, &job, &RunOptions::default()).expect("every rank completes")
+}
 
 fn norm_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-30)
@@ -35,7 +56,7 @@ fn mgcfd_rank_count_sweep() {
     for (nparts, kway) in [(1, false), (3, false), (6, false), (4, true)] {
         let mut app = MgCfd::new(params);
         let layouts = mgcfd_layouts(&app, nparts, kway);
-        let out = mgcfd::run_ca(&mut app, &layouts, iters);
+        let out = run_mgcfd(&mut app, &layouts, mgcfd::Variant::Ca, iters);
         assert!(
             norm_close(reference.rms, out.rms, 1e-10),
             "nparts {nparts} kway {kway}: {} vs {}",
@@ -58,7 +79,7 @@ fn mgcfd_chain_length_sweep() {
 
         let mut ca_app = MgCfd::new(params);
         let layouts = mgcfd_layouts(&ca_app, 4, false);
-        let ca = mgcfd::run_ca(&mut ca_app, &layouts, iters);
+        let ca = run_mgcfd(&mut ca_app, &layouts, mgcfd::Variant::Ca, iters);
         assert!(
             norm_close(reference.rms, ca.rms, 1e-10),
             "nchains {nchains}"
@@ -96,7 +117,7 @@ fn mgcfd_multigrid_depth_sweep() {
         let reference = mgcfd::run_sequential(&mut seq_app, iters);
         let mut app = MgCfd::new(params);
         let layouts = mgcfd_layouts(&app, 4, false);
-        let out = mgcfd::run_op2(&mut app, &layouts, iters);
+        let out = run_mgcfd(&mut app, &layouts, mgcfd::Variant::Op2, iters);
         assert!(
             norm_close(reference.rms, out.rms, 1e-10),
             "levels {levels}: {} vs {}",
@@ -118,13 +139,13 @@ fn hydra_rank_count_sweep() {
     let params = HydraParams::small(6);
     let iters = 2;
     let mut ref_app = Hydra::new(params);
-    let reference = hydra::run_sequential(&mut ref_app, iters);
+    let reference = hydra::run_sequential(&mut ref_app, iters, 1);
 
     for nparts in [1, 2, 5] {
         let mut app = Hydra::new(params);
         let depth = app.required_depth(ExtentMode::Safe);
         let layouts = hydra_layouts(&app, nparts, depth);
-        let out = hydra::run_ca(&mut app, &layouts, iters, ExtentMode::Safe);
+        let out = run_hydra_ca(&mut app, &layouts, iters, ExtentMode::Safe);
         assert!(
             norm_close(reference.norm, out.norm, 1e-10),
             "nparts {nparts}: {} vs {}",
@@ -141,12 +162,12 @@ fn hydra_paper_mode_stable_over_iterations() {
     let params = HydraParams::small(6);
     let iters = 5;
     let mut ref_app = Hydra::new(params);
-    let reference = hydra::run_sequential(&mut ref_app, iters);
+    let reference = hydra::run_sequential(&mut ref_app, iters, 1);
 
     let mut app = Hydra::new(params);
     let depth = app.required_depth(ExtentMode::Paper);
     let layouts = hydra_layouts(&app, 4, depth);
-    let out = hydra::run_ca(&mut app, &layouts, iters, ExtentMode::Paper);
+    let out = run_hydra_ca(&mut app, &layouts, iters, ExtentMode::Paper);
     assert!(out.norm.is_finite());
     assert!(
         norm_close(reference.norm, out.norm, 0.05),
@@ -164,7 +185,7 @@ fn hydra_vflux_exchanges_five_dats() {
     let mut app = Hydra::new(params);
     let depth = app.required_depth(ExtentMode::Safe);
     let layouts = hydra_layouts(&app, 4, depth);
-    let out = hydra::run_ca(&mut app, &layouts, 1, ExtentMode::Safe);
+    let out = run_hydra_ca(&mut app, &layouts, 1, ExtentMode::Safe);
     for (rank, t) in out.traces.iter().enumerate() {
         if layouts[rank].neighbors.is_empty() {
             continue;

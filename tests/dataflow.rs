@@ -491,14 +491,17 @@ mod apps {
             let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, 4);
             build_layouts(&app.dom, &own, 2)
         };
-        let mut base_app = MgCfd::new(params);
-        let base = op2::mgcfd::run_ca(&mut base_app, &layouts, iters);
-        for pin in [false, true] {
+        let run = |opts: RunOptions| {
             let mut app = MgCfd::new(params);
-            let out = op2::mgcfd::run_ca_dataflow(
-                &mut app, &layouts, iters,
-                Threading::with_threads(4), ExecMode::Dataflow, pin,
-            );
+            let job = op2::mgcfd::job(&app, op2::mgcfd::Variant::Ca, iters);
+            op2::mgcfd::run(&mut app, &layouts, &job, &opts).expect("every rank completes")
+        };
+        let base = run(RunOptions::default());
+        for pin in [false, true] {
+            let out = run(RunOptions::default()
+                .with_threads(4)
+                .exec(ExecMode::Dataflow)
+                .thread_pin(pin));
             assert_eq!(
                 out.rms.to_bits(),
                 base.rms.to_bits(),
@@ -518,13 +521,16 @@ mod apps {
             // Safe-mode extents ladder to 5 on the periodic chains.
             build_layouts(&app.mesh.dom, &own, 6)
         };
-        let mut base_app = Hydra::new(params);
-        let base = op2::hydra::run_ca(&mut base_app, &layouts, iters, ExtentMode::Safe);
-        let mut app = Hydra::new(params);
-        let out = op2::hydra::run_ca_dataflow(
-            &mut app, &layouts, iters, ExtentMode::Safe,
-            Threading::with_threads(4), ExecMode::Dataflow, true,
-        );
+        let run = |opts: RunOptions| {
+            let mut app = Hydra::new(params);
+            let job = op2::hydra::job(&app, op2::hydra::Variant::ca(ExtentMode::Safe), iters);
+            op2::hydra::run(&mut app, &layouts, &job, &opts).expect("every rank completes")
+        };
+        let base = run(RunOptions::default());
+        let out = run(RunOptions::default()
+            .with_threads(4)
+            .exec(ExecMode::Dataflow)
+            .thread_pin(true));
         assert_eq!(
             out.norm.to_bits(),
             base.norm.to_bits(),

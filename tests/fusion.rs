@@ -437,14 +437,19 @@ mod apps {
             build_layouts(&app.dom, &own, 2)
         };
 
-        let mut off_app = MgCfd::new(params);
-        let off = op2::mgcfd::run_ca_fused(&mut off_app, &layouts, iters, FuseMode::Off, None);
+        let run = |opts: RunOptions| {
+            let mut app = MgCfd::new(params);
+            let job = op2::mgcfd::job(&app, op2::mgcfd::Variant::FusedChain, iters);
+            op2::mgcfd::run(&mut app, &layouts, &job, &opts).expect("every rank completes")
+        };
+        let off = run(RunOptions::default().fuse(FuseMode::Off));
 
         for threading in [None, Some(Threading::with_threads(4))] {
-            let mut on_app = MgCfd::new(params);
-            let on = op2::mgcfd::run_ca_fused(
-                &mut on_app, &layouts, iters, FuseMode::On, threading,
-            );
+            let mut opts = RunOptions::default().fuse(FuseMode::On);
+            if let Some(t) = threading {
+                opts = opts.threading(t);
+            }
+            let on = run(opts);
             assert_eq!(
                 on.rms.to_bits(),
                 off.rms.to_bits(),
@@ -466,11 +471,14 @@ mod apps {
             build_layouts(&app.mesh.dom, &own, 2)
         };
 
-        let mut off_app = Hydra::new(params);
-        let off = op2::hydra::run_ca_fused(&mut off_app, &layouts, iters, FuseMode::Off, None);
-
-        let mut on_app = Hydra::new(params);
-        let on = op2::hydra::run_ca_fused(&mut on_app, &layouts, iters, FuseMode::On, None);
+        let run = |fuse: FuseMode| {
+            let mut app = Hydra::new(params);
+            let job = op2::hydra::job(&app, op2::hydra::Variant::FusedChain, iters);
+            op2::hydra::run(&mut app, &layouts, &job, &RunOptions::default().fuse(fuse))
+                .expect("every rank completes")
+        };
+        let off = run(FuseMode::Off);
+        let on = run(FuseMode::On);
         assert_eq!(
             on.norm.to_bits(),
             off.norm.to_bits(),

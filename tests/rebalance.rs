@@ -30,7 +30,7 @@
 //!    after it runs inspection-free, and both match the standalone
 //!    reference computed on the *pre-migration* layouts bitwise.
 //! 4. **App equivalence**: MG-CFD (at 1/2/4 threads) and Hydra (`Safe`
-//!    extents) through `run_ca_rebalanced` reproduce the static run's
+//!    extents) through `run_job_rebalanced` reproduce the static run's
 //!    RMS/norm bitwise and every dat entry to ≤ 1e-10 relative.
 //! 5. **Planner invariants** (proptest): arbitrary sequences of
 //!    drifting-cost re-shards over shuffled meshes keep every element
@@ -47,15 +47,13 @@ use op2::partition::{
     build_layouts, derive_ownership, ownership_from_layouts, plan_migration, rcb_partition,
     rcb_partition_weighted, RankLayout,
 };
-use op2::runtime::exec::{run_chain, run_loop};
 use op2::runtime::{
-    detect, exec_job_program, fence_slots, rebalance, run_distributed_with,
-    run_supervised_with_state, FaultPlan, Job, JobStep, RankState, RankTrace, RebalanceConfig,
-    RebalancePolicy, RebalanceRec, RunOptions, Service, ServiceConfig, ServiceError,
-    SuperviseOptions,
+    exec_job_program, run_distributed_with, run_job_rebalanced, FaultPlan, Job, JobStep,
+    RankTrace, RebalanceConfig, RebalancePolicy, RebalanceRec, RunOptions, Service,
+    ServiceConfig, ServiceError, ShardBasis, SuperviseOptions,
 };
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // The exact-arithmetic fixture (same shape as tests/service.rs):
@@ -211,11 +209,11 @@ impl Fixture {
     }
 }
 
-/// Segmented supervised execution of the fixture program with one
-/// trace-triggered, cost-weighted migration at the first segment
-/// boundary — the same detector → re-shard → ship → epoch-fence
-/// sequence the app drivers (`run_ca_rebalanced`) execute, inlined so
-/// the test controls every knob.
+/// The fixture program through the generic rebalanced host, every knob
+/// pinned: segments of 2 iterations, a threshold-0 detector (trips on
+/// any measured segment), the skewed cost field steering the re-shard,
+/// one migration, and `post_faults` aimed at the first segment on the
+/// migrated layout.
 fn run_fixture_rebalanced(
     fx: &Fixture,
     dom: &mut Domain,
@@ -223,64 +221,26 @@ fn run_fixture_rebalanced(
     opts: &SuperviseOptions,
     post_faults: Option<Arc<FaultPlan>>,
 ) -> (Vec<RankTrace>, RebalanceRec, Vec<RankLayout>) {
-    let nparts = fx.layouts.len();
-    let costs = fx.skew();
-    let slots: Vec<Arc<Mutex<RankState>>> = (0..nparts)
-        .map(|_| Arc::new(Mutex::new(RankState::new())))
-        .collect();
-    let mut cur = fx.layouts.clone();
-    let seg_len = 2usize;
-    let mut done = 0usize;
-    let mut migrated = false;
-    let mut post = false;
-    let mut rec = RebalanceRec::default();
-    let mut traces = Vec::new();
-    while done < iters {
-        let seg = seg_len.min(iters - done);
-        let mut sopts = opts.clone();
-        if post {
-            sopts.run.faults = post_faults.clone();
-            post = false;
-        }
-        let (bump, chain) = (&fx.bump, &fx.chain);
-        let out = run_supervised_with_state(dom, &cur, &sopts, &slots, |env| {
-            for _ in 0..seg {
-                run_loop(env, bump)?;
-                run_chain(env, chain)?;
-            }
-            Ok(())
-        })
-        .expect("supervised segment failed");
-        assert!(out.all_ok());
-        traces = out.traces;
-        done += seg;
-        if done >= iters || migrated {
-            continue;
-        }
-        // Trace-triggered: threshold 0 trips on the measured segment
-        // wall times; the skewed cost field steers the re-shard.
-        let est = detect(&traces, &RebalanceConfig::new(0.0, 8)).expect("threshold 0 must trip");
-        let mut ship = opts.run.clone();
-        ship.faults = None;
-        let outcome = rebalance(
-            dom,
-            fx.nodes,
-            fx.coords,
-            2,
-            &cur,
-            &costs,
-            est.imbalance_milli(),
-            &ship,
-        )
-        .expect("migration failed")
-        .expect("skewed costs must move elements");
-        fence_slots(&slots);
-        cur = outcome.layouts;
-        rec.add(&outcome.rec);
-        migrated = true;
-        post = true;
-    }
-    (traces, rec, cur)
+    let job = Job::new(
+        "fixture",
+        vec![
+            JobStep::Loop(fx.bump.clone()),
+            JobStep::Chain(fx.chain.clone()),
+        ],
+        iters,
+    );
+    let policy = RebalancePolicy {
+        post_migration_faults: post_faults,
+        ..RebalancePolicy::every(2, RebalanceConfig::new(0.0, 8)).with_costs(fx.skew())
+    };
+    let basis = ShardBasis {
+        set: fx.nodes,
+        coords: fx.coords,
+        dims: 2,
+    };
+    let (run, rec, layouts) = run_job_rebalanced(dom, &fx.layouts, &job, opts, &policy, basis)
+        .expect("rebalanced run failed");
+    (run.traces, rec, layouts)
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -517,7 +477,7 @@ fn forced_policy(app: &MgCfd) -> RebalancePolicy {
         .with_costs(skewed_costs(coords, 3, 0, 8.0))
 }
 
-/// Acceptance 4a: MG-CFD through `run_ca_rebalanced` at 1/2/4 threads.
+/// Acceptance 4a: MG-CFD through `run_job_rebalanced` at 1/2/4 threads.
 #[test]
 fn mgcfd_migrated_run_matches_static_at_1_2_4_threads() {
     let params = MgCfdParams::small(7);
@@ -525,16 +485,24 @@ fn mgcfd_migrated_run_matches_static_at_1_2_4_threads() {
     for n_threads in [1usize, 2, 4] {
         let mut ref_app = MgCfd::new(params);
         let layouts = mgcfd_layouts(&ref_app, 4);
-        let want = mgcfd::run_ca(&mut ref_app, &layouts, iters);
+        let ca = mgcfd::job(&ref_app, mgcfd::Variant::Ca, iters);
+        let want = mgcfd::run(&mut ref_app, &layouts, &ca, &RunOptions::default()).unwrap();
 
         let mut app = MgCfd::new(params);
         let policy = forced_policy(&app);
         let run = RunOptions::default()
             .with_threads(n_threads)
             .checkpoint_every(1);
+        let basis = ShardBasis {
+            set: app.levels[0].ids.nodes,
+            coords: app.levels[0].ids.coords,
+            dims: 3,
+        };
+        let sopts = SuperviseOptions::new(run);
         let (out, rec, final_layouts) =
-            mgcfd::run_ca_rebalanced(&mut app, &layouts, iters, &SuperviseOptions::new(run), &policy)
+            run_job_rebalanced(&mut app.dom, &layouts, &ca, &sopts, &policy, basis)
                 .unwrap_or_else(|e| panic!("threads {n_threads}: {e}"));
+        let out = mgcfd::RunOutcome::from_job(&app, out);
 
         assert_eq!(rec.migrations, 1, "threads {n_threads}");
         assert!(rec.elements_out > 0, "threads {n_threads}: nothing moved");
@@ -564,7 +532,8 @@ fn mgcfd_migrated_run_matches_static_at_1_2_4_threads() {
     }
 }
 
-/// Acceptance 4b: Hydra's twin driver (strict chains: `Safe` extents).
+/// Acceptance 4b: Hydra through the same host (strict chains: `Safe`
+/// extents).
 #[test]
 fn hydra_migrated_run_matches_static() {
     let params = HydraParams::small(6);
@@ -574,21 +543,22 @@ fn hydra_migrated_run_matches_static() {
     let base = rcb_partition(ref_app.mesh.node_coords(), 3, 4);
     let own = derive_ownership(&ref_app.mesh.dom, ref_app.mesh.nodes, base, 4);
     let layouts = build_layouts(&ref_app.mesh.dom, &own, depth);
-    let want = hydra::run_ca(&mut ref_app, &layouts, iters, ExtentMode::Safe);
+    let ca = hydra::job(&ref_app, hydra::Variant::ca(ExtentMode::Safe), iters);
+    let want = hydra::run(&mut ref_app, &layouts, &ca, &RunOptions::default()).unwrap();
 
     let mut app = Hydra::new(params);
     let costs = skewed_costs(app.mesh.node_coords(), 3, 0, 8.0);
     let policy = RebalancePolicy::every(2, RebalanceConfig::new(0.0, 8)).with_costs(costs);
     let run = RunOptions::default().checkpoint_every(1);
-    let (out, rec, _) = hydra::run_ca_rebalanced(
-        &mut app,
-        &layouts,
-        iters,
-        ExtentMode::Safe,
-        &SuperviseOptions::new(run),
-        &policy,
-    )
-    .unwrap();
+    let basis = ShardBasis {
+        set: app.mesh.nodes,
+        coords: app.mesh.coords,
+        dims: 3,
+    };
+    let sopts = SuperviseOptions::new(run);
+    let (out, rec, _) =
+        run_job_rebalanced(&mut app.mesh.dom, &layouts, &ca, &sopts, &policy, basis).unwrap();
+    let out = hydra::RunOutcome::from_job(&app, out);
     assert_eq!(rec.migrations, 1);
     assert!(rec.elements_out > 0);
     assert_eq!(
