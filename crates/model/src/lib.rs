@@ -33,8 +33,8 @@ pub use components::{chain_components, shape_from_sigs, shape_from_sigs_relaxed,
 pub use eqs::{t_ca_chain, t_op2_chain, t_op2_loop, CaChainInput, LoopInput};
 pub use machine::{Machine, MachineKind};
 pub use profit::{
-    choose_threaded_backend, classify, classify_exec, classify_fused, classify_threaded,
-    classify_threaded_tiled, threaded_g, ChainClass, ExecProfit, FusedProfit, Profitability,
-    ThreadedBackend, COLOR_SYNC_S, DEP_HANDOFF_S, MEM_S_PER_BYTE,
+    choose_threaded_backend, classify, classify_exec, classify_threaded, classify_threaded_tiled,
+    threaded_g, ChainClass, ExecProfit, Profitability, ThreadedBackend, COLOR_SYNC_S,
+    DEP_HANDOFF_S,
 };
 pub use scaling::extrapolate_components;

@@ -169,42 +169,6 @@ pub fn choose_threaded_backend(
     }
 }
 
-/// Default sequential memory-traffic cost (seconds per byte) of a
-/// streamed dat access on the reference machine — the calibration the
-/// fusion profit arm prices elided intermediate traffic with. Roughly
-/// 10 GB/s effective per-core streaming bandwidth; the bench harness can
-/// substitute a measured value.
-pub const MEM_S_PER_BYTE: f64 = 1e-10;
-
-/// The fusion profit arm's verdict for one chain (see [`classify_fused`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedProfit {
-    /// Modelled wall-time gain (seconds) of the fused execution:
-    /// elided-intermediate memory traffic priced at `mem_s_per_byte`,
-    /// minus the exchange/compute overlap the fused executor forgoes.
-    pub gain_s: f64,
-    /// Whether the model recommends the fused executor.
-    pub fuse: bool,
-}
-
-/// The fused-vs-unfused profit arm (`OP2_FUSE=auto`). The fused chain
-/// executor saves the intermediate dats' round-trips to memory
-/// (`elided_bytes`, priced at `mem_s_per_byte` seconds/byte) but runs
-/// the whole chain *after* the halo wait, forgoing the per-loop
-/// executor's exchange/compute overlap (`overlap_loss_s` — typically the
-/// exchanged payload priced at the same bandwidth, a conservative bound
-/// on the latency the unfused core phase could hide). Fusion is
-/// recommended only when it actually elides traffic **and** the saved
-/// traffic outweighs the lost overlap — a chain that fuses without
-/// elision has nothing to win and still gives up the overlap.
-pub fn classify_fused(elided_bytes: u64, overlap_loss_s: f64, mem_s_per_byte: f64) -> FusedProfit {
-    let gain_s = elided_bytes as f64 * mem_s_per_byte - overlap_loss_s;
-    FusedProfit {
-        gain_s,
-        fuse: elided_bytes > 0 && gain_s > 0.0,
-    }
-}
-
 /// Default per-dependency hand-off cost of the dataflow executor
 /// (seconds): one atomic counter decrement plus a queue push when it
 /// reaches zero — two orders of magnitude cheaper than a pool barrier
@@ -392,27 +356,6 @@ mod tests {
                 assert!(!narrative(class, kind).is_empty());
             }
         }
-    }
-
-    /// The fused-vs-unfused arm: fuse exactly when elided traffic is
-    /// non-zero and its modeled saving beats the forfeited overlap.
-    #[test]
-    fn fused_arm_weighs_elision_against_overlap() {
-        let win = classify_fused(1 << 20, 0.0, MEM_S_PER_BYTE);
-        assert!(win.fuse);
-        assert!(win.gain_s > 0.0);
-
-        // Nothing elided ⇒ never fuse, even with zero overlap at stake.
-        assert!(!classify_fused(0, 0.0, MEM_S_PER_BYTE).fuse);
-
-        // The overlap given up outweighs the saving ⇒ keep the split.
-        let lose = classify_fused(1 << 10, 1e-3, MEM_S_PER_BYTE);
-        assert!(!lose.fuse);
-        assert!(lose.gain_s < 0.0);
-
-        // Break-even sits at elided_bytes · s/B == overlap loss.
-        let edge = classify_fused(1 << 20, (1 << 20) as f64 * MEM_S_PER_BYTE, MEM_S_PER_BYTE);
-        assert!(!edge.fuse);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::env::RankEnv;
 use crate::error::ConfigError;
 use crate::plan::PlanCache;
-use crate::threads::{ThreadCtx, Threading};
+use crate::threads::ThreadCtx;
 use crate::trace::RecoveryRec;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -67,13 +67,11 @@ impl CheckpointConfig {
 
     /// Parse a raw `OP2_CKPT_EVERY` value (`None` = unset = every
     /// chain) through the centralized knob path
-    /// ([`crate::env::parse_knob`]). Pure — no environment access.
+    /// ([`crate::policy::parse_knob`]). Pure — no environment access.
     pub fn parse(raw: Option<&str>) -> Result<Self, ConfigError> {
-        Ok(crate::env::parse_knob(
-            raw,
-            |s| s.parse::<u64>().ok().filter(|&n| n >= 1),
-            |value| ConfigError::CkptEvery { value },
-        )?
+        Ok(crate::policy::parse_knob("OP2_CKPT_EVERY", raw, |s| {
+            s.parse::<u64>().ok().filter(|&n| n >= 1)
+        })?
         .map_or_else(CheckpointConfig::default, CheckpointConfig::new))
     }
 
@@ -266,11 +264,9 @@ impl RankEnv<'_> {
             if let Some(plans) = st.plans.take() {
                 self.plans = plans;
             }
-            if let Some(mut threads) = st.threads.take() {
-                // The carried context keeps its pool and schedule cache;
-                // the configuration is this attempt's (the harness set
-                // it before the program ran).
-                threads.opts = self.threads.opts;
+            if let Some(threads) = st.threads.take() {
+                // The carried context keeps its pool and lowering cache;
+                // the configuration is this attempt's `policy`.
                 self.threads = threads;
             }
             if let Some(pools) = st.pools.take() {
@@ -480,10 +476,7 @@ impl RankEnv<'_> {
         st.rec.attempts += 1;
         self.trace.recovery = st.rec;
         st.plans = Some(std::mem::take(&mut self.plans));
-        st.threads = Some(std::mem::replace(
-            &mut self.threads,
-            ThreadCtx::new(Threading::single()),
-        ));
+        st.threads = Some(std::mem::take(&mut self.threads));
         st.pools = Some(self.comm.take_pool());
     }
 }

@@ -24,16 +24,18 @@
 //!   matching OP2's conservative single dirty bit, so baseline message
 //!   counts reproduce the paper's.)
 //!
-//! Executors *assert* their read requirements against `valid` before
-//! touching data: an analysis bug becomes a loud panic, never silent
+//! Executors check their read requirements against `valid` before
+//! touching data: an analysis bug or an under-pinned extent becomes a
+//! typed [`crate::error::RuntimeError::Validity`], never silent
 //! numerical corruption.
 
 use crate::comm::{CommError, RankComm};
 use crate::fault::{BoundaryAction, BoundaryKind};
-use crate::plan::{ChainPlan, NeighborPack, PlanCache};
-use crate::threads::{
-    run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx, Threading,
+use crate::plan::{
+    loop_signature, ChainPlan, Lowered, LoweredSchedule, LoweringKey, NeighborPack, PlanCache,
 };
+use crate::policy::{ExecMode, ExecPolicy};
+use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
 use crate::trace::{ExchangeRec, RankTrace, SchedKind, ThreadRec};
 use op2_core::dag::{dag_accesses, ChunkDag};
 use op2_core::par::{adaptive_block_size, conflict_accesses, thread_schedule};
@@ -46,203 +48,11 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-enum ExecIters<'a> {
-    Range(usize, usize),
-    List(&'a [u32]),
-}
-
-/// Parse one `OP2_*` environment knob's raw value (`None` = variable
-/// unset). The pure half of [`env_knob`]: no environment access, so the
-/// harness validates configuration once at startup and tests cover every
-/// malformed shape without mutating process state. `parse` returning
-/// `None` means the value is malformed and becomes `err(value)` — a
-/// typed [`crate::error::ConfigError`] instead of a silent fallback or a panic inside
-/// a rank thread.
-pub fn parse_knob<T>(
-    raw: Option<&str>,
-    parse: impl FnOnce(&str) -> Option<T>,
-    err: impl FnOnce(String) -> crate::error::ConfigError,
-) -> Result<Option<T>, crate::error::ConfigError> {
-    match raw {
-        None => Ok(None),
-        Some(v) => parse(v).map(Some).ok_or_else(|| err(v.to_string())),
-    }
-}
-
-/// Read and parse one `OP2_*` environment knob through [`parse_knob`] —
-/// the single environment-access point for runtime configuration
-/// (`OP2_CKPT_EVERY`, `OP2_SERVE_*`; `OP2_THREADS`/`OP2_BLOCK_SIZE` are
-/// a coupled pair parsed by [`Threading::parse`] but follow the same
-/// typed-error discipline). `Ok(None)` = unset, caller applies its
-/// default.
-pub fn env_knob<T>(
-    name: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-    err: impl FnOnce(String) -> crate::error::ConfigError,
-) -> Result<Option<T>, crate::error::ConfigError> {
-    parse_knob(std::env::var(name).ok().as_deref(), parse, err)
-}
-
-/// Cross-loop fusion policy (`OP2_FUSE`): whether chain executors may
-/// replace the per-loop walk with a fused whole-chain schedule that runs
-/// every fusable kernel back-to-back per element, keeping elidable
-/// intermediates in per-worker scratch instead of memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FuseMode {
-    /// Always run fused when the chain has at least one fusable group.
-    On,
-    /// Never fuse — the per-loop executors run unchanged (the default:
-    /// fusion trades away exchange/compute overlap, so it must be asked
-    /// for or predicted profitable).
-    #[default]
-    Off,
-    /// Let the calibrated cost model decide per chain
-    /// ([`op2_model::classify_fused`]): fuse only when the elided
-    /// memory traffic is predicted to outweigh the lost overlap.
-    Auto,
-}
-
-impl FuseMode {
-    /// Parse an `OP2_FUSE`-style value: `on` / `off` / `auto`
-    /// (case-insensitive; `None` = unset → `Off`).
-    pub fn parse(raw: Option<&str>) -> Result<FuseMode, crate::error::ConfigError> {
-        let parsed = parse_knob(
-            raw,
-            |v| match v.to_ascii_lowercase().as_str() {
-                "on" | "1" | "true" => Some(FuseMode::On),
-                "off" | "0" | "false" => Some(FuseMode::Off),
-                "auto" => Some(FuseMode::Auto),
-                _ => None,
-            },
-            |value| crate::error::ConfigError::Fuse { value },
-        )?;
-        Ok(parsed.unwrap_or_default())
-    }
-
-    /// [`FuseMode::parse`] on the `OP2_FUSE` environment variable.
-    pub fn try_from_env() -> Result<FuseMode, crate::error::ConfigError> {
-        let raw = std::env::var("OP2_FUSE").ok();
-        FuseMode::parse(raw.as_deref())
-    }
-}
-
-/// Schedule drain policy (`OP2_EXEC`): how pooled executors drain a
-/// lowered [`Schedule`] — one barriered pool round per level, or the
-/// dataflow executor ([`crate::threads::run_dag`]) where each chunk
-/// fires the moment its dependency counter reaches zero. Results are
-/// bitwise identical either way (the chunk DAG orders every conflicting
-/// pair in sequential order), only the synchronisation shape differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Level-synchronous draining — one pool barrier per level (the
-    /// default: matches the paper's executor, and wide shallow
-    /// schedules lose nothing to barriers).
-    #[default]
-    Levels,
-    /// Always drain through the dataflow executor: per-chunk dependency
-    /// counters, owner-first deques, LIFO steal-from-richest stealing.
-    Dataflow,
-    /// Let the calibrated cost model decide per schedule
-    /// ([`op2_model::classify_exec`]): critical-path depth priced
-    /// against barrier count × the rank's measured sync cost.
-    Auto,
-}
-
-impl ExecMode {
-    /// Parse an `OP2_EXEC`-style value: `levels` / `dataflow` / `auto`
-    /// (case-insensitive; `None` = unset → `Levels`).
-    pub fn parse(raw: Option<&str>) -> Result<ExecMode, crate::error::ConfigError> {
-        let parsed = parse_knob(
-            raw,
-            |v| match v.to_ascii_lowercase().as_str() {
-                "levels" => Some(ExecMode::Levels),
-                "dataflow" => Some(ExecMode::Dataflow),
-                "auto" => Some(ExecMode::Auto),
-                _ => None,
-            },
-            |value| crate::error::ConfigError::Exec { value },
-        )?;
-        Ok(parsed.unwrap_or_default())
-    }
-
-    /// [`ExecMode::parse`] on the `OP2_EXEC` environment variable.
-    pub fn try_from_env() -> Result<ExecMode, crate::error::ConfigError> {
-        let raw = std::env::var("OP2_EXEC").ok();
-        ExecMode::parse(raw.as_deref())
-    }
-}
-
-/// Parse an `OP2_THREAD_PIN`-style value: a boolean (`1`/`0`/`true`/
-/// `false`/`on`/`off`, case-insensitive; `None` = unset → `false`).
-/// When set, the dataflow executor pins chunk ownership to workers in
-/// first-touch (contiguous level-major range) order, so the pages a
-/// worker's chunks touch stay hot in that worker's cache across drains.
-pub fn parse_thread_pin(raw: Option<&str>) -> Result<bool, crate::error::ConfigError> {
-    let parsed = parse_knob(
-        raw,
-        |v| match v.to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => Some(true),
-            "0" | "false" | "off" => Some(false),
-            _ => None,
-        },
-        |value| crate::error::ConfigError::ThreadPin { value },
-    )?;
-    Ok(parsed.unwrap_or(false))
-}
-
-/// [`parse_thread_pin`] on the `OP2_THREAD_PIN` environment variable.
-pub fn thread_pin_from_env() -> Result<bool, crate::error::ConfigError> {
-    let raw = std::env::var("OP2_THREAD_PIN").ok();
-    parse_thread_pin(raw.as_deref())
-}
-
 /// Payload size above which planned pack/unpack splits a neighbour's
 /// index lists across the rank's thread pool. Tuned so the fork/join
 /// cost (two pool barriers, ~µs) stays well under the memory traffic it
 /// parallelises; below it the sequential copy wins.
 pub const PACK_THREAD_BYTES: usize = 32 << 10;
-
-/// The `MPI_Send_init` moment of the persistent-exchange engine: tracks
-/// which plans have had their message buffers pre-sized into the
-/// transport's per-peer pool. Warming happens once per (chain signature,
-/// dirty class) — the same key that selects a [`ChainPlan`] — and sizes
-/// each peer's slot to the *larger* of the pair's send/recv payloads.
-/// Buffers travel with messages and return with the peer's replies, so a
-/// buffer warmed to `max(send, recv)` keeps circulating on its pair
-/// without ever needing to grow: steady-state planned exchanges perform
-/// zero payload allocations (asserted via
-/// [`crate::comm::CommCounters::payload_allocs`]).
-#[derive(Debug, Default)]
-pub struct ExchangeBuffers {
-    warmed: HashSet<(u64, u64)>,
-}
-
-impl ExchangeBuffers {
-    /// Pre-size `comm`'s per-peer buffer pool for `plan`'s grouped
-    /// messages. Idempotent per plan identity; repeat calls are a hash
-    /// lookup.
-    pub fn warm(&mut self, comm: &mut RankComm, plan: &ChainPlan) {
-        if !self.warmed.insert((plan.sig, plan.dirty)) {
-            return;
-        }
-        for pack in &plan.packs {
-            comm.ensure_buf(pack.rank, pack.send_f64s.max(pack.recv_f64s));
-        }
-    }
-
-    /// Number of plans warmed so far (introspection).
-    pub fn warmed_plans(&self) -> usize {
-        self.warmed.len()
-    }
-
-    /// Forget every warmed plan. Required after a layout epoch bump:
-    /// the (signature, dirty-class) keys may collide with plans built
-    /// for the old layout, whose per-peer payload sizes no longer
-    /// describe the new layout's grouped messages.
-    pub fn reset(&mut self) {
-        self.warmed.clear();
-    }
-}
 
 /// Raw-pointer wrapper so pack/unpack closures can fan copies out over
 /// the pool; safety rests on the disjointness of the copied ranges (pack
@@ -282,19 +92,19 @@ pub struct RankEnv<'a> {
     pub plans: PlanCache,
     /// Monotone tag sequence (identical across ranks by construction).
     pub tag_seq: u64,
-    /// Intra-rank threading: configuration plus the standalone-loop
-    /// block-coloring cache (chain loops cache theirs in the
-    /// [`ChainPlan`]).
+    /// Intra-rank threading state: the rank's pool, the standalone-loop
+    /// lowering cache (chain loops cache theirs in the [`ChainPlan`])
+    /// and the executors' scratch.
     pub threads: ThreadCtx,
-    /// Cross-loop fusion policy for chain executors (see [`FuseMode`]).
-    pub fuse: FuseMode,
-    /// Schedule drain policy for pooled executions (see [`ExecMode`]).
-    pub exec: ExecMode,
-    /// Pin chunk ownership to workers in first-touch order under the
-    /// dataflow drain (`OP2_THREAD_PIN`).
-    pub pin: bool,
-    /// Persistent-exchange warm-up state (see [`ExchangeBuffers`]).
-    pub exch_bufs: ExchangeBuffers,
+    /// How this rank executes: pool width, fusion, drain, pinning.
+    /// Sequential/unfused/leveled until the harness installs the run's
+    /// resolved policy ([`ExecPolicy::resolve`]) before the program
+    /// runs, so env creation itself never reads the environment.
+    pub policy: ExecPolicy,
+    /// Plans — by (chain signature, dirty class), the key that selects a
+    /// [`ChainPlan`] — whose message buffers are already pre-sized into
+    /// the transport's per-peer pool (see [`RankEnv::exchange_planned`]).
+    warmed: HashSet<(u64, u64)>,
     /// Checkpoint/replay state (see [`crate::checkpoint`]); inert — all
     /// hooks are no-ops — unless [`RankEnv::ckpt_attach`] was called.
     pub ckpt: crate::checkpoint::CheckpointCtx,
@@ -330,15 +140,9 @@ impl<'a> RankEnv<'a> {
             },
             plans: PlanCache::new(),
             tag_seq: 0,
-            // Sequential until configured: the harness resolves the
-            // OP2_THREADS environment once (with typed errors) and sets
-            // `threads.opts` before the program runs, so env creation
-            // itself can never panic on a malformed variable.
-            threads: ThreadCtx::new(Threading::single()),
-            fuse: FuseMode::default(),
-            exec: ExecMode::default(),
-            pin: false,
-            exch_bufs: ExchangeBuffers::default(),
+            threads: ThreadCtx::default(),
+            policy: ExecPolicy::default(),
+            warmed: HashSet::new(),
             ckpt: crate::checkpoint::CheckpointCtx::inert(),
             boundaries: [0; 3],
             job: 0,
@@ -393,11 +197,10 @@ impl<'a> RankEnv<'a> {
     /// `gbl_bufs` supplies the global-argument buffers (constants or
     /// reduction accumulators), one per [`op2_core::GblDecl`].
     ///
-    /// With threading active ([`Threading::active`]) and a range worth
-    /// splitting, the range is lowered to a colored [`Schedule`] (cached
-    /// per (loop, range, block size) in the rank's [`ThreadCtx`]) and
-    /// executed on the rank's pool. Results are bitwise identical either
-    /// way.
+    /// With threading active and a range worth splitting, the range is
+    /// lowered for the rank's pool ([`RankEnv::build_loop_schedule`],
+    /// cached per (loop, range, block size) in the rank's [`ThreadCtx`])
+    /// and executed there. Results are bitwise identical either way.
     pub fn exec_range(
         &mut self,
         spec: &LoopSpec,
@@ -405,55 +208,54 @@ impl<'a> RankEnv<'a> {
         end: usize,
         gbl_bufs: &mut [Vec<f64>],
     ) {
-        let Some(block_size) = self.threaded_block_size(spec, start, end) else {
-            return self.exec_impl(spec, ExecIters::Range(start, end), gbl_bufs);
-        };
-        let key = (crate::plan::loop_signature(spec), start, end, block_size);
-        let sched = match self.threads.cached(key) {
-            Some(s) => {
-                self.plans.stats.color_hits += 1;
-                s
-            }
-            None => {
-                self.plans.stats.color_misses += 1;
-                let s = Arc::new(self.build_loop_schedule(spec, start, end, block_size));
-                self.threads.store(key, Arc::clone(&s));
-                s
-            }
-        };
-        self.exec_schedule_threaded(spec, gbl_bufs, &sched, None);
+        self.exec_range_in(spec, start, end, gbl_bufs, None)
     }
 
-    /// [`RankEnv::exec_range`] for a chain loop with a cached plan: the
-    /// lowered schedule is cached *in the plan* (keyed by loop position,
-    /// range and block size), alongside the other inspector products —
-    /// repeat chain invocations re-lower nothing.
-    pub fn exec_range_planned(
+    /// [`RankEnv::exec_range`] over either lowering cache: the plan's
+    /// for the chain loop at position `pos` (`chain = Some((plan,
+    /// pos))` — the lowering sits alongside the other inspector
+    /// products, so repeat chain invocations re-lower nothing), the
+    /// rank's own for a standalone loop.
+    pub(crate) fn exec_range_in(
         &mut self,
         spec: &LoopSpec,
         start: usize,
         end: usize,
         gbl_bufs: &mut [Vec<f64>],
-        plan: &ChainPlan,
-        pos: usize,
+        chain: Option<(&ChainPlan, usize)>,
     ) {
-        let Some(block_size) = self.threaded_block_size(spec, start, end) else {
-            return self.exec_impl(spec, ExecIters::Range(start, end), gbl_bufs);
-        };
-        let key = (pos, start, end, block_size);
-        let sched = match plan.cached_schedule(key) {
-            Some(s) => {
-                self.plans.stats.color_hits += 1;
-                s
+        let Some(block) = self.threaded_block_size(spec, start, end) else {
+            // Sequential: the shared [`BoundLoop`] path over one range
+            // (there is no second execution loop in the runtime either).
+            if start < end {
+                self.bind_loop(spec, gbl_bufs).run_range(start, end);
             }
-            None => {
-                self.plans.stats.color_misses += 1;
-                let s = Arc::new(self.build_loop_schedule(spec, start, end, block_size));
-                plan.store_schedule(key, Arc::clone(&s));
-                s
-            }
+            return;
         };
-        self.exec_schedule_threaded(spec, gbl_bufs, &sched, Some(plan));
+        let (cache, owner) = match chain {
+            Some((plan, pos)) => (&plan.lowered, pos as u64),
+            None => (&self.threads.lowered, loop_signature(spec)),
+        };
+        let key = LoweringKey::Range {
+            owner,
+            start,
+            end,
+            block,
+        };
+        let lowered = cache.get_or_build(key, || {
+            let sched = self.build_loop_schedule(spec, start, end, block);
+            Lowered::Range(Arc::new(LoweredSchedule::new(sched)))
+        });
+        let (Lowered::Range(low), built) = lowered else {
+            unreachable!("a Range key holds a range lowering");
+        };
+        if built {
+            self.plans.stats.color_misses += 1;
+        } else {
+            self.plans.stats.color_hits += 1;
+        }
+        let bound = self.bind_loop(spec, gbl_bufs);
+        self.run_pooled(&spec.name, false, || vec![spec.sig()], &[bound], &low);
     }
 
     /// Should `[start, end)` of `spec` run on the thread pool — and with
@@ -464,7 +266,7 @@ impl<'a> RankEnv<'a> {
     /// expose). Under `OP2_BLOCK_SIZE=auto` the block size is picked
     /// per-loop from the measured conflict degree.
     fn threaded_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> Option<usize> {
-        if !self.threads.opts.active() || spec.has_reduction() {
+        if !self.policy.threading.active() || spec.has_reduction() {
             return None;
         }
         let block_size = self.chosen_block_size(spec, start, end);
@@ -475,8 +277,8 @@ impl<'a> RankEnv<'a> {
     /// or — under `OP2_BLOCK_SIZE=auto` — the adaptive per-loop pick from
     /// the measured conflict degree over this rank's localized maps.
     pub fn chosen_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> usize {
-        if !self.threads.opts.auto_block {
-            return self.threads.opts.block_size;
+        if !self.policy.threading.auto_block {
+            return self.policy.threading.block_size;
         }
         let sig = spec.sig();
         let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
@@ -504,7 +306,7 @@ impl<'a> RankEnv<'a> {
             &spec.sig(),
             start,
             end,
-            self.threads.opts.n_threads,
+            self.policy.threading.n_threads,
             block_size,
             &set_sizes,
         )
@@ -547,119 +349,100 @@ impl<'a> RankEnv<'a> {
         BoundLoop::from_parts(spec.kernel, args)
     }
 
-    /// The chunk dependency DAG for `sched`, derived from the
-    /// chain-wide conflict accesses of `sigs` ([`dag_accesses`]) over
-    /// this rank's localized maps, and cached: in `plan` when given
-    /// (dropped with the plan on epoch invalidation), else in the
-    /// rank's [`ThreadCtx`].
-    fn resolve_dag(
-        &mut self,
-        sigs: &[LoopSig],
-        sched: &Arc<Schedule>,
-        plan: Option<&ChainPlan>,
-    ) -> Arc<ChunkDag> {
-        let cached = match plan {
-            Some(p) => p.cached_dag(sched),
-            None => self.threads.dag_cached(sched),
-        };
-        if let Some(d) = cached {
-            return d;
-        }
-        let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
-        let accesses = dag_accesses(&self.layout.maps, sigs);
-        let dag = Arc::new(ChunkDag::build(sched, &set_sizes, &accesses));
-        match plan {
-            Some(p) => p.store_dag(sched, Arc::clone(&dag)),
-            None => self.threads.store_dag(sched, Arc::clone(&dag)),
-        }
-        dag
-    }
-
     /// Should this schedule drain through the dataflow executor?
     /// `OP2_EXEC=levels`/`dataflow` decide directly; `auto` asks the
     /// profit arm — critical-path hand-offs against barrier count times
     /// this rank's measured pool sync cost.
     fn dataflow_chosen(&mut self, sched: &Schedule, dag: &ChunkDag) -> bool {
-        match self.exec {
+        match self.policy.exec {
             ExecMode::Levels => false,
             ExecMode::Dataflow => true,
             ExecMode::Auto => {
-                let threads = self.threads.opts.n_threads;
-                let sync_s = self.threads.sync_cost();
+                let threads = self.policy.threading.n_threads;
+                let sync_s = self.threads.sync_cost(threads);
                 op2_model::classify_exec(threads, sched.n_levels(), dag.crit_path as usize, sync_s)
                     .dataflow
             }
         }
     }
 
-    /// Drain `bound` over `sched` on the rank's pool, through whichever
+    /// Drain `bound` over `low` on the rank's pool, through whichever
     /// executor [`RankEnv::dataflow_chosen`] picks — dataflow needs the
-    /// chunk DAG ([`RankEnv::resolve_dag`]), levels pays one barrier per
-    /// level. Bitwise identical either way. A single-level schedule has
-    /// no barrier for dataflow to remove and always takes the leveled
+    /// chunk DAG, derived from the chain-wide conflict accesses of
+    /// `sigs()` ([`dag_accesses`]) over this rank's localized maps and
+    /// kept beside the schedule; levels pays one barrier per level.
+    /// Bitwise identical either way. A single-level schedule has no
+    /// barrier for dataflow to remove and always takes the leveled
     /// drain, whatever [`ExecMode`] says — which also keeps windowed
     /// (owner-computes) chunks, always a single level, out of the DAG.
     fn drain_schedule(
         &mut self,
-        sigs: &[LoopSig],
+        sigs: impl FnOnce() -> Vec<LoopSig>,
         bound: &[BoundLoop],
-        sched: &Arc<Schedule>,
-        plan: Option<&ChainPlan>,
+        low: &LoweredSchedule,
     ) -> ExecStats {
-        let pool = self.threads.pool();
-        if self.exec != ExecMode::Levels && sched.n_levels() > 1 && sched.has_parallelism() {
-            let dag = self.resolve_dag(sigs, sched, plan);
-            if self.dataflow_chosen(sched, &dag) {
+        let pool = self.threads.pool(self.policy.threading.n_threads);
+        if self.policy.exec != ExecMode::Levels && low.n_levels() > 1 && low.has_parallelism() {
+            let layout = self.layout;
+            let dag = low.dag(|sched| {
+                let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
+                ChunkDag::build(sched, &set_sizes, &dag_accesses(&layout.maps, &sigs()))
+            });
+            if self.dataflow_chosen(low, dag) {
                 return run_schedule_dataflow(
                     &pool,
                     bound,
-                    sched,
-                    &dag,
-                    self.pin,
+                    low,
+                    dag,
+                    self.policy.pin,
                     &mut self.threads.sched_ctxs,
                     &mut self.threads.dataflow,
                 );
             }
         }
-        run_schedule_pooled_ctx(&pool, bound, sched, &mut self.threads.sched_ctxs)
+        run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs)
     }
 
-    /// Executor: run one loop's lowered schedule on the rank's own pool.
+    /// Executor: run a lowered schedule on the rank's own pool and
+    /// append its [`ThreadRec`] (per-level wall times, per-worker
+    /// idle/steal/fire counters) — a whole chain's schedule is recorded
+    /// as [`SchedKind::Tiled`], one loop's by how it was lowered.
+    ///
     /// Same-level chunks write disjoint elements (race-free): disjoint
     /// windows under the owner-computes lowering, where each element
     /// takes its increments from one chunk in ascending iteration order;
-    /// disjoint blocks under the colored fallback, where conflicting
-    /// chunks are ordered by ascending level = ascending block index —
-    /// and the dataflow drain preserves exactly the conflicting-pair
-    /// order through the chunk DAG. Either way per-element update order
-    /// equals the sequential executor's: results are bitwise identical
-    /// for any thread count and either drain. Appends a [`ThreadRec`]
-    /// with per-level wall times and per-worker idle/steal/fire counters
-    /// to the trace.
-    fn exec_schedule_threaded(
+    /// disjoint blocks under the colored fallback and disjoint tiles
+    /// under the tile plan, where conflicting chunks are ordered by
+    /// ascending level — and the dataflow drain preserves exactly the
+    /// conflicting-pair order through the chunk DAG. Either way
+    /// per-element update order equals the sequential executor's:
+    /// results are bitwise identical for any thread count and either
+    /// drain.
+    fn run_pooled(
         &mut self,
-        spec: &LoopSpec,
-        gbl_bufs: &mut [Vec<f64>],
-        sched: &Arc<Schedule>,
-        plan: Option<&ChainPlan>,
+        name: &str,
+        whole_chain: bool,
+        sigs: impl FnOnce() -> Vec<LoopSig>,
+        bound: &[BoundLoop],
+        low: &LoweredSchedule,
     ) {
-        let bound = self.bind_loop(spec, gbl_bufs);
-        let sigs = [spec.sig()];
-        let stats = self.drain_schedule(&sigs, std::slice::from_ref(&bound), sched, plan);
-        let (kind, block_size) = match sched.kind {
+        let stats = self.drain_schedule(sigs, bound, low);
+        let (kind, block_size) = match low.kind {
+            _ if whole_chain => (SchedKind::Tiled, 0),
             ScheduleKind::Owned { .. } => (SchedKind::Owned, 0),
             ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size),
             _ => (SchedKind::Colored, 0),
         };
-        let redundant_iters = sched.redundant_iters();
+        let redundant_iters = low.redundant_iters();
+        let iters: usize = (0..low.n_loops).map(|j| low.loop_iters(j)).sum();
         self.trace.threads.push(ThreadRec {
-            name: spec.name.clone(),
-            iters: sched.loop_iters(0) - redundant_iters,
+            name: name.to_string(),
+            iters: iters - redundant_iters,
             redundant_iters,
-            n_threads: self.threads.pool().n_threads(),
+            n_threads: self.threads.pool(self.policy.threading.n_threads).n_threads(),
             block_size,
-            n_chunks: sched.n_chunks(),
-            n_levels: sched.n_levels(),
+            n_chunks: low.n_chunks(),
+            n_levels: low.n_levels(),
             kind,
             level_ns: stats.level_ns,
             crit_path: stats.crit_path,
@@ -670,22 +453,12 @@ impl<'a> RankEnv<'a> {
         });
     }
 
-    /// Executor: run a whole chain's leveled tile schedule — same-level
-    /// tiles concurrently on the rank's pool when threading is active
-    /// and the schedule has parallelism to expose, sequentially (level
-    /// order, which is bitwise identical to tile-id order) otherwise.
-    /// Under `OP2_EXEC=dataflow`/`auto` the pooled drain goes through
-    /// the dataflow executor with the chain's chunk DAG (cached in
-    /// `plan` when given). Appends a [`ThreadRec`] (kind
-    /// [`SchedKind::Tiled`]) with per-level wall times when the pool
-    /// ran.
-    pub fn exec_chain_schedule(
-        &mut self,
-        chain: &ChainSpec,
-        sched: &Arc<Schedule>,
-        plan: Option<&ChainPlan>,
-    ) {
-        debug_assert_eq!(sched.n_loops, chain.len());
+    /// Executor: run a whole chain's lowered schedule (tiled core/post,
+    /// fused) — on the rank's pool when threading is active and the
+    /// schedule has parallelism to expose ([`RankEnv::run_pooled`]),
+    /// sequentially (level order, which is bitwise identical) otherwise.
+    pub(crate) fn exec_chain_schedule(&mut self, chain: &ChainSpec, low: &LoweredSchedule) {
+        debug_assert_eq!(low.n_loops, chain.len());
         let mut gbls: Vec<Vec<f64>> = Vec::new();
         let mut bound = Vec::with_capacity(chain.len());
         // Flatten per-loop gbl buffers into one arena so every bind's
@@ -702,60 +475,17 @@ impl<'a> RankEnv<'a> {
             let bufs = &mut gbls[s..s + spec.gbls.len()];
             bound.push(self.bind_loop(spec, bufs));
         }
-        if self.threads.opts.active() && sched.has_parallelism() {
-            // Per-worker contexts persist in ThreadCtx across chain
-            // invocations, so steady-state fused execution performs zero
-            // scratch-pool or slot-table heap allocations (asserted via
-            // `SchedCtx::allocs`).
-            let sigs = chain.sigs();
-            let stats = self.drain_schedule(&sigs, &bound, sched, plan);
-            let iters: usize = (0..sched.n_loops).map(|j| sched.loop_iters(j)).sum();
-            self.trace.threads.push(ThreadRec {
-                name: chain.name.clone(),
-                iters,
-                redundant_iters: 0,
-                n_threads: self.threads.pool().n_threads(),
-                block_size: 0,
-                n_chunks: sched.n_chunks(),
-                n_levels: sched.n_levels(),
-                kind: SchedKind::Tiled,
-                level_ns: stats.level_ns,
-                crit_path: stats.crit_path,
-                dataflow: stats.dataflow,
-                idle_ns: stats.idle_ns,
-                steals: stats.steals,
-                fires: stats.fires,
-            });
+        if self.policy.threading.active() && low.has_parallelism() {
+            self.run_pooled(&chain.name, true, || chain.sigs(), &bound, low);
         } else {
+            // The context persists in ThreadCtx across invocations, so
+            // steady-state fused execution performs zero scratch-pool or
+            // slot-table heap allocations (asserted via
+            // `SchedCtx::allocs`); the pooled drain keeps one per worker.
             if self.threads.sched_ctxs.is_empty() {
                 self.threads.sched_ctxs.push(SchedCtx::new());
             }
-            run_schedule_ctx(&bound, sched, &mut self.threads.sched_ctxs[0]);
-        }
-    }
-
-    /// Execute `spec`'s kernel over an explicit local iteration list —
-    /// the tile-by-tile building block of the distributed sparse-tiled
-    /// chain executor.
-    pub fn exec_indexed(&mut self, spec: &LoopSpec, iters: &[u32], gbl_bufs: &mut [Vec<f64>]) {
-        self.exec_impl(spec, ExecIters::List(iters), gbl_bufs)
-    }
-
-    /// Sequential execution through the shared [`BoundLoop`] path (a
-    /// degenerate one-chunk schedule — there is no second execution loop
-    /// in the runtime either).
-    fn exec_impl(&mut self, spec: &LoopSpec, iters: ExecIters<'_>, gbl_bufs: &mut [Vec<f64>]) {
-        let empty = match &iters {
-            ExecIters::Range(s, e) => s >= e,
-            ExecIters::List(l) => l.is_empty(),
-        };
-        if empty {
-            return;
-        }
-        let bound = self.bind_loop(spec, gbl_bufs);
-        match iters {
-            ExecIters::Range(start, end) => bound.run_range(start, end),
-            ExecIters::List(list) => bound.run_list(list),
+            run_schedule_ctx(&bound, low, &mut self.threads.sched_ctxs[0]);
         }
     }
 
@@ -776,11 +506,13 @@ impl<'a> RankEnv<'a> {
         let layout = self.layout;
         rec.n_neighbors = layout.neighbors.len();
 
-        // --- Post sends (payloads staged in the per-peer buffer pool,
-        // never freshly allocated once the pool is warm). ---
+        // One message per neighbour carrying every dat (grouped), or one
+        // per (neighbour, dat). Payloads are staged in the per-peer
+        // buffer pool, never freshly allocated once the pool is warm.
+        let step = if grouped { dats.len() } else { 1 };
         for nbr in &layout.neighbors {
-            if grouped {
-                let cap: usize = dats
+            for msg in dats.chunks(step) {
+                let cap: usize = msg
                     .iter()
                     .map(|&(dat, depth)| self.send_len(nbr, dat, depth))
                     .sum();
@@ -789,7 +521,7 @@ impl<'a> RankEnv<'a> {
                 }
                 let mut payload = self.comm.take_buf(nbr.rank, cap);
                 let t0 = Instant::now();
-                for &(dat, depth) in dats {
+                for &(dat, depth) in msg {
                     self.pack_dat(nbr, dat, depth, &mut payload);
                 }
                 rec.pack_ns += t0.elapsed().as_nanos() as u64;
@@ -800,24 +532,6 @@ impl<'a> RankEnv<'a> {
                 rec.packed_elems += payload.len();
                 rec.nbr_bits |= 1u128 << nbr.rank.min(127);
                 self.comm.isend(nbr.rank, tag, payload);
-            } else {
-                for &(dat, depth) in dats {
-                    let cap = self.send_len(nbr, dat, depth);
-                    if cap == 0 {
-                        continue;
-                    }
-                    let mut payload = self.comm.take_buf(nbr.rank, cap);
-                    let t0 = Instant::now();
-                    self.pack_dat(nbr, dat, depth, &mut payload);
-                    rec.pack_ns += t0.elapsed().as_nanos() as u64;
-                    rec.n_msgs += 1;
-                    let bytes = payload.len() * 8;
-                    rec.bytes += bytes;
-                    rec.max_msg_bytes = rec.max_msg_bytes.max(bytes);
-                    rec.packed_elems += payload.len();
-                    rec.nbr_bits |= 1u128 << nbr.rank.min(127);
-                    self.comm.isend(nbr.rank, tag, payload);
-                }
             }
         }
         rec
@@ -931,9 +645,18 @@ impl<'a> RankEnv<'a> {
         if plan.import.is_empty() {
             return rec;
         }
-        // Send_init: size the per-peer pool once per plan, so the takes
-        // below never allocate in steady state.
-        self.exch_bufs.warm(&mut self.comm, plan);
+        // The `MPI_Send_init` moment, once per plan: size each peer's
+        // pool slot to the larger of the pair's send/recv payloads.
+        // Buffers travel with messages and return with the peer's
+        // replies, so one warmed to `max(send, recv)` keeps circulating
+        // on its pair without ever growing — steady-state planned
+        // exchanges make zero payload allocations (asserted via
+        // [`crate::comm::CommCounters::payload_allocs`]).
+        if self.warmed.insert((plan.sig, plan.dirty)) {
+            for pack in &plan.packs {
+                self.comm.ensure_buf(pack.rank, pack.send_f64s.max(pack.recv_f64s));
+            }
+        }
         let tag = self.next_tag();
         rec.n_neighbors = self.layout.neighbors.len();
         for pack in &plan.packs {
@@ -974,10 +697,10 @@ impl<'a> RankEnv<'a> {
     /// pack. Returns false (caller packs sequentially) when threading is
     /// off or the message is small.
     fn threaded_pack(&mut self, plan: &ChainPlan, pack: &NeighborPack, payload: &mut Vec<f64>) -> bool {
-        if !self.threads.opts.active() || pack.send_f64s * 8 < PACK_THREAD_BYTES {
+        if !self.policy.threading.active() || pack.send_f64s * 8 < PACK_THREAD_BYTES {
             return false;
         }
-        let pool = self.threads.pool();
+        let pool = self.threads.pool(self.policy.threading.n_threads);
         let n_tasks = pool.n_threads();
         if n_tasks <= 1 {
             return false;
@@ -1031,10 +754,10 @@ impl<'a> RankEnv<'a> {
     /// ranges. Destination ranges are disjoint, so the scatter is
     /// race-free and bitwise identical to the sequential unpack.
     fn threaded_unpack(&mut self, plan: &ChainPlan, pack: &NeighborPack, payload: &[f64]) -> bool {
-        if !self.threads.opts.active() || pack.recv_f64s * 8 < PACK_THREAD_BYTES {
+        if !self.policy.threading.active() || pack.recv_f64s * 8 < PACK_THREAD_BYTES {
             return false;
         }
-        let pool = self.threads.pool();
+        let pool = self.threads.pool(self.policy.threading.n_threads);
         let n_tasks = pool.n_threads();
         if n_tasks <= 1 {
             return false;
@@ -1208,13 +931,6 @@ impl<'a> RankEnv<'a> {
             .map(|ni| self.expected_len(ni, dats) * std::mem::size_of::<f64>())
             .sum()
     }
-
-    /// Local owned slice of a dat (post-run inspection in tests).
-    pub fn owned_slice(&self, dat: DatId) -> &[f64] {
-        let d = self.dom.dat(dat);
-        let n = self.layout.sets[d.set.idx()].n_owned;
-        &self.dats[dat.idx()][..n * d.dim]
-    }
 }
 
 #[cfg(test)]
@@ -1328,15 +1044,15 @@ mod tests {
             noop,
         );
         env.exec_range(&spec, 5, 5, &mut []);
-        env.exec_indexed(&spec, &[], &mut []);
     }
 
     /// `OP2_FUSE` knob grammar: on/off/auto (case-insensitive, with the
     /// usual boolean spellings), unset defaults to Off, anything else is
-    /// a typed [`ConfigError::Fuse`].
+    /// a typed [`ConfigError`] naming the knob.
     #[test]
     fn fuse_mode_knob_grammar() {
         use crate::error::ConfigError;
+        use crate::policy::FuseMode;
 
         assert_eq!(FuseMode::parse(None).unwrap(), FuseMode::Off);
         for v in ["on", "1", "true", "ON", "True"] {
@@ -1350,14 +1066,14 @@ mod tests {
         }
 
         let err = FuseMode::parse(Some("maybe")).unwrap_err();
-        assert!(matches!(&err, ConfigError::Fuse { value } if value == "maybe"));
+        assert!(matches!(&err, ConfigError { knob: "OP2_FUSE", value, .. } if value == "maybe"));
         let msg = err.to_string();
         assert!(msg.contains("OP2_FUSE") && msg.contains("maybe"), "{msg}");
     }
 
     /// `OP2_EXEC` knob grammar: levels/dataflow/auto (case-insensitive),
     /// unset defaults to Levels, anything else is a typed
-    /// [`ConfigError::Exec`].
+    /// [`ConfigError`] naming the knob.
     #[test]
     fn exec_mode_knob_grammar() {
         use crate::error::ConfigError;
@@ -1374,17 +1090,18 @@ mod tests {
         }
 
         let err = ExecMode::parse(Some("async")).unwrap_err();
-        assert!(matches!(&err, ConfigError::Exec { value } if value == "async"));
+        assert!(matches!(&err, ConfigError { knob: "OP2_EXEC", value, .. } if value == "async"));
         let msg = err.to_string();
         assert!(msg.contains("OP2_EXEC") && msg.contains("async"), "{msg}");
     }
 
     /// `OP2_THREAD_PIN` knob grammar: the boolean spellings
     /// (case-insensitive), unset defaults to off, anything else is a
-    /// typed [`ConfigError::ThreadPin`].
+    /// typed [`ConfigError`] naming the knob.
     #[test]
     fn thread_pin_knob_grammar() {
         use crate::error::ConfigError;
+        use crate::policy::parse_thread_pin;
 
         assert!(!parse_thread_pin(None).unwrap());
         for v in ["1", "true", "on", "TRUE", "On"] {
@@ -1395,7 +1112,9 @@ mod tests {
         }
 
         let err = parse_thread_pin(Some("yes-please")).unwrap_err();
-        assert!(matches!(&err, ConfigError::ThreadPin { value } if value == "yes-please"));
+        assert!(
+            matches!(&err, ConfigError { knob: "OP2_THREAD_PIN", value, .. } if value == "yes-please")
+        );
         let msg = err.to_string();
         assert!(msg.contains("OP2_THREAD_PIN") && msg.contains("yes-please"), "{msg}");
     }

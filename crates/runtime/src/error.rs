@@ -14,105 +14,21 @@ use std::fmt;
 /// A malformed runtime configuration knob — an environment variable (or
 /// the programmatic equivalent) that failed to parse. Reported once at
 /// startup as a typed error instead of a panic inside a rank thread.
+/// `knob` and `expected` come from the knob's entry in
+/// [`crate::policy::KNOBS`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `OP2_THREADS` was not `auto`, `0`, or a positive integer.
-    Threads {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_BLOCK_SIZE` was not `auto` or a positive integer.
-    BlockSize {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_CKPT_EVERY` was not a positive integer.
-    CkptEvery {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_SERVE_MAX_INFLIGHT` was not a positive integer.
-    ServeMaxInflight {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_SERVE_BATCH` was not a boolean (`0`/`1`/`true`/`false`).
-    ServeBatch {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_TUNER` was not `auto`, `op2`, `ca`, or `tiled`.
-    Tuner {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_REBALANCE_THRESHOLD` was not a finite number ≥ 1.
-    RebalanceThreshold {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_REBALANCE_WINDOW` was not a positive integer.
-    RebalanceWindow {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_FUSE` was not `on`, `off`, or `auto`.
-    Fuse {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_EXEC` was not `levels`, `dataflow`, or `auto`.
-    Exec {
-        /// The rejected value.
-        value: String,
-    },
-    /// `OP2_THREAD_PIN` was not a boolean (`0`/`1`/`true`/`false`/`on`/`off`).
-    ThreadPin {
-        /// The rejected value.
-        value: String,
-    },
+pub struct ConfigError {
+    /// The environment variable, e.g. `OP2_THREADS`.
+    pub knob: &'static str,
+    /// The grammar the knob accepts, e.g. `auto|0|N`.
+    pub expected: &'static str,
+    /// The rejected value.
+    pub value: String,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::Threads { value } => {
-                write!(f, "OP2_THREADS must be auto|0|N, got `{value}`")
-            }
-            ConfigError::BlockSize { value } => {
-                write!(f, "OP2_BLOCK_SIZE must be auto or a positive integer, got `{value}`")
-            }
-            ConfigError::CkptEvery { value } => {
-                write!(f, "OP2_CKPT_EVERY must be a positive integer, got `{value}`")
-            }
-            ConfigError::ServeMaxInflight { value } => write!(
-                f,
-                "OP2_SERVE_MAX_INFLIGHT must be a positive integer, got `{value}`"
-            ),
-            ConfigError::ServeBatch { value } => {
-                write!(f, "OP2_SERVE_BATCH must be 0|1|true|false, got `{value}`")
-            }
-            ConfigError::Tuner { value } => {
-                write!(f, "OP2_TUNER must be auto|op2|ca|tiled, got `{value}`")
-            }
-            ConfigError::RebalanceThreshold { value } => write!(
-                f,
-                "OP2_REBALANCE_THRESHOLD must be a finite number >= 1, got `{value}`"
-            ),
-            ConfigError::RebalanceWindow { value } => write!(
-                f,
-                "OP2_REBALANCE_WINDOW must be a positive integer, got `{value}`"
-            ),
-            ConfigError::Fuse { value } => {
-                write!(f, "OP2_FUSE must be on|off|auto, got `{value}`")
-            }
-            ConfigError::Exec { value } => {
-                write!(f, "OP2_EXEC must be levels|dataflow|auto, got `{value}`")
-            }
-            ConfigError::ThreadPin { value } => {
-                write!(f, "OP2_THREAD_PIN must be 0|1|true|false|on|off, got `{value}`")
-            }
-        }
+        write!(f, "{} must be {}, got `{}`", self.knob, self.expected, self.value)
     }
 }
 

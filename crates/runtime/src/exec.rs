@@ -11,9 +11,13 @@
 //! halo region executed in order, with redundant computation over up to
 //! `r` layers replacing the eliminated per-loop messages.
 //!
-//! The chain executors are **inspector–executor** split since the plan
-//! subsystem landed: all analysis (import depths, core depths, execute
-//! ranges, pack lists, tile schedules) comes from a cached
+//! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`],
+//! [`run_chain_relaxed`], [`run_chain_hooked`] and [`run_chain_tiled`]
+//! are requests to it, and per-loop, tiled and fused execution are three
+//! *lowerings* of its pre-wait and post-wait phases, chosen in one pure
+//! function (`choose_lowering`). It is **inspector–executor** split:
+//! all analysis (import depths, core depths, execute ranges, pack lists,
+//! the validity verdict, every lowered schedule) comes from a cached
 //! [`crate::plan::ChainPlan`] — repeat invocations of the same chain in
 //! the same dirty-state class do zero re-analysis, which the plan-cache
 //! hit counters in the trace make assertable. [`run_chain_unplanned`]
@@ -23,6 +27,8 @@
 use crate::env::RankEnv;
 use crate::error::RuntimeError;
 use crate::fault::BoundaryKind;
+use crate::plan::{plan_for, LoweringKey};
+use crate::policy::FuseMode;
 use crate::trace::{ChainRec, LoopRec};
 use op2_core::seq::LoopResult;
 use op2_core::{Arg, ChainSpec, DatId, LoopSpec};
@@ -197,21 +203,16 @@ pub fn chain_import_depths(env: &RankEnv<'_>, chain: &ChainSpec) -> Vec<(DatId, 
 
 /// Algorithm 2: execute a loop-chain with the communication-avoiding
 /// back-end. Panics if the chain requires deeper halos than the layout
-/// was built with (a program error); transport failures surface as
-/// [`RuntimeError`]s.
+/// was built with (a program error); transport failures and
+/// under-provisioned halo extents surface as [`RuntimeError`]s.
 ///
-/// When the env's [`FuseMode`](crate::env::FuseMode) is `On` (or `Auto`
-/// and the profit arm predicts a win) and the chain has at least one
-/// fusable group, execution goes through the fused whole-chain schedule
-/// instead of the per-loop walk — bitwise identical by the fusion legality rules,
-/// with elidable intermediates kept in per-worker scratch. Relaxed-mode
-/// and hooked entries never fuse (staleness is counted per loop, which a
-/// whole-chain schedule cannot attribute).
+/// Under [`FuseMode::On`] (or `Auto` when the elided traffic exceeds the
+/// exchanged payload) a chain with a fusable group runs its fused
+/// whole-chain schedule instead of the per-loop walk — bitwise identical
+/// by the fusion legality rules, with elidable intermediates kept in
+/// per-worker scratch.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    if env.fuse != crate::env::FuseMode::Off && fuse_wanted(env, chain) {
-        return run_chain_fused(env, chain);
-    }
-    run_chain_mode(env, chain, &mut NoHooks, false)
+    exec_chain(env, chain, ChainRequest::Strict, &mut NoHooks)
 }
 
 /// [`run_chain`] in *relaxed* mode: halo extents are taken as configured
@@ -219,9 +220,9 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
 /// validity are satisfied by the deepened initial import (pre-chain
 /// values — the paper's one-sync-per-chain semantics), and every such
 /// potentially-stale read is counted in the chain record instead of
-/// asserted against.
+/// failing the chain.
 pub fn run_chain_relaxed(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    run_chain_mode(env, chain, &mut NoHooks, true)
+    exec_chain(env, chain, ChainRequest::Relaxed, &mut NoHooks)
 }
 
 /// [`run_chain`] with observation hooks (see [`ExecHooks`]).
@@ -230,21 +231,120 @@ pub fn run_chain_hooked(
     chain: &ChainSpec,
     hooks: &mut dyn ExecHooks,
 ) -> Result<(), RuntimeError> {
-    run_chain_mode(env, chain, hooks, false)
+    exec_chain(env, chain, ChainRequest::Hooked, hooks)
 }
 
-fn run_chain_mode(
+/// Algorithm 2 combined with §2.2's shared-memory sparse tiling: the
+/// grouped multi-level exchange of [`run_chain`], then the rank's entire
+/// owned-plus-halo region executed **tile by tile** with the Luporini
+/// growth schedule instead of loop-by-loop sweeps — each tile's working
+/// set stays cache-resident across the whole chain. This mirrors the
+/// paper's two levels: MPI-rank = outer tile, `n_tiles` inner tiles per
+/// rank. With threading active, same-level (provably conflict-free)
+/// tiles run concurrently on the rank's pool — still bitwise identical
+/// to the sequential tile-by-tile walk.
+pub fn run_chain_tiled(
     env: &mut RankEnv<'_>,
     chain: &ChainSpec,
+    n_tiles: usize,
+) -> Result<(), RuntimeError> {
+    exec_chain(env, chain, ChainRequest::Tiled(n_tiles), &mut NoHooks)
+}
+
+/// What a caller asked of the chain executor — one per public entry
+/// point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChainRequest {
+    /// [`run_chain`].
+    Strict,
+    /// [`run_chain_relaxed`].
+    Relaxed,
+    /// [`run_chain_hooked`].
+    Hooked,
+    /// [`run_chain_tiled`] with this many tiles.
+    Tiled(usize),
+}
+
+/// What one chain invocation computes before and after the wait — the
+/// three lowerings of Alg 2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lowering {
+    /// Each loop's core `[0, core_end)`, then each loop's halo region
+    /// `[core_end, exec_end)` in loop order (lines 8–12 and 14–18).
+    PerLoop,
+    /// The plan's overlap-eligible core tiles — footprint inside every
+    /// loop's core region, closed under demotion against earlier post
+    /// tiles ([`op2_core::tiling::overlap_core_tiles`]) — then the rest,
+    /// for this many tiles.
+    Tiled(usize),
+    /// Nothing (per-element interleaving has no core phase to overlap
+    /// with the messages), then the fused whole-chain schedule cached
+    /// under this `Fused*` key.
+    Fused(LoweringKey),
+}
+
+/// The one place a chain's lowering is chosen — pure, from the rank's
+/// fusion policy and the caller's request. Relaxed and hooked requests
+/// never fuse (staleness and launches are attributed per loop, which a
+/// whole-chain schedule cannot do). Otherwise the fused candidate is the
+/// tile plan put through fusion for a tiled request, the colored lowering
+/// when the rank's pool is active (`pool_block()` = the block size every
+/// fused block must honour), direct range interleaving when it is not,
+/// and `fused_facts(key)` reports its `(fused pieces, elided bytes)`:
+/// `On` takes it whenever anything fused; `Auto` also requires the
+/// elided intermediate traffic to exceed `recv_bytes`, the exchanged
+/// payload whose overlap the fused executor forgoes.
+pub(crate) fn choose_lowering(
+    fuse: FuseMode,
+    req: ChainRequest,
+    recv_bytes: usize,
+    pool_block: impl FnOnce() -> Option<usize>,
+    fused_facts: impl FnOnce(LoweringKey) -> (u64, u64),
+) -> Lowering {
+    let unfused = match req {
+        ChainRequest::Tiled(n) => Lowering::Tiled(n),
+        _ => Lowering::PerLoop,
+    };
+    if fuse == FuseMode::Off || matches!(req, ChainRequest::Relaxed | ChainRequest::Hooked) {
+        return unfused;
+    }
+    let key = match (req, pool_block()) {
+        (ChainRequest::Tiled(n), _) => LoweringKey::FusedTiled(n),
+        (_, Some(block)) => LoweringKey::FusedColored(block),
+        (_, None) => LoweringKey::FusedDirect,
+    };
+    let (fused_pieces, elided_bytes) = fused_facts(key);
+    let wanted = match fuse {
+        FuseMode::Off => false,
+        FuseMode::On => true,
+        FuseMode::Auto => elided_bytes > recv_bytes as u64,
+    };
+    if wanted && fused_pieces > 0 {
+        Lowering::Fused(key)
+    } else {
+        unfused
+    }
+}
+
+/// The Alg 2 skeleton every planned chain entry point runs: replay-skip
+/// → cached plan → depth and validity checks → grouped exchange →
+/// pre-wait phase → wait → post-wait phase → validity transitions →
+/// trace record → boundary → checkpoint note. Only the two phases
+/// differ between lowerings (see [`Lowering`]); all three are bitwise
+/// identical to the sequential walk.
+fn exec_chain(
+    env: &mut RankEnv<'_>,
+    chain: &ChainSpec,
+    req: ChainRequest,
     hooks: &mut dyn ExecHooks,
-    relaxed: bool,
 ) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
         return Ok(());
     }
     let t0 = std::time::Instant::now();
     // Inspector: cached plan lookup — analysis runs only on a miss.
-    let plan = crate::plan::plan_for(env, chain, relaxed);
+    let relaxed = req == ChainRequest::Relaxed;
+    let plan = plan_for(env, chain, relaxed);
     assert!(
         plan.depth <= env.layout.depth,
         "chain `{}` needs {} halo layers but the layout was built \
@@ -253,24 +353,96 @@ fn run_chain_mode(
         plan.depth,
         env.layout.depth
     );
+    // Strict mode: a read the plan's pre-simulation found under-valid
+    // (config-pinned extents too small, or an inspector/executor
+    // disagreement) is typed, so supervision can treat it as a
+    // recoverable fault. Identical on every rank, so nobody is left
+    // waiting on an exchange that was never posted.
+    if let (false, Some(s)) = (relaxed, plan.stale.first()) {
+        return Err(RuntimeError::Validity {
+            rank: env.rank,
+            chain: chain.name.clone(),
+            loop_name: chain.loops[s.pos].name.clone(),
+            dat: env.dom.dat(s.dat).name.clone(),
+            need: s.need,
+            have: s.have,
+        });
+    }
+
+    // A tiled request counts one tile-plan lookup per invocation,
+    // whichever lowering ends up running it.
+    let tiled = match req {
+        ChainRequest::Tiled(n) => {
+            let (tc, built) = plan.tile_schedule(env.layout, chain, n);
+            if built {
+                env.plans.stats.tile_misses += 1;
+            } else {
+                env.plans.stats.tile_hits += 1;
+            }
+            Some(tc)
+        }
+        _ => None,
+    };
+    let mut candidate = None;
+    let lowering = choose_lowering(
+        env.policy.fuse,
+        req,
+        plan.recv_bytes,
+        || {
+            // The most conservative of the chain loops' block sizes:
+            // every fused block must satisfy every member's conflict
+            // structure.
+            env.policy.threading.active().then(|| {
+                (chain.loops.iter().zip(&plan.exec_end))
+                    .map(|(spec, &end)| env.chosen_block_size(spec, 0, end))
+                    .min()
+                    .unwrap_or(0)
+                    .max(1)
+            })
+        },
+        |key| {
+            let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, key);
+            let facts = (fc.fused_pieces, fc.elided_bytes);
+            candidate = Some(fc);
+            facts
+        },
+    );
+    let fused = candidate.filter(|_| matches!(lowering, Lowering::Fused(_)));
 
     // Grouped message per neighbour (lines 5-7 of Alg 2), packed via the
     // plan's index lists.
     let mut rec = env.exchange_planned(&plan);
     hooks.stage_out(rec.bytes);
 
-    // Core of every loop while the exchange is in flight (lines 8-12).
-    // The safe core retracts by the loop's in-chain dependency depth;
-    // relaxed mode keeps the standard depth-1 core everywhere (the
-    // paper's behaviour — staleness tolerated and counted).
+    // One loop's `[start, end)` under the per-loop lowering.
     let mut gbls: Vec<Vec<f64>> = Vec::new();
-    for (pos, spec) in chain.loops.iter().enumerate() {
+    let mut run_range = |env: &mut RankEnv<'_>, hooks: &mut dyn ExecHooks, pos, start, end| {
+        let spec: &LoopSpec = &chain.loops[pos];
         debug_assert!(!spec.has_reduction());
-        let core_end = plan.core_end[pos];
         gbls.clear();
         gbls.extend(spec.gbls.iter().map(|g| g.init.clone()));
-        hooks.launch(core_end);
-        env.exec_range_planned(spec, 0, core_end, &mut gbls, &plan, pos);
+        hooks.launch(end - start);
+        env.exec_range_in(spec, start, end, &mut gbls, Some((&plan, pos)));
+    };
+
+    // Pre-wait phase: what reads nothing the wait delivers runs while
+    // the exchange is in flight.
+    match (&fused, &tiled) {
+        (Some(_), _) => {}
+        (None, Some(tc)) => {
+            if tc.n_core_tiles > 0 {
+                env.exec_chain_schedule(chain, &tc.core);
+                env.plans.stats.overlap_tiles += tc.n_core_tiles as u64;
+            }
+        }
+        // The safe core retracts by the loop's in-chain dependency
+        // depth; relaxed mode keeps the standard depth-1 core everywhere
+        // (the paper's behaviour — staleness tolerated and counted).
+        (None, None) => {
+            for (pos, &core_end) in plan.core_end.iter().enumerate() {
+                run_range(env, hooks, pos, 0, core_end);
+            }
+        }
     }
 
     // Wait (line 13) — arrival order: whichever neighbour lands first
@@ -278,43 +450,47 @@ fn run_chain_mode(
     env.exchange_wait_planned(&plan, &mut rec)?;
     hooks.stage_in(plan.recv_bytes);
 
-    // Halo regions in loop order (lines 14-18), with validity checked
-    // (strict) or staleness counted (relaxed) and updated per loop. The
-    // checks run against *live* validity — the plan stores the static
-    // requirements, the env tracks how validity actually evolves.
-    let mut per_loop = Vec::with_capacity(chain.len());
-    let mut stale_reads = 0usize;
-    for (pos, spec) in chain.loops.iter().enumerate() {
-        for &(d, req) in &plan.reqs[pos] {
-            if env.valid[d.idx()] < req {
-                if relaxed {
-                    stale_reads += 1;
-                } else {
-                    // An inspector/executor disagreement: typed, so
-                    // supervision can treat it as a recoverable fault.
-                    return Err(RuntimeError::Validity {
-                        rank: env.rank,
-                        chain: chain.name.clone(),
-                        loop_name: spec.name.clone(),
-                        dat: env.dom.dat(d).name.clone(),
-                        need: req,
-                        have: env.valid[d.idx()],
-                    });
-                }
+    // Post-wait phase. `per_loop` records (prewait, postwait) iteration
+    // counts per loop; whole-chain schedules have no per-loop core.
+    let mut per_loop: Vec<(usize, usize)> = plan.exec_end.iter().map(|&end| (0, end)).collect();
+    match (&fused, &tiled) {
+        (Some(fc), _) => {
+            env.plans.stats.fused_pieces += fc.fused_pieces;
+            env.plans.stats.elided_bytes += fc.elided_bytes;
+            env.exec_chain_schedule(chain, &fc.sched);
+        }
+        (None, Some(tc)) => {
+            if tc.n_core_tiles < tc.tiles.n_tiles {
+                env.exec_chain_schedule(chain, &tc.post);
             }
         }
-        let core_end = plan.core_end[pos];
-        let exec_end = plan.exec_end[pos];
-        gbls.clear();
-        gbls.extend(spec.gbls.iter().map(|g| g.init.clone()));
-        hooks.launch(exec_end - core_end);
-        env.exec_range_planned(spec, core_end, exec_end, &mut gbls, &plan, pos);
-        per_loop.push((core_end, exec_end - core_end));
-        for &(d, v) in &plan.produces[pos] {
-            env.valid[d.idx()] = v;
+        // Halo regions in loop order (lines 14-18).
+        (None, None) => {
+            for pos in 0..chain.len() {
+                let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
+                run_range(env, hooks, pos, core_end, exec_end);
+                per_loop[pos] = (core_end, exec_end - core_end);
+                env.boundary(BoundaryKind::ChainLoop);
+            }
+        }
+    }
+
+    // Validity transitions, in loop order (the tiled and fused
+    // interleavings preserve exactly the cross-loop dependences the
+    // pre-simulation walked). Fusion-elided intermediates then drop to
+    // 0 — their memory was never written, their contents are unspecified
+    // by the `with_scratch` contract — and are *not* dirty-marked for
+    // checkpointing: rollback restores the same untouched bytes, and
+    // replay re-fuses deterministically.
+    let elided: &[DatId] = fused.as_ref().map_or(&[], |fc| fc.elided.as_slice());
+    for &(d, v) in plan.produces.iter().flatten() {
+        env.valid[d.idx()] = v;
+        if !elided.contains(&d) {
             env.ckpt.note_write(d.idx());
         }
-        env.boundary(BoundaryKind::ChainLoop);
+    }
+    for &d in elided {
+        env.valid[d.idx()] = 0;
     }
 
     env.trace.chains.push(ChainRec {
@@ -323,146 +499,7 @@ fn run_chain_mode(
         d_exchanged: plan.import.len(),
         depth: plan.depth,
         exch: rec,
-        stale_reads,
-        wall_ns: t0.elapsed().as_nanos() as u64,
-    });
-    env.boundary(BoundaryKind::Chain);
-    env.ckpt_chain_done();
-    Ok(())
-}
-
-/// The fused-schedule cache key for this env: the colored lowering when
-/// the rank's pool is active (block size = the most conservative of the
-/// chain loops' adaptive picks — every fused block must satisfy every
-/// member's conflict structure), the direct range interleaving otherwise.
-fn fused_key(env: &RankEnv<'_>, chain: &ChainSpec, plan: &crate::plan::ChainPlan) -> crate::plan::FusedKey {
-    if env.threads.opts.active() {
-        let block = chain
-            .loops
-            .iter()
-            .enumerate()
-            .map(|(pos, spec)| env.chosen_block_size(spec, 0, plan.exec_end[pos]))
-            .min()
-            .unwrap_or(0)
-            .max(1);
-        (1, block)
-    } else {
-        (0, 0)
-    }
-}
-
-/// Should this env run `chain` fused? `On` fuses whenever the chain has
-/// a fusable group; `Auto` additionally asks the profit arm
-/// ([`op2_model::classify_fused`]): elided intermediate traffic priced
-/// against the exchanged payload whose overlap the fused executor
-/// forgoes. Builds (and caches) the fused schedule as a side effect —
-/// the subsequent `run_chain_fused` lookup is a hash hit.
-fn fuse_wanted(env: &mut RankEnv<'_>, chain: &ChainSpec) -> bool {
-    let plan = crate::plan::plan_for(env, chain, false);
-    let key = fused_key(env, chain, &plan);
-    let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, key);
-    if fc.fused_pieces == 0 {
-        return false;
-    }
-    match env.fuse {
-        crate::env::FuseMode::Off => false,
-        crate::env::FuseMode::On => true,
-        crate::env::FuseMode::Auto => {
-            let overlap_loss_s = plan.recv_bytes as f64 * op2_model::MEM_S_PER_BYTE;
-            op2_model::classify_fused(fc.elided_bytes, overlap_loss_s, op2_model::MEM_S_PER_BYTE)
-                .fuse
-        }
-    }
-}
-
-/// Algorithm 2 with **cross-loop kernel fusion**: the grouped multi-level
-/// exchange of [`run_chain`], then the chain executed through its fused
-/// whole-chain [`op2_core::Schedule`] — adjacent fusable loops run every
-/// member kernel back-to-back per element, and intermediates whose every
-/// access lies inside one group live in per-worker scratch instead of
-/// their dats (their memory is never touched; see
-/// [`op2_core::ChainSpec::with_scratch`]).
-///
-/// Latency trade, documented: the fused executor waits out the grouped
-/// exchange **before** running the schedule — per-element interleaving
-/// has no per-loop core phase to overlap with the messages. `Auto` mode
-/// prices exactly this loss against the elided traffic.
-///
-/// Elided dats keep their pre-chain memory contents and are marked
-/// validity-0 (contents unspecified — the `with_scratch` contract), and
-/// are *not* dirty-marked for checkpointing: rollback restores the same
-/// untouched bytes, and replay re-fuses deterministically.
-fn run_chain_fused(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    if env.ckpt_skip_chain() {
-        return Ok(());
-    }
-    let t0 = std::time::Instant::now();
-    let plan = crate::plan::plan_for(env, chain, false);
-    assert!(
-        plan.depth <= env.layout.depth,
-        "chain `{}` needs {} halo layers but the layout was built with {}",
-        chain.name,
-        plan.depth,
-        env.layout.depth
-    );
-    let key = fused_key(env, chain, &plan);
-    let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, key);
-    env.plans.stats.fused_pieces += fc.fused_pieces;
-    env.plans.stats.elided_bytes += fc.elided_bytes;
-
-    // Validity pre-simulation, as in the tiled executor: requirements
-    // checked in loop order against the post-wait validity, produces
-    // applied as the simulation advances. The fused interleaving
-    // preserves exactly the per-location cross-loop order the legality
-    // analysis admitted, so loop-order simulation is faithful.
-    let mut valid = env.valid.clone();
-    for &(d, depth) in &plan.import {
-        valid[d.idx()] = valid[d.idx()].max(depth);
-    }
-    for (pos, spec) in chain.loops.iter().enumerate() {
-        for &(d, req) in &plan.reqs[pos] {
-            assert!(
-                valid[d.idx()] >= req,
-                "rank {}: fused chain `{}` loop `{}` needs dat `{}` valid to {req}, have {}",
-                env.rank,
-                chain.name,
-                spec.name,
-                env.dom.dat(d).name,
-                valid[d.idx()],
-            );
-        }
-        for &(d, v) in &plan.produces[pos] {
-            valid[d.idx()] = v;
-        }
-    }
-
-    let mut rec = env.exchange_planned(&plan);
-    // No core overlap (see above): wait first, then the whole chain.
-    env.exchange_wait_planned(&plan, &mut rec)?;
-    env.exec_chain_schedule(chain, &fc.sched, Some(&plan));
-
-    // Validity transitions — then elided intermediates drop to 0: their
-    // memory was never written, their contents are unspecified by the
-    // `with_scratch` contract.
-    env.valid = valid;
-    for &d in &fc.elided {
-        env.valid[d.idx()] = 0;
-    }
-    for per_loop in &plan.produces {
-        for &(d, _) in per_loop {
-            if !fc.elided.contains(&d) {
-                env.ckpt.note_write(d.idx());
-            }
-        }
-    }
-
-    env.trace.chains.push(ChainRec {
-        name: chain.name.clone(),
-        per_loop: plan.exec_end.iter().map(|&r| (0, r)).collect(),
-        d_exchanged: plan.import.len(),
-        depth: plan.depth,
-        exch: rec,
-        stale_reads: 0,
+        stale_reads: plan.stale.len(),
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);
@@ -559,157 +596,6 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
     Ok(())
 }
 
-/// Algorithm 2 combined with §2.2's shared-memory sparse tiling: the
-/// grouped multi-level exchange of [`run_chain`], then the rank's entire
-/// owned-plus-halo region executed **tile by tile** with the Luporini
-/// growth schedule instead of loop-by-loop sweeps — each tile's working
-/// set stays cache-resident across the whole chain.
-///
-/// Latency hiding mirrors [`run_chain`]'s prewait core at tile
-/// granularity: the plan's **core tiles** — tiles whose footprint sits
-/// inside every loop's core region, closed under demotion against
-/// earlier post tiles (see [`op2_core::tiling::overlap_core_tiles`]) —
-/// execute while the grouped exchange is in flight; the remaining tiles
-/// run after the wait. This mirrors the paper's two levels: MPI-rank =
-/// outer tile, `n_tiles` inner tiles per rank. With threading active the
-/// plan's leveled tile schedule runs same-level (provably conflict-free)
-/// tiles concurrently on the rank's pool — still bitwise identical to
-/// the sequential tile-by-tile walk.
-pub fn run_chain_tiled(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    n_tiles: usize,
-) -> Result<(), RuntimeError> {
-    if env.ckpt_skip_chain() {
-        return Ok(());
-    }
-    let t0 = std::time::Instant::now();
-    // Inspector: cached chain plan, plus its lazily-built tile schedule
-    // for this tile count (the expensive growth inspection runs once).
-    let plan = crate::plan::plan_for(env, chain, false);
-    assert!(
-        plan.depth <= env.layout.depth,
-        "chain `{}` needs {} halo layers but the layout was built with {}",
-        chain.name,
-        plan.depth,
-        env.layout.depth
-    );
-    let (tc, built) = plan.tile_schedule(env.layout, chain, n_tiles);
-    if built {
-        env.plans.stats.tile_misses += 1;
-    } else {
-        env.plans.stats.tile_hits += 1;
-    }
-
-    // Fusion over the tile lowering: the cached tile schedule put
-    // through `Schedule::fuse` (key `(2, n_tiles)`). Only tiles whose
-    // per-member slices line up fuse; `On` takes any fusable group,
-    // `Auto` asks the profit arm. The fused variant runs the *whole*
-    // schedule after the wait — the core/post overlap split does not
-    // compose with per-element interleaving.
-    let fused = if env.fuse != crate::env::FuseMode::Off {
-        let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, (2, n_tiles));
-        let want = fc.fused_pieces > 0
-            && match env.fuse {
-                crate::env::FuseMode::On => true,
-                crate::env::FuseMode::Auto => op2_model::classify_fused(
-                    fc.elided_bytes,
-                    plan.recv_bytes as f64 * op2_model::MEM_S_PER_BYTE,
-                    op2_model::MEM_S_PER_BYTE,
-                )
-                .fuse,
-                crate::env::FuseMode::Off => false,
-            };
-        want.then_some(fc)
-    } else {
-        None
-    };
-
-    // Validity requirements are those of run_chain's halo phase,
-    // checked against the validity each loop observes *in loop order* —
-    // earlier loops' produced validity satisfies later loops' reads,
-    // and the tiled interleaving preserves exactly those cross-loop
-    // dependences by construction (the growth stamps order every
-    // consumer tile after its producers). The check runs before the
-    // exchange, so it simulates the wait's raise from the plan's import
-    // list — identical to the post-wait validity.
-    let mut valid = env.valid.clone();
-    for &(d, depth) in &plan.import {
-        valid[d.idx()] = valid[d.idx()].max(depth);
-    }
-    for (pos, spec) in chain.loops.iter().enumerate() {
-        for &(d, req) in &plan.reqs[pos] {
-            assert!(
-                valid[d.idx()] >= req,
-                "rank {}: tiled chain `{}` loop `{}` needs dat `{}` valid to {req}, have {}",
-                env.rank,
-                chain.name,
-                spec.name,
-                env.dom.dat(d).name,
-                valid[d.idx()],
-            );
-        }
-        for &(d, v) in &plan.produces[pos] {
-            valid[d.idx()] = v;
-        }
-    }
-
-    let mut rec = env.exchange_planned(&plan);
-
-    if let Some(fc) = &fused {
-        env.plans.stats.fused_pieces += fc.fused_pieces;
-        env.plans.stats.elided_bytes += fc.elided_bytes;
-        env.exchange_wait_planned(&plan, &mut rec)?;
-        env.exec_chain_schedule(chain, &fc.sched, Some(&plan));
-    } else {
-        // Core tiles while the exchange is in flight — they read nothing
-        // the wait delivers, and the core/post split preserves the full
-        // plan's conflict order, so the result stays bitwise identical.
-        if tc.n_core_tiles > 0 {
-            env.exec_chain_schedule(chain, &tc.core, Some(&plan));
-            env.plans.stats.overlap_tiles += tc.n_core_tiles as u64;
-        }
-
-        env.exchange_wait_planned(&plan, &mut rec)?;
-
-        // Remaining tiles after the wait — same-level tiles run
-        // concurrently on the rank's pool when threading is active,
-        // sequentially (bitwise identical) otherwise.
-        if tc.n_core_tiles < tc.tiles.n_tiles {
-            env.exec_chain_schedule(chain, &tc.post, Some(&plan));
-        }
-    }
-
-    // Validity transitions, as in run_chain; fusion-elided intermediates
-    // drop to 0 (memory untouched, contents unspecified) and are not
-    // dirty-marked.
-    env.valid = valid;
-    let elided: &[DatId] = fused.as_ref().map(|fc| fc.elided.as_slice()).unwrap_or(&[]);
-    for &d in elided {
-        env.valid[d.idx()] = 0;
-    }
-    for per_loop in &plan.produces {
-        for &(d, _) in per_loop {
-            if !elided.contains(&d) {
-                env.ckpt.note_write(d.idx());
-            }
-        }
-    }
-
-    env.trace.chains.push(ChainRec {
-        name: chain.name.clone(),
-        per_loop: plan.exec_end.iter().map(|&r| (0, r)).collect(),
-        d_exchanged: plan.import.len(),
-        depth: plan.depth,
-        exch: rec,
-        stale_reads: 0,
-        wall_ns: t0.elapsed().as_nanos() as u64,
-    });
-    env.boundary(BoundaryKind::Chain);
-    env.ckpt_chain_done();
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,6 +621,145 @@ mod tests {
         assert_eq!(produced_validity(M::Inc, true, 1), Some(0));
         assert_eq!(produced_validity(M::Write, false, 1), Some(1));
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
+    }
+
+    /// The lowering decision as a table over fusion policy × request ×
+    /// pool × what fusing would buy. The `Auto` rows carry the four
+    /// cases of the deleted `op2_model::classify_fused` arm: a win,
+    /// nothing elided, overlap outweighing the saving, and break-even
+    /// declining.
+    #[test]
+    fn lowering_decision_table() {
+        use ChainRequest::{Hooked, Relaxed, Strict, Tiled};
+        use FuseMode::{Auto, Off, On};
+        use LoweringKey::{FusedColored, FusedDirect, FusedTiled};
+        const MB: usize = 1 << 20;
+        // (fuse, request, pool block, recv bytes, (fused pieces, elided
+        // bytes) of the candidate) → expected lowering.
+        let rows = [
+            (On, Strict, None, MB, (2, 2 * MB), Lowering::Fused(FusedDirect)),
+            (On, Strict, None, MB, (2, 0), Lowering::Fused(FusedDirect)),
+            (On, Strict, None, MB, (0, 0), Lowering::PerLoop),
+            (On, Strict, Some(16), MB, (2, 0), Lowering::Fused(FusedColored(16))),
+            (On, Tiled(3), None, MB, (2, 0), Lowering::Fused(FusedTiled(3))),
+            (On, Tiled(3), Some(16), MB, (2, 0), Lowering::Fused(FusedTiled(3))),
+            (On, Tiled(3), Some(16), MB, (0, 0), Lowering::Tiled(3)),
+            (Auto, Strict, None, 0, (2, MB), Lowering::Fused(FusedDirect)),
+            (Auto, Strict, None, 0, (2, 0), Lowering::PerLoop),
+            (Auto, Strict, None, 10 * MB, (2, 1 << 10), Lowering::PerLoop),
+            (Auto, Strict, None, MB, (2, MB), Lowering::PerLoop),
+            (Auto, Strict, None, MB, (2, MB + 1), Lowering::Fused(FusedDirect)),
+            (Auto, Strict, Some(16), MB, (2, MB + 1), Lowering::Fused(FusedColored(16))),
+            (Auto, Strict, Some(16), MB, (0, 0), Lowering::PerLoop),
+            (Auto, Tiled(3), None, MB, (2, MB + 1), Lowering::Fused(FusedTiled(3))),
+            (Auto, Tiled(3), Some(16), MB, (2, MB), Lowering::Tiled(3)),
+            (Auto, Tiled(3), None, MB, (0, 0), Lowering::Tiled(3)),
+        ];
+        for (fuse, req, block, recv, (pieces, elided), expect) in rows {
+            let got = choose_lowering(fuse, req, recv, || block, |_| (pieces, elided as u64));
+            assert_eq!(got, expect, "{fuse:?} {req:?} pool={block:?} recv={recv} elided={elided}");
+        }
+        // Off, relaxed and hooked never fuse and never even ask what
+        // fusing would buy (no fused schedule is built for them).
+        let never = |fuse, req| {
+            choose_lowering(fuse, req, 0, || panic!("pool consulted"), |_| panic!("facts consulted"))
+        };
+        for fuse in [Off, On, Auto] {
+            assert_eq!(never(fuse, Relaxed), Lowering::PerLoop);
+            assert_eq!(never(fuse, Hooked), Lowering::PerLoop);
+        }
+        assert_eq!(never(Off, Strict), Lowering::PerLoop);
+        assert_eq!(never(Off, Tiled(5)), Lowering::Tiled(5));
+    }
+
+    /// A config-pinned halo extent that is too small is a typed
+    /// [`RuntimeError::Validity`] on every lowering — per-loop, tiled and
+    /// fused — not a rank panic; relaxed mode runs and counts the read.
+    #[test]
+    fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
+        use crate::error::RankFailure;
+        use crate::harness::{run_distributed_with, RunOptions};
+        use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+
+        let mut m = op2_mesh::Quad2D::generate(8, 8);
+        let a = m.dom.decl_dat_zeros("a", m.nodes, 1);
+        let b = m.dom.decl_dat_zeros("b", m.nodes, 1);
+        let tmp = m.dom.decl_dat_zeros("tmp", m.nodes, 1);
+        let c = m.dom.decl_dat_zeros("c", m.nodes, 1);
+        let inc = |d| {
+            vec![
+                Arg::dat_indirect(d, m.e2n, 0, M::Inc),
+                Arg::dat_indirect(d, m.e2n, 1, M::Inc),
+            ]
+        };
+        let produce = LoopSpec::new("produce", m.edges, inc(a), noop);
+        let mut args = vec![
+            Arg::dat_indirect(a, m.e2n, 0, M::Read),
+            Arg::dat_indirect(a, m.e2n, 1, M::Read),
+        ];
+        args.extend(inc(b));
+        let consume = LoopSpec::new("consume", m.edges, args, noop);
+        // A fusable direct pair, so `FuseMode::On` really picks the fused
+        // lowering.
+        let stage = LoopSpec::new(
+            "stage",
+            m.nodes,
+            vec![Arg::dat_direct(b, M::Read), Arg::dat_direct(tmp, M::Write)],
+            noop,
+        );
+        let apply = LoopSpec::new(
+            "apply",
+            m.nodes,
+            vec![Arg::dat_direct(tmp, M::Read), Arg::dat_direct(c, M::Rw)],
+            noop,
+        );
+        // `consume` runs to extent 2 (the direct pair reads `b` one ring
+        // out), so `produce` needs extent 3 to leave `a` valid to depth
+        // 2; the config pins it to 1.
+        let chain = ChainSpec::new("pinned", vec![produce, consume, stage, apply], None, &[(0, 1)])
+            .unwrap()
+            .with_scratch(&[tmp]);
+        assert_eq!(chain.halo_ext, [1, 2, 1, 1]);
+        assert!(!chain.fusion().groups.is_empty(), "the fixture must have a fusable group");
+
+        let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
+        let own = derive_ownership(&m.dom, m.nodes, base, 2);
+        let layouts = build_layouts(&m.dom, &own, 2);
+        type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
+        let cases: [(&str, FuseMode, Entry); 3] = [
+            ("per-loop", FuseMode::Off, run_chain),
+            ("tiled", FuseMode::Off, |env, ch| run_chain_tiled(env, ch, 4)),
+            ("fused", FuseMode::On, run_chain),
+        ];
+        for (name, fuse, entry) in cases {
+            let opts = RunOptions::default().fuse(fuse);
+            let out = run_distributed_with(&mut m.dom.clone(), &layouts, &opts, |env| {
+                entry(env, &chain)
+            });
+            for r in &out.results {
+                match r {
+                    Err(RankFailure::Failed {
+                        error:
+                            RuntimeError::Validity {
+                                loop_name,
+                                dat,
+                                need: 2,
+                                have: 0,
+                                ..
+                            },
+                        ..
+                    }) => assert_eq!((loop_name.as_str(), dat.as_str()), ("consume", "a")),
+                    other => panic!("{name}: expected a typed validity error, got {other:?}"),
+                }
+            }
+        }
+        let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
+            run_chain_relaxed(env, &chain)
+        });
+        for t in &out.traces {
+            assert_eq!(t.chains[0].stale_reads, 1, "rank {}", t.rank);
+        }
+        out.unwrap_results();
     }
 
     #[test]

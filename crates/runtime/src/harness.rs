@@ -22,6 +22,7 @@ use crate::comm::{CommConfig, CommWorld};
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
 use crate::fault::FaultPlan;
+use crate::policy::ExecPolicy;
 use crate::trace::RankTrace;
 use op2_core::{DatId, Domain};
 use op2_partition::RankLayout;
@@ -50,11 +51,11 @@ pub struct RunOptions {
     /// Cross-loop fusion policy, **per rank**. `None` (the default)
     /// reads `OP2_FUSE` from the environment (absent = off). `Some` is
     /// taken verbatim.
-    pub fuse: Option<crate::env::FuseMode>,
+    pub fuse: Option<crate::policy::FuseMode>,
     /// Schedule drain policy, **per rank**. `None` (the default) reads
     /// `OP2_EXEC` from the environment (absent = levels). `Some` is
     /// taken verbatim.
-    pub exec: Option<crate::env::ExecMode>,
+    pub exec: Option<crate::policy::ExecMode>,
     /// Pin chunk ownership to workers in first-touch order under the
     /// dataflow drain. `None` (the default) reads `OP2_THREAD_PIN` from
     /// the environment (absent = off). `Some` is taken verbatim.
@@ -98,14 +99,14 @@ impl RunOptions {
 
     /// Cross-loop fusion policy (builder style), overriding the
     /// `OP2_FUSE` default.
-    pub fn fuse(mut self, mode: crate::env::FuseMode) -> Self {
+    pub fn fuse(mut self, mode: crate::policy::FuseMode) -> Self {
         self.fuse = Some(mode);
         self
     }
 
     /// Schedule drain policy (builder style), overriding the `OP2_EXEC`
     /// default.
-    pub fn exec(mut self, mode: crate::env::ExecMode) -> Self {
+    pub fn exec(mut self, mode: crate::policy::ExecMode) -> Self {
         self.exec = Some(mode);
         self
     }
@@ -213,58 +214,25 @@ where
     type RankYield<R> = (Option<Vec<Vec<f64>>>, RankTrace, Result<R, RankFailure>);
     let nparts = layouts.len();
     assert!(nparts >= 1);
-    // Resolve threading up front so a malformed OP2_THREADS /
-    // OP2_BLOCK_SIZE is reported once, as a typed per-rank config
-    // failure, instead of panicking inside every rank thread.
-    let config_failure = |e: crate::error::ConfigError| {
-        let traces = layouts
-            .iter()
-            .map(|l| RankTrace {
+    // Resolve the execution policy up front so a malformed OP2_* knob
+    // is reported once, as a typed per-rank config failure, instead of
+    // panicking inside every rank thread.
+    let policy = match ExecPolicy::resolve(opts, nparts) {
+        Ok(p) => p,
+        Err(e) => {
+            let rank_trace = |l: &RankLayout| RankTrace {
                 rank: l.rank,
                 ..RankTrace::default()
-            })
-            .collect();
-        let results = layouts
-            .iter()
-            .map(|l| {
-                Err(RankFailure::Failed {
-                    rank: l.rank,
-                    error: RuntimeError::Config(e.clone()),
-                })
-            })
-            .collect();
-        DistOutcome { traces, results }
-    };
-    let threading = match opts.threading {
-        Some(t) => t,
-        None => match crate::threads::Threading::try_from_env() {
-            Ok(t) => t.split_across(nparts),
-            Err(e) => return config_failure(e),
-        },
-    };
-    // Same discipline for OP2_FUSE: one typed verdict, not a per-rank
-    // panic.
-    let fuse = match opts.fuse {
-        Some(m) => m,
-        None => match crate::env::FuseMode::try_from_env() {
-            Ok(m) => m,
-            Err(e) => return config_failure(e),
-        },
-    };
-    // And for the drain-policy knobs OP2_EXEC / OP2_THREAD_PIN.
-    let exec = match opts.exec {
-        Some(m) => m,
-        None => match crate::env::ExecMode::try_from_env() {
-            Ok(m) => m,
-            Err(e) => return config_failure(e),
-        },
-    };
-    let pin = match opts.thread_pin {
-        Some(p) => p,
-        None => match crate::env::thread_pin_from_env() {
-            Ok(p) => p,
-            Err(e) => return config_failure(e),
-        },
+            };
+            let rank_failure = |l: &RankLayout| RankFailure::Failed {
+                rank: l.rank,
+                error: RuntimeError::Config(e.clone()),
+            };
+            return DistOutcome {
+                traces: layouts.iter().map(rank_trace).collect(),
+                results: layouts.iter().map(|l| Err(rank_failure(l))).collect(),
+            };
+        }
     };
     let world = match &opts.faults {
         Some(plan) => CommWorld::with_faults(nparts, plan.clone()),
@@ -282,10 +250,7 @@ where
             .map(|(comm, layout)| {
                 scope.spawn(move || {
                     let mut env = RankEnv::new(layout, dom_ref, comm);
-                    env.threads.opts = threading;
-                    env.fuse = fuse;
-                    env.exec = exec;
-                    env.pin = pin;
+                    env.policy = policy;
                     let run = catch_unwind(AssertUnwindSafe(|| program_ref(&mut env)));
                     let verdict = match run {
                         Ok(Ok(r)) => Ok(r),

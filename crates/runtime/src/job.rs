@@ -70,7 +70,7 @@ impl JobStep {
 #[derive(Debug, Clone, Default)]
 pub enum ChainDispatch {
     /// The planned Alg 2 executor ([`run_chain`]; fuses per the env's
-    /// [`FuseMode`](crate::env::FuseMode)).
+    /// [`FuseMode`](crate::policy::FuseMode)).
     #[default]
     Planned,
     /// Alg 2 plus intra-rank sparse tiling with this many tiles per rank

@@ -27,8 +27,12 @@
 //!   chains and flushes on reductions, depth pressure or length bounds.
 //! * [`plan`] — the inspector–executor plan subsystem: cached
 //!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
-//!   index lists, tile schedules) keyed by chain signature and
-//!   dirty-state class, with layout-epoch invalidation.
+//!   index lists, and every lowered schedule under one
+//!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
+//!   class, with layout-epoch invalidation.
+//! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
+//!   every typed [`ConfigError`], and the per-rank [`ExecPolicy`]
+//!   (threading, fusion, drain, pinning) resolved once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
 //!   (colored loop ranges and leveled tile plans alike) level by level,
@@ -77,6 +81,7 @@ pub mod harness;
 pub mod job;
 pub mod lazy;
 pub mod plan;
+pub mod policy;
 pub mod rebalance;
 pub mod service;
 pub mod supervise;
@@ -86,7 +91,7 @@ pub mod tuner;
 
 pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
-pub use env::{ExecMode, FuseMode, RankEnv};
+pub use env::RankEnv;
 pub use error::{ConfigError, RankFailure, RuntimeError};
 pub use exec::{
     run_chain, run_chain_relaxed, run_chain_tiled, run_chain_unplanned, run_loop, ExecHooks,
@@ -95,10 +100,13 @@ pub use exec::{
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
 pub use lazy::LazyExec;
-pub use env::{env_knob, parse_knob, parse_thread_pin, thread_pin_from_env};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, FusedChain,
-    FusedKey, PlanCache, PlanRegistry, PlanStats,
+    LoweringKey, PlanCache, PlanRegistry, PlanStats,
+};
+pub use policy::{
+    env_knob, parse_knob, parse_thread_pin, thread_pin_from_env, ExecMode, ExecPolicy, FuseMode,
+    KNOBS,
 };
 pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
@@ -113,8 +121,8 @@ pub use service::{
 };
 pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
 pub use threads::{
-    chunk_owner, measure_sync_s, run_dag, run_schedule_dataflow, run_schedule_pooled,
-    run_schedule_pooled_ctx, DataflowScratch, ExecStats, ThreadCtx, ThreadPool, Threading,
+    chunk_owner, measure_sync_s, run_dag, run_schedule_dataflow, run_schedule_pooled_ctx,
+    DataflowScratch, ExecStats, ThreadCtx, ThreadPool, Threading,
 };
 pub use trace::{
     ChainRec, ClassRec, ExchangeRec, LoopRec, RankTrace, RebalanceRec, RecoveryRec, SchedKind,

@@ -10,15 +10,21 @@
 //! A [`ChainPlan`] captures that analysis once per
 //! **(chain signature, partition layout, dirty-state class)**:
 //!
-//! * the import list (per-dat depths, strict or relaxed) and chain depth
-//!   `r`;
+//! * the import list (per-dat depths) and chain depth `r`;
 //! * per-loop latency-hiding core ends, execute-region ends, read
-//!   requirements and produced-validity transitions;
+//!   requirements and produced-validity transitions, and the validity
+//!   verdict they imply ([`ChainPlan::stale`]);
 //! * per-neighbour **pack index lists** (flattened sender-local element
 //!   indices) and receive copy ranges — the wire layout of Figure 8,
 //!   ready for `memcpy`-style pack/unpack with no per-call segment
 //!   filtering (the GPU executor stages exactly these lists);
-//! * lazily, one [`TilePlan`] per requested tile count.
+//! * lazily, every **lowering** an executor asked for — a loop range
+//!   lowered for the thread pool, the tile plan for a tile count, a
+//!   fused whole-chain schedule — in one [`LoweringCache`] under one
+//!   [`LoweringKey`], each schedule with its chunk DAG stored beside it
+//!   ([`LoweredSchedule`]). The rank's standalone-loop schedules live in
+//!   a second instance of the same cache type
+//!   ([`crate::threads::ThreadCtx`]).
 //!
 //! Plans live in a per-rank [`PlanCache`] keyed by a stable FNV-1a hash
 //! of [`ChainSpec::sigs`]-equivalent structure plus the entry-validity
@@ -31,7 +37,7 @@
 //! do **zero** re-analysis.
 
 use op2_core::chain::{produced_validity, read_requirement};
-use op2_core::par::{color_blocks_raw, conflict_accesses, BlockColoring};
+use op2_core::par::{color_blocks_raw, conflict_accesses};
 use op2_core::schedule::{
     elision_valid, Chunk, FusedGroup, Level, Piece, ScheduleKind, ScratchBind,
 };
@@ -41,7 +47,7 @@ use op2_core::tiling::{
 use op2_core::{AccessMode, Arg, ChainSpec, ChunkDag, DatId, Domain, LoopSpec, Schedule};
 use op2_partition::layout::RankLayout;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -75,60 +81,46 @@ pub fn chain_signature(chain: &ChainSpec, relaxed: bool) -> u64 {
     fnv_bytes(&mut h, chain.name.as_bytes());
     fnv_usize(&mut h, chain.loops.len());
     for (spec, &ext) in chain.loops.iter().zip(&chain.halo_ext) {
-        fnv_bytes(&mut h, spec.name.as_bytes());
-        fnv_usize(&mut h, spec.set.idx());
         fnv_usize(&mut h, ext);
-        for arg in &spec.args {
-            match arg {
-                Arg::Dat { dat, map, mode } => {
-                    fnv_bytes(&mut h, &[1u8, mode_code(*mode)]);
-                    fnv_usize(&mut h, dat.idx());
-                    match map {
-                        Some((m, i)) => {
-                            fnv_usize(&mut h, m.idx() + 1);
-                            fnv_usize(&mut h, *i as usize);
-                        }
-                        None => fnv_usize(&mut h, 0),
-                    }
-                }
-                Arg::Gbl { idx, mode } => {
-                    fnv_bytes(&mut h, &[2u8, mode_code(*mode)]);
-                    fnv_usize(&mut h, *idx as usize);
-                }
-            }
-        }
+        fnv_loop(&mut h, spec);
     }
     fnv_bytes(&mut h, &[u8::from(relaxed)]);
     h
 }
 
-/// Stable hash of one loop's structure (name, iteration set, argument
-/// access descriptors) — the standalone-loop analogue of
-/// [`chain_signature`], keying the per-rank block-coloring cache for the
-/// Alg 1 threaded path.
-pub fn loop_signature(spec: &LoopSpec) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_bytes(&mut h, spec.name.as_bytes());
-    fnv_usize(&mut h, spec.set.idx());
+/// Hash one loop's structure: name, iteration set, argument access
+/// descriptors.
+fn fnv_loop(h: &mut u64, spec: &LoopSpec) {
+    fnv_bytes(h, spec.name.as_bytes());
+    fnv_usize(h, spec.set.idx());
     for arg in &spec.args {
         match arg {
             Arg::Dat { dat, map, mode } => {
-                fnv_bytes(&mut h, &[1u8, mode_code(*mode)]);
-                fnv_usize(&mut h, dat.idx());
+                fnv_bytes(h, &[1u8, mode_code(*mode)]);
+                fnv_usize(h, dat.idx());
                 match map {
                     Some((m, i)) => {
-                        fnv_usize(&mut h, m.idx() + 1);
-                        fnv_usize(&mut h, *i as usize);
+                        fnv_usize(h, m.idx() + 1);
+                        fnv_usize(h, *i as usize);
                     }
-                    None => fnv_usize(&mut h, 0),
+                    None => fnv_usize(h, 0),
                 }
             }
             Arg::Gbl { idx, mode } => {
-                fnv_bytes(&mut h, &[2u8, mode_code(*mode)]);
-                fnv_usize(&mut h, *idx as usize);
+                fnv_bytes(h, &[2u8, mode_code(*mode)]);
+                fnv_usize(h, *idx as usize);
             }
         }
     }
+}
+
+/// Stable hash of one loop's structure (name, iteration set, argument
+/// access descriptors) — the standalone-loop analogue of
+/// [`chain_signature`], keying the rank's lowering cache for the Alg 1
+/// threaded path.
+pub fn loop_signature(spec: &LoopSpec) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv_loop(&mut h, spec);
     h
 }
 
@@ -247,61 +239,139 @@ pub struct ChainPlan {
     /// Per-neighbour pack layout, index-aligned with
     /// `layout.neighbors`.
     pub packs: Vec<NeighborPack>,
-    /// Grouped messages this rank will send (non-empty payloads).
-    pub n_msgs: usize,
-    /// Total outgoing payload bytes.
-    pub send_bytes: usize,
-    /// Largest single outgoing message in bytes.
-    pub max_msg_bytes: usize,
     /// Total incoming payload bytes (the staged-in volume).
     pub recv_bytes: usize,
-    /// Bitmask of neighbour ranks receiving a message (`min(rank,127)`).
-    pub nbr_bits: u128,
-    /// Tile plans and their lowered schedules by tile count, built
-    /// lazily on first use.
-    tiles: Mutex<HashMap<usize, Arc<TiledChain>>>,
-    /// Fused whole-chain schedules by lowering (see [`FusedKey`]), built
-    /// lazily on first fused execution — the fusion legality analysis
-    /// and the lowering are inspector work, paid once per (chain
-    /// signature, dirty class, lowering).
-    fused: Mutex<HashMap<FusedKey, Arc<FusedChain>>>,
-    /// Lowered colored schedules for the threaded executor, keyed by
-    /// `(loop position, start, end, block size)` and built lazily on
-    /// first threaded execution of that range — the coloring is
-    /// inspector work, paid once per plan like the tile schedules.
-    colorings: Mutex<HashMap<ColoringKey, Arc<Schedule>>>,
-    /// Chunk dependency DAGs for the dataflow executor, one per lowered
-    /// schedule this plan owns (colored, tiled core/post, fused), built
-    /// lazily on first dataflow drain. Keyed by the schedule's identity
-    /// — schedules are themselves cached one-per-lowering-key, so this
-    /// is one DAG per lowering. Each entry pins its schedule `Arc`, so
-    /// a key can never be reused by a reallocation while it is live,
-    /// and the DAGs drop with the plan on epoch invalidation.
-    dags: Mutex<DagCache>,
+    /// Reads the chain makes beyond what will be valid when they happen,
+    /// in loop order — pre-simulated from the entry validity (which the
+    /// dirty class pins), `import`, `reqs` and `produces`, so it equals
+    /// what a live post-wait check would find. A strict executor fails
+    /// on the first ([`crate::error::RuntimeError::Validity`]); a relaxed
+    /// one reports the count as `stale_reads`.
+    pub stale: Vec<StaleRead>,
+    /// Every lowering built for this plan so far (inspector work, paid
+    /// once per key), dropped with the plan on epoch invalidation.
+    pub lowered: LoweringCache,
 }
 
-/// Schedule-identity-keyed DAG cache: each entry pins the schedule
-/// `Arc` whose address keys it.
-pub type DagCache = HashMap<usize, (Arc<Schedule>, Arc<ChunkDag>)>;
+/// One under-valid read found by the plan's validity pre-simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaleRead {
+    /// Chain position of the reading loop.
+    pub pos: usize,
+    /// The dat read.
+    pub dat: DatId,
+    /// Halo depth the loop requires.
+    pub need: u8,
+    /// Halo depth valid at that point.
+    pub have: u8,
+}
 
-/// Key of a cached colored schedule: `(loop position, start, end, block
-/// size)`.
-pub type ColoringKey = (usize, usize, usize, usize);
+/// Which lowering a [`LoweringCache`] entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LoweringKey {
+    /// Iterations `[start, end)` of one loop lowered for the thread pool
+    /// ([`op2_core::par::thread_schedule`]) at `block` iterations per
+    /// colored block. `owner` is the loop's chain position in a
+    /// [`ChainPlan`]'s cache and its [`loop_signature`] in the rank's
+    /// standalone-loop cache.
+    Range {
+        /// Chain position or loop signature.
+        owner: u64,
+        /// First iteration.
+        start: usize,
+        /// One past the last iteration.
+        end: usize,
+        /// Colored-fallback block size.
+        block: usize,
+    },
+    /// The chain's tile plan for this many tiles per rank.
+    Tiled(usize),
+    /// The fused chain as direct range interleaving (one sequential
+    /// chunk).
+    FusedDirect,
+    /// The fused chain block-colored at this block size.
+    FusedColored(usize),
+    /// The fused chain over the tile plan for this many tiles.
+    FusedTiled(usize),
+}
 
-/// Lowering key of a cached fused schedule: `(0, 0)` = direct (one
-/// sequential chunk), `(1, block_size)` = colored, `(2, n_tiles)` =
-/// tiled.
-pub type FusedKey = (u8, usize);
+/// A lowered schedule with its chunk dependency DAG stored beside it,
+/// built on the first dataflow drain — one DAG per lowering, living and
+/// dying with its schedule.
+#[derive(Debug)]
+pub struct LoweredSchedule {
+    sched: Schedule,
+    dag: OnceLock<ChunkDag>,
+}
+
+impl LoweredSchedule {
+    /// Wrap a freshly lowered schedule (no DAG yet).
+    pub fn new(sched: Schedule) -> Self {
+        LoweredSchedule {
+            sched,
+            dag: OnceLock::new(),
+        }
+    }
+
+    /// The schedule's chunk DAG, running `build` only on first request.
+    pub fn dag(&self, build: impl FnOnce(&Schedule) -> ChunkDag) -> &ChunkDag {
+        self.dag.get_or_init(|| build(&self.sched))
+    }
+}
+
+impl std::ops::Deref for LoweredSchedule {
+    type Target = Schedule;
+    fn deref(&self) -> &Schedule {
+        &self.sched
+    }
+}
+
+/// What a [`LoweringCache`] holds under a [`LoweringKey`]: a `Range` key
+/// holds one schedule, a `Tiled` key the tile plan with its schedules, a
+/// `Fused*` key the fused schedule with its elision facts.
+#[derive(Debug, Clone)]
+pub enum Lowered {
+    /// One loop range's pool schedule.
+    Range(Arc<LoweredSchedule>),
+    /// A tile plan and its full / core / post schedules.
+    Tiled(Arc<TiledChain>),
+    /// A fused whole-chain schedule.
+    Fused(Arc<FusedChain>),
+}
+
+/// The one cache of lowered schedules: key → lowering, each entry built
+/// at most once per cache. Held by every [`ChainPlan`] (chain lowerings)
+/// and by the rank's [`crate::threads::ThreadCtx`] (standalone loops).
+#[derive(Debug, Default)]
+pub struct LoweringCache {
+    map: Mutex<HashMap<LoweringKey, Lowered>>,
+}
+
+impl LoweringCache {
+    /// The lowering under `key`, running `build` on a miss. Returns
+    /// `(lowering, built)`. The lock is not held while building — a
+    /// build may itself consult the cache (the fused-tiled lowering
+    /// starts from the tiled one).
+    pub fn get_or_build(&self, key: LoweringKey, build: impl FnOnce() -> Lowered) -> (Lowered, bool) {
+        let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
+        if let Some(low) = hit {
+            return (low, false);
+        }
+        let fresh = build();
+        let mut map = self.map.lock().expect("lowering cache poisoned");
+        (map.entry(key).or_insert(fresh).clone(), true)
+    }
+}
 
 /// A whole-chain fused schedule for one lowering, plus the facts the
-/// fused executor and the profit arm need: which intermediates were
-/// actually elided (scratch-resident, never written to memory) and how
-/// much memory traffic that removes per invocation. Built once per
+/// fused executor and the lowering decision need: which intermediates
+/// were actually elided (scratch-resident, never written to memory) and
+/// how much memory traffic that removes per invocation. Built once per
 /// ([`ChainPlan`], lowering) and cached — see [`ChainPlan::fused_chain`].
 #[derive(Debug)]
 pub struct FusedChain {
     /// The fused leveled schedule over the whole chain.
-    pub sched: Arc<Schedule>,
+    pub sched: LoweredSchedule,
     /// Per chain loop: fusion group membership (the legality analysis's
     /// verdict; `None` = the loop runs unfused).
     pub group_of: Vec<Option<usize>>,
@@ -326,15 +396,16 @@ pub struct FusedChain {
 pub struct TiledChain {
     /// The leveled tile plan itself.
     pub tiles: Arc<TilePlan>,
-    /// Full schedule over every tile (the non-overlapping executor).
-    pub sched: Arc<Schedule>,
+    /// Full schedule over every tile (what the fused-tiled lowering and
+    /// the tuner's barrier count start from).
+    pub sched: LoweredSchedule,
     /// Overlap-eligible tiles only — footprint inside every loop's core
     /// region and demotion-closed against earlier post tiles, so they
     /// may run while the grouped exchange is in flight.
-    pub core: Arc<Schedule>,
+    pub core: LoweredSchedule,
     /// The remaining tiles, run after the wait. Core then post replays
     /// the full plan's conflict order exactly.
-    pub post: Arc<Schedule>,
+    pub post: LoweredSchedule,
     /// Number of overlap-eligible tiles (`core`'s chunk count).
     pub n_core_tiles: usize,
 }
@@ -356,14 +427,16 @@ impl ChainPlan {
         let depth = chain.max_halo_layers();
         let sigs = chain.sigs();
         let entry = |d: DatId| valid[d.idx()] as usize;
-        let import: Vec<(DatId, u8)> = if relaxed {
+        // The relaxed import analysis in both modes: on consistent
+        // extents it equals the strict one, and where a pinned extent is
+        // too small it deepens the import instead of panicking — strict
+        // executors then refuse the chain through `stale` (typed), rather
+        // than the inspector killing the rank.
+        let import: Vec<(DatId, u8)> =
             op2_core::chain::import_depths_relaxed(&sigs, &chain.halo_ext, &entry)
-        } else {
-            op2_core::chain::import_depths(&sigs, &chain.halo_ext, &entry)
-        }
-        .into_iter()
-        .map(|(d, t)| (d, t as u8))
-        .collect();
+                .into_iter()
+                .map(|(d, t)| (d, t as u8))
+                .collect();
 
         let core_depths = if relaxed {
             vec![1usize; chain.len()]
@@ -398,12 +471,28 @@ impl ChainPlan {
             produces.push(p);
         }
 
+        // Validity pre-simulation: the wait raises every import to its
+        // depth, then requirements are met (or not) in loop order as
+        // each loop's produced validity lands.
+        let mut sim = valid.to_vec();
+        for &(d, t) in &import {
+            sim[d.idx()] = sim[d.idx()].max(t);
+        }
+        let mut stale = Vec::new();
+        for (pos, (r, p)) in reqs.iter().zip(&produces).enumerate() {
+            for &(dat, need) in r {
+                let have = sim[dat.idx()];
+                if have < need {
+                    stale.push(StaleRead { pos, dat, need, have });
+                }
+            }
+            for &(d, v) in p {
+                sim[d.idx()] = v;
+            }
+        }
+
         let mut packs = Vec::with_capacity(layout.neighbors.len());
-        let mut n_msgs = 0usize;
-        let mut send_bytes = 0usize;
-        let mut max_msg_bytes = 0usize;
         let mut recv_bytes = 0usize;
-        let mut nbr_bits = 0u128;
         for nbr in &layout.neighbors {
             let mut send = Vec::with_capacity(import.len());
             let mut recv = Vec::with_capacity(import.len());
@@ -428,12 +517,6 @@ impl ChainPlan {
                 }
                 recv.push(ranges);
             }
-            if s64 > 0 {
-                n_msgs += 1;
-                send_bytes += s64 * 8;
-                max_msg_bytes = max_msg_bytes.max(s64 * 8);
-                nbr_bits |= 1u128 << nbr.rank.min(127);
-            }
             recv_bytes += r64 * 8;
             packs.push(NeighborPack {
                 rank: nbr.rank,
@@ -457,93 +540,32 @@ impl ChainPlan {
             reqs,
             produces,
             packs,
-            n_msgs,
-            send_bytes,
-            max_msg_bytes,
             recv_bytes,
-            nbr_bits,
-            tiles: Mutex::new(HashMap::new()),
-            colorings: Mutex::new(HashMap::new()),
-            fused: Mutex::new(HashMap::new()),
-            dags: Mutex::new(HashMap::new()),
+            stale,
+            lowered: LoweringCache::default(),
         }
     }
 
-    /// Cached chunk dependency DAG for one of this plan's lowered
-    /// schedules, if a dataflow drain already built it.
-    pub fn cached_dag(&self, sched: &Arc<Schedule>) -> Option<Arc<ChunkDag>> {
-        self.dags
-            .lock()
-            .expect("dag cache poisoned")
-            .get(&(Arc::as_ptr(sched) as usize))
-            .map(|(_, d)| Arc::clone(d))
-    }
-
-    /// Store a freshly built chunk dependency DAG for `sched` (pinning
-    /// the schedule so the identity key stays unique).
-    pub fn store_dag(&self, sched: &Arc<Schedule>, dag: Arc<ChunkDag>) {
-        self.dags.lock().expect("dag cache poisoned").insert(
-            Arc::as_ptr(sched) as usize,
-            (Arc::clone(sched), dag),
-        );
-    }
-
-    /// Cached colored schedule for `(loop position, start, end, block
-    /// size)`, if a threaded execution of that range already lowered
-    /// one.
-    pub fn cached_schedule(&self, key: ColoringKey) -> Option<Arc<Schedule>> {
-        self.colorings
-            .lock()
-            .expect("schedule cache poisoned")
-            .get(&key)
-            .cloned()
-    }
-
-    /// Store a freshly lowered colored schedule under `key`.
-    pub fn store_schedule(&self, key: ColoringKey, sched: Arc<Schedule>) {
-        self.colorings
-            .lock()
-            .expect("schedule cache poisoned")
-            .insert(key, sched);
-    }
-
-    /// Grouped message size `m^r` of Eq 4 on this rank: the largest
-    /// incoming grouped payload over neighbours, in bytes.
-    pub fn m_r_bytes(&self) -> usize {
-        self.packs
-            .iter()
-            .map(|p| p.recv_f64s * 8)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The tile schedule for `n_tiles` intra-rank tiles, built on first
-    /// request and cached inside the plan. Returns `(plan, built)` —
-    /// `built` is true when this call ran the tiling inspection (the
-    /// caller records it as a tile-plan miss).
-    pub fn tile_plan(
-        &self,
-        layout: &RankLayout,
-        chain: &ChainSpec,
-        n_tiles: usize,
-    ) -> (Arc<TilePlan>, bool) {
-        let (tc, built) = self.tile_schedule(layout, chain, n_tiles);
-        (Arc::clone(&tc.tiles), built)
-    }
-
-    /// [`ChainPlan::tile_plan`] plus the plan's lowered schedules (full
-    /// and core/post overlap split) — all cached together, so repeat
-    /// tiled invocations neither re-inspect nor re-lower.
+    /// The tile plan for `n_tiles` intra-rank tiles with its lowered
+    /// schedules (full and core/post overlap split), built on first
+    /// request and cached together, so repeat tiled invocations neither
+    /// re-inspect nor re-lower. Returns `(tiled, built)` — `built` is
+    /// true when this call ran the tiling inspection (the caller records
+    /// it as a tile-plan miss).
     pub fn tile_schedule(
         &self,
         layout: &RankLayout,
         chain: &ChainSpec,
         n_tiles: usize,
     ) -> (Arc<TiledChain>, bool) {
-        let mut tiles = self.tiles.lock().expect("tile cache poisoned");
-        if let Some(tc) = tiles.get(&n_tiles) {
-            return (Arc::clone(tc), false);
+        let build = || Lowered::Tiled(Arc::new(self.build_tiled(layout, chain, n_tiles)));
+        match self.lowered.get_or_build(LoweringKey::Tiled(n_tiles), build) {
+            (Lowered::Tiled(tc), built) => (tc, built),
+            _ => unreachable!("a Tiled key holds a tiled lowering"),
         }
+    }
+
+    fn build_tiled(&self, layout: &RankLayout, chain: &ChainSpec, n_tiles: usize) -> TiledChain {
         let sigs = chain.sigs();
         let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
         // Seed through the first loop's map targets when it has one:
@@ -576,23 +598,21 @@ impl ChainPlan {
             &self.exec_end,
             &seed,
         ));
-        let sched = Arc::new(Schedule::from_tile_plan(&tp));
+        let sched = LoweredSchedule::new(Schedule::from_tile_plan(&tp));
         // The overlap split: tiles whose footprint sits inside every
         // loop's core region run while the exchange is in flight.
         let keep = overlap_core_tiles(&set_sizes, &layout.maps, &sigs, &tp, &self.core_end);
         let n_core_tiles = keep.iter().filter(|&&k| k).count();
-        let core = Arc::new(Schedule::from_tile_plan_subset(&tp, &keep));
+        let core = LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, &keep));
         let not_keep: Vec<bool> = keep.iter().map(|&k| !k).collect();
-        let post = Arc::new(Schedule::from_tile_plan_subset(&tp, &not_keep));
-        let tc = Arc::new(TiledChain {
+        let post = LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, &not_keep));
+        TiledChain {
             tiles: tp,
             sched,
             core,
             post,
             n_core_tiles,
-        });
-        tiles.insert(n_tiles, Arc::clone(&tc));
-        (tc, true)
+        }
     }
 
     /// The fused whole-chain schedule for one lowering, built on first
@@ -601,8 +621,9 @@ impl ChainPlan {
     /// lowering (a fused-schedule miss).
     ///
     /// The build runs [`ChainSpec::fusion`] (legality analysis), lowers
-    /// per `key` — direct range interleaving, union-conflict block
-    /// coloring, or the cached tile schedule put through
+    /// per `key` (a `Fused*` one) — direct range interleaving,
+    /// union-conflict block coloring, or the cached tile schedule put
+    /// through
     /// [`Schedule::fuse`] — then re-verifies scratch elision against the
     /// *actual* pieces ([`elision_valid`]): a lowering that left any
     /// consumer piece unfused keeps the fusion but write-throughs the
@@ -613,16 +634,26 @@ impl ChainPlan {
         layout: &RankLayout,
         dom: &Domain,
         chain: &ChainSpec,
-        key: FusedKey,
+        key: LoweringKey,
     ) -> (Arc<FusedChain>, bool) {
-        let mut cache = self.fused.lock().expect("fused cache poisoned");
-        if let Some(fc) = cache.get(&key) {
-            return (Arc::clone(fc), false);
+        let build = || Lowered::Fused(Arc::new(self.build_fused(layout, dom, chain, key)));
+        match self.lowered.get_or_build(key, build) {
+            (Lowered::Fused(fc), built) => (fc, built),
+            _ => panic!("{key:?} is not a fused lowering"),
         }
+    }
+
+    fn build_fused(
+        &self,
+        layout: &RankLayout,
+        dom: &Domain,
+        chain: &ChainSpec,
+        key: LoweringKey,
+    ) -> FusedChain {
         let fp = chain.fusion();
         let groups = fused_groups_for(chain, dom, &fp);
         let mut sched = match key {
-            (1, block) => colored_fused(
+            LoweringKey::FusedColored(block) => colored_fused(
                 layout,
                 chain,
                 &self.exec_end,
@@ -630,9 +661,9 @@ impl ChainPlan {
                 groups,
                 &fp.group_of,
             ),
-            (2, n_tiles) => {
+            LoweringKey::FusedTiled(n_tiles) => {
                 let (tc, _) = self.tile_schedule(layout, chain, n_tiles);
-                tc.sched.as_ref().clone().fuse(groups, &fp.group_of)
+                Schedule::clone(&tc.sched).fuse(groups, &fp.group_of)
             }
             _ => Schedule::chain_ranges_fused(&self.exec_end, groups, &fp.group_of),
         };
@@ -655,15 +686,13 @@ impl ChainPlan {
                 elided.push(d);
             }
         }
-        let fc = Arc::new(FusedChain {
+        FusedChain {
             fused_pieces: sched.n_fused_pieces() as u64,
             group_of: fp.group_of,
             elided,
             elided_bytes,
-            sched: Arc::new(sched),
-        });
-        cache.insert(key, Arc::clone(&fc));
-        (fc, true)
+            sched: LoweredSchedule::new(sched),
+        }
     }
 }
 
@@ -731,7 +760,13 @@ fn colored_fused(
     let sigs = chain.sigs();
     let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
     let mut levels: Vec<Level> = Vec::new();
-    fn push_colored(levels: &mut Vec<Level>, bc: &BlockColoring, piece: &dyn Fn(u32, u32) -> Piece) {
+    // Color `[lo, hi)` under the union of `members`' conflict accesses:
+    // one level per color, one `piece(start, end)` chunk per block.
+    let mut color = |members: &[u32], lo: usize, hi: usize, piece: &dyn Fn(u32, u32) -> Piece| {
+        let acc: Vec<_> = (members.iter())
+            .flat_map(|&m| conflict_accesses(&layout.maps, &sigs[m as usize]))
+            .collect();
+        let bc = color_blocks_raw(lo, hi, block, &set_sizes, &acc);
         for bucket in &bc.by_color {
             let chunks: Vec<Chunk> = bucket
                 .iter()
@@ -744,47 +779,25 @@ fn colored_fused(
                 levels.push(Level { chunks });
             }
         }
-    }
+    };
+    let range_of = |loop_idx: u32| move |start, end| Piece::Range { loop_idx, start, end };
     let mut j = 0usize;
     while j < sigs.len() {
         match group_of[j] {
             Some(g) if groups[g].loops.first() == Some(&(j as u32)) => {
                 let members = &groups[g].loops;
                 let common = members.iter().map(|&m| ends[m as usize]).min().unwrap_or(0);
-                let mut acc = Vec::new();
+                let group = g as u32;
+                color(members, 0, common, &|start, end| Piece::Fused { group, start, end });
                 for &m in members {
-                    acc.extend(conflict_accesses(&layout.maps, &sigs[m as usize]));
-                }
-                let bc = color_blocks_raw(0, common, block, &set_sizes, &acc);
-                let gu = g as u32;
-                push_colored(&mut levels, &bc, &|s, e| Piece::Fused {
-                    group: gu,
-                    start: s,
-                    end: e,
-                });
-                for &m in members {
-                    let end_m = ends[m as usize];
-                    if end_m > common {
-                        let acc_m = conflict_accesses(&layout.maps, &sigs[m as usize]);
-                        let bc = color_blocks_raw(common, end_m, block, &set_sizes, &acc_m);
-                        push_colored(&mut levels, &bc, &|s, e| Piece::Range {
-                            loop_idx: m,
-                            start: s,
-                            end: e,
-                        });
+                    if ends[m as usize] > common {
+                        color(&[m], common, ends[m as usize], &range_of(m));
                     }
                 }
                 j += members.len();
             }
             _ => {
-                let acc = conflict_accesses(&layout.maps, &sigs[j]);
-                let bc = color_blocks_raw(0, ends[j], block, &set_sizes, &acc);
-                let ju = j as u32;
-                push_colored(&mut levels, &bc, &|s, e| Piece::Range {
-                    loop_idx: ju,
-                    start: s,
-                    end: e,
-                });
+                color(&[j as u32], 0, ends[j], &range_of(j as u32));
                 j += 1;
             }
         }
@@ -858,9 +871,8 @@ impl PlanStats {
 /// chain signature, dirty class)` — a [`ChainPlan`] is built against one
 /// rank's layout, so sharing is across *jobs* on the same mesh, not
 /// across ranks. Values are the same `Arc<ChainPlan>`s the per-rank
-/// [`PlanCache`] holds; a plan's interior tile/coloring caches are
-/// mutex-guarded, so the lazily built tile schedules and lowered
-/// colorings are shared (and warmed) across jobs too.
+/// [`PlanCache`] holds; a plan's [`LoweringCache`] is mutex-guarded, so
+/// the lazily built lowerings are shared (and warmed) across jobs too.
 ///
 /// Epoch invalidation is preserved: [`PlanCache::bump_epoch`] on a
 /// registry-attached cache drops the mesh's registry entries along with
@@ -1163,13 +1175,69 @@ mod tests {
         let layout = &f.layouts[0];
         let valid = vec![0u8; f.mesh.dom.n_dats()];
         let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
-        let (t1, built1) = plan.tile_plan(layout, &f.chain, 4);
+        let (t1, built1) = plan.tile_schedule(layout, &f.chain, 4);
         assert!(built1);
-        let (t2, built2) = plan.tile_plan(layout, &f.chain, 4);
+        let (t2, built2) = plan.tile_schedule(layout, &f.chain, 4);
         assert!(!built2);
-        assert!(Arc::ptr_eq(&t1, &t2));
-        let (_, built3) = plan.tile_plan(layout, &f.chain, 2);
+        assert!(Arc::ptr_eq(&t1.tiles, &t2.tiles));
+        let (_, built3) = plan.tile_schedule(layout, &f.chain, 2);
         assert!(built3, "a different tile count is a fresh schedule");
+    }
+
+    /// The one lowering cache: the same key yields the same `Arc`, a
+    /// schedule's DAG is built once and lives beside it, the fused-tiled
+    /// lowering shares the tiled entry it starts from, and an epoch bump
+    /// drops schedules and DAGs together with their plan.
+    #[test]
+    fn lowering_cache_shares_entries_and_dags_and_drops_with_the_plan() {
+        let (f, _) = fusable_fix();
+        let comm = CommWorld::new(1).into_ranks().remove(0);
+        let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
+        let plan = plan_for(&mut env, &f.chain, false);
+
+        let key = LoweringKey::Range {
+            owner: 0,
+            start: 0,
+            end: 8,
+            block: 4,
+        };
+        let builds = std::cell::Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 8))))
+        };
+        let (Lowered::Range(a), true) = plan.lowered.get_or_build(key, build) else {
+            panic!("first lookup must build a range lowering");
+        };
+        let (Lowered::Range(b), false) = plan.lowered.get_or_build(key, build) else {
+            panic!("second lookup must hit");
+        };
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(builds.get(), 1);
+
+        // The DAG is stored with its schedule: built once, same object
+        // on every later request, whoever holds the lowering.
+        let dag_builds = std::cell::Cell::new(0);
+        let build_dag = |sched: &Schedule| {
+            dag_builds.set(dag_builds.get() + 1);
+            ChunkDag::build(sched, &[], &[Vec::new()])
+        };
+        let d1: *const ChunkDag = a.dag(build_dag);
+        let d2: *const ChunkDag = b.dag(build_dag);
+        assert_eq!((d1, dag_builds.get()), (d2, 1));
+
+        // Fused-tiled is built from the tiled entry, not a second tiling.
+        let _ = plan.fused_chain(&f.layouts[0], &f.mesh.dom, &f.chain, LoweringKey::FusedTiled(3));
+        let (_, built) = plan.tile_schedule(&f.layouts[0], &f.chain, 3);
+        assert!(!built, "the fused-tiled build must have cached the tiling");
+
+        // Epoch bump: the plan cache lets go of the plan, and with it
+        // every schedule and DAG.
+        let schedule = Arc::downgrade(&a);
+        drop((a, b, plan));
+        assert!(schedule.upgrade().is_some(), "the cached plan keeps its lowerings alive");
+        env.plans.bump_epoch();
+        assert!(schedule.upgrade().is_none(), "epoch bump must drop schedule and DAG");
     }
 
     /// A fusable stage→apply pair with a declared scratch intermediate,
@@ -1222,7 +1290,7 @@ mod tests {
         let valid = vec![0u8; f.mesh.dom.n_dats()];
         let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
 
-        let (fc, built) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, (0, 0));
+        let (fc, built) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
         assert!(built);
         assert!(fc.fused_pieces > 0, "direct lowering must fuse the pair");
         assert_eq!(fc.elided, vec![tmp]);
@@ -1231,13 +1299,13 @@ mod tests {
         assert_eq!(fc.elided_bytes, common * 8 * 2);
         assert_eq!(fc.sched.scratch_pool_len(), 1);
 
-        let (fc2, built2) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, (0, 0));
+        let (fc2, built2) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
         assert!(!built2);
         assert!(Arc::ptr_eq(&fc, &fc2), "same key must share the schedule");
 
         // The colored lowering is a distinct cache entry but fuses and
         // elides identically (direct loops: one color, aligned blocks).
-        let (fc3, built3) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, (1, 8));
+        let (fc3, built3) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedColored(8));
         assert!(built3, "a different key is a fresh schedule");
         assert!(fc3.fused_pieces > 0);
         assert_eq!(fc3.elided, vec![tmp]);
@@ -1251,7 +1319,7 @@ mod tests {
         let layout = &f.layouts[0];
         let valid = vec![0u8; f.mesh.dom.n_dats()];
         let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
-        let (fc, _) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, (0, 0));
+        let (fc, _) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
         assert_eq!(fc.fused_pieces, 0);
         assert!(fc.elided.is_empty());
         assert_eq!(fc.elided_bytes, 0);

@@ -1,0 +1,297 @@
+//! Runtime configuration: the `OP2_*` knob table and the resolved
+//! per-rank execution policy.
+//!
+//! [`KNOBS`] is the one registry of environment knobs — name, accepted
+//! grammar, default, one-line doc. Every parser in the crate names its
+//! entry through [`parse_knob`], so a malformed value is the same typed
+//! [`ConfigError`] whichever knob it came from, and README's
+//! "Environment knobs" table is checked against the registry by a unit
+//! test. [`ExecPolicy`] is the four per-rank knobs a chain executor
+//! consults, resolved once per run from [`RunOptions`] and the
+//! environment ([`ExecPolicy::resolve`]) and installed as
+//! [`crate::env::RankEnv::policy`].
+
+use crate::error::ConfigError;
+use crate::harness::RunOptions;
+use crate::threads::Threading;
+
+/// One `OP2_*` environment knob.
+#[derive(Debug)]
+pub struct Knob {
+    /// The environment variable.
+    pub name: &'static str,
+    /// Accepted grammar, as [`ConfigError`] reports it.
+    pub expected: &'static str,
+    /// Behaviour when the variable is unset.
+    pub default: &'static str,
+    /// What the knob controls.
+    pub doc: &'static str,
+}
+
+const fn knob(
+    name: &'static str,
+    expected: &'static str,
+    default: &'static str,
+    doc: &'static str,
+) -> Knob {
+    Knob { name, expected, default, doc }
+}
+
+/// Every environment knob the runtime reads: name, grammar, default,
+/// meaning.
+#[rustfmt::skip]
+pub const KNOBS: &[Knob] = &[
+    knob("OP2_THREADS", "auto|0|N", "1",
+        "kernel threads per node, split across in-process ranks (`0`/`auto` = all cores)"),
+    knob("OP2_BLOCK_SIZE", "auto or a positive integer", "256",
+        "iterations per block of the colored fallback lowering (`auto` = per-loop adaptive)"),
+    knob("OP2_FUSE", "on|off|auto", "off",
+        "cross-loop fusion: `on` fuses every legal chain, `auto` only when the elided traffic exceeds the exchanged payload"),
+    knob("OP2_EXEC", "levels|dataflow|auto", "levels",
+        "schedule drain: one barrier per level, per-chunk dependency counters, or the profit model's pick per schedule"),
+    knob("OP2_THREAD_PIN", "0|1|true|false|on|off", "0",
+        "under the dataflow drain, pin contiguous chunk ranges to their first-touch worker instead of round-robin"),
+    knob("OP2_TUNER", "auto|op2|ca|tiled", "auto",
+        "force the adaptive dispatcher's backend instead of calibrating per chain"),
+    knob("OP2_CKPT_EVERY", "a positive integer", "1",
+        "checkpoint cadence (chain completions) of supervised runs and service jobs"),
+    knob("OP2_SERVE_MAX_INFLIGHT", "a positive integer", "8",
+        "service admission limit; submissions beyond it are rejected with `ServiceError::Saturated`"),
+    knob("OP2_SERVE_BATCH", "0|1|true|false", "1",
+        "run same-shape batch jobs back-to-back on hot plans and pools"),
+    knob("OP2_REBALANCE_THRESHOLD", "a finite number >= 1", "1.25",
+        "max/mean windowed load ratio that triggers a migration"),
+    knob("OP2_REBALANCE_WINDOW", "a positive integer", "8",
+        "most-recent trace units aggregated into the load estimate"),
+];
+
+/// Parse one knob's raw value (`None` = variable unset, caller applies
+/// the default). Pure — no environment access — so configuration is
+/// validated once at startup and tests cover every malformed shape
+/// without mutating process state. `parse` returning `None` means the
+/// value is malformed: a typed [`ConfigError`] built from the knob's
+/// [`KNOBS`] entry instead of a silent fallback or a panic inside a rank
+/// thread. Panics if `name` is not registered (a program error).
+pub fn parse_knob<T>(
+    name: &str,
+    raw: Option<&str>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    let knob = KNOBS
+        .iter()
+        .find(|k| k.name == name)
+        .unwrap_or_else(|| panic!("`{name}` is not in the KNOBS table"));
+    match raw {
+        None => Ok(None),
+        Some(v) => parse(v).map(Some).ok_or_else(|| ConfigError {
+            knob: knob.name,
+            expected: knob.expected,
+            value: v.to_string(),
+        }),
+    }
+}
+
+/// [`parse_knob`] on the process environment.
+pub fn env_knob<T>(
+    name: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    parse_knob(name, std::env::var(name).ok().as_deref(), parse)
+}
+
+/// Cross-loop fusion policy (`OP2_FUSE`): whether chain executors may
+/// replace the per-loop walk with a fused whole-chain schedule that runs
+/// every fusable kernel back-to-back per element, keeping elidable
+/// intermediates in per-worker scratch instead of memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FuseMode {
+    /// Always run fused when the chain has at least one fusable group.
+    On,
+    /// Never fuse (the default: fusion trades away exchange/compute
+    /// overlap, so it must be asked for or predicted profitable).
+    #[default]
+    Off,
+    /// Fuse only when the elided intermediate traffic exceeds the
+    /// exchanged payload whose overlap the fused executor forgoes.
+    Auto,
+}
+
+impl FuseMode {
+    fn grammar(v: &str) -> Option<FuseMode> {
+        match v.to_ascii_lowercase().as_str() {
+            "on" | "1" | "true" => Some(FuseMode::On),
+            "off" | "0" | "false" => Some(FuseMode::Off),
+            "auto" => Some(FuseMode::Auto),
+            _ => None,
+        }
+    }
+
+    /// Parse an `OP2_FUSE`-style value: `on` / `off` / `auto`
+    /// (case-insensitive; `None` = unset → `Off`).
+    pub fn parse(raw: Option<&str>) -> Result<FuseMode, ConfigError> {
+        Ok(parse_knob("OP2_FUSE", raw, Self::grammar)?.unwrap_or_default())
+    }
+
+    /// [`FuseMode::parse`] on the `OP2_FUSE` environment variable.
+    pub fn try_from_env() -> Result<FuseMode, ConfigError> {
+        Ok(env_knob("OP2_FUSE", Self::grammar)?.unwrap_or_default())
+    }
+}
+
+/// Schedule drain policy (`OP2_EXEC`): how pooled executors drain a
+/// lowered [`op2_core::Schedule`] — one barriered pool round per level,
+/// or the dataflow executor ([`crate::threads::run_dag`]) where each
+/// chunk fires the moment its dependency counter reaches zero. Results
+/// are bitwise identical either way (the chunk DAG orders every
+/// conflicting pair in sequential order), only the synchronisation shape
+/// differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// Level-synchronous draining — one pool barrier per level (the
+    /// default: matches the paper's executor, and wide shallow
+    /// schedules lose nothing to barriers).
+    #[default]
+    Levels,
+    /// Always drain through the dataflow executor: per-chunk dependency
+    /// counters, owner-first deques, LIFO steal-from-richest stealing.
+    Dataflow,
+    /// Let the calibrated cost model decide per schedule
+    /// ([`op2_model::classify_exec`]): critical-path depth priced
+    /// against barrier count × the rank's measured sync cost.
+    Auto,
+}
+
+impl ExecMode {
+    fn grammar(v: &str) -> Option<ExecMode> {
+        match v.to_ascii_lowercase().as_str() {
+            "levels" => Some(ExecMode::Levels),
+            "dataflow" => Some(ExecMode::Dataflow),
+            "auto" => Some(ExecMode::Auto),
+            _ => None,
+        }
+    }
+
+    /// Parse an `OP2_EXEC`-style value: `levels` / `dataflow` / `auto`
+    /// (case-insensitive; `None` = unset → `Levels`).
+    pub fn parse(raw: Option<&str>) -> Result<ExecMode, ConfigError> {
+        Ok(parse_knob("OP2_EXEC", raw, Self::grammar)?.unwrap_or_default())
+    }
+
+    /// [`ExecMode::parse`] on the `OP2_EXEC` environment variable.
+    pub fn try_from_env() -> Result<ExecMode, ConfigError> {
+        Ok(env_knob("OP2_EXEC", Self::grammar)?.unwrap_or_default())
+    }
+}
+
+fn pin_grammar(v: &str) -> Option<bool> {
+    match v.to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => Some(true),
+        "0" | "false" | "off" => Some(false),
+        _ => None,
+    }
+}
+
+/// Parse an `OP2_THREAD_PIN`-style value: a boolean (`1`/`0`/`true`/
+/// `false`/`on`/`off`, case-insensitive; `None` = unset → `false`).
+/// When set, the dataflow executor pins chunk ownership to workers in
+/// first-touch (contiguous level-major range) order, so the pages a
+/// worker's chunks touch stay hot in that worker's cache across drains.
+pub fn parse_thread_pin(raw: Option<&str>) -> Result<bool, ConfigError> {
+    Ok(parse_knob("OP2_THREAD_PIN", raw, pin_grammar)?.unwrap_or(false))
+}
+
+/// [`parse_thread_pin`] on the `OP2_THREAD_PIN` environment variable.
+pub fn thread_pin_from_env() -> Result<bool, ConfigError> {
+    Ok(env_knob("OP2_THREAD_PIN", pin_grammar)?.unwrap_or(false))
+}
+
+/// The per-rank execution policy every executor consults: how wide the
+/// rank's pool is, whether chains may fuse, how schedules drain. The
+/// default is what every knob means when unset: sequential, unfused,
+/// level-synchronous, unpinned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ExecPolicy {
+    /// Intra-rank threading (the only home of the configuration; the
+    /// rank's [`crate::threads::ThreadCtx`] holds state, not policy).
+    pub threading: Threading,
+    /// Cross-loop fusion policy for chain executors.
+    pub fuse: FuseMode,
+    /// Schedule drain policy for pooled executions.
+    pub exec: ExecMode,
+    /// Pin chunk ownership to workers in first-touch order under the
+    /// dataflow drain.
+    pub pin: bool,
+}
+
+impl ExecPolicy {
+    /// Resolve the policy of one run: each `Some` in `opts` is taken
+    /// verbatim, each `None` falls back to its environment knob — the
+    /// one place that fallback is written. An environment-derived thread
+    /// budget is node-wide and is divided across the `n_ranks`
+    /// co-located ranks ([`Threading::split_across`]); an explicit
+    /// [`RunOptions::threading`] is already per rank.
+    pub fn resolve(opts: &RunOptions, n_ranks: usize) -> Result<ExecPolicy, ConfigError> {
+        let env_threads = || Ok(Threading::try_from_env()?.split_across(n_ranks));
+        Ok(ExecPolicy {
+            threading: opts.threading.map_or_else(env_threads, Ok)?,
+            fuse: opts.fuse.map_or_else(FuseMode::try_from_env, Ok)?,
+            exec: opts.exec.map_or_else(ExecMode::try_from_env, Ok)?,
+            pin: opts.thread_pin.map_or_else(thread_pin_from_env, Ok)?,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// README's "Environment knobs" table has one row per [`KNOBS`]
+    /// entry, carrying its name and default.
+    #[test]
+    fn readme_table_covers_every_knob() {
+        let readme = include_str!("../../../README.md");
+        for k in KNOBS {
+            let row = readme
+                .lines()
+                .find(|l| l.starts_with(&format!("| `{}` |", k.name)))
+                .unwrap_or_else(|| panic!("README has no knob-table row for {}", k.name));
+            assert!(
+                row.contains(&format!("| `{}` |", k.default)),
+                "README row for {} does not state default `{}`: {row}",
+                k.name,
+                k.default
+            );
+        }
+    }
+
+    /// One message shape for every knob, naming the variable, its
+    /// grammar and the rejected value.
+    #[test]
+    fn every_knob_reports_the_same_error_shape() {
+        for k in KNOBS {
+            let err = parse_knob::<()>(k.name, Some("?"), |_| None).unwrap_err();
+            assert_eq!((err.knob, err.expected, err.value.as_str()), (k.name, k.expected, "?"));
+            assert_eq!(err.to_string(), format!("{} must be {}, got `?`", k.name, k.expected));
+            assert_eq!(parse_knob::<()>(k.name, None, |_| None), Ok(None));
+        }
+    }
+
+    /// Explicit options win verbatim; nothing is split or re-read.
+    #[test]
+    fn resolve_takes_explicit_options_verbatim() {
+        let opts = RunOptions::default()
+            .with_threads(6)
+            .fuse(FuseMode::Auto)
+            .exec(ExecMode::Dataflow)
+            .thread_pin(true);
+        assert_eq!(
+            ExecPolicy::resolve(&opts, 3),
+            Ok(ExecPolicy {
+                threading: Threading::with_threads(6),
+                fuse: FuseMode::Auto,
+                exec: ExecMode::Dataflow,
+                pin: true,
+            })
+        );
+    }
+}

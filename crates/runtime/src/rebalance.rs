@@ -49,6 +49,7 @@ use crate::checkpoint::RankState;
 use crate::error::{ConfigError, RuntimeError};
 use crate::harness::{run_distributed_with, RunOptions};
 use crate::job::{run_job_with_state, Job, JobRun};
+use crate::policy::parse_knob;
 use crate::supervise::SuperviseOptions;
 use crate::trace::{RankTrace, RebalanceRec};
 use op2_core::{DatId, Domain, SetId};
@@ -91,21 +92,17 @@ impl RebalanceConfig {
 
     /// Parse raw `OP2_REBALANCE_THRESHOLD` / `OP2_REBALANCE_WINDOW`
     /// values (`None` = unset = default) through the centralized knob
-    /// path ([`crate::env::parse_knob`]). Pure — no environment access.
+    /// path ([`crate::policy::parse_knob`]). Pure — no environment access.
     pub fn parse(threshold: Option<&str>, window: Option<&str>) -> Result<Self, ConfigError> {
         let mut cfg = RebalanceConfig::default();
-        if let Some(t) = crate::env::parse_knob(
-            threshold,
-            |s| s.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 1.0),
-            |value| ConfigError::RebalanceThreshold { value },
-        )? {
+        if let Some(t) = parse_knob("OP2_REBALANCE_THRESHOLD", threshold, |s| {
+            s.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 1.0)
+        })? {
             cfg.threshold = t;
         }
-        if let Some(w) = crate::env::parse_knob(
-            window,
-            |s| s.parse::<usize>().ok().filter(|&w| w >= 1),
-            |value| ConfigError::RebalanceWindow { value },
-        )? {
+        if let Some(w) = parse_knob("OP2_REBALANCE_WINDOW", window, |s| {
+            s.parse::<usize>().ok().filter(|&w| w >= 1)
+        })? {
             cfg.window = w;
         }
         Ok(cfg)
@@ -200,13 +197,6 @@ impl LoadEstimate {
     pub fn from_traces(traces: &[RankTrace], window: usize) -> Self {
         LoadEstimate {
             per_rank_ns: traces.iter().map(|t| t.recent_wall_ns(window)).collect(),
-        }
-    }
-
-    /// Estimate from explicit per-rank costs (model-driven callers).
-    pub fn from_costs(per_rank: &[f64]) -> Self {
-        LoadEstimate {
-            per_rank_ns: per_rank.iter().map(|&c| c.max(0.0) as u64).collect(),
         }
     }
 
@@ -584,15 +574,15 @@ mod tests {
         assert_eq!(c.window, 4);
         assert!(matches!(
             RebalanceConfig::parse(Some("0.5"), None),
-            Err(ConfigError::RebalanceThreshold { .. })
+            Err(ConfigError { knob: "OP2_REBALANCE_THRESHOLD", .. })
         ));
         assert!(matches!(
             RebalanceConfig::parse(Some("nope"), None),
-            Err(ConfigError::RebalanceThreshold { .. })
+            Err(ConfigError { knob: "OP2_REBALANCE_THRESHOLD", .. })
         ));
         assert!(matches!(
             RebalanceConfig::parse(None, Some("0")),
-            Err(ConfigError::RebalanceWindow { .. })
+            Err(ConfigError { knob: "OP2_REBALANCE_WINDOW", .. })
         ));
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Everything expensive in this runtime is reusable —
 //! [`crate::plan::ChainPlan`]s key
-//! on structural signatures, [`crate::env::ExchangeBuffers`] pre-size
+//! on structural signatures, planned exchanges pre-size the transport's
 //! per-peer pools, thread pools persist, tuner calibrations replay — yet
 //! a standalone [`crate::harness::run_distributed`] throws all of it
 //! away on return. A [`Service`] keeps it resident: meshes are
@@ -64,6 +64,7 @@ use crate::error::{ConfigError, RuntimeError};
 use crate::harness::RunOptions;
 use crate::job::{run_job_with_state, Job, JobRun};
 use crate::plan::{mesh_signature, PlanCache, PlanRegistry, PlanStats};
+use crate::policy::{parse_knob, ExecPolicy};
 use crate::supervise::SuperviseOptions;
 use crate::threads::{ThreadCtx, Threading};
 use crate::trace::RankTrace;
@@ -110,25 +111,19 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// Parse raw `OP2_SERVE_MAX_INFLIGHT` / `OP2_SERVE_BATCH` values
     /// (`None` = unset) through the centralized knob path
-    /// ([`crate::env::parse_knob`]). Pure — no environment access.
+    /// ([`crate::policy::parse_knob`]). Pure — no environment access.
     pub fn parse(max_inflight: Option<&str>, batch: Option<&str>) -> Result<Self, ConfigError> {
         let mut cfg = ServiceConfig::default();
-        if let Some(n) = crate::env::parse_knob(
-            max_inflight,
-            |s| s.parse::<usize>().ok().filter(|&n| n >= 1),
-            |value| ConfigError::ServeMaxInflight { value },
-        )? {
+        if let Some(n) = parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, |s| {
+            s.parse::<usize>().ok().filter(|&n| n >= 1)
+        })? {
             cfg.max_inflight = n;
         }
-        if let Some(b) = crate::env::parse_knob(
-            batch,
-            |s| match s {
-                "1" | "true" | "on" => Some(true),
-                "0" | "false" | "off" => Some(false),
-                _ => None,
-            },
-            |value| ConfigError::ServeBatch { value },
-        )? {
+        if let Some(b) = parse_knob("OP2_SERVE_BATCH", batch, |s| match s {
+            "1" | "true" | "on" => Some(true),
+            "0" | "false" | "off" => Some(false),
+            _ => None,
+        })? {
             cfg.batch = b;
         }
         Ok(cfg)
@@ -654,12 +649,10 @@ impl Service {
     ) -> Result<JobOutcome, ServiceError> {
         let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
         let nparts = world.layouts.len();
-        // Resolve threading exactly as the harness will, so the carried
-        // thread-context validity check agrees with what the job runs.
-        let threading = match self.cfg.run.threading {
-            Some(t) => t,
-            None => Threading::try_from_env()?.split_across(nparts),
-        };
+        // The harness resolves the same options the same way, so the
+        // carried thread-context validity check agrees with what the
+        // job runs.
+        let threading = ExecPolicy::resolve(&self.cfg.run, nparts)?.threading;
 
         // Fresh per-job state slots, pre-seeded with the world's carry.
         let slots: Vec<Arc<Mutex<RankState>>> = (0..nparts)
@@ -839,11 +832,11 @@ mod tests {
         assert!(!c.batch);
         assert!(matches!(
             ServiceConfig::parse(Some("0"), None),
-            Err(ConfigError::ServeMaxInflight { .. })
+            Err(ConfigError { knob: "OP2_SERVE_MAX_INFLIGHT", .. })
         ));
         assert!(matches!(
             ServiceConfig::parse(None, Some("maybe")),
-            Err(ConfigError::ServeBatch { .. })
+            Err(ConfigError { knob: "OP2_SERVE_BATCH", .. })
         ));
     }
 
@@ -854,11 +847,11 @@ mod tests {
         assert_eq!(CheckpointConfig::parse(Some("5")).unwrap().every, 5);
         assert!(matches!(
             CheckpointConfig::parse(Some("zero")),
-            Err(ConfigError::CkptEvery { .. })
+            Err(ConfigError { knob: "OP2_CKPT_EVERY", .. })
         ));
         assert!(matches!(
             CheckpointConfig::parse(Some("0")),
-            Err(ConfigError::CkptEvery { .. })
+            Err(ConfigError { knob: "OP2_CKPT_EVERY", .. })
         ));
     }
 

@@ -1,5 +1,5 @@
-//! Intra-rank threaded execution: configuration, worker pool, schedule
-//! cache.
+//! Intra-rank threaded execution: configuration, worker pool, drains,
+//! and the rank's thread state.
 //!
 //! Each rank (already an OS thread under the harness) can spread its
 //! kernel iterations over a pool of worker threads by executing a
@@ -17,17 +17,18 @@
 //! do not oversubscribe the node. Workers park on their channel between
 //! rounds — no spinning.
 //!
-//! Control surface: [`Threading::from_env`] reads `OP2_THREADS`
-//! (`1`/unset = sequential, `0`/`auto` = hardware parallelism, `N` =
-//! exactly N) and `OP2_BLOCK_SIZE` (`auto` = per-loop adaptive sizing
-//! from the measured conflict degree); programmatic control goes through
-//! [`crate::harness::RunOptions`].
+//! Control surface: `OP2_THREADS` (`1`/unset = sequential, `0`/`auto` =
+//! hardware parallelism, `N` = exactly N) and `OP2_BLOCK_SIZE` (`auto` =
+//! per-loop adaptive sizing from the measured conflict degree), or
+//! [`crate::harness::RunOptions`] programmatically — resolved once per
+//! run into [`crate::policy::ExecPolicy::threading`].
 
 use crate::error::ConfigError;
+use crate::plan::LoweringCache;
+use crate::policy::parse_knob;
 use op2_core::dag::ChunkDag;
 use op2_core::schedule::{run_chunk, BoundLoop, SchedCtx, Schedule};
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -53,11 +54,7 @@ pub struct Threading {
 impl Threading {
     /// Sequential execution (no pool involvement at all).
     pub fn single() -> Threading {
-        Threading {
-            n_threads: 1,
-            block_size: DEFAULT_BLOCK_SIZE,
-            auto_block: false,
-        }
+        Threading::with_threads(1)
     }
 
     /// `n_threads` with the default block size.
@@ -75,32 +72,17 @@ impl Threading {
     /// can validate configuration once at startup and tests can cover
     /// every malformed shape without mutating process state.
     pub fn parse(threads: Option<&str>, block: Option<&str>) -> Result<Threading, ConfigError> {
-        let n_threads = match threads {
-            None | Some("") | Some("1") => 1,
-            Some("0") | Some("auto") => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(other) => match other.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    return Err(ConfigError::Threads {
-                        value: other.to_string(),
-                    })
-                }
-            },
-        };
-        let (block_size, auto_block) = match block {
-            None => (DEFAULT_BLOCK_SIZE, false),
-            Some("auto") => (DEFAULT_BLOCK_SIZE, true),
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => (n, false),
-                _ => {
-                    return Err(ConfigError::BlockSize {
-                        value: v.to_string(),
-                    })
-                }
-            },
-        };
+        let n_threads = parse_knob("OP2_THREADS", threads, |v| match v {
+            "" => Some(1),
+            "0" | "auto" => Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n.parse::<usize>().ok().filter(|&n| n >= 1),
+        })?
+        .unwrap_or(1);
+        let (block_size, auto_block) = parse_knob("OP2_BLOCK_SIZE", block, |v| match v {
+            "auto" => Some((DEFAULT_BLOCK_SIZE, true)),
+            n => n.parse::<usize>().ok().filter(|&n| n >= 1).map(|n| (n, false)),
+        })?
+        .unwrap_or((DEFAULT_BLOCK_SIZE, false));
         Ok(Threading {
             n_threads,
             block_size,
@@ -118,13 +100,6 @@ impl Threading {
         let threads = std::env::var("OP2_THREADS").ok();
         let block = std::env::var("OP2_BLOCK_SIZE").ok();
         Threading::parse(threads.as_deref(), block.as_deref())
-    }
-
-    /// [`Threading::try_from_env`], panicking on malformed values — the
-    /// legacy entry point kept for contexts with no error channel (a
-    /// silent fallback would mask a typo'd override).
-    pub fn from_env() -> Threading {
-        Threading::try_from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// True when execution actually fans out (more than one thread).
@@ -145,10 +120,9 @@ impl Threading {
 }
 
 impl Default for Threading {
-    /// Environment-derived: `OP2_THREADS` unset means sequential, so the
-    /// default is zero behaviour change.
+    /// [`Threading::single`].
     fn default() -> Threading {
-        Threading::from_env()
+        Threading::single()
     }
 }
 
@@ -358,18 +332,6 @@ pub struct ExecStats {
     pub dataflow: bool,
 }
 
-/// Execute a lowered [`Schedule`] on a pool, level by level: within a
-/// level, chunks are claimed from the round cursor; the pool barriers
-/// between levels. Returns the per-level walls and per-worker
-/// busy/idle counters ([`ExecStats`]).
-///
-/// With an order-preserving lowering, results are bitwise identical to
-/// [`op2_core::schedule::run_schedule`] for any pool width.
-pub fn run_schedule_pooled(pool: &ThreadPool, bound: &[BoundLoop], sched: &Schedule) -> ExecStats {
-    let mut ctxs: Vec<SchedCtx> = Vec::new();
-    run_schedule_pooled_ctx(pool, bound, sched, &mut ctxs)
-}
-
 /// One reusable [`SchedCtx`] per pool participant; each worker touches
 /// only its own slot, identified by the stable index
 /// [`ThreadPool::run_indexed`] hands out.
@@ -378,17 +340,46 @@ struct CtxSlab<'a>(&'a [UnsafeCell<SchedCtx>]);
 // participant indices are unique within a round.
 unsafe impl Sync for CtxSlab<'_> {}
 
-impl CtxSlab<'_> {
+impl<'a> CtxSlab<'a> {
+    /// Grow `ctxs` to the pool width, prepare every context against
+    /// `(bound, sched)`, and hand the slice out for per-worker access.
+    fn prepare(
+        ctxs: &'a mut Vec<SchedCtx>,
+        width: usize,
+        bound: &[BoundLoop],
+        sched: &Schedule,
+    ) -> Self {
+        if ctxs.len() < width {
+            ctxs.resize_with(width, SchedCtx::new);
+        }
+        for ctx in ctxs.iter_mut() {
+            ctx.prepare(bound, sched);
+        }
+        // SAFETY: `UnsafeCell<SchedCtx>` has the same layout as
+        // `SchedCtx` (repr(transparent)) and we hold the slice
+        // exclusively for `'a`.
+        CtxSlab(unsafe {
+            &*(ctxs.as_mut_slice() as *mut [SchedCtx] as *const [UnsafeCell<SchedCtx>])
+        })
+    }
+
     fn slot(&self, w: usize) -> *mut SchedCtx {
         self.0[w].get()
     }
 }
 
-/// [`run_schedule_pooled`] with caller-owned per-worker contexts, so
-/// repeated executions of a (fused) schedule reuse the scratch pools and
-/// slot buffers instead of reallocating: zero heap allocations at steady
-/// state. `ctxs` is grown to the pool width on entry and every context
-/// is prepared against `(bound, sched)` before the first round.
+/// Execute a lowered [`Schedule`] on a pool, level by level: within a
+/// level, chunks are claimed from the round cursor; the pool barriers
+/// between levels. Returns the per-level walls and per-worker
+/// busy/idle counters ([`ExecStats`]). With an order-preserving
+/// lowering, results are bitwise identical to
+/// [`op2_core::schedule::run_schedule`] for any pool width.
+///
+/// The per-worker contexts are caller-owned, so repeated executions of
+/// a (fused) schedule reuse the scratch pools and slot buffers instead
+/// of reallocating: zero heap allocations at steady state. `ctxs` is
+/// grown to the pool width on entry and every context is prepared
+/// against `(bound, sched)` before the first round.
 pub fn run_schedule_pooled_ctx(
     pool: &ThreadPool,
     bound: &[BoundLoop],
@@ -397,17 +388,7 @@ pub fn run_schedule_pooled_ctx(
 ) -> ExecStats {
     debug_assert_eq!(bound.len(), sched.n_loops);
     let w_count = pool.n_threads();
-    if ctxs.len() < w_count {
-        ctxs.resize_with(w_count, SchedCtx::new);
-    }
-    for ctx in ctxs.iter_mut() {
-        ctx.prepare(bound, sched);
-    }
-    // SAFETY: `UnsafeCell<SchedCtx>` has the same layout as `SchedCtx`
-    // (repr(transparent)) and we hold the slice exclusively.
-    let slab = CtxSlab(unsafe {
-        &*(ctxs.as_mut_slice() as *mut [SchedCtx] as *const [UnsafeCell<SchedCtx>])
-    });
+    let slab = CtxSlab::prepare(ctxs, w_count, bound, sched);
     let busy: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
     let fires: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
     // Same-level windowed chunks are race-free only if their windows
@@ -689,18 +670,8 @@ pub fn run_schedule_dataflow(
 ) -> ExecStats {
     debug_assert_eq!(bound.len(), sched.n_loops);
     debug_assert_eq!(dag.n_chunks, sched.n_chunks());
-    let w_count = pool.n_threads();
-    if ctxs.len() < w_count {
-        ctxs.resize_with(w_count, SchedCtx::new);
-    }
-    for ctx in ctxs.iter_mut() {
-        ctx.prepare(bound, sched);
-    }
-    // SAFETY: see `run_schedule_pooled_ctx`; instance ids are unique per
-    // round, so slot access stays disjoint.
-    let slab = CtxSlab(unsafe {
-        &*(ctxs.as_mut_slice() as *mut [SchedCtx] as *const [UnsafeCell<SchedCtx>])
-    });
+    // Instance ids are unique per round, so slot access stays disjoint.
+    let slab = CtxSlab::prepare(ctxs, pool.n_threads(), bound, sched);
     run_dag(pool, dag, pin, scratch, &|w, c| {
         let (li, ci) = dag.locs[c];
         // SAFETY: see `CtxSlab` — instance `w` owns slot `w`.
@@ -735,108 +706,52 @@ pub fn measure_sync_s(pool: &ThreadPool, rounds: usize) -> f64 {
     t0.elapsed().as_secs_f64() / rounds as f64
 }
 
-/// Per-rank threading state: the configuration, the rank's **owned**
-/// worker pool (created lazily at the configured width — ranks no longer
-/// share process-global pools), and a cache of lowered schedules for the
-/// *standalone* (Alg 1) loop path, keyed by (loop signature, range,
-/// block size). Chain loops cache their schedules in the
-/// [`crate::plan::ChainPlan`] instead, alongside the other inspector
-/// products.
+/// Per-rank threading state: the rank's **owned** worker pool (created
+/// lazily at the width the rank's policy configures — ranks do not share
+/// process-global pools), the [`LoweringCache`] of the *standalone*
+/// (Alg 1) loop path (chain loops cache theirs in the
+/// [`crate::plan::ChainPlan`], alongside the other inspector products),
+/// and the executors' reusable scratch. State only — the configuration
+/// is [`crate::policy::ExecPolicy::threading`].
+#[derive(Default)]
 pub struct ThreadCtx {
-    /// Active configuration.
-    pub opts: Threading,
     pool: Option<Arc<ThreadPool>>,
-    schedules: HashMap<(u64, usize, usize, usize), Arc<Schedule>>,
+    /// Standalone-loop lowerings, keyed by (loop signature, range, block
+    /// size).
+    pub lowered: LoweringCache,
     /// Per-worker execution contexts, reused across every schedule run
     /// on this rank so fused scratch pools stop allocating once warm.
     pub sched_ctxs: Vec<SchedCtx>,
     /// Reusable dataflow executor state (dependency counters, steal
     /// queues) — zero allocations once warmed to the largest shape.
     pub dataflow: DataflowScratch,
-    /// Chunk DAGs for standalone-loop schedules, keyed by the cached
-    /// schedule's [`Arc`] identity (chain schedules cache theirs in the
-    /// [`crate::plan::ChainPlan`]). Each entry pins its schedule `Arc`
-    /// so a key can never be reused by a reallocation while it is live.
-    dags: HashMap<usize, (Arc<Schedule>, Arc<ChunkDag>)>,
     /// Measured per-round pool synchronization cost (seconds), cached by
     /// [`ThreadCtx::sync_cost`] for the dataflow-vs-levels profit arm.
     pub sync_s: Option<f64>,
-    /// Schedules built by the standalone path (inspector work).
-    pub color_builds: u64,
-    /// Schedules served from the standalone cache.
-    pub color_reuses: u64,
 }
 
 impl ThreadCtx {
-    /// Fresh context with the given configuration.
-    pub fn new(opts: Threading) -> ThreadCtx {
-        ThreadCtx {
-            opts,
-            pool: None,
-            schedules: HashMap::new(),
-            sched_ctxs: Vec::new(),
-            dataflow: DataflowScratch::default(),
-            dags: HashMap::new(),
-            sync_s: None,
-            color_builds: 0,
-            color_reuses: 0,
-        }
-    }
-
     /// The pool's measured per-round synchronization cost, measured once
     /// ([`measure_sync_s`]) and cached — the barrier price the
     /// `OP2_EXEC=auto` profit arm weighs level counts with.
-    pub fn sync_cost(&mut self) -> f64 {
+    pub fn sync_cost(&mut self, width: usize) -> f64 {
         if let Some(s) = self.sync_s {
             return s;
         }
-        let pool = self.pool();
-        let s = measure_sync_s(&pool, 8);
+        let s = measure_sync_s(&self.pool(width), 8);
         self.sync_s = Some(s);
         s
     }
 
-    /// Cached chunk DAG for a standalone-loop schedule (keyed by the
-    /// schedule's allocation identity, which the entry itself pins).
-    pub fn dag_cached(&self, sched: &Arc<Schedule>) -> Option<Arc<ChunkDag>> {
-        self.dags
-            .get(&(Arc::as_ptr(sched) as usize))
-            .map(|(_, d)| Arc::clone(d))
-    }
-
-    /// Store a freshly built chunk DAG (pinning the schedule so the
-    /// identity key stays unique).
-    pub fn store_dag(&mut self, sched: &Arc<Schedule>, dag: Arc<ChunkDag>) {
-        self.dags
-            .insert(Arc::as_ptr(sched) as usize, (Arc::clone(sched), dag));
-    }
-
-    /// The rank's own pool, created on first use at `opts.n_threads`
-    /// width. If the configuration narrows or widens afterwards (the
-    /// tuner suspends threading during calibration by swapping `opts`),
-    /// the existing pool is kept — width changes only apply before first
-    /// use.
-    pub fn pool(&mut self) -> Arc<ThreadPool> {
-        let width = self.opts.n_threads;
+    /// The rank's own pool, created on first use at `width` threads. If
+    /// the configured width changes afterwards (the tuner suspends
+    /// threading during calibration), the existing pool is kept — width
+    /// changes only apply before first use.
+    pub fn pool(&mut self, width: usize) -> Arc<ThreadPool> {
         Arc::clone(
             self.pool
                 .get_or_insert_with(|| Arc::new(ThreadPool::new(width))),
         )
-    }
-
-    /// Cached schedule for `(loop signature, start, end, block_size)`.
-    pub fn cached(&mut self, key: (u64, usize, usize, usize)) -> Option<Arc<Schedule>> {
-        let hit = self.schedules.get(&key).cloned();
-        if hit.is_some() {
-            self.color_reuses += 1;
-        }
-        hit
-    }
-
-    /// Store a freshly lowered schedule.
-    pub fn store(&mut self, key: (u64, usize, usize, usize), sched: Arc<Schedule>) {
-        self.color_builds += 1;
-        self.schedules.insert(key, sched);
     }
 }
 
@@ -913,13 +828,12 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 8);
     }
 
+    /// The default never reads the environment: it is sequential
+    /// whatever `OP2_THREADS` says.
     #[test]
     fn threading_default_without_env_is_sequential() {
-        // The test runner does not set OP2_THREADS.
-        if std::env::var("OP2_THREADS").is_err() {
-            assert_eq!(Threading::default().n_threads, 1);
-            assert!(!Threading::default().active());
-        }
+        assert_eq!(Threading::default(), Threading::single());
+        assert!(!Threading::default().active());
     }
 
     #[test]
@@ -936,20 +850,20 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_values_typed() {
+        let err = |knob, expected, value: &str| {
+            Err(ConfigError {
+                knob,
+                expected,
+                value: value.into(),
+            })
+        };
         assert_eq!(
             Threading::parse(Some("lots"), None),
-            Err(ConfigError::Threads {
-                value: "lots".into()
-            })
+            err("OP2_THREADS", "auto|0|N", "lots")
         );
-        assert_eq!(
-            Threading::parse(None, Some("-4")),
-            Err(ConfigError::BlockSize { value: "-4".into() })
-        );
-        assert_eq!(
-            Threading::parse(None, Some("0")),
-            Err(ConfigError::BlockSize { value: "0".into() })
-        );
+        let block = "auto or a positive integer";
+        assert_eq!(Threading::parse(None, Some("-4")), err("OP2_BLOCK_SIZE", block, "-4"));
+        assert_eq!(Threading::parse(None, Some("0")), err("OP2_BLOCK_SIZE", block, "0"));
     }
 
     #[test]
@@ -963,24 +877,33 @@ mod tests {
 
     #[test]
     fn thread_ctx_owns_one_pool() {
-        let mut ctx = ThreadCtx::new(Threading::with_threads(2));
-        let a = ctx.pool();
-        let b = ctx.pool();
+        let mut ctx = ThreadCtx::default();
+        let a = ctx.pool(2);
+        let b = ctx.pool(2);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.n_threads(), 2);
-        let mut other = ThreadCtx::new(Threading::with_threads(2));
-        assert!(!Arc::ptr_eq(&a, &other.pool()));
+        let mut other = ThreadCtx::default();
+        assert!(!Arc::ptr_eq(&a, &other.pool(2)));
     }
 
     #[test]
     fn thread_ctx_caches_by_key() {
-        let mut ctx = ThreadCtx::new(Threading::with_threads(2));
-        let key = (42u64, 0usize, 100usize, 16usize);
-        assert!(ctx.cached(key).is_none());
-        let sched = Arc::new(Schedule::range(0, 100));
-        ctx.store(key, Arc::clone(&sched));
-        assert!(Arc::ptr_eq(&ctx.cached(key).unwrap(), &sched));
-        assert_eq!((ctx.color_builds, ctx.color_reuses), (1, 1));
+        use crate::plan::{Lowered, LoweredSchedule, LoweringKey};
+        let ctx = ThreadCtx::default();
+        let key = LoweringKey::Range {
+            owner: 42,
+            start: 0,
+            end: 100,
+            block: 16,
+        };
+        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
+        let (Lowered::Range(first), true) = ctx.lowered.get_or_build(key, build) else {
+            panic!("first lookup must build a range lowering");
+        };
+        let (Lowered::Range(again), false) = ctx.lowered.get_or_build(key, build) else {
+            panic!("second lookup must hit");
+        };
+        assert!(Arc::ptr_eq(&first, &again));
     }
 
     #[test]
@@ -1025,7 +948,8 @@ mod tests {
             let mut gbls: Vec<Vec<f64>> = Vec::new();
             let bound = BoundLoop::bind(&mut dom, &spec, &mut gbls);
             let pool = ThreadPool::new(n_threads);
-            let stats = run_schedule_pooled(&pool, std::slice::from_ref(&bound), &sched);
+            let stats =
+                run_schedule_pooled_ctx(&pool, std::slice::from_ref(&bound), &sched, &mut Vec::new());
             assert_eq!(stats.level_ns.len(), sched.n_levels());
             assert!(!stats.dataflow);
             assert_eq!(stats.fires.iter().sum::<u64>() as usize, sched.n_chunks());

@@ -70,20 +70,16 @@ pub enum TunerMode {
 impl TunerMode {
     /// Parse an `OP2_TUNER`-style override: `auto` (or empty/absent) /
     /// `op2` / `ca` / `tiled`. Anything else is a typed
-    /// [`ConfigError::Tuner`](crate::error::ConfigError::Tuner) — a silent
-    /// fallback would mask a typo'd override.
+    /// [`ConfigError`](crate::error::ConfigError) — a silent fallback
+    /// would mask a typo'd override.
     pub fn parse(raw: Option<&str>) -> Result<TunerMode, crate::error::ConfigError> {
-        crate::env::parse_knob(
-            raw,
-            |v| match v {
-                "" | "auto" => Some(TunerMode::Auto),
-                "op2" => Some(TunerMode::ForceOp2),
-                "ca" => Some(TunerMode::ForceCa),
-                "tiled" => Some(TunerMode::ForceTiled),
-                _ => None,
-            },
-            |value| crate::error::ConfigError::Tuner { value },
-        )
+        crate::policy::parse_knob("OP2_TUNER", raw, |v| match v {
+            "" | "auto" => Some(TunerMode::Auto),
+            "op2" => Some(TunerMode::ForceOp2),
+            "ca" => Some(TunerMode::ForceCa),
+            "tiled" => Some(TunerMode::ForceTiled),
+            _ => None,
+        })
         .map(|m| m.unwrap_or_default())
     }
 
@@ -157,26 +153,18 @@ impl Tuner {
         env: &mut RankEnv<'_>,
         chain: &ChainSpec,
     ) -> Result<(), RuntimeError> {
-        match self.mode {
-            TunerMode::ForceOp2 => run_flattened(env, chain),
-            TunerMode::ForceCa => run_chain(env, chain),
-            TunerMode::ForceTiled => run_chain_tiled(env, chain, self.n_tiles),
+        let backend = match self.mode {
+            TunerMode::ForceOp2 => Backend::Op2,
+            TunerMode::ForceCa => Backend::Ca,
+            TunerMode::ForceTiled => Backend::Tiled,
             TunerMode::Auto => {
                 let sig = chain_signature(chain, false);
                 match self.decisions.get(&sig) {
-                    Some(&b) => self.dispatch(env, chain, b),
-                    None => self.calibrate(env, chain, sig),
+                    Some(&b) => b,
+                    None => return self.calibrate(env, chain, sig),
                 }
             }
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        env: &mut RankEnv<'_>,
-        chain: &ChainSpec,
-        backend: Backend,
-    ) -> Result<(), RuntimeError> {
+        };
         match backend {
             Backend::Op2 => run_flattened(env, chain),
             Backend::Ca => run_chain(env, chain),
@@ -202,8 +190,8 @@ impl Tuner {
         // extension derives the `t`-way cost as `g·(1+ρ)/t + barrier
         // overhead` from the sequential `g` — measuring with the
         // threaded executor live would count the speedup twice.
-        let threading = env.threads.opts;
-        env.threads.opts = crate::threads::Threading::single();
+        let threading = env.policy.threading;
+        env.policy.threading = crate::threads::Threading::single();
         let t0 = Instant::now();
         let mut g = Vec::with_capacity(chain.len());
         let mut failed = None;
@@ -222,7 +210,7 @@ impl Tuner {
             });
         }
         let measured = t0.elapsed();
-        env.threads.opts = threading;
+        env.policy.threading = threading;
         if let Some(e) = failed {
             return Err(e);
         }
@@ -255,7 +243,7 @@ impl Tuner {
         // [`op2_model::COLOR_SYNC_S`] constant. Zero when sequential (no
         // pool, no barriers).
         let sync_local = if threads > 1 {
-            crate::threads::measure_sync_s(&env.threads.pool(), 32)
+            crate::threads::measure_sync_s(&env.threads.pool(threads), 32)
         } else {
             0.0
         };
