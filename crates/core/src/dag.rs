@@ -13,31 +13,28 @@
 //!
 //! **Determinism argument (`OP_INC` merge ordering).** Chunks are
 //! enumerated level-major (level 0's chunks first, in order, then level
-//! 1's, …). The order-preserving lowerings guarantee that every
-//! conflicting chunk pair sits in *distinct* levels, ascending in
-//! sequential iteration order — so for any two conflicting chunks the
-//! level-major enumeration agrees with sequential execution order, and
-//! the builder (which scans chunks in that enumeration, tracking the
-//! last writer and *every* reader since it per element) emits an edge
-//! for each such pair. Any execution that respects the DAG therefore
-//! applies each element's updates — in particular its floating-point
-//! `Inc` merges — in exactly the sequential order; chunks with no path
-//! between them touch disjoint modified elements and may interleave
-//! freely. Results are **bitwise identical** to the sequential walk at
-//! any thread count, with any steal order.
+//! 1's, …). The conflict rule ([`crate::conflict`]) puts every
+//! conflicting chunk pair on *distinct* levels, ascending in sequential
+//! order — so for any two conflicting chunks the level-major enumeration
+//! agrees with sequential execution order, and the builder (which scans
+//! chunks in that enumeration, tracking the last writer and *every*
+//! reader since it per element) emits an edge for each such pair. Any
+//! execution that respects the DAG therefore applies each element's
+//! updates — in particular its floating-point `Inc` merges — in exactly
+//! the sequential order; chunks with no path between them touch disjoint
+//! modified elements and may interleave freely. Results are **bitwise
+//! identical** to the sequential walk at any thread count, with any
+//! steal order.
 //!
-//! The access lists come from [`dag_accesses`], a *chain-wide* variant
-//! of [`crate::par::conflict_accesses`]: where the per-loop coloring
-//! only needs the dats a loop modifies through a map, cross-chunk edges
-//! of a chain schedule must also cover dats one loop writes (even
-//! directly) and another reads — the write→read hand-off between chain
-//! loops that the per-loop rule deliberately ignores.
+//! Chunks are resolved to the elements they touch by the rule's own
+//! walker ([`crate::conflict::for_each_touch`]) under the chain-wide
+//! selector ([`crate::conflict::chain_accesses`]): cross-chunk edges of a
+//! chain schedule must cover dats one loop writes (even directly) and
+//! another reads — the write→read hand-off between chain loops that the
+//! per-loop selector deliberately ignores.
 
-use crate::access::Arg;
-use crate::domain::{DatId, MapData};
-use crate::loops::LoopSig;
-use crate::par::ConflictAccess;
-use crate::schedule::{Piece, Schedule};
+use crate::conflict::{for_each_touch, ConflictAccess};
+use crate::schedule::Schedule;
 
 /// The per-chunk dependency DAG of one lowered [`Schedule`]. Chunk ids
 /// are level-major positions (level 0's chunks first, in order).
@@ -65,56 +62,12 @@ pub struct ChunkDag {
     pub crit_path: u32,
 }
 
-/// Apply `f(access, element)` for every conflict-relevant access of one
-/// piece. Fused pieces union the accesses of every member loop.
-fn for_each_access(
-    sched: &Schedule,
-    accesses: &[Vec<ConflictAccess<'_>>],
-    piece: &Piece,
-    f: &mut impl FnMut(&ConflictAccess<'_>, usize),
-) {
-    let on_loop = |lj: usize, e: usize, f: &mut dyn FnMut(&ConflictAccess<'_>, usize)| {
-        for a in &accesses[lj] {
-            f(a, e);
-        }
-    };
-    match piece {
-        Piece::Range {
-            loop_idx,
-            start,
-            end,
-        } => {
-            for e in *start..*end {
-                on_loop(*loop_idx as usize, e as usize, f);
-            }
-        }
-        Piece::List { loop_idx, iters } => {
-            for &e in iters {
-                on_loop(*loop_idx as usize, e as usize, f);
-            }
-        }
-        Piece::Fused { group, start, end } => {
-            for e in *start..*end {
-                for &lj in &sched.fused[*group as usize].loops {
-                    on_loop(lj as usize, e as usize, f);
-                }
-            }
-        }
-        Piece::FusedList { group, iters } => {
-            for &e in iters {
-                for &lj in &sched.fused[*group as usize].loops {
-                    on_loop(lj as usize, e as usize, f);
-                }
-            }
-        }
-    }
-}
-
 impl ChunkDag {
     /// Build the DAG for `sched`. `accesses[j]` are loop `j`'s
     /// conflict-relevant accesses (one entry per chain loop — use
-    /// [`dag_accesses`]); `set_sizes` bounds the target index space per
-    /// set, exactly as in [`crate::par::color_blocks_raw`].
+    /// [`crate::conflict::chain_accesses`]); `set_sizes` bounds the
+    /// target index space per set, exactly as in
+    /// [`crate::conflict::conflict_levels`].
     ///
     /// Scans chunks level-major, tracking per element the last writing
     /// chunk and **every** reading chunk since that write: a writer
@@ -160,35 +113,29 @@ impl ChunkDag {
             for (ci, chunk) in level.chunks.iter().enumerate() {
                 locs.push((li as u32, ci as u32));
                 preds.clear();
-                for piece in &chunk.pieces {
-                    for_each_access(sched, accesses, piece, &mut |a, e| {
-                        let t = a.target(e);
-                        let w = last_w[a.set][t];
-                        if w != 0 && mark[(w - 1) as usize] != c {
-                            mark[(w - 1) as usize] = c;
-                            preds.push(w - 1);
-                        }
-                        if a.writes {
-                            for &r in &readers[a.set][t] {
-                                if mark[(r - 1) as usize] != c {
-                                    mark[(r - 1) as usize] = c;
-                                    preds.push(r - 1);
-                                }
+                for_each_touch(&sched.fused, accesses, chunk, &mut |a, t| {
+                    let w = last_w[a.set][t];
+                    if w != 0 && mark[(w - 1) as usize] != c {
+                        mark[(w - 1) as usize] = c;
+                        preds.push(w - 1);
+                    }
+                    if a.writes {
+                        for &r in &readers[a.set][t] {
+                            if mark[(r - 1) as usize] != c {
+                                mark[(r - 1) as usize] = c;
+                                preds.push(r - 1);
                             }
                         }
-                    });
-                }
-                for piece in &chunk.pieces {
-                    for_each_access(sched, accesses, piece, &mut |a, e| {
-                        let t = a.target(e);
-                        if a.writes {
-                            last_w[a.set][t] = c + 1;
-                            readers[a.set][t].clear();
-                        } else if readers[a.set][t].last() != Some(&(c + 1)) {
-                            readers[a.set][t].push(c + 1);
-                        }
-                    });
-                }
+                    }
+                });
+                for_each_touch(&sched.fused, accesses, chunk, &mut |a, t| {
+                    if a.writes {
+                        last_w[a.set][t] = c + 1;
+                        readers[a.set][t].clear();
+                    } else if readers[a.set][t].last() != Some(&(c + 1)) {
+                        readers[a.set][t].push(c + 1);
+                    }
+                });
                 let mut d = 0u32;
                 for &p in &preds {
                     succs[p as usize].push(c);
@@ -217,61 +164,16 @@ impl ChunkDag {
     }
 }
 
-/// Chain-wide conflict access lists for [`ChunkDag::build`]: for each
-/// loop, every dat argument (read or write, direct or indirect) of any
-/// dat *modified anywhere in the chain*. Unlike the per-loop
-/// [`crate::par::conflict_accesses`], this covers cross-loop write→read
-/// hand-offs — including through dats a loop writes only directly,
-/// which within one loop can never collide (each iteration owns its
-/// element) but across loops absolutely can. Dats never modified in the
-/// chain induce only read↔read pairs and are skipped.
-pub fn dag_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<ConflictAccess<'a>>> {
-    let mut modified: Vec<DatId> = Vec::new();
-    for sig in sigs {
-        for a in &sig.args {
-            if let Arg::Dat { dat, mode, .. } = a {
-                if mode.modifies() && !modified.contains(dat) {
-                    modified.push(*dat);
-                }
-            }
-        }
-    }
-    sigs.iter()
-        .map(|sig| {
-            let mut out = Vec::new();
-            for a in &sig.args {
-                if let Arg::Dat { dat, map, mode } = a {
-                    if !modified.contains(dat) {
-                        continue;
-                    }
-                    match map {
-                        Some((m, idx)) => out.push(ConflictAccess::indirect(
-                            &maps[m.idx()],
-                            *idx,
-                            mode.modifies(),
-                        )),
-                        None => out.push(ConflictAccess {
-                            map: None,
-                            set: sig.set.idx(),
-                            writes: mode.modifies(),
-                        }),
-                    }
-                }
-            }
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessMode;
+    use crate::access::{AccessMode, Arg};
+    use crate::conflict::chain_accesses;
     use crate::domain::Domain;
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
-    use crate::par::color_blocks;
-    use crate::schedule::{Chunk, Level, ScheduleKind};
+    use crate::par::colored_schedule;
+    use crate::schedule::{Chunk, Level, Piece, ScheduleKind};
 
     fn noop(_: &Args<'_>) {}
 
@@ -298,10 +200,10 @@ mod tests {
     }
 
     fn dag_for(dom: &Domain, spec: &LoopSpec, block_size: usize) -> (Schedule, ChunkDag) {
-        let bc = color_blocks(dom, &spec.sig(), block_size);
-        let sched = Schedule::from_block_coloring(&bc);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        let acc = dag_accesses(dom.maps(), &[spec.sig()]);
+        let (sig, set_sizes) = (spec.sig(), dom.set_sizes());
+        let n = dom.set(sig.set).size;
+        let sched = colored_schedule(dom.maps(), &sig, 0, n, block_size, &set_sizes);
+        let acc = chain_accesses(dom.maps(), &[sig]);
         let dag = ChunkDag::build(&sched, &set_sizes, &acc);
         (sched, dag)
     }
@@ -393,8 +295,8 @@ mod tests {
             ],
             fused: Vec::new(),
         };
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        let acc = dag_accesses(dom.maps(), &[spec.sig()]);
+        let set_sizes = dom.set_sizes();
+        let acc = chain_accesses(dom.maps(), &[spec.sig()]);
         let dag = ChunkDag::build(&sched, &set_sizes, &acc);
         // Readers 1 and 2 each depend on writer 0; rewriter 3 depends on
         // writer 0 *and both* readers.
@@ -405,7 +307,7 @@ mod tests {
 
     /// Cross-loop hand-off through a directly-written dat: the per-loop
     /// conflict rule ignores it (no intra-loop collision is possible),
-    /// the chain-wide [`dag_accesses`] must not.
+    /// the chain-wide [`chain_accesses`] must not.
     #[test]
     fn chain_accesses_cover_direct_write_to_indirect_read() {
         let mut dom = Domain::new();
@@ -434,8 +336,8 @@ mod tests {
         let sigs = vec![stage.sig(), apply.sig()];
         // Per-loop rule: x is only modified directly in `stage`, so it
         // contributes nothing there.
-        assert!(crate::par::conflict_accesses(dom.maps(), &sigs[0]).is_empty());
-        let acc = dag_accesses(dom.maps(), &sigs);
+        assert!(crate::conflict::conflict_accesses(dom.maps(), &sigs[0]).is_empty());
+        let acc = chain_accesses(dom.maps(), &sigs);
         assert_eq!(acc[0].len(), 1, "direct write of x must appear");
         // Two-chunk chain schedule: stage then apply — one edge.
         let sched = Schedule {
@@ -459,7 +361,7 @@ mod tests {
             ],
             fused: Vec::new(),
         };
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+        let set_sizes = dom.set_sizes();
         let dag = ChunkDag::build(&sched, &set_sizes, &acc);
         assert_eq!(dag.deps, vec![0, 1]);
         assert_eq!(dag.succs[0], vec![1]);
@@ -470,8 +372,8 @@ mod tests {
     #[test]
     fn fused_pieces_union_member_accesses() {
         let (dom, spec) = path_fixture(33);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        let acc = dag_accesses(dom.maps(), &[spec.sig()]);
+        let set_sizes = dom.set_sizes();
+        let acc = chain_accesses(dom.maps(), &[spec.sig()]);
         let fused_chunk = |s: u32, e: u32| {
             Chunk::new(vec![Piece::Fused {
                 group: 0,

@@ -215,6 +215,12 @@ impl Domain {
         &self.sets
     }
 
+    /// Element count of every set, in declaration order — the bound on
+    /// each set's target index space that the conflict inspectors take.
+    pub fn set_sizes(&self) -> Vec<usize> {
+        self.sets.iter().map(|s| s.size).collect()
+    }
+
     /// All maps in declaration order.
     pub fn maps(&self) -> &[MapData] {
         &self.maps

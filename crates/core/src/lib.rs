@@ -77,6 +77,7 @@ pub mod access;
 pub mod chain;
 pub mod coloring;
 pub mod config;
+pub mod conflict;
 pub mod dag;
 pub mod domain;
 pub mod error;
@@ -91,15 +92,15 @@ pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use coloring::{color_loop, is_valid_coloring, Coloring};
 pub use chain::{calc_halo_extents, calc_halo_layers, fusion_groups, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, FuseBlock, FusionGroupInfo, FusionPlan, HaloLayers};
 pub use config::{parse_chain_config, ChainConfig};
-pub use dag::{dag_accesses, ChunkDag};
+pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
+pub use dag::ChunkDag;
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
 pub use kernel::{Args, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
-    adaptive_block_size, color_blocks, color_blocks_raw, conflict_accesses, conflict_degree,
-    is_valid_block_coloring, is_valid_block_coloring_raw, owned_schedule,
-    owner_computes_accesses, thread_schedule, touch_windows, BlockColoring, ConflictAccess,
+    adaptive_block_size, colored_schedule, owned_schedule, owner_computes_accesses,
+    thread_schedule, touch_windows,
 };
 pub use schedule::{
     bind_chain, elision_valid, run_chunk, run_elem, run_schedule, run_schedule_ctx,
@@ -107,6 +108,6 @@ pub use schedule::{
     Piece, SchedCtx, Schedule, ScheduleKind, ScratchBind,
 };
 pub use tiling::{
-    build_tile_plan, is_valid_tile_levels, run_chain_tiled, run_chain_tiled_threads, seed_blocks,
+    build_tile_plan, run_chain_tiled, run_chain_tiled_threads, seed_blocks,
     seed_from_targets, TilePlan,
 };

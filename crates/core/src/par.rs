@@ -1,27 +1,16 @@
-//! Block-level coloring for shared-memory parallel execution.
+//! The two lowerings of one loop for the threads of a rank.
 //!
 //! [`crate::coloring`] colors *individual iterations*; executing color by
 //! color the per-element update order follows the color sequence, not the
 //! iteration order, so floating-point increments reassociate and results
-//! drift from [`crate::seq`]. This module colors **blocks** of contiguous
-//! iterations instead, with a *levelized, order-preserving* rule:
-//!
-//! > `color(b) = 1 + max{ color(b') : b' < b and b' conflicts with b }`
-//!
-//! Two blocks conflict when they touch a common element of any dat the
-//! loop modifies through a map (with at least one of the two accesses
-//! modifying). Consequences:
-//!
-//! * **race freedom** — same-color blocks touch disjoint modified
-//!   elements, so they can run on different threads without atomics;
-//! * **order preservation** — a conflicting pair `b' < b` always has
-//!   `color(b') < color(b)`, and colors execute in ascending order, so
-//!   every element receives its updates in ascending block order. Blocks
-//!   are contiguous ascending ranges, so the per-element update sequence
-//!   is *identical* to plain sequential execution: results are **bitwise
-//!   equal** to [`crate::seq::run_loop`], independent of thread count and
-//!   block schedule within a color. (Plain greedy coloring cannot promise
-//!   this — it reorders conflicting iterations across colors.)
+//! drift from [`crate::seq`]. [`colored_schedule`] levelizes **blocks**
+//! of contiguous iterations instead, by the order-preserving conflict
+//! rule of [`crate::conflict`] under the standalone-loop selector (two
+//! blocks conflict when they touch a common element of a dat the loop
+//! modifies through a map, at least one side modifying): same-color
+//! blocks are race-free, and every element receives its updates in
+//! ascending block — hence iteration — order, **bitwise equal** to
+//! [`crate::seq::run_loop`] at any thread count.
 //!
 //! The price is more colors than a greedy minimum — and on any
 //! locality-preserving numbering it is steep: consecutive blocks of an
@@ -48,139 +37,10 @@
 //! points at a scratch sink, not at the element.
 
 use crate::access::{AccessMode, Arg};
-use crate::coloring::Coloring;
-use crate::domain::{Domain, MapData};
+use crate::conflict::{conflict_accesses, conflict_levels, ConflictAccess};
+use crate::domain::MapData;
 use crate::loops::LoopSig;
 use crate::schedule::{ArgWindow, Chunk, Level, Piece, Schedule, ScheduleKind};
-
-/// A coloring of contiguous iteration blocks over `[start, end)`.
-#[derive(Debug, Clone)]
-pub struct BlockColoring {
-    /// First iteration covered.
-    pub start: usize,
-    /// One-past-last iteration covered.
-    pub end: usize,
-    /// Iterations per block (last block may be short).
-    pub block_size: usize,
-    /// Number of colors.
-    pub n_colors: usize,
-    /// Color of every block.
-    pub color: Vec<u32>,
-    /// Block ids per color, ascending.
-    pub by_color: Vec<Vec<u32>>,
-}
-
-impl BlockColoring {
-    /// Number of blocks.
-    pub fn n_blocks(&self) -> usize {
-        self.color.len()
-    }
-
-    /// Iteration range `[s, e)` of block `b`.
-    pub fn block_range(&self, b: usize) -> (usize, usize) {
-        let s = self.start + b * self.block_size;
-        (s, (s + self.block_size).min(self.end))
-    }
-
-    /// Expand to a per-iteration [`Coloring`] (each iteration inherits
-    /// its block's color) — the bridge to
-    /// [`crate::coloring::is_valid_coloring`]. Only defined for
-    /// `block_size == 1` colorings covering a whole set from iteration 0:
-    /// with larger blocks, two same-block (hence same-color) iterations
-    /// may legitimately conflict — they run sequentially on one thread —
-    /// which the per-element validity check would reject.
-    pub fn element_coloring(&self) -> Coloring {
-        assert_eq!(self.start, 0, "element_coloring needs a full-set coloring");
-        assert_eq!(
-            self.block_size, 1,
-            "element_coloring is the block_size=1 bridge to `coloring`"
-        );
-        let mut color = vec![0u32; self.end];
-        let mut by_color: Vec<Vec<u32>> = vec![Vec::new(); self.n_colors];
-        for b in 0..self.n_blocks() {
-            let c = self.color[b];
-            let (s, e) = self.block_range(b);
-            for i in s..e {
-                color[i] = c;
-                by_color[c as usize].push(i as u32);
-            }
-        }
-        Coloring {
-            n_colors: self.n_colors,
-            color,
-            by_color,
-        }
-    }
-}
-
-/// One access that can induce a cross-iteration conflict: which set it
-/// lands on, through which map (or directly), and whether it modifies.
-#[derive(Debug, Clone, Copy)]
-pub struct ConflictAccess<'a> {
-    /// `Some((map values, arity, index))` for indirect accesses, `None`
-    /// for direct ones (target element = iteration index).
-    pub map: Option<(&'a [u32], usize, usize)>,
-    /// Target set index.
-    pub set: usize,
-    /// Whether this access modifies the target element.
-    pub writes: bool,
-}
-
-impl<'a> ConflictAccess<'a> {
-    /// An access through entry `idx` of map `md`.
-    pub(crate) fn indirect(md: &'a MapData, idx: u16, writes: bool) -> Self {
-        ConflictAccess {
-            map: Some((md.values.as_slice(), md.arity, idx as usize)),
-            set: md.to.idx(),
-            writes,
-        }
-    }
-
-    /// Target element of iteration `e` in the access's target set.
-    #[inline]
-    pub(crate) fn target(&self, e: usize) -> usize {
-        match self.map {
-            Some((values, arity, idx)) => values[e * arity + idx] as usize,
-            None => e,
-        }
-    }
-}
-
-/// The accesses of `sig` that can conflict across iterations: every
-/// access (direct or indirect, read or write) of a dat the loop modifies
-/// *through a map*. Dats modified only directly are excluded — each
-/// iteration owns its element, so no two iterations collide on them.
-pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<ConflictAccess<'a>> {
-    let mut out = Vec::new();
-    for d in sig.dats() {
-        let Some((mode, indirect)) = sig.access_of(d) else {
-            continue;
-        };
-        if !(mode.modifies() && indirect) {
-            continue;
-        }
-        for a in &sig.args {
-            if let Arg::Dat { dat, map, mode } = a {
-                if *dat != d {
-                    continue;
-                }
-                match map {
-                    Some((m, idx)) => out.push(ConflictAccess::indirect(
-                        &maps[m.idx()],
-                        *idx,
-                        mode.modifies(),
-                    )),
-                    None => out.push(ConflictAccess {
-                        map: None,
-                        set: sig.set.idx(),
-                        writes: mode.modifies(),
-                    }),
-                }
-            }
-        }
-    }
-    out
-}
 
 /// The `Inc`-through-a-map arguments of a loop eligible for the
 /// owner-computes lowering, as `(argument index, access)` pairs — or
@@ -209,7 +69,7 @@ pub fn owner_computes_accesses<'a>(
                 let (Some((m, idx)), AccessMode::Inc) = (map, mode) else {
                     return None;
                 };
-                out.push((i as u32, ConflictAccess::indirect(&maps[m.idx()], *idx, true)));
+                out.push((i as u32, ConflictAccess::new(maps, sig.set, Some((*m, *idx)), true)));
             }
         }
     }
@@ -390,166 +250,50 @@ pub fn thread_schedule(
 ) -> Schedule {
     match owner_computes_accesses(maps, sig) {
         Some(accesses) => owned_schedule(start, end, n_threads, set_sizes, &accesses),
-        None => {
-            let accesses = conflict_accesses(maps, sig);
-            let bc = color_blocks_raw(start, end, block_size, set_sizes, &accesses);
-            Schedule::from_block_coloring(&bc)
-        }
+        None => colored_schedule(maps, sig, start, end, block_size, set_sizes),
     }
 }
 
-/// Levelized order-preserving block coloring of `[start, end)` (see the
-/// module docs for the rule and its guarantees). `set_sizes` bounds the
-/// target index space per set; `accesses` comes from
-/// [`conflict_accesses`]. Works on global domains and on localized rank
-/// layouts alike — callers pass whichever maps the iteration range
-/// dereferences.
-pub fn color_blocks_raw(
+/// `[start, end)` cut into blocks of `block_size` iterations (the last
+/// may be short), ascending, each a single-`piece(start, end)` unit of
+/// the conflict levelizer.
+pub fn block_units(
+    start: usize,
+    end: usize,
+    block_size: usize,
+    piece: impl Fn(u32, u32) -> Piece,
+) -> Vec<Chunk> {
+    assert!(block_size >= 1, "block_size must be at least 1");
+    (start..end)
+        .step_by(block_size)
+        .map(|s| Chunk::new(vec![piece(s as u32, (s + block_size).min(end) as u32)]))
+        .collect()
+}
+
+/// The levelized order-preserving block lowering of iterations
+/// `[start, end)` of one loop (see the module docs): blocks of
+/// `block_size` iterations as units of [`conflict_levels`] under the
+/// loop's [`conflict_accesses`], one level per colour, one chunk per
+/// block. `set_sizes` bounds the target index space per set. Works on
+/// global domains and on localized rank layouts alike — callers pass
+/// whichever maps the iteration range dereferences.
+pub fn colored_schedule(
+    maps: &[MapData],
+    sig: &LoopSig,
     start: usize,
     end: usize,
     block_size: usize,
     set_sizes: &[usize],
-    accesses: &[ConflictAccess<'_>],
-) -> BlockColoring {
-    assert!(block_size >= 1, "block_size must be at least 1");
-    let n_iter = end.saturating_sub(start);
-    let n_blocks = n_iter.div_ceil(block_size);
-    if accesses.is_empty() || n_blocks <= 1 {
-        return BlockColoring {
-            start,
-            end,
-            block_size,
-            n_colors: usize::from(n_blocks > 0),
-            color: vec![0; n_blocks],
-            by_color: if n_blocks > 0 {
-                vec![(0..n_blocks as u32).collect()]
-            } else {
-                Vec::new()
-            },
-        };
-    }
-
-    // Highest 1-based color of an earlier write / read touching each
-    // element (0 = untouched). A writer must come strictly after every
-    // earlier toucher; a reader only after earlier writers.
-    let mut last_w: Vec<Vec<u32>> = set_sizes.iter().map(|&s| vec![0u32; s]).collect();
-    let mut last_r: Vec<Vec<u32>> = set_sizes.iter().map(|&s| vec![0u32; s]).collect();
-    let mut color = vec![0u32; n_blocks];
-    let mut n_colors = 1usize;
-    for b in 0..n_blocks {
-        let s = start + b * block_size;
-        let e = (s + block_size).min(end);
-        let mut need = 0u32;
-        for i in s..e {
-            for a in accesses {
-                let t = a.target(i);
-                need = need.max(last_w[a.set][t]);
-                if a.writes {
-                    need = need.max(last_r[a.set][t]);
-                }
-            }
-        }
-        let c1 = need + 1; // this block's 1-based color
-        color[b] = c1 - 1;
-        n_colors = n_colors.max(c1 as usize);
-        for i in s..e {
-            for a in accesses {
-                let t = a.target(i);
-                let slot = if a.writes {
-                    &mut last_w[a.set][t]
-                } else {
-                    &mut last_r[a.set][t]
-                };
-                *slot = (*slot).max(c1);
-            }
-        }
-    }
-
-    let mut by_color: Vec<Vec<u32>> = vec![Vec::new(); n_colors];
-    for (b, &c) in color.iter().enumerate() {
-        by_color[c as usize].push(b as u32);
-    }
-    BlockColoring {
+) -> Schedule {
+    let accesses = [conflict_accesses(maps, sig)];
+    let units = block_units(start, end, block_size, |start, end| Piece::Range {
+        loop_idx: 0,
         start,
         end,
-        block_size,
-        n_colors,
-        color,
-        by_color,
-    }
-}
-
-/// Color the whole iteration set of `sig` over the global domain.
-pub fn color_blocks(dom: &Domain, sig: &LoopSig, block_size: usize) -> BlockColoring {
-    let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-    let accesses = conflict_accesses(dom.maps(), sig);
-    color_blocks_raw(0, dom.set(sig.set).size, block_size, &set_sizes, &accesses)
-}
-
-/// Verify a block coloring against the raw conflict structure:
-/// completeness (every block colored exactly once), race freedom (no two
-/// same-color blocks conflict) and order preservation (conflicting
-/// blocks are colored in ascending block order — the bitwise-identity
-/// contract). Used by tests and debug assertions.
-pub fn is_valid_block_coloring_raw(
-    set_sizes: &[usize],
-    accesses: &[ConflictAccess<'_>],
-    bc: &BlockColoring,
-) -> bool {
-    let n_blocks = bc.n_blocks();
-    if n_blocks != bc.end.saturating_sub(bc.start).div_ceil(bc.block_size.max(1)) {
-        return false;
-    }
-    // Partition check.
-    let mut seen = vec![false; n_blocks];
-    for (c, bucket) in bc.by_color.iter().enumerate() {
-        for &b in bucket {
-            let b = b as usize;
-            if b >= n_blocks || seen[b] || bc.color[b] as usize != c {
-                return false;
-            }
-            seen[b] = true;
-        }
-    }
-    if !seen.iter().all(|&s| s) {
-        return false;
-    }
-    // Per-element touch lists: (block, writes).
-    let mut touches: Vec<Vec<Vec<(u32, bool)>>> = set_sizes
-        .iter()
-        .map(|&s| vec![Vec::new(); s])
-        .collect();
-    for b in 0..n_blocks {
-        let (s, e) = bc.block_range(b);
-        for i in s..e {
-            for a in accesses {
-                touches[a.set][a.target(i)].push((b as u32, a.writes));
-            }
-        }
-    }
-    for per_set in &touches {
-        for list in per_set {
-            for (i, &(b1, w1)) in list.iter().enumerate() {
-                for &(b2, w2) in &list[i + 1..] {
-                    if b1 == b2 || !(w1 || w2) {
-                        continue; // intra-block or read-read: no conflict
-                    }
-                    let (lo, hi) = if b1 < b2 { (b1, b2) } else { (b2, b1) };
-                    if bc.color[lo as usize] >= bc.color[hi as usize] {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// [`is_valid_block_coloring_raw`] over the global domain.
-pub fn is_valid_block_coloring(dom: &Domain, sig: &LoopSig, bc: &BlockColoring) -> bool {
-    let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-    let accesses = conflict_accesses(dom.maps(), sig);
-    is_valid_block_coloring_raw(&set_sizes, &accesses, bc)
+    });
+    let levels = conflict_levels(&units, &[], &accesses, set_sizes);
+    let kind = ScheduleKind::Colored { block_size };
+    Schedule::from_levels(kind, Vec::new(), units, &levels, &accesses, set_sizes)
 }
 
 /// Average number of conflict-inducing touches per distinct element over
@@ -557,7 +301,7 @@ pub fn is_valid_block_coloring(dom: &Domain, sig: &LoopSig, bc: &BlockColoring) 
 /// Sampled over at most the first 4096 iterations (enough to
 /// characterise a mesh; keeps the probe O(1) for huge ranges). Returns
 /// `0.0` when the loop has no conflict accesses (direct-only loops).
-pub fn conflict_degree(
+fn conflict_degree(
     start: usize,
     end: usize,
     set_sizes: &[usize],
@@ -593,7 +337,9 @@ pub const AUTO_BLOCK_MIN: usize = 32;
 /// conflict-free loops, where blocks only bound scheduling granularity).
 pub const AUTO_BLOCK_MAX: usize = 2048;
 
-/// Pick a per-loop block size from the measured [`conflict_degree`]:
+/// Pick a per-loop block size from the measured conflict degree (the
+/// average number of conflict-inducing touches per distinct element over
+/// a sample of `[start, end)`, under the loop's [`conflict_accesses`]):
 /// high-degree meshes (many iterations sharing each element) get smaller
 /// blocks so the levelized coloring keeps its color count down, while
 /// direct or conflict-free loops get large streaming blocks. The choice
@@ -616,11 +362,46 @@ pub fn adaptive_block_size(
 mod tests {
     use super::*;
     use crate::access::AccessMode;
+    use crate::coloring::Coloring;
+    use crate::conflict::levels_valid;
+    use crate::domain::Domain;
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
     use crate::schedule::{run_loop_schedule, run_loop_schedule_threads, BoundLoop};
 
     fn noop(_: &Args<'_>) {}
+
+    /// The colored lowering of `spec`'s whole iteration set.
+    fn colored(dom: &Domain, spec: &LoopSpec, block_size: usize) -> Schedule {
+        let n = dom.set(spec.set).size;
+        colored_schedule(dom.maps(), &spec.sig(), 0, n, block_size, &dom.set_sizes())
+    }
+
+    /// A colored schedule's blocks back in block order, each with the
+    /// level that holds it.
+    fn blocks_of(sched: &Schedule) -> (Vec<Chunk>, Vec<u32>) {
+        let mut blocks: Vec<(u32, Chunk, u32)> = Vec::new();
+        for (l, level) in sched.levels.iter().enumerate() {
+            for chunk in &level.chunks {
+                let [Piece::Range { start, .. }] = chunk.pieces[..] else {
+                    panic!("a colored chunk is one range: {chunk:?}");
+                };
+                blocks.push((start, chunk.clone(), l as u32));
+            }
+        }
+        blocks.sort_by_key(|b| b.0);
+        blocks.into_iter().map(|(_, c, l)| (c, l)).unzip()
+    }
+
+    /// The checker over a colored schedule of `spec`: completeness, race
+    /// freedom within a level, ascending levels on conflicting blocks.
+    fn is_valid(dom: &Domain, spec: &LoopSpec, sched: &Schedule) -> bool {
+        let (units, levels) = blocks_of(sched);
+        let covered: usize = units.iter().map(Chunk::iters).sum();
+        let accesses = [conflict_accesses(dom.maps(), &spec.sig())];
+        covered == dom.set(spec.set).size
+            && levels_valid(&units, &levels, &[], &accesses, &dom.set_sizes())
+    }
 
     /// Edge→node FP increment kernel whose result is order-sensitive:
     /// res[n] += pres[other] * scale, with irrational-ish values so any
@@ -660,11 +441,11 @@ mod tests {
     #[test]
     fn path_blocks_level_like_a_ladder() {
         let (dom, spec) = path_fixture(65);
-        let bc = color_blocks(&dom, &spec.sig(), 16);
-        assert_eq!(bc.n_blocks(), 4);
-        assert!(is_valid_block_coloring(&dom, &spec.sig(), &bc));
+        let sched = colored(&dom, &spec, 16);
+        assert_eq!(sched.n_chunks(), 4);
+        assert!(is_valid(&dom, &spec, &sched));
         // Every adjacent block pair conflicts, so colors strictly climb.
-        assert_eq!(bc.color, vec![0, 1, 2, 3]);
+        assert_eq!(blocks_of(&sched).1, vec![0, 1, 2, 3]);
     }
 
     /// Blocks that touch disjoint elements share color 0.
@@ -686,9 +467,9 @@ mod tests {
             ],
             noop,
         );
-        let bc = color_blocks(&dom, &spec.sig(), 1);
-        assert_eq!(bc.n_colors, 1);
-        assert!(is_valid_block_coloring(&dom, &spec.sig(), &bc));
+        let sched = colored(&dom, &spec, 1);
+        assert_eq!(sched.n_levels(), 1);
+        assert!(is_valid(&dom, &spec, &sched));
     }
 
     /// Direct-only loops need one color regardless of block size.
@@ -698,14 +479,14 @@ mod tests {
         let nodes = dom.decl_set("nodes", 100);
         let a = dom.decl_dat_zeros("a", nodes, 1);
         let spec = LoopSpec::new("w", nodes, vec![Arg::dat_direct(a, AccessMode::Write)], noop);
-        let bc = color_blocks(&dom, &spec.sig(), 8);
-        assert_eq!(bc.n_colors, 1);
-        assert!(is_valid_block_coloring(&dom, &spec.sig(), &bc));
+        let sched = colored(&dom, &spec, 8);
+        assert_eq!(sched.n_levels(), 1);
+        assert!(is_valid(&dom, &spec, &sched));
     }
 
     /// Bitwise identity against the sequential reference for 1..4
     /// threads on an order-sensitive FP kernel, going through the
-    /// `Schedule` lowering of the block coloring.
+    /// colored `Schedule` lowering.
     #[test]
     fn blocked_execution_bitwise_equals_seq() {
         let (mut seq_dom, spec) = path_fixture(257);
@@ -715,11 +496,11 @@ mod tests {
         for threads in 1..=4usize {
             for block_size in [1usize, 7, 32, 1024] {
                 let (mut dom, spec) = path_fixture(257);
-                let bc = color_blocks(&dom, &spec.sig(), block_size);
-                debug_assert!(is_valid_block_coloring(&dom, &spec.sig(), &bc));
-                let sched = Schedule::from_block_coloring(&bc);
-                assert_eq!(sched.n_levels(), bc.n_colors);
-                assert_eq!(sched.n_chunks(), bc.n_blocks());
+                let sched = colored(&dom, &spec, block_size);
+                assert!(is_valid(&dom, &spec, &sched));
+                let levels = blocks_of(&sched).1;
+                assert_eq!(sched.n_levels(), 1 + *levels.iter().max().unwrap() as usize);
+                assert_eq!(sched.n_chunks(), 256usize.div_ceil(block_size));
                 run_loop_schedule_threads(&mut dom, &spec, &sched, threads);
                 let got = &dom.dat(dom.dat_by_name("res").unwrap()).data;
                 assert_eq!(
@@ -737,7 +518,7 @@ mod tests {
         // Indirect edge loop on a path: every interior node is touched
         // by ~2 edges × 2 accesses → degree ≈ 2 → mid-range blocks.
         let (dom, spec) = path_fixture(257);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+        let set_sizes = dom.set_sizes();
         let accesses = conflict_accesses(dom.maps(), &spec.sig());
         let n = dom.set(spec.sig().set).size;
         let degree = conflict_degree(0, n, &set_sizes, &accesses);
@@ -753,7 +534,7 @@ mod tests {
         let nodes = dom.decl_set("nodes", 64);
         let a = dom.decl_dat_zeros("a", nodes, 1);
         let direct = LoopSpec::new("w", nodes, vec![Arg::dat_direct(a, AccessMode::Write)], noop);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+        let set_sizes = dom.set_sizes();
         let accesses = conflict_accesses(dom.maps(), &direct.sig());
         assert_eq!(
             adaptive_block_size(0, 64, &set_sizes, &accesses),
@@ -767,8 +548,19 @@ mod tests {
     #[test]
     fn element_expansion_is_valid() {
         let (dom, spec) = path_fixture(48);
-        let bc = color_blocks(&dom, &spec.sig(), 1);
-        let ec = bc.element_coloring();
+        // At block size 1 a block is an iteration, so the levels are a
+        // per-iteration coloring.
+        let sched = colored(&dom, &spec, 1);
+        let color = blocks_of(&sched).1;
+        let mut by_color = vec![Vec::new(); sched.n_levels()];
+        for (i, &c) in color.iter().enumerate() {
+            by_color[c as usize].push(i as u32);
+        }
+        let ec = Coloring {
+            n_colors: sched.n_levels(),
+            color,
+            by_color,
+        };
         assert!(crate::coloring::is_valid_coloring(&dom, &spec.sig(), &ec));
         let total: usize = ec.by_color.iter().map(Vec::len).sum();
         assert_eq!(total, 47);
@@ -790,8 +582,7 @@ mod tests {
             vec![Arg::dat_indirect(p, e2n, 0, AccessMode::Read)],
             noop,
         );
-        let bc = color_blocks(&dom, &spec.sig(), 4);
-        assert_eq!(bc.n_colors, 1);
+        assert_eq!(colored(&dom, &spec, 4).n_levels(), 1);
     }
 
     /// Eligibility is read off the access descriptors: `Inc` through
@@ -849,7 +640,7 @@ mod tests {
     #[test]
     fn thread_schedule_selects_by_descriptors() {
         let (dom, spec) = path_fixture(65);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+        let set_sizes = dom.set_sizes();
         let lower = |spec: &LoopSpec| {
             thread_schedule(dom.maps(), &spec.sig(), 0, 64, 2, 16, &set_sizes)
         };
@@ -924,7 +715,7 @@ mod tests {
             (5, 1, 9, 2, 9),
         ] {
             let (dom, spec) = two_target_fixture(n_a, n_b, n_iter);
-            let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+            let set_sizes = dom.set_sizes();
             let accesses = owner_computes_accesses(dom.maps(), &spec.sig()).unwrap();
             let mut reference = dom.clone();
             run_loop_schedule(&mut reference, &spec, &Schedule::range(start, end));

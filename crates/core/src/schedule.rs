@@ -16,7 +16,7 @@
 //!
 //! Lowerings build schedules from each scheduling strategy
 //! ([`Schedule::range`], [`Schedule::from_coloring`],
-//! [`Schedule::from_block_coloring`], [`Schedule::from_tile_plan`],
+//! [`crate::par::colored_schedule`], [`Schedule::from_tile_plan`],
 //! [`crate::par::owned_schedule`]), and a single pair of executors runs
 //! them: [`run_schedule`] (sequential, one thread, level and chunk
 //! order) and [`run_schedule_threads`] (scoped OS threads per level —
@@ -26,15 +26,18 @@
 //! **Determinism contract.** When the lowering guarantees that (a)
 //! same-level chunks touch disjoint modified elements and (b) every
 //! conflicting chunk pair is ordered by level in ascending iteration
-//! order — as the levelized block coloring and the leveled tile plan do —
-//! the per-element update sequence under any thread count equals the
-//! sequential one, so results are **bitwise identical** to
-//! [`crate::seq::run_loop`] / the sequential tiled walk. The
+//! order, the per-element update sequence under any thread count equals
+//! the sequential one, so results are **bitwise identical** to
+//! [`crate::seq::run_loop`] / the sequential tiled walk. Every leveled
+//! lowering — blocks, tiles, fused blocks — gets (a) and (b) from the one
+//! rule of [`crate::conflict`] and is assembled by
+//! [`Schedule::from_levels`], which re-checks both in debug builds. The
 //! owner-computes lowering meets (a) differently: its chunks *overlap*
 //! in iterations but each carries a window per modifying argument
 //! ([`Chunk::mask`]) and keeps only the increments landing inside it, so
 //! one chunk alone updates each element, in ascending iteration order —
-//! (b) has no pair left to order and one level suffices.
+//! (b) has no pair left to order and one level suffices
+//! ([`Schedule::windows_valid`] is its checkable form).
 //!
 //! [`BoundLoop`] is the one argument-resolution and kernel-invocation
 //! path shared by every executor: base pointers resolved once per loop,
@@ -45,10 +48,10 @@
 
 use crate::access::{AccessMode, Arg};
 use crate::coloring::Coloring;
+use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::Domain;
 use crate::kernel::{Args, ArgSlot, KernelFn};
 use crate::loops::LoopSpec;
-use crate::par::BlockColoring;
 use crate::tiling::TilePlan;
 
 /// One contiguous or listed slice of one loop's iteration space, or a
@@ -266,7 +269,7 @@ impl Schedule {
     /// each color's iterations split into list chunks of at most
     /// `chunk_size`. Greedy colorings reorder conflicting iterations
     /// across colors, so this lowering is race-free but **not** bitwise
-    /// order-preserving (see [`Schedule::from_block_coloring`] for the
+    /// order-preserving (see [`crate::par::colored_schedule`] for the
     /// lowering that is).
     pub fn from_coloring(coloring: &Coloring, chunk_size: usize) -> Schedule {
         let chunk_size = chunk_size.max(1);
@@ -293,107 +296,77 @@ impl Schedule {
         }
     }
 
-    /// Lower a levelized order-preserving [`BlockColoring`]: one level
-    /// per color, one chunk per block (a single range piece). Inherits
-    /// the coloring's bitwise-identity contract.
-    pub fn from_block_coloring(bc: &BlockColoring) -> Schedule {
-        let levels = bc
-            .by_color
-            .iter()
-            .map(|bucket| Level {
-                chunks: bucket
-                    .iter()
-                    .map(|&b| {
-                        let (s, e) = bc.block_range(b as usize);
-                        Chunk::new(vec![Piece::Range {
-                            loop_idx: 0,
-                            start: s as u32,
-                            end: e as u32,
-                        }])
-                    })
-                    .collect(),
-            })
-            .collect();
+    /// Bucket `units` (given in sequential order) by their conflict
+    /// `levels` into a leveled schedule over an `accesses.len()`-long
+    /// chain: one level per distinct value, ascending, units keeping
+    /// their order within a level. The single constructor of every
+    /// order-preserving leveled lowering — blocks, tiles, fused blocks —
+    /// and therefore where the conflict rule is audited: in debug builds
+    /// [`levels_valid`] re-checks `levels` pair by pair against
+    /// `accesses`, the descriptors they were computed under (see
+    /// [`crate::conflict`]).
+    pub fn from_levels(
+        kind: ScheduleKind,
+        fused: Vec<FusedGroup>,
+        units: Vec<Chunk>,
+        levels: &[u32],
+        accesses: &[Vec<ConflictAccess<'_>>],
+        set_sizes: &[usize],
+    ) -> Schedule {
+        debug_assert!(
+            levels_valid(&units, levels, &fused, accesses, set_sizes),
+            "{kind:?}: conflicting units share a level or descend"
+        );
+        let n_levels = levels.iter().max().map_or(0, |&l| l as usize + 1);
+        let mut buckets = vec![Level::default(); n_levels];
+        for (unit, &l) in units.into_iter().zip(levels) {
+            buckets[l as usize].chunks.push(unit);
+        }
+        buckets.retain(|l| !l.chunks.is_empty());
         Schedule {
-            n_loops: 1,
-            kind: ScheduleKind::Colored {
-                block_size: bc.block_size,
-            },
-            levels,
-            fused: Vec::new(),
+            n_loops: accesses.len(),
+            kind,
+            levels: buckets,
+            fused,
         }
     }
 
-    /// Lower a leveled [`TilePlan`] over an `n_loops`-long chain: one
-    /// level per tile-conflict level, one chunk per tile holding the
-    /// tile's slice of every loop in program order (empty slices are
-    /// skipped). Within a level, tile ids ascend; conflicting tiles sit
-    /// on strictly ascending levels in tile order, so level-order
-    /// execution is bitwise identical to the ascending-tile sequential
-    /// walk.
-    pub fn from_tile_plan(plan: &TilePlan) -> Schedule {
-        let n_loops = plan.iters.len();
-        let levels = plan
-            .by_level
-            .iter()
-            .map(|tiles| Level {
-                chunks: tiles.iter().map(|&t| Self::tile_chunk(plan, t)).collect(),
-            })
-            .collect();
-        Schedule {
-            n_loops,
-            kind: ScheduleKind::Tiled {
-                n_tiles: plan.n_tiles,
-            },
-            levels,
-            fused: Vec::new(),
-        }
+    /// Lower a leveled [`TilePlan`]: one level per tile-conflict level,
+    /// one chunk per tile ([`TilePlan::unit`]), tile ids ascending within
+    /// a level. Conflicting tiles sit on strictly ascending levels in
+    /// tile order, so level-order execution is bitwise identical to the
+    /// ascending-tile sequential walk. `accesses` are the chain's
+    /// [`crate::conflict::chain_accesses`].
+    pub fn from_tile_plan(
+        plan: &TilePlan,
+        accesses: &[Vec<ConflictAccess<'_>>],
+        set_sizes: &[usize],
+    ) -> Schedule {
+        Self::from_tile_plan_subset(plan, &vec![true; plan.n_tiles], accesses, set_sizes)
     }
 
-    /// Lower only the tiles with `keep[t] == true` from a leveled
-    /// [`TilePlan`], preserving the plan's level structure (levels left
-    /// with no kept tiles are dropped). Used by the overlap executor to
-    /// split one plan into a core schedule (runs while the exchange is
-    /// in flight) and a post schedule (runs after the wait); level order
-    /// within each half is exactly the full plan's, so running one half
-    /// and then the other replays the full plan whenever the split
-    /// itself is order-safe (see `tiling::overlap_core_tiles`).
-    pub fn from_tile_plan_subset(plan: &TilePlan, keep: &[bool]) -> Schedule {
-        let n_loops = plan.iters.len();
-        let levels: Vec<Level> = plan
-            .by_level
-            .iter()
-            .map(|tiles| Level {
-                chunks: tiles
-                    .iter()
-                    .filter(|&&t| keep[t as usize])
-                    .map(|&t| Self::tile_chunk(plan, t))
-                    .collect(),
-            })
-            .filter(|l| !l.chunks.is_empty())
-            .collect();
-        Schedule {
-            n_loops,
-            kind: ScheduleKind::Tiled {
-                n_tiles: plan.n_tiles,
-            },
-            levels,
-            fused: Vec::new(),
-        }
-    }
-
-    /// One tile as an executable chunk: its slice of every loop in
-    /// program order, empty slices skipped.
-    fn tile_chunk(plan: &TilePlan, t: u32) -> Chunk {
-        Chunk::new(
-            (0..plan.iters.len())
-                .filter(|&j| !plan.iters[j][t as usize].is_empty())
-                .map(|j| Piece::List {
-                    loop_idx: j as u32,
-                    iters: plan.iters[j][t as usize].clone(),
-                })
-                .collect(),
-        )
+    /// Lower only the tiles with `keep[t] == true`, on the plan's own
+    /// levels (levels left with no kept tile are dropped). Used by the
+    /// overlap executor to split one plan into a core schedule (runs
+    /// while the exchange is in flight) and a post schedule (runs after
+    /// the wait); level order within each half is exactly the full
+    /// plan's, so running one half and then the other replays the full
+    /// plan whenever the split itself is order-safe (see
+    /// `tiling::overlap_core_tiles`).
+    pub fn from_tile_plan_subset(
+        plan: &TilePlan,
+        keep: &[bool],
+        accesses: &[Vec<ConflictAccess<'_>>],
+        set_sizes: &[usize],
+    ) -> Schedule {
+        let (units, levels): (Vec<Chunk>, Vec<u32>) = (0..plan.n_tiles)
+            .filter(|&t| keep[t])
+            .map(|t| (plan.unit(t), plan.levels[t]))
+            .unzip();
+        let kind = ScheduleKind::Tiled {
+            n_tiles: plan.n_tiles,
+        };
+        Schedule::from_levels(kind, Vec::new(), units, &levels, accesses, set_sizes)
     }
 
     /// Number of barrier-delimited levels.
@@ -822,26 +795,11 @@ impl BoundLoop {
         slots_for(&self.args)
     }
 
-    /// Run one iteration: point every slot at its element, call the
-    /// kernel.
-    #[inline]
-    pub fn run_iter(&self, slots: &mut [ArgSlot], e: usize) {
-        run_elem(self.kernel, &self.args, slots, e);
-    }
-
     /// Run iterations `[start, end)` on the calling thread.
     pub fn run_range(&self, start: usize, end: usize) {
         let mut slots = self.slots();
         for e in start..end {
             run_elem(self.kernel, &self.args, &mut slots, e);
-        }
-    }
-
-    /// Run an explicit iteration list on the calling thread.
-    pub fn run_list(&self, iters: &[u32]) {
-        let mut slots = self.slots();
-        for &e in iters {
-            run_elem(self.kernel, &self.args, &mut slots, e as usize);
         }
     }
 }

@@ -10,12 +10,12 @@
 //! Since the [`crate::schedule`] refactor this module is a thin facade:
 //! argument resolution and kernel invocation live in
 //! [`crate::schedule::BoundLoop`], and every entry point here lowers to a
-//! degenerate one-level [`crate::schedule::Schedule`] (or runs a bound
-//! loop's iteration list directly). There is no second execution loop.
+//! degenerate one-level [`crate::schedule::Schedule`]. There is no second
+//! execution loop.
 
 use crate::domain::Domain;
 use crate::loops::LoopSpec;
-use crate::schedule::{run_loop_schedule, run_loop_schedule_threads, BoundLoop, Schedule};
+use crate::schedule::{run_loop_schedule, run_loop_schedule_threads, Schedule};
 
 /// Result of one loop execution: the final values of every global
 /// argument (constants come back unchanged, reductions hold the sum).
@@ -30,17 +30,6 @@ pub struct LoopResult {
 pub fn run_loop(dom: &mut Domain, spec: &LoopSpec) -> LoopResult {
     let n_iter = dom.set(spec.set).size;
     run_loop_range(dom, spec, 0, n_iter)
-}
-
-/// Execute `spec` over an explicit iteration list — the building block
-/// of sparse-tiled execution, where each tile owns an arbitrary subset
-/// of every loop's iteration space. (A degenerate single-chunk schedule;
-/// the list is borrowed rather than lowered to avoid copying it.)
-pub fn run_loop_indexed(dom: &mut Domain, spec: &LoopSpec, iters: &[u32]) -> LoopResult {
-    let mut gbl_bufs: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
-    let bound = BoundLoop::bind(dom, spec, &mut gbl_bufs);
-    bound.run_list(iters);
-    LoopResult { gbls: gbl_bufs }
 }
 
 /// Execute `spec` over iterations `[start, end)` of its set — the building

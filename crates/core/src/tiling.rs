@@ -31,14 +31,16 @@
 //! `ablation_tiling` benchmark measures exactly this on the MG-CFD
 //! synthetic chain.
 
+use crate::conflict::{chain_accesses, conflict_levels, for_each_touch, ConflictAccess};
 use crate::domain::Domain;
 use crate::loops::LoopSig;
-use crate::schedule::{bind_chain, run_schedule, run_schedule_threads, Schedule};
+use crate::schedule::{bind_chain, run_schedule, run_schedule_threads, Chunk, Piece, Schedule};
 use crate::ChainSpec;
 
 /// A sparse-tiling schedule for one chain over one memory space,
-/// annotated with inter-tile conflict levels (see
-/// `tile_conflict_levels`): same-level tiles touch disjoint modified
+/// annotated with inter-tile conflict levels — the rule of
+/// [`crate::conflict`] with tiles, in ascending id, as its units under
+/// the chain-wide selector: same-level tiles touch disjoint modified
 /// elements, so they may execute concurrently, and conflicting tiles sit
 /// on strictly ascending levels in tile-id order, so level-order
 /// execution is bitwise identical to the ascending-tile sequential walk.
@@ -50,10 +52,6 @@ pub struct TilePlan {
     pub iters: Vec<Vec<Vec<u32>>>,
     /// Conflict level of every tile (0-based).
     pub levels: Vec<u32>,
-    /// Number of conflict levels.
-    pub n_levels: usize,
-    /// Tile ids per level, ascending.
-    pub by_level: Vec<Vec<u32>>,
 }
 
 impl TilePlan {
@@ -63,9 +61,17 @@ impl TilePlan {
         self.iters[loop_idx].iter().map(Vec::len).sum()
     }
 
-    /// Largest tile of `loop_idx` (load-balance diagnostics).
-    pub fn max_tile(&self, loop_idx: usize) -> usize {
-        self.iters[loop_idx].iter().map(Vec::len).max().unwrap_or(0)
+    /// Tile `t` as an executable chunk — its slice of every loop in
+    /// program order, empty slices skipped — and, with the tiles taken in
+    /// ascending id, a unit of the conflict levelizer.
+    pub fn unit(&self, t: usize) -> Chunk {
+        let slice = |(j, per_loop): (usize, &Vec<Vec<u32>>)| {
+            (!per_loop[t].is_empty()).then(|| Piece::List {
+                loop_idx: j as u32,
+                iters: per_loop[t].clone(),
+            })
+        };
+        Chunk::new(self.iters.iter().enumerate().filter_map(slice).collect())
     }
 }
 
@@ -135,7 +141,7 @@ pub fn seed_from_targets(targets: &[u32], n_targets: usize, n_tiles: usize) -> V
 /// Build the tile-growth schedule over a whole domain. `seed[e]`
 /// assigns every iteration of the chain's *first* loop to a tile.
 pub fn build_tile_plan(dom: &Domain, sigs: &[LoopSig], seed: &[u32]) -> TilePlan {
-    let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+    let set_sizes = dom.set_sizes();
     let ranges: Vec<usize> = sigs.iter().map(|s| dom.set(s.set).size).collect();
     build_tile_plan_raw(&set_sizes, dom.maps(), sigs, &ranges, seed)
 }
@@ -235,147 +241,15 @@ pub fn build_tile_plan_raw(
         }
         iters.push(buckets);
     }
-    let (levels, n_levels, by_level) = tile_conflict_levels(set_sizes, maps, sigs, &iters);
-    TilePlan {
+    let mut plan = TilePlan {
         n_tiles,
         iters,
-        levels,
-        n_levels,
-        by_level,
-    }
-}
-
-/// One cross-tile-relevant access of a chain loop: only accesses of dats
-/// that *some* loop of the chain modifies can induce inter-tile
-/// conflicts (a dat nobody writes is static for the whole chain).
-struct TileAccess<'a> {
-    map: Option<(&'a [u32], usize, usize)>,
-    set: usize,
-    reads: bool,
-    modifies: bool,
-}
-
-impl TileAccess<'_> {
-    #[inline]
-    fn target(&self, e: usize) -> Option<usize> {
-        match self.map {
-            Some((values, arity, idx)) => {
-                let v = values[e * arity + idx];
-                (v != u32::MAX).then_some(v as usize) // beyond built halo depth
-            }
-            None => Some(e),
-        }
-    }
-}
-
-fn chain_tile_accesses<'a>(
-    maps: &'a [crate::MapData],
-    sigs: &'a [LoopSig],
-) -> Vec<Vec<TileAccess<'a>>> {
-    let modified: std::collections::HashSet<usize> = sigs
-        .iter()
-        .flat_map(|sig| sig.args.iter())
-        .filter_map(|arg| match arg {
-            crate::access::Arg::Dat { dat, mode, .. } if mode.modifies() => Some(dat.idx()),
-            _ => None,
-        })
-        .collect();
-    sigs.iter()
-        .map(|sig| {
-            sig.args
-                .iter()
-                .filter_map(|arg| match arg {
-                    crate::access::Arg::Dat { dat, map, mode } if modified.contains(&dat.idx()) => {
-                        let (map_info, set) = match map {
-                            Some((m, idx)) => {
-                                let md = &maps[m.idx()];
-                                (
-                                    Some((md.values.as_slice(), md.arity, *idx as usize)),
-                                    md.to.idx(),
-                                )
-                            }
-                            None => (None, sig.set.idx()),
-                        };
-                        Some(TileAccess {
-                            map: map_info,
-                            set,
-                            reads: mode.reads(),
-                            modifies: mode.modifies(),
-                        })
-                    }
-                    _ => None,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Levelize tiles with the same order-preserving rule
-/// [`crate::par::color_blocks_raw`] applies to blocks:
-///
-/// > `level(t) = 1 + max{ level(t') : t' < t and t' conflicts with t }`
-///
-/// where two tiles conflict when, across *any* loops of the chain, they
-/// touch a common element of a chain-modified dat with at least one of
-/// the two accesses modifying. Because a tile's level only ever depends
-/// on earlier tiles, every conflicting pair is ordered by level in
-/// ascending tile order — the property [`Schedule::from_tile_plan`]
-/// turns into the threaded bitwise-identity contract.
-fn tile_conflict_levels(
-    set_sizes: &[usize],
-    maps: &[crate::MapData],
-    sigs: &[LoopSig],
-    iters: &[Vec<Vec<u32>>],
-) -> (Vec<u32>, usize, Vec<Vec<u32>>) {
-    let n_tiles = iters[0].len();
-    let accesses = chain_tile_accesses(maps, sigs);
-    // Highest 1-based level of an earlier modifier / reader touching
-    // each element (0 = untouched) — the block-coloring rule, lifted to
-    // whole tiles across every loop of the chain.
-    let mut last_w: Vec<Vec<u32>> = set_sizes.iter().map(|&s| vec![0u32; s]).collect();
-    let mut last_r: Vec<Vec<u32>> = set_sizes.iter().map(|&s| vec![0u32; s]).collect();
-    let mut levels = vec![0u32; n_tiles];
-    let mut n_levels = 1usize;
-    for t in 0..n_tiles {
-        let mut need = 0u32;
-        for (j, per_loop) in accesses.iter().enumerate() {
-            for &e in &iters[j][t] {
-                for a in per_loop {
-                    let Some(elem) = a.target(e as usize) else {
-                        continue;
-                    };
-                    need = need.max(last_w[a.set][elem]);
-                    if a.modifies {
-                        need = need.max(last_r[a.set][elem]);
-                    }
-                }
-            }
-        }
-        let lv1 = need + 1; // this tile's 1-based level
-        levels[t] = lv1 - 1;
-        n_levels = n_levels.max(lv1 as usize);
-        for (j, per_loop) in accesses.iter().enumerate() {
-            for &e in &iters[j][t] {
-                for a in per_loop {
-                    let Some(elem) = a.target(e as usize) else {
-                        continue;
-                    };
-                    if a.modifies {
-                        let s = &mut last_w[a.set][elem];
-                        *s = (*s).max(lv1);
-                    } else if a.reads {
-                        let s = &mut last_r[a.set][elem];
-                        *s = (*s).max(lv1);
-                    }
-                }
-            }
-        }
-    }
-    let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
-    for (t, &l) in levels.iter().enumerate() {
-        by_level[l as usize].push(t as u32);
-    }
-    (levels, n_levels, by_level)
+        levels: Vec::new(),
+    };
+    // Ascending tile id is the sequential order of the tiled walk.
+    let units: Vec<Chunk> = (0..n_tiles).map(|t| plan.unit(t)).collect();
+    plan.levels = conflict_levels(&units, &[], &chain_accesses(maps, sigs), set_sizes);
+    plan
 }
 
 /// Which tiles may execute **while a halo exchange is in flight**
@@ -403,122 +277,41 @@ fn tile_conflict_levels(
 /// deterministic: a pure function of the plan and the core ends.
 pub fn overlap_core_tiles(
     set_sizes: &[usize],
-    maps: &[crate::MapData],
-    sigs: &[LoopSig],
+    accesses: &[Vec<ConflictAccess<'_>>],
     plan: &TilePlan,
     core_end: &[usize],
 ) -> Vec<bool> {
     assert_eq!(core_end.len(), plan.iters.len());
-    let accesses = chain_tile_accesses(maps, sigs);
     // Elements touched by already-decided post tiles.
     let mut post_w: Vec<Vec<bool>> = set_sizes.iter().map(|&s| vec![false; s]).collect();
     let mut post_r: Vec<Vec<bool>> = set_sizes.iter().map(|&s| vec![false; s]).collect();
-    let mut core = vec![false; plan.n_tiles];
-    for t in 0..plan.n_tiles {
-        let eligible = plan
-            .iters
-            .iter()
-            .zip(core_end)
+    let decide = |t: usize| {
+        let mut core = (plan.iters.iter().zip(core_end))
             .all(|(per_loop, &ce)| per_loop[t].iter().all(|&e| (e as usize) < ce));
-        let mut ok = eligible;
-        if ok {
-            'check: for (j, per_loop) in accesses.iter().enumerate() {
-                for &e in &plan.iters[j][t] {
-                    for a in per_loop {
-                        let Some(elem) = a.target(e as usize) else {
-                            continue;
-                        };
-                        // A lower-id post tile wrote this element (any
-                        // access of ours must come after), or read it
-                        // and we modify it (WAR).
-                        if post_w[a.set][elem] || (a.modifies && post_r[a.set][elem]) {
-                            ok = false;
-                            break 'check;
-                        }
-                    }
-                }
-            }
+        let unit = plan.unit(t);
+        if core {
+            // A lower-id post tile wrote this element (any access of
+            // ours must come after), or read it and we modify it (WAR).
+            for_each_touch(&[], accesses, &unit, &mut |a, elem| {
+                core &= !(post_w[a.set][elem] || (a.writes && post_r[a.set][elem]));
+            });
         }
-        core[t] = ok;
-        if !ok {
-            for (j, per_loop) in accesses.iter().enumerate() {
-                for &e in &plan.iters[j][t] {
-                    for a in per_loop {
-                        let Some(elem) = a.target(e as usize) else {
-                            continue;
-                        };
-                        if a.modifies {
-                            post_w[a.set][elem] = true;
-                        } else if a.reads {
-                            post_r[a.set][elem] = true;
-                        }
-                    }
-                }
-            }
+        if !core {
+            for_each_touch(&[], accesses, &unit, &mut |a, elem| {
+                let post = if a.writes { &mut post_w } else { &mut post_r };
+                post[a.set][elem] = true;
+            });
         }
-    }
-    core
+        core
+    };
+    (0..plan.n_tiles).map(decide).collect()
 }
 
-/// Verify a plan's conflict levels against the raw structure:
-/// level/`by_level` consistency, and for every element of a
-/// chain-modified dat touched by two different tiles with at least one
-/// modifier, strictly ascending levels in tile-id order (race freedom
-/// within a level plus the order-preservation the bitwise contract
-/// needs). Used by tests and debug assertions.
-pub fn is_valid_tile_levels(
-    set_sizes: &[usize],
-    maps: &[crate::MapData],
-    sigs: &[LoopSig],
-    plan: &TilePlan,
-) -> bool {
-    if plan.levels.len() != plan.n_tiles || plan.by_level.len() != plan.n_levels {
-        return false;
-    }
-    let mut seen = vec![false; plan.n_tiles];
-    for (l, bucket) in plan.by_level.iter().enumerate() {
-        for &t in bucket {
-            let t = t as usize;
-            if t >= plan.n_tiles || seen[t] || plan.levels[t] as usize != l {
-                return false;
-            }
-            seen[t] = true;
-        }
-    }
-    if !seen.iter().all(|&s| s) {
-        return false;
-    }
-    // Per-element touch lists: (tile, modifies).
-    let accesses = chain_tile_accesses(maps, sigs);
-    let mut touches: Vec<Vec<Vec<(u32, bool)>>> =
-        set_sizes.iter().map(|&s| vec![Vec::new(); s]).collect();
-    for t in 0..plan.n_tiles {
-        for (j, per_loop) in accesses.iter().enumerate() {
-            for &e in &plan.iters[j][t] {
-                for a in per_loop {
-                    if let Some(elem) = a.target(e as usize) {
-                        touches[a.set][elem].push((t as u32, a.modifies));
-                    }
-                }
-            }
-        }
-    }
-    for per_set in &touches {
-        for list in per_set {
-            for (i, &(t1, w1)) in list.iter().enumerate() {
-                for &(t2, w2) in &list[i + 1..] {
-                    if t1 == t2 || !(w1 || w2) {
-                        continue; // intra-tile or read-read: no conflict
-                    }
-                    let (lo, hi) = if t1 < t2 { (t1, t2) } else { (t2, t1) };
-                    if plan.levels[lo as usize] >= plan.levels[hi as usize] {
-                        return false;
-                    }
-                }
-            }
-        }
-    }
-    true
+/// A plan's full leveled schedule over the global domain `dom`.
+fn global_schedule(dom: &Domain, chain: &ChainSpec, plan: &TilePlan) -> Schedule {
+    assert_eq!(plan.iters.len(), chain.len());
+    let accesses = chain_accesses(dom.maps(), &chain.sigs());
+    Schedule::from_tile_plan(plan, &accesses, &dom.set_sizes())
 }
 
 /// Execute a chain tile by tile on the global domain (the shared-memory
@@ -528,11 +321,10 @@ pub fn is_valid_tile_levels(
 /// every conflicting pair, so this is bitwise identical to the classic
 /// tile-id walk.
 pub fn run_chain_tiled(dom: &mut Domain, chain: &ChainSpec, plan: &TilePlan) {
-    assert_eq!(plan.iters.len(), chain.len());
     for spec in &chain.loops {
         debug_assert!(!spec.has_reduction());
     }
-    let sched = Schedule::from_tile_plan(plan);
+    let sched = global_schedule(dom, chain, plan);
     let (bound, _gbls) = bind_chain(dom, chain);
     run_schedule(&bound, &sched);
 }
@@ -540,7 +332,7 @@ pub fn run_chain_tiled(dom: &mut Domain, chain: &ChainSpec, plan: &TilePlan) {
 /// Execute a chain tile by tile with `n_threads` workers: same-level
 /// tiles run concurrently, with a barrier between levels. Bitwise
 /// identical to [`run_chain_tiled`] for any thread count (the levels
-/// order every conflicting tile pair; see `tile_conflict_levels`).
+/// order every conflicting tile pair; see [`crate::conflict`]).
 ///
 /// # Panics
 /// Panics if any loop of the chain carries global reduction arguments.
@@ -550,14 +342,13 @@ pub fn run_chain_tiled_threads(
     plan: &TilePlan,
     n_threads: usize,
 ) {
-    assert_eq!(plan.iters.len(), chain.len());
     for spec in &chain.loops {
         assert!(
             !spec.has_reduction(),
             "threaded tiled execution does not support global reductions"
         );
     }
-    let sched = Schedule::from_tile_plan(plan);
+    let sched = global_schedule(dom, chain, plan);
     let (bound, _gbls) = bind_chain(dom, chain);
     run_schedule_threads(&bound, &sched, n_threads);
 }
@@ -566,6 +357,7 @@ pub fn run_chain_tiled_threads(
 mod tests {
     use super::*;
     use crate::access::{AccessMode, Arg};
+    use crate::conflict::levels_valid;
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
     use crate::seq;
@@ -577,6 +369,15 @@ mod tests {
     fn consume_kernel(args: &Args<'_>) {
         args.inc(2, 0, args.get(0, 0) + args.get(1, 0));
         args.inc(3, 0, args.get(0, 0) - args.get(1, 0));
+    }
+
+    /// The plan's lowered schedule, after the checker has passed the
+    /// plan's levels over its tiles in ascending id.
+    fn checked_schedule(dom: &Domain, sigs: &[LoopSig], plan: &TilePlan) -> Schedule {
+        let units: Vec<Chunk> = (0..plan.n_tiles).map(|t| plan.unit(t)).collect();
+        let (accesses, set_sizes) = (chain_accesses(dom.maps(), sigs), dom.set_sizes());
+        assert!(levels_valid(&units, &plan.levels, &[], &accesses, &set_sizes));
+        Schedule::from_tile_plan(plan, &accesses, &set_sizes)
     }
 
     /// A 1D path mesh: easy to reason about tile growth by hand.
@@ -761,11 +562,9 @@ mod tests {
         let sigs = vec![produce.sig(), consume.sig()];
         let seed = seed_blocks(39, 4);
         let plan = build_tile_plan(&dom, &sigs, &seed);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        assert!(is_valid_tile_levels(&set_sizes, dom.maps(), &sigs, &plan));
+        let sched = checked_schedule(&dom, &sigs, &plan);
         assert_eq!(plan.levels, vec![0, 0, 1, 1]);
-        assert_eq!(plan.n_levels, 2);
-        let sched = crate::schedule::Schedule::from_tile_plan(&plan);
+        assert_eq!(sched.n_levels(), 2);
         assert!(sched.has_parallelism());
     }
 
@@ -795,10 +594,8 @@ mod tests {
         let sigs = vec![produce.sig()];
         let seed: Vec<u32> = (0..4).collect(); // one edge per tile
         let plan = build_tile_plan(&dom, &sigs, &seed);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        assert!(is_valid_tile_levels(&set_sizes, dom.maps(), &sigs, &plan));
-        assert_eq!(plan.n_levels, 1);
-        let sched = crate::schedule::Schedule::from_tile_plan(&plan);
+        let sched = checked_schedule(&dom, &sigs, &plan);
+        assert_eq!(sched.n_levels(), 1);
         assert_eq!(sched.max_level_chunks(), 4);
         assert!(sched.has_parallelism());
     }

@@ -146,6 +146,13 @@ pub struct RankLayout {
 }
 
 impl RankLayout {
+    /// Local element count (owned plus halo) of every set, in domain
+    /// order — the bound on each set's local target index space that the
+    /// conflict inspectors take.
+    pub fn set_sizes(&self) -> Vec<usize> {
+        self.sets.iter().map(|s| s.n_local()).collect()
+    }
+
     /// Gather a global dat into this rank's local order.
     pub fn gather_dat(&self, dom: &Domain, dat: op2_core::DatId) -> Vec<f64> {
         let d = dom.dat(dat);

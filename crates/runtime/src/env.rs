@@ -37,8 +37,9 @@ use crate::plan::{
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
 use crate::trace::{ExchangeRec, RankTrace, SchedKind, ThreadRec};
-use op2_core::dag::{dag_accesses, ChunkDag};
-use op2_core::par::{adaptive_block_size, conflict_accesses, thread_schedule};
+use op2_core::conflict::{chain_accesses, conflict_accesses};
+use op2_core::dag::ChunkDag;
+use op2_core::par::{adaptive_block_size, thread_schedule};
 use op2_core::schedule::{
     run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
 };
@@ -281,7 +282,7 @@ impl<'a> RankEnv<'a> {
             return self.policy.threading.block_size;
         }
         let sig = spec.sig();
-        let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
+        let set_sizes = self.layout.set_sizes();
         let accesses = conflict_accesses(&self.layout.maps, &sig);
         adaptive_block_size(start, end, &set_sizes, &accesses)
     }
@@ -300,7 +301,7 @@ impl<'a> RankEnv<'a> {
         end: usize,
         block_size: usize,
     ) -> Schedule {
-        let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
+        let set_sizes = self.layout.set_sizes();
         thread_schedule(
             &self.layout.maps,
             &spec.sig(),
@@ -369,7 +370,7 @@ impl<'a> RankEnv<'a> {
     /// Drain `bound` over `low` on the rank's pool, through whichever
     /// executor [`RankEnv::dataflow_chosen`] picks — dataflow needs the
     /// chunk DAG, derived from the chain-wide conflict accesses of
-    /// `sigs()` ([`dag_accesses`]) over this rank's localized maps and
+    /// `sigs()` ([`chain_accesses`]) over this rank's localized maps and
     /// kept beside the schedule; levels pays one barrier per level.
     /// Bitwise identical either way. A single-level schedule has no
     /// barrier for dataflow to remove and always takes the leveled
@@ -385,8 +386,7 @@ impl<'a> RankEnv<'a> {
         if self.policy.exec != ExecMode::Levels && low.n_levels() > 1 && low.has_parallelism() {
             let layout = self.layout;
             let dag = low.dag(|sched| {
-                let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
-                ChunkDag::build(sched, &set_sizes, &dag_accesses(&layout.maps, &sigs()))
+                ChunkDag::build(sched, &layout.set_sizes(), &chain_accesses(&layout.maps, &sigs()))
             });
             if self.dataflow_chosen(low, dag) {
                 return run_schedule_dataflow(

@@ -37,10 +37,9 @@
 //! do **zero** re-analysis.
 
 use op2_core::chain::{produced_validity, read_requirement};
-use op2_core::par::{color_blocks_raw, conflict_accesses};
-use op2_core::schedule::{
-    elision_valid, Chunk, FusedGroup, Level, Piece, ScheduleKind, ScratchBind,
-};
+use op2_core::conflict::{chain_accesses, conflict_accesses, conflict_levels};
+use op2_core::par::block_units;
+use op2_core::schedule::{elision_valid, Chunk, FusedGroup, Piece, ScheduleKind, ScratchBind};
 use op2_core::tiling::{
     build_tile_plan_raw, overlap_core_tiles, seed_blocks, seed_from_targets, TilePlan,
 };
@@ -567,7 +566,7 @@ impl ChainPlan {
 
     fn build_tiled(&self, layout: &RankLayout, chain: &ChainSpec, n_tiles: usize) -> TiledChain {
         let sigs = chain.sigs();
-        let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
+        let set_sizes = layout.set_sizes();
         // Seed through the first loop's map targets when it has one:
         // target-set numbering (e.g. lexicographic nodes) is spatially
         // coherent even when the iteration set's is not (direction-
@@ -598,14 +597,18 @@ impl ChainPlan {
             &self.exec_end,
             &seed,
         ));
-        let sched = LoweredSchedule::new(Schedule::from_tile_plan(&tp));
+        let accesses = chain_accesses(&layout.maps, &sigs);
+        let subset = |keep: &[bool]| {
+            LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, keep, &accesses, &set_sizes))
+        };
+        let sched = LoweredSchedule::new(Schedule::from_tile_plan(&tp, &accesses, &set_sizes));
         // The overlap split: tiles whose footprint sits inside every
         // loop's core region run while the exchange is in flight.
-        let keep = overlap_core_tiles(&set_sizes, &layout.maps, &sigs, &tp, &self.core_end);
+        let keep = overlap_core_tiles(&set_sizes, &accesses, &tp, &self.core_end);
         let n_core_tiles = keep.iter().filter(|&&k| k).count();
-        let core = LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, &keep));
+        let core = subset(&keep);
         let not_keep: Vec<bool> = keep.iter().map(|&k| !k).collect();
-        let post = LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, &not_keep));
+        let post = subset(&not_keep);
         TiledChain {
             tiles: tp,
             sched,
@@ -741,14 +744,14 @@ fn fused_groups_for(
     out
 }
 
-/// The colored fused lowering: per fusion group, an order-preserving
-/// block coloring of the members' common extent under the **union** of
-/// every member's conflict accesses (a fused block runs all member
-/// kernels, so same-level blocks must be disjoint under all of them
-/// combined), lowered to [`Piece::Fused`] chunks; then per-member tail
-/// colorings for extents beyond the common prefix, then solo loops —
-/// all as sequential level runs in program order, which preserves the
-/// per-location update order of the unfused colored walk.
+/// The colored fused lowering: the chain cut into program-order
+/// *segments* — per fusion group the members' common extent as
+/// [`Piece::Fused`] blocks, then each member's tail beyond it, and every
+/// solo loop, as [`Piece::Range`] blocks — each segment levelized on its
+/// own ([`conflict_levels`] under the per-loop [`conflict_accesses`]; a
+/// fused block unions its members', since it runs all their kernels) and
+/// the level runs concatenated, which preserves the per-location update
+/// order of the unfused colored walk.
 fn colored_fused(
     layout: &RankLayout,
     chain: &ChainSpec,
@@ -758,27 +761,17 @@ fn colored_fused(
     group_of: &[Option<usize>],
 ) -> Schedule {
     let sigs = chain.sigs();
-    let set_sizes: Vec<usize> = layout.sets.iter().map(|s| s.n_local()).collect();
-    let mut levels: Vec<Level> = Vec::new();
-    // Color `[lo, hi)` under the union of `members`' conflict accesses:
-    // one level per color, one `piece(start, end)` chunk per block.
-    let mut color = |members: &[u32], lo: usize, hi: usize, piece: &dyn Fn(u32, u32) -> Piece| {
-        let acc: Vec<_> = (members.iter())
-            .flat_map(|&m| conflict_accesses(&layout.maps, &sigs[m as usize]))
-            .collect();
-        let bc = color_blocks_raw(lo, hi, block, &set_sizes, &acc);
-        for bucket in &bc.by_color {
-            let chunks: Vec<Chunk> = bucket
-                .iter()
-                .map(|&b| {
-                    let (s, e) = bc.block_range(b as usize);
-                    Chunk::new(vec![piece(s as u32, e as u32)])
-                })
-                .collect();
-            if !chunks.is_empty() {
-                levels.push(Level { chunks });
-            }
-        }
+    let set_sizes = layout.set_sizes();
+    let accesses: Vec<_> = (sigs.iter())
+        .map(|sig| conflict_accesses(&layout.maps, sig))
+        .collect();
+    let (mut units, mut levels): (Vec<Chunk>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut segment = |lo: usize, hi: usize, piece: &dyn Fn(u32, u32) -> Piece| {
+        let blocks = block_units(lo, hi, block, piece);
+        let base = levels.iter().max().map_or(0, |&l| l + 1);
+        let within = conflict_levels(&blocks, &groups, &accesses, &set_sizes);
+        levels.extend(within.iter().map(|&l| base + l));
+        units.extend(blocks);
     };
     let range_of = |loop_idx: u32| move |start, end| Piece::Range { loop_idx, start, end };
     let mut j = 0usize;
@@ -788,26 +781,20 @@ fn colored_fused(
                 let members = &groups[g].loops;
                 let common = members.iter().map(|&m| ends[m as usize]).min().unwrap_or(0);
                 let group = g as u32;
-                color(members, 0, common, &|start, end| Piece::Fused { group, start, end });
+                segment(0, common, &|start, end| Piece::Fused { group, start, end });
                 for &m in members {
-                    if ends[m as usize] > common {
-                        color(&[m], common, ends[m as usize], &range_of(m));
-                    }
+                    segment(common, ends[m as usize], &range_of(m));
                 }
                 j += members.len();
             }
             _ => {
-                color(&[j as u32], 0, ends[j], &range_of(j as u32));
+                segment(0, ends[j], &range_of(j as u32));
                 j += 1;
             }
         }
     }
-    Schedule {
-        n_loops: sigs.len(),
-        kind: ScheduleKind::Colored { block_size: block },
-        levels,
-        fused: groups,
-    }
+    let kind = ScheduleKind::Colored { block_size: block };
+    Schedule::from_levels(kind, groups, units, &levels, &accesses, &set_sizes)
 }
 
 /// Plan-cache activity counters, copied into the rank trace by the
@@ -1044,6 +1031,7 @@ mod tests {
     use super::*;
     use crate::comm::CommWorld;
     use crate::env::RankEnv;
+    use op2_core::schedule::Level;
     use op2_core::LoopSpec;
     use op2_mesh::Quad2D;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
@@ -1309,6 +1297,62 @@ mod tests {
         assert!(built3, "a different key is a fresh schedule");
         assert!(fc3.fused_pieces > 0);
         assert_eq!(fc3.elided, vec![tmp]);
+    }
+
+    /// The fused-colored lowering, literally: on a path, the fused
+    /// stage+apply blocks share a node with their neighbours and ladder
+    /// (the group's segment, levelized under the union of its members'
+    /// accesses); the solo loop's segment follows on one level of its
+    /// own (it modifies nothing through a map).
+    #[test]
+    fn fused_colored_levels_are_literal() {
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", 9);
+        let edges = dom.decl_set("edges", 8);
+        let path: Vec<u32> = (0..8).flat_map(|i| [i, i + 1]).collect();
+        let e2n = dom.decl_map("e2n", edges, nodes, 2, path).unwrap();
+        let w = dom.decl_dat_zeros("w", edges, 1);
+        let r = dom.decl_dat_zeros("r", nodes, 1);
+        let stage = LoopSpec::new("stage", edges, vec![Arg::dat_direct(w, AccessMode::Write)], noop);
+        let apply = LoopSpec::new(
+            "apply",
+            edges,
+            vec![
+                Arg::dat_direct(w, AccessMode::Read),
+                Arg::dat_indirect(r, e2n, 0, AccessMode::Rw),
+                Arg::dat_indirect(r, e2n, 1, AccessMode::Rw),
+            ],
+            noop,
+        );
+        let scale = LoopSpec::new("scale", nodes, vec![Arg::dat_direct(r, AccessMode::Rw)], noop);
+        let chain = ChainSpec::new("sas", vec![stage, apply, scale], None, &[]).unwrap();
+        let own = derive_ownership(&dom, nodes, vec![0; 9], 1);
+        let layout = &build_layouts(&dom, &own, 2)[0];
+        let plan = ChainPlan::build(layout, &dom, &vec![0u8; dom.n_dats()], &chain, false, 0);
+        assert_eq!(plan.exec_end, vec![8, 8, 9]);
+
+        let (fc, _) = plan.fused_chain(layout, &dom, &chain, LoweringKey::FusedColored(2));
+        let level = |pieces: Vec<Piece>| Level {
+            chunks: pieces.into_iter().map(|p| Chunk::new(vec![p])).collect(),
+        };
+        let fused = |start, end| Piece::Fused { group: 0, start, end };
+        let solo = |start, end| Piece::Range { loop_idx: 2, start, end };
+        let expect = Schedule {
+            n_loops: 3,
+            kind: ScheduleKind::Colored { block_size: 2 },
+            levels: vec![
+                level(vec![fused(0, 2)]),
+                level(vec![fused(2, 4)]),
+                level(vec![fused(4, 6)]),
+                level(vec![fused(6, 8)]),
+                level(vec![solo(0, 2), solo(2, 4), solo(4, 6), solo(6, 8), solo(8, 9)]),
+            ],
+            fused: vec![FusedGroup {
+                loops: vec![0, 1],
+                scratch: Vec::new(),
+            }],
+        };
+        assert_eq!(*fc.sched, expect);
     }
 
     /// A chain whose loops cannot legally interleave yields an empty

@@ -943,8 +943,9 @@ mod tests {
 
         for n_threads in [1usize, 2, 4] {
             let (mut dom, spec, r) = build();
-            let bc = op2_core::color_blocks(&dom, &spec.sig(), 8);
-            let sched = Schedule::from_block_coloring(&bc);
+            let n = dom.set(spec.set).size;
+            let sched =
+                op2_core::colored_schedule(dom.maps(), &spec.sig(), 0, n, 8, &dom.set_sizes());
             let mut gbls: Vec<Vec<f64>> = Vec::new();
             let bound = BoundLoop::bind(&mut dom, &spec, &mut gbls);
             let pool = ThreadPool::new(n_threads);
@@ -987,10 +988,10 @@ mod tests {
             ],
             noop,
         );
-        let bc = op2_core::color_blocks(&dom, &spec.sig(), block);
-        let sched = Schedule::from_block_coloring(&bc);
-        let set_sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
-        let acc = op2_core::dag_accesses(dom.maps(), &[spec.sig()]);
+        let set_sizes = dom.set_sizes();
+        let sched =
+            op2_core::colored_schedule(dom.maps(), &spec.sig(), 0, n_nodes - 1, block, &set_sizes);
+        let acc = op2_core::chain_accesses(dom.maps(), &[spec.sig()]);
         let dag = op2_core::ChunkDag::build(&sched, &set_sizes, &acc);
         (sched, dag)
     }

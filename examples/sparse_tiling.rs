@@ -7,8 +7,9 @@
 //!
 //! Run with `cargo run --release --example sparse_tiling`.
 
+use op2::core::conflict::chain_accesses;
 use op2::core::tiling::{build_tile_plan, run_chain_tiled, seed_blocks};
-use op2::core::seq;
+use op2::core::{seq, Chunk, Schedule};
 use op2::mgcfd::{MgCfd, MgCfdParams};
 
 fn main() {
@@ -69,12 +70,18 @@ fn main() {
     println!("\nmax relative |tiled - plain| on dflux: {max_err:.3e}");
     assert!(max_err < 1e-12);
 
+    // The level table of the schedule `run_chain_tiled` just walked.
+    let accesses = chain_accesses(app.dom.maps(), &chain.sigs());
+    let sched = Schedule::from_tile_plan(&plan, &accesses, &app.dom.set_sizes());
     println!(
         "\nconflict levels: {} levels over {} tiles, level of each tile: {:?}",
-        plan.n_levels, plan.n_tiles, plan.levels
+        sched.n_levels(),
+        plan.n_tiles,
+        plan.levels
     );
-    for (lv, bucket) in plan.by_level.iter().enumerate() {
-        println!("  level {lv}: tiles {bucket:?}");
+    for (lv, level) in sched.levels.iter().enumerate() {
+        let iters: usize = level.chunks.iter().map(Chunk::iters).sum();
+        println!("  level {lv}: {} tiles, {iters} iterations", level.chunks.len());
     }
     println!("ok");
 }

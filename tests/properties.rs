@@ -253,9 +253,9 @@ proptest! {
     /// Greedy loop colorings are valid (no two same-color iterations
     /// modify the same element) and minimal-ish — within the greedy
     /// bound `max conflict degree + 1` — on random 2-D quad and 3-D tet
-    /// meshes. Block colorings from the threaded subsystem at block
-    /// size 1 agree with the element-level checker through the
-    /// `element_coloring` bridge.
+    /// meshes. Block levelizations from the threaded subsystem at block
+    /// size 1 agree with the element-level checker: a block is an
+    /// iteration, so the levels are a per-iteration coloring.
     #[test]
     fn colorings_valid_and_bounded(
         nx in 3usize..9,
@@ -263,8 +263,9 @@ proptest! {
         nz in 2usize..5,
         tet in proptest::bool::ANY,
     ) {
-        use op2::core::par::{color_blocks, is_valid_block_coloring};
-        use op2::core::{color_loop, is_valid_coloring, AccessMode as AM, LoopSpec};
+        use op2::core::conflict::{conflict_accesses, levels_valid};
+        use op2::core::par::{block_units, colored_schedule};
+        use op2::core::{color_loop, is_valid_coloring, AccessMode as AM, Coloring, LoopSpec, Piece};
         use op2::mesh::Tet3D;
 
         fn noop(_: &op2::core::Args<'_>) {}
@@ -319,9 +320,24 @@ proptest! {
 
         // The threaded subsystem's block coloring at block size 1 is an
         // element coloring and passes the same validity checker.
-        let bc = color_blocks(&dom, &sig, 1);
-        prop_assert!(is_valid_block_coloring(&dom, &sig, &bc));
-        prop_assert!(is_valid_coloring(&dom, &sig, &bc.element_coloring()));
+        let set_sizes = dom.set_sizes();
+        let sched = colored_schedule(dom.maps(), &sig, 0, n_edges, 1, &set_sizes);
+        let mut color = vec![0u32; n_edges];
+        let mut by_color = vec![Vec::new(); sched.n_levels()];
+        for (l, level) in sched.levels.iter().enumerate() {
+            for chunk in &level.chunks {
+                let [Piece::Range { start, .. }] = chunk.pieces[..] else {
+                    panic!("a colored chunk is one range: {chunk:?}");
+                };
+                color[start as usize] = l as u32;
+                by_color[l].push(start);
+            }
+        }
+        let units = block_units(0, n_edges, 1, |start, end| Piece::Range { loop_idx: 0, start, end });
+        let accesses = [conflict_accesses(dom.maps(), &sig)];
+        prop_assert!(levels_valid(&units, &color, &[], &accesses, &set_sizes));
+        let ec = Coloring { n_colors: sched.n_levels(), color, by_color };
+        prop_assert!(is_valid_coloring(&dom, &sig, &ec));
     }
 
     /// Ownership inheritance covers every set and respects the base
