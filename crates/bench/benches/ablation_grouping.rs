@@ -6,13 +6,14 @@
 //! 4-rank partition with five node dats (the vflux working set). The
 //! grouped variant sends 1 message per neighbour; the per-dat variant
 //! sends 5. The gap is the per-message overhead the paper's CA back-end
-//! eliminates.
+//! eliminates. Both are the one engine — the same `ExchangePlan` import
+//! under its two splits, posted and completed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use op2_core::DatId;
 use op2_mesh::{Hex3D, Hex3DParams};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
-use op2_runtime::run_distributed;
+use op2_runtime::{run_distributed, ExchangePlan, Split};
 
 fn setup(n: usize, nparts: usize) -> (Hex3D, Vec<RankLayout>, Vec<DatId>) {
     let mut m = Hex3D::generate(Hex3DParams::cube(n));
@@ -29,18 +30,15 @@ fn bench_grouping(c: &mut Criterion) {
     let (mut mesh, layouts, dats) = setup(16, 4);
     let rounds = 50usize;
     let mut group = c.benchmark_group("exchange_round");
-    for (label, grouped) in [("per_dat", false), ("grouped", true)] {
-        group.bench_with_input(BenchmarkId::new(label, rounds), &grouped, |b, &grouped| {
+    let import: Vec<(DatId, u8)> = dats.iter().map(|&d| (d, 1)).collect();
+    for (label, split) in [("per_dat", Split::PerDat), ("grouped", Split::Grouped)] {
+        group.bench_with_input(BenchmarkId::new(label, rounds), &split, |b, &split| {
             b.iter(|| {
-                let spec: Vec<(DatId, u8)> = dats.iter().map(|&d| (d, 1)).collect();
                 run_distributed(&mut mesh.dom, &layouts, |env| {
+                    let x = ExchangePlan::build(env.layout, env.dom, import.clone(), split);
                     for _ in 0..rounds {
-                        // Force staleness so the exchange is real.
-                        for &(d, _) in &spec {
-                            env.valid[d.idx()] = 0;
-                        }
-                        let mut rec = env.exchange(&spec, grouped);
-                        env.exchange_wait(&spec, grouped, &mut rec)?;
+                        let mut rec = x.post(env);
+                        x.complete(env, &mut rec)?;
                     }
                     Ok(env.comm.sent_msgs)
                 })
@@ -50,18 +48,15 @@ fn bench_grouping(c: &mut Criterion) {
     group.finish();
 
     // Print the message-count difference once for the report.
-    let spec: Vec<(DatId, u8)> = dats.iter().map(|&d| (d, 1)).collect();
-    for grouped in [false, true] {
+    for split in [Split::PerDat, Split::Grouped] {
         let out = run_distributed(&mut mesh.dom, &layouts, |env| {
-            for &(d, _) in &spec {
-                env.valid[d.idx()] = 0;
-            }
-            let mut rec = env.exchange(&spec, grouped);
-            env.exchange_wait(&spec, grouped, &mut rec)?;
+            let x = ExchangePlan::build(env.layout, env.dom, import.clone(), split);
+            let mut rec = x.post(env);
+            x.complete(env, &mut rec)?;
             Ok(rec.n_msgs)
         });
         let total: usize = out.unwrap_results().into_iter().sum();
-        eprintln!("grouping={grouped}: {total} messages per round (all ranks)");
+        eprintln!("{split:?}: {total} messages per round (all ranks)");
     }
 }
 

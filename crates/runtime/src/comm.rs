@@ -35,6 +35,7 @@
 //! control plane (hangup) sits above both at [`tags::CONTROL_BASE`].
 
 use crate::fault::{Disposition, FaultPlan};
+use std::cmp::Reverse;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -387,6 +388,16 @@ pub struct RankComm {
     stash: Vec<Option<(Msg, Instant)>>,
 }
 
+/// What [`RankComm::screen`] made of one copy off the wire.
+enum Screened {
+    /// In sequence, with the expected tag: the payload.
+    Accepted(Vec<f64>),
+    /// Failed its checksum; discarded.
+    Corrupt,
+    /// A sequence number already accepted; discarded.
+    Duplicate,
+}
+
 /// Upper bound on pooled buffers per peer; beyond this, returned
 /// buffers are simply freed. Steady-state planned exchanges circulate
 /// one buffer per peer per direction — the cap only guards against
@@ -423,9 +434,18 @@ impl RankComm {
             self.push(to, msg, None);
             return;
         };
-        let schedule = plan.send_schedule(self.rank, to, seq);
+        let attempts = plan.send_schedule(self.rank, to, seq).attempts;
+        let last = attempts.len().saturating_sub(1);
+        let mut msg = Some(msg);
         let mut delivered_once = false;
-        for attempt in schedule.attempts {
+        for (i, attempt) in attempts.into_iter().enumerate() {
+            // The last attempt sends the message itself, so the pooled
+            // buffer it carries reaches the peer's pool; earlier ones
+            // (corrupt copies, duplicates) send clones.
+            let mut copy = || {
+                let m = if i == last { msg.take() } else { msg.clone() };
+                m.expect("no attempt follows the last")
+            };
             match attempt.disposition {
                 Disposition::Drop => {
                     self.counters.injected_drops += 1;
@@ -434,7 +454,7 @@ impl RankComm {
                 Disposition::Corrupt => {
                     self.counters.injected_corrupt += 1;
                     self.counters.retransmits += 1;
-                    let mut bad = msg.clone();
+                    let mut bad = copy();
                     let victim = (seq as usize) % bad.data.len().max(1);
                     if let Some(x) = bad.data.get_mut(victim) {
                         *x = f64::from_bits(x.to_bits() ^ (1 << 17));
@@ -448,7 +468,7 @@ impl RankComm {
                         self.counters.injected_dups += 1;
                     }
                     delivered_once = true;
-                    self.push(to, msg.clone(), attempt.delay);
+                    self.push(to, copy(), attempt.delay);
                 }
             }
         }
@@ -478,30 +498,18 @@ impl RankComm {
         let mut corrupt_seen = 0u64;
         loop {
             if retries > self.config.max_retries {
-                return if corrupt_seen > 0 {
-                    Err(CommError::Corrupt {
+                return Err(if corrupt_seen > 0 {
+                    CommError::Corrupt {
                         from,
                         discarded: corrupt_seen,
-                    })
+                    }
                 } else {
-                    self.counters.timeouts += 1;
-                    Err(CommError::Timeout {
-                        from,
-                        tag,
-                        waited: start.elapsed(),
-                        retries,
-                    })
-                };
+                    self.timed_out(from, tag, start, retries)
+                });
             }
             let now = Instant::now();
             if now >= deadline {
-                self.counters.timeouts += 1;
-                return Err(CommError::Timeout {
-                    from,
-                    tag,
-                    waited: start.elapsed(),
-                    retries,
-                });
+                return Err(self.timed_out(from, tag, start, retries));
             }
             let msg = if let Some((m, visible_at)) = self.stash[from as usize].take() {
                 // A prior recv_any parked this packet mid-latency; FIFO
@@ -515,18 +523,9 @@ impl RankComm {
                 let packet = match self.recvs[from as usize].recv_timeout(deadline - now) {
                     Ok(p) => p,
                     Err(RecvTimeoutError::Timeout) => {
-                        self.counters.timeouts += 1;
-                        return Err(CommError::Timeout {
-                            from,
-                            tag,
-                            waited: start.elapsed(),
-                            retries,
-                        });
+                        return Err(self.timed_out(from, tag, start, retries))
                     }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.counters.hangups_seen += 1;
-                        return Err(CommError::PeerHangup { peer: from });
-                    }
+                    Err(RecvTimeoutError::Disconnected) => return Err(self.hung_up(from)),
                 };
                 if let Some(d) = packet.delay {
                     // The wire was slow: the payload only becomes visible
@@ -535,78 +534,102 @@ impl RankComm {
                 }
                 packet.msg
             };
-            if msg.tag >= tags::CONTROL_BASE {
-                self.counters.hangups_seen += 1;
-                return Err(CommError::PeerHangup { peer: from });
+            match self.screen(from, tag, msg)? {
+                Screened::Accepted(data) => return Ok(data),
+                Screened::Corrupt => {
+                    retries += 1;
+                    corrupt_seen += 1;
+                    std::thread::sleep(self.config.retry_backoff);
+                }
+                Screened::Duplicate => retries += 1,
             }
-            if !msg.is_intact() {
-                self.counters.corrupt_dropped += 1;
-                self.counters.retries += 1;
-                retries += 1;
-                corrupt_seen += 1;
-                std::thread::sleep(self.config.retry_backoff);
-                continue;
-            }
-            if msg.seq <= self.last_seq[from as usize] {
-                self.counters.duplicates_dropped += 1;
-                self.counters.retries += 1;
-                retries += 1;
-                continue;
-            }
-            self.last_seq[from as usize] = msg.seq;
-            if msg.tag != tag {
-                return Err(CommError::TagMismatch {
-                    from,
-                    expected: tag,
-                    got: msg.tag,
-                });
-            }
-            return Ok(msg.data);
+        }
+    }
+
+    /// The one acceptance rule [`RankComm::recv`] and
+    /// [`RankComm::recv_any`] apply to every copy pulled off `from`'s
+    /// wire: a control tag is a hangup; a copy failing its checksum or
+    /// repeating an accepted sequence number is discarded (counted as a
+    /// retry — the caller applies its retry budget); anything else is
+    /// accepted in sequence and must carry `tag`.
+    fn screen(&mut self, from: u32, tag: u64, msg: Msg) -> Result<Screened, CommError> {
+        if msg.tag >= tags::CONTROL_BASE {
+            return Err(self.hung_up(from));
+        }
+        if !msg.is_intact() {
+            self.counters.corrupt_dropped += 1;
+            self.counters.retries += 1;
+            return Ok(Screened::Corrupt);
+        }
+        if msg.seq <= self.last_seq[from as usize] {
+            self.counters.duplicates_dropped += 1;
+            self.counters.retries += 1;
+            return Ok(Screened::Duplicate);
+        }
+        self.last_seq[from as usize] = msg.seq;
+        if msg.tag != tag {
+            return Err(CommError::TagMismatch {
+                from,
+                expected: tag,
+                got: msg.tag,
+            });
+        }
+        Ok(Screened::Accepted(msg.data))
+    }
+
+    /// `from` is gone: a hangup sentinel arrived or its channel closed.
+    fn hung_up(&mut self, from: u32) -> CommError {
+        self.counters.hangups_seen += 1;
+        CommError::PeerHangup { peer: from }
+    }
+
+    /// The deadline or the retry budget ran out waiting on `from`.
+    fn timed_out(&mut self, from: u32, tag: u64, start: Instant, retries: u64) -> CommError {
+        self.counters.timeouts += 1;
+        CommError::Timeout {
+            from,
+            tag,
+            waited: start.elapsed(),
+            retries,
         }
     }
 
     /// Borrow a payload buffer of at least `cap` f64s from `peer`'s
-    /// pool slot.
-    ///
-    /// Best-fit: the smallest pooled buffer whose capacity covers `cap`
-    /// is returned (best-fit keeps the take/miss sequence a pure
-    /// function of the slot's capacity *multiset*, independent of
-    /// message arrival order — replay determinism). A miss bumps
-    /// [`CommCounters::payload_allocs`] and either grows the largest
-    /// pooled buffer in place or allocates fresh; because capacities
-    /// only ever grow and sent buffers circulate back on the same pair,
-    /// misses die out after the first rounds and steady-state planned
-    /// exchanges never allocate.
+    /// pool slot: the smallest that fits (best fit keeps the take/miss
+    /// sequence a pure function of the slot's capacity *multiset*,
+    /// independent of arrival order — replay determinism), or on a miss
+    /// the slot's largest grown in place (or a fresh one), counted in
+    /// [`CommCounters::payload_allocs`]. Capacities only grow and sent
+    /// buffers circulate back on their pair, so misses die out and
+    /// steady-state exchanges never allocate.
     pub fn take_buf(&mut self, peer: u32, cap: usize) -> Vec<f64> {
         if cap == 0 {
             return Vec::new();
         }
-        let slot = &mut self.pool[peer as usize];
-        let mut best: Option<(usize, usize)> = None; // (index, capacity)
-        for (i, b) in slot.iter().enumerate() {
-            let c = b.capacity();
-            if c >= cap && best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((i, c));
-            }
-        }
-        if let Some((i, _)) = best {
-            return slot.swap_remove(i);
-        }
+        let slot = &self.pool[peer as usize];
+        let best = (0..slot.len())
+            .filter(|&i| slot[i].capacity() >= cap)
+            .min_by_key(|&i| slot[i].capacity());
+        let i = best.unwrap_or_else(|| self.grow(peer, cap));
+        self.pool[peer as usize].swap_remove(i)
+    }
+
+    /// A pool miss: grow `peer`'s largest pooled buffer to hold `cap`
+    /// f64s, or pool a fresh one if the slot is empty, counting one
+    /// [`CommCounters::payload_allocs`]. Returns the buffer's slot index.
+    fn grow(&mut self, peer: u32, cap: usize) -> usize {
         self.counters.payload_allocs += 1;
-        let mut largest: Option<(usize, usize)> = None;
-        for (i, b) in slot.iter().enumerate() {
-            let c = b.capacity();
-            if largest.is_none_or(|(_, lc)| c > lc) {
-                largest = Some((i, c));
+        let slot = &mut self.pool[peer as usize];
+        // The first of the largest, so ties resolve as they always have.
+        match (0..slot.len()).min_by_key(|&i| Reverse(slot[i].capacity())) {
+            Some(i) => {
+                slot[i].reserve_exact(cap);
+                i
             }
-        }
-        match largest {
-            Some((i, _)) => {
-                let mut b = slot.swap_remove(i);
-                b.reserve_exact(cap);
-                b
+            None => {
+                slot.push(Vec::with_capacity(cap));
+                slot.len() - 1
             }
-            None => Vec::with_capacity(cap),
         }
     }
 
@@ -632,21 +655,8 @@ impl RankComm {
         if cap == 0 {
             return;
         }
-        let slot = &mut self.pool[peer as usize];
-        if slot.iter().any(|b| b.capacity() >= cap) {
-            return;
-        }
-        self.counters.payload_allocs += 1;
-        let mut largest: Option<(usize, usize)> = None;
-        for (i, b) in slot.iter().enumerate() {
-            let c = b.capacity();
-            if largest.is_none_or(|(_, lc)| c > lc) {
-                largest = Some((i, c));
-            }
-        }
-        match largest {
-            Some((i, _)) => slot[i].reserve_exact(cap),
-            None => slot.push(Vec::with_capacity(cap)),
+        if !self.pool[peer as usize].iter().any(|b| b.capacity() >= cap) {
+            self.grow(peer, cap);
         }
     }
 
@@ -701,15 +711,8 @@ impl RankComm {
         let mut retries = vec![0u64; peers.len()];
         let mut corrupt_seen = vec![0u64; peers.len()];
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                self.counters.timeouts += 1;
-                return Err(CommError::Timeout {
-                    from: peers[0],
-                    tag,
-                    waited: start.elapsed(),
-                    retries: retries.iter().sum(),
-                });
+            if Instant::now() >= deadline {
+                return Err(self.timed_out(peers[0], tag, start, retries.iter().sum()));
             }
             let mut progressed = false;
             for (i, &from) in peers.iter().enumerate() {
@@ -735,54 +738,29 @@ impl RankComm {
                             None => packet.msg,
                         },
                         Err(TryRecvError::Empty) => continue,
-                        Err(TryRecvError::Disconnected) => {
-                            self.counters.hangups_seen += 1;
-                            return Err(CommError::PeerHangup { peer: from });
-                        }
+                        Err(TryRecvError::Disconnected) => return Err(self.hung_up(from)),
                     }
                 };
                 progressed = true;
-                if msg.tag >= tags::CONTROL_BASE {
-                    self.counters.hangups_seen += 1;
-                    return Err(CommError::PeerHangup { peer: from });
-                }
-                if !msg.is_intact() {
-                    self.counters.corrupt_dropped += 1;
-                    self.counters.retries += 1;
-                    retries[i] += 1;
-                    corrupt_seen[i] += 1;
-                    if retries[i] > self.config.max_retries {
-                        return Err(CommError::Corrupt {
-                            from,
-                            discarded: corrupt_seen[i],
-                        });
+                match self.screen(from, tag, msg)? {
+                    Screened::Accepted(data) => return Ok((i, data)),
+                    Screened::Corrupt => {
+                        retries[i] += 1;
+                        corrupt_seen[i] += 1;
+                        if retries[i] > self.config.max_retries {
+                            return Err(CommError::Corrupt {
+                                from,
+                                discarded: corrupt_seen[i],
+                            });
+                        }
                     }
-                    continue;
-                }
-                if msg.seq <= self.last_seq[from as usize] {
-                    self.counters.duplicates_dropped += 1;
-                    self.counters.retries += 1;
-                    retries[i] += 1;
-                    if retries[i] > self.config.max_retries {
-                        self.counters.timeouts += 1;
-                        return Err(CommError::Timeout {
-                            from,
-                            tag,
-                            waited: start.elapsed(),
-                            retries: retries[i],
-                        });
+                    Screened::Duplicate => {
+                        retries[i] += 1;
+                        if retries[i] > self.config.max_retries {
+                            return Err(self.timed_out(from, tag, start, retries[i]));
+                        }
                     }
-                    continue;
                 }
-                self.last_seq[from as usize] = msg.seq;
-                if msg.tag != tag {
-                    return Err(CommError::TagMismatch {
-                        from,
-                        expected: tag,
-                        got: msg.tag,
-                    });
-                }
-                return Ok((i, msg.data));
             }
             if !progressed {
                 std::thread::sleep(POLL_INTERVAL);

@@ -12,7 +12,7 @@
 //! to an integer `valid[d] = v`: our copies of rings `1..=v` agree with
 //! their owners. The transitions implemented by the executors:
 //!
-//! * a halo exchange to depth `t` raises validity to `t`;
+//! * a halo exchange ([`crate::halo`]) to depth `t` raises validity to `t`;
 //! * a loop executed to halo extent `e` that modifies `d` *indirectly*
 //!   (INC / indirect RW / indirect WRITE) leaves `valid[d] = e − 1`: the
 //!   outermost executed ring received only the increments of executed
@@ -29,14 +29,12 @@
 //! typed [`crate::error::RuntimeError::Validity`], never silent
 //! numerical corruption.
 
-use crate::comm::{CommError, RankComm};
+use crate::comm::RankComm;
 use crate::fault::{BoundaryAction, BoundaryKind};
-use crate::plan::{
-    loop_signature, ChainPlan, Lowered, LoweredSchedule, LoweringKey, NeighborPack, PlanCache,
-};
+use crate::plan::{loop_signature, ChainPlan, Lowered, LoweredSchedule, LoweringKey, PlanCache};
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
-use crate::trace::{ExchangeRec, RankTrace, SchedKind, ThreadRec};
+use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::conflict::{chain_accesses, conflict_accesses};
 use op2_core::dag::ChunkDag;
 use op2_core::par::{adaptive_block_size, thread_schedule};
@@ -44,33 +42,9 @@ use op2_core::schedule::{
     run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
 };
 use op2_core::{Arg, ChainSpec, DatId, Domain, LoopSig, LoopSpec};
-use op2_partition::layout::{NeighborPlan, RankLayout};
+use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Payload size above which planned pack/unpack splits a neighbour's
-/// index lists across the rank's thread pool. Tuned so the fork/join
-/// cost (two pool barriers, ~µs) stays well under the memory traffic it
-/// parallelises; below it the sequential copy wins.
-pub const PACK_THREAD_BYTES: usize = 32 << 10;
-
-/// Raw-pointer wrapper so pack/unpack closures can fan copies out over
-/// the pool; safety rests on the disjointness of the copied ranges (pack
-/// entries partition the payload; receive ranges are disjoint local
-/// windows).
-struct PackPtr(*mut f64);
-unsafe impl Send for PackPtr {}
-unsafe impl Sync for PackPtr {}
-
-impl PackPtr {
-    /// The raw pointer. Going through a method (rather than `.0`) keeps
-    /// closures capturing the `Sync` wrapper, not the bare pointer.
-    #[inline]
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
-}
 
 /// Per-rank state: local data, validity, transport, trace.
 pub struct RankEnv<'a> {
@@ -102,10 +76,10 @@ pub struct RankEnv<'a> {
     /// resolved policy ([`ExecPolicy::resolve`]) before the program
     /// runs, so env creation itself never reads the environment.
     pub policy: ExecPolicy,
-    /// Plans — by (chain signature, dirty class), the key that selects a
-    /// [`ChainPlan`] — whose message buffers are already pre-sized into
-    /// the transport's per-peer pool (see [`RankEnv::exchange_planned`]).
-    warmed: HashSet<(u64, u64)>,
+    /// Exchange plans (by content key) whose message buffers are already
+    /// pre-sized into the transport's per-peer pool (see
+    /// [`crate::halo::ExchangePlan::post`]).
+    pub(crate) warmed: HashSet<u64>,
     /// Checkpoint/replay state (see [`crate::checkpoint`]); inert — all
     /// hooks are no-ops — unless [`RankEnv::ckpt_attach`] was called.
     pub ckpt: crate::checkpoint::CheckpointCtx,
@@ -168,7 +142,7 @@ impl<'a> RankEnv<'a> {
     /// attached fault plan names this boundary, act on it: a stall is a
     /// plain sleep (long enough to trip peers' deadlines when configured
     /// so); a crash hangs up the transport — so peers unwind promptly
-    /// with [`CommError::PeerHangup`] — and panics, which the harness
+    /// with [`crate::comm::CommError::PeerHangup`] — and panics, which the harness
     /// contains via `catch_unwind` and reports as a per-rank failure.
     pub fn boundary(&mut self, kind: BoundaryKind) {
         let slot = match kind {
@@ -488,455 +462,13 @@ impl<'a> RankEnv<'a> {
             run_schedule_ctx(&bound, low, &mut self.threads.sched_ctxs[0]);
         }
     }
-
-    /// Exchange halos for `dats`, each to its required depth.
-    ///
-    /// `grouped = false` → Alg 1 style: one message per (dat, neighbour).
-    /// `grouped = true` → Alg 2 style: a single message per neighbour
-    /// carrying every dat's segments back-to-back (Figure 8).
-    ///
-    /// Both sides derive the identical wire layout from (plan order ×
-    /// given dat order), so no headers are exchanged. Raises validity.
-    pub fn exchange(&mut self, dats: &[(DatId, u8)], grouped: bool) -> ExchangeRec {
-        let tag = self.next_tag();
-        let mut rec = ExchangeRec::default();
-        if dats.is_empty() {
-            return rec;
-        }
-        let layout = self.layout;
-        rec.n_neighbors = layout.neighbors.len();
-
-        // One message per neighbour carrying every dat (grouped), or one
-        // per (neighbour, dat). Payloads are staged in the per-peer
-        // buffer pool, never freshly allocated once the pool is warm.
-        let step = if grouped { dats.len() } else { 1 };
-        for nbr in &layout.neighbors {
-            for msg in dats.chunks(step) {
-                let cap: usize = msg
-                    .iter()
-                    .map(|&(dat, depth)| self.send_len(nbr, dat, depth))
-                    .sum();
-                if cap == 0 {
-                    continue;
-                }
-                let mut payload = self.comm.take_buf(nbr.rank, cap);
-                let t0 = Instant::now();
-                for &(dat, depth) in msg {
-                    self.pack_dat(nbr, dat, depth, &mut payload);
-                }
-                rec.pack_ns += t0.elapsed().as_nanos() as u64;
-                rec.n_msgs += 1;
-                let bytes = payload.len() * 8;
-                rec.bytes += bytes;
-                rec.max_msg_bytes = rec.max_msg_bytes.max(bytes);
-                rec.packed_elems += payload.len();
-                rec.nbr_bits |= 1u128 << nbr.rank.min(127);
-                self.comm.isend(nbr.rank, tag, payload);
-            }
-        }
-        rec
-    }
-
-    /// Outgoing f64 count for one (dat, neighbour) at `depth` — the
-    /// exact capacity [`RankEnv::exchange`] borrows from the pool, so a
-    /// pack never reallocates mid-copy.
-    fn send_len(&self, nbr: &NeighborPlan, dat: DatId, depth: u8) -> usize {
-        let d = self.dom.dat(dat);
-        nbr.send
-            .iter()
-            .filter(|seg| seg.set == d.set && seg.level <= depth)
-            .map(|seg| seg.elems.len() * d.dim)
-            .sum()
-    }
-
-    /// Complete the exchange posted by [`RankEnv::exchange`] (the
-    /// `MPI_Wait` of Algs 1–2): receive and unpack from every neighbour.
-    ///
-    /// Grouped messages complete in **arrival order** (`recv_any`):
-    /// whichever neighbour's payload lands first is unpacked first, so
-    /// the tail is one slowest neighbour, not the sum of in-order stalls.
-    /// Receive segments of different neighbours are disjoint local
-    /// ranges, so unpack order cannot change results. Wait/unpack wall
-    /// time accumulates into `rec`; payload buffers return to the
-    /// per-peer pool.
-    ///
-    /// Transport failures (timeout, hangup, corruption past the retry
-    /// budget) surface as [`CommError`]; validity is only raised after
-    /// *every* neighbour delivered, so a failed wait never leaves rings
-    /// marked valid that were not actually filled.
-    pub fn exchange_wait(
-        &mut self,
-        dats: &[(DatId, u8)],
-        grouped: bool,
-        rec: &mut ExchangeRec,
-    ) -> Result<(), CommError> {
-        if dats.is_empty() {
-            return Ok(());
-        }
-        let tag = self.tag_seq;
-        // Collect neighbor ranks first (borrow discipline).
-        let nbr_ranks: Vec<u32> = self.layout.neighbors.iter().map(|n| n.rank).collect();
-        if grouped {
-            let mut pending: Vec<usize> = Vec::new();
-            let mut peers: Vec<u32> = Vec::new();
-            for (ni, &peer) in nbr_ranks.iter().enumerate() {
-                if self.expected_len(ni, dats) > 0 {
-                    pending.push(ni);
-                    peers.push(peer);
-                }
-            }
-            while !pending.is_empty() {
-                let t0 = Instant::now();
-                let (i, payload) = self.comm.recv_any(&peers, tag)?;
-                rec.wait_ns += t0.elapsed().as_nanos() as u64;
-                let ni = pending.remove(i);
-                let peer = peers.remove(i);
-                assert_eq!(
-                    payload.len(),
-                    self.expected_len(ni, dats),
-                    "grouped message length mismatch"
-                );
-                let t1 = Instant::now();
-                let mut off = 0;
-                for &(dat, depth) in dats {
-                    off = self.unpack_dat(ni, dat, depth, &payload, off);
-                }
-                debug_assert_eq!(off, payload.len());
-                rec.unpack_ns += t1.elapsed().as_nanos() as u64;
-                self.comm.recycle(peer, payload);
-            }
-        } else {
-            for (ni, &peer) in nbr_ranks.iter().enumerate() {
-                for &(dat, depth) in dats {
-                    let expect = self.expected_len(ni, &[(dat, depth)]);
-                    if expect == 0 {
-                        continue;
-                    }
-                    let t0 = Instant::now();
-                    let payload = self.comm.recv(peer, tag)?;
-                    rec.wait_ns += t0.elapsed().as_nanos() as u64;
-                    assert_eq!(payload.len(), expect, "per-dat message length mismatch");
-                    let t1 = Instant::now();
-                    let off = self.unpack_dat(ni, dat, depth, &payload, 0);
-                    debug_assert_eq!(off, payload.len());
-                    rec.unpack_ns += t1.elapsed().as_nanos() as u64;
-                    self.comm.recycle(peer, payload);
-                }
-            }
-        }
-        for &(dat, depth) in dats {
-            self.valid[dat.idx()] = self.valid[dat.idx()].max(depth);
-            // Unpack mutated the import rings: the dat is dirty for
-            // incremental checkpointing even if no loop touches it.
-            self.ckpt.note_write(dat.idx());
-        }
-        Ok(())
-    }
-
-    /// Grouped (Alg 2 style) exchange driven by a cached [`ChainPlan`]:
-    /// the executor-side fast path. Pack index lists and per-neighbour
-    /// message sizes come straight from the plan — no per-call segment
-    /// filtering — and the wire layout is identical to
-    /// [`RankEnv::exchange`] with `grouped = true` over `plan.import`,
-    /// so planned and unplanned ranks interoperate. Consumes no tag when
-    /// the plan imports nothing, matching the unplanned path exactly.
-    pub fn exchange_planned(&mut self, plan: &ChainPlan) -> ExchangeRec {
-        let mut rec = ExchangeRec::default();
-        if plan.import.is_empty() {
-            return rec;
-        }
-        // The `MPI_Send_init` moment, once per plan: size each peer's
-        // pool slot to the larger of the pair's send/recv payloads.
-        // Buffers travel with messages and return with the peer's
-        // replies, so one warmed to `max(send, recv)` keeps circulating
-        // on its pair without ever growing — steady-state planned
-        // exchanges make zero payload allocations (asserted via
-        // [`crate::comm::CommCounters::payload_allocs`]).
-        if self.warmed.insert((plan.sig, plan.dirty)) {
-            for pack in &plan.packs {
-                self.comm.ensure_buf(pack.rank, pack.send_f64s.max(pack.recv_f64s));
-            }
-        }
-        let tag = self.next_tag();
-        rec.n_neighbors = self.layout.neighbors.len();
-        for pack in &plan.packs {
-            if pack.send_f64s == 0 {
-                continue;
-            }
-            let mut payload = self.comm.take_buf(pack.rank, pack.send_f64s);
-            let t0 = Instant::now();
-            if !self.threaded_pack(plan, pack, &mut payload) {
-                for (di, &(dat, _)) in plan.import.iter().enumerate() {
-                    let dim = self.dom.dat(dat).dim;
-                    let buf = &self.dats[dat.idx()];
-                    for &e in &pack.send[di] {
-                        let e = e as usize;
-                        payload.extend_from_slice(&buf[e * dim..(e + 1) * dim]);
-                    }
-                }
-            }
-            rec.pack_ns += t0.elapsed().as_nanos() as u64;
-            debug_assert_eq!(payload.len(), pack.send_f64s);
-            rec.n_msgs += 1;
-            let bytes = payload.len() * 8;
-            rec.bytes += bytes;
-            rec.max_msg_bytes = rec.max_msg_bytes.max(bytes);
-            rec.packed_elems += payload.len();
-            rec.nbr_bits |= 1u128 << pack.rank.min(127);
-            self.comm.isend(pack.rank, tag, payload);
-        }
-        rec
-    }
-
-    /// Pack one neighbour's grouped payload on the thread pool when the
-    /// message is big enough to amortize the fork/join
-    /// ([`PACK_THREAD_BYTES`]). The pack's flattened index entries are
-    /// split into even contiguous spans, one per thread; every entry
-    /// writes a disjoint `dim`-sized window of the payload, so the copy
-    /// is race-free and the payload is byte-identical to the sequential
-    /// pack. Returns false (caller packs sequentially) when threading is
-    /// off or the message is small.
-    fn threaded_pack(&mut self, plan: &ChainPlan, pack: &NeighborPack, payload: &mut Vec<f64>) -> bool {
-        if !self.policy.threading.active() || pack.send_f64s * 8 < PACK_THREAD_BYTES {
-            return false;
-        }
-        let pool = self.threads.pool(self.policy.threading.n_threads);
-        let n_tasks = pool.n_threads();
-        if n_tasks <= 1 {
-            return false;
-        }
-        payload.resize(pack.send_f64s, 0.0);
-        let n_dats = plan.import.len();
-        // Entry e = one element copy; entry_start maps dat → first entry.
-        let mut entry_start = Vec::with_capacity(n_dats + 1);
-        let mut f64_off = Vec::with_capacity(n_dats);
-        let mut dims = Vec::with_capacity(n_dats);
-        let mut srcs: Vec<PackPtr> = Vec::with_capacity(n_dats);
-        let mut entries = 0usize;
-        let mut off = 0usize;
-        for (di, &(dat, _)) in plan.import.iter().enumerate() {
-            let dim = self.dom.dat(dat).dim;
-            entry_start.push(entries);
-            f64_off.push(off);
-            dims.push(dim);
-            srcs.push(PackPtr(self.dats[dat.idx()].as_ptr() as *mut f64));
-            entries += pack.send[di].len();
-            off += pack.send[di].len() * dim;
-        }
-        entry_start.push(entries);
-        debug_assert_eq!(off, pack.send_f64s);
-        let dst = PackPtr(payload.as_mut_ptr());
-        pool.run_spans(entries, &|lo, hi| {
-            let mut di = entry_start.partition_point(|&s| s <= lo) - 1;
-            for e in lo..hi {
-                while entry_start[di + 1] <= e {
-                    di += 1;
-                }
-                let j = e - entry_start[di];
-                let dim = dims[di];
-                let el = pack.send[di][j] as usize;
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        srcs[di].get().add(el * dim) as *const f64,
-                        dst.get().add(f64_off[di] + j * dim),
-                        dim,
-                    );
-                }
-            }
-        });
-        true
-    }
-
-    /// Scatter one neighbour's grouped payload on the thread pool (the
-    /// unpack mirror of [`RankEnv::threaded_pack`]): the payload is
-    /// split into even f64 spans, one per thread, and each thread copies
-    /// the intersection of its span with the plan's contiguous receive
-    /// ranges. Destination ranges are disjoint, so the scatter is
-    /// race-free and bitwise identical to the sequential unpack.
-    fn threaded_unpack(&mut self, plan: &ChainPlan, pack: &NeighborPack, payload: &[f64]) -> bool {
-        if !self.policy.threading.active() || pack.recv_f64s * 8 < PACK_THREAD_BYTES {
-            return false;
-        }
-        let pool = self.threads.pool(self.policy.threading.n_threads);
-        let n_tasks = pool.n_threads();
-        if n_tasks <= 1 {
-            return false;
-        }
-        let n_dats = plan.import.len();
-        let mut dims = Vec::with_capacity(n_dats);
-        let mut bases: Vec<PackPtr> = Vec::with_capacity(n_dats);
-        for &(dat, _) in plan.import.iter() {
-            dims.push(self.dom.dat(dat).dim);
-            bases.push(PackPtr(self.dats[dat.idx()].as_mut_ptr()));
-        }
-        let total = pack.recv_f64s;
-        let src = PackPtr(payload.as_ptr() as *mut f64);
-        pool.run_spans(total, &|lo, hi| {
-            let mut off = 0usize;
-            'outer: for di in 0..n_dats {
-                let dim = dims[di];
-                for &(start, len) in &pack.recv[di] {
-                    let n = len as usize * dim;
-                    let a = off.max(lo);
-                    let b = (off + n).min(hi);
-                    if a < b {
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                src.get().add(a) as *const f64,
-                                bases[di].get().add(start as usize * dim + (a - off)),
-                                b - a,
-                            );
-                        }
-                    }
-                    off += n;
-                    if off >= hi {
-                        break 'outer;
-                    }
-                }
-            }
-        });
-        true
-    }
-
-    /// Complete a planned exchange: receive each neighbour's grouped
-    /// message (size known from the plan) and scatter it through the
-    /// plan's contiguous copy ranges. Completion is in **arrival
-    /// order** — whichever neighbour's message lands first is unpacked
-    /// first (receive ranges of different neighbours are disjoint, so
-    /// order cannot change results). Wait/unpack wall time accumulates
-    /// into `rec`; payload buffers return to the per-peer pool. Raises
-    /// validity to each dat's planned import depth only after every
-    /// neighbour delivered.
-    pub fn exchange_wait_planned(
-        &mut self,
-        plan: &ChainPlan,
-        rec: &mut ExchangeRec,
-    ) -> Result<(), CommError> {
-        if plan.import.is_empty() {
-            return Ok(());
-        }
-        let tag = self.tag_seq;
-        let mut pending: Vec<usize> = Vec::new();
-        let mut peers: Vec<u32> = Vec::new();
-        for (pi, pack) in plan.packs.iter().enumerate() {
-            if pack.recv_f64s > 0 {
-                pending.push(pi);
-                peers.push(pack.rank);
-            }
-        }
-        while !pending.is_empty() {
-            let t0 = Instant::now();
-            let (i, payload) = self.comm.recv_any(&peers, tag)?;
-            rec.wait_ns += t0.elapsed().as_nanos() as u64;
-            let pi = pending.remove(i);
-            let peer = peers.remove(i);
-            let pack = &plan.packs[pi];
-            assert_eq!(
-                payload.len(),
-                pack.recv_f64s,
-                "planned grouped message length mismatch"
-            );
-            let t1 = Instant::now();
-            if !self.threaded_unpack(plan, pack, &payload) {
-                let mut off = 0;
-                for (di, &(dat, _)) in plan.import.iter().enumerate() {
-                    let dim = self.dom.dat(dat).dim;
-                    let buf = &mut self.dats[dat.idx()];
-                    for &(start, len) in &pack.recv[di] {
-                        let n = len as usize * dim;
-                        let s = start as usize * dim;
-                        buf[s..s + n].copy_from_slice(&payload[off..off + n]);
-                        off += n;
-                    }
-                }
-                debug_assert_eq!(off, payload.len());
-            }
-            rec.unpack_ns += t1.elapsed().as_nanos() as u64;
-            self.comm.recycle(peer, payload);
-        }
-        for &(dat, depth) in &plan.import {
-            self.valid[dat.idx()] = self.valid[dat.idx()].max(depth);
-            self.ckpt.note_write(dat.idx());
-        }
-        Ok(())
-    }
-
-    /// Bytes-in-f64s this rank will receive from neighbour index `ni`
-    /// for the given (dat, depth) list.
-    fn expected_len(&self, ni: usize, dats: &[(DatId, u8)]) -> usize {
-        let nbr = &self.layout.neighbors[ni];
-        let mut len = 0usize;
-        for &(dat, depth) in dats {
-            let d = self.dom.dat(dat);
-            for seg in &nbr.recv {
-                if seg.set == d.set && seg.level <= depth {
-                    len += seg.len as usize * d.dim;
-                }
-            }
-        }
-        len
-    }
-
-    /// Append one dat's outgoing segments for one neighbour to `payload`.
-    fn pack_dat(
-        &self,
-        nbr: &op2_partition::layout::NeighborPlan,
-        dat: DatId,
-        depth: u8,
-        payload: &mut Vec<f64>,
-    ) {
-        let d = self.dom.dat(dat);
-        let buf = &self.dats[dat.idx()];
-        for seg in &nbr.send {
-            if seg.set == d.set && seg.level <= depth {
-                for &e in &seg.elems {
-                    let e = e as usize;
-                    payload.extend_from_slice(&buf[e * d.dim..(e + 1) * d.dim]);
-                }
-            }
-        }
-    }
-
-    /// Unpack one dat's incoming segments from neighbour index `ni`,
-    /// starting at `off`; returns the new offset. Receive segments are
-    /// contiguous local ranges — plain copies.
-    fn unpack_dat(
-        &mut self,
-        ni: usize,
-        dat: DatId,
-        depth: u8,
-        payload: &[f64],
-        mut off: usize,
-    ) -> usize {
-        let d = self.dom.dat(dat);
-        let dim = d.dim;
-        let set = d.set;
-        let nbr = &self.layout.neighbors[ni];
-        let buf = &mut self.dats[dat.idx()];
-        for seg in &nbr.recv {
-            if seg.set == set && seg.level <= depth {
-                let n = seg.len as usize * dim;
-                let start = seg.start as usize * dim;
-                buf[start..start + n].copy_from_slice(&payload[off..off + n]);
-                off += n;
-            }
-        }
-        off
-    }
-
-    /// Total bytes this rank will receive for a (dat, depth) list —
-    /// the staged-in volume a GPU pipeline copies host→device.
-    pub fn expected_recv_bytes(&self, dats: &[(DatId, u8)]) -> usize {
-        (0..self.layout.neighbors.len())
-            .map(|ni| self.expected_len(ni, dats) * std::mem::size_of::<f64>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::CommWorld;
+    use crate::halo::{ExchangePlan, Split};
     use op2_core::{AccessMode, Arg, Args, LoopSpec};
     use op2_mesh::Quad2D;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
@@ -944,61 +476,62 @@ mod tests {
     fn noop(_: &Args<'_>) {}
 
     /// Pack → send → recv → unpack round-trips every ring value for a
-    /// 2-rank split, checked against the global dat directly.
+    /// 2-rank split, checked against the global dats directly, under
+    /// both splits of the one engine.
     #[test]
     fn exchange_roundtrip_restores_rings() {
         let mut mesh = Quad2D::generate(6, 6);
         let n = mesh.dom.set(mesh.nodes).size;
         let vals: Vec<f64> = (0..n * 2).map(|i| i as f64).collect();
-        let _ = mesh.dom.decl_dat("v", mesh.nodes, 2, vals);
+        let v = mesh.dom.decl_dat("v", mesh.nodes, 2, vals);
+        let w = mesh.dom.decl_dat("w", mesh.nodes, 1, (0..n).map(|i| -(i as f64)).collect());
         let base = rcb_partition(&mesh.dom.dat(mesh.coords).data, 2, 2);
         let own = derive_ownership(&mesh.dom, mesh.nodes, base, 2);
         let layouts = build_layouts(&mesh.dom, &own, 2);
 
-        let comms = CommWorld::new(2).into_ranks();
-        let dom = &mesh.dom;
-        let handles: Vec<_> = std::thread::scope(|scope| {
-            comms
-                .into_iter()
-                .zip(layouts.iter())
-                .map(|(comm, layout)| {
+        for split in [Split::PerDat, Split::Grouped] {
+            let comms = CommWorld::new(2).into_ranks();
+            let dom = &mesh.dom;
+            std::thread::scope(|scope| {
+                for (comm, layout) in comms.into_iter().zip(layouts.iter()) {
                     scope.spawn(move || {
                         let mut env = RankEnv::new(layout, dom, comm);
                         // Corrupt every import ring, then exchange to
                         // depth 2 and verify restoration against the
                         // global truth.
-                        let dat = dom.dat_by_name("v").unwrap();
-                        let set_layout = &layout.sets[dom.dat(dat).set.idx()];
+                        let set_layout = &layout.sets[mesh.nodes.idx()];
                         let n_owned = set_layout.n_owned;
-                        for x in &mut env.dats[dat.idx()][n_owned * 2..] {
-                            *x = -1.0;
+                        for dat in [v, w] {
+                            let dim = dom.dat(dat).dim;
+                            for x in &mut env.dats[dat.idx()][n_owned * dim..] {
+                                *x = -1.0;
+                            }
+                            env.valid[dat.idx()] = 0;
                         }
-                        env.valid[dat.idx()] = 0;
-                        let spec = [(dat, 2u8)];
-                        let mut rec = env.exchange(&spec, true);
-                        env.exchange_wait(&spec, true, &mut rec).unwrap();
-                        assert_eq!(env.valid[dat.idx()], 2);
+                        let x = ExchangePlan::build(layout, dom, vec![(v, 2), (w, 2)], split);
+                        let mut rec = x.post(&mut env);
+                        x.complete(&mut env, &mut rec).unwrap();
+                        let msgs_per_nbr = if split == Split::PerDat { 2 } else { 1 };
+                        assert_eq!(rec.n_msgs, layout.neighbors.len() * msgs_per_nbr, "{split:?}");
                         // Every local copy must now equal the owner's
                         // global values.
-                        for (l, &g) in set_layout.locals.iter().enumerate() {
-                            for c in 0..2 {
-                                assert_eq!(
-                                    env.dats[dat.idx()][l * 2 + c],
-                                    dom.dat(dat).data[g as usize * 2 + c],
-                                    "rank {} local {l}",
-                                    layout.rank
-                                );
+                        for dat in [v, w] {
+                            assert_eq!(env.valid[dat.idx()], 2);
+                            let dim = dom.dat(dat).dim;
+                            for (l, &g) in set_layout.locals.iter().enumerate() {
+                                for c in 0..dim {
+                                    assert_eq!(
+                                        env.dats[dat.idx()][l * dim + c],
+                                        dom.dat(dat).data[g as usize * dim + c],
+                                        "{split:?} rank {} local {l}",
+                                        layout.rank
+                                    );
+                                }
                             }
                         }
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join())
-                .collect()
-        });
-        for h in handles {
-            h.expect("rank ok");
+                    });
+                }
+            });
         }
     }
 
@@ -1010,21 +543,24 @@ mod tests {
         let base = rcb_partition(&mesh.dom.dat(mesh.coords).data, 2, 2);
         let own = derive_ownership(&mesh.dom, mesh.nodes, base, 2);
         let layouts = build_layouts(&mesh.dom, &own, 1);
-        let comms = CommWorld::new(2).into_ranks();
-        let dom = &mesh.dom;
-        std::thread::scope(|scope| {
-            for (comm, layout) in comms.into_iter().zip(layouts.iter()) {
-                scope.spawn(move || {
-                    let mut env = RankEnv::new(layout, dom, comm);
-                    env.valid[d.idx()] = 0;
-                    let mut rec = env.exchange(&[], true);
-                    env.exchange_wait(&[], true, &mut rec).unwrap();
-                    assert_eq!(rec.n_msgs, 0);
-                    assert_eq!(env.valid[d.idx()], 0);
-                    assert_eq!(env.comm.sent_msgs, 0);
-                });
-            }
-        });
+        for split in [Split::PerDat, Split::Grouped] {
+            let comms = CommWorld::new(2).into_ranks();
+            let dom = &mesh.dom;
+            std::thread::scope(|scope| {
+                for (comm, layout) in comms.into_iter().zip(layouts.iter()) {
+                    scope.spawn(move || {
+                        let mut env = RankEnv::new(layout, dom, comm);
+                        env.valid[d.idx()] = 0;
+                        let x = ExchangePlan::build(layout, dom, Vec::new(), split);
+                        let mut rec = x.post(&mut env);
+                        x.complete(&mut env, &mut rec).unwrap();
+                        assert_eq!(rec.n_msgs, 0);
+                        assert_eq!(env.valid[d.idx()], 0);
+                        assert_eq!(env.comm.sent_msgs, 0);
+                    });
+                }
+            });
+        }
     }
 
     /// exec_range over an empty range calls nothing.

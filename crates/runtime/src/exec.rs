@@ -27,9 +27,10 @@
 use crate::env::RankEnv;
 use crate::error::RuntimeError;
 use crate::fault::BoundaryKind;
-use crate::plan::{plan_for, LoweringKey};
+use crate::halo::{ExchangePlan, Split};
+use crate::plan::{loop_exchange_for, plan_for, LoweringKey};
 use crate::policy::FuseMode;
-use crate::trace::{ChainRec, LoopRec};
+use crate::trace::{ChainRec, ExchangeRec, LoopRec};
 use op2_core::seq::LoopResult;
 use op2_core::{Arg, ChainSpec, DatId, LoopSpec};
 
@@ -103,15 +104,16 @@ pub fn run_loop_hooked(
     }
     let t0 = std::time::Instant::now();
     let ext = standalone_extent(spec);
-    let exch = exchange_list(env, spec, ext);
+    // One message per (neighbour, dat), from the rank's cache.
+    let exch = loop_exchange_for(env, spec);
     debug_assert!(
-        exch.iter().all(|&(_, d)| d as usize <= env.layout.depth),
+        exch.import.iter().all(|&(_, d)| d as usize <= env.layout.depth),
         "loop `{}` needs deeper halos than the layout was built with",
         spec.name
     );
 
     // Post sends (MPI_Isend / Irecv of Alg 1, lines 1-2).
-    let mut rec = env.exchange(&exch, false);
+    let mut rec = exch.post(env);
     hooks.stage_out(rec.bytes);
 
     let set_layout = &env.layout.sets[spec.set.idx()];
@@ -126,8 +128,8 @@ pub fn run_loop_hooked(
     env.exec_range(spec, 0, core_end, &mut gbls);
 
     // Wait (line 6).
-    env.exchange_wait(&exch, false, &mut rec)?;
-    hooks.stage_in(env.expected_recv_bytes(&exch));
+    exch.complete(env, &mut rec)?;
+    hooks.stage_in(exch.recv_bytes);
 
     // Boundary-owned iterations contribute to reductions; redundant ring
     // iterations must not.
@@ -180,7 +182,7 @@ pub fn run_loop_hooked(
         name: spec.name.clone(),
         core_iters: core_end,
         halo_iters: exec_end - core_end,
-        d_exchanged: exch.len(),
+        d_exchanged: exch.import.len(),
         exch: rec,
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
@@ -188,17 +190,6 @@ pub fn run_loop_hooked(
     env.boundary(BoundaryKind::Loop);
     env.ckpt_loop_done(&gbls);
     Ok(LoopResult { gbls })
-}
-
-/// The grouped-import plan of a chain: per dat, the depth the initial
-/// grouped exchange must deliver given this rank's current validity.
-/// Deterministic across ranks (validity evolves identically everywhere).
-pub fn chain_import_depths(env: &RankEnv<'_>, chain: &ChainSpec) -> Vec<(DatId, u8)> {
-    let sigs = chain.sigs();
-    op2_core::chain::import_depths(&sigs, &chain.halo_ext, &|d| env.valid[d.idx()] as usize)
-        .into_iter()
-        .map(|(d, t)| (d, t as u8))
-        .collect()
 }
 
 /// Algorithm 2: execute a loop-chain with the communication-avoiding
@@ -387,7 +378,7 @@ fn exec_chain(
     let lowering = choose_lowering(
         env.policy.fuse,
         req,
-        plan.recv_bytes,
+        plan.exchange.recv_bytes,
         || {
             // The most conservative of the chain loops' block sizes:
             // every fused block must satisfy every member's conflict
@@ -410,8 +401,12 @@ fn exec_chain(
     let fused = candidate.filter(|_| matches!(lowering, Lowering::Fused(_)));
 
     // Grouped message per neighbour (lines 5-7 of Alg 2), packed via the
-    // plan's index lists.
-    let mut rec = env.exchange_planned(&plan);
+    // plan's index lists. A chain importing nothing posts nothing and,
+    // unlike Alg 1, takes no tag.
+    let mut rec = ExchangeRec::default();
+    if !plan.exchange.is_empty() {
+        rec = plan.exchange.post(env);
+    }
     hooks.stage_out(rec.bytes);
 
     // One loop's `[start, end)` under the per-loop lowering.
@@ -447,8 +442,8 @@ fn exec_chain(
 
     // Wait (line 13) — arrival order: whichever neighbour lands first
     // is unpacked first.
-    env.exchange_wait_planned(&plan, &mut rec)?;
-    hooks.stage_in(plan.recv_bytes);
+    plan.exchange.complete(env, &mut rec)?;
+    hooks.stage_in(plan.exchange.recv_bytes);
 
     // Post-wait phase. `per_loop` records (prewait, postwait) iteration
     // counts per loop; whole-chain schedules have no per-loop core.
@@ -496,7 +491,7 @@ fn exec_chain(
     env.trace.chains.push(ChainRec {
         name: chain.name.clone(),
         per_loop,
-        d_exchanged: plan.import.len(),
+        d_exchanged: plan.exchange.import.len(),
         depth: plan.depth,
         exch: rec,
         stale_reads: plan.stale.len(),
@@ -508,10 +503,11 @@ fn exec_chain(
 }
 
 /// The original Algorithm 2 executor with **inline analysis** — import
-/// depths, core depths and execute ranges re-derived on every call, and
-/// the exchange packed through the per-call segment filter. Kept as the
-/// reference path: property tests assert the planned executor is
-/// bitwise-equal to this one on random meshes.
+/// depths, core depths, execute ranges and per-loop validity checks
+/// re-derived on every call, and a fresh, uncached grouped
+/// [`ExchangePlan`] built per call. Kept as the reference path: property
+/// tests assert the planned executor is bitwise-equal to this one on
+/// random meshes.
 pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
         return Ok(());
@@ -525,13 +521,17 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
         chain.name,
         env.layout.depth
     );
-    let exch = chain_import_depths(env, chain);
+    let sigs = chain.sigs();
+    let valid = |d: DatId| env.valid[d.idx()] as usize;
+    let import = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &valid);
+    let import = import.into_iter().map(|(d, t)| (d, t as u8)).collect();
+    let exch = ExchangePlan::build(env.layout, env.dom, import, Split::Grouped);
 
     // Grouped message per neighbour (lines 5-7 of Alg 2).
-    let mut rec = env.exchange(&exch, true);
+    let mut rec = exch.post(env);
 
     // Core of every loop while the exchange is in flight (lines 8-12).
-    let cdepth = op2_core::chain::core_depths(&chain.sigs());
+    let cdepth = op2_core::chain::core_depths(&sigs);
     let mut gbls: Vec<Vec<f64>> = Vec::new();
     for (pos, spec) in chain.loops.iter().enumerate() {
         debug_assert!(!spec.has_reduction());
@@ -542,7 +542,7 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
     }
 
     // Wait (line 13).
-    env.exchange_wait(&exch, true, &mut rec)?;
+    exch.complete(env, &mut rec)?;
 
     // Halo regions in loop order (lines 14-18).
     let mut per_loop = Vec::with_capacity(chain.len());
@@ -585,7 +585,7 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
     env.trace.chains.push(ChainRec {
         name: chain.name.clone(),
         per_loop,
-        d_exchanged: exch.len(),
+        d_exchanged: exch.import.len(),
         depth,
         exch: rec,
         stale_reads: 0,

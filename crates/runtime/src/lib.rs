@@ -10,7 +10,10 @@
 //!   paper's model and tables are built from.
 //! * [`mod@env`] — per-rank state: local dat buffers in layout order, halo
 //!   *validity depths* (the multi-level generalisation of OP2's dirty
-//!   bit), pack/unpack of exchange segments, and global reductions.
+//!   bit), the transport endpoint and the rank's executors' state.
+//! * [`halo`] — the one halo-exchange engine: an [`ExchangePlan`] (import
+//!   list, per-neighbour pack lists and copy ranges, split per dat for
+//!   Alg 1 or grouped for Alg 2), one post, one arrival-order completion.
 //! * [`exec`] — the two execution algorithms: [`exec::run_loop`] is
 //!   Alg 1 (per-loop halo exchange with latency hiding) and
 //!   [`exec::run_chain`] is Alg 2 (one grouped, multi-level exchange per
@@ -77,6 +80,7 @@ pub mod env;
 pub mod error;
 pub mod exec;
 pub mod fault;
+pub mod halo;
 pub mod harness;
 pub mod job;
 pub mod lazy;
@@ -98,6 +102,7 @@ pub use exec::{
     NoHooks,
 };
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
+pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
 pub use lazy::LazyExec;
 pub use plan::{

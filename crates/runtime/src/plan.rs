@@ -10,14 +10,13 @@
 //! A [`ChainPlan`] captures that analysis once per
 //! **(chain signature, partition layout, dirty-state class)**:
 //!
-//! * the import list (per-dat depths) and chain depth `r`;
+//! * the chain depth `r` and the grouped entry exchange — import list
+//!   (per-dat depths), per-neighbour pack index lists and receive copy
+//!   ranges, the wire layout of Figure 8 — as one
+//!   [`ExchangePlan`] (see [`crate::halo`]);
 //! * per-loop latency-hiding core ends, execute-region ends, read
 //!   requirements and produced-validity transitions, and the validity
 //!   verdict they imply ([`ChainPlan::stale`]);
-//! * per-neighbour **pack index lists** (flattened sender-local element
-//!   indices) and receive copy ranges — the wire layout of Figure 8,
-//!   ready for `memcpy`-style pack/unpack with no per-call segment
-//!   filtering (the GPU executor stages exactly these lists);
 //! * lazily, every **lowering** an executor asked for — a loop range
 //!   lowered for the thread pool, the tile plan for a tile count, a
 //!   fused whole-chain schedule — in one [`LoweringCache`] under one
@@ -34,8 +33,10 @@
 //! validity depth selects a different dirty class and therefore a
 //! different (or freshly built) plan. Hit/miss/invalidation counters
 //! land in the rank trace so tests can assert that repeat invocations
-//! do **zero** re-analysis.
+//! do **zero** re-analysis. The same cache holds Alg 1's per-dat
+//! exchange plans ([`loop_exchange_for`]), uncounted.
 
+use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
 use op2_core::conflict::{chain_accesses, conflict_accesses, conflict_levels};
 use op2_core::par::block_units;
@@ -168,15 +169,15 @@ pub fn mesh_signature(layouts: &[RankLayout]) -> u64 {
     h
 }
 
-/// Dirty-state class of a chain at entry: a hash of the entry validity
-/// depths of every dat the chain touches (first-appearance order).
-/// Import depths and therefore the whole exchange layout are a function
-/// of these depths, so two invocations in the same class can share one
-/// plan verbatim.
-pub fn dirty_class(chain: &ChainSpec, valid: &[u8]) -> u64 {
+/// Dirty-state class of a chain's (or one loop's) `loops` at entry: a
+/// hash of the entry validity depths of every dat they touch
+/// (first-appearance order). Import depths and therefore the whole
+/// exchange layout are a function of these depths, so two invocations
+/// in the same class can share one plan verbatim.
+pub fn dirty_class(loops: &[LoopSpec], valid: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut seen: Vec<DatId> = Vec::new();
-    for spec in &chain.loops {
+    for spec in loops {
         for arg in &spec.args {
             if let Arg::Dat { dat, .. } = arg {
                 if !seen.contains(dat) {
@@ -188,25 +189,6 @@ pub fn dirty_class(chain: &ChainSpec, valid: &[u8]) -> u64 {
         }
     }
     h
-}
-
-/// Precomputed exchange layout with one neighbour: the pack index lists
-/// (sender side) and contiguous copy ranges (receiver side) of the
-/// grouped message, per import dat.
-#[derive(Debug, Clone)]
-pub struct NeighborPack {
-    /// The neighbour's rank.
-    pub rank: u32,
-    /// Per import dat (plan order): sender-local owned element indices,
-    /// flattened across all send segments within the import depth.
-    pub send: Vec<Vec<u32>>,
-    /// Per import dat: receiver-side `(elem_start, elem_len)` copy
-    /// ranges in local element units.
-    pub recv: Vec<Vec<(u32, u32)>>,
-    /// Outgoing grouped payload length in f64s.
-    pub send_f64s: usize,
-    /// Incoming grouped payload length in f64s.
-    pub recv_f64s: usize,
 }
 
 /// Everything the chain executors would otherwise recompute per
@@ -223,8 +205,9 @@ pub struct ChainPlan {
     pub relaxed: bool,
     /// Import depth `r` (max halo layers).
     pub depth: usize,
-    /// Grouped-import plan: per dat, the depth to deliver at entry.
-    pub import: Vec<(DatId, u8)>,
+    /// The grouped (Alg 2) exchange at chain entry: per dat, the depth
+    /// to deliver, and the per-neighbour message layout of Figure 8.
+    pub exchange: ExchangePlan,
     /// Per-loop latency-hiding core depths.
     pub core_depths: Vec<usize>,
     /// Per-loop prewait core end (exclusive local index).
@@ -235,14 +218,9 @@ pub struct ChainPlan {
     pub reqs: Vec<Vec<(DatId, u8)>>,
     /// Per-loop produced validity: (dat, validity after the loop).
     pub produces: Vec<Vec<(DatId, u8)>>,
-    /// Per-neighbour pack layout, index-aligned with
-    /// `layout.neighbors`.
-    pub packs: Vec<NeighborPack>,
-    /// Total incoming payload bytes (the staged-in volume).
-    pub recv_bytes: usize,
     /// Reads the chain makes beyond what will be valid when they happen,
     /// in loop order — pre-simulated from the entry validity (which the
-    /// dirty class pins), `import`, `reqs` and `produces`, so it equals
+    /// dirty class pins), the import, `reqs` and `produces`, so it equals
     /// what a live post-wait check would find. A strict executor fails
     /// on the first ([`crate::error::RuntimeError::Validity`]); a relaxed
     /// one reports the count as `stale_reads`.
@@ -422,7 +400,7 @@ impl ChainPlan {
         epoch: u64,
     ) -> ChainPlan {
         let sig = chain_signature(chain, relaxed);
-        let dirty = dirty_class(chain, valid);
+        let dirty = dirty_class(&chain.loops, valid);
         let depth = chain.max_halo_layers();
         let sigs = chain.sigs();
         let entry = |d: DatId| valid[d.idx()] as usize;
@@ -490,56 +468,18 @@ impl ChainPlan {
             }
         }
 
-        let mut packs = Vec::with_capacity(layout.neighbors.len());
-        let mut recv_bytes = 0usize;
-        for nbr in &layout.neighbors {
-            let mut send = Vec::with_capacity(import.len());
-            let mut recv = Vec::with_capacity(import.len());
-            let mut s64 = 0usize;
-            let mut r64 = 0usize;
-            for &(dat, dep) in &import {
-                let dd = dom.dat(dat);
-                let mut elems: Vec<u32> = Vec::new();
-                for seg in &nbr.send {
-                    if seg.set == dd.set && seg.level <= dep {
-                        elems.extend_from_slice(&seg.elems);
-                    }
-                }
-                s64 += elems.len() * dd.dim;
-                send.push(elems);
-                let mut ranges: Vec<(u32, u32)> = Vec::new();
-                for seg in &nbr.recv {
-                    if seg.set == dd.set && seg.level <= dep {
-                        ranges.push((seg.start, seg.len));
-                        r64 += seg.len as usize * dd.dim;
-                    }
-                }
-                recv.push(ranges);
-            }
-            recv_bytes += r64 * 8;
-            packs.push(NeighborPack {
-                rank: nbr.rank,
-                send,
-                recv,
-                send_f64s: s64,
-                recv_f64s: r64,
-            });
-        }
-
         ChainPlan {
             sig,
             epoch,
             dirty,
             relaxed,
             depth,
-            import,
+            exchange: ExchangePlan::build(layout, dom, import, Split::Grouped),
             core_depths,
             core_end,
             exec_end,
             reqs,
             produces,
-            packs,
-            recv_bytes,
             stale,
             lowered: LoweringCache::default(),
         }
@@ -921,6 +861,9 @@ impl PlanRegistry {
 pub struct PlanCache {
     epoch: u64,
     map: HashMap<(u64, u64), Arc<ChainPlan>>,
+    /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
+    /// plan`: dropped with the chain plans, never counted in `stats`.
+    loops: HashMap<(u64, u64), Arc<ExchangePlan>>,
     /// Cross-job registry this cache resolves misses through (resident
     /// service only; `None` for standalone runs).
     registry: Option<Arc<PlanRegistry>>,
@@ -961,6 +904,7 @@ impl PlanCache {
         self.epoch += 1;
         self.stats.invalidations += self.map.len() as u64;
         self.map.clear();
+        self.loops.clear();
         if let Some(reg) = &self.registry {
             reg.invalidate_mesh(self.mesh);
         }
@@ -997,7 +941,7 @@ pub fn plan_for(
     relaxed: bool,
 ) -> Arc<ChainPlan> {
     let sig = chain_signature(chain, relaxed);
-    let dirty = dirty_class(chain, &env.valid);
+    let dirty = dirty_class(&chain.loops, &env.valid);
     if let Some(p) = env.plans.map.get(&(sig, dirty)) {
         env.plans.stats.hits += 1;
         return Arc::clone(p);
@@ -1024,6 +968,21 @@ pub fn plan_for(
         reg.publish(env.plans.mesh, env.plans.rank, sig, dirty, Arc::clone(&plan));
     }
     plan
+}
+
+/// The per-dat (Alg 1) exchange `spec` needs under the rank's current
+/// validity: its [`crate::exec::exchange_list`] depends only on the
+/// loop's structure and its dats' entry validity, so it is derived and
+/// resolved against the layout only on a cache miss.
+pub fn loop_exchange_for(env: &mut crate::env::RankEnv<'_>, spec: &LoopSpec) -> Arc<ExchangePlan> {
+    let key = (loop_signature(spec), dirty_class(std::slice::from_ref(spec), &env.valid));
+    if let Some(x) = env.plans.loops.get(&key) {
+        return Arc::clone(x);
+    }
+    let import = crate::exec::exchange_list(env, spec, crate::exec::standalone_extent(spec));
+    let x = Arc::new(ExchangePlan::build(env.layout, env.dom, import, Split::PerDat));
+    env.plans.loops.insert(key, Arc::clone(&x));
+    x
 }
 
 #[cfg(test)]
@@ -1131,6 +1090,39 @@ mod tests {
         assert_eq!(env.plans.epoch(), 1);
     }
 
+    /// Alg 1's per-dat exchange is cached per (loop, dirty class): repeat
+    /// `run_loop`s in one class build it once, a different class builds
+    /// another, an epoch bump drops them all — and none of it touches
+    /// the chain-plan counters.
+    #[test]
+    fn loop_exchanges_cached_per_dirty_class() {
+        let f = fix();
+        let comm = CommWorld::new(1).into_ranks().remove(0);
+        let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
+        let a = f.mesh.dom.dat_by_name("a").unwrap();
+        let consume = &f.chain.loops[1];
+        let key = |env: &RankEnv<'_>| {
+            (loop_signature(consume), dirty_class(std::slice::from_ref(consume), &env.valid))
+        };
+        let mut first = None;
+        for _ in 0..3 {
+            env.valid.fill(0);
+            let k = key(&env);
+            crate::exec::run_loop(&mut env, consume).unwrap();
+            let x = Arc::clone(&env.plans.loops[&k]);
+            assert_eq!(x.import, vec![(a, 1)]);
+            assert!(Arc::ptr_eq(first.get_or_insert_with(|| Arc::clone(&x)), &x));
+        }
+        assert_eq!(env.plans.loops.len(), 1, "one class, one plan");
+        // `a` is now valid to depth 1: a second class, a second plan.
+        crate::exec::run_loop(&mut env, consume).unwrap();
+        assert_eq!(env.plans.loops.len(), 2);
+        assert_eq!(env.plans.stats, PlanStats::default());
+        env.plans.bump_epoch();
+        assert!(env.plans.loops.is_empty());
+        assert_eq!(env.plans.stats, PlanStats::default());
+    }
+
     /// The built plan matches what the executors would derive inline.
     #[test]
     fn plan_matches_inline_analysis() {
@@ -1146,7 +1138,7 @@ mod tests {
                 .into_iter()
                 .map(|(d, t)| (d, t as u8))
                 .collect();
-        assert_eq!(plan.import, expect);
+        assert_eq!(plan.exchange.import, expect);
         for (pos, sig_l) in sigs.iter().enumerate() {
             let ext = f.chain.halo_ext[pos];
             assert_eq!(

@@ -246,14 +246,34 @@ proptest! {
 /// Acceptance: zero payload heap allocations in a steady-state planned
 /// exchange. After two warm-up rounds every send buffer comes from the
 /// pool and every receive is recycled back, so `payload_allocs` stays
-/// exactly flat over the following rounds (healthy network — fault
-/// injection clones payloads and is exempt by design).
+/// exactly flat over the following rounds. A fault plan only keeps this
+/// when it neither duplicates nor corrupts: those copies are clones, and
+/// a clone accepted in place of the pooled original leaves the pool one
+/// buffer short (see the delayed-wire case below).
 #[test]
 fn steady_state_planned_exchange_allocates_nothing() {
+    assert_steady_state_allocates_nothing(&RunOptions::default());
+}
+
+/// The same contract under a delay-only fault plan (every message late,
+/// like the benchmark's `mgcfd-wire`): a delayed message still carries
+/// its pooled buffer to the peer, so the pool stays warm.
+#[test]
+fn steady_state_delayed_exchange_allocates_nothing() {
+    let spec = FaultSpec {
+        seed: 7,
+        delay_permille: 1000,
+        max_delay: std::time::Duration::from_micros(50),
+        ..FaultSpec::default()
+    };
+    assert_steady_state_allocates_nothing(&RunOptions::with_faults(FaultPlan::new(spec)));
+}
+
+fn assert_steady_state_allocates_nothing(opts: &RunOptions) {
     let case = build_case(10, 10, 2, false);
     let layouts = layouts_for(&case, 4);
     let mut dom = case.dom.clone();
-    let out = run_distributed_with(&mut dom, &layouts, &RunOptions::default(), |env| {
+    let out = run_distributed_with(&mut dom, &layouts, opts, |env| {
         for _ in 0..2 {
             run_loop(env, &case.bump_loop)?;
             run_chain(env, &case.chain)?;
