@@ -77,11 +77,7 @@ fn bench_threaded_loop(c: &mut Criterion) {
     for n_threads in [2usize, 4, 8] {
         g.bench_function(format!("threads_{n_threads}"), |b| {
             let mut fix = fixture();
-            let threading = Threading {
-                n_threads,
-                block_size: 64,
-                auto_block: false,
-            };
+            let threading = Threading { n_threads, block_size: 64 };
             b.iter(|| run_reps(&mut fix, REPS, threading));
         });
     }

@@ -18,6 +18,13 @@ use mg_cfd::{MgCfd, MgCfdParams, Variant};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
 use op2_runtime::{JobOutcome, Service};
 
+/// Print `err` as `op2-serve: {err}` and exit 1 — a bad flag or knob is
+/// the user's error, not a crash.
+fn fail(err: impl std::fmt::Display) -> ! {
+    eprintln!("op2-serve: {err}");
+    std::process::exit(1);
+}
+
 fn main() {
     let mut jobs = 4usize;
     let mut iters = 3usize;
@@ -27,34 +34,29 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--jobs" => {
-                i += 1;
-                jobs = args.get(i).expect("--jobs needs a count").parse().unwrap();
-            }
-            "--iters" => {
-                i += 1;
-                iters = args.get(i).expect("--iters needs a count").parse().unwrap();
-            }
-            "--size" => {
-                i += 1;
-                size = args.get(i).expect("--size needs an edge count").parse().unwrap();
-            }
-            "--ranks" => {
-                i += 1;
-                ranks = args.get(i).expect("--ranks needs a count").parse().unwrap();
-            }
+        let flag = args[i].as_str();
+        let mut count = || -> usize {
+            i += 1;
+            let raw = args.get(i).unwrap_or_else(|| fail(format!("{flag} needs a count")));
+            raw.parse()
+                .unwrap_or_else(|e| fail(format!("{flag} must be a count, got `{raw}`: {e}")))
+        };
+        match flag {
+            "--jobs" => jobs = count(),
+            "--iters" => iters = count(),
+            "--size" => size = count(),
+            "--ranks" => ranks = count(),
             "--batch" => batch = true,
             "--help" | "-h" => {
                 eprintln!("flags: --jobs N  --iters N  --size N  --ranks N  --batch");
                 std::process::exit(0);
             }
-            other => panic!("unknown flag `{other}`"),
+            other => fail(format!("unknown flag `{other}`")),
         }
         i += 1;
     }
 
-    let svc = Service::from_env().unwrap_or_else(|e| panic!("OP2_SERVE_* environment: {e}"));
+    let svc = Service::from_env().unwrap_or_else(|e| fail(e));
     let app = MgCfd::new(MgCfdParams::small(size));
     let coords = &app.dom.dat(app.levels[0].ids.coords).data;
     let base = rcb_partition(coords, 3, ranks);
@@ -91,15 +93,15 @@ fn main() {
     if batch {
         let burst: Vec<_> = (0..jobs).map(|_| job.clone()).collect();
         let t0 = std::time::Instant::now();
-        let outcomes = svc.submit_batch(mesh, &burst).expect("batch admitted");
+        let outcomes = svc.submit_batch(mesh, &burst).unwrap_or_else(|e| fail(e));
         let ms = t0.elapsed().as_secs_f64() * 1e3 / jobs as f64;
         for r in &outcomes {
-            report(r.as_ref().expect("batched job"), ms);
+            report(r.as_ref().unwrap_or_else(|e| fail(e)), ms);
         }
     } else {
         for _ in 0..jobs {
             let t0 = std::time::Instant::now();
-            let out = svc.submit(mesh, &job).expect("job");
+            let out = svc.submit(mesh, &job).unwrap_or_else(|e| fail(e));
             report(&out, t0.elapsed().as_secs_f64() * 1e3);
         }
     }

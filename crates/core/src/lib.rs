@@ -99,8 +99,7 @@ pub use error::{CoreError, Result};
 pub use kernel::{Args, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
-    adaptive_block_size, colored_schedule, owned_schedule, owner_computes_accesses,
-    thread_schedule, touch_windows,
+    colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
 };
 pub use schedule::{
     bind_chain, elision_valid, run_chunk, run_elem, run_schedule, run_schedule_ctx,

@@ -296,68 +296,6 @@ pub fn colored_schedule(
     Schedule::from_levels(kind, Vec::new(), units, &levels, &accesses, set_sizes)
 }
 
-/// Average number of conflict-inducing touches per distinct element over
-/// `[start, end)` — the mesh's measured *conflict degree* for one loop.
-/// Sampled over at most the first 4096 iterations (enough to
-/// characterise a mesh; keeps the probe O(1) for huge ranges). Returns
-/// `0.0` when the loop has no conflict accesses (direct-only loops).
-fn conflict_degree(
-    start: usize,
-    end: usize,
-    set_sizes: &[usize],
-    accesses: &[ConflictAccess<'_>],
-) -> f64 {
-    if accesses.is_empty() || end <= start {
-        return 0.0;
-    }
-    let sample_end = end.min(start + 4096);
-    let mut touched: Vec<Vec<bool>> = set_sizes.iter().map(|&s| vec![false; s]).collect();
-    let mut touches = 0usize;
-    let mut distinct = 0usize;
-    for i in start..sample_end {
-        for a in accesses {
-            let t = a.target(i);
-            touches += 1;
-            if !touched[a.set][t] {
-                touched[a.set][t] = true;
-                distinct += 1;
-            }
-        }
-    }
-    if distinct == 0 {
-        0.0
-    } else {
-        touches as f64 / distinct as f64
-    }
-}
-
-/// Smallest block size `OP2_BLOCK_SIZE=auto` will pick.
-pub const AUTO_BLOCK_MIN: usize = 32;
-/// Largest block size `OP2_BLOCK_SIZE=auto` will pick (also used for
-/// conflict-free loops, where blocks only bound scheduling granularity).
-pub const AUTO_BLOCK_MAX: usize = 2048;
-
-/// Pick a per-loop block size from the measured conflict degree (the
-/// average number of conflict-inducing touches per distinct element over
-/// a sample of `[start, end)`, under the loop's [`conflict_accesses`]):
-/// high-degree meshes (many iterations sharing each element) get smaller
-/// blocks so the levelized coloring keeps its color count down, while
-/// direct or conflict-free loops get large streaming blocks. The choice
-/// is deterministic in the mesh structure, so repeated runs (and all
-/// threads of one rank) agree.
-pub fn adaptive_block_size(
-    start: usize,
-    end: usize,
-    set_sizes: &[usize],
-    accesses: &[ConflictAccess<'_>],
-) -> usize {
-    let degree = conflict_degree(start, end, set_sizes, accesses);
-    if degree <= 1.0 {
-        return AUTO_BLOCK_MAX; // direct or disjoint: stream freely
-    }
-    ((1024.0 / degree) as usize).clamp(AUTO_BLOCK_MIN, AUTO_BLOCK_MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,37 +447,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The adaptive pick shrinks blocks as the measured conflict degree
-    /// grows and streams direct loops with the maximum size.
-    #[test]
-    fn adaptive_block_size_tracks_degree() {
-        // Indirect edge loop on a path: every interior node is touched
-        // by ~2 edges × 2 accesses → degree ≈ 2 → mid-range blocks.
-        let (dom, spec) = path_fixture(257);
-        let set_sizes = dom.set_sizes();
-        let accesses = conflict_accesses(dom.maps(), &spec.sig());
-        let n = dom.set(spec.sig().set).size;
-        let degree = conflict_degree(0, n, &set_sizes, &accesses);
-        assert!(degree > 1.5, "path degree {degree}");
-        let picked = adaptive_block_size(0, n, &set_sizes, &accesses);
-        assert!(
-            (AUTO_BLOCK_MIN..AUTO_BLOCK_MAX).contains(&picked),
-            "picked {picked}"
-        );
-
-        // Direct loop: no conflict accesses → max streaming block.
-        let mut dom = Domain::new();
-        let nodes = dom.decl_set("nodes", 64);
-        let a = dom.decl_dat_zeros("a", nodes, 1);
-        let direct = LoopSpec::new("w", nodes, vec![Arg::dat_direct(a, AccessMode::Write)], noop);
-        let set_sizes = dom.set_sizes();
-        let accesses = conflict_accesses(dom.maps(), &direct.sig());
-        assert_eq!(
-            adaptive_block_size(0, 64, &set_sizes, &accesses),
-            AUTO_BLOCK_MAX
-        );
     }
 
     /// The block_size=1 element expansion passes the per-element

@@ -162,7 +162,7 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
-    use op2_runtime::{ChainDispatch, Service, TunerMode};
+    use op2_runtime::{ChainDispatch, Service};
 
     /// Build `variant`'s job with the given chain dispatch and run it.
     fn go(
@@ -297,7 +297,6 @@ mod tests {
         let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
         let tuned = ChainDispatch::Tuned {
             mach: op2_model::Machine::archer2(),
-            mode: TunerMode::Auto,
             fixed_g: Some(5e-8),
         };
         let safe = Variant::ca(ExtentMode::Safe);
@@ -353,11 +352,8 @@ mod tests {
 
         let mut app = Hydra::new(params);
         let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
-        let opts = RunOptions::default().threading(op2_runtime::Threading {
-            n_threads: 4,
-            block_size: 16,
-            auto_block: false,
-        });
+        let threading = op2_runtime::Threading { n_threads: 4, block_size: 16 };
+        let opts = RunOptions::default().threading(threading);
         let safe = Variant::ca(ExtentMode::Safe);
         let out = go(&mut app, &l, safe, iters, ChainDispatch::Planned, &opts);
 

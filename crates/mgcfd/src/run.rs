@@ -138,7 +138,7 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-    use op2_runtime::{ChainDispatch, Service, Threading, Tuner, TunerMode};
+    use op2_runtime::{ChainDispatch, Service, Threading, Tuner};
 
     /// Build `variant`'s job with the given chain dispatch and run it.
     fn go(
@@ -289,7 +289,6 @@ mod tests {
         let layouts = layouts_for(&app, 4);
         let tuned = ChainDispatch::Tuned {
             mach: op2_model::Machine::archer2(),
-            mode: TunerMode::Auto,
             fixed_g: Some(5e-8),
         };
         let out = go(&mut app, &layouts, Variant::Ca, iters, tuned, &RunOptions::default());
@@ -321,7 +320,6 @@ mod tests {
         let layouts = layouts_for(&app, 2);
         let tuned = job(&app, Variant::Ca, 1).dispatch(ChainDispatch::Tuned {
             mach: op2_model::Machine::archer2(),
-            mode: TunerMode::Auto,
             fixed_g: None,
         });
         let sopts = op2_runtime::SuperviseOptions::default();
@@ -378,8 +376,7 @@ mod tests {
 
         let chain_ref = &chain;
         let out = op2_runtime::run_distributed(&mut app.dom, &layouts, |env| {
-            let mut tuner =
-                Tuner::new(Machine::archer2(), TunerMode::Auto).with_fixed_g(G);
+            let mut tuner = Tuner::new(Machine::archer2()).with_fixed_g(G);
             for sig in chain_ref.sigs() {
                 for d in sig.dats() {
                     env.valid[d.idx()] = 0;
@@ -430,11 +427,7 @@ mod tests {
         for n_threads in [2usize, 4] {
             let mut app = MgCfd::new(params);
             let layouts = layouts_for(&app, 4);
-            let threading = Threading {
-                n_threads,
-                block_size: 16,
-                auto_block: false,
-            };
+            let threading = Threading { n_threads, block_size: 16 };
             let opts = RunOptions::default().threading(threading);
             let out = go(&mut app, &layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts);
             assert_eq!(

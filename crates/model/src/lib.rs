@@ -32,9 +32,5 @@ pub mod scaling;
 pub use components::{chain_components, shape_from_sigs, shape_from_sigs_relaxed, ChainComponents, LoopShape};
 pub use eqs::{t_ca_chain, t_op2_chain, t_op2_loop, CaChainInput, LoopInput};
 pub use machine::{Machine, MachineKind};
-pub use profit::{
-    choose_threaded_backend, classify, classify_exec, classify_threaded, classify_threaded_tiled,
-    threaded_g, ChainClass, ExecProfit, Profitability, ThreadedBackend, COLOR_SYNC_S,
-    DEP_HANDOFF_S,
-};
+pub use profit::{classify, threaded_g, ChainClass, Profitability, COLOR_SYNC_S};
 pub use scaling::extrapolate_components;

@@ -95,132 +95,6 @@ pub fn threaded_g(
     g * (1.0 + redundancy) / threads as f64 + n_levels as f64 * sync_s / iters as f64
 }
 
-/// [`classify`] with every loop's `g` replaced by its `threads`-way
-/// [`threaded_g`]: compute shrinks, communication terms are untouched —
-/// so threading *raises* the relative weight of communication, which is
-/// exactly why CA becomes profitable earlier on threaded ranks.
-pub fn classify_threaded(
-    mach: &Machine,
-    comp: &ChainComponents,
-    threads: usize,
-    n_levels: usize,
-    redundancy: f64,
-    sync_s: f64,
-) -> Profitability {
-    classify(mach, &comp.with_threads(threads, n_levels, redundancy, sync_s))
-}
-
-/// [`classify`] for the **threaded-tiled** CA executor: compute shrinks
-/// `threads`-way exactly as in [`classify_threaded`] (tiles execute
-/// nothing twice), but the barrier count is the tile plan's *level*
-/// count — the tiled chain executor pays one pool round per conflict
-/// level for the **whole chain**, not the per-loop lowering's levels
-/// for every loop. The cache-locality benefit of tiling (the reason
-/// §2.2 exists) is deliberately unmodelled, so this is a conservative
-/// lower bound on tiling's advantage.
-pub fn classify_threaded_tiled(
-    mach: &Machine,
-    comp: &ChainComponents,
-    threads: usize,
-    n_tile_levels: usize,
-    color_sync_s: f64,
-) -> Profitability {
-    let n_loops = comp.ca.loops.len().max(1);
-    // with_threads amortises `n` barriers per *loop*; the tiled executor
-    // pays `n_tile_levels` per *chain*, so spread them across the loops.
-    let per_loop = n_tile_levels.div_ceil(n_loops);
-    classify(mach, &comp.with_threads(threads, per_loop, 0.0, color_sync_s))
-}
-
-/// Which pool-backed executor a threaded rank should run a CA-approved
-/// chain on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadedBackend {
-    /// [Alg 2] chain executor, each loop lowered on its own for the pool
-    /// (owner-computes windows, or the block coloring as fallback).
-    Colored,
-    /// The §2.2 sparse-tiled chain executor with same-level tiles run
-    /// concurrently on the pool.
-    Tiled,
-}
-
-/// Choose between the colored and tiled pool executors for one chain on
-/// a threaded rank, by comparing total synchronisation cost: the colored
-/// path pays `n_colors` pool barriers per loop (`n_loops · n_colors`
-/// total), the tiled path pays one barrier per tile conflict level
-/// (`n_tile_levels` total) for the whole chain. Compute cost is
-/// identical under the model (`g/t` either way) and tiling's locality
-/// benefit is unmodelled, so the barrier totals decide — ties go to
-/// `Tiled` (strictly fewer barriers plus the unmodelled locality win).
-pub fn choose_threaded_backend(
-    threads: usize,
-    n_loops: usize,
-    n_colors: usize,
-    n_tile_levels: usize,
-) -> ThreadedBackend {
-    if threads <= 1 {
-        // No pool: barrier counts are irrelevant; keep the default path.
-        return ThreadedBackend::Colored;
-    }
-    if n_tile_levels <= n_loops.max(1) * n_colors {
-        ThreadedBackend::Tiled
-    } else {
-        ThreadedBackend::Colored
-    }
-}
-
-/// Default per-dependency hand-off cost of the dataflow executor
-/// (seconds): one atomic counter decrement plus a queue push when it
-/// reaches zero — two orders of magnitude cheaper than a pool barrier
-/// ([`COLOR_SYNC_S`]), which is the whole point of replacing barriers
-/// with counters.
-pub const DEP_HANDOFF_S: f64 = 5e-8;
-
-/// The dataflow-vs-levels profit arm's verdict for one lowered schedule
-/// (see [`classify_exec`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExecProfit {
-    /// Modelled synchronisation cost of the level-synchronous drain:
-    /// one pool barrier per level.
-    pub levels_s: f64,
-    /// Modelled synchronisation cost of the dataflow drain: one
-    /// fork/join round for the whole schedule plus per-chunk dependency
-    /// hand-offs along the critical path.
-    pub dataflow_s: f64,
-    /// `levels_s - dataflow_s` — positive when dataflow wins.
-    pub gain_s: f64,
-    /// Whether the model recommends the dataflow executor.
-    pub dataflow: bool,
-}
-
-/// The dataflow-vs-levels profit arm (`OP2_EXEC=auto`). The
-/// level-synchronous drain pays one pool barrier (`sync_s`, measured per
-/// rank by `measure_sync_s`) per level — every chunk waits for the
-/// slowest chunk of the previous level. The dataflow drain pays a single
-/// fork/join round for the whole schedule plus a dependency hand-off
-/// (`DEP_HANDOFF_S`) per critical-path step; chunks off the critical
-/// path fire as their counters drain, costing no wall time. Compute is
-/// identical either way (same chunks, same kernels), so the
-/// synchronisation totals decide. With one thread there is nothing to
-/// synchronise and the levels path (plain sequential walk) wins by
-/// definition.
-pub fn classify_exec(
-    threads: usize,
-    n_levels: usize,
-    crit_path: usize,
-    sync_s: f64,
-) -> ExecProfit {
-    let levels_s = n_levels as f64 * sync_s;
-    let dataflow_s = sync_s + crit_path as f64 * DEP_HANDOFF_S;
-    let gain_s = levels_s - dataflow_s;
-    ExecProfit {
-        levels_s,
-        dataflow_s,
-        gain_s,
-        dataflow: threads > 1 && gain_s > 0.0,
-    }
-}
-
 /// The paper's narrative for a class on a machine kind, for reports.
 pub fn narrative(class: ChainClass, kind: MachineKind) -> &'static str {
     match (class, kind) {
@@ -306,17 +180,6 @@ mod tests {
         assert!(gpu.gain_pct > cpu.gain_pct);
     }
 
-    #[test]
-    fn threaded_tiled_amortises_levels_across_the_chain() {
-        let m = Machine::archer2();
-        let c = comp(1_000_000.0, 300_000.0, 5000, 4800);
-        // Few tile levels → barely any barrier cost: the tiled arm's
-        // gain must be at least the colored arm's with many colors.
-        let tiled = classify_threaded_tiled(&m, &c, 4, 4, COLOR_SYNC_S);
-        let colored = classify_threaded(&m, &c, 4, 64, 0.0, COLOR_SYNC_S);
-        assert!(tiled.gain_pct >= colored.gain_pct);
-    }
-
     /// `g·(1+ρ)/t + levels·sync/iters`: redundancy scales the compute
     /// term, levels the barrier term; one thread pays neither.
     #[test]
@@ -333,19 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_follows_barrier_totals() {
-        use ThreadedBackend::*;
-        // 2 loops × 8 colors = 16 barriers colored; 5 tile levels wins.
-        assert_eq!(choose_threaded_backend(4, 2, 8, 5), Tiled);
-        // 40 tile levels loses to 16 colored barriers.
-        assert_eq!(choose_threaded_backend(4, 2, 8, 40), Colored);
-        // Ties go to tiled (unmodelled locality win).
-        assert_eq!(choose_threaded_backend(4, 2, 8, 16), Tiled);
-        // Single-threaded: no pool, colored path (i.e. plain CA).
-        assert_eq!(choose_threaded_backend(1, 2, 8, 1), Colored);
-    }
-
-    #[test]
     fn narratives_cover_all_classes() {
         for class in [
             ChainClass::CommunicationReducing,
@@ -356,28 +206,5 @@ mod tests {
                 assert!(!narrative(class, kind).is_empty());
             }
         }
-    }
-
-    #[test]
-    fn exec_arm_weighs_barriers_against_handoffs() {
-        // A deep schedule (many levels, shallow critical path relative
-        // to the barrier bill) is where dataflow wins: 100 barriers vs
-        // one round plus 100 hand-offs.
-        let win = classify_exec(4, 100, 100, COLOR_SYNC_S);
-        assert!(win.dataflow);
-        assert!(win.gain_s > 0.0);
-        assert!((win.levels_s - 100.0 * COLOR_SYNC_S).abs() < 1e-12);
-
-        // One level ⇒ one barrier either way; dataflow only adds
-        // hand-offs.
-        let flat = classify_exec(4, 1, 1, COLOR_SYNC_S);
-        assert!(!flat.dataflow);
-        assert!(flat.gain_s < 0.0);
-
-        // A single thread never prefers dataflow — nothing to overlap.
-        assert!(!classify_exec(1, 100, 100, COLOR_SYNC_S).dataflow);
-
-        // Free barriers (sync_s = 0) leave nothing to save.
-        assert!(!classify_exec(4, 100, 100, 0.0).dataflow);
     }
 }

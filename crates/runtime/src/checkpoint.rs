@@ -39,6 +39,7 @@
 use crate::env::RankEnv;
 use crate::error::ConfigError;
 use crate::plan::PlanCache;
+use crate::policy::{env_knob, parse_knob};
 use crate::threads::ThreadCtx;
 use crate::trace::RecoveryRec;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -65,20 +66,21 @@ impl CheckpointConfig {
         CheckpointConfig { every }
     }
 
+    fn grammar(s: &str) -> Option<CheckpointConfig> {
+        s.parse::<u64>().ok().filter(|&n| n >= 1).map(CheckpointConfig::new)
+    }
+
     /// Parse a raw `OP2_CKPT_EVERY` value (`None` = unset = every
     /// chain) through the centralized knob path
     /// ([`crate::policy::parse_knob`]). Pure — no environment access.
     pub fn parse(raw: Option<&str>) -> Result<Self, ConfigError> {
-        Ok(crate::policy::parse_knob("OP2_CKPT_EVERY", raw, |s| {
-            s.parse::<u64>().ok().filter(|&n| n >= 1)
-        })?
-        .map_or_else(CheckpointConfig::default, CheckpointConfig::new))
+        Ok(parse_knob("OP2_CKPT_EVERY", raw, Self::grammar)?.unwrap_or_default())
     }
 
     /// Read `OP2_CKPT_EVERY` (unset = every chain). Malformed values
     /// are a typed [`ConfigError`], reported once at startup.
     pub fn try_from_env() -> Result<Self, ConfigError> {
-        Self::parse(std::env::var("OP2_CKPT_EVERY").ok().as_deref())
+        Ok(env_knob("OP2_CKPT_EVERY", Self::grammar)?.unwrap_or_default())
     }
 }
 

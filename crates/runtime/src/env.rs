@@ -35,9 +35,9 @@ use crate::plan::{loop_signature, ChainPlan, Lowered, LoweredSchedule, LoweringK
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
 use crate::trace::{RankTrace, SchedKind, ThreadRec};
-use op2_core::conflict::{chain_accesses, conflict_accesses};
+use op2_core::conflict::chain_accesses;
 use op2_core::dag::ChunkDag;
-use op2_core::par::{adaptive_block_size, thread_schedule};
+use op2_core::par::thread_schedule;
 use op2_core::schedule::{
     run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
 };
@@ -71,7 +71,7 @@ pub struct RankEnv<'a> {
     /// lowering cache (chain loops cache theirs in the [`ChainPlan`])
     /// and the executors' scratch.
     pub threads: ThreadCtx,
-    /// How this rank executes: pool width, fusion, drain, pinning.
+    /// How this rank executes: pool width, fusion, drain.
     /// Sequential/unfused/leveled until the harness installs the run's
     /// resolved policy ([`ExecPolicy::resolve`]) before the program
     /// runs, so env creation itself never reads the environment.
@@ -238,27 +238,11 @@ impl<'a> RankEnv<'a> {
     /// active configuration, no global reduction (order-sensitive float
     /// sums must accumulate in sequential order), and more than one
     /// block's worth of iterations (a single block has no parallelism to
-    /// expose). Under `OP2_BLOCK_SIZE=auto` the block size is picked
-    /// per-loop from the measured conflict degree.
+    /// expose).
     fn threaded_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> Option<usize> {
-        if !self.policy.threading.active() || spec.has_reduction() {
-            return None;
-        }
-        let block_size = self.chosen_block_size(spec, start, end);
-        (end.saturating_sub(start) > block_size).then_some(block_size)
-    }
-
-    /// The block size for `[start, end)` of `spec`: the configured value,
-    /// or — under `OP2_BLOCK_SIZE=auto` — the adaptive per-loop pick from
-    /// the measured conflict degree over this rank's localized maps.
-    pub fn chosen_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> usize {
-        if !self.policy.threading.auto_block {
-            return self.policy.threading.block_size;
-        }
-        let sig = spec.sig();
-        let set_sizes = self.layout.set_sizes();
-        let accesses = conflict_accesses(&self.layout.maps, &sig);
-        adaptive_block_size(start, end, &set_sizes, &accesses)
+        let t = self.policy.threading;
+        (t.active() && !spec.has_reduction() && end.saturating_sub(start) > t.block_size)
+            .then_some(t.block_size)
     }
 
     /// Inspector: lower `[start, end)` of `spec` for this rank's pool
@@ -324,32 +308,15 @@ impl<'a> RankEnv<'a> {
         BoundLoop::from_parts(spec.kernel, args)
     }
 
-    /// Should this schedule drain through the dataflow executor?
-    /// `OP2_EXEC=levels`/`dataflow` decide directly; `auto` asks the
-    /// profit arm — critical-path hand-offs against barrier count times
-    /// this rank's measured pool sync cost.
-    fn dataflow_chosen(&mut self, sched: &Schedule, dag: &ChunkDag) -> bool {
-        match self.policy.exec {
-            ExecMode::Levels => false,
-            ExecMode::Dataflow => true,
-            ExecMode::Auto => {
-                let threads = self.policy.threading.n_threads;
-                let sync_s = self.threads.sync_cost(threads);
-                op2_model::classify_exec(threads, sched.n_levels(), dag.crit_path as usize, sync_s)
-                    .dataflow
-            }
-        }
-    }
-
-    /// Drain `bound` over `low` on the rank's pool, through whichever
-    /// executor [`RankEnv::dataflow_chosen`] picks — dataflow needs the
-    /// chunk DAG, derived from the chain-wide conflict accesses of
-    /// `sigs()` ([`chain_accesses`]) over this rank's localized maps and
-    /// kept beside the schedule; levels pays one barrier per level.
-    /// Bitwise identical either way. A single-level schedule has no
-    /// barrier for dataflow to remove and always takes the leveled
-    /// drain, whatever [`ExecMode`] says — which also keeps windowed
-    /// (owner-computes) chunks, always a single level, out of the DAG.
+    /// Drain `bound` over `low` on the rank's pool. Under
+    /// [`ExecMode::Dataflow`] the dataflow executor runs it, on the chunk
+    /// DAG derived from the chain-wide conflict accesses of `sigs()`
+    /// ([`chain_accesses`]) over this rank's localized maps and kept
+    /// beside the schedule; otherwise the leveled walk pays one barrier
+    /// per level. Bitwise identical either way. A single-level schedule
+    /// has no barrier for dataflow to remove and always takes the leveled
+    /// drain — which also keeps windowed (owner-computes) chunks, always
+    /// a single level, out of the DAG.
     fn drain_schedule(
         &mut self,
         sigs: impl FnOnce() -> Vec<LoopSig>,
@@ -357,22 +324,19 @@ impl<'a> RankEnv<'a> {
         low: &LoweredSchedule,
     ) -> ExecStats {
         let pool = self.threads.pool(self.policy.threading.n_threads);
-        if self.policy.exec != ExecMode::Levels && low.n_levels() > 1 && low.has_parallelism() {
+        if self.policy.exec == ExecMode::Dataflow && low.n_levels() > 1 && low.has_parallelism() {
             let layout = self.layout;
             let dag = low.dag(|sched| {
                 ChunkDag::build(sched, &layout.set_sizes(), &chain_accesses(&layout.maps, &sigs()))
             });
-            if self.dataflow_chosen(low, dag) {
-                return run_schedule_dataflow(
-                    &pool,
-                    bound,
-                    low,
-                    dag,
-                    self.policy.pin,
-                    &mut self.threads.sched_ctxs,
-                    &mut self.threads.dataflow,
-                );
-            }
+            return run_schedule_dataflow(
+                &pool,
+                bound,
+                low,
+                dag,
+                &mut self.threads.sched_ctxs,
+                &mut self.threads.dataflow,
+            );
         }
         run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs)
     }
@@ -607,7 +571,7 @@ mod tests {
         assert!(msg.contains("OP2_FUSE") && msg.contains("maybe"), "{msg}");
     }
 
-    /// `OP2_EXEC` knob grammar: levels/dataflow/auto (case-insensitive),
+    /// `OP2_EXEC` knob grammar: levels/dataflow (case-insensitive),
     /// unset defaults to Levels, anything else is a typed
     /// [`ConfigError`] naming the knob.
     #[test]
@@ -621,37 +585,11 @@ mod tests {
         for v in ["dataflow", "DATAFLOW", "DataFlow"] {
             assert_eq!(ExecMode::parse(Some(v)).unwrap(), ExecMode::Dataflow, "{v}");
         }
-        for v in ["auto", "AUTO"] {
-            assert_eq!(ExecMode::parse(Some(v)).unwrap(), ExecMode::Auto, "{v}");
+        for v in ["async", "auto"] {
+            let err = ExecMode::parse(Some(v)).unwrap_err();
+            assert!(matches!(&err, ConfigError { knob: "OP2_EXEC", value, .. } if value == v));
+            let msg = err.to_string();
+            assert!(msg.contains("OP2_EXEC") && msg.contains(v), "{msg}");
         }
-
-        let err = ExecMode::parse(Some("async")).unwrap_err();
-        assert!(matches!(&err, ConfigError { knob: "OP2_EXEC", value, .. } if value == "async"));
-        let msg = err.to_string();
-        assert!(msg.contains("OP2_EXEC") && msg.contains("async"), "{msg}");
-    }
-
-    /// `OP2_THREAD_PIN` knob grammar: the boolean spellings
-    /// (case-insensitive), unset defaults to off, anything else is a
-    /// typed [`ConfigError`] naming the knob.
-    #[test]
-    fn thread_pin_knob_grammar() {
-        use crate::error::ConfigError;
-        use crate::policy::parse_thread_pin;
-
-        assert!(!parse_thread_pin(None).unwrap());
-        for v in ["1", "true", "on", "TRUE", "On"] {
-            assert!(parse_thread_pin(Some(v)).unwrap(), "{v}");
-        }
-        for v in ["0", "false", "off", "FALSE", "Off"] {
-            assert!(!parse_thread_pin(Some(v)).unwrap(), "{v}");
-        }
-
-        let err = parse_thread_pin(Some("yes-please")).unwrap_err();
-        assert!(
-            matches!(&err, ConfigError { knob: "OP2_THREAD_PIN", value, .. } if value == "yes-please")
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("OP2_THREAD_PIN") && msg.contains("yes-please"), "{msg}");
     }
 }

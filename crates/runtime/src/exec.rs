@@ -380,16 +380,8 @@ fn exec_chain(
         req,
         plan.exchange.recv_bytes,
         || {
-            // The most conservative of the chain loops' block sizes:
-            // every fused block must satisfy every member's conflict
-            // structure.
-            env.policy.threading.active().then(|| {
-                (chain.loops.iter().zip(&plan.exec_end))
-                    .map(|(spec, &end)| env.chosen_block_size(spec, 0, end))
-                    .min()
-                    .unwrap_or(0)
-                    .max(1)
-            })
+            let t = env.policy.threading;
+            t.active().then_some(t.block_size)
         },
         |key| {
             let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, key);

@@ -56,10 +56,6 @@ pub struct RunOptions {
     /// `OP2_EXEC` from the environment (absent = levels). `Some` is
     /// taken verbatim.
     pub exec: Option<crate::policy::ExecMode>,
-    /// Pin chunk ownership to workers in first-touch order under the
-    /// dataflow drain. `None` (the default) reads `OP2_THREAD_PIN` from
-    /// the environment (absent = off). `Some` is taken verbatim.
-    pub thread_pin: Option<bool>,
 }
 
 impl RunOptions {
@@ -108,13 +104,6 @@ impl RunOptions {
     /// default.
     pub fn exec(mut self, mode: crate::policy::ExecMode) -> Self {
         self.exec = Some(mode);
-        self
-    }
-
-    /// First-touch chunk pinning (builder style), overriding the
-    /// `OP2_THREAD_PIN` default.
-    pub fn thread_pin(mut self, pin: bool) -> Self {
-        self.thread_pin = Some(pin);
         self
     }
 }

@@ -14,8 +14,8 @@
 //! field of the job ([`ChainDispatch`]), read by the interpreter; relaxed
 //! chains always run [`run_chain_relaxed`] (their pinned extents are an
 //! accuracy contract, not a performance choice). Threading, drain
-//! policy, pinning, fusion and fault plans stay where they were: in the
-//! caller's [`RunOptions`].
+//! policy, fusion and fault plans stay where they were: in the caller's
+//! [`RunOptions`].
 //!
 //! Three hosts run a job on a distributed world and fold the per-rank
 //! verdicts into one `Result` — the first failed rank, in rank order, is
@@ -36,7 +36,7 @@ use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
 use crate::plan::{self, chain_signature, loop_signature};
 use crate::supervise::{run_supervised_with_state, SuperviseOptions};
 use crate::trace::RankTrace;
-use crate::tuner::{Tuner, TunerMode};
+use crate::tuner::Tuner;
 use op2_core::error::CoreError;
 use op2_core::{ChainSpec, DatId, Domain, LoopSpec};
 use op2_model::Machine;
@@ -85,8 +85,6 @@ pub enum ChainDispatch {
     Tuned {
         /// Machine model the classification runs on.
         mach: Machine,
-        /// Dispatch policy (`auto` calibrates; the rest force a backend).
-        mode: TunerMode,
         /// Pin the per-iteration cost `g` (seconds) for deterministic
         /// decisions (tests); `None` measures.
         fixed_g: Option<f64>,
@@ -101,14 +99,9 @@ impl ChainDispatch {
                 plan::fnv_usize(h, 1);
                 plan::fnv_usize(h, *n);
             }
-            ChainDispatch::Tuned {
-                mach,
-                mode,
-                fixed_g,
-            } => {
+            ChainDispatch::Tuned { mach, fixed_g } => {
                 plan::fnv_usize(h, 2);
                 plan::fnv_bytes(h, mach.name.as_bytes());
-                plan::fnv_usize(h, *mode as usize);
                 plan::fnv_bytes(h, &fixed_g.unwrap_or(f64::NAN).to_bits().to_le_bytes());
             }
         }
@@ -245,12 +238,8 @@ pub fn exec_job_program(
     job: &Job,
 ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
     let mut tuner = match &job.dispatch {
-        ChainDispatch::Tuned {
-            mach,
-            mode,
-            fixed_g,
-        } => {
-            let t = Tuner::new(mach.clone(), *mode);
+        ChainDispatch::Tuned { mach, fixed_g } => {
+            let t = Tuner::new(mach.clone());
             Some(match fixed_g {
                 Some(g) => t.with_fixed_g(*g),
                 None => t,
@@ -312,8 +301,7 @@ impl JobRun {
 }
 
 /// Run `job` on `layouts`; on success `dom` holds every owner's final
-/// values. Threading, drain policy, pinning, fusion and faults come from
-/// `opts`.
+/// values. Threading, drain policy, fusion and faults come from `opts`.
 pub fn run_job(
     dom: &mut Domain,
     layouts: &[RankLayout],

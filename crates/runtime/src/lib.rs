@@ -24,10 +24,6 @@
 //! * [`harness`] — `run_distributed`: spawns one thread per rank,
 //!   gathers dats in, scatters owned data back out, and returns the
 //!   traces.
-//! * [`lazy`] — deferred execution with *automatic* chain detection:
-//!   the paper's §5 future-work item (lazy evaluation à la OPS),
-//!   implemented here as a queue that fuses compatible loops into Alg 2
-//!   chains and flushes on reductions, depth pressure or length bounds.
 //! * [`plan`] — the inspector–executor plan subsystem: cached
 //!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
 //!   index lists, and every lowered schedule under one
@@ -35,15 +31,17 @@
 //!   class, with layout-epoch invalidation.
 //! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
 //!   every typed [`ConfigError`], and the per-rank [`ExecPolicy`]
-//!   (threading, fusion, drain, pinning) resolved once per run.
+//!   (threading, fusion, drain) resolved once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
-//!   (colored loop ranges and leveled tile plans alike) level by level,
-//!   bitwise identical to sequential execution (`OP2_THREADS`).
+//!   (owner-computes windows, colored loop ranges and leveled tile plans
+//!   alike) level by level, or in chunk-dependency order under
+//!   `OP2_EXEC=dataflow`, bitwise identical to sequential execution
+//!   (`OP2_THREADS`).
 //! * [`tuner`] — model-driven adaptive dispatch: feeds measured loop
 //!   weights and layout-derived halo components into `op2-model`'s §3.2
-//!   equations and picks standard (Alg 1) / CA (Alg 2) / tiled execution
-//!   per chain online, recording each decision in the trace.
+//!   equations and picks standard (Alg 1) or CA (Alg 2) execution per
+//!   chain online, recording each decision in the trace.
 //! * [`checkpoint`] — chain-boundary checkpointing: epoch-tagged,
 //!   incremental (dirty-tracked) in-memory snapshots of each rank's dat
 //!   state, plus the unit journal that makes replay bit-exact.
@@ -66,8 +64,7 @@
 //!   through `op2-partition`'s migration planner, a migration executor
 //!   shipping dat slices and renumbering tables over the fault-tolerant
 //!   transport, and the layout-epoch fence that keeps plan caches,
-//!   registries and checkpoints coherent across the switch
-//!   (`OP2_REBALANCE_THRESHOLD`, `OP2_REBALANCE_WINDOW`).
+//!   registries and checkpoints coherent across the switch.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -83,7 +80,6 @@ pub mod fault;
 pub mod halo;
 pub mod harness;
 pub mod job;
-pub mod lazy;
 pub mod plan;
 pub mod policy;
 pub mod rebalance;
@@ -104,15 +100,11 @@ pub use exec::{
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
-pub use lazy::LazyExec;
 pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, FusedChain,
     LoweringKey, PlanCache, PlanRegistry, PlanStats,
 };
-pub use policy::{
-    env_knob, parse_knob, parse_thread_pin, thread_pin_from_env, ExecMode, ExecPolicy, FuseMode,
-    KNOBS,
-};
+pub use policy::{env_knob, parse_knob, ExecMode, ExecPolicy, FuseMode, KNOBS};
 pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
     JobStep,
@@ -126,11 +118,11 @@ pub use service::{
 };
 pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
 pub use threads::{
-    chunk_owner, measure_sync_s, run_dag, run_schedule_dataflow, run_schedule_pooled_ctx,
+    measure_sync_s, run_dag, run_schedule_dataflow, run_schedule_pooled_ctx,
     DataflowScratch, ExecStats, ThreadCtx, ThreadPool, Threading,
 };
 pub use trace::{
     ChainRec, ClassRec, ExchangeRec, LoopRec, RankTrace, RebalanceRec, RecoveryRec, SchedKind,
     ThreadRec, TunerRec,
 };
-pub use tuner::{Backend, Tuner, TunerMode};
+pub use tuner::{Backend, Tuner};

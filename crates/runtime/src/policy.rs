@@ -4,9 +4,10 @@
 //! [`KNOBS`] is the one registry of environment knobs — name, accepted
 //! grammar, default, one-line doc. Every parser in the crate names its
 //! entry through [`parse_knob`], so a malformed value is the same typed
-//! [`ConfigError`] whichever knob it came from, and README's
-//! "Environment knobs" table is checked against the registry by a unit
-//! test. [`ExecPolicy`] is the four per-rank knobs a chain executor
+//! [`ConfigError`] whichever knob it came from. Unit tests check that
+//! README's "Environment knobs" table matches the registry row for row,
+//! and that every registered knob is read, through [`env_knob`] only.
+//! [`ExecPolicy`] is the four per-rank knobs a chain executor
 //! consults, resolved once per run from [`RunOptions`] and the
 //! environment ([`ExecPolicy::resolve`]) and installed as
 //! [`crate::env::RankEnv::policy`].
@@ -43,26 +44,18 @@ const fn knob(
 pub const KNOBS: &[Knob] = &[
     knob("OP2_THREADS", "auto|0|N", "1",
         "kernel threads per node, split across in-process ranks (`0`/`auto` = all cores)"),
-    knob("OP2_BLOCK_SIZE", "auto or a positive integer", "256",
-        "iterations per block of the colored fallback lowering (`auto` = per-loop adaptive)"),
+    knob("OP2_BLOCK_SIZE", "a positive integer", "256",
+        "iterations per block of the colored fallback lowering"),
     knob("OP2_FUSE", "on|off|auto", "off",
         "cross-loop fusion: `on` fuses every legal chain, `auto` only when the elided traffic exceeds the exchanged payload"),
-    knob("OP2_EXEC", "levels|dataflow|auto", "levels",
-        "schedule drain: one barrier per level, per-chunk dependency counters, or the profit model's pick per schedule"),
-    knob("OP2_THREAD_PIN", "0|1|true|false|on|off", "0",
-        "under the dataflow drain, pin contiguous chunk ranges to their first-touch worker instead of round-robin"),
-    knob("OP2_TUNER", "auto|op2|ca|tiled", "auto",
-        "force the adaptive dispatcher's backend instead of calibrating per chain"),
+    knob("OP2_EXEC", "levels|dataflow", "levels",
+        "schedule drain: one barrier per level, or per-chunk dependency counters"),
     knob("OP2_CKPT_EVERY", "a positive integer", "1",
         "checkpoint cadence (chain completions) of supervised runs and service jobs"),
     knob("OP2_SERVE_MAX_INFLIGHT", "a positive integer", "8",
         "service admission limit; submissions beyond it are rejected with `ServiceError::Saturated`"),
     knob("OP2_SERVE_BATCH", "0|1|true|false", "1",
         "run same-shape batch jobs back-to-back on hot plans and pools"),
-    knob("OP2_REBALANCE_THRESHOLD", "a finite number >= 1", "1.25",
-        "max/mean windowed load ratio that triggers a migration"),
-    knob("OP2_REBALANCE_WINDOW", "a positive integer", "8",
-        "most-recent trace units aggregated into the load estimate"),
 ];
 
 /// Parse one knob's raw value (`None` = variable unset, caller applies
@@ -91,7 +84,8 @@ pub fn parse_knob<T>(
     }
 }
 
-/// [`parse_knob`] on the process environment.
+/// [`parse_knob`] on the process environment — the crate's only reader
+/// of it.
 pub fn env_knob<T>(
     name: &str,
     parse: impl FnOnce(&str) -> Option<T>,
@@ -152,13 +146,10 @@ pub enum ExecMode {
     /// schedules lose nothing to barriers).
     #[default]
     Levels,
-    /// Always drain through the dataflow executor: per-chunk dependency
-    /// counters, owner-first deques, LIFO steal-from-richest stealing.
+    /// Drain multi-level schedules through the dataflow executor:
+    /// per-chunk dependency counters, owner-first deques, LIFO
+    /// steal-from-richest stealing.
     Dataflow,
-    /// Let the calibrated cost model decide per schedule
-    /// ([`op2_model::classify_exec`]): critical-path depth priced
-    /// against barrier count × the rank's measured sync cost.
-    Auto,
 }
 
 impl ExecMode {
@@ -166,12 +157,11 @@ impl ExecMode {
         match v.to_ascii_lowercase().as_str() {
             "levels" => Some(ExecMode::Levels),
             "dataflow" => Some(ExecMode::Dataflow),
-            "auto" => Some(ExecMode::Auto),
             _ => None,
         }
     }
 
-    /// Parse an `OP2_EXEC`-style value: `levels` / `dataflow` / `auto`
+    /// Parse an `OP2_EXEC`-style value: `levels` / `dataflow`
     /// (case-insensitive; `None` = unset → `Levels`).
     pub fn parse(raw: Option<&str>) -> Result<ExecMode, ConfigError> {
         Ok(parse_knob("OP2_EXEC", raw, Self::grammar)?.unwrap_or_default())
@@ -183,32 +173,10 @@ impl ExecMode {
     }
 }
 
-fn pin_grammar(v: &str) -> Option<bool> {
-    match v.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// Parse an `OP2_THREAD_PIN`-style value: a boolean (`1`/`0`/`true`/
-/// `false`/`on`/`off`, case-insensitive; `None` = unset → `false`).
-/// When set, the dataflow executor pins chunk ownership to workers in
-/// first-touch (contiguous level-major range) order, so the pages a
-/// worker's chunks touch stay hot in that worker's cache across drains.
-pub fn parse_thread_pin(raw: Option<&str>) -> Result<bool, ConfigError> {
-    Ok(parse_knob("OP2_THREAD_PIN", raw, pin_grammar)?.unwrap_or(false))
-}
-
-/// [`parse_thread_pin`] on the `OP2_THREAD_PIN` environment variable.
-pub fn thread_pin_from_env() -> Result<bool, ConfigError> {
-    Ok(env_knob("OP2_THREAD_PIN", pin_grammar)?.unwrap_or(false))
-}
-
 /// The per-rank execution policy every executor consults: how wide the
 /// rank's pool is, whether chains may fuse, how schedules drain. The
 /// default is what every knob means when unset: sequential, unfused,
-/// level-synchronous, unpinned.
+/// level-synchronous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Intra-rank threading (the only home of the configuration; the
@@ -218,9 +186,6 @@ pub struct ExecPolicy {
     pub fuse: FuseMode,
     /// Schedule drain policy for pooled executions.
     pub exec: ExecMode,
-    /// Pin chunk ownership to workers in first-touch order under the
-    /// dataflow drain.
-    pub pin: bool,
 }
 
 impl ExecPolicy {
@@ -236,7 +201,6 @@ impl ExecPolicy {
             threading: opts.threading.map_or_else(env_threads, Ok)?,
             fuse: opts.fuse.map_or_else(FuseMode::try_from_env, Ok)?,
             exec: opts.exec.map_or_else(ExecMode::try_from_env, Ok)?,
-            pin: opts.thread_pin.map_or_else(thread_pin_from_env, Ok)?,
         })
     }
 }
@@ -246,10 +210,15 @@ mod tests {
     use super::*;
 
     /// README's "Environment knobs" table has one row per [`KNOBS`]
-    /// entry, carrying its name and default.
+    /// entry, carrying its name and default, and no row for anything
+    /// else — a deleted knob's row cannot linger.
     #[test]
     fn readme_table_covers_every_knob() {
         let readme = include_str!("../../../README.md");
+        for row in readme.lines().filter(|l| l.starts_with("| `OP2_")) {
+            let name = row["| `".len()..].split('`').next().unwrap_or_default();
+            assert!(KNOBS.iter().any(|k| k.name == name), "README documents unknown knob {name}");
+        }
         for k in KNOBS {
             let row = readme
                 .lines()
@@ -282,16 +251,58 @@ mod tests {
         let opts = RunOptions::default()
             .with_threads(6)
             .fuse(FuseMode::Auto)
-            .exec(ExecMode::Dataflow)
-            .thread_pin(true);
+            .exec(ExecMode::Dataflow);
         assert_eq!(
             ExecPolicy::resolve(&opts, 3),
             Ok(ExecPolicy {
                 threading: Threading::with_threads(6),
                 fuse: FuseMode::Auto,
                 exec: ExecMode::Dataflow,
-                pin: true,
             })
         );
+    }
+
+    /// This crate's sources, one per `pub mod` of `lib.rs`.
+    const SOURCES: &[(&str, &str)] = &[
+        ("checkpoint", include_str!("checkpoint.rs")),
+        ("comm", include_str!("comm.rs")),
+        ("env", include_str!("env.rs")),
+        ("error", include_str!("error.rs")),
+        ("exec", include_str!("exec.rs")),
+        ("fault", include_str!("fault.rs")),
+        ("halo", include_str!("halo.rs")),
+        ("harness", include_str!("harness.rs")),
+        ("job", include_str!("job.rs")),
+        ("plan", include_str!("plan.rs")),
+        ("policy", include_str!("policy.rs")),
+        ("rebalance", include_str!("rebalance.rs")),
+        ("service", include_str!("service.rs")),
+        ("supervise", include_str!("supervise.rs")),
+        ("threads", include_str!("threads.rs")),
+        ("trace", include_str!("trace.rs")),
+        ("tuner", include_str!("tuner.rs")),
+    ];
+
+    /// Every [`KNOBS`] row has a reader, and the environment is read
+    /// only through [`env_knob`]: each name is passed to `env_knob`
+    /// somewhere in the crate, and `env_knob` holds the crate's one
+    /// environment lookup. A knob nothing reads cannot stay registered.
+    #[test]
+    fn every_knob_is_read() {
+        let lib = include_str!("lib.rs");
+        for m in lib.lines().filter_map(|l| l.strip_prefix("pub mod ")?.strip_suffix(';')) {
+            assert!(SOURCES.iter().any(|(n, _)| *n == m), "module {m} is not scanned");
+        }
+        for k in KNOBS {
+            let call = format!("env_knob(\"{}\"", k.name);
+            assert!(SOURCES.iter().any(|(_, src)| src.contains(&call)), "nothing reads {}", k.name);
+        }
+        let lookup = ["std::env", "::var"].concat();
+        let readers: Vec<(&str, usize)> = SOURCES
+            .iter()
+            .map(|(m, src)| (*m, src.matches(&lookup).count()))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        assert_eq!(readers, [("policy", 1)], "the environment is read outside env_knob");
     }
 }

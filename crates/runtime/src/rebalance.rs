@@ -10,8 +10,7 @@
 //!    wall times each executor already stamps into
 //!    [`RankTrace`] (a sliding window of the
 //!    most recent units) into a per-rank load vector; migration triggers
-//!    when `max/mean` exceeds [`RebalanceConfig::threshold`]
-//!    (`OP2_REBALANCE_THRESHOLD` / `OP2_REBALANCE_WINDOW`).
+//!    when `max/mean` reaches the [`RebalanceConfig`] threshold.
 //! 2. **Planner** — the measured rank load is spread over each rank's
 //!    owned base elements ([`element_costs`]) and fed to the weighted
 //!    partitioners; [`op2_partition::plan_migration`] diffs old against
@@ -46,10 +45,9 @@
 //! stay bit-identical (DESIGN.md §15).
 
 use crate::checkpoint::RankState;
-use crate::error::{ConfigError, RuntimeError};
+use crate::error::RuntimeError;
 use crate::harness::{run_distributed_with, RunOptions};
 use crate::job::{run_job_with_state, Job, JobRun};
-use crate::policy::parse_knob;
 use crate::supervise::SuperviseOptions;
 use crate::trace::{RankTrace, RebalanceRec};
 use op2_core::{DatId, Domain, SetId};
@@ -60,13 +58,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Rebalancing policy knobs (`OP2_REBALANCE_THRESHOLD` /
-/// `OP2_REBALANCE_WINDOW`).
+/// Rebalancing trigger policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RebalanceConfig {
     /// Trigger when the windowed `max/mean` per-rank load ratio reaches
-    /// this value. 1 triggers on any measurable imbalance; the
-    /// environment knob requires ≥ 1 (a ratio below 1 cannot occur).
+    /// this value. 1 triggers on any measurable imbalance; 0 always
+    /// triggers (a ratio below 1 cannot occur).
     pub threshold: f64,
     /// How many most-recent units (loops + chains) of each rank's trace
     /// enter the load estimate.
@@ -89,57 +86,16 @@ impl RebalanceConfig {
         assert!(window >= 1, "rebalance window must be at least 1");
         RebalanceConfig { threshold, window }
     }
-
-    /// Parse raw `OP2_REBALANCE_THRESHOLD` / `OP2_REBALANCE_WINDOW`
-    /// values (`None` = unset = default) through the centralized knob
-    /// path ([`crate::policy::parse_knob`]). Pure — no environment access.
-    pub fn parse(threshold: Option<&str>, window: Option<&str>) -> Result<Self, ConfigError> {
-        let mut cfg = RebalanceConfig::default();
-        if let Some(t) = parse_knob("OP2_REBALANCE_THRESHOLD", threshold, |s| {
-            s.parse::<f64>().ok().filter(|t| t.is_finite() && *t >= 1.0)
-        })? {
-            cfg.threshold = t;
-        }
-        if let Some(w) = parse_knob("OP2_REBALANCE_WINDOW", window, |s| {
-            s.parse::<usize>().ok().filter(|&w| w >= 1)
-        })? {
-            cfg.window = w;
-        }
-        Ok(cfg)
-    }
-
-    /// Read the `OP2_REBALANCE_*` environment knobs; typed errors on
-    /// malformed values — same discipline as every other runtime knob.
-    pub fn try_from_env() -> Result<Self, ConfigError> {
-        Self::parse(
-            std::env::var("OP2_REBALANCE_THRESHOLD").ok().as_deref(),
-            std::env::var("OP2_REBALANCE_WINDOW").ok().as_deref(),
-        )
-    }
-
-    /// Override the trigger threshold (builder style).
-    pub fn threshold(mut self, t: f64) -> Self {
-        assert!(t.is_finite() && t >= 0.0);
-        self.threshold = t;
-        self
-    }
-
-    /// Override the detection window (builder style).
-    pub fn window(mut self, w: usize) -> Self {
-        assert!(w >= 1);
-        self.window = w;
-        self
-    }
 }
 
-/// Host-level rebalancing policy: the detector knobs plus how a
+/// Host-level rebalancing policy: the detector configuration plus how a
 /// segmented run (detection at segment boundaries) behaves.
 /// [`run_job_rebalanced`] splits a job's iteration sequence into
 /// segments, runs each under supervision, and consults the detector
 /// between segments.
 #[derive(Debug, Clone, Default)]
 pub struct RebalancePolicy {
-    /// Detector knobs (threshold, window).
+    /// Detector configuration (threshold, window).
     pub cfg: RebalanceConfig,
     /// Iterations per supervised segment (0 = run everything in one
     /// segment, i.e. never check). Detection happens only at segment
@@ -565,28 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn config_knob_parsing() {
-        let d = RebalanceConfig::parse(None, None).unwrap();
-        assert_eq!(d.threshold, 1.25);
-        assert_eq!(d.window, 8);
-        let c = RebalanceConfig::parse(Some("1.5"), Some("4")).unwrap();
-        assert_eq!(c.threshold, 1.5);
-        assert_eq!(c.window, 4);
-        assert!(matches!(
-            RebalanceConfig::parse(Some("0.5"), None),
-            Err(ConfigError { knob: "OP2_REBALANCE_THRESHOLD", .. })
-        ));
-        assert!(matches!(
-            RebalanceConfig::parse(Some("nope"), None),
-            Err(ConfigError { knob: "OP2_REBALANCE_THRESHOLD", .. })
-        ));
-        assert!(matches!(
-            RebalanceConfig::parse(None, Some("0")),
-            Err(ConfigError { knob: "OP2_REBALANCE_WINDOW", .. })
-        ));
-    }
-
-    #[test]
     fn detector_windows_and_triggers() {
         // Rank 1 is 3x slower over the window: ratio = 3 / 1.5 = 2.
         let traces = vec![trace_with(&[100; 4]), trace_with(&[300; 4])];
@@ -601,14 +535,12 @@ mod tests {
         assert_eq!(est.per_rank_ns, vec![200, 200]);
         assert!((est.ratio() - 1.0).abs() < 1e-12);
 
-        let cfg = RebalanceConfig::default().threshold(1.4).window(4);
         let hot = vec![trace_with(&[100; 4]), trace_with(&[300; 4])];
-        assert!(detect(&hot, &cfg).is_some());
-        let cfg = cfg.threshold(1.6);
-        assert!(detect(&hot, &cfg).is_none());
+        assert!(detect(&hot, &RebalanceConfig::new(1.4, 4)).is_some());
+        assert!(detect(&hot, &RebalanceConfig::new(1.6, 4)).is_none());
         // Threshold 0 always triggers (forced-migration test hook).
-        let cfg = cfg.threshold(0.0);
-        assert!(detect(&[trace_with(&[]), trace_with(&[])], &cfg).is_some());
+        let idle = [trace_with(&[]), trace_with(&[])];
+        assert!(detect(&idle, &RebalanceConfig::new(0.0, 4)).is_some());
     }
 
     #[test]

@@ -64,7 +64,7 @@ use crate::error::{ConfigError, RuntimeError};
 use crate::harness::RunOptions;
 use crate::job::{run_job_with_state, Job, JobRun};
 use crate::plan::{mesh_signature, PlanCache, PlanRegistry, PlanStats};
-use crate::policy::{parse_knob, ExecPolicy};
+use crate::policy::{env_knob, parse_knob, ExecPolicy};
 use crate::supervise::SuperviseOptions;
 use crate::threads::{ThreadCtx, Threading};
 use crate::trace::RankTrace;
@@ -109,34 +109,46 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
+    fn inflight_grammar(s: &str) -> Option<usize> {
+        s.parse::<usize>().ok().filter(|&n| n >= 1)
+    }
+
+    fn batch_grammar(s: &str) -> Option<bool> {
+        match s {
+            "1" | "true" | "on" => Some(true),
+            "0" | "false" | "off" => Some(false),
+            _ => None,
+        }
+    }
+
+    /// The defaults with each set knob's value in place.
+    fn with_knobs(max_inflight: Option<usize>, batch: Option<bool>) -> Self {
+        let d = ServiceConfig::default();
+        ServiceConfig {
+            max_inflight: max_inflight.unwrap_or(d.max_inflight),
+            batch: batch.unwrap_or(d.batch),
+            ..d
+        }
+    }
+
     /// Parse raw `OP2_SERVE_MAX_INFLIGHT` / `OP2_SERVE_BATCH` values
     /// (`None` = unset) through the centralized knob path
     /// ([`crate::policy::parse_knob`]). Pure — no environment access.
     pub fn parse(max_inflight: Option<&str>, batch: Option<&str>) -> Result<Self, ConfigError> {
-        let mut cfg = ServiceConfig::default();
-        if let Some(n) = parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, |s| {
-            s.parse::<usize>().ok().filter(|&n| n >= 1)
-        })? {
-            cfg.max_inflight = n;
-        }
-        if let Some(b) = parse_knob("OP2_SERVE_BATCH", batch, |s| match s {
-            "1" | "true" | "on" => Some(true),
-            "0" | "false" | "off" => Some(false),
-            _ => None,
-        })? {
-            cfg.batch = b;
-        }
-        Ok(cfg)
+        Ok(Self::with_knobs(
+            parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, Self::inflight_grammar)?,
+            parse_knob("OP2_SERVE_BATCH", batch, Self::batch_grammar)?,
+        ))
     }
 
     /// Read the `OP2_SERVE_*` environment knobs, typed errors on
     /// malformed values — same discipline as `OP2_THREADS` and
     /// `OP2_CKPT_EVERY`.
     pub fn try_from_env() -> Result<Self, ConfigError> {
-        Self::parse(
-            std::env::var("OP2_SERVE_MAX_INFLIGHT").ok().as_deref(),
-            std::env::var("OP2_SERVE_BATCH").ok().as_deref(),
-        )
+        Ok(Self::with_knobs(
+            env_knob("OP2_SERVE_MAX_INFLIGHT", Self::inflight_grammar)?,
+            env_knob("OP2_SERVE_BATCH", Self::batch_grammar)?,
+        ))
     }
 
     /// Override the base run options (builder style).

@@ -17,15 +17,20 @@
 //! do not oversubscribe the node. Workers park on their channel between
 //! rounds — no spinning.
 //!
+//! Two drains run a schedule on the pool: the leveled walk
+//! ([`run_schedule_pooled_ctx`], one round per level) and the dataflow
+//! executor ([`run_schedule_dataflow`]), where each chunk fires when its
+//! dependency counter in the schedule's chunk DAG reaches zero.
+//!
 //! Control surface: `OP2_THREADS` (`1`/unset = sequential, `0`/`auto` =
-//! hardware parallelism, `N` = exactly N) and `OP2_BLOCK_SIZE` (`auto` =
-//! per-loop adaptive sizing from the measured conflict degree), or
-//! [`crate::harness::RunOptions`] programmatically — resolved once per
-//! run into [`crate::policy::ExecPolicy::threading`].
+//! hardware parallelism, `N` = exactly N) and `OP2_BLOCK_SIZE` (blocks of
+//! the colored fallback lowering), or [`crate::harness::RunOptions`]
+//! programmatically — resolved once per run into
+//! [`crate::policy::ExecPolicy::threading`].
 
 use crate::error::ConfigError;
 use crate::plan::LoweringCache;
-use crate::policy::parse_knob;
+use crate::policy::{env_knob, parse_knob};
 use op2_core::dag::ChunkDag;
 use op2_core::schedule::{run_chunk, BoundLoop, SchedCtx, Schedule};
 use std::cell::UnsafeCell;
@@ -44,11 +49,8 @@ pub struct Threading {
     /// Threads executing each colored loop (1 = sequential, the
     /// pre-subsystem behaviour).
     pub n_threads: usize,
-    /// Iterations per coloring block (ignored when `auto_block` is set).
+    /// Iterations per coloring block.
     pub block_size: usize,
-    /// Pick per-loop block sizes from the measured conflict degree
-    /// ([`op2_core::par::adaptive_block_size`]) instead of `block_size`.
-    pub auto_block: bool,
 }
 
 impl Threading {
@@ -63,8 +65,19 @@ impl Threading {
         Threading {
             n_threads,
             block_size: DEFAULT_BLOCK_SIZE,
-            auto_block: false,
         }
+    }
+
+    fn threads_grammar(v: &str) -> Option<usize> {
+        match v {
+            "" => Some(1),
+            "0" | "auto" => Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
+            n => n.parse::<usize>().ok().filter(|&n| n >= 1),
+        }
+    }
+
+    fn block_grammar(v: &str) -> Option<usize> {
+        v.parse::<usize>().ok().filter(|&n| n >= 1)
     }
 
     /// Parse the raw `OP2_THREADS` / `OP2_BLOCK_SIZE` values (`None` =
@@ -72,34 +85,24 @@ impl Threading {
     /// can validate configuration once at startup and tests can cover
     /// every malformed shape without mutating process state.
     pub fn parse(threads: Option<&str>, block: Option<&str>) -> Result<Threading, ConfigError> {
-        let n_threads = parse_knob("OP2_THREADS", threads, |v| match v {
-            "" => Some(1),
-            "0" | "auto" => Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
-            n => n.parse::<usize>().ok().filter(|&n| n >= 1),
-        })?
-        .unwrap_or(1);
-        let (block_size, auto_block) = parse_knob("OP2_BLOCK_SIZE", block, |v| match v {
-            "auto" => Some((DEFAULT_BLOCK_SIZE, true)),
-            n => n.parse::<usize>().ok().filter(|&n| n >= 1).map(|n| (n, false)),
-        })?
-        .unwrap_or((DEFAULT_BLOCK_SIZE, false));
         Ok(Threading {
-            n_threads,
-            block_size,
-            auto_block,
+            n_threads: parse_knob("OP2_THREADS", threads, Self::threads_grammar)?.unwrap_or(1),
+            block_size: parse_knob("OP2_BLOCK_SIZE", block, Self::block_grammar)?
+                .unwrap_or(DEFAULT_BLOCK_SIZE),
         })
     }
 
     /// Read `OP2_THREADS` (unset/`1` = sequential, `0`/`auto` = hardware
     /// parallelism, `N` = exactly N threads) and `OP2_BLOCK_SIZE`
-    /// (unset = [`DEFAULT_BLOCK_SIZE`], `auto` = adaptive per-loop
-    /// sizing). Returns a typed [`ConfigError`] on malformed values —
-    /// the harness reports it once at startup instead of panicking
-    /// inside a rank thread.
+    /// (unset = [`DEFAULT_BLOCK_SIZE`]). Returns a typed [`ConfigError`]
+    /// on malformed values — the harness reports it once at startup
+    /// instead of panicking inside a rank thread.
     pub fn try_from_env() -> Result<Threading, ConfigError> {
-        let threads = std::env::var("OP2_THREADS").ok();
-        let block = std::env::var("OP2_BLOCK_SIZE").ok();
-        Threading::parse(threads.as_deref(), block.as_deref())
+        Ok(Threading {
+            n_threads: env_knob("OP2_THREADS", Self::threads_grammar)?.unwrap_or(1),
+            block_size: env_knob("OP2_BLOCK_SIZE", Self::block_grammar)?
+                .unwrap_or(DEFAULT_BLOCK_SIZE),
+        })
     }
 
     /// True when execution actually fans out (more than one thread).
@@ -194,7 +197,8 @@ impl ThreadPool {
     /// Execute `task(i)` for every `i in 0..n_tasks`, spread over the
     /// pool plus the calling thread; returns when all tasks finished.
     /// Tasks within a round may run concurrently in any order — callers
-    /// pass one coloring color per round, so concurrency is safe and
+    /// pass only mutually race-free work per round (one schedule level's
+    /// chunks, disjoint pack spans, per-worker dataflow drainers), so
     /// order within the round is immaterial.
     ///
     /// Propagates panics: if any participant's task panics, `run`
@@ -531,18 +535,10 @@ impl DataflowScratch {
 }
 
 /// Which worker owns chunk `c` — where it is seeded when its counter
-/// hits zero. With `pin`, chunk ids (level-major, ascending iteration
-/// ranges) map to contiguous per-worker ranges, so across repeated
-/// executions each worker keeps first-touching the same dat pages and
-/// they stay hot in its cache/NUMA node. Without `pin`, round-robin
-/// spreads ready chunks for load balance.
+/// hits zero: round-robin, spreading ready chunks for load balance.
 #[inline]
-pub fn chunk_owner(c: usize, workers: usize, n_chunks: usize, pin: bool) -> usize {
-    if pin {
-        c * workers / n_chunks.max(1)
-    } else {
-        c % workers
-    }
+fn chunk_owner(c: u32, workers: usize) -> usize {
+    c as usize % workers
 }
 
 /// Drain a [`ChunkDag`] on the pool: every chunk fires the moment its
@@ -563,7 +559,6 @@ pub fn chunk_owner(c: usize, workers: usize, n_chunks: usize, pin: bool) -> usiz
 pub fn run_dag(
     pool: &ThreadPool,
     dag: &ChunkDag,
-    pin: bool,
     scratch: &mut DataflowScratch,
     task: &(dyn Fn(usize, usize) + Sync),
 ) -> ExecStats {
@@ -586,7 +581,7 @@ pub fn run_dag(
     // Seed roots in reverse so each owner's LIFO stack pops them in
     // ascending chunk-id order (the sequential front of the DAG first).
     for &r in dag.roots.iter().rev() {
-        scratch.push(chunk_owner(r as usize, w_count, n, pin), r);
+        scratch.push(chunk_owner(r, w_count), r);
     }
     let remaining = AtomicUsize::new(n);
     let aborted = AtomicBool::new(false);
@@ -615,7 +610,7 @@ pub fn run_dag(
                         // `s` (possibly on another worker, via the queue
                         // mutex) sees all predecessors' data writes.
                         if scratch_ref.deps[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            scratch_ref.push(chunk_owner(s as usize, w_count, n, pin), s);
+                            scratch_ref.push(chunk_owner(s, w_count), s);
                         }
                     }
                     remaining.fetch_sub(1, Ordering::AcqRel);
@@ -664,7 +659,6 @@ pub fn run_schedule_dataflow(
     bound: &[BoundLoop],
     sched: &Schedule,
     dag: &ChunkDag,
-    pin: bool,
     ctxs: &mut Vec<SchedCtx>,
     scratch: &mut DataflowScratch,
 ) -> ExecStats {
@@ -672,7 +666,7 @@ pub fn run_schedule_dataflow(
     debug_assert_eq!(dag.n_chunks, sched.n_chunks());
     // Instance ids are unique per round, so slot access stays disjoint.
     let slab = CtxSlab::prepare(ctxs, pool.n_threads(), bound, sched);
-    run_dag(pool, dag, pin, scratch, &|w, c| {
+    run_dag(pool, dag, scratch, &|w, c| {
         let (li, ci) = dag.locs[c];
         // SAFETY: see `CtxSlab` — instance `w` owns slot `w`.
         let ctx = unsafe { &mut *slab.slot(w) };
@@ -725,24 +719,9 @@ pub struct ThreadCtx {
     /// Reusable dataflow executor state (dependency counters, steal
     /// queues) — zero allocations once warmed to the largest shape.
     pub dataflow: DataflowScratch,
-    /// Measured per-round pool synchronization cost (seconds), cached by
-    /// [`ThreadCtx::sync_cost`] for the dataflow-vs-levels profit arm.
-    pub sync_s: Option<f64>,
 }
 
 impl ThreadCtx {
-    /// The pool's measured per-round synchronization cost, measured once
-    /// ([`measure_sync_s`]) and cached — the barrier price the
-    /// `OP2_EXEC=auto` profit arm weighs level counts with.
-    pub fn sync_cost(&mut self, width: usize) -> f64 {
-        if let Some(s) = self.sync_s {
-            return s;
-        }
-        let s = measure_sync_s(&self.pool(width), 8);
-        self.sync_s = Some(s);
-        s
-    }
-
     /// The rank's own pool, created on first use at `width` threads. If
     /// the configured width changes afterwards (the tuner suspends
     /// threading during calibration), the existing pool is kept — width
@@ -842,10 +821,7 @@ mod tests {
         assert_eq!(Threading::parse(Some("1"), None).unwrap().n_threads, 1);
         assert_eq!(Threading::parse(Some("3"), None).unwrap().n_threads, 3);
         assert!(Threading::parse(Some("auto"), None).unwrap().n_threads >= 1);
-        let t = Threading::parse(None, Some("64")).unwrap();
-        assert_eq!((t.block_size, t.auto_block), (64, false));
-        let t = Threading::parse(None, Some("auto")).unwrap();
-        assert!(t.auto_block);
+        assert_eq!(Threading::parse(None, Some("64")).unwrap().block_size, 64);
     }
 
     #[test]
@@ -861,9 +837,10 @@ mod tests {
             Threading::parse(Some("lots"), None),
             err("OP2_THREADS", "auto|0|N", "lots")
         );
-        let block = "auto or a positive integer";
+        let block = "a positive integer";
         assert_eq!(Threading::parse(None, Some("-4")), err("OP2_BLOCK_SIZE", block, "-4"));
         assert_eq!(Threading::parse(None, Some("0")), err("OP2_BLOCK_SIZE", block, "0"));
+        assert_eq!(Threading::parse(None, Some("auto")), err("OP2_BLOCK_SIZE", block, "auto"));
     }
 
     #[test]
@@ -1011,7 +988,6 @@ mod tests {
                 n_nodes in 17usize..160,
                 block in 1usize..24,
                 workers in 1usize..5,
-                pin in proptest::bool::ANY,
             ) {
                 let (_sched, dag) = path_dag(n_nodes, block);
                 let mut preds: Vec<Vec<u32>> = vec![Vec::new(); dag.n_chunks];
@@ -1026,7 +1002,7 @@ mod tests {
                     (0..dag.n_chunks).map(|_| AtomicBool::new(false)).collect();
                 let pool = ThreadPool::new(workers);
                 let mut scratch = DataflowScratch::default();
-                let stats = run_dag(&pool, &dag, pin, &mut scratch, &|_, c| {
+                let stats = run_dag(&pool, &dag, &mut scratch, &|_, c| {
                     for &p in &preds[c] {
                         assert!(
                             done[p as usize].load(Ordering::SeqCst),
@@ -1053,7 +1029,6 @@ mod tests {
             fn single_worker_order_is_owner_lifo(
                 n_nodes in 17usize..160,
                 block in 1usize..24,
-                pin in proptest::bool::ANY,
             ) {
                 let (_sched, dag) = path_dag(n_nodes, block);
                 // Reference: the executor's exact pop discipline, serial.
@@ -1072,7 +1047,7 @@ mod tests {
                 let order = Mutex::new(Vec::with_capacity(dag.n_chunks));
                 let pool = ThreadPool::new(1);
                 let mut scratch = DataflowScratch::default();
-                let stats = run_dag(&pool, &dag, pin, &mut scratch, &|_, c| {
+                let stats = run_dag(&pool, &dag, &mut scratch, &|_, c| {
                     order.lock().unwrap().push(c);
                 });
                 prop_assert_eq!(stats.steals.iter().sum::<u64>(), 0);
@@ -1088,11 +1063,11 @@ mod tests {
         let (_sched, dag) = path_dag(129, 8);
         let pool = ThreadPool::new(4);
         let mut scratch = DataflowScratch::default();
-        run_dag(&pool, &dag, true, &mut scratch, &|_, _| {});
+        run_dag(&pool, &dag, &mut scratch, &|_, _| {});
         let warm = scratch.allocs();
         assert!(warm > 0);
         for _ in 0..5 {
-            run_dag(&pool, &dag, true, &mut scratch, &|_, _| {});
+            run_dag(&pool, &dag, &mut scratch, &|_, _| {});
         }
         assert_eq!(scratch.allocs(), warm);
     }
@@ -1107,12 +1082,12 @@ mod tests {
         assert!(small.n_chunks < large.n_chunks);
         let pool = ThreadPool::new(2);
         let mut scratch = DataflowScratch::default();
-        run_dag(&pool, &small, false, &mut scratch, &|_, _| {});
-        run_dag(&pool, &large, false, &mut scratch, &|_, _| {});
+        run_dag(&pool, &small, &mut scratch, &|_, _| {});
+        run_dag(&pool, &large, &mut scratch, &|_, _| {});
         let warm = scratch.allocs();
         for _ in 0..3 {
-            run_dag(&pool, &small, false, &mut scratch, &|_, _| {});
-            run_dag(&pool, &large, false, &mut scratch, &|_, _| {});
+            run_dag(&pool, &small, &mut scratch, &|_, _| {});
+            run_dag(&pool, &large, &mut scratch, &|_, _| {});
         }
         assert_eq!(scratch.allocs(), warm);
     }
@@ -1125,7 +1100,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         let mut scratch = DataflowScratch::default();
         let res = catch_unwind(AssertUnwindSafe(|| {
-            run_dag(&pool, &dag, false, &mut scratch, &|_, c| {
+            run_dag(&pool, &dag, &mut scratch, &|_, c| {
                 if c == 3 {
                     panic!("chunk 3 exploded");
                 }
@@ -1134,7 +1109,7 @@ mod tests {
         assert!(res.is_err());
         // The pool and scratch survive for the next drain.
         let count = AtomicUsize::new(0);
-        run_dag(&pool, &dag, false, &mut scratch, &|_, _| {
+        run_dag(&pool, &dag, &mut scratch, &|_, _| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), dag.n_chunks);

@@ -13,8 +13,7 @@
 //! Pinned here, on randomly generated 2-D quad and 3-D tet meshes:
 //!
 //! 1. **Dataflow == levels == sequential** to the bit at 1/2/4 pool
-//!    threads, pinned and unpinned, across the direct, colored and
-//!    tiled chain lowerings (proptest). An `Inc`-only edge sweep lowers
+//!    threads, across the direct, colored and tiled chain lowerings (proptest). An `Inc`-only edge sweep lowers
 //!    owner-computes — one level, which always drains leveled — so the
 //!    sweep also comes as an indirect `Rw`, which only the colored
 //!    fallback admits and whose ladder of levels the DAG replaces.
@@ -158,16 +157,12 @@ fn run_case(
     case: &Case,
     layouts: &[RankLayout],
     exec: ExecMode,
-    pin: bool,
     threading: Threading,
     n_tiles: usize,
     iters: usize,
 ) -> (Vec<RankTrace>, Vec<Vec<u64>>) {
     let mut dom = case.dom.clone();
-    let opts = RunOptions::default()
-        .exec(exec)
-        .thread_pin(pin)
-        .threading(threading);
+    let opts = RunOptions::default().exec(exec).threading(threading);
     let out = run_distributed_with(&mut dom, layouts, &opts, |env| {
         for _ in 0..iters {
             if n_tiles > 0 {
@@ -195,8 +190,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Dataflow == levels == plain sequential, to the bit, on every
-    /// lowering: direct (single thread), colored (1/2/4 pool threads,
-    /// pinned and unpinned) and tiled.
+    /// lowering: direct (single thread), colored (1/2/4 pool threads)
+    /// and tiled.
     #[test]
     fn dataflow_matches_sequential_bitwise(
         nx in 4usize..8,
@@ -206,7 +201,6 @@ proptest! {
         nparts in 2usize..4,
         n_tiles in 2usize..6,
         tet in proptest::bool::ANY,
-        pin in proptest::bool::ANY,
         rw in proptest::bool::ANY,
     ) {
         let iters = 3;
@@ -216,32 +210,24 @@ proptest! {
 
         // Levels baseline equals the sequential reference.
         let (_, bits_lv) = run_case(
-            &case, &layouts, ExecMode::Levels, false,
-            Threading::with_threads(4), 0, iters);
+            &case, &layouts, ExecMode::Levels, Threading::with_threads(4), 0, iters);
         prop_assert_eq!(&bits_lv, &seq_bits, "levels != seq");
 
         // Dataflow across thread counts, colored lowering.
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let (_, bits) = run_case(
-                &case, &layouts, ExecMode::Dataflow, pin, threading, 0, iters);
+                &case, &layouts, ExecMode::Dataflow, threading, 0, iters);
             prop_assert_eq!(&bits, &seq_bits, "dataflow @{} != seq", n_threads);
         }
 
         // Tiled lowering under dataflow.
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let (_, bits) = run_case(
-                &case, &layouts, ExecMode::Dataflow, pin, threading, n_tiles, iters);
+                &case, &layouts, ExecMode::Dataflow, threading, n_tiles, iters);
             prop_assert_eq!(&bits, &seq_bits, "dataflow tiled @{} != seq", n_threads);
         }
-
-        // `auto` picks whichever arm the profit model prefers — the
-        // result must be bit-identical either way.
-        let (_, bits) = run_case(
-            &case, &layouts, ExecMode::Auto, pin,
-            Threading::with_threads(4), 0, iters);
-        prop_assert_eq!(&bits, &seq_bits, "auto != seq");
     }
 }
 
@@ -255,10 +241,10 @@ fn dataflow_engages_and_fires_every_chunk() {
     let case = build_case(16, 16, 2, 3, false, true);
     let seq_bits = run_seq(&case, iters);
     let layouts = layouts_for(&case, 2);
-    let threading = Threading { n_threads: 4, block_size: 8, auto_block: false };
+    let threading = Threading { n_threads: 4, block_size: 8 };
 
     let (traces, bits) = run_case(
-        &case, &layouts, ExecMode::Dataflow, true, threading, 0, iters);
+        &case, &layouts, ExecMode::Dataflow, threading, 0, iters);
     assert_eq!(bits, seq_bits);
     assert!(dataflow_execs(&traces) > 0, "no dataflow drain recorded");
     for t in &traces {
@@ -340,7 +326,7 @@ fn dataflow_over_fused_pieces_bitwise() {
     let opts = RunOptions::default()
         .fuse(FuseMode::On)
         .exec(ExecMode::Dataflow)
-        .threading(Threading { n_threads: 4, block_size: 8, auto_block: false });
+        .threading(Threading { n_threads: 4, block_size: 8 });
     let out = run_distributed_with(&mut d, &layouts, &opts, |env| {
         for _ in 0..iters {
             run_chain(env, &chain)?;
@@ -365,8 +351,7 @@ fn dataflow_steady_state_allocates_nothing() {
     let mut dom = case.dom.clone();
     let opts = RunOptions::default()
         .exec(ExecMode::Dataflow)
-        .thread_pin(true)
-        .threading(Threading { n_threads: 4, block_size: 8, auto_block: false });
+        .threading(Threading { n_threads: 4, block_size: 8 });
     let out = run_distributed_with(&mut dom, &layouts, &opts, |env| {
         // Two warm-up invocations: the first builds plan + DAG and
         // sizes the scratch, the second settles the dirty class.
@@ -437,8 +422,7 @@ mod chaos {
                 let run = RunOptions::with_faults(FaultPlan::new(spec))
                     .with_threads(n_threads)
                     .checkpoint_every(1)
-                    .exec(ExecMode::Dataflow)
-                    .thread_pin(true);
+                    .exec(ExecMode::Dataflow);
                 let mut dom = case.dom.clone();
                 let out = run_supervised(
                     &mut dom,
@@ -497,17 +481,8 @@ mod apps {
             op2::mgcfd::run(&mut app, &layouts, &job, &opts).expect("every rank completes")
         };
         let base = run(RunOptions::default());
-        for pin in [false, true] {
-            let out = run(RunOptions::default()
-                .with_threads(4)
-                .exec(ExecMode::Dataflow)
-                .thread_pin(pin));
-            assert_eq!(
-                out.rms.to_bits(),
-                base.rms.to_bits(),
-                "mg-cfd dataflow rms diverged (pin {pin})"
-            );
-        }
+        let out = run(RunOptions::default().with_threads(4).exec(ExecMode::Dataflow));
+        assert_eq!(out.rms.to_bits(), base.rms.to_bits(), "mg-cfd dataflow rms diverged");
     }
 
     #[test]
@@ -527,10 +502,7 @@ mod apps {
             op2::hydra::run(&mut app, &layouts, &job, &opts).expect("every rank completes")
         };
         let base = run(RunOptions::default());
-        let out = run(RunOptions::default()
-            .with_threads(4)
-            .exec(ExecMode::Dataflow)
-            .thread_pin(true));
+        let out = run(RunOptions::default().with_threads(4).exec(ExecMode::Dataflow));
         assert_eq!(
             out.norm.to_bits(),
             base.norm.to_bits(),

@@ -272,7 +272,7 @@ proptest! {
 
         // Colored lowering, fused, 1/2/4 threads.
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let (traces, bits) =
                 run_case(&case, &layouts, FuseMode::On, threading, iters);
             prop_assert_eq!(&bits, &seq_bits, "fused colored @{} != seq", n_threads);
@@ -287,7 +287,7 @@ proptest! {
             &case, &layouts, FuseMode::Off, Threading::single(), n_tiles, iters);
         prop_assert_eq!(&bits_toff, &seq_bits, "unfused tiled != seq");
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let (_, bits) = run_case_tiled(
                 &case, &layouts, FuseMode::On, threading, n_tiles, iters);
             prop_assert_eq!(&bits, &seq_bits, "fused tiled @{} != seq", n_threads);

@@ -226,7 +226,7 @@ proptest! {
 
         let mut overlap_ref: Option<Vec<u64>> = None;
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let opts = RunOptions::default().threading(threading);
             let (traces, bits) =
                 run_dist(&case, &layouts, &opts, |env, chain| run_chain_tiled(env, chain, n_tiles));

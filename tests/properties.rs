@@ -168,88 +168,6 @@ proptest! {
         }
     }
 
-    /// Lazy execution (automatic chain detection) matches eager per-loop
-    /// execution exactly for random sequences of produce/consume loops.
-    #[test]
-    fn lazy_matches_eager(
-        seq_len in 1usize..7,
-        seed in 0u64..1000,
-        max_chain in 2usize..5,
-    ) {
-        use op2::core::{seq, Arg as A, Args, LoopSpec};
-        use op2::runtime::LazyExec;
-        use op2::runtime::run_distributed;
-
-        // Both kernels: read args 0-1 (src), increment args 2-3 (dst).
-        fn k_produce(args: &Args<'_>) {
-            args.inc(2, 0, args.get(0, 0) + 1.0);
-            args.inc(3, 0, args.get(1, 0) + 1.0);
-        }
-        fn k_consume(args: &Args<'_>) {
-            args.inc(2, 0, args.get(0, 0) - args.get(1, 0));
-            args.inc(3, 0, args.get(1, 0));
-        }
-
-        let mut m = Quad2D::generate(8, 8);
-        let n = m.dom.set(m.nodes).size;
-        let s0: Vec<f64> = (0..n).map(|i| ((i * 5 + 1) % 13) as f64).collect();
-        let dats = [
-            m.dom.decl_dat("d0", m.nodes, 1, s0),
-            m.dom.decl_dat_zeros("d1", m.nodes, 1),
-            m.dom.decl_dat_zeros("d2", m.nodes, 1),
-        ];
-
-        // Random loop sequence over the three dats.
-        let mut rng = seed;
-        let mut next = move || {
-            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(7);
-            (rng >> 33) as usize
-        };
-        let loops: Vec<LoopSpec> = (0..seq_len)
-            .map(|i| {
-                // src and dst must differ: reading a dat while
-                // incrementing it through the same map is inherently
-                // order-dependent and outside the abstraction's
-                // commutativity contract.
-                let si = next() % 3;
-                let di = (si + 1 + next() % 2) % 3;
-                let (src, dst) = (dats[si], dats[di]);
-                LoopSpec::new(
-                    &format!("l{i}"),
-                    m.edges,
-                    vec![
-                        A::dat_indirect(src, m.e2n, 0, AccessMode::Read),
-                        A::dat_indirect(src, m.e2n, 1, AccessMode::Read),
-                        A::dat_indirect(dst, m.e2n, 0, AccessMode::Inc),
-                        A::dat_indirect(dst, m.e2n, 1, AccessMode::Inc),
-                    ],
-                    if i % 2 == 0 { k_produce } else { k_consume },
-                )
-            })
-            .collect();
-
-        let mut seq_dom = m.dom.clone();
-        for l in &loops {
-            seq::run_loop(&mut seq_dom, l);
-        }
-
-        let depth = 3;
-        let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 3);
-        let own = derive_ownership(&m.dom, m.nodes, base, 3);
-        let layouts = build_layouts(&m.dom, &own, depth);
-        run_distributed(&mut m.dom, &layouts, |env| {
-            let mut lazy = LazyExec::new(depth, max_chain);
-            for l in &loops {
-                lazy.enqueue(env, l)?;
-            }
-            lazy.flush(env)
-        })
-        .unwrap_results();
-        for &d in &dats {
-            prop_assert_eq!(&seq_dom.dat(d).data, &m.dom.dat(d).data);
-        }
-    }
-
     /// Greedy loop colorings are valid (no two same-color iterations
     /// modify the same element) and minimal-ish — within the greedy
     /// bound `max conflict degree + 1` — on random 2-D quad and 3-D tet

@@ -187,7 +187,7 @@ proptest! {
         }
 
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let mut dom = case.dom.clone();
             let (traces, bits) = run_dist(&case, &mut dom, &layouts, threading, true);
             prop_assert_eq!(&bits, &seq_bits, "{} threads: data != seq", n_threads);
@@ -235,7 +235,7 @@ proptest! {
         prop_assert_eq!(&bits_ref, &seq_bits, "single-threaded unplanned != seq");
 
         for n_threads in [2usize, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let mut dom = case.dom.clone();
             let (_, bits) = run_dist(&case, &mut dom, &layouts, threading, false);
             prop_assert_eq!(&bits, &seq_bits, "{} threads: data != seq", n_threads);
@@ -251,11 +251,7 @@ fn threaded_path_engages_on_large_mesh() {
     let case = build_case(12, 12, 2, false);
     let layouts = layouts_for(&case, 2);
     let mut dom = case.dom.clone();
-    let threading = Threading {
-        n_threads: 4,
-        block_size: 8,
-        auto_block: false,
-    };
+    let threading = Threading { n_threads: 4, block_size: 8 };
     let (traces, bits) = run_dist(&case, &mut dom, &layouts, threading, true);
     assert_eq!(bits, run_seq(&case));
     assert!(
@@ -341,11 +337,7 @@ fn assert_thread_count_invisible(
     let (reference, _) = run(Threading::single());
     let mut traces = Vec::new();
     for n_threads in 1..=4usize {
-        let threading = Threading {
-            n_threads,
-            block_size: 4,
-            auto_block: false,
-        };
+        let threading = Threading { n_threads, block_size: 4 };
         let (bits, t) = run(threading);
         assert_eq!(bits, reference, "{n_threads} threads != single-threaded");
         traces = t;

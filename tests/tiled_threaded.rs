@@ -184,7 +184,7 @@ proptest! {
         }
 
         for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4, auto_block: false };
+            let threading = Threading { n_threads, block_size: 4 };
             let mut dom = case.dom.clone();
             let (traces, bits) = run_tiled(&case, &mut dom, &layouts, n_tiles, threading);
             prop_assert_eq!(&bits, &seq_bits, "{} threads: data != seq", n_threads);
