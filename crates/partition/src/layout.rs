@@ -10,22 +10,30 @@
 //!   the latency-hiding core of a loop at chain position `j` is always a
 //!   *prefix* (`core_end(j)`), and the post-exchange remainder a suffix;
 //! * **import rings** follow level by level; within a level, elements are
-//!   sorted by (owner rank, global id), which makes every neighbour's
-//!   contribution to every level a *contiguous range* — the receive side
-//!   of the paper's grouped halo message (Figure 8) unpacks with plain
-//!   `memcpy`s, and per-level execute ranges need no indirection lists;
+//!   sorted by owner rank, which makes every neighbour's contribution to
+//!   every level a *contiguous range* — the receive side of the paper's
+//!   grouped halo message (Figure 8) unpacks with plain `memcpy`s, and
+//!   per-level execute ranges need no indirection lists;
+//! * **inside each of those ranges** (a core-depth class, a ring level,
+//!   one owner's run of a level) elements follow one global *locality
+//!   order* per set (Cuthill–McKee for map targets, lowest target for
+//!   the rest; see `order.rs`), so consecutive iterations gather and
+//!   scatter nearby data whatever the input numbering. The ranges hold
+//!   the same elements under any order; only their order within changes;
 //! * **maps are localized**: every map row of a local element is
 //!   rewritten to local indices (entries pointing beyond the built depth
 //!   hold [`NONLOCAL`] and are never dereferenced by a correct executor).
 //!
 //! [`build_layouts`] is the inspection phase of Alg 2 (performed globally
 //! here — OP2 performs it cooperatively over MPI, but the produced
-//! per-rank structures are identical in shape).
+//! per-rank structures are identical in shape). Beyond the ring BFS and
+//! the sort of each import level it is linear: global→local lookups go
+//! through one dense table per set, reused by every rank.
 
+use crate::order::LocalityOrder;
 use crate::ownership::Ownership;
 use crate::rings::{compute_rings, find_seeds, MapAdj};
 use op2_core::{Domain, MapData, SetId};
-use std::collections::HashMap;
 
 /// Sentinel local index for map entries pointing beyond the built halo
 /// depth. Executors must never dereference it; debug executors assert.
@@ -68,11 +76,7 @@ impl SetLayout {
     /// owned plus rings 1..=ext.
     #[inline]
     pub fn exec_end(&self, ext: usize) -> usize {
-        let rings: usize = self
-            .import_level_counts
-            .iter()
-            .take(ext)
-            .sum();
+        let rings: usize = self.import_level_counts.iter().take(ext).sum();
         self.n_owned + rings
     }
 
@@ -89,9 +93,10 @@ impl SetLayout {
 }
 
 /// What one rank exchanges with one neighbour, segment by segment. Both
-/// sides enumerate segments in identical (set, level, global-id) order,
-/// so a single packed buffer per neighbour round-trips without headers —
-/// exactly the grouped layout of Figure 8.
+/// sides enumerate segments in identical (set, level) order, and a send
+/// segment lists its elements in the receiver's local order, so a single
+/// packed buffer per neighbour round-trips without headers — exactly the
+/// grouped layout of Figure 8.
 #[derive(Debug, Clone)]
 pub struct NeighborPlan {
     /// The neighbour's rank.
@@ -190,225 +195,207 @@ pub fn build_layouts(dom: &Domain, own: &Ownership, depth: usize) -> Vec<RankLay
     let nparts = own.nparts;
     let adj = MapAdj::build(dom);
     let seeds = find_seeds(dom, own);
+    let order = LocalityOrder::build(dom, &adj);
     let n_sets = dom.n_sets();
+    // Core-depth classes: 0..=depth from the inner BFS, `deep` beyond it.
+    let deep = depth as u8 + 1;
+    let n_classes = depth + 2;
 
-    // Owned lists per (rank, set) in one global pass.
+    // Owned lists per (rank, set), in locality order, in one global pass.
     let mut owned: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); n_sets]; nparts];
     for (sidx, o) in own.owner.iter().enumerate() {
-        for (e, &r) in o.iter().enumerate() {
-            owned[r as usize][sidx].push(e as u32);
+        for &g in &order.elems[sidx] {
+            owned[o[g as usize] as usize][sidx].push(g);
         }
     }
 
-    // Rings per rank.
-    let rings: Vec<_> = (0..nparts as u32)
-        .map(|r| compute_rings(dom, &adj, own, &seeds, r, depth as u8, depth as u8))
-        .collect();
-
-    // Per-rank set layouts + global→local tables.
-    struct Built {
-        sets: Vec<SetLayout>,
-        g2l: Vec<HashMap<u32, u32>>,
-        /// Per set: (owner, level, global, local) of every import, in
-        /// local order.
-        import_meta: Vec<Vec<(u32, u8, u32, u32)>>,
-    }
-    let mut built: Vec<Built> = Vec::with_capacity(nparts);
+    // Per-set dense depth table: one O(N) scratch every rank fills from
+    // its rings and resets after use.
+    let mut depth_of: Vec<Vec<u8>> = dom.sets().iter().map(|s| vec![deep; s.size]).collect();
+    let mut layouts: Vec<RankLayout> = Vec::with_capacity(nparts);
+    // `runs[r]`: r's import runs, one per (set, level, owner), in that
+    // order. `exports[s]`: (receiver, run index) of every run s owns, in
+    // (receiver, set, level) order.
+    let mut runs: Vec<Vec<Run>> = Vec::with_capacity(nparts);
+    let mut exports: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nparts];
 
     for r in 0..nparts {
-        let rr = &rings[r];
+        let rr = compute_rings(dom, &adj, own, &seeds, r as u32, depth as u8, depth as u8);
         let mut sets = Vec::with_capacity(n_sets);
-        let mut g2l: Vec<HashMap<u32, u32>> = Vec::with_capacity(n_sets);
-        let mut import_meta = Vec::with_capacity(n_sets);
+        let mut rank_runs = Vec::new();
         for sidx in 0..n_sets {
-            // Owned: sort by descending inner depth (missing = deep),
-            // then ascending global id.
-            let deep = depth as u8 + 1;
-            let inner = &rr.inner[sidx];
-            let mut own_sorted = owned[r][sidx].clone();
-            own_sorted.sort_unstable_by_key(|&g| {
-                let d = inner.get(&g).copied().unwrap_or(deep);
-                (std::cmp::Reverse(d), g)
-            });
-            let n_owned = own_sorted.len();
-            let mut core_prefix = vec![0usize; depth + 2];
-            core_prefix[0] = n_owned;
-            for k in 1..=depth + 1 {
-                core_prefix[k] = own_sorted
-                    .iter()
-                    .take_while(|&&g| inner.get(&g).copied().unwrap_or(deep) >= k as u8)
-                    .count();
+            // Owned: by descending core depth, then locality order — one
+            // counting pass, whose class sizes are `core_prefix`.
+            let depths = &mut depth_of[sidx];
+            for (&g, &d) in &rr.inner[sidx] {
+                depths[g as usize] = d;
+            }
+            let in_order = std::mem::take(&mut owned[r][sidx]);
+            let mut class_len = vec![0usize; n_classes];
+            for &g in &in_order {
+                class_len[depths[g as usize] as usize] += 1;
+            }
+            // core_prefix[k] = owned elements with depth ≥ k.
+            let mut core_prefix = vec![0usize; n_classes];
+            let mut acc = 0;
+            for k in (0..n_classes).rev() {
+                acc += class_len[k];
+                core_prefix[k] = acc;
+            }
+            // Class k starts after every deeper class.
+            let mut next: Vec<usize> = (0..n_classes)
+                .map(|k| core_prefix[k] - class_len[k])
+                .collect();
+            let n_owned = in_order.len();
+            let mut locals = vec![0u32; n_owned];
+            for &g in &in_order {
+                let slot = &mut next[depths[g as usize] as usize];
+                locals[*slot] = g;
+                *slot += 1;
+            }
+            for &g in rr.inner[sidx].keys() {
+                depths[g as usize] = deep;
             }
 
-            // Imports: per level, sorted by (owner, global id).
-            let set_owner = &own.owner[sidx];
-            let mut per_level: Vec<Vec<(u32, u32)>> = vec![Vec::new(); depth];
+            // Imports: per level, by (owner, locality order); each owner's
+            // part of a level is one run.
+            let set = SetId(sidx as u32);
+            let (set_owner, pos) = (&own.owner[sidx], &order.pos[sidx]);
+            let mut per_level: Vec<Vec<u64>> = vec![Vec::new(); depth];
             for (&g, &ring) in &rr.imports[sidx] {
                 debug_assert!((1..=depth as u8).contains(&ring));
-                per_level[ring as usize - 1].push((set_owner[g as usize], g));
+                let key = (set_owner[g as usize] as u64) << 32 | pos[g as usize] as u64;
+                per_level[ring as usize - 1].push(key);
             }
-            for lvl in &mut per_level {
+            let mut import_level_counts = Vec::with_capacity(depth);
+            for (li, lvl) in per_level.iter_mut().enumerate() {
                 lvl.sort_unstable();
-            }
-
-            let mut locals = own_sorted;
-            let mut meta = Vec::new();
-            let mut table: HashMap<u32, u32> =
-                locals.iter().enumerate().map(|(l, &g)| (g, l as u32)).collect();
-            for (li, lvl) in per_level.iter().enumerate() {
-                for &(owner_rank, g) in lvl {
-                    let local = locals.len() as u32;
-                    locals.push(g);
-                    table.insert(g, local);
-                    meta.push((owner_rank, li as u8 + 1, g, local));
+                import_level_counts.push(lvl.len());
+                for run in lvl.chunk_by(|a, b| a >> 32 == b >> 32) {
+                    let owner = (run[0] >> 32) as u32;
+                    exports[owner as usize].push((r as u32, rank_runs.len()));
+                    rank_runs.push(Run {
+                        owner,
+                        seg: RecvSegment {
+                            set,
+                            level: li as u8 + 1,
+                            start: locals.len() as u32,
+                            len: run.len() as u32,
+                        },
+                    });
+                    locals.extend(run.iter().map(|&k| order.elems[sidx][k as u32 as usize]));
                 }
             }
-            let import_level_counts = per_level.iter().map(Vec::len).collect();
             sets.push(SetLayout {
                 n_owned,
                 core_prefix,
                 import_level_counts,
                 locals,
             });
-            g2l.push(table);
-            import_meta.push(meta);
         }
-        built.push(Built {
-            sets,
-            g2l,
-            import_meta,
-        });
-    }
-
-    // Localize maps per rank.
-    let mut layouts: Vec<RankLayout> = Vec::with_capacity(nparts);
-    for (r, b) in built.iter().enumerate() {
-        let mut maps = Vec::with_capacity(dom.n_maps());
-        for m in dom.maps() {
-            let from_locals = &b.sets[m.from.idx()].locals;
-            let to_table = &b.g2l[m.to.idx()];
-            let mut values = Vec::with_capacity(from_locals.len() * m.arity);
-            for &g in from_locals {
-                let row = &m.values[g as usize * m.arity..(g as usize + 1) * m.arity];
-                for &t in row {
-                    values.push(to_table.get(&t).copied().unwrap_or(NONLOCAL));
-                }
-            }
-            maps.push(MapData {
-                name: m.name.clone(),
-                from: m.from,
-                to: m.to,
-                arity: m.arity,
-                values,
-            });
-        }
+        runs.push(rank_runs);
         layouts.push(RankLayout {
             rank: r as u32,
             nparts,
             depth,
-            sets: b.sets.clone(),
-            maps,
+            sets,
+            maps: Vec::new(),
             neighbors: Vec::new(),
         });
     }
 
-    // Exchange plans: receiver side from import_meta (contiguous because
-    // levels are sorted by owner), sender side by lookup into the
-    // sender's owned table.
-    for r in 0..nparts {
-        // neighbour → (recv segments, send segments-to-fill-later)
-        let mut recv_by: HashMap<u32, Vec<RecvSegment>> = HashMap::new();
-        for sidx in 0..n_sets {
-            let meta = &built[r].import_meta[sidx];
-            let mut i = 0;
-            while i < meta.len() {
-                let (owner_rank, level, _, start_local) = meta[i];
-                let mut j = i;
-                while j < meta.len() && meta[j].0 == owner_rank && meta[j].1 == level {
-                    j += 1;
-                }
-                recv_by.entry(owner_rank).or_default().push(RecvSegment {
-                    set: SetId(sidx as u32),
-                    level,
-                    start: start_local,
-                    len: (j - i) as u32,
-                });
-                i = j;
+    // Maps and exchange plans through a dense global→local table per
+    // set: one O(N) scratch every rank fills with its locals and resets.
+    let mut g2l: Vec<Vec<u32>> = dom.sets().iter().map(|s| vec![NONLOCAL; s.size]).collect();
+    let mut wiring = Vec::with_capacity(nparts);
+    for (r, l) in layouts.iter().enumerate() {
+        for (table, sl) in g2l.iter_mut().zip(&l.sets) {
+            for (i, &g) in sl.locals.iter().enumerate() {
+                table[g as usize] = i as u32;
             }
         }
-        let mut nbr_ranks: Vec<u32> = recv_by.keys().copied().collect();
-        nbr_ranks.sort_unstable();
-        for s in nbr_ranks {
-            // Sort recv segments by (set, level) — the wire order.
-            let mut recv = recv_by.remove(&s).unwrap();
-            recv.sort_by_key(|seg| (seg.set, seg.level, seg.start));
-            // Build matching send segments on rank s.
-            let mut send = Vec::with_capacity(recv.len());
-            for seg in &recv {
-                let meta = &built[r].import_meta[seg.set.idx()];
-                // Elements of this segment, in receiver order (sorted by
-                // global id within (owner, level)); sender locals looked
-                // up in s's owned table.
-                let elems: Vec<u32> = meta
+        let maps: Vec<MapData> = dom
+            .maps()
+            .iter()
+            .map(|m| {
+                let to_table = &g2l[m.to.idx()];
+                let values = l.sets[m.from.idx()]
+                    .locals
                     .iter()
-                    .filter(|(o, l, _, local)| {
-                        *o == s && *l == seg.level && {
-                            let lr = *local;
-                            lr >= seg.start && lr < seg.start + seg.len
-                        }
-                    })
-                    .map(|(_, _, g, _)| {
-                        *built[s as usize].g2l[seg.set.idx()]
-                            .get(g)
-                            .expect("sender owns every exported element")
-                    })
+                    .flat_map(|&g| &m.values[g as usize * m.arity..(g as usize + 1) * m.arity])
+                    .map(|&t| to_table[t as usize])
                     .collect();
-                debug_assert_eq!(elems.len(), seg.len as usize);
-                send.push(SendSegment {
-                    set: seg.set,
-                    level: seg.level,
-                    elems,
-                });
+                MapData {
+                    name: m.name.clone(),
+                    from: m.from,
+                    to: m.to,
+                    arity: m.arity,
+                    values,
+                }
+            })
+            .collect();
+
+        // Receive side: r's runs by owner (stable, so (set, level) stays
+        // the wire order within each). Send side: the runs r owns, each
+        // read off the receiver's locals — same elements, same order.
+        let mut neighbors: Vec<NeighborPlan> = Vec::new();
+        let mut by_owner: Vec<&Run> = runs[r].iter().collect();
+        by_owner.sort_by_key(|run| run.owner);
+        for run in by_owner {
+            plan_for(&mut neighbors, run.owner).recv.push(run.seg);
+        }
+        for &(q, i) in &exports[r] {
+            let seg = runs[q as usize][i].seg;
+            let table = &g2l[seg.set.idx()];
+            let start = seg.start as usize;
+            let elems = layouts[q as usize].sets[seg.set.idx()].locals
+                [start..start + seg.len as usize]
+                .iter()
+                .map(|&g| table[g as usize])
+                .collect();
+            plan_for(&mut neighbors, q).send.push(SendSegment {
+                set: seg.set,
+                level: seg.level,
+                elems,
+            });
+        }
+        neighbors.sort_by_key(|n| n.rank);
+
+        for (table, sl) in g2l.iter_mut().zip(&l.sets) {
+            for &g in &sl.locals {
+                table[g as usize] = NONLOCAL;
             }
-            // Register on both sides.
-            layouts[s as usize]
-                .neighbors
-                .iter_mut()
-                .find(|n| n.rank == r as u32)
-                .map(|n| {
-                    n.send.extend(send.iter().cloned());
-                })
-                .unwrap_or_else(|| {
-                    layouts[s as usize].neighbors.push(NeighborPlan {
-                        rank: r as u32,
-                        send,
-                        recv: Vec::new(),
-                    });
-                });
-            layouts[r]
-                .neighbors
-                .iter_mut()
-                .find(|n| n.rank == s)
-                .map(|n| {
-                    n.recv.extend(recv.iter().copied());
-                })
-                .unwrap_or_else(|| {
-                    layouts[r].neighbors.push(NeighborPlan {
-                        rank: s,
-                        send: Vec::new(),
-                        recv,
-                    });
-                });
         }
+        wiring.push((maps, neighbors));
     }
-    for l in &mut layouts {
-        l.neighbors.sort_by_key(|n| n.rank);
-        for n in &mut l.neighbors {
-            n.send.sort_by_key(|s| (s.set, s.level));
-            n.recv.sort_by_key(|s| (s.set, s.level, s.start));
-        }
+    for (l, (maps, neighbors)) in layouts.iter_mut().zip(wiring) {
+        l.maps = maps;
+        l.neighbors = neighbors;
     }
     layouts
+}
+
+/// One receiver-side import run: the part of one (set, level) that one
+/// owner sends.
+struct Run {
+    owner: u32,
+    seg: RecvSegment,
+}
+
+/// The plan for neighbour `rank`, added if absent.
+fn plan_for(neighbors: &mut Vec<NeighborPlan>, rank: u32) -> &mut NeighborPlan {
+    let i = match neighbors.iter().position(|n| n.rank == rank) {
+        Some(i) => i,
+        None => {
+            neighbors.push(NeighborPlan {
+                rank,
+                send: Vec::new(),
+                recv: Vec::new(),
+            });
+            neighbors.len() - 1
+        }
+    };
+    &mut neighbors[i]
 }
 
 #[cfg(test)]
@@ -416,7 +403,8 @@ mod tests {
     use super::*;
     use crate::ownership::derive_ownership;
     use crate::partitioner::rcb_partition;
-    use op2_mesh::Quad2D;
+    use op2_mesh::shuffle::shuffle_set;
+    use op2_mesh::{Hex3D, Hex3DParams, Quad2D};
 
     fn layouts(nx: usize, ny: usize, nparts: usize, depth: usize) -> (Quad2D, Vec<RankLayout>) {
         let m = Quad2D::generate(nx, ny);
@@ -557,5 +545,144 @@ mod tests {
             assert_eq!(s.core_end(0), s.n_owned);
             assert_eq!(s.core_end(2), s.n_owned);
         }
+    }
+
+    /// A Hex3D cube with both node and edge numbering shuffled, like the
+    /// `mgcfd-compute` benchmark mesh, split by RCB.
+    fn shuffled_hex(n: usize, nparts: usize, depth: usize) -> (Hex3D, Ownership, Vec<RankLayout>) {
+        let mut m = Hex3D::generate(Hex3DParams::cube(n));
+        shuffle_set(&mut m.dom, m.nodes, 7);
+        shuffle_set(&mut m.dom, m.edges, 8);
+        let base = rcb_partition(m.node_coords(), 3, nparts);
+        let own = derive_ownership(&m.dom, m.nodes, base, nparts);
+        let ls = build_layouts(&m.dom, &own, depth);
+        (m, own, ls)
+    }
+
+    /// The locality order brings an owned edge's two nodes close in local
+    /// numbering on a shuffled mesh (ascending global id: ~169).
+    #[test]
+    fn owned_edges_gather_nearby_nodes_on_a_shuffled_mesh() {
+        let (m, _, ls) = shuffled_hex(12, 2, 2);
+        let (mut sum, mut count) = (0u64, 0u64);
+        for l in &ls {
+            let e2n = &l.maps[m.e2n.idx()];
+            for row in e2n
+                .values
+                .chunks_exact(2)
+                .take(l.sets[m.edges.idx()].n_owned)
+            {
+                assert!(row[0] != NONLOCAL && row[1] != NONLOCAL);
+                sum += row[0].abs_diff(row[1]) as u64;
+                count += 1;
+            }
+        }
+        let mean = sum as f64 / count as f64;
+        assert!(
+            mean <= 100.0,
+            "mean |l(a) - l(b)| over owned edges = {mean}"
+        );
+    }
+
+    /// Every Fig 6b range holds exactly the global ids it holds under
+    /// ascending global-id order — each core-depth class, each ring level
+    /// and each neighbour's run — so only the order inside a range
+    /// moved; and every send segment lists the receiver's run element by
+    /// element.
+    #[test]
+    fn ranges_hold_the_global_id_order_elements() {
+        let sorted = |v: &[u32]| {
+            let mut v = v.to_vec();
+            v.sort_unstable();
+            v
+        };
+        let depth = 2;
+        let (m, own, ls) = shuffled_hex(8, 3, depth);
+        let adj = MapAdj::build(&m.dom);
+        let seeds = find_seeds(&m.dom, &own);
+        for l in &ls {
+            let rr = compute_rings(&m.dom, &adj, &own, &seeds, l.rank, depth as u8, depth as u8);
+            for (sidx, sl) in l.sets.iter().enumerate() {
+                // Reference core classes: owned ids by depth, sorted.
+                let mut class: Vec<Vec<u32>> = vec![Vec::new(); depth + 2];
+                for (g, &r) in own.owner[sidx].iter().enumerate() {
+                    if r == l.rank {
+                        let d = rr.inner[sidx]
+                            .get(&(g as u32))
+                            .map_or(depth + 1, |&d| d as usize);
+                        class[d].push(g as u32);
+                    }
+                }
+                let n_owned: usize = class.iter().map(Vec::len).sum();
+                assert_eq!(sl.n_owned, n_owned);
+                for k in 0..depth + 2 {
+                    let deeper: usize = class[k + 1..].iter().map(Vec::len).sum();
+                    assert_eq!(
+                        sl.core_prefix[k],
+                        deeper + class[k].len(),
+                        "core_prefix[{k}]"
+                    );
+                    let range = &sl.locals[deeper..deeper + class[k].len()];
+                    assert_eq!(
+                        sorted(range),
+                        class[k],
+                        "rank {} set {sidx} class {k}",
+                        l.rank
+                    );
+                }
+                // Reference ring levels: imported ids sorted by (owner, id).
+                for level in 1..=depth {
+                    let mut want: Vec<(u32, u32)> = rr.imports[sidx]
+                        .iter()
+                        .filter(|&(_, &r)| r as usize == level)
+                        .map(|(&g, _)| (own.owner[sidx][g as usize], g))
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(sl.import_level_counts[level - 1], want.len());
+                    let start = sl.import_start(level);
+                    let mut got: Vec<(u32, u32)> = sl.locals[start..start + want.len()]
+                        .iter()
+                        .map(|&g| (own.owner[sidx][g as usize], g))
+                        .collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "rank {} set {sidx} level {level}", l.rank);
+                }
+            }
+            for n in &l.neighbors {
+                let peer = &ls[n.rank as usize];
+                let back = peer.neighbors.iter().find(|p| p.rank == l.rank).unwrap();
+                assert_eq!(n.recv.len(), back.send.len());
+                for (r, s) in n.recv.iter().zip(&back.send) {
+                    let sl = &l.sets[r.set.idx()];
+                    let run = &sl.locals[r.start as usize..(r.start + r.len) as usize];
+                    // The run is exactly n.rank's part of its level…
+                    let want: Vec<u32> = sorted(
+                        &rr.imports[r.set.idx()]
+                            .iter()
+                            .filter(|&(&g, &lv)| {
+                                lv == r.level && own.owner[r.set.idx()][g as usize] == n.rank
+                            })
+                            .map(|(&g, _)| g)
+                            .collect::<Vec<_>>(),
+                    );
+                    assert_eq!(sorted(run), want);
+                    // …and the sender packs it in the receiver's order.
+                    let sent: Vec<u32> = s
+                        .elems
+                        .iter()
+                        .map(|&e| peer.sets[s.set.idx()].locals[e as usize])
+                        .collect();
+                    assert_eq!(sent, run);
+                }
+            }
+        }
+    }
+
+    /// The order is a function of the input alone.
+    #[test]
+    fn two_builds_are_identical() {
+        let (m, own, ls) = shuffled_hex(8, 3, 2);
+        let again = build_layouts(&m.dom, &own, 2);
+        assert_eq!(format!("{ls:?}"), format!("{again:?}"));
     }
 }

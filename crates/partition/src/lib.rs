@@ -20,7 +20,10 @@
 //!   rings appended level by level (the paper's Figure 6(b)
 //!   restructuring), localized maps, and per-neighbour send/receive
 //!   lists grouped by (set, level) so the grouped message of Figure 8
-//!   packs and unpacks from contiguous ranges;
+//!   packs and unpacks from contiguous ranges. Inside every such range
+//!   elements follow one global locality order per set (Cuthill–McKee
+//!   on map targets, lowest target for the rest), so gathers and
+//!   scatters stay near each other whatever the input numbering;
 //! * [`stats`] — a counts-only pipeline producing the halo statistics of
 //!   the paper's Tables 2 and 5 (message sizes, neighbour counts, core
 //!   and halo iteration counts) for meshes up to the full 8M/24M nodes
@@ -37,6 +40,7 @@
 
 pub mod layout;
 pub mod migrate;
+mod order;
 pub mod ownership;
 pub mod partitioner;
 pub mod rings;

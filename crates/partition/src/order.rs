@@ -1,0 +1,243 @@
+//! The locality order inside each Figure 6(b) range.
+//!
+//! The paper's restructuring fixes *which* range of a rank's local index
+//! space an element lives in (a core class, an import ring, a
+//! neighbour's run) and leaves the order inside a range free. On a
+//! scattered input numbering, ascending global id in that freedom makes
+//! nearly every gather and scatter a cache miss. [`LocalityOrder`] is one
+//! global order per set, computed once from the mesh, that
+//! [`build_layouts`](crate::build_layouts) uses inside every range:
+//!
+//! * a set that a map of arity ≥ 2 targets (nodes under `e2n`, cells
+//!   under `e2c`) gets a **Cuthill–McKee** order: a BFS from a
+//!   minimum-degree root in each component, visiting neighbours by
+//!   ascending degree, ties by global id, over the reverse CSR that
+//!   [`MapAdj`] already holds;
+//! * every other set is ranked by the (min, max) positions of its first
+//!   map into an already ordered set (an edge sits next to its lowest
+//!   endpoint), ties by global id;
+//! * a set with neither keeps its numbering.
+//!
+//! Every step is linear (counting sorts; the only comparison sort is over
+//! one element's neighbour list), and nothing depends on ranks, so every
+//! rank sees the same order.
+
+use crate::rings::MapAdj;
+use op2_core::{Domain, MapData, SetId};
+
+/// One global locality order per set.
+pub(crate) struct LocalityOrder {
+    /// `elems[set][k]` — the global element at position `k`.
+    pub elems: Vec<Vec<u32>>,
+    /// `pos[set][g]` — the position of global element `g` (the inverse of
+    /// `elems`).
+    pub pos: Vec<Vec<u32>>,
+}
+
+impl LocalityOrder {
+    /// Order every set of `dom`; `adj` is `dom`'s map adjacency.
+    pub fn build(dom: &Domain, adj: &MapAdj<'_>) -> Self {
+        let n_sets = dom.n_sets();
+        let mut elems: Vec<Option<Vec<u32>>> = (0..n_sets)
+            .map(|s| {
+                let set = SetId(s as u32);
+                adj.reverse_into(set)
+                    .any(|(m, _)| m.arity >= 2)
+                    .then(|| cuthill_mckee(adj, set, dom.set(set).size))
+            })
+            .collect();
+        let mut pos: Vec<Option<Vec<u32>>> =
+            elems.iter().map(|e| e.as_deref().map(inverse)).collect();
+
+        // Rank the remaining sets, one at a time, through their first map
+        // into an ordered set: the first such map in declaration order is
+        // its from-set's first.
+        while let Some((from, ranked)) = dom.maps().iter().find_map(|m| {
+            let to_pos = pos[m.to.idx()].as_deref()?;
+            (pos[m.from.idx()].is_none() && m.arity >= 1)
+                .then(|| (m.from.idx(), by_target_positions(m, to_pos)))
+        }) {
+            pos[from] = Some(inverse(&ranked));
+            elems[from] = Some(ranked);
+        }
+
+        let identity = |s: usize| (0..dom.sets()[s].size as u32).collect::<Vec<u32>>();
+        LocalityOrder {
+            elems: elems
+                .into_iter()
+                .enumerate()
+                .map(|(s, e)| e.unwrap_or_else(|| identity(s)))
+                .collect(),
+            pos: pos
+                .into_iter()
+                .enumerate()
+                .map(|(s, p)| p.unwrap_or_else(|| identity(s)))
+                .collect(),
+        }
+    }
+}
+
+/// `inv[perm[k]] = k`.
+fn inverse(perm: &[u32]) -> Vec<u32> {
+    let mut inv = vec![0u32; perm.len()];
+    for (k, &g) in perm.iter().enumerate() {
+        inv[g as usize] = k as u32;
+    }
+    inv
+}
+
+/// Stable counting sort of `items` by `key(item) < n_keys`.
+fn counting_sort(items: &[u32], n_keys: usize, key: impl Fn(u32) -> usize) -> Vec<u32> {
+    let mut start = vec![0usize; n_keys + 1];
+    for &i in items {
+        start[key(i) + 1] += 1;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut out = vec![0u32; items.len()];
+    for &i in items {
+        let k = key(i);
+        out[start[k]] = i;
+        start[k] += 1;
+    }
+    out
+}
+
+/// Cuthill–McKee order of the `n` elements of `set`. Two elements are
+/// neighbours when one row of a map of arity ≥ 2 into `set` holds both;
+/// an element's degree counts those incidences.
+fn cuthill_mckee(adj: &MapAdj<'_>, set: SetId, n: usize) -> Vec<u32> {
+    let maps: Vec<_> = adj
+        .reverse_into(set)
+        .filter(|(m, _)| m.arity >= 2)
+        .collect();
+    let degree: Vec<usize> = (0..n)
+        .map(|v| {
+            maps.iter()
+                .map(|(m, rev)| rev.row(v).len() * (m.arity - 1))
+                .sum()
+        })
+        .collect();
+    let max_degree = degree.iter().copied().max().unwrap_or(0);
+    let all: Vec<u32> = (0..n as u32).collect();
+    // (degree, id) order, and each element's place in it: the sort key
+    // for neighbour lists and the root sequence.
+    let by_degree = counting_sort(&all, max_degree + 1, |v| degree[v as usize]);
+    let rank = inverse(&by_degree);
+
+    let mut visited = vec![false; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut roots = by_degree.iter();
+    let mut nbrs: Vec<u32> = Vec::new();
+    while order.len() < n {
+        let Some(&root) = roots.find(|&&v| !visited[v as usize]) else {
+            break;
+        };
+        visited[root as usize] = true;
+        let mut head = order.len();
+        order.push(root);
+        while head < order.len() {
+            let v = order[head] as usize;
+            head += 1;
+            nbrs.clear();
+            for (m, rev) in &maps {
+                for &a in rev.row(v) {
+                    let a = a as usize;
+                    for &u in &m.values[a * m.arity..(a + 1) * m.arity] {
+                        if !visited[u as usize] {
+                            visited[u as usize] = true;
+                            nbrs.push(rank[u as usize]);
+                        }
+                    }
+                }
+            }
+            nbrs.sort_unstable();
+            order.extend(nbrs.iter().map(|&r| by_degree[r as usize]));
+        }
+    }
+    order
+}
+
+/// The from-set of `m` ordered by the (min, max) target positions of
+/// each row, ties by global id: two stable counting passes, max first.
+fn by_target_positions(m: &MapData, to_pos: &[u32]) -> Vec<u32> {
+    let n_to = to_pos.len();
+    let (lo, hi): (Vec<u32>, Vec<u32>) = m
+        .values
+        .chunks_exact(m.arity)
+        .map(|row| {
+            row.iter()
+                .map(|&t| to_pos[t as usize])
+                .fold((u32::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)))
+        })
+        .unzip();
+    let all: Vec<u32> = (0..lo.len() as u32).collect();
+    let by_hi = counting_sort(&all, n_to, |e| hi[e as usize] as usize);
+    counting_sort(&by_hi, n_to, |e| lo[e as usize] as usize)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use op2_mesh::shuffle::shuffle_set;
+    use op2_mesh::{Quad2D, Tet3D};
+
+    fn is_permutation(p: &[u32]) -> bool {
+        let mut seen = vec![false; p.len()];
+        p.iter()
+            .all(|&g| (g as usize) < p.len() && !std::mem::replace(&mut seen[g as usize], true))
+    }
+
+    #[test]
+    fn every_set_gets_a_permutation_and_its_inverse() {
+        let mut m = Tet3D::generate(4, 3, 3);
+        shuffle_set(&mut m.dom, m.nodes, 3);
+        let adj = MapAdj::build(&m.dom);
+        let o = LocalityOrder::build(&m.dom, &adj);
+        for s in 0..m.dom.n_sets() {
+            assert_eq!(o.elems[s].len(), m.dom.sets()[s].size);
+            assert!(is_permutation(&o.elems[s]));
+            for (k, &g) in o.elems[s].iter().enumerate() {
+                assert_eq!(o.pos[s][g as usize], k as u32);
+            }
+        }
+    }
+
+    /// Cuthill–McKee on a path: start at an end (degree 1, lowest id)
+    /// and walk it.
+    #[test]
+    fn cuthill_mckee_walks_a_shuffled_path_from_an_end() {
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", 6);
+        let edges = dom.decl_set("edges", 5);
+        // Path 3 - 0 - 5 - 1 - 4 - 2.
+        dom.decl_map("e2n", edges, nodes, 2, vec![0, 3, 5, 0, 1, 5, 4, 1, 2, 4])
+            .unwrap();
+        let adj = MapAdj::build(&dom);
+        let o = LocalityOrder::build(&dom, &adj);
+        assert_eq!(o.elems[nodes.idx()], vec![2, 4, 1, 5, 0, 3]);
+        // Edges follow their lowest endpoint: (2,4), (4,1), (1,5), (5,0), (0,3).
+        assert_eq!(o.elems[edges.idx()], vec![4, 3, 2, 1, 0]);
+    }
+
+    /// A set no map reaches keeps its numbering; a set reached only
+    /// through a derived set is ranked through it.
+    #[test]
+    fn unreached_sets_keep_numbering_chained_sets_are_ranked() {
+        let mut m = Quad2D::generate(3, 3);
+        let lonely = m.dom.decl_set("lonely", 4);
+        let n_edges = m.dom.set(m.edges).size;
+        // `marks` → edges, in reverse edge order.
+        let marks = m.dom.decl_set("marks", n_edges);
+        let rev: Vec<u32> = (0..n_edges as u32).rev().collect();
+        m.dom.decl_map("m2e", marks, m.edges, 1, rev).unwrap();
+        let o = LocalityOrder::build(&m.dom, &MapAdj::build(&m.dom));
+        assert_eq!(o.elems[lonely.idx()], vec![0, 1, 2, 3]);
+        let edge_order: Vec<u32> = o.elems[marks.idx()]
+            .iter()
+            .map(|&k| n_edges as u32 - 1 - k)
+            .collect();
+        assert_eq!(edge_order, o.elems[m.edges.idx()]);
+    }
+}

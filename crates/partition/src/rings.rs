@@ -60,14 +60,21 @@ impl<'a> MapAdj<'a> {
             .map(|m| (m, m.to))
     }
 
-    /// Reverse rows of maps *into* `set`.
-    fn maps_into(&self, set: SetId) -> impl Iterator<Item = (&Csr, SetId)> {
+    /// Maps *into* `set`, each with its reverse CSR.
+    pub(crate) fn reverse_into(
+        &self,
+        set: SetId,
+    ) -> impl Iterator<Item = (&op2_core::MapData, &Csr)> {
         self.dom
             .maps()
             .iter()
             .zip(self.reverse.iter())
             .filter(move |(m, _)| m.to == set)
-            .map(|(m, r)| (r, m.from))
+    }
+
+    /// Reverse rows of maps *into* `set`.
+    fn maps_into(&self, set: SetId) -> impl Iterator<Item = (&Csr, SetId)> {
+        self.reverse_into(set).map(|(m, r)| (r, m.from))
     }
 }
 

@@ -17,10 +17,12 @@
 //! increments, so the owner-computes group further down uses
 //! order-sensitive arithmetic and compares runs that share one local
 //! numbering: 1 to 4 pool threads against the same layouts run
-//! single-threaded, and against [`seq::run_loop`] itself on one rank.
+//! single-threaded, and on one rank against [`seq::run_loop`] over the
+//! mesh renumbered into the layout's order ([`seq_in_layout_order`]).
 
 use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, SetId};
-use op2::mesh::{shuffle::shuffle_set, Quad2D, Tet3D};
+use op2::mesh::shuffle::{apply_permutation, shuffle_set};
+use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_chain_unplanned, run_loop};
 use op2::runtime::{
@@ -360,6 +362,31 @@ fn assert_owned(traces: &[RankTrace], name: &str) {
     }
 }
 
+/// Run `walk` sequentially on `dom` renumbered into the order of the
+/// one-rank `layout` (local index `l` of every set becomes element `l`),
+/// then renumber the result back. A one-rank layout executes exactly that
+/// walk, so the two compare bitwise.
+fn seq_in_layout_order(
+    dom: &Domain,
+    layout: &RankLayout,
+    walk: impl FnOnce(&mut Domain),
+) -> Domain {
+    let mut d = dom.clone();
+    for (s, sl) in layout.sets.iter().enumerate() {
+        assert_eq!(sl.n_local(), d.sets()[s].size, "needs a one-rank layout");
+        let mut to_local = vec![0u32; sl.n_local()];
+        for (l, &g) in sl.locals.iter().enumerate() {
+            to_local[g as usize] = l as u32;
+        }
+        apply_permutation(&mut d, SetId(s as u32), &to_local);
+    }
+    walk(&mut d);
+    for (s, sl) in layout.sets.iter().enumerate() {
+        apply_permutation(&mut d, SetId(s as u32), &sl.locals);
+    }
+    d
+}
+
 /// Nodes-based layouts for a hand-built domain: node `i` of `n` goes to
 /// rank `i * nparts / n`.
 fn block_layouts(dom: &Domain, nodes: SetId, nparts: usize) -> Vec<RankLayout> {
@@ -419,9 +446,10 @@ proptest! {
         });
         assert_owned(&traces, "flux_os");
         if nparts == 1 {
-            let mut seq_dom = dom.clone();
-            seq::run_loop(&mut seq_dom, &spec);
-            seq::run_loop(&mut seq_dom, &spec);
+            let seq_dom = seq_in_layout_order(&dom, &layouts[0], |d| {
+                seq::run_loop(d, &spec);
+                seq::run_loop(d, &spec);
+            });
             prop_assert_eq!(bits, bits_of(&seq_dom, &[r]), "1 rank != seq::run_loop");
         }
     }
@@ -461,8 +489,9 @@ fn owned_two_maps_two_target_sets() {
             });
         assert_owned(&traces, "two_sets_os");
         if nparts == 1 {
-            let mut seq_dom = dom.clone();
-            seq::run_loop(&mut seq_dom, &spec);
+            let seq_dom = seq_in_layout_order(&dom, &layouts[0], |d| {
+                seq::run_loop(d, &spec);
+            });
             assert_eq!(bits, bits_of(&seq_dom, &[on_nodes, on_cells]));
         }
     }
@@ -480,8 +509,9 @@ fn owned_aliased_map_entries() {
         });
         assert_owned(&traces, "flux_os");
         if nparts == 1 {
-            let mut seq_dom = dom.clone();
-            seq::run_loop(&mut seq_dom, &spec);
+            let seq_dom = seq_in_layout_order(&dom, &layouts[0], |d| {
+                seq::run_loop(d, &spec);
+            });
             assert_eq!(bits, bits_of(&seq_dom, &[r]));
         }
     }
@@ -498,8 +528,9 @@ fn owned_more_threads_than_targets() {
     });
     assert_owned(&traces, "flux_os");
     assert!(traces[0].threads.iter().all(|rec| rec.n_chunks <= 3));
-    let mut seq_dom = dom.clone();
-    seq::run_loop(&mut seq_dom, &spec);
+    let seq_dom = seq_in_layout_order(&dom, &layouts[0], |d| {
+        seq::run_loop(d, &spec);
+    });
     assert_eq!(bits, bits_of(&seq_dom, &[r]));
 }
 
@@ -516,11 +547,8 @@ fn owned_subrange_with_positive_start() {
     });
     assert_owned(&traces, "flux_os");
     assert!(traces[0].threads.iter().all(|rec| rec.iters == 251 - 37));
-    let mut seq_dom = dom.clone();
-    op2::core::schedule::run_loop_schedule(
-        &mut seq_dom,
-        &spec,
-        &op2::core::Schedule::range(37, 251),
-    );
+    let seq_dom = seq_in_layout_order(&dom, &layouts[0], |d| {
+        op2::core::schedule::run_loop_schedule(d, &spec, &op2::core::Schedule::range(37, 251));
+    });
     assert_eq!(bits, bits_of(&seq_dom, &[r]));
 }
