@@ -3,14 +3,15 @@
 //! A standalone `mg_cfd::run` pays mesh-world boot, chain inspection and
 //! transport warm-up on every invocation; a resident [`Service`] pays
 //! them once per mesh and amortizes them across every later job via
-//! the shared plan registry and recycled payload pools. Measured here
+//! the carried per-rank plan caches and recycled payload pools.
+//! Measured here
 //! on the MG-CFD CA job:
 //!
 //! * `cold_submit` — a fresh service per repetition: boot + mesh
 //!   registration + full inspection, the per-invocation cost a
 //!   standalone run pays (the cold-start baseline);
-//! * `warm_submit` — one shared warmed service: every repetition is a
-//!   registry-backed, pool-recycling job (zero inspection, zero
+//! * `warm_submit` — one shared warmed service: every repetition runs
+//!   on carried plans and recycled pools (zero inspection, zero
 //!   payload allocation) — the steady-state latency;
 //! * `warm_batch4` — four same-shape jobs per repetition submitted as
 //!   one batch on the warmed service, the back-to-back grouping path.
@@ -59,8 +60,9 @@ fn bench_service_throughput(c: &mut Criterion) {
         let svc = Service::new(ServiceConfig::default());
         let mesh = svc.register_mesh(app.dom.clone(), layouts);
         let ca = job(&app, Variant::Ca, ITERS);
-        // Two warm-up jobs: job 2 fills the registry, job 3 reaches the
-        // zero-allocation pool steady state the repetitions measure.
+        // Two warm-up jobs: the first fills the carried plan caches,
+        // and after the second the recycled pools are at the
+        // zero-allocation steady state the repetitions measure.
         for _ in 0..2 {
             submit(&svc, mesh, &app, &ca);
         }

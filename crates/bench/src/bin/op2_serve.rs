@@ -1,10 +1,10 @@
 //! `op2-serve`: the resident mesh-compute server, end to end.
 //!
 //! Boots a [`Service`] from the `OP2_SERVE_*` environment (admission
-//! limit, batching), registers the MG-CFD mesh world **once**, and
-//! multiplexes `--jobs N` CA simulation jobs over it — the smallest
-//! driver exercising the DESIGN.md §14 path: shared plan registry
-//! (job 2 onward performs zero inspection), recycled transport pools
+//! limit), registers the MG-CFD mesh world **once**, and multiplexes
+//! `--jobs N` CA simulation jobs over it — the smallest driver
+//! exercising the DESIGN.md §14 path: carried plan caches (job 2
+//! onward performs zero inspection), recycled transport pools
 //! (steady-state jobs perform zero payload allocations), per-job trace
 //! isolation, and same-shape batching with `--batch`.
 //!
@@ -73,7 +73,7 @@ fn main() {
     let job = mg_cfd::job(&app, Variant::Ca, iters);
     println!(
         "{:>4}  {:>10}  {:>5}  {:>7}  {:>9}  {:>9}  {:>7}  rms",
-        "job", "latency", "warm", "batched", "inspects", "reg hits", "allocs"
+        "job", "latency", "warm", "batched", "inspects", "plan hits", "allocs"
     );
     let report = |out: &JobOutcome, ms: f64| {
         let plan = out.trace.plan_total();
@@ -85,7 +85,7 @@ fn main() {
             out.trace.warm,
             out.trace.batched,
             plan.misses,
-            plan.registry_hits,
+            plan.hits,
             out.trace.payload_allocs(),
         );
     };
@@ -109,8 +109,7 @@ fn main() {
     let m = svc.metrics();
     println!(
         "service: {} submitted, {} completed ({} warm, {} batched), {} failed, \
-         {} rejected, {} recoveries; registry holds {} plans \
-         ({} hits / {} misses)",
+         {} rejected, {} recoveries; plans: {} hits / {} misses",
         m.submitted,
         m.completed,
         m.warm_jobs,
@@ -118,8 +117,7 @@ fn main() {
         m.failed,
         m.rejected,
         m.recoveries,
-        m.registry_plans,
-        m.plan.registry_hits,
-        m.plan.registry_misses,
+        m.plan.hits,
+        m.plan.misses,
     );
 }

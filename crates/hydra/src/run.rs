@@ -434,7 +434,7 @@ mod tests {
 
     /// Resident-service execution matches the standalone CA run bitwise (safe
     /// mode, relaxed chains included), and the second job runs warm on
-    /// the shared plan registry with recycled payload pools.
+    /// the carried plan cache with recycled payload pools.
     #[test]
     fn service_jobs_match_run_ca_and_warm_up() {
         let params = HydraParams::small(7);
@@ -458,13 +458,13 @@ mod tests {
         assert_eq!(warm.norm.to_bits(), reference.norm.to_bits());
         assert_eq!(steady.norm.to_bits(), reference.norm.to_bits());
 
-        // Second job: zero inspection — every plan from the registry.
+        // Second job: zero inspection — every plan from the carried cache.
         let mut plan = op2_runtime::PlanStats::default();
         for t in &warm.traces {
             plan.add(&t.plan);
         }
         assert_eq!(plan.misses, 0, "warm job must skip inspection: {plan:?}");
-        assert!(plan.registry_hits >= 1, "expected registry hits: {plan:?}");
+        assert!(plan.hits >= 1, "expected plan-cache hits: {plan:?}");
 
         // Steady state (pair pools rebalanced over the first jobs): zero
         // payload heap allocations.

@@ -518,8 +518,8 @@ mod tests {
 
     /// Resident-service execution matches the standalone CA run bitwise, and the
     /// second job on the same mesh is fully warm: zero chain
-    /// inspections (plan-registry hits instead) and zero payload-pool
-    /// allocations (carried buffers).
+    /// inspections (carried plan-cache hits instead) and zero
+    /// payload-pool allocations (carried buffers).
     #[test]
     fn service_jobs_match_run_ca_and_warm_up() {
         let params = MgCfdParams::small(7);
@@ -543,13 +543,13 @@ mod tests {
         assert_eq!(warm.rms.to_bits(), reference.rms.to_bits());
         assert_eq!(steady.rms.to_bits(), reference.rms.to_bits());
 
-        // Second job: zero inspection — every plan from the registry.
+        // Second job: zero inspection — every plan from the carried cache.
         let mut plan = op2_runtime::PlanStats::default();
         for t in &warm.traces {
             plan.add(&t.plan);
         }
         assert_eq!(plan.misses, 0, "warm job must skip inspection: {plan:?}");
-        assert!(plan.registry_hits >= 1, "expected registry hits: {plan:?}");
+        assert!(plan.hits >= 1, "expected plan-cache hits: {plan:?}");
 
         // Steady state (pair pools rebalanced over the first jobs): zero
         // payload heap allocations.
@@ -559,7 +559,7 @@ mod tests {
         let m = svc.metrics();
         assert_eq!(m.completed, 3);
         assert_eq!(m.warm_jobs, 2);
-        assert!(m.registry_plans >= 1);
+        assert!(m.warm_jobs >= 1);
     }
 
     /// A failure on a rank other than 0 is the run's typed error — not

@@ -84,6 +84,31 @@ impl CheckpointConfig {
     }
 }
 
+/// What a rank carries from one run to the next, by one rule across
+/// supervised restarts, resident-service jobs and migrations: the plan
+/// cache (every product of the rank's layout), the thread context (pool
+/// and scratch, layout-free) and the transport's per-peer payload
+/// pools.
+#[derive(Default)]
+pub(crate) struct Carry {
+    pub(crate) plans: PlanCache,
+    pub(crate) threads: ThreadCtx,
+    /// Per-peer payload buffer pools (empty until a transport sealed
+    /// them), so the next transport starts warm.
+    pub(crate) pools: Vec<Vec<Vec<f64>>>,
+}
+
+impl Carry {
+    /// The layout fence: drop every product of the old layout, all of
+    /// which live in the plan cache. The pool and the buffers survive.
+    /// Returns the chain plans dropped.
+    pub(crate) fn fence(&mut self) -> usize {
+        let dropped = self.plans.len();
+        self.plans.bump_epoch();
+        dropped
+    }
+}
+
 /// One completed unit in the replay journal.
 #[derive(Debug, Clone)]
 pub(crate) enum UnitRecord {
@@ -137,15 +162,9 @@ pub struct RankState {
     /// Cumulative recovery counters across attempts; sealed into
     /// [`crate::trace::RankTrace::recovery`] at the end of each attempt.
     pub(crate) rec: RecoveryRec,
-    /// Plan cache carried across attempts (calibrations survive
-    /// restarts untouched).
-    pub(crate) plans: Option<PlanCache>,
-    /// Threading context (worker pool + schedule cache) carried across
-    /// attempts.
-    pub(crate) threads: Option<ThreadCtx>,
-    /// Per-peer payload buffer pools carried across attempts, so the
-    /// re-established transport starts warm.
-    pub(crate) pools: Option<Vec<Vec<Vec<f64>>>>,
+    /// Resources carried across attempts (and, in the resident service,
+    /// across jobs); `None` while an attempt holds them.
+    pub(crate) carry: Option<Carry>,
     /// Set by the supervisor after a rollback: the next attach must
     /// restore from the newest checkpoint instead of taking a baseline.
     pub(crate) restore: bool,
@@ -200,11 +219,11 @@ impl RankState {
     }
 }
 
-/// Poison-resilient lock: a rank that panicked while holding the state
+/// Poison-resilient lock: a rank that panicked while holding a state
 /// lock (it never does — all holds are short straight-line copies — but
-/// belt and braces) must not wedge the supervisor.
-fn lock(state: &Arc<Mutex<RankState>>) -> MutexGuard<'_, RankState> {
-    state.lock().unwrap_or_else(|p| p.into_inner())
+/// belt and braces) must not wedge the supervisor or the service.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Per-env checkpoint context: configuration, the shared persistent
@@ -232,11 +251,6 @@ impl CheckpointCtx {
         CheckpointCtx::default()
     }
 
-    /// Whether checkpointing is live on this env.
-    pub fn active(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Dirty-tracking hook: dat `d`'s payload was (or is about to be)
     /// mutated. No-op when inert (the version vector is empty).
     #[inline]
@@ -249,7 +263,7 @@ impl CheckpointCtx {
 
 impl RankEnv<'_> {
     /// Attach this env to a supervised run's persistent state: install
-    /// carried-over plan cache / thread context / transport buffer
+    /// the carried plan cache, thread context and transport buffer
     /// pools, then either restore the newest checkpoint (after a
     /// rollback) or take the attempt-start baseline.
     pub fn ckpt_attach(&mut self, cfg: CheckpointConfig, shared: Arc<Mutex<RankState>>) {
@@ -263,16 +277,14 @@ impl RankEnv<'_> {
         };
         let take_baseline = {
             let mut st = lock(&shared);
-            if let Some(plans) = st.plans.take() {
-                self.plans = plans;
-            }
-            if let Some(threads) = st.threads.take() {
-                // The carried context keeps its pool and lowering cache;
-                // the configuration is this attempt's `policy`.
-                self.threads = threads;
-            }
-            if let Some(pools) = st.pools.take() {
-                self.comm.install_pool(pools);
+            if let Some(carry) = st.carry.take() {
+                // The carried context keeps its pool and scratch; the
+                // configuration is this attempt's `policy`.
+                self.plans = carry.plans;
+                self.threads = carry.threads;
+                if !carry.pools.is_empty() {
+                    self.comm.install_pool(carry.pools);
+                }
             }
             if st.restore {
                 st.restore = false;
@@ -285,16 +297,7 @@ impl RankEnv<'_> {
                     "rank {}: restoring a checkpoint from a different layout epoch",
                     self.rank
                 );
-                let mut restored = 0u64;
-                for (d, buf) in self.dats.iter_mut().enumerate() {
-                    buf.clone_from(&ck.dats[d]);
-                    restored += (buf.len() * 8) as u64;
-                }
-                self.valid = ck.valid.clone();
-                self.tag_seq = ck.tag_seq;
-                self.boundaries = ck.boundaries;
-                self.ckpt.replay_until = ck.units_done;
-                self.ckpt.dat_vers = ck.dat_vers.clone();
+                let restored = self.restore(ck);
                 st.rec.restored_bytes += restored;
                 false
             } else {
@@ -304,6 +307,20 @@ impl RankEnv<'_> {
         if take_baseline {
             self.ckpt_take();
         }
+    }
+
+    /// Rewind dats, validity, tags, boundary counters and dirty tracking
+    /// to `ck`, replaying up to its cut. Returns the bytes restored.
+    fn restore(&mut self, ck: &Checkpoint) -> u64 {
+        for (buf, saved) in self.dats.iter_mut().zip(&ck.dats) {
+            buf.clone_from(saved);
+        }
+        self.valid.clone_from(&ck.valid);
+        self.tag_seq = ck.tag_seq;
+        self.boundaries = ck.boundaries;
+        self.ckpt.replay_until = ck.units_done;
+        self.ckpt.dat_vers.clone_from(&ck.dat_vers);
+        ck.dats.iter().map(|d| d.len() as u64 * 8).sum()
     }
 
     /// Snapshot the rank's restorable state into a new epoch-tagged
@@ -365,19 +382,10 @@ impl RankEnv<'_> {
         let Some(ck) = st.checkpoints.last() else {
             return false;
         };
+        let restored = self.restore(ck);
         let cut = ck.units_done;
-        let mut restored = 0u64;
-        for (d, buf) in self.dats.iter_mut().enumerate() {
-            buf.clone_from(&ck.dats[d]);
-            restored += (buf.len() * 8) as u64;
-        }
-        self.valid = ck.valid.clone();
-        self.tag_seq = ck.tag_seq;
-        self.boundaries = ck.boundaries;
         self.ckpt.units_done = 0;
-        self.ckpt.replay_until = cut;
         self.ckpt.since_snapshot = 0;
-        self.ckpt.dat_vers = ck.dat_vers.clone();
         st.journal.truncate(cut);
         st.rec.rollbacks += 1;
         st.rec.restored_bytes += restored;
@@ -434,10 +442,9 @@ impl RankEnv<'_> {
 
     /// Executor hook: a loop unit completed live. Journals its result.
     pub(crate) fn ckpt_loop_done(&mut self, gbls: &[Vec<f64>]) {
-        if !self.ckpt.active() {
+        let Some(shared) = self.ckpt.shared.clone() else {
             return;
-        }
-        let shared = self.ckpt.shared.clone().expect("active implies shared");
+        };
         let mut st = lock(&shared);
         st.journal.truncate(self.ckpt.units_done);
         st.journal.push(UnitRecord::Loop(gbls.to_vec()));
@@ -448,10 +455,9 @@ impl RankEnv<'_> {
     /// Executor hook: a chain unit completed live. Journals it and
     /// takes a snapshot when the cadence comes due.
     pub(crate) fn ckpt_chain_done(&mut self) {
-        if !self.ckpt.active() {
+        let Some(shared) = self.ckpt.shared.clone() else {
             return;
-        }
-        let shared = self.ckpt.shared.clone().expect("active implies shared");
+        };
         let mut st = lock(&shared);
         st.journal.truncate(self.ckpt.units_done);
         st.journal.push(UnitRecord::Chain);
@@ -467,7 +473,7 @@ impl RankEnv<'_> {
 
     /// End-of-attempt hook (harness side, runs for failed attempts
     /// too): seal the cumulative recovery counters into the trace and
-    /// stash the carryable state (plan cache, thread context, buffer
+    /// stash the carried state (plan cache, thread context, buffer
     /// pools) back into the shared slot for the next attempt. Detaches
     /// the env.
     pub(crate) fn ckpt_seal(&mut self) {
@@ -477,8 +483,10 @@ impl RankEnv<'_> {
         let mut st = lock(&shared);
         st.rec.attempts += 1;
         self.trace.recovery = st.rec;
-        st.plans = Some(std::mem::take(&mut self.plans));
-        st.threads = Some(std::mem::take(&mut self.threads));
-        st.pools = Some(self.comm.take_pool());
+        st.carry = Some(Carry {
+            plans: std::mem::take(&mut self.plans),
+            threads: std::mem::take(&mut self.threads),
+            pools: self.comm.take_pool(),
+        });
     }
 }

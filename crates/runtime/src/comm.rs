@@ -911,12 +911,6 @@ impl RankComm {
         }
         Ok(())
     }
-
-    /// Barrier built on the allreduce.
-    pub fn barrier(&mut self, tag: u64) -> Result<(), CommError> {
-        let mut dummy = [0.0];
-        self.allreduce_sum(&mut dummy, tag)
-    }
 }
 
 #[cfg(test)]

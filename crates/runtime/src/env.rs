@@ -63,13 +63,13 @@ pub struct RankEnv<'a> {
     /// Instrumentation.
     pub trace: RankTrace,
     /// Inspector–executor plan cache: one [`ChainPlan`] per (chain
-    /// signature, dirty-state class), invalidated by layout-epoch bumps.
+    /// signature, dirty-state class) plus the standalone-loop lowerings,
+    /// invalidated together by layout-epoch bumps.
     pub plans: PlanCache,
     /// Monotone tag sequence (identical across ranks by construction).
     pub tag_seq: u64,
-    /// Intra-rank threading state: the rank's pool, the standalone-loop
-    /// lowering cache (chain loops cache theirs in the [`ChainPlan`])
-    /// and the executors' scratch.
+    /// Intra-rank threading state: the rank's pool and the executors'
+    /// scratch.
     pub threads: ThreadCtx,
     /// How this rank executes: pool width, fusion, drain.
     /// Sequential/unfused/leveled until the harness installs the run's
@@ -174,8 +174,9 @@ impl<'a> RankEnv<'a> {
     ///
     /// With threading active and a range worth splitting, the range is
     /// lowered for the rank's pool ([`RankEnv::build_loop_schedule`],
-    /// cached per (loop, range, block size) in the rank's [`ThreadCtx`])
-    /// and executed there. Results are bitwise identical either way.
+    /// cached per (loop, range, block size, width) in the rank's
+    /// [`PlanCache`]) and executed there. Results are bitwise identical
+    /// either way.
     pub fn exec_range(
         &mut self,
         spec: &LoopSpec,
@@ -190,7 +191,7 @@ impl<'a> RankEnv<'a> {
     /// for the chain loop at position `pos` (`chain = Some((plan,
     /// pos))` — the lowering sits alongside the other inspector
     /// products, so repeat chain invocations re-lower nothing), the
-    /// rank's own for a standalone loop.
+    /// rank's plan cache for a standalone loop.
     pub(crate) fn exec_range_in(
         &mut self,
         spec: &LoopSpec,
@@ -209,13 +210,14 @@ impl<'a> RankEnv<'a> {
         };
         let (cache, owner) = match chain {
             Some((plan, pos)) => (&plan.lowered, pos as u64),
-            None => (&self.threads.lowered, loop_signature(spec)),
+            None => (&self.plans.lowered, loop_signature(spec)),
         };
         let key = LoweringKey::Range {
             owner,
             start,
             end,
             block,
+            width: self.policy.threading.n_threads,
         };
         let lowered = cache.get_or_build(key, || {
             let sched = self.build_loop_schedule(spec, start, end, block);

@@ -56,15 +56,15 @@
 //!   fold per-rank verdicts into one `Result`.
 //! * [`service`] — the resident mesh-compute server: boot a world once
 //!   (ranks, thread pools, warmed transports), register meshes, and
-//!   multiplex many supervised jobs over them with a shared plan
-//!   registry, bounded admission, same-shape batching, and per-job
-//!   trace/crash isolation.
+//!   multiplex many supervised jobs over them, carrying each rank's
+//!   plans and pools from job to job as a restart does, with bounded
+//!   admission, same-shape batching, and per-job trace/crash isolation.
 //! * [`mod@rebalance`] — online rebalancing: a windowed imbalance detector
 //!   over the measured per-unit wall times, cost-weighted re-sharding
 //!   through `op2-partition`'s migration planner, a migration executor
 //!   shipping dat slices and renumbering tables over the fault-tolerant
-//!   transport, and the layout-epoch fence that keeps plan caches,
-//!   registries and checkpoints coherent across the switch.
+//!   transport, and the layout-epoch fence that keeps plan caches and
+//!   checkpoints coherent across the switch.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -102,7 +102,7 @@ pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, FusedChain,
-    LoweringKey, PlanCache, PlanRegistry, PlanStats,
+    LoweringKey, PlanCache, PlanStats,
 };
 pub use policy::{env_knob, parse_knob, ExecMode, ExecPolicy, FuseMode, KNOBS};
 pub use job::{

@@ -21,9 +21,7 @@
 //!   lowered for the thread pool, the tile plan for a tile count, a
 //!   fused whole-chain schedule — in one [`LoweringCache`] under one
 //!   [`LoweringKey`], each schedule with its chunk DAG stored beside it
-//!   ([`LoweredSchedule`]). The rank's standalone-loop schedules live in
-//!   a second instance of the same cache type
-//!   ([`crate::threads::ThreadCtx`]).
+//!   ([`LoweredSchedule`]).
 //!
 //! Plans live in a per-rank [`PlanCache`] keyed by a stable FNV-1a hash
 //! of [`ChainSpec::sigs`]-equivalent structure plus the entry-validity
@@ -33,8 +31,10 @@
 //! validity depth selects a different dirty class and therefore a
 //! different (or freshly built) plan. Hit/miss/invalidation counters
 //! land in the rank trace so tests can assert that repeat invocations
-//! do **zero** re-analysis. The same cache holds Alg 1's per-dat
-//! exchange plans ([`loop_exchange_for`]), uncounted.
+//! do **zero** re-analysis. The same cache holds the rest of the rank's
+//! layout-dependent products, uncounted: Alg 1's per-dat exchange plans
+//! ([`loop_exchange_for`]) and the standalone-loop lowerings (a second
+//! [`LoweringCache`]).
 
 use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
@@ -128,9 +128,7 @@ pub fn loop_signature(spec: &LoopSpec) -> u64 {
 /// depth, per-rank set sizes and the complete exchange topology (send
 /// element lists, receive ranges, levels). Two identical meshes
 /// partitioned identically hash equal, so the signature keys the
-/// resident service's world table and the cross-job [`PlanRegistry`] —
-/// a [`ChainPlan`] built for rank `r` of one world is valid verbatim
-/// for rank `r` of any world with the same signature.
+/// resident service's world table.
 pub fn mesh_signature(layouts: &[RankLayout]) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_usize(&mut h, layouts.len());
@@ -246,11 +244,11 @@ pub struct StaleRead {
 /// Which lowering a [`LoweringCache`] entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoweringKey {
-    /// Iterations `[start, end)` of one loop lowered for the thread pool
-    /// ([`op2_core::par::thread_schedule`]) at `block` iterations per
-    /// colored block. `owner` is the loop's chain position in a
-    /// [`ChainPlan`]'s cache and its [`loop_signature`] in the rank's
-    /// standalone-loop cache.
+    /// Iterations `[start, end)` of one loop lowered for a `width`-thread
+    /// pool ([`op2_core::par::thread_schedule`]) at `block` iterations
+    /// per colored block. `owner` is the loop's chain position in a
+    /// [`ChainPlan`]'s cache and its [`loop_signature`] in the
+    /// [`PlanCache`]'s standalone-loop cache.
     Range {
         /// Chain position or loop signature.
         owner: u64,
@@ -260,6 +258,8 @@ pub enum LoweringKey {
         end: usize,
         /// Colored-fallback block size.
         block: usize,
+        /// Pool width (owner-computes lowers one window per thread).
+        width: usize,
     },
     /// The chain's tile plan for this many tiles per rank.
     Tiled(usize),
@@ -318,7 +318,7 @@ pub enum Lowered {
 
 /// The one cache of lowered schedules: key → lowering, each entry built
 /// at most once per cache. Held by every [`ChainPlan`] (chain lowerings)
-/// and by the rank's [`crate::threads::ThreadCtx`] (standalone loops).
+/// and by the rank's [`PlanCache`] (standalone loops).
 #[derive(Debug, Default)]
 pub struct LoweringCache {
     map: Mutex<HashMap<LoweringKey, Lowered>>,
@@ -759,13 +759,6 @@ pub struct PlanStats {
     /// overlap executor (summed over invocations). A pure function of
     /// the plan and tile count, so deterministic across thread counts.
     pub overlap_tiles: u64,
-    /// Local-cache misses served by the cross-job [`PlanRegistry`]
-    /// instead of a fresh inspection (zero re-analysis — the resident
-    /// service's warm path). Not counted in `misses`.
-    pub registry_hits: u64,
-    /// Fresh inspections published to an attached registry (the cold
-    /// path that warms it for every later job on the same mesh).
-    pub registry_misses: u64,
     /// Fused pieces executed by the fused chain executor — each one ran
     /// every member kernel of its group back-to-back per element.
     pub fused_pieces: u64,
@@ -786,77 +779,15 @@ impl PlanStats {
         self.color_hits += other.color_hits;
         self.color_misses += other.color_misses;
         self.overlap_tiles += other.overlap_tiles;
-        self.registry_hits += other.registry_hits;
-        self.registry_misses += other.registry_misses;
         self.fused_pieces += other.fused_pieces;
         self.elided_bytes += other.elided_bytes;
     }
 }
 
-/// Cross-job chain-plan registry: the resident service's shared,
-/// immutable inspection artifacts. Keys are `(mesh signature, rank,
-/// chain signature, dirty class)` — a [`ChainPlan`] is built against one
-/// rank's layout, so sharing is across *jobs* on the same mesh, not
-/// across ranks. Values are the same `Arc<ChainPlan>`s the per-rank
-/// [`PlanCache`] holds; a plan's [`LoweringCache`] is mutex-guarded, so
-/// the lazily built lowerings are shared (and warmed) across jobs too.
-///
-/// Epoch invalidation is preserved: [`PlanCache::bump_epoch`] on a
-/// registry-attached cache drops the mesh's registry entries along with
-/// the local ones, so a repartitioned world can never serve stale
-/// exchange layouts to the next job.
-#[derive(Debug, Default)]
-pub struct PlanRegistry {
-    inner: Mutex<HashMap<RegistryKey, Arc<ChainPlan>>>,
-}
-
-/// `(mesh signature, rank, chain signature, dirty class)`.
-type RegistryKey = (u64, u32, u64, u64);
-
-impl PlanRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        PlanRegistry::default()
-    }
-
-    /// Look up a published plan.
-    pub fn get(&self, mesh: u64, rank: u32, sig: u64, dirty: u64) -> Option<Arc<ChainPlan>> {
-        self.inner
-            .lock()
-            .expect("plan registry poisoned")
-            .get(&(mesh, rank, sig, dirty))
-            .cloned()
-    }
-
-    /// Publish a freshly built plan for every later job on this mesh.
-    pub fn publish(&self, mesh: u64, rank: u32, sig: u64, dirty: u64, plan: Arc<ChainPlan>) {
-        self.inner
-            .lock()
-            .expect("plan registry poisoned")
-            .insert((mesh, rank, sig, dirty), plan);
-    }
-
-    /// Drop every plan belonging to `mesh` (layout-epoch invalidation).
-    pub fn invalidate_mesh(&self, mesh: u64) -> usize {
-        let mut inner = self.inner.lock().expect("plan registry poisoned");
-        let before = inner.len();
-        inner.retain(|&(m, _, _, _), _| m != mesh);
-        before - inner.len()
-    }
-
-    /// Resident plan count across all meshes and ranks.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan registry poisoned").len()
-    }
-
-    /// True when nothing is published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Per-rank plan cache: `(signature, dirty class) → Arc<ChainPlan>`,
-/// all entries belonging to the current layout epoch.
+/// all entries belonging to the current layout epoch. It holds every
+/// product of the rank's layout, so one [`PlanCache::bump_epoch`] is
+/// the whole layout fence.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     epoch: u64,
@@ -864,12 +795,10 @@ pub struct PlanCache {
     /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
     /// plan`: dropped with the chain plans, never counted in `stats`.
     loops: HashMap<(u64, u64), Arc<ExchangePlan>>,
-    /// Cross-job registry this cache resolves misses through (resident
-    /// service only; `None` for standalone runs).
-    registry: Option<Arc<PlanRegistry>>,
-    /// Mesh signature and rank keying this cache's registry slice.
-    mesh: u64,
-    rank: u32,
+    /// Standalone-loop lowerings, keyed by [`LoweringKey::Range`] with
+    /// the loop signature as owner (chain loops keep theirs in the
+    /// [`ChainPlan`]).
+    pub(crate) lowered: LoweringCache,
     /// Activity counters (see [`PlanStats`]).
     pub stats: PlanStats,
 }
@@ -895,46 +824,22 @@ impl PlanCache {
         self.map.is_empty()
     }
 
-    /// Invalidate every cached plan: the partition layout (ownership,
-    /// halo structure) changed, so all exchange layouts are stale. Call
-    /// after repartitioning / layout rebuilds. With a registry attached,
-    /// the mesh's published plans are dropped too — cross-job sharing
-    /// must never outlive the layout it was built for.
+    /// Invalidate every cached plan, exchange and lowering: the
+    /// partition layout (ownership, halo structure, local numbering)
+    /// changed, so all of them are stale. Call after repartitioning /
+    /// layout rebuilds.
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
         self.stats.invalidations += self.map.len() as u64;
         self.map.clear();
         self.loops.clear();
-        if let Some(reg) = &self.registry {
-            reg.invalidate_mesh(self.mesh);
-        }
-    }
-
-    /// Wire this cache to a cross-job [`PlanRegistry`]: local misses are
-    /// resolved through the registry's `(mesh, rank)` slice before
-    /// falling back to a fresh inspection, and fresh plans are published
-    /// back. Idempotent — a supervised restart re-attaches the carried
-    /// cache with the same registry.
-    pub fn attach_registry(&mut self, registry: Arc<PlanRegistry>, mesh: u64, rank: u32) {
-        self.registry = Some(registry);
-        self.mesh = mesh;
-        self.rank = rank;
-    }
-
-    /// The attached registry, if any (service-side introspection).
-    pub fn registry(&self) -> Option<&Arc<PlanRegistry>> {
-        self.registry.as_ref()
+        self.lowered = LoweringCache::default();
     }
 }
 
 /// Look up (or build and cache) the plan for `chain` given the rank's
 /// current validity state. The cache hit path does zero halo-layer,
-/// import-depth or exchange-layout recomputation. A local miss on a
-/// registry-attached cache (resident service) consults the cross-job
-/// [`PlanRegistry`] next — a hit there still skips inspection entirely
-/// (counted as `registry_hits`, not `misses`); only a miss on both runs
-/// [`ChainPlan::build`], and the fresh plan is published back for every
-/// later job on the mesh.
+/// import-depth or exchange-layout recomputation.
 pub fn plan_for(
     env: &mut crate::env::RankEnv<'_>,
     chain: &ChainSpec,
@@ -946,13 +851,6 @@ pub fn plan_for(
         env.plans.stats.hits += 1;
         return Arc::clone(p);
     }
-    if let Some(reg) = env.plans.registry.clone() {
-        if let Some(p) = reg.get(env.plans.mesh, env.plans.rank, sig, dirty) {
-            env.plans.stats.registry_hits += 1;
-            env.plans.map.insert((sig, dirty), Arc::clone(&p));
-            return p;
-        }
-    }
     env.plans.stats.misses += 1;
     let plan = Arc::new(ChainPlan::build(
         env.layout,
@@ -963,10 +861,6 @@ pub fn plan_for(
         env.plans.epoch,
     ));
     env.plans.map.insert((sig, dirty), Arc::clone(&plan));
-    if let Some(reg) = &env.plans.registry {
-        env.plans.stats.registry_misses += 1;
-        reg.publish(env.plans.mesh, env.plans.rank, sig, dirty, Arc::clone(&plan));
-    }
     plan
 }
 
@@ -1180,6 +1074,7 @@ mod tests {
             start: 0,
             end: 8,
             block: 4,
+            width: 2,
         };
         let builds = std::cell::Cell::new(0);
         let build = || {
@@ -1218,6 +1113,82 @@ mod tests {
         assert!(schedule.upgrade().is_some(), "the cached plan keeps its lowerings alive");
         env.plans.bump_epoch();
         assert!(schedule.upgrade().is_none(), "epoch bump must drop schedule and DAG");
+    }
+
+    /// The migration fence drops every layout product and keeps the
+    /// pool: after `fence_slots` the carried thread context hands out the
+    /// same pool, and the carried plan cache holds no chain plan and no
+    /// standalone lowering.
+    #[test]
+    fn fence_keeps_the_pool_and_drops_every_layout_product() {
+        use crate::checkpoint::{CheckpointConfig, RankState};
+        let f = fix();
+        let comm = CommWorld::new(1).into_ranks().remove(0);
+        let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
+        let slot = Arc::new(Mutex::new(RankState::new()));
+        env.ckpt_attach(CheckpointConfig::default(), Arc::clone(&slot));
+        let plan = Arc::downgrade(&plan_for(&mut env, &f.chain, false));
+        let key = LoweringKey::Range {
+            owner: 7,
+            start: 0,
+            end: 8,
+            block: 4,
+            width: 2,
+        };
+        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 8))));
+        let lowering = match env.plans.lowered.get_or_build(key, build) {
+            (Lowered::Range(low), true) => Arc::downgrade(&low),
+            _ => panic!("first lookup must build a range lowering"),
+        };
+        let pool = env.threads.pool(2);
+        env.ckpt_seal();
+
+        crate::rebalance::fence_slots(std::slice::from_ref(&slot));
+        let mut st = slot.lock().unwrap();
+        let carry = st.carry.as_mut().expect("the fence keeps the carry");
+        assert!(Arc::ptr_eq(&carry.threads.pool(2), &pool), "the pool must survive");
+        assert!(carry.plans.is_empty() && plan.upgrade().is_none(), "a chain plan survived");
+        assert!(lowering.upgrade().is_none(), "a standalone lowering survived");
+    }
+
+    /// Standalone-loop lowerings are cached in the plan cache by key.
+    #[test]
+    fn plan_cache_caches_standalone_lowerings_by_key() {
+        let cache = PlanCache::new();
+        let key = LoweringKey::Range {
+            owner: 42,
+            start: 0,
+            end: 100,
+            block: 16,
+            width: 2,
+        };
+        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
+        let (Lowered::Range(first), true) = cache.lowered.get_or_build(key, build) else {
+            panic!("first lookup must build a range lowering");
+        };
+        let (Lowered::Range(again), false) = cache.lowered.get_or_build(key, build) else {
+            panic!("second lookup must hit");
+        };
+        assert!(Arc::ptr_eq(&first, &again));
+    }
+
+    /// A range lowering is per pool width: keys that differ only in
+    /// width are separate entries, each built once.
+    #[test]
+    fn range_lowerings_miss_per_width() {
+        let cache = PlanCache::new();
+        let key = |width| LoweringKey::Range {
+            owner: 42,
+            start: 0,
+            end: 100,
+            block: 16,
+            width,
+        };
+        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
+        assert!(cache.lowered.get_or_build(key(2), build).1);
+        assert!(cache.lowered.get_or_build(key(4), build).1, "another width must miss");
+        assert!(!cache.lowered.get_or_build(key(2), build).1);
+        assert!(!cache.lowered.get_or_build(key(4), build).1);
     }
 
     /// A fusable stage→apply pair with a declared scratch intermediate,

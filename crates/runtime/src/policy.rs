@@ -7,8 +7,8 @@
 //! [`ConfigError`] whichever knob it came from. Unit tests check that
 //! README's "Environment knobs" table matches the registry row for row,
 //! and that every registered knob is read, through [`env_knob`] only.
-//! [`ExecPolicy`] is the four per-rank knobs a chain executor
-//! consults, resolved once per run from [`RunOptions`] and the
+//! [`ExecPolicy`] is the three per-rank settings a chain executor
+//! consults (threading, fusion, drain), resolved once per run from [`RunOptions`] and the
 //! environment ([`ExecPolicy::resolve`]) and installed as
 //! [`crate::env::RankEnv::policy`].
 
@@ -54,8 +54,6 @@ pub const KNOBS: &[Knob] = &[
         "checkpoint cadence (chain completions) of supervised runs and service jobs"),
     knob("OP2_SERVE_MAX_INFLIGHT", "a positive integer", "8",
         "service admission limit; submissions beyond it are rejected with `ServiceError::Saturated`"),
-    knob("OP2_SERVE_BATCH", "0|1|true|false", "1",
-        "run same-shape batch jobs back-to-back on hot plans and pools"),
 ];
 
 /// Parse one knob's raw value (`None` = variable unset, caller applies

@@ -25,9 +25,9 @@
 //!    transport that corrupted them would break the bitwise contract
 //!    the tests assert.
 //! 4. **Epoch fence** — [`fence_slots`] makes the switch coherent for
-//!    carried supervisor state: plan caches bump their layout epoch
-//!    (cascading a registry invalidation when attached), checkpoints
-//!    and journals of the old layout are discarded and the
+//!    carried supervisor state: the carried plan cache bumps its layout
+//!    epoch (the one fence the resident service applies too),
+//!    checkpoints and journals of the old layout are discarded and the
 //!    [`RankState`] layout epoch advances, so a crash-recovery rollback
 //!    after a migration can only ever restore post-migration state.
 //!
@@ -38,11 +38,12 @@
 //! any thread count, and across crash-recovery rollbacks that straddle
 //! the migration boundary (`tests/rebalance.rs`). For rounding kernels
 //! one caveat is inherited from the executor, not introduced by
-//! migration: indirect `Inc` contributions at partition-boundary nodes
-//! accumulate core-first / halo-after, an order the owner assignment
-//! decides, so any two partitions — static or migrated — differ by
-//! ~1 ULP at a handful of boundary entries while reductions (RMS/norm)
-//! stay bit-identical (DESIGN.md §15).
+//! migration: the owner assignment decides the order of indirect `Inc`
+//! contributions at partition-boundary nodes and of each rank's
+//! reduction partials, so any two partitions — static or migrated —
+//! differ by ~1 ULP at a handful of boundary entries and in the
+//! reductions (RMS/norm); the contract there is 1e-10 relative
+//! (DESIGN.md §15).
 
 use crate::checkpoint::RankState;
 use crate::error::RuntimeError;
@@ -484,23 +485,20 @@ pub fn run_job_rebalanced(
 /// Epoch fence over carried supervisor state after a migration: bump
 /// each slot's layout epoch, discard checkpoints and journal entries of
 /// the old layout (their dats, tags and boundary counters describe
-/// index spaces that no longer exist), bump the carried plan cache's
-/// layout epoch (cascading a registry invalidation when attached), and
-/// drop the carried thread context (its schedule cache keys could
-/// collide with same-range colorings of the new localized maps).
-/// Transport payload pools are content-neutral and survive.
+/// index spaces that no longer exist), and fence the carried resources:
+/// the plan cache drops every plan, exchange and lowering of the old
+/// layout, while the worker pool and the payload pools survive.
 pub fn fence_slots(slots: &[Arc<Mutex<RankState>>]) {
     for slot in slots {
-        let mut st = slot.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = crate::checkpoint::lock(slot);
         st.layout_epoch += 1;
         let cur = st.layout_epoch;
         st.checkpoints.retain(|c| c.layout_epoch == cur);
         st.journal.clear();
         st.restore = false;
-        if let Some(plans) = st.plans.as_mut() {
-            plans.bump_epoch();
+        if let Some(carry) = st.carry.as_mut() {
+            carry.fence();
         }
-        st.threads = None;
     }
 }
 

@@ -1,11 +1,10 @@
 //! The resident mesh-compute service: one booted world, many jobs.
 //!
 //! Everything expensive in this runtime is reusable —
-//! [`crate::plan::ChainPlan`]s key
-//! on structural signatures, planned exchanges pre-size the transport's
-//! per-peer pools, thread pools persist, tuner calibrations replay — yet
-//! a standalone [`crate::harness::run_distributed`] throws all of it
-//! away on return. A [`Service`] keeps it resident: meshes are
+//! [`crate::plan::ChainPlan`]s key on structural signatures, planned
+//! exchanges pre-size the transport's per-peer pools, thread pools
+//! persist — yet a standalone [`crate::harness::run_distributed`]
+//! throws all of it away on return. A [`Service`] keeps it resident: meshes are
 //! registered once (domain + layouts, keyed by [`mesh_signature`]), and
 //! **jobs** — data-described programs over a registered mesh
 //! ([`crate::job`]) — are submitted against them.
@@ -16,25 +15,24 @@
 //! [`ServiceError::Saturated`] beyond `OP2_SERVE_MAX_INFLIGHT`), then
 //! queues on the mesh's world lock — execution is serialized per world
 //! (one set of rank resources), concurrent across worlds. Each job runs
-//! under full PR-6 supervision ([`run_job_with_state`]) on a
-//! fresh clone of the registered domain with the job's initial dat
-//! overrides applied, with per-rank state slots **pre-seeded** from the
-//! world's carried resources:
+//! under full supervision ([`run_job_with_state`]) on a fresh clone of
+//! the registered domain with the job's initial dat overrides applied,
+//! with per-rank state slots **pre-seeded** from the world's carry —
+//! exactly what a supervised restart installs:
 //!
-//! * thread contexts (worker pools + standalone schedule caches), kept
-//!   only when the job's resolved [`Threading`] matches the one they
-//!   were built for;
+//! * the rank's plan cache (chain plans, exchanges, lowerings), so the
+//!   second job on a mesh skips inspection entirely (plan-cache `hits`,
+//!   zero `misses`); its counters restart at zero per job;
+//! * the thread context (worker pool and executor scratch);
 //! * per-peer transport payload pools, so a warm job's planned
 //!   exchanges make **zero payload heap allocations**
-//!   ([`crate::comm::CommCounters::payload_allocs`] — the same carry
-//!   path supervised restarts use);
-//! * a fresh per-job [`PlanCache`] wired to the service-wide
-//!   [`PlanRegistry`], so the second job on a mesh skips inspection
-//!   entirely (a `registry_hits` count, zero `misses`).
+//!   ([`crate::comm::CommCounters::payload_allocs`]).
 //!
 //! After the job — success, crash-with-recovery, or budget exhaustion —
 //! the sealed slots are harvested back into the world, so even a failed
-//! job returns its buffers for the next one. A crashing job recovers
+//! job returns its plans and buffers for the next one. A world is
+//! keyed by its mesh signature and runs one job at a time, so one carry
+//! per rank is all the sharing there is. A crashing job recovers
 //! via checkpoint/rollback *inside its own supervision loop*: the world
 //! survives, concurrent jobs on other worlds are untouched, and jobs
 //! queued behind it see only added latency.
@@ -56,104 +54,70 @@
 //! [`Job::shape`]: mesh + setup/steps/finish signatures + iteration
 //! count) and runs each group back-to-back under one world-lock hold on
 //! hot plans and pools — the amortization the paper's inspector-
-//! executor split exists for, applied across whole simulations.
+//! executor split exists for, applied across whole simulations. A job
+//! in a group of more than one is reported as `batched`.
 
-use crate::checkpoint::{CheckpointConfig, RankState};
+use crate::checkpoint::{lock, Carry, CheckpointConfig, RankState};
 use crate::comm::CommCounters;
 use crate::error::{ConfigError, RuntimeError};
 use crate::harness::RunOptions;
 use crate::job::{run_job_with_state, Job, JobRun};
-use crate::plan::{mesh_signature, PlanCache, PlanRegistry, PlanStats};
+use crate::plan::{mesh_signature, PlanStats};
 use crate::policy::{env_knob, parse_knob, ExecPolicy};
 use crate::supervise::SuperviseOptions;
-use crate::threads::{ThreadCtx, Threading};
 use crate::trace::RankTrace;
 use op2_core::{DatId, Domain, SetId};
 use op2_partition::RankLayout;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-/// Service configuration: admission bound, batching, and the run
-/// options every job inherits.
+/// Service configuration: the admission bound and the supervision
+/// every job runs under.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Admitted-but-unfinished job bound (`OP2_SERVE_MAX_INFLIGHT`,
     /// default 8). Submissions beyond it are rejected with
     /// [`ServiceError::Saturated`], never silently queued unbounded.
     pub max_inflight: usize,
-    /// Group same-shaped jobs in [`Service::submit_batch`]
-    /// (`OP2_SERVE_BATCH`, default on).
-    pub batch: bool,
-    /// Base run options (fault plan, comm policy, threading, checkpoint
-    /// cadence) each job starts from; per-job overrides apply on top.
-    pub run: RunOptions,
-    /// Per-job recovery budget (see
-    /// [`crate::supervise::SuperviseOptions::max_recoveries`]).
-    pub max_recoveries: u32,
-    /// Per-job straggler deadline escalation.
-    pub escalate_deadline: bool,
+    /// Base supervision each job starts from: run options (fault plan,
+    /// comm policy, threading, checkpoint cadence), recovery budget and
+    /// deadline escalation. Per-job overrides apply on top.
+    pub supervise: SuperviseOptions,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_inflight: 8,
-            batch: true,
-            run: RunOptions::default(),
-            max_recoveries: 3,
-            escalate_deadline: true,
+            supervise: SuperviseOptions::new(RunOptions::default()),
         }
     }
 }
 
 impl ServiceConfig {
-    fn inflight_grammar(s: &str) -> Option<usize> {
-        s.parse::<usize>().ok().filter(|&n| n >= 1)
+    fn grammar(s: &str) -> Option<ServiceConfig> {
+        let n = s.parse::<usize>().ok().filter(|&n| n >= 1)?;
+        Some(ServiceConfig::default().max_inflight(n))
     }
 
-    fn batch_grammar(s: &str) -> Option<bool> {
-        match s {
-            "1" | "true" | "on" => Some(true),
-            "0" | "false" | "off" => Some(false),
-            _ => None,
-        }
+    /// Parse a raw `OP2_SERVE_MAX_INFLIGHT` value (`None` = unset)
+    /// through the centralized knob path ([`crate::policy::parse_knob`]).
+    /// Pure — no environment access.
+    pub fn parse(max_inflight: Option<&str>) -> Result<Self, ConfigError> {
+        Ok(parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, Self::grammar)?.unwrap_or_default())
     }
 
-    /// The defaults with each set knob's value in place.
-    fn with_knobs(max_inflight: Option<usize>, batch: Option<bool>) -> Self {
-        let d = ServiceConfig::default();
-        ServiceConfig {
-            max_inflight: max_inflight.unwrap_or(d.max_inflight),
-            batch: batch.unwrap_or(d.batch),
-            ..d
-        }
-    }
-
-    /// Parse raw `OP2_SERVE_MAX_INFLIGHT` / `OP2_SERVE_BATCH` values
-    /// (`None` = unset) through the centralized knob path
-    /// ([`crate::policy::parse_knob`]). Pure — no environment access.
-    pub fn parse(max_inflight: Option<&str>, batch: Option<&str>) -> Result<Self, ConfigError> {
-        Ok(Self::with_knobs(
-            parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, Self::inflight_grammar)?,
-            parse_knob("OP2_SERVE_BATCH", batch, Self::batch_grammar)?,
-        ))
-    }
-
-    /// Read the `OP2_SERVE_*` environment knobs, typed errors on
-    /// malformed values — same discipline as `OP2_THREADS` and
-    /// `OP2_CKPT_EVERY`.
+    /// Read `OP2_SERVE_MAX_INFLIGHT`, a typed error on a malformed value
+    /// — same discipline as `OP2_THREADS` and `OP2_CKPT_EVERY`.
     pub fn try_from_env() -> Result<Self, ConfigError> {
-        Ok(Self::with_knobs(
-            env_knob("OP2_SERVE_MAX_INFLIGHT", Self::inflight_grammar)?,
-            env_knob("OP2_SERVE_BATCH", Self::batch_grammar)?,
-        ))
+        Ok(env_knob("OP2_SERVE_MAX_INFLIGHT", Self::grammar)?.unwrap_or_default())
     }
 
     /// Override the base run options (builder style).
     pub fn run(mut self, run: RunOptions) -> Self {
-        self.run = run;
+        self.supervise.run = run;
         self
     }
 
@@ -232,6 +196,20 @@ impl fmt::Display for ServiceError {
     }
 }
 
+impl ServiceError {
+    /// A failed run of `name`; configuration errors keep their own
+    /// variant.
+    fn from_run(name: &str, e: RuntimeError) -> Self {
+        match e {
+            RuntimeError::Config(e) => ServiceError::Config(e),
+            e => ServiceError::Job {
+                name: name.into(),
+                error: Box::new(e),
+            },
+        }
+    }
+}
+
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -260,14 +238,15 @@ pub struct JobTrace {
     /// True when the job ran entirely on shared/cached plans — zero
     /// chain inspections ([`PlanStats::misses`] summed over ranks is 0).
     pub warm: bool,
-    /// True when this job ran inside a same-shape batch group.
+    /// True when this job ran in a same-shape [`Service::submit_batch`]
+    /// group of more than one job.
     pub batched: bool,
     /// Per-rank traces, indexed by rank.
     pub ranks: Vec<RankTrace>,
 }
 
 impl JobTrace {
-    /// Plan-cache/registry counters summed over ranks.
+    /// Plan-cache counters summed over ranks.
     pub fn plan_total(&self) -> PlanStats {
         let mut total = PlanStats::default();
         for t in &self.ranks {
@@ -319,29 +298,15 @@ impl From<JobOutcome> for JobRun {
     }
 }
 
-/// Carried per-rank resources of a world, between jobs.
-#[derive(Default)]
-struct CarrySlot {
-    /// Thread context (worker pool + standalone schedule cache) from
-    /// the last job on this world.
-    threads: Option<ThreadCtx>,
-    /// The threading the carried context was built for — a mismatching
-    /// next job drops it (a pool of the wrong width would mislabel
-    /// traces; results are thread-count-invariant either way).
-    threads_for: Option<Threading>,
-    /// Per-peer transport payload pools, recycled into the next job's
-    /// fresh transport ([`crate::comm::RankComm::install_pool`]).
-    pools: Option<Vec<Vec<Vec<f64>>>>,
-}
-
 /// One registered mesh's resident world.
 struct World {
     mesh: u64,
     /// Pristine registered domain; every job runs on a clone.
     base: Domain,
     layouts: Vec<RankLayout>,
-    carry: Vec<CarrySlot>,
-    jobs_run: u64,
+    /// Per rank, what the last job sealed: plan cache, thread context,
+    /// payload pools.
+    carry: Vec<Carry>,
 }
 
 /// Cumulative service counters ([`Service::metrics`] snapshot).
@@ -355,23 +320,20 @@ pub struct ServiceMetrics {
     pub failed: u64,
     /// Submissions rejected by admission control.
     pub rejected: u64,
-    /// Jobs that ran inside a same-shape batch group.
+    /// Jobs that ran in a same-shape batch group of more than one job.
     pub batched: u64,
     /// Completed jobs that performed zero chain inspections.
     pub warm_jobs: u64,
     /// Coordinated rollbacks across all jobs (crash recoveries).
     pub recoveries: u64,
-    /// Plan-cache/registry counters summed over completed jobs' ranks.
+    /// Plan-cache counters summed over completed jobs' ranks.
     pub plan: PlanStats,
     /// Payload-pool misses summed over completed jobs' ranks.
     pub payload_allocs: u64,
-    /// Plans currently resident in the shared registry (gauge, filled
-    /// at snapshot time).
-    pub registry_plans: u64,
     /// Online mesh rebalances executed ([`Service::rebalance_mesh`]).
     pub rebalances: u64,
-    /// Registry plans dropped by rebalance invalidations (each
-    /// rebalance invalidates its old mesh signature exactly once).
+    /// Carried chain plans dropped by rebalance fences (each rebalance
+    /// fences every rank's plan cache exactly once).
     pub invalidated_plans: u64,
     /// Elements that changed owner across all rebalances.
     pub migrated_elements: u64,
@@ -400,7 +362,6 @@ impl Drop for Permit<'_> {
 /// serialize on its world lock.
 pub struct Service {
     cfg: ServiceConfig,
-    registry: Arc<PlanRegistry>,
     worlds: Mutex<HashMap<u64, Arc<Mutex<World>>>>,
     inflight: AtomicUsize,
     next_job: AtomicU64,
@@ -412,7 +373,6 @@ impl Service {
     pub fn new(cfg: ServiceConfig) -> Self {
         Service {
             cfg,
-            registry: Arc::new(PlanRegistry::new()),
             worlds: Mutex::new(HashMap::new()),
             inflight: AtomicUsize::new(0),
             next_job: AtomicU64::new(0),
@@ -431,15 +391,14 @@ impl Service {
     /// signature (the resident world and its warm state are kept).
     pub fn register_mesh(&self, dom: Domain, layouts: Vec<RankLayout>) -> u64 {
         let mesh = mesh_signature(&layouts);
-        let mut worlds = self.worlds.lock().unwrap_or_else(|p| p.into_inner());
+        let mut worlds = lock(&self.worlds);
         worlds.entry(mesh).or_insert_with(|| {
-            let carry = (0..layouts.len()).map(|_| CarrySlot::default()).collect();
+            let carry = (0..layouts.len()).map(|_| Carry::default()).collect();
             Arc::new(Mutex::new(World {
                 mesh,
                 base: dom,
                 layouts,
                 carry,
-                jobs_run: 0,
             }))
         });
         mesh
@@ -472,13 +431,13 @@ impl Service {
 
     /// Live re-shard of a registered mesh from explicit per-element
     /// costs: plan the migration, ship the moved elements over the
-    /// world's transport, invalidate the old mesh's registry plans
-    /// (exactly one [`PlanRegistry::invalidate_mesh`] call), install the
-    /// new layouts, and re-key the world under its new
-    /// [`mesh_signature`]. Jobs already holding the old signature get
+    /// world's transport, fence every rank's carried plan cache (the
+    /// fence [`crate::rebalance::fence_slots`] applies), install the new
+    /// layouts, and re-key the world under its new [`mesh_signature`].
+    /// Jobs already holding the old signature get
     /// [`ServiceError::UnknownMesh`]; the first job on the returned
-    /// signature re-inspects and republishes, everything after runs
-    /// warm. Returns `Ok(None)` when the re-shard moves nothing.
+    /// signature re-inspects, everything after runs warm. Returns
+    /// `Ok(None)` when the re-shard moves nothing.
     pub fn rebalance_mesh_with_costs(
         &self,
         mesh: u64,
@@ -489,56 +448,38 @@ impl Service {
         imbalance_before_milli: u64,
     ) -> Result<Option<u64>, ServiceError> {
         let world = self.world(mesh)?;
-        let mut w = lock(&world);
-        let mut opts = self.cfg.run.clone();
+        let mut guard = lock(&world);
+        let w = &mut *guard;
+        let mut opts = self.cfg.supervise.run.clone();
         opts.faults = None; // migration traffic is not a fault target
-        let outcome = {
-            let World {
-                base: dom, layouts, ..
-            } = &mut *w;
-            crate::rebalance::rebalance(
-                dom,
-                base,
-                coords,
-                dims,
-                layouts,
-                costs,
-                imbalance_before_milli,
-                &opts,
-            )
+        let moved = crate::rebalance::rebalance(
+            &mut w.base,
+            base,
+            coords,
+            dims,
+            &w.layouts,
+            costs,
+            imbalance_before_milli,
+            &opts,
+        );
+        let Some(outcome) = moved.map_err(|e| ServiceError::from_run("rebalance", e))? else {
+            return Ok(None);
         };
-        let outcome = match outcome {
-            Ok(None) => return Ok(None),
-            Ok(Some(o)) => o,
-            Err(RuntimeError::Config(e)) => return Err(ServiceError::Config(e)),
-            Err(e) => {
-                return Err(ServiceError::Job {
-                    name: "rebalance".into(),
-                    error: Box::new(e),
-                })
-            }
-        };
-        // Epoch fence, service flavour: the old mesh's registry plans
-        // drop in exactly one invalidation; carried thread contexts die
-        // with the layout (their schedule caches key on ranges of the
-        // old index spaces); content-neutral payload pools survive.
-        let dropped = self.registry.invalidate_mesh(w.mesh) as u64;
+        // The one layout fence: every plan, exchange and lowering of
+        // the old layout drops; worker pools and payload pools survive.
+        let dropped: usize = w.carry.iter_mut().map(Carry::fence).sum();
         let new_mesh = mesh_signature(&outcome.layouts);
         let old_mesh = w.mesh;
         w.layouts = outcome.layouts;
         w.mesh = new_mesh;
-        for c in &mut w.carry {
-            c.threads = None;
-            c.threads_for = None;
-        }
         {
-            let mut worlds = self.worlds.lock().unwrap_or_else(|p| p.into_inner());
+            let mut worlds = lock(&self.worlds);
             worlds.remove(&old_mesh);
             worlds.insert(new_mesh, Arc::clone(&world));
         }
         self.with_metrics(|m| {
             m.rebalances += 1;
-            m.invalidated_plans += dropped;
+            m.invalidated_plans += dropped as u64;
             m.migrated_elements += outcome.rec.elements_out;
             m.migrated_bytes += outcome.rec.bytes_out;
         });
@@ -550,50 +491,31 @@ impl Service {
         self.inflight.load(Ordering::SeqCst)
     }
 
-    /// The cross-job plan registry (introspection).
-    pub fn registry(&self) -> &Arc<PlanRegistry> {
-        &self.registry
-    }
-
     /// Snapshot of the cumulative counters.
     pub fn metrics(&self) -> ServiceMetrics {
-        let mut m = *self.metrics.lock().unwrap_or_else(|p| p.into_inner());
-        m.registry_plans = self.registry.len() as u64;
-        m
+        *lock(&self.metrics)
     }
 
     fn with_metrics(&self, f: impl FnOnce(&mut ServiceMetrics)) {
-        f(&mut self.metrics.lock().unwrap_or_else(|p| p.into_inner()));
+        f(&mut lock(&self.metrics));
     }
 
     /// Take `n` admission slots or reject with
     /// [`ServiceError::Saturated`].
     fn admit(&self, n: usize) -> Result<Permit<'_>, ServiceError> {
-        let mut cur = self.inflight.load(Ordering::SeqCst);
-        loop {
-            if cur + n > self.cfg.max_inflight {
+        let max = self.cfg.max_inflight;
+        let take = |cur: usize| (cur + n <= max).then_some(cur + n);
+        match self.inflight.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take) {
+            Ok(_) => Ok(Permit { svc: self, n }),
+            Err(inflight) => {
                 self.with_metrics(|m| m.rejected += n as u64);
-                return Err(ServiceError::Saturated {
-                    inflight: cur,
-                    max: self.cfg.max_inflight,
-                });
-            }
-            match self.inflight.compare_exchange(
-                cur,
-                cur + n,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return Ok(Permit { svc: self, n }),
-                Err(now) => cur = now,
+                Err(ServiceError::Saturated { inflight, max })
             }
         }
     }
 
     fn world(&self, mesh: u64) -> Result<Arc<Mutex<World>>, ServiceError> {
-        self.worlds
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+        lock(&self.worlds)
             .get(&mesh)
             .cloned()
             .ok_or(ServiceError::UnknownMesh { mesh })
@@ -606,16 +528,15 @@ impl Service {
         let _permit = self.admit(1)?;
         self.with_metrics(|m| m.submitted += 1);
         let world = self.world(mesh)?;
-        let mut w = world.lock().unwrap_or_else(|p| p.into_inner());
+        let mut w = lock(&world);
         self.run_world_job(&mut w, job, false)
     }
 
-    /// Submit a batch and wait for all outcomes (input order). With
-    /// batching enabled, same-[`Job::shape`] jobs run back-to-back on
-    /// hot plans and pools; the whole batch needs admission capacity at
-    /// once. The outer `Err` is admission/lookup; per-job failures land
-    /// in the inner results — one crashing job never takes down its
-    /// batch mates.
+    /// Submit a batch and wait for all outcomes (input order).
+    /// Same-[`Job::shape`] jobs run back-to-back on hot plans and pools;
+    /// the whole batch needs admission capacity at once. The outer `Err`
+    /// is admission/lookup; per-job failures land in the inner results —
+    /// one crashing job never takes down its batch mates.
     #[allow(clippy::type_complexity)]
     pub fn submit_batch(
         &self,
@@ -628,31 +549,26 @@ impl Service {
         let _permit = self.admit(jobs.len())?;
         self.with_metrics(|m| m.submitted += jobs.len() as u64);
         let world = self.world(mesh)?;
-        // Group by shape, preserving submission order within and across
-        // groups (first-appearance order keeps batch results reproducible).
+        // Group by shape: a stable sort on each shape's first appearance
+        // keeps submission order within and across groups, so batch
+        // results are reproducible.
         let shapes: Vec<u64> = jobs.iter().map(Job::shape).collect();
-        let mut group_order: Vec<u64> = Vec::new();
-        for &s in &shapes {
-            if !group_order.contains(&s) {
-                group_order.push(s);
-            }
-        }
+        let group_size = |i: usize| shapes.iter().filter(|&&s| s == shapes[i]).count();
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&i| shapes.iter().position(|&s| s == shapes[i]));
         let mut outcomes: Vec<Option<Result<JobOutcome, ServiceError>>> =
             (0..jobs.len()).map(|_| None).collect();
-        let mut w = world.lock().unwrap_or_else(|p| p.into_inner());
-        for shape in group_order {
-            let idxs: Vec<usize> = (0..jobs.len()).filter(|&i| shapes[i] == shape).collect();
-            let batched = self.cfg.batch && idxs.len() > 1;
-            for i in idxs {
-                outcomes[i] = Some(self.run_world_job(&mut w, &jobs[i], batched));
-            }
+        let mut w = lock(&world);
+        for i in order {
+            let batched = group_size(i) > 1;
+            outcomes[i] = Some(self.run_world_job(&mut w, &jobs[i], batched));
         }
         Ok(outcomes.into_iter().map(|o| o.expect("every job ran")).collect())
     }
 
     /// Run one job on a locked world: seed per-rank state from the
-    /// world's carried resources, execute under supervision, harvest
-    /// the resources back (crash or not), and account the outcome.
+    /// world's carry, execute under supervision, harvest the carry back
+    /// (crash or not), and account the outcome.
     fn run_world_job(
         &self,
         world: &mut World,
@@ -660,30 +576,9 @@ impl Service {
         batched: bool,
     ) -> Result<JobOutcome, ServiceError> {
         let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-        let nparts = world.layouts.len();
-        // The harness resolves the same options the same way, so the
-        // carried thread-context validity check agrees with what the
-        // job runs.
-        let threading = ExecPolicy::resolve(&self.cfg.run, nparts)?.threading;
-
-        // Fresh per-job state slots, pre-seeded with the world's carry.
-        let slots: Vec<Arc<Mutex<RankState>>> = (0..nparts)
-            .map(|r| {
-                let mut st = RankState::new();
-                st.rec.job = job_id;
-                let carry = &mut world.carry[r];
-                if carry.threads_for == Some(threading) {
-                    st.threads = carry.threads.take();
-                } else {
-                    carry.threads = None;
-                }
-                st.pools = carry.pools.take();
-                let mut plans = PlanCache::new();
-                plans.attach_registry(Arc::clone(&self.registry), world.mesh, r as u32);
-                st.plans = Some(plans);
-                Arc::new(Mutex::new(st))
-            })
-            .collect();
+        // A malformed knob is one typed rejection, not a recovery loop
+        // over attempts that all fail the same way.
+        ExecPolicy::resolve(&self.cfg.supervise.run, world.layouts.len())?;
 
         // Per-job domain: pristine base plus the job's initial state.
         let mut dom = world.base.clone();
@@ -700,55 +595,43 @@ impl Service {
             buf.clone_from(data);
         }
 
-        let mut run = self.cfg.run.clone();
-        run.threading = Some(threading);
-        run.faults = job.faults.clone();
-        if let Some(every) = job.checkpoint_every {
-            run.checkpoint = Some(CheckpointConfig::new(every));
-        }
-        let sopts = SuperviseOptions {
-            run,
-            max_recoveries: self.cfg.max_recoveries,
-            escalate_deadline: self.cfg.escalate_deadline,
-        };
+        // Fresh per-job state slots, seeded with the world's carry; the
+        // plan counters restart so the trace counts this job only.
+        let slots: Vec<Arc<Mutex<RankState>>> = world
+            .carry
+            .iter_mut()
+            .map(|carry| {
+                let mut carry = std::mem::take(carry);
+                carry.plans.stats = PlanStats::default();
+                let mut st = RankState::new();
+                st.rec.job = job_id;
+                st.carry = Some(carry);
+                Arc::new(Mutex::new(st))
+            })
+            .collect();
 
+        let mut sopts = self.cfg.supervise.clone();
+        sopts.run.faults = job.faults.clone();
+        if let Some(every) = job.checkpoint_every {
+            sopts.run.checkpoint = Some(CheckpointConfig::new(every));
+        }
         let result = run_job_with_state(&mut dom, &world.layouts, job, &sopts, &slots, job_id);
 
-        // Harvest carried resources — sealed by `ckpt_seal` even for
-        // failed ranks, so a lost job still returns its buffers.
-        for (r, slot) in slots.iter().enumerate() {
-            let mut st = lock(slot);
-            if let Some(t) = st.threads.take() {
-                world.carry[r].threads = Some(t);
-                world.carry[r].threads_for = Some(threading);
-            }
-            if let Some(p) = st.pools.take() {
-                world.carry[r].pools = Some(p);
-            }
-            // The per-job plan cache is dropped: the registry holds the
-            // shared artifacts; local caches stay job-scoped.
+        // Harvest the carry — sealed by `ckpt_seal` even for failed
+        // ranks, so a lost job still returns its plans and buffers.
+        for (carry, slot) in world.carry.iter_mut().zip(&slots) {
+            *carry = lock(slot).carry.take().unwrap_or_default();
         }
         rebalance_pools(&mut world.carry);
-        world.jobs_run += 1;
 
-        let JobRun { gbls, traces } = match result {
-            Ok(run) => run,
-            Err(RuntimeError::Config(e)) => {
-                self.with_metrics(|m| m.failed += 1);
-                return Err(ServiceError::Config(e));
-            }
-            Err(e) => {
-                self.with_metrics(|m| m.failed += 1);
-                return Err(ServiceError::Job {
-                    name: job.name.clone(),
-                    error: Box::new(e),
-                });
-            }
-        };
+        let JobRun { gbls, traces } = result.map_err(|e| {
+            self.with_metrics(|m| m.failed += 1);
+            ServiceError::from_run(&job.name, e)
+        })?;
         let dats: Vec<Vec<f64>> = (0..dom.n_dats())
             .map(|d| dom.dat(DatId(d as u32)).data.clone())
             .collect();
-        let trace = JobTrace {
+        let mut trace = JobTrace {
             job: job_id,
             name: job.name.clone(),
             warm: false,
@@ -756,16 +639,11 @@ impl Service {
             ranks: traces,
         };
         let plan_total = trace.plan_total();
-        let warm = plan_total.misses == 0;
-        let trace = JobTrace { warm, ..trace };
+        trace.warm = plan_total.misses == 0;
         self.with_metrics(|m| {
             m.completed += 1;
-            if batched {
-                m.batched += 1;
-            }
-            if warm {
-                m.warm_jobs += 1;
-            }
+            m.batched += u64::from(batched);
+            m.warm_jobs += u64::from(trace.warm);
             // Rollbacks are coordinated — identical on every rank.
             m.recoveries += trace.ranks[0].recovery.rollbacks;
             m.plan.add(&plan_total);
@@ -780,10 +658,6 @@ impl Service {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// Even out the pair-circulating payload buffers between jobs.
 ///
 /// Chain exchanges swap buffers symmetrically (each side's send buffer
@@ -795,14 +669,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// would re-allocate the same buffers every job while the receiving
 /// side hoards them. The world owns all pools between jobs, so restock
 /// the depleted side of each skewed pair.
-fn rebalance_pools(carry: &mut [CarrySlot]) {
+fn rebalance_pools(carry: &mut [Carry]) {
     for a in 0..carry.len() {
         let (lo, hi) = carry.split_at_mut(a + 1);
         let ca = &mut lo[a];
         for (off, cb) in hi.iter_mut().enumerate() {
             let b = a + 1 + off;
-            if let (Some(pa), Some(pb)) = (ca.pools.as_mut(), cb.pools.as_mut()) {
-                balance_slot_pair(&mut pa[b], &mut pb[a]);
+            if let (Some(pa), Some(pb)) = (ca.pools.get_mut(b), cb.pools.get_mut(a)) {
+                balance_slot_pair(pa, pb);
             }
         }
     }
@@ -836,19 +710,14 @@ mod tests {
     /// Knob parsing: defaults, overrides, typed errors.
     #[test]
     fn config_parsing() {
-        let d = ServiceConfig::parse(None, None).unwrap();
+        let d = ServiceConfig::parse(None).unwrap();
         assert_eq!(d.max_inflight, 8);
-        assert!(d.batch);
-        let c = ServiceConfig::parse(Some("3"), Some("0")).unwrap();
-        assert_eq!(c.max_inflight, 3);
-        assert!(!c.batch);
+        assert_eq!(d.supervise.max_recoveries, 3);
+        assert!(d.supervise.escalate_deadline);
+        assert_eq!(ServiceConfig::parse(Some("3")).unwrap().max_inflight, 3);
         assert!(matches!(
-            ServiceConfig::parse(Some("0"), None),
+            ServiceConfig::parse(Some("0")),
             Err(ConfigError { knob: "OP2_SERVE_MAX_INFLIGHT", .. })
-        ));
-        assert!(matches!(
-            ServiceConfig::parse(None, Some("maybe")),
-            Err(ConfigError { knob: "OP2_SERVE_BATCH", .. })
         ));
     }
 

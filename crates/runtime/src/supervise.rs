@@ -21,9 +21,9 @@
 //! 3. **Restarts** the world: a fresh transport (channels re-opened,
 //!    per-peer buffer pools re-installed from the carried state), every
 //!    rank's dats/validity/tags/boundary counters restored from the
-//!    agreed checkpoint, plan caches and tuner calibrations carried
-//!    over untouched, and the program replayed — journal-served (no
-//!    side effects) up to the restored cut, live after it.
+//!    agreed checkpoint, plan caches and thread pools carried over
+//!    untouched, and the program replayed — journal-served (no side
+//!    effects) up to the restored cut, live after it.
 //!
 //! The retry budget is [`SuperviseOptions::max_recoveries`]; exhausting
 //! it degrades gracefully into the typed
@@ -39,7 +39,7 @@
 //! alter delivered payloads. `tests/recovery.rs` asserts this across
 //! crash sites, boundaries and thread counts.
 
-use crate::checkpoint::{CheckpointConfig, RankState};
+use crate::checkpoint::{lock, CheckpointConfig, RankState};
 use crate::comm::CommError;
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
@@ -109,7 +109,7 @@ fn rollback(slots: &[Arc<Mutex<RankState>>]) {
     let agreed = slots
         .iter()
         .map(|s| {
-            let mut st = s.lock().unwrap_or_else(|p| p.into_inner());
+            let mut st = lock(s);
             // A migration may have fenced some slots already; snapshots
             // of an older layout must not enter the epoch agreement.
             st.drop_foreign_layouts();
@@ -119,7 +119,7 @@ fn rollback(slots: &[Arc<Mutex<RankState>>]) {
         .min()
         .expect("supervised run has at least one rank");
     for slot in slots {
-        let mut st = slot.lock().unwrap_or_else(|p| p.into_inner());
+        let mut st = lock(slot);
         while st.last_epoch().is_some_and(|e| e > agreed) {
             st.checkpoints.pop();
         }
@@ -158,13 +158,12 @@ where
 
 /// [`run_supervised`] over caller-provided per-rank state slots — the
 /// resident service's entry point. The slots may arrive pre-seeded with
-/// carried resources (thread contexts, transport buffer pools, a
-/// registry-wired plan cache) from a previous job on the same world;
-/// the first attempt's [`RankEnv::ckpt_attach`] installs them exactly
-/// as a restart installs carried state. After the call — success or
-/// failure — the slots hold the sealed end-of-attempt state
-/// ([`RankEnv`]'s `ckpt_seal` runs for failed ranks too), so the caller
-/// can harvest pools and thread contexts for the next job.
+/// carried resources (plan cache, thread context, transport buffer
+/// pools) from a previous job on the same world; the first attempt's
+/// [`RankEnv::ckpt_attach`] installs them exactly as a restart installs
+/// carried state. After the call — success or failure — the slots hold
+/// the sealed end-of-attempt state ([`RankEnv`]'s `ckpt_seal` runs for
+/// failed ranks too), so the caller can harvest it for the next job.
 pub fn run_supervised_with_state<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -217,7 +216,7 @@ where
         if opts.escalate_deadline && !any_dead(&verdicts) && any_timeout(&verdicts) {
             run_opts.comm.deadline *= 2;
             for slot in slots_ref {
-                slot.lock().unwrap_or_else(|p| p.into_inner()).rec.escalations += 1;
+                lock(slot).rec.escalations += 1;
             }
         }
         rollback(slots_ref);

@@ -29,7 +29,6 @@
 //! [`crate::policy::ExecPolicy::threading`].
 
 use crate::error::ConfigError;
-use crate::plan::LoweringCache;
 use crate::policy::{env_knob, parse_knob};
 use op2_core::dag::ChunkDag;
 use op2_core::schedule::{run_chunk, BoundLoop, SchedCtx, Schedule};
@@ -700,19 +699,15 @@ pub fn measure_sync_s(pool: &ThreadPool, rounds: usize) -> f64 {
     t0.elapsed().as_secs_f64() / rounds as f64
 }
 
-/// Per-rank threading state: the rank's **owned** worker pool (created
-/// lazily at the width the rank's policy configures — ranks do not share
-/// process-global pools), the [`LoweringCache`] of the *standalone*
-/// (Alg 1) loop path (chain loops cache theirs in the
-/// [`crate::plan::ChainPlan`], alongside the other inspector products),
-/// and the executors' reusable scratch. State only — the configuration
-/// is [`crate::policy::ExecPolicy::threading`].
+/// Per-rank execution resources that do not depend on the layout: the
+/// rank's **owned** worker pool (created lazily at the width the rank's
+/// policy configures — ranks do not share process-global pools) and the
+/// executors' reusable scratch. Every lowered schedule lives in the
+/// [`crate::plan::PlanCache`], so a migration fences none of this. State
+/// only — the configuration is [`crate::policy::ExecPolicy::threading`].
 #[derive(Default)]
 pub struct ThreadCtx {
     pool: Option<Arc<ThreadPool>>,
-    /// Standalone-loop lowerings, keyed by (loop signature, range, block
-    /// size).
-    pub lowered: LoweringCache,
     /// Per-worker execution contexts, reused across every schedule run
     /// on this rank so fused scratch pools stop allocating once warm.
     pub sched_ctxs: Vec<SchedCtx>,
@@ -722,15 +717,14 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// The rank's own pool, created on first use at `width` threads. If
-    /// the configured width changes afterwards (the tuner suspends
-    /// threading during calibration), the existing pool is kept — width
-    /// changes only apply before first use.
+    /// The rank's own pool at `width` threads: created on first use, and
+    /// replaced when a caller asks for another width, so a pool carried
+    /// into a differently configured run never runs at the old width.
     pub fn pool(&mut self, width: usize) -> Arc<ThreadPool> {
-        Arc::clone(
-            self.pool
-                .get_or_insert_with(|| Arc::new(ThreadPool::new(width))),
-        )
+        match &self.pool {
+            Some(p) if p.n_threads() == width => Arc::clone(p),
+            _ => Arc::clone(self.pool.insert(Arc::new(ThreadPool::new(width)))),
+        }
     }
 }
 
@@ -864,23 +858,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_ctx_caches_by_key() {
-        use crate::plan::{Lowered, LoweredSchedule, LoweringKey};
-        let ctx = ThreadCtx::default();
-        let key = LoweringKey::Range {
-            owner: 42,
-            start: 0,
-            end: 100,
-            block: 16,
-        };
-        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
-        let (Lowered::Range(first), true) = ctx.lowered.get_or_build(key, build) else {
-            panic!("first lookup must build a range lowering");
-        };
-        let (Lowered::Range(again), false) = ctx.lowered.get_or_build(key, build) else {
-            panic!("second lookup must hit");
-        };
-        assert!(Arc::ptr_eq(&first, &again));
+    fn thread_ctx_pool_follows_the_requested_width() {
+        let mut ctx = ThreadCtx::default();
+        assert_eq!(ctx.pool(2).n_threads(), 2);
+        assert_eq!(ctx.pool(4).n_threads(), 4);
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //!    checkpoint (old-layout checkpoints were dropped by the epoch
 //!    fence) and the run still finishes bitwise equal.
 //! 3. **Service replanning**: `rebalance_mesh_with_costs` re-keys the
-//!    world under a new mesh signature after exactly one registry
-//!    invalidation — the old signature turns into typed `UnknownMesh`,
-//!    the first post-migration job re-inspects and republishes, the job
-//!    after it runs inspection-free, and both match the standalone
+//!    world under a new mesh signature after exactly one plan-cache
+//!    fence — the old signature turns into typed `UnknownMesh`, the
+//!    first post-migration job re-inspects, the job after it runs
+//!    inspection-free, and both match the standalone
 //!    reference computed on the *pre-migration* layouts bitwise.
 //! 4. **App equivalence**: MG-CFD (at 1/2/4 threads) and Hydra (`Safe`
 //!    extents) through `run_job_rebalanced` reproduce the static run's
@@ -371,9 +371,9 @@ fn assert_outcome_matches(
 
 /// Acceptance 3: live re-sharding of a resident service world. A
 /// balanced world refuses to migrate; a cost-skewed one re-keys under a
-/// new signature after exactly one registry invalidation; the old
+/// new signature after exactly one plan-cache fence; the old
 /// signature turns into typed `UnknownMesh`; the first job on the new
-/// signature re-inspects and republishes; the job after it runs
+/// signature re-inspects; the job after it runs
 /// inspection-free — and both match the pre-migration standalone
 /// reference bitwise.
 #[test]
@@ -383,7 +383,7 @@ fn service_replans_exactly_once_after_migration() {
     let svc = Service::new(ServiceConfig::default().run(opts.clone()));
     let mesh = svc.register_mesh(fx.base.clone(), fx.layouts.clone());
 
-    // Warm the shared registry: cold job inspects, warm job does not.
+    // Warm the carried plans: cold job inspects, warm job does not.
     let cold = svc.submit(mesh, &fx.job("cold", 3, 1)).unwrap();
     assert!(cold.trace.plan_total().misses > 0);
     let warm = svc.submit(mesh, &fx.job("warm", 3, 2)).unwrap();
@@ -417,7 +417,7 @@ fn service_replans_exactly_once_after_migration() {
     let post = svc.submit(new_mesh, &job).unwrap();
     assert!(
         post.trace.plan_total().misses > 0,
-        "the registry survived the migration with stale plans"
+        "the carried plans survived the migration"
     );
     assert!(!post.trace.warm);
     assert_outcome_matches(&fx, &post, &want, "first post-migration job");
@@ -428,13 +428,13 @@ fn service_replans_exactly_once_after_migration() {
     let steady = svc.submit(new_mesh, &job2).unwrap();
     let plan = steady.trace.plan_total();
     assert_eq!(plan.misses, 0, "post-migration steady state re-inspected");
-    assert!(plan.registry_hits > 0);
+    assert!(plan.hits > 0);
     assert!(steady.trace.warm);
     assert_outcome_matches(&fx, &steady, &want2, "steady post-migration job");
 
     let m = svc.metrics();
     assert_eq!(m.rebalances, 1, "exactly one migration");
-    assert!(m.invalidated_plans >= 1, "the registry was never invalidated");
+    assert!(m.invalidated_plans >= 1, "the carried plans were never fenced");
     assert!(m.migrated_elements > 0);
     assert!(m.migrated_bytes > 0);
     assert_eq!(m.completed, 4);

@@ -10,7 +10,7 @@
 //!
 //! 1. **Standalone equivalence sweep**: two back-to-back jobs at 1, 2
 //!    and 4 pool threads each match their standalone reference, and the
-//!    second job runs entirely on shared registry plans (zero chain
+//!    second job runs entirely on the world's carried plans (zero chain
 //!    inspections).
 //! 2. **Randomized equivalence** (proptest): random initial state,
 //!    iteration count and thread count all match standalone bitwise.
@@ -194,7 +194,7 @@ fn assert_outcome_matches(
 
 /// Acceptance 1: back-to-back jobs at 1/2/4 threads each bitwise equal
 /// their standalone reference, and the second job on the mesh skips
-/// inspection entirely — every plan comes out of the shared registry.
+/// inspection entirely — every plan comes out of the carried plan cache.
 #[test]
 fn service_jobs_match_standalone_at_1_2_4_threads() {
     for n_threads in [1usize, 2, 4] {
@@ -224,14 +224,14 @@ fn service_jobs_match_standalone_at_1_2_4_threads() {
                     plan.misses, 0,
                     "threads {n_threads}: warm job re-inspected a chain"
                 );
-                assert!(plan.registry_hits > 0, "threads {n_threads}");
+                assert!(plan.hits > 0, "threads {n_threads}");
                 assert!(out.trace.warm, "threads {n_threads}");
             }
         }
         let m = svc.metrics();
         assert_eq!(m.completed, 2);
         assert_eq!(m.warm_jobs, 1);
-        assert!(m.registry_plans >= 1);
+        assert!(m.warm_jobs >= 1);
     }
 }
 
@@ -338,7 +338,7 @@ fn steady_state_reaches_zero_inspection_and_zero_allocs() {
     let warm = svc.submit(mesh, &fx.job("warm", 3, 2)).unwrap();
     let plan = warm.trace.plan_total();
     assert_eq!(plan.misses, 0, "second job inspected a chain");
-    assert!(plan.registry_hits > 0);
+    assert!(plan.hits > 0);
     let steady = svc.submit(mesh, &fx.job("steady", 3, 3)).unwrap();
     assert_eq!(
         steady.trace.payload_allocs(),
@@ -363,7 +363,7 @@ mod chaos {
         let opts = RunOptions::default().with_threads(2);
         let svc = Service::new(ServiceConfig::default().run(opts.clone()));
         let mesh = svc.register_mesh(fx.base.clone(), fx.layouts.clone());
-        // Warm the world so the crash hits a registry-backed job.
+        // Warm the world so the crash hits a job on carried plans.
         svc.submit(mesh, &fx.job("warmup", 2, 7)).unwrap();
 
         let spec = FaultSpec::default()
@@ -405,9 +405,9 @@ mod chaos {
         });
 
         // The crash did not cost the world its warm state: the next job
-        // still runs inspection-free on the shared registry.
+        // still runs inspection-free on the carried plans.
         let after = svc.submit(mesh, &fx.job("after", 3, 10)).unwrap();
-        assert_eq!(after.trace.plan_total().misses, 0, "crash evicted the registry");
+        assert_eq!(after.trace.plan_total().misses, 0, "crash evicted the carried plans");
         let (want_dats, want_gbls) = fx.standalone(&fx.job("after", 3, 10), &opts);
         assert_outcome_matches(&fx, &after, &want_dats, &want_gbls, "post-crash job");
         let m = svc.metrics();
