@@ -85,7 +85,7 @@ impl<'a> ConflictAccess<'a> {
     }
 
     /// Target element of iteration `e` in the access's target set. Like
-    /// the executor ([`crate::schedule::run_elem`]), asserts in debug
+    /// the executor (`kernel::resolve`), asserts in debug
     /// builds that the map entry is not the `u32::MAX` sentinel a
     /// localized map holds beyond the built halo depth: rows of every
     /// iteration inside an executable extent resolve locally.

@@ -1,23 +1,34 @@
-//! The kernel calling convention.
+//! The kernel calling convention and the compiled iteration loops.
 //!
 //! OP2 kernels are small "user functions" applied once per set element,
 //! receiving pointers to each argument's data for that element (gathered
-//! through the maps by the back-end). Here a kernel is a plain function
-//! pointer taking an [`Args`] view; per-component accessors (`get` / `set`
+//! through the maps by the back-end). Here a kernel is any
+//! `Fn(&Args<'_>) + Copy` — in practice a plain `fn` item, a zero-sized
+//! type — taking an [`Args`] view; per-component accessors (`get` / `set`
 //! / `inc`) replace raw pointer arithmetic.
+//!
+//! OP2's translator emits one specialised loop per `op_par_loop`. The
+//! same happens here at declaration: [`Kernel::compile`] monomorphises
+//! the user function together with its argument count `N` into one
+//! [`Kernel`] that owns every iteration loop the executors run (ranges,
+//! index lists, owner-computes windowed ranges and lists, and a
+//! per-element entry point for fused pieces). Slots live in a stack
+//! `[ArgSlot; N]`, so once the kernel inlines, its `get`/`inc` reads are
+//! constant-indexed and need no bounds checks. Argument resolution
+//! (iteration index → element pointer) happens in exactly one place,
+//! the private `resolve`.
 //!
 //! Accessors are *value-based* rather than handing out `&mut [f64]`
 //! because two arguments of one iteration may legally alias (e.g. an edge
 //! whose two map entries resolve to the same node); value-based access
 //! through raw pointers is sound under aliasing, while two live `&mut`
-//! would not be. Mode misuse (writing through a `Read` argument, …) is
-//! caught by debug assertions, mirroring how OP2 relies on the access
-//! descriptors being truthful.
+//! would not be. Mode misuse (writing through a `Read` argument, reading
+//! an `Inc` one, …) is caught by debug assertions, mirroring how OP2
+//! relies on the access descriptors being truthful.
 
 use crate::access::AccessMode;
-
-/// A user kernel: one invocation per set element.
-pub type KernelFn = fn(&Args<'_>);
+use crate::schedule::BoundArg;
+use std::sync::Arc;
 
 /// Resolved location of one argument for the current iteration.
 #[derive(Debug, Clone, Copy)]
@@ -77,13 +88,16 @@ impl<'a> Args<'a> {
         s
     }
 
-    /// Read component `comp` of argument `arg`. Valid for `Read`, `Rw` and
-    /// `Inc` arguments.
+    /// Read component `comp` of argument `arg`. Valid for `Read` and `Rw`
+    /// arguments. An `Inc` argument may not be read: under redundant halo
+    /// compute and owner-computes windows its value mid-loop is partial
+    /// (or a worker's sink), so a kernel reading it would depend on the
+    /// schedule.
     #[inline]
     pub fn get(&self, arg: usize, comp: usize) -> f64 {
         let s = self.slot(arg, comp);
         debug_assert!(
-            s.mode.reads(),
+            matches!(s.mode, AccessMode::Read | AccessMode::Rw),
             "argument {arg} has mode {:?} and may not be read",
             s.mode
         );
@@ -146,16 +160,224 @@ impl<'a> Args<'a> {
     }
 
     /// Copy all components of argument `arg` into `out` (a gather helper
-    /// for kernels that want a local array).
+    /// for kernels that want a local array). Valid where [`Args::get`] is.
     #[inline]
     pub fn load(&self, arg: usize, out: &mut [f64]) {
         let s = &self.slots[arg];
-        debug_assert!(s.mode.reads());
+        debug_assert!(
+            matches!(s.mode, AccessMode::Read | AccessMode::Rw),
+            "argument {arg} has mode {:?} and may not be read",
+            s.mode
+        );
         debug_assert!(out.len() <= s.dim as usize);
         for (c, o) in out.iter_mut().enumerate() {
             // SAFETY: executor guarantees validity; see `Args::new`.
             *o = unsafe { *s.ptr.add(c) };
         }
+    }
+}
+
+/// The most arguments one kernel may take (Hydra's `vflux_edge` has 12).
+pub const MAX_ARGS: usize = 12;
+
+/// A kernel compiled for its loop: the user function monomorphised over
+/// its argument count, owning the iteration loops. Cheap to clone (one
+/// reference count); built once per declaration by [`Kernel::compile`].
+#[derive(Clone)]
+pub struct Kernel(Arc<dyn LoopBody>);
+
+/// Which iterations one compiled-loop call covers.
+pub(crate) enum Iters<'a> {
+    /// `[start, end)`.
+    Range(usize, usize),
+    /// An ascending index list.
+    List(&'a [u32]),
+}
+
+/// An owner-computes chunk's windows: `wins[i] = (lo, len)` is argument
+/// `i`'s owned target window (`(0, u32::MAX)` = unwindowed). An indirect
+/// argument whose target falls outside it is pointed at `sink`, so the
+/// kernel's increment is dropped (the chunk owning that target applies
+/// it). `sink` must be valid for writes of the widest windowed argument's
+/// `dim` and private to the calling worker.
+#[derive(Clone, Copy)]
+pub(crate) struct Mask<'a> {
+    pub wins: &'a [(u32, u32)],
+    pub sink: *mut f64,
+}
+
+/// The iteration loops of one compiled kernel. Every method takes the
+/// loop's bound arguments (`args.len()` equals the kernel's argument
+/// count) under [`crate::schedule::BoundLoop`]'s safety contract.
+trait LoopBody: Send + Sync {
+    /// Argument count `N` the body was compiled for.
+    fn n_args(&self) -> usize;
+    /// Run `iters`, windowed by `mask` if given.
+    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>);
+    /// Resolve every argument at iteration `e` and call the kernel once —
+    /// the per-element entry point (fused pieces; the reference the
+    /// compiled loops are tested against).
+    fn elem(&self, args: &[BoundArg], e: usize);
+}
+
+/// The user function `K` specialised to `N` arguments.
+struct Compiled<K, const N: usize>(K);
+
+/// Where argument `r` points at iteration `e`: element `map[e]` for an
+/// indirect argument, `e` for a direct one, the buffer start for a global
+/// (or scratch-bound) one. Under a window `win = ((lo, len), sink)` an
+/// indirect target outside `[lo, lo + len)` resolves to `sink` instead:
+/// one compare per indirect argument. The only place iteration indices
+/// become data pointers.
+#[inline(always)]
+fn resolve(r: &BoundArg, e: usize, win: Option<((u32, u32), *mut f64)>) -> *mut f64 {
+    let elem = match r.map {
+        Some((mbase, arity, idx)) => {
+            // SAFETY: map values validated at declaration; the schedule
+            // only covers iterations whose entries are within the built
+            // halo depth.
+            let v = unsafe { *mbase.add(e * arity + idx) };
+            debug_assert_ne!(
+                v,
+                u32::MAX,
+                "map entry beyond built halo depth dereferenced"
+            );
+            if let Some(((lo, len), sink)) = win {
+                if v.wrapping_sub(lo) >= len {
+                    return sink;
+                }
+            }
+            v as usize
+        }
+        None if r.direct => e,
+        None => 0,
+    };
+    // SAFETY: in-bounds per dat declaration; concurrent writers are
+    // excluded by the schedule's conflict-freedom (or, windowed, by the
+    // windows: windowed loops modify nothing directly).
+    unsafe { r.base.add(elem * r.dim as usize) }
+}
+
+impl<K, const N: usize> Compiled<K, N>
+where
+    K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+{
+    /// The bound arguments as a fixed-size array.
+    #[inline(always)]
+    fn args(args: &[BoundArg]) -> &[BoundArg; N] {
+        args.try_into()
+            .expect("bound argument count equals the kernel's")
+    }
+
+    /// Fresh slots for `args`; only `ptr` changes per iteration.
+    #[inline(always)]
+    fn slots(args: &[BoundArg; N]) -> [ArgSlot; N] {
+        std::array::from_fn(|i| ArgSlot {
+            ptr: args[i].base,
+            dim: args[i].dim,
+            mode: args[i].mode,
+        })
+    }
+
+    /// One iteration: resolve, call.
+    #[inline(always)]
+    fn call(
+        &self,
+        args: &[BoundArg; N],
+        slots: &mut [ArgSlot; N],
+        e: usize,
+        mask: Option<(&[(u32, u32); N], *mut f64)>,
+    ) {
+        for i in 0..N {
+            slots[i].ptr = resolve(&args[i], e, mask.map(|(w, sink)| (w[i], sink)));
+        }
+        (self.0)(&Args::new(slots));
+    }
+
+    /// Every iteration of `iters`, in order.
+    #[inline(always)]
+    fn walk(
+        &self,
+        args: &[BoundArg; N],
+        iters: Iters<'_>,
+        mask: Option<(&[(u32, u32); N], *mut f64)>,
+    ) {
+        let mut slots = Self::slots(args);
+        match iters {
+            Iters::Range(start, end) => {
+                for e in start..end {
+                    self.call(args, &mut slots, e, mask);
+                }
+            }
+            Iters::List(iters) => {
+                for &e in iters {
+                    self.call(args, &mut slots, e as usize, mask);
+                }
+            }
+        }
+    }
+}
+
+impl<K, const N: usize> LoopBody for Compiled<K, N>
+where
+    K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+{
+    fn n_args(&self) -> usize {
+        N
+    }
+
+    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
+        let args = Self::args(args);
+        match mask {
+            None => self.walk(args, iters, None),
+            Some(Mask { wins, sink }) => {
+                let wins = wins.try_into().expect("one window per argument");
+                self.walk(args, iters, Some((wins, sink)));
+            }
+        }
+    }
+
+    fn elem(&self, args: &[BoundArg], e: usize) {
+        let args = Self::args(args);
+        self.call(args, &mut Self::slots(args), e, None);
+    }
+}
+
+impl Kernel {
+    /// Compile `kernel` for a loop of `n_args` arguments.
+    ///
+    /// # Panics
+    /// If `n_args` exceeds [`MAX_ARGS`].
+    pub fn compile<K>(kernel: K, n_args: usize) -> Kernel
+    where
+        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+    {
+        macro_rules! arities {
+            ($($n:literal)*) => {
+                match n_args {
+                    $($n => Kernel(Arc::new(Compiled::<K, $n>(kernel))),)*
+                    n => panic!("a kernel takes at most {MAX_ARGS} arguments, got {n}"),
+                }
+            };
+        }
+        arities!(0 1 2 3 4 5 6 7 8 9 10 11 12)
+    }
+
+    /// Number of arguments the kernel was compiled for.
+    pub fn n_args(&self) -> usize {
+        self.0.n_args()
+    }
+
+    /// Run `iters` over `args`, windowed by `mask` if given.
+    #[inline]
+    pub(crate) fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
+        self.0.run(args, iters, mask)
+    }
+
+    /// One kernel invocation at iteration `e`.
+    #[inline]
+    pub(crate) fn elem(&self, args: &[BoundArg], e: usize) {
+        self.0.elem(args, e)
     }
 }
 
@@ -227,5 +449,32 @@ mod tests {
         let mut out = [0.0; 3];
         args.load(0, &mut out);
         assert_eq!(out, [3.0, 4.0, 5.0]);
+    }
+
+    /// An `Inc` argument is write-only to the kernel.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "may not be read")]
+    fn get_of_inc_argument_panics() {
+        let mut x = [1.0];
+        let slots = [ArgSlot {
+            ptr: x.as_mut_ptr(),
+            dim: 1,
+            mode: AccessMode::Inc,
+        }];
+        Args::new(&slots).get(0, 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "may not be read")]
+    fn load_of_inc_argument_panics() {
+        let mut x = [1.0, 2.0];
+        let slots = [ArgSlot {
+            ptr: x.as_mut_ptr(),
+            dim: 2,
+            mode: AccessMode::Inc,
+        }];
+        Args::new(&slots).load(0, &mut [0.0; 2]);
     }
 }

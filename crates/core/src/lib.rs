@@ -96,15 +96,15 @@ pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
 pub use dag::ChunkDag;
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
-pub use kernel::{Args, KernelFn};
+pub use kernel::{Args, Kernel};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
 };
 pub use schedule::{
-    bind_chain, elision_valid, run_chunk, run_elem, run_schedule, run_schedule_ctx,
-    run_schedule_threads, slots_for, ArgWindow, BoundArg, BoundLoop, Chunk, FusedGroup, Level,
-    Piece, SchedCtx, Schedule, ScheduleKind, ScratchBind,
+    bind_chain, elision_valid, run_chunk, run_schedule, run_schedule_ctx, run_schedule_threads,
+    ArgWindow, BoundArg, BoundLoop, Chunk, FusedGroup, Level, Piece, SchedCtx, Schedule,
+    ScheduleKind, ScratchBind,
 };
 pub use tiling::{
     build_tile_plan, run_chain_tiled, run_chain_tiled_threads, seed_blocks,

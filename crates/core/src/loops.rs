@@ -3,13 +3,13 @@
 use crate::access::{AccessMode, Arg, GblDecl};
 use crate::domain::{Domain, SetId};
 use crate::error::{CoreError, Result};
-use crate::kernel::KernelFn;
+use crate::kernel::{Args, Kernel};
 
 /// A full parallel-loop declaration: the OP2 `op_par_loop` call.
 ///
-/// Cloneable and cheap: the kernel is a function pointer and the arguments
-/// are small descriptors. Executors (sequential, distributed, CA,
-/// GPU-simulated) all consume the same `LoopSpec`.
+/// Cloneable and cheap: the kernel is compiled once, at declaration, and
+/// shared; the arguments are small descriptors. Executors (sequential,
+/// distributed, CA, GPU-simulated) all consume the same `LoopSpec`.
 #[derive(Clone)]
 pub struct LoopSpec {
     /// Loop name — the identity used by loop-chain configuration files.
@@ -20,8 +20,9 @@ pub struct LoopSpec {
     pub args: Vec<Arg>,
     /// Global-argument declarations, indexed by `Arg::Gbl::idx`.
     pub gbls: Vec<GblDecl>,
-    /// The user function applied to every element.
-    pub kernel: KernelFn,
+    /// The user function applied to every element, compiled into its
+    /// iteration loops ([`Kernel::compile`]).
+    pub kernel: Kernel,
 }
 
 impl std::fmt::Debug for LoopSpec {
@@ -37,30 +38,36 @@ impl std::fmt::Debug for LoopSpec {
 
 impl LoopSpec {
     /// Declare a loop with no global arguments.
-    pub fn new(name: &str, set: SetId, args: Vec<Arg>, kernel: KernelFn) -> Self {
-        LoopSpec {
-            name: name.to_string(),
-            set,
-            args,
-            gbls: Vec::new(),
-            kernel,
-        }
+    ///
+    /// # Panics
+    /// If `args` holds more than [`crate::kernel::MAX_ARGS`] arguments.
+    pub fn new<K>(name: &str, set: SetId, args: Vec<Arg>, kernel: K) -> Self
+    where
+        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+    {
+        Self::with_gbls(name, set, args, Vec::new(), kernel)
     }
 
     /// Declare a loop with global arguments (constants / reductions).
-    pub fn with_gbls(
+    ///
+    /// # Panics
+    /// As [`LoopSpec::new`].
+    pub fn with_gbls<K>(
         name: &str,
         set: SetId,
         args: Vec<Arg>,
         gbls: Vec<GblDecl>,
-        kernel: KernelFn,
-    ) -> Self {
+        kernel: K,
+    ) -> Self
+    where
+        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+    {
         LoopSpec {
             name: name.to_string(),
             set,
+            kernel: Kernel::compile(kernel, args.len()),
             args,
             gbls,
-            kernel,
         }
     }
 
@@ -250,7 +257,7 @@ mod tests {
     use super::*;
     use crate::domain::Domain;
 
-    fn noop(_: &crate::kernel::Args<'_>) {}
+    fn noop(_: &Args<'_>) {}
 
     fn tiny_domain() -> (Domain, SetId, SetId, crate::domain::MapId, crate::domain::DatId) {
         let mut dom = Domain::new();

@@ -41,16 +41,17 @@
 //!
 //! [`BoundLoop`] is the one argument-resolution and kernel-invocation
 //! path shared by every executor: base pointers resolved once per loop,
-//! value-based slot access per iteration. The distributed runtime binds
-//! its rank-local buffers through [`BoundLoop::from_parts`] and reuses
-//! the same chunk walker, so there is exactly one execution loop in the
-//! codebase regardless of back-end.
+//! then each piece handed to the loop's compiled [`Kernel`], whose
+//! monomorphised loops resolve and call per iteration. The distributed
+//! runtime binds its rank-local buffers through [`BoundLoop::from_parts`]
+//! and reuses the same chunk walker, so there is exactly one execution
+//! loop per kernel in the codebase regardless of back-end.
 
 use crate::access::{AccessMode, Arg};
 use crate::coloring::Coloring;
 use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::Domain;
-use crate::kernel::{Args, ArgSlot, KernelFn};
+use crate::kernel::{Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
 use crate::tiling::TilePlan;
 
@@ -725,13 +726,13 @@ pub struct BoundArg {
 /// lowerings, disjoint *windows* of each target set under the
 /// owner-computes one, where a chunk's out-of-window increments land in
 /// its worker's private sink; all data access is value-based through
-/// [`Args`], so no references are formed.
+/// [`crate::kernel::Args`], so no references are formed.
 pub struct BoundLoop {
-    pub kernel: KernelFn,
+    pub kernel: Kernel,
     pub args: Vec<BoundArg>,
 }
 
-// SAFETY: `kernel` is a plain fn pointer; `args` holds raw pointers into
+// SAFETY: `kernel` is `Send + Sync`; `args` holds raw pointers into
 // dat, map and gbl buffers that the struct-level contract keeps alive and
 // unmoved. Callers only share a BoundLoop across threads under a
 // schedule whose same-level chunks modify disjoint elements: disjoint
@@ -778,121 +779,38 @@ impl BoundLoop {
                 }
             }
         }
-        BoundLoop {
-            kernel: spec.kernel,
-            args,
-        }
+        BoundLoop::from_parts(spec.kernel.clone(), args)
     }
 
     /// Assemble from already-resolved parts — the distributed runtime
     /// resolves against its rank-local dat buffers and localized maps.
-    pub fn from_parts(kernel: KernelFn, args: Vec<BoundArg>) -> BoundLoop {
+    ///
+    /// # Panics
+    /// If `args` does not hold one entry per kernel argument.
+    pub fn from_parts(kernel: Kernel, args: Vec<BoundArg>) -> BoundLoop {
+        assert_eq!(
+            args.len(),
+            kernel.n_args(),
+            "one bound argument per kernel argument"
+        );
         BoundLoop { kernel, args }
-    }
-
-    /// Fresh slot buffer for one worker.
-    pub fn slots(&self) -> Vec<ArgSlot> {
-        slots_for(&self.args)
     }
 
     /// Run iterations `[start, end)` on the calling thread.
     pub fn run_range(&self, start: usize, end: usize) {
-        let mut slots = self.slots();
-        for e in start..end {
-            run_elem(self.kernel, &self.args, &mut slots, e);
-        }
+        self.kernel.run(&self.args, Iters::Range(start, end), None);
     }
 }
 
-/// Materialize a fresh slot buffer from resolved args — the single
-/// slot-materialization point every execution path shares (plain range,
-/// list, fused pieces, and the reusable [`SchedCtx`] buffers).
-pub fn slots_for(args: &[BoundArg]) -> Vec<ArgSlot> {
-    args.iter()
-        .map(|r| ArgSlot {
-            ptr: r.base,
-            dim: r.dim,
-            mode: r.mode,
-        })
-        .collect()
-}
-
-/// One kernel invocation at element `e`: point every slot at its
-/// element per the bound args, call the kernel. The only place iteration
-/// indices are resolved to data pointers.
-#[inline]
-pub fn run_elem(kernel: KernelFn, args: &[BoundArg], slots: &mut [ArgSlot], e: usize) {
-    for (slot, r) in slots.iter_mut().zip(args.iter()) {
-        let elem = match (&r.map, r.direct) {
-            (Some((mbase, arity, idx)), _) => {
-                // SAFETY: map values validated at declaration; the
-                // schedule only covers iterations whose entries are
-                // within the built halo depth.
-                let v = unsafe { *mbase.add(e * arity + idx) };
-                debug_assert_ne!(v, u32::MAX, "map entry beyond built halo depth dereferenced");
-                v as usize
-            }
-            (None, true) => e,
-            (None, false) => 0, // gbl / scratch slot
-        };
-        // SAFETY: in-bounds per dat declaration; concurrent writers
-        // are excluded by the schedule's conflict-freedom.
-        slot.ptr = unsafe { r.base.add(elem * r.dim as usize) };
-    }
-    (kernel)(&Args::new(slots));
-}
-
-/// [`run_elem`] for a windowed chunk: `wins[i] = (lo, len)` is argument
-/// `i`'s owned target window (`(0, u32::MAX)` = unwindowed); an indirect
-/// argument whose target falls outside it is pointed at `sink` instead,
-/// so the kernel's increment is dropped (the chunk owning that target
-/// applies it). One compare per indirect argument.
-///
-/// `sink` must be valid for writes of the widest windowed argument's
-/// `dim` and private to the calling worker.
-#[inline]
-fn run_elem_masked(
-    kernel: KernelFn,
-    args: &[BoundArg],
-    slots: &mut [ArgSlot],
-    e: usize,
-    wins: &[(u32, u32)],
-    sink: *mut f64,
-) {
-    for ((slot, r), &(lo, len)) in slots.iter_mut().zip(args.iter()).zip(wins.iter()) {
-        slot.ptr = match (&r.map, r.direct) {
-            (Some((mbase, arity, idx)), _) => {
-                // SAFETY: as in `run_elem`.
-                let v = unsafe { *mbase.add(e * arity + idx) };
-                debug_assert_ne!(v, u32::MAX, "map entry beyond built halo depth dereferenced");
-                if v.wrapping_sub(lo) < len {
-                    // SAFETY: in-bounds per dat declaration; concurrent
-                    // writers are excluded by the windows.
-                    unsafe { r.base.add(v as usize * r.dim as usize) }
-                } else {
-                    sink
-                }
-            }
-            // SAFETY: in-bounds per dat declaration; windowed loops
-            // modify nothing directly.
-            (None, true) => unsafe { r.base.add(e * r.dim as usize) },
-            (None, false) => r.base, // gbl
-        };
-    }
-    (kernel)(&Args::new(slots));
-}
-
-/// Reusable per-worker execution state: one slot buffer per chain loop,
-/// the scratch pool backing elided intermediates, and per-loop bound-arg
-/// overrides that point scratch-bound arguments into that pool. Prepared
-/// once per schedule execution and reused across invocations — at steady
-/// state (same chain, same shapes) [`SchedCtx::prepare`] performs **zero
-/// heap allocations** (the `*_into` reuse pattern); [`SchedCtx::allocs`]
-/// counts the growths that did happen.
+/// Reusable per-worker execution state: the scratch pool backing elided
+/// intermediates, per-loop bound-arg overrides that point scratch-bound
+/// arguments into that pool, and the owner-computes sink and windows.
+/// Prepared once per schedule execution and reused across invocations —
+/// at steady state (same chain, same shapes) [`SchedCtx::prepare`]
+/// performs **zero heap allocations** (the `*_into` reuse pattern);
+/// [`SchedCtx::allocs`] counts the growths that did happen.
 #[derive(Default)]
 pub struct SchedCtx {
-    /// Per chain loop: reusable slot buffer.
-    slots: Vec<Vec<ArgSlot>>,
     /// Scratch pool backing elided per-element intermediates.
     pool: Vec<f64>,
     /// Per chain loop: bound args with scratch rebinds applied (empty =
@@ -937,18 +855,6 @@ impl SchedCtx {
             }
         };
 
-        // Per-loop slot buffers.
-        let cap0 = self.slots.capacity();
-        self.slots.resize_with(bound.len(), Vec::new);
-        self.slots.truncate(bound.len());
-        track(&mut self.allocs, self.slots.capacity() != cap0);
-        for (buf, bl) in self.slots.iter_mut().zip(bound.iter()) {
-            let cap = buf.capacity();
-            buf.clear();
-            buf.extend(slots_for(&bl.args));
-            track(&mut self.allocs, buf.capacity() != cap);
-        }
-
         // Scratch pool.
         let cap0 = self.pool.capacity();
         self.pool.clear();
@@ -987,34 +893,30 @@ impl SchedCtx {
                 }
             }
         }
-        // Slot buffers of overridden loops must reflect the override
-        // (dim of the scratch slot).
-        for (j, ov) in self.overrides.iter().enumerate() {
-            if !ov.is_empty() {
-                let buf = &mut self.slots[j];
-                buf.clear();
-                buf.extend(slots_for(ov));
-            }
-        }
     }
 }
 
 /// Execute one chunk: its pieces in order, on the calling thread.
 /// `bound[j]` must be the resolution of chain loop `j`; `ctx` carries
-/// this worker's slot buffers, scratch pool and arg overrides (prepared
-/// for `sched`).
+/// this worker's scratch pool and arg overrides (prepared for `sched`).
+/// Plain pieces run whole through their loop's compiled body; fused
+/// pieces call each member's per-element entry point in turn.
 pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut SchedCtx) {
     if !chunk.mask.is_empty() {
         return run_chunk_masked(bound, chunk, ctx);
     }
-    let SchedCtx {
-        slots, overrides, ..
-    } = ctx;
+    let overrides = &ctx.overrides;
     let args_of = |j: usize| -> &[BoundArg] {
         if overrides[j].is_empty() {
             &bound[j].args
         } else {
             &overrides[j]
+        }
+    };
+    let fused = |group: u32, e: usize| {
+        for &m in &sched.fused[group as usize].loops {
+            let j = m as usize;
+            bound[j].kernel.elem(args_of(j), e);
         }
     };
     for piece in &chunk.pieces {
@@ -1025,44 +927,26 @@ pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut
                 end,
             } => {
                 let j = *loop_idx as usize;
-                let args = args_of(j);
-                let slots = &mut slots[j];
-                for e in *start as usize..*end as usize {
-                    run_elem(bound[j].kernel, args, slots, e);
-                }
+                let iters = Iters::Range(*start as usize, *end as usize);
+                bound[j].kernel.run(args_of(j), iters, None);
             }
             Piece::List { loop_idx, iters } => {
                 let j = *loop_idx as usize;
-                let args = args_of(j);
-                let slots = &mut slots[j];
-                for &e in iters {
-                    run_elem(bound[j].kernel, args, slots, e as usize);
-                }
+                bound[j].kernel.run(args_of(j), Iters::List(iters), None);
             }
             Piece::Fused { group, start, end } => {
-                let members = &sched.fused[*group as usize].loops;
-                for e in *start as usize..*end as usize {
-                    for &m in members {
-                        let j = m as usize;
-                        run_elem(bound[j].kernel, args_of(j), &mut slots[j], e);
-                    }
-                }
+                (*start as usize..*end as usize).for_each(|e| fused(*group, e));
             }
             Piece::FusedList { group, iters } => {
-                let members = &sched.fused[*group as usize].loops;
-                for &e in iters {
-                    for &m in members {
-                        let j = m as usize;
-                        run_elem(bound[j].kernel, args_of(j), &mut slots[j], e as usize);
-                    }
-                }
+                iters.iter().for_each(|&e| fused(*group, e as usize));
             }
         }
     }
 }
 
 /// [`run_chunk`] for a windowed (owner-computes) chunk: plain pieces of
-/// one loop, every iteration through [`run_elem_masked`].
+/// one loop, every piece through the loop's compiled body under the
+/// chunk's windows (see [`Mask`]).
 fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
     let Some(first) = chunk.pieces.first() else {
         return;
@@ -1072,11 +956,7 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         .expect("windowed chunks hold plain single-loop pieces");
     let BoundLoop { kernel, args } = &bound[j];
     let SchedCtx {
-        slots,
-        sink,
-        wins,
-        allocs,
-        ..
+        sink, wins, allocs, ..
     } = ctx;
     let caps = (sink.capacity(), wins.capacity());
     wins.clear();
@@ -1090,26 +970,21 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         sink.resize(widest, 0.0);
     }
     *allocs += u64::from(caps != (sink.capacity(), wins.capacity()));
-    let sink = sink.as_mut_ptr();
-    let slots = &mut slots[j];
+    let mask = Mask {
+        wins,
+        sink: sink.as_mut_ptr(),
+    };
     for piece in &chunk.pieces {
         // The windows index loop `j`'s arguments.
         assert_eq!(piece.loop_idx(), Some(j), "windowed chunk mixes loops");
-        match piece {
-            Piece::Range { start, end, .. } => {
-                for e in *start as usize..*end as usize {
-                    run_elem_masked(*kernel, args, slots, e, wins, sink);
-                }
-            }
-            Piece::List { iters, .. } => {
-                for &e in iters {
-                    run_elem_masked(*kernel, args, slots, e as usize, wins, sink);
-                }
-            }
+        let iters = match piece {
+            Piece::Range { start, end, .. } => Iters::Range(*start as usize, *end as usize),
+            Piece::List { iters, .. } => Iters::List(iters),
             Piece::Fused { .. } | Piece::FusedList { .. } => {
                 unreachable!("loop_idx() is None for fused pieces")
             }
-        }
+        };
+        kernel.run(args, iters, Some(mask));
     }
 }
 
@@ -1211,6 +1086,7 @@ pub fn bind_chain(
 mod tests {
     use super::*;
     use crate::access::{AccessMode, Arg};
+    use crate::kernel::Args;
     use crate::loops::LoopSpec;
 
     fn bump(args: &Args<'_>) {
@@ -1367,5 +1243,378 @@ mod tests {
         // Producer extent tail: loop 1 runs [4, 6) standalone — harmless.
         let ptail = Schedule::chain_ranges_fused(&[4, 6, 4], groups, &group_of);
         assert!(elision_valid(&[&ptail], &ptail.fused, &group_of));
+    }
+
+    /// How one generated argument reaches its data.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Through the iteration index.
+        Direct(AccessMode),
+        /// Through entry `idx` of the map.
+        Indirect(usize, AccessMode),
+        /// A global buffer.
+        Gbl(AccessMode),
+    }
+
+    impl Shape {
+        fn mode(self) -> AccessMode {
+            match self {
+                Shape::Direct(m) | Shape::Indirect(_, m) | Shape::Gbl(m) => m,
+            }
+        }
+    }
+
+    /// A loop over raw buffers: one per argument, except that every
+    /// indirect `Inc` argument increments one shared accumulator, so map
+    /// rows with repeated entries alias their increments.
+    struct Fixture {
+        shapes: Vec<Shape>,
+        dims: Vec<u32>,
+        map: Vec<u32>,
+        arity: usize,
+        n_iter: usize,
+        n_nodes: usize,
+        /// Initial values: one buffer per argument, then the accumulator.
+        bufs: Vec<Vec<f64>>,
+    }
+
+    impl Fixture {
+        fn new(shapes: Vec<Shape>, dims: Vec<u32>, arity: usize, seed: u64) -> Fixture {
+            let (n_iter, n_nodes) = (40, 9);
+            let mut x = seed;
+            let mut next = move |n: u64| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) % n
+            };
+            let mut map: Vec<u32> = (0..n_iter * arity)
+                .map(|_| next(n_nodes as u64) as u32)
+                .collect();
+            // Every fourth row repeats its first entry.
+            for row in map.chunks_mut(arity).step_by(4) {
+                let first = row[0];
+                row.fill(first);
+            }
+            let acc_dim = shapes
+                .iter()
+                .zip(&dims)
+                .find(|(s, _)| matches!(s, Shape::Indirect(_, AccessMode::Inc)))
+                .map_or(1, |(_, &d)| d as usize);
+            let mut value = move || (next(1000) as f64 - 500.0) / 64.0;
+            let mut bufs: Vec<Vec<f64>> = shapes
+                .iter()
+                .zip(&dims)
+                .map(|(s, &d)| {
+                    let len = match s {
+                        Shape::Direct(_) => n_iter,
+                        Shape::Indirect(..) => n_nodes,
+                        Shape::Gbl(_) => 1,
+                    };
+                    (0..len * d as usize).map(|_| value()).collect()
+                })
+                .collect();
+            bufs.push((0..n_nodes * acc_dim).map(|_| value()).collect());
+            Fixture {
+                shapes,
+                dims,
+                map,
+                arity,
+                n_iter,
+                n_nodes,
+                bufs,
+            }
+        }
+
+        /// `n_args` arguments of random shape and dimension.
+        fn generate(n_args: usize, seed: u64) -> Fixture {
+            let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
+            let mut next = move |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let arity = 1 + next(3) as usize;
+            let acc_dim = 1 + next(3) as u32;
+            let (shapes, dims) = (0..n_args)
+                .map(|_| {
+                    let idx = next(arity as u64) as usize;
+                    let shape = match next(8) {
+                        0 => Shape::Direct(AccessMode::Read),
+                        1 => Shape::Direct(AccessMode::Rw),
+                        2 => Shape::Direct(AccessMode::Write),
+                        3 => Shape::Indirect(idx, AccessMode::Read),
+                        4 | 5 => Shape::Indirect(idx, AccessMode::Inc),
+                        6 => Shape::Gbl(AccessMode::Read),
+                        _ => Shape::Gbl(AccessMode::Inc),
+                    };
+                    let dim = match shape {
+                        Shape::Indirect(_, AccessMode::Inc) => acc_dim,
+                        _ => 1 + next(3) as u32,
+                    };
+                    (shape, dim)
+                })
+                .unzip();
+            Fixture::new(shapes, dims, arity, seed)
+        }
+
+        /// The same loop with every modifying argument that is not an
+        /// indirect `Inc` turned into a read — the owner-computes shape.
+        /// `None` if no indirect `Inc` is left to window.
+        fn windowed(&self) -> Option<Fixture> {
+            let shapes: Vec<Shape> = self
+                .shapes
+                .iter()
+                .map(|&s| match s {
+                    Shape::Direct(_) => Shape::Direct(AccessMode::Read),
+                    Shape::Gbl(_) => Shape::Gbl(AccessMode::Read),
+                    s => s,
+                })
+                .collect();
+            let any_inc = shapes
+                .iter()
+                .any(|s| matches!(s, Shape::Indirect(_, AccessMode::Inc)));
+            any_inc.then(|| Fixture {
+                shapes,
+                dims: self.dims.clone(),
+                map: self.map.clone(),
+                bufs: self.bufs.clone(),
+                ..*self
+            })
+        }
+
+        /// Order-sensitive arithmetic over every readable argument, then
+        /// a write of every writable one: any change in which element an
+        /// argument resolves to, or in the order of updates, shows in the
+        /// bits.
+        fn kernel(&self) -> Kernel {
+            let mut modes = [AccessMode::Read; crate::kernel::MAX_ARGS];
+            for (m, s) in modes.iter_mut().zip(&self.shapes) {
+                *m = s.mode();
+            }
+            let body = move |a: &Args<'_>| {
+                let mut s = 1.0;
+                for i in 0..a.len() {
+                    if matches!(modes[i], AccessMode::Read | AccessMode::Rw) {
+                        for c in 0..a.dim(i) {
+                            s = s * 0.75 + a.get(i, c) * (i + 1) as f64;
+                        }
+                    }
+                }
+                for i in 0..a.len() {
+                    for c in 0..a.dim(i) {
+                        match modes[i] {
+                            AccessMode::Inc => a.inc(i, c, s * (c + 1) as f64),
+                            AccessMode::Rw | AccessMode::Write => a.set(i, c, s - c as f64),
+                            AccessMode::Read => {}
+                        }
+                    }
+                }
+            };
+            Kernel::compile(body, self.shapes.len())
+        }
+
+        /// `n_loops` copies of the loop bound to `bufs`.
+        fn bind(&self, bufs: &mut [Vec<f64>], n_loops: usize) -> Vec<BoundLoop> {
+            let acc = bufs.len() - 1;
+            let args: Vec<BoundArg> = self
+                .shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    let (buf, map) = match s {
+                        Shape::Indirect(idx, m) => {
+                            let buf = if m == AccessMode::Inc { acc } else { i };
+                            (buf, Some((self.map.as_ptr(), self.arity, idx)))
+                        }
+                        Shape::Direct(_) | Shape::Gbl(_) => (i, None),
+                    };
+                    BoundArg {
+                        base: bufs[buf].as_mut_ptr(),
+                        dim: self.dims[i],
+                        mode: s.mode(),
+                        map,
+                        direct: matches!(s, Shape::Direct(_)),
+                    }
+                })
+                .collect();
+            let kernel = self.kernel();
+            (0..n_loops)
+                .map(|_| BoundLoop::from_parts(kernel.clone(), args.clone()))
+                .collect()
+        }
+
+        /// Every buffer's bits after `run` from the initial values.
+        fn after(&self, n_loops: usize, run: impl FnOnce(&[BoundLoop])) -> Vec<Vec<u64>> {
+            let mut bufs = self.bufs.clone();
+            let bound = self.bind(&mut bufs, n_loops);
+            run(&bound);
+            drop(bound);
+            bufs.iter()
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .collect()
+        }
+
+        /// The per-element entry point of every loop, element by element
+        /// over `iters`.
+        fn reference(&self, n_loops: usize, iters: &[u32]) -> Vec<Vec<u64>> {
+            self.after(n_loops, |bound| {
+                for &e in iters {
+                    for bl in bound {
+                        bl.kernel.elem(&bl.args, e as usize);
+                    }
+                }
+            })
+        }
+
+        /// An owner-computes schedule over every iteration: the target
+        /// set cut into three windows (the middle one empty) applied to
+        /// every indirect `Inc` argument; outer chunks run the whole range,
+        /// the middle one lists the iterations landing in its window.
+        fn owned(&self) -> Schedule {
+            let n = self.n_nodes as u32;
+            let bounds = [0, n / 2, n / 2, n];
+            let incs: Vec<usize> = (0..self.shapes.len())
+                .filter(|&i| matches!(self.shapes[i], Shape::Indirect(_, AccessMode::Inc)))
+                .collect();
+            let lands_in = |e: u32, lo: u32, hi: u32| {
+                incs.iter().any(|&i| {
+                    let Shape::Indirect(idx, _) = self.shapes[i] else {
+                        unreachable!("incs are indirect")
+                    };
+                    (lo..hi).contains(&self.map[e as usize * self.arity + idx])
+                })
+            };
+            let chunks = bounds
+                .windows(2)
+                .enumerate()
+                .map(|(t, w)| {
+                    let mask = incs
+                        .iter()
+                        .map(|&i| ArgWindow {
+                            arg: i as u32,
+                            lo: w[0],
+                            hi: w[1],
+                        })
+                        .collect();
+                    let piece = if t == 1 {
+                        let iters = (0..self.n_iter as u32)
+                            .filter(|&e| lands_in(e, w[0], w[1]))
+                            .collect();
+                        Piece::List { loop_idx: 0, iters }
+                    } else {
+                        Piece::Range {
+                            loop_idx: 0,
+                            start: 0,
+                            end: self.n_iter as u32,
+                        }
+                    };
+                    Chunk {
+                        pieces: vec![piece],
+                        mask,
+                    }
+                })
+                .collect();
+            Schedule {
+                n_loops: 1,
+                kind: ScheduleKind::Owned {
+                    start: 0,
+                    end: self.n_iter,
+                },
+                levels: vec![Level { chunks }],
+                fused: Vec::new(),
+            }
+        }
+    }
+
+    /// Range, list, fused and windowed pieces through the compiled
+    /// bodies against the per-element reference, bitwise.
+    fn check_compiled_against_reference(f: &Fixture) {
+        let n = f.n_iter as u32;
+        let range: Vec<u32> = (3..n - 2).collect();
+        let got = f.after(1, |b| run_schedule(b, &Schedule::range(3, n as usize - 2)));
+        assert_eq!(got, f.reference(1, &range), "range piece");
+
+        let list: Vec<u32> = (0..n).filter(|e| e % 3 != 1).collect();
+        let got = f.after(1, |b| run_schedule(b, &Schedule::list(list.clone())));
+        assert_eq!(got, f.reference(1, &list), "list piece");
+
+        let group = || {
+            vec![FusedGroup {
+                loops: vec![0, 1],
+                scratch: Vec::new(),
+            }]
+        };
+        let all: Vec<u32> = (0..n).collect();
+        let fused = Schedule::chain_ranges_fused(&[n as usize; 2], group(), &[Some(0); 2]);
+        assert_eq!(fused.n_fused_pieces(), 1);
+        let got = f.after(2, |b| run_schedule(b, &fused));
+        assert_eq!(got, f.reference(2, &all), "fused piece");
+        let lists = Schedule {
+            n_loops: 2,
+            kind: ScheduleKind::Direct,
+            levels: vec![Level {
+                chunks: vec![Chunk::new(
+                    (0..2)
+                        .map(|loop_idx| Piece::List {
+                            loop_idx,
+                            iters: list.clone(),
+                        })
+                        .collect(),
+                )],
+            }],
+            fused: Vec::new(),
+        };
+        let fused_list = lists.fuse(group(), &[Some(0); 2]);
+        assert_eq!(fused_list.n_fused_pieces(), 1);
+        let got = f.after(2, |b| run_schedule(b, &fused_list));
+        assert_eq!(got, f.reference(2, &list), "fused list piece");
+
+        if let Some(w) = f.windowed() {
+            let sched = w.owned();
+            let expect = w.reference(1, &all);
+            let got = w.after(1, |b| {
+                assert!(sched.windows_valid(&b[0]));
+                run_schedule(b, &sched);
+            });
+            assert_eq!(got, expect, "windowed pieces");
+            let got = w.after(1, |b| run_schedule_threads(b, &sched, 3));
+            assert_eq!(got, expect, "windowed pieces on threads");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// Every arity the compiled kernels cover, mixing direct,
+        /// indirect (with aliased map entries) and global arguments.
+        #[test]
+        fn compiled_bodies_match_per_element_reference(
+            n_args in 1usize..=crate::kernel::MAX_ARGS,
+            seed in 0u64..1_000_000,
+        ) {
+            check_compiled_against_reference(&Fixture::generate(n_args, seed));
+        }
+    }
+
+    /// Hydra's `vflux_edge` shape: ten indirect reads of five dats and
+    /// two indirect increments of one, through a two-entry map.
+    #[test]
+    fn twelve_argument_vflux_shape_matches_reference() {
+        let mut shapes: Vec<Shape> = (0..10)
+            .map(|i| Shape::Indirect(i % 2, AccessMode::Read))
+            .collect();
+        shapes.extend((0..2).map(|idx| Shape::Indirect(idx, AccessMode::Inc)));
+        let dims = vec![5, 5, 3, 3, 5, 5, 1, 1, 1, 1, 5, 5];
+        let f = Fixture::new(shapes, dims, 2, 7);
+        assert_eq!(f.kernel().n_args(), 12);
+        check_compiled_against_reference(&f);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 arguments")]
+    fn more_arguments_than_compiled_arities_panic() {
+        Kernel::compile(|_: &Args<'_>| {}, crate::kernel::MAX_ARGS + 1);
     }
 }

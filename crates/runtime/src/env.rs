@@ -307,7 +307,7 @@ impl<'a> RankEnv<'a> {
                 }
             }
         }
-        BoundLoop::from_parts(spec.kernel, args)
+        BoundLoop::from_parts(spec.kernel.clone(), args)
     }
 
     /// Drain `bound` over `low` on the rank's pool. Under

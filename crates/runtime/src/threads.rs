@@ -379,7 +379,7 @@ impl<'a> CtxSlab<'a> {
 /// [`op2_core::schedule::run_schedule`] for any pool width.
 ///
 /// The per-worker contexts are caller-owned, so repeated executions of
-/// a (fused) schedule reuse the scratch pools and slot buffers instead
+/// a (fused) schedule reuse the scratch pools and argument overrides instead
 /// of reallocating: zero heap allocations at steady state. `ctxs` is
 /// grown to the pool width on entry and every context is prepared
 /// against `(bound, sched)` before the first round.
