@@ -2,7 +2,9 @@
 //!
 //! `flux_kernel_per_iter` doubles as the calibration run for the model
 //! constant `g` (seconds per edge-kernel iteration) — compare its
-//! result against `Machine::archer2().g_default`.
+//! result against `Machine::archer2().g_default`. `update_per_iter` and
+//! `edge_flux_per_iter` time the synthetic chain's two cheap indirect
+//! loops, where argument resolution is a large share of each iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mg_cfd::{MgCfd, MgCfdParams};
@@ -19,15 +21,21 @@ fn bench_flux_kernel(c: &mut Criterion) {
     let mut app = MgCfd::new(params);
     let init = app.init_loop(0);
     seq::run_loop(&mut app.dom, &init);
-    let flux = app.flux_loop(0);
+    let loops = [
+        ("flux_kernel_per_iter", app.flux_loop(0)),
+        ("update_per_iter", app.update_loop()),
+        ("edge_flux_per_iter", app.edge_flux_loop()),
+    ];
     let n_edges = app.dom.set(app.levels[0].ids.edges).size;
     let mut g = c.benchmark_group("seq_kernels");
     g.throughput(criterion::Throughput::Elements(n_edges as u64));
-    g.bench_function("flux_kernel_per_iter", |b| {
-        b.iter(|| {
-            seq::run_loop(black_box(&mut app.dom), black_box(&flux));
-        })
-    });
+    for (name, spec) in &loops {
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                seq::run_loop(black_box(&mut app.dom), black_box(spec));
+            })
+        });
+    }
     g.finish();
 }
 

@@ -16,7 +16,11 @@
 //! `[ArgSlot; N]`, so once the kernel inlines, its `get`/`inc` reads are
 //! constant-indexed and need no bounds checks. Argument resolution
 //! (iteration index → element pointer) happens in exactly one place,
-//! the private `resolve`.
+//! the private `resolve`, and is the same straight-line code for every
+//! argument: each is bound in one form (see [`BoundArg`]), so resolving
+//! is one gathered index load and one multiply-add, with no branch on
+//! the argument's kind. A compiled loop walks its own stack copy of the
+//! `N` bound arguments, which the kernel's stores cannot alias.
 //!
 //! Accessors are *value-based* rather than handing out `&mut [f64]`
 //! because two arguments of one iteration may legally alias (e.g. an edge
@@ -223,39 +227,33 @@ trait LoopBody: Send + Sync {
 /// The user function `K` specialised to `N` arguments.
 struct Compiled<K, const N: usize>(K);
 
-/// Where argument `r` points at iteration `e`: element `map[e]` for an
-/// indirect argument, `e` for a direct one, the buffer start for a global
-/// (or scratch-bound) one. Under a window `win = ((lo, len), sink)` an
-/// indirect target outside `[lo, lo + len)` resolves to `sink` instead:
-/// one compare per indirect argument. The only place iteration indices
-/// become data pointers.
+/// Where argument `r` points at iteration `e`:
+/// `base + dim·map[e·mstride] + e·estride` in [`BoundArg`]'s one form —
+/// a gathered index load and a multiply-add, the same straight-line code
+/// for indirect, direct, global and scratch-bound arguments. Under a
+/// window `win = ((lo, len), sink)` a gathered index outside
+/// `[lo, lo + len)` resolves to `sink` instead (an unwindowed argument's
+/// `(0, u32::MAX)` passes every valid index). The only place iteration
+/// indices become data pointers.
 #[inline(always)]
 fn resolve(r: &BoundArg, e: usize, win: Option<((u32, u32), *mut f64)>) -> *mut f64 {
-    let elem = match r.map {
-        Some((mbase, arity, idx)) => {
-            // SAFETY: map values validated at declaration; the schedule
-            // only covers iterations whose entries are within the built
-            // halo depth.
-            let v = unsafe { *mbase.add(e * arity + idx) };
-            debug_assert_ne!(
-                v,
-                u32::MAX,
-                "map entry beyond built halo depth dereferenced"
-            );
-            if let Some(((lo, len), sink)) = win {
-                if v.wrapping_sub(lo) >= len {
-                    return sink;
-                }
-            }
-            v as usize
+    // SAFETY: map values validated at declaration; the schedule only
+    // covers iterations whose entries are within the built halo depth.
+    let v = unsafe { r.gather(e) };
+    debug_assert_ne!(
+        v,
+        u32::MAX,
+        "map entry beyond built halo depth dereferenced"
+    );
+    if let Some(((lo, len), sink)) = win {
+        if v.wrapping_sub(lo) >= len {
+            return sink;
         }
-        None if r.direct => e,
-        None => 0,
-    };
+    }
     // SAFETY: in-bounds per dat declaration; concurrent writers are
     // excluded by the schedule's conflict-freedom (or, windowed, by the
     // windows: windowed loops modify nothing directly).
-    unsafe { r.base.add(elem * r.dim as usize) }
+    unsafe { r.base.add(v as usize * r.dim as usize + e * r.estride) }
 }
 
 impl<K, const N: usize> Compiled<K, N>
@@ -327,12 +325,15 @@ where
     }
 
     fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
-        let args = Self::args(args);
+        // A private copy: no store through the kernel's `*mut f64` can
+        // reach it, so the descriptors stay in registers across calls
+        // instead of being reloaded from the heap after each one.
+        let args = *Self::args(args);
         match mask {
-            None => self.walk(args, iters, None),
+            None => self.walk(&args, iters, None),
             Some(Mask { wins, sink }) => {
                 let wins = wins.try_into().expect("one window per argument");
-                self.walk(args, iters, Some((wins, sink)));
+                self.walk(&args, iters, Some((wins, sink)));
             }
         }
     }
@@ -449,6 +450,54 @@ mod tests {
         let mut out = [0.0; 3];
         args.load(0, &mut out);
         assert_eq!(out, [3.0, 4.0, 5.0]);
+    }
+
+    /// `resolve` against plain index arithmetic, for every argument kind:
+    /// indirect through both entries of a two-entry map (one row aliases
+    /// them), direct, global and scratch-bound; unwindowed, and under a
+    /// window whose in-window targets resolve normally and whose
+    /// out-of-window ones (below, and exactly at its end) go to the sink.
+    #[test]
+    fn resolve_matches_index_arithmetic() {
+        let (arity, n_iter) = (2usize, 4usize);
+        let map: Vec<u32> = vec![3, 1, 2, 2, 0, 4, 1, 3];
+        let mut nodes = vec![0.0; 5 * 3];
+        let mut cells = vec![0.0; n_iter * 2];
+        let mut gbl = vec![0.0; 4];
+        let mut pool = vec![0.0; 8];
+        let mut sink = [0.0; 3];
+        let (nb, cb, gb, pb) = (
+            nodes.as_mut_ptr(),
+            cells.as_mut_ptr(),
+            gbl.as_mut_ptr(),
+            pool.as_mut_ptr(),
+        );
+        let sink = sink.as_mut_ptr();
+        let scratch = pb.wrapping_add(5);
+        let ind = |idx| BoundArg::indirect(nb, 3, AccessMode::Inc, map.as_ptr(), arity, idx);
+        let direct = BoundArg::direct(cb, 2, AccessMode::Rw);
+        let global = BoundArg::global(gb, 4, AccessMode::Read);
+        let scratched = BoundArg::global(scratch, 3, AccessMode::Read);
+        // Window [1, 3) of the target set: 1 and 2 in, 0, 3 and 4 out.
+        let (win, open) = ((1u32, 2u32), (0u32, u32::MAX));
+        for e in 0..n_iter {
+            for idx in 0..arity {
+                let v = map[e * arity + idx];
+                let at = nb.wrapping_add(v as usize * 3);
+                assert_eq!(resolve(&ind(idx), e, None), at, "indirect e={e} idx={idx}");
+                assert_eq!(resolve(&ind(idx), e, Some((open, sink))), at);
+                let windowed = if (1..3).contains(&v) { at } else { sink };
+                assert_eq!(resolve(&ind(idx), e, Some((win, sink))), windowed, "v={v}");
+            }
+            for w in [None, Some((open, sink))] {
+                assert_eq!(resolve(&direct, e, w), cb.wrapping_add(e * 2), "e={e}");
+                assert_eq!(resolve(&global, e, w), gb);
+                assert_eq!(resolve(&scratched, e, w), scratch);
+            }
+        }
+        // Row 1 names node 2 twice: both entries resolve to one element.
+        assert_eq!(resolve(&ind(0), 1, None), resolve(&ind(1), 1, None));
+        assert!(ind(0).is_indirect() && !direct.is_indirect() && !global.is_indirect());
     }
 
     /// An `Inc` argument is write-only to the kernel.

@@ -43,14 +43,15 @@
 //! path shared by every executor: base pointers resolved once per loop,
 //! then each piece handed to the loop's compiled [`Kernel`], whose
 //! monomorphised loops resolve and call per iteration. The distributed
-//! runtime binds its rank-local buffers through [`BoundLoop::from_parts`]
-//! and reuses the same chunk walker, so there is exactly one execution
-//! loop per kernel in the codebase regardless of back-end.
+//! runtime binds its rank-local buffers through [`BoundLoop::bind_with`]
+//! (the same argument binding with its own buffer and map lookups) and
+//! reuses the same chunk walker, so there is exactly one execution loop
+//! per kernel in the codebase regardless of back-end.
 
 use crate::access::{AccessMode, Arg};
 use crate::coloring::Coloring;
 use crate::conflict::{levels_valid, ConflictAccess};
-use crate::domain::Domain;
+use crate::domain::{DatId, Domain, MapId};
 use crate::kernel::{Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
 use crate::tiling::TilePlan;
@@ -434,18 +435,21 @@ impl Schedule {
         if self.levels.len() != 1 {
             return false;
         }
-        // The windowed arguments are exactly the loop's dat-modifying
-        // ones, each an `Inc` through a map.
+        // The windowed arguments are exactly the loop's modifying ones,
+        // each an `Inc` through a map (a global reduction would race
+        // across chunks).
         let windowed: Vec<usize> = first.mask.iter().map(|w| w.arg as usize).collect();
         let windowed_ok = windowed.iter().all(|&i| {
             bound
                 .args
                 .get(i)
-                .is_some_and(|a| a.mode == AccessMode::Inc && a.map.is_some())
+                .is_some_and(|a| a.mode == AccessMode::Inc && a.is_indirect())
         });
-        let rest_ok = bound.args.iter().enumerate().all(|(i, a)| {
-            windowed.contains(&i) || !(a.mode.modifies() && (a.map.is_some() || a.direct))
-        });
+        let rest_ok = bound
+            .args
+            .iter()
+            .enumerate()
+            .all(|(i, a)| windowed.contains(&i) || !a.mode.modifies());
         if !windowed_ok || !rest_ok {
             return false;
         }
@@ -480,11 +484,9 @@ impl Schedule {
                     }
                     last = Some(e);
                     for (k, w) in chunk.mask.iter().enumerate() {
-                        let (mbase, arity, idx) =
-                            bound.args[w.arg as usize].map.expect("windowed_ok");
                         // SAFETY: `BoundLoop` contract; `e` is an
                         // iteration the schedule is about to execute.
-                        let v = unsafe { *mbase.add(e * arity + idx) };
+                        let v = unsafe { bound.args[w.arg as usize].gather(e) };
                         if (w.lo..w.hi).contains(&v) {
                             let n = &mut unmasked[(e - start) * n_mask + k];
                             *n = n.saturating_add(1);
@@ -700,19 +702,91 @@ pub fn elision_valid(scheds: &[&Schedule], groups: &[FusedGroup], group_of: &[Op
     true
 }
 
-/// One resolved kernel argument: base pointer, element stride, access
-/// mode, and how iteration index maps to element index.
+/// One resolved kernel argument in the one branch-free form every kind
+/// shares: at iteration `e` its data starts at
+/// `base + dim·map[e·mstride] + e·estride`.
+///
+/// | kind | `map` | `mstride` | `estride` |
+/// |---|---|---|---|
+/// | indirect | the map's values, offset by the entry `idx` | arity | 0 |
+/// | direct | a shared static zero row | 0 | `dim` |
+/// | global, scratch slot | the zero row | 0 | 0 |
+///
+/// Built only by the constructors below, which keep the strides
+/// consistent with `dim`.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundArg {
     /// Base of the dat / gbl buffer.
-    pub base: *mut f64,
+    pub(crate) base: *mut f64,
     /// Components per element (gbl: buffer length).
-    pub dim: u32,
-    pub mode: AccessMode,
-    /// `Some((map base, arity, idx))` for indirect args.
-    pub map: Option<(*const u32, usize, usize)>,
-    /// Direct args index by iteration; gbl args by zero.
-    pub direct: bool,
+    pub(crate) dim: u32,
+    pub(crate) mode: AccessMode,
+    /// Where the element index is gathered from.
+    map: *const u32,
+    /// `map` step per iteration.
+    mstride: usize,
+    /// `base` step per iteration, in `f64`s.
+    pub(crate) estride: usize,
+}
+
+/// The map every non-indirect argument gathers its element index from:
+/// with `mstride` 0 it reads entry 0 at every iteration.
+static ZERO_ROW: [u32; 1] = [0];
+
+impl BoundArg {
+    /// Entry `idx` of the `arity`-entry rows at `values`.
+    pub fn indirect(
+        base: *mut f64,
+        dim: u32,
+        mode: AccessMode,
+        values: *const u32,
+        arity: usize,
+        idx: usize,
+    ) -> BoundArg {
+        debug_assert!(idx < arity, "map entry {idx} of an arity-{arity} map");
+        BoundArg {
+            map: values.wrapping_add(idx),
+            mstride: arity,
+            ..BoundArg::global(base, dim, mode)
+        }
+    }
+
+    /// Element `e` at iteration `e`.
+    pub fn direct(base: *mut f64, dim: u32, mode: AccessMode) -> BoundArg {
+        BoundArg {
+            estride: dim as usize,
+            ..BoundArg::global(base, dim, mode)
+        }
+    }
+
+    /// The buffer start at every iteration: a global, or an elided
+    /// intermediate bound to its scratch slot.
+    pub fn global(base: *mut f64, dim: u32, mode: AccessMode) -> BoundArg {
+        BoundArg {
+            base,
+            dim,
+            mode,
+            map: ZERO_ROW.as_ptr(),
+            mstride: 0,
+            estride: 0,
+        }
+    }
+
+    /// Whether the element is gathered through a map.
+    pub(crate) fn is_indirect(&self) -> bool {
+        self.mstride != 0
+    }
+
+    /// The element index gathered at iteration `e`, `map[e·mstride]`
+    /// (0 for a direct or global argument).
+    ///
+    /// # Safety
+    /// `e` must be an iteration the binding covers ([`BoundLoop`]'s
+    /// contract).
+    #[inline(always)]
+    pub(crate) unsafe fn gather(&self, e: usize) -> u32 {
+        *self.map.add(e * self.mstride)
+    }
 }
 
 /// A loop with every argument resolved to raw pointers — the single
@@ -749,36 +823,42 @@ impl BoundLoop {
     /// the loop's global arguments; it must not be moved or resized
     /// while the returned `BoundLoop` is live.
     pub fn bind(dom: &mut Domain, spec: &LoopSpec, gbl_bufs: &mut [Vec<f64>]) -> BoundLoop {
-        let mut args = Vec::with_capacity(spec.args.len());
-        for arg in &spec.args {
-            match arg {
+        BoundLoop::bind_with(spec, gbl_bufs, |dat, map| {
+            let base = dom.dat_mut(dat).data.as_mut_ptr();
+            let map = map.map(|m| (dom.map(m).values.as_ptr(), dom.map(m).arity));
+            (base, dom.dat(dat).dim as u32, map)
+        })
+    }
+
+    /// Resolve `spec` through `lookup(dat, map)`: the dat's buffer base
+    /// and dim, and — when `map` is given (an indirect argument) — that
+    /// map's values and arity. `gbl_bufs` backs the global arguments as
+    /// in [`BoundLoop::bind`]. Binding against a global domain and
+    /// against a rank's local buffers differ only in `lookup`.
+    pub fn bind_with(
+        spec: &LoopSpec,
+        gbl_bufs: &mut [Vec<f64>],
+        mut lookup: impl FnMut(DatId, Option<MapId>) -> (*mut f64, u32, Option<(*const u32, usize)>),
+    ) -> BoundLoop {
+        let args = spec
+            .args
+            .iter()
+            .map(|arg| match *arg {
                 Arg::Dat { dat, map, mode } => {
-                    let dim = dom.dat(*dat).dim as u32;
-                    let base = dom.dat_mut(*dat).data.as_mut_ptr();
-                    let map_info = map.map(|(m, idx)| {
-                        let md = dom.map(m);
-                        (md.values.as_ptr(), md.arity, idx as usize)
-                    });
-                    args.push(BoundArg {
-                        base,
-                        dim,
-                        mode: *mode,
-                        map: map_info,
-                        direct: map.is_none(),
-                    });
+                    let (base, dim, values) = lookup(dat, map.map(|(m, _)| m));
+                    match map.zip(values) {
+                        Some(((_, idx), (values, arity))) => {
+                            BoundArg::indirect(base, dim, mode, values, arity, idx as usize)
+                        }
+                        None => BoundArg::direct(base, dim, mode),
+                    }
                 }
                 Arg::Gbl { idx, mode } => {
-                    let buf = &mut gbl_bufs[*idx as usize];
-                    args.push(BoundArg {
-                        base: buf.as_mut_ptr(),
-                        dim: buf.len() as u32,
-                        mode: *mode,
-                        map: None,
-                        direct: false,
-                    });
+                    let buf = &mut gbl_bufs[idx as usize];
+                    BoundArg::global(buf.as_mut_ptr(), buf.len() as u32, mode)
                 }
-            }
-        }
+            })
+            .collect();
         BoundLoop::from_parts(spec.kernel.clone(), args)
     }
 
@@ -883,13 +963,7 @@ impl SchedCtx {
                         track(&mut self.allocs, ov.capacity() != cap);
                     }
                     let mode = ov[arg as usize].mode;
-                    ov[arg as usize] = BoundArg {
-                        base: slot_ptr,
-                        dim: s.dim,
-                        mode,
-                        map: None,
-                        direct: false,
-                    };
+                    ov[arg as usize] = BoundArg::global(slot_ptr, s.dim, mode);
                 }
             }
         }
@@ -1423,19 +1497,15 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &s)| {
-                    let (buf, map) = match s {
+                    let dim = self.dims[i];
+                    match s {
                         Shape::Indirect(idx, m) => {
                             let buf = if m == AccessMode::Inc { acc } else { i };
-                            (buf, Some((self.map.as_ptr(), self.arity, idx)))
+                            let base = bufs[buf].as_mut_ptr();
+                            BoundArg::indirect(base, dim, m, self.map.as_ptr(), self.arity, idx)
                         }
-                        Shape::Direct(_) | Shape::Gbl(_) => (i, None),
-                    };
-                    BoundArg {
-                        base: bufs[buf].as_mut_ptr(),
-                        dim: self.dims[i],
-                        mode: s.mode(),
-                        map,
-                        direct: matches!(s, Shape::Direct(_)),
+                        Shape::Direct(m) => BoundArg::direct(bufs[i].as_mut_ptr(), dim, m),
+                        Shape::Gbl(m) => BoundArg::global(bufs[i].as_mut_ptr(), dim, m),
                     }
                 })
                 .collect();

@@ -38,10 +38,8 @@ use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::conflict::chain_accesses;
 use op2_core::dag::ChunkDag;
 use op2_core::par::thread_schedule;
-use op2_core::schedule::{
-    run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
-};
-use op2_core::{Arg, ChainSpec, DatId, Domain, LoopSig, LoopSpec};
+use op2_core::schedule::{run_schedule_ctx, BoundLoop, SchedCtx, Schedule, ScheduleKind};
+use op2_core::{ChainSpec, DatId, Domain, LoopSig, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -277,37 +275,14 @@ impl<'a> RankEnv<'a> {
     /// and localized maps — the runtime-side constructor of the shared
     /// [`BoundLoop`] execution path.
     fn bind_loop(&mut self, spec: &LoopSpec, gbl_bufs: &mut [Vec<f64>]) -> BoundLoop {
-        let mut args = Vec::with_capacity(spec.args.len());
-        for arg in &spec.args {
-            match arg {
-                Arg::Dat { dat, map, mode } => {
-                    let dim = self.dom.dat(*dat).dim as u32;
-                    let base = self.dats[dat.idx()].as_mut_ptr();
-                    let map_info = map.map(|(m, idx)| {
-                        let lm = &self.layout.maps[m.idx()];
-                        (lm.values.as_ptr(), lm.arity, idx as usize)
-                    });
-                    args.push(BoundArg {
-                        base,
-                        dim,
-                        mode: *mode,
-                        map: map_info,
-                        direct: map.is_none(),
-                    });
-                }
-                Arg::Gbl { idx, mode } => {
-                    let buf = &mut gbl_bufs[*idx as usize];
-                    args.push(BoundArg {
-                        base: buf.as_mut_ptr(),
-                        dim: buf.len() as u32,
-                        mode: *mode,
-                        map: None,
-                        direct: false,
-                    });
-                }
-            }
-        }
-        BoundLoop::from_parts(spec.kernel.clone(), args)
+        BoundLoop::bind_with(spec, gbl_bufs, |dat, map| {
+            let base = self.dats[dat.idx()].as_mut_ptr();
+            let map = map.map(|m| {
+                let lm = &self.layout.maps[m.idx()];
+                (lm.values.as_ptr(), lm.arity)
+            });
+            (base, self.dom.dat(dat).dim as u32, map)
+        })
     }
 
     /// Drain `bound` over `low` on the rank's pool. Under
