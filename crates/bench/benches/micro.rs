@@ -5,8 +5,12 @@
 //! result against `Machine::archer2().g_default`. `update_per_iter` and
 //! `edge_flux_per_iter` time the synthetic chain's two cheap indirect
 //! loops, where argument resolution is a large share of each iteration.
+//! `vflux_edge_per_iter` times Hydra's 12-argument `vflux_edge`, the
+//! widest compiled kernel body.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hydra_sim::app::Step;
+use hydra_sim::{ExtentMode, Hydra, HydraParams};
 use mg_cfd::{MgCfd, MgCfdParams};
 use op2_core::chain::{calc_halo_extents, calc_halo_layers};
 use op2_core::seq;
@@ -28,7 +32,7 @@ fn bench_flux_kernel(c: &mut Criterion) {
     ];
     let n_edges = app.dom.set(app.levels[0].ids.edges).size;
     let mut g = c.benchmark_group("seq_kernels");
-    g.throughput(criterion::Throughput::Elements(n_edges as u64));
+    g.throughput(Throughput::Elements(n_edges as u64));
     for (name, spec) in &loops {
         g.bench_function(*name, |b| {
             b.iter(|| {
@@ -36,6 +40,25 @@ fn bench_flux_kernel(c: &mut Criterion) {
             })
         });
     }
+
+    let mut hydra = Hydra::new(HydraParams::small(24));
+    let init = hydra.init_loop();
+    seq::run_loop(&mut hydra.mesh.dom, &init);
+    let vflux = hydra
+        .iteration(false, ExtentMode::Safe)
+        .into_iter()
+        .find_map(|s| match s {
+            Step::Loop(l) if l.name == "vflux_edge" => Some(l),
+            _ => None,
+        })
+        .expect("the iteration runs vflux_edge");
+    let n_edges = hydra.mesh.dom.set(hydra.mesh.edges).size;
+    g.throughput(Throughput::Elements(n_edges as u64));
+    g.bench_function("vflux_edge_per_iter", |b| {
+        b.iter(|| {
+            seq::run_loop(black_box(&mut hydra.mesh.dom), black_box(&vflux));
+        })
+    });
     g.finish();
 }
 

@@ -2,10 +2,19 @@
 //!
 //! OP2 kernels are small "user functions" applied once per set element,
 //! receiving pointers to each argument's data for that element (gathered
-//! through the maps by the back-end). Here a kernel is any
-//! `Fn(&Args<'_>) + Copy` — in practice a plain `fn` item, a zero-sized
-//! type — taking an [`Args`] view; per-component accessors (`get` / `set`
-//! / `inc`) replace raw pointer arithmetic.
+//! through the maps by the back-end). Here a kernel is any [`KernelFn`]
+//! taking an [`Args`] view; per-component accessors (`get` / `set` /
+//! `inc`) replace raw pointer arithmetic.
+//!
+//! Declare kernels with [`kernel!`](crate::kernel!): it turns each
+//! `fn name(args: &Args<'_>) { body }` into a zero-sized type `name`
+//! whose `KernelFn::call` is `#[inline(always)]` and holds `body`, so
+//! every compiled loop contains the body inline — a property of the
+//! kernel's type, not of the optimiser's inlining heuristics. Any
+//! `Fn(&Args<'_>) + Copy + Send + Sync + 'static` (a closure, a `fn` item
+//! or a `fn` pointer) is a `KernelFn` too, through a blanket impl, and
+//! runs through the same loops; but its body sits behind `Fn::call` and
+//! may stay out of line.
 //!
 //! OP2's translator emits one specialised loop per `op_par_loop`. The
 //! same happens here at declaration: [`Kernel::compile`] monomorphises
@@ -184,6 +193,69 @@ impl<'a> Args<'a> {
 /// The most arguments one kernel may take (Hydra's `vflux_edge` has 12).
 pub const MAX_ARGS: usize = 12;
 
+/// A user kernel: applied once per iteration to that iteration's
+/// [`Args`]. Declare one with [`kernel!`](crate::kernel!), whose `call`
+/// always inlines into the compiled loops; every
+/// `Fn(&Args<'_>) + Copy + Send + Sync + 'static` is one as well.
+pub trait KernelFn: Copy + Send + Sync + 'static {
+    /// Run the kernel on one iteration's arguments.
+    fn call(self, args: &Args<'_>);
+}
+
+impl<F> KernelFn for F
+where
+    F: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
+{
+    #[inline(always)]
+    fn call(self, args: &Args<'_>) {
+        self(args)
+    }
+}
+
+/// Declare kernels whose bodies inline into every compiled loop.
+///
+/// Each `fn name(args: &Args<'_>) { body }` becomes a unit struct `name`
+/// (doc comments and attributes carried over) implementing [`KernelFn`]
+/// with an `#[inline(always)]` `call` that holds `body`. The name is still
+/// what a loop declaration passes: `LoopSpec::new(.., kernels::name)`.
+///
+/// ```
+/// use op2_core::kernel::ArgSlot;
+/// use op2_core::{kernel, AccessMode, Args, KernelFn};
+///
+/// kernel! {
+///     /// `axpy` — `y` INC (arg 0), `x` READ (arg 1).
+///     pub fn axpy(args: &Args<'_>) {
+///         args.inc(0, 0, 2.0 * args.get(1, 0));
+///     }
+/// }
+///
+/// let (mut y, mut x) = ([1.0], [3.0]);
+/// let slots = [
+///     ArgSlot { ptr: y.as_mut_ptr(), dim: 1, mode: AccessMode::Inc },
+///     ArgSlot { ptr: x.as_mut_ptr(), dim: 1, mode: AccessMode::Read },
+/// ];
+/// axpy.call(&Args::new(&slots));
+/// assert_eq!(y, [7.0]);
+/// ```
+#[macro_export]
+macro_rules! kernel {
+    ($(
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($args:ident: $ty:ty) $body:block
+    )*) => {$(
+        $(#[$attr])*
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        $vis struct $name;
+
+        impl $crate::kernel::KernelFn for $name {
+            #[inline(always)]
+            fn call(self, $args: $ty) $body
+        }
+    )*};
+}
+
 /// A kernel compiled for its loop: the user function monomorphised over
 /// its argument count, owning the iteration loops. Cheap to clone (one
 /// reference count); built once per declaration by [`Kernel::compile`].
@@ -256,10 +328,7 @@ fn resolve(r: &BoundArg, e: usize, win: Option<((u32, u32), *mut f64)>) -> *mut 
     unsafe { r.base.add(v as usize * r.dim as usize + e * r.estride) }
 }
 
-impl<K, const N: usize> Compiled<K, N>
-where
-    K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
-{
+impl<K: KernelFn, const N: usize> Compiled<K, N> {
     /// The bound arguments as a fixed-size array.
     #[inline(always)]
     fn args(args: &[BoundArg]) -> &[BoundArg; N] {
@@ -289,7 +358,7 @@ where
         for i in 0..N {
             slots[i].ptr = resolve(&args[i], e, mask.map(|(w, sink)| (w[i], sink)));
         }
-        (self.0)(&Args::new(slots));
+        self.0.call(&Args::new(slots));
     }
 
     /// Every iteration of `iters`, in order.
@@ -316,10 +385,7 @@ where
     }
 }
 
-impl<K, const N: usize> LoopBody for Compiled<K, N>
-where
-    K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
-{
+impl<K: KernelFn, const N: usize> LoopBody for Compiled<K, N> {
     fn n_args(&self) -> usize {
         N
     }
@@ -349,10 +415,7 @@ impl Kernel {
     ///
     /// # Panics
     /// If `n_args` exceeds [`MAX_ARGS`].
-    pub fn compile<K>(kernel: K, n_args: usize) -> Kernel
-    where
-        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
-    {
+    pub fn compile<K: KernelFn>(kernel: K, n_args: usize) -> Kernel {
         macro_rules! arities {
             ($($n:literal)*) => {
                 match n_args {

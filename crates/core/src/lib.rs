@@ -25,7 +25,7 @@
 //! ## A complete (tiny) program
 //!
 //! ```
-//! use op2_core::{seq, AccessMode, Arg, Args, ChainSpec, Domain, LoopSpec};
+//! use op2_core::{kernel, seq, AccessMode, Arg, Args, ChainSpec, Domain, LoopSpec};
 //!
 //! // Figure 1 in miniature: two edges over three nodes.
 //! let mut dom = Domain::new();
@@ -35,10 +35,12 @@
 //! let pres = dom.decl_dat("pres", nodes, 1, vec![1.0, 2.0, 4.0]);
 //! let res = dom.decl_dat_zeros("res", nodes, 1);
 //!
-//! fn update(args: &Args<'_>) {
-//!     // res[n0] += pres[n1]; res[n1] += pres[n0]
-//!     args.inc(0, 0, args.get(3, 0));
-//!     args.inc(1, 0, args.get(2, 0));
+//! kernel! {
+//!     fn update(args: &Args<'_>) {
+//!         // res[n0] += pres[n1]; res[n1] += pres[n0]
+//!         args.inc(0, 0, args.get(3, 0));
+//!         args.inc(1, 0, args.get(2, 0));
+//!     }
 //! }
 //! let spec = LoopSpec::new(
 //!     "update",
@@ -96,7 +98,7 @@ pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
 pub use dag::ChunkDag;
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
-pub use kernel::{Args, Kernel};
+pub use kernel::{Args, Kernel, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,

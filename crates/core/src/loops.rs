@@ -3,7 +3,7 @@
 use crate::access::{AccessMode, Arg, GblDecl};
 use crate::domain::{Domain, SetId};
 use crate::error::{CoreError, Result};
-use crate::kernel::{Args, Kernel};
+use crate::kernel::{Kernel, KernelFn};
 
 /// A full parallel-loop declaration: the OP2 `op_par_loop` call.
 ///
@@ -41,10 +41,7 @@ impl LoopSpec {
     ///
     /// # Panics
     /// If `args` holds more than [`crate::kernel::MAX_ARGS`] arguments.
-    pub fn new<K>(name: &str, set: SetId, args: Vec<Arg>, kernel: K) -> Self
-    where
-        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
-    {
+    pub fn new<K: KernelFn>(name: &str, set: SetId, args: Vec<Arg>, kernel: K) -> Self {
         Self::with_gbls(name, set, args, Vec::new(), kernel)
     }
 
@@ -52,16 +49,13 @@ impl LoopSpec {
     ///
     /// # Panics
     /// As [`LoopSpec::new`].
-    pub fn with_gbls<K>(
+    pub fn with_gbls<K: KernelFn>(
         name: &str,
         set: SetId,
         args: Vec<Arg>,
         gbls: Vec<GblDecl>,
         kernel: K,
-    ) -> Self
-    where
-        K: Fn(&Args<'_>) + Copy + Send + Sync + 'static,
-    {
+    ) -> Self {
         LoopSpec {
             name: name.to_string(),
             set,
@@ -256,6 +250,7 @@ fn merge_modes(a: AccessMode, b: AccessMode) -> AccessMode {
 mod tests {
     use super::*;
     use crate::domain::Domain;
+    use crate::kernel::Args;
 
     fn noop(_: &Args<'_>) {}
 

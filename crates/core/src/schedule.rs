@@ -1162,6 +1162,8 @@ mod tests {
     use crate::access::{AccessMode, Arg};
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
+    use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+    use std::sync::{Mutex, PoisonError};
 
     fn bump(args: &Args<'_>) {
         args.set(0, 0, args.get(0, 0) + 1.0);
@@ -1338,9 +1340,61 @@ mod tests {
         }
     }
 
+    /// Order-sensitive arithmetic over every readable argument, then a
+    /// write of every writable one: any change in which element an
+    /// argument resolves to, or in the order of updates, shows in the
+    /// bits. `modes[i]` is argument `i`'s access mode.
+    #[inline(always)]
+    fn fixture_body(modes: &[AccessMode; crate::kernel::MAX_ARGS], a: &Args<'_>) {
+        let mut s = 1.0;
+        for i in 0..a.len() {
+            if matches!(modes[i], AccessMode::Read | AccessMode::Rw) {
+                for c in 0..a.dim(i) {
+                    s = s * 0.75 + a.get(i, c) * (i + 1) as f64;
+                }
+            }
+        }
+        for i in 0..a.len() {
+            for c in 0..a.dim(i) {
+                match modes[i] {
+                    AccessMode::Inc => a.inc(i, c, s * (c + 1) as f64),
+                    AccessMode::Rw | AccessMode::Write => a.set(i, c, s - c as f64),
+                    AccessMode::Read => {}
+                }
+            }
+        }
+    }
+
+    /// The modes `fixture_twin` runs under. A `kernel!` kernel carries no
+    /// state, so a twin fixture stores its modes here when it compiles,
+    /// and a check runs twins only while it holds `TWIN_LOCK` (tests run
+    /// in parallel). `Relaxed` is enough: the stores precede the thread
+    /// spawns of `run_schedule_threads`, which order them before the
+    /// workers' loads.
+    static TWIN_MODES: [AtomicU8; crate::kernel::MAX_ARGS] =
+        [const { AtomicU8::new(0) }; crate::kernel::MAX_ARGS];
+    static TWIN_LOCK: Mutex<()> = Mutex::new(());
+    /// `AccessMode` by discriminant, to read `TWIN_MODES` back.
+    const MODES: [AccessMode; 4] = [
+        AccessMode::Read,
+        AccessMode::Write,
+        AccessMode::Rw,
+        AccessMode::Inc,
+    ];
+
+    crate::kernel! {
+        /// The fixture's kernel declared through `kernel!`: the same body
+        /// as the closure, reached through the macro's inlined `call`.
+        fn fixture_twin(a: &Args<'_>) {
+            let modes = std::array::from_fn(|i| MODES[TWIN_MODES[i].load(Relaxed) as usize]);
+            fixture_body(&modes, a);
+        }
+    }
+
     /// A loop over raw buffers: one per argument, except that every
     /// indirect `Inc` argument increments one shared accumulator, so map
     /// rows with repeated entries alias their increments.
+    #[derive(Clone)]
     struct Fixture {
         shapes: Vec<Shape>,
         dims: Vec<u32>,
@@ -1350,6 +1404,8 @@ mod tests {
         n_nodes: usize,
         /// Initial values: one buffer per argument, then the accumulator.
         bufs: Vec<Vec<f64>>,
+        /// Compile `fixture_twin` instead of the closure.
+        twin: bool,
     }
 
     impl Fixture {
@@ -1397,6 +1453,7 @@ mod tests {
                 n_iter,
                 n_nodes,
                 bufs,
+                twin: false,
             }
         }
 
@@ -1458,34 +1515,20 @@ mod tests {
             })
         }
 
-        /// Order-sensitive arithmetic over every readable argument, then
-        /// a write of every writable one: any change in which element an
-        /// argument resolves to, or in the order of updates, shows in the
-        /// bits.
+        /// `fixture_body` over this loop's modes: as a closure, or as
+        /// `fixture_twin` for a twin (whose caller holds `TWIN_LOCK`).
         fn kernel(&self) -> Kernel {
             let mut modes = [AccessMode::Read; crate::kernel::MAX_ARGS];
             for (m, s) in modes.iter_mut().zip(&self.shapes) {
                 *m = s.mode();
             }
-            let body = move |a: &Args<'_>| {
-                let mut s = 1.0;
-                for i in 0..a.len() {
-                    if matches!(modes[i], AccessMode::Read | AccessMode::Rw) {
-                        for c in 0..a.dim(i) {
-                            s = s * 0.75 + a.get(i, c) * (i + 1) as f64;
-                        }
-                    }
+            if self.twin {
+                for (t, m) in TWIN_MODES.iter().zip(modes) {
+                    t.store(m as u8, Relaxed);
                 }
-                for i in 0..a.len() {
-                    for c in 0..a.dim(i) {
-                        match modes[i] {
-                            AccessMode::Inc => a.inc(i, c, s * (c + 1) as f64),
-                            AccessMode::Rw | AccessMode::Write => a.set(i, c, s - c as f64),
-                            AccessMode::Read => {}
-                        }
-                    }
-                }
-            };
+                return Kernel::compile(fixture_twin, self.shapes.len());
+            }
+            let body = move |a: &Args<'_>| fixture_body(&modes, a);
             Kernel::compile(body, self.shapes.len())
         }
 
@@ -1599,16 +1642,30 @@ mod tests {
     }
 
     /// Range, list, fused and windowed pieces through the compiled
-    /// bodies against the per-element reference, bitwise.
+    /// bodies against the per-element reference, bitwise: for the
+    /// fixture's closure, and for its `kernel!` twin against the
+    /// closure's reference.
     fn check_compiled_against_reference(f: &Fixture) {
+        check_pieces(f, f);
+        // A twin rewrites every mode before it runs, so a lock poisoned by
+        // another failed check guards nothing stale.
+        let _twins = TWIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut twin = f.clone();
+        twin.twin = true;
+        check_pieces(&twin, f);
+    }
+
+    /// `f`'s compiled pieces against `reference`'s per-element entry
+    /// point (fused pieces run `f`'s own).
+    fn check_pieces(f: &Fixture, reference: &Fixture) {
         let n = f.n_iter as u32;
         let range: Vec<u32> = (3..n - 2).collect();
         let got = f.after(1, |b| run_schedule(b, &Schedule::range(3, n as usize - 2)));
-        assert_eq!(got, f.reference(1, &range), "range piece");
+        assert_eq!(got, reference.reference(1, &range), "range piece");
 
         let list: Vec<u32> = (0..n).filter(|e| e % 3 != 1).collect();
         let got = f.after(1, |b| run_schedule(b, &Schedule::list(list.clone())));
-        assert_eq!(got, f.reference(1, &list), "list piece");
+        assert_eq!(got, reference.reference(1, &list), "list piece");
 
         let group = || {
             vec![FusedGroup {
@@ -1620,7 +1677,7 @@ mod tests {
         let fused = Schedule::chain_ranges_fused(&[n as usize; 2], group(), &[Some(0); 2]);
         assert_eq!(fused.n_fused_pieces(), 1);
         let got = f.after(2, |b| run_schedule(b, &fused));
-        assert_eq!(got, f.reference(2, &all), "fused piece");
+        assert_eq!(got, reference.reference(2, &all), "fused piece");
         let lists = Schedule {
             n_loops: 2,
             kind: ScheduleKind::Direct,
@@ -1639,11 +1696,11 @@ mod tests {
         let fused_list = lists.fuse(group(), &[Some(0); 2]);
         assert_eq!(fused_list.n_fused_pieces(), 1);
         let got = f.after(2, |b| run_schedule(b, &fused_list));
-        assert_eq!(got, f.reference(2, &list), "fused list piece");
+        assert_eq!(got, reference.reference(2, &list), "fused list piece");
 
-        if let Some(w) = f.windowed() {
+        if let (Some(w), Some(wr)) = (f.windowed(), reference.windowed()) {
             let sched = w.owned();
-            let expect = w.reference(1, &all);
+            let expect = wr.reference(1, &all);
             let got = w.after(1, |b| {
                 assert!(sched.windows_valid(&b[0]));
                 run_schedule(b, &sched);

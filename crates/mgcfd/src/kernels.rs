@@ -12,7 +12,7 @@
 //! Argument layouts are documented per kernel; executors resolve them
 //! from the access descriptors in [`crate::app`].
 
-use op2_core::Args;
+use op2_core::{kernel, Args};
 
 /// Number of conserved flow variables.
 pub const NVAR: usize = 5;
@@ -31,156 +31,158 @@ pub fn pressure(q: &[f64; NVAR]) -> f64 {
     (GAMMA - 1.0) * (q[4] - ke)
 }
 
-/// `init_state` — nodes, direct: `q` WRITE. Sets freestream everywhere
-/// with a small smooth perturbation from the node coordinates (`x`
-/// READ) so fluxes are non-trivial.
-pub fn init_state(args: &Args<'_>) {
-    let xx = args.get(1, 0);
-    let y = args.get(1, 1);
-    let z = args.get(1, 2);
-    let bump = 0.01 * ((0.37 * xx).sin() + (0.23 * y).cos() + (0.11 * z).sin());
-    for (v, &free) in FREESTREAM.iter().enumerate() {
-        args.set(0, v, free * (1.0 + bump));
-    }
-}
-
-/// `compute_step_factor` — nodes, direct: `q` READ, `adt` WRITE. The
-/// local pseudo time step from the acoustic speed.
-pub fn compute_step_factor(args: &Args<'_>) {
-    let mut q = [0.0; NVAR];
-    args.load(0, &mut q);
-    let rho = q[0].max(1e-12);
-    let p = pressure(&q).max(1e-12);
-    let c = (GAMMA * p / rho).sqrt();
-    let speed = ((q[1] * q[1] + q[2] * q[2] + q[3] * q[3]).sqrt() / rho) + c;
-    args.set(1, 0, CFL / speed.max(1e-12));
-}
-
-/// `compute_flux_edge` — edges, the hot loop: `q` READ at both nodes
-/// (args 0, 1), `flux` INC at both nodes (args 2, 3). An approximate
-/// Riemann-style symmetric flux difference.
-pub fn compute_flux_edge(args: &Args<'_>) {
-    let mut qa = [0.0; NVAR];
-    let mut qb = [0.0; NVAR];
-    args.load(0, &mut qa);
-    args.load(1, &mut qb);
-    let pa = pressure(&qa);
-    let pb = pressure(&qb);
-    // Characteristic smoothing factor from both states.
-    let rho_a = qa[0].max(1e-12);
-    let rho_b = qb[0].max(1e-12);
-    let ca = (GAMMA * pa.max(1e-12) / rho_a).sqrt();
-    let cb = (GAMMA * pb.max(1e-12) / rho_b).sqrt();
-    let lambda = 0.5 * (ca + cb)
-        + 0.5 * ((qa[1] / rho_a - qb[1] / rho_b).abs()
-            + (qa[2] / rho_a - qb[2] / rho_b).abs()
-            + (qa[3] / rho_a - qb[3] / rho_b).abs());
-    for v in 0..NVAR {
-        // Central flux with scalar dissipation: conservative (what
-        // leaves a is gained by b).
-        let mut f = 0.5 * (qa[v] + qb[v]) * 0.1 - lambda * (qb[v] - qa[v]);
-        if (1..=3).contains(&v) {
-            // Pressure contribution to the momentum components.
-            f += 0.05 * (pa - pb);
+kernel! {
+    /// `init_state` — nodes, direct: `q` WRITE. Sets freestream everywhere
+    /// with a small smooth perturbation from the node coordinates (`x`
+    /// READ) so fluxes are non-trivial.
+    pub fn init_state(args: &Args<'_>) {
+        let xx = args.get(1, 0);
+        let y = args.get(1, 1);
+        let z = args.get(1, 2);
+        let bump = 0.01 * ((0.37 * xx).sin() + (0.23 * y).cos() + (0.11 * z).sin());
+        for (v, &free) in FREESTREAM.iter().enumerate() {
+            args.set(0, v, free * (1.0 + bump));
         }
-        args.inc(2, v, -f * 0.01);
-        args.inc(3, v, f * 0.01);
     }
-}
 
-/// `boundary_flux` — boundary elements: `q` READ at the wall node
-/// (arg 0, via `b2n`), `flux` INC at it (arg 1). A weak farfield
-/// condition pulling the state back to freestream.
-pub fn boundary_flux(args: &Args<'_>) {
-    let mut q = [0.0; NVAR];
-    args.load(0, &mut q);
-    for v in 0..NVAR {
-        args.inc(1, v, 0.01 * (FREESTREAM[v] - q[v]));
+    /// `compute_step_factor` — nodes, direct: `q` READ, `adt` WRITE. The
+    /// local pseudo time step from the acoustic speed.
+    pub fn compute_step_factor(args: &Args<'_>) {
+        let mut q = [0.0; NVAR];
+        args.load(0, &mut q);
+        let rho = q[0].max(1e-12);
+        let p = pressure(&q).max(1e-12);
+        let c = (GAMMA * p / rho).sqrt();
+        let speed = ((q[1] * q[1] + q[2] * q[2] + q[3] * q[3]).sqrt() / rho) + c;
+        args.set(1, 0, CFL / speed.max(1e-12));
     }
-}
 
-/// `time_step` — nodes, direct: `q` RW, `adt` READ, `flux` RW
-/// (consumed and cleared). Forward-Euler pseudo-time update.
-pub fn time_step(args: &Args<'_>) {
-    let dt = args.get(1, 0);
-    for v in 0..NVAR {
-        let q = args.get(0, v);
-        let f = args.get(2, v);
-        args.set(0, v, q + dt * f);
-        args.set(2, v, 0.0);
+    /// `compute_flux_edge` — edges, the hot loop: `q` READ at both nodes
+    /// (args 0, 1), `flux` INC at both nodes (args 2, 3). An approximate
+    /// Riemann-style symmetric flux difference.
+    pub fn compute_flux_edge(args: &Args<'_>) {
+        let mut qa = [0.0; NVAR];
+        let mut qb = [0.0; NVAR];
+        args.load(0, &mut qa);
+        args.load(1, &mut qb);
+        let pa = pressure(&qa);
+        let pb = pressure(&qb);
+        // Characteristic smoothing factor from both states.
+        let rho_a = qa[0].max(1e-12);
+        let rho_b = qb[0].max(1e-12);
+        let ca = (GAMMA * pa.max(1e-12) / rho_a).sqrt();
+        let cb = (GAMMA * pb.max(1e-12) / rho_b).sqrt();
+        let lambda = 0.5 * (ca + cb)
+            + 0.5 * ((qa[1] / rho_a - qb[1] / rho_b).abs()
+                + (qa[2] / rho_a - qb[2] / rho_b).abs()
+                + (qa[3] / rho_a - qb[3] / rho_b).abs());
+        for v in 0..NVAR {
+            // Central flux with scalar dissipation: conservative (what
+            // leaves a is gained by b).
+            let mut f = 0.5 * (qa[v] + qb[v]) * 0.1 - lambda * (qb[v] - qa[v]);
+            if (1..=3).contains(&v) {
+                // Pressure contribution to the momentum components.
+                f += 0.05 * (pa - pb);
+            }
+            args.inc(2, v, -f * 0.01);
+            args.inc(3, v, f * 0.01);
+        }
     }
-}
 
-/// `restrict` — fine nodes: `flux_fine` READ direct (arg 0),
-/// `flux_coarse` INC via the multigrid map (arg 1). Residual
-/// restriction.
-pub fn restrict(args: &Args<'_>) {
-    for v in 0..NVAR {
-        args.inc(1, v, 0.125 * args.get(0, v));
+    /// `boundary_flux` — boundary elements: `q` READ at the wall node
+    /// (arg 0, via `b2n`), `flux` INC at it (arg 1). A weak farfield
+    /// condition pulling the state back to freestream.
+    pub fn boundary_flux(args: &Args<'_>) {
+        let mut q = [0.0; NVAR];
+        args.load(0, &mut q);
+        for v in 0..NVAR {
+            args.inc(1, v, 0.01 * (FREESTREAM[v] - q[v]));
+        }
     }
-}
 
-/// `prolong` — fine nodes: `q_fine` RW direct (arg 0), `q_coarse` READ
-/// via the multigrid map (arg 1), blending the coarse correction in.
-pub fn prolong(args: &Args<'_>) {
-    for v in 0..NVAR {
-        let qf = args.get(0, v);
-        let qc = args.get(1, v);
-        args.set(0, v, qf + 0.05 * (qc - qf));
+    /// `time_step` — nodes, direct: `q` RW, `adt` READ, `flux` RW
+    /// (consumed and cleared). Forward-Euler pseudo-time update.
+    pub fn time_step(args: &Args<'_>) {
+        let dt = args.get(1, 0);
+        for v in 0..NVAR {
+            let q = args.get(0, v);
+            let f = args.get(2, v);
+            args.set(0, v, q + dt * f);
+            args.set(2, v, 0.0);
+        }
     }
-}
 
-/// `rms_residual` — nodes, direct: `flux` READ, gbl INC (sum of
-/// squares). The convergence check — a global reduction, i.e. a chain
-/// terminator.
-pub fn rms_residual(args: &Args<'_>) {
-    let mut s = 0.0;
-    for v in 0..NVAR {
-        let f = args.get(0, v);
-        s += f * f;
+    /// `restrict` — fine nodes: `flux_fine` READ direct (arg 0),
+    /// `flux_coarse` INC via the multigrid map (arg 1). Residual
+    /// restriction.
+    pub fn restrict(args: &Args<'_>) {
+        for v in 0..NVAR {
+            args.inc(1, v, 0.125 * args.get(0, v));
+        }
     }
-    args.inc(1, 0, s);
-}
 
-/// `calc_dt_min` — nodes, direct: `adt` READ, gbl MIN. The global
-/// time-step bound (OP2's `OP_MIN` reduction — a synchronisation point).
-pub fn calc_dt_min(args: &Args<'_>) {
-    args.reduce_min(1, 0, args.get(0, 0));
-}
+    /// `prolong` — fine nodes: `q_fine` RW direct (arg 0), `q_coarse` READ
+    /// via the multigrid map (arg 1), blending the coarse correction in.
+    pub fn prolong(args: &Args<'_>) {
+        for v in 0..NVAR {
+            let qf = args.get(0, v);
+            let qc = args.get(1, v);
+            args.set(0, v, qf + 0.05 * (qc - qf));
+        }
+    }
 
-// --- The synthetic loop-chain pair of §4.1.1. ---
+    /// `rms_residual` — nodes, direct: `flux` READ, gbl INC (sum of
+    /// squares). The convergence check — a global reduction, i.e. a chain
+    /// terminator.
+    pub fn rms_residual(args: &Args<'_>) {
+        let mut s = 0.0;
+        for v in 0..NVAR {
+            let f = args.get(0, v);
+            s += f * f;
+        }
+        args.inc(1, 0, s);
+    }
 
-/// `update` — edges: `dres` INC at both nodes (args 0, 1), `dpres` READ
-/// at both nodes (args 2, 3). Mirrors Figure 2's first loop: dirties
-/// `dres` each repetition.
-pub fn update(args: &Args<'_>) {
-    args.inc(0, 0, args.get(2, 0) - args.get(2, 1));
-    args.inc(0, 1, args.get(3, 0) - args.get(3, 1));
-    args.inc(1, 0, args.get(3, 1) - args.get(3, 0));
-    args.inc(1, 1, args.get(2, 1) - args.get(2, 0));
-}
+    /// `calc_dt_min` — nodes, direct: `adt` READ, gbl MIN. The global
+    /// time-step bound (OP2's `OP_MIN` reduction — a synchronisation point).
+    pub fn calc_dt_min(args: &Args<'_>) {
+        args.reduce_min(1, 0, args.get(0, 0));
+    }
 
-/// `edge_flux` — edges: `dres` READ at both nodes (args 0, 1), `dflux`
-/// INC at both nodes (args 2, 3). A structural replica of
-/// `compute_flux_edge`'s access pattern (the most expensive loop in
-/// MG-CFD), reading the dat the preceding `update` dirtied — the target
-/// pattern for sparse tiling (§4.1.1).
-pub fn edge_flux(args: &Args<'_>) {
-    let r0 = args.get(0, 0);
-    let r1 = args.get(0, 1);
-    let s0 = args.get(1, 0);
-    let s1 = args.get(1, 1);
-    args.inc(2, 0, r0 * 0.4 - r1 * 0.1);
-    args.inc(2, 1, s1 * 0.3 - r0 * 0.2);
-    args.inc(3, 0, s1 * 0.3 - r1 * 0.2);
-    args.inc(3, 1, r0 * 0.4 - s0 * 0.1);
+    // --- The synthetic loop-chain pair of §4.1.1. ---
+
+    /// `update` — edges: `dres` INC at both nodes (args 0, 1), `dpres` READ
+    /// at both nodes (args 2, 3). Mirrors Figure 2's first loop: dirties
+    /// `dres` each repetition.
+    pub fn update(args: &Args<'_>) {
+        args.inc(0, 0, args.get(2, 0) - args.get(2, 1));
+        args.inc(0, 1, args.get(3, 0) - args.get(3, 1));
+        args.inc(1, 0, args.get(3, 1) - args.get(3, 0));
+        args.inc(1, 1, args.get(2, 1) - args.get(2, 0));
+    }
+
+    /// `edge_flux` — edges: `dres` READ at both nodes (args 0, 1), `dflux`
+    /// INC at both nodes (args 2, 3). A structural replica of
+    /// `compute_flux_edge`'s access pattern (the most expensive loop in
+    /// MG-CFD), reading the dat the preceding `update` dirtied — the target
+    /// pattern for sparse tiling (§4.1.1).
+    pub fn edge_flux(args: &Args<'_>) {
+        let r0 = args.get(0, 0);
+        let r1 = args.get(0, 1);
+        let s0 = args.get(1, 0);
+        let s1 = args.get(1, 1);
+        args.inc(2, 0, r0 * 0.4 - r1 * 0.1);
+        args.inc(2, 1, s1 * 0.3 - r0 * 0.2);
+        args.inc(3, 0, s1 * 0.3 - r1 * 0.2);
+        args.inc(3, 1, r0 * 0.4 - s0 * 0.1);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use op2_core::kernel::ArgSlot;
-    use op2_core::AccessMode;
+    use op2_core::{AccessMode, KernelFn};
 
     fn slots(bufs: &mut [(&mut [f64], AccessMode)]) -> Vec<ArgSlot> {
         bufs.iter_mut()
@@ -215,7 +217,7 @@ mod tests {
                 (&mut fb, AccessMode::Inc),
             ];
             let s = slots(&mut bufs);
-            compute_flux_edge(&Args::new(&s));
+            compute_flux_edge.call(&Args::new(&s));
         }
         assert!((fa[0] + fb[0]).abs() < 1e-14, "mass not conserved");
         assert!(fa[0] != 0.0, "flux must be non-trivial");
@@ -230,7 +232,7 @@ mod tests {
             (&mut adt, AccessMode::Write),
         ];
         let s = slots(&mut bufs);
-        compute_step_factor(&Args::new(&s));
+        compute_step_factor.call(&Args::new(&s));
         assert!(adt[0] > 0.0 && adt[0].is_finite());
     }
 
@@ -245,7 +247,7 @@ mod tests {
             (&mut flux, AccessMode::Rw),
         ];
         let s = slots(&mut bufs);
-        time_step(&Args::new(&s));
+        time_step.call(&Args::new(&s));
         assert_eq!(q[0], FREESTREAM[0] + 0.5);
         assert!(flux.iter().all(|&f| f == 0.0), "flux must be cleared");
     }
@@ -264,7 +266,7 @@ mod tests {
             (&mut p2, AccessMode::Read),
         ];
         let s = slots(&mut bufs);
-        update(&Args::new(&s));
+        update.call(&Args::new(&s));
         assert_eq!(res1, [3.0 - 1.0, 5.0 - 2.0]);
         assert_eq!(res2, [2.0 - 5.0, 1.0 - 3.0]);
     }

@@ -19,7 +19,7 @@
 //!
 //! Run with `cargo run --example airfoil`.
 
-use op2::core::{AccessMode, Arg, Args, ChainSpec, GblDecl, LoopSpec};
+use op2::core::{kernel, AccessMode, Arg, Args, ChainSpec, GblDecl, LoopSpec};
 use op2::mesh::Quad2D;
 use op2::partition::{build_layouts, derive_ownership, rcb_partition};
 use op2::runtime::exec::{run_chain, run_loop};
@@ -27,48 +27,50 @@ use op2::runtime::run_distributed;
 
 const GAM: f64 = 1.4;
 
-fn save_soln(args: &Args<'_>) {
-    for v in 0..4 {
-        args.set(1, v, args.get(0, v));
+kernel! {
+    fn save_soln(args: &Args<'_>) {
+        for v in 0..4 {
+            args.set(1, v, args.get(0, v));
+        }
     }
-}
 
-fn adt_calc(args: &Args<'_>) {
-    // args: q READ, adt WRITE
-    let rho = args.get(0, 0).max(1e-9);
-    let u = args.get(0, 1) / rho;
-    let vv = args.get(0, 2) / rho;
-    let p = (GAM - 1.0) * (args.get(0, 3) - 0.5 * rho * (u * u + vv * vv));
-    let c = (GAM * p.max(1e-9) / rho).sqrt();
-    args.set(1, 0, 1.0 / (c + (u * u + vv * vv).sqrt() + 1e-9));
-}
+    fn adt_calc(args: &Args<'_>) {
+        // args: q READ, adt WRITE
+        let rho = args.get(0, 0).max(1e-9);
+        let u = args.get(0, 1) / rho;
+        let vv = args.get(0, 2) / rho;
+        let p = (GAM - 1.0) * (args.get(0, 3) - 0.5 * rho * (u * u + vv * vv));
+        let c = (GAM * p.max(1e-9) / rho).sqrt();
+        args.set(1, 0, 1.0 / (c + (u * u + vv * vv).sqrt() + 1e-9));
+    }
 
-fn res_calc(args: &Args<'_>) {
-    // args: q1 q2 READ (cells), adt1 adt2 READ, res1 res2 INC
-    let mut f = [0.0; 4];
-    #[allow(clippy::needless_range_loop)]
-    for v in 0..4 {
-        let dq = args.get(1, v) - args.get(0, v);
-        let mean = 0.5 * (args.get(0, v) + args.get(1, v));
-        f[v] = 0.05 * mean - 0.1 * dq / (args.get(2, 0) + args.get(3, 0) + 1e-9);
+    fn res_calc(args: &Args<'_>) {
+        // args: q1 q2 READ (cells), adt1 adt2 READ, res1 res2 INC
+        let mut f = [0.0; 4];
+        #[allow(clippy::needless_range_loop)]
+        for v in 0..4 {
+            let dq = args.get(1, v) - args.get(0, v);
+            let mean = 0.5 * (args.get(0, v) + args.get(1, v));
+            f[v] = 0.05 * mean - 0.1 * dq / (args.get(2, 0) + args.get(3, 0) + 1e-9);
+        }
+        for (v, &fv) in f.iter().enumerate() {
+            args.inc(4, v, fv);
+            args.inc(5, v, -fv);
+        }
     }
-    for (v, &fv) in f.iter().enumerate() {
-        args.inc(4, v, fv);
-        args.inc(5, v, -fv);
-    }
-}
 
-fn update_cells(args: &Args<'_>) {
-    // args: qold READ, q WRITE, res RW, adt READ, rms gbl INC
-    let dt = args.get(3, 0) * 0.05;
-    let mut rms = 0.0;
-    for v in 0..4 {
-        let r = args.get(2, v);
-        args.set(1, v, args.get(0, v) + dt * r);
-        args.set(2, v, 0.0);
-        rms += r * r;
+    fn update_cells(args: &Args<'_>) {
+        // args: qold READ, q WRITE, res RW, adt READ, rms gbl INC
+        let dt = args.get(3, 0) * 0.05;
+        let mut rms = 0.0;
+        for v in 0..4 {
+            let r = args.get(2, v);
+            args.set(1, v, args.get(0, v) + dt * r);
+            args.set(2, v, 0.0);
+            rms += r * r;
+        }
+        args.inc(4, 0, rms);
     }
-    args.inc(4, 0, rms);
 }
 
 fn main() {

@@ -12,28 +12,30 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, LoopSpec};
+use op2::core::{kernel, seq, AccessMode, Arg, Args, ChainSpec, LoopSpec};
 use op2::mesh::Quad2D;
 use op2::partition::{build_layouts, derive_ownership, rcb_partition};
 use op2::runtime::exec::{run_chain, run_loop};
 use op2::runtime::run_distributed;
 
-/// Figure 2, lines 4-11: edges increment node residuals from pressures.
-fn update(args: &Args<'_>) {
-    args.inc(0, 0, args.get(2, 0) - args.get(2, 1));
-    args.inc(0, 1, args.get(3, 0) - args.get(3, 1));
-    args.inc(1, 0, args.get(3, 1) - args.get(3, 0));
-    args.inc(1, 1, args.get(2, 1) - args.get(2, 0));
-}
+kernel! {
+    /// Figure 2, lines 4-11: edges increment node residuals from pressures.
+    fn update(args: &Args<'_>) {
+        args.inc(0, 0, args.get(2, 0) - args.get(2, 1));
+        args.inc(0, 1, args.get(3, 0) - args.get(3, 1));
+        args.inc(1, 0, args.get(3, 1) - args.get(3, 0));
+        args.inc(1, 1, args.get(2, 1) - args.get(2, 0));
+    }
 
-/// Figure 2, lines 14-29: edges accumulate fluxes from residuals and
-/// the cell weights either side.
-fn edge_flux(args: &Args<'_>) {
-    // args: res1 res2 (READ), cw1 cw2 (READ), flux1 flux2 (INC)
-    args.inc(4, 0, args.get(0, 0) * args.get(2, 0) - args.get(0, 1) * args.get(2, 1));
-    args.inc(4, 1, args.get(1, 1) * args.get(2, 2) - args.get(1, 0) * args.get(2, 3));
-    args.inc(5, 0, args.get(1, 1) * args.get(3, 2) - args.get(0, 1) * args.get(3, 3));
-    args.inc(5, 1, args.get(0, 0) * args.get(3, 0) - args.get(0, 1) * args.get(3, 1));
+    /// Figure 2, lines 14-29: edges accumulate fluxes from residuals and
+    /// the cell weights either side.
+    fn edge_flux(args: &Args<'_>) {
+        // args: res1 res2 (READ), cw1 cw2 (READ), flux1 flux2 (INC)
+        args.inc(4, 0, args.get(0, 0) * args.get(2, 0) - args.get(0, 1) * args.get(2, 1));
+        args.inc(4, 1, args.get(1, 1) * args.get(2, 2) - args.get(1, 0) * args.get(2, 3));
+        args.inc(5, 0, args.get(1, 1) * args.get(3, 2) - args.get(0, 1) * args.get(3, 3));
+        args.inc(5, 1, args.get(0, 0) * args.get(3, 0) - args.get(0, 1) * args.get(3, 1));
+    }
 }
 
 fn main() {
@@ -101,9 +103,11 @@ fn main() {
     // A small writer that refreshes `pres` each outer iteration (as a
     // real solver would), dirtying its halos so every chain execution
     // genuinely exchanges data.
-    fn perturb(args: &Args<'_>) {
-        args.set(0, 0, args.get(0, 0) * 0.9 + 0.01);
-        args.set(0, 1, args.get(0, 1) * 0.9 - 0.01);
+    kernel! {
+        fn perturb(args: &Args<'_>) {
+            args.set(0, 0, args.get(0, 0) * 0.9 + 0.01);
+            args.set(0, 1, args.get(0, 1) * 0.9 - 0.01);
+        }
     }
     let perturb_loop = LoopSpec::new(
         "perturb",
