@@ -24,12 +24,6 @@ pub struct ChainSpec {
     pub loops: Vec<LoopSpec>,
     /// Per-loop effective halo extension (`HE_l`), in program order.
     pub halo_ext: Vec<usize>,
-    /// Dats the application declares chain-local: produced and consumed
-    /// entirely inside this chain, with unspecified contents afterwards.
-    /// When a fusion group covers all their accesses they are *elided*
-    /// into the per-worker scratch pool (never written to memory). See
-    /// [`ChainSpec::with_scratch`].
-    pub scratch: Vec<DatId>,
 }
 
 impl ChainSpec {
@@ -76,29 +70,7 @@ impl ChainSpec {
             name: name.to_string(),
             loops,
             halo_ext,
-            scratch: Vec::new(),
         })
-    }
-
-    /// Declare `dats` as chain-local intermediates (the OPS temp-dat
-    /// idiom): the application promises they are produced by this chain
-    /// before being read, and never read again after the chain without
-    /// being re-produced. This is the opt-in that allows the fused
-    /// executor to keep them scratch-resident — after a fused run their
-    /// memory contents are **unspecified** (in practice: untouched) and
-    /// their halo validity is reset to 0.
-    pub fn with_scratch(mut self, dats: &[DatId]) -> Self {
-        for &d in dats {
-            if !self.scratch.contains(&d) {
-                self.scratch.push(d);
-            }
-        }
-        self
-    }
-
-    /// Cross-loop fusion analysis of this chain — see [`fusion_groups`].
-    pub fn fusion(&self) -> FusionPlan {
-        fusion_groups(&self.sigs(), &self.scratch)
     }
 
     /// Number of loops (`n` in the paper).
@@ -173,262 +145,8 @@ impl ChainSpec {
                 .collect::<Vec<_>>()
                 .join(", ")
         );
-        // Per-loop fusion eligibility and the elided intermediates, so a
-        // plan dump explains why the chain did (not) fuse.
-        let fusion = self.fusion();
-        if fusion.has_fusion() {
-            for g in &fusion.groups {
-                let elided: Vec<&str> = g
-                    .elided
-                    .iter()
-                    .map(|&d| dom.dat(d).name.as_str())
-                    .collect();
-                let _ = writeln!(
-                    out,
-                    "  fusion: loops [{}-{}] fuse{}",
-                    g.start,
-                    g.end - 1,
-                    if elided.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" — elides {}", elided.join(", "))
-                    }
-                );
-            }
-        } else {
-            let _ = writeln!(out, "  fusion: none");
-        }
-        for (pos, b) in fusion.blockers.iter().enumerate() {
-            if let Some(b) = b {
-                let why = match b {
-                    FuseBlock::SetChange => "iteration set changes".to_string(),
-                    FuseBlock::SharedHazard(d) => format!(
-                        "shared dat `{}` mixes indirect access with modification",
-                        dom.dat(*d).name
-                    ),
-                    FuseBlock::Reduction => "global reduction".to_string(),
-                };
-                let _ = writeln!(out, "  fusion blocked at [{pos}]: {why}");
-            }
-        }
         out
     }
-}
-
-/// Why a loop could not join its predecessor's fusion group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FuseBlock {
-    /// Different iteration set than the running group.
-    SetChange,
-    /// A dat shared with the group mixes indirect access with
-    /// modification — interleaving would reorder its per-location ops.
-    SharedHazard(DatId),
-    /// The loop carries a global reduction (a synchronisation point;
-    /// unreachable through [`ChainSpec::new`], which rejects them).
-    Reduction,
-}
-
-/// One maximal run of fusable adjacent loops (≥ 2 members).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FusionGroupInfo {
-    /// First member (chain-loop index, inclusive).
-    pub start: usize,
-    /// One past the last member.
-    pub end: usize,
-    /// Declared-scratch dats whose every access lies inside this group
-    /// as one direct Write followed by direct Reads — elidable into the
-    /// worker scratch pool. (The schedule build re-verifies that the
-    /// chosen lowering actually keeps every consumer inside a fused
-    /// piece before applying the elision.)
-    pub elided: Vec<DatId>,
-}
-
-impl FusionGroupInfo {
-    /// Member chain-loop indices, in program order.
-    pub fn members(&self) -> std::ops::Range<usize> {
-        self.start..self.end
-    }
-
-    /// Number of member loops.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Never true: groups always hold ≥ 2 loops.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The chain-level fusion plan: which adjacent loops may interleave per
-/// element, and why the others may not.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FusionPlan {
-    /// Fusable runs (≥ 2 loops each), in program order.
-    pub groups: Vec<FusionGroupInfo>,
-    /// Per chain loop: index into `groups`, if fused.
-    pub group_of: Vec<Option<usize>>,
-    /// Per chain loop: why it could not extend the preceding run (`None`
-    /// for loop 0 and for loops that did fuse backwards).
-    pub blockers: Vec<Option<FuseBlock>>,
-}
-
-impl FusionPlan {
-    /// Whether any loops fuse at all.
-    pub fn has_fusion(&self) -> bool {
-        !self.groups.is_empty()
-    }
-
-    /// All elided dats across groups.
-    pub fn elided(&self) -> Vec<DatId> {
-        self.groups.iter().flat_map(|g| g.elided.clone()).collect()
-    }
-}
-
-/// Cross-loop fusion legality analysis.
-///
-/// Two adjacent loops may interleave per element (`A(e); B(e); A(e+1);
-/// …`) iff they iterate the same set and every dat they share is either
-/// **read-only in both** (order of reads is immaterial) or **accessed
-/// only directly in both** (element `e`'s ops touch only location `e`,
-/// so the per-location op sequence `A(e); B(e)` equals the unfused
-/// one). A shared dat that is modified and touched indirectly on either
-/// side is a hazard: unfused, *all* of `A`'s ops precede *all* of `B`'s
-/// on every location; fused, `B(e)` would run before `A(e+1)` reaches
-/// the same location through a map. Greedy scan left to right, merging
-/// maximal runs; the per-location argument is transitive over the run
-/// because the compatibility summary accumulates every member's
-/// accesses.
-///
-/// `scratch` lists the chain's declared chain-local dats
-/// ([`ChainSpec::with_scratch`]); a scratch dat whose accesses all fall
-/// in one group as a direct Write followed by direct Reads is marked
-/// elidable.
-pub fn fusion_groups(sigs: &[LoopSig], scratch: &[DatId]) -> FusionPlan {
-    let n = sigs.len();
-    let mut group_of: Vec<Option<usize>> = vec![None; n];
-    let mut blockers: Vec<Option<FuseBlock>> = vec![None; n];
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-
-    // Accumulated access summary of the current run: (dat, modifies,
-    // indirect) merged over members.
-    let mut summary: Vec<(DatId, bool, bool)> = Vec::new();
-    let mut start = 0usize;
-    let seed = |summary: &mut Vec<(DatId, bool, bool)>, sig: &LoopSig| {
-        summary.clear();
-        for d in sig.dats() {
-            if let Some((mode, ind)) = sig.access_of(d) {
-                summary.push((d, mode.modifies(), ind));
-            }
-        }
-    };
-    if n > 0 {
-        seed(&mut summary, &sigs[0]);
-    }
-    for l in 1..n {
-        let block = fuse_block(&sigs[start], &summary, &sigs[l]);
-        match block {
-            None => {
-                // Merge l's accesses into the running summary.
-                for d in sigs[l].dats() {
-                    if let Some((mode, ind)) = sigs[l].access_of(d) {
-                        match summary.iter_mut().find(|(x, _, _)| *x == d) {
-                            Some(e) => {
-                                e.1 |= mode.modifies();
-                                e.2 |= ind;
-                            }
-                            None => summary.push((d, mode.modifies(), ind)),
-                        }
-                    }
-                }
-            }
-            Some(b) => {
-                runs.push((start, l));
-                blockers[l] = Some(b);
-                start = l;
-                seed(&mut summary, &sigs[l]);
-            }
-        }
-    }
-    if n > 0 {
-        runs.push((start, n));
-    }
-
-    let mut groups = Vec::new();
-    for (s, e) in runs {
-        if e - s >= 2 {
-            let gi = groups.len();
-            for item in group_of.iter_mut().take(e).skip(s) {
-                *item = Some(gi);
-            }
-            groups.push(FusionGroupInfo {
-                start: s,
-                end: e,
-                elided: Vec::new(),
-            });
-        }
-    }
-
-    // Scratch elision: every access of the dat inside one group, shaped
-    // as one direct Write then direct Reads.
-    for &d in scratch {
-        let accesses: Vec<(usize, AccessMode, bool)> = sigs
-            .iter()
-            .enumerate()
-            .filter_map(|(l, s)| s.access_of(d).map(|(m, i)| (l, m, i)))
-            .collect();
-        let Some(&(first, fmode, find)) = accesses.first() else {
-            continue;
-        };
-        let Some(g) = group_of[first] else { continue };
-        let same_group = accesses.iter().all(|&(l, _, _)| group_of[l] == Some(g));
-        let producer_ok = fmode == AccessMode::Write && !find;
-        let consumers_ok = accesses.len() >= 2
-            && accesses[1..]
-                .iter()
-                .all(|&(_, m, i)| m == AccessMode::Read && !i);
-        if same_group && producer_ok && consumers_ok {
-            groups[g].elided.push(d);
-        }
-    }
-
-    FusionPlan {
-        groups,
-        group_of,
-        blockers,
-    }
-}
-
-/// Whether `next` may extend a run starting at `first` whose accumulated
-/// access summary is `summary`. `None` = fusable; `Some` names the
-/// blocker.
-fn fuse_block(
-    first: &LoopSig,
-    summary: &[(DatId, bool, bool)],
-    next: &LoopSig,
-) -> Option<FuseBlock> {
-    if next.args.iter().any(
-        |a| matches!(a, crate::access::Arg::Gbl { mode, .. } if mode.modifies()),
-    ) {
-        return Some(FuseBlock::Reduction);
-    }
-    if next.set != first.set {
-        return Some(FuseBlock::SetChange);
-    }
-    for d in next.dats() {
-        let Some((mode_b, ind_b)) = next.access_of(d) else {
-            continue;
-        };
-        let Some(&(_, mod_g, ind_g)) = summary.iter().find(|(x, _, _)| *x == d) else {
-            continue;
-        };
-        let both_readonly = !mod_g && !mode_b.modifies();
-        let both_direct = !ind_g && !ind_b;
-        if !(both_readonly || both_direct) {
-            return Some(FuseBlock::SharedHazard(d));
-        }
-    }
-    None
 }
 
 /// Output of [`calc_halo_layers`] (Algorithm 3).
@@ -1130,113 +848,5 @@ mod tests {
             &|_| false,
         );
         assert!(got.is_empty());
-    }
-
-    const NODES: u32 = 1;
-    fn dtmp() -> DatId {
-        DatId(3)
-    }
-
-    /// A direct Read/Write pair followed by a direct Read of the staged
-    /// dat fuses into one group with the scratch dat elided.
-    #[test]
-    fn fusion_direct_pair_elides_scratch() {
-        let stage = sig(
-            "stage",
-            NODES,
-            vec![
-                Arg::dat_direct(dres(), AccessMode::Read),
-                Arg::dat_direct(dtmp(), AccessMode::Write),
-            ],
-        );
-        let apply = sig(
-            "apply",
-            NODES,
-            vec![
-                Arg::dat_direct(dtmp(), AccessMode::Read),
-                Arg::dat_direct(dres(), AccessMode::Rw),
-            ],
-        );
-        let fp = fusion_groups(&[stage, apply], &[dtmp()]);
-        assert!(fp.has_fusion());
-        assert_eq!(fp.groups.len(), 1);
-        assert_eq!(fp.groups[0].members(), 0..2);
-        assert_eq!(fp.groups[0].elided, vec![dtmp()]);
-        assert_eq!(fp.group_of, vec![Some(0), Some(0)]);
-        assert_eq!(fp.elided(), vec![dtmp()]);
-    }
-
-    /// A set change blocks fusion, and the resulting length-1 run is
-    /// dropped rather than emitted as a degenerate group.
-    #[test]
-    fn fusion_set_change_blocks_and_solo_runs_vanish() {
-        let produce = sig(
-            "produce",
-            EDGES,
-            vec![Arg::dat_indirect(dflux(), e2n(), 0, AccessMode::Inc)],
-        );
-        let stage = sig(
-            "stage",
-            NODES,
-            vec![
-                Arg::dat_direct(dres(), AccessMode::Read),
-                Arg::dat_direct(dtmp(), AccessMode::Write),
-            ],
-        );
-        let apply = sig(
-            "apply",
-            NODES,
-            vec![Arg::dat_direct(dtmp(), AccessMode::Read)],
-        );
-        let fp = fusion_groups(&[produce, stage, apply], &[]);
-        assert_eq!(fp.groups.len(), 1);
-        assert_eq!(fp.groups[0].members(), 1..3);
-        assert_eq!(fp.group_of[0], None);
-        assert_eq!(fp.blockers[1], Some(FuseBlock::SetChange));
-        // No scratch declared ⇒ nothing elided even though the group fused.
-        assert!(fp.groups[0].elided.is_empty());
-    }
-
-    /// A dat modified and touched indirectly across the pair is a
-    /// hazard: fused, the consumer would read location `l` before other
-    /// elements' increments arrive through the map.
-    #[test]
-    fn fusion_shared_indirect_modification_blocks() {
-        let produce = sig(
-            "produce",
-            EDGES,
-            vec![Arg::dat_indirect(dres(), e2n(), 0, AccessMode::Inc)],
-        );
-        let consume = sig(
-            "consume",
-            EDGES,
-            vec![
-                Arg::dat_indirect(dres(), e2n(), 0, AccessMode::Read),
-                Arg::dat_indirect(dflux(), e2n(), 0, AccessMode::Inc),
-            ],
-        );
-        let fp = fusion_groups(&[produce, consume], &[]);
-        assert!(!fp.has_fusion());
-        assert_eq!(fp.blockers[1], Some(FuseBlock::SharedHazard(dres())));
-    }
-
-    /// Scratch elision needs the exact Write-then-Reads shape inside one
-    /// group: a staged dat first accessed as Rw (reads stale memory) is
-    /// kept in memory.
-    #[test]
-    fn fusion_scratch_needs_write_first() {
-        let stage = sig(
-            "stage",
-            NODES,
-            vec![Arg::dat_direct(dtmp(), AccessMode::Rw)],
-        );
-        let apply = sig(
-            "apply",
-            NODES,
-            vec![Arg::dat_direct(dtmp(), AccessMode::Read)],
-        );
-        let fp = fusion_groups(&[stage, apply], &[dtmp()]);
-        assert!(fp.has_fusion());
-        assert!(fp.groups[0].elided.is_empty(), "Rw producer must not elide");
     }
 }

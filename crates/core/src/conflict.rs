@@ -2,8 +2,8 @@
 //! threaded execution in this crate rests on.
 //!
 //! A *unit* is a [`Chunk`] one worker runs without interruption: a block
-//! of contiguous iterations ([`Piece::Range`]), a tile's slice of every
-//! chain loop ([`Piece::List`]s), a fused block ([`Piece::Fused`]). Given
+//! of contiguous iterations ([`Piece::Range`]) or a tile's slice of every
+//! chain loop ([`Piece::List`]s). Given
 //! the units in **sequential order**, [`conflict_levels`] assigns
 //!
 //! > `level(u) = 1 + max{ level(u') : u' < u and u' conflicts with u }`
@@ -43,7 +43,7 @@
 use crate::access::Arg;
 use crate::domain::{DatId, MapData, MapId, SetId};
 use crate::loops::LoopSig;
-use crate::schedule::{Chunk, FusedGroup, Piece};
+use crate::schedule::{Chunk, Piece};
 
 /// One access that can induce a cross-iteration conflict: which set it
 /// lands on, through which map (or directly), and whether it modifies.
@@ -150,35 +150,22 @@ pub fn chain_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<Conf
 }
 
 /// Apply `f(access, target element)` for every touch of `unit`:
-/// `accesses[j]` are chain loop `j`'s selected accesses, and a fused
-/// piece unions those of every member loop of its group in `fused`.
+/// `accesses[j]` are chain loop `j`'s selected accesses.
 pub fn for_each_touch(
-    fused: &[FusedGroup],
     accesses: &[Vec<ConflictAccess<'_>>],
     unit: &Chunk,
     f: &mut impl FnMut(&ConflictAccess<'_>, usize),
 ) {
-    let mut touch = |loops: &[u32], e: u32| {
-        for &j in loops {
-            for a in &accesses[j as usize] {
+    for piece in &unit.pieces {
+        let accesses = &accesses[piece.loop_idx()];
+        let touch = |e: u32| {
+            for a in accesses {
                 f(a, a.target(e as usize));
             }
-        }
-    };
-    for piece in &unit.pieces {
+        };
         match piece {
-            Piece::Range {
-                loop_idx,
-                start,
-                end,
-            } => (*start..*end).for_each(|e| touch(&[*loop_idx], e)),
-            Piece::List { loop_idx, iters } => iters.iter().for_each(|&e| touch(&[*loop_idx], e)),
-            Piece::Fused { group, start, end } => {
-                (*start..*end).for_each(|e| touch(&fused[*group as usize].loops, e))
-            }
-            Piece::FusedList { group, iters } => {
-                iters.iter().for_each(|&e| touch(&fused[*group as usize].loops, e))
-            }
+            Piece::Range { start, end, .. } => (*start..*end).for_each(touch),
+            Piece::List { iters, .. } => iters.iter().copied().for_each(touch),
         }
     }
 }
@@ -189,7 +176,6 @@ pub fn for_each_touch(
 /// alike — callers pass whichever maps the units' iterations dereference.
 pub fn conflict_levels(
     units: &[Chunk],
-    fused: &[FusedGroup],
     accesses: &[Vec<ConflictAccess<'_>>],
     set_sizes: &[usize],
 ) -> Vec<u32> {
@@ -204,14 +190,14 @@ pub fn conflict_levels(
     let mut last_r: Vec<Vec<u32>> = set_sizes.iter().map(|&s| vec![0u32; s]).collect();
     for (unit, level) in units.iter().zip(&mut levels) {
         let mut need = 0u32;
-        for_each_touch(fused, accesses, unit, &mut |a, t| {
+        for_each_touch(accesses, unit, &mut |a, t| {
             need = need.max(last_w[a.set][t]);
             if a.writes {
                 need = need.max(last_r[a.set][t]);
             }
         });
         *level = need;
-        for_each_touch(fused, accesses, unit, &mut |a, t| {
+        for_each_touch(accesses, unit, &mut |a, t| {
             let last = if a.writes { &mut last_w } else { &mut last_r };
             last[a.set][t] = last[a.set][t].max(need + 1);
         });
@@ -228,7 +214,6 @@ pub fn conflict_levels(
 pub fn levels_valid(
     units: &[Chunk],
     levels: &[u32],
-    fused: &[FusedGroup],
     accesses: &[Vec<ConflictAccess<'_>>],
     set_sizes: &[usize],
 ) -> bool {
@@ -243,7 +228,7 @@ pub fn levels_valid(
     let mut touches: Vec<Vec<Vec<(u32, bool)>>> =
         set_sizes.iter().map(|&s| vec![Vec::new(); s]).collect();
     for (u, unit) in units.iter().enumerate() {
-        for_each_touch(fused, accesses, unit, &mut |a, t| {
+        for_each_touch(accesses, unit, &mut |a, t| {
             match touches[a.set][t].last_mut() {
                 Some((last, w)) if *last == u as u32 => *w |= a.writes,
                 _ => touches[a.set][t].push((u as u32, a.writes)),
@@ -393,9 +378,9 @@ mod tests {
         ];
         for (name, accesses, spec, expect) in &table {
             for units in both_forms(spec) {
-                let levels = conflict_levels(&units, &[], accesses, &sizes);
+                let levels = conflict_levels(&units, accesses, &sizes);
                 assert_eq!(&levels, expect, "{name}: {units:?}");
-                assert!(levels_valid(&units, &levels, &[], accesses, &sizes), "{name}");
+                assert!(levels_valid(&units, &levels, accesses, &sizes), "{name}");
             }
         }
     }
@@ -409,7 +394,7 @@ mod tests {
         let f = fix();
         let (accesses, sizes) = ([conflict_accesses(f.dom.maps(), &f.flux)], f.dom.set_sizes());
         for units in both_forms(QUARTERS) {
-            let valid = |levels: &[u32]| levels_valid(&units, levels, &[], &accesses, &sizes);
+            let valid = |levels: &[u32]| levels_valid(&units, levels, &accesses, &sizes);
             assert!(valid(&[0, 1, 2, 3]));
             assert!(valid(&[0, 2, 3, 7]));
             assert!(!valid(&[0, 0, 2, 3]), "blocks 0 and 1 share node 2 and a level");
@@ -428,7 +413,7 @@ mod tests {
         let (accesses, sizes) = ([conflict_accesses(f.dom.maps(), &f.flux)], f.dom.set_sizes());
         let [units, _] = both_forms(&[&[(0, 0, 2)], &[(0, 4, 6)], &[(0, 6, 8)]]);
         let kind = ScheduleKind::Colored { block_size: 2 };
-        let sched = Schedule::from_levels(kind, Vec::new(), units.clone(), &[1, 1, 4], &accesses, &sizes);
+        let sched = Schedule::from_levels(kind, units.clone(), &[1, 1, 4], &accesses, &sizes);
         assert_eq!((sched.n_loops, sched.n_levels()), (1, 2));
         assert_eq!(sched.levels[0].chunks, units[..2]);
         assert_eq!(sched.levels[1].chunks, units[2..]);
@@ -444,7 +429,7 @@ mod tests {
         let (accesses, sizes) = ([conflict_accesses(f.dom.maps(), &f.flux)], f.dom.set_sizes());
         let [units, _] = both_forms(QUARTERS);
         let kind = ScheduleKind::Colored { block_size: 2 };
-        Schedule::from_levels(kind, Vec::new(), units, &[0, 0, 1, 2], &accesses, &sizes);
+        Schedule::from_levels(kind, units, &[0, 0, 1, 2], &accesses, &sizes);
     }
 
     /// One sentinel policy: a map entry beyond the built halo depth is a

@@ -113,7 +113,7 @@ impl ChunkDag {
             for (ci, chunk) in level.chunks.iter().enumerate() {
                 locs.push((li as u32, ci as u32));
                 preds.clear();
-                for_each_touch(&sched.fused, accesses, chunk, &mut |a, t| {
+                for_each_touch(accesses, chunk, &mut |a, t| {
                     let w = last_w[a.set][t];
                     if w != 0 && mark[(w - 1) as usize] != c {
                         mark[(w - 1) as usize] = c;
@@ -128,7 +128,7 @@ impl ChunkDag {
                         }
                     }
                 });
-                for_each_touch(&sched.fused, accesses, chunk, &mut |a, t| {
+                for_each_touch(accesses, chunk, &mut |a, t| {
                     if a.writes {
                         last_w[a.set][t] = c + 1;
                         readers[a.set][t].clear();
@@ -293,7 +293,6 @@ mod tests {
                     chunks: vec![chunk(3, 4)],
                 },
             ],
-            fused: Vec::new(),
         };
         let set_sizes = dom.set_sizes();
         let acc = chain_accesses(dom.maps(), &[spec.sig()]);
@@ -359,48 +358,11 @@ mod tests {
                     }])],
                 },
             ],
-            fused: Vec::new(),
         };
         let set_sizes = dom.set_sizes();
         let dag = ChunkDag::build(&sched, &set_sizes, &acc);
         assert_eq!(dag.deps, vec![0, 1]);
         assert_eq!(dag.succs[0], vec![1]);
-    }
-
-    /// Fused pieces union every member loop's accesses: a fused group's
-    /// chunk conflicts wherever any member would.
-    #[test]
-    fn fused_pieces_union_member_accesses() {
-        let (dom, spec) = path_fixture(33);
-        let set_sizes = dom.set_sizes();
-        let acc = chain_accesses(dom.maps(), &[spec.sig()]);
-        let fused_chunk = |s: u32, e: u32| {
-            Chunk::new(vec![Piece::Fused {
-                group: 0,
-                start: s,
-                end: e,
-            }])
-        };
-        let sched = Schedule {
-            n_loops: 1,
-            kind: ScheduleKind::Tiled { n_tiles: 2 },
-            levels: vec![
-                Level {
-                    chunks: vec![fused_chunk(0, 16)],
-                },
-                Level {
-                    chunks: vec![fused_chunk(16, 32)],
-                },
-            ],
-            fused: vec![crate::schedule::FusedGroup {
-                loops: vec![0],
-                scratch: Vec::new(),
-            }],
-        };
-        let dag = ChunkDag::build(&sched, &set_sizes, &acc);
-        // The two fused halves share node 16 → one edge.
-        assert_eq!(dag.deps, vec![0, 1]);
-        assert_eq!(dag.n_edges, 1);
     }
 
     /// DAG edges always point from lower to higher chunk id (acyclic by

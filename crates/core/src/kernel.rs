@@ -20,8 +20,8 @@
 //! same happens here at declaration: [`Kernel::compile`] monomorphises
 //! the user function together with its argument count `N` into one
 //! [`Kernel`] that owns every iteration loop the executors run (ranges,
-//! index lists, owner-computes windowed ranges and lists, and a
-//! per-element entry point for fused pieces). Slots live in a stack
+//! index lists, and owner-computes windowed ranges and lists). Slots
+//! live in a stack
 //! `[ArgSlot; N]`, so once the kernel inlines, its `get`/`inc` reads are
 //! constant-indexed and need no bounds checks. Argument resolution
 //! (iteration index → element pointer) happens in exactly one place,
@@ -291,8 +291,8 @@ trait LoopBody: Send + Sync {
     /// Run `iters`, windowed by `mask` if given.
     fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>);
     /// Resolve every argument at iteration `e` and call the kernel once —
-    /// the per-element entry point (fused pieces; the reference the
-    /// compiled loops are tested against).
+    /// the per-element reference the compiled loops are tested against.
+    #[cfg(test)]
     fn elem(&self, args: &[BoundArg], e: usize);
 }
 
@@ -302,7 +302,7 @@ struct Compiled<K, const N: usize>(K);
 /// Where argument `r` points at iteration `e`:
 /// `base + dim·map[e·mstride] + e·estride` in [`BoundArg`]'s one form —
 /// a gathered index load and a multiply-add, the same straight-line code
-/// for indirect, direct, global and scratch-bound arguments. Under a
+/// for indirect, direct and global arguments. Under a
 /// window `win = ((lo, len), sink)` a gathered index outside
 /// `[lo, lo + len)` resolves to `sink` instead (an unwindowed argument's
 /// `(0, u32::MAX)` passes every valid index). The only place iteration
@@ -404,6 +404,7 @@ impl<K: KernelFn, const N: usize> LoopBody for Compiled<K, N> {
         }
     }
 
+    #[cfg(test)]
     fn elem(&self, args: &[BoundArg], e: usize) {
         let args = Self::args(args);
         self.call(args, &mut Self::slots(args), e, None);
@@ -439,7 +440,7 @@ impl Kernel {
     }
 
     /// One kernel invocation at iteration `e`.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn elem(&self, args: &[BoundArg], e: usize) {
         self.0.elem(args, e)
     }
@@ -517,7 +518,7 @@ mod tests {
 
     /// `resolve` against plain index arithmetic, for every argument kind:
     /// indirect through both entries of a two-entry map (one row aliases
-    /// them), direct, global and scratch-bound; unwindowed, and under a
+    /// them), direct and global; unwindowed, and under a
     /// window whose in-window targets resolve normally and whose
     /// out-of-window ones (below, and exactly at its end) go to the sink.
     #[test]
@@ -527,20 +528,12 @@ mod tests {
         let mut nodes = vec![0.0; 5 * 3];
         let mut cells = vec![0.0; n_iter * 2];
         let mut gbl = vec![0.0; 4];
-        let mut pool = vec![0.0; 8];
         let mut sink = [0.0; 3];
-        let (nb, cb, gb, pb) = (
-            nodes.as_mut_ptr(),
-            cells.as_mut_ptr(),
-            gbl.as_mut_ptr(),
-            pool.as_mut_ptr(),
-        );
+        let (nb, cb, gb) = (nodes.as_mut_ptr(), cells.as_mut_ptr(), gbl.as_mut_ptr());
         let sink = sink.as_mut_ptr();
-        let scratch = pb.wrapping_add(5);
         let ind = |idx| BoundArg::indirect(nb, 3, AccessMode::Inc, map.as_ptr(), arity, idx);
         let direct = BoundArg::direct(cb, 2, AccessMode::Rw);
         let global = BoundArg::global(gb, 4, AccessMode::Read);
-        let scratched = BoundArg::global(scratch, 3, AccessMode::Read);
         // Window [1, 3) of the target set: 1 and 2 in, 0, 3 and 4 out.
         let (win, open) = ((1u32, 2u32), (0u32, u32::MAX));
         for e in 0..n_iter {
@@ -555,7 +548,6 @@ mod tests {
             for w in [None, Some((open, sink))] {
                 assert_eq!(resolve(&direct, e, w), cb.wrapping_add(e * 2), "e={e}");
                 assert_eq!(resolve(&global, e, w), gb);
-                assert_eq!(resolve(&scratched, e, w), scratch);
             }
         }
         // Row 1 names node 2 twice: both entries resolve to one element.

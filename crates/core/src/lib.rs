@@ -92,7 +92,7 @@ pub mod tiling;
 
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use coloring::{color_loop, is_valid_coloring, Coloring};
-pub use chain::{calc_halo_extents, calc_halo_layers, fusion_groups, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, FuseBlock, FusionGroupInfo, FusionPlan, HaloLayers};
+pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
 pub use config::{parse_chain_config, ChainConfig};
 pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
 pub use dag::ChunkDag;
@@ -104,9 +104,8 @@ pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
 };
 pub use schedule::{
-    bind_chain, elision_valid, run_chunk, run_schedule, run_schedule_ctx, run_schedule_threads,
-    ArgWindow, BoundArg, BoundLoop, Chunk, FusedGroup, Level, Piece, SchedCtx, Schedule,
-    ScheduleKind, ScratchBind,
+    bind_chain, run_chunk, run_schedule, run_schedule_ctx, run_schedule_threads, ArgWindow,
+    BoundArg, BoundLoop, Chunk, Level, Piece, SchedCtx, Schedule, ScheduleKind,
 };
 pub use tiling::{
     build_tile_plan, run_chain_tiled, run_chain_tiled_threads, seed_blocks,

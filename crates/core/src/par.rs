@@ -230,7 +230,6 @@ pub fn owned_schedule(
         } else {
             vec![Level { chunks }]
         },
-        fused: Vec::new(),
     }
 }
 
@@ -291,9 +290,9 @@ pub fn colored_schedule(
         start,
         end,
     });
-    let levels = conflict_levels(&units, &[], &accesses, set_sizes);
+    let levels = conflict_levels(&units, &accesses, set_sizes);
     let kind = ScheduleKind::Colored { block_size };
-    Schedule::from_levels(kind, Vec::new(), units, &levels, &accesses, set_sizes)
+    Schedule::from_levels(kind, units, &levels, &accesses, set_sizes)
 }
 
 #[cfg(test)]
@@ -338,7 +337,7 @@ mod tests {
         let covered: usize = units.iter().map(Chunk::iters).sum();
         let accesses = [conflict_accesses(dom.maps(), &spec.sig())];
         covered == dom.set(spec.set).size
-            && levels_valid(&units, &levels, &[], &accesses, &dom.set_sizes())
+            && levels_valid(&units, &levels, &accesses, &dom.set_sizes())
     }
 
     /// Edge→node FP increment kernel whose result is order-sensitive:

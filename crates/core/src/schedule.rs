@@ -29,7 +29,7 @@
 //! order, the per-element update sequence under any thread count equals
 //! the sequential one, so results are **bitwise identical** to
 //! [`crate::seq::run_loop`] / the sequential tiled walk. Every leveled
-//! lowering — blocks, tiles, fused blocks — gets (a) and (b) from the one
+//! lowering — blocks and tiles — gets (a) and (b) from the one
 //! rule of [`crate::conflict`] and is assembled by
 //! [`Schedule::from_levels`], which re-checks both in debug builds. The
 //! owner-computes lowering meets (a) differently: its chunks *overlap*
@@ -56,8 +56,7 @@ use crate::kernel::{Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
 use crate::tiling::TilePlan;
 
-/// One contiguous or listed slice of one loop's iteration space, or a
-/// fused slice interleaving every loop of one fusion group per element.
+/// One contiguous or listed slice of one loop's iteration space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Piece {
     /// Iterations `[start, end)` of chain loop `loop_idx`.
@@ -68,24 +67,14 @@ pub enum Piece {
     },
     /// An explicit ascending iteration list of chain loop `loop_idx`.
     List { loop_idx: u32, iters: Vec<u32> },
-    /// Iterations `[start, end)` running *every* loop of fusion group
-    /// `group` (see [`Schedule::fused`]) back to back per element:
-    /// `L_a(e); L_b(e); …` — intermediates stay register/scratch-resident
-    /// instead of round-tripping through the dat between loops.
-    Fused { group: u32, start: u32, end: u32 },
-    /// The list form of [`Piece::Fused`].
-    FusedList { group: u32, iters: Vec<u32> },
 }
 
 impl Piece {
-    /// Number of elements the piece covers (fused pieces count each
-    /// element once even though every group loop runs on it).
+    /// Number of elements the piece covers.
     pub fn len(&self) -> usize {
         match self {
-            Piece::Range { start, end, .. } | Piece::Fused { start, end, .. } => {
-                (*end as usize).saturating_sub(*start as usize)
-            }
-            Piece::List { iters, .. } | Piece::FusedList { iters, .. } => iters.len(),
+            Piece::Range { start, end, .. } => (*end as usize).saturating_sub(*start as usize),
+            Piece::List { iters, .. } => iters.len(),
         }
     }
 
@@ -94,23 +83,18 @@ impl Piece {
         self.len() == 0
     }
 
-    /// Which single chain loop the piece belongs to (`None` for fused
-    /// pieces, which belong to every loop of their group).
-    pub fn loop_idx(&self) -> Option<usize> {
+    /// Which chain loop the piece belongs to.
+    pub fn loop_idx(&self) -> usize {
         match self {
-            Piece::Range { loop_idx, .. } | Piece::List { loop_idx, .. } => {
-                Some(*loop_idx as usize)
-            }
-            Piece::Fused { .. } | Piece::FusedList { .. } => None,
+            Piece::Range { loop_idx, .. } | Piece::List { loop_idx, .. } => *loop_idx as usize,
         }
     }
 
-    /// Which fusion group a fused piece executes (`None` for plain
-    /// single-loop pieces).
-    pub fn group_idx(&self) -> Option<usize> {
+    /// The piece's iterations in the form the compiled loops take.
+    fn iters(&self) -> Iters<'_> {
         match self {
-            Piece::Fused { group, .. } | Piece::FusedList { group, .. } => Some(*group as usize),
-            Piece::Range { .. } | Piece::List { .. } => None,
+            Piece::Range { start, end, .. } => Iters::Range(*start as usize, *end as usize),
+            Piece::List { iters, .. } => Iters::List(iters),
         }
     }
 }
@@ -178,47 +162,6 @@ pub enum ScheduleKind {
     Tiled { n_tiles: usize },
 }
 
-/// One elided (scratch-resident) intermediate of a fusion group: inside
-/// fused pieces the bound arguments listed in `binds` are repointed at a
-/// fixed per-worker scratch slot instead of the dat's memory, so the
-/// produce→consume round-trip through the dat never happens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScratchBind {
-    /// Components per element of the elided dat.
-    pub dim: u32,
-    /// `f64` offset of this dat's slot in the worker scratch pool.
-    pub offset: u32,
-    /// Group-member position of the producing (direct-Write) loop.
-    pub producer: u32,
-    /// `(group-member position, arg index)` pairs to repoint at the
-    /// scratch slot — the producer's write args and every consumer's
-    /// read args.
-    pub binds: Vec<(u32, u32)>,
-}
-
-impl ScratchBind {
-    /// Group-member positions that consume (read) the scratch slot.
-    pub fn consumers(&self) -> impl Iterator<Item = u32> + '_ {
-        let p = self.producer;
-        self.binds
-            .iter()
-            .map(|&(m, _)| m)
-            .filter(move |&m| m != p)
-    }
-}
-
-/// Metadata for one fused group of a schedule: which chain loops a
-/// [`Piece::Fused`] interleaves, and which intermediates it elides into
-/// the per-worker scratch pool.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FusedGroup {
-    /// Chain-loop indices executed per element, in program order.
-    pub loops: Vec<u32>,
-    /// Elided intermediates (empty = fuse without elision: every dat is
-    /// still written through to memory).
-    pub scratch: Vec<ScratchBind>,
-}
-
 /// An executable schedule over an `n_loops`-long chain (1 for a single
 /// loop). See the module docs for the level/chunk semantics.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,9 +172,6 @@ pub struct Schedule {
     pub kind: ScheduleKind,
     /// Barrier-ordered levels.
     pub levels: Vec<Level>,
-    /// Fusion groups referenced by [`Piece::Fused`] / [`Piece::FusedList`]
-    /// (empty for unfused schedules).
-    pub fused: Vec<FusedGroup>,
 }
 
 impl Schedule {
@@ -247,7 +187,6 @@ impl Schedule {
                     end: end.max(start) as u32,
                 }])],
             }],
-            fused: Vec::new(),
         }
     }
 
@@ -263,7 +202,6 @@ impl Schedule {
                     iters,
                 }])],
             }],
-            fused: Vec::new(),
         }
     }
 
@@ -294,7 +232,6 @@ impl Schedule {
             n_loops: 1,
             kind: ScheduleKind::Colored { block_size: 1 },
             levels,
-            fused: Vec::new(),
         }
     }
 
@@ -302,21 +239,20 @@ impl Schedule {
     /// `levels` into a leveled schedule over an `accesses.len()`-long
     /// chain: one level per distinct value, ascending, units keeping
     /// their order within a level. The single constructor of every
-    /// order-preserving leveled lowering — blocks, tiles, fused blocks —
+    /// order-preserving leveled lowering — blocks and tiles —
     /// and therefore where the conflict rule is audited: in debug builds
     /// [`levels_valid`] re-checks `levels` pair by pair against
     /// `accesses`, the descriptors they were computed under (see
     /// [`crate::conflict`]).
     pub fn from_levels(
         kind: ScheduleKind,
-        fused: Vec<FusedGroup>,
         units: Vec<Chunk>,
         levels: &[u32],
         accesses: &[Vec<ConflictAccess<'_>>],
         set_sizes: &[usize],
     ) -> Schedule {
         debug_assert!(
-            levels_valid(&units, levels, &fused, accesses, set_sizes),
+            levels_valid(&units, levels, accesses, set_sizes),
             "{kind:?}: conflicting units share a level or descend"
         );
         let n_levels = levels.iter().max().map_or(0, |&l| l as usize + 1);
@@ -329,7 +265,6 @@ impl Schedule {
             n_loops: accesses.len(),
             kind,
             levels: buckets,
-            fused,
         }
     }
 
@@ -368,7 +303,7 @@ impl Schedule {
         let kind = ScheduleKind::Tiled {
             n_tiles: plan.n_tiles,
         };
-        Schedule::from_levels(kind, Vec::new(), units, &levels, accesses, set_sizes)
+        Schedule::from_levels(kind, units, &levels, accesses, set_sizes)
     }
 
     /// Number of barrier-delimited levels.
@@ -386,19 +321,13 @@ impl Schedule {
         self.levels.iter().map(|l| l.chunks.len()).max().unwrap_or(0)
     }
 
-    /// Total iterations scheduled for chain loop `loop_idx` (fused
-    /// pieces count for every member loop they interleave).
+    /// Total iterations scheduled for chain loop `loop_idx`.
     pub fn loop_iters(&self, loop_idx: usize) -> usize {
         self.levels
             .iter()
             .flat_map(|l| &l.chunks)
             .flat_map(|c| &c.pieces)
-            .filter(|p| match p.loop_idx() {
-                Some(j) => j == loop_idx,
-                None => self.fused[p.group_idx().expect("fused piece")]
-                    .loops
-                    .contains(&(loop_idx as u32)),
-            })
+            .filter(|p| p.loop_idx() == loop_idx)
             .map(Piece::len)
             .sum()
     }
@@ -503,203 +432,6 @@ impl Schedule {
     pub fn has_parallelism(&self) -> bool {
         self.max_level_chunks() > 1
     }
-
-    /// Total fused pieces across all levels.
-    pub fn n_fused_pieces(&self) -> usize {
-        self.levels
-            .iter()
-            .flat_map(|l| &l.chunks)
-            .flat_map(|c| &c.pieces)
-            .filter(|p| p.group_idx().is_some())
-            .count()
-    }
-
-    /// Length (in `f64`s) of the per-worker scratch pool the fused
-    /// groups' elided intermediates require.
-    pub fn scratch_pool_len(&self) -> usize {
-        self.fused
-            .iter()
-            .flat_map(|g| &g.scratch)
-            .map(|s| (s.offset + s.dim) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Fusion post-pass: within every chunk, replace each window of
-    /// adjacent pieces that covers *all* loops of one fusion group — in
-    /// member order, with identical element coverage — by a single
-    /// [`Piece::Fused`] / [`Piece::FusedList`]. Applies unchanged to any
-    /// lowering (range, coloring, tiling); windows that don't line up
-    /// (e.g. a tile whose per-loop slices differ) are left unfused, which
-    /// stays correct because fused pieces preserve the per-location
-    /// update order of the unfused walk.
-    ///
-    /// `group_of[j]` names loop `j`'s fusion group, if any.
-    pub fn fuse(mut self, groups: Vec<FusedGroup>, group_of: &[Option<usize>]) -> Schedule {
-        debug_assert_eq!(group_of.len(), self.n_loops);
-        for level in &mut self.levels {
-            for chunk in &mut level.chunks {
-                chunk.pieces = fuse_pieces(std::mem::take(&mut chunk.pieces), &groups, group_of);
-            }
-        }
-        self.fused = groups;
-        self
-    }
-
-    /// Direct (single-chunk) lowering of a whole chain with fusion: for
-    /// each fusion group one fused range over the members' common prefix
-    /// `[0, min end)` followed by per-member tail ranges (members whose
-    /// extent-driven end exceeds the common prefix), in member order;
-    /// unfused loops as plain ranges. One level, one chunk — the
-    /// sequential reference shape of a fused chain.
-    pub fn chain_ranges_fused(
-        ends: &[usize],
-        groups: Vec<FusedGroup>,
-        group_of: &[Option<usize>],
-    ) -> Schedule {
-        let mut pieces = Vec::new();
-        let mut j = 0usize;
-        while j < ends.len() {
-            match group_of[j] {
-                Some(g) if groups[g].loops.first() == Some(&(j as u32)) => {
-                    let members = &groups[g].loops;
-                    let common = members
-                        .iter()
-                        .map(|&m| ends[m as usize])
-                        .min()
-                        .unwrap_or(0);
-                    pieces.push(Piece::Fused {
-                        group: g as u32,
-                        start: 0,
-                        end: common as u32,
-                    });
-                    for &m in members {
-                        if ends[m as usize] > common {
-                            pieces.push(Piece::Range {
-                                loop_idx: m,
-                                start: common as u32,
-                                end: ends[m as usize] as u32,
-                            });
-                        }
-                    }
-                    j += members.len();
-                }
-                _ => {
-                    pieces.push(Piece::Range {
-                        loop_idx: j as u32,
-                        start: 0,
-                        end: ends[j] as u32,
-                    });
-                    j += 1;
-                }
-            }
-        }
-        Schedule {
-            n_loops: ends.len(),
-            kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![Chunk::new(pieces)],
-            }],
-            fused: groups,
-        }
-    }
-}
-
-/// The chunk-local fusion window matcher behind [`Schedule::fuse`].
-fn fuse_pieces(
-    pieces: Vec<Piece>,
-    groups: &[FusedGroup],
-    group_of: &[Option<usize>],
-) -> Vec<Piece> {
-    let mut out = Vec::with_capacity(pieces.len());
-    let mut i = 0usize;
-    'outer: while i < pieces.len() {
-        if let Some(j) = pieces[i].loop_idx() {
-            if let Some(g) = group_of.get(j).copied().flatten() {
-                let members = &groups[g].loops;
-                // The window must start at the group's first member and
-                // cover every member with identical coverage.
-                if members.first() == Some(&(j as u32)) && i + members.len() <= pieces.len() {
-                    let window = &pieces[i..i + members.len()];
-                    let aligned = window.iter().zip(members.iter()).all(|(p, &m)| {
-                        p.loop_idx() == Some(m as usize) && same_coverage(&window[0], p)
-                    });
-                    if aligned {
-                        out.push(match &window[0] {
-                            Piece::Range { start, end, .. } => Piece::Fused {
-                                group: g as u32,
-                                start: *start,
-                                end: *end,
-                            },
-                            Piece::List { iters, .. } => Piece::FusedList {
-                                group: g as u32,
-                                iters: iters.clone(),
-                            },
-                            _ => unreachable!("window starts at a plain piece"),
-                        });
-                        i += members.len();
-                        continue 'outer;
-                    }
-                }
-            }
-        }
-        out.push(pieces[i].clone());
-        i += 1;
-    }
-    out
-}
-
-/// Identical element coverage between two plain pieces.
-fn same_coverage(a: &Piece, b: &Piece) -> bool {
-    match (a, b) {
-        (
-            Piece::Range { start: s1, end: e1, .. },
-            Piece::Range { start: s2, end: e2, .. },
-        ) => s1 == s2 && e1 == e2,
-        (Piece::List { iters: i1, .. }, Piece::List { iters: i2, .. }) => i1 == i2,
-        _ => false,
-    }
-}
-
-/// Whether the schedules keep every *consumer* access of each elided
-/// intermediate inside a fused piece of its group — the structural
-/// precondition for scratch elision. A standalone (unfused) piece of a
-/// consumer loop would read the scratch slot without its producer having
-/// filled it for that element, so elision must be dropped (write-through)
-/// whenever any lowering leaves one behind. Standalone *producer* pieces
-/// (extent tails) are harmless: their scratch writes are dead by the
-/// chain-local-intermediate contract.
-pub fn elision_valid(scheds: &[&Schedule], groups: &[FusedGroup], group_of: &[Option<usize>]) -> bool {
-    // Loops that consume some scratch slot of their group.
-    let mut consumer_loops: Vec<usize> = Vec::new();
-    for g in groups {
-        for s in &g.scratch {
-            for m in s.consumers() {
-                let j = g.loops[m as usize] as usize;
-                if !consumer_loops.contains(&j) {
-                    consumer_loops.push(j);
-                }
-            }
-        }
-    }
-    if consumer_loops.is_empty() {
-        return true;
-    }
-    for sched in scheds {
-        for piece in sched
-            .levels
-            .iter()
-            .flat_map(|l| &l.chunks)
-            .flat_map(|c| &c.pieces)
-        {
-            if let Some(j) = piece.loop_idx() {
-                if !piece.is_empty() && consumer_loops.contains(&j) && group_of[j].is_some() {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 /// One resolved kernel argument in the one branch-free form every kind
@@ -710,7 +442,7 @@ pub fn elision_valid(scheds: &[&Schedule], groups: &[FusedGroup], group_of: &[Op
 /// |---|---|---|---|
 /// | indirect | the map's values, offset by the entry `idx` | arity | 0 |
 /// | direct | a shared static zero row | 0 | `dim` |
-/// | global, scratch slot | the zero row | 0 | 0 |
+/// | global | the zero row | 0 | 0 |
 ///
 /// Built only by the constructors below, which keep the strides
 /// consistent with `dim`.
@@ -759,8 +491,7 @@ impl BoundArg {
         }
     }
 
-    /// The buffer start at every iteration: a global, or an elided
-    /// intermediate bound to its scratch slot.
+    /// The buffer start at every iteration: a global.
     pub fn global(base: *mut f64, dim: u32, mode: AccessMode) -> BoundArg {
         BoundArg {
             base,
@@ -882,139 +613,47 @@ impl BoundLoop {
     }
 }
 
-/// Reusable per-worker execution state: the scratch pool backing elided
-/// intermediates, per-loop bound-arg overrides that point scratch-bound
-/// arguments into that pool, and the owner-computes sink and windows.
-/// Prepared once per schedule execution and reused across invocations —
-/// at steady state (same chain, same shapes) [`SchedCtx::prepare`]
-/// performs **zero heap allocations** (the `*_into` reuse pattern);
-/// [`SchedCtx::allocs`] counts the growths that did happen.
+/// Reusable per-worker execution state: the owner-computes sink and
+/// windows. Grown by the first windowed chunk a worker runs and reused
+/// across invocations, so at steady state (same chain, same shapes) a
+/// worker performs **zero heap allocations** (the `*_into` reuse
+/// pattern); [`SchedCtx::allocs`] counts the growths that did happen.
 #[derive(Default)]
 pub struct SchedCtx {
-    /// Scratch pool backing elided per-element intermediates.
-    pool: Vec<f64>,
-    /// Per chain loop: bound args with scratch rebinds applied (empty =
-    /// the loop has no elided args; use the `BoundLoop`'s own).
-    overrides: Vec<Vec<BoundArg>>,
     /// Where windowed chunks drop out-of-window increments; grown to the
     /// widest windowed argument by the first windowed chunk this worker
     /// runs, never read.
     sink: Vec<f64>,
     /// The running windowed chunk's per-argument `(lo, len)` windows.
     wins: Vec<(u32, u32)>,
-    /// Heap (re)allocations performed by `prepare` (and sink growths)
-    /// so far.
+    /// Heap (re)allocations of `sink` and `wins` so far.
     allocs: u64,
 }
 
-// SAFETY: the raw pointers inside `overrides` reference either the
-// caller's bound buffers (same contract as `BoundLoop`) or this ctx's
-// own `pool`; a ctx is only ever used by one worker at a time.
-unsafe impl Send for SchedCtx {}
-
 impl SchedCtx {
-    /// An empty context; buffers grow on first `prepare`.
+    /// An empty context; buffers grow on the first windowed chunk.
     pub fn new() -> SchedCtx {
         SchedCtx::default()
     }
 
-    /// Heap allocations `prepare` has performed over this ctx's lifetime
-    /// — constant once warm.
+    /// Heap allocations this ctx has performed over its lifetime —
+    /// constant once warm.
     pub fn allocs(&self) -> u64 {
         self.allocs
     }
-
-    /// Size the context for `sched` over `bound`, rebuilding the scratch
-    /// pool and the per-loop arg overrides. Buffer capacities are kept
-    /// across calls, so repeat preparations for same-shaped schedules
-    /// allocate nothing.
-    pub fn prepare(&mut self, bound: &[BoundLoop], sched: &Schedule) {
-        let track = |allocs: &mut u64, grew: bool| {
-            if grew {
-                *allocs += 1;
-            }
-        };
-
-        // Scratch pool.
-        let cap0 = self.pool.capacity();
-        self.pool.clear();
-        self.pool.resize(sched.scratch_pool_len(), 0.0);
-        track(&mut self.allocs, self.pool.capacity() != cap0);
-
-        // Arg overrides: loops whose args are rebound into the pool.
-        let cap0 = self.overrides.capacity();
-        self.overrides.resize_with(bound.len(), Vec::new);
-        self.overrides.truncate(bound.len());
-        track(&mut self.allocs, self.overrides.capacity() != cap0);
-        for o in &mut self.overrides {
-            o.clear();
-        }
-        let pool_base = self.pool.as_mut_ptr();
-        for group in &sched.fused {
-            for s in &group.scratch {
-                // SAFETY: offset + dim ≤ pool len by `scratch_pool_len`.
-                let slot_ptr = unsafe { pool_base.add(s.offset as usize) };
-                for &(member, arg) in &s.binds {
-                    let j = group.loops[member as usize] as usize;
-                    let ov = &mut self.overrides[j];
-                    if ov.is_empty() {
-                        let cap = ov.capacity();
-                        ov.extend(bound[j].args.iter().copied());
-                        track(&mut self.allocs, ov.capacity() != cap);
-                    }
-                    let mode = ov[arg as usize].mode;
-                    ov[arg as usize] = BoundArg::global(slot_ptr, s.dim, mode);
-                }
-            }
-        }
-    }
 }
 
-/// Execute one chunk: its pieces in order, on the calling thread.
-/// `bound[j]` must be the resolution of chain loop `j`; `ctx` carries
-/// this worker's scratch pool and arg overrides (prepared for `sched`).
-/// Plain pieces run whole through their loop's compiled body; fused
-/// pieces call each member's per-element entry point in turn.
-pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut SchedCtx) {
+/// Execute one chunk: its pieces in order, on the calling thread, each
+/// whole through its loop's compiled body. `bound[j]` must be the
+/// resolution of chain loop `j`; `ctx` is this worker's windowed-chunk
+/// state.
+pub fn run_chunk(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
     if !chunk.mask.is_empty() {
         return run_chunk_masked(bound, chunk, ctx);
     }
-    let overrides = &ctx.overrides;
-    let args_of = |j: usize| -> &[BoundArg] {
-        if overrides[j].is_empty() {
-            &bound[j].args
-        } else {
-            &overrides[j]
-        }
-    };
-    let fused = |group: u32, e: usize| {
-        for &m in &sched.fused[group as usize].loops {
-            let j = m as usize;
-            bound[j].kernel.elem(args_of(j), e);
-        }
-    };
     for piece in &chunk.pieces {
-        match piece {
-            Piece::Range {
-                loop_idx,
-                start,
-                end,
-            } => {
-                let j = *loop_idx as usize;
-                let iters = Iters::Range(*start as usize, *end as usize);
-                bound[j].kernel.run(args_of(j), iters, None);
-            }
-            Piece::List { loop_idx, iters } => {
-                let j = *loop_idx as usize;
-                bound[j].kernel.run(args_of(j), Iters::List(iters), None);
-            }
-            Piece::Fused { group, start, end } => {
-                (*start as usize..*end as usize).for_each(|e| fused(*group, e));
-            }
-            Piece::FusedList { group, iters } => {
-                iters.iter().for_each(|&e| fused(*group, e as usize));
-            }
-        }
+        let BoundLoop { kernel, args } = &bound[piece.loop_idx()];
+        kernel.run(args, piece.iters(), None);
     }
 }
 
@@ -1025,15 +664,11 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
     let Some(first) = chunk.pieces.first() else {
         return;
     };
-    let j = first
-        .loop_idx()
-        .expect("windowed chunks hold plain single-loop pieces");
+    let j = first.loop_idx();
     let BoundLoop { kernel, args } = &bound[j];
-    let SchedCtx {
-        sink, wins, allocs, ..
-    } = ctx;
-    let caps = (sink.capacity(), wins.capacity());
+    let SchedCtx { sink, wins, allocs } = ctx;
     wins.clear();
+    *allocs += u64::from(wins.capacity() < args.len());
     wins.resize(args.len(), (0, u32::MAX));
     let mut widest = 0usize;
     for w in &chunk.mask {
@@ -1041,24 +676,17 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         widest = widest.max(args[w.arg as usize].dim as usize);
     }
     if sink.len() < widest {
+        *allocs += u64::from(sink.capacity() < widest);
         sink.resize(widest, 0.0);
     }
-    *allocs += u64::from(caps != (sink.capacity(), wins.capacity()));
     let mask = Mask {
         wins,
         sink: sink.as_mut_ptr(),
     };
     for piece in &chunk.pieces {
         // The windows index loop `j`'s arguments.
-        assert_eq!(piece.loop_idx(), Some(j), "windowed chunk mixes loops");
-        let iters = match piece {
-            Piece::Range { start, end, .. } => Iters::Range(*start as usize, *end as usize),
-            Piece::List { iters, .. } => Iters::List(iters),
-            Piece::Fused { .. } | Piece::FusedList { .. } => {
-                unreachable!("loop_idx() is None for fused pieces")
-            }
-        };
-        kernel.run(args, iters, Some(mask));
+        assert_eq!(piece.loop_idx(), j, "windowed chunk mixes loops");
+        kernel.run(args, piece.iters(), Some(mask));
     }
 }
 
@@ -1073,10 +701,9 @@ pub fn run_schedule(bound: &[BoundLoop], sched: &Schedule) {
 /// the zero-allocation steady-state entry point.
 pub fn run_schedule_ctx(bound: &[BoundLoop], sched: &Schedule, ctx: &mut SchedCtx) {
     debug_assert_eq!(bound.len(), sched.n_loops);
-    ctx.prepare(bound, sched);
     for level in &sched.levels {
         for chunk in &level.chunks {
-            run_chunk(bound, sched, chunk, ctx);
+            run_chunk(bound, chunk, ctx);
         }
     }
 }
@@ -1097,9 +724,8 @@ pub fn run_schedule_threads(bound: &[BoundLoop], sched: &Schedule, n_threads: us
             for group in level.chunks.chunks(per) {
                 scope.spawn(move || {
                     let mut ctx = SchedCtx::new();
-                    ctx.prepare(bound, sched);
                     for chunk in group {
-                        run_chunk(bound, sched, chunk, &mut ctx);
+                        run_chunk(bound, chunk, &mut ctx);
                     }
                 });
             }
@@ -1214,111 +840,12 @@ mod tests {
                     }]),
                 ],
             }],
-            fused: Vec::new(),
         };
         let (mut a, spec, x) = fixture(100);
         let (mut b, _, _) = fixture(100);
         run_loop_schedule(&mut a, &spec, &sched);
         run_loop_schedule_threads(&mut b, &spec, &sched, 4);
         assert_eq!(a.dat(x).data, b.dat(x).data);
-    }
-
-    fn pair_group(scratch: Vec<ScratchBind>) -> (Vec<FusedGroup>, Vec<Option<usize>>) {
-        (
-            vec![FusedGroup {
-                loops: vec![1, 2],
-                scratch,
-            }],
-            vec![None, Some(0), Some(0)],
-        )
-    }
-
-    /// The direct fused lowering: solo loops as plain ranges, one fused
-    /// range over the group's common prefix, extent tails per member.
-    #[test]
-    fn chain_ranges_fused_shape_and_iters() {
-        let (groups, group_of) = pair_group(Vec::new());
-        let s = Schedule::chain_ranges_fused(&[7, 5, 9], groups, &group_of);
-        let pieces = &s.levels[0].chunks[0].pieces;
-        assert_eq!(pieces.len(), 3);
-        assert!(matches!(
-            pieces[0],
-            Piece::Range { loop_idx: 0, start: 0, end: 7 }
-        ));
-        assert!(matches!(
-            pieces[1],
-            Piece::Fused { group: 0, start: 0, end: 5 }
-        ));
-        assert!(matches!(
-            pieces[2],
-            Piece::Range { loop_idx: 2, start: 5, end: 9 }
-        ));
-        assert_eq!(s.n_fused_pieces(), 1);
-        // Fused pieces count for every member loop they interleave.
-        assert_eq!(s.loop_iters(1), 5);
-        assert_eq!(s.loop_iters(2), 9);
-    }
-
-    /// The post-pass window matcher fuses only aligned windows: chunks
-    /// whose member pieces differ in coverage are left unfused (and stay
-    /// correct via the per-location order argument).
-    #[test]
-    fn fuse_post_pass_requires_aligned_windows() {
-        let raw = |l: u32, s: u32, e: u32| Piece::Range {
-            loop_idx: l,
-            start: s,
-            end: e,
-        };
-        let sched = Schedule {
-            n_loops: 2,
-            kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![
-                    Chunk::new(vec![raw(0, 0, 4), raw(1, 0, 4)]),
-                    Chunk::new(vec![raw(0, 4, 8), raw(1, 4, 6)]),
-                ],
-            }],
-            fused: Vec::new(),
-        };
-        let groups = vec![FusedGroup {
-            loops: vec![0, 1],
-            scratch: Vec::new(),
-        }];
-        let s = sched.fuse(groups, &[Some(0), Some(0)]);
-        assert_eq!(s.n_fused_pieces(), 1);
-        assert!(matches!(
-            s.levels[0].chunks[0].pieces[0],
-            Piece::Fused { group: 0, start: 0, end: 4 }
-        ));
-        // Misaligned window untouched.
-        assert_eq!(s.levels[0].chunks[1].pieces.len(), 2);
-    }
-
-    /// Elision survives standalone *producer* tails (dead scratch
-    /// writes) but not standalone *consumer* pieces, which would read a
-    /// slot their element's producer never filled.
-    #[test]
-    fn elision_validity_rejects_standalone_consumers() {
-        let bind = ScratchBind {
-            dim: 2,
-            offset: 0,
-            producer: 0,
-            binds: vec![(0, 1), (1, 0)],
-        };
-        assert_eq!(bind.consumers().collect::<Vec<_>>(), vec![1]);
-
-        let (groups, group_of) = pair_group(vec![bind]);
-        let aligned = Schedule::chain_ranges_fused(&[4, 4, 4], groups.clone(), &group_of);
-        assert!(elision_valid(&[&aligned], &aligned.fused, &group_of));
-        assert_eq!(aligned.scratch_pool_len(), 2);
-
-        // Consumer extent tail: loop 2 runs [4, 6) standalone.
-        let ctail = Schedule::chain_ranges_fused(&[4, 4, 6], groups.clone(), &group_of);
-        assert!(!elision_valid(&[&ctail], &ctail.fused, &group_of));
-
-        // Producer extent tail: loop 1 runs [4, 6) standalone — harmless.
-        let ptail = Schedule::chain_ranges_fused(&[4, 6, 4], groups, &group_of);
-        assert!(elision_valid(&[&ptail], &ptail.fused, &group_of));
     }
 
     /// How one generated argument reaches its data.
@@ -1532,8 +1059,8 @@ mod tests {
             Kernel::compile(body, self.shapes.len())
         }
 
-        /// `n_loops` copies of the loop bound to `bufs`.
-        fn bind(&self, bufs: &mut [Vec<f64>], n_loops: usize) -> Vec<BoundLoop> {
+        /// The loop bound to `bufs`.
+        fn bind(&self, bufs: &mut [Vec<f64>]) -> BoundLoop {
             let acc = bufs.len() - 1;
             let args: Vec<BoundArg> = self
                 .shapes
@@ -1552,31 +1079,26 @@ mod tests {
                     }
                 })
                 .collect();
-            let kernel = self.kernel();
-            (0..n_loops)
-                .map(|_| BoundLoop::from_parts(kernel.clone(), args.clone()))
-                .collect()
+            BoundLoop::from_parts(self.kernel(), args)
         }
 
         /// Every buffer's bits after `run` from the initial values.
-        fn after(&self, n_loops: usize, run: impl FnOnce(&[BoundLoop])) -> Vec<Vec<u64>> {
+        fn after(&self, run: impl FnOnce(&[BoundLoop])) -> Vec<Vec<u64>> {
             let mut bufs = self.bufs.clone();
-            let bound = self.bind(&mut bufs, n_loops);
-            run(&bound);
+            let bound = self.bind(&mut bufs);
+            run(std::slice::from_ref(&bound));
             drop(bound);
             bufs.iter()
                 .map(|b| b.iter().map(|v| v.to_bits()).collect())
                 .collect()
         }
 
-        /// The per-element entry point of every loop, element by element
-        /// over `iters`.
-        fn reference(&self, n_loops: usize, iters: &[u32]) -> Vec<Vec<u64>> {
-            self.after(n_loops, |bound| {
+        /// The loop's per-element entry point, element by element over
+        /// `iters`.
+        fn reference(&self, iters: &[u32]) -> Vec<Vec<u64>> {
+            self.after(|bound| {
                 for &e in iters {
-                    for bl in bound {
-                        bl.kernel.elem(&bl.args, e as usize);
-                    }
+                    bound[0].kernel.elem(&bound[0].args, e as usize);
                 }
             })
         }
@@ -1636,12 +1158,11 @@ mod tests {
                     end: self.n_iter,
                 },
                 levels: vec![Level { chunks }],
-                fused: Vec::new(),
             }
         }
     }
 
-    /// Range, list, fused and windowed pieces through the compiled
+    /// Range, list and windowed pieces through the compiled
     /// bodies against the per-element reference, bitwise: for the
     /// fixture's closure, and for its `kernel!` twin against the
     /// closure's reference.
@@ -1656,57 +1177,27 @@ mod tests {
     }
 
     /// `f`'s compiled pieces against `reference`'s per-element entry
-    /// point (fused pieces run `f`'s own).
+    /// point.
     fn check_pieces(f: &Fixture, reference: &Fixture) {
         let n = f.n_iter as u32;
         let range: Vec<u32> = (3..n - 2).collect();
-        let got = f.after(1, |b| run_schedule(b, &Schedule::range(3, n as usize - 2)));
-        assert_eq!(got, reference.reference(1, &range), "range piece");
+        let got = f.after(|b| run_schedule(b, &Schedule::range(3, n as usize - 2)));
+        assert_eq!(got, reference.reference(&range), "range piece");
 
         let list: Vec<u32> = (0..n).filter(|e| e % 3 != 1).collect();
-        let got = f.after(1, |b| run_schedule(b, &Schedule::list(list.clone())));
-        assert_eq!(got, reference.reference(1, &list), "list piece");
+        let got = f.after(|b| run_schedule(b, &Schedule::list(list.clone())));
+        assert_eq!(got, reference.reference(&list), "list piece");
 
-        let group = || {
-            vec![FusedGroup {
-                loops: vec![0, 1],
-                scratch: Vec::new(),
-            }]
-        };
         let all: Vec<u32> = (0..n).collect();
-        let fused = Schedule::chain_ranges_fused(&[n as usize; 2], group(), &[Some(0); 2]);
-        assert_eq!(fused.n_fused_pieces(), 1);
-        let got = f.after(2, |b| run_schedule(b, &fused));
-        assert_eq!(got, reference.reference(2, &all), "fused piece");
-        let lists = Schedule {
-            n_loops: 2,
-            kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![Chunk::new(
-                    (0..2)
-                        .map(|loop_idx| Piece::List {
-                            loop_idx,
-                            iters: list.clone(),
-                        })
-                        .collect(),
-                )],
-            }],
-            fused: Vec::new(),
-        };
-        let fused_list = lists.fuse(group(), &[Some(0); 2]);
-        assert_eq!(fused_list.n_fused_pieces(), 1);
-        let got = f.after(2, |b| run_schedule(b, &fused_list));
-        assert_eq!(got, reference.reference(2, &list), "fused list piece");
-
         if let (Some(w), Some(wr)) = (f.windowed(), reference.windowed()) {
             let sched = w.owned();
-            let expect = wr.reference(1, &all);
-            let got = w.after(1, |b| {
+            let expect = wr.reference(&all);
+            let got = w.after(|b| {
                 assert!(sched.windows_valid(&b[0]));
                 run_schedule(b, &sched);
             });
             assert_eq!(got, expect, "windowed pieces");
-            let got = w.after(1, |b| run_schedule_threads(b, &sched, 3));
+            let got = w.after(|b| run_schedule_threads(b, &sched, 3));
             assert_eq!(got, expect, "windowed pieces on threads");
         }
     }

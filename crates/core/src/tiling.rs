@@ -248,7 +248,7 @@ pub fn build_tile_plan_raw(
     };
     // Ascending tile id is the sequential order of the tiled walk.
     let units: Vec<Chunk> = (0..n_tiles).map(|t| plan.unit(t)).collect();
-    plan.levels = conflict_levels(&units, &[], &chain_accesses(maps, sigs), set_sizes);
+    plan.levels = conflict_levels(&units, &chain_accesses(maps, sigs), set_sizes);
     plan
 }
 
@@ -292,12 +292,12 @@ pub fn overlap_core_tiles(
         if core {
             // A lower-id post tile wrote this element (any access of
             // ours must come after), or read it and we modify it (WAR).
-            for_each_touch(&[], accesses, &unit, &mut |a, elem| {
+            for_each_touch(accesses, &unit, &mut |a, elem| {
                 core &= !(post_w[a.set][elem] || (a.writes && post_r[a.set][elem]));
             });
         }
         if !core {
-            for_each_touch(&[], accesses, &unit, &mut |a, elem| {
+            for_each_touch(accesses, &unit, &mut |a, elem| {
                 let post = if a.writes { &mut post_w } else { &mut post_r };
                 post[a.set][elem] = true;
             });
@@ -376,7 +376,7 @@ mod tests {
     fn checked_schedule(dom: &Domain, sigs: &[LoopSig], plan: &TilePlan) -> Schedule {
         let units: Vec<Chunk> = (0..plan.n_tiles).map(|t| plan.unit(t)).collect();
         let (accesses, set_sizes) = (chain_accesses(dom.maps(), sigs), dom.set_sizes());
-        assert!(levels_valid(&units, &plan.levels, &[], &accesses, &set_sizes));
+        assert!(levels_valid(&units, &plan.levels, &accesses, &set_sizes));
         Schedule::from_tile_plan(plan, &accesses, &set_sizes)
     }
 

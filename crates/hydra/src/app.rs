@@ -504,22 +504,6 @@ impl Hydra {
         ["weight", "period", "gradl", "vflux", "iflux", "jacob"]
     }
 
-    /// The fusable glue pair: `update_state` (node-direct, refreshes the
-    /// limited state `qp`/`ql`/… from `qo`) straight into `jac_assemble`
-    /// (node-direct, builds the Jacobian diagonal from `qp`). Every
-    /// shared dat is accessed directly in both loops, so the fusion
-    /// analysis merges them into one per-element group — no elision
-    /// (their products feed the downstream chains), but the interleaving
-    /// reads `qp` while it is still register/cache-hot from the write.
-    pub fn fused_chain(&self) -> Result<ChainSpec> {
-        ChainSpec::new(
-            "state_jac",
-            vec![self.update_state_loop(), self.jac_assemble_loop()],
-            None,
-            &[],
-        )
-    }
-
     /// Setup phase: field initialisation plus the `weight` and `period`
     /// chains (they sit outside the time-marching loop, §4.2).
     pub fn setup(&self, ca: bool, mode: ExtentMode) -> Vec<Step> {

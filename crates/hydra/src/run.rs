@@ -3,7 +3,7 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning, fusion and faults through [`RunOptions`]; tiled or tuned
+//! pinning and faults through [`RunOptions`]; tiled or tuned
 //! dispatch of the *strict* chains through [`Job::dispatch`] (relaxed
 //! chains always keep their pinned-extent executor); supervision,
 //! rebalancing and the resident service by handing [`job`]'s program to
@@ -95,10 +95,6 @@ pub enum Variant {
         /// RK stages per iteration.
         stages: usize,
     },
-    /// Only the fusable `state_jac` glue pair ([`Hydra::fused_chain`])
-    /// per iteration, after the field initialisation — the fusion
-    /// fixture.
-    FusedChain,
 }
 
 impl Variant {
@@ -132,11 +128,6 @@ pub fn job(app: &Hydra, variant: Variant, iters: usize) -> Job {
             "hydra-ca",
             app.setup(true, mode),
             app.rk_iteration(true, mode, stages),
-        ),
-        Variant::FusedChain => (
-            "hydra-fused",
-            vec![Step::Loop(app.init_loop())],
-            vec![Step::Chain(app.fused_chain().expect("fused chain is valid"), false)],
         ),
     };
     let lower = |steps: Vec<Step>| steps.into_iter().map(JobStep::from).collect();

@@ -326,30 +326,6 @@ impl MgCfd {
         ChainSpec::new("synthetic", loops, None, &[])
     }
 
-    /// The fusable produce→consume chain of one level's node update:
-    /// `compute_flux_edge` (edges — its own schedule region), then
-    /// `compute_step_factor` (writes `adt` from `q`) and `time_step`
-    /// (consumes `adt`, updates `q`/`flux`) — two node-direct loops the
-    /// fusion analysis merges into one per-element group. `adt` is
-    /// declared chain-local ([`ChainSpec::with_scratch`]): its every
-    /// access is the group's direct Write→Read pair, so the fused
-    /// executor keeps it in per-worker scratch and never touches its
-    /// memory (contents unspecified after the chain).
-    pub fn fused_chain(&self, level: usize) -> Result<ChainSpec> {
-        let l = &self.levels[level];
-        let chain = ChainSpec::new(
-            &format!("flux_sf_ts_l{level}"),
-            vec![
-                self.flux_loop(level),
-                self.step_factor_loop(level),
-                self.time_step_loop(level),
-            ],
-            None,
-            &[],
-        )?;
-        Ok(chain.with_scratch(&[l.adt]))
-    }
-
     /// One time-marching iteration of the full program: solver V-cycle,
     /// pressure refresh, synthetic chain. With `ca = false` the chain is
     /// flattened into standard loops (the OP2 baseline).

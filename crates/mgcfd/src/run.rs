@@ -3,7 +3,7 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning, fusion and faults through [`RunOptions`]; tiled or tuned
+//! pinning and faults through [`RunOptions`]; tiled or tuned
 //! chain dispatch through [`Job::dispatch`]; supervision, rebalancing
 //! and the resident service by handing [`job`]'s program to
 //! [`op2_runtime::run_job_supervised`],
@@ -84,11 +84,6 @@ pub enum Variant {
     /// The CA back-end: Alg 2 for the synthetic chain, Alg 1 for
     /// everything else — the paper's mixed execution.
     Ca,
-    /// Only the fusable flux → step-factor → time-step chain
-    /// ([`MgCfd::fused_chain`]) per iteration — the fusion fixture.
-    /// Under `FuseMode::On` its two node-direct loops interleave per
-    /// element with `adt` elided into per-worker scratch.
-    FusedChain,
 }
 
 impl From<Step> for JobStep {
@@ -107,10 +102,6 @@ pub fn job(app: &MgCfd, variant: Variant, iters: usize) -> Job {
     let (name, steps) = match variant {
         Variant::Op2 => ("mgcfd-op2", app.iteration(false)),
         Variant::Ca => ("mgcfd-ca", app.iteration(true)),
-        Variant::FusedChain => (
-            "mgcfd-fused",
-            vec![Step::Chain(app.fused_chain(0).expect("fused chain is valid"))],
-        ),
     };
     Job::new(name, steps.into_iter().map(JobStep::from).collect(), iters)
         .setup(

@@ -53,30 +53,6 @@ impl Partitioner {
             ),
         }
     }
-
-    /// [`Partitioner::partition`] with per-element cost weights: parts
-    /// balance total *weight* instead of element count. The online
-    /// rebalancer feeds measured per-element costs through this entry
-    /// point to re-shard a loaded mesh.
-    pub fn partition_weighted(
-        self,
-        coords: &[f64],
-        dims: usize,
-        graph: Option<&Csr>,
-        weights: &[f64],
-        nparts: usize,
-    ) -> Vec<u32> {
-        match self {
-            Partitioner::Rcb => rcb_partition_weighted(coords, dims, weights, nparts),
-            Partitioner::Rib => rib_partition_weighted(coords, dims, weights, nparts),
-            Partitioner::KWay => kway_partition_weighted(
-                graph.expect("k-way partitioning needs the node graph"),
-                weights,
-                nparts,
-                3,
-            ),
-        }
-    }
 }
 
 /// Partition by recursive coordinate bisection. `coords` holds `dims`

@@ -72,16 +72,6 @@ impl HaloStats {
             .unwrap_or(0)
     }
 
-    /// Maximum over ranks/neighbours of elements of `set` exchanged at
-    /// levels `1..=d` — multiply by the dat payload for message bytes.
-    pub fn max_recv_elems(&self, set: usize, d: usize) -> usize {
-        self.per_rank
-            .iter()
-            .flat_map(|r| r.neighbors.keys().map(move |&n| r.recv_elems(n, set, d)))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Mean core fraction at inner depth `k` for `set` — a profitability
     /// indicator: small cores mean communication dominates.
     pub fn mean_core_fraction(&self, set: usize, k: usize) -> f64 {

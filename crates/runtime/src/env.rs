@@ -69,8 +69,8 @@ pub struct RankEnv<'a> {
     /// Intra-rank threading state: the rank's pool and the executors'
     /// scratch.
     pub threads: ThreadCtx,
-    /// How this rank executes: pool width, fusion, drain.
-    /// Sequential/unfused/leveled until the harness installs the run's
+    /// How this rank executes: pool width, drain.
+    /// Sequential/leveled until the harness installs the run's
     /// resolved policy ([`ExecPolicy::resolve`]) before the program
     /// runs, so env creation itself never reads the environment.
     pub policy: ExecPolicy,
@@ -122,10 +122,10 @@ impl<'a> RankEnv<'a> {
         }
     }
 
-    /// Heap allocations the persistent schedule contexts (scratch pools,
-    /// slot tables) have performed so far — flat across repeat fused
-    /// executions of the same chains, which tests and the bench assert
-    /// (zero steady-state scratch allocations).
+    /// Heap allocations the persistent schedule contexts (owner-computes
+    /// sinks and windows) have performed so far — flat across repeat
+    /// executions of the same loops and chains, which tests assert (zero
+    /// steady-state allocations).
     pub fn sched_allocs(&self) -> u64 {
         self.threads.sched_ctxs.iter().map(|c| c.allocs()).sum()
     }
@@ -368,8 +368,8 @@ impl<'a> RankEnv<'a> {
         });
     }
 
-    /// Executor: run a whole chain's lowered schedule (tiled core/post,
-    /// fused) — on the rank's pool when threading is active and the
+    /// Executor: run a whole chain's lowered schedule (tiled core/post)
+    /// — on the rank's pool when threading is active and the
     /// schedule has parallelism to expose ([`RankEnv::run_pooled`]),
     /// sequentially (level order, which is bitwise identical) otherwise.
     pub(crate) fn exec_chain_schedule(&mut self, chain: &ChainSpec, low: &LoweredSchedule) {
@@ -393,10 +393,8 @@ impl<'a> RankEnv<'a> {
         if self.policy.threading.active() && low.has_parallelism() {
             self.run_pooled(&chain.name, true, || chain.sigs(), &bound, low);
         } else {
-            // The context persists in ThreadCtx across invocations, so
-            // steady-state fused execution performs zero scratch-pool or
-            // slot-table heap allocations (asserted via
-            // `SchedCtx::allocs`); the pooled drain keeps one per worker.
+            // The context persists in ThreadCtx across invocations, as
+            // the pooled drain's one per worker does.
             if self.threads.sched_ctxs.is_empty() {
                 self.threads.sched_ctxs.push(SchedCtx::new());
             }
@@ -521,31 +519,6 @@ mod tests {
             noop,
         );
         env.exec_range(&spec, 5, 5, &mut []);
-    }
-
-    /// `OP2_FUSE` knob grammar: on/off/auto (case-insensitive, with the
-    /// usual boolean spellings), unset defaults to Off, anything else is
-    /// a typed [`ConfigError`] naming the knob.
-    #[test]
-    fn fuse_mode_knob_grammar() {
-        use crate::error::ConfigError;
-        use crate::policy::FuseMode;
-
-        assert_eq!(FuseMode::parse(None).unwrap(), FuseMode::Off);
-        for v in ["on", "1", "true", "ON", "True"] {
-            assert_eq!(FuseMode::parse(Some(v)).unwrap(), FuseMode::On, "{v}");
-        }
-        for v in ["off", "0", "false", "OFF"] {
-            assert_eq!(FuseMode::parse(Some(v)).unwrap(), FuseMode::Off, "{v}");
-        }
-        for v in ["auto", "AUTO", "Auto"] {
-            assert_eq!(FuseMode::parse(Some(v)).unwrap(), FuseMode::Auto, "{v}");
-        }
-
-        let err = FuseMode::parse(Some("maybe")).unwrap_err();
-        assert!(matches!(&err, ConfigError { knob: "OP2_FUSE", value, .. } if value == "maybe"));
-        let msg = err.to_string();
-        assert!(msg.contains("OP2_FUSE") && msg.contains("maybe"), "{msg}");
     }
 
     /// `OP2_EXEC` knob grammar: levels/dataflow (case-insensitive),

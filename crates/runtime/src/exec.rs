@@ -13,9 +13,10 @@
 //!
 //! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`],
 //! [`run_chain_relaxed`], [`run_chain_hooked`] and [`run_chain_tiled`]
-//! are requests to it, and per-loop, tiled and fused execution are three
-//! *lowerings* of its pre-wait and post-wait phases, chosen in one pure
-//! function (`choose_lowering`). It is **inspector–executor** split:
+//! are requests to it, and per-loop and tiled execution are the two
+//! *lowerings* of its pre-wait and post-wait phases: a tiled request
+//! runs the tiled one, every other request the per-loop one. It is
+//! **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
 //! the validity verdict, every lowered schedule) comes from a cached
 //! [`crate::plan::ChainPlan`] — repeat invocations of the same chain in
@@ -28,8 +29,7 @@ use crate::env::RankEnv;
 use crate::error::RuntimeError;
 use crate::fault::BoundaryKind;
 use crate::halo::{ExchangePlan, Split};
-use crate::plan::{loop_exchange_for, plan_for, LoweringKey};
-use crate::policy::FuseMode;
+use crate::plan::{loop_exchange_for, plan_for};
 use crate::trace::{ChainRec, ExchangeRec, LoopRec};
 use op2_core::seq::LoopResult;
 use op2_core::{Arg, ChainSpec, DatId, LoopSpec};
@@ -196,12 +196,6 @@ pub fn run_loop_hooked(
 /// back-end. Panics if the chain requires deeper halos than the layout
 /// was built with (a program error); transport failures and
 /// under-provisioned halo extents surface as [`RuntimeError`]s.
-///
-/// Under [`FuseMode::On`] (or `Auto` when the elided traffic exceeds the
-/// exchanged payload) a chain with a fusable group runs its fused
-/// whole-chain schedule instead of the per-loop walk — bitwise identical
-/// by the fusion legality rules, with elidable intermediates kept in
-/// per-worker scratch.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     exec_chain(env, chain, ChainRequest::Strict, &mut NoHooks)
 }
@@ -256,73 +250,17 @@ pub(crate) enum ChainRequest {
     Tiled(usize),
 }
 
-/// What one chain invocation computes before and after the wait — the
-/// three lowerings of Alg 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Lowering {
-    /// Each loop's core `[0, core_end)`, then each loop's halo region
-    /// `[core_end, exec_end)` in loop order (lines 8–12 and 14–18).
-    PerLoop,
-    /// The plan's overlap-eligible core tiles — footprint inside every
-    /// loop's core region, closed under demotion against earlier post
-    /// tiles ([`op2_core::tiling::overlap_core_tiles`]) — then the rest,
-    /// for this many tiles.
-    Tiled(usize),
-    /// Nothing (per-element interleaving has no core phase to overlap
-    /// with the messages), then the fused whole-chain schedule cached
-    /// under this `Fused*` key.
-    Fused(LoweringKey),
-}
-
-/// The one place a chain's lowering is chosen — pure, from the rank's
-/// fusion policy and the caller's request. Relaxed and hooked requests
-/// never fuse (staleness and launches are attributed per loop, which a
-/// whole-chain schedule cannot do). Otherwise the fused candidate is the
-/// tile plan put through fusion for a tiled request, the colored lowering
-/// when the rank's pool is active (`pool_block()` = the block size every
-/// fused block must honour), direct range interleaving when it is not,
-/// and `fused_facts(key)` reports its `(fused pieces, elided bytes)`:
-/// `On` takes it whenever anything fused; `Auto` also requires the
-/// elided intermediate traffic to exceed `recv_bytes`, the exchanged
-/// payload whose overlap the fused executor forgoes.
-pub(crate) fn choose_lowering(
-    fuse: FuseMode,
-    req: ChainRequest,
-    recv_bytes: usize,
-    pool_block: impl FnOnce() -> Option<usize>,
-    fused_facts: impl FnOnce(LoweringKey) -> (u64, u64),
-) -> Lowering {
-    let unfused = match req {
-        ChainRequest::Tiled(n) => Lowering::Tiled(n),
-        _ => Lowering::PerLoop,
-    };
-    if fuse == FuseMode::Off || matches!(req, ChainRequest::Relaxed | ChainRequest::Hooked) {
-        return unfused;
-    }
-    let key = match (req, pool_block()) {
-        (ChainRequest::Tiled(n), _) => LoweringKey::FusedTiled(n),
-        (_, Some(block)) => LoweringKey::FusedColored(block),
-        (_, None) => LoweringKey::FusedDirect,
-    };
-    let (fused_pieces, elided_bytes) = fused_facts(key);
-    let wanted = match fuse {
-        FuseMode::Off => false,
-        FuseMode::On => true,
-        FuseMode::Auto => elided_bytes > recv_bytes as u64,
-    };
-    if wanted && fused_pieces > 0 {
-        Lowering::Fused(key)
-    } else {
-        unfused
-    }
-}
-
 /// The Alg 2 skeleton every planned chain entry point runs: replay-skip
 /// → cached plan → depth and validity checks → grouped exchange →
 /// pre-wait phase → wait → post-wait phase → validity transitions →
 /// trace record → boundary → checkpoint note. Only the two phases
-/// differ between lowerings (see [`Lowering`]); all three are bitwise
-/// identical to the sequential walk.
+/// differ between the lowerings: each loop's core `[0, core_end)`, then
+/// each loop's halo region `[core_end, exec_end)` in loop order (lines
+/// 8–12 and 14–18), or for a tiled request the plan's overlap-eligible
+/// core tiles — footprint inside every loop's core region, closed under
+/// demotion against earlier post tiles
+/// ([`op2_core::tiling::overlap_core_tiles`]) — then the rest. Both are
+/// bitwise identical to the sequential walk.
 fn exec_chain(
     env: &mut RankEnv<'_>,
     chain: &ChainSpec,
@@ -360,8 +298,7 @@ fn exec_chain(
         });
     }
 
-    // A tiled request counts one tile-plan lookup per invocation,
-    // whichever lowering ends up running it.
+    // A tiled request counts one tile-plan lookup per invocation.
     let tiled = match req {
         ChainRequest::Tiled(n) => {
             let (tc, built) = plan.tile_schedule(env.layout, chain, n);
@@ -374,23 +311,6 @@ fn exec_chain(
         }
         _ => None,
     };
-    let mut candidate = None;
-    let lowering = choose_lowering(
-        env.policy.fuse,
-        req,
-        plan.exchange.recv_bytes,
-        || {
-            let t = env.policy.threading;
-            t.active().then_some(t.block_size)
-        },
-        |key| {
-            let (fc, _) = plan.fused_chain(env.layout, env.dom, chain, key);
-            let facts = (fc.fused_pieces, fc.elided_bytes);
-            candidate = Some(fc);
-            facts
-        },
-    );
-    let fused = candidate.filter(|_| matches!(lowering, Lowering::Fused(_)));
 
     // Grouped message per neighbour (lines 5-7 of Alg 2), packed via the
     // plan's index lists. A chain importing nothing posts nothing and,
@@ -414,9 +334,8 @@ fn exec_chain(
 
     // Pre-wait phase: what reads nothing the wait delivers runs while
     // the exchange is in flight.
-    match (&fused, &tiled) {
-        (Some(_), _) => {}
-        (None, Some(tc)) => {
+    match &tiled {
+        Some(tc) => {
             if tc.n_core_tiles > 0 {
                 env.exec_chain_schedule(chain, &tc.core);
                 env.plans.stats.overlap_tiles += tc.n_core_tiles as u64;
@@ -425,7 +344,7 @@ fn exec_chain(
         // The safe core retracts by the loop's in-chain dependency
         // depth; relaxed mode keeps the standard depth-1 core everywhere
         // (the paper's behaviour — staleness tolerated and counted).
-        (None, None) => {
+        None => {
             for (pos, &core_end) in plan.core_end.iter().enumerate() {
                 run_range(env, hooks, pos, 0, core_end);
             }
@@ -438,21 +357,16 @@ fn exec_chain(
     hooks.stage_in(plan.exchange.recv_bytes);
 
     // Post-wait phase. `per_loop` records (prewait, postwait) iteration
-    // counts per loop; whole-chain schedules have no per-loop core.
+    // counts per loop; tile schedules have no per-loop core.
     let mut per_loop: Vec<(usize, usize)> = plan.exec_end.iter().map(|&end| (0, end)).collect();
-    match (&fused, &tiled) {
-        (Some(fc), _) => {
-            env.plans.stats.fused_pieces += fc.fused_pieces;
-            env.plans.stats.elided_bytes += fc.elided_bytes;
-            env.exec_chain_schedule(chain, &fc.sched);
-        }
-        (None, Some(tc)) => {
+    match &tiled {
+        Some(tc) => {
             if tc.n_core_tiles < tc.tiles.n_tiles {
                 env.exec_chain_schedule(chain, &tc.post);
             }
         }
         // Halo regions in loop order (lines 14-18).
-        (None, None) => {
+        None => {
             for pos in 0..chain.len() {
                 let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
                 run_range(env, hooks, pos, core_end, exec_end);
@@ -462,22 +376,12 @@ fn exec_chain(
         }
     }
 
-    // Validity transitions, in loop order (the tiled and fused
-    // interleavings preserve exactly the cross-loop dependences the
-    // pre-simulation walked). Fusion-elided intermediates then drop to
-    // 0 — their memory was never written, their contents are unspecified
-    // by the `with_scratch` contract — and are *not* dirty-marked for
-    // checkpointing: rollback restores the same untouched bytes, and
-    // replay re-fuses deterministically.
-    let elided: &[DatId] = fused.as_ref().map_or(&[], |fc| fc.elided.as_slice());
+    // Validity transitions, in loop order (the tiled interleaving
+    // preserves exactly the cross-loop dependences the pre-simulation
+    // walked).
     for &(d, v) in plan.produces.iter().flatten() {
         env.valid[d.idx()] = v;
-        if !elided.contains(&d) {
-            env.ckpt.note_write(d.idx());
-        }
-    }
-    for &d in elided {
-        env.valid[d.idx()] = 0;
+        env.ckpt.note_write(d.idx());
     }
 
     env.trace.chains.push(ChainRec {
@@ -615,58 +519,67 @@ mod tests {
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
     }
 
-    /// The lowering decision as a table over fusion policy × request ×
-    /// pool × what fusing would buy. The `Auto` rows carry the four
-    /// cases of the deleted `op2_model::classify_fused` arm: a win,
-    /// nothing elided, overlap outweighing the saving, and break-even
-    /// declining.
+    /// Each request maps straight to its phases: strict, relaxed and
+    /// hooked run every loop's core before the wait and its halo region
+    /// after it, with no tile-plan lookup; tiled runs tile schedules, one
+    /// lookup per invocation, and records no per-loop core.
     #[test]
     fn lowering_decision_table() {
-        use ChainRequest::{Hooked, Relaxed, Strict, Tiled};
-        use FuseMode::{Auto, Off, On};
-        use LoweringKey::{FusedColored, FusedDirect, FusedTiled};
-        const MB: usize = 1 << 20;
-        // (fuse, request, pool block, recv bytes, (fused pieces, elided
-        // bytes) of the candidate) → expected lowering.
-        let rows = [
-            (On, Strict, None, MB, (2, 2 * MB), Lowering::Fused(FusedDirect)),
-            (On, Strict, None, MB, (2, 0), Lowering::Fused(FusedDirect)),
-            (On, Strict, None, MB, (0, 0), Lowering::PerLoop),
-            (On, Strict, Some(16), MB, (2, 0), Lowering::Fused(FusedColored(16))),
-            (On, Tiled(3), None, MB, (2, 0), Lowering::Fused(FusedTiled(3))),
-            (On, Tiled(3), Some(16), MB, (2, 0), Lowering::Fused(FusedTiled(3))),
-            (On, Tiled(3), Some(16), MB, (0, 0), Lowering::Tiled(3)),
-            (Auto, Strict, None, 0, (2, MB), Lowering::Fused(FusedDirect)),
-            (Auto, Strict, None, 0, (2, 0), Lowering::PerLoop),
-            (Auto, Strict, None, 10 * MB, (2, 1 << 10), Lowering::PerLoop),
-            (Auto, Strict, None, MB, (2, MB), Lowering::PerLoop),
-            (Auto, Strict, None, MB, (2, MB + 1), Lowering::Fused(FusedDirect)),
-            (Auto, Strict, Some(16), MB, (2, MB + 1), Lowering::Fused(FusedColored(16))),
-            (Auto, Strict, Some(16), MB, (0, 0), Lowering::PerLoop),
-            (Auto, Tiled(3), None, MB, (2, MB + 1), Lowering::Fused(FusedTiled(3))),
-            (Auto, Tiled(3), Some(16), MB, (2, MB), Lowering::Tiled(3)),
-            (Auto, Tiled(3), None, MB, (0, 0), Lowering::Tiled(3)),
+        use crate::harness::{run_distributed_with, RunOptions};
+        use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+
+        let mut m = op2_mesh::Quad2D::generate(12, 12);
+        let a = m.dom.decl_dat_zeros("a", m.nodes, 1);
+        let b = m.dom.decl_dat_zeros("b", m.nodes, 1);
+        let produce = LoopSpec::new(
+            "produce",
+            m.edges,
+            vec![
+                Arg::dat_indirect(a, m.e2n, 0, M::Inc),
+                Arg::dat_indirect(a, m.e2n, 1, M::Inc),
+            ],
+            noop,
+        );
+        let consume = LoopSpec::new(
+            "consume",
+            m.edges,
+            vec![
+                Arg::dat_indirect(a, m.e2n, 0, M::Read),
+                Arg::dat_indirect(b, m.e2n, 1, M::Inc),
+            ],
+            noop,
+        );
+        let chain = ChainSpec::new("pc", vec![produce, consume], None, &[]).unwrap();
+        let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
+        let own = derive_ownership(&m.dom, m.nodes, base, chain.max_halo_layers());
+        let layouts = build_layouts(&m.dom, &own, chain.max_halo_layers());
+        type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
+        let rows: [(&str, Entry, bool); 4] = [
+            ("strict", run_chain, false),
+            ("relaxed", run_chain_relaxed, false),
+            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks), false),
+            ("tiled", |env, ch| run_chain_tiled(env, ch, 4), true),
         ];
-        for (fuse, req, block, recv, (pieces, elided), expect) in rows {
-            let got = choose_lowering(fuse, req, recv, || block, |_| (pieces, elided as u64));
-            assert_eq!(got, expect, "{fuse:?} {req:?} pool={block:?} recv={recv} elided={elided}");
+        for (name, entry, tiled) in rows {
+            let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
+                entry(env, &chain)?;
+                entry(env, &chain)
+            });
+            for t in &out.traces {
+                let lookups = t.plan.tile_hits + t.plan.tile_misses;
+                assert_eq!(lookups, if tiled { 2 } else { 0 }, "{name}: rank {}", t.rank);
+                for c in &t.chains {
+                    let prewait: usize = c.per_loop.iter().map(|&(core, _)| core).sum();
+                    assert_eq!(prewait == 0, tiled, "{name}: rank {} {:?}", t.rank, c.per_loop);
+                }
+            }
+            out.unwrap_results();
         }
-        // Off, relaxed and hooked never fuse and never even ask what
-        // fusing would buy (no fused schedule is built for them).
-        let never = |fuse, req| {
-            choose_lowering(fuse, req, 0, || panic!("pool consulted"), |_| panic!("facts consulted"))
-        };
-        for fuse in [Off, On, Auto] {
-            assert_eq!(never(fuse, Relaxed), Lowering::PerLoop);
-            assert_eq!(never(fuse, Hooked), Lowering::PerLoop);
-        }
-        assert_eq!(never(Off, Strict), Lowering::PerLoop);
-        assert_eq!(never(Off, Tiled(5)), Lowering::Tiled(5));
     }
 
     /// A config-pinned halo extent that is too small is a typed
-    /// [`RuntimeError::Validity`] on every lowering — per-loop, tiled and
-    /// fused — not a rank panic; relaxed mode runs and counts the read.
+    /// [`RuntimeError::Validity`] on every lowering — per-loop and tiled —
+    /// not a rank panic; relaxed mode runs and counts the read.
     #[test]
     fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
         use crate::error::RankFailure;
@@ -691,8 +604,6 @@ mod tests {
         ];
         args.extend(inc(b));
         let consume = LoopSpec::new("consume", m.edges, args, noop);
-        // A fusable direct pair, so `FuseMode::On` really picks the fused
-        // lowering.
         let stage = LoopSpec::new(
             "stage",
             m.nodes,
@@ -708,23 +619,25 @@ mod tests {
         // `consume` runs to extent 2 (the direct pair reads `b` one ring
         // out), so `produce` needs extent 3 to leave `a` valid to depth
         // 2; the config pins it to 1.
-        let chain = ChainSpec::new("pinned", vec![produce, consume, stage, apply], None, &[(0, 1)])
-            .unwrap()
-            .with_scratch(&[tmp]);
+        let chain = ChainSpec::new(
+            "pinned",
+            vec![produce, consume, stage, apply],
+            None,
+            &[(0, 1)],
+        )
+        .unwrap();
         assert_eq!(chain.halo_ext, [1, 2, 1, 1]);
-        assert!(!chain.fusion().groups.is_empty(), "the fixture must have a fusable group");
 
         let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
         let own = derive_ownership(&m.dom, m.nodes, base, 2);
         let layouts = build_layouts(&m.dom, &own, 2);
         type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
-        let cases: [(&str, FuseMode, Entry); 3] = [
-            ("per-loop", FuseMode::Off, run_chain),
-            ("tiled", FuseMode::Off, |env, ch| run_chain_tiled(env, ch, 4)),
-            ("fused", FuseMode::On, run_chain),
+        let cases: [(&str, Entry); 2] = [
+            ("per-loop", run_chain),
+            ("tiled", |env, ch| run_chain_tiled(env, ch, 4)),
         ];
-        for (name, fuse, entry) in cases {
-            let opts = RunOptions::default().fuse(fuse);
+        for (name, entry) in cases {
+            let opts = RunOptions::default();
             let out = run_distributed_with(&mut m.dom.clone(), &layouts, &opts, |env| {
                 entry(env, &chain)
             });

@@ -48,10 +48,6 @@ pub struct RunOptions {
     /// (the default) reads `OP2_CKPT_EVERY` from the environment;
     /// unsupervised runs ignore this field entirely.
     pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
-    /// Cross-loop fusion policy, **per rank**. `None` (the default)
-    /// reads `OP2_FUSE` from the environment (absent = off). `Some` is
-    /// taken verbatim.
-    pub fuse: Option<crate::policy::FuseMode>,
     /// Schedule drain policy, **per rank**. `None` (the default) reads
     /// `OP2_EXEC` from the environment (absent = levels). `Some` is
     /// taken verbatim.
@@ -90,13 +86,6 @@ impl RunOptions {
     /// (builder style), overriding the `OP2_CKPT_EVERY` default.
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint = Some(crate::checkpoint::CheckpointConfig::new(every));
-        self
-    }
-
-    /// Cross-loop fusion policy (builder style), overriding the
-    /// `OP2_FUSE` default.
-    pub fn fuse(mut self, mode: crate::policy::FuseMode) -> Self {
-        self.fuse = Some(mode);
         self
     }
 

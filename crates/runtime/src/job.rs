@@ -14,7 +14,7 @@
 //! field of the job ([`ChainDispatch`]), read by the interpreter; relaxed
 //! chains always run [`run_chain_relaxed`] (their pinned extents are an
 //! accuracy contract, not a performance choice). Threading, drain
-//! policy, fusion and fault plans stay where they were: in the caller's
+//! policy and fault plans stay where they were: in the caller's
 //! [`RunOptions`].
 //!
 //! Three hosts run a job on a distributed world and fold the per-rank
@@ -69,8 +69,7 @@ impl JobStep {
 /// How the interpreter executes a job's *strict* chain steps.
 #[derive(Debug, Clone, Default)]
 pub enum ChainDispatch {
-    /// The planned Alg 2 executor ([`run_chain`]; fuses per the env's
-    /// [`FuseMode`](crate::policy::FuseMode)).
+    /// The planned Alg 2 executor ([`run_chain`]).
     #[default]
     Planned,
     /// Alg 2 plus intra-rank sparse tiling with this many tiles per rank
@@ -301,7 +300,7 @@ impl JobRun {
 }
 
 /// Run `job` on `layouts`; on success `dom` holds every owner's final
-/// values. Threading, drain policy, fusion and faults come from `opts`.
+/// values. Threading, drain policy and faults come from `opts`.
 pub fn run_job(
     dom: &mut Domain,
     layouts: &[RankLayout],

@@ -31,7 +31,7 @@
 //!   class, with layout-epoch invalidation.
 //! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
 //!   every typed [`ConfigError`], and the per-rank [`ExecPolicy`]
-//!   (threading, fusion, drain) resolved once per run.
+//!   (threading, drain) resolved once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
 //!   (owner-computes windows, colored loop ranges and leveled tile plans
@@ -101,10 +101,10 @@ pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, Fa
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
 pub use plan::{
-    chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, FusedChain,
-    LoweringKey, PlanCache, PlanStats,
+    chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, LoweringKey,
+    PlanCache, PlanStats,
 };
-pub use policy::{env_knob, parse_knob, ExecMode, ExecPolicy, FuseMode, KNOBS};
+pub use policy::{env_knob, parse_knob, ExecMode, ExecPolicy, KNOBS};
 pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
     JobStep,

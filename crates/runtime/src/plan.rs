@@ -18,8 +18,8 @@
 //!   requirements and produced-validity transitions, and the validity
 //!   verdict they imply ([`ChainPlan::stale`]);
 //! * lazily, every **lowering** an executor asked for — a loop range
-//!   lowered for the thread pool, the tile plan for a tile count, a
-//!   fused whole-chain schedule — in one [`LoweringCache`] under one
+//!   lowered for the thread pool, the tile plan for a tile count — in
+//!   one [`LoweringCache`] under one
 //!   [`LoweringKey`], each schedule with its chunk DAG stored beside it
 //!   ([`LoweredSchedule`]).
 //!
@@ -38,9 +38,7 @@
 
 use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
-use op2_core::conflict::{chain_accesses, conflict_accesses, conflict_levels};
-use op2_core::par::block_units;
-use op2_core::schedule::{elision_valid, Chunk, FusedGroup, Piece, ScheduleKind, ScratchBind};
+use op2_core::conflict::chain_accesses;
 use op2_core::tiling::{
     build_tile_plan_raw, overlap_core_tiles, seed_blocks, seed_from_targets, TilePlan,
 };
@@ -263,13 +261,6 @@ pub enum LoweringKey {
     },
     /// The chain's tile plan for this many tiles per rank.
     Tiled(usize),
-    /// The fused chain as direct range interleaving (one sequential
-    /// chunk).
-    FusedDirect,
-    /// The fused chain block-colored at this block size.
-    FusedColored(usize),
-    /// The fused chain over the tile plan for this many tiles.
-    FusedTiled(usize),
 }
 
 /// A lowered schedule with its chunk dependency DAG stored beside it,
@@ -304,16 +295,13 @@ impl std::ops::Deref for LoweredSchedule {
 }
 
 /// What a [`LoweringCache`] holds under a [`LoweringKey`]: a `Range` key
-/// holds one schedule, a `Tiled` key the tile plan with its schedules, a
-/// `Fused*` key the fused schedule with its elision facts.
+/// holds one schedule, a `Tiled` key the tile plan with its schedules.
 #[derive(Debug, Clone)]
 pub enum Lowered {
     /// One loop range's pool schedule.
     Range(Arc<LoweredSchedule>),
     /// A tile plan and its full / core / post schedules.
     Tiled(Arc<TiledChain>),
-    /// A fused whole-chain schedule.
-    Fused(Arc<FusedChain>),
 }
 
 /// The one cache of lowered schedules: key → lowering, each entry built
@@ -326,9 +314,7 @@ pub struct LoweringCache {
 
 impl LoweringCache {
     /// The lowering under `key`, running `build` on a miss. Returns
-    /// `(lowering, built)`. The lock is not held while building — a
-    /// build may itself consult the cache (the fused-tiled lowering
-    /// starts from the tiled one).
+    /// `(lowering, built)`. The lock is not held while building.
     pub fn get_or_build(&self, key: LoweringKey, build: impl FnOnce() -> Lowered) -> (Lowered, bool) {
         let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
         if let Some(low) = hit {
@@ -340,31 +326,6 @@ impl LoweringCache {
     }
 }
 
-/// A whole-chain fused schedule for one lowering, plus the facts the
-/// fused executor and the lowering decision need: which intermediates
-/// were actually elided (scratch-resident, never written to memory) and
-/// how much memory traffic that removes per invocation. Built once per
-/// ([`ChainPlan`], lowering) and cached — see [`ChainPlan::fused_chain`].
-#[derive(Debug)]
-pub struct FusedChain {
-    /// The fused leveled schedule over the whole chain.
-    pub sched: LoweredSchedule,
-    /// Per chain loop: fusion group membership (the legality analysis's
-    /// verdict; `None` = the loop runs unfused).
-    pub group_of: Vec<Option<usize>>,
-    /// Intermediates elided under this lowering. A dat declared scratch
-    /// ([`ChainSpec::with_scratch`]) drops out when the lowering left
-    /// any consumer piece unfused — fusion stays, elision write-throughs.
-    pub elided: Vec<DatId>,
-    /// Intermediate memory traffic elided per invocation, in bytes: for
-    /// every elided dat, the producer's write plus each consumer's
-    /// read-back over the fused extent.
-    pub elided_bytes: u64,
-    /// Fused pieces in `sched` (0 = nothing fused; callers fall back to
-    /// the unfused executor).
-    pub fused_pieces: u64,
-}
-
 /// A cached tile plan together with its lowered schedules: the full
 /// leveled schedule plus the core/post split the overlap executor uses
 /// (see [`overlap_core_tiles`]). All inspector work — built once per
@@ -373,8 +334,8 @@ pub struct FusedChain {
 pub struct TiledChain {
     /// The leveled tile plan itself.
     pub tiles: Arc<TilePlan>,
-    /// Full schedule over every tile (what the fused-tiled lowering and
-    /// the tuner's barrier count start from).
+    /// Full schedule over every tile (what the tuner's barrier count
+    /// starts from).
     pub sched: LoweredSchedule,
     /// Overlap-eligible tiles only — footprint inside every loop's core
     /// region and demotion-closed against earlier post tiles, so they
@@ -557,184 +518,6 @@ impl ChainPlan {
             n_core_tiles,
         }
     }
-
-    /// The fused whole-chain schedule for one lowering, built on first
-    /// request and cached inside the plan. Returns `(fused, built)` —
-    /// `built` is true when this call ran the fusion analysis and
-    /// lowering (a fused-schedule miss).
-    ///
-    /// The build runs [`ChainSpec::fusion`] (legality analysis), lowers
-    /// per `key` (a `Fused*` one) — direct range interleaving,
-    /// union-conflict block coloring, or the cached tile schedule put
-    /// through
-    /// [`Schedule::fuse`] — then re-verifies scratch elision against the
-    /// *actual* pieces ([`elision_valid`]): a lowering that left any
-    /// consumer piece unfused keeps the fusion but write-throughs the
-    /// intermediate (scratch binds stripped), so correctness never
-    /// depends on the lowering lining up.
-    pub fn fused_chain(
-        &self,
-        layout: &RankLayout,
-        dom: &Domain,
-        chain: &ChainSpec,
-        key: LoweringKey,
-    ) -> (Arc<FusedChain>, bool) {
-        let build = || Lowered::Fused(Arc::new(self.build_fused(layout, dom, chain, key)));
-        match self.lowered.get_or_build(key, build) {
-            (Lowered::Fused(fc), built) => (fc, built),
-            _ => panic!("{key:?} is not a fused lowering"),
-        }
-    }
-
-    fn build_fused(
-        &self,
-        layout: &RankLayout,
-        dom: &Domain,
-        chain: &ChainSpec,
-        key: LoweringKey,
-    ) -> FusedChain {
-        let fp = chain.fusion();
-        let groups = fused_groups_for(chain, dom, &fp);
-        let mut sched = match key {
-            LoweringKey::FusedColored(block) => colored_fused(
-                layout,
-                chain,
-                &self.exec_end,
-                block.max(1),
-                groups,
-                &fp.group_of,
-            ),
-            LoweringKey::FusedTiled(n_tiles) => {
-                let (tc, _) = self.tile_schedule(layout, chain, n_tiles);
-                Schedule::clone(&tc.sched).fuse(groups, &fp.group_of)
-            }
-            _ => Schedule::chain_ranges_fused(&self.exec_end, groups, &fp.group_of),
-        };
-        if !elision_valid(&[&sched], &sched.fused, &fp.group_of) {
-            for g in &mut sched.fused {
-                g.scratch.clear();
-            }
-        }
-        let mut elided = Vec::new();
-        let mut elided_bytes = 0u64;
-        for (g, gi) in sched.fused.iter().zip(&fp.groups) {
-            let common = gi
-                .members()
-                .map(|j| self.exec_end[j])
-                .min()
-                .unwrap_or(0) as u64;
-            for (s, &d) in g.scratch.iter().zip(&gi.elided) {
-                let accesses = s.consumers().count() as u64 + 1;
-                elided_bytes += common * s.dim as u64 * 8 * accesses;
-                elided.push(d);
-            }
-        }
-        FusedChain {
-            fused_pieces: sched.n_fused_pieces() as u64,
-            group_of: fp.group_of,
-            elided,
-            elided_bytes,
-            sched: LoweredSchedule::new(sched),
-        }
-    }
-}
-
-/// Translate a chain's [`op2_core::chain::FusionPlan`] into the schedule
-/// IR's [`FusedGroup`]s: member loop lists plus one [`ScratchBind`] per
-/// elidable intermediate, with pool offsets laid out consecutively
-/// across all groups (one per-worker pool serves the whole chain).
-fn fused_groups_for(
-    chain: &ChainSpec,
-    dom: &Domain,
-    fp: &op2_core::chain::FusionPlan,
-) -> Vec<FusedGroup> {
-    let mut out = Vec::with_capacity(fp.groups.len());
-    let mut offset = 0u32;
-    for gi in &fp.groups {
-        let mut g = FusedGroup {
-            loops: gi.members().map(|j| j as u32).collect(),
-            scratch: Vec::new(),
-        };
-        for &d in &gi.elided {
-            let dim = dom.dat(d).dim as u32;
-            let mut binds = Vec::new();
-            let mut producer = 0u32;
-            let mut first = true;
-            for (mp, j) in gi.members().enumerate() {
-                for (a, arg) in chain.loops[j].args.iter().enumerate() {
-                    if matches!(arg, Arg::Dat { dat, .. } if *dat == d) {
-                        if first {
-                            producer = mp as u32;
-                            first = false;
-                        }
-                        binds.push((mp as u32, a as u32));
-                    }
-                }
-            }
-            g.scratch.push(ScratchBind {
-                dim,
-                offset,
-                producer,
-                binds,
-            });
-            offset += dim;
-        }
-        out.push(g);
-    }
-    out
-}
-
-/// The colored fused lowering: the chain cut into program-order
-/// *segments* — per fusion group the members' common extent as
-/// [`Piece::Fused`] blocks, then each member's tail beyond it, and every
-/// solo loop, as [`Piece::Range`] blocks — each segment levelized on its
-/// own ([`conflict_levels`] under the per-loop [`conflict_accesses`]; a
-/// fused block unions its members', since it runs all their kernels) and
-/// the level runs concatenated, which preserves the per-location update
-/// order of the unfused colored walk.
-fn colored_fused(
-    layout: &RankLayout,
-    chain: &ChainSpec,
-    ends: &[usize],
-    block: usize,
-    groups: Vec<FusedGroup>,
-    group_of: &[Option<usize>],
-) -> Schedule {
-    let sigs = chain.sigs();
-    let set_sizes = layout.set_sizes();
-    let accesses: Vec<_> = (sigs.iter())
-        .map(|sig| conflict_accesses(&layout.maps, sig))
-        .collect();
-    let (mut units, mut levels): (Vec<Chunk>, Vec<u32>) = (Vec::new(), Vec::new());
-    let mut segment = |lo: usize, hi: usize, piece: &dyn Fn(u32, u32) -> Piece| {
-        let blocks = block_units(lo, hi, block, piece);
-        let base = levels.iter().max().map_or(0, |&l| l + 1);
-        let within = conflict_levels(&blocks, &groups, &accesses, &set_sizes);
-        levels.extend(within.iter().map(|&l| base + l));
-        units.extend(blocks);
-    };
-    let range_of = |loop_idx: u32| move |start, end| Piece::Range { loop_idx, start, end };
-    let mut j = 0usize;
-    while j < sigs.len() {
-        match group_of[j] {
-            Some(g) if groups[g].loops.first() == Some(&(j as u32)) => {
-                let members = &groups[g].loops;
-                let common = members.iter().map(|&m| ends[m as usize]).min().unwrap_or(0);
-                let group = g as u32;
-                segment(0, common, &|start, end| Piece::Fused { group, start, end });
-                for &m in members {
-                    segment(common, ends[m as usize], &range_of(m));
-                }
-                j += members.len();
-            }
-            _ => {
-                segment(0, ends[j], &range_of(j as u32));
-                j += 1;
-            }
-        }
-    }
-    let kind = ScheduleKind::Colored { block_size: block };
-    Schedule::from_levels(kind, groups, units, &levels, &accesses, &set_sizes)
 }
 
 /// Plan-cache activity counters, copied into the rank trace by the
@@ -759,12 +542,6 @@ pub struct PlanStats {
     /// overlap executor (summed over invocations). A pure function of
     /// the plan and tile count, so deterministic across thread counts.
     pub overlap_tiles: u64,
-    /// Fused pieces executed by the fused chain executor — each one ran
-    /// every member kernel of its group back-to-back per element.
-    pub fused_pieces: u64,
-    /// Bytes of intermediate-dat memory traffic elided by scratch-pool
-    /// fusion (loads + stores that never reached the dat's storage).
-    pub elided_bytes: u64,
 }
 
 impl PlanStats {
@@ -779,8 +556,6 @@ impl PlanStats {
         self.color_hits += other.color_hits;
         self.color_misses += other.color_misses;
         self.overlap_tiles += other.overlap_tiles;
-        self.fused_pieces += other.fused_pieces;
-        self.elided_bytes += other.elided_bytes;
     }
 }
 
@@ -884,7 +659,6 @@ mod tests {
     use super::*;
     use crate::comm::CommWorld;
     use crate::env::RankEnv;
-    use op2_core::schedule::Level;
     use op2_core::LoopSpec;
     use op2_mesh::Quad2D;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
@@ -1059,12 +833,11 @@ mod tests {
     }
 
     /// The one lowering cache: the same key yields the same `Arc`, a
-    /// schedule's DAG is built once and lives beside it, the fused-tiled
-    /// lowering shares the tiled entry it starts from, and an epoch bump
-    /// drops schedules and DAGs together with their plan.
+    /// schedule's DAG is built once and lives beside it, and an epoch
+    /// bump drops schedules and DAGs together with their plan.
     #[test]
     fn lowering_cache_shares_entries_and_dags_and_drops_with_the_plan() {
-        let (f, _) = fusable_fix();
+        let f = fix();
         let comm = CommWorld::new(1).into_ranks().remove(0);
         let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
         let plan = plan_for(&mut env, &f.chain, false);
@@ -1100,11 +873,6 @@ mod tests {
         let d1: *const ChunkDag = a.dag(build_dag);
         let d2: *const ChunkDag = b.dag(build_dag);
         assert_eq!((d1, dag_builds.get()), (d2, 1));
-
-        // Fused-tiled is built from the tiled entry, not a second tiling.
-        let _ = plan.fused_chain(&f.layouts[0], &f.mesh.dom, &f.chain, LoweringKey::FusedTiled(3));
-        let (_, built) = plan.tile_schedule(&f.layouts[0], &f.chain, 3);
-        assert!(!built, "the fused-tiled build must have cached the tiling");
 
         // Epoch bump: the plan cache lets go of the plan, and with it
         // every schedule and DAG.
@@ -1189,146 +957,5 @@ mod tests {
         assert!(cache.lowered.get_or_build(key(4), build).1, "another width must miss");
         assert!(!cache.lowered.get_or_build(key(2), build).1);
         assert!(!cache.lowered.get_or_build(key(4), build).1);
-    }
-
-    /// A fusable stage→apply pair with a declared scratch intermediate,
-    /// on a single-rank layout.
-    fn fusable_fix() -> (Fix, DatId) {
-        let mut mesh = Quad2D::generate(6, 6);
-        let a = mesh.dom.decl_dat_zeros("a", mesh.nodes, 1);
-        let tmp = mesh.dom.decl_dat_zeros("tmp", mesh.nodes, 1);
-        let stage = LoopSpec::new(
-            "stage",
-            mesh.nodes,
-            vec![
-                Arg::dat_direct(a, AccessMode::Read),
-                Arg::dat_direct(tmp, AccessMode::Write),
-            ],
-            noop,
-        );
-        let apply = LoopSpec::new(
-            "apply",
-            mesh.nodes,
-            vec![
-                Arg::dat_direct(tmp, AccessMode::Read),
-                Arg::dat_direct(a, AccessMode::Rw),
-            ],
-            noop,
-        );
-        let chain = ChainSpec::new("sa", vec![stage, apply], None, &[])
-            .unwrap()
-            .with_scratch(&[tmp]);
-        let base = rcb_partition(&mesh.dom.dat(mesh.coords).data, 2, 1);
-        let own = derive_ownership(&mesh.dom, mesh.nodes, base, 1);
-        let layouts = build_layouts(&mesh.dom, &own, 2);
-        (
-            Fix {
-                mesh,
-                layouts,
-                chain,
-            },
-            tmp,
-        )
-    }
-
-    /// Fused schedules are built once per (lowering kind, grain) key,
-    /// cached thereafter, and carry the elision bookkeeping the stats
-    /// counters and the auto profit arm consume.
-    #[test]
-    fn fused_chains_cached_per_key_with_elision() {
-        let (f, tmp) = fusable_fix();
-        let layout = &f.layouts[0];
-        let valid = vec![0u8; f.mesh.dom.n_dats()];
-        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
-
-        let (fc, built) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
-        assert!(built);
-        assert!(fc.fused_pieces > 0, "direct lowering must fuse the pair");
-        assert_eq!(fc.elided, vec![tmp]);
-        // Write + one read of a dim-1 f64 intermediate per fused element.
-        let common = plan.exec_end.iter().min().copied().unwrap() as u64;
-        assert_eq!(fc.elided_bytes, common * 8 * 2);
-        assert_eq!(fc.sched.scratch_pool_len(), 1);
-
-        let (fc2, built2) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
-        assert!(!built2);
-        assert!(Arc::ptr_eq(&fc, &fc2), "same key must share the schedule");
-
-        // The colored lowering is a distinct cache entry but fuses and
-        // elides identically (direct loops: one color, aligned blocks).
-        let (fc3, built3) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedColored(8));
-        assert!(built3, "a different key is a fresh schedule");
-        assert!(fc3.fused_pieces > 0);
-        assert_eq!(fc3.elided, vec![tmp]);
-    }
-
-    /// The fused-colored lowering, literally: on a path, the fused
-    /// stage+apply blocks share a node with their neighbours and ladder
-    /// (the group's segment, levelized under the union of its members'
-    /// accesses); the solo loop's segment follows on one level of its
-    /// own (it modifies nothing through a map).
-    #[test]
-    fn fused_colored_levels_are_literal() {
-        let mut dom = Domain::new();
-        let nodes = dom.decl_set("nodes", 9);
-        let edges = dom.decl_set("edges", 8);
-        let path: Vec<u32> = (0..8).flat_map(|i| [i, i + 1]).collect();
-        let e2n = dom.decl_map("e2n", edges, nodes, 2, path).unwrap();
-        let w = dom.decl_dat_zeros("w", edges, 1);
-        let r = dom.decl_dat_zeros("r", nodes, 1);
-        let stage = LoopSpec::new("stage", edges, vec![Arg::dat_direct(w, AccessMode::Write)], noop);
-        let apply = LoopSpec::new(
-            "apply",
-            edges,
-            vec![
-                Arg::dat_direct(w, AccessMode::Read),
-                Arg::dat_indirect(r, e2n, 0, AccessMode::Rw),
-                Arg::dat_indirect(r, e2n, 1, AccessMode::Rw),
-            ],
-            noop,
-        );
-        let scale = LoopSpec::new("scale", nodes, vec![Arg::dat_direct(r, AccessMode::Rw)], noop);
-        let chain = ChainSpec::new("sas", vec![stage, apply, scale], None, &[]).unwrap();
-        let own = derive_ownership(&dom, nodes, vec![0; 9], 1);
-        let layout = &build_layouts(&dom, &own, 2)[0];
-        let plan = ChainPlan::build(layout, &dom, &vec![0u8; dom.n_dats()], &chain, false, 0);
-        assert_eq!(plan.exec_end, vec![8, 8, 9]);
-
-        let (fc, _) = plan.fused_chain(layout, &dom, &chain, LoweringKey::FusedColored(2));
-        let level = |pieces: Vec<Piece>| Level {
-            chunks: pieces.into_iter().map(|p| Chunk::new(vec![p])).collect(),
-        };
-        let fused = |start, end| Piece::Fused { group: 0, start, end };
-        let solo = |start, end| Piece::Range { loop_idx: 2, start, end };
-        let expect = Schedule {
-            n_loops: 3,
-            kind: ScheduleKind::Colored { block_size: 2 },
-            levels: vec![
-                level(vec![fused(0, 2)]),
-                level(vec![fused(2, 4)]),
-                level(vec![fused(4, 6)]),
-                level(vec![fused(6, 8)]),
-                level(vec![solo(0, 2), solo(2, 4), solo(4, 6), solo(6, 8), solo(8, 9)]),
-            ],
-            fused: vec![FusedGroup {
-                loops: vec![0, 1],
-                scratch: Vec::new(),
-            }],
-        };
-        assert_eq!(*fc.sched, expect);
-    }
-
-    /// A chain whose loops cannot legally interleave yields an empty
-    /// fused plan — the dispatcher's signal to stay on the split path.
-    #[test]
-    fn unfusable_chain_yields_no_fused_pieces() {
-        let f = fix();
-        let layout = &f.layouts[0];
-        let valid = vec![0u8; f.mesh.dom.n_dats()];
-        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
-        let (fc, _) = plan.fused_chain(layout, &f.mesh.dom, &f.chain, LoweringKey::FusedDirect);
-        assert_eq!(fc.fused_pieces, 0);
-        assert!(fc.elided.is_empty());
-        assert_eq!(fc.elided_bytes, 0);
     }
 }

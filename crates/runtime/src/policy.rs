@@ -7,8 +7,8 @@
 //! [`ConfigError`] whichever knob it came from. Unit tests check that
 //! README's "Environment knobs" table matches the registry row for row,
 //! and that every registered knob is read, through [`env_knob`] only.
-//! [`ExecPolicy`] is the three per-rank settings a chain executor
-//! consults (threading, fusion, drain), resolved once per run from [`RunOptions`] and the
+//! [`ExecPolicy`] is the two per-rank settings an executor consults
+//! (threading, drain), resolved once per run from [`RunOptions`] and the
 //! environment ([`ExecPolicy::resolve`]) and installed as
 //! [`crate::env::RankEnv::policy`].
 
@@ -46,8 +46,6 @@ pub const KNOBS: &[Knob] = &[
         "kernel threads per node, split across in-process ranks (`0`/`auto` = all cores)"),
     knob("OP2_BLOCK_SIZE", "a positive integer", "256",
         "iterations per block of the colored fallback lowering"),
-    knob("OP2_FUSE", "on|off|auto", "off",
-        "cross-loop fusion: `on` fuses every legal chain, `auto` only when the elided traffic exceeds the exchanged payload"),
     knob("OP2_EXEC", "levels|dataflow", "levels",
         "schedule drain: one barrier per level, or per-chunk dependency counters"),
     knob("OP2_CKPT_EVERY", "a positive integer", "1",
@@ -89,45 +87,6 @@ pub fn env_knob<T>(
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Result<Option<T>, ConfigError> {
     parse_knob(name, std::env::var(name).ok().as_deref(), parse)
-}
-
-/// Cross-loop fusion policy (`OP2_FUSE`): whether chain executors may
-/// replace the per-loop walk with a fused whole-chain schedule that runs
-/// every fusable kernel back-to-back per element, keeping elidable
-/// intermediates in per-worker scratch instead of memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FuseMode {
-    /// Always run fused when the chain has at least one fusable group.
-    On,
-    /// Never fuse (the default: fusion trades away exchange/compute
-    /// overlap, so it must be asked for or predicted profitable).
-    #[default]
-    Off,
-    /// Fuse only when the elided intermediate traffic exceeds the
-    /// exchanged payload whose overlap the fused executor forgoes.
-    Auto,
-}
-
-impl FuseMode {
-    fn grammar(v: &str) -> Option<FuseMode> {
-        match v.to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Some(FuseMode::On),
-            "off" | "0" | "false" => Some(FuseMode::Off),
-            "auto" => Some(FuseMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// Parse an `OP2_FUSE`-style value: `on` / `off` / `auto`
-    /// (case-insensitive; `None` = unset → `Off`).
-    pub fn parse(raw: Option<&str>) -> Result<FuseMode, ConfigError> {
-        Ok(parse_knob("OP2_FUSE", raw, Self::grammar)?.unwrap_or_default())
-    }
-
-    /// [`FuseMode::parse`] on the `OP2_FUSE` environment variable.
-    pub fn try_from_env() -> Result<FuseMode, ConfigError> {
-        Ok(env_knob("OP2_FUSE", Self::grammar)?.unwrap_or_default())
-    }
 }
 
 /// Schedule drain policy (`OP2_EXEC`): how pooled executors drain a
@@ -172,16 +131,13 @@ impl ExecMode {
 }
 
 /// The per-rank execution policy every executor consults: how wide the
-/// rank's pool is, whether chains may fuse, how schedules drain. The
-/// default is what every knob means when unset: sequential, unfused,
-/// level-synchronous.
+/// rank's pool is and how schedules drain. The default is what every
+/// knob means when unset: sequential, level-synchronous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Intra-rank threading (the only home of the configuration; the
     /// rank's [`crate::threads::ThreadCtx`] holds state, not policy).
     pub threading: Threading,
-    /// Cross-loop fusion policy for chain executors.
-    pub fuse: FuseMode,
     /// Schedule drain policy for pooled executions.
     pub exec: ExecMode,
 }
@@ -197,7 +153,6 @@ impl ExecPolicy {
         let env_threads = || Ok(Threading::try_from_env()?.split_across(n_ranks));
         Ok(ExecPolicy {
             threading: opts.threading.map_or_else(env_threads, Ok)?,
-            fuse: opts.fuse.map_or_else(FuseMode::try_from_env, Ok)?,
             exec: opts.exec.map_or_else(ExecMode::try_from_env, Ok)?,
         })
     }
@@ -246,15 +201,11 @@ mod tests {
     /// Explicit options win verbatim; nothing is split or re-read.
     #[test]
     fn resolve_takes_explicit_options_verbatim() {
-        let opts = RunOptions::default()
-            .with_threads(6)
-            .fuse(FuseMode::Auto)
-            .exec(ExecMode::Dataflow);
+        let opts = RunOptions::default().with_threads(6).exec(ExecMode::Dataflow);
         assert_eq!(
             ExecPolicy::resolve(&opts, 3),
             Ok(ExecPolicy {
                 threading: Threading::with_threads(6),
-                fuse: FuseMode::Auto,
                 exec: ExecMode::Dataflow,
             })
         );

@@ -133,12 +133,6 @@ impl RebalancePolicy {
         self.costs = Some(costs);
         self
     }
-
-    /// Inject `faults` into the first post-migration segment.
-    pub fn with_post_migration_faults(mut self, faults: Arc<crate::fault::FaultPlan>) -> Self {
-        self.post_migration_faults = Some(faults);
-        self
-    }
 }
 
 /// Windowed per-rank load estimate, aggregated from measured unit wall

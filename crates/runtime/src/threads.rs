@@ -134,7 +134,7 @@ struct Round {
     /// The task body, lifetime-erased: the caller blocks in
     /// [`ThreadPool::run`] until every participant finishes, so the
     /// referent outlives all use. Called as `task(worker, i)` — the
-    /// stable participant index lets fused execution hand each worker
+    /// stable participant index lets schedule execution hand each worker
     /// its own reusable [`SchedCtx`].
     task: *const (dyn Fn(usize, usize) + Sync),
     cursor: AtomicUsize,
@@ -209,9 +209,9 @@ impl ThreadPool {
 
     /// [`ThreadPool::run`] with participant identity: `task(worker, i)`
     /// where `worker` is a stable index in `0..n_threads` (0 = the
-    /// caller) unique to one concurrent participant. Fused schedule
-    /// execution uses it to give every participant its own scratch
-    /// context without locking.
+    /// caller) unique to one concurrent participant. Schedule execution
+    /// uses it to give every participant its own context without
+    /// locking.
     pub fn run_indexed(&self, n_tasks: usize, task: &(dyn Fn(usize, usize) + Sync)) {
         if n_tasks == 0 {
             return;
@@ -344,19 +344,11 @@ struct CtxSlab<'a>(&'a [UnsafeCell<SchedCtx>]);
 unsafe impl Sync for CtxSlab<'_> {}
 
 impl<'a> CtxSlab<'a> {
-    /// Grow `ctxs` to the pool width, prepare every context against
-    /// `(bound, sched)`, and hand the slice out for per-worker access.
-    fn prepare(
-        ctxs: &'a mut Vec<SchedCtx>,
-        width: usize,
-        bound: &[BoundLoop],
-        sched: &Schedule,
-    ) -> Self {
+    /// Grow `ctxs` to the pool width and hand the slice out for
+    /// per-worker access.
+    fn new(ctxs: &'a mut Vec<SchedCtx>, width: usize) -> Self {
         if ctxs.len() < width {
             ctxs.resize_with(width, SchedCtx::new);
-        }
-        for ctx in ctxs.iter_mut() {
-            ctx.prepare(bound, sched);
         }
         // SAFETY: `UnsafeCell<SchedCtx>` has the same layout as
         // `SchedCtx` (repr(transparent)) and we hold the slice
@@ -379,10 +371,9 @@ impl<'a> CtxSlab<'a> {
 /// [`op2_core::schedule::run_schedule`] for any pool width.
 ///
 /// The per-worker contexts are caller-owned, so repeated executions of
-/// a (fused) schedule reuse the scratch pools and argument overrides instead
-/// of reallocating: zero heap allocations at steady state. `ctxs` is
-/// grown to the pool width on entry and every context is prepared
-/// against `(bound, sched)` before the first round.
+/// a schedule reuse the owner-computes sinks and windows instead of
+/// reallocating: zero heap allocations at steady state. `ctxs` is
+/// grown to the pool width on entry.
 pub fn run_schedule_pooled_ctx(
     pool: &ThreadPool,
     bound: &[BoundLoop],
@@ -391,7 +382,7 @@ pub fn run_schedule_pooled_ctx(
 ) -> ExecStats {
     debug_assert_eq!(bound.len(), sched.n_loops);
     let w_count = pool.n_threads();
-    let slab = CtxSlab::prepare(ctxs, w_count, bound, sched);
+    let slab = CtxSlab::new(ctxs, w_count);
     let busy: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
     let fires: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
     // Same-level windowed chunks are race-free only if their windows
@@ -405,7 +396,7 @@ pub fn run_schedule_pooled_ctx(
             // SAFETY: see `CtxSlab` — worker `w` owns slot `w`.
             let ctx = unsafe { &mut *slab.slot(w) };
             let c0 = Instant::now();
-            run_chunk(bound, sched, &level.chunks[ci], ctx);
+            run_chunk(bound, &level.chunks[ci], ctx);
             busy[w].fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             fires[w].fetch_add(1, Ordering::Relaxed);
         };
@@ -650,7 +641,7 @@ pub fn run_dag(
 
 /// [`run_schedule_pooled_ctx`]'s dataflow twin: drain `sched`'s chunks
 /// in [`ChunkDag`] dependency order on the pool, with per-worker
-/// contexts for scratch reuse. Bitwise identical to the leveled walk
+/// contexts reused as there. Bitwise identical to the leveled walk
 /// (and to sequential execution) for order-preserving lowerings at any
 /// pool width.
 pub fn run_schedule_dataflow(
@@ -664,17 +655,12 @@ pub fn run_schedule_dataflow(
     debug_assert_eq!(bound.len(), sched.n_loops);
     debug_assert_eq!(dag.n_chunks, sched.n_chunks());
     // Instance ids are unique per round, so slot access stays disjoint.
-    let slab = CtxSlab::prepare(ctxs, pool.n_threads(), bound, sched);
+    let slab = CtxSlab::new(ctxs, pool.n_threads());
     run_dag(pool, dag, scratch, &|w, c| {
         let (li, ci) = dag.locs[c];
         // SAFETY: see `CtxSlab` — instance `w` owns slot `w`.
         let ctx = unsafe { &mut *slab.slot(w) };
-        run_chunk(
-            bound,
-            sched,
-            &sched.levels[li as usize].chunks[ci as usize],
-            ctx,
-        );
+        run_chunk(bound, &sched.levels[li as usize].chunks[ci as usize], ctx);
     })
 }
 
@@ -709,7 +695,7 @@ pub fn measure_sync_s(pool: &ThreadPool, rounds: usize) -> f64 {
 pub struct ThreadCtx {
     pool: Option<Arc<ThreadPool>>,
     /// Per-worker execution contexts, reused across every schedule run
-    /// on this rank so fused scratch pools stop allocating once warm.
+    /// on this rank so owner-computes sinks stop allocating once warm.
     pub sched_ctxs: Vec<SchedCtx>,
     /// Reusable dataflow executor state (dependency counters, steal
     /// queues) — zero allocations once warmed to the largest shape.

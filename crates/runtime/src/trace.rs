@@ -466,21 +466,6 @@ impl RankTrace {
             + self.chains.iter().map(|c| c.exch.bytes).sum::<usize>()
     }
 
-    /// Aggregated exchange record across every loop and chain — the
-    /// per-rank `comm` summary (distinct neighbours, byte totals, and
-    /// the pack/unpack/wait wall-clock breakdown) the bench report
-    /// surfaces.
-    pub fn exch_total(&self) -> ExchangeRec {
-        let mut total = ExchangeRec::default();
-        for l in &self.loops {
-            total.add(&l.exch);
-        }
-        for c in &self.chains {
-            total.add(&c.exch);
-        }
-        total
-    }
-
     /// Measured wall time of every recorded execution unit (loops and
     /// chains), nanoseconds — the rank's total compute+exchange load.
     pub fn wall_ns(&self) -> u64 {

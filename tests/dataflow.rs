@@ -4,7 +4,7 @@
 //! per-chunk dependency counters over the conflict DAG: a chunk fires
 //! the moment its conflicting predecessors are done, spanning level
 //! boundaries, with owner-first deques and steal-from-richest work
-//! stealing. The contract (DESIGN.md §17) is bitwise identity with the
+//! stealing. The contract (DESIGN.md §16) is bitwise identity with the
 //! sequential walk at any thread count on every lowering, because the
 //! DAG edges cover every conflicting pair in sequential order — so
 //! `OP_INC` merges at a location always apply in the same order the
@@ -20,11 +20,9 @@
 //! 2. **Engagement**: on a mesh big enough for real parallelism the
 //!    trace records dataflow drains with fires covering every chunk —
 //!    the property above is not vacuously running the levels fallback.
-//! 3. **Fused pieces**: a fusable chain with an elided intermediate
-//!    runs fused *and* dataflow-drained, still bit-identical.
-//! 4. **Steady state allocates nothing**: after warm-up the steal
+//! 3. **Steady state allocates nothing**: after warm-up the steal
 //!    queues and dependency counters never grow again.
-//! 5. **Chaos**: a rank crash mid-chain under `OP2_EXEC=dataflow`
+//! 4. **Chaos**: a rank crash mid-chain under `OP2_EXEC=dataflow`
 //!    rolls back and replays to bitwise-identical results.
 //!
 //! All kernels keep values dyadic rationals so floating-point addition
@@ -34,7 +32,7 @@ use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, 
 use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_chain_tiled};
-use op2::runtime::{run_distributed_with, ExecMode, FuseMode, RankTrace, RunOptions, Threading};
+use op2::runtime::{run_distributed_with, ExecMode, RankTrace, RunOptions, Threading};
 use proptest::prelude::*;
 
 /// Indirect edge sweep: dyadic flux of the endpoint difference,
@@ -260,84 +258,6 @@ fn dataflow_engages_and_fires_every_chunk() {
             );
             assert!(r.crit_path >= 1, "rank {}: empty critical path", t.rank);
         }
-    }
-}
-
-/// A fusable chain (direct produce → consume with an elided scratch
-/// intermediate) under `OP2_EXEC=dataflow`: fused pieces are DAG nodes
-/// like any other chunk, and the result stays bit-identical.
-#[test]
-fn dataflow_over_fused_pieces_bitwise() {
-    fn stage(args: &Args<'_>) {
-        args.set(1, 0, args.get(0, 0) * 0.5 + 1.0);
-    }
-    fn apply(args: &Args<'_>) {
-        args.set(1, 0, args.get(1, 0) + args.get(0, 0) * 0.25);
-    }
-    let m = Quad2D::generate(12, 12);
-    let mut dom = m.dom;
-    let n = dom.set(m.nodes).size;
-    let s0: Vec<f64> = (0..n).map(|i| ((i * 11 + 3) % 13) as f64).collect();
-    let d0 = dom.decl_dat("d0", m.nodes, 1, s0);
-    let tmp = dom.decl_dat_zeros("tmp", m.nodes, 1);
-    let chain = ChainSpec::new(
-        "fuse_df",
-        vec![
-            LoopSpec::new(
-                "stage",
-                m.nodes,
-                vec![
-                    Arg::dat_direct(d0, AccessMode::Read),
-                    Arg::dat_direct(tmp, AccessMode::Write),
-                ],
-                stage,
-            ),
-            LoopSpec::new(
-                "apply",
-                m.nodes,
-                vec![
-                    Arg::dat_direct(tmp, AccessMode::Read),
-                    Arg::dat_direct(d0, AccessMode::Rw),
-                ],
-                apply,
-            ),
-        ],
-        None,
-        &[],
-    )
-    .unwrap()
-    .with_scratch(&[tmp]);
-
-    let iters = 3;
-    let seq_bits: Vec<u64> = {
-        let mut d = dom.clone();
-        for _ in 0..iters {
-            for l in &chain.loops {
-                seq::run_loop(&mut d, l);
-            }
-        }
-        d.dat(d0).data.iter().map(|x| x.to_bits()).collect()
-    };
-    let base = rcb_partition(&dom.dat(m.coords).data, 2, 2);
-    let own = derive_ownership(&dom, m.nodes, base, 2);
-    let layouts = build_layouts(&dom, &own, 2);
-
-    let mut d = dom.clone();
-    let opts = RunOptions::default()
-        .fuse(FuseMode::On)
-        .exec(ExecMode::Dataflow)
-        .threading(Threading { n_threads: 4, block_size: 8 });
-    let out = run_distributed_with(&mut d, &layouts, &opts, |env| {
-        for _ in 0..iters {
-            run_chain(env, &chain)?;
-        }
-        Ok(())
-    });
-    assert!(out.all_ok(), "failures: {:?}", out.failures());
-    let bits: Vec<u64> = d.dat(d0).data.iter().map(|x| x.to_bits()).collect();
-    assert_eq!(bits, seq_bits, "fused dataflow != seq");
-    for t in &out.traces {
-        assert!(t.plan.fused_pieces > 0, "rank {} ran no fused pieces", t.rank);
     }
 }
 

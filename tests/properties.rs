@@ -253,7 +253,7 @@ proptest! {
         }
         let units = block_units(0, n_edges, 1, |start, end| Piece::Range { loop_idx: 0, start, end });
         let accesses = [conflict_accesses(dom.maps(), &sig)];
-        prop_assert!(levels_valid(&units, &color, &[], &accesses, &set_sizes));
+        prop_assert!(levels_valid(&units, &color, &accesses, &set_sizes));
         let ec = Coloring { n_colors: sched.n_levels(), color, by_color };
         prop_assert!(is_valid_coloring(&dom, &sig, &ec));
     }

@@ -269,6 +269,50 @@ fn threaded_path_engages_on_large_mesh() {
     }
 }
 
+/// Zero steady-state allocation: the first owner-computes chunks each
+/// worker runs grow its schedule context's sink and windows, and from
+/// then on repeated owner-computes loops and chains on a 2-thread pool
+/// allocate nothing (`RankEnv::sched_allocs` stays flat).
+#[test]
+fn owned_steady_state_allocates_nothing() {
+    let case = build_case(12, 12, 2, false);
+    let layouts = layouts_for(&case, 2);
+    let mut dom = case.dom.clone();
+    let opts = RunOptions::default().threading(Threading {
+        n_threads: 2,
+        block_size: 8,
+    });
+    let produce = &case.chain.loops[0];
+    let out = run_distributed_with(&mut dom, &layouts, &opts, |env| {
+        // Two warm-up iterations: the first grows the contexts, the
+        // second settles the dirty class.
+        for _ in 0..2 {
+            run_loop(env, produce)?;
+            run_chain(env, &case.chain)?;
+        }
+        let warm = env.sched_allocs();
+        assert!(
+            warm > 0,
+            "rank {}: no windowed chunk grew a context",
+            env.rank
+        );
+        for _ in 0..4 {
+            run_loop(env, produce)?;
+            run_chain(env, &case.chain)?;
+        }
+        assert_eq!(
+            env.sched_allocs(),
+            warm,
+            "rank {}: allocated at steady state",
+            env.rank
+        );
+        Ok(())
+    });
+    assert!(out.all_ok(), "failures: {:?}", out.failures());
+    assert_owned(&out.traces, "produce");
+    assert_owned(&out.traces, "consume");
+}
+
 // ---------------------------------------------------------------------
 // Owner-computes lowering: order-sensitive kernels, shared numbering.
 // ---------------------------------------------------------------------
