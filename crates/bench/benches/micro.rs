@@ -6,7 +6,9 @@
 //! `edge_flux_per_iter` time the synthetic chain's two cheap indirect
 //! loops, where argument resolution is a large share of each iteration.
 //! `vflux_edge_per_iter` times Hydra's 12-argument `vflux_edge`, the
-//! widest compiled kernel body.
+//! widest compiled kernel body; `update_state_per_iter` its 7-argument
+//! direct node loop and `edgecon_per_iter` its 6-argument edge loop (4
+//! arguments `Inc`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hydra_sim::app::Step;
@@ -44,21 +46,31 @@ fn bench_flux_kernel(c: &mut Criterion) {
     let mut hydra = Hydra::new(HydraParams::small(24));
     let init = hydra.init_loop();
     seq::run_loop(&mut hydra.mesh.dom, &init);
-    let vflux = hydra
-        .iteration(false, ExtentMode::Safe)
-        .into_iter()
-        .find_map(|s| match s {
-            Step::Loop(l) if l.name == "vflux_edge" => Some(l),
-            _ => None,
-        })
-        .expect("the iteration runs vflux_edge");
+    let iteration = hydra.iteration(false, ExtentMode::Safe);
+    let hydra_loop = |name: &str| {
+        iteration
+            .iter()
+            .find_map(|s| match s {
+                Step::Loop(l) if l.name == name => Some(l.clone()),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("the iteration runs {name}"))
+    };
     let n_edges = hydra.mesh.dom.set(hydra.mesh.edges).size;
-    g.throughput(Throughput::Elements(n_edges as u64));
-    g.bench_function("vflux_edge_per_iter", |b| {
-        b.iter(|| {
-            seq::run_loop(black_box(&mut hydra.mesh.dom), black_box(&vflux));
-        })
-    });
+    let n_nodes = hydra.mesh.dom.set(hydra.mesh.nodes).size;
+    let hydra_loops = [
+        ("vflux_edge_per_iter", hydra_loop("vflux_edge"), n_edges),
+        ("update_state_per_iter", hydra_loop("update_state"), n_nodes),
+        ("edgecon_per_iter", hydra_loop("edgecon"), n_edges),
+    ];
+    for (name, spec, n) in &hydra_loops {
+        g.throughput(Throughput::Elements(*n as u64));
+        g.bench_function(*name, |b| {
+            b.iter(|| {
+                seq::run_loop(black_box(&mut hydra.mesh.dom), black_box(spec));
+            })
+        });
+    }
     g.finish();
 }
 

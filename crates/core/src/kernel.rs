@@ -7,29 +7,46 @@
 //! `inc`) replace raw pointer arithmetic.
 //!
 //! Declare kernels with [`kernel!`](crate::kernel!): it turns each
-//! `fn name(args: &Args<'_>) { body }` into a zero-sized type `name`
-//! whose `KernelFn::call` is `#[inline(always)]` and holds `body`, so
-//! every compiled loop contains the body inline — a property of the
-//! kernel's type, not of the optimiser's inlining heuristics. Any
+//! `fn name(args: &Args<'_>) [shape] { body }` into a zero-sized type
+//! `name` whose `KernelFn::call` is `#[inline(always)]` and holds `body`,
+//! so every compiled loop contains the body inline — a property of the
+//! kernel's type, not of the optimiser's inlining heuristics. The
+//! optional `[shape]` declares how each argument reaches its data
+//! ([`ArgShape`]: `map(idx, dim)`, `direct(dim)`, `global(len)`), as
+//! OP2's translator reads it off the `op_par_loop` call. Any
 //! `Fn(&Args<'_>) + Copy + Send + Sync + 'static` (a closure, a `fn` item
 //! or a `fn` pointer) is a `KernelFn` too, through a blanket impl, and
-//! runs through the same loops; but its body sits behind `Fn::call` and
-//! may stay out of line.
+//! runs through the same loops, undeclared; but its body sits behind
+//! `Fn::call` and may stay out of line.
 //!
 //! OP2's translator emits one specialised loop per `op_par_loop`. The
 //! same happens here at declaration: [`Kernel::compile`] monomorphises
 //! the user function together with its argument count `N` into one
 //! [`Kernel`] that owns every iteration loop the executors run (ranges,
-//! index lists, and owner-computes windowed ranges and lists). Slots
-//! live in a stack
-//! `[ArgSlot; N]`, so once the kernel inlines, its `get`/`inc` reads are
-//! constant-indexed and need no bounds checks. Argument resolution
-//! (iteration index → element pointer) happens in exactly one place,
-//! the private `resolve`, and is the same straight-line code for every
-//! argument: each is bound in one form (see [`BoundArg`]), so resolving
-//! is one gathered index load and one multiply-add, with no branch on
-//! the argument's kind. A compiled loop walks its own stack copy of the
-//! `N` bound arguments, which the kernel's stores cannot alias.
+//! index lists, and owner-computes windowed ranges and lists). A kernel
+//! declared with a shape is compiled for its declared `N` only; an
+//! undeclared one for every `N` up to [`MAX_ARGS`], picked at run time.
+//! Slots live in a stack `[ArgSlot; N]`, so once the kernel inlines, its
+//! `get`/`inc` reads are constant-indexed and need no bounds checks.
+//!
+//! Argument resolution (iteration index → element pointer) takes one of
+//! two forms, chosen by the kernel's type:
+//!
+//! * **Declared** ([`KernelFn::SHAPE`] is `Some`): the shape is a
+//!   compile-time constant. Each iteration computes one map-row pointer;
+//!   a `map(k, d)` argument is `base + d·row[k]` (one load per distinct
+//!   entry), a `direct(d)` one `base + d·e` and a global `base`. Only
+//!   `map` arguments are compared against owner-computes windows.
+//! * **Undeclared**: every argument is bound in one form (see
+//!   [`BoundArg`]) and resolved by the same straight-line code, one
+//!   gathered index load and one multiply-add with runtime strides —
+//!   the bitwise reference for the declared form.
+//!
+//! [`BoundLoop::from_parts`](crate::schedule::BoundLoop::from_parts)
+//! asserts that a declared kernel's binding agrees with its shape, which
+//! the declared form relies on for memory safety. A compiled loop walks
+//! its own stack copy of its bound arguments, which the kernel's stores
+//! cannot alias.
 //!
 //! Accessors are *value-based* rather than handing out `&mut [f64]`
 //! because two arguments of one iteration may legally alias (e.g. an edge
@@ -193,13 +210,69 @@ impl<'a> Args<'a> {
 /// The most arguments one kernel may take (Hydra's `vflux_edge` has 12).
 pub const MAX_ARGS: usize = 12;
 
+/// How one kernel argument reaches its data, declared with the kernel
+/// (see [`kernel!`](crate::kernel!)). A loop's `Arg` list must agree
+/// with its kernel's shape entry for entry; `LoopSpec::new` panics when
+/// it does not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgShape {
+    /// Entry `idx` of the loop's single map, `dim` components.
+    Map { idx: usize, dim: usize },
+    /// The iteration's own element, `dim` components.
+    Direct { dim: usize },
+    /// A global of `len` components.
+    Global { len: usize },
+}
+
+impl ArgShape {
+    /// Entry `idx` of the loop's map, `dim` components.
+    pub const fn map(idx: usize, dim: usize) -> ArgShape {
+        ArgShape::Map { idx, dim }
+    }
+
+    /// The iteration's own element, `dim` components.
+    pub const fn direct(dim: usize) -> ArgShape {
+        ArgShape::Direct { dim }
+    }
+
+    /// A global of `len` components.
+    pub const fn global(len: usize) -> ArgShape {
+        ArgShape::Global { len }
+    }
+
+    /// Components per element (a global's length).
+    pub const fn dim(self) -> usize {
+        match self {
+            ArgShape::Map { dim, .. } | ArgShape::Direct { dim } => dim,
+            ArgShape::Global { len } => len,
+        }
+    }
+}
+
 /// A user kernel: applied once per iteration to that iteration's
 /// [`Args`]. Declare one with [`kernel!`](crate::kernel!), whose `call`
 /// always inlines into the compiled loops; every
 /// `Fn(&Args<'_>) + Copy + Send + Sync + 'static` is one as well.
 pub trait KernelFn: Copy + Send + Sync + 'static {
+    /// The declared argument shape, one entry per argument, or `None`
+    /// for an undeclared kernel. A declared kernel's compiled loops
+    /// resolve its arguments with these facts as constants.
+    const SHAPE: Option<&'static [ArgShape]> = None;
+
     /// Run the kernel on one iteration's arguments.
     fn call(self, args: &Args<'_>);
+
+    /// Compile the kernel for a loop of `n_args` arguments. The default
+    /// instantiates the loops for every arity up to [`MAX_ARGS`] and
+    /// picks `n_args` at run time; [`kernel!`](crate::kernel!) with a
+    /// shape overrides it with the one arity it declares
+    /// ([`Kernel::with_arity`]).
+    ///
+    /// # Panics
+    /// If `n_args` exceeds [`MAX_ARGS`].
+    fn compile(self, n_args: usize) -> Kernel {
+        Kernel::any_arity(self, n_args)
+    }
 }
 
 impl<F> KernelFn for F
@@ -214,22 +287,32 @@ where
 
 /// Declare kernels whose bodies inline into every compiled loop.
 ///
-/// Each `fn name(args: &Args<'_>) { body }` becomes a unit struct `name`
-/// (doc comments and attributes carried over) implementing [`KernelFn`]
-/// with an `#[inline(always)]` `call` that holds `body`. The name is still
-/// what a loop declaration passes: `LoopSpec::new(.., kernels::name)`.
+/// Each `fn name(args: &Args<'_>) [shape] { body }` becomes a unit
+/// struct `name` (doc comments and attributes carried over) implementing
+/// [`KernelFn`] with an `#[inline(always)]` `call` that holds `body`.
+/// The name is still what a loop declaration passes:
+/// `LoopSpec::new(.., kernels::name)`.
+///
+/// The bracketed shape is optional and has one entry per argument, in
+/// order ([`ArgShape`]): `map(idx, dim)` is entry `idx` of the loop's
+/// single map, `direct(dim)` the iteration's own element and
+/// `global(len)` a global. It becomes [`KernelFn::SHAPE`], and the
+/// kernel is compiled for exactly that many arguments. Without it the
+/// kernel is undeclared and runs through the uniform resolution.
 ///
 /// ```
 /// use op2_core::kernel::ArgSlot;
 /// use op2_core::{kernel, AccessMode, Args, KernelFn};
 ///
 /// kernel! {
-///     /// `axpy` — `y` INC (arg 0), `x` READ (arg 1).
-///     pub fn axpy(args: &Args<'_>) {
+///     /// `axpy` — `y` INC (arg 0, through entry 1 of the loop's map),
+///     /// `x` READ (arg 1, direct).
+///     pub fn axpy(args: &Args<'_>) [map(1, 1), direct(1)] {
 ///         args.inc(0, 0, 2.0 * args.get(1, 0));
 ///     }
 /// }
 ///
+/// assert_eq!(axpy::SHAPE.map(<[_]>::len), Some(2));
 /// let (mut y, mut x) = ([1.0], [3.0]);
 /// let slots = [
 ///     ArgSlot { ptr: y.as_mut_ptr(), dim: 1, mode: AccessMode::Inc },
@@ -242,7 +325,9 @@ where
 macro_rules! kernel {
     ($(
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident($args:ident: $ty:ty) $body:block
+        $vis:vis fn $name:ident($args:ident: $ty:ty)
+            $([$($shape:ident($($p:expr),* $(,)?)),* $(,)?])?
+            $body:block
     )*) => {$(
         $(#[$attr])*
         #[allow(non_camel_case_types)]
@@ -250,6 +335,18 @@ macro_rules! kernel {
         $vis struct $name;
 
         impl $crate::kernel::KernelFn for $name {
+            $(
+                const SHAPE: Option<&'static [$crate::kernel::ArgShape]> =
+                    Some(&[$($crate::kernel::ArgShape::$shape($($p),*)),*]);
+
+                fn compile(self, n_args: usize) -> $crate::kernel::Kernel {
+                    $crate::kernel::Kernel::with_arity::<
+                        $name,
+                        { [$($crate::kernel::ArgShape::$shape($($p),*)),*].len() },
+                    >(self, n_args)
+                }
+            )?
+
             #[inline(always)]
             fn call(self, $args: $ty) $body
         }
@@ -288,10 +385,13 @@ pub(crate) struct Mask<'a> {
 trait LoopBody: Send + Sync {
     /// Argument count `N` the body was compiled for.
     fn n_args(&self) -> usize;
+    /// The kernel's declared shape, if it has one of `N` entries.
+    fn shape(&self) -> Option<&'static [ArgShape]>;
     /// Run `iters`, windowed by `mask` if given.
     fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>);
-    /// Resolve every argument at iteration `e` and call the kernel once —
-    /// the per-element reference the compiled loops are tested against.
+    /// Resolve every argument at iteration `e` in the uniform form and
+    /// call the kernel once — the per-element reference the compiled
+    /// loops, declared or not, are tested against.
     #[cfg(test)]
     fn elem(&self, args: &[BoundArg], e: usize);
 }
@@ -299,36 +399,100 @@ trait LoopBody: Send + Sync {
 /// The user function `K` specialised to `N` arguments.
 struct Compiled<K, const N: usize>(K);
 
+/// One argument's window and the worker's sink, when the loop runs an
+/// owner-computes chunk.
+type Win = Option<((u32, u32), *mut f64)>;
+
 /// Where argument `r` points at iteration `e`:
 /// `base + dim·map[e·mstride] + e·estride` in [`BoundArg`]'s one form —
 /// a gathered index load and a multiply-add, the same straight-line code
 /// for indirect, direct and global arguments. Under a
 /// window `win = ((lo, len), sink)` a gathered index outside
 /// `[lo, lo + len)` resolves to `sink` instead (an unwindowed argument's
-/// `(0, u32::MAX)` passes every valid index). The only place iteration
-/// indices become data pointers.
+/// `(0, u32::MAX)` passes every valid index). The undeclared form.
 #[inline(always)]
-fn resolve(r: &BoundArg, e: usize, win: Option<((u32, u32), *mut f64)>) -> *mut f64 {
+fn resolve(r: &BoundArg, e: usize, win: Win) -> *mut f64 {
     // SAFETY: map values validated at declaration; the schedule only
     // covers iterations whose entries are within the built halo depth.
     let v = unsafe { r.gather(e) };
+    // SAFETY: in-bounds per dat declaration; concurrent writers are
+    // excluded by the schedule's conflict-freedom (or, windowed, by the
+    // windows: windowed loops modify nothing directly).
+    windowed(v, win)
+        .unwrap_or_else(|| unsafe { r.base.add(v as usize * r.dim as usize + e * r.estride) })
+}
+
+/// The NONLOCAL check on a gathered map entry `v`, then `Some(sink)` if
+/// `v` falls outside the window `win`.
+#[inline(always)]
+fn windowed(v: u32, win: Win) -> Option<*mut f64> {
     debug_assert_ne!(
         v,
         u32::MAX,
         "map entry beyond built halo depth dereferenced"
     );
-    if let Some(((lo, len), sink)) = win {
-        if v.wrapping_sub(lo) >= len {
-            return sink;
+    let ((lo, len), sink) = win?;
+    (v.wrapping_sub(lo) >= len).then_some(sink)
+}
+
+/// A declared kernel's bound arguments in the form its shape resolves:
+/// one base per argument and the map row every `map` argument reads.
+#[derive(Clone, Copy)]
+struct Shaped<const N: usize> {
+    base: [*mut f64; N],
+    /// Row 0 of the loop's map, and its arity (the row stride).
+    row: *const u32,
+    arity: usize,
+}
+
+impl<const N: usize> Shaped<N> {
+    /// `args` under `shape`, whose agreement `BoundLoop::from_parts`
+    /// asserted: every `map(k, _)` argument is bound to entry `k` of one
+    /// row of `arity` entries.
+    #[inline(always)]
+    fn new(shape: &[ArgShape], args: &[BoundArg; N]) -> Shaped<N> {
+        let (row, arity) = shape
+            .iter()
+            .zip(args)
+            .find_map(|(s, a)| match *s {
+                ArgShape::Map { idx, .. } => Some(a.row(idx)),
+                _ => None,
+            })
+            .unwrap_or((std::ptr::null(), 0));
+        Shaped {
+            base: std::array::from_fn(|i| args[i].base),
+            row,
+            arity,
         }
     }
-    // SAFETY: in-bounds per dat declaration; concurrent writers are
-    // excluded by the schedule's conflict-freedom (or, windowed, by the
-    // windows: windowed loops modify nothing directly).
-    unsafe { r.base.add(v as usize * r.dim as usize + e * r.estride) }
+
+    /// Where argument `i`, declared `shape`, points at iteration `e`,
+    /// whose map row starts at `row`; only `map` arguments consult the
+    /// window.
+    #[inline(always)]
+    fn resolve(&self, shape: ArgShape, i: usize, e: usize, row: *const u32, win: Win) -> *mut f64 {
+        match shape {
+            ArgShape::Map { idx, dim } => {
+                // SAFETY: `row + idx` is this argument's binding at `e`
+                // (`BoundLoop::from_parts`), valid as in `resolve`.
+                let v = unsafe { *row.add(idx) };
+                // SAFETY: as in `resolve`.
+                windowed(v, win).unwrap_or_else(|| unsafe { self.base[i].add(v as usize * dim) })
+            }
+            // SAFETY: as in `resolve`.
+            ArgShape::Direct { dim } => unsafe { self.base[i].add(e * dim) },
+            ArgShape::Global { .. } => self.base[i],
+        }
+    }
 }
 
 impl<K: KernelFn, const N: usize> Compiled<K, N> {
+    /// `K`'s declared shape, if it has `N` entries.
+    const SHAPE: Option<&'static [ArgShape]> = match K::SHAPE {
+        Some(shape) if shape.len() == N => Some(shape),
+        _ => None,
+    };
+
     /// The bound arguments as a fixed-size array.
     #[inline(always)]
     fn args(args: &[BoundArg]) -> &[BoundArg; N] {
@@ -336,27 +500,43 @@ impl<K: KernelFn, const N: usize> Compiled<K, N> {
             .expect("bound argument count equals the kernel's")
     }
 
-    /// Fresh slots for `args`; only `ptr` changes per iteration.
+    /// Fresh slots for `args`; only `ptr` changes per iteration. A
+    /// declared kernel's dims are its shape's constants.
     #[inline(always)]
     fn slots(args: &[BoundArg; N]) -> [ArgSlot; N] {
         std::array::from_fn(|i| ArgSlot {
             ptr: args[i].base,
-            dim: args[i].dim,
+            dim: Self::SHAPE.map_or(args[i].dim, |s| s[i].dim() as u32),
             mode: args[i].mode,
         })
     }
 
-    /// One iteration: resolve, call.
+    /// One iteration: resolve every argument, in the declared form if
+    /// `shaped` is given and the uniform one otherwise, then call.
     #[inline(always)]
     fn call(
         &self,
         args: &[BoundArg; N],
+        shaped: Option<&Shaped<N>>,
         slots: &mut [ArgSlot; N],
         e: usize,
         mask: Option<(&[(u32, u32); N], *mut f64)>,
     ) {
-        for i in 0..N {
-            slots[i].ptr = resolve(&args[i], e, mask.map(|(w, sink)| (w[i], sink)));
+        let win = |i: usize| mask.map(|(w, sink)| (w[i], sink));
+        // `Self::SHAPE` is a constant: the match folds away, and so does
+        // every `shape[i]` once the loop over `i` unrolls.
+        match (Self::SHAPE, shaped) {
+            (Some(shape), Some(s)) => {
+                let row = s.row.wrapping_add(e * s.arity);
+                for i in 0..N {
+                    slots[i].ptr = s.resolve(shape[i], i, e, row, win(i));
+                }
+            }
+            _ => {
+                for i in 0..N {
+                    slots[i].ptr = resolve(&args[i], e, win(i));
+                }
+            }
         }
         self.0.call(&Args::new(slots));
     }
@@ -366,6 +546,7 @@ impl<K: KernelFn, const N: usize> Compiled<K, N> {
     fn walk(
         &self,
         args: &[BoundArg; N],
+        shaped: Option<&Shaped<N>>,
         iters: Iters<'_>,
         mask: Option<(&[(u32, u32); N], *mut f64)>,
     ) {
@@ -373,12 +554,12 @@ impl<K: KernelFn, const N: usize> Compiled<K, N> {
         match iters {
             Iters::Range(start, end) => {
                 for e in start..end {
-                    self.call(args, &mut slots, e, mask);
+                    self.call(args, shaped, &mut slots, e, mask);
                 }
             }
             Iters::List(iters) => {
                 for &e in iters {
-                    self.call(args, &mut slots, e as usize, mask);
+                    self.call(args, shaped, &mut slots, e as usize, mask);
                 }
             }
         }
@@ -390,33 +571,48 @@ impl<K: KernelFn, const N: usize> LoopBody for Compiled<K, N> {
         N
     }
 
+    fn shape(&self) -> Option<&'static [ArgShape]> {
+        Self::SHAPE
+    }
+
     fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
         // A private copy: no store through the kernel's `*mut f64` can
         // reach it, so the descriptors stay in registers across calls
         // instead of being reloaded from the heap after each one.
         let args = *Self::args(args);
+        let shaped = Self::SHAPE.map(|shape| Shaped::new(shape, &args));
         match mask {
-            None => self.walk(&args, iters, None),
+            None => self.walk(&args, shaped.as_ref(), iters, None),
             Some(Mask { wins, sink }) => {
                 let wins = wins.try_into().expect("one window per argument");
-                self.walk(&args, iters, Some((wins, sink)));
+                self.walk(&args, shaped.as_ref(), iters, Some((wins, sink)));
             }
         }
     }
 
     #[cfg(test)]
     fn elem(&self, args: &[BoundArg], e: usize) {
+        // Always the uniform form: the reference the declared one is
+        // checked against.
         let args = Self::args(args);
-        self.call(args, &mut Self::slots(args), e, None);
+        self.call(args, None, &mut Self::slots(args), e, None);
     }
 }
 
 impl Kernel {
-    /// Compile `kernel` for a loop of `n_args` arguments.
+    /// Compile `kernel` for a loop of `n_args` arguments
+    /// ([`KernelFn::compile`]).
     ///
     /// # Panics
-    /// If `n_args` exceeds [`MAX_ARGS`].
+    /// If `n_args` exceeds [`MAX_ARGS`], or differs from a declared
+    /// kernel's shape.
     pub fn compile<K: KernelFn>(kernel: K, n_args: usize) -> Kernel {
+        kernel.compile(n_args)
+    }
+
+    /// Every arity up to [`MAX_ARGS`], `n_args` picked at run time: the
+    /// default [`KernelFn::compile`].
+    fn any_arity<K: KernelFn>(kernel: K, n_args: usize) -> Kernel {
         macro_rules! arities {
             ($($n:literal)*) => {
                 match n_args {
@@ -428,9 +624,32 @@ impl Kernel {
         arities!(0 1 2 3 4 5 6 7 8 9 10 11 12)
     }
 
+    /// The one arity `N`: what [`kernel!`](crate::kernel!) compiles a
+    /// declared kernel for, with `N` its shape's length.
+    ///
+    /// # Panics
+    /// If `N` exceeds [`MAX_ARGS`] or `n_args` differs from `N`.
+    pub fn with_arity<K: KernelFn, const N: usize>(kernel: K, n_args: usize) -> Kernel {
+        assert!(
+            N <= MAX_ARGS,
+            "a kernel takes at most {MAX_ARGS} arguments, got {N}"
+        );
+        assert_eq!(
+            n_args, N,
+            "the kernel is compiled for {N} arguments, the loop passes {n_args}"
+        );
+        Kernel(Arc::new(Compiled::<K, N>(kernel)))
+    }
+
     /// Number of arguments the kernel was compiled for.
     pub fn n_args(&self) -> usize {
         self.0.n_args()
+    }
+
+    /// The kernel's declared argument shape ([`KernelFn::SHAPE`]), or
+    /// `None` for an undeclared kernel.
+    pub fn shape(&self) -> Option<&'static [ArgShape]> {
+        self.0.shape()
     }
 
     /// Run `iters` over `args`, windowed by `mask` if given.

@@ -98,7 +98,7 @@ pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
 pub use dag::ChunkDag;
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
-pub use kernel::{Args, Kernel, KernelFn};
+pub use kernel::{ArgShape, Args, Kernel, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,

@@ -1,9 +1,9 @@
 //! Parallel-loop declarations (`op_par_loop`).
 
 use crate::access::{AccessMode, Arg, GblDecl};
-use crate::domain::{Domain, SetId};
+use crate::domain::{Domain, MapId, SetId};
 use crate::error::{CoreError, Result};
-use crate::kernel::{Kernel, KernelFn};
+use crate::kernel::{ArgShape, Kernel, KernelFn};
 
 /// A full parallel-loop declaration: the OP2 `op_par_loop` call.
 ///
@@ -40,7 +40,10 @@ impl LoopSpec {
     /// Declare a loop with no global arguments.
     ///
     /// # Panics
-    /// If `args` holds more than [`crate::kernel::MAX_ARGS`] arguments.
+    /// If `args` holds more than [`crate::kernel::MAX_ARGS`] arguments,
+    /// or disagrees with a declared kernel's shape ([`KernelFn::SHAPE`]):
+    /// in the argument count, in any argument's kind (`map`, `direct`,
+    /// `global`) or map entry, or by reading through two different maps.
     pub fn new<K: KernelFn>(name: &str, set: SetId, args: Vec<Arg>, kernel: K) -> Self {
         Self::with_gbls(name, set, args, Vec::new(), kernel)
     }
@@ -56,6 +59,9 @@ impl LoopSpec {
         gbls: Vec<GblDecl>,
         kernel: K,
     ) -> Self {
+        if let Some(shape) = K::SHAPE {
+            assert_args_match_shape(name, &args, shape);
+        }
         LoopSpec {
             name: name.to_string(),
             set,
@@ -85,7 +91,8 @@ impl LoopSpec {
 
     /// Validate the loop against a domain: maps must start at the
     /// iteration set, map indices must be within arity, dats must live on
-    /// the right set, global modes must be `Read` or `Inc`.
+    /// the right set, global modes must be `Read` or `Inc`, and a
+    /// declared kernel's dims must be the dats' and globals'.
     pub fn validate(&self, dom: &Domain) -> Result<()> {
         for (i, arg) in self.args.iter().enumerate() {
             match arg {
@@ -168,8 +175,55 @@ impl LoopSpec {
                     }
                 }
             }
+            let Some(&declared) = self.kernel.shape().and_then(|s| s.get(i)) else {
+                continue;
+            };
+            let dim = match *arg {
+                Arg::Dat { dat, .. } => dom.dat(dat).dim,
+                Arg::Gbl { idx, .. } => self.gbls[idx as usize].dim,
+            };
+            if dim != declared.dim() {
+                return Err(CoreError::BadArg {
+                    what: "dim differs from the kernel's shape",
+                    detail: format!(
+                        "loop `{}` arg {i}: the kernel declares {declared:?}, the argument has dim {dim}",
+                        self.name
+                    ),
+                });
+            }
         }
         Ok(())
+    }
+}
+
+/// Panics unless `args` agree with the declared kernel `shape` (see
+/// [`LoopSpec::new`]); dims are checked by [`LoopSpec::validate`], which
+/// sees the domain.
+fn assert_args_match_shape(name: &str, args: &[Arg], shape: &[ArgShape]) {
+    assert!(
+        args.len() == shape.len(),
+        "loop `{name}`: the kernel declares {} arguments, the loop passes {}",
+        shape.len(),
+        args.len()
+    );
+    let mut first_map: Option<MapId> = None;
+    for (i, (arg, &s)) in args.iter().zip(shape).enumerate() {
+        match (*arg, s) {
+            (Arg::Dat { map: Some((map, idx)), .. }, ArgShape::Map { idx: declared, .. }) => {
+                assert!(
+                    idx as usize == declared,
+                    "loop `{name}` arg {i}: reads map entry {idx}, the kernel declares {s:?}"
+                );
+                let first = *first_map.get_or_insert(map);
+                assert!(
+                    first == map,
+                    "loop `{name}` arg {i}: reads a second map; a declared kernel reads one"
+                );
+            }
+            (Arg::Dat { map: None, .. }, ArgShape::Direct { .. })
+            | (Arg::Gbl { .. }, ArgShape::Global { .. }) => {}
+            _ => panic!("loop `{name}` arg {i}: {arg:?} is not the kernel's declared {s:?}"),
+        }
     }
 }
 
@@ -298,6 +352,119 @@ mod tests {
             noop,
         );
         assert!(l.validate(&dom).is_err());
+    }
+
+    crate::kernel! {
+        /// Two increments through entries 0 and 1 of one map, dim 2.
+        fn edge_pair(_args: &Args<'_>) [map(0, 2), map(1, 2)] {}
+    }
+
+    /// `tiny_domain` with a second edge map, `rev`.
+    fn two_map_domain() -> (Domain, SetId, MapId, MapId, crate::domain::DatId) {
+        let (mut dom, nodes, edges, e2n, x) = tiny_domain();
+        let rev = dom
+            .decl_map("rev", edges, nodes, 2, vec![1, 0, 2, 1])
+            .unwrap();
+        (dom, edges, e2n, rev, x)
+    }
+
+    #[test]
+    fn declared_kernel_matching_its_loop_validates() {
+        let (dom, _nodes, edges, e2n, x) = tiny_domain();
+        let l = LoopSpec::new(
+            "pair",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(x, e2n, 1, AccessMode::Inc),
+            ],
+            edge_pair,
+        );
+        l.validate(&dom).unwrap();
+        assert_eq!(l.kernel.shape(), Some(&[ArgShape::map(0, 2), ArgShape::map(1, 2)][..]));
+        assert_eq!(l.kernel.n_args(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the kernel declares 2 arguments, the loop passes 1")]
+    fn declared_shape_count_mismatch_panics() {
+        let (_dom, _nodes, edges, e2n, x) = tiny_domain();
+        LoopSpec::new(
+            "short",
+            edges,
+            vec![Arg::dat_indirect(x, e2n, 0, AccessMode::Inc)],
+            edge_pair,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the kernel's declared Map")]
+    fn declared_map_passed_direct_panics() {
+        let (mut dom, _nodes, edges, e2n, _x) = tiny_domain();
+        let on_edges = dom.decl_dat_zeros("w", edges, 2);
+        LoopSpec::new(
+            "direct",
+            edges,
+            vec![
+                Arg::dat_direct(on_edges, AccessMode::Rw),
+                Arg::dat_indirect(on_edges, e2n, 1, AccessMode::Inc),
+            ],
+            edge_pair,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reads map entry 0, the kernel declares Map { idx: 1")]
+    fn declared_map_entry_mismatch_panics() {
+        let (_dom, _nodes, edges, e2n, x) = tiny_domain();
+        LoopSpec::new(
+            "swapped",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+            ],
+            edge_pair,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "reads a second map")]
+    fn declared_kernel_over_two_maps_panics() {
+        let (_dom, edges, e2n, rev, x) = two_map_domain();
+        LoopSpec::new(
+            "two_maps",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(x, rev, 1, AccessMode::Inc),
+            ],
+            edge_pair,
+        );
+    }
+
+    /// A dim that differs from the declared one is a typed error of
+    /// `validate`, the first check that sees the dats.
+    #[test]
+    fn declared_dim_mismatch_is_bad_arg() {
+        let (mut dom, nodes, edges, e2n, x) = tiny_domain();
+        let wide = dom.decl_dat_zeros("wide", nodes, 3);
+        let l = LoopSpec::new(
+            "wide",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(wide, e2n, 1, AccessMode::Inc),
+            ],
+            edge_pair,
+        );
+        match l.validate(&dom) {
+            Err(CoreError::BadArg { what, detail }) => {
+                assert_eq!(what, "dim differs from the kernel's shape");
+                assert!(detail.contains("arg 1"), "{detail}");
+            }
+            other => panic!("expected BadArg, got {other:?}"),
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::access::{AccessMode, Arg};
 use crate::coloring::Coloring;
 use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::{DatId, Domain, MapId};
-use crate::kernel::{Iters, Kernel, Mask};
+use crate::kernel::{ArgShape, Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
 use crate::tiling::TilePlan;
 
@@ -508,6 +508,12 @@ impl BoundArg {
         self.mstride != 0
     }
 
+    /// Row 0 of the map this argument reads entry `idx` of, and the row
+    /// stride (the arity). Only meaningful for an indirect argument.
+    pub(crate) fn row(&self, idx: usize) -> (*const u32, usize) {
+        (self.map.wrapping_sub(idx), self.mstride)
+    }
+
     /// The element index gathered at iteration `e`, `map[e·mstride]`
     /// (0 for a direct or global argument).
     ///
@@ -531,7 +537,9 @@ impl BoundArg {
 /// lowerings, disjoint *windows* of each target set under the
 /// owner-computes one, where a chunk's out-of-window increments land in
 /// its worker's private sink; all data access is value-based through
-/// [`crate::kernel::Args`], so no references are formed.
+/// [`crate::kernel::Args`], so no references are formed. A declared
+/// kernel's arguments must be bound as its shape says, which
+/// [`BoundLoop::from_parts`] asserts: build a `BoundLoop` through it.
 pub struct BoundLoop {
     pub kernel: Kernel,
     pub args: Vec<BoundArg>,
@@ -595,21 +603,62 @@ impl BoundLoop {
 
     /// Assemble from already-resolved parts — the distributed runtime
     /// resolves against its rank-local dat buffers and localized maps.
+    /// Every executor's binding passes through here.
     ///
     /// # Panics
-    /// If `args` does not hold one entry per kernel argument.
+    /// If `args` does not hold one entry per kernel argument, or — for a
+    /// declared kernel — does not bind each argument as its shape says:
+    /// the kind and dim of every entry, and every `map(idx, _)` argument
+    /// at entry `idx < arity` of one shared map row (the same `map − idx`
+    /// and arity). The declared loops resolve by these facts without
+    /// checking them, so this is a hard assert, not a debug one.
     pub fn from_parts(kernel: Kernel, args: Vec<BoundArg>) -> BoundLoop {
         assert_eq!(
             args.len(),
             kernel.n_args(),
             "one bound argument per kernel argument"
         );
+        if let Some(shape) = kernel.shape() {
+            assert_bound_as_declared(shape, &args);
+        }
         BoundLoop { kernel, args }
     }
 
     /// Run iterations `[start, end)` on the calling thread.
     pub fn run_range(&self, start: usize, end: usize) {
         self.kernel.run(&self.args, Iters::Range(start, end), None);
+    }
+}
+
+/// Panics unless `args` are bound the way `shape` declares (see
+/// [`BoundLoop::from_parts`]).
+fn assert_bound_as_declared(shape: &[ArgShape], args: &[BoundArg]) {
+    let mut shared_row = None;
+    for (i, (&s, a)) in shape.iter().zip(args).enumerate() {
+        let kind_ok = match s {
+            ArgShape::Map { idx, .. } => {
+                let (row, arity) = a.row(idx);
+                assert!(
+                    a.is_indirect() && idx < arity,
+                    "argument {i}: declared {s:?}, bound to entry {idx} of an arity-{arity} map"
+                );
+                let shared = *shared_row.get_or_insert((row, arity));
+                assert!(
+                    shared == (row, arity),
+                    "argument {i}: declared {s:?}, bound to another map row than the first map argument"
+                );
+                true
+            }
+            ArgShape::Direct { dim } => !a.is_indirect() && a.estride == dim,
+            ArgShape::Global { .. } => !a.is_indirect() && a.estride == 0,
+        };
+        assert!(kind_ok, "argument {i}: declared {s:?}, bound as {a:?}");
+        assert_eq!(
+            a.dim as usize,
+            s.dim(),
+            "argument {i}: declared {s:?}, bound with dim {}",
+            a.dim
+        );
     }
 }
 
@@ -909,13 +958,57 @@ mod tests {
         AccessMode::Inc,
     ];
 
+    /// `fixture_body` under the modes a twin stored in `TWIN_MODES`.
+    #[inline(always)]
+    fn twin_body(a: &Args<'_>) {
+        let modes = std::array::from_fn(|i| MODES[TWIN_MODES[i].load(Relaxed) as usize]);
+        fixture_body(&modes, a);
+    }
+
     crate::kernel! {
         /// The fixture's kernel declared through `kernel!`: the same body
         /// as the closure, reached through the macro's inlined `call`.
         fn fixture_twin(a: &Args<'_>) {
-            let modes = std::array::from_fn(|i| MODES[TWIN_MODES[i].load(Relaxed) as usize]);
-            fixture_body(&modes, a);
+            twin_body(a);
         }
+
+        /// The same body with Hydra's `vflux_edge` shape declared.
+        fn vflux_twin(a: &Args<'_>) [
+            map(0, 5), map(1, 5), map(0, 3), map(1, 3), map(0, 5), map(1, 5),
+            map(0, 1), map(1, 1), map(0, 1), map(1, 1), map(0, 5), map(1, 5),
+        ] {
+            twin_body(a);
+        }
+
+        /// Every kind declared, entries out of order, over a 3-entry map.
+        fn mixed_twin(a: &Args<'_>) [
+            direct(2), map(2, 3), global(2), map(0, 1), map(2, 2), direct(1), map(1, 2),
+        ] {
+            twin_body(a);
+        }
+
+        /// Seven direct arguments, as Hydra's `update_state`.
+        fn wide_direct_twin(a: &Args<'_>) [
+            direct(5), direct(5), direct(1), direct(1), direct(3), direct(2), direct(3),
+        ] {
+            twin_body(a);
+        }
+    }
+
+    /// `mixed_twin`'s loop: direct, indirect and global arguments, two
+    /// indirect increments sharing one accumulator.
+    fn mixed_fixture() -> Fixture {
+        use AccessMode::*;
+        let shapes = vec![
+            Shape::Direct(Rw),
+            Shape::Indirect(2, Read),
+            Shape::Gbl(Read),
+            Shape::Indirect(0, Read),
+            Shape::Indirect(2, Inc),
+            Shape::Direct(Read),
+            Shape::Indirect(1, Inc),
+        ];
+        Fixture::new(shapes, vec![2, 3, 2, 1, 2, 1, 2], 3, 11)
     }
 
     /// A loop over raw buffers: one per argument, except that every
@@ -931,8 +1024,8 @@ mod tests {
         n_nodes: usize,
         /// Initial values: one buffer per argument, then the accumulator.
         bufs: Vec<Vec<f64>>,
-        /// Compile `fixture_twin` instead of the closure.
-        twin: bool,
+        /// Compile this `kernel!` twin instead of the closure.
+        twin: Option<fn(usize) -> Kernel>,
     }
 
     impl Fixture {
@@ -980,7 +1073,7 @@ mod tests {
                 n_iter,
                 n_nodes,
                 bufs,
-                twin: false,
+                twin: None,
             }
         }
 
@@ -1043,17 +1136,17 @@ mod tests {
         }
 
         /// `fixture_body` over this loop's modes: as a closure, or as
-        /// `fixture_twin` for a twin (whose caller holds `TWIN_LOCK`).
+        /// its `kernel!` twin (whose caller holds `TWIN_LOCK`).
         fn kernel(&self) -> Kernel {
             let mut modes = [AccessMode::Read; crate::kernel::MAX_ARGS];
             for (m, s) in modes.iter_mut().zip(&self.shapes) {
                 *m = s.mode();
             }
-            if self.twin {
+            if let Some(compile) = self.twin {
                 for (t, m) in TWIN_MODES.iter().zip(modes) {
                     t.store(m as u8, Relaxed);
                 }
-                return Kernel::compile(fixture_twin, self.shapes.len());
+                return compile(self.shapes.len());
             }
             let body = move |a: &Args<'_>| fixture_body(&modes, a);
             Kernel::compile(body, self.shapes.len())
@@ -1164,15 +1257,21 @@ mod tests {
 
     /// Range, list and windowed pieces through the compiled
     /// bodies against the per-element reference, bitwise: for the
-    /// fixture's closure, and for its `kernel!` twin against the
-    /// closure's reference.
+    /// fixture's closure, and for its undeclared `kernel!` twin against
+    /// the closure's reference.
     fn check_compiled_against_reference(f: &Fixture) {
         check_pieces(f, f);
+        check_twin(f, |n| Kernel::compile(fixture_twin, n));
+    }
+
+    /// `f`'s pieces through the `kernel!` twin `compile` builds, against
+    /// the closure's per-element reference, bitwise.
+    fn check_twin(f: &Fixture, compile: fn(usize) -> Kernel) {
         // A twin rewrites every mode before it runs, so a lock poisoned by
         // another failed check guards nothing stale.
         let _twins = TWIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut twin = f.clone();
-        twin.twin = true;
+        twin.twin = Some(compile);
         check_pieces(&twin, f);
     }
 
@@ -1217,7 +1316,8 @@ mod tests {
     }
 
     /// Hydra's `vflux_edge` shape: ten indirect reads of five dats and
-    /// two indirect increments of one, through a two-entry map.
+    /// two indirect increments of one, through a two-entry map —
+    /// undeclared, and declared as `vflux_edge` declares it.
     #[test]
     fn twelve_argument_vflux_shape_matches_reference() {
         let mut shapes: Vec<Shape> = (0..10)
@@ -1228,6 +1328,60 @@ mod tests {
         let f = Fixture::new(shapes, dims, 2, 7);
         assert_eq!(f.kernel().n_args(), 12);
         check_compiled_against_reference(&f);
+        check_twin(&f, |n| Kernel::compile(vflux_twin, n));
+    }
+
+    /// The declared form against the uniform per-element reference, on
+    /// every piece kind: every kind with out-of-order entries of a
+    /// 3-entry map, and a wide direct loop (the map-only `vflux_edge`
+    /// shape is checked above).
+    #[test]
+    fn declared_shapes_match_uniform_reference() {
+        check_twin(&mixed_fixture(), |n| Kernel::compile(mixed_twin, n));
+        use AccessMode::*;
+        let modes = [Rw, Write, Write, Write, Write, Read, Read];
+        let direct = Fixture::new(
+            modes.iter().map(|&m| Shape::Direct(m)).collect(),
+            vec![5, 5, 1, 1, 3, 2, 3],
+            1,
+            5,
+        );
+        check_twin(&direct, |n| Kernel::compile(wide_direct_twin, n));
+        assert_eq!(Kernel::compile(mixed_twin, 7).shape().map(<[_]>::len), Some(7));
+    }
+
+    /// `from_parts` is where every executor's binding meets the shape: a
+    /// dat of another dim than declared is refused before any loop runs.
+    #[test]
+    #[should_panic(expected = "bound with dim 4")]
+    fn declared_kernel_bound_to_wrong_dim_panics() {
+        let f = mixed_fixture();
+        let mut bufs = f.bufs.clone();
+        let mut args = f.bind(&mut bufs).args;
+        // Argument 1 is declared `map(2, 3)`.
+        let (row, arity) = args[1].row(2);
+        let mut wide = vec![0.0; f.n_nodes * 4];
+        args[1] = BoundArg::indirect(wide.as_mut_ptr(), 4, AccessMode::Read, row, arity, 2);
+        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args);
+    }
+
+    /// A `map` argument bound to another map's rows than the others.
+    #[test]
+    #[should_panic(expected = "bound to another map row")]
+    fn declared_kernel_bound_to_two_map_rows_panics() {
+        let f = mixed_fixture();
+        let mut bufs = f.bufs.clone();
+        let mut args = f.bind(&mut bufs).args;
+        let other: Vec<u32> = f.map.iter().rev().copied().collect();
+        let base = bufs[6].as_mut_ptr();
+        args[6] = BoundArg::indirect(base, 2, AccessMode::Inc, other.as_ptr(), f.arity, 1);
+        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args);
+    }
+
+    #[test]
+    #[should_panic(expected = "the kernel is compiled for 7 arguments, the loop passes 6")]
+    fn declared_kernel_compiled_for_another_arity_panics() {
+        Kernel::compile(mixed_twin, 6);
     }
 
     #[test]

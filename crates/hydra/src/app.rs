@@ -105,33 +105,6 @@ impl Hydra {
 
     /// Initialise every field from the coordinates (direct writes).
     pub fn init_loop(&self) -> LoopSpec {
-        use op2_core::{kernel, Args};
-        kernel! {
-            fn init_fields(args: &Args<'_>) {
-                let x0 = args.get(11, 0);
-                let x1 = args.get(11, 1);
-                let x2 = args.get(11, 2);
-                let r = (x0 * x0 + x1 * x1).sqrt();
-                args.set(0, 0, 1.0 + 0.1 * r); // qo
-                args.set(0, 1, 0.5);
-                args.set(1, 0, 0.8 + 0.2 * r); // vol
-                for v in 0..5 {
-                    args.set(2, v, 1.0 + 0.05 * (v as f64) * r); // qp
-                    args.set(3, v, 0.5 + 0.01 * x2); // ql
-                    args.set(7, v, 0.0); // vres
-                }
-                args.set(4, 0, 1.0); // qmu
-                args.set(5, 0, 0.2 + 0.1 * r); // qrg
-                for c in 0..3 {
-                    args.set(6, c, args.get(11, c)); // xp = x
-                }
-                args.set(8, 0, 0.0); // ires
-                for v in 0..4 {
-                    args.set(9, v, if v == 0 || v == 3 { 1.0 } else { 0.0 }); // jac
-                    args.set(10, v, 0.5); // jaca
-                }
-            }
-        }
         LoopSpec::new(
             "init_fields",
             self.mesh.nodes,
@@ -149,7 +122,7 @@ impl Hydra {
                 Arg::dat_direct(self.jaca, AccessMode::Write),
                 Arg::dat_direct(self.mesh.coords, AccessMode::Read),
             ],
-            init_fields,
+            kernels::init_fields,
         )
     }
 

@@ -20,11 +20,44 @@ use op2_core::{kernel, Args};
 pub const NQ: usize = 5;
 
 kernel! {
+    // ---------- initialisation ----------
+
+    /// `init_fields` — nodes, direct: `qo`, `vol`, `qp`, `ql`, `qmu`,
+    /// `qrg`, `xp`, `vres`, `ires`, `jac`, `jaca` WRITE (args 0–10), `x`
+    /// READ (arg 11). Initialises every field from the coordinates.
+    pub fn init_fields(args: &Args<'_>) [
+        direct(2), direct(1), direct(NQ), direct(NQ), direct(1), direct(1),
+        direct(3), direct(NQ), direct(1), direct(4), direct(4), direct(3),
+    ] {
+        let x0 = args.get(11, 0);
+        let x1 = args.get(11, 1);
+        let x2 = args.get(11, 2);
+        let r = (x0 * x0 + x1 * x1).sqrt();
+        args.set(0, 0, 1.0 + 0.1 * r); // qo
+        args.set(0, 1, 0.5);
+        args.set(1, 0, 0.8 + 0.2 * r); // vol
+        for v in 0..NQ {
+            args.set(2, v, 1.0 + 0.05 * (v as f64) * r); // qp
+            args.set(3, v, 0.5 + 0.01 * x2); // ql
+            args.set(7, v, 0.0); // vres
+        }
+        args.set(4, 0, 1.0); // qmu
+        args.set(5, 0, 0.2 + 0.1 * r); // qrg
+        for c in 0..3 {
+            args.set(6, c, args.get(11, c)); // xp = x
+        }
+        args.set(8, 0, 0.0); // ires
+        for v in 0..4 {
+            args.set(9, v, if v == 0 || v == 3 { 1.0 } else { 0.0 }); // jac
+            args.set(10, v, 0.5); // jaca
+        }
+    }
+
     // ---------- weight chain (setup) ----------
 
     /// `sumbwts` — bnd: `qo` INC (arg 0, via bnd2n), `x` READ (arg 1).
     /// Accumulates boundary weights.
-    pub fn sumbwts(args: &Args<'_>) {
+    pub fn sumbwts(args: &Args<'_>) [map(0, 2), map(0, 3)] {
         let r = (args.get(1, 0).powi(2) + args.get(1, 1).powi(2)).sqrt();
         args.inc(0, 0, 0.5 * r);
         args.inc(0, 1, 0.25);
@@ -33,7 +66,7 @@ kernel! {
     /// `periodsym` — pedges: `qo` RW at both matched nodes (args 0, 1).
     /// Symmetrises weights across the periodic planes; every node belongs
     /// to exactly one periodic edge, so the update is deterministic.
-    pub fn periodsym(args: &Args<'_>) {
+    pub fn periodsym(args: &Args<'_>) [map(0, 2), map(1, 2)] {
         for c in 0..2 {
             let avg = 0.5 * (args.get(0, c) + args.get(1, c));
             args.set(0, c, avg);
@@ -43,7 +76,7 @@ kernel! {
 
     /// `centreline` — cbnd: `qo` WRITE (arg 0, via c2n). Pins centreline
     /// weights.
-    pub fn centreline(args: &Args<'_>) {
+    pub fn centreline(args: &Args<'_>) [map(0, 2)] {
         args.set(0, 0, 1.0);
         args.set(0, 1, 0.0);
     }
@@ -51,7 +84,7 @@ kernel! {
     /// `edgelength` — edges: `qo` RW at both nodes (args 0, 1), `x` READ at
     /// both nodes (args 2, 3). Scales weights by edge length —
     /// multiplicative, hence order-independent per node.
-    pub fn edgelength(args: &Args<'_>) {
+    pub fn edgelength(args: &Args<'_>) [map(0, 2), map(1, 2), map(0, 3), map(1, 3)] {
         let mut len2 = 0.0;
         for c in 0..3 {
             let d = args.get(2, c) - args.get(3, c);
@@ -65,7 +98,7 @@ kernel! {
 
     /// `periodicity` — pedges: `qo` RW at both matched nodes (args 0, 1).
     /// Re-applies the periodic constraint after the edge sweep.
-    pub fn periodicity(args: &Args<'_>) {
+    pub fn periodicity(args: &Args<'_>) [map(0, 2), map(1, 2)] {
         for c in 0..2 {
             let avg = 0.5 * (args.get(0, c) + args.get(1, c));
             args.set(0, c, avg);
@@ -78,7 +111,7 @@ kernel! {
     /// `negflag` — pedges: `vol` RW at both matched nodes (args 0, 1).
     /// Hydra flags periodic volumes by sign; flipping twice (the chain runs
     /// it at entry and exit) restores them.
-    pub fn negflag(args: &Args<'_>) {
+    pub fn negflag(args: &Args<'_>) [map(0, 1), map(1, 1)] {
         args.set(0, 0, -args.get(0, 0));
         args.set(1, 0, -args.get(1, 0));
     }
@@ -86,7 +119,7 @@ kernel! {
     /// `limxp` — edges: `qo` RW at both nodes (args 0, 1), `vol` READ at
     /// both nodes (args 2, 3). A limiter sweep: multiplicative damping by
     /// the volume ratio.
-    pub fn limxp(args: &Args<'_>) {
+    pub fn limxp(args: &Args<'_>) [map(0, 2), map(1, 2), map(0, 1), map(1, 1)] {
         let va = args.get(2, 0).abs().max(1e-9);
         let vb = args.get(3, 0).abs().max(1e-9);
         let ratio = (va.min(vb) / va.max(vb)).sqrt();
@@ -101,7 +134,9 @@ kernel! {
     /// `edgecon` — edges: `qp` INC at both nodes (args 0, 1), `ql` INC at
     /// both nodes (args 2, 3), `vol` READ at both nodes (args 4, 5).
     /// Gradient edge contributions.
-    pub fn edgecon(args: &Args<'_>) {
+    pub fn edgecon(args: &Args<'_>) [
+        map(0, NQ), map(1, NQ), map(0, NQ), map(1, NQ), map(0, 1), map(1, 1),
+    ] {
         let w = 1.0 / (args.get(4, 0).abs() + args.get(5, 0).abs() + 1.0);
         for v in 0..NQ {
             args.inc(0, v, 1e-4 * w);
@@ -113,7 +148,7 @@ kernel! {
 
     /// `period` — pedges: `qp` RW at both matched nodes (args 0, 1), `ql`
     /// RW at both matched nodes (args 2, 3). Periodic gradient fix-up.
-    pub fn period(args: &Args<'_>) {
+    pub fn period(args: &Args<'_>) [map(0, NQ), map(1, NQ), map(0, NQ), map(1, NQ)] {
         for v in 0..NQ {
             let ap = 0.5 * (args.get(0, v) + args.get(1, v));
             args.set(0, v, ap);
@@ -127,7 +162,7 @@ kernel! {
     // ---------- vflux chain ----------
 
     /// `initres` — nodes, direct: `vres` WRITE. Zero the viscous residual.
-    pub fn initres(args: &Args<'_>) {
+    pub fn initres(args: &Args<'_>) [direct(NQ)] {
         for v in 0..NQ {
             args.set(0, v, 0.0);
         }
@@ -137,7 +172,10 @@ kernel! {
     /// runtime): reads `qp`, `xp`, `ql`, `qmu`, `qrg` at both nodes (args
     /// 0–9), `vres` INC at both nodes (args 10, 11). Viscous flux with a
     /// deformation-weighted diffusion.
-    pub fn vflux_edge(args: &Args<'_>) {
+    pub fn vflux_edge(args: &Args<'_>) [
+        map(0, NQ), map(1, NQ), map(0, 3), map(1, 3), map(0, NQ), map(1, NQ),
+        map(0, 1), map(1, 1), map(0, 1), map(1, 1), map(0, NQ), map(1, NQ),
+    ] {
         // Geometric weight from the deformed coordinates.
         let mut dist2 = 0.0;
         for c in 0..3 {
@@ -160,13 +198,13 @@ kernel! {
     // ---------- iflux chain ----------
 
     /// `initviscres` — nodes, direct: `ires` WRITE.
-    pub fn initviscres(args: &Args<'_>) {
+    pub fn initviscres(args: &Args<'_>) [direct(1)] {
         args.set(0, 0, 0.0);
     }
 
     /// `iflux_edge` — edges: `qrg` READ at both nodes (args 0, 1), `ires`
     /// INC at both nodes (args 2, 3). Inviscid smoothing flux.
-    pub fn iflux_edge(args: &Args<'_>) {
+    pub fn iflux_edge(args: &Args<'_>) [map(0, 1), map(1, 1), map(0, 1), map(1, 1)] {
         let f = 1e-3 * (args.get(1, 0) - args.get(0, 0));
         args.inc(2, 0, f);
         args.inc(3, 0, -f);
@@ -176,7 +214,7 @@ kernel! {
 
     /// `jac_period` — pedges: `jac` RW (args 0, 1) and `jaca` RW (args 2,
     /// 3) at both matched nodes. Periodic Jacobian symmetrisation.
-    pub fn jac_period(args: &Args<'_>) {
+    pub fn jac_period(args: &Args<'_>) [map(0, 4), map(1, 4), map(0, 4), map(1, 4)] {
         for v in 0..4 {
             let j = 0.5 * (args.get(0, v) + args.get(1, v));
             args.set(0, v, j);
@@ -189,7 +227,7 @@ kernel! {
 
     /// `jac_centreline` — cbnd: `jac` WRITE (arg 0, via c2n). Pins the
     /// centreline Jacobian block to identity.
-    pub fn jac_centreline(args: &Args<'_>) {
+    pub fn jac_centreline(args: &Args<'_>) [map(0, 4)] {
         args.set(0, 0, 1.0);
         args.set(0, 1, 0.0);
         args.set(0, 2, 0.0);
@@ -198,7 +236,7 @@ kernel! {
 
     /// `jac_corrections` — bnd: `jac` RW (arg 0, via bnd2n). Wall
     /// corrections; each wall node appears exactly once in `bnd`.
-    pub fn jac_corrections(args: &Args<'_>) {
+    pub fn jac_corrections(args: &Args<'_>) [map(0, 4)] {
         for v in 0..4 {
             let j = args.get(0, v);
             args.set(0, v, 0.9 * j + if v == 0 || v == 3 { 0.1 } else { 0.0 });
@@ -211,7 +249,9 @@ kernel! {
     /// `qrg` WRITE, `xp` WRITE, `qo` READ, `x` READ. Refreshes (and
     /// dirties) every dat the vflux chain exchanges — the per-iteration
     /// producer that makes those halos dirty, as in the real solver.
-    pub fn update_state(args: &Args<'_>) {
+    pub fn update_state(args: &Args<'_>) [
+        direct(NQ), direct(NQ), direct(1), direct(1), direct(3), direct(2), direct(3),
+    ] {
         let w0 = args.get(5, 0);
         for v in 0..NQ {
             let qp = args.get(0, v);
@@ -229,14 +269,14 @@ kernel! {
     /// `smooth_rg` — nodes, direct: `qrg` RW, `ires` READ. Re-dirties `qrg`
     /// between the vflux and iflux chains (Hydra's gradient smoother), so
     /// iflux genuinely exchanges it, per Table 4.
-    pub fn smooth_rg(args: &Args<'_>) {
+    pub fn smooth_rg(args: &Args<'_>) [direct(1), direct(1)] {
         args.set(0, 0, args.get(0, 0) * 0.995 + 0.01 * args.get(1, 0));
     }
 
     /// `jac_assemble` — nodes, direct: `jac` WRITE, `jaca` WRITE, `qp`
     /// READ. Builds (and dirties) the Jacobian blocks before the jacob
     /// chain.
-    pub fn jac_assemble(args: &Args<'_>) {
+    pub fn jac_assemble(args: &Args<'_>) [direct(4), direct(4), direct(NQ)] {
         let q0 = args.get(2, 0);
         let q1 = args.get(2, 1);
         for v in 0..4 {
@@ -248,7 +288,7 @@ kernel! {
 
     /// `rk_accumulate` — nodes, direct: `qp` RW, `vres` READ, `ires` READ,
     /// `jac` READ. The Runge–Kutta stage update consuming the residuals.
-    pub fn rk_accumulate(args: &Args<'_>) {
+    pub fn rk_accumulate(args: &Args<'_>) [direct(NQ), direct(NQ), direct(1), direct(4)] {
         let damp = args.get(3, 0).clamp(0.5, 2.0);
         let ir = args.get(2, 0);
         for v in 0..NQ {
@@ -259,7 +299,7 @@ kernel! {
 
     /// `residual_norm` — nodes, direct: `vres` READ, gbl INC. The
     /// convergence monitor (a global reduction — chain terminator).
-    pub fn residual_norm(args: &Args<'_>) {
+    pub fn residual_norm(args: &Args<'_>) [direct(NQ), global(1)] {
         let mut s = 0.0;
         for v in 0..NQ {
             let r = args.get(0, v);

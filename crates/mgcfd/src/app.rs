@@ -288,13 +288,6 @@ impl MgCfd {
     /// write) — keeps it dirty so every chain execution genuinely
     /// exchanges two dats, the configuration §4.1.2 studies.
     pub fn write_pres_loop(&self) -> LoopSpec {
-        fn write_pres(args: &op2_core::Args<'_>) {
-            let mut q = [0.0; kernels::NVAR];
-            args.load(1, &mut q);
-            let p = kernels::pressure(&q);
-            args.set(0, 0, p);
-            args.set(0, 1, q[0]);
-        }
         let l = &self.levels[0];
         LoopSpec::new(
             "write_pres",
@@ -303,7 +296,7 @@ impl MgCfd {
                 Arg::dat_direct(self.dpres, AccessMode::Write),
                 Arg::dat_direct(l.q, AccessMode::Read),
             ],
-            write_pres,
+            kernels::write_pres,
         )
     }
 

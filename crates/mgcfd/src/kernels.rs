@@ -35,7 +35,7 @@ kernel! {
     /// `init_state` — nodes, direct: `q` WRITE. Sets freestream everywhere
     /// with a small smooth perturbation from the node coordinates (`x`
     /// READ) so fluxes are non-trivial.
-    pub fn init_state(args: &Args<'_>) {
+    pub fn init_state(args: &Args<'_>) [direct(NVAR), direct(3)] {
         let xx = args.get(1, 0);
         let y = args.get(1, 1);
         let z = args.get(1, 2);
@@ -47,7 +47,7 @@ kernel! {
 
     /// `compute_step_factor` — nodes, direct: `q` READ, `adt` WRITE. The
     /// local pseudo time step from the acoustic speed.
-    pub fn compute_step_factor(args: &Args<'_>) {
+    pub fn compute_step_factor(args: &Args<'_>) [direct(NVAR), direct(1)] {
         let mut q = [0.0; NVAR];
         args.load(0, &mut q);
         let rho = q[0].max(1e-12);
@@ -60,7 +60,7 @@ kernel! {
     /// `compute_flux_edge` — edges, the hot loop: `q` READ at both nodes
     /// (args 0, 1), `flux` INC at both nodes (args 2, 3). An approximate
     /// Riemann-style symmetric flux difference.
-    pub fn compute_flux_edge(args: &Args<'_>) {
+    pub fn compute_flux_edge(args: &Args<'_>) [map(0, NVAR), map(1, NVAR), map(0, NVAR), map(1, NVAR)] {
         let mut qa = [0.0; NVAR];
         let mut qb = [0.0; NVAR];
         args.load(0, &mut qa);
@@ -92,7 +92,7 @@ kernel! {
     /// `boundary_flux` — boundary elements: `q` READ at the wall node
     /// (arg 0, via `b2n`), `flux` INC at it (arg 1). A weak farfield
     /// condition pulling the state back to freestream.
-    pub fn boundary_flux(args: &Args<'_>) {
+    pub fn boundary_flux(args: &Args<'_>) [map(0, NVAR), map(0, NVAR)] {
         let mut q = [0.0; NVAR];
         args.load(0, &mut q);
         for v in 0..NVAR {
@@ -102,7 +102,7 @@ kernel! {
 
     /// `time_step` — nodes, direct: `q` RW, `adt` READ, `flux` RW
     /// (consumed and cleared). Forward-Euler pseudo-time update.
-    pub fn time_step(args: &Args<'_>) {
+    pub fn time_step(args: &Args<'_>) [direct(NVAR), direct(1), direct(NVAR)] {
         let dt = args.get(1, 0);
         for v in 0..NVAR {
             let q = args.get(0, v);
@@ -115,7 +115,7 @@ kernel! {
     /// `restrict` — fine nodes: `flux_fine` READ direct (arg 0),
     /// `flux_coarse` INC via the multigrid map (arg 1). Residual
     /// restriction.
-    pub fn restrict(args: &Args<'_>) {
+    pub fn restrict(args: &Args<'_>) [direct(NVAR), map(0, NVAR)] {
         for v in 0..NVAR {
             args.inc(1, v, 0.125 * args.get(0, v));
         }
@@ -123,7 +123,7 @@ kernel! {
 
     /// `prolong` — fine nodes: `q_fine` RW direct (arg 0), `q_coarse` READ
     /// via the multigrid map (arg 1), blending the coarse correction in.
-    pub fn prolong(args: &Args<'_>) {
+    pub fn prolong(args: &Args<'_>) [direct(NVAR), map(0, NVAR)] {
         for v in 0..NVAR {
             let qf = args.get(0, v);
             let qc = args.get(1, v);
@@ -134,7 +134,7 @@ kernel! {
     /// `rms_residual` — nodes, direct: `flux` READ, gbl INC (sum of
     /// squares). The convergence check — a global reduction, i.e. a chain
     /// terminator.
-    pub fn rms_residual(args: &Args<'_>) {
+    pub fn rms_residual(args: &Args<'_>) [direct(NVAR), global(1)] {
         let mut s = 0.0;
         for v in 0..NVAR {
             let f = args.get(0, v);
@@ -145,16 +145,25 @@ kernel! {
 
     /// `calc_dt_min` — nodes, direct: `adt` READ, gbl MIN. The global
     /// time-step bound (OP2's `OP_MIN` reduction — a synchronisation point).
-    pub fn calc_dt_min(args: &Args<'_>) {
+    pub fn calc_dt_min(args: &Args<'_>) [direct(1), global(1)] {
         args.reduce_min(1, 0, args.get(0, 0));
     }
 
     // --- The synthetic loop-chain pair of §4.1.1. ---
 
+    /// `write_pres` — fine nodes, direct: `dpres` WRITE (arg 0), `q` READ
+    /// (arg 1). Refreshes the pair's pressure input from the flow state.
+    pub fn write_pres(args: &Args<'_>) [direct(2), direct(NVAR)] {
+        let mut q = [0.0; NVAR];
+        args.load(1, &mut q);
+        args.set(0, 0, pressure(&q));
+        args.set(0, 1, q[0]);
+    }
+
     /// `update` — edges: `dres` INC at both nodes (args 0, 1), `dpres` READ
     /// at both nodes (args 2, 3). Mirrors Figure 2's first loop: dirties
     /// `dres` each repetition.
-    pub fn update(args: &Args<'_>) {
+    pub fn update(args: &Args<'_>) [map(0, 2), map(1, 2), map(0, 2), map(1, 2)] {
         args.inc(0, 0, args.get(2, 0) - args.get(2, 1));
         args.inc(0, 1, args.get(3, 0) - args.get(3, 1));
         args.inc(1, 0, args.get(3, 1) - args.get(3, 0));
@@ -166,7 +175,7 @@ kernel! {
     /// `compute_flux_edge`'s access pattern (the most expensive loop in
     /// MG-CFD), reading the dat the preceding `update` dirtied — the target
     /// pattern for sparse tiling (§4.1.1).
-    pub fn edge_flux(args: &Args<'_>) {
+    pub fn edge_flux(args: &Args<'_>) [map(0, 2), map(1, 2), map(0, 2), map(1, 2)] {
         let r0 = args.get(0, 0);
         let r1 = args.get(0, 1);
         let s0 = args.get(1, 0);

@@ -29,7 +29,7 @@
 //!   and halo iteration counts) for meshes up to the full 8M/24M nodes
 //!   without materialising executable layouts;
 //! * [`migrate`] — the online-rebalancing planner: re-shards the base
-//!   set from per-element cost weights (weighted RCB/RIB/k-way), diffs
+//!   set from per-element cost weights (weighted RCB), diffs
 //!   old-vs-new ownership into per-peer element move lists, and rebuilds
 //!   the rings/halos and grouped-message layouts for the new owners.
 
@@ -50,8 +50,7 @@ pub use layout::{build_layouts, RankLayout};
 pub use migrate::{ownership_from_layouts, plan_migration, MigrationPlan, MoveList, SetMoves};
 pub use ownership::{derive_ownership, Ownership};
 pub use partitioner::{
-    kway_partition, kway_partition_weighted, rcb_partition, rcb_partition_weighted, rib_partition,
-    rib_partition_weighted, Partitioner,
+    kway_partition, rcb_partition, rcb_partition_weighted, rib_partition, Partitioner,
 };
 pub use rings::{compute_rings, RankRings};
 pub use stats::{collect_stats, HaloStats};

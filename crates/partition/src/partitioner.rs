@@ -78,16 +78,6 @@ pub fn rcb_partition_weighted(
     bisect_partition(coords, dims, Some(weights), nparts, SplitAxis::Longest)
 }
 
-/// [`rib_partition`] with per-element cost weights.
-pub fn rib_partition_weighted(
-    coords: &[f64],
-    dims: usize,
-    weights: &[f64],
-    nparts: usize,
-) -> Vec<u32> {
-    bisect_partition(coords, dims, Some(weights), nparts, SplitAxis::Inertial)
-}
-
 #[derive(Clone, Copy)]
 enum SplitAxis {
     Longest,
@@ -381,148 +371,6 @@ pub fn kway_partition(graph: &Csr, nparts: usize, refine_sweeps: usize) -> Vec<u
     owner
 }
 
-/// [`kway_partition`] with per-element cost weights: parts grow until
-/// they reach their share of the total *weight* rather than an element
-/// count, and the refinement sweeps respect the weighted cap. Degenerate
-/// weights (all zero) fall back to the unweighted growth.
-pub fn kway_partition_weighted(
-    graph: &Csr,
-    weights: &[f64],
-    nparts: usize,
-    refine_sweeps: usize,
-) -> Vec<u32> {
-    let n = graph.len();
-    assert_eq!(weights.len(), n, "one weight per element");
-    assert!(
-        weights.iter().all(|x| x.is_finite() && *x >= 0.0),
-        "weights must be finite and non-negative"
-    );
-    assert!(nparts >= 1);
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        // All-zero weights: fall back to the unweighted split.
-        return kway_partition(graph, nparts, refine_sweeps);
-    }
-    let mut owner = vec![u32::MAX; n];
-    if nparts == 1 {
-        owner.fill(0);
-        return owner;
-    }
-    let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
-    let target_w = total / nparts as f64;
-    // One boundary element of slack on top of the 3% balance allowance,
-    // mirroring the unweighted `cap`.
-    let cap_w = target_w * 1.03 + max_w;
-
-    let mut loads = vec![0.0f64; nparts];
-    let mut counts = vec![0usize; nparts];
-    let mut frontier: Vec<std::collections::VecDeque<u32>> =
-        (0..nparts).map(|_| std::collections::VecDeque::new()).collect();
-    for (p, f) in frontier.iter_mut().enumerate() {
-        f.push_back((p * n / nparts) as u32);
-    }
-
-    let mut unassigned = n;
-    let mut scan = 0usize;
-    while unassigned > 0 {
-        let mut progressed = false;
-        for p in 0..nparts {
-            if loads[p] >= cap_w && counts[p] > 0 {
-                continue;
-            }
-            while let Some(v) = frontier[p].pop_front() {
-                if owner[v as usize] != u32::MAX {
-                    continue;
-                }
-                owner[v as usize] = p as u32;
-                loads[p] += weights[v as usize];
-                counts[p] += 1;
-                unassigned -= 1;
-                for &w in graph.row(v as usize) {
-                    if owner[w as usize] == u32::MAX {
-                        frontier[p].push_back(w);
-                    }
-                }
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            while scan < n && owner[scan] != u32::MAX {
-                scan += 1;
-            }
-            if scan >= n {
-                break;
-            }
-            // Seed the lightest part with the next unassigned vertex.
-            let p = (0..nparts)
-                .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
-                .unwrap();
-            frontier[p].push_back(scan as u32);
-        }
-    }
-
-    refine_weighted(graph, weights, &mut owner, nparts, cap_w, refine_sweeps);
-    owner
-}
-
-/// Weighted companion of [`refine`]: boundary moves must keep the
-/// destination part under the weighted cap and the source part
-/// non-empty.
-fn refine_weighted(
-    graph: &Csr,
-    weights: &[f64],
-    owner: &mut [u32],
-    nparts: usize,
-    cap_w: f64,
-    sweeps: usize,
-) {
-    let n = graph.len();
-    let mut loads = vec![0.0f64; nparts];
-    let mut counts = vec![0usize; nparts];
-    for (v, &o) in owner.iter().enumerate() {
-        loads[o as usize] += weights[v];
-        counts[o as usize] += 1;
-    }
-    for _ in 0..sweeps {
-        let mut moved = 0usize;
-        for v in 0..n {
-            let cur = owner[v] as usize;
-            let row = graph.row(v);
-            if row.iter().all(|&w| owner[w as usize] as usize == cur) {
-                continue;
-            }
-            let mut best_part = cur;
-            let mut best_count = row
-                .iter()
-                .filter(|&&w| owner[w as usize] as usize == cur)
-                .count();
-            for &w in row {
-                let p = owner[w as usize] as usize;
-                if p == cur || p == best_part {
-                    continue;
-                }
-                let c = row.iter().filter(|&&x| owner[x as usize] as usize == p).count();
-                if c > best_count {
-                    best_count = c;
-                    best_part = p;
-                }
-            }
-            if best_part != cur && loads[best_part] + weights[v] <= cap_w && counts[cur] > 1 {
-                owner[v] = best_part as u32;
-                loads[cur] -= weights[v];
-                loads[best_part] += weights[v];
-                counts[cur] -= 1;
-                counts[best_part] += 1;
-                moved += 1;
-            }
-        }
-        if moved == 0 {
-            break;
-        }
-    }
-}
-
 /// Boundary refinement: move each boundary vertex to the adjacent part
 /// with the most of its neighbours if that strictly reduces cut edges and
 /// keeps both parts within the cap.
@@ -708,33 +556,6 @@ mod tests {
         assert_eq!(
             rcb_partition_weighted(coords, 3, &uniform, 4),
             rcb_partition(coords, 3, 4)
-        );
-        assert_eq!(
-            rib_partition_weighted(coords, 3, &uniform, 4),
-            rib_partition(coords, 3, 4)
-        );
-    }
-
-    #[test]
-    fn weighted_kway_balances_load() {
-        let m = Hex3D::generate(Hex3DParams::cube(8));
-        let n = m.dom.set(m.nodes).size;
-        let graph = Csr::node_graph(m.dom.map(m.e2n), n);
-        let weights: Vec<f64> = (0..n).map(|e| if e < n / 4 { 6.0 } else { 1.0 }).collect();
-        let owner = kway_partition_weighted(&graph, &weights, 4, 4);
-        assert_eq!(owner.len(), n);
-        assert!(owner.iter().all(|&o| (o as usize) < 4));
-        check_weighted_balance(&owner, &weights, 4, 0.25);
-        let mut sizes = vec![0usize; 4];
-        for &o in &owner {
-            sizes[o as usize] += 1;
-        }
-        assert!(sizes.iter().all(|&s| s > 0), "{sizes:?}");
-        // Degenerate all-zero weights fall back to the unweighted grower.
-        let zeros = vec![0.0; n];
-        assert_eq!(
-            kway_partition_weighted(&graph, &zeros, 4, 2),
-            kway_partition(&graph, 4, 2)
         );
     }
 
