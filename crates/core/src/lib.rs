@@ -68,16 +68,17 @@
 //! [`chain::calc_halo_layers`]), the shared-memory sparse-tiling schedule
 //! and executor ([`tiling`] — the cache-level communication avoidance of
 //! §2.2) and the chain configuration-file format described in §3.4 of the
-//! paper. Distribution, halos and communication live in `op2-partition` /
-//! `op2-runtime`.
+//! paper. It lowers loops and chains to threaded [`Schedule`]s
+//! ([`par`], [`schedule`]) but never starts a thread: the runtime's
+//! per-rank pool runs them. Distribution, halos, communication and
+//! threads live in `op2-partition` / `op2-runtime`.
 
 // Index-driven loops over parallel per-element arrays are the natural
-// idiom in the scheduling/coloring kernels here; keep them.
+// idiom in the scheduling and levelling code here; keep them.
 #![allow(clippy::needless_range_loop)]
 
 pub mod access;
 pub mod chain;
-pub mod coloring;
 pub mod config;
 pub mod conflict;
 pub mod dag;
@@ -91,7 +92,6 @@ pub mod seq;
 pub mod tiling;
 
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
-pub use coloring::{color_loop, is_valid_coloring, Coloring};
 pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
 pub use config::{parse_chain_config, ChainConfig};
 pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
@@ -104,10 +104,7 @@ pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
 };
 pub use schedule::{
-    bind_chain, run_chunk, run_schedule, run_schedule_ctx, run_schedule_threads, ArgWindow,
-    BoundArg, BoundLoop, Chunk, Level, Piece, SchedCtx, Schedule, ScheduleKind,
+    bind_chain, run_chunk, run_schedule, run_schedule_ctx, ArgWindow, BoundArg, BoundLoop, Chunk,
+    Level, Piece, SchedCtx, Schedule, ScheduleKind,
 };
-pub use tiling::{
-    build_tile_plan, run_chain_tiled, run_chain_tiled_threads, seed_blocks,
-    seed_from_targets, TilePlan,
-};
+pub use tiling::{build_tile_plan, run_chain_tiled, seed_blocks, seed_from_targets, TilePlan};

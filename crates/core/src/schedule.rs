@@ -15,13 +15,12 @@
 //!   concurrently; levels execute in order with a barrier between them.
 //!
 //! Lowerings build schedules from each scheduling strategy
-//! ([`Schedule::range`], [`Schedule::from_coloring`],
-//! [`crate::par::colored_schedule`], [`Schedule::from_tile_plan`],
-//! [`crate::par::owned_schedule`]), and a single pair of executors runs
-//! them: [`run_schedule`] (sequential, one thread, level and chunk
-//! order) and [`run_schedule_threads`] (scoped OS threads per level —
-//! the reference threaded executor; the runtime crate's pool executes
-//! the same schedules per rank).
+//! ([`Schedule::range`], [`crate::par::colored_schedule`],
+//! [`Schedule::from_tile_plan`], [`crate::par::owned_schedule`]).
+//! [`run_schedule`] walks one sequentially, level by level and chunk by
+//! chunk: the reference every threaded execution must match. This crate
+//! starts no threads; the runtime crate's per-rank pool runs the same
+//! schedules on its workers, one chunk at a time through [`run_chunk`].
 //!
 //! **Determinism contract.** When the lowering guarantees that (a)
 //! same-level chunks touch disjoint modified elements and (b) every
@@ -49,7 +48,6 @@
 //! per kernel in the codebase regardless of back-end.
 
 use crate::access::{AccessMode, Arg};
-use crate::coloring::Coloring;
 use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::{DatId, Domain, MapId};
 use crate::kernel::{ArgShape, Iters, Kernel, Mask};
@@ -151,7 +149,8 @@ pub struct Level {
 pub enum ScheduleKind {
     /// A plain range or index list: one level, one chunk.
     Direct,
-    /// Lowered from a (block) coloring: level per color.
+    /// The block colouring ([`crate::par::colored_schedule`]): level per
+    /// colour.
     Colored { block_size: usize },
     /// Owner-computes lowering of iterations `[start, end)`
     /// ([`crate::par::owned_schedule`]): one level, one windowed chunk
@@ -202,36 +201,6 @@ impl Schedule {
                     iters,
                 }])],
             }],
-        }
-    }
-
-    /// Lower a greedy per-iteration [`Coloring`]: one level per color,
-    /// each color's iterations split into list chunks of at most
-    /// `chunk_size`. Greedy colorings reorder conflicting iterations
-    /// across colors, so this lowering is race-free but **not** bitwise
-    /// order-preserving (see [`crate::par::colored_schedule`] for the
-    /// lowering that is).
-    pub fn from_coloring(coloring: &Coloring, chunk_size: usize) -> Schedule {
-        let chunk_size = chunk_size.max(1);
-        let levels = coloring
-            .by_color
-            .iter()
-            .map(|bucket| Level {
-                chunks: bucket
-                    .chunks(chunk_size)
-                    .map(|piece| {
-                        Chunk::new(vec![Piece::List {
-                            loop_idx: 0,
-                            iters: piece.to_vec(),
-                        }])
-                    })
-                    .collect(),
-            })
-            .collect();
-        Schedule {
-            n_loops: 1,
-            kind: ScheduleKind::Colored { block_size: 1 },
-            levels,
         }
     }
 
@@ -431,6 +400,23 @@ impl Schedule {
     /// worker at a time.
     pub fn has_parallelism(&self) -> bool {
         self.max_level_chunks() > 1
+    }
+}
+
+#[cfg(test)]
+impl Schedule {
+    /// The schedule in the two chunk orders the tests walk it in,
+    /// sequentially: as lowered, and with every level's chunks reversed.
+    /// Threads may run a level's chunks in any order, so both walks must
+    /// give the bits of the plain walk whenever same-level chunks are
+    /// independent. Reversal swaps every same-level pair, every time;
+    /// two to four threads on a small host often just run in order.
+    pub(crate) fn walk_orders(&self) -> [(&'static str, Schedule); 2] {
+        let mut reversed = self.clone();
+        for level in &mut reversed.levels {
+            level.chunks.reverse();
+        }
+        [("in order", self.clone()), ("levels reversed", reversed)]
     }
 }
 
@@ -757,59 +743,12 @@ pub fn run_schedule_ctx(bound: &[BoundLoop], sched: &Schedule, ctx: &mut SchedCt
     }
 }
 
-/// Execute a schedule with `n_threads` scoped OS threads per level
-/// (barrier between levels). The reference threaded executor for
-/// core-level tests and single-domain callers; the runtime crate runs
-/// the same schedules on its per-rank pool.
-pub fn run_schedule_threads(bound: &[BoundLoop], sched: &Schedule, n_threads: usize) {
-    assert!(n_threads >= 1);
-    debug_assert_eq!(bound.len(), sched.n_loops);
-    if n_threads == 1 {
-        return run_schedule(bound, sched);
-    }
-    for level in &sched.levels {
-        let per = level.chunks.len().div_ceil(n_threads).max(1);
-        std::thread::scope(|scope| {
-            for group in level.chunks.chunks(per) {
-                scope.spawn(move || {
-                    let mut ctx = SchedCtx::new();
-                    for chunk in group {
-                        run_chunk(bound, chunk, &mut ctx);
-                    }
-                });
-            }
-        });
-    }
-}
-
 /// Execute `spec` under `sched` on the global domain, sequentially.
 pub fn run_loop_schedule(dom: &mut Domain, spec: &LoopSpec, sched: &Schedule) -> crate::seq::LoopResult {
     let mut gbl_bufs: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
     let bound = BoundLoop::bind(dom, spec, &mut gbl_bufs);
     run_schedule(std::slice::from_ref(&bound), sched);
     crate::seq::LoopResult { gbls: gbl_bufs }
-}
-
-/// Execute `spec` under `sched` on the global domain with `n_threads`
-/// workers.
-///
-/// # Panics
-/// Panics if the loop carries global reduction arguments — a reduction's
-/// accumulation order is thread-schedule dependent, so such loops stay
-/// sequential.
-pub fn run_loop_schedule_threads(
-    dom: &mut Domain,
-    spec: &LoopSpec,
-    sched: &Schedule,
-    n_threads: usize,
-) {
-    assert!(
-        !spec.has_reduction(),
-        "threaded execution does not support global reductions"
-    );
-    let mut gbl_bufs: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
-    let bound = BoundLoop::bind(dom, spec, &mut gbl_bufs);
-    run_schedule_threads(std::slice::from_ref(&bound), sched, n_threads);
 }
 
 /// Bind every loop of `chain` against the global domain. Returns the
@@ -869,9 +808,10 @@ mod tests {
         assert_eq!(dom.dat(x).data, vec![1.0, 1.0, 1.0, 2.0, 0.0, 1.0]);
     }
 
+    /// Two disjoint chunks on one level, safe to run concurrently: both
+    /// walks equal the plain range walk.
     #[test]
     fn threaded_schedule_matches_sequential() {
-        // Two disjoint chunks on one level: safe to run concurrently.
         let sched = Schedule {
             n_loops: 1,
             kind: ScheduleKind::Direct,
@@ -890,11 +830,13 @@ mod tests {
                 ],
             }],
         };
-        let (mut a, spec, x) = fixture(100);
-        let (mut b, _, _) = fixture(100);
-        run_loop_schedule(&mut a, &spec, &sched);
-        run_loop_schedule_threads(&mut b, &spec, &sched, 4);
-        assert_eq!(a.dat(x).data, b.dat(x).data);
+        let (mut reference, spec, x) = fixture(100);
+        run_loop_schedule(&mut reference, &spec, &Schedule::range(0, 100));
+        for (walk, sched) in sched.walk_orders() {
+            let (mut dom, _, _) = fixture(100);
+            run_loop_schedule(&mut dom, &spec, &sched);
+            assert_eq!(dom.dat(x).data, reference.dat(x).data, "{walk}");
+        }
     }
 
     /// How one generated argument reaches its data.
@@ -944,9 +886,8 @@ mod tests {
     /// The modes `fixture_twin` runs under. A `kernel!` kernel carries no
     /// state, so a twin fixture stores its modes here when it compiles,
     /// and a check runs twins only while it holds `TWIN_LOCK` (tests run
-    /// in parallel). `Relaxed` is enough: the stores precede the thread
-    /// spawns of `run_schedule_threads`, which order them before the
-    /// workers' loads.
+    /// in parallel). `Relaxed` is enough: a twin runs on the thread that
+    /// stored its modes.
     static TWIN_MODES: [AtomicU8; crate::kernel::MAX_ARGS] =
         [const { AtomicU8::new(0) }; crate::kernel::MAX_ARGS];
     static TWIN_LOCK: Mutex<()> = Mutex::new(());
@@ -1291,13 +1232,11 @@ mod tests {
         if let (Some(w), Some(wr)) = (f.windowed(), reference.windowed()) {
             let sched = w.owned();
             let expect = wr.reference(&all);
-            let got = w.after(|b| {
-                assert!(sched.windows_valid(&b[0]));
-                run_schedule(b, &sched);
-            });
-            assert_eq!(got, expect, "windowed pieces");
-            let got = w.after(|b| run_schedule_threads(b, &sched, 3));
-            assert_eq!(got, expect, "windowed pieces on threads");
+            w.after(|b| assert!(sched.windows_valid(&b[0])));
+            for (walk, sched) in sched.walk_orders() {
+                let got = w.after(|b| run_schedule(b, &sched));
+                assert_eq!(got, expect, "windowed pieces, {walk}");
+            }
         }
     }
 

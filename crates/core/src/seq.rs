@@ -15,7 +15,7 @@
 
 use crate::domain::Domain;
 use crate::loops::LoopSpec;
-use crate::schedule::{run_loop_schedule, run_loop_schedule_threads, Schedule};
+use crate::schedule::{run_loop_schedule, Schedule};
 
 /// Result of one loop execution: the final values of every global
 /// argument (constants come back unchanged, reductions hold the sum).
@@ -37,34 +37,6 @@ pub fn run_loop(dom: &mut Domain, spec: &LoopSpec) -> LoopResult {
 /// after renumbering).
 pub fn run_loop_range(dom: &mut Domain, spec: &LoopSpec, start: usize, end: usize) -> LoopResult {
     run_loop_schedule(dom, spec, &Schedule::range(start, end))
-}
-
-/// Execute `spec` color by color, each color's conflict-free iterations
-/// spread over `n_threads` OS threads — OP2's shared-memory execution
-/// scheme (the coloring guarantees no two concurrent iterations modify
-/// the same element, so no atomics are needed; colors are barriers).
-/// Lowered through [`Schedule::from_coloring`].
-///
-/// Within one color the per-element modification order is fixed by the
-/// color sequence, so results are **independent of the thread count**
-/// (and equal to plain sequential execution exactly when increments are
-/// integer-valued, to rounding otherwise).
-///
-/// # Panics
-/// Panics if the loop carries global reduction arguments (reduce
-/// sequentially instead, or pre-split the reduction).
-pub fn run_loop_colored_parallel(
-    dom: &mut Domain,
-    spec: &LoopSpec,
-    coloring: &crate::coloring::Coloring,
-    n_threads: usize,
-) {
-    assert!(n_threads >= 1);
-    debug_assert!(crate::coloring::is_valid_coloring(dom, &spec.sig(), coloring));
-    // Chunk each color so every thread gets one contiguous slice.
-    let widest = coloring.by_color.iter().map(Vec::len).max().unwrap_or(0);
-    let sched = Schedule::from_coloring(coloring, widest.div_ceil(n_threads).max(1));
-    run_loop_schedule_threads(dom, spec, &sched, n_threads);
 }
 
 #[cfg(test)]

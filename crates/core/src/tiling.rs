@@ -34,7 +34,7 @@
 use crate::conflict::{chain_accesses, conflict_levels, for_each_touch, ConflictAccess};
 use crate::domain::Domain;
 use crate::loops::LoopSig;
-use crate::schedule::{bind_chain, run_schedule, run_schedule_threads, Chunk, Piece, Schedule};
+use crate::schedule::{bind_chain, run_schedule, Chunk, Piece, Schedule};
 use crate::ChainSpec;
 
 /// A sparse-tiling schedule for one chain over one memory space,
@@ -329,30 +329,6 @@ pub fn run_chain_tiled(dom: &mut Domain, chain: &ChainSpec, plan: &TilePlan) {
     run_schedule(&bound, &sched);
 }
 
-/// Execute a chain tile by tile with `n_threads` workers: same-level
-/// tiles run concurrently, with a barrier between levels. Bitwise
-/// identical to [`run_chain_tiled`] for any thread count (the levels
-/// order every conflicting tile pair; see [`crate::conflict`]).
-///
-/// # Panics
-/// Panics if any loop of the chain carries global reduction arguments.
-pub fn run_chain_tiled_threads(
-    dom: &mut Domain,
-    chain: &ChainSpec,
-    plan: &TilePlan,
-    n_threads: usize,
-) {
-    for spec in &chain.loops {
-        assert!(
-            !spec.has_reduction(),
-            "threaded tiled execution does not support global reductions"
-        );
-    }
-    let sched = global_schedule(dom, chain, plan);
-    let (bound, _gbls) = bind_chain(dom, chain);
-    run_schedule_threads(&bound, &sched, n_threads);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,10 +576,10 @@ mod tests {
         assert!(sched.has_parallelism());
     }
 
-    /// Threaded tiled execution is bitwise identical to the sequential
-    /// tiled walk (and hence to plain sequential execution) at 1, 2 and
-    /// 4 threads — the core-level statement of the extended determinism
-    /// contract.
+    /// The leveled tile schedule, walked in order and with each level's
+    /// tiles reversed, is bitwise identical to plain sequential execution
+    /// — the core-level statement of the extended determinism contract:
+    /// same-level tiles may run on threads in any order.
     #[test]
     fn threaded_tiles_bitwise_equal_sequential() {
         for n_tiles in [1, 3, 7] {
@@ -612,17 +588,20 @@ mod tests {
                 ChainSpec::new("pc", vec![produce.clone(), consume.clone()], None, &[]).unwrap();
             let seed = seed_blocks(59, n_tiles);
             let plan = build_tile_plan(&dom, &chain.sigs(), &seed);
+            let sched = checked_schedule(&dom, &chain.sigs(), &plan);
 
-            let mut tiled = dom.clone();
-            run_chain_tiled(&mut tiled, &chain, &plan);
+            let mut plain = dom.clone();
+            seq::run_loop(&mut plain, &produce);
+            seq::run_loop(&mut plain, &consume);
 
-            for threads in [1usize, 2, 4] {
-                let mut thr = dom.clone();
-                run_chain_tiled_threads(&mut thr, &chain, &plan, threads);
+            for (walk, sched) in sched.walk_orders() {
+                let mut tiled = dom.clone();
+                let (bound, _gbls) = bind_chain(&mut tiled, &chain);
+                run_schedule(&bound, &sched);
                 for d in dats {
-                    let a: Vec<u64> = tiled.dat(d).data.iter().map(|v| v.to_bits()).collect();
-                    let b: Vec<u64> = thr.dat(d).data.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "n_tiles={n_tiles} threads={threads}");
+                    let a: Vec<u64> = plain.dat(d).data.iter().map(|v| v.to_bits()).collect();
+                    let b: Vec<u64> = tiled.dat(d).data.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(a, b, "n_tiles={n_tiles}, {walk}");
                 }
             }
         }

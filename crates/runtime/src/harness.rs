@@ -37,11 +37,12 @@ pub struct RunOptions {
     /// Receive-side deadline/retry policy.
     pub comm: CommConfig,
     /// Intra-rank threading for kernel execution, **per rank**. `None`
-    /// (the default) reads the `OP2_THREADS`/`OP2_BLOCK_SIZE`
-    /// environment and divides the thread budget across the co-located
-    /// ranks ([`crate::threads::Threading::split_across`]) so one
-    /// node-wide `OP2_THREADS` never oversubscribes the machine. `Some`
-    /// is taken verbatim as the per-rank configuration.
+    /// (the default) reads `OP2_THREADS` from the environment, at the
+    /// default block size, and divides the thread budget across the
+    /// co-located ranks ([`crate::threads::Threading::split_across`]) so
+    /// one node-wide `OP2_THREADS` never oversubscribes the machine.
+    /// `Some` is taken verbatim as the per-rank configuration, block size
+    /// included.
     pub threading: Option<crate::threads::Threading>,
     /// Checkpoint cadence for supervised runs
     /// ([`run_supervised`](crate::supervise::run_supervised)). `None`

@@ -44,8 +44,6 @@ const fn knob(
 pub const KNOBS: &[Knob] = &[
     knob("OP2_THREADS", "auto|0|N", "1",
         "kernel threads per node, split across in-process ranks (`0`/`auto` = all cores)"),
-    knob("OP2_BLOCK_SIZE", "a positive integer", "256",
-        "iterations per block of the colored fallback lowering"),
     knob("OP2_EXEC", "levels|dataflow", "levels",
         "schedule drain: one barrier per level, or per-chunk dependency counters"),
     knob("OP2_CKPT_EVERY", "a positive integer", "1",

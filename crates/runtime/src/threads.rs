@@ -23,10 +23,10 @@
 //! dependency counter in the schedule's chunk DAG reaches zero.
 //!
 //! Control surface: `OP2_THREADS` (`1`/unset = sequential, `0`/`auto` =
-//! hardware parallelism, `N` = exactly N) and `OP2_BLOCK_SIZE` (blocks of
-//! the colored fallback lowering), or [`crate::harness::RunOptions`]
-//! programmatically — resolved once per run into
-//! [`crate::policy::ExecPolicy::threading`].
+//! hardware parallelism, `N` = exactly N), or
+//! [`crate::harness::RunOptions`] programmatically (which also sets the
+//! colored fallback's [`Threading::block_size`]) — resolved once per run
+//! into [`crate::policy::ExecPolicy::threading`].
 
 use crate::error::ConfigError;
 use crate::policy::{env_knob, parse_knob};
@@ -75,33 +75,23 @@ impl Threading {
         }
     }
 
-    fn block_grammar(v: &str) -> Option<usize> {
-        v.parse::<usize>().ok().filter(|&n| n >= 1)
-    }
-
-    /// Parse the raw `OP2_THREADS` / `OP2_BLOCK_SIZE` values (`None` =
-    /// variable unset). Pure — no environment access — so the harness
+    /// Parse a raw `OP2_THREADS` value (`None` = variable unset), at the
+    /// default block size. Pure — no environment access — so the harness
     /// can validate configuration once at startup and tests can cover
     /// every malformed shape without mutating process state.
-    pub fn parse(threads: Option<&str>, block: Option<&str>) -> Result<Threading, ConfigError> {
-        Ok(Threading {
-            n_threads: parse_knob("OP2_THREADS", threads, Self::threads_grammar)?.unwrap_or(1),
-            block_size: parse_knob("OP2_BLOCK_SIZE", block, Self::block_grammar)?
-                .unwrap_or(DEFAULT_BLOCK_SIZE),
-        })
+    pub fn parse(threads: Option<&str>) -> Result<Threading, ConfigError> {
+        let n = parse_knob("OP2_THREADS", threads, Self::threads_grammar)?;
+        Ok(Threading::with_threads(n.unwrap_or(1)))
     }
 
     /// Read `OP2_THREADS` (unset/`1` = sequential, `0`/`auto` = hardware
-    /// parallelism, `N` = exactly N threads) and `OP2_BLOCK_SIZE`
-    /// (unset = [`DEFAULT_BLOCK_SIZE`]). Returns a typed [`ConfigError`]
-    /// on malformed values — the harness reports it once at startup
-    /// instead of panicking inside a rank thread.
+    /// parallelism, `N` = exactly N threads), at the default block size.
+    /// Returns a typed [`ConfigError`] on a malformed value — the harness
+    /// reports it once at startup instead of panicking inside a rank
+    /// thread.
     pub fn try_from_env() -> Result<Threading, ConfigError> {
-        Ok(Threading {
-            n_threads: env_knob("OP2_THREADS", Self::threads_grammar)?.unwrap_or(1),
-            block_size: env_knob("OP2_BLOCK_SIZE", Self::block_grammar)?
-                .unwrap_or(DEFAULT_BLOCK_SIZE),
-        })
+        let n = env_knob("OP2_THREADS", Self::threads_grammar)?;
+        Ok(Threading::with_threads(n.unwrap_or(1)))
     }
 
     /// True when execution actually fans out (more than one thread).
@@ -243,7 +233,7 @@ impl ThreadPool {
             resume_unwind(payload);
         }
         if round.panicked.load(Ordering::SeqCst) {
-            panic!("a pool worker panicked during colored execution");
+            panic!("a pool worker panicked during a pool round");
         }
     }
 
@@ -797,11 +787,10 @@ mod tests {
 
     #[test]
     fn parse_accepts_valid_shapes() {
-        assert_eq!(Threading::parse(None, None).unwrap(), Threading::single());
-        assert_eq!(Threading::parse(Some("1"), None).unwrap().n_threads, 1);
-        assert_eq!(Threading::parse(Some("3"), None).unwrap().n_threads, 3);
-        assert!(Threading::parse(Some("auto"), None).unwrap().n_threads >= 1);
-        assert_eq!(Threading::parse(None, Some("64")).unwrap().block_size, 64);
+        assert_eq!(Threading::parse(None).unwrap(), Threading::single());
+        assert_eq!(Threading::parse(Some("1")).unwrap().n_threads, 1);
+        assert_eq!(Threading::parse(Some("3")).unwrap(), Threading::with_threads(3));
+        assert!(Threading::parse(Some("auto")).unwrap().n_threads >= 1);
     }
 
     #[test]
@@ -813,14 +802,7 @@ mod tests {
                 value: value.into(),
             })
         };
-        assert_eq!(
-            Threading::parse(Some("lots"), None),
-            err("OP2_THREADS", "auto|0|N", "lots")
-        );
-        let block = "a positive integer";
-        assert_eq!(Threading::parse(None, Some("-4")), err("OP2_BLOCK_SIZE", block, "-4"));
-        assert_eq!(Threading::parse(None, Some("0")), err("OP2_BLOCK_SIZE", block, "0"));
-        assert_eq!(Threading::parse(None, Some("auto")), err("OP2_BLOCK_SIZE", block, "auto"));
+        assert_eq!(Threading::parse(Some("lots")), err("OP2_THREADS", "auto|0|N", "lots"));
     }
 
     #[test]

@@ -180,32 +180,6 @@ fn core_iterations_are_majority_on_few_ranks() {
     }
 }
 
-/// Colored parallel execution: results independent of thread count and
-/// exactly equal to sequential on integer data (OP2's shared-memory
-/// scheme — the coloring serialises conflicting increments by color).
-#[test]
-fn colored_parallel_matches_sequential() {
-    use op2::core::{color_loop, seq};
-    let f = fixture(1);
-    let inc_loop = f.inc_loop.clone();
-
-    let mut reference = f.mesh.dom.clone();
-    seq::run_loop(&mut reference, &inc_loop);
-
-    let coloring = color_loop(&f.mesh.dom, &inc_loop.sig());
-    assert!(op2::core::is_valid_coloring(&f.mesh.dom, &inc_loop.sig(), &coloring));
-    for n_threads in [1, 2, 4] {
-        let mut dom = f.mesh.dom.clone();
-        seq::run_loop_colored_parallel(&mut dom, &inc_loop, &coloring, n_threads);
-        assert_eq!(
-            reference.dat(f.a).data,
-            dom.dat(f.a).data,
-            "n_threads = {n_threads}"
-        );
-    }
-    let _ = (f.b, f.read_loop);
-}
-
 /// MIN/MAX global reductions (OP2's OP_MIN/OP_MAX): identical across
 /// rank counts, equal to the sequential fold, and unpolluted by
 /// redundant halo iterations.

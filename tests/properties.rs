@@ -168,14 +168,11 @@ proptest! {
         }
     }
 
-    /// Greedy loop colorings are valid (no two same-color iterations
-    /// modify the same element) and minimal-ish — within the greedy
-    /// bound `max conflict degree + 1` — on random 2-D quad and 3-D tet
-    /// meshes. Block levelizations from the threaded subsystem at block
-    /// size 1 agree with the element-level checker: a block is an
-    /// iteration, so the levels are a per-iteration coloring.
+    /// The block colouring at block size 1 is a per-iteration colouring
+    /// (a block is an iteration) on random 2-D quad and 3-D tet meshes:
+    /// it covers every iteration once and passes the conflict checker.
     #[test]
-    fn colorings_valid_and_bounded(
+    fn unit_block_levels_valid(
         nx in 3usize..9,
         ny in 3usize..9,
         nz in 2usize..5,
@@ -183,7 +180,7 @@ proptest! {
     ) {
         use op2::core::conflict::{conflict_accesses, levels_valid};
         use op2::core::par::{block_units, colored_schedule};
-        use op2::core::{color_loop, is_valid_coloring, AccessMode as AM, Coloring, LoopSpec, Piece};
+        use op2::core::{AccessMode as AM, LoopSpec, Piece};
         use op2::mesh::Tet3D;
 
         fn noop(_: &op2::core::Args<'_>) {}
@@ -206,56 +203,25 @@ proptest! {
             noop,
         );
         let sig = spec.sig();
-
-        let c = color_loop(&dom, &sig);
-        prop_assert!(is_valid_coloring(&dom, &sig, &c));
-        // Complete partition of the iteration space.
-        let total: usize = c.by_color.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, dom.set(edges).size);
-
-        // Minimality bound: greedy needs at most one more color than
-        // the max conflict degree (edges sharing a node with e).
-        let md = &dom.maps()[e2n.idx()];
-        let mut node_deg = vec![0usize; dom.set(nodes).size];
-        for &v in &md.values {
-            node_deg[v as usize] += 1;
-        }
         let n_edges = dom.set(edges).size;
-        let max_conflicts = (0..n_edges)
-            .map(|e| {
-                (0..md.arity)
-                    .map(|i| node_deg[md.values[e * md.arity + i] as usize] - 1)
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        prop_assert!(
-            c.n_colors <= max_conflicts + 1,
-            "{} colors > degree bound {}",
-            c.n_colors,
-            max_conflicts + 1
-        );
 
-        // The threaded subsystem's block coloring at block size 1 is an
-        // element coloring and passes the same validity checker.
         let set_sizes = dom.set_sizes();
         let sched = colored_schedule(dom.maps(), &sig, 0, n_edges, 1, &set_sizes);
-        let mut color = vec![0u32; n_edges];
-        let mut by_color = vec![Vec::new(); sched.n_levels()];
+        prop_assert_eq!(sched.n_chunks(), n_edges);
+        let mut color = vec![u32::MAX; n_edges];
         for (l, level) in sched.levels.iter().enumerate() {
             for chunk in &level.chunks {
-                let [Piece::Range { start, .. }] = chunk.pieces[..] else {
+                let [Piece::Range { start, end, .. }] = chunk.pieces[..] else {
                     panic!("a colored chunk is one range: {chunk:?}");
                 };
+                prop_assert_eq!(end, start + 1);
                 color[start as usize] = l as u32;
-                by_color[l].push(start);
             }
         }
+        prop_assert!(color.iter().all(|&c| c != u32::MAX), "an iteration is uncovered");
         let units = block_units(0, n_edges, 1, |start, end| Piece::Range { loop_idx: 0, start, end });
         let accesses = [conflict_accesses(dom.maps(), &sig)];
         prop_assert!(levels_valid(&units, &color, &accesses, &set_sizes));
-        let ec = Coloring { n_colors: sched.n_levels(), color, by_color };
-        prop_assert!(is_valid_coloring(&dom, &sig, &ec));
     }
 
     /// Ownership inheritance covers every set and respects the base
