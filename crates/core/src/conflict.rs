@@ -2,9 +2,9 @@
 //! threaded execution in this crate rests on.
 //!
 //! A *unit* is a [`Chunk`] one worker runs without interruption: a block
-//! of contiguous iterations ([`Piece::Range`]) or a tile's slice of every
-//! chain loop ([`Piece::List`]s). Given
-//! the units in **sequential order**, [`conflict_levels`] assigns
+//! of contiguous iterations ([`Piece::Range`]) or an explicit iteration
+//! list ([`Piece::List`]), of one loop or of several. Given the units
+//! in **sequential order**, [`conflict_levels`] assigns
 //!
 //! > `level(u) = 1 + max{ level(u') : u' < u and u' conflicts with u }`
 //!
@@ -28,14 +28,13 @@
 //! Which dats are selected is the only thing that differs between
 //! lowerings, and there are two selectors: [`conflict_accesses`] for a
 //! standalone loop (dats *this loop* modifies through a map) and
-//! [`chain_accesses`] for anything spanning loops — tiles and the chunk
-//! DAG (dats *any loop of the chain* modifies). Both build the one
-//! descriptor, [`ConflictAccess`]; [`for_each_touch`] is the one walker
-//! resolving a unit to the elements it touches, shared by the levelizer,
-//! the checker [`levels_valid`], [`crate::tiling::overlap_core_tiles`]
-//! and [`crate::dag::ChunkDag::build`]. [`Schedule::from_levels`], the
-//! only place `(units, levels)` become a leveled [`Schedule`], runs the
-//! checker under `debug_assert!`.
+//! [`chain_accesses`] for anything spanning loops — the chunk DAG (dats
+//! *any loop of the chain* modifies). Both build the one descriptor,
+//! [`ConflictAccess`]; [`for_each_touch`] is the one walker resolving a
+//! unit to the elements it touches, shared by the levelizer, the checker
+//! [`levels_valid`] and [`crate::dag::ChunkDag::build`].
+//! [`Schedule::from_levels`], the only place `(units, levels)` become a
+//! leveled [`Schedule`], runs the checker under `debug_assert!`.
 //!
 //! [`Schedule`]: crate::schedule::Schedule
 //! [`Schedule::from_levels`]: crate::schedule::Schedule::from_levels
@@ -132,8 +131,8 @@ pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<Conflict
 }
 
 /// The chain-wide selector, one list per loop: every access of a dat
-/// *modified anywhere in the chain*. Units that span loops (tiles, the
-/// chunks of a chain schedule's DAG) must also order the write→read
+/// *modified anywhere in the chain*. Units that span loops (the chunks
+/// of a chain schedule's DAG) must also order the write→read
 /// hand-off between chain loops — including through dats a loop writes
 /// only directly, which within one loop never collide but across loops
 /// do. Dats nobody modifies induce only read↔read pairs and are skipped.
@@ -260,8 +259,8 @@ mod tests {
     /// A table row: name, per-loop accesses, units, expected levels.
     type Row<'a> = (&'a str, Vec<Vec<ConflictAccess<'a>>>, Units<'a>, &'a [u32]);
 
-    /// The units of `spec` twice over: as block units (ranges) and as
-    /// tile units (lists). The rule must not tell them apart.
+    /// The units of `spec` twice over: as range pieces and as list
+    /// pieces. The rule must not tell them apart.
     fn both_forms(spec: Units<'_>) -> [Vec<Chunk>; 2] {
         let build = |piece: &dyn Fn(u32, u32, u32) -> Piece| -> Vec<Chunk> {
             let unit = |u: &&[(u32, u32, u32)]| {
@@ -323,8 +322,8 @@ mod tests {
 
     const QUARTERS: Units<'static> = &[&[(0, 0, 2)], &[(0, 2, 4)], &[(0, 4, 6)], &[(0, 6, 8)]];
 
-    /// The one rule over a table of conflict shapes, each as blocks and
-    /// as tiles, with the levels spelled out.
+    /// The one rule over a table of conflict shapes, each as ranges and
+    /// as lists, with the levels spelled out.
     #[test]
     fn levelizer_table() {
         let f = fix();
@@ -404,9 +403,8 @@ mod tests {
         }
     }
 
-    /// Gaps in the level vector are compacted by the constructor (the
-    /// overlap split lowers a subset of a plan's tiles on the plan's own
-    /// levels), unit order within a level is kept.
+    /// Gaps in the level vector are compacted by the constructor, unit
+    /// order within a level is kept.
     #[test]
     fn constructor_buckets_in_order_and_drops_empty_levels() {
         let f = fix();

@@ -341,7 +341,8 @@ mod tests {
         // Two-chunk chain schedule: stage then apply — one edge.
         let sched = Schedule {
             n_loops: 2,
-            kind: ScheduleKind::Tiled { n_tiles: 1 },
+            // Provenance only: nothing reads a schedule's kind here.
+            kind: ScheduleKind::Direct,
             levels: vec![
                 Level {
                     chunks: vec![Chunk::new(vec![Piece::Range {

@@ -65,12 +65,10 @@
 //! This crate is entirely serial and machine-agnostic: it holds the data
 //! model, the kernel calling convention, the sequential reference executor
 //! ([`seq`]), the loop-chain dependency analysis (Alg 3 of the paper,
-//! [`chain::calc_halo_layers`]), the shared-memory sparse-tiling schedule
-//! and executor ([`tiling`] — the cache-level communication avoidance of
-//! §2.2) and the chain configuration-file format described in §3.4 of the
-//! paper. It lowers loops and chains to threaded [`Schedule`]s
-//! ([`par`], [`schedule`]) but never starts a thread: the runtime's
-//! per-rank pool runs them. Distribution, halos, communication and
+//! [`chain::calc_halo_layers`]) and the chain configuration-file format
+//! described in §3.4 of the paper. It lowers loops to threaded
+//! [`Schedule`]s ([`par`], [`schedule`]) but never starts a thread: the
+//! runtime's per-rank pool runs them. Distribution, halos, communication and
 //! threads live in `op2-partition` / `op2-runtime`.
 
 // Index-driven loops over parallel per-element arrays are the natural
@@ -89,7 +87,6 @@ pub mod loops;
 pub mod par;
 pub mod schedule;
 pub mod seq;
-pub mod tiling;
 
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
@@ -104,7 +101,6 @@ pub use par::{
     colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
 };
 pub use schedule::{
-    bind_chain, run_chunk, run_schedule, run_schedule_ctx, ArgWindow, BoundArg, BoundLoop, Chunk,
-    Level, Piece, SchedCtx, Schedule, ScheduleKind,
+    run_chunk, run_schedule, run_schedule_ctx, ArgWindow, BoundArg, BoundLoop, Chunk, Level, Piece,
+    SchedCtx, Schedule, ScheduleKind,
 };
-pub use tiling::{build_tile_plan, run_chain_tiled, seed_blocks, seed_from_targets, TilePlan};

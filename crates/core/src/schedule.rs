@@ -1,7 +1,7 @@
 //! The unified `Schedule` execution IR.
 //!
-//! Every way this crate runs a loop or a loop-chain — a plain sequential
-//! range, a colored-blocked threaded loop, a sparse-tiled chain — is the
+//! Every way this crate runs a loop — a plain sequential range, a
+//! colored-blocked threaded loop, an owner-computes threaded loop — is the
 //! same thing at heart: an ordered list of *levels* separated by
 //! synchronization barriers, each level holding iteration *chunks* that
 //! are conflict-free against one another. This module makes that shape a
@@ -10,27 +10,27 @@
 //! * [`Piece`] — a contiguous iteration range or an explicit index list
 //!   of one loop of the chain;
 //! * [`Chunk`] — an ordered list of pieces executed sequentially by one
-//!   worker (a colored block; a tile's slice of every loop);
+//!   worker (a colored block; an owner-computes window's iterations);
 //! * [`Schedule`] — levels of chunks. Chunks within a level may run
 //!   concurrently; levels execute in order with a barrier between them.
 //!
 //! Lowerings build schedules from each scheduling strategy
 //! ([`Schedule::range`], [`crate::par::colored_schedule`],
-//! [`Schedule::from_tile_plan`], [`crate::par::owned_schedule`]).
-//! [`run_schedule`] walks one sequentially, level by level and chunk by
-//! chunk: the reference every threaded execution must match. This crate
-//! starts no threads; the runtime crate's per-rank pool runs the same
-//! schedules on its workers, one chunk at a time through [`run_chunk`].
+//! [`crate::par::owned_schedule`]). [`run_schedule`] walks one
+//! sequentially, level by level and chunk by chunk: the reference every
+//! threaded execution must match. This crate starts no threads; the
+//! runtime crate's per-rank pool runs the same schedules on its workers,
+//! one chunk at a time through [`run_chunk`].
 //!
 //! **Determinism contract.** When the lowering guarantees that (a)
 //! same-level chunks touch disjoint modified elements and (b) every
 //! conflicting chunk pair is ordered by level in ascending iteration
 //! order, the per-element update sequence under any thread count equals
 //! the sequential one, so results are **bitwise identical** to
-//! [`crate::seq::run_loop`] / the sequential tiled walk. Every leveled
-//! lowering — blocks and tiles — gets (a) and (b) from the one
-//! rule of [`crate::conflict`] and is assembled by
-//! [`Schedule::from_levels`], which re-checks both in debug builds. The
+//! [`crate::seq::run_loop`]. The leveled lowering — colored blocks —
+//! gets (a) and (b) from the one rule of [`crate::conflict`] and is
+//! assembled by [`Schedule::from_levels`], which re-checks both in debug
+//! builds. The
 //! owner-computes lowering meets (a) differently: its chunks *overlap*
 //! in iterations but each carries a window per modifying argument
 //! ([`Chunk::mask`]) and keeps only the increments landing inside it, so
@@ -52,7 +52,6 @@ use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::{DatId, Domain, MapId};
 use crate::kernel::{ArgShape, Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
-use crate::tiling::TilePlan;
 
 /// One contiguous or listed slice of one loop's iteration space.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,7 +111,7 @@ pub struct ArgWindow {
 }
 
 /// The unit of work one worker executes without interruption: pieces in
-/// order (for tiles, the tile's slice of `L_0`, then of `L_1`, …).
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Chunk {
     pub pieces: Vec<Piece>,
@@ -157,8 +156,6 @@ pub enum ScheduleKind {
     /// per thread, cut iterations executed by every chunk they
     /// increment into.
     Owned { start: usize, end: usize },
-    /// Lowered from a leveled tile plan: level per tile-conflict level.
-    Tiled { n_tiles: usize },
 }
 
 /// An executable schedule over an `n_loops`-long chain (1 for a single
@@ -208,8 +205,8 @@ impl Schedule {
     /// `levels` into a leveled schedule over an `accesses.len()`-long
     /// chain: one level per distinct value, ascending, units keeping
     /// their order within a level. The single constructor of every
-    /// order-preserving leveled lowering — blocks and tiles —
-    /// and therefore where the conflict rule is audited: in debug builds
+    /// order-preserving leveled lowering, and therefore where the
+    /// conflict rule is audited: in debug builds
     /// [`levels_valid`] re-checks `levels` pair by pair against
     /// `accesses`, the descriptors they were computed under (see
     /// [`crate::conflict`]).
@@ -235,44 +232,6 @@ impl Schedule {
             kind,
             levels: buckets,
         }
-    }
-
-    /// Lower a leveled [`TilePlan`]: one level per tile-conflict level,
-    /// one chunk per tile ([`TilePlan::unit`]), tile ids ascending within
-    /// a level. Conflicting tiles sit on strictly ascending levels in
-    /// tile order, so level-order execution is bitwise identical to the
-    /// ascending-tile sequential walk. `accesses` are the chain's
-    /// [`crate::conflict::chain_accesses`].
-    pub fn from_tile_plan(
-        plan: &TilePlan,
-        accesses: &[Vec<ConflictAccess<'_>>],
-        set_sizes: &[usize],
-    ) -> Schedule {
-        Self::from_tile_plan_subset(plan, &vec![true; plan.n_tiles], accesses, set_sizes)
-    }
-
-    /// Lower only the tiles with `keep[t] == true`, on the plan's own
-    /// levels (levels left with no kept tile are dropped). Used by the
-    /// overlap executor to split one plan into a core schedule (runs
-    /// while the exchange is in flight) and a post schedule (runs after
-    /// the wait); level order within each half is exactly the full
-    /// plan's, so running one half and then the other replays the full
-    /// plan whenever the split itself is order-safe (see
-    /// `tiling::overlap_core_tiles`).
-    pub fn from_tile_plan_subset(
-        plan: &TilePlan,
-        keep: &[bool],
-        accesses: &[Vec<ConflictAccess<'_>>],
-        set_sizes: &[usize],
-    ) -> Schedule {
-        let (units, levels): (Vec<Chunk>, Vec<u32>) = (0..plan.n_tiles)
-            .filter(|&t| keep[t])
-            .map(|t| (plan.unit(t), plan.levels[t]))
-            .unzip();
-        let kind = ScheduleKind::Tiled {
-            n_tiles: plan.n_tiles,
-        };
-        Schedule::from_levels(kind, units, &levels, accesses, set_sizes)
     }
 
     /// Number of barrier-delimited levels.
@@ -519,10 +478,10 @@ impl BoundArg {
 /// The pointers must reference buffers that outlive the `BoundLoop` and
 /// are not reallocated while it is used. Concurrent execution is sound
 /// only under a schedule whose same-level chunks modify disjoint
-/// elements — disjoint blocks or tiles under the colored and tiled
-/// lowerings, disjoint *windows* of each target set under the
-/// owner-computes one, where a chunk's out-of-window increments land in
-/// its worker's private sink; all data access is value-based through
+/// elements — disjoint blocks under the colored lowering, disjoint
+/// *windows* of each target set under the owner-computes one, where a
+/// chunk's out-of-window increments land in its worker's private sink;
+/// all data access is value-based through
 /// [`crate::kernel::Args`], so no references are formed. A declared
 /// kernel's arguments must be bound as its shape says, which
 /// [`BoundLoop::from_parts`] asserts: build a `BoundLoop` through it.
@@ -535,7 +494,7 @@ pub struct BoundLoop {
 // dat, map and gbl buffers that the struct-level contract keeps alive and
 // unmoved. Callers only share a BoundLoop across threads under a
 // schedule whose same-level chunks modify disjoint elements: disjoint
-// iteration blocks/tiles (colored, tiled) or disjoint target *windows*
+// iteration blocks (colored) or disjoint target *windows*
 // with every out-of-window increment diverted to the worker's own sink
 // (owner-computes; `Schedule::windows_valid` is the checkable form).
 // Map and read-only dat buffers are never written during execution.
@@ -749,25 +708,6 @@ pub fn run_loop_schedule(dom: &mut Domain, spec: &LoopSpec, sched: &Schedule) ->
     let bound = BoundLoop::bind(dom, spec, &mut gbl_bufs);
     run_schedule(std::slice::from_ref(&bound), sched);
     crate::seq::LoopResult { gbls: gbl_bufs }
-}
-
-/// Bind every loop of `chain` against the global domain. Returns the
-/// bound loops plus the per-loop global buffers backing them (which must
-/// stay alive and unmoved while the bounds are used).
-pub fn bind_chain(
-    dom: &mut Domain,
-    chain: &crate::ChainSpec,
-) -> (Vec<BoundLoop>, Vec<Vec<Vec<f64>>>) {
-    let mut gbls: Vec<Vec<Vec<f64>>> = chain
-        .loops
-        .iter()
-        .map(|s| s.gbls.iter().map(|g| g.init.clone()).collect())
-        .collect();
-    let mut bound = Vec::with_capacity(chain.len());
-    for (spec, bufs) in chain.loops.iter().zip(gbls.iter_mut()) {
-        bound.push(BoundLoop::bind(dom, spec, bufs));
-    }
-    (bound, gbls)
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; tiled or tuned
-//! dispatch of the *strict* chains through [`Job::dispatch`] (relaxed
+//! pinning and faults through [`RunOptions`]; tuned dispatch of the
+//! *strict* chains through [`Job::dispatch`] (relaxed
 //! chains always keep their pinned-extent executor); supervision,
 //! rebalancing and the resident service by handing [`job`]'s program to
 //! [`op2_runtime::run_job_supervised`],
@@ -329,9 +329,8 @@ mod tests {
 
     /// Threaded safe-mode CA is **bitwise identical** to single-threaded
     /// CA — the order-preserving block coloring makes thread count
-    /// invisible in the results, even through Hydra's relaxed chains
-    /// (which run sequentially inside the tiled executor) and strict
-    /// chains (which run colored).
+    /// invisible in the results, through Hydra's relaxed and strict
+    /// chains alike.
     #[test]
     fn threaded_ca_bitwise_equals_single_threaded() {
         let params = HydraParams::small(7);
@@ -370,57 +369,6 @@ mod tests {
             out.traces.iter().any(|t| !t.threads.is_empty()),
             "no threaded executions recorded"
         );
-    }
-
-    /// The threaded tiled executor on Hydra: CA + sparse tiling of the
-    /// strict chains with pool threads is **bitwise identical** to the
-    /// sequential tiled run, and the traces prove same-level tiles
-    /// actually went through the pool.
-    #[test]
-    fn tiled_threaded_bitwise_equals_tiled_sequential() {
-        let params = HydraParams::small(10);
-        let (iters, n_tiles) = (2, 8);
-
-        let mut ref_app = Hydra::new(params);
-        let l0 = layouts_for(&ref_app, 2, ref_app.required_depth(ExtentMode::Safe));
-        let safe = Variant::ca(ExtentMode::Safe);
-        let tiled = ChainDispatch::Tiled(n_tiles);
-        let reference = go(&mut ref_app, &l0, safe, iters, tiled.clone(), &RunOptions::default());
-
-        let mut app = Hydra::new(params);
-        let l = layouts_for(&app, 2, app.required_depth(ExtentMode::Safe));
-        let out = go(&mut app, &l, safe, iters, tiled, &RunOptions::default().with_threads(4));
-
-        assert_eq!(
-            out.norm.to_bits(),
-            reference.norm.to_bits(),
-            "tiled-threaded norm diverged"
-        );
-        for dat in [app.qp, app.qo, app.vres, app.jac] {
-            let name = &app.mesh.dom.dat(dat).name;
-            let got: Vec<u64> = app.mesh.dom.dat(dat).data.iter().map(|x| x.to_bits()).collect();
-            let want: Vec<u64> = ref_app
-                .mesh
-                .dom
-                .dat(dat)
-                .data
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            assert_eq!(got, want, "tiled-threaded run diverged on dat `{name}`");
-        }
-        let tiled: Vec<_> = out
-            .traces
-            .iter()
-            .flat_map(|t| &t.threads)
-            .filter(|r| r.kind == op2_runtime::SchedKind::Tiled)
-            .collect();
-        assert!(!tiled.is_empty(), "no tiled pool executions recorded");
-        for rec in tiled {
-            assert_eq!(rec.n_threads, 4);
-            assert_eq!(rec.level_ns.len(), rec.n_levels);
-            assert_eq!(rec.block_size, 0, "tiled schedules chunk by tile");
-        }
     }
 
     /// Resident-service execution matches the standalone CA run bitwise (safe

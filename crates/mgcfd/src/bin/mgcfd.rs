@@ -6,15 +6,13 @@
 //! ```
 //!
 //! Backends: `seq` (reference), `op2` (Alg 1 per loop), `ca` (Alg 2 for
-//! the synthetic chain), `tiled` (Alg 2 + intra-rank sparse tiling of
-//! the chain, `--tiles` per rank; `OP2_THREADS` fans same-level tiles
-//! across each rank's pool). Prints the final flow norm, per-backend
-//! message statistics and the chain's execution plan.
+//! the synthetic chain). Prints the final flow norm, per-backend message
+//! statistics and the chain's execution plan.
 
 use mg_cfd::{job, run, run_sequential, MgCfd, MgCfdParams, Variant};
 use op2_mesh::Hex3DParams;
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-use op2_runtime::{ChainDispatch, RunOptions};
+use op2_runtime::RunOptions;
 
 struct Opts {
     n: usize,
@@ -22,7 +20,6 @@ struct Opts {
     nchains: usize,
     ranks: usize,
     iters: usize,
-    tiles: usize,
     backend: String,
 }
 
@@ -33,7 +30,6 @@ fn parse_opts() -> Opts {
         nchains: 4,
         ranks: 4,
         iters: 5,
-        tiles: 8,
         backend: "ca".into(),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,12 +46,11 @@ fn parse_opts() -> Opts {
             "--nchains" => o.nchains = val().parse().expect("--nchains"),
             "--ranks" => o.ranks = val().parse().expect("--ranks"),
             "--iters" => o.iters = val().parse().expect("--iters"),
-            "--tiles" => o.tiles = val().parse().expect("--tiles"),
             "--backend" => o.backend = val(),
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --n <grid> --levels <mg levels> --nchains <pairs> \
-                     --ranks <n> --iters <n> --tiles <n> --backend seq|op2|ca|tiled"
+                     --ranks <n> --iters <n> --backend seq|op2|ca"
                 );
                 std::process::exit(0);
             }
@@ -88,23 +83,19 @@ fn main() {
 
     let outcome = match o.backend.as_str() {
         "seq" => run_sequential(&mut app, o.iters),
-        "op2" | "ca" | "tiled" => {
+        "op2" | "ca" => {
             let coords = &app.dom.dat(app.levels[0].ids.coords).data;
             let base = rcb_partition(coords, 3, o.ranks);
             let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, o.ranks);
             let layouts = build_layouts(&app.dom, &own, 2);
-            let (variant, dispatch) = match o.backend.as_str() {
-                "op2" => (Variant::Op2, ChainDispatch::Planned),
-                "ca" => (Variant::Ca, ChainDispatch::Planned),
-                _ => (Variant::Ca, ChainDispatch::Tiled(o.tiles)),
-            };
-            let job = job(&app, variant, o.iters).dispatch(dispatch);
+            let variant = if o.backend == "op2" { Variant::Op2 } else { Variant::Ca };
+            let job = job(&app, variant, o.iters);
             run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {
                 eprintln!("mgcfd: {e}");
                 std::process::exit(1);
             })
         }
-        other => panic!("unknown backend `{other}` (seq|op2|ca|tiled)"),
+        other => panic!("unknown backend `{other}` (seq|op2|ca)"),
     };
 
     println!("final flow norm after {} iterations: {:.6}", o.iters, outcome.rms);

@@ -3,8 +3,8 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; tiled or tuned
-//! chain dispatch through [`Job::dispatch`]; supervision, rebalancing
+//! pinning and faults through [`RunOptions`]; tuned chain dispatch
+//! through [`Job::dispatch`]; supervision, rebalancing
 //! and the resident service by handing [`job`]'s program to
 //! [`op2_runtime::run_job_supervised`],
 //! [`op2_runtime::run_job_rebalanced`] or
@@ -154,16 +154,6 @@ mod tests {
         go(app, layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts)
     }
 
-    fn run_ca_tiled(
-        app: &mut MgCfd,
-        layouts: &[RankLayout],
-        iters: usize,
-        n_tiles: usize,
-        opts: &RunOptions,
-    ) -> RunOutcome {
-        go(app, layouts, Variant::Ca, iters, ChainDispatch::Tiled(n_tiles), opts)
-    }
-
     fn layouts_for(app: &MgCfd, nparts: usize) -> Vec<RankLayout> {
         let coords = &app.dom.dat(app.levels[0].ids.coords).data;
         let base = rcb_partition(coords, 3, nparts);
@@ -247,23 +237,6 @@ mod tests {
                 ca_msgs < op2_msgs,
                 "rank {rank}: CA {ca_msgs} msgs vs OP2 {op2_msgs}"
             );
-        }
-    }
-
-    /// Both CA levels combined (distributed chain + intra-rank tiles)
-    /// still match the reference.
-    #[test]
-    fn tiled_ca_matches_sequential() {
-        let params = MgCfdParams::small(7);
-        let iters = 2;
-        let mut seq_app = MgCfd::new(params);
-        let reference = run_sequential(&mut seq_app, iters);
-        for n_tiles in [1, 4] {
-            let mut app = MgCfd::new(params);
-            let layouts = layouts_for(&app, 4);
-            let out = run_ca_tiled(&mut app, &layouts, iters, n_tiles, &RunOptions::default());
-            let err = (reference.rms - out.rms).abs() / reference.rms.abs().max(1e-30);
-            assert!(err < 1e-10, "n_tiles {n_tiles}: {err}");
         }
     }
 
@@ -448,60 +421,6 @@ mod tests {
                 for rec in &t.threads {
                     assert_eq!(rec.n_threads, n_threads);
                     assert_eq!(rec.level_ns.len(), rec.n_levels);
-                }
-            }
-        }
-    }
-
-    /// The threaded tiled executor on the full app: CA + sparse tiling
-    /// with 2 and 4 pool threads per rank is **bitwise identical** to
-    /// the sequential tiled run — same-level tiles are provably
-    /// conflict-free and conflicting tiles stay level-ordered, so thread
-    /// count is invisible in the results. The trace must prove the
-    /// pool actually ran tiled schedules.
-    #[test]
-    fn tiled_threaded_bitwise_equals_tiled_sequential() {
-        let params = MgCfdParams::small(10);
-        let (iters, n_tiles) = (2, 8);
-
-        let mut ref_app = MgCfd::new(params);
-        let l0 = layouts_for(&ref_app, 2);
-        let reference = run_ca_tiled(&mut ref_app, &l0, iters, n_tiles, &RunOptions::default());
-
-        for n_threads in [2usize, 4] {
-            let mut app = MgCfd::new(params);
-            let layouts = layouts_for(&app, 2);
-            let opts = RunOptions::default().with_threads(n_threads);
-            let out = run_ca_tiled(&mut app, &layouts, iters, n_tiles, &opts);
-            assert_eq!(
-                out.rms.to_bits(),
-                reference.rms.to_bits(),
-                "{n_threads} threads: rms diverged"
-            );
-            for d in 0..app.dom.n_dats() {
-                let id = op2_core::DatId(d as u32);
-                assert_eq!(
-                    app.dom.dat(id).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    ref_app.dom.dat(id).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "{n_threads} threads: dat `{}` diverged",
-                    app.dom.dat(id).name
-                );
-            }
-            for t in &out.traces {
-                let tiled: Vec<_> = t
-                    .threads
-                    .iter()
-                    .filter(|r| r.kind == op2_runtime::SchedKind::Tiled)
-                    .collect();
-                assert!(
-                    !tiled.is_empty(),
-                    "rank {}: no tiled pool executions recorded",
-                    t.rank
-                );
-                for rec in tiled {
-                    assert_eq!(rec.n_threads, n_threads);
-                    assert_eq!(rec.level_ns.len(), rec.n_levels);
-                    assert_eq!(rec.block_size, 0, "tiled schedules chunk by tile");
                 }
             }
         }

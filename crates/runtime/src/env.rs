@@ -31,18 +31,17 @@
 
 use crate::comm::RankComm;
 use crate::fault::{BoundaryAction, BoundaryKind};
-use crate::plan::{loop_signature, ChainPlan, Lowered, LoweredSchedule, LoweringKey, PlanCache};
+use crate::plan::{loop_signature, ChainPlan, LoweredSchedule, LoweringKey, PlanCache};
 use crate::policy::{ExecMode, ExecPolicy};
 use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
 use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::conflict::chain_accesses;
 use op2_core::dag::ChunkDag;
 use op2_core::par::thread_schedule;
-use op2_core::schedule::{run_schedule_ctx, BoundLoop, SchedCtx, Schedule, ScheduleKind};
-use op2_core::{ChainSpec, DatId, Domain, LoopSig, LoopSpec};
+use op2_core::schedule::{BoundLoop, Schedule, ScheduleKind};
+use op2_core::{DatId, Domain, LoopSig, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Per-rank state: local data, validity, transport, trace.
 pub struct RankEnv<'a> {
@@ -210,27 +209,22 @@ impl<'a> RankEnv<'a> {
             Some((plan, pos)) => (&plan.lowered, pos as u64),
             None => (&self.plans.lowered, loop_signature(spec)),
         };
-        let key = LoweringKey::Range {
+        let key = LoweringKey {
             owner,
             start,
             end,
             block,
             width: self.policy.threading.n_threads,
         };
-        let lowered = cache.get_or_build(key, || {
-            let sched = self.build_loop_schedule(spec, start, end, block);
-            Lowered::Range(Arc::new(LoweredSchedule::new(sched)))
-        });
-        let (Lowered::Range(low), built) = lowered else {
-            unreachable!("a Range key holds a range lowering");
-        };
+        let (low, built) =
+            cache.get_or_build(key, || self.build_loop_schedule(spec, start, end, block));
         if built {
             self.plans.stats.color_misses += 1;
         } else {
             self.plans.stats.color_hits += 1;
         }
         let bound = self.bind_loop(spec, gbl_bufs);
-        self.run_pooled(&spec.name, false, || vec![spec.sig()], &[bound], &low);
+        self.run_pooled(&spec.name, || vec![spec.sig()], &[bound], &low);
     }
 
     /// Should `[start, end)` of `spec` run on the thread pool — and with
@@ -318,32 +312,29 @@ impl<'a> RankEnv<'a> {
         run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs)
     }
 
-    /// Executor: run a lowered schedule on the rank's own pool and
+    /// Executor: run a loop's lowered schedule on the rank's own pool and
     /// append its [`ThreadRec`] (per-level wall times, per-worker
-    /// idle/steal/fire counters) — a whole chain's schedule is recorded
-    /// as [`SchedKind::Tiled`], one loop's by how it was lowered.
+    /// idle/steal/fire counters), recorded by how the schedule was
+    /// lowered.
     ///
     /// Same-level chunks write disjoint elements (race-free): disjoint
     /// windows under the owner-computes lowering, where each element
     /// takes its increments from one chunk in ascending iteration order;
-    /// disjoint blocks under the colored fallback and disjoint tiles
-    /// under the tile plan, where conflicting chunks are ordered by
-    /// ascending level — and the dataflow drain preserves exactly the
-    /// conflicting-pair order through the chunk DAG. Either way
-    /// per-element update order equals the sequential executor's:
-    /// results are bitwise identical for any thread count and either
-    /// drain.
+    /// disjoint blocks under the colored fallback, where conflicting
+    /// chunks are ordered by ascending level — and the dataflow drain
+    /// preserves exactly the conflicting-pair order through the chunk
+    /// DAG. Either way per-element update order equals the sequential
+    /// executor's: results are bitwise identical for any thread count and
+    /// either drain.
     fn run_pooled(
         &mut self,
         name: &str,
-        whole_chain: bool,
         sigs: impl FnOnce() -> Vec<LoopSig>,
         bound: &[BoundLoop],
         low: &LoweredSchedule,
     ) {
         let stats = self.drain_schedule(sigs, bound, low);
         let (kind, block_size) = match low.kind {
-            _ if whole_chain => (SchedKind::Tiled, 0),
             ScheduleKind::Owned { .. } => (SchedKind::Owned, 0),
             ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size),
             _ => (SchedKind::Colored, 0),
@@ -366,40 +357,6 @@ impl<'a> RankEnv<'a> {
             steals: stats.steals,
             fires: stats.fires,
         });
-    }
-
-    /// Executor: run a whole chain's lowered schedule (tiled core/post)
-    /// — on the rank's pool when threading is active and the
-    /// schedule has parallelism to expose ([`RankEnv::run_pooled`]),
-    /// sequentially (level order, which is bitwise identical) otherwise.
-    pub(crate) fn exec_chain_schedule(&mut self, chain: &ChainSpec, low: &LoweredSchedule) {
-        debug_assert_eq!(low.n_loops, chain.len());
-        let mut gbls: Vec<Vec<f64>> = Vec::new();
-        let mut bound = Vec::with_capacity(chain.len());
-        // Flatten per-loop gbl buffers into one arena so every bind's
-        // pointers stay valid (chain loops carry constants only — the
-        // chain analysis rejects reductions).
-        let mut gbl_ranges = Vec::with_capacity(chain.len());
-        for spec in &chain.loops {
-            debug_assert!(!spec.has_reduction());
-            let s = gbls.len();
-            gbls.extend(spec.gbls.iter().map(|g| g.init.clone()));
-            gbl_ranges.push(s);
-        }
-        for (spec, &s) in chain.loops.iter().zip(gbl_ranges.iter()) {
-            let bufs = &mut gbls[s..s + spec.gbls.len()];
-            bound.push(self.bind_loop(spec, bufs));
-        }
-        if self.policy.threading.active() && low.has_parallelism() {
-            self.run_pooled(&chain.name, true, || chain.sigs(), &bound, low);
-        } else {
-            // The context persists in ThreadCtx across invocations, as
-            // the pooled drain's one per worker does.
-            if self.threads.sched_ctxs.is_empty() {
-                self.threads.sched_ctxs.push(SchedCtx::new());
-            }
-            run_schedule_ctx(&bound, low, &mut self.threads.sched_ctxs[0]);
-        }
     }
 }
 

@@ -12,10 +12,8 @@
 //! `r` layers replacing the eliminated per-loop messages.
 //!
 //! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`],
-//! [`run_chain_relaxed`], [`run_chain_hooked`] and [`run_chain_tiled`]
-//! are requests to it, and per-loop and tiled execution are the two
-//! *lowerings* of its pre-wait and post-wait phases: a tiled request
-//! runs the tiled one, every other request the per-loop one. It is
+//! [`run_chain_relaxed`] and [`run_chain_hooked`] are its three entry
+//! points, which differ only in the relaxed flag and the hooks. It is
 //! **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
 //! the validity verdict, every lowered schedule) comes from a cached
@@ -197,7 +195,7 @@ pub fn run_loop_hooked(
 /// was built with (a program error); transport failures and
 /// under-provisioned halo extents surface as [`RuntimeError`]s.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, ChainRequest::Strict, &mut NoHooks)
+    exec_chain(env, chain, false, &mut NoHooks)
 }
 
 /// [`run_chain`] in *relaxed* mode: halo extents are taken as configured
@@ -207,7 +205,7 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
 /// potentially-stale read is counted in the chain record instead of
 /// failing the chain.
 pub fn run_chain_relaxed(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, ChainRequest::Relaxed, &mut NoHooks)
+    exec_chain(env, chain, true, &mut NoHooks)
 }
 
 /// [`run_chain`] with observation hooks (see [`ExecHooks`]).
@@ -216,55 +214,19 @@ pub fn run_chain_hooked(
     chain: &ChainSpec,
     hooks: &mut dyn ExecHooks,
 ) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, ChainRequest::Hooked, hooks)
-}
-
-/// Algorithm 2 combined with §2.2's shared-memory sparse tiling: the
-/// grouped multi-level exchange of [`run_chain`], then the rank's entire
-/// owned-plus-halo region executed **tile by tile** with the Luporini
-/// growth schedule instead of loop-by-loop sweeps — each tile's working
-/// set stays cache-resident across the whole chain. This mirrors the
-/// paper's two levels: MPI-rank = outer tile, `n_tiles` inner tiles per
-/// rank. With threading active, same-level (provably conflict-free)
-/// tiles run concurrently on the rank's pool — still bitwise identical
-/// to the sequential tile-by-tile walk.
-pub fn run_chain_tiled(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    n_tiles: usize,
-) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, ChainRequest::Tiled(n_tiles), &mut NoHooks)
-}
-
-/// What a caller asked of the chain executor — one per public entry
-/// point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainRequest {
-    /// [`run_chain`].
-    Strict,
-    /// [`run_chain_relaxed`].
-    Relaxed,
-    /// [`run_chain_hooked`].
-    Hooked,
-    /// [`run_chain_tiled`] with this many tiles.
-    Tiled(usize),
+    exec_chain(env, chain, false, hooks)
 }
 
 /// The Alg 2 skeleton every planned chain entry point runs: replay-skip
 /// → cached plan → depth and validity checks → grouped exchange →
-/// pre-wait phase → wait → post-wait phase → validity transitions →
-/// trace record → boundary → checkpoint note. Only the two phases
-/// differ between the lowerings: each loop's core `[0, core_end)`, then
-/// each loop's halo region `[core_end, exec_end)` in loop order (lines
-/// 8–12 and 14–18), or for a tiled request the plan's overlap-eligible
-/// core tiles — footprint inside every loop's core region, closed under
-/// demotion against earlier post tiles
-/// ([`op2_core::tiling::overlap_core_tiles`]) — then the rest. Both are
-/// bitwise identical to the sequential walk.
+/// pre-wait phase (each loop's core `[0, core_end)`, lines 8–12) → wait
+/// → post-wait phase (each loop's halo region `[core_end, exec_end)` in
+/// loop order, lines 14–18) → validity transitions → trace record →
+/// boundary → checkpoint note. Bitwise identical to the sequential walk.
 fn exec_chain(
     env: &mut RankEnv<'_>,
     chain: &ChainSpec,
-    req: ChainRequest,
+    relaxed: bool,
     hooks: &mut dyn ExecHooks,
 ) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
@@ -272,7 +234,6 @@ fn exec_chain(
     }
     let t0 = std::time::Instant::now();
     // Inspector: cached plan lookup — analysis runs only on a miss.
-    let relaxed = req == ChainRequest::Relaxed;
     let plan = plan_for(env, chain, relaxed);
     assert!(
         plan.depth <= env.layout.depth,
@@ -298,20 +259,6 @@ fn exec_chain(
         });
     }
 
-    // A tiled request counts one tile-plan lookup per invocation.
-    let tiled = match req {
-        ChainRequest::Tiled(n) => {
-            let (tc, built) = plan.tile_schedule(env.layout, chain, n);
-            if built {
-                env.plans.stats.tile_misses += 1;
-            } else {
-                env.plans.stats.tile_hits += 1;
-            }
-            Some(tc)
-        }
-        _ => None,
-    };
-
     // Grouped message per neighbour (lines 5-7 of Alg 2), packed via the
     // plan's index lists. A chain importing nothing posts nothing and,
     // unlike Alg 1, takes no tag.
@@ -321,7 +268,7 @@ fn exec_chain(
     }
     hooks.stage_out(rec.bytes);
 
-    // One loop's `[start, end)` under the per-loop lowering.
+    // One loop's `[start, end)`.
     let mut gbls: Vec<Vec<f64>> = Vec::new();
     let mut run_range = |env: &mut RankEnv<'_>, hooks: &mut dyn ExecHooks, pos, start, end| {
         let spec: &LoopSpec = &chain.loops[pos];
@@ -332,23 +279,13 @@ fn exec_chain(
         env.exec_range_in(spec, start, end, &mut gbls, Some((&plan, pos)));
     };
 
-    // Pre-wait phase: what reads nothing the wait delivers runs while
-    // the exchange is in flight.
-    match &tiled {
-        Some(tc) => {
-            if tc.n_core_tiles > 0 {
-                env.exec_chain_schedule(chain, &tc.core);
-                env.plans.stats.overlap_tiles += tc.n_core_tiles as u64;
-            }
-        }
-        // The safe core retracts by the loop's in-chain dependency
-        // depth; relaxed mode keeps the standard depth-1 core everywhere
-        // (the paper's behaviour — staleness tolerated and counted).
-        None => {
-            for (pos, &core_end) in plan.core_end.iter().enumerate() {
-                run_range(env, hooks, pos, 0, core_end);
-            }
-        }
+    // Pre-wait phase: every loop's core reads nothing the wait
+    // delivers, so it runs while the exchange is in flight. The safe
+    // core retracts by the loop's in-chain dependency depth; relaxed
+    // mode keeps the standard depth-1 core everywhere (the paper's
+    // behaviour — staleness tolerated and counted).
+    for (pos, &core_end) in plan.core_end.iter().enumerate() {
+        run_range(env, hooks, pos, 0, core_end);
     }
 
     // Wait (line 13) — arrival order: whichever neighbour lands first
@@ -356,29 +293,17 @@ fn exec_chain(
     plan.exchange.complete(env, &mut rec)?;
     hooks.stage_in(plan.exchange.recv_bytes);
 
-    // Post-wait phase. `per_loop` records (prewait, postwait) iteration
-    // counts per loop; tile schedules have no per-loop core.
-    let mut per_loop: Vec<(usize, usize)> = plan.exec_end.iter().map(|&end| (0, end)).collect();
-    match &tiled {
-        Some(tc) => {
-            if tc.n_core_tiles < tc.tiles.n_tiles {
-                env.exec_chain_schedule(chain, &tc.post);
-            }
-        }
-        // Halo regions in loop order (lines 14-18).
-        None => {
-            for pos in 0..chain.len() {
-                let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
-                run_range(env, hooks, pos, core_end, exec_end);
-                per_loop[pos] = (core_end, exec_end - core_end);
-                env.boundary(BoundaryKind::ChainLoop);
-            }
-        }
+    // Post-wait phase: halo regions in loop order (lines 14-18).
+    // `per_loop` records (prewait, postwait) iteration counts per loop.
+    let mut per_loop = Vec::with_capacity(chain.len());
+    for pos in 0..chain.len() {
+        let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
+        run_range(env, hooks, pos, core_end, exec_end);
+        per_loop.push((core_end, exec_end - core_end));
+        env.boundary(BoundaryKind::ChainLoop);
     }
 
-    // Validity transitions, in loop order (the tiled interleaving
-    // preserves exactly the cross-loop dependences the pre-simulation
-    // walked).
+    // Validity transitions, in loop order.
     for &(d, v) in plan.produces.iter().flatten() {
         env.valid[d.idx()] = v;
         env.ckpt.note_write(d.idx());
@@ -519,10 +444,9 @@ mod tests {
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
     }
 
-    /// Each request maps straight to its phases: strict, relaxed and
-    /// hooked run every loop's core before the wait and its halo region
-    /// after it, with no tile-plan lookup; tiled runs tile schedules, one
-    /// lookup per invocation, and records no per-loop core.
+    /// Every entry point runs the one lowering: strict, relaxed and
+    /// hooked each run every loop's core before the wait and its halo
+    /// region after it.
     #[test]
     fn lowering_decision_table() {
         use crate::harness::{run_distributed_with, RunOptions};
@@ -554,23 +478,21 @@ mod tests {
         let own = derive_ownership(&m.dom, m.nodes, base, chain.max_halo_layers());
         let layouts = build_layouts(&m.dom, &own, chain.max_halo_layers());
         type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
-        let rows: [(&str, Entry, bool); 4] = [
-            ("strict", run_chain, false),
-            ("relaxed", run_chain_relaxed, false),
-            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks), false),
-            ("tiled", |env, ch| run_chain_tiled(env, ch, 4), true),
+        let rows: [(&str, Entry); 3] = [
+            ("strict", run_chain),
+            ("relaxed", run_chain_relaxed),
+            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks)),
         ];
-        for (name, entry, tiled) in rows {
+        for (name, entry) in rows {
             let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
                 entry(env, &chain)?;
                 entry(env, &chain)
             });
             for t in &out.traces {
-                let lookups = t.plan.tile_hits + t.plan.tile_misses;
-                assert_eq!(lookups, if tiled { 2 } else { 0 }, "{name}: rank {}", t.rank);
+                assert_eq!(t.chains.len(), 2, "{name}: rank {}", t.rank);
                 for c in &t.chains {
                     let prewait: usize = c.per_loop.iter().map(|&(core, _)| core).sum();
-                    assert_eq!(prewait == 0, tiled, "{name}: rank {} {:?}", t.rank, c.per_loop);
+                    assert!(prewait > 0, "{name}: rank {} {:?}", t.rank, c.per_loop);
                 }
             }
             out.unwrap_results();
@@ -578,8 +500,8 @@ mod tests {
     }
 
     /// A config-pinned halo extent that is too small is a typed
-    /// [`RuntimeError::Validity`] on every lowering — per-loop and tiled —
-    /// not a rank panic; relaxed mode runs and counts the read.
+    /// [`RuntimeError::Validity`] on every strict entry point — plain and
+    /// hooked — not a rank panic; relaxed mode runs and counts the read.
     #[test]
     fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
         use crate::error::RankFailure;
@@ -633,8 +555,8 @@ mod tests {
         let layouts = build_layouts(&m.dom, &own, 2);
         type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
         let cases: [(&str, Entry); 2] = [
-            ("per-loop", run_chain),
-            ("tiled", |env, ch| run_chain_tiled(env, ch, 4)),
+            ("strict", run_chain),
+            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks)),
         ];
         for (name, entry) in cases {
             let opts = RunOptions::default();

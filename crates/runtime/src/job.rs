@@ -9,9 +9,9 @@
 //! [`exec_job_program`] is the only function in the workspace that walks
 //! a step list calling the executors.
 //!
-//! How a *strict* chain step is dispatched — the planned Alg 2 executor,
-//! the sparse-tiled executor, or the model-driven [`Tuner`] — is one
-//! field of the job ([`ChainDispatch`]), read by the interpreter; relaxed
+//! How a *strict* chain step is dispatched — the planned Alg 2 executor
+//! or the model-driven [`Tuner`] — is one field of the job
+//! ([`ChainDispatch`]), read by the interpreter; relaxed
 //! chains always run [`run_chain_relaxed`] (their pinned extents are an
 //! accuracy contract, not a performance choice). Threading, drain
 //! policy and fault plans stay where they were: in the caller's
@@ -30,7 +30,7 @@
 use crate::checkpoint::RankState;
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
-use crate::exec::{run_chain, run_chain_relaxed, run_chain_tiled, run_loop};
+use crate::exec::{run_chain, run_chain_relaxed, run_loop};
 use crate::fault::FaultPlan;
 use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
 use crate::plan::{self, chain_signature, loop_signature};
@@ -72,9 +72,6 @@ pub enum ChainDispatch {
     /// The planned Alg 2 executor ([`run_chain`]).
     #[default]
     Planned,
-    /// Alg 2 plus intra-rank sparse tiling with this many tiles per rank
-    /// ([`run_chain_tiled`]).
-    Tiled(usize),
     /// The adaptive back-end: a per-rank [`Tuner`] measures each chain's
     /// first invocation (flattened Alg 1), classifies it with the §3.2
     /// model on `mach`, and dispatches repeats to the winning backend.
@@ -94,12 +91,8 @@ impl ChainDispatch {
     fn hash_into(&self, h: &mut u64) {
         match self {
             ChainDispatch::Planned => plan::fnv_usize(h, 0),
-            ChainDispatch::Tiled(n) => {
-                plan::fnv_usize(h, 1);
-                plan::fnv_usize(h, *n);
-            }
             ChainDispatch::Tuned { mach, fixed_g } => {
-                plan::fnv_usize(h, 2);
+                plan::fnv_usize(h, 1);
                 plan::fnv_bytes(h, mach.name.as_bytes());
                 plan::fnv_bytes(h, &fixed_g.unwrap_or(f64::NAN).to_bits().to_le_bytes());
             }
@@ -244,7 +237,7 @@ pub fn exec_job_program(
                 None => t,
             })
         }
-        _ => None,
+        ChainDispatch::Planned => None,
     };
     let mut exec_step = |env: &mut RankEnv<'_>, step: &JobStep| {
         Ok::<_, RuntimeError>(match step {
@@ -254,10 +247,9 @@ pub fn exec_job_program(
                 Vec::new()
             }
             JobStep::Chain(c) => {
-                match (tuner.as_mut(), &job.dispatch) {
-                    (Some(t), _) => t.run_chain(env, c)?,
-                    (None, ChainDispatch::Tiled(n)) => run_chain_tiled(env, c, *n)?,
-                    (None, _) => run_chain(env, c)?,
+                match tuner.as_mut() {
+                    Some(t) => t.run_chain(env, c)?,
+                    None => run_chain(env, c)?,
                 }
                 Vec::new()
             }

@@ -26,7 +26,7 @@
 //!   traces.
 //! * [`plan`] — the inspector–executor plan subsystem: cached
 //!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
-//!   index lists, and every lowered schedule under one
+//!   index lists, and every lowered loop range under one
 //!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
 //!   class, with layout-epoch invalidation.
 //! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
@@ -34,8 +34,8 @@
 //!   (threading, drain) resolved once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
-//!   (owner-computes windows, colored loop ranges and leveled tile plans
-//!   alike) level by level, or in chunk-dependency order under
+//!   (owner-computes windows and colored loop ranges alike) level by
+//!   level, or in chunk-dependency order under
 //!   `OP2_EXEC=dataflow`, bitwise identical to sequential execution
 //!   (`OP2_THREADS`).
 //! * [`tuner`] — model-driven adaptive dispatch: feeds measured loop
@@ -93,10 +93,7 @@ pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::RankEnv;
 pub use error::{ConfigError, RankFailure, RuntimeError};
-pub use exec::{
-    run_chain, run_chain_relaxed, run_chain_tiled, run_chain_unplanned, run_loop, ExecHooks,
-    NoHooks,
-};
+pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop, ExecHooks, NoHooks};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};

@@ -1,9 +1,9 @@
 //! Cached chain plans — the inspector of the inspector–executor split.
 //!
 //! The CA back-end (Alg 2) is an inspector–executor design: halo-layer
-//! analysis, import depths, the grouped per-neighbour message layout and
-//! (for the tiled executor) the tile schedule are *analysis*, reusable
-//! across every repetition of the same chain on the same partition. The
+//! analysis, import depths and the grouped per-neighbour message layout
+//! are *analysis*, reusable across every repetition of the same chain on
+//! the same partition. The
 //! executors used to re-derive all of it per invocation even though
 //! MG-CFD replays one chain `nchains` times per cycle.
 //!
@@ -18,8 +18,7 @@
 //!   requirements and produced-validity transitions, and the validity
 //!   verdict they imply ([`ChainPlan::stale`]);
 //! * lazily, every **lowering** an executor asked for — a loop range
-//!   lowered for the thread pool, the tile plan for a tile count — in
-//!   one [`LoweringCache`] under one
+//!   lowered for the thread pool — in one [`LoweringCache`] under one
 //!   [`LoweringKey`], each schedule with its chunk DAG stored beside it
 //!   ([`LoweredSchedule`]).
 //!
@@ -38,10 +37,6 @@
 
 use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
-use op2_core::conflict::chain_accesses;
-use op2_core::tiling::{
-    build_tile_plan_raw, overlap_core_tiles, seed_blocks, seed_from_targets, TilePlan,
-};
 use op2_core::{AccessMode, Arg, ChainSpec, ChunkDag, DatId, Domain, LoopSpec, Schedule};
 use op2_partition::layout::RankLayout;
 use std::collections::HashMap;
@@ -239,28 +234,24 @@ pub struct StaleRead {
     pub have: u8,
 }
 
-/// Which lowering a [`LoweringCache`] entry holds.
+/// Which lowering a [`LoweringCache`] entry holds: iterations
+/// `[start, end)` of one loop lowered for a `width`-thread pool
+/// ([`op2_core::par::thread_schedule`]) at `block` iterations per colored
+/// block. `owner` is the loop's chain position in a [`ChainPlan`]'s cache
+/// and its [`loop_signature`] in the [`PlanCache`]'s standalone-loop
+/// cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoweringKey {
-    /// Iterations `[start, end)` of one loop lowered for a `width`-thread
-    /// pool ([`op2_core::par::thread_schedule`]) at `block` iterations
-    /// per colored block. `owner` is the loop's chain position in a
-    /// [`ChainPlan`]'s cache and its [`loop_signature`] in the
-    /// [`PlanCache`]'s standalone-loop cache.
-    Range {
-        /// Chain position or loop signature.
-        owner: u64,
-        /// First iteration.
-        start: usize,
-        /// One past the last iteration.
-        end: usize,
-        /// Colored-fallback block size.
-        block: usize,
-        /// Pool width (owner-computes lowers one window per thread).
-        width: usize,
-    },
-    /// The chain's tile plan for this many tiles per rank.
-    Tiled(usize),
+pub struct LoweringKey {
+    /// Chain position or loop signature.
+    pub owner: u64,
+    /// First iteration.
+    pub start: usize,
+    /// One past the last iteration.
+    pub end: usize,
+    /// Colored-fallback block size.
+    pub block: usize,
+    /// Pool width (owner-computes lowers one window per thread).
+    pub width: usize,
 }
 
 /// A lowered schedule with its chunk dependency DAG stored beside it,
@@ -294,58 +285,30 @@ impl std::ops::Deref for LoweredSchedule {
     }
 }
 
-/// What a [`LoweringCache`] holds under a [`LoweringKey`]: a `Range` key
-/// holds one schedule, a `Tiled` key the tile plan with its schedules.
-#[derive(Debug, Clone)]
-pub enum Lowered {
-    /// One loop range's pool schedule.
-    Range(Arc<LoweredSchedule>),
-    /// A tile plan and its full / core / post schedules.
-    Tiled(Arc<TiledChain>),
-}
-
 /// The one cache of lowered schedules: key → lowering, each entry built
-/// at most once per cache. Held by every [`ChainPlan`] (chain lowerings)
-/// and by the rank's [`PlanCache`] (standalone loops).
+/// at most once per cache. Held by every [`ChainPlan`] (chain loops) and
+/// by the rank's [`PlanCache`] (standalone loops).
 #[derive(Debug, Default)]
 pub struct LoweringCache {
-    map: Mutex<HashMap<LoweringKey, Lowered>>,
+    map: Mutex<HashMap<LoweringKey, Arc<LoweredSchedule>>>,
 }
 
 impl LoweringCache {
     /// The lowering under `key`, running `build` on a miss. Returns
     /// `(lowering, built)`. The lock is not held while building.
-    pub fn get_or_build(&self, key: LoweringKey, build: impl FnOnce() -> Lowered) -> (Lowered, bool) {
+    pub fn get_or_build(
+        &self,
+        key: LoweringKey,
+        build: impl FnOnce() -> Schedule,
+    ) -> (Arc<LoweredSchedule>, bool) {
         let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
         if let Some(low) = hit {
             return (low, false);
         }
-        let fresh = build();
+        let fresh = Arc::new(LoweredSchedule::new(build()));
         let mut map = self.map.lock().expect("lowering cache poisoned");
-        (map.entry(key).or_insert(fresh).clone(), true)
+        (Arc::clone(map.entry(key).or_insert(fresh)), true)
     }
-}
-
-/// A cached tile plan together with its lowered schedules: the full
-/// leveled schedule plus the core/post split the overlap executor uses
-/// (see [`overlap_core_tiles`]). All inspector work — built once per
-/// (plan, tile count), replayed by every tiled invocation.
-#[derive(Debug)]
-pub struct TiledChain {
-    /// The leveled tile plan itself.
-    pub tiles: Arc<TilePlan>,
-    /// Full schedule over every tile (what the tuner's barrier count
-    /// starts from).
-    pub sched: LoweredSchedule,
-    /// Overlap-eligible tiles only — footprint inside every loop's core
-    /// region and demotion-closed against earlier post tiles, so they
-    /// may run while the grouped exchange is in flight.
-    pub core: LoweredSchedule,
-    /// The remaining tiles, run after the wait. Core then post replays
-    /// the full plan's conflict order exactly.
-    pub post: LoweredSchedule,
-    /// Number of overlap-eligible tiles (`core`'s chunk count).
-    pub n_core_tiles: usize,
 }
 
 impl ChainPlan {
@@ -445,79 +408,6 @@ impl ChainPlan {
             lowered: LoweringCache::default(),
         }
     }
-
-    /// The tile plan for `n_tiles` intra-rank tiles with its lowered
-    /// schedules (full and core/post overlap split), built on first
-    /// request and cached together, so repeat tiled invocations neither
-    /// re-inspect nor re-lower. Returns `(tiled, built)` — `built` is
-    /// true when this call ran the tiling inspection (the caller records
-    /// it as a tile-plan miss).
-    pub fn tile_schedule(
-        &self,
-        layout: &RankLayout,
-        chain: &ChainSpec,
-        n_tiles: usize,
-    ) -> (Arc<TiledChain>, bool) {
-        let build = || Lowered::Tiled(Arc::new(self.build_tiled(layout, chain, n_tiles)));
-        match self.lowered.get_or_build(LoweringKey::Tiled(n_tiles), build) {
-            (Lowered::Tiled(tc), built) => (tc, built),
-            _ => unreachable!("a Tiled key holds a tiled lowering"),
-        }
-    }
-
-    fn build_tiled(&self, layout: &RankLayout, chain: &ChainSpec, n_tiles: usize) -> TiledChain {
-        let sigs = chain.sigs();
-        let set_sizes = layout.set_sizes();
-        // Seed through the first loop's map targets when it has one:
-        // target-set numbering (e.g. lexicographic nodes) is spatially
-        // coherent even when the iteration set's is not (direction-
-        // grouped edges), so target-seeded tiles conflict only with
-        // their spatial neighbours and the red-black levelization can
-        // run about half of them per level.
-        let seed = match sigs[0].args.iter().find_map(|a| match a {
-            Arg::Dat {
-                map: Some((m, idx)),
-                ..
-            } => Some((*m, *idx)),
-            _ => None,
-        }) {
-            Some((m, idx)) => {
-                let md = &layout.maps[m.idx()];
-                let n_targets = set_sizes[md.to.idx()];
-                let targets: Vec<u32> = (0..self.exec_end[0])
-                    .map(|e| md.values[e * md.arity + idx as usize])
-                    .collect();
-                seed_from_targets(&targets, n_targets, n_tiles)
-            }
-            None => seed_blocks(self.exec_end[0], n_tiles),
-        };
-        let tp = Arc::new(build_tile_plan_raw(
-            &set_sizes,
-            &layout.maps,
-            &sigs,
-            &self.exec_end,
-            &seed,
-        ));
-        let accesses = chain_accesses(&layout.maps, &sigs);
-        let subset = |keep: &[bool]| {
-            LoweredSchedule::new(Schedule::from_tile_plan_subset(&tp, keep, &accesses, &set_sizes))
-        };
-        let sched = LoweredSchedule::new(Schedule::from_tile_plan(&tp, &accesses, &set_sizes));
-        // The overlap split: tiles whose footprint sits inside every
-        // loop's core region run while the exchange is in flight.
-        let keep = overlap_core_tiles(&set_sizes, &accesses, &tp, &self.core_end);
-        let n_core_tiles = keep.iter().filter(|&&k| k).count();
-        let core = subset(&keep);
-        let not_keep: Vec<bool> = keep.iter().map(|&k| !k).collect();
-        let post = subset(&not_keep);
-        TiledChain {
-            tiles: tp,
-            sched,
-            core,
-            post,
-            n_core_tiles,
-        }
-    }
 }
 
 /// Plan-cache activity counters, copied into the rank trace by the
@@ -530,18 +420,10 @@ pub struct PlanStats {
     pub misses: u64,
     /// Plans discarded by epoch bumps (layout/ownership changes).
     pub invalidations: u64,
-    /// Tiled invocations that reused a cached tile schedule.
-    pub tile_hits: u64,
-    /// Tiled invocations that ran the tiling inspection.
-    pub tile_misses: u64,
     /// Threaded executions that reused a cached block coloring.
     pub color_hits: u64,
     /// Threaded executions that ran the block-coloring inspection.
     pub color_misses: u64,
-    /// Tiles executed *while an exchange was in flight* by the tiled
-    /// overlap executor (summed over invocations). A pure function of
-    /// the plan and tile count, so deterministic across thread counts.
-    pub overlap_tiles: u64,
 }
 
 impl PlanStats {
@@ -551,11 +433,8 @@ impl PlanStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.invalidations += other.invalidations;
-        self.tile_hits += other.tile_hits;
-        self.tile_misses += other.tile_misses;
         self.color_hits += other.color_hits;
         self.color_misses += other.color_misses;
-        self.overlap_tiles += other.overlap_tiles;
     }
 }
 
@@ -570,8 +449,8 @@ pub struct PlanCache {
     /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
     /// plan`: dropped with the chain plans, never counted in `stats`.
     loops: HashMap<(u64, u64), Arc<ExchangePlan>>,
-    /// Standalone-loop lowerings, keyed by [`LoweringKey::Range`] with
-    /// the loop signature as owner (chain loops keep theirs in the
+    /// Standalone-loop lowerings, keyed by [`LoweringKey`] with the loop
+    /// signature as owner (chain loops keep theirs in the
     /// [`ChainPlan`]).
     pub(crate) lowered: LoweringCache,
     /// Activity counters (see [`PlanStats`]).
@@ -816,22 +695,6 @@ mod tests {
         }
     }
 
-    /// Tile schedules are built once per tile count and reused.
-    #[test]
-    fn tile_plans_cached_per_count() {
-        let f = fix();
-        let layout = &f.layouts[0];
-        let valid = vec![0u8; f.mesh.dom.n_dats()];
-        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
-        let (t1, built1) = plan.tile_schedule(layout, &f.chain, 4);
-        assert!(built1);
-        let (t2, built2) = plan.tile_schedule(layout, &f.chain, 4);
-        assert!(!built2);
-        assert!(Arc::ptr_eq(&t1.tiles, &t2.tiles));
-        let (_, built3) = plan.tile_schedule(layout, &f.chain, 2);
-        assert!(built3, "a different tile count is a fresh schedule");
-    }
-
     /// The one lowering cache: the same key yields the same `Arc`, a
     /// schedule's DAG is built once and lives beside it, and an epoch
     /// bump drops schedules and DAGs together with their plan.
@@ -842,7 +705,7 @@ mod tests {
         let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
         let plan = plan_for(&mut env, &f.chain, false);
 
-        let key = LoweringKey::Range {
+        let key = LoweringKey {
             owner: 0,
             start: 0,
             end: 8,
@@ -852,14 +715,12 @@ mod tests {
         let builds = std::cell::Cell::new(0);
         let build = || {
             builds.set(builds.get() + 1);
-            Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 8))))
+            Schedule::range(0, 8)
         };
-        let (Lowered::Range(a), true) = plan.lowered.get_or_build(key, build) else {
-            panic!("first lookup must build a range lowering");
-        };
-        let (Lowered::Range(b), false) = plan.lowered.get_or_build(key, build) else {
-            panic!("second lookup must hit");
-        };
+        let (a, built) = plan.lowered.get_or_build(key, build);
+        assert!(built, "first lookup must build");
+        let (b, built) = plan.lowered.get_or_build(key, build);
+        assert!(!built, "second lookup must hit");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(builds.get(), 1);
 
@@ -896,18 +757,17 @@ mod tests {
         let slot = Arc::new(Mutex::new(RankState::new()));
         env.ckpt_attach(CheckpointConfig::default(), Arc::clone(&slot));
         let plan = Arc::downgrade(&plan_for(&mut env, &f.chain, false));
-        let key = LoweringKey::Range {
+        let key = LoweringKey {
             owner: 7,
             start: 0,
             end: 8,
             block: 4,
             width: 2,
         };
-        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 8))));
-        let lowering = match env.plans.lowered.get_or_build(key, build) {
-            (Lowered::Range(low), true) => Arc::downgrade(&low),
-            _ => panic!("first lookup must build a range lowering"),
-        };
+        let (low, built) = env.plans.lowered.get_or_build(key, || Schedule::range(0, 8));
+        assert!(built, "first lookup must build");
+        let lowering = Arc::downgrade(&low);
+        drop(low);
         let pool = env.threads.pool(2);
         env.ckpt_seal();
 
@@ -923,20 +783,18 @@ mod tests {
     #[test]
     fn plan_cache_caches_standalone_lowerings_by_key() {
         let cache = PlanCache::new();
-        let key = LoweringKey::Range {
+        let key = LoweringKey {
             owner: 42,
             start: 0,
             end: 100,
             block: 16,
             width: 2,
         };
-        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
-        let (Lowered::Range(first), true) = cache.lowered.get_or_build(key, build) else {
-            panic!("first lookup must build a range lowering");
-        };
-        let (Lowered::Range(again), false) = cache.lowered.get_or_build(key, build) else {
-            panic!("second lookup must hit");
-        };
+        let build = || Schedule::range(0, 100);
+        let (first, built) = cache.lowered.get_or_build(key, build);
+        assert!(built, "first lookup must build");
+        let (again, built) = cache.lowered.get_or_build(key, build);
+        assert!(!built, "second lookup must hit");
         assert!(Arc::ptr_eq(&first, &again));
     }
 
@@ -945,14 +803,14 @@ mod tests {
     #[test]
     fn range_lowerings_miss_per_width() {
         let cache = PlanCache::new();
-        let key = |width| LoweringKey::Range {
+        let key = |width| LoweringKey {
             owner: 42,
             start: 0,
             end: 100,
             block: 16,
             width,
         };
-        let build = || Lowered::Range(Arc::new(LoweredSchedule::new(Schedule::range(0, 100))));
+        let build = || Schedule::range(0, 100);
         assert!(cache.lowered.get_or_build(key(2), build).1);
         assert!(cache.lowered.get_or_build(key(4), build).1, "another width must miss");
         assert!(!cache.lowered.get_or_build(key(2), build).1);

@@ -7,7 +7,7 @@
 //! claimed from a shared cursor; between levels the pool barriers (a
 //! level of one chunk runs on the caller, no round at all).
 //! Order-preserving lowerings (owner-computes windows, the levelized
-//! block coloring, the leveled tile plan) keep results bitwise identical
+//! block coloring) keep results bitwise identical
 //! to sequential execution for every thread count — see
 //! [`op2_core::schedule`].
 //!

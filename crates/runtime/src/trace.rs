@@ -219,13 +219,11 @@ pub enum SchedKind {
     /// A single loop range lowered owner-computes: one level, one
     /// windowed chunk per thread.
     Owned,
-    /// A whole chain lowered through the leveled tile plan.
-    Tiled,
 }
 
 /// One pooled [`op2_core::Schedule`] execution — a loop range lowered
-/// owner-computes or colored, or a tiled chain (see [`crate::threads`]): the schedule shape plus
-/// per-level wall time.
+/// owner-computes or colored (see [`crate::threads`]): the schedule shape
+/// plus per-level wall time.
 ///
 /// Equality ignores the *values* in `level_ns` (wall clock varies run to
 /// run) but keeps its *length* — two equal records executed the same
@@ -233,10 +231,9 @@ pub enum SchedKind {
 /// determinism tests meaningful with threading on.
 #[derive(Debug, Clone, Default)]
 pub struct ThreadRec {
-    /// Loop or chain name.
+    /// Loop name.
     pub name: String,
-    /// Distinct iterations executed (summed over the chain's loops for
-    /// tiled schedules).
+    /// Distinct iterations executed.
     pub iters: usize,
     /// Iterations executed beyond `iters`: the cut iterations an
     /// owner-computes schedule runs once per thread they increment for
@@ -244,10 +241,10 @@ pub struct ThreadRec {
     pub redundant_iters: usize,
     /// Threads that executed it.
     pub n_threads: usize,
-    /// Iterations per coloring block (0 for tiled schedules, which
-    /// chunk by tile, not by block).
+    /// Iterations per coloring block (0 for owner-computes schedules,
+    /// which chunk by window, not by block).
     pub block_size: usize,
-    /// Conflict-free chunks across all levels (blocks or tiles).
+    /// Conflict-free chunks across all levels (blocks or windows).
     pub n_chunks: usize,
     /// Levels in the schedule (inter-thread synchronisation points).
     pub n_levels: usize,
@@ -432,15 +429,15 @@ pub struct RankTrace {
     /// a healthy network; the harness copies them out of the comm layer
     /// when the rank finishes — including when it fails.
     pub comm: crate::comm::CommCounters,
-    /// Plan-cache counters (hits, misses, invalidations, tile plans).
+    /// Plan-cache counters (hits, misses, invalidations, lowerings).
     /// The harness copies them out of [`crate::plan::PlanCache`] when the
     /// rank finishes.
     pub plan: crate::plan::PlanStats,
     /// Adaptive-dispatch decisions, in program order. Empty unless the
     /// program ran chains through [`crate::tuner::Tuner`].
     pub tuner: Vec<TunerRec>,
-    /// Pooled schedule executions (colored loops and tiled chains), in
-    /// program order. Empty when the rank ran single-threaded.
+    /// Pooled schedule executions (owner-computes and colored loop
+    /// ranges), in program order. Empty when the rank ran single-threaded.
     pub threads: Vec<ThreadRec>,
     /// Self-healing counters (checkpoints, rollbacks, replays). All
     /// zero unless the program ran under [`crate::supervise`] or with

@@ -18,8 +18,8 @@
 //! loop/chain trace records remain replay-deterministic.
 //!
 //! There is no override: a program that wants a fixed backend names it
-//! directly (`Variant::Op2`, or [`crate::ChainDispatch::Planned`] /
-//! [`crate::ChainDispatch::Tiled`]) instead of a tuned dispatch.
+//! directly (`Variant::Op2`, or [`crate::ChainDispatch::Planned`])
+//! instead of a tuned dispatch.
 
 use crate::env::RankEnv;
 use crate::error::RuntimeError;

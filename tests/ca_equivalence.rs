@@ -364,41 +364,3 @@ fn mixed_set_chain() {
     assert_eq!(seq_dom.dat(acc).data, m.dom.dat(acc).data);
     assert_eq!(seq_dom.dat(out_dat).data, m.dom.dat(out_dat).data);
 }
-
-/// Distributed CA with intra-rank sparse tiling (MPI rank = outer tile,
-/// n inner tiles per rank — the paper's two CA levels combined) equals
-/// the sequential reference exactly.
-#[test]
-fn distributed_tiled_chain_matches() {
-    use op2::runtime::exec::run_chain_tiled;
-    for n_tiles in [1, 3, 6] {
-        let mut m = Hex3D::generate(Hex3DParams::cube(8));
-        let chain3 = build_chain3(&mut m.dom, m.nodes, m.edges, m.e2n);
-        let chain = ChainSpec::new("pc3", chain3.loops.clone(), None, &[]).unwrap();
-
-        let mut seq_dom = m.dom.clone();
-        for l in &chain3.loops {
-            seq::run_loop(&mut seq_dom, l);
-        }
-
-        let base = rcb_partition(m.node_coords(), 3, 4);
-        let own = derive_ownership(&m.dom, m.nodes, base, 4);
-        let layouts = build_layouts(&m.dom, &own, 3);
-        let out = run_distributed(&mut m.dom, &layouts, |env| {
-            run_chain_tiled(env, &chain, n_tiles)
-        });
-        assert!(out.all_ok());
-        for &d in &chain3.dats {
-            assert_eq!(
-                seq_dom.dat(d).data,
-                m.dom.dat(d).data,
-                "n_tiles = {n_tiles}, dat {}",
-                seq_dom.dat(d).name
-            );
-        }
-        // Same single grouped exchange as the untiled chain.
-        for (rank, t) in out.traces.iter().enumerate() {
-            assert!(t.chains[0].exch.n_msgs <= layouts[rank].neighbors.len());
-        }
-    }
-}

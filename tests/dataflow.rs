@@ -13,10 +13,12 @@
 //! Pinned here, on randomly generated 2-D quad and 3-D tet meshes:
 //!
 //! 1. **Dataflow == levels == sequential** to the bit at 1/2/4 pool
-//!    threads, across the direct, colored and tiled chain lowerings (proptest). An `Inc`-only edge sweep lowers
-//!    owner-computes — one level, which always drains leveled — so the
-//!    sweep also comes as an indirect `Rw`, which only the colored
-//!    fallback admits and whose ladder of levels the DAG replaces.
+//!    threads, across the direct and colored loop lowerings (proptest).
+//!    An `Inc`-only edge sweep lowers owner-computes — one level, which
+//!    always drains leveled — so the sweep also comes as an indirect
+//!    `Rw`, which only the colored fallback admits and whose ladder of
+//!    levels the DAG replaces; those cases must lower at least one
+//!    multi-level schedule, or the DAG drain would go untested.
 //! 2. **Engagement**: on a mesh big enough for real parallelism the
 //!    trace records dataflow drains with fires covering every chunk —
 //!    the property above is not vacuously running the levels fallback.
@@ -31,7 +33,7 @@
 use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, SetId};
 use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
-use op2::runtime::exec::{run_chain, run_chain_tiled};
+use op2::runtime::exec::run_chain;
 use op2::runtime::{run_distributed_with, ExecMode, RankTrace, RunOptions, Threading};
 use proptest::prelude::*;
 
@@ -149,25 +151,19 @@ fn run_seq(case: &Case, iters: usize) -> Vec<Vec<u64>> {
 }
 
 /// `iters` chain invocations under `exec`/`threading`, through the
-/// strict chain entry (direct or colored lowering) or the sparse-tiled
-/// one (`n_tiles > 0`).
+/// strict chain entry.
 fn run_case(
     case: &Case,
     layouts: &[RankLayout],
     exec: ExecMode,
     threading: Threading,
-    n_tiles: usize,
     iters: usize,
 ) -> (Vec<RankTrace>, Vec<Vec<u64>>) {
     let mut dom = case.dom.clone();
     let opts = RunOptions::default().exec(exec).threading(threading);
     let out = run_distributed_with(&mut dom, layouts, &opts, |env| {
         for _ in 0..iters {
-            if n_tiles > 0 {
-                run_chain_tiled(env, &case.chain, n_tiles)?;
-            } else {
-                run_chain(env, &case.chain)?;
-            }
+            run_chain(env, &case.chain)?;
         }
         Ok(())
     });
@@ -188,8 +184,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Dataflow == levels == plain sequential, to the bit, on every
-    /// lowering: direct (single thread), colored (1/2/4 pool threads)
-    /// and tiled.
+    /// lowering: direct (single thread), owner-computes and colored
+    /// (1/2/4 pool threads). An `Rw` sweep must lower to at least one
+    /// multi-level schedule: those are what the DAG drain runs.
     #[test]
     fn dataflow_matches_sequential_bitwise(
         nx in 4usize..8,
@@ -197,7 +194,6 @@ proptest! {
         nz in 2usize..4,
         sweeps in 2usize..4,
         nparts in 2usize..4,
-        n_tiles in 2usize..6,
         tet in proptest::bool::ANY,
         rw in proptest::bool::ANY,
     ) {
@@ -208,23 +204,20 @@ proptest! {
 
         // Levels baseline equals the sequential reference.
         let (_, bits_lv) = run_case(
-            &case, &layouts, ExecMode::Levels, Threading::with_threads(4), 0, iters);
+            &case, &layouts, ExecMode::Levels, Threading::with_threads(4), iters);
         prop_assert_eq!(&bits_lv, &seq_bits, "levels != seq");
 
-        // Dataflow across thread counts, colored lowering.
+        // Dataflow across thread counts.
+        let mut multi_level = false;
         for n_threads in [1usize, 2, 4] {
             let threading = Threading { n_threads, block_size: 4 };
-            let (_, bits) = run_case(
-                &case, &layouts, ExecMode::Dataflow, threading, 0, iters);
+            let (traces, bits) = run_case(
+                &case, &layouts, ExecMode::Dataflow, threading, iters);
             prop_assert_eq!(&bits, &seq_bits, "dataflow @{} != seq", n_threads);
+            multi_level |= traces.iter().flat_map(|t| &t.threads).any(|r| r.n_levels > 1);
         }
-
-        // Tiled lowering under dataflow.
-        for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4 };
-            let (_, bits) = run_case(
-                &case, &layouts, ExecMode::Dataflow, threading, n_tiles, iters);
-            prop_assert_eq!(&bits, &seq_bits, "dataflow tiled @{} != seq", n_threads);
+        if rw {
+            prop_assert!(multi_level, "no multi-level schedule reached the dataflow drain");
         }
     }
 }
@@ -242,7 +235,7 @@ fn dataflow_engages_and_fires_every_chunk() {
     let threading = Threading { n_threads: 4, block_size: 8 };
 
     let (traces, bits) = run_case(
-        &case, &layouts, ExecMode::Dataflow, threading, 0, iters);
+        &case, &layouts, ExecMode::Dataflow, threading, iters);
     assert_eq!(bits, seq_bits);
     assert!(dataflow_execs(&traces) > 0, "no dataflow drain recorded");
     for t in &traces {

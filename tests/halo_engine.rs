@@ -1,8 +1,8 @@
 //! Halo-exchange engine equivalence and allocation properties.
 //!
-//! PR 5 rebuilt the exchange machinery around persistent pooled message
-//! buffers, arrival-order completion and core-tile overlap. None of
-//! that may change a single bit of the results:
+//! The exchange machinery runs on persistent pooled message buffers and
+//! arrival-order completion. Neither may change a single bit of the
+//! results:
 //!
 //! * the planned path (cached plan + pooled buffers + `recv_any`
 //!   arrival-order unpack) must be bitwise identical to the seed
@@ -12,11 +12,7 @@
 //!   are discarded before they can reach (or poison) the buffer pool;
 //! * once warm, a steady-state planned exchange performs **zero**
 //!   payload heap allocations — `CommCounters::payload_allocs` stays
-//!   flat across rounds;
-//! * the core-tile-overlap tiled executor stays bitwise identical to
-//!   the sequential reference at 1/2/4 pool threads, and the number of
-//!   overlapped tiles is a pure function of the plan (identical across
-//!   thread counts).
+//!   flat across rounds.
 //!
 //! The kernels keep all values dyadic rationals of small magnitude, so
 //! floating-point addition is exact and the sequential reference is
@@ -25,10 +21,9 @@
 use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, SetId};
 use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
-use op2::runtime::exec::{run_chain, run_chain_tiled, run_chain_unplanned, run_loop};
+use op2::runtime::exec::{run_chain, run_chain_unplanned, run_loop};
 use op2::runtime::{
     run_distributed_with, FaultPlan, FaultSpec, RankEnv, RankTrace, RunOptions, RuntimeError,
-    Threading,
 };
 use proptest::prelude::*;
 
@@ -207,40 +202,6 @@ proptest! {
         let (_, planned) = run_dist(&case, &layouts, &opts, run_chain);
         prop_assert_eq!(&planned, &seq_bits, "chaos diverged the planned engine");
     }
-
-    /// Core-tile overlap at 1/2/4 pool threads: bitwise identical to
-    /// sequential, and `overlap_tiles` — how many tiles ran while the
-    /// grouped exchange was in flight — is a pure function of the plan,
-    /// so it must agree across thread counts.
-    #[test]
-    fn overlap_tiled_bitwise_across_thread_counts(
-        nx in 4usize..8,
-        ny in 4usize..8,
-        nparts in 2usize..4,
-        n_tiles in 2usize..7,
-        tet in proptest::bool::ANY,
-    ) {
-        let case = build_case(nx, ny, 2, tet);
-        let seq_bits = run_seq(&case);
-        let layouts = layouts_for(&case, nparts);
-
-        let mut overlap_ref: Option<Vec<u64>> = None;
-        for n_threads in [1usize, 2, 4] {
-            let threading = Threading { n_threads, block_size: 4 };
-            let opts = RunOptions::default().threading(threading);
-            let (traces, bits) =
-                run_dist(&case, &layouts, &opts, |env, chain| run_chain_tiled(env, chain, n_tiles));
-            prop_assert_eq!(&bits, &seq_bits, "{} threads: data != seq", n_threads);
-            let overlap: Vec<u64> = traces.iter().map(|t| t.plan.overlap_tiles).collect();
-            match &overlap_ref {
-                None => overlap_ref = Some(overlap),
-                Some(r) => prop_assert_eq!(
-                    &overlap, r,
-                    "overlap_tiles must not depend on thread count"
-                ),
-            }
-        }
-    }
 }
 
 /// Acceptance: zero payload heap allocations in a steady-state planned
@@ -296,26 +257,4 @@ fn assert_steady_state_allocates_nothing(opts: &RunOptions) {
         exercised |= warm > 0;
     }
     assert!(exercised, "pool never exercised — the test is vacuous");
-}
-
-/// The overlap executor actually engages on a mesh with real interior:
-/// some tiles' footprints sit entirely inside every loop's core region
-/// and are executed while the grouped exchange is in flight.
-#[test]
-fn core_tile_overlap_engages_on_large_mesh() {
-    let case = build_case(16, 16, 2, false);
-    let seq_bits = run_seq(&case);
-    let layouts = layouts_for(&case, 2);
-    let (traces, bits) = run_dist(
-        &case,
-        &layouts,
-        &RunOptions::default(),
-        |env, chain| run_chain_tiled(env, chain, 8),
-    );
-    assert_eq!(bits, seq_bits);
-    let total: u64 = traces.iter().map(|t| t.plan.overlap_tiles).sum();
-    assert!(
-        total > 0,
-        "no tile ever overlapped the exchange on a 16x16 mesh with 8 tiles"
-    );
 }

@@ -246,79 +246,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sparse-tiled chain execution equals plain sweeps exactly for
-    /// random meshes, chain lengths and tile counts (integer data).
-    #[test]
-    fn tiled_matches_plain_random(
-        nx in 4usize..9,
-        ny in 4usize..9,
-        n_pairs in 1usize..4,
-        n_tiles in 1usize..9,
-    ) {
-        use op2::core::tiling::{build_tile_plan, run_chain_tiled, seed_blocks};
-        use op2::core::{seq, Args, ChainSpec, LoopSpec};
-
-        fn produce(args: &Args<'_>) {
-            args.inc(2, 0, args.get(0, 0) + 1.0);
-            args.inc(3, 0, args.get(1, 0) + 1.0);
-        }
-        fn consume(args: &Args<'_>) {
-            args.inc(2, 0, args.get(0, 0) - args.get(1, 0));
-            args.inc(3, 0, args.get(1, 0));
-        }
-
-        let mut m = Quad2D::generate(nx, ny);
-        let n = m.dom.set(m.nodes).size;
-        let s0: Vec<f64> = (0..n).map(|i| ((i * 7 + 2) % 11) as f64).collect();
-        let d0 = m.dom.decl_dat("d0", m.nodes, 1, s0);
-        let d1 = m.dom.decl_dat_zeros("d1", m.nodes, 1);
-        let d2 = m.dom.decl_dat_zeros("d2", m.nodes, 1);
-
-        // Alternating produce(d0→d1) / consume(d1→d2) pairs.
-        let mut loops = Vec::new();
-        for _ in 0..n_pairs {
-            loops.push(LoopSpec::new(
-                "produce",
-                m.edges,
-                vec![
-                    Arg::dat_indirect(d0, m.e2n, 0, AccessMode::Read),
-                    Arg::dat_indirect(d0, m.e2n, 1, AccessMode::Read),
-                    Arg::dat_indirect(d1, m.e2n, 0, AccessMode::Inc),
-                    Arg::dat_indirect(d1, m.e2n, 1, AccessMode::Inc),
-                ],
-                produce,
-            ));
-            loops.push(LoopSpec::new(
-                "consume",
-                m.edges,
-                vec![
-                    Arg::dat_indirect(d1, m.e2n, 0, AccessMode::Read),
-                    Arg::dat_indirect(d1, m.e2n, 1, AccessMode::Read),
-                    Arg::dat_indirect(d2, m.e2n, 0, AccessMode::Inc),
-                    Arg::dat_indirect(d2, m.e2n, 1, AccessMode::Inc),
-                ],
-                consume,
-            ));
-        }
-        let chain = ChainSpec::new("rnd", loops, None, &[]).unwrap();
-
-        let mut plain = m.dom.clone();
-        for l in &chain.loops {
-            seq::run_loop(&mut plain, l);
-        }
-        let n_edges = m.dom.set(m.edges).size;
-        let seed = seed_blocks(n_edges, n_tiles);
-        let plan = build_tile_plan(&m.dom, &chain.sigs(), &seed);
-        // Every loop fully scheduled.
-        for j in 0..chain.len() {
-            prop_assert_eq!(plan.loop_total(j), n_edges);
-        }
-        run_chain_tiled(&mut m.dom, &chain, &plan);
-        for d in [d0, d1, d2] {
-            prop_assert_eq!(&plain.dat(d).data, &m.dom.dat(d).data);
-        }
-    }
-
     /// The planned chain executor is a pure replay: on random 2-D quad
     /// and 3-D tet meshes, running a produce/consume chain through the
     /// cached-plan path yields bitwise-identical dat data AND identical
