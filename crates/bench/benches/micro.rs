@@ -16,6 +16,7 @@ use hydra_sim::{ExtentMode, Hydra, HydraParams};
 use mg_cfd::{MgCfd, MgCfdParams};
 use op2_core::chain::{calc_halo_extents, calc_halo_layers};
 use op2_core::seq;
+use op2_mesh::shuffle::shuffle_set;
 use op2_mesh::{Hex3D, Hex3DParams};
 use op2_partition::rings::{compute_rings, find_seeds, MapAdj};
 use op2_partition::{build_layouts, collect_stats, derive_ownership, rcb_partition};
@@ -102,6 +103,24 @@ fn bench_inspection(c: &mut Criterion) {
     });
     c.bench_function("build_layouts_16cube_8parts", |b| {
         b.iter(|| build_layouts(black_box(&m.dom), black_box(&own), 2))
+    });
+    // The `mgcfd-compute` benchmark shape: two-level MG-CFD at 48³,
+    // every level's nodes and edges shuffled, split in two by RCB.
+    let mut app = MgCfd::new(MgCfdParams {
+        finest: Hex3DParams::cube(48),
+        levels: 2,
+        nchains: 4,
+    });
+    for (k, l) in app.levels.iter().enumerate() {
+        let s = 4 + 2 * k as u64;
+        shuffle_set(&mut app.dom, l.ids.nodes, s);
+        shuffle_set(&mut app.dom, l.ids.edges, s + 1);
+    }
+    let fine = app.levels[0].ids;
+    let base = rcb_partition(&app.dom.dat(fine.coords).data, 3, 2);
+    let own2 = derive_ownership(&app.dom, fine.nodes, base, 2);
+    c.bench_function("build_layouts_48cube_shuffled_2parts", |b| {
+        b.iter(|| build_layouts(black_box(&app.dom), black_box(&own2), 2))
     });
     for threads in [1usize, 4] {
         c.bench_with_input(

@@ -24,15 +24,24 @@
 //!   rewritten to local indices (entries pointing beyond the built depth
 //!   hold [`NONLOCAL`] and are never dereferenced by a correct executor).
 //!
-//! [`build_layouts`] is the inspection phase of Alg 2 (performed globally
-//! here — OP2 performs it cooperatively over MPI, but the produced
-//! per-rank structures are identical in shape). Beyond the ring BFS and
-//! the sort of each import level it is linear: global→local lookups go
-//! through one dense table per set, reused by every rank.
+//! [`build_layouts`] is the inspection phase of Alg 2. OP2 performs it
+//! cooperatively, one MPI rank per core; here it runs in one process on
+//! every core, and the per-rank structures are identical in shape:
+//!
+//! 1. the locality order runs on a scoped thread beside the seed scan
+//!    and every rank's ring BFS (the order needs only the mesh);
+//! 2. each rank's ranges and import runs, then its localized maps and
+//!    exchange plans, are built by `min(available_parallelism, nparts)`
+//!    scoped workers over contiguous rank chunks, each with its own
+//!    dense per-set scratch (core depths, global→local tables).
+//!
+//! A rank's output depends on its rank alone, so the layouts are
+//! bitwise the same for any core count. Beyond the ring BFS and the sort
+//! of each import level every stage is linear.
 
 use crate::order::LocalityOrder;
 use crate::ownership::Ownership;
-use crate::rings::{compute_rings, find_seeds, MapAdj};
+use crate::rings::{compute_rings, find_seeds, MapAdj, RankRings};
 use op2_core::{Domain, MapData, SetId};
 
 /// Sentinel local index for map entries pointing beyond the built halo
@@ -193,190 +202,233 @@ impl RankLayout {
 pub fn build_layouts(dom: &Domain, own: &Ownership, depth: usize) -> Vec<RankLayout> {
     assert!(depth >= 1 && depth < u8::MAX as usize);
     let nparts = own.nparts;
-    let adj = MapAdj::build(dom);
-    let seeds = find_seeds(dom, own);
-    let order = LocalityOrder::build(dom, &adj);
-    let n_sets = dom.n_sets();
-    // Core-depth classes: 0..=depth from the inner BFS, `deep` beyond it.
-    let deep = depth as u8 + 1;
-    let n_classes = depth + 2;
+    // The locality order needs only the mesh: it runs beside the seed
+    // scan and every rank's ring BFS.
+    let (order, rings) = std::thread::scope(|scope| {
+        let order = scope.spawn(|| LocalityOrder::build(dom));
+        let adj = MapAdj::build(dom);
+        let seeds = find_seeds(dom, own);
+        let rings: Vec<RankRings> = (0..nparts as u32)
+            .map(|r| compute_rings(dom, &adj, own, &seeds, r, depth as u8, depth as u8))
+            .collect();
+        let order = order
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (order, rings)
+    });
 
     // Owned lists per (rank, set), in locality order, in one global pass.
-    let mut owned: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); n_sets]; nparts];
+    let mut owned: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); dom.n_sets()]; nparts];
     for (sidx, o) in own.owner.iter().enumerate() {
         for &g in &order.elems[sidx] {
             owned[o[g as usize] as usize][sidx].push(g);
         }
     }
 
-    // Per-set dense depth table: one O(N) scratch every rank fills from
-    // its rings and resets after use.
-    let mut depth_of: Vec<Vec<u8>> = dom.sets().iter().map(|s| vec![deep; s.size]).collect();
-    let mut layouts: Vec<RankLayout> = Vec::with_capacity(nparts);
-    // `runs[r]`: r's import runs, one per (set, level, owner), in that
-    // order. `exports[s]`: (receiver, run index) of every run s owns, in
+    // Every rank's Fig 6b ranges, then its maps and plans, rank chunks
+    // spread over the cores; each worker has its own O(N) scratch.
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(nparts);
+    let mut placed: Vec<(Vec<SetLayout>, Vec<Run>)> = vec![Default::default(); nparts];
+    crate::for_each_rank(
+        &mut placed,
+        workers,
+        || crate::per_set(dom, depth as u8 + 1),
+        |depth_of, r| place(own, &order, &rings[r], &owned[r], depth, depth_of),
+    );
+    let (sets, runs): (Vec<_>, Vec<_>) = placed.into_iter().unzip();
+
+    // `exports[s]`: (receiver, run index) of every run s owns, in
     // (receiver, set, level) order.
-    let mut runs: Vec<Vec<Run>> = Vec::with_capacity(nparts);
     let mut exports: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nparts];
-
-    for r in 0..nparts {
-        let rr = compute_rings(dom, &adj, own, &seeds, r as u32, depth as u8, depth as u8);
-        let mut sets = Vec::with_capacity(n_sets);
-        let mut rank_runs = Vec::new();
-        for sidx in 0..n_sets {
-            // Owned: by descending core depth, then locality order — one
-            // counting pass, whose class sizes are `core_prefix`.
-            let depths = &mut depth_of[sidx];
-            for (&g, &d) in &rr.inner[sidx] {
-                depths[g as usize] = d;
-            }
-            let in_order = std::mem::take(&mut owned[r][sidx]);
-            let mut class_len = vec![0usize; n_classes];
-            for &g in &in_order {
-                class_len[depths[g as usize] as usize] += 1;
-            }
-            // core_prefix[k] = owned elements with depth ≥ k.
-            let mut core_prefix = vec![0usize; n_classes];
-            let mut acc = 0;
-            for k in (0..n_classes).rev() {
-                acc += class_len[k];
-                core_prefix[k] = acc;
-            }
-            // Class k starts after every deeper class.
-            let mut next: Vec<usize> = (0..n_classes)
-                .map(|k| core_prefix[k] - class_len[k])
-                .collect();
-            let n_owned = in_order.len();
-            let mut locals = vec![0u32; n_owned];
-            for &g in &in_order {
-                let slot = &mut next[depths[g as usize] as usize];
-                locals[*slot] = g;
-                *slot += 1;
-            }
-            for &g in rr.inner[sidx].keys() {
-                depths[g as usize] = deep;
-            }
-
-            // Imports: per level, by (owner, locality order); each owner's
-            // part of a level is one run.
-            let set = SetId(sidx as u32);
-            let (set_owner, pos) = (&own.owner[sidx], &order.pos[sidx]);
-            let mut per_level: Vec<Vec<u64>> = vec![Vec::new(); depth];
-            for (&g, &ring) in &rr.imports[sidx] {
-                debug_assert!((1..=depth as u8).contains(&ring));
-                let key = (set_owner[g as usize] as u64) << 32 | pos[g as usize] as u64;
-                per_level[ring as usize - 1].push(key);
-            }
-            let mut import_level_counts = Vec::with_capacity(depth);
-            for (li, lvl) in per_level.iter_mut().enumerate() {
-                lvl.sort_unstable();
-                import_level_counts.push(lvl.len());
-                for run in lvl.chunk_by(|a, b| a >> 32 == b >> 32) {
-                    let owner = (run[0] >> 32) as u32;
-                    exports[owner as usize].push((r as u32, rank_runs.len()));
-                    rank_runs.push(Run {
-                        owner,
-                        seg: RecvSegment {
-                            set,
-                            level: li as u8 + 1,
-                            start: locals.len() as u32,
-                            len: run.len() as u32,
-                        },
-                    });
-                    locals.extend(run.iter().map(|&k| order.elems[sidx][k as u32 as usize]));
-                }
-            }
-            sets.push(SetLayout {
-                n_owned,
-                core_prefix,
-                import_level_counts,
-                locals,
-            });
+    for (r, rank_runs) in runs.iter().enumerate() {
+        for (i, run) in rank_runs.iter().enumerate() {
+            exports[run.owner as usize].push((r as u32, i));
         }
-        runs.push(rank_runs);
-        layouts.push(RankLayout {
+    }
+
+    let mut wiring: Vec<(Vec<MapData>, Vec<NeighborPlan>)> = vec![Default::default(); nparts];
+    crate::for_each_rank(
+        &mut wiring,
+        workers,
+        || crate::per_set(dom, NONLOCAL),
+        |g2l, r| wire(dom, &sets, &runs, &exports, r, g2l),
+    );
+    sets.into_iter()
+        .zip(wiring)
+        .enumerate()
+        .map(|(r, (sets, (maps, neighbors)))| RankLayout {
             rank: r as u32,
             nparts,
             depth,
             sets,
-            maps: Vec::new(),
-            neighbors: Vec::new(),
+            maps,
+            neighbors,
+        })
+        .collect()
+}
+
+/// One rank's Fig 6b ranges and its import runs, one per (set, level,
+/// owner), in that order. `depth_of` is a per-set table holding `depth +
+/// 1` (deeper than any inner depth) everywhere; it is restored before
+/// returning.
+fn place(
+    own: &Ownership,
+    order: &LocalityOrder,
+    rr: &RankRings,
+    owned: &[Vec<u32>],
+    depth: usize,
+    depth_of: &mut [Vec<u8>],
+) -> (Vec<SetLayout>, Vec<Run>) {
+    // Core-depth classes: 0..=depth from the inner BFS, `deep` beyond it.
+    let deep = depth as u8 + 1;
+    let n_classes = depth + 2;
+    let mut sets = Vec::with_capacity(owned.len());
+    let mut runs = Vec::new();
+    for (sidx, in_order) in owned.iter().enumerate() {
+        // Owned: by descending core depth, then locality order — one
+        // counting pass, whose class sizes are `core_prefix`.
+        let depths = &mut depth_of[sidx];
+        for &(g, d) in &rr.inner[sidx] {
+            depths[g as usize] = d;
+        }
+        let mut class_len = vec![0usize; n_classes];
+        for &g in in_order {
+            class_len[depths[g as usize] as usize] += 1;
+        }
+        // core_prefix[k] = owned elements with depth ≥ k.
+        let mut core_prefix = vec![0usize; n_classes];
+        let mut acc = 0;
+        for k in (0..n_classes).rev() {
+            acc += class_len[k];
+            core_prefix[k] = acc;
+        }
+        // Class k starts after every deeper class.
+        let mut next: Vec<usize> = (0..n_classes)
+            .map(|k| core_prefix[k] - class_len[k])
+            .collect();
+        let n_owned = in_order.len();
+        let mut locals = vec![0u32; n_owned];
+        for &g in in_order {
+            let slot = &mut next[depths[g as usize] as usize];
+            locals[*slot] = g;
+            *slot += 1;
+        }
+        for &(g, _) in &rr.inner[sidx] {
+            depths[g as usize] = deep;
+        }
+
+        // Imports: per level, by (owner, locality order); each owner's
+        // part of a level is one run.
+        let set = SetId(sidx as u32);
+        let (set_owner, pos) = (&own.owner[sidx], &order.pos[sidx]);
+        let mut per_level: Vec<Vec<u64>> = vec![Vec::new(); depth];
+        for &(g, ring, _) in &rr.imports[sidx] {
+            debug_assert!((1..=depth as u8).contains(&ring));
+            let key = (set_owner[g as usize] as u64) << 32 | pos[g as usize] as u64;
+            per_level[ring as usize - 1].push(key);
+        }
+        let mut import_level_counts = Vec::with_capacity(depth);
+        for (li, lvl) in per_level.iter_mut().enumerate() {
+            lvl.sort_unstable();
+            import_level_counts.push(lvl.len());
+            for run in lvl.chunk_by(|a, b| a >> 32 == b >> 32) {
+                runs.push(Run {
+                    owner: (run[0] >> 32) as u32,
+                    seg: RecvSegment {
+                        set,
+                        level: li as u8 + 1,
+                        start: locals.len() as u32,
+                        len: run.len() as u32,
+                    },
+                });
+                locals.extend(run.iter().map(|&k| order.elems[sidx][k as u32 as usize]));
+            }
+        }
+        sets.push(SetLayout {
+            n_owned,
+            core_prefix,
+            import_level_counts,
+            locals,
         });
     }
+    (sets, runs)
+}
 
-    // Maps and exchange plans through a dense global→local table per
-    // set: one O(N) scratch every rank fills with its locals and resets.
-    let mut g2l: Vec<Vec<u32>> = dom.sets().iter().map(|s| vec![NONLOCAL; s.size]).collect();
-    let mut wiring = Vec::with_capacity(nparts);
-    for (r, l) in layouts.iter().enumerate() {
-        for (table, sl) in g2l.iter_mut().zip(&l.sets) {
-            for (i, &g) in sl.locals.iter().enumerate() {
-                table[g as usize] = i as u32;
-            }
+/// Rank `r`'s localized maps and exchange plans, through `g2l`: a dense
+/// global→local table per set, all [`NONLOCAL`], that `r` fills with its
+/// locals and resets before returning.
+fn wire(
+    dom: &Domain,
+    sets: &[Vec<SetLayout>],
+    runs: &[Vec<Run>],
+    exports: &[Vec<(u32, usize)>],
+    r: usize,
+    g2l: &mut [Vec<u32>],
+) -> (Vec<MapData>, Vec<NeighborPlan>) {
+    for (table, sl) in g2l.iter_mut().zip(&sets[r]) {
+        for (i, &g) in sl.locals.iter().enumerate() {
+            table[g as usize] = i as u32;
         }
-        let maps: Vec<MapData> = dom
-            .maps()
-            .iter()
-            .map(|m| {
-                let to_table = &g2l[m.to.idx()];
-                let values = l.sets[m.from.idx()]
-                    .locals
-                    .iter()
-                    .flat_map(|&g| &m.values[g as usize * m.arity..(g as usize + 1) * m.arity])
-                    .map(|&t| to_table[t as usize])
-                    .collect();
-                MapData {
-                    name: m.name.clone(),
-                    from: m.from,
-                    to: m.to,
-                    arity: m.arity,
-                    values,
-                }
-            })
-            .collect();
-
-        // Receive side: r's runs by owner (stable, so (set, level) stays
-        // the wire order within each). Send side: the runs r owns, each
-        // read off the receiver's locals — same elements, same order.
-        let mut neighbors: Vec<NeighborPlan> = Vec::new();
-        let mut by_owner: Vec<&Run> = runs[r].iter().collect();
-        by_owner.sort_by_key(|run| run.owner);
-        for run in by_owner {
-            plan_for(&mut neighbors, run.owner).recv.push(run.seg);
-        }
-        for &(q, i) in &exports[r] {
-            let seg = runs[q as usize][i].seg;
-            let table = &g2l[seg.set.idx()];
-            let start = seg.start as usize;
-            let elems = layouts[q as usize].sets[seg.set.idx()].locals
-                [start..start + seg.len as usize]
+    }
+    let maps: Vec<MapData> = dom
+        .maps()
+        .iter()
+        .map(|m| {
+            let to_table = &g2l[m.to.idx()];
+            let values = sets[r][m.from.idx()]
+                .locals
                 .iter()
-                .map(|&g| table[g as usize])
+                .flat_map(|&g| &m.values[g as usize * m.arity..(g as usize + 1) * m.arity])
+                .map(|&t| to_table[t as usize])
                 .collect();
-            plan_for(&mut neighbors, q).send.push(SendSegment {
-                set: seg.set,
-                level: seg.level,
-                elems,
-            });
-        }
-        neighbors.sort_by_key(|n| n.rank);
-
-        for (table, sl) in g2l.iter_mut().zip(&l.sets) {
-            for &g in &sl.locals {
-                table[g as usize] = NONLOCAL;
+            MapData {
+                name: m.name.clone(),
+                from: m.from,
+                to: m.to,
+                arity: m.arity,
+                values,
             }
+        })
+        .collect();
+
+    // Receive side: r's runs by owner (stable, so (set, level) stays the
+    // wire order within each). Send side: the runs r owns, each read off
+    // the receiver's locals — same elements, same order.
+    let mut neighbors: Vec<NeighborPlan> = Vec::new();
+    let mut by_owner: Vec<&Run> = runs[r].iter().collect();
+    by_owner.sort_by_key(|run| run.owner);
+    for run in by_owner {
+        plan_for(&mut neighbors, run.owner).recv.push(run.seg);
+    }
+    for &(q, i) in &exports[r] {
+        let seg = runs[q as usize][i].seg;
+        let table = &g2l[seg.set.idx()];
+        let start = seg.start as usize;
+        let elems = sets[q as usize][seg.set.idx()].locals[start..start + seg.len as usize]
+            .iter()
+            .map(|&g| table[g as usize])
+            .collect();
+        plan_for(&mut neighbors, q).send.push(SendSegment {
+            set: seg.set,
+            level: seg.level,
+            elems,
+        });
+    }
+    neighbors.sort_by_key(|n| n.rank);
+
+    for (table, sl) in g2l.iter_mut().zip(&sets[r]) {
+        for &g in &sl.locals {
+            table[g as usize] = NONLOCAL;
         }
-        wiring.push((maps, neighbors));
     }
-    for (l, (maps, neighbors)) in layouts.iter_mut().zip(wiring) {
-        l.maps = maps;
-        l.neighbors = neighbors;
-    }
-    layouts
+    (maps, neighbors)
 }
 
 /// One receiver-side import run: the part of one (set, level) that one
 /// owner sends.
+#[derive(Clone)]
 struct Run {
     owner: u32,
     seg: RecvSegment,
@@ -402,9 +454,9 @@ fn plan_for(neighbors: &mut Vec<NeighborPlan>, rank: u32) -> &mut NeighborPlan {
 mod tests {
     use super::*;
     use crate::ownership::derive_ownership;
-    use crate::partitioner::rcb_partition;
+    use crate::partitioner::{rcb_partition, rib_partition};
     use op2_mesh::shuffle::shuffle_set;
-    use op2_mesh::{Hex3D, Hex3DParams, Quad2D};
+    use op2_mesh::{Annulus, AnnulusParams, Hex3D, Hex3DParams, Quad2D};
 
     fn layouts(nx: usize, ny: usize, nparts: usize, depth: usize) -> (Quad2D, Vec<RankLayout>) {
         let m = Quad2D::generate(nx, ny);
@@ -604,13 +656,14 @@ mod tests {
             let rr = compute_rings(&m.dom, &adj, &own, &seeds, l.rank, depth as u8, depth as u8);
             for (sidx, sl) in l.sets.iter().enumerate() {
                 // Reference core classes: owned ids by depth, sorted.
+                let mut depth_of = vec![depth + 1; own.owner[sidx].len()];
+                for &(g, d) in &rr.inner[sidx] {
+                    depth_of[g as usize] = d as usize;
+                }
                 let mut class: Vec<Vec<u32>> = vec![Vec::new(); depth + 2];
                 for (g, &r) in own.owner[sidx].iter().enumerate() {
                     if r == l.rank {
-                        let d = rr.inner[sidx]
-                            .get(&(g as u32))
-                            .map_or(depth + 1, |&d| d as usize);
-                        class[d].push(g as u32);
+                        class[depth_of[g]].push(g as u32);
                     }
                 }
                 let n_owned: usize = class.iter().map(Vec::len).sum();
@@ -634,8 +687,8 @@ mod tests {
                 for level in 1..=depth {
                     let mut want: Vec<(u32, u32)> = rr.imports[sidx]
                         .iter()
-                        .filter(|&(_, &r)| r as usize == level)
-                        .map(|(&g, _)| (own.owner[sidx][g as usize], g))
+                        .filter(|&&(_, r, _)| r as usize == level)
+                        .map(|&(g, _, _)| (own.owner[sidx][g as usize], g))
                         .collect();
                     want.sort_unstable();
                     assert_eq!(sl.import_level_counts[level - 1], want.len());
@@ -659,10 +712,10 @@ mod tests {
                     let want: Vec<u32> = sorted(
                         &rr.imports[r.set.idx()]
                             .iter()
-                            .filter(|&(&g, &lv)| {
+                            .filter(|&&(g, lv, _)| {
                                 lv == r.level && own.owner[r.set.idx()][g as usize] == n.rank
                             })
-                            .map(|(&g, _)| g)
+                            .map(|&(g, _, _)| g)
                             .collect::<Vec<_>>(),
                     );
                     assert_eq!(sorted(run), want);
@@ -678,11 +731,83 @@ mod tests {
         }
     }
 
-    /// The order is a function of the input alone.
+    /// FNV-1a over every field of every layout, in order.
+    fn digest(ls: &[RankLayout]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut put = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for l in ls {
+            put(l.rank as u64);
+            put(l.nparts as u64);
+            put(l.depth as u64);
+            for s in &l.sets {
+                put(s.n_owned as u64);
+                s.core_prefix.iter().for_each(|&c| put(c as u64));
+                s.import_level_counts.iter().for_each(|&c| put(c as u64));
+                s.locals.iter().for_each(|&g| put(g as u64));
+            }
+            for m in &l.maps {
+                m.values.iter().for_each(|&v| put(v as u64));
+            }
+            for n in &l.neighbors {
+                put(n.rank as u64);
+                for seg in &n.send {
+                    put(seg.set.0 as u64);
+                    put(seg.level as u64);
+                    put(seg.elems.len() as u64);
+                    seg.elems.iter().for_each(|&e| put(e as u64));
+                }
+                for seg in &n.recv {
+                    put(seg.set.0 as u64);
+                    put(seg.level as u64);
+                    put(seg.start as u64);
+                    put(seg.len as u64);
+                }
+            }
+        }
+        h
+    }
+
+    /// The layouts are pinned bitwise: digests recorded from the serial,
+    /// hash-table inspection this one replaced. Any change to the order
+    /// inside a range, a plan or a localized map shows here.
+    #[test]
+    fn layouts_match_parent_digest() {
+        let hex: [(usize, usize, u64); 8] = [
+            (1, 1, 0x59531d65faa0aca3),
+            (1, 2, 0x42c7f9cbdbe4ea56),
+            (2, 1, 0xfb52f78952a06ee3),
+            (2, 2, 0xf9c3a1fbc7b09688),
+            (3, 1, 0x8e3c5bed8adafeae),
+            (3, 2, 0xd60cf69a32c37df4),
+            (5, 1, 0x152ab70c95a97e31),
+            (5, 2, 0x56afed6434e3bc2a),
+        ];
+        for (nparts, depth, want) in hex {
+            let (_, _, ls) = shuffled_hex(12, nparts, depth);
+            assert_eq!(digest(&ls), want, "hex 12, {nparts} parts, depth {depth}");
+        }
+        // Hydra's `small(6)` annulus under RIB at its safe depth, 5.
+        let a = Annulus::generate(AnnulusParams::small(6, 6, 6));
+        for (nparts, want) in [(3, 0x467ae28ee67aa4a7), (4, 0x3be955ee493d6b1b)] {
+            let base = rib_partition(a.node_coords(), 3, nparts);
+            let own = derive_ownership(&a.dom, a.nodes, base, nparts);
+            let ls = build_layouts(&a.dom, &own, 5);
+            assert_eq!(digest(&ls), want, "annulus 6, {nparts} parts");
+        }
+    }
+
+    /// The order is a function of the input alone, however the ranks
+    /// split into worker chunks (odd part counts leave them uneven).
     #[test]
     fn two_builds_are_identical() {
-        let (m, own, ls) = shuffled_hex(8, 3, 2);
-        let again = build_layouts(&m.dom, &own, 2);
-        assert_eq!(format!("{ls:?}"), format!("{again:?}"));
+        for nparts in [3, 5, 7] {
+            let (m, own, ls) = shuffled_hex(8, nparts, 2);
+            let again = build_layouts(&m.dom, &own, 2);
+            assert_eq!(format!("{ls:?}"), format!("{again:?}"), "{nparts} parts");
+        }
     }
 }

@@ -54,3 +54,39 @@ pub use partitioner::{
 };
 pub use rings::{compute_rings, RankRings};
 pub use stats::{collect_stats, HaloStats};
+
+/// One dense table per set of `dom`, every entry `fill`.
+pub(crate) fn per_set<T: Clone>(dom: &op2_core::Domain, fill: T) -> Vec<Vec<T>> {
+    dom.sets().iter().map(|s| vec![fill.clone(); s.size]).collect()
+}
+
+/// Set `slots[r] = work(&mut scratch, r)` for every rank `r`, over at
+/// most `workers` scoped threads: each takes one contiguous chunk of
+/// ranks and one `scratch()` of its own, and the calling thread works
+/// the last chunk. Each slot depends on its rank alone, so the result is
+/// the same for any `workers`.
+pub(crate) fn for_each_rank<T: Send, S>(
+    slots: &mut [T],
+    workers: usize,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) {
+    let chunk = slots.len().div_ceil(workers.max(1)).max(1);
+    let run = |first: usize, ranks: &mut [T]| {
+        let mut s = scratch();
+        for (off, slot) in ranks.iter_mut().enumerate() {
+            *slot = work(&mut s, first + off);
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut chunks = slots.chunks_mut(chunk).enumerate();
+        let last = chunks.next_back();
+        for (c, ranks) in chunks {
+            let run = &run;
+            scope.spawn(move || run(c * chunk, ranks));
+        }
+        if let Some((c, ranks)) = last {
+            run(c * chunk, ranks);
+        }
+    });
+}

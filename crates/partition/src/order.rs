@@ -11,19 +11,21 @@
 //! * a set that a map of arity ≥ 2 targets (nodes under `e2n`, cells
 //!   under `e2c`) gets a **Cuthill–McKee** order: a BFS from a
 //!   minimum-degree root in each component, visiting neighbours by
-//!   ascending degree, ties by global id, over the reverse CSR that
-//!   [`MapAdj`] already holds;
+//!   ascending degree, ties by global id. It runs in (degree, id) rank
+//!   space over one neighbour CSR built from the map rows, whose rows
+//!   are sorted once, so the BFS reads one row per vertex;
 //! * every other set is ranked by the (min, max) positions of its first
 //!   map into an already ordered set (an edge sits next to its lowest
 //!   endpoint), ties by global id;
 //! * a set with neither keeps its numbering.
 //!
 //! Every step is linear (counting sorts; the only comparison sort is over
-//! one element's neighbour list), and nothing depends on ranks, so every
-//! rank sees the same order.
+//! one element's neighbour row), and the order needs nothing but the
+//! mesh: not the ranks, so every rank sees the same order, and not the
+//! ring BFS's reverse CSR, so [`build_layouts`](crate::build_layouts)
+//! runs it beside the BFS.
 
-use crate::rings::MapAdj;
-use op2_core::{Domain, MapData, SetId};
+use op2_core::{Domain, MapData};
 
 /// One global locality order per set.
 pub(crate) struct LocalityOrder {
@@ -35,15 +37,16 @@ pub(crate) struct LocalityOrder {
 }
 
 impl LocalityOrder {
-    /// Order every set of `dom`; `adj` is `dom`'s map adjacency.
-    pub fn build(dom: &Domain, adj: &MapAdj<'_>) -> Self {
-        let n_sets = dom.n_sets();
-        let mut elems: Vec<Option<Vec<u32>>> = (0..n_sets)
+    /// Order every set of `dom`.
+    pub fn build(dom: &Domain) -> Self {
+        let mut elems: Vec<Option<Vec<u32>>> = (0..dom.n_sets())
             .map(|s| {
-                let set = SetId(s as u32);
-                adj.reverse_into(set)
-                    .any(|(m, _)| m.arity >= 2)
-                    .then(|| cuthill_mckee(adj, set, dom.set(set).size))
+                let maps: Vec<&MapData> = dom
+                    .maps()
+                    .iter()
+                    .filter(|m| m.to.idx() == s && m.arity >= 2)
+                    .collect();
+                (!maps.is_empty()).then(|| cuthill_mckee(&maps, dom.sets()[s].size))
             })
             .collect();
         let mut pos: Vec<Option<Vec<u32>>> =
@@ -104,57 +107,75 @@ fn counting_sort(items: &[u32], n_keys: usize, key: impl Fn(u32) -> usize) -> Ve
     out
 }
 
-/// Cuthill–McKee order of the `n` elements of `set`. Two elements are
-/// neighbours when one row of a map of arity ≥ 2 into `set` holds both;
-/// an element's degree counts those incidences.
-fn cuthill_mckee(adj: &MapAdj<'_>, set: SetId, n: usize) -> Vec<u32> {
-    let maps: Vec<_> = adj
-        .reverse_into(set)
-        .filter(|(m, _)| m.arity >= 2)
-        .collect();
-    let degree: Vec<usize> = (0..n)
-        .map(|v| {
-            maps.iter()
-                .map(|(m, rev)| rev.row(v).len() * (m.arity - 1))
-                .sum()
-        })
-        .collect();
+/// Cuthill–McKee order of the `n` elements of a set that `maps` (every
+/// map of arity ≥ 2 into it) target. Two elements are neighbours when
+/// one row of those maps holds both; an element's degree counts those
+/// incidences.
+///
+/// The BFS runs in *rank space*: vertex `i` is the `i`-th element in
+/// (degree, id) order, and one neighbour CSR holds every vertex's
+/// neighbour ranks, sorted. A vertex's unvisited neighbours are then one
+/// filtered scan of its row, already in (degree, id) order, and the next
+/// root is the first unvisited rank.
+fn cuthill_mckee(maps: &[&MapData], n: usize) -> Vec<u32> {
+    let mut degree = vec![0usize; n];
+    for m in maps {
+        for &t in &m.values {
+            degree[t as usize] += m.arity - 1;
+        }
+    }
     let max_degree = degree.iter().copied().max().unwrap_or(0);
     let all: Vec<u32> = (0..n as u32).collect();
-    // (degree, id) order, and each element's place in it: the sort key
-    // for neighbour lists and the root sequence.
     let by_degree = counting_sort(&all, max_degree + 1, |v| degree[v as usize]);
     let rank = inverse(&by_degree);
 
-    let mut visited = vec![false; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    let mut roots = by_degree.iter();
-    let mut nbrs: Vec<u32> = Vec::new();
-    while order.len() < n {
-        let Some(&root) = roots.find(|&&v| !visited[v as usize]) else {
-            break;
-        };
-        visited[root as usize] = true;
-        let mut head = order.len();
-        order.push(root);
-        while head < order.len() {
-            let v = order[head] as usize;
-            head += 1;
-            nbrs.clear();
-            for (m, rev) in &maps {
-                for &a in rev.row(v) {
-                    let a = a as usize;
-                    for &u in &m.values[a * m.arity..(a + 1) * m.arity] {
-                        if !visited[u as usize] {
-                            visited[u as usize] = true;
-                            nbrs.push(rank[u as usize]);
-                        }
+    // Row `i` holds, for every incidence of vertex `i`, the ranks of the
+    // other entries of its map row.
+    let mut start = vec![0usize; n + 1];
+    for (i, &v) in by_degree.iter().enumerate() {
+        start[i + 1] = start[i] + degree[v as usize];
+    }
+    let mut cursor = start[..n].to_vec();
+    let mut items = vec![0u32; start[n]];
+    for m in maps {
+        for row in m.values.chunks_exact(m.arity) {
+            for (p, &x) in row.iter().enumerate() {
+                let slot = &mut cursor[rank[x as usize] as usize];
+                for (q, &y) in row.iter().enumerate() {
+                    if p != q {
+                        items[*slot] = rank[y as usize];
+                        *slot += 1;
                     }
                 }
             }
-            nbrs.sort_unstable();
-            order.extend(nbrs.iter().map(|&r| by_degree[r as usize]));
         }
+    }
+    for i in 0..n {
+        items[start[i]..start[i + 1]].sort_unstable();
+    }
+
+    let mut visited = vec![false; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut root = 0;
+    while order.len() < n {
+        while visited[root] {
+            root += 1;
+        }
+        visited[root] = true;
+        let mut head = order.len();
+        order.push(root as u32);
+        while head < order.len() {
+            let i = order[head] as usize;
+            head += 1;
+            for &j in &items[start[i]..start[i + 1]] {
+                if !std::mem::replace(&mut visited[j as usize], true) {
+                    order.push(j);
+                }
+            }
+        }
+    }
+    for i in &mut order {
+        *i = by_degree[*i as usize];
     }
     order
 }
@@ -180,8 +201,112 @@ fn by_target_positions(m: &MapData, to_pos: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rings::MapAdj;
+    use op2_core::SetId;
     use op2_mesh::shuffle::shuffle_set;
-    use op2_mesh::{Quad2D, Tet3D};
+    use op2_mesh::{Annulus, AnnulusParams, Hex3D, Hex3DParams, Quad2D, Tet3D};
+
+    /// The reference Cuthill–McKee: the per-incidence walk over the
+    /// reverse CSR — for every visited vertex, every map row through it,
+    /// every entry of that row, then a sort of the new neighbours' ranks.
+    fn cuthill_mckee_reference(adj: &MapAdj<'_>, set: SetId, n: usize) -> Vec<u32> {
+        let maps: Vec<_> = adj
+            .reverse_into(set)
+            .filter(|(m, _)| m.arity >= 2)
+            .collect();
+        let degree: Vec<usize> = (0..n)
+            .map(|v| {
+                maps.iter()
+                    .map(|(m, rev)| rev.row(v).len() * (m.arity - 1))
+                    .sum()
+            })
+            .collect();
+        let max_degree = degree.iter().copied().max().unwrap_or(0);
+        let all: Vec<u32> = (0..n as u32).collect();
+        let by_degree = counting_sort(&all, max_degree + 1, |v| degree[v as usize]);
+        let rank = inverse(&by_degree);
+
+        let mut visited = vec![false; n];
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let mut roots = by_degree.iter();
+        let mut nbrs: Vec<u32> = Vec::new();
+        while order.len() < n {
+            let Some(&root) = roots.find(|&&v| !visited[v as usize]) else {
+                break;
+            };
+            visited[root as usize] = true;
+            let mut head = order.len();
+            order.push(root);
+            while head < order.len() {
+                let v = order[head] as usize;
+                head += 1;
+                nbrs.clear();
+                for (m, rev) in &maps {
+                    for &a in rev.row(v) {
+                        let a = a as usize;
+                        for &u in &m.values[a * m.arity..(a + 1) * m.arity] {
+                            if !visited[u as usize] {
+                                visited[u as usize] = true;
+                                nbrs.push(rank[u as usize]);
+                            }
+                        }
+                    }
+                }
+                nbrs.sort_unstable();
+                order.extend(nbrs.iter().map(|&r| by_degree[r as usize]));
+            }
+        }
+        order
+    }
+
+    /// The rank-space BFS and the reference walk agree on every set that
+    /// maps of arity ≥ 2 target.
+    fn assert_cm_matches_reference(dom: &Domain) -> usize {
+        let adj = MapAdj::build(dom);
+        let mut checked = 0;
+        for s in 0..dom.n_sets() {
+            let maps: Vec<&MapData> = dom
+                .maps()
+                .iter()
+                .filter(|m| m.to.idx() == s && m.arity >= 2)
+                .collect();
+            if maps.is_empty() {
+                continue;
+            }
+            let n = dom.sets()[s].size;
+            let want = cuthill_mckee_reference(&adj, SetId(s as u32), n);
+            assert_eq!(cuthill_mckee(&maps, n), want, "set {}", dom.sets()[s].name);
+            checked += 1;
+        }
+        checked
+    }
+
+    #[test]
+    fn rank_space_cuthill_mckee_matches_the_reference() {
+        // Tets: `t2n` has arity 4 beside `e2n`.
+        let mut t = Tet3D::generate(5, 4, 3);
+        shuffle_set(&mut t.dom, t.nodes, 11);
+        shuffle_set(&mut t.dom, t.edges, 12);
+        assert_eq!(assert_cm_matches_reference(&t.dom), 1);
+
+        let mut h = Hex3D::generate(Hex3DParams::cube(9));
+        shuffle_set(&mut h.dom, h.nodes, 13);
+        shuffle_set(&mut h.dom, h.edges, 14);
+        assert_eq!(assert_cm_matches_reference(&h.dom), 1);
+
+        // Hydra's annulus: two maps into nodes, `e2n` and the periodic
+        // `p2n`.
+        let a = Annulus::generate(AnnulusParams::small(6, 5, 7));
+        assert_eq!(assert_cm_matches_reference(&a.dom), 1);
+
+        // Two components, each a shuffled path, plus isolated vertices.
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", 10);
+        let edges = dom.decl_set("edges", 6);
+        dom.decl_map("e2n", edges, nodes, 2, vec![7, 2, 2, 9, 4, 0, 0, 8, 8, 5, 9, 1])
+            .unwrap();
+        assert_eq!(assert_cm_matches_reference(&dom), 1);
+    }
 
     fn is_permutation(p: &[u32]) -> bool {
         let mut seen = vec![false; p.len()];
@@ -193,8 +318,7 @@ mod tests {
     fn every_set_gets_a_permutation_and_its_inverse() {
         let mut m = Tet3D::generate(4, 3, 3);
         shuffle_set(&mut m.dom, m.nodes, 3);
-        let adj = MapAdj::build(&m.dom);
-        let o = LocalityOrder::build(&m.dom, &adj);
+        let o = LocalityOrder::build(&m.dom);
         for s in 0..m.dom.n_sets() {
             assert_eq!(o.elems[s].len(), m.dom.sets()[s].size);
             assert!(is_permutation(&o.elems[s]));
@@ -214,8 +338,7 @@ mod tests {
         // Path 3 - 0 - 5 - 1 - 4 - 2.
         dom.decl_map("e2n", edges, nodes, 2, vec![0, 3, 5, 0, 1, 5, 4, 1, 2, 4])
             .unwrap();
-        let adj = MapAdj::build(&dom);
-        let o = LocalityOrder::build(&dom, &adj);
+        let o = LocalityOrder::build(&dom);
         assert_eq!(o.elems[nodes.idx()], vec![2, 4, 1, 5, 0, 3]);
         // Edges follow their lowest endpoint: (2,4), (4,1), (1,5), (5,0), (0,3).
         assert_eq!(o.elems[edges.idx()], vec![4, 3, 2, 1, 0]);
@@ -232,7 +355,7 @@ mod tests {
         let marks = m.dom.decl_set("marks", n_edges);
         let rev: Vec<u32> = (0..n_edges as u32).rev().collect();
         m.dom.decl_map("m2e", marks, m.edges, 1, rev).unwrap();
-        let o = LocalityOrder::build(&m.dom, &MapAdj::build(&m.dom));
+        let o = LocalityOrder::build(&m.dom);
         assert_eq!(o.elems[lonely.idx()], vec![0, 1, 2, 3]);
         let edge_order: Vec<u32> = o.elems[marks.idx()]
             .iter()

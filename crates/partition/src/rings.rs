@@ -26,11 +26,18 @@
 //! updaters at cost 1). A loop at chain position `j` may execute, before
 //! the grouped exchange completes, exactly the owned elements with
 //! `inner > j` — the latency-hiding core of Alg 1 (`j = 0`) and Alg 2.
+//!
+//! Both BFSs keep their state in one dense `u8` table per set plus the
+//! list of elements they reached, scratch local to one
+//! [`compute_rings`] call; [`RankRings`] returns those lists, so no
+//! hash table is built or probed. [`find_seeds`] deduplicates with one
+//! `seen` flag per element: an element has one owner, so one flag serves
+//! every rank.
 
 use crate::ownership::Ownership;
 use op2_core::{Domain, SetId};
 use op2_mesh::Csr;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Shared, read-only adjacency for ring computation: every map's forward
 /// values plus its reverse CSR. Build once per domain.
@@ -78,26 +85,25 @@ impl<'a> MapAdj<'a> {
     }
 }
 
-/// Ring/depth data for one rank.
+/// Ring/depth data for one rank: compact per-set lists, each in the
+/// BFS's discovery order.
 #[derive(Debug, Clone)]
 pub struct RankRings {
     /// The rank.
     pub rank: u32,
-    /// `imports[set]` — foreign elements within the requested depth:
-    /// `global element id → ring (1-based)`.
-    pub imports: Vec<HashMap<u32, u8>>,
-    /// `exec[set]` — the subset of imports reached through a *backward*
-    /// (cost-1) crossing: iterating elements whose redundant execution
-    /// contributes to this rank's data — OP2's import-**execute** halo
-    /// (*ieh*/*eeh* side of Fig 4). Imports absent here were reached
-    /// only through forward crossings: read-only data, OP2's
+    /// `imports[set]` — foreign elements within the requested depth, as
+    /// `(global id, ring (1-based), exec)`. `exec` marks the imports
+    /// reached through a *backward* (cost-1) crossing: iterating elements
+    /// whose redundant execution contributes to this rank's data — OP2's
+    /// import-**execute** halo (*ieh*/*eeh* side of Fig 4). The others
+    /// were reached only through forward crossings: read-only data, OP2's
     /// **non-execute** halo (*inh*/*enh*).
-    pub exec: Vec<HashMap<u32, ()>>,
-    /// `inner[set]` — owned elements within the requested core depth:
-    /// `global element id → inner depth (0-based; 0 = reads foreign data
-    /// directly)`. Owned elements absent from the map are deeper than the
+    pub imports: Vec<Vec<(u32, u8, bool)>>,
+    /// `inner[set]` — owned elements within the requested core depth, as
+    /// `(global id, inner depth)` (0-based; 0 = reads foreign data
+    /// directly). Owned elements absent from the list are deeper than the
     /// requested bound.
-    pub inner: Vec<HashMap<u32, u8>>,
+    pub inner: Vec<Vec<(u32, u8)>>,
 }
 
 /// Per-rank seeds found by one global scan over all maps: boundary-owned
@@ -111,33 +117,54 @@ pub struct Seeds {
 
 /// Scan every map once, recording each rank's boundary-owned elements.
 pub fn find_seeds(dom: &Domain, own: &Ownership) -> Seeds {
-    let nparts = own.nparts;
-    let mut boundary: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nparts];
-    // Avoid duplicate inserts with a last-inserted marker per rank/set.
-    let mut seen: Vec<HashMap<(u32, u32), ()>> = vec![HashMap::new(); nparts];
+    let mut boundary: Vec<Vec<(u32, u32)>> = vec![Vec::new(); own.nparts];
+    // An element has one owner, so one `seen` flag per element keeps
+    // every rank's list free of duplicates.
+    let mut seen = crate::per_set(dom, false);
     for m in dom.maps() {
         let fo = &own.owner[m.from.idx()];
         let to = &own.owner[m.to.idx()];
-        let n_from = dom.set(m.from).size;
-        for a in 0..n_from {
+        for (a, row) in m.values.chunks_exact(m.arity).enumerate() {
             let ra = fo[a];
-            for i in 0..m.arity {
-                let b = m.values[a * m.arity + i];
+            for &b in row {
                 let rb = to[b as usize];
                 if ra != rb {
-                    let ka = (m.from.0, a as u32);
-                    if seen[ra as usize].insert(ka, ()).is_none() {
-                        boundary[ra as usize].push(ka);
+                    if !std::mem::replace(&mut seen[m.from.idx()][a], true) {
+                        boundary[ra as usize].push((m.from.0, a as u32));
                     }
-                    let kb = (m.to.0, b);
-                    if seen[rb as usize].insert(kb, ()).is_none() {
-                        boundary[rb as usize].push(kb);
+                    if !std::mem::replace(&mut seen[m.to.idx()][b as usize], true) {
+                        boundary[rb as usize].push((m.to.0, b));
                     }
                 }
             }
         }
     }
     Seeds { boundary }
+}
+
+/// Per-set dense BFS state of one [`compute_rings`] call. Foreign and
+/// owned elements never meet in one BFS, so one table holds both
+/// distances: `dist[set][e]` is a foreign element's ring, or an owned
+/// element's inner depth + 1; 0 = unreached.
+struct Dense {
+    dist: Vec<Vec<u8>>,
+    /// Reached elements per set, in discovery order.
+    touched: Vec<Vec<u32>>,
+}
+
+impl Dense {
+    /// Lower `dist[set][e]` to `d` (≥ 1); whether it moved.
+    #[inline]
+    fn relax(&mut self, set: SetId, e: u32, d: u8) -> bool {
+        let slot = &mut self.dist[set.idx()][e as usize];
+        if *slot == 0 {
+            self.touched[set.idx()].push(e);
+        } else if d >= *slot {
+            return false;
+        }
+        *slot = d;
+        true
+    }
 }
 
 /// Compute import rings (to depth `max_ring`) and inner core depths (to
@@ -151,10 +178,11 @@ pub fn compute_rings(
     max_ring: u8,
     max_inner: u8,
 ) -> RankRings {
-    let n_sets = dom.n_sets();
-    let mut imports: Vec<HashMap<u32, u8>> = vec![HashMap::new(); n_sets];
-    let mut exec: Vec<HashMap<u32, ()>> = vec![HashMap::new(); n_sets];
-    let mut inner: Vec<HashMap<u32, u8>> = vec![HashMap::new(); n_sets];
+    let mut st = Dense {
+        dist: crate::per_set(dom, 0u8),
+        touched: vec![Vec::new(); dom.n_sets()],
+    };
+    let mut exec = crate::per_set(dom, false);
     let my_seeds = &seeds.boundary[rank as usize];
 
     // ---- Outer 0-1 BFS: import rings over foreign elements. ----
@@ -167,12 +195,9 @@ pub fn compute_rings(
     while let Some((s, e, d)) = dq.pop_front() {
         let set = SetId(s);
         let foreign = own.owner[set.idx()][e as usize] != rank;
-        if foreign {
-            // Stale queue entry?
-            match imports[set.idx()].get(&e) {
-                Some(&best) if best < d => continue,
-                _ => {}
-            }
+        // Stale queue entry?
+        if foreign && st.dist[set.idx()][e as usize] < d {
+            continue;
         }
         // Forward crossings: e iterates, its targets are data (cost 0,
         // clamp to 1 for foreign targets).
@@ -183,12 +208,7 @@ pub fn compute_rings(
             }
             for i in 0..m.arity {
                 let b = m.values[e as usize * m.arity + i];
-                if own.owner[to.idx()][b as usize] == rank {
-                    continue;
-                }
-                let entry = imports[to.idx()].entry(b).or_insert(u8::MAX);
-                if cand < *entry {
-                    *entry = cand;
+                if own.owner[to.idx()][b as usize] != rank && st.relax(to, b, cand) {
                     // cost-0 edge → front of deque.
                     dq.push_front((to.0, b, cand));
                 }
@@ -204,67 +224,61 @@ pub fn compute_rings(
                     if own.owner[from.idx()][a as usize] == rank {
                         continue;
                     }
-                    exec[from.idx()].insert(a, ());
-                    let entry = imports[from.idx()].entry(a).or_insert(u8::MAX);
-                    if cand < *entry {
-                        *entry = cand;
+                    exec[from.idx()][a as usize] = true;
+                    if st.relax(from, a, cand) {
                         dq.push_back((from.0, a, cand));
                     }
                 }
             }
         }
     }
+    let imports: Vec<Vec<(u32, u8, bool)>> = st
+        .touched
+        .iter_mut()
+        .enumerate()
+        .map(|(sidx, t)| {
+            std::mem::take(t)
+                .into_iter()
+                .map(|g| (g, st.dist[sidx][g as usize], exec[sidx][g as usize]))
+                .collect()
+        })
+        .collect();
 
     // ---- Inner 0-1 BFS: core depths over owned elements. ----
     // Sources: seeds, with distance depending on crossing direction:
     // an owned element *reading* foreign data is depth 0; an owned
-    // element only *written from* foreign elements is depth 1.
+    // element only *written from* foreign elements is depth 1. Depths
+    // are stored + 1.
     let mut dq: VecDeque<(u32, u32, u8)> = VecDeque::new();
     for &(s, e) in my_seeds {
         let set = SetId(s);
         // Does e read foreign data (forward crossing)?
-        let mut d = u8::MAX;
-        for (m, to) in adj.maps_from(set) {
-            for i in 0..m.arity {
-                let b = m.values[e as usize * m.arity + i];
-                if own.owner[to.idx()][b as usize] != rank {
-                    d = 0;
-                }
-            }
-        }
-        if d != 0 {
-            // Must then be written from a foreign element.
-            d = 1;
-        }
-        if d <= max_inner {
-            let entry = inner[set.idx()].entry(e).or_insert(u8::MAX);
-            if d < *entry {
-                *entry = d;
-                if d == 0 {
-                    dq.push_front((s, e, 0));
-                } else {
-                    dq.push_back((s, e, d));
-                }
+        let reads_foreign = adj.maps_from(set).any(|(m, to)| {
+            m.values[e as usize * m.arity..(e as usize + 1) * m.arity]
+                .iter()
+                .any(|&b| own.owner[to.idx()][b as usize] != rank)
+        });
+        // If not, it must be written from a foreign element.
+        let d = if reads_foreign { 0 } else { 1 };
+        if d <= max_inner && st.relax(set, e, d + 1) {
+            if d == 0 {
+                dq.push_front((s, e, 0));
+            } else {
+                dq.push_back((s, e, d));
             }
         }
     }
     while let Some((s, e, d)) = dq.pop_front() {
         let set = SetId(s);
-        match inner[set.idx()].get(&e) {
-            Some(&best) if best < d => continue,
-            _ => {}
+        if st.dist[set.idx()][e as usize] <= d {
+            continue;
         }
         // Dependents of e:
         // (1) owned iterating elements a with e among their targets
         //     depend on e at cost 0;
         for (rev, from) in adj.maps_into(set) {
             for &a in rev.row(e as usize) {
-                if own.owner[from.idx()][a as usize] != rank {
-                    continue;
-                }
-                let entry = inner[from.idx()].entry(a).or_insert(u8::MAX);
-                if d < *entry {
-                    *entry = d;
+                if own.owner[from.idx()][a as usize] == rank && st.relax(from, a, d + 1) {
                     dq.push_front((from.0, a, d));
                 }
             }
@@ -275,23 +289,23 @@ pub fn compute_rings(
             for (m, to) in adj.maps_from(set) {
                 for i in 0..m.arity {
                     let b = m.values[e as usize * m.arity + i];
-                    if own.owner[to.idx()][b as usize] != rank {
-                        continue;
-                    }
-                    let entry = inner[to.idx()].entry(b).or_insert(u8::MAX);
-                    if cand < *entry {
-                        *entry = cand;
+                    if own.owner[to.idx()][b as usize] == rank && st.relax(to, b, cand + 1) {
                         dq.push_back((to.0, b, cand));
                     }
                 }
             }
         }
     }
+    let inner = st
+        .touched
+        .iter()
+        .enumerate()
+        .map(|(sidx, t)| t.iter().map(|&g| (g, st.dist[sidx][g as usize] - 1)).collect())
+        .collect();
 
     RankRings {
         rank,
         imports,
-        exec,
         inner,
     }
 }
@@ -315,6 +329,17 @@ mod tests {
         (m, own, rings)
     }
 
+    /// `rr`'s rings as dense per-set tables, `u8::MAX` = not imported.
+    fn ring_table(dom: &Domain, rr: &RankRings) -> Vec<Vec<u8>> {
+        let mut t = crate::per_set(dom, u8::MAX);
+        for (sidx, imp) in rr.imports.iter().enumerate() {
+            for &(g, ring, _) in imp {
+                t[sidx][g as usize] = ring;
+            }
+        }
+        t
+    }
+
     /// Invariant I1: for every map entry a → b with ring(a) ≤ e, b is
     /// imported at ring ≤ max(ring(a), 1). Invariant I2: for every entry,
     /// ring(a) ≤ ring(b) + 1 within the computed bound.
@@ -323,11 +348,12 @@ mod tests {
         let depth = 3u8;
         let (m, own, rings) = quad_rings(8, 8, 4, depth);
         for rr in &rings {
+            let table = ring_table(&m.dom, rr);
             let ring_of = |set: SetId, e: u32| -> u8 {
                 if own.owner[set.idx()][e as usize] == rr.rank {
                     0
                 } else {
-                    *rr.imports[set.idx()].get(&e).unwrap_or(&u8::MAX)
+                    table[set.idx()][e as usize]
                 }
             };
             for map in m.dom.maps() {
@@ -364,9 +390,10 @@ mod tests {
     fn ring_one_touches_owned() {
         let (m, own, rings) = quad_rings(6, 6, 3, 2);
         for rr in &rings {
+            let table = ring_table(&m.dom, rr);
             for (sidx, imp) in rr.imports.iter().enumerate() {
                 let set = SetId(sidx as u32);
-                for (&e, &ring) in imp {
+                for &(e, ring, _) in imp {
                     assert_ne!(own.owner[set.idx()][e as usize], rr.rank);
                     if ring == 1 {
                         // One crossing away from owned: via forward or
@@ -401,11 +428,7 @@ mod tests {
                                     for (a, row) in
                                         map.values.chunks_exact(map.arity).enumerate()
                                     {
-                                        if row.contains(&e)
-                                            && rr.imports[map.from.idx()]
-                                                .get(&(a as u32))
-                                                .is_some_and(|&r| r == 1)
-                                        {
+                                        if row.contains(&e) && table[map.from.idx()][a] == 1 {
                                             via_ring1 = true;
                                         }
                                     }
@@ -425,6 +448,13 @@ mod tests {
     fn inner_depth_zero_iff_reads_foreign() {
         let (m, own, rings) = quad_rings(8, 8, 4, 3);
         for rr in &rings {
+            let mut depth_of: Vec<Vec<Option<u8>>> =
+                m.dom.sets().iter().map(|s| vec![None; s.size]).collect();
+            for (sidx, inner) in rr.inner.iter().enumerate() {
+                for &(g, d) in inner {
+                    depth_of[sidx][g as usize] = Some(d);
+                }
+            }
             // reads_foreign must be judged across *all* maps from a set
             // (an edge can read foreign cells while its nodes are owned).
             for sidx in 0..m.dom.n_sets() {
@@ -441,7 +471,7 @@ mod tests {
                             })
                         },
                     );
-                    let depth = rr.inner[sidx].get(&(a as u32)).copied();
+                    let depth = depth_of[sidx][a];
                     if reads_foreign {
                         assert_eq!(depth, Some(0), "rank {} set {sidx} elem {a}", rr.rank);
                     } else if let Some(d) = depth {
@@ -464,15 +494,15 @@ mod tests {
         let seeds = find_seeds(&m.dom, &own);
         let rr = compute_rings(&m.dom, &adj, &own, &seeds, 0, 2, 2);
         // Node imports at ring 1: exactly one n×n plane.
-        let r1 = rr.imports[m.nodes.idx()]
-            .values()
-            .filter(|&&r| r == 1)
-            .count();
+        let at = |ring| {
+            rr.imports[m.nodes.idx()]
+                .iter()
+                .filter(|&&(_, r, _)| r == ring)
+                .count()
+        };
+        let r1 = at(1);
         assert_eq!(r1, n * n);
-        let r2 = rr.imports[m.nodes.idx()]
-            .values()
-            .filter(|&&r| r == 2)
-            .count();
+        let r2 = at(2);
         assert_eq!(r2, n * n);
     }
 }

@@ -104,71 +104,50 @@ pub fn collect_stats(dom: &Domain, own: &Ownership, depth: usize, threads: usize
         }
     }
 
-    let threads = threads.clamp(1, nparts.max(1));
     let mut per_rank: Vec<RankStats> = vec![RankStats::default(); nparts];
-    let chunks: Vec<(usize, &mut [RankStats])> = {
-        let mut out = Vec::new();
-        let mut rest = per_rank.as_mut_slice();
-        let chunk = nparts.div_ceil(threads);
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            out.push((start, head));
-            start += take;
-            rest = tail;
-        }
-        out
-    };
-
-    std::thread::scope(|scope| {
-        for (start, slots) in chunks {
-            let adj = &adj;
-            let seeds = &seeds;
-            let owned_counts = &owned_counts;
-            scope.spawn(move || {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    let r = (start + off) as u32;
-                    let rr = compute_rings(dom, adj, own, seeds, r, depth as u8, depth as u8);
-                    let mut stats = RankStats {
-                        owned: owned_counts[r as usize].clone(),
-                        core_prefix: vec![vec![0usize; depth + 2]; n_sets],
-                        import_levels: vec![vec![0usize; depth]; n_sets],
-                        exec_levels: vec![vec![0usize; depth]; n_sets],
-                        neighbors: HashMap::new(),
-                    };
-                    for sidx in 0..n_sets {
-                        let n_owned = stats.owned[sidx];
-                        stats.core_prefix[sidx][0] = n_owned;
-                        // Owned elements listed in `inner` are shallow;
-                        // prefix[k] = owned − #(inner < k).
-                        let mut shallow_below = vec![0usize; depth + 2];
-                        for &d in rr.inner[sidx].values() {
-                            for k in (d as usize + 1)..=(depth + 1) {
-                                shallow_below[k] += 1;
-                            }
-                        }
-                        for k in 1..=(depth + 1) {
-                            stats.core_prefix[sidx][k] = n_owned - shallow_below[k];
-                        }
-                        for (&g, &ring) in &rr.imports[sidx] {
-                            stats.import_levels[sidx][ring as usize - 1] += 1;
-                            if rr.exec[sidx].contains_key(&g) {
-                                stats.exec_levels[sidx][ring as usize - 1] += 1;
-                            }
-                            let owner = own.owner[sidx][g as usize];
-                            let per_set = stats
-                                .neighbors
-                                .entry(owner)
-                                .or_insert_with(|| vec![vec![0usize; depth]; n_sets]);
-                            per_set[sidx][ring as usize - 1] += 1;
-                        }
+    crate::for_each_rank(
+        &mut per_rank,
+        threads,
+        || (),
+        |_, r| {
+            let rr = compute_rings(dom, &adj, own, &seeds, r as u32, depth as u8, depth as u8);
+            let mut stats = RankStats {
+                owned: owned_counts[r].clone(),
+                core_prefix: vec![vec![0usize; depth + 2]; n_sets],
+                import_levels: vec![vec![0usize; depth]; n_sets],
+                exec_levels: vec![vec![0usize; depth]; n_sets],
+                neighbors: HashMap::new(),
+            };
+            for sidx in 0..n_sets {
+                let n_owned = stats.owned[sidx];
+                stats.core_prefix[sidx][0] = n_owned;
+                // Owned elements listed in `inner` are shallow;
+                // prefix[k] = owned − #(inner < k).
+                let mut shallow_below = vec![0usize; depth + 2];
+                for &(_, d) in &rr.inner[sidx] {
+                    for k in (d as usize + 1)..=(depth + 1) {
+                        shallow_below[k] += 1;
                     }
-                    *slot = stats;
                 }
-            });
-        }
-    });
+                for k in 1..=(depth + 1) {
+                    stats.core_prefix[sidx][k] = n_owned - shallow_below[k];
+                }
+                for &(g, ring, exec) in &rr.imports[sidx] {
+                    stats.import_levels[sidx][ring as usize - 1] += 1;
+                    if exec {
+                        stats.exec_levels[sidx][ring as usize - 1] += 1;
+                    }
+                    let owner = own.owner[sidx][g as usize];
+                    let per_set = stats
+                        .neighbors
+                        .entry(owner)
+                        .or_insert_with(|| vec![vec![0usize; depth]; n_sets]);
+                    per_set[sidx][ring as usize - 1] += 1;
+                }
+            }
+            stats
+        },
+    );
 
     HaloStats {
         nparts,
