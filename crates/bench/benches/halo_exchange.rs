@@ -1,7 +1,10 @@
 //! Halo-exchange engine micro-benchmarks.
 //!
-//! Three angles on the persistent communication engine:
+//! Four angles on the persistent communication engine:
 //!
+//! * `checksum` — the transport's integrity checksum, run once per
+//!   message in `isend` and once per received copy, over 38 400 values
+//!   (307 200 B): one `hydra-chains` rank's send volume per iteration.
 //! * `buffer_pool` — borrow/return against the per-peer pool vs a fresh
 //!   heap allocation per message: the steady-state cost the pooled
 //!   engine removes from every send.
@@ -45,6 +48,17 @@ fn bench_buffer_pool(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+fn bench_checksum(c: &mut Criterion) {
+    const VALUES: usize = 38_400;
+    let mut g = c.benchmark_group("checksum");
+    g.throughput(Throughput::Bytes((VALUES * 8) as u64));
+    let data: Vec<f64> = (0..VALUES).map(|i| i as f64 * 0.5).collect();
+    g.bench_function(BenchmarkId::new("values", VALUES), |b| {
+        b.iter(|| op2_runtime::comm::checksum(1, 7, 42, black_box(&data)))
+    });
     g.finish();
 }
 
@@ -156,6 +170,6 @@ fn bench_executor(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_buffer_pool, bench_ping_pong, bench_executor
+    targets = bench_buffer_pool, bench_checksum, bench_ping_pong, bench_executor
 }
 criterion_main!(benches);

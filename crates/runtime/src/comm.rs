@@ -232,33 +232,62 @@ pub struct Msg {
     pub tag: u64,
     /// Per-(src,dst) sequence number, starting at 1. Duplicate detection.
     pub seq: u64,
-    /// FNV-1a over (from, tag, seq, payload bits). Corruption detection.
+    /// [`checksum`] over (from, tag, seq, payload). Corruption detection.
     pub checksum: u64,
     /// Payload.
     pub data: Vec<f64>,
 }
 
+/// One checksum step. For a fixed state it is a bijection of the word,
+/// and for a fixed word a bijection of the state (xor, multiplication
+/// by an odd constant and rotation are each invertible), so a change to
+/// one word changes every state after it.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29)
+}
+
 /// Checksum covering the integrity envelope and the payload bits.
+///
+/// Word-wise over four independent lanes (payload word `i` feeds lane
+/// `i % 4`), so the multiplications of neighbouring words overlap
+/// rather than forming one dependent chain. The header folds
+/// into lane 0 ahead of the payload; the length and the four lanes fold
+/// at the end by the same step. Every step is a bijection in each
+/// input, so any change confined to one 64-bit word — of the
+/// payload or of `from`, `tag` or `seq` — changes the checksum with
+/// certainty, which covers every bit flip a [`FaultPlan`] injects.
 pub fn checksum(from: u32, tag: u64, seq: u64, data: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for i in 0..8 {
-            h ^= (v >> (i * 8)) & 0xff;
-            h = h.wrapping_mul(0x100_0000_01b3);
+    let mut lanes = [0xcbf2_9ce4_8422_2325, 1, 2, 3];
+    lanes[0] = mix(mix(mix(lanes[0], from as u64), tag), seq);
+    let mut words = data.chunks_exact(4);
+    for w in &mut words {
+        for (lane, x) in lanes.iter_mut().zip(w) {
+            *lane = mix(*lane, x.to_bits());
         }
-    };
-    eat(from as u64);
-    eat(tag);
-    eat(seq);
-    for x in data {
-        eat(x.to_bits());
     }
-    h
+    for (lane, x) in lanes.iter_mut().zip(words.remainder()) {
+        *lane = mix(*lane, x.to_bits());
+    }
+    let h = mix(lanes[0], data.len() as u64);
+    lanes[1..].iter().fold(h, |h, &lane| mix(h, lane))
 }
 
 impl Msg {
     fn is_intact(&self) -> bool {
         self.checksum == checksum(self.from, self.tag, self.seq, &self.data)
+    }
+
+    /// The corruption a [`Disposition::Corrupt`] attempt carries: bit 17
+    /// of payload word `seq % len` flipped, or the checksum itself
+    /// garbled when there is no payload.
+    fn corrupt(&mut self) {
+        let victim = (self.seq as usize) % self.data.len().max(1);
+        if let Some(x) = self.data.get_mut(victim) {
+            *x = f64::from_bits(x.to_bits() ^ (1 << 17));
+        } else {
+            self.checksum ^= 0xdead_beef;
+        }
     }
 }
 
@@ -455,12 +484,7 @@ impl RankComm {
                     self.counters.injected_corrupt += 1;
                     self.counters.retransmits += 1;
                     let mut bad = copy();
-                    let victim = (seq as usize) % bad.data.len().max(1);
-                    if let Some(x) = bad.data.get_mut(victim) {
-                        *x = f64::from_bits(x.to_bits() ^ (1 << 17));
-                    } else {
-                        bad.checksum ^= 0xdead_beef;
-                    }
+                    bad.corrupt();
                     self.push(to, bad, attempt.delay);
                 }
                 Disposition::Deliver => {
@@ -1125,6 +1149,54 @@ mod tests {
             r0.counters
         );
         assert!(r1.counters.any_recovery(), "receiver saw no faults");
+    }
+
+    /// Any change confined to one word changes the checksum: every bit
+    /// of every payload word and of `from`, `tag` and `seq`, and one
+    /// word appended or dropped. The fault plan's own corruption is
+    /// screened out as `Corrupt` for every sequence number.
+    #[test]
+    fn checksum_catches_every_single_word_change() {
+        let (from, tag, seq) = (3u32, 0x1234_5678_9abc_u64, 41u64);
+        let mut rc = CommWorld::new(2).into_ranks().remove(1);
+        for len in [0usize, 1, 3, 4, 5, 8, 33] {
+            let data: Vec<f64> = (0..len).map(|i| i as f64 * 0.75 - 2.0).collect();
+            let sum = checksum(from, tag, seq, &data);
+            for i in 0..len {
+                for b in 0..64 {
+                    let mut flipped = data.clone();
+                    flipped[i] = f64::from_bits(flipped[i].to_bits() ^ (1 << b));
+                    let got = checksum(from, tag, seq, &flipped);
+                    assert_ne!(got, sum, "len {len}: word {i}, bit {b}");
+                }
+            }
+            for b in 0..64 {
+                if b < 32 {
+                    let got = checksum(from ^ (1 << b), tag, seq, &data);
+                    assert_ne!(got, sum, "len {len}: from bit {b}");
+                }
+                assert_ne!(checksum(from, tag ^ (1 << b), seq, &data), sum, "len {len}: tag bit {b}");
+                assert_ne!(checksum(from, tag, seq ^ (1 << b), &data), sum, "len {len}: seq bit {b}");
+            }
+            let mut longer = data.clone();
+            longer.push(1.0);
+            assert_ne!(checksum(from, tag, seq, &longer), sum, "len {len}: word appended");
+            if let Some((_, shorter)) = data.split_last() {
+                assert_ne!(checksum(from, tag, seq, shorter), sum, "len {len}: word dropped");
+            }
+            for seq in 0..512 {
+                let mut msg = Msg {
+                    from: 0,
+                    tag,
+                    seq,
+                    checksum: checksum(0, tag, seq, &data),
+                    data: data.clone(),
+                };
+                msg.corrupt();
+                let screened = rc.screen(0, tag, msg);
+                assert!(matches!(screened, Ok(Screened::Corrupt)), "len {len}: seq {seq} accepted");
+            }
+        }
     }
 
     /// take/recycle round-trips serve every subsequent borrow from the

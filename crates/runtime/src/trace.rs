@@ -32,13 +32,19 @@ pub struct ExchangeRec {
     /// reproduces — the paper's Tables 2/5 use ≤ 128 ranks per trace).
     pub nbr_bits: u128,
     /// Wall time spent packing send payloads, nanoseconds (the measured
-    /// side of Eq 3's per-byte pack cost `c`). Not compared by `==`.
+    /// side of Eq 3's per-byte pack cost `c`). Excludes the send-side
+    /// checksum `isend` computes, which falls in the calling loop's or
+    /// chain's wall outside this and the other two timers. Not compared
+    /// by `==`.
     pub pack_ns: u64,
     /// Wall time spent unpacking received payloads, nanoseconds. Not
     /// compared by `==`.
     pub unpack_ns: u64,
-    /// Wall time blocked waiting for neighbour messages (excluding
-    /// unpack), nanoseconds. Not compared by `==`.
+    /// Wall time in the receive calls for neighbour messages (excluding
+    /// unpack), nanoseconds. Not only time blocked on a peer: it
+    /// includes receiving and verifying the checksum of every copy
+    /// (discarded ones too) and any injected delay the receiver sleeps
+    /// out. Not compared by `==`.
     pub wait_ns: u64,
 }
 
