@@ -47,7 +47,6 @@ pub fn chain_time(mach: &Machine, rec: &ChainRec, gs: &[f64]) -> f64 {
                 .collect(),
             p: rec.exch.n_neighbors,
             m_r_bytes: rec.exch.max_msg_bytes,
-            pack_s_per_byte: None,
         },
     )
 }

@@ -4,7 +4,8 @@
 //!
 //! Everything else is the caller's composition: threading, drain policy,
 //! pinning and faults through [`RunOptions`]; tuned chain dispatch
-//! through [`Job::dispatch`]; supervision, rebalancing
+//! (`ChainDispatch::Tuned`, which times both backends on the chain's
+//! first calls) through [`Job::dispatch`]; supervision, rebalancing
 //! and the resident service by handing [`job`]'s program to
 //! [`op2_runtime::run_job_supervised`],
 //! [`op2_runtime::run_job_rebalanced`] or
@@ -129,7 +130,7 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-    use op2_runtime::{ChainDispatch, Service, Threading, Tuner};
+    use op2_runtime::{Backend, ChainDispatch, FaultPlan, FaultSpec, Service, Threading};
 
     /// Build `variant`'s job with the given chain dispatch and run it.
     fn go(
@@ -241,136 +242,63 @@ mod tests {
     }
 
     /// The adaptive back-end matches the sequential reference and makes
-    /// the identical decision on every rank.
+    /// the identical decision on every rank. Seven iterations: six probe
+    /// calls, then a decided one.
     #[test]
     fn tuned_matches_sequential_with_identical_decisions() {
         let params = MgCfdParams::small(7);
-        let iters = 3;
+        let iters = 7;
         let mut seq_app = MgCfd::new(params);
         let reference = run_sequential(&mut seq_app, iters);
 
         let mut app = MgCfd::new(params);
         let layouts = layouts_for(&app, 4);
-        let tuned = ChainDispatch::Tuned {
-            mach: op2_model::Machine::archer2(),
-            fixed_g: Some(5e-8),
-        };
-        let out = go(&mut app, &layouts, Variant::Ca, iters, tuned, &RunOptions::default());
+        let out = go(&mut app, &layouts, Variant::Ca, iters, ChainDispatch::Tuned, &RunOptions::default());
         let err = (reference.rms - out.rms).abs() / reference.rms.abs().max(1e-30);
         assert!(err < 1e-10, "adaptive back-end diverged: {err}");
 
-        // Everything but the per-rank measured wall clock is rank-agreed.
-        let agreed = |t: &RankTrace| -> Vec<_> {
-            t.tuner
-                .iter()
-                .map(|r| op2_runtime::TunerRec {
-                    t_measured_ns: 0,
-                    ..r.clone()
-                })
-                .collect()
-        };
-        let first = agreed(&out.traces[0]);
-        assert!(!first.is_empty(), "calibration must record a decision");
+        let first = &out.traces[0].tuner;
+        assert_eq!(first.len(), 1, "the synthetic chain is decided once");
         for t in &out.traces[1..] {
-            assert_eq!(agreed(t), first, "rank {} decided differently", t.rank);
+            assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
         }
     }
 
-    /// Calibration measures wall-clock, which a journaled replay cannot
+    /// The probes measure wall-clock, which a journaled replay cannot
     /// reproduce: the supervised hosts refuse a tuned job, typed.
     #[test]
     fn tuned_job_is_rejected_under_supervision() {
         let mut app = MgCfd::new(MgCfdParams::small(6));
         let layouts = layouts_for(&app, 2);
-        let tuned = job(&app, Variant::Ca, 1).dispatch(ChainDispatch::Tuned {
-            mach: op2_model::Machine::archer2(),
-            fixed_g: None,
-        });
+        let tuned = job(&app, Variant::Ca, 1).dispatch(ChainDispatch::Tuned);
         let sopts = op2_runtime::SuperviseOptions::default();
         let out = op2_runtime::run_job_supervised(&mut app.dom, &layouts, &tuned, &sopts);
         assert!(matches!(out, Err(RuntimeError::Core(_))), "{out:?}");
     }
 
-    /// Acceptance criterion: on the synthetic `update`/`edge_flux` chain
-    /// fixture, the tuner's online (allreduced, layout-derived) decision
-    /// matches `profit::classify` evaluated offline on the same
-    /// partition's `HaloStats` — and repeat dispatches hit the plan
-    /// cache when the chain executor is chosen.
+    /// With every message delayed by up to 2 ms, the flattened chain's
+    /// four `edge_flux` exchanges cost several times the CA chain's one
+    /// grouped exchange: the timed probes pick Ca, on every rank.
     #[test]
-    fn tuner_decision_matches_offline_classify() {
-        use op2_model::{chain_components, classify, shape_from_sigs, Machine};
-        use op2_partition::collect_stats;
-        use op2_runtime::Backend;
-
-        const G: f64 = 5e-8;
-        let mut params = MgCfdParams::small(7);
+    fn tuner_picks_ca_when_messages_are_slow() {
+        let mut params = MgCfdParams::small(6);
         params.nchains = 4;
         let mut app = MgCfd::new(params);
-        let chain = app
-            .iteration(true)
-            .into_iter()
-            .find_map(|s| match s {
-                Step::Chain(c) => Some(c),
-                _ => None,
-            })
-            .expect("the synthetic chain");
-
-        let coords = &app.dom.dat(app.levels[0].ids.coords).data;
-        let base = rcb_partition(coords, 3, 4);
-        let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, 4);
-        let stats = collect_stats(&app.dom, &own, 2, 2);
-        let layouts = build_layouts(&app.dom, &own, 2);
-
-        // Offline judgement, same entry state (chain dats dirty).
-        let g = vec![G; chain.len()];
-        let shape = shape_from_sigs(
-            &app.dom,
-            &chain.name,
-            &chain.sigs(),
-            &chain.halo_ext,
-            &g,
-            &|_| 0,
-        );
-        let prof = classify(&Machine::archer2(), &chain_components(&stats, &shape));
-        let expected = if prof.enable_ca {
-            Backend::Ca
-        } else {
-            Backend::Op2
+        let layouts = layouts_for(&app, 2);
+        let opts = RunOptions {
+            faults: Some(std::sync::Arc::new(FaultPlan::new(FaultSpec {
+                delay_permille: 1000,
+                max_delay: std::time::Duration::from_millis(2),
+                ..FaultSpec::default()
+            }))),
+            ..RunOptions::default()
         };
-
-        let chain_ref = &chain;
-        let out = op2_runtime::run_distributed(&mut app.dom, &layouts, |env| {
-            let mut tuner = Tuner::new(Machine::archer2()).with_fixed_g(G);
-            for sig in chain_ref.sigs() {
-                for d in sig.dats() {
-                    env.valid[d.idx()] = 0;
-                }
-            }
-            for _ in 0..4 {
-                tuner.run_chain(env, chain_ref)?;
-            }
-            Ok(tuner.decision(chain_ref).expect("calibrated"))
-        });
-        for t in &out.traces {
-            assert_eq!(t.tuner.len(), 1);
-            assert_eq!(t.tuner[0].backend, expected, "rank {}", t.rank);
-            assert_eq!(
-                t.tuner[0].class,
-                prof.class.into(),
-                "rank {} class mismatch",
-                t.rank
-            );
-            if expected == Backend::Ca {
-                assert!(
-                    t.plan.hits >= 1,
-                    "rank {}: repeat dispatches must hit the plan cache, {:?}",
-                    t.rank,
-                    t.plan
-                );
-            }
-        }
-        for decided in out.unwrap_results() {
-            assert_eq!(decided, expected);
+        let out = go(&mut app, &layouts, Variant::Ca, 7, ChainDispatch::Tuned, &opts);
+        let first = &out.traces[0].tuner;
+        assert_eq!(first.len(), 1, "{first:?}");
+        assert_eq!(first[0].backend, Backend::Ca, "{first:?}");
+        for t in &out.traces[1..] {
+            assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
         }
     }
 

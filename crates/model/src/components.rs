@@ -205,43 +205,6 @@ impl ChainComponents {
             (ca - op2) / op2 * 100.0
         }
     }
-
-    /// These components with every loop's `g` replaced by the effective
-    /// `threads`-way cost ([`crate::profit::threaded_g`]), each loop
-    /// re-executing a share `redundancy` of its iterations and
-    /// amortising `n_levels` barriers over its own iteration count.
-    /// Communication terms are untouched — threading shrinks only the
-    /// compute side of Eqs 1–3.
-    pub fn with_threads(
-        &self,
-        threads: usize,
-        n_levels: usize,
-        redundancy: f64,
-        sync_s: f64,
-    ) -> ChainComponents {
-        let threaded = |g: f64, iters: usize| {
-            crate::profit::threaded_g(g, threads, n_levels, redundancy, sync_s, iters)
-        };
-        let mut out = self.clone();
-        for l in &mut out.op2_loops {
-            l.g = threaded(l.g, l.s_core + l.s_halo);
-        }
-        for (g, core, halo) in &mut out.ca.loops {
-            *g = threaded(*g, *core + *halo);
-        }
-        out
-    }
-
-    /// These components with Eq 3's pack term `c` replaced by a
-    /// *measured* per-byte pack cost (seconds/byte) — the runtime feeds
-    /// the traced pack wall-time of real exchanges here, so the CA
-    /// decision prices the engine actually running (pooled buffers,
-    /// threaded pack) instead of the machine's baked-in `pack_rate`.
-    pub fn with_pack_cost(&self, s_per_byte: f64) -> ChainComponents {
-        let mut out = self.clone();
-        out.ca.pack_s_per_byte = Some(s_per_byte);
-        out
-    }
 }
 
 /// Combine a chain shape with measured halo statistics, taking the
@@ -346,7 +309,6 @@ pub fn chain_components(stats: &HaloStats, shape: &ChainShape) -> ChainComponent
             loops: ca_loops,
             p,
             m_r_bytes: m_r,
-            pack_s_per_byte: None,
         },
         op2_comm_bytes,
         op2_core: op2_core_total,

@@ -44,10 +44,6 @@ pub struct CaChainInput {
     pub p: usize,
     /// Grouped message size in bytes `m^r` (max over neighbours).
     pub m_r_bytes: usize,
-    /// Measured pack cost in seconds per byte, replacing the machine's
-    /// constant `c` term (`1 / pack_rate`) when available. The runtime
-    /// tuner fills this from the traced pack timings of real exchanges.
-    pub pack_s_per_byte: Option<f64>,
 }
 
 /// Eq 1 (CPU) / its §3.3 extension (GPU): runtime of one standard OP2
@@ -95,7 +91,8 @@ pub fn t_op2_chain(mach: &Machine, loops: &[LoopInput]) -> f64 {
 pub fn t_ca_chain(mach: &Machine, c: &CaChainInput) -> f64 {
     let compute_core: f64 = c.loops.iter().map(|&(g, s, _)| g * s as f64).sum();
     let compute_halo: f64 = c.loops.iter().map(|&(g, _, s)| g * s as f64).sum();
-    let pack = c.m_r_bytes as f64 * c.pack_s_per_byte.unwrap_or(1.0 / mach.pack_rate);
+    // Eq 3's pack cost `c` is seconds per byte: `1 / pack_rate`.
+    let pack = c.m_r_bytes as f64 * (1.0 / mach.pack_rate);
     match mach.kind {
         MachineKind::Cpu => {
             let comm = c.p as f64 * (mach.latency + c.m_r_bytes as f64 / mach.bandwidth + pack);
@@ -195,7 +192,6 @@ mod tests {
             loops: (0..n).map(|_| (m.g_default, 40, 90)).collect(),
             p: 8,
             m_r_bytes: 1024,
-            pack_s_per_byte: None,
         };
         let t_ca = t_ca_chain(&m, &ca);
         assert!(
@@ -222,7 +218,6 @@ mod tests {
             ],
             p: 4,
             m_r_bytes: 2048,
-            pack_s_per_byte: None,
         };
         let t_ca = t_ca_chain(&m, &ca);
         assert!(t_ca > t_op2, "CA should lose compute-bound: {t_ca} vs {t_op2}");
@@ -258,7 +253,6 @@ mod tests {
             loops: (0..n).map(|_| (m.g_default, 18_000, 5000)).collect(),
             p: 6,
             m_r_bytes: 240_000,
-            pack_s_per_byte: None,
         };
         let t_ca = t_ca_chain(&m, &ca);
         assert!(t_ca < t_op2, "GPU grouping should win: {t_ca} vs {t_op2}");

@@ -32,5 +32,5 @@ pub mod scaling;
 pub use components::{chain_components, shape_from_sigs, shape_from_sigs_relaxed, ChainComponents, LoopShape};
 pub use eqs::{t_ca_chain, t_op2_chain, t_op2_loop, CaChainInput, LoopInput};
 pub use machine::{Machine, MachineKind};
-pub use profit::{classify, threaded_g, ChainClass, Profitability, COLOR_SYNC_S};
+pub use profit::{classify, ChainClass, Profitability};
 pub use scaling::extrapolate_components;

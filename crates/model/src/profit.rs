@@ -68,33 +68,6 @@ pub fn classify(mach: &Machine, comp: &ChainComponents) -> Profitability {
     }
 }
 
-/// Default per-level synchronisation cost of the threaded executor
-/// (seconds): one pool barrier — dispatch, cursor drain, latch — per
-/// schedule level. Calibrated to the in-process `std::thread` pool; real
-/// MPI+X runs would measure it.
-pub const COLOR_SYNC_S: f64 = 5e-6;
-
-/// Effective per-iteration cost with `threads`-way execution of a loop
-/// whose lowering has `n_levels` levels and re-executes a share
-/// `redundancy` of its iterations (owner-computes cut iterations; 0 for
-/// the colored fallback): `g·(1+ρ)/t` for the compute (perfect
-/// intra-level scaling, the model's idealisation) plus `n_levels` pool
-/// barriers of `sync_s` amortised over the loop's `iters` iterations.
-/// With 1 thread or no iterations this is `g` unchanged.
-pub fn threaded_g(
-    g: f64,
-    threads: usize,
-    n_levels: usize,
-    redundancy: f64,
-    sync_s: f64,
-    iters: usize,
-) -> f64 {
-    if threads <= 1 || iters == 0 {
-        return g;
-    }
-    g * (1.0 + redundancy) / threads as f64 + n_levels as f64 * sync_s / iters as f64
-}
-
 /// The paper's narrative for a class on a machine kind, for reports.
 pub fn narrative(class: ChainClass, kind: MachineKind) -> &'static str {
     match (class, kind) {
@@ -145,7 +118,6 @@ mod tests {
                 loops: vec![(5e-8, ca_iters, ca_iters / 3); 2],
                 p,
                 m_r_bytes: (ca_bytes / p as f64) as usize,
-                pack_s_per_byte: None,
             },
             op2_comm_bytes: op2_bytes,
             op2_core: 2 * op2_iters,
@@ -178,21 +150,6 @@ mod tests {
         let cpu = classify(&Machine::archer2(), &c);
         let gpu = classify(&Machine::cirrus(), &c);
         assert!(gpu.gain_pct > cpu.gain_pct);
-    }
-
-    /// `g·(1+ρ)/t + levels·sync/iters`: redundancy scales the compute
-    /// term, levels the barrier term; one thread pays neither.
-    #[test]
-    fn threaded_g_prices_redundancy_and_levels() {
-        let g = 8e-8;
-        assert_eq!(threaded_g(g, 1, 100, 0.5, COLOR_SYNC_S, 1000), g);
-        let owned = threaded_g(g, 2, 1, 0.02, COLOR_SYNC_S, 100_000);
-        assert!((owned - (g * 1.02 / 2.0 + COLOR_SYNC_S / 1e5)).abs() < 1e-18);
-        // A ladder of one level per 256-iteration block costs more than
-        // one thread; the single windowed level does not.
-        let ladder = threaded_g(g, 2, 100_000 / 256, 0.0, COLOR_SYNC_S, 100_000);
-        assert!(owned < g && g < ladder * 2.0);
-        assert!(owned < ladder);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub fn extrapolate_components(
             .collect(),
         p: comp.ca.p,
         m_r_bytes: surf(comp.ca.m_r_bytes),
-        pack_s_per_byte: None,
     };
     ChainComponents {
         op2_comm_bytes: comp.op2_comm_bytes * surf_ratio,
@@ -79,7 +78,6 @@ mod tests {
                 loops: vec![(1e-8, 7000, 1200)],
                 p: 6,
                 m_r_bytes: 6400,
-                pack_s_per_byte: None,
             },
             op2_comm_bytes: 2.0 * 2.0 * 6.0 * 3200.0,
             op2_core: 8000,

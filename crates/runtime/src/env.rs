@@ -170,7 +170,7 @@ impl<'a> RankEnv<'a> {
     /// reduction accumulators), one per [`op2_core::GblDecl`].
     ///
     /// With threading active and a range worth splitting, the range is
-    /// lowered for the rank's pool ([`RankEnv::build_loop_schedule`],
+    /// lowered for the rank's pool (`build_loop_schedule`,
     /// cached per (loop, range, block size, width) in the rank's
     /// [`PlanCache`]) and executed there. Results are bitwise identical
     /// either way.
@@ -242,11 +242,11 @@ impl<'a> RankEnv<'a> {
     /// Inspector: lower `[start, end)` of `spec` for this rank's pool
     /// width over its localized maps ([`thread_schedule`]) —
     /// owner-computes windows when the access descriptors admit it, the
-    /// block coloring at `block_size` otherwise. The one lowering the
-    /// executor runs and the tuner prices. Only executable iterations
-    /// are lowered, so every dereferenced map target is a valid local
-    /// index (the layout invariant the executor itself relies on).
-    pub fn build_loop_schedule(
+    /// block coloring at `block_size` otherwise. Only executable
+    /// iterations are lowered, so every dereferenced map target is a
+    /// valid local index (the layout invariant the executor itself
+    /// relies on).
+    fn build_loop_schedule(
         &self,
         spec: &LoopSpec,
         start: usize,

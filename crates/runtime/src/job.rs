@@ -10,7 +10,7 @@
 //! a step list calling the executors.
 //!
 //! How a *strict* chain step is dispatched — the planned Alg 2 executor
-//! or the model-driven [`Tuner`] — is one field of the job
+//! or the measuring [`Tuner`] — is one field of the job
 //! ([`ChainDispatch`]), read by the interpreter; relaxed
 //! chains always run [`run_chain_relaxed`] (their pinned extents are an
 //! accuracy contract, not a performance choice). Threading, drain
@@ -39,7 +39,6 @@ use crate::trace::RankTrace;
 use crate::tuner::Tuner;
 use op2_core::error::CoreError;
 use op2_core::{ChainSpec, DatId, Domain, LoopSpec};
-use op2_model::Machine;
 use op2_partition::RankLayout;
 use std::sync::{Arc, Mutex};
 
@@ -72,30 +71,20 @@ pub enum ChainDispatch {
     /// The planned Alg 2 executor ([`run_chain`]).
     #[default]
     Planned,
-    /// The adaptive back-end: a per-rank [`Tuner`] measures each chain's
-    /// first invocation (flattened Alg 1), classifies it with the §3.2
-    /// model on `mach`, and dispatches repeats to the winning backend.
-    /// Decisions are rank-agreed and recorded in the traces' `tuner`
-    /// lists. Calibration measures wall-clock, which a journaled replay
-    /// cannot reproduce, so the supervised hosts reject tuned jobs.
-    Tuned {
-        /// Machine model the classification runs on.
-        mach: Machine,
-        /// Pin the per-iteration cost `g` (seconds) for deterministic
-        /// decisions (tests); `None` measures.
-        fixed_g: Option<f64>,
-    },
+    /// The adaptive back-end: a per-rank [`Tuner`] times each chain's
+    /// first calls on both backends (flattened Alg 1 and Alg 2, in turn)
+    /// and dispatches the rest to the faster. Decisions are rank-agreed
+    /// and recorded in the traces' `tuner` lists. The probes measure
+    /// wall-clock, which a journaled replay cannot reproduce, so the
+    /// supervised hosts reject tuned jobs.
+    Tuned,
 }
 
 impl ChainDispatch {
     fn hash_into(&self, h: &mut u64) {
         match self {
             ChainDispatch::Planned => plan::fnv_usize(h, 0),
-            ChainDispatch::Tuned { mach, fixed_g } => {
-                plan::fnv_usize(h, 1);
-                plan::fnv_bytes(h, mach.name.as_bytes());
-                plan::fnv_bytes(h, &fixed_g.unwrap_or(f64::NAN).to_bits().to_le_bytes());
-            }
+            ChainDispatch::Tuned => plan::fnv_usize(h, 1),
         }
     }
 }
@@ -229,14 +218,8 @@ pub fn exec_job_program(
     env: &mut RankEnv<'_>,
     job: &Job,
 ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-    let mut tuner = match &job.dispatch {
-        ChainDispatch::Tuned { mach, fixed_g } => {
-            let t = Tuner::new(mach.clone());
-            Some(match fixed_g {
-                Some(g) => t.with_fixed_g(*g),
-                None => t,
-            })
-        }
+    let mut tuner = match job.dispatch {
+        ChainDispatch::Tuned => Some(Tuner::default()),
         ChainDispatch::Planned => None,
     };
     let mut exec_step = |env: &mut RankEnv<'_>, step: &JobStep| {
@@ -331,9 +314,9 @@ pub fn run_job_with_state(
     slots: &[Arc<Mutex<RankState>>],
     job_id: u64,
 ) -> Result<JobRun, RuntimeError> {
-    if matches!(job.dispatch, ChainDispatch::Tuned { .. }) {
+    if matches!(job.dispatch, ChainDispatch::Tuned) {
         return Err(CoreError::InvalidChain(format!(
-            "job `{}`: tuned chain dispatch calibrates on wall-clock and cannot be replayed \
+            "job `{}`: tuned chain dispatch decides on wall-clock and cannot be replayed \
              under supervision",
             job.name
         ))

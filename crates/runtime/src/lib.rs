@@ -38,10 +38,10 @@
 //!   level, or in chunk-dependency order under
 //!   `OP2_EXEC=dataflow`, bitwise identical to sequential execution
 //!   (`OP2_THREADS`).
-//! * [`tuner`] — model-driven adaptive dispatch: feeds measured loop
-//!   weights and layout-derived halo components into `op2-model`'s §3.2
-//!   equations and picks standard (Alg 1) or CA (Alg 2) execution per
-//!   chain online, recording each decision in the trace.
+//! * [`tuner`] — adaptive dispatch by measurement: times each strict
+//!   chain's first calls as standard (Alg 1) and CA (Alg 2) execution in
+//!   turn, dispatches the rest to the faster on every rank, and records
+//!   each decision in the trace.
 //! * [`checkpoint`] — chain-boundary checkpointing: epoch-tagged,
 //!   incremental (dirty-tracked) in-memory snapshots of each rank's dat
 //!   state, plus the unit journal that makes replay bit-exact.
@@ -115,11 +115,11 @@ pub use service::{
 };
 pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
 pub use threads::{
-    measure_sync_s, run_dag, run_schedule_dataflow, run_schedule_pooled_ctx,
-    DataflowScratch, ExecStats, ThreadCtx, ThreadPool, Threading,
+    run_dag, run_schedule_dataflow, run_schedule_pooled_ctx, DataflowScratch, ExecStats,
+    ThreadCtx, ThreadPool, Threading,
 };
 pub use trace::{
-    ChainRec, ClassRec, ExchangeRec, LoopRec, RankTrace, RebalanceRec, RecoveryRec, SchedKind,
+    ChainRec, ExchangeRec, LoopRec, RankTrace, RebalanceRec, RecoveryRec, SchedKind,
     ThreadRec, TunerRec,
 };
 pub use tuner::{Backend, Tuner};

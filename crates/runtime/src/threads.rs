@@ -654,27 +654,6 @@ pub fn run_schedule_dataflow(
     })
 }
 
-/// Measure the per-level synchronization cost of a pool: the mean
-/// wall-clock seconds of an empty round (dispatch + claim + barrier),
-/// averaged over `rounds` after a short warm-up. Feeds the profit
-/// model's barrier term in place of its compile-time constant
-/// ([`op2_model::profit::COLOR_SYNC_S`]); returns `0.0` for
-/// single-thread pools, whose rounds run inline.
-pub fn measure_sync_s(pool: &ThreadPool, rounds: usize) -> f64 {
-    assert!(rounds >= 1);
-    if pool.n_threads() <= 1 {
-        return 0.0;
-    }
-    for _ in 0..4 {
-        pool.run(pool.n_threads(), &|_| {});
-    }
-    let t0 = Instant::now();
-    for _ in 0..rounds {
-        pool.run(pool.n_threads(), &|_| {});
-    }
-    t0.elapsed().as_secs_f64() / rounds as f64
-}
-
 /// Per-rank execution resources that do not depend on the layout: the
 /// rank's **owned** worker pool (created lazily at the width the rank's
 /// policy configures — ranks do not share process-global pools) and the
@@ -882,15 +861,6 @@ mod tests {
             assert_eq!(stats.fires.iter().sum::<u64>() as usize, sched.n_chunks());
             assert_eq!(dom.dat(r).data, reference, "n_threads={n_threads}");
         }
-    }
-
-    #[test]
-    fn measured_sync_is_positive_for_real_pools() {
-        let pool = ThreadPool::new(2);
-        let s = measure_sync_s(&pool, 16);
-        assert!(s > 0.0);
-        let inline = ThreadPool::new(1);
-        assert_eq!(measure_sync_s(&inline, 16), 0.0);
     }
 
     /// Build a path-graph loop's colored schedule and its chunk DAG —

@@ -175,15 +175,11 @@ impl ChainRec {
 
 /// One adaptive-dispatch decision made by [`crate::tuner::Tuner`].
 ///
-/// The decision inputs are rank-agreed (allreduce-max) and the
-/// predictions come from §3.2's closed-form equations, so `backend`,
-/// `class` and the predicted times are identical on every rank.
-/// `t_measured_ns` is this rank's wall clock for the calibration run —
-/// the predicted-vs-measured comparison — and, with `sync_ns` (the
-/// agreed measured pool-barrier cost), the only wall-clock-derived
-/// fields; both may vary between runs, but `sync_ns` is allreduced so
-/// it never varies between ranks. Loop/chain trace records never carry
-/// wall-clock values, keeping the replay-determinism tests meaningful.
+/// The times are the best of each backend's compared probe calls after
+/// the allreduce-max, so the whole record is identical on every rank.
+/// They are wall-clock and vary between runs; loop/chain trace records
+/// never carry wall-clock values, keeping the replay-determinism tests
+/// meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TunerRec {
     /// Service job this decision was made for (0 outside the resident
@@ -191,28 +187,12 @@ pub struct TunerRec {
     pub job: u64,
     /// Chain name.
     pub chain: String,
-    /// Backend the tuner dispatched to.
+    /// Backend every later call of the chain dispatches to.
     pub backend: crate::tuner::Backend,
-    /// Model classification (Table 2's Reducing/GroupingOnly/Increasing).
-    pub class: ClassRec,
-    /// Predicted standard (Alg 1) chain time, nanoseconds.
-    pub t_op2_pred_ns: u64,
-    /// Predicted CA (Alg 2) chain time, nanoseconds.
-    pub t_ca_pred_ns: u64,
-    /// Measured wall clock of the flattened calibration run, nanoseconds.
-    pub t_measured_ns: u64,
-    /// Threads the decision was made for (1 = sequential model). The
-    /// calibration itself always measures sequentially — the tuner
-    /// derives the threaded `g` via [`op2_model::threaded_g`].
-    pub n_threads: usize,
-    /// Agreed (allreduce-max) per-barrier synchronisation cost the
-    /// threaded model priced pool rounds with, nanoseconds — measured on
-    /// each rank's own pool, replacing [`op2_model::COLOR_SYNC_S`]. Zero
-    /// for sequential decisions.
-    pub sync_ns: u64,
-    /// Predicted gain `(t_op2 - t_ca)/t_op2`, in thousandths of a percent
-    /// (milli-percent) so the record stays integer and `Eq`.
-    pub gain_milli_pct: i64,
+    /// Best flattened (Alg 1) probe, nanoseconds, max over ranks.
+    pub t_op2_ns: u64,
+    /// Best CA (Alg 2) probe, nanoseconds, max over ranks.
+    pub t_ca_ns: u64,
 }
 
 /// Which lowering produced a pooled [`op2_core::Schedule`] execution.
@@ -299,28 +279,6 @@ impl PartialEq for ThreadRec {
 }
 
 impl Eq for ThreadRec {}
-
-/// Trace-friendly mirror of [`op2_model::ChainClass`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ClassRec {
-    /// CA reduces communication volume.
-    #[default]
-    Reducing,
-    /// CA only groups messages; volume roughly unchanged.
-    GroupingOnly,
-    /// CA increases communication volume.
-    Increasing,
-}
-
-impl From<op2_model::ChainClass> for ClassRec {
-    fn from(c: op2_model::ChainClass) -> Self {
-        match c {
-            op2_model::ChainClass::CommunicationReducing => ClassRec::Reducing,
-            op2_model::ChainClass::GroupingOnly => ClassRec::GroupingOnly,
-            op2_model::ChainClass::CommunicationIncreasing => ClassRec::Increasing,
-        }
-    }
-}
 
 /// Self-healing counters for one rank: checkpoints taken, bytes
 /// snapshotted, rollbacks driven by the supervisor, and the replay work
