@@ -6,9 +6,11 @@
 //! blocking receives matched per source in FIFO order (sufficient because
 //! every rank executes the identical loop program, so at most the
 //! messages of one exchange round are in flight per peer and they are
-//! posted in deterministic order), plus a sum-allreduce used for global
+//! posted in deterministic order), plus an allreduce for global
 //! reduction arguments — the synchronisation point that terminates a
-//! loop-chain.
+//! loop-chain. It is a Bruck allgather (⌈log₂ n⌉ rounds, one message
+//! per rank per round) followed by a rank-ordered combine on every
+//! rank ([`RankComm::allreduce`]).
 //!
 //! Unlike the first-cut transport, this one does **not** assume a perfect
 //! substrate. Every message carries a sequence number and a checksum;
@@ -28,8 +30,8 @@
 //!
 //! ## Tag namespaces
 //!
-//! Caller-visible tags live below [`tags::USER_LIMIT`]. Collectives
-//! (allreduce, barrier) map their caller tag into a disjoint namespace at
+//! Caller-visible tags live below [`tags::USER_LIMIT`]. The allreduce
+//! maps its caller tag into a disjoint namespace at
 //! [`tags::COLLECTIVE_BASE`], so a collective can never collide with an
 //! adjacent point-to-point exchange no matter how callers pick tags; the
 //! control plane (hangup) sits above both at [`tags::CONTROL_BASE`].
@@ -51,19 +53,13 @@ pub mod tags {
     /// Hangup sentinel: "this rank is dead; stop waiting for it".
     pub const HANGUP: u64 = CONTROL_BASE;
 
-    /// Collective phases multiplexed onto one caller tag.
-    pub(super) const PHASE_TREE_GATHER: u64 = 0;
-    pub(super) const PHASE_TREE_BCAST: u64 = 1;
-    pub(super) const PHASE_LINEAR_GATHER: u64 = 2;
-    pub(super) const PHASE_LINEAR_BCAST: u64 = 3;
-
-    /// Map a caller tag + phase into the collective namespace.
-    pub(super) fn collective(tag: u64, phase: u64) -> u64 {
+    /// Map a caller tag into the collective namespace.
+    pub(super) fn collective(tag: u64) -> u64 {
         assert!(
-            tag < (1 << 57),
+            tag < USER_LIMIT,
             "collective tag {tag} too large to remap into the reserved namespace"
         );
-        COLLECTIVE_BASE | (tag << 2) | phase
+        COLLECTIVE_BASE | tag
     }
 }
 
@@ -821,117 +817,66 @@ impl RankComm {
         }
     }
 
-    /// Sum-allreduce (tree-based; see [`RankComm::allreduce`]).
+    /// Sum-allreduce (see [`RankComm::allreduce`]).
     pub fn allreduce_sum(&mut self, vals: &mut [f64], tag: u64) -> Result<(), CommError> {
         self.allreduce(vals, tag, op2_core::access::GblOp::Sum)
     }
 
     /// Allreduce with an arbitrary combining operator (sum / min / max).
     ///
-    /// Binomial-tree gather of the per-rank contribution *lists* (kept in
-    /// rank order), a single rank-ordered combine at the root, then a
-    /// binomial-tree broadcast — `O(log n)` rounds with a combine order
-    /// **identical to the linear gather**, so the result is bitwise
-    /// reproducible and bitwise equal to [`RankComm::allreduce_linear`].
+    /// A Bruck allgather of the per-rank contributions, then one local
+    /// combine. Rank `r` holds the contributions of ranks `r, r + 1, …`
+    /// (mod n) in that order; in the round where it holds `len` of them
+    /// it sends the first `min(len, n − len)` to rank `r − len` and
+    /// appends the block that arrives from rank `r + len`. After
+    /// ⌈log₂ n⌉ rounds every rank holds all `n` and combines them in
+    /// ascending rank order, the order of a linear gather at rank 0, so
+    /// every rank's result is bitwise identical and reproducible.
     ///
-    /// The caller tag is remapped into the reserved collective namespace;
-    /// adjacent caller tags can never collide with collective traffic.
+    /// Each rank sends one message per round: n⌈log₂ n⌉ messages per
+    /// allreduce for n > 2, against 2(n − 1) for a gather to a root and
+    /// a broadcast, but half the rounds on the critical path (one on two
+    /// ranks). For the 1–5 values a reduction argument carries, latency
+    /// dominates and a few more words per message are free.
+    ///
+    /// Every round uses the same tag, remapped into the reserved
+    /// collective namespace so adjacent caller tags can never collide
+    /// with collective traffic. Each round receives from a different
+    /// peer, and per-pair channels are FIFO, so a message cannot be
+    /// matched to the wrong round.
     pub fn allreduce(
         &mut self,
         vals: &mut [f64],
         tag: u64,
         op: op2_core::access::GblOp,
     ) -> Result<(), CommError> {
-        if self.n == 1 || vals.is_empty() {
+        let (n, dim, r) = (self.n, vals.len(), self.rank as usize);
+        if n == 1 || dim == 0 {
             return Ok(());
         }
-        let dim = vals.len();
-        let up = tags::collective(tag, tags::PHASE_TREE_GATHER);
-        let down = tags::collective(tag, tags::PHASE_TREE_BCAST);
-        let rank = self.rank as usize;
-        let n = self.n;
-
-        // Gather phase: `flat` holds the contributions of the contiguous
-        // rank range [rank, rank + subtree) in rank order.
-        let mut flat = vals.to_vec();
-        let mut step = 1usize;
-        let mut parent: Option<usize> = None;
-        while step < n {
-            if rank & step != 0 {
-                parent = Some(rank - step);
-                break;
-            }
-            if rank + step < n {
-                let part = self.recv((rank + step) as u32, up)?;
-                debug_assert_eq!(part.len() % dim.max(1), 0);
-                flat.extend_from_slice(&part);
-            }
-            step <<= 1;
+        let tag = tags::collective(tag);
+        let mut held = Vec::with_capacity(n * dim);
+        held.extend_from_slice(vals);
+        let mut len = 1;
+        while len < n {
+            let k = len.min(n - len);
+            self.isend(((r + n - len) % n) as u32, tag, held[..k * dim].to_vec());
+            let part = self.recv(((r + len) % n) as u32, tag)?;
+            assert_eq!(
+                part.len(),
+                k * dim,
+                "allreduce contributions differ in length"
+            );
+            held.extend_from_slice(&part);
+            len += k;
         }
-
-        let acc = if let Some(p) = parent {
-            self.isend(p as u32, up, flat);
-            self.recv(p as u32, down)?
-        } else {
-            // Root: combine every rank's contribution in ascending rank
-            // order — the exact order of the linear gather.
-            let mut acc = flat[..dim].to_vec();
-            for r in 1..n {
-                for (a, &p) in acc.iter_mut().zip(&flat[r * dim..(r + 1) * dim]) {
-                    *a = op.combine(*a, p);
-                }
+        // Rank q's contribution is block (q − r) mod n.
+        let block = |q: usize| &held[(q + n - r) % n * dim..][..dim];
+        vals.copy_from_slice(block(0));
+        for q in 1..n {
+            for (a, &p) in vals.iter_mut().zip(block(q)) {
+                *a = op.combine(*a, p);
             }
-            acc
-        };
-
-        // Broadcast phase: forward down the same tree, largest child
-        // first.
-        let lsb = if rank == 0 {
-            n.next_power_of_two()
-        } else {
-            rank & rank.wrapping_neg()
-        };
-        let mut child_step = lsb >> 1;
-        while child_step >= 1 {
-            if rank + child_step < n {
-                self.isend((rank + child_step) as u32, down, acc.clone());
-            }
-            child_step >>= 1;
-        }
-        vals.copy_from_slice(&acc);
-        Ok(())
-    }
-
-    /// The original O(n) rank-0 linear gather + broadcast, kept as the
-    /// reference the tree path is asserted bitwise-equal against.
-    pub fn allreduce_linear(
-        &mut self,
-        vals: &mut [f64],
-        tag: u64,
-        op: op2_core::access::GblOp,
-    ) -> Result<(), CommError> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let up = tags::collective(tag, tags::PHASE_LINEAR_GATHER);
-        let down = tags::collective(tag, tags::PHASE_LINEAR_BCAST);
-        if self.rank == 0 {
-            let mut acc = vals.to_vec();
-            for src in 1..self.n as u32 {
-                let part = self.recv(src, up)?;
-                assert_eq!(part.len(), acc.len());
-                for (a, p) in acc.iter_mut().zip(&part) {
-                    *a = op.combine(*a, *p);
-                }
-            }
-            for dst in 1..self.n as u32 {
-                self.isend(dst, down, acc.clone());
-            }
-            vals.copy_from_slice(&acc);
-        } else {
-            self.isend(0, up, vals.to_vec());
-            let acc = self.recv(0, down)?;
-            vals.copy_from_slice(&acc);
         }
         Ok(())
     }
@@ -961,34 +906,43 @@ mod tests {
         assert_eq!(r0.sent_bytes, 24);
     }
 
-    fn spawn_allreduce(
-        n: usize,
-        linear: bool,
-    ) -> Vec<Vec<f64>> {
-        let ranks = CommWorld::new(n).into_ranks();
-        let handles: Vec<_> = ranks
-            .into_iter()
-            .map(|mut rc| {
-                std::thread::spawn(move || {
-                    // Values chosen to make float combine order visible:
-                    // wildly different magnitudes per rank.
-                    let r = rc.rank as f64;
-                    let mut v = vec![
-                        (r + 1.0) * 1e-3 + 0.1,
-                        10.0_f64.powf(r - 2.0),
-                        -(r * 7.0 + 0.3),
-                    ];
-                    if linear {
-                        rc.allreduce_linear(&mut v, 100, GblOp::Sum).unwrap();
-                    } else {
-                        rc.allreduce(&mut v, 100, GblOp::Sum).unwrap();
-                    }
-                    v
-                })
+    /// One rank's contribution: magnitudes so far apart across ranks
+    /// that any other combine order changes the bits of the sum, and a
+    /// sign that makes `Min`/`Max` pick ranks from the middle.
+    fn contribution(rank: u32) -> Vec<f64> {
+        let r = rank as f64;
+        vec![(r + 1.0) * 1e-3 + 0.1, 10f64.powf(r - 2.0), -(r * 7.0 + 0.3), (r * 3.7).sin()]
+    }
+
+    /// The bits of every contribution combined in ascending rank order,
+    /// as a linear gather at rank 0 combines them.
+    fn rank_ordered_fold(n: usize, op: GblOp) -> Vec<u64> {
+        let mut acc = contribution(0);
+        for q in 1..n as u32 {
+            acc.iter_mut().zip(contribution(q)).for_each(|(a, p)| *a = op.combine(*a, p));
+        }
+        acc.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `reps` allreduces of [`contribution`] on every rank of `world`:
+    /// the bits of each rank's last result, its logical sends and its
+    /// transport counters.
+    fn run_allreduce(world: CommWorld, op: GblOp, reps: usize) -> Vec<(Vec<u64>, u64, CommCounters)> {
+        let spawn = |mut rc: RankComm| {
+            std::thread::spawn(move || {
+                let mut v = Vec::new();
+                for _ in 0..reps {
+                    v = contribution(rc.rank);
+                    rc.allreduce(&mut v, 100, op).unwrap();
+                }
+                (v.iter().map(|x| x.to_bits()).collect(), rc.sent_msgs, rc.counters)
             })
-            .collect();
+        };
+        let handles: Vec<_> = world.into_ranks().into_iter().map(spawn).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     }
+
+    const OPS: [GblOp; 3] = [GblOp::Sum, GblOp::Min, GblOp::Max];
 
     #[test]
     fn allreduce_sums_across_ranks() {
@@ -1009,36 +963,57 @@ mod tests {
         }
     }
 
-    /// The tree reduction is bitwise identical to the linear gather for
-    /// every world size (including non-powers of two), because both
-    /// combine contributions in ascending rank order.
+    /// Every rank's result is bitwise the rank-ordered fold, for every
+    /// world size up to 8 (powers of two and not) and every operator.
     #[test]
-    fn tree_allreduce_matches_linear_bitwise() {
-        for n in [2usize, 3, 4, 5, 7, 8] {
-            let tree = spawn_allreduce(n, false);
-            let linear = spawn_allreduce(n, true);
-            for (t, l) in tree.iter().zip(&linear) {
-                for (a, b) in t.iter().zip(l) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
+    fn allreduce_matches_rank_ordered_fold_bitwise() {
+        for n in [1usize, 2, 3, 4, 5, 7, 8] {
+            for op in OPS {
+                let want = rank_ordered_fold(n, op);
+                for (rank, (got, _, _)) in run_allreduce(CommWorld::new(n), op, 1).iter().enumerate() {
+                    assert_eq!(got, &want, "n={n} {op:?} rank {rank}");
                 }
             }
-            // And min/max agree too.
-            let ranks = CommWorld::new(n).into_ranks();
-            let hs: Vec<_> = ranks
-                .into_iter()
-                .map(|mut rc| {
-                    std::thread::spawn(move || {
-                        let mut v = [rc.rank as f64, -(rc.rank as f64)];
-                        rc.allreduce(&mut v, 7, GblOp::Max).unwrap();
-                        v
-                    })
-                })
-                .collect();
-            for h in hs {
-                let v = h.join().unwrap();
-                assert_eq!(v, [(n - 1) as f64, 0.0], "n={n}");
+        }
+    }
+
+    /// One message per rank per round, ⌈log₂ n⌉ rounds; none at n = 1.
+    #[test]
+    fn allreduce_sends_ceil_log2_n_messages_per_rank() {
+        for n in 1usize..=8 {
+            let rounds = n.next_power_of_two().trailing_zeros() as u64;
+            for (rank, (_, sent, _)) in run_allreduce(CommWorld::new(n), GblOp::Sum, 1).iter().enumerate() {
+                assert_eq!(*sent, rounds, "n={n} rank {rank}");
             }
         }
+    }
+
+    /// Delayed, duplicated and corrupted copies change timing and
+    /// counters, never the reduced bits. Two allreduces run back to back
+    /// so the second also screens the first one's late duplicates.
+    #[test]
+    fn allreduce_under_faults_matches_fault_free_bitwise() {
+        let spec = FaultSpec {
+            seed: 0x5eed,
+            dup_permille: 300,
+            corrupt_permille: 300,
+            delay_permille: 300,
+            ..FaultSpec::default()
+        };
+        let plan = Arc::new(FaultPlan::new(spec));
+        let mut seen = CommCounters::default();
+        for n in [2usize, 3, 5] {
+            for op in OPS {
+                let clean = run_allreduce(CommWorld::new(n), op, 1);
+                let faulted = run_allreduce(CommWorld::with_faults(n, plan.clone()), op, 2);
+                for (rank, (c, f)) in clean.iter().zip(&faulted).enumerate() {
+                    assert_eq!(f.0, c.0, "n={n} {op:?} rank {rank}");
+                    seen.add(&f.2);
+                }
+            }
+        }
+        let fired = seen.delayed > 0 && seen.duplicates_dropped > 0 && seen.corrupt_dropped > 0;
+        assert!(fired, "fault plan never fired on some fault kind: {seen:?}");
     }
 
     /// Tag mismatch is a typed error now, not a panic.
@@ -1308,14 +1283,14 @@ mod tests {
     /// the user payload in its place).
     #[test]
     fn collective_tags_disjoint_from_user_tags() {
-        // Structural: remapped tags are in the reserved range, phases
-        // distinct, user tags untouched.
-        let g = tags::collective(100, tags::PHASE_TREE_GATHER);
-        let b = tags::collective(100, tags::PHASE_TREE_BCAST);
-        let lg = tags::collective(100, tags::PHASE_LINEAR_GATHER);
-        assert!((tags::COLLECTIVE_BASE..tags::CONTROL_BASE).contains(&g));
-        assert!(g != b && b != lg && g != lg);
-        assert!(101 < tags::USER_LIMIT && g != 101 && b != 101);
+        // Structural: remapped tags are in the reserved range, distinct
+        // per caller tag, user tags untouched.
+        let c = tags::collective(100);
+        assert!((tags::COLLECTIVE_BASE..tags::CONTROL_BASE).contains(&c));
+        assert!((tags::COLLECTIVE_BASE..tags::CONTROL_BASE)
+            .contains(&tags::collective(tags::USER_LIMIT - 1)));
+        assert_ne!(c, tags::collective(101));
+        assert!(101 < tags::USER_LIMIT && c != 101);
 
         // Behavioural: allreduce on tag 100 + p2p on the adjacent tag
         // 101, in program order, both deliver their own payloads.

@@ -265,6 +265,11 @@ where
             .collect()
     });
 
+    // The rank environments are gone, but what they freed stays in the
+    // rank threads' malloc arenas. Hand it back before the scatter below
+    // first touches the global dats' zeroed pages, so peak RSS does not
+    // depend on the order in which the ranks exited.
+    release_freed_heap();
     let mut traces = Vec::with_capacity(nparts);
     let mut results = Vec::with_capacity(nparts);
     for (layout, slot) in layouts.iter().zip(collected.iter_mut()) {
@@ -278,6 +283,21 @@ where
         results.push(verdict);
     }
     DistOutcome { traces, results }
+}
+
+/// Return the free pages of every malloc arena to the OS (glibc's
+/// `malloc_trim`); nothing on other targets.
+fn release_freed_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and touches only glibc's
+        // own allocator state, under the arena locks; any thread may call
+        // it at any time.
+        unsafe { malloc_trim(0) };
+    }
 }
 
 #[cfg(test)]
