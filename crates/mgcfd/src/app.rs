@@ -319,36 +319,60 @@ impl MgCfd {
         ChainSpec::new("synthetic", loops, None, &[])
     }
 
-    /// One time-marching iteration of the full program: solver V-cycle,
-    /// pressure refresh, synthetic chain. With `ca = false` the chain is
-    /// flattened into standard loops (the OP2 baseline).
+    /// One time-marching iteration of the full program: the solver's
+    /// V-cycle with the pressure refresh, then the synthetic chain. With
+    /// `ca = true` the V-cycle runs as two CA chains, cut after the
+    /// fine-level residual: `vdown` (`compute_step_factor_l0`,
+    /// `compute_flux_edge_l0`, `boundary_flux_l0`; extents all 1) and
+    /// `vup` (restriction, the coarse levels, prolongation, the fine
+    /// `time_step` and `write_pres`; depth `levels` for `levels ≥ 2`).
+    /// That break is a measured choice (EXPERIMENTS.md): among the
+    /// two-chain splits that fit depth-2 layouts it is the fastest on a
+    /// delayed wire and ties the others elsewhere. With `ca = false`
+    /// the same loops run flattened, in the same order (the OP2
+    /// baseline and the sequential reference).
     pub fn iteration(&self, ca: bool) -> Vec<Step> {
-        let mut steps = Vec::new();
-        steps.push(Step::Loop(self.step_factor_loop(0)));
-        steps.push(Step::Loop(self.flux_loop(0)));
-        steps.push(Step::Loop(self.boundary_loop(0)));
+        let levels = self.params.levels;
+        let mut vcycle = vec![self.step_factor_loop(0), self.flux_loop(0), self.boundary_loop(0)];
+        let fine_residual = vcycle.len();
         // V-cycle down.
-        for l in 0..self.params.levels - 1 {
-            steps.push(Step::Loop(self.restrict_loop(l)));
-            steps.push(Step::Loop(self.flux_loop(l + 1)));
+        for l in 0..levels - 1 {
+            vcycle.push(self.restrict_loop(l));
+            vcycle.push(self.flux_loop(l + 1));
         }
         // Coarse updates + prolongation back up.
-        for l in (0..self.params.levels - 1).rev() {
-            steps.push(Step::Loop(self.step_factor_loop(l + 1)));
-            steps.push(Step::Loop(self.time_step_loop(l + 1)));
-            steps.push(Step::Loop(self.prolong_loop(l)));
+        for l in (0..levels - 1).rev() {
+            vcycle.push(self.step_factor_loop(l + 1));
+            vcycle.push(self.time_step_loop(l + 1));
+            vcycle.push(self.prolong_loop(l));
         }
-        steps.push(Step::Loop(self.time_step_loop(0)));
-        steps.push(Step::Loop(self.write_pres_loop()));
-        let chain = self.synthetic_chain().expect("synthetic chain is valid");
-        if ca {
-            steps.push(Step::Chain(chain));
-        } else {
-            for l in chain.loops {
-                steps.push(Step::Loop(l));
-            }
+        vcycle.push(self.time_step_loop(0));
+        vcycle.push(self.write_pres_loop());
+        let synthetic = self.synthetic_chain().expect("synthetic chain is valid");
+        if !ca {
+            return vcycle.into_iter().chain(synthetic.loops).map(Step::Loop).collect();
         }
-        steps
+        let vup = vcycle.split_off(fine_residual);
+        let chain =
+            |name, loops| ChainSpec::new(name, loops, None, &[]).expect("V-cycle chain is valid");
+        vec![
+            Step::Chain(chain("vdown", vcycle)),
+            Step::Chain(chain("vup", vup)),
+            Step::Chain(synthetic),
+        ]
+    }
+
+    /// Deepest halo layer any chain of [`MgCfd::iteration`] needs — the
+    /// layout build depth: 2 for `levels ≤ 2`, `levels` beyond.
+    pub fn required_depth(&self) -> usize {
+        self.iteration(true)
+            .iter()
+            .map(|s| match s {
+                Step::Chain(c) => c.max_halo_layers(),
+                Step::Loop(_) => 1,
+            })
+            .max()
+            .unwrap_or(1)
     }
 
     /// Validate every loop of one iteration against the domain.
@@ -445,8 +469,39 @@ mod tests {
         let app = MgCfd::new(MgCfdParams::small(5));
         let op2 = app.iteration(false);
         let ca = app.iteration(true);
-        // CA replaces 2*nchains loops with one chain step.
-        assert_eq!(op2.len(), ca.len() + 2 * app.params.nchains - 1);
-        assert!(matches!(ca.last(), Some(Step::Chain(_))));
+        assert!(op2.iter().all(|s| matches!(s, Step::Loop(_))));
+        let chains: Vec<&ChainSpec> = ca
+            .iter()
+            .map(|s| match s {
+                Step::Chain(c) => c,
+                Step::Loop(l) => panic!("standalone loop `{}` in the CA program", l.name),
+            })
+            .collect();
+        let names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["vdown", "vup", "synthetic"]);
+        assert_eq!(chains[0].halo_ext, vec![1, 1, 1]);
+        assert_eq!(chains[1].halo_ext, vec![2, 2, 1, 1, 1, 1, 1]);
+        assert_eq!(chains[2].halo_ext, vec![2, 1, 2, 1]);
+        // The chains cover the flattened program, loop for loop, in order.
+        let flat: Vec<&str> = op2
+            .iter()
+            .map(|s| match s {
+                Step::Loop(l) => l.name.as_str(),
+                Step::Chain(_) => unreachable!(),
+            })
+            .collect();
+        let chained: Vec<&str> =
+            chains.iter().flat_map(|c| c.loops.iter().map(|l| l.name.as_str())).collect();
+        assert_eq!(flat, chained);
+        assert_eq!(flat.len(), 10 + 2 * app.params.nchains);
+    }
+
+    #[test]
+    fn required_depth_by_levels() {
+        for (levels, depth) in [(1, 2), (2, 2), (3, 3)] {
+            let mut p = MgCfdParams::small(9);
+            p.levels = levels;
+            assert_eq!(MgCfd::new(p).required_depth(), depth, "levels = {levels}");
+        }
     }
 }

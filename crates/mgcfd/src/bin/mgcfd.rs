@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Backends: `seq` (reference), `op2` (Alg 1 per loop), `ca` (Alg 2 for
-//! the synthetic chain). Prints the final flow norm, per-backend message
-//! statistics and the chain's execution plan.
+//! the V-cycle's two chains and the synthetic chain). Prints the final
+//! flow norm, per-backend message statistics and the synthetic chain's
+//! execution plan.
 
 use mg_cfd::{job, run, run_sequential, MgCfd, MgCfdParams, Variant};
 use op2_mesh::Hex3DParams;
@@ -87,7 +88,7 @@ fn main() {
             let coords = &app.dom.dat(app.levels[0].ids.coords).data;
             let base = rcb_partition(coords, 3, o.ranks);
             let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, o.ranks);
-            let layouts = build_layouts(&app.dom, &own, 2);
+            let layouts = build_layouts(&app.dom, &own, app.required_depth());
             let variant = if o.backend == "op2" { Variant::Op2 } else { Variant::Ca };
             let job = job(&app, variant, o.iters);
             run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {

@@ -79,11 +79,11 @@ pub fn run_sequential(app: &mut MgCfd, iters: usize) -> RunOutcome {
 /// Which program [`job`] builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// The standard OP2 back-end: the synthetic chain flattened into
-    /// Alg 1 loops.
+    /// The standard OP2 back-end: every loop standalone, under Alg 1.
     Op2,
-    /// The CA back-end: Alg 2 for the synthetic chain, Alg 1 for
-    /// everything else — the paper's mixed execution.
+    /// The CA back-end: the whole iteration as three Alg 2 chains, the
+    /// V-cycle's `vdown` and `vup` and then the synthetic chain (see
+    /// [`MgCfd::iteration`]).
     Ca,
 }
 
@@ -159,7 +159,7 @@ mod tests {
         let coords = &app.dom.dat(app.levels[0].ids.coords).data;
         let base = rcb_partition(coords, 3, nparts);
         let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, nparts);
-        build_layouts(&app.dom, &own, 2)
+        build_layouts(&app.dom, &own, app.required_depth())
     }
 
     fn max_rel_err(a: &[f64], b: &[f64]) -> f64 {
@@ -229,6 +229,7 @@ mod tests {
             let ca_msgs: usize = ca_out.traces[rank]
                 .chains
                 .iter()
+                .filter(|c| c.name == "synthetic")
                 .map(|c| c.exch.n_msgs)
                 .sum();
             if l[rank].neighbors.is_empty() {
@@ -237,6 +238,50 @@ mod tests {
             assert!(
                 ca_msgs < op2_msgs,
                 "rank {rank}: CA {ca_msgs} msgs vs OP2 {op2_msgs}"
+            );
+        }
+    }
+
+    /// The V-cycle's two chains send fewer messages, on every rank with
+    /// neighbours, than its ten loops do standalone under Alg 1.
+    #[test]
+    fn vcycle_chains_reduce_message_count() {
+        let params = MgCfdParams::small(7);
+        let iters = 2;
+        let synthetic = ["update", "edge_flux"];
+
+        let mut op2_app = MgCfd::new(params);
+        let l = layouts_for(&op2_app, 4);
+        let op2_out = run_op2(&mut op2_app, &l, iters);
+
+        let mut ca_app = MgCfd::new(params);
+        let l2 = layouts_for(&ca_app, 4);
+        let ca_out = run_ca(&mut ca_app, &l2, iters);
+
+        for (rank, layout) in l.iter().enumerate() {
+            if layout.neighbors.is_empty() {
+                continue;
+            }
+            let op2_loops: Vec<_> = op2_out.traces[rank]
+                .loops
+                .iter()
+                .filter(|r| {
+                    let setup_or_finish = r.name.starts_with("init_state") || r.name == "rms_flow";
+                    !setup_or_finish && !synthetic.contains(&r.name.as_str())
+                })
+                .collect();
+            assert_eq!(op2_loops.len(), 10 * iters, "rank {rank}");
+            let op2_msgs: usize = op2_loops.iter().map(|r| r.exch.n_msgs).sum();
+            let ca_chains: Vec<_> = ca_out.traces[rank]
+                .chains
+                .iter()
+                .filter(|c| c.name == "vdown" || c.name == "vup")
+                .collect();
+            assert_eq!(ca_chains.len(), 2 * iters, "rank {rank}");
+            let ca_msgs: usize = ca_chains.iter().map(|c| c.exch.n_msgs).sum();
+            assert!(
+                ca_msgs < op2_msgs,
+                "rank {rank}: V-cycle chains {ca_msgs} msgs vs standalone loops {op2_msgs}"
             );
         }
     }
@@ -258,7 +303,8 @@ mod tests {
         assert!(err < 1e-10, "adaptive back-end diverged: {err}");
 
         let first = &out.traces[0].tuner;
-        assert_eq!(first.len(), 1, "the synthetic chain is decided once");
+        let names: Vec<&str> = first.iter().map(|t| t.chain.as_str()).collect();
+        assert_eq!(names, ["vdown", "vup", "synthetic"], "each chain is decided once");
         for t in &out.traces[1..] {
             assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
         }
@@ -276,9 +322,10 @@ mod tests {
         assert!(matches!(out, Err(RuntimeError::Core(_))), "{out:?}");
     }
 
-    /// With every message delayed by up to 2 ms, the flattened chain's
-    /// four `edge_flux` exchanges cost several times the CA chain's one
-    /// grouped exchange: the timed probes pick Ca, on every rank.
+    /// With every message delayed by up to 2 ms, the flattened synthetic
+    /// chain's four `edge_flux` exchanges cost several times the CA
+    /// chain's one grouped exchange: the timed probes pick Ca for it, on
+    /// every rank.
     #[test]
     fn tuner_picks_ca_when_messages_are_slow() {
         let mut params = MgCfdParams::small(6);
@@ -295,8 +342,9 @@ mod tests {
         };
         let out = go(&mut app, &layouts, Variant::Ca, 7, ChainDispatch::Tuned, &opts);
         let first = &out.traces[0].tuner;
-        assert_eq!(first.len(), 1, "{first:?}");
-        assert_eq!(first[0].backend, Backend::Ca, "{first:?}");
+        assert_eq!(first.len(), 3, "{first:?}");
+        let synthetic = first.iter().find(|t| t.chain == "synthetic").expect("synthetic decided");
+        assert_eq!(synthetic.backend, Backend::Ca, "{first:?}");
         for t in &out.traces[1..] {
             assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
         }

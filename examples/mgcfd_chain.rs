@@ -15,7 +15,7 @@ fn layouts_for(app: &MgCfd, nparts: usize) -> Vec<RankLayout> {
     let coords = &app.dom.dat(app.levels[0].ids.coords).data;
     let base = rcb_partition(coords, 3, nparts);
     let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, nparts);
-    build_layouts(&app.dom, &own, 2)
+    build_layouts(&app.dom, &own, app.required_depth())
 }
 
 fn main() {

@@ -42,7 +42,7 @@ fn mgcfd_layouts(app: &MgCfd, nparts: usize, kway: bool) -> Vec<RankLayout> {
         rcb_partition(&app.dom.dat(l0.ids.coords).data, 3, nparts)
     };
     let own = derive_ownership(&app.dom, l0.ids.nodes, base, nparts);
-    build_layouts(&app.dom, &own, 2)
+    build_layouts(&app.dom, &own, app.required_depth())
 }
 
 /// MG-CFD agrees across rank counts and partitioners.
@@ -94,7 +94,9 @@ fn mgcfd_chain_length_sweep() {
             if layouts[rank].neighbors.is_empty() {
                 continue;
             }
-            for c in &t.chains {
+            let synthetic: Vec<_> = t.chains.iter().filter(|c| c.name == "synthetic").collect();
+            assert_eq!(synthetic.len(), iters, "rank {rank} nchains {nchains}");
+            for c in synthetic {
                 assert!(
                     (1..=2).contains(&c.d_exchanged),
                     "rank {rank} nchains {nchains}: {} dats",
@@ -106,7 +108,9 @@ fn mgcfd_chain_length_sweep() {
     }
 }
 
-/// MG-CFD with a single multigrid level and with three levels.
+/// MG-CFD with a single multigrid level and with three levels: the OP2
+/// baseline on 4 ranks, and the CA program (whose `vup` chain deepens
+/// with the level count) on 2 and 3 ranks at the app's own layout depth.
 #[test]
 fn mgcfd_multigrid_depth_sweep() {
     for levels in [1, 2, 3] {
@@ -115,15 +119,21 @@ fn mgcfd_multigrid_depth_sweep() {
         let iters = 2;
         let mut seq_app = MgCfd::new(params);
         let reference = mgcfd::run_sequential(&mut seq_app, iters);
-        let mut app = MgCfd::new(params);
-        let layouts = mgcfd_layouts(&app, 4, false);
-        let out = run_mgcfd(&mut app, &layouts, mgcfd::Variant::Op2, iters);
-        assert!(
-            norm_close(reference.rms, out.rms, 1e-10),
-            "levels {levels}: {} vs {}",
-            reference.rms,
-            out.rms
-        );
+        for (variant, nparts) in [
+            (mgcfd::Variant::Op2, 4),
+            (mgcfd::Variant::Ca, 2),
+            (mgcfd::Variant::Ca, 3),
+        ] {
+            let mut app = MgCfd::new(params);
+            let layouts = mgcfd_layouts(&app, nparts, false);
+            let out = run_mgcfd(&mut app, &layouts, variant, iters);
+            assert!(
+                norm_close(reference.rms, out.rms, 1e-10),
+                "levels {levels} {variant:?} on {nparts} ranks: {} vs {}",
+                reference.rms,
+                out.rms
+            );
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use op2::core::{parse_chain_config, seq};
 use op2::hydra::{ExtentMode, Hydra, HydraParams};
-use op2::mgcfd::{MgCfd, MgCfdParams};
+use op2::mgcfd::{MgCfd, MgCfdParams, Step};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, rib_partition};
 use op2::runtime::exec::{run_chain, run_chain_relaxed, run_loop};
 use op2::runtime::run_distributed;
@@ -18,7 +18,7 @@ fn mgcfd_config_resolves_and_runs() {
     ))
     .expect("shipped config present");
     let configs = parse_chain_config(&text).unwrap();
-    assert_eq!(configs.len(), 1);
+    assert_eq!(configs.len(), 3);
     assert_eq!(configs[0].name, "synthetic8");
     assert_eq!(configs[0].loops.len(), 8);
     assert_eq!(configs[0].max_halo, Some(2));
@@ -33,6 +33,34 @@ fn mgcfd_config_resolves_and_runs() {
     assert_eq!(chain.len(), 8);
     assert_eq!(chain.max_halo_layers(), 2);
     assert_eq!(chain.halo_ext, vec![2, 1, 2, 1, 2, 1, 2, 1]);
+
+    // The V-cycle chains resolve to exactly the built-in CA program's.
+    let flat: Vec<_> = app
+        .iteration(false)
+        .into_iter()
+        .map(|s| match s {
+            Step::Loop(l) => l,
+            Step::Chain(c) => panic!("chain `{}` in the flattened program", c.name),
+        })
+        .collect();
+    let builtin: Vec<_> = app
+        .iteration(true)
+        .into_iter()
+        .filter_map(|s| match s {
+            Step::Chain(c) if c.name != "synthetic" => Some(c),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(builtin.len(), 2);
+    for (cfg, want) in configs[1..].iter().zip(&builtin) {
+        let got = cfg.resolve(&flat).unwrap();
+        let names = |c: &op2::core::ChainSpec| -> Vec<String> {
+            c.loops.iter().map(|l| l.name.clone()).collect()
+        };
+        assert_eq!(got.name, want.name);
+        assert_eq!(names(&got), names(want), "chain {}", got.name);
+        assert_eq!(got.halo_ext, want.halo_ext, "chain {}", got.name);
+    }
 
     // Run the resolved chain distributed; compare with sequential.
     let write_pres = app.write_pres_loop();
