@@ -5,7 +5,7 @@
 //! caches the result. This bench measures what that buys per
 //! invocation on the synthetic MG-CFD `update`/`edge_flux` chain:
 //!
-//! * `cold` — the plan cache's layout epoch is bumped before every
+//! * `cold` — a fresh plan cache is installed before every
 //!   invocation, so each repetition pays the full inspector;
 //! * `cached` — plans persist across repetitions, so after the warmup
 //!   invocations every repetition replays cached pack lists;
@@ -20,7 +20,7 @@ use mg_cfd::{MgCfd, MgCfdParams};
 use op2_core::ChainSpec;
 use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2_runtime::exec::{run_chain, run_chain_unplanned, run_loop};
-use op2_runtime::{run_distributed, RankEnv, RuntimeError};
+use op2_runtime::{run_distributed, PlanCache, RankEnv, RuntimeError};
 use std::hint::black_box;
 
 struct Fixture {
@@ -76,9 +76,9 @@ fn bench_plan_amortization(c: &mut Criterion) {
             let mut fix = fixture(nchains);
             b.iter(|| {
                 run_reps(&mut fix, REPS, |env, chain| {
-                    // Invalidate before every invocation: every rep
+                    // A fresh cache before every invocation: every rep
                     // pays the full inspector.
-                    env.plans.bump_epoch();
+                    env.plans = PlanCache::new();
                     run_chain(env, black_box(chain))
                 });
             })

@@ -5,10 +5,9 @@
 //! Everything else is the caller's composition: threading, drain policy,
 //! pinning and faults through [`RunOptions`]; tuned dispatch of the
 //! *strict* chains through [`Job::dispatch`] (relaxed
-//! chains always keep their pinned-extent executor); supervision,
-//! rebalancing and the resident service by handing [`job`]'s program to
-//! [`op2_runtime::run_job_supervised`],
-//! [`op2_runtime::run_job_rebalanced`] or
+//! chains always keep their pinned-extent executor); supervision and
+//! the resident service by handing [`job`]'s program to
+//! [`op2_runtime::run_job_supervised`] or
 //! [`op2_runtime::Service::submit`] and folding the result with
 //! [`RunOutcome::from_job`].
 

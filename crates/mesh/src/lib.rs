@@ -23,10 +23,7 @@
 //!   degree-14 nodes — the fatter halos of genuine simplex grids);
 //! * [`multigrid`] — fine→coarse node maps for MG-CFD's multigrid;
 //! * [`csr`] — compressed reverse adjacency used by partitioners and the
-//!   halo-ring BFS;
-//! * [`workload`] — cost-skewed per-element weight generators (hot
-//!   spatial regions, seeded cost drift) for the online-rebalancing
-//!   subsystem's weighted re-shards.
+//!   halo-ring BFS.
 //!
 //! All generators emit plain [`op2_core::Domain`]
 //! declarations plus typed handles to the ids, and can optionally shuffle
@@ -39,7 +36,6 @@ pub mod multigrid;
 pub mod quad2d;
 pub mod tet3d;
 pub mod shuffle;
-pub mod workload;
 
 pub use annulus::{Annulus, AnnulusParams};
 pub use csr::Csr;
@@ -47,4 +43,3 @@ pub use hex3d::{Hex3D, Hex3DIds, Hex3DParams};
 pub use multigrid::mg_node_map;
 pub use quad2d::Quad2D;
 pub use tet3d::Tet3D;
-pub use workload::{drifting_costs, skewed_costs};

@@ -5,10 +5,9 @@
 //! Everything else is the caller's composition: threading, drain policy,
 //! pinning and faults through [`RunOptions`]; tuned chain dispatch
 //! (`ChainDispatch::Tuned`, which times both backends on the chain's
-//! first calls) through [`Job::dispatch`]; supervision, rebalancing
-//! and the resident service by handing [`job`]'s program to
-//! [`op2_runtime::run_job_supervised`],
-//! [`op2_runtime::run_job_rebalanced`] or
+//! first calls) through [`Job::dispatch`]; supervision and the resident
+//! service by handing [`job`]'s program to
+//! [`op2_runtime::run_job_supervised`] or
 //! [`op2_runtime::Service::submit`] and folding the result with
 //! [`RunOutcome::from_job`].
 

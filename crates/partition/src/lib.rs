@@ -27,11 +27,10 @@
 //! * [`stats`] — a counts-only pipeline producing the halo statistics of
 //!   the paper's Tables 2 and 5 (message sizes, neighbour counts, core
 //!   and halo iteration counts) for meshes up to the full 8M/24M nodes
-//!   without materialising executable layouts;
-//! * [`migrate`] — the online-rebalancing planner: re-shards the base
-//!   set from per-element cost weights (weighted RCB), diffs
-//!   old-vs-new ownership into per-peer element move lists, and rebuilds
-//!   the rings/halos and grouped-message layouts for the new owners.
+//!   without materialising executable layouts.
+//!
+//! A mesh is partitioned once, up front, by element count, as in the
+//! paper; nothing here re-partitions a running job.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -39,7 +38,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod layout;
-pub mod migrate;
 mod order;
 pub mod ownership;
 pub mod partitioner;
@@ -47,11 +45,8 @@ pub mod rings;
 pub mod stats;
 
 pub use layout::{build_layouts, RankLayout};
-pub use migrate::{ownership_from_layouts, plan_migration, MigrationPlan, MoveList, SetMoves};
 pub use ownership::{derive_ownership, Ownership};
-pub use partitioner::{
-    kway_partition, rcb_partition, rcb_partition_weighted, rib_partition, Partitioner,
-};
+pub use partitioner::{kway_partition, rcb_partition, rib_partition, Partitioner};
 pub use rings::{compute_rings, RankRings};
 pub use stats::{collect_stats, HaloStats};
 

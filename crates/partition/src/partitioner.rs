@@ -58,24 +58,12 @@ impl Partitioner {
 /// Partition by recursive coordinate bisection. `coords` holds `dims`
 /// components per element. Returns the owning rank of every element.
 pub fn rcb_partition(coords: &[f64], dims: usize, nparts: usize) -> Vec<u32> {
-    bisect_partition(coords, dims, None, nparts, SplitAxis::Longest)
+    bisect_partition(coords, dims, nparts, SplitAxis::Longest)
 }
 
 /// Partition by recursive inertial bisection.
 pub fn rib_partition(coords: &[f64], dims: usize, nparts: usize) -> Vec<u32> {
-    bisect_partition(coords, dims, None, nparts, SplitAxis::Inertial)
-}
-
-/// [`rcb_partition`] with per-element cost weights: each bisection
-/// splits at the point where the cumulative *weight* (not the element
-/// count) is proportional to the part counts on either side.
-pub fn rcb_partition_weighted(
-    coords: &[f64],
-    dims: usize,
-    weights: &[f64],
-    nparts: usize,
-) -> Vec<u32> {
-    bisect_partition(coords, dims, Some(weights), nparts, SplitAxis::Longest)
+    bisect_partition(coords, dims, nparts, SplitAxis::Inertial)
 }
 
 #[derive(Clone, Copy)]
@@ -84,72 +72,22 @@ enum SplitAxis {
     Inertial,
 }
 
-fn bisect_partition(
-    coords: &[f64],
-    dims: usize,
-    weights: Option<&[f64]>,
-    nparts: usize,
-    axis: SplitAxis,
-) -> Vec<u32> {
+fn bisect_partition(coords: &[f64], dims: usize, nparts: usize, axis: SplitAxis) -> Vec<u32> {
     assert!((1..=3).contains(&dims), "1-3 coordinate dims supported");
     assert!(nparts >= 1, "need at least one part");
     let n = coords.len() / dims;
     assert_eq!(coords.len(), n * dims);
-    if let Some(w) = weights {
-        assert_eq!(w.len(), n, "one weight per element");
-        assert!(
-            w.iter().all(|x| x.is_finite() && *x >= 0.0),
-            "weights must be finite and non-negative"
-        );
-    }
     let mut owner = vec![0u32; n];
     let mut ids: Vec<u32> = (0..n as u32).collect();
-    recurse(
-        coords,
-        dims,
-        weights,
-        &mut ids,
-        0,
-        nparts as u32,
-        &mut owner,
-        axis,
-    );
+    recurse(coords, dims, &mut ids, 0, nparts as u32, &mut owner, axis);
     owner
 }
 
-/// Split index of the sorted `ids` slice: element-count proportional for
-/// uniform weights, cumulative-weight proportional otherwise. Clamped so
-/// both sides keep at least one element per part whenever possible.
-fn split_point(ids: &[u32], weights: Option<&[f64]>, left_parts: u32, count: u32) -> usize {
-    let n = ids.len();
-    let proportional = (n as u64 * left_parts as u64 / count as u64) as usize;
-    let raw = match weights {
-        None => proportional,
-        Some(w) => {
-            let total: f64 = ids.iter().map(|&e| w[e as usize]).sum();
-            if total.is_nan() || total <= 0.0 {
-                proportional
-            } else {
-                let want = total * left_parts as f64 / count as f64;
-                let mut acc = 0.0;
-                let mut cut = n;
-                for (i, &e) in ids.iter().enumerate() {
-                    acc += w[e as usize];
-                    if acc >= want {
-                        // Take the side of the boundary element closer to
-                        // the target weight.
-                        cut = if acc - want > want - (acc - w[e as usize]) {
-                            i
-                        } else {
-                            i + 1
-                        };
-                        break;
-                    }
-                }
-                cut
-            }
-        }
-    };
+/// Split index of an `n`-element slice: proportional to the part counts
+/// on either side, clamped so both sides keep at least one element per
+/// part whenever possible.
+fn split_point(n: usize, left_parts: u32, count: u32) -> usize {
+    let raw = (n as u64 * left_parts as u64 / count as u64) as usize;
     // Keep every part non-empty when there are enough elements: the left
     // side needs `left_parts` elements, the right `count - left_parts`.
     let right_parts = (count - left_parts) as usize;
@@ -160,14 +98,11 @@ fn split_point(ids: &[u32], weights: Option<&[f64]>, left_parts: u32, count: u32
     }
 }
 
-/// Assign `ids` to ranks `[first, first + count)`, splitting proportionally
-/// (by count, or by cumulative weight when `weights` is given) so uneven
-/// part counts stay balanced.
-#[allow(clippy::too_many_arguments)]
+/// Assign `ids` to ranks `[first, first + count)`, splitting in
+/// proportion to the part counts so uneven part counts stay balanced.
 fn recurse(
     coords: &[f64],
     dims: usize,
-    weights: Option<&[f64]>,
     ids: &mut [u32],
     first: u32,
     count: u32,
@@ -212,21 +147,10 @@ fn recurse(
     let reordered: Vec<u32> = order.iter().map(|&i| ids[i as usize]).collect();
     ids.copy_from_slice(&reordered);
 
-    // Split only after sorting: the weighted cut position depends on the
-    // key order of the elements.
-    let split = split_point(ids, weights, left_parts, count);
+    let split = split_point(ids.len(), left_parts, count);
     let (left, right) = ids.split_at_mut(split);
-    recurse(coords, dims, weights, left, first, left_parts, owner, axis);
-    recurse(
-        coords,
-        dims,
-        weights,
-        right,
-        first + left_parts,
-        right_parts,
-        owner,
-        axis,
-    );
+    recurse(coords, dims, left, first, left_parts, owner, axis);
+    recurse(coords, dims, right, first + left_parts, right_parts, owner, axis);
 }
 
 fn longest_axis(coords: &[f64], dims: usize, ids: &[u32]) -> usize {
@@ -509,54 +433,6 @@ mod tests {
         assert!(owner.iter().all(|&o| o == 0));
         let graph = Csr::node_graph(m.dom.map(m.e2n), 27);
         assert!(kway_partition(&graph, 1, 0).iter().all(|&o| o == 0));
-    }
-
-    fn check_weighted_balance(owner: &[u32], weights: &[f64], nparts: usize, slack: f64) {
-        let mut loads = vec![0.0f64; nparts];
-        for (e, &o) in owner.iter().enumerate() {
-            loads[o as usize] += weights[e];
-        }
-        let max_w = weights.iter().cloned().fold(0.0f64, f64::max);
-        let target = weights.iter().sum::<f64>() / nparts as f64;
-        for (p, &l) in loads.iter().enumerate() {
-            assert!(
-                l <= target * (1.0 + slack) + max_w,
-                "part {p} overloaded: {l} vs target {target}"
-            );
-        }
-    }
-
-    #[test]
-    fn weighted_rcb_balances_load_not_count() {
-        let m = Hex3D::generate(Hex3DParams::cube(8));
-        let coords = m.node_coords();
-        let n = coords.len() / 3;
-        // One octant is 8x hotter than the rest.
-        let weights: Vec<f64> = (0..n)
-            .map(|e| {
-                let hot = coords[e * 3] < 3.5 && coords[e * 3 + 1] < 3.5 && coords[e * 3 + 2] < 3.5;
-                if hot {
-                    8.0
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        for nparts in [2, 3, 4, 7] {
-            let owner = rcb_partition_weighted(coords, 3, &weights, nparts);
-            check_weighted_balance(&owner, &weights, nparts, 0.10);
-            let mut sizes = vec![0usize; nparts];
-            for &o in &owner {
-                sizes[o as usize] += 1;
-            }
-            assert!(sizes.iter().all(|&s| s > 0), "{nparts} parts: {sizes:?}");
-        }
-        // Uniform weights reproduce the unweighted split exactly.
-        let uniform = vec![1.0; n];
-        assert_eq!(
-            rcb_partition_weighted(coords, 3, &uniform, 4),
-            rcb_partition(coords, 3, 4)
-        );
     }
 
     #[test]

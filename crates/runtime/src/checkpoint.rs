@@ -85,10 +85,11 @@ impl CheckpointConfig {
 }
 
 /// What a rank carries from one run to the next, by one rule across
-/// supervised restarts, resident-service jobs and migrations: the plan
-/// cache (every product of the rank's layout), the thread context (pool
-/// and scratch, layout-free) and the transport's per-peer payload
-/// pools.
+/// supervised restarts and resident-service jobs: the plan cache (every
+/// product of the rank's layout), the thread context (pool and scratch,
+/// layout-free) and the transport's per-peer payload pools. Both hosts
+/// run on the layouts the state was built on, so nothing in it is ever
+/// invalidated.
 #[derive(Default)]
 pub(crate) struct Carry {
     pub(crate) plans: PlanCache,
@@ -96,17 +97,6 @@ pub(crate) struct Carry {
     /// Per-peer payload buffer pools (empty until a transport sealed
     /// them), so the next transport starts warm.
     pub(crate) pools: Vec<Vec<Vec<f64>>>,
-}
-
-impl Carry {
-    /// The layout fence: drop every product of the old layout, all of
-    /// which live in the plan cache. The pool and the buffers survive.
-    /// Returns the chain plans dropped.
-    pub(crate) fn fence(&mut self) -> usize {
-        let dropped = self.plans.len();
-        self.plans.bump_epoch();
-        dropped
-    }
 }
 
 /// One completed unit in the replay journal.
@@ -141,11 +131,6 @@ pub(crate) struct Checkpoint {
     boundaries: [u64; 3],
     /// Per-dat version counters at the cut.
     dat_vers: Vec<u64>,
-    /// Layout epoch this checkpoint's dat payloads belong to. A
-    /// migration ([`crate::rebalance`]) bumps the rank's layout epoch
-    /// and discards foreign-layout checkpoints — restoring one would
-    /// resurrect an index space that no longer exists.
-    pub(crate) layout_epoch: u64,
 }
 
 /// The persistent per-rank recovery state, owned by the supervisor and
@@ -168,12 +153,6 @@ pub struct RankState {
     /// Set by the supervisor after a rollback: the next attach must
     /// restore from the newest checkpoint instead of taking a baseline.
     pub(crate) restore: bool,
-    /// The rank's current layout epoch, bumped by every migration
-    /// ([`crate::rebalance::fence_slots`]). Checkpoints record the epoch
-    /// they were taken under; restore asserts the epochs match, so a
-    /// crash-recovery rollback that straddles a migration can only ever
-    /// land on post-migration state.
-    pub(crate) layout_epoch: u64,
 }
 
 impl std::fmt::Debug for RankState {
@@ -206,16 +185,6 @@ impl RankState {
     /// the rollback epoch agreement).
     pub(crate) fn last_epoch(&self) -> Option<u64> {
         self.checkpoints.last().map(|c| c.epoch)
-    }
-
-    /// Discard checkpoints that belong to a different layout epoch than
-    /// the rank's current one. Called by the rebalance fence after a
-    /// migration and defensively by the supervisor before agreeing on a
-    /// rollback epoch — pre-migration snapshots describe index spaces
-    /// that no longer exist and must never be restored.
-    pub(crate) fn drop_foreign_layouts(&mut self) {
-        let cur = self.layout_epoch;
-        self.checkpoints.retain(|c| c.layout_epoch == cur);
     }
 }
 
@@ -292,11 +261,6 @@ impl RankEnv<'_> {
                     .checkpoints
                     .last()
                     .expect("rollback targeted a rank with no checkpoint");
-                assert_eq!(
-                    ck.layout_epoch, st.layout_epoch,
-                    "rank {}: restoring a checkpoint from a different layout epoch",
-                    self.rank
-                );
                 let restored = self.restore(ck);
                 st.rec.restored_bytes += restored;
                 false
@@ -352,7 +316,6 @@ impl RankEnv<'_> {
             }
         }
         let epoch = st.last_epoch().map_or(0, |e| e + 1);
-        let layout_epoch = st.layout_epoch;
         st.checkpoints.push(Checkpoint {
             epoch,
             units_done: self.ckpt.units_done,
@@ -361,7 +324,6 @@ impl RankEnv<'_> {
             tag_seq: self.tag_seq,
             boundaries: self.boundaries,
             dat_vers: self.ckpt.dat_vers.clone(),
-            layout_epoch,
         });
         st.rec.checkpoints += 1;
         st.rec.ckpt_bytes += bytes as u64;

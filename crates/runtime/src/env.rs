@@ -60,8 +60,7 @@ pub struct RankEnv<'a> {
     /// Instrumentation.
     pub trace: RankTrace,
     /// Inspector–executor plan cache: one [`ChainPlan`] per (chain
-    /// signature, dirty-state class) plus the standalone-loop lowerings,
-    /// invalidated together by layout-epoch bumps.
+    /// signature, dirty-state class) plus the standalone-loop lowerings.
     pub plans: PlanCache,
     /// Monotone tag sequence (identical across ranks by construction).
     pub tag_seq: u64,

@@ -124,7 +124,7 @@ impl<R> DistOutcome<R> {
     }
 
     /// Unwrap every rank's result, panicking with a readable listing if
-    /// any rank failed. The migration path for healthy-network callers.
+    /// any rank failed. The shortcut for healthy-network callers.
     pub fn unwrap_results(self) -> Vec<R> {
         let mut out = Vec::with_capacity(self.results.len());
         let mut errs = Vec::new();

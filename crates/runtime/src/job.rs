@@ -4,7 +4,7 @@
 //! iteration's steps repeated `iters` times, and finish steps whose loop
 //! results (a residual reduction, typically) are the program's output.
 //! Jobs carry data, not closures, so every way of running one — plain,
-//! supervised, rebalanced, through the resident [`crate::service`] —
+//! supervised, through the resident [`crate::service`] —
 //! executes byte-for-byte the same instruction stream:
 //! [`exec_job_program`] is the only function in the workspace that walks
 //! a step list calling the executors.
@@ -17,15 +17,15 @@
 //! policy and fault plans stay where they were: in the caller's
 //! [`RunOptions`].
 //!
-//! Three hosts run a job on a distributed world and fold the per-rank
+//! Two hosts run a job on a distributed world and fold the per-rank
 //! verdicts into one `Result` — the first failed rank, in rank order, is
 //! the error; no rank's failure is dropped:
 //!
 //! * [`run_job`] — plain ([`run_distributed_with`]);
 //! * [`run_job_supervised`] / [`run_job_with_state`] — checkpointed
-//!   attempts with coordinated rollback ([`run_supervised_with_state`]);
-//! * [`crate::rebalance::run_job_rebalanced`] — segmented supervised
-//!   execution with online migration between segments.
+//!   attempts with coordinated rollback ([`run_supervised_with_state`]).
+//!
+//! A host runs the whole job on the layouts it is handed.
 
 use crate::checkpoint::RankState;
 use crate::env::RankEnv;
@@ -183,30 +183,6 @@ impl Job {
         plan::fnv_usize(&mut h, self.iters);
         h
     }
-
-    /// Iterations `done..done + len` of this job as a job of their own:
-    /// the setup rides with the first iteration, the finish with the
-    /// last — how a segmented host keeps [`exec_job_program`] its only
-    /// walker.
-    pub(crate) fn segment(&self, done: usize, len: usize) -> Job {
-        Job {
-            name: self.name.clone(),
-            setup: if done == 0 {
-                self.setup.clone()
-            } else {
-                Vec::new()
-            },
-            steps: self.steps.clone(),
-            finish: if done + len >= self.iters {
-                self.finish.clone()
-            } else {
-                Vec::new()
-            },
-            iters: len,
-            dispatch: self.dispatch.clone(),
-            ..Job::default()
-        }
-    }
 }
 
 /// Execute one job's program on a rank env — **the** instruction
@@ -302,8 +278,8 @@ pub fn run_job_supervised(
 }
 
 /// [`run_job_supervised`] over caller-provided per-rank state slots
-/// (see [`run_supervised_with_state`]) — what the segmented rebalancing
-/// host and the resident service run each segment / tenant through.
+/// (see [`run_supervised_with_state`]) — what the resident service runs
+/// each tenant through.
 /// `job_id` is stamped into the env (and from there into the recovery
 /// and tuner records); standalone callers pass 0.
 pub fn run_job_with_state(

@@ -28,7 +28,7 @@
 //!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
 //!   index lists, and every lowered loop range under one
 //!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
-//!   class, with layout-epoch invalidation.
+//!   class.
 //! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
 //!   every typed [`ConfigError`], and the per-rank [`ExecPolicy`]
 //!   (threading, drain) resolved once per run.
@@ -59,12 +59,10 @@
 //!   multiplex many supervised jobs over them, carrying each rank's
 //!   plans and pools from job to job as a restart does, with bounded
 //!   admission, same-shape batching, and per-job trace/crash isolation.
-//! * [`mod@rebalance`] — online rebalancing: a windowed imbalance detector
-//!   over the measured per-unit wall times, cost-weighted re-sharding
-//!   through `op2-partition`'s migration planner, a migration executor
-//!   shipping dat slices and renumbering tables over the fault-tolerant
-//!   transport, and the layout-epoch fence that keeps plan caches and
-//!   checkpoints coherent across the switch.
+//!
+//! Layouts are built once, before a run, and never change: no host
+//! repartitions a running job, so nothing carried between runs is ever
+//! invalidated.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -82,7 +80,6 @@ pub mod harness;
 pub mod job;
 pub mod plan;
 pub mod policy;
-pub mod rebalance;
 pub mod service;
 pub mod supervise;
 pub mod threads;
@@ -106,10 +103,6 @@ pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
     JobStep,
 };
-pub use rebalance::{
-    detect, element_costs, fence_slots, rebalance, run_job_rebalanced, ship_migration,
-    LoadEstimate, RebalanceConfig, RebalanceOutcome, RebalancePolicy, ShardBasis,
-};
 pub use service::{
     JobOutcome, JobTrace, Service, ServiceConfig, ServiceError, ServiceMetrics,
 };
@@ -119,7 +112,7 @@ pub use threads::{
     ThreadCtx, ThreadPool, Threading,
 };
 pub use trace::{
-    ChainRec, ExchangeRec, LoopRec, RankTrace, RebalanceRec, RecoveryRec, SchedKind,
+    ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
     ThreadRec, TunerRec,
 };
 pub use tuner::{Backend, Tuner};

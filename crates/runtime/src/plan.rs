@@ -24,11 +24,10 @@
 //!
 //! Plans live in a per-rank [`PlanCache`] keyed by a stable FNV-1a hash
 //! of [`ChainSpec::sigs`]-equivalent structure plus the entry-validity
-//! class of the touched dats. The cache carries an explicit **layout
-//! epoch**: [`PlanCache::bump_epoch`] invalidates everything when
-//! ownership changes (repartitioning); a change in any touched dat's
-//! validity depth selects a different dirty class and therefore a
-//! different (or freshly built) plan. Hit/miss/invalidation counters
+//! class of the touched dats. A cache belongs to one rank's layout for
+//! its whole life (layouts never change after set-up); a change in any
+//! touched dat's validity depth selects a different dirty class and
+//! therefore a different (or freshly built) plan. Hit/miss counters
 //! land in the rank trace so tests can assert that repeat invocations
 //! do **zero** re-analysis. The same cache holds the rest of the rank's
 //! layout-dependent products, uncounted: Alg 1's per-dat exchange plans
@@ -188,8 +187,6 @@ pub fn dirty_class(loops: &[LoopSpec], valid: &[u8]) -> u64 {
 pub struct ChainPlan {
     /// Structure hash (see [`chain_signature`]).
     pub sig: u64,
-    /// Layout epoch the plan was built under.
-    pub epoch: u64,
     /// Dirty-state class (see [`dirty_class`]).
     pub dirty: u64,
     /// Relaxed (paper-mode) analysis?
@@ -217,7 +214,7 @@ pub struct ChainPlan {
     /// one reports the count as `stale_reads`.
     pub stale: Vec<StaleRead>,
     /// Every lowering built for this plan so far (inspector work, paid
-    /// once per key), dropped with the plan on epoch invalidation.
+    /// once per key), dropped with the plan.
     pub lowered: LoweringCache,
 }
 
@@ -321,7 +318,6 @@ impl ChainPlan {
         valid: &[u8],
         chain: &ChainSpec,
         relaxed: bool,
-        epoch: u64,
     ) -> ChainPlan {
         let sig = chain_signature(chain, relaxed);
         let dirty = dirty_class(&chain.loops, valid);
@@ -394,7 +390,6 @@ impl ChainPlan {
 
         ChainPlan {
             sig,
-            epoch,
             dirty,
             relaxed,
             depth,
@@ -418,8 +413,6 @@ pub struct PlanStats {
     pub hits: u64,
     /// Chain invocations that built a fresh plan.
     pub misses: u64,
-    /// Plans discarded by epoch bumps (layout/ownership changes).
-    pub invalidations: u64,
     /// Threaded executions that reused a cached block coloring.
     pub color_hits: u64,
     /// Threaded executions that ran the block-coloring inspection.
@@ -432,19 +425,15 @@ impl PlanStats {
     pub fn add(&mut self, other: &PlanStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.invalidations += other.invalidations;
         self.color_hits += other.color_hits;
         self.color_misses += other.color_misses;
     }
 }
 
-/// Per-rank plan cache: `(signature, dirty class) → Arc<ChainPlan>`,
-/// all entries belonging to the current layout epoch. It holds every
-/// product of the rank's layout, so one [`PlanCache::bump_epoch`] is
-/// the whole layout fence.
+/// Per-rank plan cache: `(signature, dirty class) → Arc<ChainPlan>`.
+/// It holds every product of the rank's layout.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    epoch: u64,
     map: HashMap<(u64, u64), Arc<ChainPlan>>,
     /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
     /// plan`: dropped with the chain plans, never counted in `stats`.
@@ -458,14 +447,9 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Empty cache at epoch 0.
+    /// Empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current layout epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Cached plan count.
@@ -476,18 +460,6 @@ impl PlanCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Invalidate every cached plan, exchange and lowering: the
-    /// partition layout (ownership, halo structure, local numbering)
-    /// changed, so all of them are stale. Call after repartitioning /
-    /// layout rebuilds.
-    pub fn bump_epoch(&mut self) {
-        self.epoch += 1;
-        self.stats.invalidations += self.map.len() as u64;
-        self.map.clear();
-        self.loops.clear();
-        self.lowered = LoweringCache::default();
     }
 }
 
@@ -512,7 +484,6 @@ pub fn plan_for(
         &env.valid,
         chain,
         relaxed,
-        env.plans.epoch,
     ));
     env.plans.map.insert((sig, dirty), Arc::clone(&plan));
     plan
@@ -607,7 +578,7 @@ mod tests {
     }
 
     /// Repeat lookups in the same dirty class hit; a validity change
-    /// selects a different class (miss); an epoch bump clears the cache.
+    /// selects a different class (miss); a fresh cache starts cold.
     #[test]
     fn cache_hits_and_invalidation() {
         let f = fix();
@@ -628,19 +599,17 @@ mod tests {
         assert_eq!(env.plans.stats.misses, 2);
         assert_eq!(env.plans.len(), 2);
 
-        // Layout-epoch bump: everything out.
-        env.plans.bump_epoch();
-        assert_eq!(env.plans.stats.invalidations, 2);
+        // A fresh cache shares nothing with the old one.
+        env.plans = PlanCache::new();
         assert!(env.plans.is_empty());
-        let _ = plan_for(&mut env, &f.chain, false);
-        assert_eq!(env.plans.stats.misses, 3);
-        assert_eq!(env.plans.epoch(), 1);
+        let p4 = plan_for(&mut env, &f.chain, false);
+        assert!(!Arc::ptr_eq(&p3, &p4));
+        assert_eq!(env.plans.stats, PlanStats { misses: 1, ..Default::default() });
     }
 
     /// Alg 1's per-dat exchange is cached per (loop, dirty class): repeat
     /// `run_loop`s in one class build it once, a different class builds
-    /// another, an epoch bump drops them all — and none of it touches
-    /// the chain-plan counters.
+    /// another — and none of it touches the chain-plan counters.
     #[test]
     fn loop_exchanges_cached_per_dirty_class() {
         let f = fix();
@@ -665,9 +634,6 @@ mod tests {
         crate::exec::run_loop(&mut env, consume).unwrap();
         assert_eq!(env.plans.loops.len(), 2);
         assert_eq!(env.plans.stats, PlanStats::default());
-        env.plans.bump_epoch();
-        assert!(env.plans.loops.is_empty());
-        assert_eq!(env.plans.stats, PlanStats::default());
     }
 
     /// The built plan matches what the executors would derive inline.
@@ -676,7 +642,7 @@ mod tests {
         let f = fix();
         let layout = &f.layouts[0];
         let valid = vec![0u8; f.mesh.dom.n_dats()];
-        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false, 0);
+        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false);
         assert_eq!(plan.depth, f.chain.max_halo_layers());
         let sigs = f.chain.sigs();
         assert_eq!(plan.core_depths, op2_core::chain::core_depths(&sigs));
@@ -696,8 +662,8 @@ mod tests {
     }
 
     /// The one lowering cache: the same key yields the same `Arc`, a
-    /// schedule's DAG is built once and lives beside it, and an epoch
-    /// bump drops schedules and DAGs together with their plan.
+    /// schedule's DAG is built once and lives beside it, and dropping
+    /// the cache drops schedules and DAGs together with their plan.
     #[test]
     fn lowering_cache_shares_entries_and_dags_and_drops_with_the_plan() {
         let f = fix();
@@ -735,48 +701,13 @@ mod tests {
         let d2: *const ChunkDag = b.dag(build_dag);
         assert_eq!((d1, dag_builds.get()), (d2, 1));
 
-        // Epoch bump: the plan cache lets go of the plan, and with it
-        // every schedule and DAG.
+        // Replacing the cache lets go of the plan, and with it every
+        // schedule and DAG.
         let schedule = Arc::downgrade(&a);
         drop((a, b, plan));
         assert!(schedule.upgrade().is_some(), "the cached plan keeps its lowerings alive");
-        env.plans.bump_epoch();
-        assert!(schedule.upgrade().is_none(), "epoch bump must drop schedule and DAG");
-    }
-
-    /// The migration fence drops every layout product and keeps the
-    /// pool: after `fence_slots` the carried thread context hands out the
-    /// same pool, and the carried plan cache holds no chain plan and no
-    /// standalone lowering.
-    #[test]
-    fn fence_keeps_the_pool_and_drops_every_layout_product() {
-        use crate::checkpoint::{CheckpointConfig, RankState};
-        let f = fix();
-        let comm = CommWorld::new(1).into_ranks().remove(0);
-        let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
-        let slot = Arc::new(Mutex::new(RankState::new()));
-        env.ckpt_attach(CheckpointConfig::default(), Arc::clone(&slot));
-        let plan = Arc::downgrade(&plan_for(&mut env, &f.chain, false));
-        let key = LoweringKey {
-            owner: 7,
-            start: 0,
-            end: 8,
-            block: 4,
-            width: 2,
-        };
-        let (low, built) = env.plans.lowered.get_or_build(key, || Schedule::range(0, 8));
-        assert!(built, "first lookup must build");
-        let lowering = Arc::downgrade(&low);
-        drop(low);
-        let pool = env.threads.pool(2);
-        env.ckpt_seal();
-
-        crate::rebalance::fence_slots(std::slice::from_ref(&slot));
-        let mut st = slot.lock().unwrap();
-        let carry = st.carry.as_mut().expect("the fence keeps the carry");
-        assert!(Arc::ptr_eq(&carry.threads.pool(2), &pool), "the pool must survive");
-        assert!(carry.plans.is_empty() && plan.upgrade().is_none(), "a chain plan survived");
-        assert!(lowering.upgrade().is_none(), "a standalone lowering survived");
+        env.plans = PlanCache::new();
+        assert!(schedule.upgrade().is_none(), "dropping the cache must drop schedule and DAG");
     }
 
     /// Standalone-loop lowerings are cached in the plan cache by key.

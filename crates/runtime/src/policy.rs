@@ -222,7 +222,6 @@ mod tests {
         ("job", include_str!("job.rs")),
         ("plan", include_str!("plan.rs")),
         ("policy", include_str!("policy.rs")),
-        ("rebalance", include_str!("rebalance.rs")),
         ("service", include_str!("service.rs")),
         ("supervise", include_str!("supervise.rs")),
         ("threads", include_str!("threads.rs")),

@@ -66,7 +66,7 @@ use crate::plan::{mesh_signature, PlanStats};
 use crate::policy::{env_knob, parse_knob, ExecPolicy};
 use crate::supervise::SuperviseOptions;
 use crate::trace::RankTrace;
-use op2_core::{DatId, Domain, SetId};
+use op2_core::{DatId, Domain};
 use op2_partition::RankLayout;
 use std::collections::HashMap;
 use std::fmt;
@@ -300,7 +300,6 @@ impl From<JobOutcome> for JobRun {
 
 /// One registered mesh's resident world.
 struct World {
-    mesh: u64,
     /// Pristine registered domain; every job runs on a clone.
     base: Domain,
     layouts: Vec<RankLayout>,
@@ -330,16 +329,6 @@ pub struct ServiceMetrics {
     pub plan: PlanStats,
     /// Payload-pool misses summed over completed jobs' ranks.
     pub payload_allocs: u64,
-    /// Online mesh rebalances executed ([`Service::rebalance_mesh`]).
-    pub rebalances: u64,
-    /// Carried chain plans dropped by rebalance fences (each rebalance
-    /// fences every rank's plan cache exactly once).
-    pub invalidated_plans: u64,
-    /// Elements that changed owner across all rebalances.
-    pub migrated_elements: u64,
-    /// Payload bytes shipped by migrations (dat slices + renumbering
-    /// tables).
-    pub migrated_bytes: u64,
 }
 
 /// RAII admission permit: holds `n` in-flight slots until the job(s)
@@ -395,95 +384,12 @@ impl Service {
         worlds.entry(mesh).or_insert_with(|| {
             let carry = (0..layouts.len()).map(|_| Carry::default()).collect();
             Arc::new(Mutex::new(World {
-                mesh,
                 base: dom,
                 layouts,
                 carry,
             }))
         });
         mesh
-    }
-
-    /// Rebalance a registered mesh from measured per-rank load: derive
-    /// element costs from the traces' windowed wall times (the same
-    /// estimate [`crate::rebalance::detect`] triggers on) and delegate
-    /// to [`Service::rebalance_mesh_with_costs`]. `base`/`coords`/`dims`
-    /// name the partitioning base set and its coordinate dat.
-    pub fn rebalance_mesh(
-        &self,
-        mesh: u64,
-        base: SetId,
-        coords: DatId,
-        dims: usize,
-        traces: &[RankTrace],
-        cfg: &crate::rebalance::RebalanceConfig,
-    ) -> Result<Option<u64>, ServiceError> {
-        let Some(est) = crate::rebalance::detect(traces, cfg) else {
-            return Ok(None);
-        };
-        let world = self.world(mesh)?;
-        let costs = {
-            let w = lock(&world);
-            crate::rebalance::element_costs(&w.base, base, &w.layouts, &est)
-        };
-        self.rebalance_mesh_with_costs(mesh, base, coords, dims, &costs, est.imbalance_milli())
-    }
-
-    /// Live re-shard of a registered mesh from explicit per-element
-    /// costs: plan the migration, ship the moved elements over the
-    /// world's transport, fence every rank's carried plan cache (the
-    /// fence [`crate::rebalance::fence_slots`] applies), install the new
-    /// layouts, and re-key the world under its new [`mesh_signature`].
-    /// Jobs already holding the old signature get
-    /// [`ServiceError::UnknownMesh`]; the first job on the returned
-    /// signature re-inspects, everything after runs warm. Returns
-    /// `Ok(None)` when the re-shard moves nothing.
-    pub fn rebalance_mesh_with_costs(
-        &self,
-        mesh: u64,
-        base: SetId,
-        coords: DatId,
-        dims: usize,
-        costs: &[f64],
-        imbalance_before_milli: u64,
-    ) -> Result<Option<u64>, ServiceError> {
-        let world = self.world(mesh)?;
-        let mut guard = lock(&world);
-        let w = &mut *guard;
-        let mut opts = self.cfg.supervise.run.clone();
-        opts.faults = None; // migration traffic is not a fault target
-        let moved = crate::rebalance::rebalance(
-            &mut w.base,
-            base,
-            coords,
-            dims,
-            &w.layouts,
-            costs,
-            imbalance_before_milli,
-            &opts,
-        );
-        let Some(outcome) = moved.map_err(|e| ServiceError::from_run("rebalance", e))? else {
-            return Ok(None);
-        };
-        // The one layout fence: every plan, exchange and lowering of
-        // the old layout drops; worker pools and payload pools survive.
-        let dropped: usize = w.carry.iter_mut().map(Carry::fence).sum();
-        let new_mesh = mesh_signature(&outcome.layouts);
-        let old_mesh = w.mesh;
-        w.layouts = outcome.layouts;
-        w.mesh = new_mesh;
-        {
-            let mut worlds = lock(&self.worlds);
-            worlds.remove(&old_mesh);
-            worlds.insert(new_mesh, Arc::clone(&world));
-        }
-        self.with_metrics(|m| {
-            m.rebalances += 1;
-            m.invalidated_plans += dropped as u64;
-            m.migrated_elements += outcome.rec.elements_out;
-            m.migrated_bytes += outcome.rec.bytes_out;
-        });
-        Ok(Some(new_mesh))
     }
 
     /// Jobs admitted and not yet finished (gauge).

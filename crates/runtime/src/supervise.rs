@@ -109,11 +109,8 @@ fn rollback(slots: &[Arc<Mutex<RankState>>]) {
     let agreed = slots
         .iter()
         .map(|s| {
-            let mut st = lock(s);
-            // A migration may have fenced some slots already; snapshots
-            // of an older layout must not enter the epoch agreement.
-            st.drop_foreign_layouts();
-            st.last_epoch()
+            lock(s)
+                .last_epoch()
                 .expect("supervised rank lost its baseline checkpoint")
         })
         .min()

@@ -658,8 +658,7 @@ pub fn run_schedule_dataflow(
 /// rank's **owned** worker pool (created lazily at the width the rank's
 /// policy configures — ranks do not share process-global pools) and the
 /// executors' reusable scratch. Every lowered schedule lives in the
-/// [`crate::plan::PlanCache`], so a migration fences none of this. State
-/// only — the configuration is [`crate::policy::ExecPolicy::threading`].
+/// [`crate::plan::PlanCache`], not here. State only — the configuration is [`crate::policy::ExecPolicy::threading`].
 #[derive(Default)]
 pub struct ThreadCtx {
     pool: Option<Arc<ThreadPool>>,

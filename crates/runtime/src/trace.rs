@@ -105,8 +105,7 @@ pub struct LoopRec {
     /// Communication record.
     pub exch: ExchangeRec,
     /// Wall time of the whole loop execution (exchange + compute),
-    /// nanoseconds — the per-loop, per-rank load measurement the
-    /// rebalance detector aggregates. Not compared by `==`.
+    /// nanoseconds. Not compared by `==`.
     pub wall_ns: u64,
 }
 
@@ -142,9 +141,8 @@ pub struct ChainRec {
     /// pre-chain (potentially stale) imported values rather than
     /// in-chain computation. Always 0 in strict mode.
     pub stale_reads: usize,
-    /// Wall time of the whole chain execution, nanoseconds — the
-    /// per-chain, per-rank load measurement the rebalance detector
-    /// aggregates. Not compared by `==`.
+    /// Wall time of the whole chain execution, nanoseconds. Not
+    /// compared by `==`.
     pub wall_ns: u64,
 }
 
@@ -321,64 +319,6 @@ pub struct RecoveryRec {
     pub escalations: u64,
 }
 
-/// Online-rebalancing counters for one rank: migrations participated
-/// in, elements and payload bytes this rank shipped to new owners, and
-/// the replan cost paid after the layout epoch bump.
-///
-/// The structural counters (`migrations`, `elements_out`, `bytes_out`,
-/// `replans`) are deterministic given the same migration plan and
-/// participate in equality; the wall-clock and load-ratio fields
-/// (`imbalance_before_milli`, `imbalance_after_milli`, `replan_ns`)
-/// vary run to run and are excluded, following the [`ExchangeRec`]
-/// convention.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RebalanceRec {
-    /// Migrations this rank participated in.
-    pub migrations: u64,
-    /// Elements this rank shipped to new owners (sender side, summed
-    /// over all sets).
-    pub elements_out: u64,
-    /// Payload bytes this rank shipped (dat slices + renumbering
-    /// tables).
-    pub bytes_out: u64,
-    /// Plans invalidated by layout-epoch bumps on this rank.
-    pub replans: u64,
-    /// Measured max/mean load ratio that triggered the migration, in
-    /// thousandths (1250 = 1.25×). Not compared by `==`.
-    pub imbalance_before_milli: u64,
-    /// Load ratio of the re-sharded layout predicted from the applied
-    /// element weights, in thousandths. Not compared by `==`.
-    pub imbalance_after_milli: u64,
-    /// Wall time spent re-planning (re-shard + diff + layout rebuild +
-    /// migration traffic), nanoseconds. Not compared by `==`.
-    pub replan_ns: u64,
-}
-
-impl PartialEq for RebalanceRec {
-    fn eq(&self, other: &Self) -> bool {
-        self.migrations == other.migrations
-            && self.elements_out == other.elements_out
-            && self.bytes_out == other.bytes_out
-            && self.replans == other.replans
-    }
-}
-
-impl Eq for RebalanceRec {}
-
-impl RebalanceRec {
-    /// Accumulate another record (per-segment records fold into the
-    /// run-wide aggregate the bench report surfaces).
-    pub fn add(&mut self, other: &RebalanceRec) {
-        self.migrations += other.migrations;
-        self.elements_out += other.elements_out;
-        self.bytes_out += other.bytes_out;
-        self.replans += other.replans;
-        self.imbalance_before_milli = self.imbalance_before_milli.max(other.imbalance_before_milli);
-        self.imbalance_after_milli = self.imbalance_after_milli.max(other.imbalance_after_milli);
-        self.replan_ns += other.replan_ns;
-    }
-}
-
 /// Everything one rank recorded during a program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankTrace {
@@ -393,7 +333,7 @@ pub struct RankTrace {
     /// a healthy network; the harness copies them out of the comm layer
     /// when the rank finishes — including when it fails.
     pub comm: crate::comm::CommCounters,
-    /// Plan-cache counters (hits, misses, invalidations, lowerings).
+    /// Plan-cache counters (hits, misses, colorings).
     /// The harness copies them out of [`crate::plan::PlanCache`] when the
     /// rank finishes.
     pub plan: crate::plan::PlanStats,
@@ -407,10 +347,6 @@ pub struct RankTrace {
     /// zero unless the program ran under [`crate::supervise`] or with
     /// checkpointing enabled.
     pub recovery: RecoveryRec,
-    /// Online-rebalancing counters (migrations, moved elements/bytes,
-    /// replan cost). All zero unless the program ran under
-    /// [`mod@crate::rebalance`].
-    pub rebalance: RebalanceRec,
 }
 
 impl RankTrace {
@@ -432,17 +368,6 @@ impl RankTrace {
     pub fn wall_ns(&self) -> u64 {
         self.loops.iter().map(|l| l.wall_ns).sum::<u64>()
             + self.chains.iter().map(|c| c.wall_ns).sum::<u64>()
-    }
-
-    /// Windowed load: wall time of the trailing `window` loop records
-    /// plus the trailing `window` chain records, nanoseconds. The
-    /// rebalance detector aggregates this per rank so old history stops
-    /// influencing the trigger.
-    pub fn recent_wall_ns(&self, window: usize) -> u64 {
-        let tail = |v: &[u64]| -> u64 { v[v.len().saturating_sub(window)..].iter().sum() };
-        let loops: Vec<u64> = self.loops.iter().map(|l| l.wall_ns).collect();
-        let chains: Vec<u64> = self.chains.iter().map(|c| c.wall_ns).collect();
-        tail(&loops) + tail(&chains)
     }
 }
 
