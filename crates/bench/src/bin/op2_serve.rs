@@ -1,7 +1,7 @@
 //! `op2-serve`: the resident mesh-compute server, end to end.
 //!
-//! Boots a [`Service`] from the `OP2_SERVE_*` environment (admission
-//! limit), registers the MG-CFD mesh world **once**, and multiplexes
+//! Boots a [`Service`] at its default configuration (admission limit
+//! 8), registers the MG-CFD mesh world **once**, and multiplexes
 //! `--jobs N` CA simulation jobs over it — the smallest driver
 //! exercising the DESIGN.md §14 path: carried plan caches (job 2
 //! onward performs zero inspection), recycled transport pools
@@ -16,10 +16,10 @@
 
 use mg_cfd::{MgCfd, MgCfdParams, Variant};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-use op2_runtime::{JobOutcome, Service};
+use op2_runtime::{JobOutcome, Service, ServiceConfig};
 
-/// Print `err` as `op2-serve: {err}` and exit 1 — a bad flag or knob is
-/// the user's error, not a crash.
+/// Print `err` as `op2-serve: {err}` and exit 1 — a bad flag is the
+/// user's error, not a crash.
 fn fail(err: impl std::fmt::Display) -> ! {
     eprintln!("op2-serve: {err}");
     std::process::exit(1);
@@ -56,7 +56,7 @@ fn main() {
         i += 1;
     }
 
-    let svc = Service::from_env().unwrap_or_else(|e| fail(e));
+    let svc = Service::new(ServiceConfig::default());
     let app = MgCfd::new(MgCfdParams::small(size));
     let coords = &app.dom.dat(app.levels[0].ids.coords).data;
     let base = rcb_partition(coords, 3, ranks);

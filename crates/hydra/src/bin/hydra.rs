@@ -7,7 +7,8 @@
 //!
 //! Backends: `seq`, `op2`, `ca`. `--extents safe|paper` selects the
 //! transitive (strict) or published (relaxed) halo extents for the CA
-//! back-end. Prints each chain's execution plan and the run statistics.
+//! back-end. `--threads N` runs each rank's kernels on `N` threads
+//! (default 1). Prints each chain's execution plan and the run statistics.
 
 use hydra_sim::{job, run, run_sequential, ExtentMode, Hydra, HydraParams, Variant};
 use op2_mesh::AnnulusParams;
@@ -18,9 +19,30 @@ struct Opts {
     n: usize,
     ranks: usize,
     iters: usize,
+    /// Kernel threads per rank.
+    threads: usize,
     stages: usize,
     backend: String,
     extents: String,
+}
+
+/// Print `err` as `hydra: {err}` and exit 1 — a bad flag is the
+/// user's error, not a crash.
+fn fail(err: impl std::fmt::Display) -> ! {
+    eprintln!("hydra: {err}");
+    std::process::exit(1);
+}
+
+/// The value after `flag`, or exit 1.
+fn value(flag: &str, raw: Option<String>) -> String {
+    raw.unwrap_or_else(|| fail(format!("{flag} needs a value")))
+}
+
+/// The count after `flag`, or exit 1.
+fn count(flag: &str, raw: Option<String>) -> usize {
+    let raw = value(flag, raw);
+    raw.parse()
+        .unwrap_or_else(|e| fail(format!("{flag} must be a count, got `{raw}`: {e}")))
 }
 
 fn parse_opts() -> Opts {
@@ -28,35 +50,35 @@ fn parse_opts() -> Opts {
         n: 10,
         ranks: 4,
         iters: 3,
+        threads: 1,
         stages: 1,
         backend: "ca".into(),
         extents: "paper".into(),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let val = || {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--n" => o.n = val().parse().expect("--n"),
-            "--ranks" => o.ranks = val().parse().expect("--ranks"),
-            "--iters" => o.iters = val().parse().expect("--iters"),
-            "--stages" => o.stages = val().parse().expect("--stages"),
-            "--backend" => o.backend = val(),
-            "--extents" => o.extents = val(),
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--n" => o.n = count(&flag, args.next()),
+            "--ranks" => o.ranks = count(&flag, args.next()),
+            "--iters" => o.iters = count(&flag, args.next()),
+            "--stages" => o.stages = count(&flag, args.next()),
+            "--backend" => o.backend = value(&flag, args.next()),
+            "--extents" => o.extents = value(&flag, args.next()),
+            "--threads" => {
+                o.threads = count(&flag, args.next());
+                if o.threads == 0 {
+                    fail("--threads must be at least 1");
+                }
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --n <grid> --ranks <n> --iters <n> --stages <rk stages> \
-                     --backend seq|op2|ca --extents safe|paper"
+                     --threads <per rank> --backend seq|op2|ca --extents safe|paper"
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag `{other}`"),
+            other => fail(format!("unknown flag `{other}`")),
         }
-        i += 2;
     }
     o
 }
@@ -66,7 +88,7 @@ fn main() {
     let mode = match o.extents.as_str() {
         "safe" => ExtentMode::Safe,
         "paper" => ExtentMode::Paper,
-        other => panic!("unknown extents `{other}` (safe|paper)"),
+        other => fail(format!("unknown extents `{other}` (safe|paper)")),
     };
     let mut app = Hydra::new(HydraParams {
         mesh: AnnulusParams::small(o.n, o.n, o.n),
@@ -101,12 +123,10 @@ fn main() {
                 Variant::Ca { mode, stages }
             };
             let job = job(&app, variant, o.iters);
-            run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {
-                eprintln!("hydra: {e}");
-                std::process::exit(1);
-            })
+            run(&mut app, &layouts, &job, &RunOptions::default().with_threads(o.threads))
+                .unwrap_or_else(|e| fail(e))
         }
-        other => panic!("unknown backend `{other}` (seq|op2|ca)"),
+        other => fail(format!("unknown backend `{other}` (seq|op2|ca)")),
     };
 
     println!(

@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Backends: `seq` (reference), `op2` (Alg 1 per loop), `ca` (Alg 2 for
-//! the V-cycle's two chains and the synthetic chain). Prints the final
+//! the V-cycle's two chains and the synthetic chain). `--threads N`
+//! runs each rank's kernels on `N` threads (default 1). Prints the final
 //! flow norm, per-backend message statistics and the synthetic chain's
 //! execution plan.
 
@@ -21,7 +22,28 @@ struct Opts {
     nchains: usize,
     ranks: usize,
     iters: usize,
+    /// Kernel threads per rank.
+    threads: usize,
     backend: String,
+}
+
+/// Print `err` as `mgcfd: {err}` and exit 1 — a bad flag is the
+/// user's error, not a crash.
+fn fail(err: impl std::fmt::Display) -> ! {
+    eprintln!("mgcfd: {err}");
+    std::process::exit(1);
+}
+
+/// The value after `flag`, or exit 1.
+fn value(flag: &str, raw: Option<String>) -> String {
+    raw.unwrap_or_else(|| fail(format!("{flag} needs a value")))
+}
+
+/// The count after `flag`, or exit 1.
+fn count(flag: &str, raw: Option<String>) -> usize {
+    let raw = value(flag, raw);
+    raw.parse()
+        .unwrap_or_else(|e| fail(format!("{flag} must be a count, got `{raw}`: {e}")))
 }
 
 fn parse_opts() -> Opts {
@@ -31,33 +53,33 @@ fn parse_opts() -> Opts {
         nchains: 4,
         ranks: 4,
         iters: 5,
+        threads: 1,
         backend: "ca".into(),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let val = || {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-                .clone()
-        };
-        match args[i].as_str() {
-            "--n" => o.n = val().parse().expect("--n"),
-            "--levels" => o.levels = val().parse().expect("--levels"),
-            "--nchains" => o.nchains = val().parse().expect("--nchains"),
-            "--ranks" => o.ranks = val().parse().expect("--ranks"),
-            "--iters" => o.iters = val().parse().expect("--iters"),
-            "--backend" => o.backend = val(),
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--n" => o.n = count(&flag, args.next()),
+            "--levels" => o.levels = count(&flag, args.next()),
+            "--nchains" => o.nchains = count(&flag, args.next()),
+            "--ranks" => o.ranks = count(&flag, args.next()),
+            "--iters" => o.iters = count(&flag, args.next()),
+            "--backend" => o.backend = value(&flag, args.next()),
+            "--threads" => {
+                o.threads = count(&flag, args.next());
+                if o.threads == 0 {
+                    fail("--threads must be at least 1");
+                }
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --n <grid> --levels <mg levels> --nchains <pairs> \
-                     --ranks <n> --iters <n> --backend seq|op2|ca"
+                     --ranks <n> --iters <n> --threads <per rank> --backend seq|op2|ca"
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag `{other}`"),
+            other => fail(format!("unknown flag `{other}`")),
         }
-        i += 2;
     }
     o
 }
@@ -91,12 +113,10 @@ fn main() {
             let layouts = build_layouts(&app.dom, &own, app.required_depth());
             let variant = if o.backend == "op2" { Variant::Op2 } else { Variant::Ca };
             let job = job(&app, variant, o.iters);
-            run(&mut app, &layouts, &job, &RunOptions::default()).unwrap_or_else(|e| {
-                eprintln!("mgcfd: {e}");
-                std::process::exit(1);
-            })
+            run(&mut app, &layouts, &job, &RunOptions::default().with_threads(o.threads))
+                .unwrap_or_else(|e| fail(e))
         }
-        other => panic!("unknown backend `{other}` (seq|op2|ca)"),
+        other => fail(format!("unknown backend `{other}` (seq|op2|ca)")),
     };
 
     println!("final flow norm after {} iterations: {:.6}", o.iters, outcome.rms);

@@ -447,6 +447,23 @@ mod tests {
         assert!(m.warm_jobs >= 1);
     }
 
+    /// Standard OP2's per-dat messages include one-way ones (a rank
+    /// imports a dat from a peer that imports nothing back), which strand
+    /// the sender's buffers on the receiver. The service restocks the
+    /// sender between jobs, so every job after the first allocates no
+    /// payload buffer; without the restock each reads 3.
+    #[test]
+    fn service_op2_jobs_reach_zero_payload_allocs() {
+        let app = MgCfd::new(MgCfdParams::small(7));
+        let svc = Service::new(op2_runtime::ServiceConfig::default());
+        let mesh = svc.register_mesh(app.dom.clone(), layouts_for(&app, 4));
+        let op2 = job(&app, Variant::Op2, 2);
+        let allocs: Vec<u64> = (0..6)
+            .map(|_| svc.submit(mesh, &op2).unwrap().trace.payload_allocs())
+            .collect();
+        assert_eq!(allocs[1..], [0; 5], "payload allocations per job: {allocs:?}");
+    }
+
     /// A failure on a rank other than 0 is the run's typed error — not
     /// dropped (the old drivers read `results[0]` only and would have
     /// returned `Ok`), not a panic. Rank 1 of a 2-rank CA run crashes at

@@ -10,7 +10,8 @@
 //! `k`" names a globally consistent cut: no messages are in flight
 //! between units, every rank's validity/tag state at that cut is a pure
 //! function of the program prefix. Checkpoints are taken at chain
-//! boundaries (every [`CheckpointConfig::every`] completed chains, plus
+//! boundaries (every [`CheckpointConfig::every`] completed chains, set
+//! by [`crate::harness::RunOptions::checkpoint`] and 1 by default, plus
 //! a baseline at attempt start), tagged with a monotonically increasing
 //! *epoch* that is identical across ranks for the same cut — which is
 //! what lets the supervisor roll every rank back to the newest epoch
@@ -37,15 +38,13 @@
 //! diverge from the original execution.
 
 use crate::env::RankEnv;
-use crate::error::ConfigError;
 use crate::plan::PlanCache;
-use crate::policy::{env_knob, parse_knob};
 use crate::threads::ThreadCtx;
 use crate::trace::RecoveryRec;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Checkpoint cadence configuration (`RunOptions::checkpoint` /
-/// `OP2_CKPT_EVERY`).
+/// Checkpoint cadence configuration
+/// ([`crate::harness::RunOptions::checkpoint`]; default every chain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Take a checkpoint every `every` completed chains (≥ 1). The
@@ -64,23 +63,6 @@ impl CheckpointConfig {
     pub fn new(every: u64) -> Self {
         assert!(every >= 1, "checkpoint cadence must be at least 1");
         CheckpointConfig { every }
-    }
-
-    fn grammar(s: &str) -> Option<CheckpointConfig> {
-        s.parse::<u64>().ok().filter(|&n| n >= 1).map(CheckpointConfig::new)
-    }
-
-    /// Parse a raw `OP2_CKPT_EVERY` value (`None` = unset = every
-    /// chain) through the centralized knob path
-    /// ([`crate::policy::parse_knob`]). Pure — no environment access.
-    pub fn parse(raw: Option<&str>) -> Result<Self, ConfigError> {
-        Ok(parse_knob("OP2_CKPT_EVERY", raw, Self::grammar)?.unwrap_or_default())
-    }
-
-    /// Read `OP2_CKPT_EVERY` (unset = every chain). Malformed values
-    /// are a typed [`ConfigError`], reported once at startup.
-    pub fn try_from_env() -> Result<Self, ConfigError> {
-        Ok(env_knob("OP2_CKPT_EVERY", Self::grammar)?.unwrap_or_default())
     }
 }
 

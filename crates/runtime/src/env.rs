@@ -68,9 +68,9 @@ pub struct RankEnv<'a> {
     /// scratch.
     pub threads: ThreadCtx,
     /// How this rank executes: pool width, drain.
-    /// Sequential/leveled until the harness installs the run's
-    /// resolved policy ([`ExecPolicy::resolve`]) before the program
-    /// runs, so env creation itself never reads the environment.
+    /// Sequential/leveled until the harness installs the run's policy
+    /// (copied from its [`crate::harness::RunOptions`]) before the
+    /// program runs.
     pub policy: ExecPolicy,
     /// Exchange plans (by content key) whose message buffers are already
     /// pre-sized into the transport's per-peer pool (see
@@ -475,27 +475,5 @@ mod tests {
             noop,
         );
         env.exec_range(&spec, 5, 5, &mut []);
-    }
-
-    /// `OP2_EXEC` knob grammar: levels/dataflow (case-insensitive),
-    /// unset defaults to Levels, anything else is a typed
-    /// [`ConfigError`] naming the knob.
-    #[test]
-    fn exec_mode_knob_grammar() {
-        use crate::error::ConfigError;
-
-        assert_eq!(ExecMode::parse(None).unwrap(), ExecMode::Levels);
-        for v in ["levels", "LEVELS", "Levels"] {
-            assert_eq!(ExecMode::parse(Some(v)).unwrap(), ExecMode::Levels, "{v}");
-        }
-        for v in ["dataflow", "DATAFLOW", "DataFlow"] {
-            assert_eq!(ExecMode::parse(Some(v)).unwrap(), ExecMode::Dataflow, "{v}");
-        }
-        for v in ["async", "auto"] {
-            let err = ExecMode::parse(Some(v)).unwrap_err();
-            assert!(matches!(&err, ConfigError { knob: "OP2_EXEC", value, .. } if value == v));
-            let msg = err.to_string();
-            assert!(msg.contains("OP2_EXEC") && msg.contains(v), "{msg}");
-        }
     }
 }

@@ -11,29 +11,6 @@ use crate::trace::RankTrace;
 use op2_core::error::CoreError;
 use std::fmt;
 
-/// A malformed runtime configuration knob — an environment variable (or
-/// the programmatic equivalent) that failed to parse. Reported once at
-/// startup as a typed error instead of a panic inside a rank thread.
-/// `knob` and `expected` come from the knob's entry in
-/// [`crate::policy::KNOBS`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// The environment variable, e.g. `OP2_THREADS`.
-    pub knob: &'static str,
-    /// The grammar the knob accepts, e.g. `auto|0|N`.
-    pub expected: &'static str,
-    /// The rejected value.
-    pub value: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} must be {}, got `{}`", self.knob, self.expected, self.value)
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// Errors surfaced while executing a distributed program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
@@ -58,8 +35,6 @@ pub enum RuntimeError {
         /// Halo depth actually valid.
         have: u8,
     },
-    /// A runtime configuration knob failed to parse at startup.
-    Config(ConfigError),
     /// A rank's thread panicked (an injected crash, a kernel bug); the
     /// harness contained it. What a [`RankFailure::Panicked`] becomes
     /// when a job host folds per-rank verdicts into one error.
@@ -100,7 +75,6 @@ impl fmt::Display for RuntimeError {
                 "rank {rank}: chain `{chain}` loop `{loop_name}` needs dat `{dat}` \
                  valid to depth {need}, have {have}"
             ),
-            RuntimeError::Config(e) => write!(f, "invalid runtime configuration: {e}"),
             RuntimeError::Panicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
@@ -122,17 +96,10 @@ impl std::error::Error for RuntimeError {
         match self {
             RuntimeError::Comm(e) => Some(e),
             RuntimeError::Core(e) => Some(e),
-            RuntimeError::Config(e) => Some(e),
             RuntimeError::Validity { .. }
             | RuntimeError::Panicked { .. }
             | RuntimeError::RecoveryExhausted { .. } => None,
         }
-    }
-}
-
-impl From<ConfigError> for RuntimeError {
-    fn from(e: ConfigError) -> Self {
-        RuntimeError::Config(e)
     }
 }
 

@@ -17,42 +17,43 @@
 //! sitting out their full receive deadline. The data of failed ranks is
 //! *not* scattered back: their owned elements keep the pre-run values,
 //! mirroring the data loss of a real rank failure.
+//!
+//! [`RunOptions`] is the whole configuration of a run: the harness
+//! copies its threading and drain into every rank's
+//! [`ExecPolicy`] and reads nothing from the process environment.
 
+use crate::checkpoint::CheckpointConfig;
 use crate::comm::{CommConfig, CommWorld};
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
 use crate::fault::FaultPlan;
-use crate::policy::ExecPolicy;
+use crate::policy::{ExecMode, ExecPolicy};
+use crate::threads::Threading;
 use crate::trace::RankTrace;
 use op2_core::{DatId, Domain};
 use op2_partition::RankLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Knobs for a distributed run beyond the program itself.
+/// Everything that configures a distributed run besides the program
+/// itself. The defaults: a perfect network, the default receive policy,
+/// one thread per rank, the level-synchronous drain and (under
+/// supervision) a checkpoint after every chain.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault plan to subject the run's traffic (and boundaries) to.
     pub faults: Option<Arc<FaultPlan>>,
     /// Receive-side deadline/retry policy.
     pub comm: CommConfig,
-    /// Intra-rank threading for kernel execution, **per rank**. `None`
-    /// (the default) reads `OP2_THREADS` from the environment, at the
-    /// default block size, and divides the thread budget across the
-    /// co-located ranks ([`crate::threads::Threading::split_across`]) so
-    /// one node-wide `OP2_THREADS` never oversubscribes the machine.
-    /// `Some` is taken verbatim as the per-rank configuration, block size
-    /// included.
-    pub threading: Option<crate::threads::Threading>,
+    /// Intra-rank threading for kernel execution, **per rank**, block
+    /// size included.
+    pub threading: Threading,
     /// Checkpoint cadence for supervised runs
-    /// ([`run_supervised`](crate::supervise::run_supervised)). `None`
-    /// (the default) reads `OP2_CKPT_EVERY` from the environment;
+    /// ([`run_supervised`](crate::supervise::run_supervised));
     /// unsupervised runs ignore this field entirely.
-    pub checkpoint: Option<crate::checkpoint::CheckpointConfig>,
-    /// Schedule drain policy, **per rank**. `None` (the default) reads
-    /// `OP2_EXEC` from the environment (absent = levels). `Some` is
-    /// taken verbatim.
-    pub exec: Option<crate::policy::ExecMode>,
+    pub checkpoint: CheckpointConfig,
+    /// Schedule drain policy, **per rank**.
+    pub exec: ExecMode,
 }
 
 impl RunOptions {
@@ -70,30 +71,28 @@ impl RunOptions {
         self
     }
 
-    /// Run every rank's kernels on `n_threads` threads (builder style),
-    /// overriding the environment default.
+    /// Run every rank's kernels on `n_threads` threads (builder style).
     pub fn with_threads(mut self, n_threads: usize) -> Self {
-        self.threading = Some(crate::threads::Threading::with_threads(n_threads));
+        self.threading = Threading::with_threads(n_threads);
         self
     }
 
     /// Full per-rank threading configuration (builder style).
-    pub fn threading(mut self, threading: crate::threads::Threading) -> Self {
-        self.threading = Some(threading);
+    pub fn threading(mut self, threading: Threading) -> Self {
+        self.threading = threading;
         self
     }
 
     /// Checkpoint every `every` chain completions under supervision
-    /// (builder style), overriding the `OP2_CKPT_EVERY` default.
+    /// (builder style).
     pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint = Some(crate::checkpoint::CheckpointConfig::new(every));
+        self.checkpoint = CheckpointConfig::new(every);
         self
     }
 
-    /// Schedule drain policy (builder style), overriding the `OP2_EXEC`
-    /// default.
-    pub fn exec(mut self, mode: crate::policy::ExecMode) -> Self {
-        self.exec = Some(mode);
+    /// Schedule drain policy (builder style).
+    pub fn exec(mut self, mode: ExecMode) -> Self {
+        self.exec = mode;
         self
     }
 }
@@ -177,7 +176,7 @@ where
 }
 
 /// [`run_distributed`] with explicit [`RunOptions`] (fault plan,
-/// receive deadline/retry policy).
+/// receive deadline/retry policy, threading, drain).
 pub fn run_distributed_with<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -193,25 +192,9 @@ where
     type RankYield<R> = (Option<Vec<Vec<f64>>>, RankTrace, Result<R, RankFailure>);
     let nparts = layouts.len();
     assert!(nparts >= 1);
-    // Resolve the execution policy up front so a malformed OP2_* knob
-    // is reported once, as a typed per-rank config failure, instead of
-    // panicking inside every rank thread.
-    let policy = match ExecPolicy::resolve(opts, nparts) {
-        Ok(p) => p,
-        Err(e) => {
-            let rank_trace = |l: &RankLayout| RankTrace {
-                rank: l.rank,
-                ..RankTrace::default()
-            };
-            let rank_failure = |l: &RankLayout| RankFailure::Failed {
-                rank: l.rank,
-                error: RuntimeError::Config(e.clone()),
-            };
-            return DistOutcome {
-                traces: layouts.iter().map(rank_trace).collect(),
-                results: layouts.iter().map(|l| Err(rank_failure(l))).collect(),
-            };
-        }
+    let policy = ExecPolicy {
+        threading: opts.threading,
+        exec: opts.exec,
     };
     let world = match &opts.faults {
         Some(plan) => CommWorld::with_faults(nparts, plan.clone()),

@@ -29,15 +29,14 @@
 //!   index lists, and every lowered loop range under one
 //!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
 //!   class.
-//! * [`policy`] — the `OP2_*` knob table ([`policy::KNOBS`]) behind
-//!   every typed [`ConfigError`], and the per-rank [`ExecPolicy`]
-//!   (threading, drain) resolved once per run.
+//! * [`policy`] — the per-rank [`ExecPolicy`] (threading, drain),
+//!   copied from [`RunOptions`] once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
 //!   (owner-computes windows and colored loop ranges alike) level by
-//!   level, or in chunk-dependency order under
-//!   `OP2_EXEC=dataflow`, bitwise identical to sequential execution
-//!   (`OP2_THREADS`).
+//!   level, or in chunk-dependency order under [`ExecMode::Dataflow`],
+//!   bitwise identical to sequential execution at every
+//!   [`RunOptions::threading`] width.
 //! * [`tuner`] — adaptive dispatch by measurement: times each strict
 //!   chain's first calls as standard (Alg 1) and CA (Alg 2) execution in
 //!   turn, dispatches the rest to the faster on every rank, and records
@@ -63,6 +62,10 @@
 //! Layouts are built once, before a run, and never change: no host
 //! repartitions a running job, so nothing carried between runs is ever
 //! invalidated.
+//!
+//! A run is configured by its typed options alone ([`RunOptions`],
+//! [`SuperviseOptions`], [`ServiceConfig`]): the runtime reads nothing
+//! from the process environment.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -89,7 +92,7 @@ pub mod tuner;
 pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::RankEnv;
-pub use error::{ConfigError, RankFailure, RuntimeError};
+pub use error::{RankFailure, RuntimeError};
 pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop, ExecHooks, NoHooks};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
@@ -98,7 +101,7 @@ pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, LoweringKey,
     PlanCache, PlanStats,
 };
-pub use policy::{env_knob, parse_knob, ExecMode, ExecPolicy, KNOBS};
+pub use policy::{ExecMode, ExecPolicy};
 pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
     JobStep,

@@ -12,9 +12,9 @@
 //! ## Job lifecycle
 //!
 //! `submit` passes admission control (a bounded in-flight count;
-//! [`ServiceError::Saturated`] beyond `OP2_SERVE_MAX_INFLIGHT`), then
-//! queues on the mesh's world lock — execution is serialized per world
-//! (one set of rank resources), concurrent across worlds. Each job runs
+//! [`ServiceError::Saturated`] beyond `ServiceConfig::max_inflight`),
+//! then queues on the mesh's world lock — execution is serialized per
+//! world (one set of rank resources), concurrent across worlds. Each job runs
 //! under full supervision ([`run_job_with_state`]) on a fresh clone of
 //! the registered domain with the job's initial dat overrides applied,
 //! with per-rank state slots **pre-seeded** from the world's carry —
@@ -59,11 +59,10 @@
 
 use crate::checkpoint::{lock, Carry, CheckpointConfig, RankState};
 use crate::comm::CommCounters;
-use crate::error::{ConfigError, RuntimeError};
+use crate::error::RuntimeError;
 use crate::harness::RunOptions;
 use crate::job::{run_job_with_state, Job, JobRun};
 use crate::plan::{mesh_signature, PlanStats};
-use crate::policy::{env_knob, parse_knob, ExecPolicy};
 use crate::supervise::SuperviseOptions;
 use crate::trace::RankTrace;
 use op2_core::{DatId, Domain};
@@ -77,9 +76,9 @@ use std::sync::{Arc, Mutex};
 /// every job runs under.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Admitted-but-unfinished job bound (`OP2_SERVE_MAX_INFLIGHT`,
-    /// default 8). Submissions beyond it are rejected with
-    /// [`ServiceError::Saturated`], never silently queued unbounded.
+    /// Admitted-but-unfinished job bound (default 8). Submissions
+    /// beyond it are rejected with [`ServiceError::Saturated`], never
+    /// silently queued unbounded.
     pub max_inflight: usize,
     /// Base supervision each job starts from: run options (fault plan,
     /// comm policy, threading, checkpoint cadence), recovery budget and
@@ -97,24 +96,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    fn grammar(s: &str) -> Option<ServiceConfig> {
-        let n = s.parse::<usize>().ok().filter(|&n| n >= 1)?;
-        Some(ServiceConfig::default().max_inflight(n))
-    }
-
-    /// Parse a raw `OP2_SERVE_MAX_INFLIGHT` value (`None` = unset)
-    /// through the centralized knob path ([`crate::policy::parse_knob`]).
-    /// Pure — no environment access.
-    pub fn parse(max_inflight: Option<&str>) -> Result<Self, ConfigError> {
-        Ok(parse_knob("OP2_SERVE_MAX_INFLIGHT", max_inflight, Self::grammar)?.unwrap_or_default())
-    }
-
-    /// Read `OP2_SERVE_MAX_INFLIGHT`, a typed error on a malformed value
-    /// — same discipline as `OP2_THREADS` and `OP2_CKPT_EVERY`.
-    pub fn try_from_env() -> Result<Self, ConfigError> {
-        Ok(env_knob("OP2_SERVE_MAX_INFLIGHT", Self::grammar)?.unwrap_or_default())
-    }
-
     /// Override the base run options (builder style).
     pub fn run(mut self, run: RunOptions) -> Self {
         self.supervise.run = run;
@@ -157,8 +138,14 @@ pub enum ServiceError {
         /// Length the job supplied.
         got: usize,
     },
-    /// A service knob failed to parse.
-    Config(ConfigError),
+    /// A job's initial dat override names a dat the registered domain
+    /// does not declare.
+    UnknownDat {
+        /// The job.
+        name: String,
+        /// The unknown dat.
+        dat: DatId,
+    },
     /// The job failed beyond its recovery budget (or hit a
     /// non-recoverable error). The world survives; only this job is
     /// lost.
@@ -190,22 +177,10 @@ impl fmt::Display for ServiceError {
                 "job `{name}`: initial state for dat {} has {got} value(s), domain expects {expect}",
                 dat.idx()
             ),
-            ServiceError::Config(e) => write!(f, "invalid service configuration: {e}"),
+            ServiceError::UnknownDat { name, dat } => {
+                write!(f, "job `{name}`: initial state names unknown dat {}", dat.idx())
+            }
             ServiceError::Job { name, error } => write!(f, "job `{name}` failed: {error}"),
-        }
-    }
-}
-
-impl ServiceError {
-    /// A failed run of `name`; configuration errors keep their own
-    /// variant.
-    fn from_run(name: &str, e: RuntimeError) -> Self {
-        match e {
-            RuntimeError::Config(e) => ServiceError::Config(e),
-            e => ServiceError::Job {
-                name: name.into(),
-                error: Box::new(e),
-            },
         }
     }
 }
@@ -213,16 +188,9 @@ impl ServiceError {
 impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServiceError::Config(e) => Some(e),
             ServiceError::Job { error, .. } => Some(error.as_ref()),
             _ => None,
         }
-    }
-}
-
-impl From<ConfigError> for ServiceError {
-    fn from(e: ConfigError) -> Self {
-        ServiceError::Config(e)
     }
 }
 
@@ -369,11 +337,6 @@ impl Service {
         }
     }
 
-    /// Boot from the `OP2_SERVE_*` environment knobs.
-    pub fn from_env() -> Result<Self, ConfigError> {
-        Ok(Service::new(ServiceConfig::try_from_env()?))
-    }
-
     /// Register a mesh world: the pristine domain and its partition
     /// layouts. Returns the [`mesh_signature`] jobs submit against.
     /// Re-registering an identical mesh is a no-op returning the same
@@ -482,13 +445,16 @@ impl Service {
         batched: bool,
     ) -> Result<JobOutcome, ServiceError> {
         let job_id = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-        // A malformed knob is one typed rejection, not a recovery loop
-        // over attempts that all fail the same way.
-        ExecPolicy::resolve(&self.cfg.supervise.run, world.layouts.len())?;
 
         // Per-job domain: pristine base plus the job's initial state.
         let mut dom = world.base.clone();
         for (dat, data) in &job.init {
+            if dat.idx() >= dom.n_dats() {
+                return Err(ServiceError::UnknownDat {
+                    name: job.name.clone(),
+                    dat: *dat,
+                });
+            }
             let buf = &mut dom.dat_mut(*dat).data;
             if buf.len() != data.len() {
                 return Err(ServiceError::BadInit {
@@ -519,7 +485,7 @@ impl Service {
         let mut sopts = self.cfg.supervise.clone();
         sopts.run.faults = job.faults.clone();
         if let Some(every) = job.checkpoint_every {
-            sopts.run.checkpoint = Some(CheckpointConfig::new(every));
+            sopts.run.checkpoint = CheckpointConfig::new(every);
         }
         let result = run_job_with_state(&mut dom, &world.layouts, job, &sopts, &slots, job_id);
 
@@ -532,7 +498,10 @@ impl Service {
 
         let JobRun { gbls, traces } = result.map_err(|e| {
             self.with_metrics(|m| m.failed += 1);
-            ServiceError::from_run(&job.name, e)
+            ServiceError::Job {
+                name: job.name.clone(),
+                error: Box::new(e),
+            }
         })?;
         let dats: Vec<Vec<f64>> = (0..dom.n_dats())
             .map(|d| dom.dat(DatId(d as u32)).data.clone())
@@ -568,13 +537,15 @@ impl Service {
 ///
 /// Chain exchanges swap buffers symmetrically (each side's send buffer
 /// lands in the other side's pool slot for it), so a pair's buffer
-/// total is conserved. One-way traffic is not: an asymmetric halo
-/// segment (a imports from b, b imports nothing back) or a reduction
-/// broadcast leg permanently migrates the sender's buffer to the
-/// receiver, which never sends it back — left alone, the sending side
-/// would re-allocate the same buffers every job while the receiving
-/// side hoards them. The world owns all pools between jobs, so restock
-/// the depleted side of each skewed pair.
+/// total is conserved. One-way traffic is not: a per-dat Alg 1
+/// message over an asymmetric halo segment (a imports the dat from b,
+/// b imports nothing back) permanently migrates the sender's buffer to
+/// the receiver, which never sends it back — left alone, the sending
+/// side would re-allocate the same buffers every job while the
+/// receiving side hoards them. (Reductions touch no pool: the allreduce
+/// sends freshly allocated buffers and drops what it receives.) The
+/// world owns all pools between jobs, so restock the depleted side of
+/// each skewed pair.
 fn rebalance_pools(carry: &mut [Carry]) {
     for a in 0..carry.len() {
         let (lo, hi) = carry.split_at_mut(a + 1);
@@ -613,35 +584,6 @@ fn balance_slot_pair(x: &mut Vec<Vec<f64>>, y: &mut Vec<Vec<f64>>) {
 mod tests {
     use super::*;
 
-    /// Knob parsing: defaults, overrides, typed errors.
-    #[test]
-    fn config_parsing() {
-        let d = ServiceConfig::parse(None).unwrap();
-        assert_eq!(d.max_inflight, 8);
-        assert_eq!(d.supervise.max_recoveries, 3);
-        assert!(d.supervise.escalate_deadline);
-        assert_eq!(ServiceConfig::parse(Some("3")).unwrap().max_inflight, 3);
-        assert!(matches!(
-            ServiceConfig::parse(Some("0")),
-            Err(ConfigError { knob: "OP2_SERVE_MAX_INFLIGHT", .. })
-        ));
-    }
-
-    /// The checkpoint knob flows through the same centralized path.
-    #[test]
-    fn ckpt_knob_centralized() {
-        assert_eq!(CheckpointConfig::parse(None).unwrap().every, 1);
-        assert_eq!(CheckpointConfig::parse(Some("5")).unwrap().every, 5);
-        assert!(matches!(
-            CheckpointConfig::parse(Some("zero")),
-            Err(ConfigError { knob: "OP2_CKPT_EVERY", .. })
-        ));
-        assert!(matches!(
-            CheckpointConfig::parse(Some("0")),
-            Err(ConfigError { knob: "OP2_CKPT_EVERY", .. })
-        ));
-    }
-
     /// Unknown meshes are a typed rejection, not a panic.
     #[test]
     fn unknown_mesh_rejected() {
@@ -650,6 +592,27 @@ mod tests {
         assert!(matches!(
             svc.submit(42, &job),
             Err(ServiceError::UnknownMesh { mesh: 42 })
+        ));
+    }
+
+    /// An initial override naming a dat the domain does not declare is
+    /// a typed rejection, not an index panic inside `submit`.
+    #[test]
+    fn unknown_init_dat_rejected() {
+        use op2_mesh::Quad2D;
+        use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+
+        let mut mesh = Quad2D::generate(3, 3);
+        mesh.dom.decl_dat_zeros("v", mesh.nodes, 1);
+        let base = rcb_partition(&mesh.dom.dat(mesh.coords).data, 2, 1);
+        let own = derive_ownership(&mesh.dom, mesh.nodes, base, 1);
+        let layouts = build_layouts(&mesh.dom, &own, 1);
+        let svc = Service::new(ServiceConfig::default());
+        let id = svc.register_mesh(mesh.dom, layouts);
+        let job = Job::new("j", vec![], 0).with_init(DatId(999), vec![0.0]);
+        assert!(matches!(
+            svc.submit(id, &job),
+            Err(ServiceError::UnknownDat { dat: DatId(999), .. })
         ));
     }
 

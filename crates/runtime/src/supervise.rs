@@ -39,7 +39,7 @@
 //! alter delivered payloads. `tests/recovery.rs` asserts this across
 //! crash sites, boundaries and thread counts.
 
-use crate::checkpoint::{lock, CheckpointConfig, RankState};
+use crate::checkpoint::{lock, RankState};
 use crate::comm::CommError;
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
@@ -137,8 +137,7 @@ fn rollback(slots: &[Arc<Mutex<RankState>>]) {
 ///
 /// Returns the successful attempt's [`DistOutcome`] (its traces carry
 /// the cumulative [`RecoveryRec`](crate::trace::RecoveryRec) counters),
-/// or [`RuntimeError::RecoveryExhausted`] when the budget runs out, or
-/// [`RuntimeError::Config`] when the checkpoint cadence is malformed.
+/// or [`RuntimeError::RecoveryExhausted`] when the budget runs out.
 pub fn run_supervised<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -177,17 +176,13 @@ where
         layouts.len(),
         "one state slot per rank is required"
     );
-    let cfg = match opts.run.checkpoint {
-        Some(c) => c,
-        None => CheckpointConfig::try_from_env()?,
-    };
     let slots_ref = slots;
     let mut run_opts = opts.run.clone();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let out = run_distributed_with(dom, layouts, &run_opts, |env| {
-            env.ckpt_attach(cfg, Arc::clone(&slots_ref[env.rank as usize]));
+            env.ckpt_attach(opts.run.checkpoint, Arc::clone(&slots_ref[env.rank as usize]));
             program(env)
         });
         if out.all_ok() {

@@ -12,9 +12,7 @@
 //! [`op2_core::schedule`].
 //!
 //! Each rank **owns** its pool ([`ThreadCtx::pool`]), created lazily at
-//! the rank's configured width; the harness divides `OP2_THREADS` across
-//! in-process ranks ([`Threading::split_across`]) so many threaded ranks
-//! do not oversubscribe the node. Workers park on their channel between
+//! the rank's configured width. Workers park on their channel between
 //! rounds — no spinning.
 //!
 //! Two drains run a schedule on the pool: the leveled walk
@@ -22,14 +20,11 @@
 //! executor ([`run_schedule_dataflow`]), where each chunk fires when its
 //! dependency counter in the schedule's chunk DAG reaches zero.
 //!
-//! Control surface: `OP2_THREADS` (`1`/unset = sequential, `0`/`auto` =
-//! hardware parallelism, `N` = exactly N), or
-//! [`crate::harness::RunOptions`] programmatically (which also sets the
-//! colored fallback's [`Threading::block_size`]) — resolved once per run
-//! into [`crate::policy::ExecPolicy::threading`].
+//! Control surface: [`crate::harness::RunOptions::threading`] (per
+//! rank; default 1 thread = sequential), which also sets the colored
+//! fallback's [`Threading::block_size`], copied once per run into
+//! [`crate::policy::ExecPolicy::threading`].
 
-use crate::error::ConfigError;
-use crate::policy::{env_knob, parse_knob};
 use op2_core::dag::ChunkDag;
 use op2_core::schedule::{run_chunk, BoundLoop, SchedCtx, Schedule};
 use std::cell::UnsafeCell;
@@ -67,47 +62,9 @@ impl Threading {
         }
     }
 
-    fn threads_grammar(v: &str) -> Option<usize> {
-        match v {
-            "" => Some(1),
-            "0" | "auto" => Some(std::thread::available_parallelism().map_or(1, |n| n.get())),
-            n => n.parse::<usize>().ok().filter(|&n| n >= 1),
-        }
-    }
-
-    /// Parse a raw `OP2_THREADS` value (`None` = variable unset), at the
-    /// default block size. Pure — no environment access — so the harness
-    /// can validate configuration once at startup and tests can cover
-    /// every malformed shape without mutating process state.
-    pub fn parse(threads: Option<&str>) -> Result<Threading, ConfigError> {
-        let n = parse_knob("OP2_THREADS", threads, Self::threads_grammar)?;
-        Ok(Threading::with_threads(n.unwrap_or(1)))
-    }
-
-    /// Read `OP2_THREADS` (unset/`1` = sequential, `0`/`auto` = hardware
-    /// parallelism, `N` = exactly N threads), at the default block size.
-    /// Returns a typed [`ConfigError`] on a malformed value — the harness
-    /// reports it once at startup instead of panicking inside a rank
-    /// thread.
-    pub fn try_from_env() -> Result<Threading, ConfigError> {
-        let n = env_knob("OP2_THREADS", Self::threads_grammar)?;
-        Ok(Threading::with_threads(n.unwrap_or(1)))
-    }
-
     /// True when execution actually fans out (more than one thread).
     pub fn active(&self) -> bool {
         self.n_threads > 1
-    }
-
-    /// Divide this budget across `ranks` in-process ranks: each rank's
-    /// pool gets `n_threads / ranks` workers (at least 1), so co-located
-    /// threaded ranks stop oversubscribing the node's cores. Explicit
-    /// per-rank configurations ([`crate::harness::RunOptions::threading`])
-    /// bypass this.
-    pub fn split_across(mut self, ranks: usize) -> Threading {
-        assert!(ranks >= 1);
-        self.n_threads = (self.n_threads / ranks).max(1);
-        self
     }
 }
 
@@ -753,43 +710,6 @@ mod tests {
             total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 8);
-    }
-
-    /// The default never reads the environment: it is sequential
-    /// whatever `OP2_THREADS` says.
-    #[test]
-    fn threading_default_without_env_is_sequential() {
-        assert_eq!(Threading::default(), Threading::single());
-        assert!(!Threading::default().active());
-    }
-
-    #[test]
-    fn parse_accepts_valid_shapes() {
-        assert_eq!(Threading::parse(None).unwrap(), Threading::single());
-        assert_eq!(Threading::parse(Some("1")).unwrap().n_threads, 1);
-        assert_eq!(Threading::parse(Some("3")).unwrap(), Threading::with_threads(3));
-        assert!(Threading::parse(Some("auto")).unwrap().n_threads >= 1);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_values_typed() {
-        let err = |knob, expected, value: &str| {
-            Err(ConfigError {
-                knob,
-                expected,
-                value: value.into(),
-            })
-        };
-        assert_eq!(Threading::parse(Some("lots")), err("OP2_THREADS", "auto|0|N", "lots"));
-    }
-
-    #[test]
-    fn split_across_divides_with_floor_of_one() {
-        let t = Threading::with_threads(8);
-        assert_eq!(t.split_across(2).n_threads, 4);
-        assert_eq!(t.split_across(3).n_threads, 2);
-        assert_eq!(t.split_across(16).n_threads, 1);
-        assert_eq!(Threading::single().split_across(4).n_threads, 1);
     }
 
     #[test]

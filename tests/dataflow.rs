@@ -1,6 +1,6 @@
 //! Dataflow-executor equivalence properties.
 //!
-//! `OP2_EXEC=dataflow` replaces the level-synchronous drain with
+//! `ExecMode::Dataflow` replaces the level-synchronous drain with
 //! per-chunk dependency counters over the conflict DAG: a chunk fires
 //! the moment its conflicting predecessors are done, spanning level
 //! boundaries, with owner-first deques and steal-from-richest work
@@ -24,7 +24,7 @@
 //!    the property above is not vacuously running the levels fallback.
 //! 3. **Steady state allocates nothing**: after warm-up the steal
 //!    queues and dependency counters never grow again.
-//! 4. **Chaos**: a rank crash mid-chain under `OP2_EXEC=dataflow`
+//! 4. **Chaos**: a rank crash mid-chain under `ExecMode::Dataflow`
 //!    rolls back and replays to bitwise-identical results.
 //!
 //! All kernels keep values dyadic rationals so floating-point addition
@@ -303,7 +303,7 @@ mod chaos {
     }
 
     /// Kill rank 1 at a chain boundary and once mid-program at a loop
-    /// boundary while `OP2_EXEC=dataflow` is live, at 1 and 4 threads.
+    /// boundary while `ExecMode::Dataflow` is live, at 1 and 4 threads.
     /// Every variant must roll back exactly once and replay to results
     /// bitwise equal to the sequential reference.
     #[test]
@@ -370,7 +370,7 @@ mod chaos {
 }
 
 /// The application-level drivers: mg-cfd and hydra under
-/// `OP2_EXEC=dataflow` must match their level-synchronous runs to the
+/// `ExecMode::Dataflow` must match their level-synchronous runs to the
 /// bit.
 mod apps {
     use super::*;
