@@ -1,9 +1,10 @@
 //! In-process rank-to-rank transport — the MPI stand-in.
 //!
 //! Semantics mirror the subset of MPI the paper's back-end uses:
-//! non-blocking sends (`isend` copies the payload into an unbounded
-//! channel and returns immediately, like a buffered `MPI_Isend`),
-//! blocking receives matched per source in FIFO order (sufficient because
+//! non-blocking sends (`isend` copies the payload into the destination's
+//! unbounded inbound channel and returns immediately, like a buffered
+//! `MPI_Isend`), blocking receives matched per source in FIFO order by
+//! one receive loop over one inbound queue per rank (sufficient because
 //! every rank executes the identical loop program, so at most the
 //! messages of one exchange round are in flight per peer and they are
 //! posted in deterministic order), plus an allreduce for global
@@ -14,14 +15,14 @@
 //!
 //! Unlike the first-cut transport, this one does **not** assume a perfect
 //! substrate. Every message carries a sequence number and a checksum;
-//! [`RankComm::recv`] verifies both under a configurable deadline with
-//! bounded retry/backoff and returns typed [`CommError`]s instead of
+//! [`RankComm::recv_any`] verifies both under a configurable deadline with
+//! a bounded retry budget and returns typed [`CommError`]s instead of
 //! panicking. A deterministic [`FaultPlan`] can
 //! be attached to the world to delay, drop, duplicate or corrupt traffic
 //! (dropped/corrupted attempts are followed by scheduled retransmissions,
 //! modelling a sender-side retransmit timer), and `hangup` sentinels let
-//! a dying rank unblock its peers promptly instead of leaving them to
-//! deadlock.
+//! a dying (or dropped) rank unblock its peers promptly instead of
+//! leaving them to deadlock.
 //!
 //! Every *logical* send is counted and sized (retransmissions and
 //! duplicates are tracked separately in [`CommCounters`]); the paper's
@@ -38,7 +39,8 @@
 
 use crate::fault::{Disposition, FaultPlan};
 use std::cmp::Reverse;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,7 +90,7 @@ pub enum CommError {
         /// Tag that actually arrived.
         got: u64,
     },
-    /// The peer hung up (sent a hangup sentinel, or its channel closed).
+    /// The peer hung up (its hangup sentinel, sent on exit or drop).
     PeerHangup {
         /// The dead peer.
         peer: u32,
@@ -134,7 +136,7 @@ impl std::fmt::Display for CommError {
 
 impl std::error::Error for CommError {}
 
-/// Receive-side policy: how long to wait and how hard to retry.
+/// Receive-side policy: how long to wait.
 ///
 /// The deadline is the transport-level reflection of the model's latency
 /// term `L` (Eq 1/3): a healthy exchange completes in ≪ `deadline`, so
@@ -142,23 +144,22 @@ impl std::error::Error for CommError {}
 /// plan has injected a permanent loss.
 #[derive(Debug, Clone, Copy)]
 pub struct CommConfig {
-    /// Total time `recv` may wait for a valid message.
+    /// Total time one receive call may wait for a valid message.
     pub deadline: Duration,
-    /// Sleep between discard-and-rewait rounds (backoff).
-    pub retry_backoff: Duration,
-    /// Maximum discard-and-rewait rounds per `recv`.
-    pub max_retries: u64,
 }
 
 impl Default for CommConfig {
     fn default() -> Self {
         CommConfig {
             deadline: Duration::from_secs(10),
-            retry_backoff: Duration::from_micros(200),
-            max_retries: 256,
         }
     }
 }
+
+/// Discarded copies (corrupt or duplicate) one receive call tolerates
+/// before it gives up. No backoff between them: the retransmission a
+/// discard waits for is already queued behind the bad copy.
+const MAX_RETRIES: u64 = 256;
 
 /// Counters for everything the recoverable transport observed — the
 /// ground truth the chaos tests and the fault-determinism property
@@ -294,13 +295,18 @@ struct Packet {
     msg: Msg,
     /// Injected latency, enforced at the receiver (the wire was slow).
     delay: Option<Duration>,
+    /// When the payload becomes visible: set from `delay` the first time
+    /// a receive call finds the packet at the head of its source's queue.
+    visible_at: Option<Instant>,
 }
 
-/// Factory wiring `n` ranks together with dedicated channels per ordered
-/// pair (so per-peer FIFO holds regardless of other traffic).
+/// Factory wiring `n` ranks together: one inbound channel per rank, and
+/// every rank holds a sender to each (its own included). One sender's
+/// packets arrive in its send order, so per-source FIFO holds whatever
+/// else shares the channel.
 pub struct CommWorld {
-    senders: Vec<Vec<Sender<Packet>>>,
-    receivers: Vec<Vec<Receiver<Packet>>>,
+    senders: Vec<Sender<Packet>>,
+    receivers: Vec<Receiver<Packet>>,
     plan: Option<Arc<FaultPlan>>,
     config: CommConfig,
 }
@@ -323,17 +329,7 @@ impl CommWorld {
     }
 
     fn build(n: usize, plan: Option<Arc<FaultPlan>>, config: CommConfig) -> Self {
-        let mut senders: Vec<Vec<Sender<Packet>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
-        let mut receivers: Vec<Vec<Receiver<Packet>>> =
-            (0..n).map(|_| Vec::with_capacity(n)).collect();
-        // senders[src][dst] and receivers[dst][src].
-        for dst in 0..n {
-            for src in 0..n {
-                let (tx, rx) = channel();
-                senders[src].push(tx);
-                receivers[dst].push(rx);
-            }
-        }
+        let (senders, receivers) = (0..n).map(|_| channel()).unzip();
         CommWorld {
             senders,
             receivers,
@@ -345,17 +341,16 @@ impl CommWorld {
     /// Split into per-rank endpoints (call once; consumes the world).
     pub fn into_ranks(self) -> Vec<RankComm> {
         let n = self.senders.len();
-        let plan = self.plan;
-        let config = self.config;
-        self.senders
+        let (senders, plan, config) = (self.senders, self.plan, self.config);
+        self.receivers
             .into_iter()
-            .zip(self.receivers)
             .enumerate()
-            .map(|(rank, (sends, recvs))| RankComm {
+            .map(|(rank, inbox)| RankComm {
                 rank: rank as u32,
                 n,
-                sends,
-                recvs,
+                sends: senders.clone(),
+                inbox,
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
                 sent_msgs: 0,
                 sent_bytes: 0,
                 next_seq: vec![1; n],
@@ -365,7 +360,6 @@ impl CommWorld {
                 plan: plan.clone(),
                 hung_up: false,
                 pool: vec![Vec::new(); n],
-                stash: (0..n).map(|_| None).collect(),
             })
             .collect()
     }
@@ -377,8 +371,15 @@ pub struct RankComm {
     pub rank: u32,
     /// World size.
     pub n: usize,
+    /// A sender into every rank's inbound channel, by destination.
     sends: Vec<Sender<Packet>>,
-    recvs: Vec<Receiver<Packet>>,
+    /// This rank's one inbound channel: every peer's traffic.
+    inbox: Receiver<Packet>,
+    /// Per source, the packets taken off `inbox` but not consumed yet,
+    /// in that source's send order (MPI's unexpected-message queue). A
+    /// delayed head stays parked here until it is visible, across
+    /// receive calls, ahead of its source's later traffic.
+    queues: Vec<VecDeque<Packet>>,
     /// Logical messages sent so far (retransmits/duplicates excluded —
     /// this is the paper's message count).
     pub sent_msgs: u64,
@@ -405,12 +406,6 @@ pub struct RankComm {
     /// satisfiable — a shared pool could hand a small buffer from one
     /// pair to another and re-allocate forever.
     pool: Vec<Vec<Vec<f64>>>,
-    /// Per-source parking slot for a delayed packet pulled off the wire
-    /// before its injected latency elapsed. Per-pair channels are FIFO,
-    /// so once a delayed packet is dequeued it *must* be surfaced before
-    /// any later traffic from that source — parking it here (instead of
-    /// in a local) keeps it alive across `recv`/`recv_any` calls.
-    stash: Vec<Option<(Msg, Instant)>>,
 }
 
 /// What [`RankComm::screen`] made of one copy off the wire.
@@ -428,11 +423,6 @@ enum Screened {
 /// one buffer per peer per direction — the cap only guards against
 /// pathological accumulation.
 const POOL_MAX_PER_PEER: usize = 8;
-
-/// Sleep between empty poll rounds in [`RankComm::recv_any`]. Short
-/// enough that arrival-order completion stays responsive, long enough
-/// not to spin a core while peers are packing.
-const POLL_INTERVAL: Duration = Duration::from_micros(20);
 
 impl RankComm {
     /// Non-blocking send (buffered like `MPI_Isend` + internal copy).
@@ -498,80 +488,106 @@ impl RankComm {
         if delay.is_some() {
             self.counters.delayed += 1;
         }
-        // A closed channel means the peer is gone; the error surfaces on
-        // our next receive from it, exactly like buffered MPI.
-        let _ = self.sends[to as usize].send(Packet { msg, delay });
+        // A failed send means the peer's endpoint was dropped, and it hung
+        // up as it went: the error surfaces on our next receive from it,
+        // exactly like buffered MPI.
+        let _ = self.sends[to as usize].send(Packet {
+            msg,
+            delay,
+            visible_at: None,
+        });
     }
 
-    /// Blocking receive of the next valid message from `from`.
-    ///
-    /// Waits up to `config.deadline` in total. Copies failing their
-    /// checksum and duplicate sequence numbers are discarded (each
-    /// discard counts one retry and sleeps `config.retry_backoff`),
-    /// relying on the scheduled retransmission to bring a good copy.
-    /// Tag mismatches, hangups, exhausted retries and deadline expiry
-    /// surface as typed [`CommError`]s.
+    /// Blocking receive of the next valid message from `from`: the
+    /// one-peer call of [`RankComm::recv_any`].
     pub fn recv(&mut self, from: u32, tag: u64) -> Result<Vec<f64>, CommError> {
+        self.recv_any(&[from], tag).map(|(_, data)| data)
+    }
+
+    /// Blocking receive of the next valid message from **any** of
+    /// `peers`, in arrival order, as `(index into peers, payload)` — the
+    /// one receive loop.
+    ///
+    /// Each round takes the visible heads of the requested sources'
+    /// queues, in `peers` order, and screens them (`screen`): a corrupt
+    /// or duplicate copy is discarded and counts a retry, at most
+    /// `MAX_RETRIES` per call; a control tag surfaces as
+    /// [`CommError::PeerHangup`] and a wrong tag as
+    /// [`CommError::TagMismatch`]. With nothing visible, the call blocks
+    /// on the inbound channel until an arrival, the earliest requested
+    /// head's `visible_at`, or the deadline ([`CommError::Timeout`],
+    /// reported against `peers[0]`), and files every arrival under its
+    /// source. A delayed head's latency starts when a receive call first
+    /// finds it at its source's head; it never holds up another source's
+    /// visible message, and it stays parked across calls ahead of its
+    /// source's later traffic.
+    pub fn recv_any(&mut self, peers: &[u32], tag: u64) -> Result<(usize, Vec<f64>), CommError> {
+        assert!(!peers.is_empty(), "recv_any needs at least one peer");
         let start = Instant::now();
         let deadline = start + self.config.deadline;
-        let mut retries = 0u64;
-        let mut corrupt_seen = 0u64;
+        let (mut retries, mut corrupt) = (0u64, 0u64);
         loop {
-            if retries > self.config.max_retries {
-                return Err(if corrupt_seen > 0 {
-                    CommError::Corrupt {
-                        from,
-                        discarded: corrupt_seen,
-                    }
-                } else {
-                    self.timed_out(from, tag, start, retries)
-                });
-            }
             let now = Instant::now();
-            if now >= deadline {
-                return Err(self.timed_out(from, tag, start, retries));
-            }
-            let msg = if let Some((m, visible_at)) = self.stash[from as usize].take() {
-                // A prior recv_any parked this packet mid-latency; FIFO
-                // order requires draining it before newer traffic.
-                let now = Instant::now();
-                if visible_at > now {
-                    std::thread::sleep(visible_at - now);
-                }
-                m
-            } else {
-                let packet = match self.recvs[from as usize].recv_timeout(deadline - now) {
-                    Ok(p) => p,
-                    Err(RecvTimeoutError::Timeout) => {
-                        return Err(self.timed_out(from, tag, start, retries))
+            let mut wake = deadline;
+            for (i, &from) in peers.iter().enumerate() {
+                while let Some(msg) = self.take_visible(from, now, &mut wake) {
+                    match self.screen(from, tag, msg)? {
+                        Screened::Accepted(data) => return Ok((i, data)),
+                        Screened::Corrupt => corrupt += 1,
+                        Screened::Duplicate => {}
                     }
-                    Err(RecvTimeoutError::Disconnected) => return Err(self.hung_up(from)),
-                };
-                if let Some(d) = packet.delay {
-                    // The wire was slow: the payload only becomes visible
-                    // after the injected latency has elapsed.
-                    std::thread::sleep(d);
-                }
-                packet.msg
-            };
-            match self.screen(from, tag, msg)? {
-                Screened::Accepted(data) => return Ok(data),
-                Screened::Corrupt => {
                     retries += 1;
-                    corrupt_seen += 1;
-                    std::thread::sleep(self.config.retry_backoff);
+                    if retries > MAX_RETRIES {
+                        return Err(if corrupt > 0 {
+                            CommError::Corrupt {
+                                from,
+                                discarded: corrupt,
+                            }
+                        } else {
+                            self.timed_out(from, tag, start, retries)
+                        });
+                    }
                 }
-                Screened::Duplicate => retries += 1,
+            }
+            if now >= deadline {
+                return Err(self.timed_out(peers[0], tag, start, retries));
+            }
+            // The inbox never disconnects (this endpoint holds a sender
+            // to it), so an error here is the timeout.
+            let mut arrived = self.inbox.recv_timeout(wake - now).ok();
+            while let Some(packet) = arrived {
+                self.queues[packet.msg.from as usize].push_back(packet);
+                arrived = self.inbox.try_recv().ok();
             }
         }
     }
 
-    /// The one acceptance rule [`RankComm::recv`] and
-    /// [`RankComm::recv_any`] apply to every copy pulled off `from`'s
-    /// wire: a control tag is a hangup; a copy failing its checksum or
-    /// repeating an accepted sequence number is discarded (counted as a
-    /// retry — the caller applies its retry budget); anything else is
-    /// accepted in sequence and must carry `tag`.
+    /// The head of `from`'s queue if it is visible at `now`, starting
+    /// its injected latency if no receive call has seen it yet. A head
+    /// still on the wire stays queued and pulls `wake` forward to its
+    /// `visible_at`. A hangup sentinel is returned but stays queued, so
+    /// every later receive from `from` fails the same way.
+    fn take_visible(&mut self, from: u32, now: Instant, wake: &mut Instant) -> Option<Msg> {
+        let queue = &mut self.queues[from as usize];
+        let head = queue.front_mut()?;
+        let delay = head.delay.unwrap_or_default();
+        let at = *head.visible_at.get_or_insert(now + delay);
+        if at > now {
+            *wake = (*wake).min(at);
+            return None;
+        }
+        if head.msg.tag >= tags::CONTROL_BASE {
+            return Some(head.msg.clone());
+        }
+        queue.pop_front().map(|packet| packet.msg)
+    }
+
+    /// The one acceptance rule [`RankComm::recv_any`] applies to every
+    /// visible copy from `from`: a control tag is a hangup; a copy
+    /// failing its checksum or repeating an accepted sequence number is
+    /// discarded (counted as a retry — the caller applies its retry
+    /// budget); anything else is accepted in sequence and must carry
+    /// `tag`.
     fn screen(&mut self, from: u32, tag: u64, msg: Msg) -> Result<Screened, CommError> {
         if msg.tag >= tags::CONTROL_BASE {
             return Err(self.hung_up(from));
@@ -597,7 +613,7 @@ impl RankComm {
         Ok(Screened::Accepted(msg.data))
     }
 
-    /// `from` is gone: a hangup sentinel arrived or its channel closed.
+    /// `from` is gone: its hangup sentinel reached the head of its queue.
     fn hung_up(&mut self, from: u32) -> CommError {
         self.counters.hangups_seen += 1;
         CommError::PeerHangup { peer: from }
@@ -705,89 +721,6 @@ impl RankComm {
         self.pool = pool;
     }
 
-    /// Blocking receive of the next valid message from **any** of
-    /// `peers`, in arrival order: whichever peer's message lands (and
-    /// clears its injected wire latency) first is validated and
-    /// returned as `(index into peers, payload)`.
-    ///
-    /// Applies the exact per-peer discipline of [`RankComm::recv`]:
-    /// checksum and duplicate discards count retries (bounded by
-    /// `config.max_retries` per peer), control-plane tags surface as
-    /// [`CommError::PeerHangup`], wrong tags as
-    /// [`CommError::TagMismatch`], and the shared deadline as
-    /// [`CommError::Timeout`] (reported against `peers[0]`). A delayed
-    /// packet is parked in the per-source stash until its latency
-    /// elapses — it does not block another peer's already-arrived
-    /// message (the whole point of arrival-order completion), and it
-    /// survives into the next `recv`/`recv_any` call if this one
-    /// completes through a different peer first.
-    pub fn recv_any(&mut self, peers: &[u32], tag: u64) -> Result<(usize, Vec<f64>), CommError> {
-        assert!(!peers.is_empty(), "recv_any needs at least one peer");
-        if peers.len() == 1 {
-            return self.recv(peers[0], tag).map(|d| (0, d));
-        }
-        let start = Instant::now();
-        let deadline = start + self.config.deadline;
-        let mut retries = vec![0u64; peers.len()];
-        let mut corrupt_seen = vec![0u64; peers.len()];
-        loop {
-            if Instant::now() >= deadline {
-                return Err(self.timed_out(peers[0], tag, start, retries.iter().sum()));
-            }
-            let mut progressed = false;
-            for (i, &from) in peers.iter().enumerate() {
-                let msg = if let Some((_, visible_at)) = &self.stash[from as usize] {
-                    if Instant::now() < *visible_at {
-                        continue;
-                    }
-                    self.stash[from as usize]
-                        .take()
-                        .expect("stash slot checked above")
-                        .0
-                } else {
-                    match self.recvs[from as usize].try_recv() {
-                        Ok(packet) => match packet.delay {
-                            Some(d) => {
-                                // The wire was slow: park the payload
-                                // until the injected latency elapses and
-                                // keep polling the other peers.
-                                self.stash[from as usize] = Some((packet.msg, Instant::now() + d));
-                                progressed = true;
-                                continue;
-                            }
-                            None => packet.msg,
-                        },
-                        Err(TryRecvError::Empty) => continue,
-                        Err(TryRecvError::Disconnected) => return Err(self.hung_up(from)),
-                    }
-                };
-                progressed = true;
-                match self.screen(from, tag, msg)? {
-                    Screened::Accepted(data) => return Ok((i, data)),
-                    Screened::Corrupt => {
-                        retries[i] += 1;
-                        corrupt_seen[i] += 1;
-                        if retries[i] > self.config.max_retries {
-                            return Err(CommError::Corrupt {
-                                from,
-                                discarded: corrupt_seen[i],
-                            });
-                        }
-                    }
-                    Screened::Duplicate => {
-                        retries[i] += 1;
-                        if retries[i] > self.config.max_retries {
-                            return Err(self.timed_out(from, tag, start, retries[i]));
-                        }
-                    }
-                }
-            }
-            if !progressed {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-        }
-    }
-
     /// The fault plan this endpoint's traffic is subjected to, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.plan.clone()
@@ -795,8 +728,9 @@ impl RankComm {
 
     /// Broadcast a hangup sentinel to every peer: "this rank is dead,
     /// stop waiting". Idempotent. Called by the harness when a rank
-    /// fails, so survivors unwind with [`CommError::PeerHangup`] instead
-    /// of blocking until their deadlines.
+    /// exits and on drop, so survivors unwind with
+    /// [`CommError::PeerHangup`] instead of blocking until their
+    /// deadlines.
     pub fn hangup_all(&mut self) {
         if self.hung_up {
             return;
@@ -813,7 +747,7 @@ impl RankComm {
                 checksum: 0,
                 data: Vec::new(),
             };
-            let _ = self.sends[peer as usize].send(Packet { msg, delay: None });
+            self.push(peer, msg, None);
         }
     }
 
@@ -842,7 +776,7 @@ impl RankComm {
     /// Every round uses the same tag, remapped into the reserved
     /// collective namespace so adjacent caller tags can never collide
     /// with collective traffic. Each round receives from a different
-    /// peer, and per-pair channels are FIFO, so a message cannot be
+    /// peer, and per-source queues are FIFO, so a message cannot be
     /// matched to the wrong round.
     pub fn allreduce(
         &mut self,
@@ -879,6 +813,14 @@ impl RankComm {
             }
         }
         Ok(())
+    }
+}
+
+/// No channel closes when an endpoint goes (every rank holds a sender to
+/// every inbox), so dropping one hangs up: its peers get [`CommError::PeerHangup`].
+impl Drop for RankComm {
+    fn drop(&mut self) {
+        self.hangup_all();
     }
 }
 
@@ -1041,14 +983,11 @@ mod tests {
     #[test]
     fn recv_times_out_with_typed_error() {
         let ranks = CommWorld::new(2)
-            .with_config(CommConfig {
-                deadline: Duration::from_millis(20),
-                ..CommConfig::default()
-            })
+            .with_config(CommConfig { deadline: Duration::from_millis(20) })
             .into_ranks();
         let mut iter = ranks.into_iter();
-        // Keep rank 0 alive (dropping it would close the channel and
-        // surface as PeerHangup instead); it just never sends.
+        // Keep rank 0 alive (dropping it would hang up and surface as
+        // PeerHangup instead); it just never sends.
         let _r0 = iter.next().unwrap();
         let mut r1 = iter.next().unwrap();
         let t0 = Instant::now();
@@ -1067,10 +1006,7 @@ mod tests {
     #[test]
     fn hangup_unblocks_receiver_promptly() {
         let ranks = CommWorld::new(2)
-            .with_config(CommConfig {
-                deadline: Duration::from_secs(30),
-                ..CommConfig::default()
-            })
+            .with_config(CommConfig { deadline: Duration::from_secs(30) })
             .into_ranks();
         let mut iter = ranks.into_iter();
         let mut r0 = iter.next().unwrap();
@@ -1082,6 +1018,69 @@ mod tests {
             other => panic!("expected PeerHangup, got {other:?}"),
         }
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Dropping an endpoint without `hangup_all` still hangs up: a peer
+    /// blocked in `recv` and one blocked in a two-peer `recv_any` both
+    /// get `PeerHangup` long before their deadlines.
+    #[test]
+    fn dropped_endpoint_hangs_up_peers() {
+        let ranks = CommWorld::new(3)
+            .with_config(CommConfig { deadline: Duration::from_secs(30) })
+            .into_ranks();
+        let mut iter = ranks.into_iter();
+        let r0 = iter.next().unwrap();
+        let t0 = Instant::now();
+        // Each waiter hands its endpoint back and both are joined before
+        // either is dropped, so no waiter's own hangup races rank 0's.
+        let waiter = |mut rc: RankComm, peers: &'static [u32]| {
+            std::thread::spawn(move || (rc.recv_any(peers, 1), rc))
+        };
+        let one = waiter(iter.next().unwrap(), &[0]);
+        let two = waiter(iter.next().unwrap(), &[1, 0]);
+        // Lets both waiters block first; they get the hangup either way.
+        std::thread::sleep(Duration::from_millis(50));
+        drop(r0);
+        let done: Vec<_> = [one, two].map(|h| h.join().unwrap()).into();
+        assert!(t0.elapsed() < Duration::from_secs(5), "hangup not prompt");
+        for (got, rc) in &done {
+            assert_eq!(got, &Err(CommError::PeerHangup { peer: 0 }), "rank {}", rc.rank);
+            assert_eq!(rc.counters.hangups_seen, 1);
+        }
+    }
+
+    /// A delayed packet parked while `recv_any` completes through
+    /// another source stays at the head of its source's queue: the next
+    /// `recv` from that source returns it before the source's later
+    /// message.
+    #[test]
+    fn parked_packet_is_received_before_later_traffic() {
+        // A seed under which rank 1's first message to rank 0 is delayed
+        // far longer than rank 2's, so rank 2's completes `recv_any` while
+        // rank 1's is still parked, however loaded the host is; rank 1's
+        // second message is quick, so it would overtake a parked head
+        // that did not hold its place.
+        let spec = |seed| FaultSpec {
+            seed,
+            delay_permille: 1000,
+            max_delay: Duration::from_millis(300),
+            ..FaultSpec::default()
+        };
+        let ms = |p: &FaultPlan, src, seq| p.send_schedule(src, 0, seq).attempts[0].delay.unwrap().as_millis();
+        let plan = (0..)
+            .map(|seed| FaultPlan::new(spec(seed)))
+            .find(|p| ms(p, 1, 1) >= 200 && ms(p, 2, 1) <= 20 && ms(p, 1, 2) <= 20)
+            .unwrap();
+        let mut ranks = CommWorld::with_faults(3, Arc::new(plan)).into_ranks().into_iter();
+        let (mut r0, mut r1, mut r2) = (ranks.next().unwrap(), ranks.next().unwrap(), ranks.next().unwrap());
+        r1.isend(0, 7, vec![1.0]);
+        r1.isend(0, 7, vec![1.5]);
+        r2.isend(0, 7, vec![2.0]);
+        assert_eq!(r0.recv_any(&[1, 2], 7).unwrap(), (1, vec![2.0]));
+        assert_eq!(r0.recv(1, 7).unwrap(), vec![1.0]);
+        assert_eq!(r0.recv(1, 7).unwrap(), vec![1.5]);
+        assert_eq!((r1.counters.delayed, r2.counters.delayed), (2, 1));
+        assert!(!r0.counters.any_recovery(), "a delay is not a fault to recover from");
     }
 
     /// Dropped and corrupted attempts are recovered via the scheduled

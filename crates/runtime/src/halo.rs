@@ -17,20 +17,11 @@
 use crate::comm::CommError;
 use crate::env::RankEnv;
 use crate::plan::{fnv_bytes, fnv_usize, FNV_OFFSET};
-use crate::threads::ThreadPool;
 use crate::trace::ExchangeRec;
 use op2_core::{DatId, Domain};
 use op2_partition::layout::RankLayout;
 use std::ops::Range;
-use std::ptr::copy_nonoverlapping;
-use std::sync::Arc;
 use std::time::Instant;
-
-/// Payload size above which pack/unpack splits one message's copies
-/// across the rank's thread pool. Tuned so the fork/join cost (two pool
-/// barriers, ~µs) stays well under the memory traffic it parallelises;
-/// below it the sequential copy wins.
-pub const PACK_THREAD_BYTES: usize = 32 << 10;
 
 /// How an import list travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,132 +241,31 @@ impl ExchangePlan {
     }
 
     /// Gather message `p` to `nbr` from the rank's dats into `payload`
-    /// (a pooled buffer with room for it) — the one pack. Above
-    /// [`PACK_THREAD_BYTES`] the element copies are cut into even spans,
-    /// one per pool thread; each copy writes a disjoint `dim`-sized
-    /// window of the payload, so the result is byte-identical.
-    fn pack(&self, env: &mut RankEnv<'_>, nbr: &NeighborPack, p: &Payload, payload: &mut Vec<f64>) {
-        let Some(pool) = copy_pool(env, p.f64s) else {
-            for k in p.dats.clone() {
-                let dim = env.dom.dat(self.import[k].0).dim;
-                let buf = &env.dats[self.import[k].0.idx()];
-                for &e in &nbr.send[k] {
-                    payload.extend_from_slice(&buf[e as usize * dim..][..dim]);
-                }
-            }
-            return;
-        };
-        payload.resize(p.f64s, 0.0);
-        // Entry = one element copy: dat `j` of the message owns entries
-        // `first[j]..first[j + 1]` and the payload from `off[j]`.
-        let (mut first, mut off, mut dims) = (vec![0], Vec::new(), Vec::new());
-        let (mut entries, mut at) = (0, 0);
+    /// (a pooled buffer with room for it) — the one pack.
+    fn pack(&self, env: &RankEnv<'_>, nbr: &NeighborPack, p: &Payload, payload: &mut Vec<f64>) {
         for k in p.dats.clone() {
             let dim = env.dom.dat(self.import[k].0).dim;
-            entries += nbr.send[k].len();
-            first.push(entries);
-            off.push(at);
-            dims.push(dim);
-            at += nbr.send[k].len() * dim;
-        }
-        assert_eq!(at, p.f64s, "pack windows must tile the payload");
-        let (dats, dst) = (&env.dats, PackPtr(payload.as_mut_ptr()));
-        pool.run_spans(entries, &|lo, hi| {
-            let mut j = first.partition_point(|&s| s <= lo) - 1;
-            for e in lo..hi {
-                while first[j + 1] <= e {
-                    j += 1;
-                }
-                let (k, i, dim) = (p.dats.start + j, e - first[j], dims[j]);
-                let el = nbr.send[k][i] as usize;
-                let src = &dats[self.import[k].0.idx()][el * dim..][..dim];
-                // SAFETY: entry `e` writes the window `off[j] + i·dim`,
-                // disjoint from every other entry's; the windows tile
-                // `0..at` and `at == p.f64s == payload.len()` (asserted).
-                unsafe { copy_nonoverlapping(src.as_ptr(), dst.get().add(off[j] + i * dim), dim) };
+            let buf = &env.dats[self.import[k].0.idx()];
+            for &e in &nbr.send[k] {
+                payload.extend_from_slice(&buf[e as usize * dim..][..dim]);
             }
-        });
+        }
     }
 
     /// Scatter message `p` from `nbr` through its copy ranges into the
-    /// rank's dats — the one unpack. Above [`PACK_THREAD_BYTES`] the
-    /// payload is cut into even f64 spans, one per pool thread, each
-    /// copying its intersection with the (disjoint) receive ranges.
+    /// rank's dats — the one unpack.
     fn unpack(&self, env: &mut RankEnv<'_>, nbr: &NeighborPack, p: &Payload, payload: &[f64]) {
-        let Some(pool) = copy_pool(env, p.f64s) else {
-            let mut off = 0;
-            for k in p.dats.clone() {
-                let dim = env.dom.dat(self.import[k].0).dim;
-                let buf = &mut env.dats[self.import[k].0.idx()];
-                for &(start, len) in &nbr.recv[k] {
-                    let n = len as usize * dim;
-                    buf[start as usize * dim..][..n].copy_from_slice(&payload[off..off + n]);
-                    off += n;
-                }
-            }
-            debug_assert_eq!(off, payload.len());
-            return;
-        };
-        let mut dsts = Vec::new();
+        let mut off = 0;
         for k in p.dats.clone() {
-            let (dat, _) = self.import[k];
-            let buf = &mut env.dats[dat.idx()];
-            dsts.push((PackPtr(buf.as_mut_ptr()), buf.len(), env.dom.dat(dat).dim));
-        }
-        pool.run_spans(p.f64s, &|lo, hi| {
-            let mut off = 0;
-            for (j, k) in p.dats.clone().enumerate() {
-                let (base, len, dim) = &dsts[j];
-                for &(start, n) in &nbr.recv[k] {
-                    let n = n as usize * dim;
-                    let (a, b) = (off.max(lo), (off + n).min(hi));
-                    if a < b {
-                        let at = start as usize * dim + (a - off);
-                        assert!(at + (b - a) <= *len, "receive range outside its dat");
-                        let src = &payload[a..b];
-                        // SAFETY: in bounds (asserted). Spans are disjoint
-                        // payload slices and the layout's receive ranges
-                        // disjoint local windows, so no element is written
-                        // by two threads.
-                        unsafe { copy_nonoverlapping(src.as_ptr(), base.get().add(at), b - a) };
-                    }
-                    off += n;
-                    if off >= hi {
-                        return;
-                    }
-                }
+            let dim = env.dom.dat(self.import[k].0).dim;
+            let buf = &mut env.dats[self.import[k].0.idx()];
+            for &(start, len) in &nbr.recv[k] {
+                let n = len as usize * dim;
+                buf[start as usize * dim..][..n].copy_from_slice(&payload[off..off + n]);
+                off += n;
             }
-        });
-    }
-}
-
-/// The rank's pool, when an `f64s`-long copy is worth splitting across
-/// it: threading active, more than one thread, at least
-/// [`PACK_THREAD_BYTES`].
-fn copy_pool(env: &mut RankEnv<'_>, f64s: usize) -> Option<Arc<ThreadPool>> {
-    if !env.policy.threading.active() || f64s * 8 < PACK_THREAD_BYTES {
-        return None;
-    }
-    let pool = env.threads.pool(env.policy.threading.n_threads);
-    (pool.n_threads() > 1).then_some(pool)
-}
-
-/// Raw-pointer wrapper so pack/unpack closures can fan copies out over
-/// the pool.
-struct PackPtr(*mut f64);
-// SAFETY: the one field is a destination pointer the pool's threads
-// write through at disjoint windows only (see the copies' SAFETY notes),
-// while the owning buffer outlives the round.
-unsafe impl Send for PackPtr {}
-// SAFETY: as for `Send` — shared use never writes one element twice.
-unsafe impl Sync for PackPtr {}
-
-impl PackPtr {
-    /// The raw pointer. Going through a method (rather than `.0`) keeps
-    /// closures capturing the `Sync` wrapper, not the bare pointer.
-    #[inline]
-    fn get(&self) -> *mut f64 {
-        self.0
+        }
+        debug_assert_eq!(off, payload.len());
     }
 }
 
@@ -383,7 +273,6 @@ impl PackPtr {
 mod tests {
     use super::*;
     use crate::comm::CommWorld;
-    use crate::threads::Threading;
     use op2_mesh::{Quad2D, Tet3D};
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
     use proptest::prelude::*;
@@ -414,7 +303,7 @@ mod tests {
     }
 
     /// Every message of `nbr` packed on `env`, in send order.
-    fn packed(x: &ExchangePlan, env: &mut RankEnv<'_>, nbr: &NeighborPack) -> Vec<Vec<f64>> {
+    fn packed(x: &ExchangePlan, env: &RankEnv<'_>, nbr: &NeighborPack) -> Vec<Vec<f64>> {
         (nbr.sends.iter())
             .map(|p| {
                 let mut payload = Vec::with_capacity(p.f64s);
@@ -446,17 +335,17 @@ mod tests {
             let import: Vec<(DatId, u8)> = dats.iter().copied().zip([d0, d1, d2, d3]).collect();
             let mut comms = CommWorld::new(nparts).into_ranks().into_iter();
             for layout in &layouts {
-                let mut env = RankEnv::new(layout, &dom, comms.next().unwrap());
+                let env = RankEnv::new(layout, &dom, comms.next().unwrap());
                 let per_dat = ExchangePlan::build(layout, &dom, import.clone(), Split::PerDat);
                 let grouped = ExchangePlan::build(layout, &dom, import.clone(), Split::Grouped);
                 prop_assert_eq!(per_dat.recv_bytes, grouped.recv_bytes);
                 for (a, b) in per_dat.neighbors.iter().zip(&grouped.neighbors) {
-                    let concat: Vec<u64> = packed(&per_dat, &mut env, a)
+                    let concat: Vec<u64> = packed(&per_dat, &env, a)
                         .concat()
                         .iter()
                         .map(|v| v.to_bits())
                         .collect();
-                    let whole: Vec<u64> = packed(&grouped, &mut env, b)
+                    let whole: Vec<u64> = packed(&grouped, &env, b)
                         .concat()
                         .iter()
                         .map(|v| v.to_bits())
@@ -496,33 +385,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Above [`PACK_THREAD_BYTES`] the pool-split pack and unpack copy
-    /// exactly what the sequential ones do.
-    #[test]
-    fn threaded_copies_match_sequential() {
-        let mut m = Quad2D::generate(64, 64);
-        let n = m.dom.set(m.nodes).size;
-        let wide = m.dom.decl_dat("wide", m.nodes, 48, (0..n * 48).map(|i| i as f64).collect());
-        let thin = m.dom.decl_dat("thin", m.nodes, 1, (0..n).map(|i| -(i as f64)).collect());
-        let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
-        let own = derive_ownership(&m.dom, m.nodes, base, 2);
-        let layouts = build_layouts(&m.dom, &own, 2);
-        let layout = &layouts[0];
-        let x = ExchangePlan::build(layout, &m.dom, vec![(wide, 2), (thin, 2)], Split::Grouped);
-        let mut comms = CommWorld::new(2).into_ranks().into_iter();
-        let mut seq = RankEnv::new(layout, &m.dom, comms.next().unwrap());
-        let mut par = RankEnv::new(layout, &m.dom, comms.next().unwrap());
-        par.policy.threading = Threading::with_threads(2);
-        let nbr = &x.neighbors[0];
-        let (p, q) = (&nbr.sends[0], &nbr.recvs[0]);
-        assert!(p.f64s * 8 >= PACK_THREAD_BYTES && q.f64s * 8 >= PACK_THREAD_BYTES);
-        assert!(copy_pool(&mut par, p.f64s).is_some() && copy_pool(&mut seq, p.f64s).is_none());
-        assert_eq!(packed(&x, &mut seq, nbr), packed(&x, &mut par, nbr));
-        let payload: Vec<f64> = (0..q.f64s).map(|i| 0.5 + i as f64).collect();
-        x.unpack(&mut seq, nbr, q, &payload);
-        x.unpack(&mut par, nbr, q, &payload);
-        assert_eq!(seq.dats, par.dats);
     }
 }

@@ -140,30 +140,24 @@ impl ThreadPool {
         self.n_threads
     }
 
-    /// Execute `task(i)` for every `i in 0..n_tasks`, spread over the
-    /// pool plus the calling thread; returns when all tasks finished.
-    /// Tasks within a round may run concurrently in any order — callers
-    /// pass only mutually race-free work per round (one schedule level's
-    /// chunks, disjoint pack spans, per-worker dataflow drainers), so
-    /// order within the round is immaterial.
+    /// Execute `task(worker, i)` for every `i in 0..n_tasks`, spread over
+    /// the pool plus the calling thread; returns when all tasks finished.
+    /// `worker` is a stable index in `0..n_threads` (0 = the caller)
+    /// unique to one concurrent participant, so schedule execution can
+    /// give every participant its own context without locking. Tasks
+    /// within a round may run concurrently in any order — callers pass
+    /// only mutually race-free work per round (one schedule level's
+    /// chunks, per-worker dataflow drainers), so order within the round
+    /// is immaterial.
     ///
     /// Propagates panics: if any participant's task panics, `run`
     /// finishes the round (other participants keep draining) and then
     /// panics on the calling thread.
-    pub fn run(&self, n_tasks: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.run_indexed(n_tasks, &|_, i| task(i));
-    }
-
-    /// [`ThreadPool::run`] with participant identity: `task(worker, i)`
-    /// where `worker` is a stable index in `0..n_threads` (0 = the
-    /// caller) unique to one concurrent participant. Schedule execution
-    /// uses it to give every participant its own context without
-    /// locking.
-    pub fn run_indexed(&self, n_tasks: usize, task: &(dyn Fn(usize, usize) + Sync)) {
+    pub fn run(&self, n_tasks: usize, task: &(dyn Fn(usize, usize) + Sync)) {
         if n_tasks == 0 {
             return;
         }
-        // SAFETY: lifetime erasure only — `run_indexed` does not return
+        // SAFETY: lifetime erasure only — `run` does not return
         // until every participant is done with the pointer.
         let task: *const (dyn Fn(usize, usize) + Sync) = unsafe { std::mem::transmute(task) };
         let round = Round {
@@ -192,22 +186,6 @@ impl ThreadPool {
         if round.panicked.load(Ordering::SeqCst) {
             panic!("a pool worker panicked during a pool round");
         }
-    }
-
-    /// Split `0..total` into one even contiguous span per pool thread
-    /// and run `task(lo, hi)` for each non-empty span — the fork/join
-    /// shape of the threaded pack/unpack engine. Contiguous disjoint
-    /// spans give callers race freedom for slice copies without any
-    /// per-item claiming.
-    pub fn run_spans(&self, total: usize, task: &(dyn Fn(usize, usize) + Sync)) {
-        let n = self.n_threads;
-        self.run(n, &|t| {
-            let lo = total * t / n;
-            let hi = total * (t + 1) / n;
-            if lo < hi {
-                task(lo, hi);
-            }
-        });
     }
 }
 
@@ -284,7 +262,7 @@ pub struct ExecStats {
 
 /// One reusable [`SchedCtx`] per pool participant; each worker touches
 /// only its own slot, identified by the stable index
-/// [`ThreadPool::run_indexed`] hands out.
+/// [`ThreadPool::run`] hands out.
 struct CtxSlab<'a>(&'a [UnsafeCell<SchedCtx>]);
 // SAFETY: disjoint access — worker `w` dereferences only slot `w`, and
 // participant indices are unique within a round.
@@ -352,7 +330,7 @@ pub fn run_schedule_pooled_ctx(
             // instead of waking every worker to find an empty cursor.
             run(0, 0);
         } else {
-            pool.run_indexed(level.chunks.len(), &run);
+            pool.run(level.chunks.len(), &run);
         }
         level_ns.push(l0.elapsed().as_nanos() as u64);
     }
@@ -524,7 +502,7 @@ pub fn run_dag(
     let aborted = AtomicBool::new(false);
     let scratch_ref: &DataflowScratch = scratch;
     let t0 = Instant::now();
-    pool.run_indexed(w_count, &|_, me| {
+    pool.run(w_count, &|_, me| {
         // `me` is the claimed instance id, not the participant index:
         // the round cursor may hand one participant several instances
         // (which then run serially), and queue/scratch identity must be
@@ -647,28 +625,10 @@ mod tests {
     fn pool_runs_every_task_once() {
         let pool = ThreadPool::new(4);
         let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(hits.len(), &|i| {
+        pool.run(hits.len(), &|_, i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn run_spans_partitions_exactly() {
-        let pool = ThreadPool::new(3);
-        for total in [0usize, 1, 2, 3, 7, 1000] {
-            let hits: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_spans(total, &|lo, hi| {
-                assert!(lo < hi && hi <= total);
-                for h in &hits[lo..hi] {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "total={total}"
-            );
-        }
     }
 
     #[test]
@@ -676,7 +636,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         let total = AtomicUsize::new(0);
         for _ in 0..10 {
-            pool.run(57, &|_| {
+            pool.run(57, &|_, _| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -687,7 +647,7 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = ThreadPool::new(1);
         let total = AtomicUsize::new(0);
-        pool.run(13, &|_| {
+        pool.run(13, &|_, _| {
             total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 13);
@@ -697,7 +657,7 @@ mod tests {
     fn task_panic_propagates_to_caller() {
         let pool = ThreadPool::new(2);
         let res = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(64, &|i| {
+            pool.run(64, &|_, i| {
                 if i == 33 {
                     panic!("task 33 exploded");
                 }
@@ -706,7 +666,7 @@ mod tests {
         assert!(res.is_err());
         // The pool survives a panicked round.
         let total = AtomicUsize::new(0);
-        pool.run(8, &|_| {
+        pool.run(8, &|_, _| {
             total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 8);

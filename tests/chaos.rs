@@ -183,10 +183,7 @@ fn crash_mid_chain_is_contained_and_prompt() {
 
     let deadline = Duration::from_secs(30);
     let spec = FaultSpec::default().with_crash(1, Boundary::new(BoundaryKind::Chain, 0));
-    let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig {
-        deadline,
-        ..CommConfig::default()
-    });
+    let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig { deadline });
 
     let t0 = Instant::now();
     let out = run_distributed_with(&mut mesh.dom, &layouts, &opts, |env| {
@@ -274,10 +271,7 @@ fn blackholed_link_times_out_with_typed_error() {
         ..FaultSpec::default()
     }
     .with_stall(1, Boundary::new(BoundaryKind::Loop, 0), Duration::from_secs(2));
-    let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig {
-        deadline,
-        ..CommConfig::default()
-    });
+    let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig { deadline });
 
     let t0 = Instant::now();
     let out = run_distributed_with(&mut mesh.dom, &layouts, &opts, |env| {

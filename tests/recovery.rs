@@ -256,7 +256,6 @@ fn slow_rank_is_not_a_false_positive() {
     let run = RunOptions::with_faults(FaultPlan::new(spec))
         .comm_config(CommConfig {
             deadline: Duration::from_secs(30),
-            ..CommConfig::default()
         })
         .checkpoint_every(1);
     let out = run_program(&mut s, iters, &SuperviseOptions::new(run)).unwrap();
@@ -287,7 +286,6 @@ fn straggler_escalates_deadline_and_recovers() {
     let run = RunOptions::with_faults(FaultPlan::new(spec))
         .comm_config(CommConfig {
             deadline: Duration::from_millis(250),
-            ..CommConfig::default()
         })
         .checkpoint_every(1);
     let out = run_program(&mut s, iters, &SuperviseOptions::new(run)).unwrap();
