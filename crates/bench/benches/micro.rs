@@ -5,6 +5,9 @@
 //! result against `Machine::archer2().g_default`. `update_per_iter` and
 //! `edge_flux_per_iter` time the synthetic chain's two cheap indirect
 //! loops, where argument resolution is a large share of each iteration.
+//! Their `_shuffled` variants run the same loops on the mesh with its
+//! nodes and edges shuffled, where the gathers miss the cache: a change
+//! to the gather path (the locality-gated prefetch) shows there.
 //! `vflux_edge_per_iter` times Hydra's 12-argument `vflux_edge`, the
 //! widest compiled kernel body; `update_state_per_iter` its 7-argument
 //! direct node loop and `edgecon_per_iter` its 6-argument edge loop (4
@@ -23,25 +26,35 @@ use op2_partition::{build_layouts, collect_stats, derive_ownership, rcb_partitio
 use std::hint::black_box;
 
 fn bench_flux_kernel(c: &mut Criterion) {
-    let mut params = MgCfdParams::small(24);
-    params.levels = 1;
-    let mut app = MgCfd::new(params);
-    let init = app.init_loop(0);
-    seq::run_loop(&mut app.dom, &init);
-    let loops = [
-        ("flux_kernel_per_iter", app.flux_loop(0)),
-        ("update_per_iter", app.update_loop()),
-        ("edge_flux_per_iter", app.edge_flux_loop()),
-    ];
-    let n_edges = app.dom.set(app.levels[0].ids.edges).size;
     let mut g = c.benchmark_group("seq_kernels");
-    g.throughput(Throughput::Elements(n_edges as u64));
-    for (name, spec) in &loops {
-        g.bench_function(*name, |b| {
-            b.iter(|| {
-                seq::run_loop(black_box(&mut app.dom), black_box(spec));
-            })
-        });
+    // Generator numbering, then the same mesh with its nodes and edges
+    // shuffled: there the sequential walk's gathers miss the cache, and
+    // the locality gate turns the prefetching walk on.
+    for (suffix, shuffled) in [("", false), ("_shuffled", true)] {
+        let mut params = MgCfdParams::small(24);
+        params.levels = 1;
+        let mut app = MgCfd::new(params);
+        if shuffled {
+            let ids = app.levels[0].ids;
+            shuffle_set(&mut app.dom, ids.nodes, 4);
+            shuffle_set(&mut app.dom, ids.edges, 5);
+        }
+        let init = app.init_loop(0);
+        seq::run_loop(&mut app.dom, &init);
+        let loops = [
+            ("flux_kernel_per_iter", app.flux_loop(0)),
+            ("update_per_iter", app.update_loop()),
+            ("edge_flux_per_iter", app.edge_flux_loop()),
+        ];
+        let n_edges = app.dom.set(app.levels[0].ids.edges).size;
+        g.throughput(Throughput::Elements(n_edges as u64));
+        for (name, spec) in &loops {
+            g.bench_function(format!("{name}{suffix}"), |b| {
+                b.iter(|| {
+                    seq::run_loop(black_box(&mut app.dom), black_box(spec));
+                })
+            });
+        }
     }
 
     let mut hydra = Hydra::new(HydraParams::small(24));

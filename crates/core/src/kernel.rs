@@ -12,7 +12,8 @@
 //! so every compiled loop contains the body inline — a property of the
 //! kernel's type, not of the optimiser's inlining heuristics. The
 //! optional `[shape]` declares how each argument reaches its data
-//! ([`ArgShape`]: `map(idx, dim)`, `direct(dim)`, `global(len)`), as
+//! ([`ArgShape`]: `map(idx, dim)`, `map_on(idx, dim, arg)`,
+//! `direct(dim)`, `global(len)`), as
 //! OP2's translator reads it off the `op_par_loop` call. Any
 //! `Fn(&Args<'_>) + Copy + Send + Sync + 'static` (a closure, a `fn` item
 //! or a `fn` pointer) is a `KernelFn` too, through a blanket impl, and
@@ -35,8 +36,14 @@
 //! * **Declared** ([`KernelFn::SHAPE`] is `Some`): the shape is a
 //!   compile-time constant. Each iteration computes one map-row pointer;
 //!   a `map(k, d)` argument is `base + d·row[k]` (one load per distinct
-//!   entry), a `direct(d)` one `base + d·e` and a global `base`. Only
-//!   `map` arguments are compared against owner-computes windows.
+//!   entry), a `direct(d)` one `base + d·e` and a global `base`. A
+//!   `map_on(k, d, j)` argument is a `map(k, d)` one that reads argument
+//!   `j`'s base (its dat is `j`'s), so the optimiser sees one pointer
+//!   for both. Only `map` arguments are compared against owner-computes
+//!   windows. On a map whose consecutive rows point far apart (the
+//!   bind-time gate, `BoundLoop`'s `prefetch`), an unwindowed walk also
+//!   prefetches every `map` argument's target 16 iterations ahead; the
+//!   calls and their order are the same, so are the results.
 //! * **Undeclared**: every argument is bound in one form (see
 //!   [`BoundArg`]) and resolved by the same straight-line code, one
 //!   gathered index load and one multiply-add with runtime strides —
@@ -218,6 +225,9 @@ pub const MAX_ARGS: usize = 12;
 pub enum ArgShape {
     /// Entry `idx` of the loop's single map, `dim` components.
     Map { idx: usize, dim: usize },
+    /// As `Map`, on the dat of the earlier `map` argument `arg`: the two
+    /// share one base, so the compiled loop reads both from one pointer.
+    MapOn { idx: usize, dim: usize, arg: usize },
     /// The iteration's own element, `dim` components.
     Direct { dim: usize },
     /// A global of `len` components.
@@ -228,6 +238,12 @@ impl ArgShape {
     /// Entry `idx` of the loop's map, `dim` components.
     pub const fn map(idx: usize, dim: usize) -> ArgShape {
         ArgShape::Map { idx, dim }
+    }
+
+    /// Entry `idx` of the loop's map, `dim` components, on the dat of
+    /// the earlier `map` argument `arg`.
+    pub const fn map_on(idx: usize, dim: usize, arg: usize) -> ArgShape {
+        ArgShape::MapOn { idx, dim, arg }
     }
 
     /// The iteration's own element, `dim` components.
@@ -243,8 +259,18 @@ impl ArgShape {
     /// Components per element (a global's length).
     pub const fn dim(self) -> usize {
         match self {
-            ArgShape::Map { dim, .. } | ArgShape::Direct { dim } => dim,
+            ArgShape::Map { dim, .. } | ArgShape::MapOn { dim, .. } | ArgShape::Direct { dim } => {
+                dim
+            }
             ArgShape::Global { len } => len,
+        }
+    }
+
+    /// The map entry a `map`/`map_on` argument reads, `None` otherwise.
+    pub(crate) const fn map_idx(self) -> Option<usize> {
+        match self {
+            ArgShape::Map { idx, .. } | ArgShape::MapOn { idx, .. } => Some(idx),
+            _ => None,
         }
     }
 }
@@ -295,8 +321,9 @@ where
 ///
 /// The bracketed shape is optional and has one entry per argument, in
 /// order ([`ArgShape`]): `map(idx, dim)` is entry `idx` of the loop's
-/// single map, `direct(dim)` the iteration's own element and
-/// `global(len)` a global. It becomes [`KernelFn::SHAPE`], and the
+/// single map, `map_on(idx, dim, arg)` the same on the dat of the
+/// earlier `map` argument `arg`, `direct(dim)` the iteration's own
+/// element and `global(len)` a global. It becomes [`KernelFn::SHAPE`], and the
 /// kernel is compiled for exactly that many arguments. Without it the
 /// kernel is undeclared and runs through the uniform resolution.
 ///
@@ -387,8 +414,9 @@ trait LoopBody: Send + Sync {
     fn n_args(&self) -> usize;
     /// The kernel's declared shape, if it has one of `N` entries.
     fn shape(&self) -> Option<&'static [ArgShape]>;
-    /// Run `iters`, windowed by `mask` if given.
-    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>);
+    /// Run `iters`, windowed by `mask` if given; a declared, unwindowed
+    /// run prefetches map targets if `prefetch` (the bind-time gate).
+    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>, prefetch: bool);
     /// Resolve every argument at iteration `e` in the uniform form and
     /// call the kernel once — the per-element reference the compiled
     /// loops, declared or not, are tested against.
@@ -454,10 +482,7 @@ impl<const N: usize> Shaped<N> {
         let (row, arity) = shape
             .iter()
             .zip(args)
-            .find_map(|(s, a)| match *s {
-                ArgShape::Map { idx, .. } => Some(a.row(idx)),
-                _ => None,
-            })
+            .find_map(|(s, a)| s.map_idx().map(|idx| a.row(idx)))
             .unwrap_or((std::ptr::null(), 0));
         Shaped {
             base: std::array::from_fn(|i| args[i].base),
@@ -471,19 +496,63 @@ impl<const N: usize> Shaped<N> {
     /// window.
     #[inline(always)]
     fn resolve(&self, shape: ArgShape, i: usize, e: usize, row: *const u32, win: Win) -> *mut f64 {
+        let on = |idx: usize, dim: usize, base: *mut f64| {
+            // SAFETY: `row + idx` is this argument's binding at `e`
+            // (`BoundLoop::from_parts`), valid as in `resolve`.
+            let v = unsafe { *row.add(idx) };
+            // SAFETY: as in `resolve`.
+            windowed(v, win).unwrap_or_else(|| unsafe { base.add(v as usize * dim) })
+        };
         match shape {
-            ArgShape::Map { idx, dim } => {
-                // SAFETY: `row + idx` is this argument's binding at `e`
-                // (`BoundLoop::from_parts`), valid as in `resolve`.
-                let v = unsafe { *row.add(idx) };
-                // SAFETY: as in `resolve`.
-                windowed(v, win).unwrap_or_else(|| unsafe { self.base[i].add(v as usize * dim) })
-            }
+            ArgShape::Map { idx, dim } => on(idx, dim, self.base[i]),
+            // `from_parts` asserted `base[arg] == base[i]`; reading the
+            // constant-indexed `base[arg]` lets LLVM see the shared base.
+            ArgShape::MapOn { idx, dim, arg } => on(idx, dim, self.base[arg]),
             // SAFETY: as in `resolve`.
             ArgShape::Direct { dim } => unsafe { self.base[i].add(e * dim) },
             ArgShape::Global { .. } => self.base[i],
         }
     }
+
+    /// Ask the cache for the first line of every `map` argument's target
+    /// at iteration `e`, whose row the binding covers. A `u32::MAX`
+    /// entry (beyond the built halo) is skipped. Only a hint: it reads
+    /// and writes nothing, so results do not depend on it.
+    #[inline(always)]
+    fn prefetch(&self, shape: &[ArgShape], e: usize) {
+        let row = self.row.wrapping_add(e * self.arity);
+        for (i, s) in shape.iter().enumerate() {
+            if let Some(idx) = s.map_idx() {
+                // SAFETY: `e` is an iteration of the running call's
+                // `iters`, all of which the binding covers, so `row + idx`
+                // is its entry as in `resolve`.
+                let v = unsafe { *row.add(idx) };
+                if v != u32::MAX {
+                    prefetch_line(self.base[i].wrapping_add(v as usize * s.dim()));
+                }
+            }
+        }
+    }
+}
+
+/// How many iterations ahead the prefetching walk asks for a target:
+/// far enough for a DRAM miss to land before the kernel needs it at
+/// ~20 ns per edge, near enough that the line is still in L1.
+const PREFETCH_AHEAD: usize = 16;
+
+/// A read hint for the cache line holding `p` (no-op off x86_64). A
+/// prefetch never faults, so `p` need not be dereferenceable.
+#[inline(always)]
+fn prefetch_line(p: *const f64) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint; it neither faults nor accesses
+        // memory architecturally, whatever the address.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 impl<K: KernelFn, const N: usize> Compiled<K, N> {
@@ -541,6 +610,41 @@ impl<K: KernelFn, const N: usize> Compiled<K, N> {
         self.0.call(&Args::new(slots));
     }
 
+    /// [`Self::walk`] for a declared, unwindowed loop on a scattered
+    /// map: the same calls in the same order, each preceded by a
+    /// prefetch of the targets [`PREFETCH_AHEAD`] iterations on.
+    #[inline(always)]
+    fn walk_prefetching(
+        &self,
+        args: &[BoundArg; N],
+        shape: &[ArgShape],
+        s: &Shaped<N>,
+        iters: Iters<'_>,
+    ) {
+        let mut slots = Self::slots(args);
+        let mut step = |e: usize, ahead: Option<usize>| {
+            if let Some(a) = ahead {
+                s.prefetch(shape, a);
+            }
+            self.call(args, Some(s), &mut slots, e, None);
+        };
+        match iters {
+            Iters::Range(start, end) => {
+                for e in start..end {
+                    step(e, Some(e + PREFETCH_AHEAD).filter(|&a| a < end));
+                }
+            }
+            Iters::List(iters) => {
+                for (k, &e) in iters.iter().enumerate() {
+                    step(
+                        e as usize,
+                        iters.get(k + PREFETCH_AHEAD).map(|&a| a as usize),
+                    );
+                }
+            }
+        }
+    }
+
     /// Every iteration of `iters`, in order.
     #[inline(always)]
     fn walk(
@@ -575,15 +679,16 @@ impl<K: KernelFn, const N: usize> LoopBody for Compiled<K, N> {
         Self::SHAPE
     }
 
-    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
+    fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>, prefetch: bool) {
         // A private copy: no store through the kernel's `*mut f64` can
         // reach it, so the descriptors stay in registers across calls
         // instead of being reloaded from the heap after each one.
         let args = *Self::args(args);
         let shaped = Self::SHAPE.map(|shape| Shaped::new(shape, &args));
-        match mask {
-            None => self.walk(&args, shaped.as_ref(), iters, None),
-            Some(Mask { wins, sink }) => {
+        match (mask, Self::SHAPE.zip(shaped.as_ref())) {
+            (None, Some((shape, s))) if prefetch => self.walk_prefetching(&args, shape, s, iters),
+            (None, _) => self.walk(&args, shaped.as_ref(), iters, None),
+            (Some(Mask { wins, sink }), _) => {
                 let wins = wins.try_into().expect("one window per argument");
                 self.walk(&args, shaped.as_ref(), iters, Some((wins, sink)));
             }
@@ -652,10 +757,19 @@ impl Kernel {
         self.0.shape()
     }
 
-    /// Run `iters` over `args`, windowed by `mask` if given.
+    /// Run `iters` over `args`, windowed by `mask` if given. A declared
+    /// kernel's unwindowed run takes the prefetching walk if `prefetch`
+    /// (the gate [`crate::schedule::BoundLoop`] decided at bind); the
+    /// calls, and so the results, are the same either way.
     #[inline]
-    pub(crate) fn run(&self, args: &[BoundArg], iters: Iters<'_>, mask: Option<Mask<'_>>) {
-        self.0.run(args, iters, mask)
+    pub(crate) fn run(
+        &self,
+        args: &[BoundArg],
+        iters: Iters<'_>,
+        mask: Option<Mask<'_>>,
+        prefetch: bool,
+    ) {
+        self.0.run(args, iters, mask, prefetch)
     }
 
     /// One kernel invocation at iteration `e`.

@@ -43,7 +43,8 @@ impl LoopSpec {
     /// If `args` holds more than [`crate::kernel::MAX_ARGS`] arguments,
     /// or disagrees with a declared kernel's shape ([`KernelFn::SHAPE`]):
     /// in the argument count, in any argument's kind (`map`, `direct`,
-    /// `global`) or map entry, or by reading through two different maps.
+    /// `global`) or map entry, by reading through two different maps, or
+    /// by a `map_on(_, _, arg)` argument naming another dat than `arg`.
     pub fn new<K: KernelFn>(name: &str, set: SetId, args: Vec<Arg>, kernel: K) -> Self {
         Self::with_gbls(name, set, args, Vec::new(), kernel)
     }
@@ -208,8 +209,23 @@ fn assert_args_match_shape(name: &str, args: &[Arg], shape: &[ArgShape]) {
     );
     let mut first_map: Option<MapId> = None;
     for (i, (arg, &s)) in args.iter().zip(shape).enumerate() {
-        match (*arg, s) {
-            (Arg::Dat { map: Some((map, idx)), .. }, ArgShape::Map { idx: declared, .. }) => {
+        if let (Arg::Dat { dat, .. }, ArgShape::MapOn { arg: on, .. }) = (*arg, s) {
+            let shared = args
+                .get(on)
+                .filter(|_| on < i && matches!(shape[on], ArgShape::Map { .. }));
+            assert!(
+                matches!(shared, Some(Arg::Dat { dat: d, .. }) if *d == dat),
+                "loop `{name}` arg {i}: names another dat than arg {on}, the kernel declares {s:?}"
+            );
+        }
+        match (*arg, s.map_idx()) {
+            (
+                Arg::Dat {
+                    map: Some((map, idx)),
+                    ..
+                },
+                Some(declared),
+            ) => {
                 assert!(
                     idx as usize == declared,
                     "loop `{name}` arg {i}: reads map entry {idx}, the kernel declares {s:?}"
@@ -220,8 +236,8 @@ fn assert_args_match_shape(name: &str, args: &[Arg], shape: &[ArgShape]) {
                     "loop `{name}` arg {i}: reads a second map; a declared kernel reads one"
                 );
             }
-            (Arg::Dat { map: None, .. }, ArgShape::Direct { .. })
-            | (Arg::Gbl { .. }, ArgShape::Global { .. }) => {}
+            (Arg::Dat { map: None, .. }, None) if matches!(s, ArgShape::Direct { .. }) => {}
+            (Arg::Gbl { .. }, None) if matches!(s, ArgShape::Global { .. }) => {}
             _ => panic!("loop `{name}` arg {i}: {arg:?} is not the kernel's declared {s:?}"),
         }
     }
@@ -357,6 +373,9 @@ mod tests {
     crate::kernel! {
         /// Two increments through entries 0 and 1 of one map, dim 2.
         fn edge_pair(_args: &Args<'_>) [map(0, 2), map(1, 2)] {}
+
+        /// `edge_pair` with both increments on one dat.
+        fn edge_pair_on(_args: &Args<'_>) [map(0, 2), map_on(1, 2, 0)] {}
     }
 
     /// `tiny_domain` with a second edge map, `rev`.
@@ -440,6 +459,37 @@ mod tests {
                 Arg::dat_indirect(x, rev, 1, AccessMode::Inc),
             ],
             edge_pair,
+        );
+    }
+
+    #[test]
+    fn declared_shared_base_on_one_dat_validates() {
+        let (dom, _nodes, edges, e2n, x) = tiny_domain();
+        let l = LoopSpec::new(
+            "pair_on",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(x, e2n, 1, AccessMode::Inc),
+            ],
+            edge_pair_on,
+        );
+        l.validate(&dom).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "arg 1: names another dat than arg 0")]
+    fn declared_shared_base_on_another_dat_panics() {
+        let (mut dom, nodes, edges, e2n, x) = tiny_domain();
+        let y = dom.decl_dat_zeros("y", nodes, 2);
+        LoopSpec::new(
+            "pair_on",
+            edges,
+            vec![
+                Arg::dat_indirect(x, e2n, 0, AccessMode::Inc),
+                Arg::dat_indirect(y, e2n, 1, AccessMode::Inc),
+            ],
+            edge_pair_on,
         );
     }
 

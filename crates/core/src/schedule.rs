@@ -49,7 +49,7 @@
 
 use crate::access::{AccessMode, Arg};
 use crate::conflict::{levels_valid, ConflictAccess};
-use crate::domain::{DatId, Domain, MapId};
+use crate::domain::{DatId, Domain, MapData, MapId};
 use crate::kernel::{ArgShape, Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
 
@@ -488,11 +488,16 @@ impl BoundArg {
 pub struct BoundLoop {
     pub kernel: Kernel,
     pub args: Vec<BoundArg>,
+    /// Whether a declared kernel's unwindowed walks prefetch map
+    /// targets: the locality gate, decided once at bind
+    /// ([`map_is_scattered`]).
+    prefetch: bool,
 }
 
-// SAFETY: `kernel` is `Send + Sync`; `args` holds raw pointers into
-// dat, map and gbl buffers that the struct-level contract keeps alive and
-// unmoved. Callers only share a BoundLoop across threads under a
+// SAFETY: `kernel` is `Send + Sync` and `prefetch` a plain `bool`;
+// `args` holds raw pointers into dat, map and gbl buffers that the
+// struct-level contract keeps alive and unmoved. Callers only share a
+// BoundLoop across threads under a
 // schedule whose same-level chunks modify disjoint elements: disjoint
 // iteration blocks (colored) or disjoint target *windows*
 // with every out-of-window increment diverted to the worker's own sink
@@ -500,6 +505,72 @@ pub struct BoundLoop {
 // Map and read-only dat buffers are never written during execution.
 unsafe impl Sync for BoundLoop {}
 unsafe impl Send for BoundLoop {}
+
+/// A map as a binding reads it: raw, like the dat bases, under
+/// [`BoundLoop`]'s contract.
+#[derive(Debug, Clone, Copy)]
+pub struct MapBinding {
+    /// The map's values, `rows · arity` entries.
+    pub values: *const u32,
+    /// Entries per row.
+    pub arity: usize,
+    /// Rows the values hold (the iteration-side elements bound).
+    pub rows: usize,
+    /// Size of the set the values index.
+    pub targets: usize,
+}
+
+impl MapBinding {
+    /// `map`, whose target set has `targets` elements.
+    pub fn of(map: &MapData, targets: usize) -> MapBinding {
+        MapBinding {
+            values: map.values.as_ptr(),
+            arity: map.arity,
+            rows: map.values.len() / map.arity.max(1),
+            targets,
+        }
+    }
+}
+
+/// Row pairs the locality gate samples.
+const GATE_SAMPLES: usize = 16;
+
+/// The locality gate: whether a walk in row order over `values` (rows of
+/// `arity` entries into a set of `targets` elements) jumps far enough
+/// between consecutive rows that gathers miss the cache. It samples at
+/// most `GATE_SAMPLES` (16) consecutive row pairs spread evenly over the
+/// rows and says yes when the median |Δ| of entry 0 exceeds
+/// `targets / 16`. Pairs with a `u32::MAX` entry (beyond a rank's built
+/// halo) are skipped.
+///
+/// A shuffled mesh's maps read 0.21–0.38 of their target set per step
+/// (the median |Δ| of two uniform draws is 0.29). The rank-local maps
+/// `build_layouts` gives a shuffled MG-CFD mesh read at most 0.021, and
+/// generator numbering at most 0.042 except MG-CFD's fine-to-coarse map
+/// on a 16³ mesh (0.12, whose targets fit in L2 either way). `1/16`
+/// sits 3× from both sides.
+pub fn map_is_scattered(values: &[u32], arity: usize, targets: usize) -> bool {
+    let rows = values.len() / arity.max(1);
+    if rows < 2 || arity == 0 {
+        return false;
+    }
+    let pairs = GATE_SAMPLES.min(rows - 1);
+    let mut deltas = [0u32; GATE_SAMPLES];
+    let mut n = 0;
+    for k in 0..pairs {
+        let r = k * (rows - 1) / pairs;
+        let (a, b) = (values[r * arity], values[(r + 1) * arity]);
+        if a != u32::MAX && b != u32::MAX {
+            deltas[n] = a.abs_diff(b);
+            n += 1;
+        }
+    }
+    let deltas = &mut deltas[..n];
+    deltas.sort_unstable();
+    deltas
+        .get(n / 2)
+        .is_some_and(|&median| median as usize * 16 > targets)
+}
 
 impl BoundLoop {
     /// Resolve `spec` against a global domain. `gbl_bufs` (one buffer
@@ -509,30 +580,35 @@ impl BoundLoop {
     pub fn bind(dom: &mut Domain, spec: &LoopSpec, gbl_bufs: &mut [Vec<f64>]) -> BoundLoop {
         BoundLoop::bind_with(spec, gbl_bufs, |dat, map| {
             let base = dom.dat_mut(dat).data.as_mut_ptr();
-            let map = map.map(|m| (dom.map(m).values.as_ptr(), dom.map(m).arity));
+            let map = map.map(|m| MapBinding::of(dom.map(m), dom.set(dom.map(m).to).size));
             (base, dom.dat(dat).dim as u32, map)
         })
     }
 
     /// Resolve `spec` through `lookup(dat, map)`: the dat's buffer base
     /// and dim, and — when `map` is given (an indirect argument) — that
-    /// map's values and arity. `gbl_bufs` backs the global arguments as
-    /// in [`BoundLoop::bind`]. Binding against a global domain and
-    /// against a rank's local buffers differ only in `lookup`.
+    /// map's binding. `gbl_bufs` backs the global arguments as in
+    /// [`BoundLoop::bind`]. Binding against a global domain and against
+    /// a rank's local buffers differ only in `lookup`.
+    ///
+    /// A declared kernel's loop prefetches when its first map argument's
+    /// map is scattered ([`map_is_scattered`]), decided here, once.
     pub fn bind_with(
         spec: &LoopSpec,
         gbl_bufs: &mut [Vec<f64>],
-        mut lookup: impl FnMut(DatId, Option<MapId>) -> (*mut f64, u32, Option<(*const u32, usize)>),
+        mut lookup: impl FnMut(DatId, Option<MapId>) -> (*mut f64, u32, Option<MapBinding>),
     ) -> BoundLoop {
+        let mut first_map = None;
         let args = spec
             .args
             .iter()
             .map(|arg| match *arg {
                 Arg::Dat { dat, map, mode } => {
-                    let (base, dim, values) = lookup(dat, map.map(|(m, _)| m));
-                    match map.zip(values) {
-                        Some(((_, idx), (values, arity))) => {
-                            BoundArg::indirect(base, dim, mode, values, arity, idx as usize)
+                    let (base, dim, binding) = lookup(dat, map.map(|(m, _)| m));
+                    match map.zip(binding) {
+                        Some(((_, idx), m)) => {
+                            first_map.get_or_insert(m);
+                            BoundArg::indirect(base, dim, mode, m.values, m.arity, idx as usize)
                         }
                         None => BoundArg::direct(base, dim, mode),
                     }
@@ -543,7 +619,14 @@ impl BoundLoop {
                 }
             })
             .collect();
-        BoundLoop::from_parts(spec.kernel.clone(), args)
+        let prefetch = spec.kernel.shape().is_some()
+            && first_map.is_some_and(|m: MapBinding| {
+                // SAFETY: `lookup` hands out live buffers (`BoundLoop`'s
+                // contract), and `values` holds `rows · arity` entries.
+                let values = unsafe { std::slice::from_raw_parts(m.values, m.rows * m.arity) };
+                map_is_scattered(values, m.arity, m.targets)
+            });
+        BoundLoop::from_parts(spec.kernel.clone(), args, prefetch)
     }
 
     /// Assemble from already-resolved parts — the distributed runtime
@@ -557,7 +640,11 @@ impl BoundLoop {
     /// at entry `idx < arity` of one shared map row (the same `map − idx`
     /// and arity). The declared loops resolve by these facts without
     /// checking them, so this is a hard assert, not a debug one.
-    pub fn from_parts(kernel: Kernel, args: Vec<BoundArg>) -> BoundLoop {
+    ///
+    /// `prefetch` is the locality gate ([`map_is_scattered`]): a declared
+    /// kernel's unwindowed walks then prefetch map targets. It changes
+    /// no result; an undeclared kernel ignores it.
+    pub fn from_parts(kernel: Kernel, args: Vec<BoundArg>, prefetch: bool) -> BoundLoop {
         assert_eq!(
             args.len(),
             kernel.n_args(),
@@ -566,12 +653,22 @@ impl BoundLoop {
         if let Some(shape) = kernel.shape() {
             assert_bound_as_declared(shape, &args);
         }
-        BoundLoop { kernel, args }
+        BoundLoop {
+            kernel,
+            args,
+            prefetch,
+        }
+    }
+
+    /// Whether the locality gate is on for this binding.
+    pub fn prefetches(&self) -> bool {
+        self.prefetch
     }
 
     /// Run iterations `[start, end)` on the calling thread.
     pub fn run_range(&self, start: usize, end: usize) {
-        self.kernel.run(&self.args, Iters::Range(start, end), None);
+        self.kernel
+            .run(&self.args, Iters::Range(start, end), None, self.prefetch);
     }
 }
 
@@ -580,8 +677,14 @@ impl BoundLoop {
 fn assert_bound_as_declared(shape: &[ArgShape], args: &[BoundArg]) {
     let mut shared_row = None;
     for (i, (&s, a)) in shape.iter().zip(args).enumerate() {
-        let kind_ok = match s {
-            ArgShape::Map { idx, .. } => {
+        if let ArgShape::MapOn { arg, .. } = s {
+            assert!(
+                arg < i && matches!(shape[arg], ArgShape::Map { .. }) && args[arg].base == a.base,
+                "argument {i}: declared {s:?}, bound to another base than argument {arg}"
+            );
+        }
+        let kind_ok = match s.map_idx() {
+            Some(idx) => {
                 let (row, arity) = a.row(idx);
                 assert!(
                     a.is_indirect() && idx < arity,
@@ -594,8 +697,11 @@ fn assert_bound_as_declared(shape: &[ArgShape], args: &[BoundArg]) {
                 );
                 true
             }
-            ArgShape::Direct { dim } => !a.is_indirect() && a.estride == dim,
-            ArgShape::Global { .. } => !a.is_indirect() && a.estride == 0,
+            None => match s {
+                ArgShape::Direct { dim } => !a.is_indirect() && a.estride == dim,
+                // A global.
+                _ => !a.is_indirect() && a.estride == 0,
+            },
         };
         assert!(kind_ok, "argument {i}: declared {s:?}, bound as {a:?}");
         assert_eq!(
@@ -646,8 +752,12 @@ pub fn run_chunk(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         return run_chunk_masked(bound, chunk, ctx);
     }
     for piece in &chunk.pieces {
-        let BoundLoop { kernel, args } = &bound[piece.loop_idx()];
-        kernel.run(args, piece.iters(), None);
+        let BoundLoop {
+            kernel,
+            args,
+            prefetch,
+        } = &bound[piece.loop_idx()];
+        kernel.run(args, piece.iters(), None, *prefetch);
     }
 }
 
@@ -659,7 +769,7 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         return;
     };
     let j = first.loop_idx();
-    let BoundLoop { kernel, args } = &bound[j];
+    let BoundLoop { kernel, args, .. } = &bound[j];
     let SchedCtx { sink, wins, allocs } = ctx;
     wins.clear();
     *allocs += u64::from(wins.capacity() < args.len());
@@ -680,7 +790,7 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
     for piece in &chunk.pieces {
         // The windows index loop `j`'s arguments.
         assert_eq!(piece.loop_idx(), j, "windowed chunk mixes loops");
-        kernel.run(args, piece.iters(), Some(mask));
+        kernel.run(args, piece.iters(), Some(mask), false);
     }
 }
 
@@ -868,6 +978,14 @@ mod tests {
             twin_body(a);
         }
 
+        /// `mixed_twin` with its two increments, which share one
+        /// accumulator, declared on one base.
+        fn mixed_on_twin(a: &Args<'_>) [
+            direct(2), map(2, 3), global(2), map(0, 1), map(2, 2), direct(1), map_on(1, 2, 4),
+        ] {
+            twin_body(a);
+        }
+
         /// Seven direct arguments, as Hydra's `update_state`.
         fn wide_direct_twin(a: &Args<'_>) [
             direct(5), direct(5), direct(1), direct(1), direct(3), direct(2), direct(3),
@@ -907,6 +1025,9 @@ mod tests {
         bufs: Vec<Vec<f64>>,
         /// Compile this `kernel!` twin instead of the closure.
         twin: Option<fn(usize) -> Kernel>,
+        /// Bind with the locality gate on (a declared twin's unwindowed
+        /// pieces then take the prefetching walk).
+        prefetch: bool,
     }
 
     impl Fixture {
@@ -955,6 +1076,7 @@ mod tests {
                 n_nodes,
                 bufs,
                 twin: None,
+                prefetch: false,
             }
         }
 
@@ -1053,7 +1175,7 @@ mod tests {
                     }
                 })
                 .collect();
-            BoundLoop::from_parts(self.kernel(), args)
+            BoundLoop::from_parts(self.kernel(), args, self.prefetch)
         }
 
         /// Every buffer's bits after `run` from the initial values.
@@ -1145,15 +1267,21 @@ mod tests {
         check_twin(f, |n| Kernel::compile(fixture_twin, n));
     }
 
-    /// `f`'s pieces through the `kernel!` twin `compile` builds, against
-    /// the closure's per-element reference, bitwise.
+    /// `f`'s pieces through the `kernel!` twin `compile` builds, with
+    /// the locality gate off and on, against the closure's per-element
+    /// reference, bitwise.
     fn check_twin(f: &Fixture, compile: fn(usize) -> Kernel) {
         // A twin rewrites every mode before it runs, so a lock poisoned by
         // another failed check guards nothing stale.
         let _twins = TWIN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut twin = f.clone();
-        twin.twin = Some(compile);
-        check_pieces(&twin, f);
+        for prefetch in [false, true] {
+            let twin = Fixture {
+                twin: Some(compile),
+                prefetch,
+                ..f.clone()
+            };
+            check_pieces(&twin, f);
+        }
     }
 
     /// `f`'s compiled pieces against `reference`'s per-element entry
@@ -1217,6 +1345,7 @@ mod tests {
     #[test]
     fn declared_shapes_match_uniform_reference() {
         check_twin(&mixed_fixture(), |n| Kernel::compile(mixed_twin, n));
+        check_twin(&mixed_fixture(), |n| Kernel::compile(mixed_on_twin, n));
         use AccessMode::*;
         let modes = [Rw, Write, Write, Write, Write, Read, Read];
         let direct = Fixture::new(
@@ -1241,7 +1370,7 @@ mod tests {
         let (row, arity) = args[1].row(2);
         let mut wide = vec![0.0; f.n_nodes * 4];
         args[1] = BoundArg::indirect(wide.as_mut_ptr(), 4, AccessMode::Read, row, arity, 2);
-        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args);
+        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args, false);
     }
 
     /// A `map` argument bound to another map's rows than the others.
@@ -1254,7 +1383,43 @@ mod tests {
         let other: Vec<u32> = f.map.iter().rev().copied().collect();
         let base = bufs[6].as_mut_ptr();
         args[6] = BoundArg::indirect(base, 2, AccessMode::Inc, other.as_ptr(), f.arity, 1);
-        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args);
+        BoundLoop::from_parts(Kernel::compile(mixed_twin, 7), args, false);
+    }
+
+    /// A `map_on` argument bound to another base than the argument whose
+    /// dat it declares to share.
+    #[test]
+    #[should_panic(expected = "bound to another base than argument 4")]
+    fn declared_shared_base_bound_to_another_dat_panics() {
+        let f = mixed_fixture();
+        let mut bufs = f.bufs.clone();
+        let mut args = f.bind(&mut bufs).args;
+        let (row, arity) = args[6].row(1);
+        let mut other = vec![0.0; f.n_nodes * 2];
+        args[6] = BoundArg::indirect(other.as_mut_ptr(), 2, AccessMode::Inc, row, arity, 1);
+        BoundLoop::from_parts(Kernel::compile(mixed_on_twin, 7), args, false);
+    }
+
+    /// The locality gate on synthetic edge maps over a 1-D chain of
+    /// nodes: off in generator numbering, on once the nodes are
+    /// scattered, off on degenerate maps, and deaf to `u32::MAX`.
+    #[test]
+    fn locality_gate_reads_consecutive_rows() {
+        let n = 4096u32;
+        let chain: Vec<u32> = (0..n - 1).flat_map(|e| [e, e + 1]).collect();
+        assert!(!map_is_scattered(&chain, 2, n as usize));
+        // A multiplicative scatter of node ids: consecutive nodes land
+        // 1615 or 2481 apart.
+        let scatter = |v: u32| (v as u64 * 2_654_435_761 % n as u64) as u32;
+        let scattered: Vec<u32> = chain.iter().map(|&v| scatter(v)).collect();
+        assert!(map_is_scattered(&scattered, 2, n as usize));
+        assert!(!map_is_scattered(&scattered[..2], 2, n as usize), "one row");
+        assert!(!map_is_scattered(&[], 2, n as usize), "no rows");
+        let beyond: Vec<u32> = scattered.iter().map(|_| u32::MAX).collect();
+        assert!(
+            !map_is_scattered(&beyond, 2, n as usize),
+            "every pair beyond the halo"
+        );
     }
 
     #[test]

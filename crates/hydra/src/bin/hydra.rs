@@ -13,6 +13,7 @@
 use hydra_sim::{job, run, run_sequential, ExtentMode, Hydra, HydraParams, Variant};
 use op2_mesh::AnnulusParams;
 use op2_partition::{build_layouts, derive_ownership, rib_partition};
+use op2_runtime::harness::oversubscription;
 use op2_runtime::RunOptions;
 
 struct Opts {
@@ -31,6 +32,16 @@ struct Opts {
 fn fail(err: impl std::fmt::Display) -> ! {
     eprintln!("hydra: {err}");
     std::process::exit(1);
+}
+
+/// Print one `hydra: warning: …` line when `ranks × threads` exceeds
+/// the cores this process may run on (threads are per rank and never
+/// capped).
+fn warn_if_oversubscribed(ranks: usize, threads: usize) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if let Some(w) = oversubscription(ranks, threads, cores) {
+        eprintln!("hydra: warning: {w}");
+    }
 }
 
 /// The value after `flag`, or exit 1.
@@ -112,6 +123,7 @@ fn main() {
     let outcome = match o.backend.as_str() {
         "seq" => run_sequential(&mut app, o.iters, o.stages),
         "op2" | "ca" => {
+            warn_if_oversubscribed(o.ranks, o.threads);
             let depth = app.required_depth(mode).max(2);
             let base = rib_partition(app.mesh.node_coords(), 3, o.ranks);
             let own = derive_ownership(&app.mesh.dom, app.mesh.nodes, base, o.ranks);

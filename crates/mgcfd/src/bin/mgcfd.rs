@@ -14,6 +14,7 @@
 use mg_cfd::{job, run, run_sequential, MgCfd, MgCfdParams, Variant};
 use op2_mesh::Hex3DParams;
 use op2_partition::{build_layouts, derive_ownership, rcb_partition};
+use op2_runtime::harness::oversubscription;
 use op2_runtime::RunOptions;
 
 struct Opts {
@@ -32,6 +33,16 @@ struct Opts {
 fn fail(err: impl std::fmt::Display) -> ! {
     eprintln!("mgcfd: {err}");
     std::process::exit(1);
+}
+
+/// Print one `mgcfd: warning: …` line when `ranks × threads` exceeds
+/// the cores this process may run on (threads are per rank and never
+/// capped).
+fn warn_if_oversubscribed(ranks: usize, threads: usize) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if let Some(w) = oversubscription(ranks, threads, cores) {
+        eprintln!("mgcfd: warning: {w}");
+    }
 }
 
 /// The value after `flag`, or exit 1.
@@ -107,6 +118,7 @@ fn main() {
     let outcome = match o.backend.as_str() {
         "seq" => run_sequential(&mut app, o.iters),
         "op2" | "ca" => {
+            warn_if_oversubscribed(o.ranks, o.threads);
             let coords = &app.dom.dat(app.levels[0].ids.coords).data;
             let base = rcb_partition(coords, 3, o.ranks);
             let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, o.ranks);

@@ -60,7 +60,7 @@ kernel! {
     /// `compute_flux_edge` — edges, the hot loop: `q` READ at both nodes
     /// (args 0, 1), `flux` INC at both nodes (args 2, 3). An approximate
     /// Riemann-style symmetric flux difference.
-    pub fn compute_flux_edge(args: &Args<'_>) [map(0, NVAR), map(1, NVAR), map(0, NVAR), map(1, NVAR)] {
+    pub fn compute_flux_edge(args: &Args<'_>) [map(0, NVAR), map_on(1, NVAR, 0), map(0, NVAR), map_on(1, NVAR, 2)] {
         let mut qa = [0.0; NVAR];
         let mut qb = [0.0; NVAR];
         args.load(0, &mut qa);

@@ -455,6 +455,7 @@ mod tests {
     use super::*;
     use crate::ownership::derive_ownership;
     use crate::partitioner::{rcb_partition, rib_partition};
+    use op2_core::schedule::map_is_scattered;
     use op2_mesh::shuffle::shuffle_set;
     use op2_mesh::{Annulus, AnnulusParams, Hex3D, Hex3DParams, Quad2D};
 
@@ -634,6 +635,42 @@ mod tests {
             mean <= 100.0,
             "mean |l(a) - l(b)| over owned edges = {mean}"
         );
+    }
+
+    /// The compiled loops' locality gate: on for the shuffled global
+    /// edge map, off for every map in generator numbering, and off for
+    /// every rank-local map the locality order leaves at 2 and 3 ranks,
+    /// so only a walk of the shuffled global mesh prefetches.
+    #[test]
+    fn locality_gate_is_on_only_for_shuffled_global_maps() {
+        let plain = Hex3D::generate(Hex3DParams::cube(12));
+        for map in plain.dom.maps() {
+            let targets = plain.dom.set(map.to).size;
+            assert!(
+                !map_is_scattered(&map.values, map.arity, targets),
+                "generator `{}`",
+                map.name
+            );
+        }
+        for nparts in [2, 3] {
+            let (m, _, ls) = shuffled_hex(12, nparts, 2);
+            let e2n = m.dom.map(m.e2n);
+            assert!(map_is_scattered(
+                &e2n.values,
+                e2n.arity,
+                m.dom.set(m.nodes).size
+            ));
+            for (r, l) in ls.iter().enumerate() {
+                for map in &l.maps {
+                    let targets = l.sets[map.to.idx()].n_local();
+                    assert!(
+                        !map_is_scattered(&map.values, map.arity, targets),
+                        "{nparts} ranks, rank {r}, local `{}`",
+                        map.name
+                    );
+                }
+            }
+        }
     }
 
     /// Every Fig 6b range holds exactly the global ids it holds under

@@ -38,7 +38,7 @@ use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::conflict::chain_accesses;
 use op2_core::dag::ChunkDag;
 use op2_core::par::thread_schedule;
-use op2_core::schedule::{BoundLoop, Schedule, ScheduleKind};
+use op2_core::schedule::{BoundLoop, MapBinding, Schedule, ScheduleKind};
 use op2_core::{DatId, Domain, LoopSig, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
@@ -272,7 +272,7 @@ impl<'a> RankEnv<'a> {
             let base = self.dats[dat.idx()].as_mut_ptr();
             let map = map.map(|m| {
                 let lm = &self.layout.maps[m.idx()];
-                (lm.values.as_ptr(), lm.arity)
+                MapBinding::of(lm, self.layout.sets[lm.to.idx()].n_local())
             });
             (base, self.dom.dat(dat).dim as u32, map)
         })

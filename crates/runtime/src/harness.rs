@@ -283,10 +283,38 @@ fn release_freed_heap() {
     }
 }
 
+/// What a command-line front end should warn about when `ranks` ranks
+/// of `threads` kernel threads each exceed the host's `cores`
+/// (`std::thread::available_parallelism`): `--threads`/
+/// [`RunOptions::with_threads`] is per rank and never capped, and on
+/// shared cores the threaded lowering can lose to one thread (the
+/// `mgcfd-compute` shape ran 1.7× slower at 2 ranks × 2 threads on a
+/// 2-vCPU host). `None` when they fit. Nothing is capped here.
+pub fn oversubscription(ranks: usize, threads: usize, cores: usize) -> Option<String> {
+    let wanted = ranks.saturating_mul(threads);
+    (wanted > cores).then(|| {
+        format!(
+            "{ranks} ranks x {threads} per rank = {wanted} threads on {cores} available cores; \
+             the run is oversubscribed and may be slower than with fewer threads"
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{run_chain, run_loop};
+
+    #[test]
+    fn oversubscription_warns_only_past_the_cores() {
+        assert_eq!(oversubscription(2, 1, 2), None);
+        assert_eq!(oversubscription(1, 2, 2), None);
+        let w = oversubscription(2, 2, 2).expect("4 threads on 2 cores");
+        assert!(
+            w.contains("2 ranks x 2 per rank = 4 threads on 2 available cores"),
+            "{w}"
+        );
+    }
     use op2_core::{AccessMode, Arg, Args, ChainSpec, GblDecl, LoopSpec};
     use op2_mesh::Quad2D;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};

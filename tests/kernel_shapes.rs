@@ -12,14 +12,19 @@
 //! to the bit. The loops run in program order on evolving state, so
 //! each sees the values the program would give it.
 //!
+//! Each app runs twice: in generator numbering, and with its sets
+//! shuffled (`shuffle_set`), where the bind-time locality gate turns on
+//! and the declared loops take the prefetching walk.
+//!
 //! The declared form is unchecked pointer arithmetic once optimised, so
 //! CI runs this file under `cargo test --release` as well.
 
 use op2::core::par::{owner_computes_accesses, thread_schedule};
-use op2::core::schedule::run_loop_schedule;
+use op2::core::schedule::{run_loop_schedule, BoundLoop};
 use op2::core::{Args, Domain, KernelFn, LoopSpec, Schedule};
 use op2::hydra::app::Step as HydraStep;
 use op2::hydra::{kernels as hk, ExtentMode, Hydra, HydraParams};
+use op2::mesh::shuffle::shuffle_set;
 use op2::mgcfd::{kernels as mk, MgCfd, MgCfdParams, Step as MgStep};
 
 /// `spec` with its kernel `k` wrapped in a closure: the same body,
@@ -100,12 +105,21 @@ fn after(dom: &Domain, spec: &LoopSpec, sched: &Schedule) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// What [`check_loops`] saw: how many loops took the owner-computes
+/// lowering, and how many bound with the locality gate on.
+struct Seen {
+    owned: usize,
+    prefetched: usize,
+}
+
 /// `loops` in order on `dom`: each declared loop against its undeclared
 /// twin over a range, a list and the 2-thread lowering, bitwise; then
-/// the declared loop advances `dom`. Returns how many loops took the
-/// owner-computes lowering.
-fn check_loops(dom: &mut Domain, loops: &[LoopSpec]) -> usize {
-    let mut owned = 0;
+/// the declared loop advances `dom`.
+fn check_loops(dom: &mut Domain, loops: &[LoopSpec]) -> Seen {
+    let mut seen = Seen {
+        owned: 0,
+        prefetched: 0,
+    };
     for spec in loops {
         spec.validate(dom).unwrap();
         assert!(spec.kernel.shape().is_some(), "loop `{}` is undeclared", spec.name);
@@ -114,7 +128,10 @@ fn check_loops(dom: &mut Domain, loops: &[LoopSpec]) -> usize {
         let n = dom.set(spec.set).size;
         let list: Vec<u32> = (0..n as u32).filter(|e| e % 3 != 1).collect();
         let threaded = thread_schedule(dom.maps(), &spec.sig(), 0, n, 2, 64, &dom.set_sizes());
-        owned += usize::from(owner_computes_accesses(dom.maps(), &spec.sig()).is_some());
+        seen.owned += usize::from(owner_computes_accesses(dom.maps(), &spec.sig()).is_some());
+        let mut gbls: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
+        seen.prefetched +=
+            usize::from(BoundLoop::bind(&mut dom.clone(), spec, &mut gbls).prefetches());
         for (what, sched) in [
             ("range", Schedule::range(n / 5, n)),
             ("list", Schedule::list(list)),
@@ -129,7 +146,7 @@ fn check_loops(dom: &mut Domain, loops: &[LoopSpec]) -> usize {
         }
         run_loop_schedule(dom, spec, &Schedule::range(0, n));
     }
-    owned
+    seen
 }
 
 /// Every loop of a program, chains flattened, in order.
@@ -153,23 +170,37 @@ fn hydra_loops(steps: Vec<HydraStep>) -> Vec<LoopSpec> {
         .collect()
 }
 
-#[test]
-fn mgcfd_declared_loops_match_undeclared_bitwise() {
-    let app = MgCfd::new(MgCfdParams::small(8));
+/// Every MG-CFD loop, both levels, with the node and edge sets of both
+/// levels shuffled if `shuffled`.
+fn check_mgcfd(shuffled: bool) -> Seen {
+    let mut app = MgCfd::new(MgCfdParams::small(8));
     assert_eq!(app.levels.len(), 2);
+    if shuffled {
+        for (k, ids) in app.levels.iter().map(|l| l.ids).enumerate() {
+            shuffle_set(&mut app.dom, ids.nodes, 2 * k as u64 + 1);
+            shuffle_set(&mut app.dom, ids.edges, 2 * k as u64 + 2);
+        }
+    }
     let mut loops = vec![app.init_loop(0), app.init_loop(1)];
     loops.extend(mg_loops(app.iteration(true)));
     loops.extend(mg_loops(app.iteration(false)));
     loops.push(app.rms_loop());
     loops.push(app.dt_min_loop());
     let mut dom = app.dom.clone();
-    let owned = check_loops(&mut dom, &loops);
-    assert!(owned > 0, "no MG-CFD loop took the owner-computes windows");
+    let seen = check_loops(&mut dom, &loops);
+    assert!(
+        seen.owned > 0,
+        "no MG-CFD loop took the owner-computes windows"
+    );
+    seen
 }
 
-#[test]
-fn hydra_declared_loops_match_undeclared_bitwise() {
-    let app = Hydra::new(HydraParams::small(6));
+/// Every Hydra loop, with the node set shuffled if `shuffled`.
+fn check_hydra(shuffled: bool) -> Seen {
+    let mut app = Hydra::new(HydraParams::small(6));
+    if shuffled {
+        shuffle_set(&mut app.mesh.dom, app.mesh.nodes, 3);
+    }
     let mut loops = vec![app.init_loop()];
     for ca in [true, false] {
         loops.extend(hydra_loops(app.setup(ca, ExtentMode::Safe)));
@@ -177,6 +208,37 @@ fn hydra_declared_loops_match_undeclared_bitwise() {
     }
     loops.push(app.norm_loop());
     let mut dom = app.mesh.dom.clone();
-    let owned = check_loops(&mut dom, &loops);
-    assert!(owned > 0, "no Hydra loop took the owner-computes windows");
+    let seen = check_loops(&mut dom, &loops);
+    assert!(
+        seen.owned > 0,
+        "no Hydra loop took the owner-computes windows"
+    );
+    seen
+}
+
+#[test]
+fn mgcfd_declared_loops_match_undeclared_bitwise() {
+    check_mgcfd(false);
+}
+
+#[test]
+fn hydra_declared_loops_match_undeclared_bitwise() {
+    check_hydra(false);
+}
+
+/// The prefetching walk against the undeclared reference, bitwise.
+#[test]
+fn mgcfd_declared_loops_match_undeclared_on_a_shuffled_mesh() {
+    assert!(
+        check_mgcfd(true).prefetched > 0,
+        "no shuffled MG-CFD loop prefetched"
+    );
+}
+
+#[test]
+fn hydra_declared_loops_match_undeclared_on_a_shuffled_mesh() {
+    assert!(
+        check_hydra(true).prefetched > 0,
+        "no shuffled Hydra loop prefetched"
+    );
 }
