@@ -25,14 +25,10 @@
 //! dats on one set share their stamps, which is conservative — it can
 //! only add levels, never drop an ordering.
 //!
-//! Which dats are selected is the only thing that differs between
-//! lowerings, and there are two selectors: [`conflict_accesses`] for a
-//! standalone loop (dats *this loop* modifies through a map) and
-//! [`chain_accesses`] for anything spanning loops — the chunk DAG (dats
-//! *any loop of the chain* modifies). Both build the one descriptor,
-//! [`ConflictAccess`]; [`for_each_touch`] is the one walker resolving a
-//! unit to the elements it touches, shared by the levelizer, the checker
-//! [`levels_valid`] and [`crate::dag::ChunkDag::build`].
+//! One selector picks the dats: [`conflict_accesses`] keeps the dats a
+//! loop modifies through a map, as [`ConflictAccess`] descriptors;
+//! [`for_each_touch`] is the one walker resolving a unit to the elements
+//! it touches, shared by the levelizer and the checker [`levels_valid`].
 //! [`Schedule::from_levels`], the only place `(units, levels)` become a
 //! leveled [`Schedule`], runs the checker under `debug_assert!`.
 //!
@@ -105,12 +101,12 @@ impl<'a> ConflictAccess<'a> {
     }
 }
 
-/// Every dat argument of `sig` whose dat `selected` keeps, as accesses.
-fn accesses_where<'a>(
-    maps: &'a [MapData],
-    sig: &LoopSig,
-    selected: impl Fn(DatId) -> bool,
-) -> Vec<ConflictAccess<'a>> {
+/// The selector: every access (direct or indirect, read or write) of a
+/// dat the loop modifies *through a map*. Dats modified only directly
+/// are excluded — each iteration owns its element, so no two iterations
+/// of one loop collide on them.
+pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<ConflictAccess<'a>> {
+    let selected = |d: DatId| matches!(sig.access_of(d), Some((mode, true)) if mode.modifies());
     let access = |a: &Arg| match a {
         Arg::Dat { dat, map, mode } if selected(*dat) => {
             Some(ConflictAccess::new(maps, sig.set, *map, mode.modifies()))
@@ -118,34 +114,6 @@ fn accesses_where<'a>(
         _ => None,
     };
     sig.args.iter().filter_map(access).collect()
-}
-
-/// The standalone-loop selector: every access (direct or indirect, read
-/// or write) of a dat the loop modifies *through a map*. Dats modified
-/// only directly are excluded — each iteration owns its element, so no
-/// two iterations of one loop collide on them.
-pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<ConflictAccess<'a>> {
-    accesses_where(maps, sig, |d| {
-        matches!(sig.access_of(d), Some((mode, true)) if mode.modifies())
-    })
-}
-
-/// The chain-wide selector, one list per loop: every access of a dat
-/// *modified anywhere in the chain*. Units that span loops (the chunks
-/// of a chain schedule's DAG) must also order the write→read
-/// hand-off between chain loops — including through dats a loop writes
-/// only directly, which within one loop never collide but across loops
-/// do. Dats nobody modifies induce only read↔read pairs and are skipped.
-pub fn chain_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<ConflictAccess<'a>>> {
-    let modified: Vec<DatId> = (sigs.iter().flat_map(|sig| &sig.args))
-        .filter_map(|a| match a {
-            Arg::Dat { dat, mode, .. } if mode.modifies() => Some(*dat),
-            _ => None,
-        })
-        .collect();
-    sigs.iter()
-        .map(|sig| accesses_where(maps, sig, |d| modified.contains(&d)))
-        .collect()
 }
 
 /// Apply `f(access, target element)` for every touch of `unit`:
@@ -246,7 +214,7 @@ pub fn levels_valid(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessMode::{Inc, Read, Write};
+    use crate::access::AccessMode::{Inc, Read};
     use crate::domain::Domain;
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
@@ -289,12 +257,6 @@ mod tests {
         flux: LoopSig,
         /// pairs: the same increments over the disconnected pairs.
         pair_flux: LoopSig,
-        /// edges: reads `s` at both ends.
-        reader: LoopSig,
-        /// nodes: direct write of `s`.
-        clobber: LoopSig,
-        /// edges: `r[n0] += s[n1]`.
-        apply: LoopSig,
     }
 
     fn fix() -> Fix {
@@ -313,9 +275,6 @@ mod tests {
         Fix {
             flux: sig(edges, vec![inc(e2n, 0), inc(e2n, 1), read(0), read(1)]),
             pair_flux: sig(pairs, vec![inc(p2n, 0), inc(p2n, 1)]),
-            reader: sig(edges, vec![read(0), read(1)]),
-            clobber: sig(nodes, vec![Arg::dat_direct(s, Write)]),
-            apply: sig(edges, vec![inc(e2n, 0), read(1)]),
             dom,
         }
     }
@@ -329,7 +288,6 @@ mod tests {
         let f = fix();
         let (maps, sizes) = (f.dom.maps(), f.dom.set_sizes());
         let standalone = |sig: &LoopSig| vec![conflict_accesses(maps, sig)];
-        let chain = |a: &LoopSig, b: &LoopSig| chain_accesses(maps, &[a.clone(), b.clone()]);
         let e2n = &maps[0];
         let reads_only: Vec<ConflictAccess<'_>> = (0..2)
             .map(|idx| ConflictAccess {
@@ -338,8 +296,6 @@ mod tests {
                 writes: false,
             })
             .collect();
-        let halves: Units<'_> = &[&[(0, 0, 4), (1, 0, 4)], &[(0, 4, 8), (1, 4, 9)]];
-        let staged: Units<'_> = &[&[(0, 0, 9)], &[(1, 0, 3)], &[(1, 4, 8)], &[(1, 3, 4)]];
         let table: Vec<Row<'_>> = vec![
             // Consecutive blocks of a path share a node: a ladder.
             ("ladder", standalone(&f.flux), QUARTERS, &[0, 1, 2, 3]),
@@ -355,21 +311,6 @@ mod tests {
                 "disjoint",
                 standalone(&f.pair_flux),
                 &[&[(0, 0, 1)], &[(0, 1, 2)], &[(0, 2, 3)], &[(0, 3, 4)]],
-                &[0, 0, 0, 0],
-            ),
-            // Unit 0 reads s[4] through edge 3, unit 1 overwrites it:
-            // only the write-after-read orders them.
-            ("write-after-read", chain(&f.reader, &f.clobber), halves, &[0, 1]),
-            // Unit 0 writes s directly; units 1 and 2 read it through
-            // the map on disjoint node ranges; unit 3 is the edge
-            // between them and touches a node of each.
-            ("direct-write → indirect-read", chain(&f.clobber, &f.apply), staged, &[0, 1, 1, 2]),
-            // The standalone selector sees no hand-off between loops —
-            // which is why units spanning loops use the chain one.
-            (
-                "…under the standalone selector",
-                vec![conflict_accesses(maps, &f.clobber), conflict_accesses(maps, &f.apply)],
-                staged,
                 &[0, 0, 0, 0],
             ),
             ("read-only", vec![reads_only], QUARTERS, &[0, 0, 0, 0]),

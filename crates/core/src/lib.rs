@@ -79,7 +79,6 @@ pub mod access;
 pub mod chain;
 pub mod config;
 pub mod conflict;
-pub mod dag;
 pub mod domain;
 pub mod error;
 pub mod kernel;
@@ -91,8 +90,7 @@ pub mod seq;
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
 pub use config::{parse_chain_config, ChainConfig};
-pub use conflict::{chain_accesses, conflict_accesses, ConflictAccess};
-pub use dag::ChunkDag;
+pub use conflict::{conflict_accesses, ConflictAccess};
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
 pub use kernel::{ArgShape, Args, Kernel, KernelFn};

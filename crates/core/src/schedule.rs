@@ -244,11 +244,6 @@ impl Schedule {
         self.levels.iter().map(|l| l.chunks.len()).sum()
     }
 
-    /// Widest level (the available parallelism).
-    pub fn max_level_chunks(&self) -> usize {
-        self.levels.iter().map(|l| l.chunks.len()).max().unwrap_or(0)
-    }
-
     /// Total iterations scheduled for chain loop `loop_idx`.
     pub fn loop_iters(&self, loop_idx: usize) -> usize {
         self.levels
@@ -353,12 +348,6 @@ impl Schedule {
             }
         }
         unmasked.iter().all(|&n| n == 1)
-    }
-
-    /// Whether running the schedule on threads can use more than one
-    /// worker at a time.
-    pub fn has_parallelism(&self) -> bool {
-        self.max_level_chunks() > 1
     }
 }
 
@@ -847,7 +836,6 @@ mod tests {
         assert_eq!(s.n_levels(), 1);
         assert_eq!(s.n_chunks(), 1);
         assert_eq!(s.loop_iters(0), 8);
-        assert!(!s.has_parallelism());
     }
 
     #[test]

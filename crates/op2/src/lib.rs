@@ -8,7 +8,6 @@
 //! assert!(AccessMode::Inc.modifies());
 //! ```
 pub use op2_core as core;
-pub use op2_gpu as gpu;
 pub use op2_mesh as mesh;
 pub use op2_model as model;
 pub use op2_partition as partition;

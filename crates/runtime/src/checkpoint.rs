@@ -230,7 +230,7 @@ impl RankEnv<'_> {
             let mut st = lock(&shared);
             if let Some(carry) = st.carry.take() {
                 // The carried context keeps its pool and scratch; the
-                // configuration is this attempt's `policy`.
+                // configuration is this attempt's `threading`.
                 self.plans = carry.plans;
                 self.threads = carry.threads;
                 if !carry.pools.is_empty() {

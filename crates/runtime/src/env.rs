@@ -31,15 +31,12 @@
 
 use crate::comm::RankComm;
 use crate::fault::{BoundaryAction, BoundaryKind};
-use crate::plan::{loop_signature, ChainPlan, LoweredSchedule, LoweringKey, PlanCache};
-use crate::policy::{ExecMode, ExecPolicy};
-use crate::threads::{run_schedule_dataflow, run_schedule_pooled_ctx, ExecStats, ThreadCtx};
+use crate::plan::{loop_signature, ChainPlan, LoweringKey, PlanCache};
+use crate::threads::{run_schedule_pooled_ctx, ThreadCtx, Threading};
 use crate::trace::{RankTrace, SchedKind, ThreadRec};
-use op2_core::conflict::chain_accesses;
-use op2_core::dag::ChunkDag;
 use op2_core::par::thread_schedule;
 use op2_core::schedule::{BoundLoop, MapBinding, Schedule, ScheduleKind};
-use op2_core::{DatId, Domain, LoopSig, LoopSpec};
+use op2_core::{DatId, Domain, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
 
@@ -64,14 +61,13 @@ pub struct RankEnv<'a> {
     pub plans: PlanCache,
     /// Monotone tag sequence (identical across ranks by construction).
     pub tag_seq: u64,
-    /// Intra-rank threading state: the rank's pool and the executors'
-    /// scratch.
+    /// Intra-rank threading state: the rank's pool and the drain's
+    /// per-worker contexts.
     pub threads: ThreadCtx,
-    /// How this rank executes: pool width, drain.
-    /// Sequential/leveled until the harness installs the run's policy
-    /// (copied from its [`crate::harness::RunOptions`]) before the
-    /// program runs.
-    pub policy: ExecPolicy,
+    /// This rank's pool width and block size. Sequential until the
+    /// harness installs the run's [`crate::harness::RunOptions::threading`]
+    /// before the program runs.
+    pub threading: Threading,
     /// Exchange plans (by content key) whose message buffers are already
     /// pre-sized into the transport's per-peer pool (see
     /// [`crate::halo::ExchangePlan::post`]).
@@ -112,7 +108,7 @@ impl<'a> RankEnv<'a> {
             plans: PlanCache::new(),
             tag_seq: 0,
             threads: ThreadCtx::default(),
-            policy: ExecPolicy::default(),
+            threading: Threading::default(),
             warmed: HashSet::new(),
             ckpt: crate::checkpoint::CheckpointCtx::inert(),
             boundaries: [0; 3],
@@ -213,7 +209,7 @@ impl<'a> RankEnv<'a> {
             start,
             end,
             block,
-            width: self.policy.threading.n_threads,
+            width: self.threading.n_threads,
         };
         let (low, built) =
             cache.get_or_build(key, || self.build_loop_schedule(spec, start, end, block));
@@ -223,7 +219,7 @@ impl<'a> RankEnv<'a> {
             self.plans.stats.color_hits += 1;
         }
         let bound = self.bind_loop(spec, gbl_bufs);
-        self.run_pooled(&spec.name, || vec![spec.sig()], &[bound], &low);
+        self.run_pooled(&spec.name, &[bound], &low);
     }
 
     /// Should `[start, end)` of `spec` run on the thread pool — and with
@@ -233,7 +229,7 @@ impl<'a> RankEnv<'a> {
     /// block's worth of iterations (a single block has no parallelism to
     /// expose).
     fn threaded_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> Option<usize> {
-        let t = self.policy.threading;
+        let t = self.threading;
         (t.active() && !spec.has_reduction() && end.saturating_sub(start) > t.block_size)
             .then_some(t.block_size)
     }
@@ -258,7 +254,7 @@ impl<'a> RankEnv<'a> {
             &spec.sig(),
             start,
             end,
-            self.policy.threading.n_threads,
+            self.threading.n_threads,
             block_size,
             &set_sizes,
         )
@@ -278,61 +274,21 @@ impl<'a> RankEnv<'a> {
         })
     }
 
-    /// Drain `bound` over `low` on the rank's pool. Under
-    /// [`ExecMode::Dataflow`] the dataflow executor runs it, on the chunk
-    /// DAG derived from the chain-wide conflict accesses of `sigs()`
-    /// ([`chain_accesses`]) over this rank's localized maps and kept
-    /// beside the schedule; otherwise the leveled walk pays one barrier
-    /// per level. Bitwise identical either way. A single-level schedule
-    /// has no barrier for dataflow to remove and always takes the leveled
-    /// drain — which also keeps windowed (owner-computes) chunks, always
-    /// a single level, out of the DAG.
-    fn drain_schedule(
-        &mut self,
-        sigs: impl FnOnce() -> Vec<LoopSig>,
-        bound: &[BoundLoop],
-        low: &LoweredSchedule,
-    ) -> ExecStats {
-        let pool = self.threads.pool(self.policy.threading.n_threads);
-        if self.policy.exec == ExecMode::Dataflow && low.n_levels() > 1 && low.has_parallelism() {
-            let layout = self.layout;
-            let dag = low.dag(|sched| {
-                ChunkDag::build(sched, &layout.set_sizes(), &chain_accesses(&layout.maps, &sigs()))
-            });
-            return run_schedule_dataflow(
-                &pool,
-                bound,
-                low,
-                dag,
-                &mut self.threads.sched_ctxs,
-                &mut self.threads.dataflow,
-            );
-        }
-        run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs)
-    }
-
-    /// Executor: run a loop's lowered schedule on the rank's own pool and
-    /// append its [`ThreadRec`] (per-level wall times, per-worker
-    /// idle/steal/fire counters), recorded by how the schedule was
+    /// Executor: run a loop's lowered schedule level by level on the
+    /// rank's own pool and append its [`ThreadRec`] (per-level wall
+    /// times, per-worker idle time), recorded by how the schedule was
     /// lowered.
     ///
     /// Same-level chunks write disjoint elements (race-free): disjoint
     /// windows under the owner-computes lowering, where each element
     /// takes its increments from one chunk in ascending iteration order;
     /// disjoint blocks under the colored fallback, where conflicting
-    /// chunks are ordered by ascending level — and the dataflow drain
-    /// preserves exactly the conflicting-pair order through the chunk
-    /// DAG. Either way per-element update order equals the sequential
-    /// executor's: results are bitwise identical for any thread count and
-    /// either drain.
-    fn run_pooled(
-        &mut self,
-        name: &str,
-        sigs: impl FnOnce() -> Vec<LoopSig>,
-        bound: &[BoundLoop],
-        low: &LoweredSchedule,
-    ) {
-        let stats = self.drain_schedule(sigs, bound, low);
+    /// chunks are ordered by ascending level. Either way per-element
+    /// update order equals the sequential executor's: results are
+    /// bitwise identical for any thread count.
+    fn run_pooled(&mut self, name: &str, bound: &[BoundLoop], low: &Schedule) {
+        let pool = self.threads.pool(self.threading.n_threads);
+        let stats = run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs);
         let (kind, block_size) = match low.kind {
             ScheduleKind::Owned { .. } => (SchedKind::Owned, 0),
             ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size),
@@ -344,17 +300,15 @@ impl<'a> RankEnv<'a> {
             name: name.to_string(),
             iters: iters - redundant_iters,
             redundant_iters,
-            n_threads: self.threads.pool(self.policy.threading.n_threads).n_threads(),
+            n_threads: pool.n_threads(),
             block_size,
             n_chunks: low.n_chunks(),
             n_levels: low.n_levels(),
             kind,
             level_ns: stats.level_ns,
-            crit_path: stats.crit_path,
-            dataflow: stats.dataflow,
+            crit_path: low.n_levels(),
             idle_ns: stats.idle_ns,
-            steals: stats.steals,
-            fires: stats.fires,
+            steals: vec![0; pool.n_threads()],
         });
     }
 }

@@ -19,15 +19,14 @@
 //! mirroring the data loss of a real rank failure.
 //!
 //! [`RunOptions`] is the whole configuration of a run: the harness
-//! copies its threading and drain into every rank's
-//! [`ExecPolicy`] and reads nothing from the process environment.
+//! copies its threading into every rank's [`RankEnv::threading`] and
+//! reads nothing from the process environment.
 
 use crate::checkpoint::CheckpointConfig;
 use crate::comm::{CommConfig, CommWorld};
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
 use crate::fault::FaultPlan;
-use crate::policy::{ExecMode, ExecPolicy};
 use crate::threads::Threading;
 use crate::trace::RankTrace;
 use op2_core::{DatId, Domain};
@@ -35,10 +34,23 @@ use op2_partition::RankLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+/// Schedule drain selector, kept only so callers that name it still
+/// build: both variants select the one drain, the level-synchronous walk
+/// ([`crate::threads::run_schedule_pooled_ctx`]), so results and traces
+/// are identical under either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// The level-synchronous drain.
+    #[default]
+    Levels,
+    /// The same drain as [`ExecMode::Levels`].
+    Dataflow,
+}
+
 /// Everything that configures a distributed run besides the program
 /// itself. The defaults: a perfect network, the default receive policy,
-/// one thread per rank, the level-synchronous drain and (under
-/// supervision) a checkpoint after every chain.
+/// one thread per rank and (under supervision) a checkpoint after every
+/// chain.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault plan to subject the run's traffic (and boundaries) to.
@@ -52,8 +64,6 @@ pub struct RunOptions {
     /// ([`run_supervised`](crate::supervise::run_supervised));
     /// unsupervised runs ignore this field entirely.
     pub checkpoint: CheckpointConfig,
-    /// Schedule drain policy, **per rank**.
-    pub exec: ExecMode,
 }
 
 impl RunOptions {
@@ -90,9 +100,9 @@ impl RunOptions {
         self
     }
 
-    /// Schedule drain policy (builder style).
-    pub fn exec(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
+    /// No effect: every [`ExecMode`] selects the one drain (builder
+    /// style, kept for callers that name a mode).
+    pub fn exec(self, _mode: ExecMode) -> Self {
         self
     }
 }
@@ -176,7 +186,7 @@ where
 }
 
 /// [`run_distributed`] with explicit [`RunOptions`] (fault plan,
-/// receive deadline/retry policy, threading, drain).
+/// receive deadline/retry policy, threading).
 pub fn run_distributed_with<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -192,10 +202,6 @@ where
     type RankYield<R> = (Option<Vec<Vec<f64>>>, RankTrace, Result<R, RankFailure>);
     let nparts = layouts.len();
     assert!(nparts >= 1);
-    let policy = ExecPolicy {
-        threading: opts.threading,
-        exec: opts.exec,
-    };
     let world = match &opts.faults {
         Some(plan) => CommWorld::with_faults(nparts, plan.clone()),
         None => CommWorld::new(nparts),
@@ -212,7 +218,7 @@ where
             .map(|(comm, layout)| {
                 scope.spawn(move || {
                     let mut env = RankEnv::new(layout, dom_ref, comm);
-                    env.policy = policy;
+                    env.threading = opts.threading;
                     let run = catch_unwind(AssertUnwindSafe(|| program_ref(&mut env)));
                     let verdict = match run {
                         Ok(Ok(r)) => Ok(r),

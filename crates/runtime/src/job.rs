@@ -251,7 +251,7 @@ impl JobRun {
 }
 
 /// Run `job` on `layouts`; on success `dom` holds every owner's final
-/// values. Threading, drain policy and faults come from `opts`.
+/// values. Threading and faults come from `opts`.
 pub fn run_job(
     dom: &mut Domain,
     layouts: &[RankLayout],

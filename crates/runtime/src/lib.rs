@@ -29,13 +29,10 @@
 //!   index lists, and every lowered loop range under one
 //!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
 //!   class.
-//! * [`policy`] — the per-rank [`ExecPolicy`] (threading, drain),
-//!   copied from [`RunOptions`] once per run.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
 //!   (owner-computes windows and colored loop ranges alike) level by
-//!   level, or in chunk-dependency order under [`ExecMode::Dataflow`],
-//!   bitwise identical to sequential execution at every
+//!   level, bitwise identical to sequential execution at every
 //!   [`RunOptions::threading`] width.
 //! * [`tuner`] — adaptive dispatch by measurement: times each strict
 //!   chain's first calls as standard (Alg 1) and CA (Alg 2) execution in
@@ -82,7 +79,6 @@ pub mod halo;
 pub mod harness;
 pub mod job;
 pub mod plan;
-pub mod policy;
 pub mod service;
 pub mod supervise;
 pub mod threads;
@@ -96,12 +92,11 @@ pub use error::{RankFailure, RuntimeError};
 pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop, ExecHooks, NoHooks};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
-pub use harness::{run_distributed, run_distributed_with, DistOutcome, RunOptions};
+pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, LoweringKey,
     PlanCache, PlanStats,
 };
-pub use policy::{ExecMode, ExecPolicy};
 pub use job::{
     exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
     JobStep,
@@ -110,10 +105,7 @@ pub use service::{
     JobOutcome, JobTrace, Service, ServiceConfig, ServiceError, ServiceMetrics,
 };
 pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
-pub use threads::{
-    run_dag, run_schedule_dataflow, run_schedule_pooled_ctx, DataflowScratch, ExecStats,
-    ThreadCtx, ThreadPool, Threading,
-};
+pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};
 pub use trace::{
     ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
     ThreadRec, TunerRec,

@@ -19,8 +19,7 @@
 //!   verdict they imply ([`ChainPlan::stale`]);
 //! * lazily, every **lowering** an executor asked for — a loop range
 //!   lowered for the thread pool — in one [`LoweringCache`] under one
-//!   [`LoweringKey`], each schedule with its chunk DAG stored beside it
-//!   ([`LoweredSchedule`]).
+//!   [`LoweringKey`].
 //!
 //! Plans live in a per-rank [`PlanCache`] keyed by a stable FNV-1a hash
 //! of [`ChainSpec::sigs`]-equivalent structure plus the entry-validity
@@ -36,10 +35,10 @@
 
 use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
-use op2_core::{AccessMode, Arg, ChainSpec, ChunkDag, DatId, Domain, LoopSpec, Schedule};
+use op2_core::{AccessMode, Arg, ChainSpec, DatId, Domain, LoopSpec, Schedule};
 use op2_partition::layout::RankLayout;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -251,43 +250,12 @@ pub struct LoweringKey {
     pub width: usize,
 }
 
-/// A lowered schedule with its chunk dependency DAG stored beside it,
-/// built on the first dataflow drain — one DAG per lowering, living and
-/// dying with its schedule.
-#[derive(Debug)]
-pub struct LoweredSchedule {
-    sched: Schedule,
-    dag: OnceLock<ChunkDag>,
-}
-
-impl LoweredSchedule {
-    /// Wrap a freshly lowered schedule (no DAG yet).
-    pub fn new(sched: Schedule) -> Self {
-        LoweredSchedule {
-            sched,
-            dag: OnceLock::new(),
-        }
-    }
-
-    /// The schedule's chunk DAG, running `build` only on first request.
-    pub fn dag(&self, build: impl FnOnce(&Schedule) -> ChunkDag) -> &ChunkDag {
-        self.dag.get_or_init(|| build(&self.sched))
-    }
-}
-
-impl std::ops::Deref for LoweredSchedule {
-    type Target = Schedule;
-    fn deref(&self) -> &Schedule {
-        &self.sched
-    }
-}
-
 /// The one cache of lowered schedules: key → lowering, each entry built
 /// at most once per cache. Held by every [`ChainPlan`] (chain loops) and
 /// by the rank's [`PlanCache`] (standalone loops).
 #[derive(Debug, Default)]
 pub struct LoweringCache {
-    map: Mutex<HashMap<LoweringKey, Arc<LoweredSchedule>>>,
+    map: Mutex<HashMap<LoweringKey, Arc<Schedule>>>,
 }
 
 impl LoweringCache {
@@ -297,12 +265,12 @@ impl LoweringCache {
         &self,
         key: LoweringKey,
         build: impl FnOnce() -> Schedule,
-    ) -> (Arc<LoweredSchedule>, bool) {
+    ) -> (Arc<Schedule>, bool) {
         let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
         if let Some(low) = hit {
             return (low, false);
         }
-        let fresh = Arc::new(LoweredSchedule::new(build()));
+        let fresh = Arc::new(build());
         let mut map = self.map.lock().expect("lowering cache poisoned");
         (Arc::clone(map.entry(key).or_insert(fresh)), true)
     }
@@ -661,11 +629,10 @@ mod tests {
         }
     }
 
-    /// The one lowering cache: the same key yields the same `Arc`, a
-    /// schedule's DAG is built once and lives beside it, and dropping
-    /// the cache drops schedules and DAGs together with their plan.
+    /// The one lowering cache: the same key yields the same `Arc`, and
+    /// dropping the cache drops the schedules together with their plan.
     #[test]
-    fn lowering_cache_shares_entries_and_dags_and_drops_with_the_plan() {
+    fn lowering_cache_shares_entries_and_drops_with_the_plan() {
         let f = fix();
         let comm = CommWorld::new(1).into_ranks().remove(0);
         let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
@@ -690,24 +657,13 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(builds.get(), 1);
 
-        // The DAG is stored with its schedule: built once, same object
-        // on every later request, whoever holds the lowering.
-        let dag_builds = std::cell::Cell::new(0);
-        let build_dag = |sched: &Schedule| {
-            dag_builds.set(dag_builds.get() + 1);
-            ChunkDag::build(sched, &[], &[Vec::new()])
-        };
-        let d1: *const ChunkDag = a.dag(build_dag);
-        let d2: *const ChunkDag = b.dag(build_dag);
-        assert_eq!((d1, dag_builds.get()), (d2, 1));
-
         // Replacing the cache lets go of the plan, and with it every
-        // schedule and DAG.
+        // schedule.
         let schedule = Arc::downgrade(&a);
         drop((a, b, plan));
         assert!(schedule.upgrade().is_some(), "the cached plan keeps its lowerings alive");
         env.plans = PlanCache::new();
-        assert!(schedule.upgrade().is_none(), "dropping the cache must drop schedule and DAG");
+        assert!(schedule.upgrade().is_none(), "dropping the cache must drop the schedule");
     }
 
     /// Standalone-loop lowerings are cached in the plan cache by key.

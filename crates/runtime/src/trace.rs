@@ -234,27 +234,20 @@ pub struct ThreadRec {
     pub n_levels: usize,
     /// Which lowering produced the schedule.
     pub kind: SchedKind,
-    /// Wall time per level, nanoseconds (not compared by `==`). Under
-    /// the dataflow drain there are no level barriers, so this is a
-    /// single entry holding the whole drain's wall time.
+    /// Wall time per level, nanoseconds: one entry per level (not
+    /// compared by `==`).
     pub level_ns: Vec<u64>,
-    /// Critical-path depth of the drain: the longest chunk dependency
-    /// chain under dataflow, the level count under level-synchronous
-    /// draining. The lower bound on parallel drain time.
+    /// Serial depth of the drain: always equal to `n_levels`, kept for
+    /// readers that sum it.
     pub crit_path: usize,
-    /// True when the dataflow executor drained this schedule (chunks
-    /// fired on dependency counters instead of level barriers).
-    pub dataflow: bool,
     /// Per-worker idle time, nanoseconds: drain wall clock minus the
-    /// worker's summed chunk execution time — the same ruler for barrier
-    /// wait and steal/spin wait (not compared by `==`).
+    /// worker's summed chunk execution time, so barrier waiting (not
+    /// compared by `==`).
     pub idle_ns: Vec<u64>,
-    /// Per-worker chunks stolen from other workers' queues (dataflow
-    /// only; not compared by `==` — steal counts vary run to run).
+    /// Per-worker chunks stolen: always 0 (the leveled drain claims
+    /// chunks from a shared cursor and never steals), kept for readers
+    /// that sum it.
     pub steals: Vec<u64>,
-    /// Per-worker chunks executed (not compared by `==` — placement
-    /// varies run to run under stealing).
-    pub fires: Vec<u64>,
 }
 
 impl PartialEq for ThreadRec {
@@ -269,10 +262,8 @@ impl PartialEq for ThreadRec {
             && self.kind == other.kind
             && self.level_ns.len() == other.level_ns.len()
             && self.crit_path == other.crit_path
-            && self.dataflow == other.dataflow
             && self.idle_ns.len() == other.idle_ns.len()
             && self.steals.len() == other.steals.len()
-            && self.fires.len() == other.fires.len()
     }
 }
 

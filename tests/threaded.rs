@@ -596,3 +596,191 @@ fn owned_subrange_with_positive_start() {
     });
     assert_eq!(bits, bits_of(&seq_dom, &[r]));
 }
+
+/// Indirect-`Rw` sweeps: the only pooled shape that lowers to
+/// multi-level colored schedules. An `Inc`-only edge sweep lowers
+/// owner-computes (one level); declaring the endpoints `Rw` makes the
+/// same arithmetic order-dependent by its descriptors, so only the
+/// colored fallback admits it and its levels ladder. The leveled drain
+/// must still equal the sequential walk to the bit.
+mod colored_sweeps {
+    use super::*;
+
+    /// Dyadic flux of the endpoint difference, read-modify-written into
+    /// both endpoints.
+    fn flux_rw(args: &Args<'_>) {
+        let d = (args.get(0, 0) - args.get(1, 0)) * 0.5;
+        args.set(2, 0, args.get(2, 0) + d * 0.25);
+        args.set(3, 0, args.get(3, 0) - d * 0.25);
+    }
+
+    /// Direct node relaxation between sweeps.
+    fn relax(args: &Args<'_>) {
+        args.set(0, 0, args.get(0, 0) * 0.5 + args.get(1, 0) * 0.25);
+        args.set(1, 0, 0.0);
+    }
+
+    struct Sweeps {
+        dom: Domain,
+        nodes: SetId,
+        coords: DatId,
+        cdim: usize,
+        dats: [DatId; 2],
+        chain: ChainSpec,
+        sweeps: usize,
+    }
+
+    /// `[flux_rw, relax] × sweeps` over a quad or tet mesh.
+    fn build_sweeps(nx: usize, ny: usize, nz: usize, sweeps: usize, tet: bool) -> Sweeps {
+        let (mut dom, nodes, edges, e2n, coords, cdim) = if tet {
+            let m = Tet3D::generate(nx.min(6), ny.min(6), nz);
+            (m.dom, m.nodes, m.edges, m.e2n, m.coords, 3)
+        } else {
+            let m = Quad2D::generate(nx, ny);
+            (m.dom, m.nodes, m.edges, m.e2n, m.coords, 2)
+        };
+        let n = dom.set(nodes).size;
+        let s0: Vec<f64> = (0..n).map(|i| ((i * 13 + 7) % 17) as f64).collect();
+        let val = dom.decl_dat("val", nodes, 1, s0);
+        let res = dom.decl_dat_zeros("res", nodes, 1);
+        let mut loops = Vec::with_capacity(2 * sweeps);
+        for _ in 0..sweeps {
+            loops.push(LoopSpec::new(
+                "flux_rw",
+                edges,
+                vec![
+                    Arg::dat_indirect(val, e2n, 0, AccessMode::Read),
+                    Arg::dat_indirect(val, e2n, 1, AccessMode::Read),
+                    Arg::dat_indirect(res, e2n, 0, AccessMode::Rw),
+                    Arg::dat_indirect(res, e2n, 1, AccessMode::Rw),
+                ],
+                flux_rw,
+            ));
+            loops.push(LoopSpec::new(
+                "relax",
+                nodes,
+                vec![
+                    Arg::dat_direct(val, AccessMode::Rw),
+                    Arg::dat_direct(res, AccessMode::Rw),
+                ],
+                relax,
+            ));
+        }
+        let chain = ChainSpec::new("rw_sweeps", loops, None, &[]).unwrap();
+        Sweeps {
+            dom,
+            nodes,
+            coords,
+            cdim,
+            dats: [val, res],
+            chain,
+            sweeps,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The leveled drain equals the sequential walk to the bit at
+        /// 1/2/4 pool threads, and at least one schedule it drains has
+        /// more than one level.
+        #[test]
+        fn leveled_drain_matches_sequential_on_rw_sweeps(
+            nx in 4usize..8,
+            ny in 4usize..8,
+            nz in 2usize..4,
+            sweeps in 2usize..4,
+            nparts in 2usize..4,
+            tet in proptest::bool::ANY,
+        ) {
+            let iters = 3;
+            let case = build_sweeps(nx, ny, nz, sweeps, tet);
+            let mut seq_dom = case.dom.clone();
+            for _ in 0..iters {
+                for l in &case.chain.loops {
+                    seq::run_loop(&mut seq_dom, l);
+                }
+            }
+            let seq_bits = bits_of(&seq_dom, &case.dats);
+            let base = rcb_partition(&case.dom.dat(case.coords).data, case.cdim, nparts);
+            let own = derive_ownership(&case.dom, case.nodes, base, nparts);
+            // The read-write sweeps ladder the chain's halo extent.
+            let layouts = build_layouts(&case.dom, &own, 2 * case.sweeps);
+
+            let mut multi_level = false;
+            for n_threads in [1usize, 2, 4] {
+                let mut dom = case.dom.clone();
+                let opts = RunOptions::default().threading(Threading { n_threads, block_size: 4 });
+                let out = run_distributed_with(&mut dom, &layouts, &opts, |env| {
+                    for _ in 0..iters {
+                        run_chain(env, &case.chain)?;
+                    }
+                    Ok(())
+                });
+                prop_assert!(out.all_ok(), "failures: {:?}", out.failures());
+                prop_assert_eq!(&bits_of(&dom, &case.dats), &seq_bits, "{} threads != seq", n_threads);
+                multi_level |= out.traces.iter().flat_map(|t| &t.threads).any(|r| r.n_levels > 1);
+            }
+            prop_assert!(multi_level, "no multi-level schedule reached the drain");
+        }
+    }
+}
+
+/// `ExecMode::Dataflow` selects the one leveled drain: each app driver
+/// gives the same bits and the same `ThreadRec`s under either mode.
+mod exec_mode_dataflow_is_the_leveled_drain {
+    use super::*;
+    use op2::hydra::{ExtentMode, Hydra, HydraParams};
+    use op2::mgcfd::{MgCfd, MgCfdParams};
+    use op2::runtime::{ExecMode, ThreadRec};
+
+    fn thread_recs(traces: &[RankTrace]) -> Vec<Vec<ThreadRec>> {
+        traces.iter().map(|t| t.threads.clone()).collect()
+    }
+
+    fn modes(exec: ExecMode) -> RunOptions {
+        RunOptions::default().with_threads(4).exec(exec)
+    }
+
+    #[test]
+    fn mgcfd() {
+        let params = MgCfdParams::small(8);
+        let layouts = {
+            let app = MgCfd::new(params);
+            let coords = &app.dom.dat(app.levels[0].ids.coords).data;
+            let base = rcb_partition(coords, 3, 2);
+            let own = derive_ownership(&app.dom, app.levels[0].ids.nodes, base, 2);
+            build_layouts(&app.dom, &own, 2)
+        };
+        let run = |exec| {
+            let mut app = MgCfd::new(params);
+            let job = op2::mgcfd::job(&app, op2::mgcfd::Variant::Ca, 3);
+            let out = op2::mgcfd::run(&mut app, &layouts, &job, &modes(exec)).expect("every rank completes");
+            (out.rms.to_bits(), thread_recs(&out.traces))
+        };
+        let levels = run(ExecMode::Levels);
+        assert!(levels.1.iter().any(|r| !r.is_empty()), "mg-cfd drained no pooled schedule");
+        assert_eq!(run(ExecMode::Dataflow), levels, "mg-cfd");
+    }
+
+    #[test]
+    fn hydra() {
+        let params = HydraParams::small(6);
+        let layouts = {
+            let app = Hydra::new(params);
+            let base = rcb_partition(app.mesh.node_coords(), 3, 2);
+            let own = derive_ownership(&app.mesh.dom, app.mesh.nodes, base, 2);
+            // Safe-mode extents ladder to 5 on the periodic chains.
+            build_layouts(&app.mesh.dom, &own, 6)
+        };
+        let run = |exec| {
+            let mut app = Hydra::new(params);
+            let job = op2::hydra::job(&app, op2::hydra::Variant::ca(ExtentMode::Safe), 2);
+            let out = op2::hydra::run(&mut app, &layouts, &job, &modes(exec)).expect("every rank completes");
+            (out.norm.to_bits(), thread_recs(&out.traces))
+        };
+        let levels = run(ExecMode::Levels);
+        assert!(levels.1.iter().any(|r| !r.is_empty()), "hydra drained no pooled schedule");
+        assert_eq!(run(ExecMode::Dataflow), levels, "hydra");
+    }
+}
