@@ -42,8 +42,9 @@
 //!   for both. Only `map` arguments are compared against owner-computes
 //!   windows. On a map whose consecutive rows point far apart (the
 //!   bind-time gate, `BoundLoop`'s `prefetch`), an unwindowed walk also
-//!   prefetches every `map` argument's target 16 iterations ahead; the
-//!   calls and their order are the same, so are the results.
+//!   prefetches every cache line of every `map` argument's target row
+//!   16 iterations ahead; the calls and their order are the same, so are
+//!   the results.
 //! * **Undeclared**: every argument is bound in one form (see
 //!   [`BoundArg`]) and resolved by the same straight-line code, one
 //!   gathered index load and one multiply-add with runtime strides —
@@ -514,10 +515,11 @@ impl<const N: usize> Shaped<N> {
         }
     }
 
-    /// Ask the cache for the first line of every `map` argument's target
-    /// at iteration `e`, whose row the binding covers. A `u32::MAX`
-    /// entry (beyond the built halo) is skipped. Only a hint: it reads
-    /// and writes nothing, so results do not depend on it.
+    /// Ask the cache for every line of every `map` argument's target row
+    /// at iteration `e`, whose row the binding covers ([`row_probes`]: a
+    /// 40-byte row straddles two lines at half its offsets). A
+    /// `u32::MAX` entry (beyond the built halo) is skipped. Only a hint:
+    /// it reads and writes nothing, so results do not depend on it.
     #[inline(always)]
     fn prefetch(&self, shape: &[ArgShape], e: usize) {
         let row = self.row.wrapping_add(e * self.arity);
@@ -528,17 +530,46 @@ impl<const N: usize> Shaped<N> {
                 // is its entry as in `resolve`.
                 let v = unsafe { *row.add(idx) };
                 if v != u32::MAX {
-                    prefetch_line(self.base[i].wrapping_add(v as usize * s.dim()));
+                    let p = self.base[i].wrapping_add(v as usize * s.dim());
+                    for at in row_probes(p.addr(), s.dim() * size_of::<f64>()) {
+                        prefetch_line(p.with_addr(at));
+                    }
                 }
             }
         }
     }
 }
 
-/// How many iterations ahead the prefetching walk asks for a target:
-/// far enough for a DRAM miss to land before the kernel needs it at
-/// ~20 ns per edge, near enough that the line is still in L1.
+/// How many iterations ahead the prefetching walk asks for a target
+/// row's lines: far enough for a DRAM miss to land before the kernel
+/// needs it at ~20 ns per edge, near enough that the lines are still in
+/// L1.
 const PREFETCH_AHEAD: usize = 16;
+
+/// Bytes per cache line.
+const LINE: usize = 64;
+
+/// One address in every cache line that the row of `bytes` (> 0) bytes
+/// at `addr` spans, and none outside the row. A row of at most 16 bytes
+/// gets its first byte only: it never straddles a line, because `addr`
+/// is a multiple of its size (rows of 8 bytes are 8-aligned, and a dat's
+/// storage is 16-aligned, as x86_64's `malloc` returns it). A wider row
+/// gets its first byte, every [`LINE`] bytes on from it, and its last
+/// byte; for a row of at most 8 doubles that is its first and last byte,
+/// which share a line unless the row straddles one. The count depends
+/// on `bytes` alone, a constant of the declared shape, so the probes
+/// are straight-line code: skipping the repeat takes a branch on `addr`,
+/// which goes either way at random on a scattered map and costs more
+/// than the repeated hint (EXPERIMENTS.md, "Row-complete prefetch").
+#[inline(always)]
+fn row_probes(addr: usize, bytes: usize) -> impl Iterator<Item = usize> {
+    let n = if bytes <= 16 {
+        1
+    } else {
+        (bytes - 1) / LINE + 2
+    };
+    (0..n).map(move |k| addr + (k * LINE).min(bytes - 1))
+}
 
 /// A read hint for the cache line holding `p` (no-op off x86_64). A
 /// prefetch never faults, so `p` need not be dereferenceable.
@@ -612,21 +643,21 @@ impl<K: KernelFn, const N: usize> Compiled<K, N> {
 
     /// [`Self::walk`] for a declared, unwindowed loop on a scattered
     /// map: the same calls in the same order, each preceded by a
-    /// prefetch of the targets [`PREFETCH_AHEAD`] iterations on.
-    #[inline(always)]
-    fn walk_prefetching(
-        &self,
-        args: &[BoundArg; N],
-        shape: &[ArgShape],
-        s: &Shaped<N>,
-        iters: Iters<'_>,
-    ) {
-        let mut slots = Self::slots(args);
+    /// prefetch of the targets [`PREFETCH_AHEAD`] iterations on. Out of
+    /// line, on its own copies of the arguments and with the shape read
+    /// from the constant: only the sequential walk of a shuffled mesh
+    /// takes it, and inlined into `run` its probes moved the code of the
+    /// plain walk that every other loop runs (EXPERIMENTS.md,
+    /// "Row-complete prefetch").
+    #[inline(never)]
+    fn walk_prefetching(&self, args: [BoundArg; N], s: Shaped<N>, iters: Iters<'_>) {
+        let shape = Self::SHAPE.expect("a prefetching walk has a declared shape");
+        let mut slots = Self::slots(&args);
         let mut step = |e: usize, ahead: Option<usize>| {
             if let Some(a) = ahead {
                 s.prefetch(shape, a);
             }
-            self.call(args, Some(s), &mut slots, e, None);
+            self.call(&args, Some(&s), &mut slots, e, None);
         };
         match iters {
             Iters::Range(start, end) => {
@@ -685,8 +716,8 @@ impl<K: KernelFn, const N: usize> LoopBody for Compiled<K, N> {
         // instead of being reloaded from the heap after each one.
         let args = *Self::args(args);
         let shaped = Self::SHAPE.map(|shape| Shaped::new(shape, &args));
-        match (mask, Self::SHAPE.zip(shaped.as_ref())) {
-            (None, Some((shape, s))) if prefetch => self.walk_prefetching(&args, shape, s, iters),
+        match (mask, shaped) {
+            (None, Some(s)) if prefetch => self.walk_prefetching(args, s, iters),
             (None, _) => self.walk(&args, shaped.as_ref(), iters, None),
             (Some(Mask { wins, sink }), _) => {
                 let wins = wins.try_into().expect("one window per argument");
@@ -886,6 +917,50 @@ mod tests {
         // Row 1 names node 2 twice: both entries resolve to one element.
         assert_eq!(resolve(&ind(0), 1, None), resolve(&ind(1), 1, None));
         assert!(ind(0).is_indirect() && !direct.is_indirect() && !global.is_indirect());
+    }
+
+    /// `row_probes` hits exactly the lines a row spans, every one of them
+    /// and no other, for every dim of the apps' rows and one wider, at
+    /// rows that do and do not straddle: the first 16 rows from each
+    /// 16-aligned base within a line (and, for rows whose size is not a
+    /// power of two, every 8-aligned start). Its count depends on the
+    /// row's size alone.
+    #[test]
+    fn row_probes_hit_the_lines_the_row_spans() {
+        let line = |b: usize| b & !(LINE - 1);
+        for dim in [1, 2, 3, 4, 5, 12] {
+            let bytes = dim * size_of::<f64>();
+            let bases = (0..4).map(|o| 0x1000 + o * 16);
+            let rows = bases.flat_map(|b| (0..16).map(move |v| b + v * bytes));
+            let odd = (0..8)
+                .map(|o| 0x1000 + o * 8)
+                .filter(|_| !bytes.is_power_of_two());
+            for addr in rows.chain(odd) {
+                let mut spanned: Vec<usize> = (addr..addr + bytes).map(line).collect();
+                spanned.dedup();
+                let probes: Vec<usize> = row_probes(addr, bytes).collect();
+                assert!(
+                    probes.iter().all(|p| (addr..addr + bytes).contains(p)),
+                    "dim {dim}"
+                );
+                let mut hit: Vec<usize> = probes.iter().map(|&p| line(p)).collect();
+                hit.dedup();
+                assert_eq!(hit, spanned, "dim {dim} at {addr:#x}");
+                let n = if dim <= 2 { 1 } else { dim.div_ceil(8) + 1 };
+                assert_eq!(probes.len(), n, "dim {dim}");
+            }
+        }
+        // 40-byte rows from a line start straddle at 4 of every 8.
+        let straddle = |v: usize| line(40 * v) != line(40 * v + 39);
+        assert_eq!(
+            (0..8).filter(|&v| straddle(v)).collect::<Vec<_>>(),
+            [1, 3, 4, 6]
+        );
+        assert_eq!(row_probes(0, 40).collect::<Vec<_>>(), [0, 39]);
+        assert_eq!(row_probes(40, 40).collect::<Vec<_>>(), [40, 79]);
+        assert_eq!(row_probes(48, 16).collect::<Vec<_>>(), [48]);
+        // 96 bytes span three lines from 40 bytes past a line start.
+        assert_eq!(row_probes(168, 96).collect::<Vec<_>>(), [168, 232, 263]);
     }
 
     /// An `Inc` argument is write-only to the kernel.

@@ -11,10 +11,9 @@
 //! halo region executed in order, with redundant computation over up to
 //! `r` layers replacing the eliminated per-loop messages.
 //!
-//! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`],
-//! [`run_chain_relaxed`] and [`run_chain_hooked`] are its three entry
-//! points, which differ only in the relaxed flag and the hooks. It is
-//! **inspector–executor** split:
+//! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`] and
+//! [`run_chain_relaxed`] are its two entry points, which differ only in
+//! the relaxed flag. It is **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
 //! the validity verdict, every lowered schedule) comes from a cached
 //! [`crate::plan::ChainPlan`] — repeat invocations of the same chain in
@@ -33,22 +32,6 @@ use op2_core::seq::LoopResult;
 use op2_core::{Arg, ChainSpec, DatId, LoopSpec};
 
 pub use op2_core::chain::{produced_validity, read_requirement};
-
-/// Observation points inside the executors, used by the simulated GPU
-/// back-end to account host↔device staging and kernel launches. The CPU
-/// path uses [`NoHooks`] (all callbacks empty, fully inlined away).
-pub trait ExecHooks {
-    /// Packed halo bytes staged out (device→host) before the sends.
-    fn stage_out(&mut self, _bytes: usize) {}
-    /// Received halo bytes staged in (host→device) after the waits.
-    fn stage_in(&mut self, _bytes: usize) {}
-    /// A kernel segment of `iters` iterations is launched.
-    fn launch(&mut self, _iters: usize) {}
-}
-
-/// No-op hooks for plain CPU execution.
-pub struct NoHooks;
-impl ExecHooks for NoHooks {}
 
 /// Halo extent of a standalone (Alg 1) loop: OP2 executes the
 /// import-execute halo only when the loop indirectly modifies data
@@ -86,15 +69,6 @@ pub fn exchange_list(env: &RankEnv<'_>, spec: &LoopSpec, ext: usize) -> Vec<(Dat
 /// timeouts, hangups, corruption beyond the retry budget — surface as
 /// [`RuntimeError`]s instead of panics.
 pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, RuntimeError> {
-    run_loop_hooked(env, spec, &mut NoHooks)
-}
-
-/// [`run_loop`] with observation hooks (see [`ExecHooks`]).
-pub fn run_loop_hooked(
-    env: &mut RankEnv<'_>,
-    spec: &LoopSpec,
-    hooks: &mut dyn ExecHooks,
-) -> Result<LoopResult, RuntimeError> {
     // Post-rollback replay: serve the journaled result (no execution,
     // no communication, no boundary crossing).
     if let Some(gbls) = env.ckpt_skip_loop() {
@@ -112,7 +86,6 @@ pub fn run_loop_hooked(
 
     // Post sends (MPI_Isend / Irecv of Alg 1, lines 1-2).
     let mut rec = exch.post(env);
-    hooks.stage_out(rec.bytes);
 
     let set_layout = &env.layout.sets[spec.set.idx()];
     let core_end = set_layout.core_end(0);
@@ -122,16 +95,13 @@ pub fn run_loop_hooked(
     let mut gbls: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
 
     // Core while in flight (lines 3-5).
-    hooks.launch(core_end);
     env.exec_range(spec, 0, core_end, &mut gbls);
 
     // Wait (line 6).
     exch.complete(env, &mut rec)?;
-    hooks.stage_in(exch.recv_bytes);
 
     // Boundary-owned iterations contribute to reductions; redundant ring
     // iterations must not.
-    hooks.launch(exec_end - core_end);
     env.exec_range(spec, core_end, n_owned, &mut gbls);
     if exec_end > n_owned {
         if spec.has_reduction() {
@@ -195,7 +165,7 @@ pub fn run_loop_hooked(
 /// was built with (a program error); transport failures and
 /// under-provisioned halo extents surface as [`RuntimeError`]s.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, false, &mut NoHooks)
+    exec_chain(env, chain, false)
 }
 
 /// [`run_chain`] in *relaxed* mode: halo extents are taken as configured
@@ -205,16 +175,7 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
 /// potentially-stale read is counted in the chain record instead of
 /// failing the chain.
 pub fn run_chain_relaxed(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, true, &mut NoHooks)
-}
-
-/// [`run_chain`] with observation hooks (see [`ExecHooks`]).
-pub fn run_chain_hooked(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    hooks: &mut dyn ExecHooks,
-) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, false, hooks)
+    exec_chain(env, chain, true)
 }
 
 /// The Alg 2 skeleton every planned chain entry point runs: replay-skip
@@ -223,12 +184,7 @@ pub fn run_chain_hooked(
 /// → post-wait phase (each loop's halo region `[core_end, exec_end)` in
 /// loop order, lines 14–18) → validity transitions → trace record →
 /// boundary → checkpoint note. Bitwise identical to the sequential walk.
-fn exec_chain(
-    env: &mut RankEnv<'_>,
-    chain: &ChainSpec,
-    relaxed: bool,
-    hooks: &mut dyn ExecHooks,
-) -> Result<(), RuntimeError> {
+fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result<(), RuntimeError> {
     if env.ckpt_skip_chain() {
         return Ok(());
     }
@@ -266,16 +222,14 @@ fn exec_chain(
     if !plan.exchange.is_empty() {
         rec = plan.exchange.post(env);
     }
-    hooks.stage_out(rec.bytes);
 
     // One loop's `[start, end)`.
     let mut gbls: Vec<Vec<f64>> = Vec::new();
-    let mut run_range = |env: &mut RankEnv<'_>, hooks: &mut dyn ExecHooks, pos, start, end| {
+    let mut run_range = |env: &mut RankEnv<'_>, pos, start, end| {
         let spec: &LoopSpec = &chain.loops[pos];
         debug_assert!(!spec.has_reduction());
         gbls.clear();
         gbls.extend(spec.gbls.iter().map(|g| g.init.clone()));
-        hooks.launch(end - start);
         env.exec_range_in(spec, start, end, &mut gbls, Some((&plan, pos)));
     };
 
@@ -285,20 +239,19 @@ fn exec_chain(
     // mode keeps the standard depth-1 core everywhere (the paper's
     // behaviour — staleness tolerated and counted).
     for (pos, &core_end) in plan.core_end.iter().enumerate() {
-        run_range(env, hooks, pos, 0, core_end);
+        run_range(env, pos, 0, core_end);
     }
 
     // Wait (line 13) — arrival order: whichever neighbour lands first
     // is unpacked first.
     plan.exchange.complete(env, &mut rec)?;
-    hooks.stage_in(plan.exchange.recv_bytes);
 
     // Post-wait phase: halo regions in loop order (lines 14-18).
     // `per_loop` records (prewait, postwait) iteration counts per loop.
     let mut per_loop = Vec::with_capacity(chain.len());
     for pos in 0..chain.len() {
         let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
-        run_range(env, hooks, pos, core_end, exec_end);
+        run_range(env, pos, core_end, exec_end);
         per_loop.push((core_end, exec_end - core_end));
         env.boundary(BoundaryKind::ChainLoop);
     }
@@ -444,9 +397,9 @@ mod tests {
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
     }
 
-    /// Every entry point runs the one lowering: strict, relaxed and
-    /// hooked each run every loop's core before the wait and its halo
-    /// region after it.
+    /// Every entry point runs the one lowering: strict and relaxed each
+    /// run every loop's core before the wait and its halo region after
+    /// it.
     #[test]
     fn lowering_decision_table() {
         use crate::harness::{run_distributed_with, RunOptions};
@@ -478,11 +431,7 @@ mod tests {
         let own = derive_ownership(&m.dom, m.nodes, base, chain.max_halo_layers());
         let layouts = build_layouts(&m.dom, &own, chain.max_halo_layers());
         type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
-        let rows: [(&str, Entry); 3] = [
-            ("strict", run_chain),
-            ("relaxed", run_chain_relaxed),
-            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks)),
-        ];
+        let rows: [(&str, Entry); 2] = [("strict", run_chain), ("relaxed", run_chain_relaxed)];
         for (name, entry) in rows {
             let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
                 entry(env, &chain)?;
@@ -500,8 +449,8 @@ mod tests {
     }
 
     /// A config-pinned halo extent that is too small is a typed
-    /// [`RuntimeError::Validity`] on every strict entry point — plain and
-    /// hooked — not a rank panic; relaxed mode runs and counts the read.
+    /// [`RuntimeError::Validity`] on the strict entry point, not a rank
+    /// panic; relaxed mode runs and counts the read.
     #[test]
     fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
         use crate::error::RankFailure;
@@ -553,31 +502,23 @@ mod tests {
         let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
         let own = derive_ownership(&m.dom, m.nodes, base, 2);
         let layouts = build_layouts(&m.dom, &own, 2);
-        type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
-        let cases: [(&str, Entry); 2] = [
-            ("strict", run_chain),
-            ("hooked", |env, ch| run_chain_hooked(env, ch, &mut NoHooks)),
-        ];
-        for (name, entry) in cases {
-            let opts = RunOptions::default();
-            let out = run_distributed_with(&mut m.dom.clone(), &layouts, &opts, |env| {
-                entry(env, &chain)
-            });
-            for r in &out.results {
-                match r {
-                    Err(RankFailure::Failed {
-                        error:
-                            RuntimeError::Validity {
-                                loop_name,
-                                dat,
-                                need: 2,
-                                have: 0,
-                                ..
-                            },
-                        ..
-                    }) => assert_eq!((loop_name.as_str(), dat.as_str()), ("consume", "a")),
-                    other => panic!("{name}: expected a typed validity error, got {other:?}"),
-                }
+        let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
+            run_chain(env, &chain)
+        });
+        for r in &out.results {
+            match r {
+                Err(RankFailure::Failed {
+                    error:
+                        RuntimeError::Validity {
+                            loop_name,
+                            dat,
+                            need: 2,
+                            have: 0,
+                            ..
+                        },
+                    ..
+                }) => assert_eq!((loop_name.as_str(), dat.as_str()), ("consume", "a")),
+                other => panic!("expected a typed validity error, got {other:?}"),
             }
         }
         let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {

@@ -88,7 +88,7 @@ pub struct ExchangePlan {
     pub(crate) import: Vec<(DatId, u8)>,
     /// One entry per layout neighbour, in layout order.
     pub(crate) neighbors: Vec<NeighborPack>,
-    /// Total incoming payload bytes (the staged-in volume).
+    /// Total incoming payload bytes.
     pub recv_bytes: usize,
     /// Hash of `(split, import)`: the buffer warm-up key. Two plans with
     /// equal keys move identical messages on one layout.

@@ -89,7 +89,7 @@ pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::RankEnv;
 pub use error::{RankFailure, RuntimeError};
-pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop, ExecHooks, NoHooks};
+pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
