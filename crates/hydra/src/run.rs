@@ -5,11 +5,9 @@
 //! Everything else is the caller's composition: threading, drain policy,
 //! pinning and faults through [`RunOptions`]; tuned dispatch of the
 //! *strict* chains through [`Job::dispatch`] (relaxed
-//! chains always keep their pinned-extent executor); supervision and
-//! the resident service by handing [`job`]'s program to
-//! [`op2_runtime::run_job_supervised`] or
-//! [`op2_runtime::Service::submit`] and folding the result with
-//! [`RunOutcome::from_job`].
+//! chains always keep their pinned-extent executor); supervision by
+//! handing [`job`]'s program to [`op2_runtime::run_job_supervised`] and
+//! folding the result with [`RunOutcome::from_job`].
 
 use crate::app::{ExtentMode, Hydra, Step};
 use op2_core::seq;
@@ -152,7 +150,7 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
-    use op2_runtime::{ChainDispatch, Service};
+    use op2_runtime::ChainDispatch;
 
     /// Build `variant`'s job with the given chain dispatch and run it.
     fn go(
@@ -355,46 +353,6 @@ mod tests {
             out.traces.iter().any(|t| !t.threads.is_empty()),
             "no threaded executions recorded"
         );
-    }
-
-    /// Resident-service execution matches the standalone CA run bitwise (safe
-    /// mode, relaxed chains included), and the second job runs warm on
-    /// the carried plan cache with recycled payload pools.
-    #[test]
-    fn service_jobs_match_run_ca_and_warm_up() {
-        let params = HydraParams::small(7);
-        let iters = 2;
-
-        let mut ref_app = Hydra::new(params);
-        let l0 = layouts_for(&ref_app, 4, ref_app.required_depth(ExtentMode::Safe));
-        let reference = run_ca(&mut ref_app, &l0, iters, ExtentMode::Safe);
-
-        let app = Hydra::new(params);
-        let layouts = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
-        let svc = Service::new(op2_runtime::ServiceConfig::default());
-        let mesh = svc.register_mesh(app.mesh.dom.clone(), layouts);
-        let ca = job(&app, Variant::ca(ExtentMode::Safe), iters);
-        let submit = || RunOutcome::from_job(&app, svc.submit(mesh, &ca).unwrap().into());
-
-        let cold = submit();
-        let warm = submit();
-        let steady = submit();
-        assert_eq!(cold.norm.to_bits(), reference.norm.to_bits());
-        assert_eq!(warm.norm.to_bits(), reference.norm.to_bits());
-        assert_eq!(steady.norm.to_bits(), reference.norm.to_bits());
-
-        // Second job: zero inspection — every plan from the carried cache.
-        let mut plan = op2_runtime::PlanStats::default();
-        for t in &warm.traces {
-            plan.add(&t.plan);
-        }
-        assert_eq!(plan.misses, 0, "warm job must skip inspection: {plan:?}");
-        assert!(plan.hits >= 1, "expected plan-cache hits: {plan:?}");
-
-        // Steady state (pair pools rebalanced over the first jobs): zero
-        // payload heap allocations.
-        let payload_allocs: u64 = steady.traces.iter().map(|t| t.comm.payload_allocs).sum();
-        assert_eq!(payload_allocs, 0, "steady-state job must recycle payload pools");
     }
 
     /// Per chain, CA sends fewer messages than the flattened baseline

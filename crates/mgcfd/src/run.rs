@@ -5,11 +5,9 @@
 //! Everything else is the caller's composition: threading, drain policy,
 //! pinning and faults through [`RunOptions`]; tuned chain dispatch
 //! (`ChainDispatch::Tuned`, which times both backends on the chain's
-//! first calls) through [`Job::dispatch`]; supervision and the resident
-//! service by handing [`job`]'s program to
-//! [`op2_runtime::run_job_supervised`] or
-//! [`op2_runtime::Service::submit`] and folding the result with
-//! [`RunOutcome::from_job`].
+//! first calls) through [`Job::dispatch`]; supervision by handing
+//! [`job`]'s program to [`op2_runtime::run_job_supervised`] and folding
+//! the result with [`RunOutcome::from_job`].
 
 use crate::app::{MgCfd, Step};
 use op2_core::seq;
@@ -129,7 +127,7 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-    use op2_runtime::{Backend, ChainDispatch, FaultPlan, FaultSpec, Service, Threading};
+    use op2_runtime::{Backend, ChainDispatch, FaultPlan, FaultSpec, Threading};
 
     /// Build `variant`'s job with the given chain dispatch and run it.
     fn go(
@@ -399,69 +397,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Resident-service execution matches the standalone CA run bitwise, and the
-    /// second job on the same mesh is fully warm: zero chain
-    /// inspections (carried plan-cache hits instead) and zero
-    /// payload-pool allocations (carried buffers).
-    #[test]
-    fn service_jobs_match_run_ca_and_warm_up() {
-        let params = MgCfdParams::small(7);
-        let iters = 2;
-
-        let mut ref_app = MgCfd::new(params);
-        let l0 = layouts_for(&ref_app, 4);
-        let reference = run_ca(&mut ref_app, &l0, iters);
-
-        let app = MgCfd::new(params);
-        let layouts = layouts_for(&app, 4);
-        let svc = Service::new(op2_runtime::ServiceConfig::default());
-        let mesh = svc.register_mesh(app.dom.clone(), layouts);
-        let ca = job(&app, Variant::Ca, iters);
-        let submit = || RunOutcome::from_job(&app, svc.submit(mesh, &ca).unwrap().into());
-
-        let cold = submit();
-        let warm = submit();
-        let steady = submit();
-        assert_eq!(cold.rms.to_bits(), reference.rms.to_bits());
-        assert_eq!(warm.rms.to_bits(), reference.rms.to_bits());
-        assert_eq!(steady.rms.to_bits(), reference.rms.to_bits());
-
-        // Second job: zero inspection — every plan from the carried cache.
-        let mut plan = op2_runtime::PlanStats::default();
-        for t in &warm.traces {
-            plan.add(&t.plan);
-        }
-        assert_eq!(plan.misses, 0, "warm job must skip inspection: {plan:?}");
-        assert!(plan.hits >= 1, "expected plan-cache hits: {plan:?}");
-
-        // Steady state (pair pools rebalanced over the first jobs): zero
-        // payload heap allocations.
-        let payload_allocs: u64 = steady.traces.iter().map(|t| t.comm.payload_allocs).sum();
-        assert_eq!(payload_allocs, 0, "steady-state job must recycle payload pools");
-
-        let m = svc.metrics();
-        assert_eq!(m.completed, 3);
-        assert_eq!(m.warm_jobs, 2);
-        assert!(m.warm_jobs >= 1);
-    }
-
-    /// Standard OP2's per-dat messages include one-way ones (a rank
-    /// imports a dat from a peer that imports nothing back), which strand
-    /// the sender's buffers on the receiver. The service restocks the
-    /// sender between jobs, so every job after the first allocates no
-    /// payload buffer; without the restock each reads 3.
-    #[test]
-    fn service_op2_jobs_reach_zero_payload_allocs() {
-        let app = MgCfd::new(MgCfdParams::small(7));
-        let svc = Service::new(op2_runtime::ServiceConfig::default());
-        let mesh = svc.register_mesh(app.dom.clone(), layouts_for(&app, 4));
-        let op2 = job(&app, Variant::Op2, 2);
-        let allocs: Vec<u64> = (0..6)
-            .map(|_| svc.submit(mesh, &op2).unwrap().trace.payload_allocs())
-            .collect();
-        assert_eq!(allocs[1..], [0; 5], "payload allocations per job: {allocs:?}");
     }
 
     /// A failure on a rank other than 0 is the run's typed error — not

@@ -1,6 +1,7 @@
 //! Chain-boundary checkpointing: the state capture/restore half of the
 //! self-healing runtime (the failure detection and restart policy live
-//! in [`crate::supervise`]).
+//! in [`crate::supervise`]), plus what a supervised run carries from one
+//! attempt to the next.
 //!
 //! ## Consistency model
 //!
@@ -66,12 +67,12 @@ impl CheckpointConfig {
     }
 }
 
-/// What a rank carries from one run to the next, by one rule across
-/// supervised restarts and resident-service jobs: the plan cache (every
-/// product of the rank's layout), the thread context (pool and scratch,
-/// layout-free) and the transport's per-peer payload pools. Both hosts
-/// run on the layouts the state was built on, so nothing in it is ever
-/// invalidated.
+/// What a rank of one supervised run carries from one attempt to the
+/// next: the plan cache (every product of the rank's layout), the thread
+/// context (pool and scratch, layout-free) and the transport's per-peer
+/// payload pools. A restart runs on the layouts the state was built on,
+/// so nothing in it is ever invalidated, and a restarted attempt
+/// re-inspects nothing the failed one already planned.
 #[derive(Default)]
 pub(crate) struct Carry {
     pub(crate) plans: PlanCache,
@@ -129,8 +130,8 @@ pub struct RankState {
     /// Cumulative recovery counters across attempts; sealed into
     /// [`crate::trace::RankTrace::recovery`] at the end of each attempt.
     pub(crate) rec: RecoveryRec,
-    /// Resources carried across attempts (and, in the resident service,
-    /// across jobs); `None` while an attempt holds them.
+    /// Resources carried across attempts; `None` while an attempt holds
+    /// them.
     pub(crate) carry: Option<Carry>,
     /// Set by the supervisor after a rollback: the next attach must
     /// restore from the newest checkpoint instead of taking a baseline.
@@ -155,9 +156,9 @@ impl RankState {
         RankState::default()
     }
 
-    /// One fresh shared slot per rank — what a supervised host hands to
-    /// [`crate::supervise::run_supervised_with_state`].
-    pub fn fresh_slots(nparts: usize) -> Vec<Arc<Mutex<RankState>>> {
+    /// One fresh shared slot per rank, what every
+    /// [`crate::supervise::run_supervised`] call starts with.
+    pub(crate) fn fresh_slots(nparts: usize) -> Vec<Arc<Mutex<RankState>>> {
         (0..nparts)
             .map(|_| Arc::new(Mutex::new(RankState::new())))
             .collect()
@@ -172,7 +173,7 @@ impl RankState {
 
 /// Poison-resilient lock: a rank that panicked while holding a state
 /// lock (it never does — all holds are short straight-line copies — but
-/// belt and braces) must not wedge the supervisor or the service.
+/// belt and braces) must not wedge the supervisor.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }

@@ -79,11 +79,6 @@ pub struct RankEnv<'a> {
     /// fault plans name crash/stall points by. Restored by checkpoint
     /// rollback so those coordinates keep their meaning across restarts.
     pub(crate) boundaries: [u64; 3],
-    /// Service job id this env executes for (0 outside the resident
-    /// service). Stamped into [`crate::trace::TunerRec`] and
-    /// [`crate::trace::RecoveryRec`] so per-job traces stay attributable
-    /// when many jobs share one world.
-    pub job: u64,
 }
 
 impl<'a> RankEnv<'a> {
@@ -112,7 +107,6 @@ impl<'a> RankEnv<'a> {
             warmed: HashSet::new(),
             ckpt: crate::checkpoint::CheckpointCtx::inert(),
             boundaries: [0; 3],
-            job: 0,
         }
     }
 

@@ -3,9 +3,8 @@
 //! A [`Job`] is a data-described program over a mesh: setup steps, one
 //! iteration's steps repeated `iters` times, and finish steps whose loop
 //! results (a residual reduction, typically) are the program's output.
-//! Jobs carry data, not closures, so every way of running one — plain,
-//! supervised, through the resident [`crate::service`] —
-//! executes byte-for-byte the same instruction stream:
+//! Jobs carry data, not closures, so both ways of running one — plain
+//! and supervised — execute byte-for-byte the same instruction stream:
 //! [`exec_job_program`] is the only function in the workspace that walks
 //! a step list calling the executors.
 //!
@@ -22,25 +21,22 @@
 //! the error; no rank's failure is dropped:
 //!
 //! * [`run_job`] — plain ([`run_distributed_with`]);
-//! * [`run_job_supervised`] / [`run_job_with_state`] — checkpointed
-//!   attempts with coordinated rollback ([`run_supervised_with_state`]).
+//! * [`run_job_supervised`] — checkpointed attempts with coordinated
+//!   rollback ([`run_supervised`]).
 //!
-//! A host runs the whole job on the layouts it is handed.
+//! A host runs the whole job on the layouts and the domain it is handed;
+//! threading, faults and checkpoint cadence come from its options.
 
-use crate::checkpoint::RankState;
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
 use crate::exec::{run_chain, run_chain_relaxed, run_loop};
-use crate::fault::FaultPlan;
 use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
-use crate::plan::{self, chain_signature, loop_signature};
-use crate::supervise::{run_supervised_with_state, SuperviseOptions};
+use crate::supervise::{run_supervised, SuperviseOptions};
 use crate::trace::RankTrace;
 use crate::tuner::Tuner;
 use op2_core::error::CoreError;
-use op2_core::{ChainSpec, DatId, Domain, LoopSpec};
+use op2_core::{ChainSpec, Domain, LoopSpec};
 use op2_partition::RankLayout;
-use std::sync::{Arc, Mutex};
 
 /// One instruction of a job's program.
 #[derive(Debug, Clone)]
@@ -51,18 +47,6 @@ pub enum JobStep {
     Chain(ChainSpec),
     /// A relaxed (paper-mode) CA chain ([`run_chain_relaxed`]).
     ChainRelaxed(ChainSpec),
-}
-
-impl JobStep {
-    /// Structural signature of this step (loop/chain signature plus the
-    /// execution mode) — the ingredient of [`Job::shape`].
-    fn sig(&self) -> u64 {
-        match self {
-            JobStep::Loop(l) => loop_signature(l),
-            JobStep::Chain(c) => chain_signature(c, false),
-            JobStep::ChainRelaxed(c) => chain_signature(c, true),
-        }
-    }
 }
 
 /// How the interpreter executes a job's *strict* chain steps.
@@ -80,17 +64,7 @@ pub enum ChainDispatch {
     Tuned,
 }
 
-impl ChainDispatch {
-    fn hash_into(&self, h: &mut u64) {
-        match self {
-            ChainDispatch::Planned => plan::fnv_usize(h, 0),
-            ChainDispatch::Tuned => plan::fnv_usize(h, 1),
-        }
-    }
-}
-
-/// A program over a mesh, plus — for the resident service — the
-/// per-tenant inputs it runs on.
+/// A program over a mesh.
 #[derive(Debug, Clone, Default)]
 pub struct Job {
     /// Human-readable name (trace/reporting only).
@@ -106,17 +80,6 @@ pub struct Job {
     pub iters: usize,
     /// How strict chain steps execute.
     pub dispatch: ChainDispatch,
-    /// Initial dat payloads overriding the registered domain's (global
-    /// numbering; unlisted dats keep the registered values). Applied by
-    /// [`crate::service::Service::submit`]; the standalone hosts run on
-    /// the domain they are handed.
-    pub init: Vec<(DatId, Vec<f64>)>,
-    /// Fault plan for this job only (chaos testing a single service
-    /// tenant); the standalone hosts take theirs from [`RunOptions`].
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Checkpoint cadence override for this job (service tenants; the
-    /// standalone hosts take theirs from [`RunOptions`]).
-    pub checkpoint_every: Option<u64>,
 }
 
 impl Job {
@@ -146,42 +109,6 @@ impl Job {
     pub fn dispatch(mut self, dispatch: ChainDispatch) -> Self {
         self.dispatch = dispatch;
         self
-    }
-
-    /// Initial dat payload override (builder style).
-    pub fn with_init(mut self, dat: DatId, data: Vec<f64>) -> Self {
-        self.init.push((dat, data));
-        self
-    }
-
-    /// Fault plan for this job (builder style).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(plan));
-        self
-    }
-
-    /// Checkpoint cadence for this job (builder style).
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Structural shape of this job: setup/steps/finish signatures, the
-    /// chain dispatch and the iteration count (initial data excluded —
-    /// same-shaped jobs differ exactly by their inputs). Jobs with equal
-    /// shapes on one mesh batch together: identical plans, schedules and
-    /// buffer demands, so back-to-back execution re-warms nothing.
-    pub fn shape(&self) -> u64 {
-        let mut h = plan::FNV_OFFSET;
-        for part in [&self.setup, &self.steps, &self.finish] {
-            plan::fnv_usize(&mut h, part.len());
-            for s in part {
-                plan::fnv_bytes(&mut h, &s.sig().to_le_bytes());
-            }
-        }
-        self.dispatch.hash_into(&mut h);
-        plan::fnv_usize(&mut h, self.iters);
-        h
     }
 }
 
@@ -273,23 +200,6 @@ pub fn run_job_supervised(
     job: &Job,
     opts: &SuperviseOptions,
 ) -> Result<JobRun, RuntimeError> {
-    let slots = RankState::fresh_slots(layouts.len());
-    run_job_with_state(dom, layouts, job, opts, &slots, 0)
-}
-
-/// [`run_job_supervised`] over caller-provided per-rank state slots
-/// (see [`run_supervised_with_state`]) — what the resident service runs
-/// each tenant through.
-/// `job_id` is stamped into the env (and from there into the recovery
-/// and tuner records); standalone callers pass 0.
-pub fn run_job_with_state(
-    dom: &mut Domain,
-    layouts: &[RankLayout],
-    job: &Job,
-    opts: &SuperviseOptions,
-    slots: &[Arc<Mutex<RankState>>],
-    job_id: u64,
-) -> Result<JobRun, RuntimeError> {
     if matches!(job.dispatch, ChainDispatch::Tuned) {
         return Err(CoreError::InvalidChain(format!(
             "job `{}`: tuned chain dispatch decides on wall-clock and cannot be replayed \
@@ -298,9 +208,5 @@ pub fn run_job_with_state(
         ))
         .into());
     }
-    run_supervised_with_state(dom, layouts, opts, slots, |env| {
-        env.job = job_id;
-        exec_job_program(env, job)
-    })
-    .and_then(JobRun::collect)
+    run_supervised(dom, layouts, opts, |env| exec_job_program(env, job)).and_then(JobRun::collect)
 }

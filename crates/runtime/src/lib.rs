@@ -50,19 +50,16 @@
 //!   steps / finish, as data) and its one interpreter
 //!   ([`exec_job_program`]), plus the plain and supervised hosts that
 //!   fold per-rank verdicts into one `Result`.
-//! * [`service`] — the resident mesh-compute server: boot a world once
-//!   (ranks, thread pools, warmed transports), register meshes, and
-//!   multiplex many supervised jobs over them, carrying each rank's
-//!   plans and pools from job to job as a restart does, with bounded
-//!   admission, same-shape batching, and per-job trace/crash isolation.
 //!
-//! Layouts are built once, before a run, and never change: no host
-//! repartitions a running job, so nothing carried between runs is ever
+//! One run is one simulation, as in the paper's one `mpirun`: its plans
+//! are built by its first iterations and paid back by the rest. Layouts
+//! are built once, before the run, and never change, so what a
+//! supervised run carries from one attempt to the next is never
 //! invalidated.
 //!
 //! A run is configured by its typed options alone ([`RunOptions`],
-//! [`SuperviseOptions`], [`ServiceConfig`]): the runtime reads nothing
-//! from the process environment.
+//! [`SuperviseOptions`]): the runtime reads nothing from the process
+//! environment.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
@@ -79,7 +76,6 @@ pub mod halo;
 pub mod harness;
 pub mod job;
 pub mod plan;
-pub mod service;
 pub mod supervise;
 pub mod threads;
 pub mod trace;
@@ -93,18 +89,12 @@ pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
+pub use job::{exec_job_program, run_job, run_job_supervised, ChainDispatch, Job, JobRun, JobStep};
 pub use plan::{
-    chain_signature, dirty_class, loop_signature, mesh_signature, plan_for, ChainPlan, LoweringKey,
-    PlanCache, PlanStats,
+    chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, LoweringKey, PlanCache,
+    PlanStats,
 };
-pub use job::{
-    exec_job_program, run_job, run_job_supervised, run_job_with_state, ChainDispatch, Job, JobRun,
-    JobStep,
-};
-pub use service::{
-    JobOutcome, JobTrace, Service, ServiceConfig, ServiceError, ServiceMetrics,
-};
-pub use supervise::{run_supervised, run_supervised_with_state, SuperviseOptions};
+pub use supervise::{run_supervised, SuperviseOptions};
 pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};
 pub use trace::{
     ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,

@@ -115,49 +115,6 @@ pub fn loop_signature(spec: &LoopSpec) -> u64 {
     h
 }
 
-/// Stable structural signature of a partitioned mesh: rank count, halo
-/// depth, per-rank set sizes and the complete exchange topology (send
-/// element lists, receive ranges, levels). Two identical meshes
-/// partitioned identically hash equal, so the signature keys the
-/// resident service's world table.
-pub fn mesh_signature(layouts: &[RankLayout]) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_usize(&mut h, layouts.len());
-    for l in layouts {
-        fnv_usize(&mut h, l.rank as usize);
-        fnv_usize(&mut h, l.depth);
-        fnv_usize(&mut h, l.sets.len());
-        for s in &l.sets {
-            fnv_usize(&mut h, s.n_owned);
-            fnv_usize(&mut h, s.locals.len());
-            for &g in &s.locals {
-                fnv_usize(&mut h, g as usize);
-            }
-        }
-        fnv_usize(&mut h, l.neighbors.len());
-        for n in &l.neighbors {
-            fnv_usize(&mut h, n.rank as usize);
-            fnv_usize(&mut h, n.send.len());
-            for seg in &n.send {
-                fnv_usize(&mut h, seg.set.idx());
-                fnv_bytes(&mut h, &[seg.level]);
-                fnv_usize(&mut h, seg.elems.len());
-                for &e in &seg.elems {
-                    fnv_usize(&mut h, e as usize);
-                }
-            }
-            fnv_usize(&mut h, n.recv.len());
-            for seg in &n.recv {
-                fnv_usize(&mut h, seg.set.idx());
-                fnv_bytes(&mut h, &[seg.level]);
-                fnv_usize(&mut h, seg.start as usize);
-                fnv_usize(&mut h, seg.len as usize);
-            }
-        }
-    }
-    h
-}
-
 /// Dirty-state class of a chain's (or one loop's) `loops` at entry: a
 /// hash of the entry validity depths of every dat they touch
 /// (first-appearance order). Import depths and therefore the whole
@@ -388,8 +345,8 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    /// Accumulate another rank's (or job's) counters — the aggregation
-    /// the service metrics and bench report sum per-rank stats with.
+    /// Accumulate another rank's counters — how the bench report and
+    /// the tests sum per-rank stats.
     pub fn add(&mut self, other: &PlanStats) {
         self.hits += other.hits;
         self.misses += other.misses;

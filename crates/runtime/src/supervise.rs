@@ -25,6 +25,11 @@
 //!    untouched, and the program replayed — journal-served (no side
 //!    effects) up to the restored cut, live after it.
 //!
+//! The per-rank state slots (checkpoints, journal, recovery counters and
+//! the carry: plan cache with its counters, thread context, payload
+//! pools) are made fresh by each [`run_supervised`] call and dropped at
+//! its end. One call is one simulation; only its attempts share them.
+//!
 //! The retry budget is [`SuperviseOptions::max_recoveries`]; exhausting
 //! it degrades gracefully into the typed
 //! [`RuntimeError::RecoveryExhausted`], carrying the final attempt's
@@ -149,40 +154,12 @@ where
     R: Send,
 {
     let slots = RankState::fresh_slots(layouts.len());
-    run_supervised_with_state(dom, layouts, opts, &slots, program)
-}
-
-/// [`run_supervised`] over caller-provided per-rank state slots — the
-/// resident service's entry point. The slots may arrive pre-seeded with
-/// carried resources (plan cache, thread context, transport buffer
-/// pools) from a previous job on the same world; the first attempt's
-/// [`RankEnv::ckpt_attach`] installs them exactly as a restart installs
-/// carried state. After the call — success or failure — the slots hold
-/// the sealed end-of-attempt state ([`RankEnv`]'s `ckpt_seal` runs for
-/// failed ranks too), so the caller can harvest it for the next job.
-pub fn run_supervised_with_state<F, R>(
-    dom: &mut Domain,
-    layouts: &[RankLayout],
-    opts: &SuperviseOptions,
-    slots: &[Arc<Mutex<RankState>>],
-    program: F,
-) -> Result<DistOutcome<R>, RuntimeError>
-where
-    F: Fn(&mut RankEnv<'_>) -> Result<R, RuntimeError> + Sync,
-    R: Send,
-{
-    assert_eq!(
-        slots.len(),
-        layouts.len(),
-        "one state slot per rank is required"
-    );
-    let slots_ref = slots;
     let mut run_opts = opts.run.clone();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let out = run_distributed_with(dom, layouts, &run_opts, |env| {
-            env.ckpt_attach(opts.run.checkpoint, Arc::clone(&slots_ref[env.rank as usize]));
+            env.ckpt_attach(opts.run.checkpoint, Arc::clone(&slots[env.rank as usize]));
             program(env)
         });
         if out.all_ok() {
@@ -207,10 +184,10 @@ where
         // attempt twice the patience.
         if opts.escalate_deadline && !any_dead(&verdicts) && any_timeout(&verdicts) {
             run_opts.comm.deadline *= 2;
-            for slot in slots_ref {
+            for slot in &slots {
                 lock(slot).rec.escalations += 1;
             }
         }
-        rollback(slots_ref);
+        rollback(&slots);
     }
 }

@@ -180,9 +180,6 @@ impl ChainRec {
 /// meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TunerRec {
-    /// Service job this decision was made for (0 outside the resident
-    /// service) — per-job trace isolation when many jobs share a world.
-    pub job: u64,
     /// Chain name.
     pub chain: String,
     /// Backend every later call of the chain dispatches to.
@@ -280,10 +277,6 @@ impl Eq for ThreadRec {}
 /// unsupervised (or fault-free with checkpointing disabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryRec {
-    /// Service job these counters belong to (0 outside the resident
-    /// service). Deterministic: the service assigns ids in admission
-    /// order, so per-world serialized replays agree.
-    pub job: u64,
     /// Restart attempts this rank participated in (1 = fault-free run).
     pub attempts: u32,
     /// Checkpoints taken (including the attempt-start baseline).

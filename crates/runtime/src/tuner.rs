@@ -110,7 +110,6 @@ impl Tuner {
         };
         *state = State::Decided(backend);
         env.trace.tuner.push(TunerRec {
-            job: env.job,
             chain: chain.name.clone(),
             backend,
             t_op2_ns: t_op2 as u64,

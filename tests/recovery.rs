@@ -5,7 +5,7 @@
 //!
 //! The contract under test (DESIGN.md §13): a run that crashes and
 //! recovers `k` times is **bitwise identical** to a fault-free run.
-//! Five behaviours are pinned down:
+//! Six behaviours are pinned down:
 //!
 //! 1. **Exhaustive crash sweep**: killing rank 1 once at *every*
 //!    chain-loop boundary of a multi-loop chain program — at 1, 2 and 4
@@ -21,6 +21,9 @@
 //! 5. **A permanent fault degrades gracefully**: the unlimited legacy
 //!    crash re-fires every attempt until the recovery budget runs out,
 //!    surfacing as typed `RecoveryExhausted` naming the dead rank.
+//! 6. **A restart carries its plans**: the attempt after a rollback runs
+//!    on the failed attempt's plan cache, so the recovered run inspects
+//!    no chain a fault-free run would not.
 
 #![cfg(feature = "chaos")]
 
@@ -31,8 +34,8 @@ use op2::mesh::Quad2D;
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_loop};
 use op2::runtime::{
-    run_supervised, Boundary, BoundaryKind, CommConfig, FaultPlan, FaultSpec, RankFailure,
-    RunOptions, RuntimeError, SuperviseOptions,
+    run_supervised, Boundary, BoundaryKind, CommConfig, FaultPlan, FaultSpec, PlanStats,
+    RankFailure, RunOptions, RuntimeError, SuperviseOptions,
 };
 use proptest::prelude::*;
 
@@ -366,4 +369,57 @@ fn fault_free_supervised_run_is_bitwise_transparent() {
             t.rank
         );
     }
+}
+
+/// Acceptance 6: a restart carries the failed attempt's plan cache, and
+/// the plan counters travel with it, so a recovered run's counters sum
+/// both attempts. Rank 1 dies inside the last chain, after every rank
+/// has planned every chain: the recovered run then reports exactly the
+/// fault-free run's misses (nothing planned twice, nothing forgotten),
+/// and the chain it re-executes after the rollback is a cache hit.
+#[test]
+fn recovered_run_reinspects_nothing() {
+    let iters = 3;
+    let plan_total = |out: &op2::runtime::DistOutcome<()>| {
+        let mut total = PlanStats::default();
+        for t in &out.traces {
+            total.add(&t.plan);
+        }
+        total
+    };
+    let mut clean = setup(4);
+    let run = RunOptions::default().checkpoint_every(1);
+    let fault_free = run_program(&mut clean, iters, &SuperviseOptions::new(run)).unwrap();
+
+    let mut s = setup(4);
+    let last = Boundary::new(BoundaryKind::ChainLoop, 2 * iters as u64 - 1);
+    let spec = FaultSpec::default().with_crash_site(1, last);
+    let run = RunOptions::with_faults(FaultPlan::new(spec)).checkpoint_every(1);
+    let out = run_program(&mut s, iters, &SuperviseOptions::new(run)).unwrap();
+    assert!(out.all_ok());
+    for t in &out.traces {
+        assert_eq!(t.recovery.rollbacks, 1, "rank {}", t.rank);
+    }
+    assert_bitwise_equal(
+        &clean.mesh.dom,
+        &s.mesh.dom,
+        &s.dats,
+        "recovered vs fault-free",
+    );
+
+    let (want, got) = (plan_total(&fault_free), plan_total(&out));
+    assert!(
+        want.misses > 1,
+        "the program plans more than one dirty class: {want:?}"
+    );
+    // More misses: the restart re-inspected a chain. Fewer: the counters,
+    // and with them the cache, were not carried.
+    assert_eq!(
+        got.misses, want.misses,
+        "recovered {got:?} vs fault-free {want:?}"
+    );
+    assert!(
+        got.hits > want.hits,
+        "the re-executed chain missed the carried cache: {got:?} vs fault-free {want:?}"
+    );
 }
