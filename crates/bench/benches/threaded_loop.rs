@@ -1,21 +1,20 @@
-//! Colored-threaded execution: sequential vs block-colored pool runs of
-//! the synthetic MG-CFD chain at 1/2/4/8 threads per rank.
+//! Threaded execution: sequential vs per-rank pool runs of the
+//! synthetic MG-CFD chain at 2/4/8 threads per rank.
 //!
-//! The threaded executor splits each loop's iteration range into fixed
-//! blocks, colors blocks so no two same-color blocks touch the same
-//! `OP_INC` target, and fans each color bucket across a `std::thread`
-//! pool. The levelized, order-preserving coloring keeps results bitwise
-//! identical to the sequential executor, so the *only* question this
-//! bench answers is throughput:
+//! The chain is `[update, edge_flux] × nchains`. Both loops increment
+//! nodes through the edge map by `OP_INC` alone, so both lower
+//! owner-computes: the nodes are cut into one window per thread, and
+//! each thread runs, in order, every edge that increments into its
+//! window (a cut edge runs on each thread it increments for). Results
+//! stay bitwise identical to the sequential executor, so the *only*
+//! question this bench answers is throughput:
 //!
 //! * `seq` — single-threaded reference (`Threading::single()`);
-//! * `threads_N` — the same chain with an N-thread pool and a block
-//!   size small enough that every rank has many blocks per color.
+//! * `threads_N` — the same chain on an N-thread pool (`block_size` 64
+//!   only sets the smallest range worth pooling here).
 //!
-//! Caveat: on a single-core host (like the CI container, `nproc` = 1)
-//! the pool adds pure overhead — the N-thread variants measure the
-//! dispatch/sync cost, not speedup. On a multi-core host the expected
-//! shape is `seq / threads_4 > 1.5` for the chain sizes used here.
+//! Caveat: on a single-core host the pool adds pure overhead — the
+//! N-thread variants then measure the dispatch/sync cost, not speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mg_cfd::{MgCfd, MgCfdParams};

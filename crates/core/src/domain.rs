@@ -216,7 +216,7 @@ impl Domain {
     }
 
     /// Element count of every set, in declaration order — the bound on
-    /// each set's target index space that the conflict inspectors take.
+    /// each set's target index space that the owner-computes windows take.
     pub fn set_sizes(&self) -> Vec<usize> {
         self.sets.iter().map(|s| s.size).collect()
     }

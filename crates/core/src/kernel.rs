@@ -445,8 +445,8 @@ fn resolve(r: &BoundArg, e: usize, win: Win) -> *mut f64 {
     // covers iterations whose entries are within the built halo depth.
     let v = unsafe { r.gather(e) };
     // SAFETY: in-bounds per dat declaration; concurrent writers are
-    // excluded by the schedule's conflict-freedom (or, windowed, by the
-    // windows: windowed loops modify nothing directly).
+    // excluded by the schedule: direct blocks modify no dat through a
+    // map, and windowed loops modify nothing directly.
     windowed(v, win)
         .unwrap_or_else(|| unsafe { r.base.add(v as usize * r.dim as usize + e * r.estride) })
 }

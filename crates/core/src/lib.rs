@@ -72,13 +72,12 @@
 //! threads live in `op2-partition` / `op2-runtime`.
 
 // Index-driven loops over parallel per-element arrays are the natural
-// idiom in the scheduling and levelling code here; keep them.
+// idiom in the scheduling code here; keep them.
 #![allow(clippy::needless_range_loop)]
 
 pub mod access;
 pub mod chain;
 pub mod config;
-pub mod conflict;
 pub mod domain;
 pub mod error;
 pub mod kernel;
@@ -90,15 +89,15 @@ pub mod seq;
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
 pub use config::{parse_chain_config, ChainConfig};
-pub use conflict::{conflict_accesses, ConflictAccess};
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};
 pub use kernel::{ArgShape, Args, Kernel, KernelFn};
 pub use loops::{LoopSig, LoopSpec};
 pub use par::{
-    colored_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
+    blocked_schedule, owned_schedule, owner_computes_accesses, thread_schedule, touch_windows,
+    ConflictAccess,
 };
 pub use schedule::{
-    run_chunk, run_schedule, run_schedule_ctx, ArgWindow, BoundArg, BoundLoop, Chunk, Level, Piece,
+    run_chunk, run_schedule, run_schedule_ctx, ArgWindow, BoundArg, BoundLoop, Chunk, Piece,
     SchedCtx, Schedule, ScheduleKind,
 };

@@ -1,50 +1,85 @@
-//! The two lowerings of one loop for the threads of a rank.
+//! The lowerings of one loop for the threads of a rank.
 //!
 //! OP2's shared-memory back-ends colour *individual iterations* greedily;
 //! executing colour by colour, the per-element update order follows the
 //! colour sequence, not the iteration order, so floating-point increments
-//! reassociate and results drift from [`crate::seq`]. [`colored_schedule`]
-//! levelizes **blocks** of contiguous iterations instead, by the
-//! order-preserving conflict rule of [`crate::conflict`] under the
-//! standalone-loop selector (two blocks conflict when they touch a common
-//! element of a dat the loop modifies through a map, at least one side
-//! modifying): same-color blocks are race-free, and every element
-//! receives its updates in ascending block — hence iteration — order,
-//! **bitwise equal** to [`crate::seq::run_loop`] at any thread count.
+//! reassociate and results drift from [`crate::seq`]. This crate never
+//! reorders an update. [`thread_schedule`] reads the loop's access
+//! descriptors and picks one of two lowerings, each one level of
+//! mutually independent chunks, or none at all:
 //!
-//! The price is more colors than a greedy minimum — and on any
-//! locality-preserving numbering it is steep: consecutive blocks of an
-//! edge loop share nodes, so the levels form a ladder of ~`n/block_size`
-//! barriers with one or two blocks each. The coloring is therefore only
-//! the **fallback** of [`thread_schedule`]. Loops that modify through
-//! maps by `Inc` alone — the common case — get the **owner-computes**
-//! lowering instead ([`owned_schedule`]), OP2's distributed-memory rule
-//! applied to the threads of a rank:
-//!
-//! * every target set is cut into one contiguous *window* per thread,
-//!   balanced by how many increments land in it;
-//! * thread `t` runs, in ascending order, every iteration that
-//!   increments into one of its windows, and drops the increments that
-//!   land outside them (a cut iteration is executed by each thread it
-//!   increments for — the redundant execution of OP2's import-execute
-//!   halo, without the copy);
-//! * so each element receives its increments from exactly one thread in
-//!   sequential order: **bitwise equal** to [`crate::seq::run_loop`] at
-//!   any thread count, in one level instead of a ladder.
-//!
-//! The caveat is the distributed exec halo's too: a kernel must not
-//! *read* (`get`) an `Inc` argument, because a dropped increment's slot
-//! points at a scratch sink, not at the element.
+//! * **Owner-computes windows** ([`owned_schedule`]) for loops that
+//!   modify through maps by `Inc` alone — the common case. This is
+//!   OP2's distributed-memory rule applied to the threads of a rank:
+//!   every target set is cut into one contiguous *window* per thread,
+//!   balanced by how many increments land in it; thread `t` runs, in
+//!   ascending order, every iteration that increments into one of its
+//!   windows, and drops the increments that land outside them (a cut
+//!   iteration is executed by each thread it increments for — the
+//!   redundant execution of OP2's import-execute halo, without the
+//!   copy). Each element receives its increments from exactly one
+//!   thread in sequential order: **bitwise equal** to
+//!   [`crate::seq::run_loop`] at any thread count. The caveat is the
+//!   distributed exec halo's too: a kernel must not *read* (`get`) an
+//!   `Inc` argument, because a dropped increment's slot points at a
+//!   scratch sink, not at the element.
+//! * **Direct blocks** ([`blocked_schedule`]) for loops that modify no
+//!   dat they also reach through a map: contiguous blocks of
+//!   `block_size` iterations. Every modified element belongs to one
+//!   iteration, hence to one block, and no block reads what another
+//!   writes, so the blocks are independent and the result is the
+//!   sequential one to the bit.
+//! * **The rank's own thread** (`None`) for every other loop: an
+//!   indirect `Rw` or `Write`, an indirect modify mixed with other
+//!   accesses to the same dat, or a global reduction. These updates
+//!   depend on iteration order across any split, so the caller walks
+//!   the range sequentially.
 
 use crate::access::{AccessMode, Arg};
-use crate::conflict::{conflict_accesses, conflict_levels, ConflictAccess};
-use crate::domain::MapData;
+use crate::domain::{DatId, MapData};
 use crate::loops::LoopSig;
-use crate::schedule::{ArgWindow, Chunk, Level, Piece, Schedule, ScheduleKind};
+use crate::schedule::{ArgWindow, Chunk, Piece, Schedule, ScheduleKind};
+
+/// One `Inc`-through-a-map access an owner-computes window cuts: which
+/// map entry it reads and which set it lands on.
+#[derive(Debug, Clone, Copy)]
+pub struct ConflictAccess<'a> {
+    /// `(map values, arity, entry index)`.
+    pub map: (&'a [u32], usize, usize),
+    /// Target set index.
+    pub set: usize,
+}
+
+impl<'a> ConflictAccess<'a> {
+    /// Entry `idx` of `map`.
+    pub(crate) fn new(map: &'a MapData, idx: u16) -> Self {
+        ConflictAccess {
+            map: (map.values.as_slice(), map.arity, idx as usize),
+            set: map.to.idx(),
+        }
+    }
+
+    /// Target element of iteration `e` in the access's target set. Like
+    /// the executor (`kernel::resolve`), asserts in debug
+    /// builds that the map entry is not the `u32::MAX` sentinel a
+    /// localized map holds beyond the built halo depth: rows of every
+    /// iteration inside an executable extent resolve locally.
+    #[inline]
+    pub(crate) fn target(&self, e: usize) -> usize {
+        let (values, arity, idx) = self.map;
+        let v = values[e * arity + idx];
+        debug_assert_ne!(
+            v,
+            u32::MAX,
+            "map entry {idx} of iteration {e} lies beyond the built halo depth"
+        );
+        v as usize
+    }
+}
 
 /// The `Inc`-through-a-map arguments of a loop eligible for the
 /// owner-computes lowering, as `(argument index, access)` pairs — or
-/// `None` when the loop must fall back to the block coloring. Eligible
+/// `None` when it is not. Eligible
 /// means: some dat is modified through a map; every argument on every
 /// such dat is itself an `Inc` through a map (an indirect `Rw`/`Write`
 /// is order-dependent, and a `Read` of the incremented dat would see
@@ -62,18 +97,33 @@ pub fn owner_computes_accesses<'a>(
             Arg::Gbl { .. } => {}
             Arg::Dat { map: None, mode, .. } if mode.modifies() => return None,
             Arg::Dat { dat, map, mode } => {
-                let (merged, indirect) = sig.access_of(*dat).expect("dat is an argument");
-                if !(merged.modifies() && indirect) {
+                if !modified_through_map(sig, *dat) {
                     continue;
                 }
                 let (Some((m, idx)), AccessMode::Inc) = (map, mode) else {
                     return None;
                 };
-                out.push((i as u32, ConflictAccess::new(maps, sig.set, Some((*m, *idx)), true)));
+                out.push((i as u32, ConflictAccess::new(&maps[m.idx()], *idx)));
             }
         }
     }
     (!out.is_empty()).then_some(out)
+}
+
+/// Whether the loop modifies `dat` and reaches it through a map: the
+/// accesses whose order across iterations matters.
+fn modified_through_map(sig: &LoopSig, dat: DatId) -> bool {
+    matches!(sig.access_of(dat), Some((mode, true)) if mode.modifies())
+}
+
+/// Whether the loop's iterations split into independent direct blocks:
+/// no dat it modifies is also accessed through a map, and it reduces
+/// into no global.
+fn splits_into_blocks(sig: &LoopSig) -> bool {
+    sig.args.iter().all(|a| match a {
+        Arg::Gbl { mode, .. } => !mode.modifies(),
+        Arg::Dat { dat, .. } => !modified_through_map(sig, *dat),
+    })
 }
 
 /// Cut every target set of `accesses` into `n_windows` contiguous
@@ -158,16 +208,11 @@ impl PieceRun {
             return;
         };
         if e - s >= MIN_RANGE_RUN {
-            self.pieces.push(Piece::Range {
-                loop_idx: 0,
-                start: s,
-                end: e,
-            });
+            self.pieces.push(Piece::Range { start: s, end: e });
         } else if let Some(Piece::List { iters, .. }) = self.pieces.last_mut() {
             iters.extend(s..e);
         } else {
             self.pieces.push(Piece::List {
-                loop_idx: 0,
                 iters: (s..e).collect(),
             });
         }
@@ -175,8 +220,8 @@ impl PieceRun {
 }
 
 /// The owner-computes lowering of iterations `[start, end)` for
-/// `n_threads` workers (see the module docs): one level holding, per
-/// thread with any work, one chunk of ascending pieces covering every
+/// `n_threads` workers (see the module docs): per thread with any work,
+/// one chunk of ascending pieces covering every
 /// iteration that increments into the thread's [`touch_windows`], with
 /// the windows as the chunk's mask. `accesses` comes from
 /// [`owner_computes_accesses`].
@@ -223,21 +268,17 @@ pub fn owned_schedule(
         })
         .collect();
     Schedule {
-        n_loops: 1,
         kind: ScheduleKind::Owned { start, end },
-        levels: if chunks.is_empty() {
-            Vec::new()
-        } else {
-            vec![Level { chunks }]
-        },
+        chunks,
     }
 }
 
 /// Lower iterations `[start, end)` of one loop for `n_threads` pool
-/// threads — the single lowering the threaded executor and the tuner
-/// share. The choice is made from the access descriptors alone:
+/// threads, from the access descriptors alone (see the module docs):
 /// [`owned_schedule`] when [`owner_computes_accesses`] admits the loop,
-/// the levelized block coloring at `block_size` otherwise.
+/// [`blocked_schedule`] at `block_size` when no dat it modifies is
+/// reached through a map and it reduces into no global, `None` — run it
+/// on the calling thread — otherwise.
 pub fn thread_schedule(
     maps: &[MapData],
     sig: &LoopSig,
@@ -246,97 +287,69 @@ pub fn thread_schedule(
     n_threads: usize,
     block_size: usize,
     set_sizes: &[usize],
-) -> Schedule {
-    match owner_computes_accesses(maps, sig) {
-        Some(accesses) => owned_schedule(start, end, n_threads, set_sizes, &accesses),
-        None => colored_schedule(maps, sig, start, end, block_size, set_sizes),
+) -> Option<Schedule> {
+    if let Some(accesses) = owner_computes_accesses(maps, sig) {
+        return Some(owned_schedule(start, end, n_threads, set_sizes, &accesses));
     }
+    splits_into_blocks(sig).then(|| blocked_schedule(start, end, block_size))
 }
 
-/// `[start, end)` cut into blocks of `block_size` iterations (the last
-/// may be short), ascending, each a single-`piece(start, end)` unit of
-/// the conflict levelizer.
-pub fn block_units(
-    start: usize,
-    end: usize,
-    block_size: usize,
-    piece: impl Fn(u32, u32) -> Piece,
-) -> Vec<Chunk> {
+/// `[start, end)` cut into ascending blocks of `block_size` iterations
+/// (the last may be short), one range chunk each: the direct-block
+/// lowering.
+pub fn blocked_schedule(start: usize, end: usize, block_size: usize) -> Schedule {
     assert!(block_size >= 1, "block_size must be at least 1");
-    (start..end)
+    let chunks = (start..end)
         .step_by(block_size)
-        .map(|s| Chunk::new(vec![piece(s as u32, (s + block_size).min(end) as u32)]))
-        .collect()
-}
-
-/// The levelized order-preserving block lowering of iterations
-/// `[start, end)` of one loop (see the module docs): blocks of
-/// `block_size` iterations as units of [`conflict_levels`] under the
-/// loop's [`conflict_accesses`], one level per colour, one chunk per
-/// block. `set_sizes` bounds the target index space per set. Works on
-/// global domains and on localized rank layouts alike — callers pass
-/// whichever maps the iteration range dereferences.
-pub fn colored_schedule(
-    maps: &[MapData],
-    sig: &LoopSig,
-    start: usize,
-    end: usize,
-    block_size: usize,
-    set_sizes: &[usize],
-) -> Schedule {
-    let accesses = [conflict_accesses(maps, sig)];
-    let units = block_units(start, end, block_size, |start, end| Piece::Range {
-        loop_idx: 0,
-        start,
-        end,
-    });
-    let levels = conflict_levels(&units, &accesses, set_sizes);
-    let kind = ScheduleKind::Colored { block_size };
-    Schedule::from_levels(kind, units, &levels, &accesses, set_sizes)
+        .map(|s| {
+            Chunk::new(vec![Piece::Range {
+                start: s as u32,
+                end: (s + block_size).min(end) as u32,
+            }])
+        })
+        .collect();
+    Schedule {
+        kind: ScheduleKind::Blocked { block_size },
+        chunks,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::AccessMode;
-    use crate::conflict::levels_valid;
-    use crate::domain::Domain;
+    use crate::domain::{Domain, SetId};
     use crate::kernel::Args;
     use crate::loops::LoopSpec;
     use crate::schedule::{run_loop_schedule, BoundLoop};
 
     fn noop(_: &Args<'_>) {}
 
-    /// The colored lowering of `spec`'s whole iteration set.
-    fn colored(dom: &Domain, spec: &LoopSpec, block_size: usize) -> Schedule {
+    /// `spec`'s whole iteration set lowered for two threads at
+    /// `block_size`.
+    fn lower(dom: &Domain, spec: &LoopSpec, block_size: usize) -> Option<Schedule> {
         let n = dom.set(spec.set).size;
-        colored_schedule(dom.maps(), &spec.sig(), 0, n, block_size, &dom.set_sizes())
+        thread_schedule(dom.maps(), &spec.sig(), 0, n, 2, block_size, &dom.set_sizes())
     }
 
-    /// A colored schedule's blocks back in block order, each with the
-    /// level that holds it.
-    fn blocks_of(sched: &Schedule) -> (Vec<Chunk>, Vec<u32>) {
-        let mut blocks: Vec<(u32, Chunk, u32)> = Vec::new();
-        for (l, level) in sched.levels.iter().enumerate() {
-            for chunk in &level.chunks {
-                let [Piece::Range { start, .. }] = chunk.pieces[..] else {
-                    panic!("a colored chunk is one range: {chunk:?}");
-                };
-                blocks.push((start, chunk.clone(), l as u32));
-            }
-        }
-        blocks.sort_by_key(|b| b.0);
-        blocks.into_iter().map(|(_, c, l)| (c, l)).unzip()
-    }
-
-    /// The checker over a colored schedule of `spec`: completeness, race
-    /// freedom within a level, ascending levels on conflicting blocks.
-    fn is_valid(dom: &Domain, spec: &LoopSpec, sched: &Schedule) -> bool {
-        let (units, levels) = blocks_of(sched);
-        let covered: usize = units.iter().map(Chunk::iters).sum();
-        let accesses = [conflict_accesses(dom.maps(), &spec.sig())];
-        covered == dom.set(spec.set).size
-            && levels_valid(&units, &levels, &accesses, &dom.set_sizes())
+    /// The direct split's shape: ascending single-range chunks of
+    /// `block_size` iterations tiling `[0, n)`.
+    fn assert_blocks(sched: &Schedule, n: usize, block_size: usize) {
+        assert_eq!(sched.kind, ScheduleKind::Blocked { block_size });
+        let starts: Vec<(u32, u32)> = sched
+            .chunks
+            .iter()
+            .map(|c| match c.pieces[..] {
+                [Piece::Range { start, end }] => (start, end),
+                _ => panic!("a direct block is one range: {c:?}"),
+            })
+            .collect();
+        let want: Vec<(u32, u32)> = (0..n)
+            .step_by(block_size)
+            .map(|s| (s as u32, (s + block_size).min(n) as u32))
+            .collect();
+        assert_eq!(starts, want);
+        assert!(sched.chunks.iter().all(|c| c.mask.is_empty()));
     }
 
     /// Edge→node FP increment kernel whose result is order-sensitive:
@@ -375,92 +388,83 @@ mod tests {
         (dom, spec)
     }
 
-    /// On a path graph, consecutive blocks share one node: the levelized
-    /// rule must give strictly increasing colors along the path.
-    #[test]
-    fn path_blocks_level_like_a_ladder() {
-        let (dom, spec) = path_fixture(65);
-        let sched = colored(&dom, &spec, 16);
-        assert_eq!(sched.n_chunks(), 4);
-        assert!(is_valid(&dom, &spec, &sched));
-        // Every adjacent block pair conflicts, so colors strictly climb.
-        assert_eq!(blocks_of(&sched).1, vec![0, 1, 2, 3]);
-    }
-
-    /// Blocks that touch disjoint elements share color 0.
-    #[test]
-    fn disjoint_blocks_share_a_color() {
-        let mut dom = Domain::new();
-        let nodes = dom.decl_set("nodes", 8);
-        let edges = dom.decl_set("edges", 4);
-        // Edges 2i -- 2i+1: no two edges share a node.
-        let vals: Vec<u32> = (0..4u32).flat_map(|i| [2 * i, 2 * i + 1]).collect();
-        let e2n = dom.decl_map("e2n", edges, nodes, 2, vals).unwrap();
-        let r = dom.decl_dat_zeros("res", nodes, 1);
+    /// An edge loop of the direct split on the path: it reads both end
+    /// nodes through the map and updates its own edge's value in place,
+    /// order-sensitively.
+    fn edge_update_fixture(n_nodes: usize) -> (Domain, LoopSpec) {
+        fn update(args: &Args<'_>) {
+            let (a, b) = (args.get(1, 0), args.get(2, 0));
+            args.set(0, 0, args.get(0, 0) * 0.91 + (b - a) * 0.123456789);
+        }
+        let (mut dom, _) = path_fixture(n_nodes);
+        let e2n = dom.map_by_name("e2n").unwrap();
+        let p = dom.dat_by_name("pres").unwrap();
+        let edges = dom.map(e2n).from;
+        let w0: Vec<f64> = (0..n_nodes - 1).map(|i| (i as f64 * 0.37).cos()).collect();
+        let w = dom.decl_dat("w", edges, 1, w0);
         let spec = LoopSpec::new(
-            "inc",
+            "edge_update",
             edges,
             vec![
-                Arg::dat_indirect(r, e2n, 0, AccessMode::Inc),
-                Arg::dat_indirect(r, e2n, 1, AccessMode::Inc),
+                Arg::dat_direct(w, AccessMode::Rw),
+                Arg::dat_indirect(p, e2n, 0, AccessMode::Read),
+                Arg::dat_indirect(p, e2n, 1, AccessMode::Read),
             ],
-            noop,
+            update,
         );
-        let sched = colored(&dom, &spec, 1);
-        assert_eq!(sched.n_levels(), 1);
-        assert!(is_valid(&dom, &spec, &sched));
+        (dom, spec)
     }
 
-    /// Direct-only loops need one color regardless of block size.
+    /// Direct-only loops split into direct blocks at any block size.
     #[test]
     fn direct_loop_single_color() {
         let mut dom = Domain::new();
         let nodes = dom.decl_set("nodes", 100);
         let a = dom.decl_dat_zeros("a", nodes, 1);
         let spec = LoopSpec::new("w", nodes, vec![Arg::dat_direct(a, AccessMode::Write)], noop);
-        let sched = colored(&dom, &spec, 8);
-        assert_eq!(sched.n_levels(), 1);
-        assert!(is_valid(&dom, &spec, &sched));
+        for block_size in [1, 8, 100, 128] {
+            assert_blocks(&lower(&dom, &spec, block_size).unwrap(), 100, block_size);
+        }
     }
 
     /// Bitwise identity against the sequential reference on an
-    /// order-sensitive FP kernel, going through the colored `Schedule`
-    /// lowering, walked in order and with each level's blocks reversed.
+    /// order-sensitive FP kernel, going through the direct split, walked
+    /// in order and with the blocks reversed.
     #[test]
     fn blocked_execution_bitwise_equals_seq() {
-        let (mut seq_dom, spec) = path_fixture(257);
+        let (mut seq_dom, spec) = edge_update_fixture(257);
         crate::seq::run_loop(&mut seq_dom, &spec);
-        let reference = seq_dom.dat(seq_dom.dat_by_name("res").unwrap()).data.clone();
+        let reference = seq_dom.dat(seq_dom.dat_by_name("w").unwrap()).data.clone();
 
         for block_size in [1usize, 7, 32, 1024] {
-            let (dom, spec) = path_fixture(257);
-            let sched = colored(&dom, &spec, block_size);
-            assert!(is_valid(&dom, &spec, &sched));
-            let levels = blocks_of(&sched).1;
-            assert_eq!(sched.n_levels(), 1 + *levels.iter().max().unwrap() as usize);
-            assert_eq!(sched.n_chunks(), 256usize.div_ceil(block_size));
+            let (dom, spec) = edge_update_fixture(257);
+            let sched = lower(&dom, &spec, block_size).unwrap();
+            assert_blocks(&sched, 256, block_size);
             for (walk, sched) in sched.walk_orders() {
                 let mut dom = dom.clone();
                 run_loop_schedule(&mut dom, &spec, &sched);
-                let got = &dom.dat(dom.dat_by_name("res").unwrap()).data;
+                let got = &dom.dat(dom.dat_by_name("w").unwrap()).data;
                 assert_eq!(got, &reference, "block_size={block_size}, {walk}");
             }
         }
     }
 
-    /// At block size 1 a block is an iteration, so the levels are a
-    /// per-iteration colouring: it covers every iteration and passes the
-    /// conflict checker.
+    /// At block size 1 a block is an iteration: the direct split holds
+    /// one chunk per iteration, in order.
     #[test]
     fn element_expansion_is_valid() {
-        let (dom, spec) = path_fixture(48);
-        let sched = colored(&dom, &spec, 1);
-        assert_eq!(sched.n_chunks(), 47);
-        assert!(is_valid(&dom, &spec, &sched));
+        let sched = blocked_schedule(3, 50, 1);
+        let iters: Vec<u32> = sched.chunks.iter().flat_map(|c| &c.pieces).map(|p| match p {
+            Piece::Range { start, end } if end - start == 1 => *start,
+            _ => panic!("a block of one iteration: {p:?}"),
+        }).collect();
+        assert_eq!(iters, (3..50).collect::<Vec<_>>());
+        let (dom, spec) = edge_update_fixture(48);
+        assert_blocks(&lower(&dom, &spec, 1).unwrap(), 47, 1);
     }
 
-    /// A read-only indirect loop (no modifies) gets one color even when
-    /// every block shares elements.
+    /// A read-only indirect loop (no modifies) splits into direct
+    /// blocks even when every block shares elements.
     #[test]
     fn read_only_loop_single_color() {
         let (dom, _) = path_fixture(33);
@@ -473,7 +477,7 @@ mod tests {
             vec![Arg::dat_indirect(p, e2n, 0, AccessMode::Read)],
             noop,
         );
-        assert_eq!(colored(&dom, &spec, 4).n_levels(), 1);
+        assert_blocks(&lower(&dom, &spec, 4).unwrap(), 32, 4);
     }
 
     /// Eligibility is read off the access descriptors: `Inc` through
@@ -526,28 +530,62 @@ mod tests {
         assert_eq!(eligible(vec![Arg::dat_direct(w, AccessMode::Rw)]), None);
     }
 
-    /// `thread_schedule` picks by eligibility alone: one windowed level
-    /// for the Inc loop, the colored ladder once an argument turns `Rw`.
+    /// `thread_schedule` picks by the access descriptors alone: windows
+    /// for `Inc`-only modifies through maps, direct blocks when no
+    /// modified dat is reached through a map, and no schedule — the
+    /// rank's own thread — for every other loop.
     #[test]
     fn thread_schedule_selects_by_descriptors() {
-        let (dom, spec) = path_fixture(65);
-        let set_sizes = dom.set_sizes();
-        let lower = |spec: &LoopSpec| {
-            thread_schedule(dom.maps(), &spec.sig(), 0, 64, 2, 16, &set_sizes)
-        };
-        let owned = lower(&spec);
-        assert_eq!(owned.kind, ScheduleKind::Owned { start: 0, end: 64 });
-        assert_eq!((owned.n_levels(), owned.n_chunks()), (1, 2));
+        let (mut dom, spec) = path_fixture(65);
+        let e2n = dom.map_by_name("e2n").unwrap();
+        let (r, p) = (dom.dat_by_name("res").unwrap(), dom.dat_by_name("pres").unwrap());
+        let (nodes, edges) = (dom.map(e2n).to, dom.map(e2n).from);
+        let next: Vec<u32> = (0..65u32).map(|i| (i + 1) % 65).collect();
+        let n2n = dom.decl_map("n2n", nodes, nodes, 1, next).unwrap();
+        let w = dom.decl_dat_zeros("w", edges, 1);
+        let x = dom.decl_dat_zeros("x", nodes, 1);
+        let ind = |d, m, i, mode| Arg::dat_indirect(d, m, i, mode);
+        let dir = Arg::dat_direct;
+        use AccessMode::{Inc, Read, Rw, Write};
+        let owned = Some(ScheduleKind::Owned { start: 0, end: 64 });
+        let blocked = Some(ScheduleKind::Blocked { block_size: 16 });
+        let table: Vec<(&str, SetId, Vec<Arg>, Option<ScheduleKind>)> = vec![
+            ("Inc through a map", edges, spec.args.clone(), owned),
+            ("direct write, indirect read", edges, vec![dir(w, Write), ind(p, e2n, 0, Read)], blocked),
+            ("indirect read only", edges, vec![ind(p, e2n, 0, Read), ind(p, e2n, 1, Read)], blocked),
+            ("direct Rw only", edges, vec![dir(w, Rw)], blocked),
+            ("indirect Rw", edges, vec![ind(r, e2n, 0, Rw), ind(r, e2n, 1, Rw)], None),
+            ("indirect Write", edges, vec![dir(w, Read), ind(r, e2n, 1, Write)], None),
+            ("Inc and Read of one dat", edges, vec![ind(r, e2n, 0, Inc), ind(r, e2n, 1, Read)], None),
+            ("direct write, indirect read of one dat", nodes, vec![dir(x, Write), ind(x, n2n, 0, Read)], None),
+            ("Inc and a direct write", edges, vec![ind(r, e2n, 0, Inc), dir(w, Write)], None),
+            ("direct write and a reduction", edges, vec![dir(w, Write), Arg::gbl(0, Inc)], None),
+        ];
+        for (name, set, args, want) in table {
+            let spec = LoopSpec::new(name, set, args, noop);
+            let n = if set == edges { 64 } else { 65 };
+            let got = thread_schedule(dom.maps(), &spec.sig(), 0, n, 2, 16, &dom.set_sizes());
+            assert_eq!(got.as_ref().map(|s| s.kind), want, "{name}");
+        }
+
+        let owned = lower(&dom, &spec, 16).unwrap();
+        assert_eq!(owned.n_chunks(), 2);
         // The path's one cut edge runs on both threads.
         assert_eq!(owned.redundant_iters(), 1);
+    }
 
-        let mut rw = spec.clone();
-        let (r, e2n) = (dom.dat_by_name("res").unwrap(), dom.map_by_name("e2n").unwrap());
-        rw.args[1] = Arg::dat_indirect(r, e2n, 1, AccessMode::Rw);
-        let colored = lower(&rw);
-        assert_eq!(colored.kind, ScheduleKind::Colored { block_size: 16 });
-        assert_eq!(colored.n_levels(), 4);
-        assert_eq!(colored.redundant_iters(), 0);
+    /// One sentinel policy: a map entry beyond the built halo depth is a
+    /// bug at the call site, named by the assert — as in the executor.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "map entry 1 of iteration 0 lies beyond the built halo depth")]
+    fn sentinel_targets_assert() {
+        let values = [0, u32::MAX];
+        let access = ConflictAccess {
+            map: (&values, 2, 1),
+            set: 0,
+        };
+        access.target(0);
     }
 
     /// Scattered edges, every fifth a self-loop, through two maps into
@@ -596,7 +634,7 @@ mod tests {
     /// more threads than targets: windows partition every target set,
     /// every (iteration, modifying argument) pair is unmasked in exactly
     /// one chunk (`windows_valid`), and execution — walked in order or
-    /// with the level's chunks reversed — is bitwise the plain range walk.
+    /// with the chunks reversed — is bitwise the plain range walk.
     #[test]
     fn owned_windows_partition_and_execute_bitwise() {
         for (n_a, n_b, n_iter, start, end) in [
@@ -630,19 +668,16 @@ mod tests {
                 let mut gbls = Vec::new();
                 let bound = BoundLoop::bind(&mut bound_dom, &spec, &mut gbls);
                 assert!(sched.windows_valid(&bound), "{n_threads} threads");
-                assert_eq!(
-                    sched.loop_iters(0) - sched.redundant_iters(),
-                    end - start
-                );
+                assert_eq!(sched.iters() - sched.redundant_iters(), end - start);
 
                 // A widened window double-counts, a dropped chunk loses
                 // increments: both must fail the check.
                 let mut wide = sched.clone();
-                if let Some(w) = wide.levels[0].chunks[0].mask.first_mut() {
+                if let Some(w) = wide.chunks[0].mask.first_mut() {
                     w.hi += 1;
                 }
                 let mut short = sched.clone();
-                short.levels[0].chunks.pop();
+                short.chunks.pop();
                 if sched.n_chunks() > 1 {
                     assert!(!wide.windows_valid(&bound));
                     assert!(!short.windows_valid(&bound));

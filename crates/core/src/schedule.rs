@@ -1,42 +1,37 @@
 //! The unified `Schedule` execution IR.
 //!
-//! Every way this crate runs a loop — a plain sequential range, a
-//! colored-blocked threaded loop, an owner-computes threaded loop — is the
-//! same thing at heart: an ordered list of *levels* separated by
-//! synchronization barriers, each level holding iteration *chunks* that
-//! are conflict-free against one another. This module makes that shape a
-//! first-class value:
+//! Every way this crate runs a loop — a plain sequential range, direct
+//! blocks, owner-computes windows — is the same thing at heart: a set of
+//! iteration *chunks* of one loop that are independent of one another.
+//! This module makes that shape a first-class value:
 //!
-//! * [`Piece`] — a contiguous iteration range or an explicit index list
-//!   of one loop of the chain;
+//! * [`Piece`] — a contiguous iteration range or an explicit index list;
 //! * [`Chunk`] — an ordered list of pieces executed sequentially by one
-//!   worker (a colored block; an owner-computes window's iterations);
-//! * [`Schedule`] — levels of chunks. Chunks within a level may run
-//!   concurrently; levels execute in order with a barrier between them.
+//!   worker (a direct block; an owner-computes window's iterations);
+//! * [`Schedule`] — one level of chunks of one loop. Its chunks may run
+//!   concurrently, in any order.
 //!
 //! Lowerings build schedules from each scheduling strategy
-//! ([`Schedule::range`], [`crate::par::colored_schedule`],
+//! ([`Schedule::range`], [`crate::par::blocked_schedule`],
 //! [`crate::par::owned_schedule`]). [`run_schedule`] walks one
-//! sequentially, level by level and chunk by chunk: the reference every
-//! threaded execution must match. This crate starts no threads; the
-//! runtime crate's per-rank pool runs the same schedules on its workers,
-//! one chunk at a time through [`run_chunk`].
+//! sequentially, chunk by chunk: the reference every threaded execution
+//! must match. This crate starts no threads; the runtime crate's
+//! per-rank pool runs the same schedules on its workers, one chunk at a
+//! time through [`run_chunk`].
 //!
-//! **Determinism contract.** When the lowering guarantees that (a)
-//! same-level chunks touch disjoint modified elements and (b) every
-//! conflicting chunk pair is ordered by level in ascending iteration
-//! order, the per-element update sequence under any thread count equals
-//! the sequential one, so results are **bitwise identical** to
-//! [`crate::seq::run_loop`]. The leveled lowering — colored blocks —
-//! gets (a) and (b) from the one rule of [`crate::conflict`] and is
-//! assembled by [`Schedule::from_levels`], which re-checks both in debug
-//! builds. The
-//! owner-computes lowering meets (a) differently: its chunks *overlap*
-//! in iterations but each carries a window per modifying argument
-//! ([`Chunk::mask`]) and keeps only the increments landing inside it, so
-//! one chunk alone updates each element, in ascending iteration order —
-//! (b) has no pair left to order and one level suffices
-//! ([`Schedule::windows_valid`] is its checkable form).
+//! **Determinism contract.** When the lowering guarantees that chunks
+//! touch disjoint modified elements and that each element receives its
+//! updates from one chunk in ascending iteration order, the per-element
+//! update sequence under any thread count equals the sequential one, so
+//! results are **bitwise identical** to [`crate::seq::run_loop`]. Direct
+//! blocks get this because no modified dat is reached through a map:
+//! each modified element belongs to one iteration. The owner-computes
+//! lowering's chunks *overlap* in iterations but each carries a window
+//! per modifying argument ([`Chunk::mask`]) and keeps only the
+//! increments landing inside it, so one chunk alone updates each
+//! element, in ascending iteration order ([`Schedule::windows_valid`] is
+//! its checkable form). Loops that fit neither lowering are not lowered:
+//! the caller runs them on its own thread.
 //!
 //! [`BoundLoop`] is the one argument-resolution and kernel-invocation
 //! path shared by every executor: base pointers resolved once per loop,
@@ -48,7 +43,6 @@
 //! per kernel in the codebase regardless of back-end.
 
 use crate::access::{AccessMode, Arg};
-use crate::conflict::{levels_valid, ConflictAccess};
 use crate::domain::{DatId, Domain, MapData, MapId};
 use crate::kernel::{ArgShape, Iters, Kernel, Mask};
 use crate::loops::LoopSpec;
@@ -56,22 +50,18 @@ use crate::loops::LoopSpec;
 /// One contiguous or listed slice of one loop's iteration space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Piece {
-    /// Iterations `[start, end)` of chain loop `loop_idx`.
-    Range {
-        loop_idx: u32,
-        start: u32,
-        end: u32,
-    },
-    /// An explicit ascending iteration list of chain loop `loop_idx`.
-    List { loop_idx: u32, iters: Vec<u32> },
+    /// Iterations `[start, end)`.
+    Range { start: u32, end: u32 },
+    /// An explicit ascending iteration list.
+    List { iters: Vec<u32> },
 }
 
 impl Piece {
     /// Number of elements the piece covers.
     pub fn len(&self) -> usize {
         match self {
-            Piece::Range { start, end, .. } => (*end as usize).saturating_sub(*start as usize),
-            Piece::List { iters, .. } => iters.len(),
+            Piece::Range { start, end } => (*end as usize).saturating_sub(*start as usize),
+            Piece::List { iters } => iters.len(),
         }
     }
 
@@ -80,18 +70,11 @@ impl Piece {
         self.len() == 0
     }
 
-    /// Which chain loop the piece belongs to.
-    pub fn loop_idx(&self) -> usize {
-        match self {
-            Piece::Range { loop_idx, .. } | Piece::List { loop_idx, .. } => *loop_idx as usize,
-        }
-    }
-
     /// The piece's iterations in the form the compiled loops take.
     fn iters(&self) -> Iters<'_> {
         match self {
-            Piece::Range { start, end, .. } => Iters::Range(*start as usize, *end as usize),
-            Piece::List { iters, .. } => Iters::List(iters),
+            Piece::Range { start, end } => Iters::Range(*start as usize, *end as usize),
+            Piece::List { iters } => Iters::List(iters),
         }
     }
 }
@@ -99,7 +82,7 @@ impl Piece {
 /// The slice of one `Inc`-through-a-map argument's target set that a
 /// windowed chunk owns: increments landing in `[lo, hi)` are applied,
 /// the rest are dropped into the worker's sink (another chunk of the
-/// same level owns them). See [`crate::par::owned_schedule`].
+/// schedule owns them). See [`crate::par::owned_schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArgWindow {
     /// Argument index in the chunk's loop.
@@ -116,8 +99,7 @@ pub struct ArgWindow {
 pub struct Chunk {
     pub pieces: Vec<Piece>,
     /// Owner-computes windows, one per modifying argument (empty for
-    /// every other lowering). A windowed chunk holds plain `Range` /
-    /// `List` pieces of a single loop.
+    /// every other lowering).
     pub mask: Vec<ArgWindow>,
 }
 
@@ -136,123 +118,60 @@ impl Chunk {
     }
 }
 
-/// One barrier-delimited group of mutually conflict-free chunks.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Level {
-    pub chunks: Vec<Chunk>,
-}
-
 /// Which lowering produced a schedule — carried for tracing/diagnostics,
 /// never consulted by the executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleKind {
-    /// A plain range or index list: one level, one chunk.
+    /// A plain range or index list: one chunk.
     Direct,
-    /// The block colouring ([`crate::par::colored_schedule`]): level per
-    /// colour.
-    Colored { block_size: usize },
+    /// Direct blocks ([`crate::par::blocked_schedule`]): one range chunk
+    /// per `block_size` iterations.
+    Blocked { block_size: usize },
     /// Owner-computes lowering of iterations `[start, end)`
-    /// ([`crate::par::owned_schedule`]): one level, one windowed chunk
-    /// per thread, cut iterations executed by every chunk they
-    /// increment into.
+    /// ([`crate::par::owned_schedule`]): one windowed chunk per thread,
+    /// cut iterations executed by every chunk they increment into.
     Owned { start: usize, end: usize },
 }
 
-/// An executable schedule over an `n_loops`-long chain (1 for a single
-/// loop). See the module docs for the level/chunk semantics.
+/// An executable schedule of one loop: chunks that may run concurrently,
+/// in any order. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
-    /// Number of chain loops the pieces index into.
-    pub n_loops: usize,
     /// Provenance tag for traces.
     pub kind: ScheduleKind,
-    /// Barrier-ordered levels.
-    pub levels: Vec<Level>,
+    /// Mutually independent chunks.
+    pub chunks: Vec<Chunk>,
 }
 
 impl Schedule {
-    /// A single loop over `[start, end)`: one level, one chunk.
+    /// A single loop over `[start, end)`: one chunk.
     pub fn range(start: usize, end: usize) -> Schedule {
-        Schedule {
-            n_loops: 1,
-            kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![Chunk::new(vec![Piece::Range {
-                    loop_idx: 0,
-                    start: start as u32,
-                    end: end.max(start) as u32,
-                }])],
-            }],
-        }
+        Schedule::direct(Piece::Range {
+            start: start as u32,
+            end: end.max(start) as u32,
+        })
     }
 
-    /// A single loop over an explicit iteration list: one level, one
-    /// chunk.
+    /// A single loop over an explicit iteration list: one chunk.
     pub fn list(iters: Vec<u32>) -> Schedule {
+        Schedule::direct(Piece::List { iters })
+    }
+
+    fn direct(piece: Piece) -> Schedule {
         Schedule {
-            n_loops: 1,
             kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![Chunk::new(vec![Piece::List {
-                    loop_idx: 0,
-                    iters,
-                }])],
-            }],
+            chunks: vec![Chunk::new(vec![piece])],
         }
     }
 
-    /// Bucket `units` (given in sequential order) by their conflict
-    /// `levels` into a leveled schedule over an `accesses.len()`-long
-    /// chain: one level per distinct value, ascending, units keeping
-    /// their order within a level. The single constructor of every
-    /// order-preserving leveled lowering, and therefore where the
-    /// conflict rule is audited: in debug builds
-    /// [`levels_valid`] re-checks `levels` pair by pair against
-    /// `accesses`, the descriptors they were computed under (see
-    /// [`crate::conflict`]).
-    pub fn from_levels(
-        kind: ScheduleKind,
-        units: Vec<Chunk>,
-        levels: &[u32],
-        accesses: &[Vec<ConflictAccess<'_>>],
-        set_sizes: &[usize],
-    ) -> Schedule {
-        debug_assert!(
-            levels_valid(&units, levels, accesses, set_sizes),
-            "{kind:?}: conflicting units share a level or descend"
-        );
-        let n_levels = levels.iter().max().map_or(0, |&l| l as usize + 1);
-        let mut buckets = vec![Level::default(); n_levels];
-        for (unit, &l) in units.into_iter().zip(levels) {
-            buckets[l as usize].chunks.push(unit);
-        }
-        buckets.retain(|l| !l.chunks.is_empty());
-        Schedule {
-            n_loops: accesses.len(),
-            kind,
-            levels: buckets,
-        }
-    }
-
-    /// Number of barrier-delimited levels.
-    pub fn n_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Total chunk count across all levels.
+    /// Number of chunks.
     pub fn n_chunks(&self) -> usize {
-        self.levels.iter().map(|l| l.chunks.len()).sum()
+        self.chunks.len()
     }
 
-    /// Total iterations scheduled for chain loop `loop_idx`.
-    pub fn loop_iters(&self, loop_idx: usize) -> usize {
-        self.levels
-            .iter()
-            .flat_map(|l| &l.chunks)
-            .flat_map(|c| &c.pieces)
-            .filter(|p| p.loop_idx() == loop_idx)
-            .map(Piece::len)
-            .sum()
+    /// Total iterations scheduled, redundant ones included.
+    pub fn iters(&self) -> usize {
+        self.chunks.iter().map(Chunk::iters).sum()
     }
 
     /// Iterations executed more than once: an owner-computes schedule
@@ -261,32 +180,28 @@ impl Schedule {
     pub fn redundant_iters(&self) -> usize {
         match self.kind {
             ScheduleKind::Owned { start, end } => {
-                self.loop_iters(0).saturating_sub(end.saturating_sub(start))
+                self.iters().saturating_sub(end.saturating_sub(start))
             }
             _ => 0,
         }
     }
 
     /// The owner-computes construction invariant, checked against the
-    /// loop the schedule will run: a single level whose chunks carry
+    /// loop the schedule will run: chunks that carry
     /// ascending, pairwise disjoint windows over exactly the loop's
     /// modifying arguments (all `Inc` through a map), visit iterations of
     /// `[start, end)` in ascending order, and between them leave every
     /// (iteration, modifying argument) pair unmasked **exactly once** —
-    /// so same-level chunks write disjoint elements and each element
+    /// so the chunks write disjoint elements and each element
     /// receives its increments from one chunk in sequential order.
     /// Schedules of any other kind must carry no windows at all.
     pub fn windows_valid(&self, bound: &BoundLoop) -> bool {
-        let chunks = || self.levels.iter().flat_map(|l| &l.chunks);
         let ScheduleKind::Owned { start, end } = self.kind else {
-            return chunks().all(|c| c.mask.is_empty());
+            return self.chunks.iter().all(|c| c.mask.is_empty());
         };
-        let Some(first) = chunks().next() else {
+        let Some(first) = self.chunks.first() else {
             return start >= end;
         };
-        if self.levels.len() != 1 {
-            return false;
-        }
         // The windowed arguments are exactly the loop's modifying ones,
         // each an `Inc` through a map (a global reduction would race
         // across chunks).
@@ -308,7 +223,7 @@ impl Schedule {
         let n_mask = first.mask.len();
         let mut unmasked = vec![0u8; end.saturating_sub(start) * n_mask];
         let mut prev: Option<&Chunk> = None;
-        for chunk in chunks() {
+        for chunk in &self.chunks {
             let same_args = chunk.mask.len() == n_mask
                 && chunk.mask.iter().zip(&first.mask).all(|(a, b)| a.arg == b.arg);
             let ascending = prev
@@ -320,15 +235,8 @@ impl Schedule {
             let mut last: Option<usize> = None;
             for piece in &chunk.pieces {
                 let iters: Box<dyn Iterator<Item = usize> + '_> = match piece {
-                    Piece::Range {
-                        loop_idx: 0,
-                        start,
-                        end,
-                    } => Box::new(*start as usize..*end as usize),
-                    Piece::List { loop_idx: 0, iters } => {
-                        Box::new(iters.iter().map(|&e| e as usize))
-                    }
-                    _ => return false,
+                    Piece::Range { start, end } => Box::new(*start as usize..*end as usize),
+                    Piece::List { iters } => Box::new(iters.iter().map(|&e| e as usize)),
                 };
                 for e in iters {
                     if e < start || e >= end || last.is_some_and(|l| l >= e) {
@@ -354,17 +262,15 @@ impl Schedule {
 #[cfg(test)]
 impl Schedule {
     /// The schedule in the two chunk orders the tests walk it in,
-    /// sequentially: as lowered, and with every level's chunks reversed.
-    /// Threads may run a level's chunks in any order, so both walks must
-    /// give the bits of the plain walk whenever same-level chunks are
-    /// independent. Reversal swaps every same-level pair, every time;
-    /// two to four threads on a small host often just run in order.
+    /// sequentially: as lowered, and with its chunks reversed. Threads
+    /// may run the chunks in any order, so both walks must give the bits
+    /// of the plain walk whenever the chunks are independent. Reversal
+    /// swaps every pair, every time; two to four threads on a small host
+    /// often just run in order.
     pub(crate) fn walk_orders(&self) -> [(&'static str, Schedule); 2] {
         let mut reversed = self.clone();
-        for level in &mut reversed.levels {
-            level.chunks.reverse();
-        }
-        [("in order", self.clone()), ("levels reversed", reversed)]
+        reversed.chunks.reverse();
+        [("in order", self.clone()), ("chunks reversed", reversed)]
     }
 }
 
@@ -466,9 +372,9 @@ impl BoundArg {
 /// # Safety contract
 /// The pointers must reference buffers that outlive the `BoundLoop` and
 /// are not reallocated while it is used. Concurrent execution is sound
-/// only under a schedule whose same-level chunks modify disjoint
-/// elements — disjoint blocks under the colored lowering, disjoint
-/// *windows* of each target set under the owner-computes one, where a
+/// only under a schedule whose chunks modify disjoint elements —
+/// disjoint direct blocks, or disjoint *windows* of each target set
+/// under the owner-computes lowering, where a
 /// chunk's out-of-window increments land in its worker's private sink;
 /// all data access is value-based through
 /// [`crate::kernel::Args`], so no references are formed. A declared
@@ -487,8 +393,8 @@ pub struct BoundLoop {
 // `args` holds raw pointers into dat, map and gbl buffers that the
 // struct-level contract keeps alive and unmoved. Callers only share a
 // BoundLoop across threads under a
-// schedule whose same-level chunks modify disjoint elements: disjoint
-// iteration blocks (colored) or disjoint target *windows*
+// schedule whose chunks modify disjoint elements: disjoint direct
+// blocks (no modified dat reached through a map) or disjoint target *windows*
 // with every out-of-window increment diverted to the worker's own sink
 // (owner-computes; `Schedule::windows_valid` is the checkable form).
 // Map and read-only dat buffers are never written during execution.
@@ -732,33 +638,23 @@ impl SchedCtx {
     }
 }
 
-/// Execute one chunk: its pieces in order, on the calling thread, each
-/// whole through its loop's compiled body. `bound[j]` must be the
-/// resolution of chain loop `j`; `ctx` is this worker's windowed-chunk
-/// state.
-pub fn run_chunk(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
-    if !chunk.mask.is_empty() {
-        return run_chunk_masked(bound, chunk, ctx);
-    }
-    for piece in &chunk.pieces {
-        let BoundLoop {
-            kernel,
-            args,
-            prefetch,
-        } = &bound[piece.loop_idx()];
-        kernel.run(args, piece.iters(), None, *prefetch);
-    }
-}
-
-/// [`run_chunk`] for a windowed (owner-computes) chunk: plain pieces of
-/// one loop, every piece through the loop's compiled body under the
-/// chunk's windows (see [`Mask`]).
-fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
-    let Some(first) = chunk.pieces.first() else {
+/// Execute one chunk of `bound`'s schedule: its pieces in order, on the
+/// calling thread, each whole through the loop's compiled body. `ctx`
+/// is this worker's windowed-chunk state.
+pub fn run_chunk(bound: &BoundLoop, chunk: &Chunk, ctx: &mut SchedCtx) {
+    let BoundLoop {
+        kernel,
+        args,
+        prefetch,
+    } = bound;
+    if chunk.mask.is_empty() {
+        for piece in &chunk.pieces {
+            kernel.run(args, piece.iters(), None, *prefetch);
+        }
         return;
-    };
-    let j = first.loop_idx();
-    let BoundLoop { kernel, args, .. } = &bound[j];
+    }
+    // A windowed (owner-computes) chunk: every piece under the chunk's
+    // windows (see `Mask`).
     let SchedCtx { sink, wins, allocs } = ctx;
     wins.clear();
     *allocs += u64::from(wins.capacity() < args.len());
@@ -777,27 +673,22 @@ fn run_chunk_masked(bound: &[BoundLoop], chunk: &Chunk, ctx: &mut SchedCtx) {
         sink: sink.as_mut_ptr(),
     };
     for piece in &chunk.pieces {
-        // The windows index loop `j`'s arguments.
-        assert_eq!(piece.loop_idx(), j, "windowed chunk mixes loops");
         kernel.run(args, piece.iters(), Some(mask), false);
     }
 }
 
-/// Execute a schedule sequentially: levels in order, chunks in order.
-/// This is the reference semantics every threaded execution must match.
-pub fn run_schedule(bound: &[BoundLoop], sched: &Schedule) {
+/// Execute a schedule sequentially, chunk by chunk in order. This is the
+/// reference semantics every threaded execution must match.
+pub fn run_schedule(bound: &BoundLoop, sched: &Schedule) {
     let mut ctx = SchedCtx::new();
     run_schedule_ctx(bound, sched, &mut ctx);
 }
 
 /// [`run_schedule`] with a caller-provided (reusable) worker context —
 /// the zero-allocation steady-state entry point.
-pub fn run_schedule_ctx(bound: &[BoundLoop], sched: &Schedule, ctx: &mut SchedCtx) {
-    debug_assert_eq!(bound.len(), sched.n_loops);
-    for level in &sched.levels {
-        for chunk in &level.chunks {
-            run_chunk(bound, chunk, ctx);
-        }
+pub fn run_schedule_ctx(bound: &BoundLoop, sched: &Schedule, ctx: &mut SchedCtx) {
+    for chunk in &sched.chunks {
+        run_chunk(bound, chunk, ctx);
     }
 }
 
@@ -805,7 +696,7 @@ pub fn run_schedule_ctx(bound: &[BoundLoop], sched: &Schedule, ctx: &mut SchedCt
 pub fn run_loop_schedule(dom: &mut Domain, spec: &LoopSpec, sched: &Schedule) -> crate::seq::LoopResult {
     let mut gbl_bufs: Vec<Vec<f64>> = spec.gbls.iter().map(|g| g.init.clone()).collect();
     let bound = BoundLoop::bind(dom, spec, &mut gbl_bufs);
-    run_schedule(std::slice::from_ref(&bound), sched);
+    run_schedule(&bound, sched);
     crate::seq::LoopResult { gbls: gbl_bufs }
 }
 
@@ -833,9 +724,8 @@ mod tests {
     #[test]
     fn range_schedule_shape() {
         let s = Schedule::range(3, 11);
-        assert_eq!(s.n_levels(), 1);
         assert_eq!(s.n_chunks(), 1);
-        assert_eq!(s.loop_iters(0), 8);
+        assert_eq!(s.iters(), 8);
     }
 
     #[test]
@@ -846,27 +736,16 @@ mod tests {
         assert_eq!(dom.dat(x).data, vec![1.0, 1.0, 1.0, 2.0, 0.0, 1.0]);
     }
 
-    /// Two disjoint chunks on one level, safe to run concurrently: both
-    /// walks equal the plain range walk.
+    /// Two disjoint chunks, safe to run concurrently: both walks equal
+    /// the plain range walk.
     #[test]
     fn threaded_schedule_matches_sequential() {
         let sched = Schedule {
-            n_loops: 1,
             kind: ScheduleKind::Direct,
-            levels: vec![Level {
-                chunks: vec![
-                    Chunk::new(vec![Piece::Range {
-                        loop_idx: 0,
-                        start: 0,
-                        end: 50,
-                    }]),
-                    Chunk::new(vec![Piece::Range {
-                        loop_idx: 0,
-                        start: 50,
-                        end: 100,
-                    }]),
-                ],
-            }],
+            chunks: vec![
+                Chunk::new(vec![Piece::Range { start: 0, end: 50 }]),
+                Chunk::new(vec![Piece::Range { start: 50, end: 100 }]),
+            ],
         };
         let (mut reference, spec, x) = fixture(100);
         run_loop_schedule(&mut reference, &spec, &Schedule::range(0, 100));
@@ -1167,10 +1046,10 @@ mod tests {
         }
 
         /// Every buffer's bits after `run` from the initial values.
-        fn after(&self, run: impl FnOnce(&[BoundLoop])) -> Vec<Vec<u64>> {
+        fn after(&self, run: impl FnOnce(&BoundLoop)) -> Vec<Vec<u64>> {
             let mut bufs = self.bufs.clone();
             let bound = self.bind(&mut bufs);
-            run(std::slice::from_ref(&bound));
+            run(&bound);
             drop(bound);
             bufs.iter()
                 .map(|b| b.iter().map(|v| v.to_bits()).collect())
@@ -1182,7 +1061,7 @@ mod tests {
         fn reference(&self, iters: &[u32]) -> Vec<Vec<u64>> {
             self.after(|bound| {
                 for &e in iters {
-                    bound[0].kernel.elem(&bound[0].args, e as usize);
+                    bound.kernel.elem(&bound.args, e as usize);
                 }
             })
         }
@@ -1221,10 +1100,9 @@ mod tests {
                         let iters = (0..self.n_iter as u32)
                             .filter(|&e| lands_in(e, w[0], w[1]))
                             .collect();
-                        Piece::List { loop_idx: 0, iters }
+                        Piece::List { iters }
                     } else {
                         Piece::Range {
-                            loop_idx: 0,
                             start: 0,
                             end: self.n_iter as u32,
                         }
@@ -1236,12 +1114,11 @@ mod tests {
                 })
                 .collect();
             Schedule {
-                n_loops: 1,
                 kind: ScheduleKind::Owned {
                     start: 0,
                     end: self.n_iter,
                 },
-                levels: vec![Level { chunks }],
+                chunks,
             }
         }
     }
@@ -1288,7 +1165,7 @@ mod tests {
         if let (Some(w), Some(wr)) = (f.windowed(), reference.windowed()) {
             let sched = w.owned();
             let expect = wr.reference(&all);
-            w.after(|b| assert!(sched.windows_valid(&b[0])));
+            w.after(|b| assert!(sched.windows_valid(b)));
             for (walk, sched) in sched.walk_orders() {
                 let got = w.after(|b| run_schedule(b, &sched));
                 assert_eq!(got, expect, "windowed pieces, {walk}");

@@ -312,9 +312,11 @@ mod tests {
     }
 
     /// Threaded safe-mode CA is **bitwise identical** to single-threaded
-    /// CA — the order-preserving block coloring makes thread count
-    /// invisible in the results, through Hydra's relaxed and strict
-    /// chains alike.
+    /// CA through Hydra's relaxed and strict chains alike: the
+    /// owner-computes windows and direct blocks never reorder an update,
+    /// and the loops neither admits (indirect `Rw`, such as `edgelength`
+    /// and `limxp`) run on the rank's own thread, so thread count is
+    /// invisible in the results.
     #[test]
     fn threaded_ca_bitwise_equals_single_threaded() {
         let params = HydraParams::small(7);

@@ -349,9 +349,9 @@ mod tests {
 
     /// Acceptance criterion of the threaded subsystem on the full app:
     /// the CA back-end with 2 and 4 pool threads per rank is **bitwise
-    /// identical** to the single-threaded CA run — every dat, every bit,
-    /// thanks to the order-preserving block coloring. A tiny block size
-    /// forces real multi-color schedules.
+    /// identical** to the single-threaded CA run — every dat, every bit:
+    /// owner-computes windows and direct blocks never reorder an update.
+    /// A tiny block size sends even the short halo ranges to the pool.
     #[test]
     fn threaded_ca_bitwise_equals_single_threaded() {
         let params = MgCfdParams::small(7);

@@ -162,7 +162,7 @@ pub struct RankLayout {
 impl RankLayout {
     /// Local element count (owned plus halo) of every set, in domain
     /// order — the bound on each set's local target index space that the
-    /// conflict inspectors take.
+    /// owner-computes windows take.
     pub fn set_sizes(&self) -> Vec<usize> {
         self.sets.iter().map(|s| s.n_local()).collect()
     }

@@ -39,6 +39,7 @@ use op2_core::schedule::{BoundLoop, MapBinding, Schedule, ScheduleKind};
 use op2_core::{DatId, Domain, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Per-rank state: local data, validity, transport, trace.
 pub struct RankEnv<'a> {
@@ -159,10 +160,10 @@ impl<'a> RankEnv<'a> {
     /// reduction accumulators), one per [`op2_core::GblDecl`].
     ///
     /// With threading active and a range worth splitting, the range is
-    /// lowered for the rank's pool (`build_loop_schedule`,
+    /// lowered for the rank's pool (`lowering`,
     /// cached per (loop, range, block size, width) in the rank's
-    /// [`PlanCache`]) and executed there. Results are bitwise identical
-    /// either way.
+    /// [`PlanCache`]) and executed there, unless its access descriptors
+    /// admit no lowering. Results are bitwise identical either way.
     pub fn exec_range(
         &mut self,
         spec: &LoopSpec,
@@ -186,14 +187,37 @@ impl<'a> RankEnv<'a> {
         gbl_bufs: &mut [Vec<f64>],
         chain: Option<(&ChainPlan, usize)>,
     ) {
-        let Some(block) = self.threaded_block_size(spec, start, end) else {
+        let lowered = self
+            .threaded_block_size(spec, start, end)
+            .and_then(|block| self.lowering(spec, start, end, block, chain));
+        match lowered {
+            Some(low) => {
+                let bound = self.bind_loop(spec, gbl_bufs);
+                self.run_pooled(&spec.name, &bound, &low);
+            }
             // Sequential: the shared [`BoundLoop`] path over one range
             // (there is no second execution loop in the runtime either).
-            if start < end {
-                self.bind_loop(spec, gbl_bufs).run_range(start, end);
-            }
-            return;
-        };
+            None if start < end => self.bind_loop(spec, gbl_bufs).run_range(start, end),
+            None => {}
+        }
+    }
+
+    /// Inspector: the pool lowering of `[start, end)` of `spec` at
+    /// `block` iterations per direct block, from the chain plan's cache
+    /// or the rank's, built on a miss over the rank's localized maps
+    /// ([`thread_schedule`]). `None` when the loop's access descriptors
+    /// admit no lowering: it runs on the rank's own thread. Only
+    /// executable iterations are lowered, so every dereferenced map
+    /// target is a valid local index (the layout invariant the executor
+    /// itself relies on).
+    fn lowering(
+        &mut self,
+        spec: &LoopSpec,
+        start: usize,
+        end: usize,
+        block: usize,
+        chain: Option<(&ChainPlan, usize)>,
+    ) -> Option<Arc<Schedule>> {
         let (cache, owner) = match chain {
             Some((plan, pos)) => (&plan.lowered, pos as u64),
             None => (&self.plans.lowered, loop_signature(spec)),
@@ -205,15 +229,16 @@ impl<'a> RankEnv<'a> {
             block,
             width: self.threading.n_threads,
         };
-        let (low, built) =
-            cache.get_or_build(key, || self.build_loop_schedule(spec, start, end, block));
+        let (low, built) = cache.get_or_build(key, || {
+            let (maps, set_sizes) = (&self.layout.maps, self.layout.set_sizes());
+            thread_schedule(maps, &spec.sig(), start, end, key.width, block, &set_sizes)
+        });
         if built {
             self.plans.stats.color_misses += 1;
         } else {
             self.plans.stats.color_hits += 1;
         }
-        let bound = self.bind_loop(spec, gbl_bufs);
-        self.run_pooled(&spec.name, &[bound], &low);
+        low
     }
 
     /// Should `[start, end)` of `spec` run on the thread pool — and with
@@ -226,32 +251,6 @@ impl<'a> RankEnv<'a> {
         let t = self.threading;
         (t.active() && !spec.has_reduction() && end.saturating_sub(start) > t.block_size)
             .then_some(t.block_size)
-    }
-
-    /// Inspector: lower `[start, end)` of `spec` for this rank's pool
-    /// width over its localized maps ([`thread_schedule`]) —
-    /// owner-computes windows when the access descriptors admit it, the
-    /// block coloring at `block_size` otherwise. Only executable
-    /// iterations are lowered, so every dereferenced map target is a
-    /// valid local index (the layout invariant the executor itself
-    /// relies on).
-    fn build_loop_schedule(
-        &self,
-        spec: &LoopSpec,
-        start: usize,
-        end: usize,
-        block_size: usize,
-    ) -> Schedule {
-        let set_sizes = self.layout.set_sizes();
-        thread_schedule(
-            &self.layout.maps,
-            &spec.sig(),
-            start,
-            end,
-            self.threading.n_threads,
-            block_size,
-            &set_sizes,
-        )
     }
 
     /// Resolve one loop's arguments against this rank's local buffers
@@ -268,39 +267,37 @@ impl<'a> RankEnv<'a> {
         })
     }
 
-    /// Executor: run a loop's lowered schedule level by level on the
-    /// rank's own pool and append its [`ThreadRec`] (per-level wall
-    /// times, per-worker idle time), recorded by how the schedule was
-    /// lowered.
+    /// Executor: run a loop's lowered schedule on the rank's own pool
+    /// and append its [`ThreadRec`] (wall time, per-worker idle time),
+    /// recorded by how the schedule was lowered.
     ///
-    /// Same-level chunks write disjoint elements (race-free): disjoint
-    /// windows under the owner-computes lowering, where each element
-    /// takes its increments from one chunk in ascending iteration order;
-    /// disjoint blocks under the colored fallback, where conflicting
-    /// chunks are ordered by ascending level. Either way per-element
-    /// update order equals the sequential executor's: results are
-    /// bitwise identical for any thread count.
-    fn run_pooled(&mut self, name: &str, bound: &[BoundLoop], low: &Schedule) {
+    /// The chunks write disjoint elements (race-free): disjoint windows
+    /// under the owner-computes lowering, where each element takes its
+    /// increments from one chunk in ascending iteration order; disjoint
+    /// iterations under direct blocks, where no modified dat is reached
+    /// through a map. Either way per-element update order equals the
+    /// sequential executor's: results are bitwise identical for any
+    /// thread count.
+    fn run_pooled(&mut self, name: &str, bound: &BoundLoop, low: &Schedule) {
         let pool = self.threads.pool(self.threading.n_threads);
         let stats = run_schedule_pooled_ctx(&pool, bound, low, &mut self.threads.sched_ctxs);
         let (kind, block_size) = match low.kind {
             ScheduleKind::Owned { .. } => (SchedKind::Owned, 0),
-            ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size),
-            _ => (SchedKind::Colored, 0),
+            ScheduleKind::Blocked { block_size } => (SchedKind::Blocked, block_size),
+            ScheduleKind::Direct => (SchedKind::Blocked, 0),
         };
         let redundant_iters = low.redundant_iters();
-        let iters: usize = (0..low.n_loops).map(|j| low.loop_iters(j)).sum();
         self.trace.threads.push(ThreadRec {
             name: name.to_string(),
-            iters: iters - redundant_iters,
+            iters: low.iters() - redundant_iters,
             redundant_iters,
             n_threads: pool.n_threads(),
             block_size,
             n_chunks: low.n_chunks(),
-            n_levels: low.n_levels(),
+            n_levels: 1,
             kind,
-            level_ns: stats.level_ns,
-            crit_path: low.n_levels(),
+            level_ns: vec![stats.total_ns],
+            crit_path: 1,
             idle_ns: stats.idle_ns,
             steals: vec![0; pool.n_threads()],
         });

@@ -35,12 +35,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Schedule drain selector, kept only so callers that name it still
-/// build: both variants select the one drain, the level-synchronous walk
-/// ([`crate::threads::run_schedule_pooled_ctx`]), so results and traces
-/// are identical under either.
+/// build: both variants select the one drain, one round of a one-level
+/// schedule ([`crate::threads::run_schedule_pooled_ctx`]), so results
+/// and traces are identical under either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// The level-synchronous drain.
+    /// The one drain.
     #[default]
     Levels,
     /// The same drain as [`ExecMode::Levels`].

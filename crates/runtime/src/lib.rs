@@ -31,8 +31,8 @@
 //!   class.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
-//!   (owner-computes windows and colored loop ranges alike) level by
-//!   level, bitwise identical to sequential execution at every
+//!   (owner-computes windows and direct blocks alike) in one round,
+//!   bitwise identical to sequential execution at every
 //!   [`RunOptions::threading`] width.
 //! * [`tuner`] — adaptive dispatch by measurement: times each strict
 //!   chain's first calls as standard (Alg 1) and CA (Alg 2) execution in

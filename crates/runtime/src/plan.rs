@@ -189,7 +189,7 @@ pub struct StaleRead {
 
 /// Which lowering a [`LoweringCache`] entry holds: iterations
 /// `[start, end)` of one loop lowered for a `width`-thread pool
-/// ([`op2_core::par::thread_schedule`]) at `block` iterations per colored
+/// ([`op2_core::par::thread_schedule`]) at `block` iterations per direct
 /// block. `owner` is the loop's chain position in a [`ChainPlan`]'s cache
 /// and its [`loop_signature`] in the [`PlanCache`]'s standalone-loop
 /// cache.
@@ -201,18 +201,20 @@ pub struct LoweringKey {
     pub start: usize,
     /// One past the last iteration.
     pub end: usize,
-    /// Colored-fallback block size.
+    /// Direct-block size.
     pub block: usize,
     /// Pool width (owner-computes lowers one window per thread).
     pub width: usize,
 }
 
 /// The one cache of lowered schedules: key → lowering, each entry built
-/// at most once per cache. Held by every [`ChainPlan`] (chain loops) and
-/// by the rank's [`PlanCache`] (standalone loops).
+/// at most once per cache. An entry is `None` when the loop admits no
+/// lowering and runs on the rank's own thread. Held by every
+/// [`ChainPlan`] (chain loops) and by the rank's [`PlanCache`]
+/// (standalone loops).
 #[derive(Debug, Default)]
 pub struct LoweringCache {
-    map: Mutex<HashMap<LoweringKey, Arc<Schedule>>>,
+    map: Mutex<HashMap<LoweringKey, Option<Arc<Schedule>>>>,
 }
 
 impl LoweringCache {
@@ -221,15 +223,15 @@ impl LoweringCache {
     pub fn get_or_build(
         &self,
         key: LoweringKey,
-        build: impl FnOnce() -> Schedule,
-    ) -> (Arc<Schedule>, bool) {
+        build: impl FnOnce() -> Option<Schedule>,
+    ) -> (Option<Arc<Schedule>>, bool) {
         let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
         if let Some(low) = hit {
             return (low, false);
         }
-        let fresh = Arc::new(build());
+        let fresh = build().map(Arc::new);
         let mut map = self.map.lock().expect("lowering cache poisoned");
-        (Arc::clone(map.entry(key).or_insert(fresh)), true)
+        (map.entry(key).or_insert(fresh).clone(), true)
     }
 }
 
@@ -338,9 +340,11 @@ pub struct PlanStats {
     pub hits: u64,
     /// Chain invocations that built a fresh plan.
     pub misses: u64,
-    /// Threaded executions that reused a cached block coloring.
+    /// Threaded executions that reused a cached pool lowering (or the
+    /// cached verdict that the loop runs on the rank's own thread).
     pub color_hits: u64,
-    /// Threaded executions that ran the block-coloring inspection.
+    /// Threaded executions that built the pool lowering
+    /// ([`op2_core::par::thread_schedule`]).
     pub color_misses: u64,
 }
 
@@ -605,12 +609,13 @@ mod tests {
         let builds = std::cell::Cell::new(0);
         let build = || {
             builds.set(builds.get() + 1);
-            Schedule::range(0, 8)
+            Some(Schedule::range(0, 8))
         };
         let (a, built) = plan.lowered.get_or_build(key, build);
         assert!(built, "first lookup must build");
         let (b, built) = plan.lowered.get_or_build(key, build);
         assert!(!built, "second lookup must hit");
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(builds.get(), 1);
 
@@ -634,12 +639,12 @@ mod tests {
             block: 16,
             width: 2,
         };
-        let build = || Schedule::range(0, 100);
+        let build = || Some(Schedule::range(0, 100));
         let (first, built) = cache.lowered.get_or_build(key, build);
         assert!(built, "first lookup must build");
         let (again, built) = cache.lowered.get_or_build(key, build);
         assert!(!built, "second lookup must hit");
-        assert!(Arc::ptr_eq(&first, &again));
+        assert!(Arc::ptr_eq(&first.unwrap(), &again.unwrap()));
     }
 
     /// A range lowering is per pool width: keys that differ only in
@@ -654,7 +659,7 @@ mod tests {
             block: 16,
             width,
         };
-        let build = || Schedule::range(0, 100);
+        let build = || Some(Schedule::range(0, 100));
         assert!(cache.lowered.get_or_build(key(2), build).1);
         assert!(cache.lowered.get_or_build(key(4), build).1, "another width must miss");
         assert!(!cache.lowered.get_or_build(key(2), build).1);

@@ -53,8 +53,9 @@ use op2_core::Domain;
 use op2_partition::RankLayout;
 use std::sync::{Arc, Mutex};
 
-/// Policy knobs for a supervised run.
-#[derive(Debug, Clone, Default)]
+/// Policy knobs for a supervised run. The default is
+/// [`SuperviseOptions::new`] over [`RunOptions::default`].
+#[derive(Debug, Clone)]
 pub struct SuperviseOptions {
     /// The underlying run options (fault plan, comm policy, threading,
     /// checkpoint cadence) applied to every attempt.
@@ -84,6 +85,14 @@ impl SuperviseOptions {
     pub fn max_recoveries(mut self, n: u32) -> Self {
         self.max_recoveries = n;
         self
+    }
+}
+
+impl Default for SuperviseOptions {
+    /// [`SuperviseOptions::new`] over [`RunOptions::default`]: one
+    /// default, whichever constructor a caller reaches for.
+    fn default() -> Self {
+        SuperviseOptions::new(RunOptions::default())
     }
 }
 
@@ -189,5 +198,20 @@ where
             }
         }
         rollback(&slots);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The derived-looking `default()` and `new(RunOptions::default())`
+    /// are one policy: the same budget, escalation and run options.
+    #[test]
+    fn default_and_new_agree() {
+        let (d, n) = (SuperviseOptions::default(), SuperviseOptions::new(RunOptions::default()));
+        assert_eq!((d.max_recoveries, d.escalate_deadline), (3, true));
+        assert_eq!((d.max_recoveries, d.escalate_deadline), (n.max_recoveries, n.escalate_deadline));
+        assert_eq!(format!("{:?}", d.run), format!("{:?}", n.run));
     }
 }

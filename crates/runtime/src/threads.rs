@@ -3,24 +3,22 @@
 //!
 //! Each rank (already an OS thread under the harness) can spread its
 //! kernel iterations over a pool of worker threads by executing a
-//! lowered [`Schedule`] level by level: within a level, chunks are
-//! claimed from a shared cursor; between levels the pool barriers (a
-//! level of one chunk runs on the caller, no round at all).
-//! Order-preserving lowerings (owner-computes windows, the levelized
-//! block coloring) keep results bitwise identical
-//! to sequential execution for every thread count — see
-//! [`op2_core::schedule`].
+//! lowered [`Schedule`]: its chunks are claimed from a shared cursor in
+//! one round (a schedule of one chunk runs on the caller, no round at
+//! all). Both lowerings (owner-computes windows, direct blocks) keep
+//! results bitwise identical to sequential execution for every thread
+//! count — see [`op2_core::schedule`].
 //!
 //! Each rank **owns** its pool ([`ThreadCtx::pool`]), created lazily at
 //! the rank's configured width. Workers park on their channel between
 //! rounds — no spinning.
 //!
-//! One drain runs a schedule on the pool: the leveled walk
-//! ([`run_schedule_pooled_ctx`], one round per level).
+//! One drain runs a schedule on the pool: [`run_schedule_pooled_ctx`],
+//! one round.
 //!
 //! Control surface: [`crate::harness::RunOptions::threading`] (per
-//! rank; default 1 thread = sequential), which also sets the colored
-//! fallback's [`Threading::block_size`], copied once per run into
+//! rank; default 1 thread = sequential), which also sets the direct
+//! blocks' [`Threading::block_size`], copied once per run into
 //! [`crate::env::RankEnv::threading`].
 
 use op2_core::schedule::{run_chunk, BoundLoop, SchedCtx, Schedule};
@@ -30,17 +28,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Default iterations per coloring block: big enough to amortize the
+/// Default iterations per direct block: big enough to amortize the
 /// per-block claim, small enough to load-balance the tail.
 pub const DEFAULT_BLOCK_SIZE: usize = 256;
 
 /// Threading configuration for one rank's kernel execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Threading {
-    /// Threads executing each colored loop (1 = sequential, the
+    /// Threads executing each lowered loop (1 = sequential, the
     /// pre-subsystem behaviour).
     pub n_threads: usize,
-    /// Iterations per coloring block.
+    /// Iterations per direct block; a range of at most this many
+    /// iterations runs on the rank's own thread.
     pub block_size: usize,
 }
 
@@ -143,8 +142,8 @@ impl ThreadPool {
     /// unique to one concurrent participant, so schedule execution can
     /// give every participant its own context without locking. Tasks
     /// within a round may run concurrently in any order — callers pass
-    /// only mutually race-free work per round (one schedule level's
-    /// chunks), so order within the round is immaterial.
+    /// only mutually race-free work per round (one schedule's chunks),
+    /// so order within the round is immaterial.
     ///
     /// Propagates panics: if any participant's task panics, `run`
     /// finishes the round (other participants keep draining) and then
@@ -229,13 +228,12 @@ fn worker_loop(rx: mpsc::Receiver<Msg>, worker: usize) {
     }
 }
 
-/// What one pooled schedule execution measured: the per-level walls and
-/// the per-worker idle time. `idle_ns[w]` is the total wall minus worker
-/// `w`'s summed chunk-execution time, so it counts barrier waiting.
+/// What one pooled schedule execution measured: the wall and the
+/// per-worker idle time. `idle_ns[w]` is the total wall minus worker
+/// `w`'s summed chunk-execution time, so it counts waiting for the round
+/// to finish.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Wall-clock nanoseconds per level.
-    pub level_ns: Vec<u64>,
     /// Total wall-clock nanoseconds of the execution.
     pub total_ns: u64,
     /// Per-worker idle nanoseconds (`total_ns` − busy).
@@ -270,11 +268,9 @@ impl<'a> CtxSlab<'a> {
     }
 }
 
-/// Execute a lowered [`Schedule`] on a pool, level by level: within a
-/// level, chunks are claimed from the round cursor; the pool barriers
-/// between levels. Returns the per-level walls and per-worker
-/// busy/idle counters ([`ExecStats`]). With an order-preserving
-/// lowering, results are bitwise identical to
+/// Execute a lowered [`Schedule`] of `bound` on a pool: its chunks are
+/// claimed from one round's cursor. Returns the wall and per-worker
+/// busy/idle counters ([`ExecStats`]). Results are bitwise identical to
 /// [`op2_core::schedule::run_schedule`] for any pool width.
 ///
 /// The per-worker contexts are caller-owned, so repeated executions of
@@ -283,40 +279,33 @@ impl<'a> CtxSlab<'a> {
 /// grown to the pool width on entry.
 pub fn run_schedule_pooled_ctx(
     pool: &ThreadPool,
-    bound: &[BoundLoop],
+    bound: &BoundLoop,
     sched: &Schedule,
     ctxs: &mut Vec<SchedCtx>,
 ) -> ExecStats {
-    debug_assert_eq!(bound.len(), sched.n_loops);
     let w_count = pool.n_threads();
     let slab = CtxSlab::new(ctxs, w_count);
     let busy: Vec<AtomicU64> = (0..w_count).map(|_| AtomicU64::new(0)).collect();
-    // Same-level windowed chunks are race-free only if their windows
-    // are disjoint and every increment is kept by exactly one of them.
-    debug_assert!(bound.first().is_none_or(|b| sched.windows_valid(b)));
-    let mut level_ns = Vec::with_capacity(sched.levels.len());
+    // Windowed chunks are race-free only if their windows are disjoint
+    // and every increment is kept by exactly one of them.
+    debug_assert!(sched.windows_valid(bound));
     let t0 = Instant::now();
-    for level in &sched.levels {
-        let l0 = Instant::now();
-        let run = |w: usize, ci: usize| {
-            // SAFETY: see `CtxSlab` — worker `w` owns slot `w`.
-            let ctx = unsafe { &mut *slab.slot(w) };
-            let c0 = Instant::now();
-            run_chunk(bound, &level.chunks[ci], ctx);
-            busy[w].fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        };
-        if level.chunks.len() == 1 {
-            // Nothing to share: the caller runs the chunk as worker 0
-            // instead of waking every worker to find an empty cursor.
-            run(0, 0);
-        } else {
-            pool.run(level.chunks.len(), &run);
-        }
-        level_ns.push(l0.elapsed().as_nanos() as u64);
+    let run = |w: usize, ci: usize| {
+        // SAFETY: see `CtxSlab` — worker `w` owns slot `w`.
+        let ctx = unsafe { &mut *slab.slot(w) };
+        let c0 = Instant::now();
+        run_chunk(bound, &sched.chunks[ci], ctx);
+        busy[w].fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    };
+    if sched.chunks.len() == 1 {
+        // Nothing to share: the caller runs the chunk as worker 0
+        // instead of waking every worker to find an empty cursor.
+        run(0, 0);
+    } else {
+        pool.run(sched.chunks.len(), &run);
     }
     let total_ns = t0.elapsed().as_nanos() as u64;
     ExecStats {
-        level_ns,
         total_ns,
         idle_ns: busy
             .iter()
@@ -462,14 +451,14 @@ mod tests {
         for n_threads in [1usize, 2, 4] {
             let (mut dom, spec, r) = build();
             let n = dom.set(spec.set).size;
-            let sched =
-                op2_core::colored_schedule(dom.maps(), &spec.sig(), 0, n, 8, &dom.set_sizes());
+            let (maps, sizes) = (dom.maps(), dom.set_sizes());
+            let sched = op2_core::thread_schedule(maps, &spec.sig(), 0, n, n_threads, 8, &sizes)
+                .expect("an Inc-only loop lowers owner-computes");
             let mut gbls: Vec<Vec<f64>> = Vec::new();
             let bound = BoundLoop::bind(&mut dom, &spec, &mut gbls);
             let pool = ThreadPool::new(n_threads);
-            let stats =
-                run_schedule_pooled_ctx(&pool, std::slice::from_ref(&bound), &sched, &mut Vec::new());
-            assert_eq!(stats.level_ns.len(), sched.n_levels());
+            let stats = run_schedule_pooled_ctx(&pool, &bound, &sched, &mut Vec::new());
+            assert_eq!(stats.idle_ns.len(), n_threads);
             assert_eq!(dom.dat(r).data, reference, "n_threads={n_threads}");
         }
     }

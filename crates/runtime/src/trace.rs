@@ -193,18 +193,18 @@ pub struct TunerRec {
 /// Which lowering produced a pooled [`op2_core::Schedule`] execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedKind {
-    /// A single loop range lowered through the levelized block coloring
-    /// (the fallback for loops the owner-computes rule does not admit).
+    /// A single loop range split into direct blocks (a loop that
+    /// modifies no dat it reaches through a map).
     #[default]
-    Colored,
-    /// A single loop range lowered owner-computes: one level, one
-    /// windowed chunk per thread.
+    Blocked,
+    /// A single loop range lowered owner-computes: one windowed chunk
+    /// per thread.
     Owned,
 }
 
 /// One pooled [`op2_core::Schedule`] execution — a loop range lowered
-/// owner-computes or colored (see [`crate::threads`]): the schedule shape
-/// plus per-level wall time.
+/// owner-computes or into direct blocks (see [`crate::threads`]): the
+/// schedule shape plus its wall time.
 ///
 /// Equality ignores the *values* in `level_ns` (wall clock varies run to
 /// run) but keeps its *length* — two equal records executed the same
@@ -222,28 +222,28 @@ pub struct ThreadRec {
     pub redundant_iters: usize,
     /// Threads that executed it.
     pub n_threads: usize,
-    /// Iterations per coloring block (0 for owner-computes schedules,
+    /// Iterations per direct block (0 for owner-computes schedules,
     /// which chunk by window, not by block).
     pub block_size: usize,
-    /// Conflict-free chunks across all levels (blocks or windows).
+    /// Independent chunks (blocks or windows).
     pub n_chunks: usize,
-    /// Levels in the schedule (inter-thread synchronisation points).
+    /// Levels in the schedule: always 1 (every pooled schedule is one
+    /// round of independent chunks), kept for readers that sum it.
     pub n_levels: usize,
     /// Which lowering produced the schedule.
     pub kind: SchedKind,
-    /// Wall time per level, nanoseconds: one entry per level (not
+    /// Wall time of the one level, nanoseconds: one entry (not
     /// compared by `==`).
     pub level_ns: Vec<u64>,
     /// Serial depth of the drain: always equal to `n_levels`, kept for
     /// readers that sum it.
     pub crit_path: usize,
     /// Per-worker idle time, nanoseconds: drain wall clock minus the
-    /// worker's summed chunk execution time, so barrier waiting (not
-    /// compared by `==`).
+    /// worker's summed chunk execution time, so waiting for the round to
+    /// finish (not compared by `==`).
     pub idle_ns: Vec<u64>,
-    /// Per-worker chunks stolen: always 0 (the leveled drain claims
-    /// chunks from a shared cursor and never steals), kept for readers
-    /// that sum it.
+    /// Per-worker chunks stolen: always 0 (the drain claims chunks from
+    /// a shared cursor and never steals), kept for readers that sum it.
     pub steals: Vec<u64>,
 }
 
@@ -317,14 +317,14 @@ pub struct RankTrace {
     /// a healthy network; the harness copies them out of the comm layer
     /// when the rank finishes — including when it fails.
     pub comm: crate::comm::CommCounters,
-    /// Plan-cache counters (hits, misses, colorings).
+    /// Plan-cache counters (hits, misses, pool lowerings).
     /// The harness copies them out of [`crate::plan::PlanCache`] when the
     /// rank finishes.
     pub plan: crate::plan::PlanStats,
     /// Adaptive-dispatch decisions, in program order. Empty unless the
     /// program ran chains through [`crate::tuner::Tuner`].
     pub tuner: Vec<TunerRec>,
-    /// Pooled schedule executions (owner-computes and colored loop
+    /// Pooled schedule executions (owner-computes and direct-block loop
     /// ranges), in program order. Empty when the rank ran single-threaded.
     pub threads: Vec<ThreadRec>,
     /// Self-healing counters (checkpoints, rollbacks, replays). All

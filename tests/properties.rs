@@ -168,62 +168,6 @@ proptest! {
         }
     }
 
-    /// The block colouring at block size 1 is a per-iteration colouring
-    /// (a block is an iteration) on random 2-D quad and 3-D tet meshes:
-    /// it covers every iteration once and passes the conflict checker.
-    #[test]
-    fn unit_block_levels_valid(
-        nx in 3usize..9,
-        ny in 3usize..9,
-        nz in 2usize..5,
-        tet in proptest::bool::ANY,
-    ) {
-        use op2::core::conflict::{conflict_accesses, levels_valid};
-        use op2::core::par::{block_units, colored_schedule};
-        use op2::core::{AccessMode as AM, LoopSpec, Piece};
-        use op2::mesh::Tet3D;
-
-        fn noop(_: &op2::core::Args<'_>) {}
-
-        let (mut dom, nodes, edges, e2n) = if tet {
-            let m = Tet3D::generate(nx.min(6), ny.min(6), nz);
-            (m.dom, m.nodes, m.edges, m.e2n)
-        } else {
-            let m = Quad2D::generate(nx, ny);
-            (m.dom, m.nodes, m.edges, m.e2n)
-        };
-        let a = dom.decl_dat_zeros("a", nodes, 1);
-        let spec = LoopSpec::new(
-            "inc",
-            edges,
-            vec![
-                Arg::dat_indirect(a, e2n, 0, AM::Inc),
-                Arg::dat_indirect(a, e2n, 1, AM::Inc),
-            ],
-            noop,
-        );
-        let sig = spec.sig();
-        let n_edges = dom.set(edges).size;
-
-        let set_sizes = dom.set_sizes();
-        let sched = colored_schedule(dom.maps(), &sig, 0, n_edges, 1, &set_sizes);
-        prop_assert_eq!(sched.n_chunks(), n_edges);
-        let mut color = vec![u32::MAX; n_edges];
-        for (l, level) in sched.levels.iter().enumerate() {
-            for chunk in &level.chunks {
-                let [Piece::Range { start, end, .. }] = chunk.pieces[..] else {
-                    panic!("a colored chunk is one range: {chunk:?}");
-                };
-                prop_assert_eq!(end, start + 1);
-                color[start as usize] = l as u32;
-            }
-        }
-        prop_assert!(color.iter().all(|&c| c != u32::MAX), "an iteration is uncovered");
-        let units = block_units(0, n_edges, 1, |start, end| Piece::Range { loop_idx: 0, start, end });
-        let accesses = [conflict_accesses(dom.maps(), &sig)];
-        prop_assert!(levels_valid(&units, &color, &accesses, &set_sizes));
-    }
-
     /// Ownership inheritance covers every set and respects the base
     /// assignment exactly.
     #[test]

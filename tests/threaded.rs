@@ -2,9 +2,10 @@
 //!
 //! The threaded executor's contract is *bitwise identity*: both of its
 //! lowerings — owner-computes windows for loops that modify through
-//! maps by `OP_INC` alone, the levelized block coloring for the rest —
-//! preserve ascending per-element update order, so thread count and
-//! block size are invisible in the results — not "equal up to
+//! maps by `OP_INC` alone, direct blocks for loops that modify no dat
+//! they reach through a map — preserve ascending per-element update
+//! order, and every other loop runs on the rank's own thread, so thread
+//! count and block size are invisible in the results — not "equal up to
 //! reassociation tolerance", equal to the bit. These properties pin
 //! that contract on randomly generated 2-D quad and 3-D tet meshes, for
 //! chains with `OP_INC` through maps, against both the sequential
@@ -201,10 +202,10 @@ proptest! {
                 if n_threads == 1 {
                     prop_assert!(t.threads.is_empty());
                 } else {
-                    // Repeat invocations re-color nothing: at most one
-                    // coloring build per (plan, loop, phase range) plus
-                    // one per standalone loop signature — every further
-                    // colored execution is a cache hit.
+                    // Repeat invocations re-lower nothing: at most one
+                    // lowering per (plan, loop, phase range) plus one
+                    // per standalone loop signature — every further
+                    // pooled execution is a cache hit.
                     let bound = t.plan.misses * 2 * case.chain.len() as u64 + 2;
                     prop_assert!(
                         t.plan.color_misses <= bound,
@@ -215,7 +216,7 @@ proptest! {
         }
     }
 
-    /// The unplanned distributed path (standalone per-rank coloring
+    /// The unplanned distributed path (standalone per-rank lowering
     /// cache, no chain plan) obeys the same contract: 2- and 4-thread
     /// runs are bitwise identical to its single-threaded run and to the
     /// sequential reference.
@@ -597,12 +598,11 @@ fn owned_subrange_with_positive_start() {
     assert_eq!(bits, bits_of(&seq_dom, &[r]));
 }
 
-/// Indirect-`Rw` sweeps: the only pooled shape that lowers to
-/// multi-level colored schedules. An `Inc`-only edge sweep lowers
-/// owner-computes (one level); declaring the endpoints `Rw` makes the
-/// same arithmetic order-dependent by its descriptors, so only the
-/// colored fallback admits it and its levels ladder. The leveled drain
-/// must still equal the sequential walk to the bit.
+/// Indirect-`Rw` sweeps. An `Inc`-only edge sweep lowers owner-computes;
+/// declaring the endpoints `Rw` makes the same arithmetic
+/// order-dependent by its descriptors, so no lowering admits it and it
+/// runs on the rank's own thread, between pooled direct-block
+/// relaxations. The mix must still equal the sequential walk to the bit.
 mod colored_sweeps {
     use super::*;
 
@@ -681,9 +681,9 @@ mod colored_sweeps {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The leveled drain equals the sequential walk to the bit at
-        /// 1/2/4 pool threads, and at least one schedule it drains has
-        /// more than one level.
+        /// Sweeps with pooled relaxations equal the sequential walk to
+        /// the bit at 1/2/4 pool threads; no pooled record names the
+        /// `Rw` sweep, and the relaxations do reach the pool.
         #[test]
         fn leveled_drain_matches_sequential_on_rw_sweeps(
             nx in 4usize..8,
@@ -707,7 +707,7 @@ mod colored_sweeps {
             // The read-write sweeps ladder the chain's halo extent.
             let layouts = build_layouts(&case.dom, &own, 2 * case.sweeps);
 
-            let mut multi_level = false;
+            let mut relax_pooled = false;
             for n_threads in [1usize, 2, 4] {
                 let mut dom = case.dom.clone();
                 let opts = RunOptions::default().threading(Threading { n_threads, block_size: 4 });
@@ -719,14 +719,18 @@ mod colored_sweeps {
                 });
                 prop_assert!(out.all_ok(), "failures: {:?}", out.failures());
                 prop_assert_eq!(&bits_of(&dom, &case.dats), &seq_bits, "{} threads != seq", n_threads);
-                multi_level |= out.traces.iter().flat_map(|t| &t.threads).any(|r| r.n_levels > 1);
+                for r in out.traces.iter().flat_map(|t| &t.threads) {
+                    prop_assert!(r.name != "flux_rw", "an indirect-Rw sweep reached the pool");
+                    prop_assert_eq!((r.kind, r.n_levels), (SchedKind::Blocked, 1));
+                    relax_pooled |= r.name == "relax";
+                }
             }
-            prop_assert!(multi_level, "no multi-level schedule reached the drain");
+            prop_assert!(relax_pooled, "no relaxation reached the pool");
         }
     }
 }
 
-/// `ExecMode::Dataflow` selects the one leveled drain: each app driver
+/// `ExecMode::Dataflow` selects the one drain: each app driver
 /// gives the same bits and the same `ThreadRec`s under either mode.
 mod exec_mode_dataflow_is_the_leveled_drain {
     use super::*;
@@ -738,8 +742,10 @@ mod exec_mode_dataflow_is_the_leveled_drain {
         traces.iter().map(|t| t.threads.clone()).collect()
     }
 
+    /// Four threads, and blocks small enough that the small meshes'
+    /// owner-computes and direct-block loops reach the pool.
     fn modes(exec: ExecMode) -> RunOptions {
-        RunOptions::default().with_threads(4).exec(exec)
+        RunOptions::default().threading(Threading { n_threads: 4, block_size: 16 }).exec(exec)
     }
 
     #[test]
