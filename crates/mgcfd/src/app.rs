@@ -321,45 +321,44 @@ impl MgCfd {
 
     /// One time-marching iteration of the full program: the solver's
     /// V-cycle with the pressure refresh, then the synthetic chain. With
-    /// `ca = true` the V-cycle runs as two CA chains, cut after the
-    /// fine-level residual: `vdown` (`compute_step_factor_l0`,
-    /// `compute_flux_edge_l0`, `boundary_flux_l0`; extents all 1) and
-    /// `vup` (restriction, the coarse levels, prolongation, the fine
-    /// `time_step` and `write_pres`; depth `levels` for `levels ≥ 2`).
-    /// That break is a measured choice (EXPERIMENTS.md): among the
-    /// two-chain splits that fit depth-2 layouts it is the fastest on a
-    /// delayed wire and ties the others elsewhere. With `ca = false`
-    /// the same loops run flattened, in the same order (the OP2
-    /// baseline and the sequential reference).
+    /// `ca = true` the iteration runs as two CA chains, cut at the
+    /// coarsest residual: `vdown` (the fine-level residual, then
+    /// restriction and the flux of each coarser level; extents
+    /// [1, 2, 2, 1, 1] at 2 levels) and `vup` (the coarse updates and
+    /// prolongation back up, the fine `time_step`, `write_pres`, then
+    /// the synthetic `[update, edge_flux] × nchains`; extents
+    /// [2, 2, 2, 2, 2, 2, 1, 2, 1, …] at 2 levels). After the first
+    /// iteration `vdown` finds everything it reads still valid from the
+    /// previous `vup`, so each iteration exchanges once, at `vup`'s
+    /// start. That break is a measured choice (EXPERIMENTS.md): of the
+    /// two whole-iteration splits that fit depth-2 layouts it imports
+    /// the fewer dats, and the two tie on time. With `ca = false` the
+    /// same loops run flattened, in the same order (the OP2 baseline and
+    /// the sequential reference).
     pub fn iteration(&self, ca: bool) -> Vec<Step> {
         let levels = self.params.levels;
-        let mut vcycle = vec![self.step_factor_loop(0), self.flux_loop(0), self.boundary_loop(0)];
-        let fine_residual = vcycle.len();
-        // V-cycle down.
+        let mut program = vec![self.step_factor_loop(0), self.flux_loop(0), self.boundary_loop(0)];
+        // V-cycle down, to the coarsest residual.
         for l in 0..levels - 1 {
-            vcycle.push(self.restrict_loop(l));
-            vcycle.push(self.flux_loop(l + 1));
+            program.push(self.restrict_loop(l));
+            program.push(self.flux_loop(l + 1));
         }
+        let descent = program.len();
         // Coarse updates + prolongation back up.
         for l in (0..levels - 1).rev() {
-            vcycle.push(self.step_factor_loop(l + 1));
-            vcycle.push(self.time_step_loop(l + 1));
-            vcycle.push(self.prolong_loop(l));
+            program.push(self.step_factor_loop(l + 1));
+            program.push(self.time_step_loop(l + 1));
+            program.push(self.prolong_loop(l));
         }
-        vcycle.push(self.time_step_loop(0));
-        vcycle.push(self.write_pres_loop());
-        let synthetic = self.synthetic_chain().expect("synthetic chain is valid");
+        program.push(self.time_step_loop(0));
+        program.push(self.write_pres_loop());
+        program.extend(self.synthetic_chain().expect("synthetic chain is valid").loops);
         if !ca {
-            return vcycle.into_iter().chain(synthetic.loops).map(Step::Loop).collect();
+            return program.into_iter().map(Step::Loop).collect();
         }
-        let vup = vcycle.split_off(fine_residual);
-        let chain =
-            |name, loops| ChainSpec::new(name, loops, None, &[]).expect("V-cycle chain is valid");
-        vec![
-            Step::Chain(chain("vdown", vcycle)),
-            Step::Chain(chain("vup", vup)),
-            Step::Chain(synthetic),
-        ]
+        let vup = program.split_off(descent);
+        let chain = |name, loops| ChainSpec::new(name, loops, None, &[]).expect("MG-CFD chain is valid");
+        vec![Step::Chain(chain("vdown", program)), Step::Chain(chain("vup", vup))]
     }
 
     /// Deepest halo layer any chain of [`MgCfd::iteration`] needs — the
@@ -478,10 +477,13 @@ mod tests {
             })
             .collect();
         let names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["vdown", "vup", "synthetic"]);
-        assert_eq!(chains[0].halo_ext, vec![1, 1, 1]);
-        assert_eq!(chains[1].halo_ext, vec![2, 2, 1, 1, 1, 1, 1]);
-        assert_eq!(chains[2].halo_ext, vec![2, 1, 2, 1]);
+        assert_eq!(names, ["vdown", "vup"]);
+        assert_eq!(chains[0].halo_ext, vec![1, 2, 2, 1, 1]);
+        assert_eq!(chains[1].halo_ext, vec![2, 2, 2, 2, 2, 2, 1, 2, 1]);
+        // `vup` ends with the synthetic chain, loop for loop.
+        let synthetic = app.synthetic_chain().unwrap();
+        let tail = &chains[1].loops[chains[1].len() - synthetic.len()..];
+        assert!(tail.iter().zip(&synthetic.loops).all(|(a, b)| a.name == b.name));
         // The chains cover the flattened program, loop for loop, in order.
         let flat: Vec<&str> = op2
             .iter()
@@ -496,12 +498,28 @@ mod tests {
         assert_eq!(flat.len(), 10 + 2 * app.params.nchains);
     }
 
+    /// The benchmark builds MG-CFD layouts at a literal depth of 2 (its
+    /// workloads use 2 levels): every chain must fit the depth
+    /// `required_depth` reports, whatever the synthetic chain's length.
     #[test]
     fn required_depth_by_levels() {
         for (levels, depth) in [(1, 2), (2, 2), (3, 3)] {
-            let mut p = MgCfdParams::small(9);
-            p.levels = levels;
-            assert_eq!(MgCfd::new(p).required_depth(), depth, "levels = {levels}");
+            for nchains in [1, 4, 8] {
+                let mut p = MgCfdParams::small(9);
+                p.levels = levels;
+                p.nchains = nchains;
+                let app = MgCfd::new(p);
+                assert_eq!(app.required_depth(), depth, "levels = {levels}, nchains = {nchains}");
+                for step in app.iteration(true) {
+                    let Step::Chain(c) = step else { panic!("standalone loop in the CA program") };
+                    assert!(
+                        c.max_halo_layers() <= depth,
+                        "levels = {levels}, nchains = {nchains}: `{}` needs {} > {depth}",
+                        c.name,
+                        c.max_halo_layers()
+                    );
+                }
+            }
         }
     }
 }

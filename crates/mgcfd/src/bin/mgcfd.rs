@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Backends: `seq` (reference), `op2` (Alg 1 per loop), `ca` (Alg 2 for
-//! the V-cycle's two chains and the synthetic chain). `--threads N`
+//! the iteration's two chains: the V-cycle's descent, then its ascent
+//! followed by the synthetic pairs). `--threads N`
 //! runs each rank's kernels on `N` threads (default 1). Prints the final
 //! flow norm, per-backend message statistics and the synthetic chain's
 //! execution plan.

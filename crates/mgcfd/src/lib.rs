@@ -13,10 +13,12 @@
 //!   multigrid restriction/prolongation) plus the paper's synthetic
 //!   `update` / `edge_flux` pair;
 //! * [`app`] — mesh + dats + loop program assembly: the multigrid
-//!   V-cycle, chained for CA as `vdown` and `vup` (depth `levels`, at
-//!   least 2; [`MgCfd::required_depth`]), and the synthetic loop-chain
-//!   with the `nchains` parameter of §4.1.1 (a `[update, edge_flux]`
-//!   pair repeated, forming a single 2·nchains-loop chain with r = 2);
+//!   V-cycle and the synthetic loop-chain with the `nchains` parameter
+//!   of §4.1.1 (a `[update, edge_flux]` pair repeated, forming a single
+//!   2·nchains-loop chain with r = 2). For CA the whole iteration is two
+//!   chains, `vdown` (the descent) and `vup` (the ascent, then the
+//!   synthetic pairs), of depth `levels`, at least 2
+//!   ([`MgCfd::required_depth`]);
 //! * [`mod@run`] — the sequential reference, the one program builder
 //!   ([`job`]: the app's iteration as an [`op2_runtime::Job`]) and the
 //!   one distributed entry point ([`run()`]) used by tests, examples and

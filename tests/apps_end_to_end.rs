@@ -7,7 +7,7 @@ use op2::mgcfd::{self, MgCfd, MgCfdParams};
 use op2::partition::{
     build_layouts, derive_ownership, kway_partition, rcb_partition, rib_partition, RankLayout,
 };
-use op2::runtime::{run_job_supervised, Job, JobRun, RunOptions, SuperviseOptions};
+use op2::runtime::{run_job, run_job_supervised, Job, JobRun, JobStep, RunOptions, SuperviseOptions};
 use op2_mesh::Csr;
 
 fn run_mgcfd(
@@ -128,7 +128,10 @@ fn mgcfd_rank_count_sweep() {
     }
 }
 
-/// Longer synthetic chains stay correct and reduce messages more.
+/// Longer synthetic chains stay correct, and their grouped exchanges
+/// stay the same size: the paper's synthetic chain on its own (§4.1.2),
+/// and the app's `vup`, which runs the V-cycle's ascent and then the
+/// synthetic pairs as one chain.
 #[test]
 fn mgcfd_chain_length_sweep() {
     for nchains in [1, 4, 8] {
@@ -146,13 +149,42 @@ fn mgcfd_chain_length_sweep() {
             norm_close(reference.rms, ca.rms, 1e-10),
             "nchains {nchains}"
         );
-        // The grouped exchange carries dpres (dirtied by write_pres
-        // every iteration, imported to depth 2) — and possibly dres,
-        // though the runtime's multi-level validity usually proves the
-        // previous chain execution left dres deep enough (the paper's
-        // single dirty bit would re-exchange it). Never more than the
-        // 2 dats of §4.1.2, always at depth r = 2.
         for (rank, t) in ca.traces.iter().enumerate() {
+            if layouts[rank].neighbors.is_empty() {
+                continue;
+            }
+            // `vup` imports `flux_l1`, `adt` and `flux` to depth 2 on
+            // every call, whatever `nchains`: `write_pres` computes
+            // `dpres` into the halo inside the chain. The first call
+            // also deepens `q_l1`, which `vdown` fetched to depth 1
+            // only; later calls find it valid from the previous ascent.
+            let vup: Vec<_> = t.chains.iter().filter(|c| c.name == "vup").collect();
+            assert_eq!(vup.len(), iters, "rank {rank} nchains {nchains}");
+            for (i, c) in vup.iter().enumerate() {
+                let want = if i == 0 { 4 } else { 3 };
+                assert_eq!(c.d_exchanged, want, "rank {rank} nchains {nchains}: call {i}");
+                assert_eq!(c.depth, 2, "rank {rank} nchains {nchains}: call {i}");
+            }
+        }
+
+        // The synthetic chain itself, behind the `write_pres` that
+        // dirties `dpres` each iteration. The grouped exchange carries
+        // dpres (imported to depth 2) and possibly dres, though the
+        // runtime's multi-level validity usually proves the previous
+        // chain execution left dres deep enough (the paper's single
+        // dirty bit would re-exchange it). Never more than the 2 dats of
+        // §4.1.2, always at depth r = 2.
+        let mut app = MgCfd::new(params);
+        let layouts = mgcfd_layouts(&app, 4, false);
+        let steps = vec![
+            JobStep::Loop(app.write_pres_loop()),
+            JobStep::Chain(app.synthetic_chain_n(nchains).unwrap()),
+        ];
+        let setup = (0..params.levels).map(|l| JobStep::Loop(app.init_loop(l))).collect();
+        let job = Job::new("synthetic", steps, iters).setup(setup);
+        let out = run_job(&mut app.dom, &layouts, &job, &RunOptions::default())
+            .expect("every rank completes");
+        for (rank, t) in out.traces.iter().enumerate() {
             if layouts[rank].neighbors.is_empty() {
                 continue;
             }

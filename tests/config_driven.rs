@@ -34,7 +34,7 @@ fn mgcfd_config_resolves_and_runs() {
     assert_eq!(chain.max_halo_layers(), 2);
     assert_eq!(chain.halo_ext, vec![2, 1, 2, 1, 2, 1, 2, 1]);
 
-    // The V-cycle chains resolve to exactly the built-in CA program's.
+    // The iteration's chains resolve to exactly the built-in CA program's.
     let flat: Vec<_> = app
         .iteration(false)
         .into_iter()
@@ -46,9 +46,9 @@ fn mgcfd_config_resolves_and_runs() {
     let builtin: Vec<_> = app
         .iteration(true)
         .into_iter()
-        .filter_map(|s| match s {
-            Step::Chain(c) if c.name != "synthetic" => Some(c),
-            _ => None,
+        .map(|s| match s {
+            Step::Chain(c) => c,
+            Step::Loop(l) => panic!("standalone loop `{}` in the CA program", l.name),
         })
         .collect();
     assert_eq!(builtin.len(), 2);
