@@ -1,16 +1,14 @@
 //! Halo-exchange engine micro-benchmarks.
 //!
-//! Four angles on the persistent communication engine:
+//! Three angles on the persistent communication engine:
 //!
-//! * `checksum` — the transport's integrity checksum, run once per
-//!   message in `isend` and once per received copy, over 38 400 values
-//!   (307 200 B): one `hydra-chains` rank's send volume per iteration.
 //! * `buffer_pool` — borrow/return against the per-peer pool vs a fresh
 //!   heap allocation per message: the steady-state cost the pooled
 //!   engine removes from every send.
-//! * `ping_pong` — pack/send/recv/unpack throughput of the transport
-//!   itself at several payload sizes, with buffers circulating through
-//!   the pools (zero allocations after warm-up).
+//! * `ping_pong` — send/recv round trips of the transport itself at
+//!   several payload sizes: the payload moves by pointer, so a round
+//!   costs the channel hand-offs, not the bytes. Buffers circulate
+//!   through the pools (zero allocations after warm-up).
 //! * `executor` — the real planned CA chain round (grouped message per
 //!   neighbour, pooled buffers, arrival-order unpack) vs the flattened
 //!   per-loop path (one message per dat per neighbour) on a 4-rank
@@ -48,17 +46,6 @@ fn bench_buffer_pool(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-fn bench_checksum(c: &mut Criterion) {
-    const VALUES: usize = 38_400;
-    let mut g = c.benchmark_group("checksum");
-    g.throughput(Throughput::Bytes((VALUES * 8) as u64));
-    let data: Vec<f64> = (0..VALUES).map(|i| i as f64 * 0.5).collect();
-    g.bench_function(BenchmarkId::new("values", VALUES), |b| {
-        b.iter(|| op2_runtime::comm::checksum(1, 7, 42, black_box(&data)))
-    });
     g.finish();
 }
 
@@ -170,6 +157,6 @@ fn bench_executor(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_buffer_pool, bench_checksum, bench_ping_pong, bench_executor
+    targets = bench_buffer_pool, bench_ping_pong, bench_executor
 }
 criterion_main!(benches);

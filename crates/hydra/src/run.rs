@@ -3,11 +3,9 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; tuned dispatch of the
-//! *strict* chains through [`Job::dispatch`] (relaxed
-//! chains always keep their pinned-extent executor); supervision by
-//! handing [`job`]'s program to [`op2_runtime::run_job_supervised`] and
-//! folding the result with [`RunOutcome::from_job`].
+//! pinning and faults through [`RunOptions`]; supervision by handing
+//! [`job`]'s program to [`op2_runtime::run_job_supervised`] and folding
+//! the result with [`RunOutcome::from_job`].
 
 use crate::app::{ExtentMode, Hydra, Step};
 use op2_core::seq;
@@ -150,24 +148,21 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
-    use op2_runtime::ChainDispatch;
 
-    /// Build `variant`'s job with the given chain dispatch and run it.
+    /// Build `variant`'s job and run it.
     fn go(
         app: &mut Hydra,
         layouts: &[RankLayout],
         variant: Variant,
         iters: usize,
-        dispatch: ChainDispatch,
         opts: &RunOptions,
     ) -> RunOutcome {
-        let job = job(app, variant, iters).dispatch(dispatch);
-        run(app, layouts, &job, opts).expect("every rank completes")
+        run(app, layouts, &job(app, variant, iters), opts).expect("every rank completes")
     }
 
     fn run_op2(app: &mut Hydra, layouts: &[RankLayout], iters: usize) -> RunOutcome {
         let (v, opts) = (Variant::Op2 { stages: 1 }, RunOptions::default());
-        go(app, layouts, v, iters, ChainDispatch::Planned, &opts)
+        go(app, layouts, v, iters, &opts)
     }
 
     fn run_ca(
@@ -177,7 +172,7 @@ mod tests {
         mode: ExtentMode,
     ) -> RunOutcome {
         let opts = RunOptions::default();
-        go(app, layouts, Variant::ca(mode), iters, ChainDispatch::Planned, &opts)
+        go(app, layouts, Variant::ca(mode), iters, &opts)
     }
 
     fn layouts_for(app: &Hydra, nparts: usize, depth: usize) -> Vec<RankLayout> {
@@ -270,47 +265,6 @@ mod tests {
         assert!(total_stale > 0, "expected counted stale reads");
     }
 
-    /// The adaptive back-end matches the sequential reference in safe
-    /// mode; the four in-loop chains get rank-agreed tuner decisions
-    /// after their six probe calls, the once-run setup chains are never
-    /// decided, and repeat iterations hit the plan cache.
-    #[test]
-    fn tuned_matches_sequential() {
-        let params = HydraParams::small(7);
-        let iters = 7;
-
-        let mut seq_app = Hydra::new(params);
-        let s = run_sequential(&mut seq_app, iters, 1);
-
-        let mut app = Hydra::new(params);
-        let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
-        let safe = Variant::ca(ExtentMode::Safe);
-        let c = go(&mut app, &l, safe, iters, ChainDispatch::Tuned, &RunOptions::default());
-        assert!(c.norm.is_finite());
-        assert!(
-            (s.norm - c.norm).abs() <= 1e-10 * s.norm.abs().max(1e-30),
-            "adaptive norm diverged: {} vs {}",
-            c.norm,
-            s.norm
-        );
-
-        let first = &c.traces[0].tuner;
-        let decided: Vec<&str> = first.iter().map(|r| r.chain.as_str()).collect();
-        assert_eq!(decided, ["vflux", "iflux", "gradl", "jacob"]);
-        for t in &c.traces[1..] {
-            assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
-        }
-        // Repeat iterations re-dispatch the same chains: plans amortize.
-        for t in &c.traces {
-            assert!(
-                t.plan.hits > 0,
-                "rank {}: expected plan-cache hits, {:?}",
-                t.rank,
-                t.plan
-            );
-        }
-    }
-
     /// Threaded safe-mode CA is **bitwise identical** to single-threaded
     /// CA through Hydra's relaxed and strict chains alike: the
     /// owner-computes windows and direct blocks never reorder an update,
@@ -331,7 +285,7 @@ mod tests {
         let threading = op2_runtime::Threading { n_threads: 4, block_size: 16 };
         let opts = RunOptions::default().threading(threading);
         let safe = Variant::ca(ExtentMode::Safe);
-        let out = go(&mut app, &l, safe, iters, ChainDispatch::Planned, &opts);
+        let out = go(&mut app, &l, safe, iters, &opts);
 
         assert_eq!(
             out.norm.to_bits(),

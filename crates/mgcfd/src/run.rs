@@ -3,9 +3,7 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; tuned chain dispatch
-//! (`ChainDispatch::Tuned`, which times both backends on the chain's
-//! first calls) through [`Job::dispatch`]; supervision by handing
+//! pinning and faults through [`RunOptions`]; supervision by handing
 //! [`job`]'s program to [`op2_runtime::run_job_supervised`] and folding
 //! the result with [`RunOutcome::from_job`].
 
@@ -127,29 +125,27 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-    use op2_runtime::{Backend, ChainDispatch, FaultPlan, FaultSpec, Threading};
+    use op2_runtime::Threading;
 
-    /// Build `variant`'s job with the given chain dispatch and run it.
+    /// Build `variant`'s job and run it.
     fn go(
         app: &mut MgCfd,
         layouts: &[RankLayout],
         variant: Variant,
         iters: usize,
-        dispatch: ChainDispatch,
         opts: &RunOptions,
     ) -> RunOutcome {
-        let job = job(app, variant, iters).dispatch(dispatch);
-        run(app, layouts, &job, opts).expect("every rank completes")
+        run(app, layouts, &job(app, variant, iters), opts).expect("every rank completes")
     }
 
     fn run_op2(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
         let opts = RunOptions::default();
-        go(app, layouts, Variant::Op2, iters, ChainDispatch::Planned, &opts)
+        go(app, layouts, Variant::Op2, iters, &opts)
     }
 
     fn run_ca(app: &mut MgCfd, layouts: &[RankLayout], iters: usize) -> RunOutcome {
         let opts = RunOptions::default();
-        go(app, layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts)
+        go(app, layouts, Variant::Ca, iters, &opts)
     }
 
     fn layouts_for(app: &MgCfd, nparts: usize) -> Vec<RankLayout> {
@@ -289,70 +285,6 @@ mod tests {
         }
     }
 
-    /// The adaptive back-end matches the sequential reference and makes
-    /// the identical decision on every rank. Seven iterations: six probe
-    /// calls, then a decided one.
-    #[test]
-    fn tuned_matches_sequential_with_identical_decisions() {
-        let params = MgCfdParams::small(7);
-        let iters = 7;
-        let mut seq_app = MgCfd::new(params);
-        let reference = run_sequential(&mut seq_app, iters);
-
-        let mut app = MgCfd::new(params);
-        let layouts = layouts_for(&app, 4);
-        let out = go(&mut app, &layouts, Variant::Ca, iters, ChainDispatch::Tuned, &RunOptions::default());
-        let err = (reference.rms - out.rms).abs() / reference.rms.abs().max(1e-30);
-        assert!(err < 1e-10, "adaptive back-end diverged: {err}");
-
-        let first = &out.traces[0].tuner;
-        let names: Vec<&str> = first.iter().map(|t| t.chain.as_str()).collect();
-        assert_eq!(names, ["vdown", "vup"], "each chain is decided once");
-        for t in &out.traces[1..] {
-            assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
-        }
-    }
-
-    /// The probes measure wall-clock, which a journaled replay cannot
-    /// reproduce: the supervised hosts refuse a tuned job, typed.
-    #[test]
-    fn tuned_job_is_rejected_under_supervision() {
-        let mut app = MgCfd::new(MgCfdParams::small(6));
-        let layouts = layouts_for(&app, 2);
-        let tuned = job(&app, Variant::Ca, 1).dispatch(ChainDispatch::Tuned);
-        let sopts = op2_runtime::SuperviseOptions::default();
-        let out = op2_runtime::run_job_supervised(&mut app.dom, &layouts, &tuned, &sopts);
-        assert!(matches!(out, Err(RuntimeError::Core(_))), "{out:?}");
-    }
-
-    /// With every message delayed by up to 2 ms, `vup`'s loops flattened
-    /// exchange several times (the ascent's and each `edge_flux`'s) where
-    /// the CA chain sends one grouped message: the timed probes pick Ca
-    /// for it, on every rank.
-    #[test]
-    fn tuner_picks_ca_when_messages_are_slow() {
-        let mut params = MgCfdParams::small(6);
-        params.nchains = 4;
-        let mut app = MgCfd::new(params);
-        let layouts = layouts_for(&app, 2);
-        let opts = RunOptions {
-            faults: Some(std::sync::Arc::new(FaultPlan::new(FaultSpec {
-                delay_permille: 1000,
-                max_delay: std::time::Duration::from_millis(2),
-                ..FaultSpec::default()
-            }))),
-            ..RunOptions::default()
-        };
-        let out = go(&mut app, &layouts, Variant::Ca, 7, ChainDispatch::Tuned, &opts);
-        let first = &out.traces[0].tuner;
-        assert_eq!(first.len(), 2, "{first:?}");
-        let vup = first.iter().find(|t| t.chain == "vup").expect("vup decided");
-        assert_eq!(vup.backend, Backend::Ca, "{first:?}");
-        for t in &out.traces[1..] {
-            assert_eq!(&t.tuner, first, "rank {} decided differently", t.rank);
-        }
-    }
-
     /// Acceptance criterion of the threaded subsystem on the full app:
     /// the CA back-end with 2 and 4 pool threads per rank is **bitwise
     /// identical** to the single-threaded CA run — every dat, every bit:
@@ -372,7 +304,7 @@ mod tests {
             let layouts = layouts_for(&app, 4);
             let threading = Threading { n_threads, block_size: 16 };
             let opts = RunOptions::default().threading(threading);
-            let out = go(&mut app, &layouts, Variant::Ca, iters, ChainDispatch::Planned, &opts);
+            let out = go(&mut app, &layouts, Variant::Ca, iters, &opts);
             assert_eq!(
                 out.rms.to_bits(),
                 reference.rms.to_bits(),

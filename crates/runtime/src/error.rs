@@ -14,7 +14,7 @@ use std::fmt;
 /// Errors surfaced while executing a distributed program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// Transport failure (timeout, tag mismatch, corruption, hangup).
+    /// Transport failure (timeout, tag mismatch, hangup).
     Comm(CommError),
     /// A core-layer declaration/validation error reached the runtime.
     Core(CoreError),
@@ -179,7 +179,6 @@ mod tests {
             from: 3,
             tag: 9,
             waited: Duration::from_millis(5),
-            retries: 2,
         });
         let s = e.to_string();
         assert!(s.contains("communication failed"), "{s}");

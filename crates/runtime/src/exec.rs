@@ -66,8 +66,8 @@ pub fn exchange_list(env: &RankEnv<'_>, spec: &LoopSpec, ext: usize) -> Vec<(Dat
 /// Algorithm 1: execute one loop with per-loop halo exchange and
 /// latency hiding. Returns final global-argument values (reductions are
 /// summed across ranks deterministically). Transport failures —
-/// timeouts, hangups, corruption beyond the retry budget — surface as
-/// [`RuntimeError`]s instead of panics.
+/// timeouts, hangups, tag mismatches — surface as [`RuntimeError`]s
+/// instead of panics.
 pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, RuntimeError> {
     // Post-rollback replay: serve the journaled result (no execution,
     // no communication, no boundary crossing).

@@ -112,7 +112,7 @@ impl RunOptions {
 pub struct DistOutcome<R> {
     /// Per-rank instrumentation, indexed by rank. Present for failed
     /// ranks too (whatever they recorded before dying), including the
-    /// transport recovery counters in [`RankTrace::comm`].
+    /// transport counters in [`RankTrace::comm`].
     pub traces: Vec<RankTrace>,
     /// Per-rank program verdicts, indexed by rank.
     pub results: Vec<Result<R, RankFailure>>,
@@ -147,15 +147,6 @@ impl<R> DistOutcome<R> {
             panic!("{} rank(s) failed:\n  {}", errs.len(), errs.join("\n  "));
         }
         out
-    }
-
-    /// Summed transport recovery counters across all ranks.
-    pub fn total_comm_counters(&self) -> crate::comm::CommCounters {
-        let mut total = crate::comm::CommCounters::default();
-        for t in &self.traces {
-            total.add(&t.comm);
-        }
-        total
     }
 }
 

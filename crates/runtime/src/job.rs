@@ -8,12 +8,10 @@
 //! [`exec_job_program`] is the only function in the workspace that walks
 //! a step list calling the executors.
 //!
-//! How a *strict* chain step is dispatched — the planned Alg 2 executor
-//! or the measuring [`Tuner`] — is one field of the job
-//! ([`ChainDispatch`]), read by the interpreter; relaxed
-//! chains always run [`run_chain_relaxed`] (their pinned extents are an
-//! accuracy contract, not a performance choice). Threading, drain
-//! policy and fault plans stay where they were: in the caller's
+//! A strict chain step always runs the planned Alg 2 executor
+//! ([`run_chain`]); a relaxed one runs [`run_chain_relaxed`] (its pinned
+//! extents are an accuracy contract, not a performance choice).
+//! Threading, drain policy and fault plans stay in the caller's
 //! [`RunOptions`].
 //!
 //! Two hosts run a job on a distributed world and fold the per-rank
@@ -33,8 +31,6 @@ use crate::exec::{run_chain, run_chain_relaxed, run_loop};
 use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
 use crate::supervise::{run_supervised, SuperviseOptions};
 use crate::trace::RankTrace;
-use crate::tuner::Tuner;
-use op2_core::error::CoreError;
 use op2_core::{ChainSpec, Domain, LoopSpec};
 use op2_partition::RankLayout;
 
@@ -43,25 +39,10 @@ use op2_partition::RankLayout;
 pub enum JobStep {
     /// A standard Alg 1 loop ([`run_loop`]).
     Loop(LoopSpec),
-    /// A strict CA chain, dispatched per the job's [`ChainDispatch`].
+    /// A strict CA chain ([`run_chain`]).
     Chain(ChainSpec),
     /// A relaxed (paper-mode) CA chain ([`run_chain_relaxed`]).
     ChainRelaxed(ChainSpec),
-}
-
-/// How the interpreter executes a job's *strict* chain steps.
-#[derive(Debug, Clone, Default)]
-pub enum ChainDispatch {
-    /// The planned Alg 2 executor ([`run_chain`]).
-    #[default]
-    Planned,
-    /// The adaptive back-end: a per-rank [`Tuner`] times each chain's
-    /// first calls on both backends (flattened Alg 1 and Alg 2, in turn)
-    /// and dispatches the rest to the faster. Decisions are rank-agreed
-    /// and recorded in the traces' `tuner` lists. The probes measure
-    /// wall-clock, which a journaled replay cannot reproduce, so the
-    /// supervised hosts reject tuned jobs.
-    Tuned,
 }
 
 /// A program over a mesh.
@@ -78,8 +59,6 @@ pub struct Job {
     pub finish: Vec<JobStep>,
     /// Iteration count.
     pub iters: usize,
-    /// How strict chain steps execute.
-    pub dispatch: ChainDispatch,
 }
 
 impl Job {
@@ -104,12 +83,6 @@ impl Job {
         self.finish = finish;
         self
     }
-
-    /// Strict-chain dispatch (builder style).
-    pub fn dispatch(mut self, dispatch: ChainDispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
 }
 
 /// Execute one job's program on a rank env — **the** instruction
@@ -121,11 +94,7 @@ pub fn exec_job_program(
     env: &mut RankEnv<'_>,
     job: &Job,
 ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-    let mut tuner = match job.dispatch {
-        ChainDispatch::Tuned => Some(Tuner::default()),
-        ChainDispatch::Planned => None,
-    };
-    let mut exec_step = |env: &mut RankEnv<'_>, step: &JobStep| {
+    let exec_step = |env: &mut RankEnv<'_>, step: &JobStep| {
         Ok::<_, RuntimeError>(match step {
             JobStep::Loop(l) => run_loop(env, l)?.gbls,
             JobStep::ChainRelaxed(c) => {
@@ -133,10 +102,7 @@ pub fn exec_job_program(
                 Vec::new()
             }
             JobStep::Chain(c) => {
-                match tuner.as_mut() {
-                    Some(t) => t.run_chain(env, c)?,
-                    None => run_chain(env, c)?,
-                }
+                run_chain(env, c)?;
                 Vec::new()
             }
         })
@@ -200,13 +166,5 @@ pub fn run_job_supervised(
     job: &Job,
     opts: &SuperviseOptions,
 ) -> Result<JobRun, RuntimeError> {
-    if matches!(job.dispatch, ChainDispatch::Tuned) {
-        return Err(CoreError::InvalidChain(format!(
-            "job `{}`: tuned chain dispatch decides on wall-clock and cannot be replayed \
-             under supervision",
-            job.name
-        ))
-        .into());
-    }
     run_supervised(dom, layouts, opts, |env| exec_job_program(env, job)).and_then(JobRun::collect)
 }

@@ -34,10 +34,6 @@
 //!   (owner-computes windows and direct blocks alike) in one round,
 //!   bitwise identical to sequential execution at every
 //!   [`RunOptions::threading`] width.
-//! * [`tuner`] — adaptive dispatch by measurement: times each strict
-//!   chain's first calls as standard (Alg 1) and CA (Alg 2) execution in
-//!   turn, dispatches the rest to the faster on every rank, and records
-//!   each decision in the trace.
 //! * [`checkpoint`] — chain-boundary checkpointing: epoch-tagged,
 //!   incremental (dirty-tracked) in-memory snapshots of each rank's dat
 //!   state, plus the unit journal that makes replay bit-exact.
@@ -79,7 +75,6 @@ pub mod plan;
 pub mod supervise;
 pub mod threads;
 pub mod trace;
-pub mod tuner;
 
 pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
@@ -89,7 +84,7 @@ pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
-pub use job::{exec_job_program, run_job, run_job_supervised, ChainDispatch, Job, JobRun, JobStep};
+pub use job::{exec_job_program, run_job, run_job_supervised, Job, JobRun, JobStep};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, LoweringKey, PlanCache,
     PlanStats,
@@ -98,6 +93,5 @@ pub use supervise::{run_supervised, SuperviseOptions};
 pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};
 pub use trace::{
     ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
-    ThreadRec, TunerRec,
+    ThreadRec,
 };
-pub use tuner::{Backend, Tuner};

@@ -32,19 +32,15 @@ pub struct ExchangeRec {
     /// reproduces — the paper's Tables 2/5 use ≤ 128 ranks per trace).
     pub nbr_bits: u128,
     /// Wall time spent packing send payloads, nanoseconds (the measured
-    /// side of Eq 3's per-byte pack cost `c`). Excludes the send-side
-    /// checksum `isend` computes, which falls in the calling loop's or
-    /// chain's wall outside this and the other two timers. Not compared
-    /// by `==`.
+    /// side of Eq 3's per-byte pack cost `c`). Not compared by `==`.
     pub pack_ns: u64,
     /// Wall time spent unpacking received payloads, nanoseconds. Not
     /// compared by `==`.
     pub unpack_ns: u64,
     /// Wall time in the receive calls for neighbour messages (excluding
     /// unpack), nanoseconds. Not only time blocked on a peer: it
-    /// includes receiving and verifying the checksum of every copy
-    /// (discarded ones too) and any injected delay the receiver sleeps
-    /// out. Not compared by `==`.
+    /// includes any injected delay the receiver sleeps out. Not compared
+    /// by `==`.
     pub wait_ns: u64,
 }
 
@@ -171,25 +167,6 @@ impl ChainRec {
     }
 }
 
-/// One adaptive-dispatch decision made by [`crate::tuner::Tuner`].
-///
-/// The times are the best of each backend's compared probe calls after
-/// the allreduce-max, so the whole record is identical on every rank.
-/// They are wall-clock and vary between runs; loop/chain trace records
-/// never carry wall-clock values, keeping the replay-determinism tests
-/// meaningful.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TunerRec {
-    /// Chain name.
-    pub chain: String,
-    /// Backend every later call of the chain dispatches to.
-    pub backend: crate::tuner::Backend,
-    /// Best flattened (Alg 1) probe, nanoseconds, max over ranks.
-    pub t_op2_ns: u64,
-    /// Best CA (Alg 2) probe, nanoseconds, max over ranks.
-    pub t_ca_ns: u64,
-}
-
 /// Which lowering produced a pooled [`op2_core::Schedule`] execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SchedKind {
@@ -312,18 +289,14 @@ pub struct RankTrace {
     pub loops: Vec<LoopRec>,
     /// CA chain executions, in program order.
     pub chains: Vec<ChainRec>,
-    /// Transport recovery counters (retries, timeouts, discarded
-    /// corrupt/duplicate copies, injected faults observed). All zero on
-    /// a healthy network; the harness copies them out of the comm layer
-    /// when the rank finishes — including when it fails.
+    /// Transport counters (timeouts, delayed messages, hangups seen,
+    /// payload-pool misses). The harness copies them out of the comm
+    /// layer when the rank finishes — including when it fails.
     pub comm: crate::comm::CommCounters,
     /// Plan-cache counters (hits, misses, pool lowerings).
     /// The harness copies them out of [`crate::plan::PlanCache`] when the
     /// rank finishes.
     pub plan: crate::plan::PlanStats,
-    /// Adaptive-dispatch decisions, in program order. Empty unless the
-    /// program ran chains through [`crate::tuner::Tuner`].
-    pub tuner: Vec<TunerRec>,
     /// Pooled schedule executions (owner-computes and direct-block loop
     /// ranges), in program order. Empty when the rank ran single-threaded.
     pub threads: Vec<ThreadRec>,

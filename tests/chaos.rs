@@ -4,19 +4,15 @@
 //! `cargo test` exercises it as part of tier-1, while
 //! `--no-default-features` builds can skip it.
 //!
-//! Three behaviours are pinned down:
+//! Two behaviours are pinned down:
 //!
-//! 1. **Lossy-but-live links are invisible to the numerics**: with
-//!    drops, duplicates, corruption and delays injected (but no
-//!    permanent loss), the run matches the sequential reference
-//!    *exactly*, and the recovery counters prove faults actually fired.
-//! 2. **A rank crash mid-program is contained**: the dead rank is
+//! 1. **A rank crash mid-program is contained**: the dead rank is
 //!    reported by name as a typed [`RankFailure::Panicked`], survivors
 //!    unwind promptly via hangup (well inside the receive deadline),
 //!    and the harness returns instead of deadlocking.
-//! 3. **A silent peer is a typed timeout**: a blackholed link plus a
-//!    stalled sender surfaces as [`CommError::Timeout`] naming the peer
-//!    and the wait, bounded by the configured deadline.
+//! 2. **A silent peer is a typed timeout**: a sender stalled past the
+//!    receiver's deadline surfaces as [`CommError::Timeout`] naming the
+//!    peer and the wait, bounded by the configured deadline.
 
 #![cfg(feature = "chaos")]
 
@@ -52,7 +48,6 @@ struct Setup {
     /// each chain execution genuinely exchanges.
     bump: LoopSpec,
     chain: ChainSpec,
-    dats: Vec<op2::core::DatId>,
 }
 
 fn setup(nparts: usize) -> Setup {
@@ -99,74 +94,10 @@ fn setup(nparts: usize) -> Setup {
         layouts,
         bump,
         chain,
-        dats: vec![dseed, a, b],
     }
 }
 
-/// Acceptance 1: drops + duplicates + corruption + delays (all
-/// recoverable — no blackholes, no crashes) leave the results bitwise
-/// equal to the sequential reference, and the recovery counters are
-/// nonzero, proving the faults actually exercised the retry paths.
-#[test]
-fn lossy_network_matches_sequential_exactly() {
-    let iters = 6;
-    let Setup {
-        mut mesh,
-        layouts,
-        bump,
-        chain,
-        dats,
-    } = setup(4);
-
-    let mut seq_dom = mesh.dom.clone();
-    for _ in 0..iters {
-        op2::core::seq::run_loop(&mut seq_dom, &bump);
-        for l in &chain.loops {
-            op2::core::seq::run_loop(&mut seq_dom, l);
-        }
-    }
-
-    let spec = FaultSpec {
-        drop_permille: 300,
-        dup_permille: 300,
-        corrupt_permille: 300,
-        delay_permille: 300,
-        max_delay: Duration::from_micros(300),
-        ..FaultSpec::chaos(0xc0ffee)
-    };
-    let opts = RunOptions::with_faults(FaultPlan::new(spec));
-    let out = run_distributed_with(&mut mesh.dom, &layouts, &opts, |env| {
-        for _ in 0..iters {
-            run_loop(env, &bump)?;
-            run_chain(env, &chain)?;
-        }
-        Ok(())
-    });
-    assert!(out.all_ok(), "failures: {:?}", out.failures());
-
-    for &d in &dats {
-        assert_eq!(
-            seq_dom.dat(d).data,
-            mesh.dom.dat(d).data,
-            "dat {} diverged under a lossy (but lossless-in-the-limit) link",
-            seq_dom.dat(d).name
-        );
-    }
-
-    // The faults genuinely fired and were recovered from.
-    let c = out.total_comm_counters();
-    assert!(c.any_recovery(), "no recovery recorded: {c:?}");
-    assert!(c.injected_drops > 0, "no drops injected: {c:?}");
-    assert!(c.injected_dups > 0, "no duplicates injected: {c:?}");
-    assert!(c.injected_corrupt > 0, "no corruption injected: {c:?}");
-    assert!(c.retransmits > 0, "no retransmissions: {c:?}");
-    assert!(c.retries > 0, "receiver never discarded and re-waited: {c:?}");
-    assert!(c.corrupt_dropped > 0, "no corrupt copy discarded: {c:?}");
-    assert!(c.duplicates_dropped > 0, "no duplicate discarded: {c:?}");
-    assert_eq!(c.timeouts, 0, "recoverable faults must not time out: {c:?}");
-}
-
-/// Acceptance 2: a rank crashing mid-program (at a chain boundary)
+/// Acceptance 1: a rank crashing mid-program (at a chain boundary)
 /// terminates the whole run promptly — well within one receive deadline
 /// — with a typed per-rank error naming the crashed rank. Survivors
 /// either finish or unwind with `PeerHangup` on the dead rank.
@@ -248,10 +179,9 @@ fn crash_mid_chain_is_contained_and_prompt() {
     assert!(hangups > 0, "no rank observed the crash hangup");
 }
 
-/// Acceptance 3: a silent-but-alive peer (blackholed link + stalled
-/// sender) surfaces as a typed `Timeout` naming the peer, after the
-/// configured deadline and bounded retries — not a deadlock, not a
-/// panic.
+/// Acceptance 2: a silent-but-alive peer (a sender stalled past the
+/// deadline) surfaces as a typed `Timeout` naming the peer, after the
+/// configured deadline — not a deadlock, not a panic.
 #[test]
 fn blackholed_link_times_out_with_typed_error() {
     let Setup {
@@ -263,14 +193,11 @@ fn blackholed_link_times_out_with_typed_error() {
     } = setup(2);
 
     let deadline = Duration::from_millis(250);
-    // Rank 1 transmits into a black hole towards rank 0, and stalls
-    // after its first loop for longer than rank 0's deadline, so rank 0
-    // times out before rank 1's eventual exit hangup could arrive.
-    let spec = FaultSpec {
-        blackhole: vec![(1, 0)],
-        ..FaultSpec::default()
-    }
-    .with_stall(1, Boundary::new(BoundaryKind::Loop, 0), Duration::from_secs(2));
+    // Rank 1 stalls after its first loop (a direct one, which exchanges
+    // nothing) for longer than rank 0's deadline, so rank 0 times out
+    // waiting for the chain's exchange before rank 1 sends anything or
+    // exits.
+    let spec = FaultSpec::default().with_stall(1, Boundary::new(BoundaryKind::Loop, 0), Duration::from_secs(2));
     let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig { deadline });
 
     let t0 = Instant::now();

@@ -303,17 +303,16 @@ proptest! {
 
     /// Fault injection is deterministic: replaying the same seeded
     /// [`FaultPlan`] over the same program yields bit-identical traces —
-    /// same loop/chain records, same recovery counters per rank — and
-    /// bit-identical data, regardless of thread scheduling. The faults
-    /// are recoverable (no blackholes/crashes), so the results also
-    /// equal the sequential reference exactly.
+    /// same loop/chain records, same transport counters per rank — and
+    /// bit-identical data, regardless of thread scheduling. A delay
+    /// moves only timing, so the results also equal the sequential
+    /// reference exactly.
     #[test]
     fn fault_replay_is_deterministic(
         fault_seed in 0u64..10_000,
         nparts in 2usize..5,
-        drop in 0u16..400,
-        dup in 0u16..400,
-        corrupt in 0u16..400,
+        delay in 0u16..=1000,
+        max_delay_us in 1u64..300,
     ) {
         use op2::core::{seq, Args, ChainSpec, LoopSpec};
         use op2::runtime::exec::{run_chain, run_loop};
@@ -383,11 +382,10 @@ proptest! {
             let own = derive_ownership(&m.dom, m.nodes, base, nparts);
             let layouts = build_layouts(&m.dom, &own, 2);
             let spec = FaultSpec {
-                drop_permille: drop,
-                dup_permille: dup,
-                corrupt_permille: corrupt,
-                delay_permille: 150,
-                ..FaultSpec::chaos(fault_seed)
+                seed: fault_seed,
+                delay_permille: delay,
+                max_delay: std::time::Duration::from_micros(max_delay_us),
+                ..FaultSpec::default()
             };
             let opts = RunOptions::with_faults(FaultPlan::new(spec));
             let out = run_distributed_with(&mut m.dom, &layouts, &opts, |env| {
@@ -405,7 +403,7 @@ proptest! {
         let (traces_a, data_a, dats, _m) = run();
         let (traces_b, data_b, _, _) = run();
         // Bit-identical replay: full traces (loop/chain records AND
-        // per-rank transport recovery counters) and final data.
+        // per-rank transport counters) and final data.
         prop_assert_eq!(&traces_a, &traces_b);
         prop_assert_eq!(&data_a, &data_b);
 
