@@ -12,7 +12,7 @@ use op2_core::{AccessMode, Arg, Args, DatId, LoopSpec};
 use op2_mesh::{Hex3D, Hex3DParams};
 use op2_partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2_runtime::exec::{run_loop, standalone_extent};
-use op2_runtime::plan::loop_exchange_for;
+use op2_runtime::plan::loop_plan_for;
 use op2_runtime::run_distributed;
 
 fn flux_kernel(args: &Args<'_>) {
@@ -71,9 +71,9 @@ fn bench_overlap(c: &mut Criterion) {
                     env.valid[src2.idx()] = 0;
                     // Wait first, then execute everything — no hiding.
                     // The same cached per-dat exchange `run_loop` posts.
-                    let x = loop_exchange_for(env, &flux2);
-                    let mut rec = x.post(env);
-                    x.complete(env, &mut rec)?;
+                    let plan = loop_plan_for(env, &flux2);
+                    let mut rec = plan.exchange.post(env);
+                    plan.exchange.complete(env, &mut rec)?;
                     let end = env.layout.sets[flux2.set.idx()].exec_end(standalone_extent(&flux2));
                     let mut gbls = Vec::new();
                     env.exec_range(&flux2, 0, end, &mut gbls);

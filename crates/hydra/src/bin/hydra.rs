@@ -147,12 +147,7 @@ fn main() {
     );
     if !outcome.traces.is_empty() {
         let msgs: usize = outcome.traces.iter().map(|t| t.total_msgs()).sum();
-        let stale: usize = outcome
-            .traces
-            .iter()
-            .flat_map(|t| t.chains.iter())
-            .map(|c| c.stale_reads)
-            .sum();
+        let stale: usize = outcome.traces.iter().map(|t| t.stale_reads()).sum();
         println!("messages: {msgs}; tolerated stale reads: {stale}");
     }
 }

@@ -256,12 +256,7 @@ mod tests {
         );
         // Staleness is actually detected somewhere (the weight/period
         // chains pin extents below the transitive requirement).
-        let total_stale: usize = c
-            .traces
-            .iter()
-            .flat_map(|t| t.chains.iter())
-            .map(|cr| cr.stale_reads)
-            .sum();
+        let total_stale: usize = c.traces.iter().map(|t| t.stale_reads()).sum();
         assert!(total_stale > 0, "expected counted stale reads");
     }
 

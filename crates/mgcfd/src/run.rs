@@ -125,7 +125,7 @@ mod tests {
     use super::*;
     use crate::app::MgCfdParams;
     use op2_partition::{build_layouts, derive_ownership, rcb_partition};
-    use op2_runtime::Threading;
+    use op2_runtime::{CallKind, Threading};
 
     /// Build `variant`'s job and run it.
     fn go(
@@ -219,17 +219,13 @@ mod tests {
                 continue;
             }
             // Messages attributable to the synthetic loops:
-            let op2_synthetic: Vec<_> = op2_out.traces[rank]
-                .loops
-                .iter()
-                .filter(|r| r.name == "update" || r.name == "edge_flux")
-                .collect();
-            let op2_msgs: usize = op2_synthetic.iter().map(|r| r.exch.n_msgs).sum();
-            let op2_max = op2_synthetic.iter().map(|r| r.exch.max_msg_bytes).max().unwrap();
-            let vup: Vec<_> = ca_out.traces[rank].chains.iter().filter(|c| c.name == "vup").collect();
-            assert_eq!(vup.len(), iters, "rank {rank}");
-            let ca_msgs: usize = vup.iter().map(|c| c.exch.n_msgs).sum();
-            let ca_max = vup.iter().map(|c| c.exch.max_msg_bytes).max().unwrap();
+            let op2_synthetic = ["update", "edge_flux"]
+                .map(|name| op2_out.traces[rank].totals_of(CallKind::Loop, name).unwrap().exch);
+            let op2_msgs: usize = op2_synthetic.iter().map(|x| x.n_msgs).sum();
+            let op2_max = op2_synthetic.iter().map(|x| x.max_msg_bytes).max().unwrap();
+            let vup = ca_out.traces[rank].totals_of(CallKind::Chain, "vup").unwrap();
+            assert_eq!(vup.calls, iters as u64, "rank {rank}");
+            let (ca_msgs, ca_max) = (vup.exch.n_msgs, vup.exch.max_msg_bytes);
             assert!(
                 ca_msgs < op2_msgs,
                 "rank {rank}: CA {ca_msgs} msgs vs OP2 {op2_msgs}"
@@ -264,17 +260,17 @@ mod tests {
             let op2_loops: Vec<_> = op2_out.traces[rank]
                 .loops
                 .iter()
-                .filter(|r| !r.name.starts_with("init_state") && r.name != "rms_flow")
+                .filter(|r| !r.name.starts_with("init_state") && &*r.name != "rms_flow")
                 .collect();
             assert_eq!(op2_loops.len(), (10 + 2 * params.nchains) * iters, "rank {rank}");
             let op2_msgs: usize = op2_loops.iter().map(|r| r.exch.n_msgs).sum();
             let chains = &ca_out.traces[rank].chains;
-            let names: Vec<&str> = chains.iter().map(|c| c.name.as_str()).collect();
+            let names: Vec<&str> = chains.iter().map(|c| &*c.name).collect();
             assert_eq!(names, ["vdown", "vup"].repeat(iters), "rank {rank}");
             let nbrs = layout.neighbors.len();
             for (i, c) in chains.iter().enumerate() {
                 // The first `vdown` fetches the `q` and `q_l1` that setup wrote.
-                let want = if c.name == "vup" || i == 0 { nbrs } else { 0 };
+                let want = if &*c.name == "vup" || i == 0 { nbrs } else { 0 };
                 assert_eq!(c.exch.n_msgs, want, "rank {rank}: call {i} (`{}`) messages", c.name);
             }
             let ca_msgs: usize = chains.iter().map(|c| c.exch.n_msgs).sum();

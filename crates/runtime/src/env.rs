@@ -97,10 +97,7 @@ impl<'a> RankEnv<'a> {
             comm,
             dats,
             valid,
-            trace: RankTrace {
-                rank: layout.rank,
-                ..Default::default()
-            },
+            trace: RankTrace::new(layout.rank),
             plans: PlanCache::new(),
             tag_seq: 0,
             threads: ThreadCtx::default(),

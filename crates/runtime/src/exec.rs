@@ -26,10 +26,11 @@ use crate::env::RankEnv;
 use crate::error::RuntimeError;
 use crate::fault::BoundaryKind;
 use crate::halo::{ExchangePlan, Split};
-use crate::plan::{loop_exchange_for, plan_for};
+use crate::plan::{loop_plan_for, plan_for};
 use crate::trace::{ChainRec, ExchangeRec, LoopRec};
 use op2_core::seq::LoopResult;
 use op2_core::{Arg, ChainSpec, DatId, LoopSpec};
+use std::sync::Arc;
 
 pub use op2_core::chain::{produced_validity, read_requirement};
 
@@ -77,7 +78,8 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
     let t0 = std::time::Instant::now();
     let ext = standalone_extent(spec);
     // One message per (neighbour, dat), from the rank's cache.
-    let exch = loop_exchange_for(env, spec);
+    let plan = loop_plan_for(env, spec);
+    let exch = &plan.exchange;
     debug_assert!(
         exch.import.iter().all(|&(_, d)| d as usize <= env.layout.depth),
         "loop `{}` needs deeper halos than the layout was built with",
@@ -146,8 +148,8 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
         }
     }
 
-    env.trace.loops.push(LoopRec {
-        name: spec.name.clone(),
+    env.trace.record_loop(LoopRec {
+        name: Arc::clone(&plan.name),
         core_iters: core_end,
         halo_iters: exec_end - core_end,
         d_exchanged: exch.import.len(),
@@ -246,13 +248,10 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
     // is unpacked first.
     plan.exchange.complete(env, &mut rec)?;
 
-    // Post-wait phase: halo regions in loop order (lines 14-18).
-    // `per_loop` records (prewait, postwait) iteration counts per loop.
-    let mut per_loop = Vec::with_capacity(chain.len());
+    // Post-wait phase: halo regions in loop order (lines 14-18). The
+    // record's `per_loop` is the plan's (prewait, postwait) split.
     for pos in 0..chain.len() {
-        let (core_end, exec_end) = (plan.core_end[pos], plan.exec_end[pos]);
-        run_range(env, pos, core_end, exec_end);
-        per_loop.push((core_end, exec_end - core_end));
+        run_range(env, pos, plan.core_end[pos], plan.exec_end[pos]);
         env.boundary(BoundaryKind::ChainLoop);
     }
 
@@ -262,9 +261,9 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
         env.ckpt.note_write(d.idx());
     }
 
-    env.trace.chains.push(ChainRec {
-        name: chain.name.clone(),
-        per_loop,
+    env.trace.record_chain(ChainRec {
+        name: Arc::clone(&plan.name),
+        per_loop: Arc::clone(&plan.per_loop),
         d_exchanged: plan.exchange.import.len(),
         depth: plan.depth,
         exch: rec,
@@ -356,9 +355,9 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
         env.boundary(BoundaryKind::ChainLoop);
     }
 
-    env.trace.chains.push(ChainRec {
-        name: chain.name.clone(),
-        per_loop,
+    env.trace.record_chain(ChainRec {
+        name: Arc::from(chain.name.as_str()),
+        per_loop: per_loop.into(),
         d_exchanged: exch.import.len(),
         depth,
         exch: rec,

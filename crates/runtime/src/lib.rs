@@ -20,7 +20,8 @@
 //!   chain, cores of all loops overlapped with it, halo layers executed
 //!   after).
 //! * [`trace`] — instrumentation records: message counts, bytes, core
-//!   and halo iteration counts per loop and per chain.
+//!   and halo iteration counts per loop and per chain, as exact per-name
+//!   totals plus a bounded window of the newest records.
 //! * [`harness`] — `run_distributed`: spawns one thread per rank,
 //!   gathers dats in, scatters owned data back out, and returns the
 //!   traces.
@@ -92,6 +93,6 @@ pub use plan::{
 pub use supervise::{run_supervised, SuperviseOptions};
 pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};
 pub use trace::{
-    ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
+    CallKind, CallTotals, ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
     ThreadRec,
 };

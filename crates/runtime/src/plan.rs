@@ -30,8 +30,12 @@
 //! land in the rank trace so tests can assert that repeat invocations
 //! do **zero** re-analysis. The same cache holds the rest of the rank's
 //! layout-dependent products, uncounted: Alg 1's per-dat exchange plans
-//! ([`loop_exchange_for`]) and the standalone-loop lowerings (a second
+//! ([`loop_plan_for`]) and the standalone-loop lowerings (a second
 //! [`LoweringCache`]).
+//!
+//! A plan also holds what every trace record of its calls shares: the
+//! name and, for a chain, the per-loop (core, halo) split, as `Arc`s, so
+//! recording a call allocates nothing.
 
 use crate::halo::{ExchangePlan, Split};
 use op2_core::chain::{produced_validity, read_requirement};
@@ -141,6 +145,8 @@ pub fn dirty_class(loops: &[LoopSpec], valid: &[u8]) -> u64 {
 /// invocation. Immutable once built; shared via `Arc` out of the cache.
 #[derive(Debug)]
 pub struct ChainPlan {
+    /// The chain's name, shared by every record of its calls.
+    pub name: Arc<str>,
     /// Structure hash (see [`chain_signature`]).
     pub sig: u64,
     /// Dirty-state class (see [`dirty_class`]).
@@ -158,6 +164,9 @@ pub struct ChainPlan {
     pub core_end: Vec<usize>,
     /// Per-loop execute-region end (owned + rings ≤ extent).
     pub exec_end: Vec<usize>,
+    /// Per-loop `(core_end, exec_end - core_end)`: the (core, halo)
+    /// split every record of the plan's calls reports.
+    pub per_loop: Arc<[(usize, usize)]>,
     /// Per-loop read requirements: (dat, required validity depth).
     pub reqs: Vec<Vec<(DatId, u8)>>,
     /// Per-loop produced validity: (dat, validity after the loop).
@@ -315,7 +324,9 @@ impl ChainPlan {
             }
         }
 
+        let per_loop = core_end.iter().zip(&exec_end).map(|(&c, &e)| (c, e - c)).collect();
         ChainPlan {
+            name: Arc::from(chain.name.as_str()),
             sig,
             dirty,
             relaxed,
@@ -324,6 +335,7 @@ impl ChainPlan {
             core_depths,
             core_end,
             exec_end,
+            per_loop,
             reqs,
             produces,
             stale,
@@ -366,7 +378,7 @@ pub struct PlanCache {
     map: HashMap<(u64, u64), Arc<ChainPlan>>,
     /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
     /// plan`: dropped with the chain plans, never counted in `stats`.
-    loops: HashMap<(u64, u64), Arc<ExchangePlan>>,
+    loops: HashMap<(u64, u64), Arc<LoopPlan>>,
     /// Standalone-loop lowerings, keyed by [`LoweringKey`] with the loop
     /// signature as owner (chain loops keep theirs in the
     /// [`ChainPlan`]).
@@ -418,17 +430,29 @@ pub fn plan_for(
     plan
 }
 
+/// A standalone (Alg 1) loop's cached products under one dirty class.
+#[derive(Debug)]
+pub struct LoopPlan {
+    /// The loop's name, shared by every record of its calls.
+    pub name: Arc<str>,
+    /// The per-dat exchange the loop posts.
+    pub exchange: ExchangePlan,
+}
+
 /// The per-dat (Alg 1) exchange `spec` needs under the rank's current
 /// validity: its [`crate::exec::exchange_list`] depends only on the
 /// loop's structure and its dats' entry validity, so it is derived and
 /// resolved against the layout only on a cache miss.
-pub fn loop_exchange_for(env: &mut crate::env::RankEnv<'_>, spec: &LoopSpec) -> Arc<ExchangePlan> {
+pub fn loop_plan_for(env: &mut crate::env::RankEnv<'_>, spec: &LoopSpec) -> Arc<LoopPlan> {
     let key = (loop_signature(spec), dirty_class(std::slice::from_ref(spec), &env.valid));
     if let Some(x) = env.plans.loops.get(&key) {
         return Arc::clone(x);
     }
     let import = crate::exec::exchange_list(env, spec, crate::exec::standalone_extent(spec));
-    let x = Arc::new(ExchangePlan::build(env.layout, env.dom, import, Split::PerDat));
+    let x = Arc::new(LoopPlan {
+        name: Arc::from(spec.name.as_str()),
+        exchange: ExchangePlan::build(env.layout, env.dom, import, Split::PerDat),
+    });
     env.plans.loops.insert(key, Arc::clone(&x));
     x
 }
@@ -555,7 +579,7 @@ mod tests {
             let k = key(&env);
             crate::exec::run_loop(&mut env, consume).unwrap();
             let x = Arc::clone(&env.plans.loops[&k]);
-            assert_eq!(x.import, vec![(a, 1)]);
+            assert_eq!(x.exchange.import, vec![(a, 1)]);
             assert!(Arc::ptr_eq(first.get_or_insert_with(|| Arc::clone(&x)), &x));
         }
         assert_eq!(env.plans.loops.len(), 1, "one class, one plan");

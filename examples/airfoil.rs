@@ -23,7 +23,7 @@ use op2::core::{kernel, AccessMode, Arg, Args, ChainSpec, GblDecl, LoopSpec};
 use op2::mesh::Quad2D;
 use op2::partition::{build_layouts, derive_ownership, rcb_partition};
 use op2::runtime::exec::{run_chain, run_loop};
-use op2::runtime::run_distributed;
+use op2::runtime::{run_distributed, CallKind};
 
 const GAM: f64 = 1.4;
 
@@ -170,11 +170,9 @@ fn main() {
         Ok(rms)
     });
     let total_msgs: usize = out.traces.iter().map(|t| t.total_msgs()).sum();
-    let chain_msgs: usize = out
-        .traces
-        .iter()
-        .flat_map(|t| t.chains.iter())
-        .map(|c| c.exch.n_msgs)
+    let chain_msgs: usize = (out.traces.iter().flat_map(|t| &t.totals))
+        .filter(|s| s.kind == CallKind::Chain)
+        .map(|s| s.exch.n_msgs)
         .sum();
     let rms = out.unwrap_results()[0];
 

@@ -75,12 +75,7 @@ fn main() {
     let l = layouts_for(&paper_app, nparts, paper_app.required_depth(ExtentMode::Paper));
     let paper = run_variant(&mut paper_app, &l, Variant::ca(ExtentMode::Paper), iters);
     let paper_msgs: usize = paper.traces.iter().map(|t| t.total_msgs()).sum();
-    let stale: usize = paper
-        .traces
-        .iter()
-        .flat_map(|t| t.chains.iter())
-        .map(|c| c.stale_reads)
-        .sum();
+    let stale: usize = paper.traces.iter().map(|t| t.stale_reads()).sum();
     println!(
         "CA (paper extents)    : norm {:.6e}, {paper_msgs} msgs, {stale} stale reads tolerated",
         paper.norm

@@ -158,7 +158,7 @@ fn mgcfd_chain_length_sweep() {
             // `dpres` into the halo inside the chain. The first call
             // also deepens `q_l1`, which `vdown` fetched to depth 1
             // only; later calls find it valid from the previous ascent.
-            let vup: Vec<_> = t.chains.iter().filter(|c| c.name == "vup").collect();
+            let vup: Vec<_> = t.chains.iter().filter(|c| &*c.name == "vup").collect();
             assert_eq!(vup.len(), iters, "rank {rank} nchains {nchains}");
             for (i, c) in vup.iter().enumerate() {
                 let want = if i == 0 { 4 } else { 3 };
@@ -188,7 +188,7 @@ fn mgcfd_chain_length_sweep() {
             if layouts[rank].neighbors.is_empty() {
                 continue;
             }
-            let synthetic: Vec<_> = t.chains.iter().filter(|c| c.name == "synthetic").collect();
+            let synthetic: Vec<_> = t.chains.iter().filter(|c| &*c.name == "synthetic").collect();
             assert_eq!(synthetic.len(), iters, "rank {rank} nchains {nchains}");
             for c in synthetic {
                 assert!(
@@ -336,7 +336,7 @@ fn hydra_vflux_exchanges_five_dats() {
         let vflux = t
             .chains
             .iter()
-            .find(|c| c.name == "vflux")
+            .find(|c| &*c.name == "vflux")
             .expect("vflux chain ran");
         assert_eq!(vflux.d_exchanged, 5, "rank {rank}");
     }
