@@ -167,30 +167,26 @@ impl RankLayout {
         self.sets.iter().map(|s| s.n_local()).collect()
     }
 
-    /// Gather a global dat into this rank's local order.
-    pub fn gather_dat(&self, dom: &Domain, dat: op2_core::DatId) -> Vec<f64> {
-        let d = dom.dat(dat);
-        let sl = &self.sets[d.set.idx()];
-        let mut out = Vec::with_capacity(sl.n_local() * d.dim);
+    /// Gather one dat's global payload (`dim` values per element of
+    /// `set`, in global order) into this rank's local order: owned
+    /// elements, then every import ring.
+    pub fn gather(&self, set: SetId, dim: usize, global: &[f64]) -> Vec<f64> {
+        let sl = &self.sets[set.idx()];
+        let mut out = Vec::with_capacity(sl.n_local() * dim);
         for &g in &sl.locals {
             let g = g as usize;
-            out.extend_from_slice(&d.data[g * d.dim..(g + 1) * d.dim]);
+            out.extend_from_slice(&global[g * dim..(g + 1) * dim]);
         }
         out
     }
 
-    /// Scatter the owned portion of a local dat buffer back to the
-    /// global dat (halos are the owners' responsibility).
-    pub fn scatter_owned(&self, dom: &mut Domain, dat: op2_core::DatId, local: &[f64]) {
-        let (set, dim) = {
-            let d = dom.dat(dat);
-            (d.set, d.dim)
-        };
+    /// Scatter the owned portion of a local dat buffer into the dat's
+    /// global payload (halos are the owners' responsibility).
+    pub fn scatter_owned(&self, set: SetId, dim: usize, local: &[f64], global: &mut [f64]) {
         let sl = &self.sets[set.idx()];
-        let d = dom.dat_mut(dat);
         for (l, &g) in sl.locals[..sl.n_owned].iter().enumerate() {
             let g = g as usize;
-            d.data[g * dim..(g + 1) * dim].copy_from_slice(&local[l * dim..(l + 1) * dim]);
+            global[g * dim..(g + 1) * dim].copy_from_slice(&local[l * dim..(l + 1) * dim]);
         }
     }
 }
@@ -575,12 +571,12 @@ mod tests {
         let d = m.dom.decl_dat("v", m.nodes, 2, vals.clone());
         // Each rank gathers, doubles its owned portion, scatters back.
         for l in &ls {
-            let mut local = l.gather_dat(&m.dom, d);
+            let mut local = l.gather(m.nodes, 2, &m.dom.dat(d).data);
             let sl = &l.sets[m.nodes.idx()];
             for x in &mut local[..sl.n_owned * 2] {
                 *x *= 2.0;
             }
-            l.scatter_owned(&mut m.dom, d, &local);
+            l.scatter_owned(m.nodes, 2, &local, &mut m.dom.dat_mut(d).data);
         }
         let expect: Vec<f64> = vals.iter().map(|v| v * 2.0).collect();
         assert_eq!(m.dom.dat(d).data, expect);

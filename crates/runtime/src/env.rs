@@ -36,7 +36,7 @@ use crate::threads::{run_schedule_pooled_ctx, ThreadCtx, Threading};
 use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::par::thread_schedule;
 use op2_core::schedule::{BoundLoop, MapBinding, Schedule, ScheduleKind};
-use op2_core::{DatId, Domain, LoopSpec};
+use op2_core::{Domain, LoopSpec};
 use op2_partition::layout::RankLayout;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -47,7 +47,10 @@ pub struct RankEnv<'a> {
     pub rank: u32,
     /// The rank's layout (local index spaces, maps, exchange plans).
     pub layout: &'a RankLayout,
-    /// The global domain (metadata only: dims, sets; payload is local).
+    /// The global domain, for its metadata only (sets, maps, dat names
+    /// and dims). Inside a harness world every dat's `data` is empty:
+    /// the harness moved each payload out, and this rank's copy is in
+    /// [`RankEnv::dats`].
     pub dom: &'a Domain,
     /// Transport endpoint.
     pub comm: RankComm,
@@ -83,12 +86,25 @@ pub struct RankEnv<'a> {
 }
 
 impl<'a> RankEnv<'a> {
-    /// Gather this rank's view of every dat and start fully valid (the
-    /// initial gather replicates owner data into every ring).
+    /// Gather this rank's view of every dat from `dom`'s payloads and
+    /// start fully valid (the initial gather replicates owner data into
+    /// every ring).
     pub fn new(layout: &'a RankLayout, dom: &'a Domain, comm: RankComm) -> Self {
-        let dats: Vec<Vec<f64>> = (0..dom.n_dats())
-            .map(|d| layout.gather_dat(dom, DatId(d as u32)))
+        let dats = (dom.dats().iter())
+            .map(|d| layout.gather(d.set, d.dim, &d.data))
             .collect();
+        Self::with_dats(layout, dom, comm, dats)
+    }
+
+    /// A fully valid rank over `dats`, already gathered into `layout`'s
+    /// local order (one buffer per dat of `dom`, by [`RankLayout::gather`]).
+    pub(crate) fn with_dats(
+        layout: &'a RankLayout,
+        dom: &'a Domain,
+        comm: RankComm,
+        dats: Vec<Vec<f64>>,
+    ) -> Self {
+        debug_assert_eq!(dats.len(), dom.n_dats());
         let valid = vec![layout.depth as u8; dom.n_dats()];
         RankEnv {
             rank: layout.rank,

@@ -3,9 +3,19 @@
 //! [`run_distributed`] is the reproduction's `mpirun`: it wires a
 //! [`CommWorld`], spawns one OS thread per rank, hands each a fresh
 //! [`RankEnv`] over its layout, runs the caller's program closure, and
-//! afterwards scatters every **successful** rank's owned data back into
-//! the global domain (halo copies are discarded — owners are
-//! authoritative, exactly as in OP2's fetch semantics).
+//! afterwards scatters every rank's owned data back into the global
+//! domain (halo copies are discarded — owners are authoritative, exactly
+//! as in OP2's fetch semantics).
+//!
+//! While a world runs, every dat exists once, as the ranks' local
+//! copies. Before the ranks spawn, each dat's payload moves out of the
+//! [`Domain`] into one shared buffer; each rank gathers its copy one dat
+//! at a time through [`RankLayout::gather`] and drops its handle as soon
+//! as it has, so the last rank to gather a dat frees it. Inside the
+//! world, `env.dom` holds metadata and empty payloads. After it, the
+//! global payload is rebuilt one dat at a time from every rank's owned
+//! part ([`RankLayout::scatter_owned`]), and each rank buffer is freed as
+//! soon as it has been scattered.
 //!
 //! Unlike a real `mpirun`, a failing rank does not take the job down:
 //! each rank runs under `catch_unwind`, and both panics (including
@@ -14,9 +24,11 @@
 //! exits — success or failure — it broadcasts a hangup sentinel, so
 //! peers blocked on it unwind promptly with
 //! [`PeerHangup`](crate::comm::CommError::PeerHangup) instead of
-//! sitting out their full receive deadline. The data of failed ranks is
-//! *not* scattered back: their owned elements keep the pre-run values,
-//! mirroring the data loss of a real rank failure.
+//! sitting out their full receive deadline. A failed rank's copy is the
+//! only one, so it is scattered back too: its owned elements hold what
+//! the rank had computed when it failed (its pre-run values if it
+//! failed before computing). A supervised restart
+//! ([`crate::supervise`]) rolls them back from its checkpoints.
 //!
 //! [`RunOptions`] is the whole configuration of a run: the harness
 //! copies its threading into every rank's [`RankEnv::threading`] and
@@ -32,6 +44,7 @@ use crate::trace::RankTrace;
 use op2_core::{DatId, Domain};
 use op2_partition::RankLayout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Schedule drain selector, kept only so callers that name it still
@@ -134,6 +147,8 @@ impl<R> DistOutcome<R> {
 
     /// Unwrap every rank's result, panicking with a readable listing if
     /// any rank failed. The shortcut for healthy-network callers.
+    ///
+    /// Invariant: the caller planned no failure, so one is a bug to report.
     pub fn unwrap_results(self) -> Vec<R> {
         let mut out = Vec::with_capacity(self.results.len());
         let mut errs = Vec::new();
@@ -161,9 +176,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Execute `program` on every rank concurrently over a perfect network.
-/// On return, the global domain's dats hold each successful owner's
-/// final values. See [`run_distributed_with`] for fault injection and
-/// receive-policy overrides.
+/// On return, the global domain's dats hold every owner's final values:
+/// a failed rank's owned elements hold what it had when it failed. See
+/// [`run_distributed_with`] for fault injection and receive-policy
+/// overrides.
 pub fn run_distributed<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -178,6 +194,11 @@ where
 
 /// [`run_distributed`] with explicit [`RunOptions`] (fault plan,
 /// receive deadline/retry policy, threading).
+///
+/// The world holds one copy of every dat (module docs): inside it
+/// `dom`'s payloads are empty, and on return they are rebuilt from every
+/// rank's owned elements, failed ranks included, so a failed rank's
+/// owned elements hold what it had computed when it failed.
 pub fn run_distributed_with<F, R>(
     dom: &mut Domain,
     layouts: &[RankLayout],
@@ -188,9 +209,8 @@ where
     F: Fn(&mut RankEnv<'_>) -> Result<R, RuntimeError> + Sync,
     R: Send,
 {
-    // One rank's homeward payload: local dats (successful ranks only),
-    // trace, verdict.
-    type RankYield<R> = (Option<Vec<Vec<f64>>>, RankTrace, Result<R, RankFailure>);
+    // One rank's homeward payload: local dats, trace, verdict.
+    type RankYield<R> = (Vec<Vec<f64>>, RankTrace, Result<R, RankFailure>);
     let nparts = layouts.len();
     assert!(nparts >= 1);
     let world = match &opts.faults {
@@ -200,15 +220,36 @@ where
     .with_config(opts.comm);
     let comms = world.into_ranks();
 
+    // Every payload moves out of the domain; each rank holds one handle
+    // on each until it has gathered that dat.
+    let payloads: Vec<Arc<Vec<f64>>> = (0..dom.n_dats())
+        .map(|d| Arc::new(std::mem::take(&mut dom.dat_mut(DatId(d as u32)).data)))
+        .collect();
+    let mut handles: Vec<Vec<Arc<Vec<f64>>>> = vec![payloads.clone(); nparts - 1];
+    handles.push(payloads);
+    let gathering = AtomicUsize::new(nparts);
+
     let dom_ref: &Domain = dom;
     let program_ref = &program;
-    let mut collected: Vec<Option<RankYield<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
+    let gathering = &gathering;
+    let collected: Vec<RankYield<R>> = std::thread::scope(|scope| {
+        let threads: Vec<_> = comms
             .into_iter()
             .zip(layouts.iter())
-            .map(|(comm, layout)| {
+            .zip(handles)
+            .map(|((comm, layout), globals)| {
                 scope.spawn(move || {
-                    let mut env = RankEnv::new(layout, dom_ref, comm);
+                    // One dat at a time, dropping each handle once it is
+                    // gathered: the last rank to gather a dat frees it,
+                    // and the last rank to finish hands the pages back
+                    // (AcqRel: every other rank's frees happen before it).
+                    let dats = (dom_ref.dats().iter().zip(globals))
+                        .map(|(d, global)| layout.gather(d.set, d.dim, &global))
+                        .collect();
+                    if gathering.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        release_freed_heap();
+                    }
+                    let mut env = RankEnv::with_dats(layout, dom_ref, comm, dats);
                     env.threading = opts.threading;
                     let run = catch_unwind(AssertUnwindSafe(|| program_ref(&mut env)));
                     let verdict = match run {
@@ -234,33 +275,42 @@ where
                     // supervisor's slot — runs for failed ranks too,
                     // since the env survives catch_unwind.
                     env.ckpt_seal();
-                    let dats = verdict.is_ok().then_some(env.dats);
-                    (dats, env.trace, verdict)
+                    (env.dats, env.trace, verdict)
                 })
             })
             .collect();
-        handles
+        threads
             .into_iter()
-            .map(|h| Some(h.join().expect("rank thread died outside catch_unwind")))
+            // Invariant: a rank's program runs under catch_unwind, so only a harness bug gets here.
+            .map(|h| h.join().expect("rank thread died outside catch_unwind"))
             .collect()
     });
 
     // The rank environments are gone, but what they freed stays in the
     // rank threads' malloc arenas. Hand it back before the scatter below
-    // first touches the global dats' zeroed pages, so peak RSS does not
-    // depend on the order in which the ranks exited.
+    // first touches fresh global pages, so peak RSS does not depend on
+    // the order in which the ranks exited.
     release_freed_heap();
+    let mut rank_dats = Vec::with_capacity(nparts);
     let mut traces = Vec::with_capacity(nparts);
     let mut results = Vec::with_capacity(nparts);
-    for (layout, slot) in layouts.iter().zip(collected.iter_mut()) {
-        let (dats, trace, verdict) = slot.take().expect("every rank joined");
-        if let Some(dats) = dats {
-            for (didx, local) in dats.iter().enumerate() {
-                layout.scatter_owned(dom, DatId(didx as u32), local);
-            }
-        }
+    for (dats, trace, verdict) in collected {
+        rank_dats.push(dats);
         traces.push(trace);
         results.push(verdict);
+    }
+    // One dat at a time: a global payload and all its rank copies are
+    // never live together.
+    for d in 0..dom.n_dats() {
+        let id = DatId(d as u32);
+        let (set, dim) = (dom.dat(id).set, dom.dat(id).dim);
+        let mut global = vec![0.0; dom.set(set).size * dim];
+        for (layout, dats) in layouts.iter().zip(&mut rank_dats) {
+            let local = std::mem::take(&mut dats[d]);
+            layout.scatter_owned(set, dim, &local, &mut global);
+        }
+        dom.dat_mut(id).data = global;
+        release_freed_heap();
     }
     DistOutcome { traces, results }
 }
@@ -521,5 +571,98 @@ mod tests {
         ));
         assert!(out.results[1].is_ok());
         assert_eq!(out.failures().len(), 1);
+    }
+
+    /// Inside a world each dat exists once, as the ranks' copies: every
+    /// global payload is empty, and the run hands it back intact.
+    #[test]
+    fn one_copy_payloads_are_empty_inside_a_world() {
+        let (mut m, layouts) = setup(7, 6, 3, 2);
+        let n = m.dom.set(m.nodes).size;
+        let vals = (0..2 * n).map(|i| i as f64 + 0.5).collect();
+        m.dom.decl_dat("v", m.nodes, 2, vals);
+        let before: Vec<Vec<f64>> = m.dom.dats().iter().map(|d| d.data.clone()).collect();
+        run_distributed(&mut m.dom, &layouts, |env| {
+            for d in env.dom.dats() {
+                assert!(d.data.is_empty(), "dat `{}` has a global payload", d.name);
+            }
+            assert!(env.dats.iter().all(|local| !local.is_empty()));
+            Ok(())
+        })
+        .unwrap_results();
+        let after: Vec<Vec<f64>> = m.dom.dats().iter().map(|d| d.data.clone()).collect();
+        assert_eq!(after, before);
+    }
+
+    /// The global payload is rebuilt from the ranks' owned parts alone,
+    /// into fresh zeroed buffers, so those parts must tile every set
+    /// exactly once: a hole would read 0.0 after the world.
+    #[test]
+    fn one_copy_owned_parts_tile_every_set_once() {
+        for (nx, ny, nparts, depth) in [(5, 5, 1, 1), (7, 6, 3, 2), (9, 8, 4, 3)] {
+            let (mut m, layouts) = setup(nx, ny, nparts, depth);
+            for (sidx, set) in m.dom.sets().iter().enumerate() {
+                let mut owners = vec![0u32; set.size];
+                for l in &layouts {
+                    let sl = &l.sets[sidx];
+                    for &g in &sl.locals[..sl.n_owned] {
+                        owners[g as usize] += 1;
+                    }
+                }
+                let name = &set.name;
+                assert!(owners.iter().all(|&c| c == 1), "set `{name}`: {owners:?}");
+            }
+            // Nonzero everywhere, so a hole shows.
+            let e = m.dom.set(m.edges).size;
+            let vals = (0..3 * e).map(|i| i as f64 + 1.0).collect();
+            let w = m.dom.decl_dat("w", m.edges, 3, vals);
+            let before = m.dom.dat(w).data.clone();
+            run_distributed(&mut m.dom, &layouts, |_| Ok(())).unwrap_results();
+            assert_eq!(m.dom.dat(w).data, before, "{nparts} ranks");
+        }
+    }
+
+    /// A rank that fails after its first loop holds the only copy of its
+    /// owned elements, so they come back holding what it computed (here
+    /// the sequential result: the loop completes every owned element).
+    #[test]
+    fn one_copy_failed_rank_keeps_what_it_computed() {
+        use crate::comm::CommError;
+        for panics in [false, true] {
+            let (mut m, layouts) = setup(8, 6, 3, 2);
+            let deg = m.dom.decl_dat_zeros("deg", m.nodes, 1);
+            let spec = LoopSpec::new(
+                "count",
+                m.edges,
+                vec![
+                    Arg::dat_indirect(deg, m.e2n, 0, AccessMode::Inc),
+                    Arg::dat_indirect(deg, m.e2n, 1, AccessMode::Inc),
+                ],
+                count_kernel,
+            );
+            let mut seq_dom = m.dom.clone();
+            op2_core::seq::run_loop(&mut seq_dom, &spec);
+
+            let out = run_distributed(&mut m.dom, &layouts, |env| {
+                run_loop(env, &spec)?;
+                match env.rank {
+                    1 if panics => panic!("deliberate test panic after the first loop"),
+                    1 => Err(RuntimeError::Comm(CommError::PeerHangup { peer: 0 })),
+                    _ => Ok(()),
+                }
+            });
+            match (&out.results[1], panics) {
+                (Err(RankFailure::Panicked { rank: 1, .. }), true)
+                | (Err(RankFailure::Failed { rank: 1, .. }), false) => {}
+                (other, _) => panic!("expected rank 1 to fail, got {other:?}"),
+            }
+            assert!(out.results[0].is_ok() && out.results[2].is_ok());
+            let sl = &layouts[1].sets[m.nodes.idx()];
+            let owned = &sl.locals[..sl.n_owned];
+            let (got, want) = (&m.dom.dat(deg).data, &seq_dom.dat(deg).data);
+            // Rank 1 computed something, and every owner's values came back.
+            assert!(owned.iter().any(|&g| want[g as usize] != 0.0));
+            assert_eq!(got, want);
+        }
     }
 }

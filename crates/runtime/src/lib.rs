@@ -23,8 +23,9 @@
 //!   and halo iteration counts per loop and per chain, as exact per-name
 //!   totals plus a bounded window of the newest records.
 //! * [`harness`] — `run_distributed`: spawns one thread per rank,
-//!   gathers dats in, scatters owned data back out, and returns the
-//!   traces.
+//!   moves every dat's payload out of the domain for the ranks to gather
+//!   (one copy of each dat while the world runs), scatters owned data
+//!   back out, and returns the traces.
 //! * [`plan`] — the inspector–executor plan subsystem: cached
 //!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
 //!   index lists, and every lowered loop range under one
