@@ -1,4 +1,4 @@
-//! Partitioner comparison: speed here, cut quality on stderr.
+//! Partitioners compared: speed here, cut quality on stderr.
 //!
 //! The paper uses ParMETIS k-way for MG-CFD ("best partitions per
 //! process") and recursive inertial bisection for Hydra. This bench

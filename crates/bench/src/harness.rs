@@ -4,7 +4,7 @@
 use mg_cfd::{MgCfd, MgCfdParams};
 use op2_core::LoopSig;
 use op2_mesh::{AnnulusParams, Csr, Hex3DParams};
-use op2_model::components::{chain_components, shape_from_sigs_relaxed, ChainComponents};
+use op2_model::components::{chain_components, shape_from_sigs, ChainComponents};
 use op2_model::Machine;
 use op2_partition::{collect_stats, derive_ownership, kway_partition, rib_partition, HaloStats};
 
@@ -196,7 +196,7 @@ pub fn synthetic_components(
     // latency-hiding core for every loop of the chain (its Table 2 CA
     // cores barely shrink), tolerating bounded staleness — match that.
     let shape =
-        shape_from_sigs_relaxed(&app.dom, "synthetic", &sigs, &chain.halo_ext, &gs, &|_| 0);
+        shape_from_sigs(&app.dom, "synthetic", &sigs, &chain.halo_ext, &gs, &|_| 0);
     chain_components(stats, &shape)
 }
 
@@ -232,7 +232,7 @@ pub fn hydra_chain_components(
     // some chains; the relaxed plan deepens the initial import instead.
     // Coordinates are never modified, hence never exchanged.
     let coords = app.mesh.coords;
-    let shape = shape_from_sigs_relaxed(
+    let shape = shape_from_sigs(
         &app.mesh.dom,
         name,
         &sigs,
@@ -241,19 +241,6 @@ pub fn hydra_chain_components(
         &|d| if d == coords { usize::MAX } else { 0 },
     );
     chain_components(stats, &shape)
-}
-
-/// Pretty-print helpers.
-pub fn fmt_bytes(b: f64) -> String {
-    if b >= 1e9 {
-        format!("{:.2}GB", b / 1e9)
-    } else if b >= 1e6 {
-        format!("{:.2}MB", b / 1e6)
-    } else if b >= 1e3 {
-        format!("{:.1}KB", b / 1e3)
-    } else {
-        format!("{b:.0}B")
-    }
 }
 
 /// Seconds with engineering units.

@@ -135,7 +135,7 @@ impl ChainSpec {
                 accesses.join(" ")
             );
         }
-        let imports = import_depths_relaxed(&sigs, &self.halo_ext, &|_| 0);
+        let imports = import_depths(&sigs, &self.halo_ext, &|_| 0).import;
         let _ = writeln!(
             out,
             "  grouped import (all-dirty entry): {}",
@@ -370,105 +370,93 @@ pub fn produced_validity(mode: AccessMode, indirect: bool, ext: usize) -> Option
     })
 }
 
+/// One read a chain makes beyond what an earlier loop of the same chain
+/// left valid: a config-pinned extent too small for the chain's
+/// dependency depth.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaleRead {
+    /// Chain position of the reading loop.
+    pub pos: usize,
+    /// The dat read.
+    pub dat: DatId,
+    /// Halo depth the loop requires.
+    pub need: u8,
+    /// Halo depth valid at that point.
+    pub have: u8,
+}
+
+/// What [`import_depths`] finds about a chain.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChainImport {
+    /// `(dat, depth)` for every dat the grouped exchange at chain entry
+    /// must deliver, in first-use order.
+    pub import: Vec<(DatId, usize)>,
+    /// Reads beyond in-chain validity, in loop order. Empty on
+    /// consistent extents.
+    pub stale: Vec<StaleRead>,
+}
+
 /// The grouped-import plan of a chain (the inspection side of Alg 2,
-/// lines 1–3): per dat, the depth the initial grouped exchange must
-/// deliver, given each dat's validity at chain entry.
+/// lines 1–3), from one forward walk of its validity.
 ///
-/// Returns `(dat, depth)` pairs for every dat whose entry validity falls
-/// short of its first-use requirement. Panics if the chain's extents are
-/// internally inconsistent (a later loop reads deeper than an earlier
-/// in-chain modification can provide — only possible with manual
-/// overrides pinned too low).
+/// `import` holds, per dat, the depth the initial grouped exchange must
+/// deliver given each dat's validity at chain entry: every dat whose
+/// entry validity falls short of its first-use requirement. Where a
+/// later read requires more than an earlier in-chain modification
+/// produced (an extent pinned too low), the import is deepened to cover
+/// it and the read is recorded in `stale`. The deep rings then hold
+/// *pre-chain* values: exactly the paper's "all communications at the
+/// start of the loop-chain" semantics, which tolerates bounded staleness
+/// on boundary-subset loops (§2.2's order-independence assumption; the
+/// Hydra chains of Tables 3–4 are configured this way). A strict
+/// executor refuses a chain with any stale read; a relaxed one counts
+/// them.
 pub fn import_depths(
     sigs: &[LoopSig],
     extents: &[usize],
     entry_validity: &dyn Fn(DatId) -> usize,
-) -> Vec<(DatId, usize)> {
-    import_depths_mode(sigs, extents, entry_validity, false)
-}
-
-/// [`import_depths`] in *relaxed* mode: when a read's requirement exceeds
-/// what an earlier in-chain modification produced, the initial grouped
-/// import is deepened to cover it instead of panicking. The deep rings
-/// then hold *pre-chain* values — exactly the paper's "all communications
-/// at the start of the loop-chain" semantics, which tolerates bounded
-/// staleness on boundary-subset loops (§2.2's order-independence
-/// assumption; the Hydra chains of Tables 3–4 are configured this way).
-pub fn import_depths_relaxed(
-    sigs: &[LoopSig],
-    extents: &[usize],
-    entry_validity: &dyn Fn(DatId) -> usize,
-) -> Vec<(DatId, usize)> {
-    import_depths_mode(sigs, extents, entry_validity, true)
-}
-
-fn import_depths_mode(
-    sigs: &[LoopSig],
-    extents: &[usize],
-    entry_validity: &dyn Fn(DatId) -> usize,
-    relaxed: bool,
-) -> Vec<(DatId, usize)> {
+) -> ChainImport {
     assert_eq!(sigs.len(), extents.len());
-    #[derive(Clone, Copy)]
-    enum Sim {
-        /// Untouched since chain entry: reads are satisfied by import.
-        Initial,
-        /// Left at this validity by an in-chain modification.
-        Known(usize),
-    }
-    let mut need: Vec<(DatId, usize)> = Vec::new();
-    let mut sim: Vec<(DatId, Sim)> = Vec::new();
+    let mut out = ChainImport::default();
+    // Validity an in-chain modification left behind; a dat absent here
+    // is untouched since entry, so its reads are satisfied by import.
+    let mut known: Vec<(DatId, usize)> = Vec::new();
 
-    for (sig, &ext) in sigs.iter().zip(extents) {
+    for (pos, (sig, &ext)) in sigs.iter().zip(extents).enumerate() {
         for d in sig.dats() {
             let Some((mode, indirect)) = sig.access_of(d) else {
                 continue;
             };
             let req = read_requirement(mode, indirect, ext);
-            let state = sim.iter().find(|(x, _)| *x == d).map(|(_, s)| *s);
-            match state {
-                None | Some(Sim::Initial) => {
-                    if req > 0 {
-                        match need.iter_mut().find(|(x, _)| *x == d) {
-                            Some(entry) => entry.1 = entry.1.max(req),
-                            None => need.push((d, req)),
-                        }
-                    }
-                    if state.is_none() {
-                        sim.push((d, Sim::Initial));
-                    }
+            let covered = match known.iter().find(|(x, _)| *x == d) {
+                Some(&(_, v)) if v < req => {
+                    out.stale.push(StaleRead {
+                        pos,
+                        dat: d,
+                        need: req as u8,
+                        have: v as u8,
+                    });
+                    false
                 }
-                Some(Sim::Known(v)) => {
-                    if v < req {
-                        if relaxed {
-                            // Deepen the initial import: rings beyond the
-                            // in-chain validity carry pre-chain values.
-                            match need.iter_mut().find(|(x, _)| *x == d) {
-                                Some(entry) => entry.1 = entry.1.max(req),
-                                None => need.push((d, req)),
-                            }
-                        } else {
-                            panic!(
-                                "loop `{}` reads a dat at depth {req} but an \
-                                 earlier chain loop left it valid only to {v} \
-                                 — halo extents are inconsistent (overridden \
-                                 too low?)",
-                                sig.name
-                            );
-                        }
-                    }
+                Some(_) => true,
+                None => req == 0,
+            };
+            if !covered {
+                match out.import.iter_mut().find(|(x, _)| *x == d) {
+                    Some(entry) => entry.1 = entry.1.max(req),
+                    None => out.import.push((d, req)),
                 }
             }
             if let Some(v) = produced_validity(mode, indirect, ext) {
-                match sim.iter_mut().find(|(x, _)| *x == d) {
-                    Some(entry) => entry.1 = Sim::Known(v),
-                    None => sim.push((d, Sim::Known(v))),
+                match known.iter_mut().find(|(x, _)| *x == d) {
+                    Some(entry) => entry.1 = v,
+                    None => known.push((d, v)),
                 }
             }
         }
     }
-    need.retain(|&(d, t)| t > entry_validity(d));
-    need
+    out.import.retain(|&(d, t)| t > entry_validity(d));
+    out
 }
 
 /// Latency-hiding core depths per loop of a chain.
@@ -523,41 +511,6 @@ pub fn core_depths(sigs: &[LoopSig]) -> Vec<usize> {
         depth[l] = d_l;
     }
     depth
-}
-
-/// The `halo_exch_dats` step of Alg 2: which dats need their halos
-/// synchronised at chain entry?
-///
-/// A dat is exchanged iff it is *indirectly read* (READ or RW) by some loop
-/// of the chain **and** its halo is dirty at that point — i.e. it was
-/// modified either before the chain (`initially_dirty`) or by an earlier
-/// loop *of the chain* (in which case the redundant computation, not a new
-/// message, satisfies the dependency — but the *initial* import must still
-/// carry it deep enough, so it is included).
-pub fn halo_exch_dats(sigs: &[LoopSig], initially_dirty: &dyn Fn(DatId) -> bool) -> Vec<DatId> {
-    let mut out: Vec<DatId> = Vec::new();
-    // Dats modified so far while scanning the chain in program order.
-    let mut modified: Vec<DatId> = Vec::new();
-    for s in sigs {
-        for d in s.dats() {
-            let Some((mode, indirect)) = s.access_of(d) else {
-                continue;
-            };
-            let reads_halo = indirect && matches!(mode, AccessMode::Read | AccessMode::Rw);
-            // INC also reads prior values in the halo it executes over.
-            let inc_reads = indirect && mode == AccessMode::Inc;
-            if (reads_halo || inc_reads)
-                && (initially_dirty(d) || modified.contains(&d))
-                && !out.contains(&d)
-            {
-                out.push(d);
-            }
-            if mode.modifies() && !modified.contains(&d) {
-                modified.push(d);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -803,8 +756,11 @@ mod tests {
         assert!(text.contains("a@"));
     }
 
+    /// Only dats dirty at entry are imported; a clean dat that an earlier
+    /// loop modifies in-chain is covered by its redundant computation,
+    /// not by the exchange.
     #[test]
-    fn halo_exch_dats_respects_dirty_bits() {
+    fn import_respects_dirty_bits() {
         let consume = sig(
             "consume",
             EDGES,
@@ -813,40 +769,89 @@ mod tests {
                 Arg::dat_indirect(dpres(), e2n(), 0, AccessMode::Read),
             ],
         );
-        // Only dres is dirty on entry: only it is exchanged.
-        let dirty = |d: DatId| d == dres();
-        let got = halo_exch_dats(std::slice::from_ref(&consume), &dirty);
-        assert_eq!(got, vec![dres()]);
-        // A clean dat modified by an earlier chain loop and read later is
-        // also included (the initial import must be deep enough).
+        // Only dres is dirty on entry: only it is imported.
+        let entry = |d: DatId| if d == dres() { 0 } else { usize::MAX };
+        let got = import_depths(std::slice::from_ref(&consume), &[1], &entry);
+        assert_eq!(got.import, vec![(dres(), 1)]);
+        assert!(got.stale.is_empty());
         let produce = sig(
             "produce",
             EDGES,
             vec![Arg::dat_indirect(dpres(), e2n(), 0, AccessMode::Inc)],
         );
-        let got = halo_exch_dats(&[produce, consume], &dirty);
-        assert!(got.contains(&dpres()));
+        let sigs = [produce, consume];
+        let got = import_depths(&sigs, &calc_halo_extents(&sigs), &entry);
+        assert_eq!(got.import, vec![(dres(), 1)]);
+        assert!(got.stale.is_empty());
     }
 
+    /// An INC over a dirty dat reads its prior halo values, so the dat
+    /// is imported to one ring short of the loop's extent.
     #[test]
-    fn inc_of_dirty_dat_requires_exchange() {
-        // An INC over a dirty dat reads its prior halo values, so the dat
-        // must be imported.
+    fn inc_of_dirty_dat_is_imported() {
         let inc = sig(
             "inc",
             EDGES,
             vec![Arg::dat_indirect(dres(), e2n(), 0, AccessMode::Inc)],
         );
-        let got = halo_exch_dats(&[inc], &|_| true);
-        assert_eq!(got, vec![dres()]);
-        let got = halo_exch_dats(
-            &[sig(
-                "inc",
+        let sigs = std::slice::from_ref(&inc);
+        assert_eq!(import_depths(sigs, &[2], &|_| 0).import, vec![(dres(), 1)]);
+        assert!(import_depths(sigs, &[2], &|_| 1).import.is_empty());
+        // At extent 1 an INC consumes no prior halo values at all.
+        assert!(import_depths(sigs, &[1], &|_| 0).import.is_empty());
+    }
+
+    /// The one walk on an under-pinned chain: `produce` is pinned to
+    /// extent 1 where `consume`'s read of `a` at extent 2 needs 3. The
+    /// import is deepened to cover the read, and the read is reported
+    /// stale exactly once.
+    #[test]
+    fn walk_deepens_import_and_reports_the_stale_read() {
+        const NODES: u32 = 1;
+        let (a, b, tmp, c) = (DatId(0), DatId(1), DatId(2), DatId(3));
+        let inc = |d| Arg::dat_indirect(d, e2n(), 0, AccessMode::Inc);
+        let sigs = [
+            sig("produce", EDGES, vec![inc(a)]),
+            sig(
+                "consume",
                 EDGES,
-                vec![Arg::dat_indirect(dres(), e2n(), 0, AccessMode::Inc)],
-            )],
-            &|_| false,
+                vec![Arg::dat_indirect(a, e2n(), 0, AccessMode::Read), inc(b)],
+            ),
+            sig(
+                "stage",
+                NODES,
+                vec![
+                    Arg::dat_direct(b, AccessMode::Read),
+                    Arg::dat_direct(tmp, AccessMode::Write),
+                ],
+            ),
+            sig(
+                "apply",
+                NODES,
+                vec![
+                    Arg::dat_direct(tmp, AccessMode::Read),
+                    Arg::dat_direct(c, AccessMode::Rw),
+                ],
+            ),
+        ];
+        assert_eq!(calc_halo_extents(&sigs), vec![3, 2, 1, 1]);
+        let pinned = [1, 2, 1, 1];
+        let got = import_depths(&sigs, &pinned, &|_| 0);
+        assert_eq!(got.import, vec![(a, 2), (b, 1), (c, 1)]);
+        assert_eq!(
+            got.stale,
+            vec![StaleRead {
+                pos: 1,
+                dat: a,
+                need: 2,
+                have: 0,
+            }]
         );
-        assert!(got.is_empty());
+        assert_eq!(sigs[got.stale[0].pos].name, "consume");
+        // On the analysis' own extents nothing is stale: `produce`'s INC
+        // at extent 3 consumes the same import of `a` itself.
+        let got = import_depths(&sigs, &calc_halo_extents(&sigs), &|_| 0);
+        assert!(got.stale.is_empty());
+        assert_eq!(got.import, vec![(a, 2), (b, 1), (c, 1)]);
     }
 }

@@ -87,7 +87,9 @@ pub mod schedule;
 pub mod seq;
 
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
-pub use chain::{calc_halo_extents, calc_halo_layers, halo_exch_dats, import_depths, import_depths_relaxed, ChainSpec, HaloLayers};
+pub use chain::{
+    calc_halo_extents, calc_halo_layers, import_depths, ChainImport, ChainSpec, HaloLayers, StaleRead,
+};
 pub use config::{parse_chain_config, ChainConfig};
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};
 pub use error::{CoreError, Result};

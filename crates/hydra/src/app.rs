@@ -596,7 +596,9 @@ mod tests {
         let app = Hydra::new(HydraParams::small(6));
         let chain = app.chain("vflux", ExtentMode::Safe).unwrap();
         let sigs = chain.sigs();
-        let imports = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &|_| 0);
+        let walk = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &|_| 0);
+        assert!(walk.stale.is_empty(), "{:?}", walk.stale);
+        let imports = walk.import;
         let mut names: Vec<&str> = imports
             .iter()
             .map(|(d, _)| app.mesh.dom.dat(*d).name.as_str())

@@ -426,9 +426,10 @@ mod tests {
             let app = MgCfd::new(p);
             let chain = app.synthetic_chain().unwrap();
             let sigs = chain.sigs();
-            let imports =
-                op2_core::chain::import_depths(&sigs, &chain.halo_ext, &|_| 0usize);
-            let mut named: Vec<(String, usize)> = imports
+            let walk = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &|_| 0usize);
+            assert!(walk.stale.is_empty(), "nchains = {nchains}: {:?}", walk.stale);
+            let mut named: Vec<(String, usize)> = walk
+                .import
                 .into_iter()
                 .map(|(d, t)| (app.dom.dat(d).name.clone(), t))
                 .collect();

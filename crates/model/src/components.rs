@@ -12,7 +12,7 @@
 //! for each component (the critical path).
 
 use crate::eqs::{CaChainInput, LoopInput};
-use op2_core::chain::{core_depths, import_depths, import_depths_relaxed, produced_validity, read_requirement};
+use op2_core::chain::{import_depths, produced_validity, read_requirement};
 use op2_core::{Domain, LoopSig};
 use op2_partition::HaloStats;
 
@@ -33,9 +33,6 @@ pub struct LoopShape {
     pub op2_exch: Vec<(usize, usize)>,
     /// CA halo extent (`HE_l`).
     pub extent: usize,
-    /// Latency-hiding core depth (see
-    /// [`op2_core::chain::core_depths`]); 1 in relaxed/paper mode.
-    pub core_depth: usize,
 }
 
 /// A chain digested for the model.
@@ -49,7 +46,10 @@ pub struct ChainShape {
     pub ca_imports: Vec<(usize, usize, usize)>,
 }
 
-/// Derive a [`ChainShape`] from loop signatures.
+/// Derive a [`ChainShape`] from loop signatures, for a chain executed
+/// in relaxed (paper) mode: extents are taken as given (e.g. pinned to
+/// published values), the grouped-import plan deepens to cover reads
+/// beyond in-chain validity, and every loop keeps the depth-1 core.
 ///
 /// `entry_validity` gives each dat's halo validity at chain entry (0 =
 /// dirty, `usize::MAX` = never modified, e.g. coordinates). `g_per_loop`
@@ -62,54 +62,18 @@ pub fn shape_from_sigs(
     g_per_loop: &[f64],
     entry_validity: &dyn Fn(op2_core::DatId) -> usize,
 ) -> ChainShape {
-    shape_from_sigs_mode(dom, name, sigs, extents, g_per_loop, entry_validity, false)
-}
-
-/// [`shape_from_sigs`] for chains with *pinned* (e.g. published) extents
-/// executed in relaxed mode: the grouped-import plan deepens instead of
-/// rejecting reads beyond in-chain validity.
-pub fn shape_from_sigs_relaxed(
-    dom: &Domain,
-    name: &str,
-    sigs: &[LoopSig],
-    extents: &[usize],
-    g_per_loop: &[f64],
-    entry_validity: &dyn Fn(op2_core::DatId) -> usize,
-) -> ChainShape {
-    shape_from_sigs_mode(dom, name, sigs, extents, g_per_loop, entry_validity, true)
-}
-
-fn shape_from_sigs_mode(
-    dom: &Domain,
-    name: &str,
-    sigs: &[LoopSig],
-    extents: &[usize],
-    g_per_loop: &[f64],
-    entry_validity: &dyn Fn(op2_core::DatId) -> usize,
-    relaxed: bool,
-) -> ChainShape {
     assert_eq!(sigs.len(), extents.len());
     assert_eq!(sigs.len(), g_per_loop.len());
 
     // CA grouped-import plan from the Alg 2 inspection.
-    let raw = if relaxed {
-        import_depths_relaxed(sigs, extents, entry_validity)
-    } else {
-        import_depths(sigs, extents, entry_validity)
-    };
-    let ca_imports: Vec<(usize, usize, usize)> = raw
+    let ca_imports: Vec<(usize, usize, usize)> = import_depths(sigs, extents, entry_validity)
+        .import
         .into_iter()
         .map(|(d, t)| {
             let dd = dom.dat(d);
             (dd.set.idx(), dd.elem_bytes(), t)
         })
         .collect();
-
-    let cdepth = if relaxed {
-        vec![1usize; sigs.len()]
-    } else {
-        core_depths(sigs)
-    };
 
     // OP2 baseline: simulate the conservative dirty bits loop by loop.
     let mut valid: Vec<(op2_core::DatId, usize)> = Vec::new();
@@ -153,7 +117,6 @@ fn shape_from_sigs_mode(
             op2_extent,
             op2_exch,
             extent: ext,
-            core_depth: cdepth[loops.len()],
         });
     }
     ChainShape {
@@ -272,7 +235,7 @@ pub fn chain_components(stats: &HaloStats, shape: &ChainShape) -> ChainComponent
         });
     }
 
-    // CA: shrinking cores, deeper halos, one grouped message.
+    // CA: the paper's depth-1 cores, deeper halos, one grouped message.
     let mut ca_loops = Vec::with_capacity(shape.loops.len());
     let mut ca_core_total = 0usize;
     let mut ca_halo_total = 0usize;
@@ -280,7 +243,7 @@ pub fn chain_components(stats: &HaloStats, shape: &ChainShape) -> ChainComponent
         let mut s_core = 0usize;
         let mut s_halo = 0usize;
         for r in &stats.per_rank {
-            let k = l.core_depth.min(r.core_prefix[l.set].len() - 1);
+            let k = 1.min(r.core_prefix[l.set].len() - 1);
             let core = r.core_prefix[l.set][k];
             let rings: usize = r.import_levels[l.set].iter().take(l.extent).sum();
             let halo = r.owned[l.set] - core + rings;
@@ -356,6 +319,8 @@ mod tests {
         ];
         let extents = op2_core::chain::calc_halo_extents(&sigs);
         assert_eq!(extents, vec![2, 1]);
+        // The analysis' own extents leave no read stale.
+        assert!(import_depths(&sigs, &extents, &|_| 0).stale.is_empty());
 
         // pres dirty at entry (modified each outer iteration), res dirty.
         let shape = shape_from_sigs(

@@ -29,7 +29,7 @@ pub mod machine;
 pub mod profit;
 pub mod scaling;
 
-pub use components::{chain_components, shape_from_sigs, shape_from_sigs_relaxed, ChainComponents, LoopShape};
+pub use components::{chain_components, shape_from_sigs, ChainComponents, LoopShape};
 pub use eqs::{t_ca_chain, t_op2_chain, t_op2_loop, CaChainInput, LoopInput};
 pub use machine::{Machine, MachineKind};
 pub use profit::{classify, ChainClass, Profitability};

@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use layout::{build_layouts, RankLayout};
 pub use ownership::{derive_ownership, Ownership};
-pub use partitioner::{kway_partition, rcb_partition, rib_partition, Partitioner};
+pub use partitioner::{kway_partition, rcb_partition, rib_partition};
 pub use rings::{compute_rings, RankRings};
 pub use stats::{collect_stats, HaloStats};
 

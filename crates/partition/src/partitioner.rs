@@ -21,40 +21,6 @@
 
 use op2_mesh::Csr;
 
-/// Which partitioner to use — selected by applications and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Partitioner {
-    /// Recursive coordinate bisection.
-    Rcb,
-    /// Recursive inertial bisection (Hydra's default in the paper).
-    Rib,
-    /// Greedy k-way graph partitioner (ParMETIS stand-in).
-    KWay,
-}
-
-impl Partitioner {
-    /// Dispatch to the selected partitioner. `coords` (with `dims`
-    /// components per element) drives the geometric methods; `graph`
-    /// drives k-way and may be `None` for the geometric ones.
-    pub fn partition(
-        self,
-        coords: &[f64],
-        dims: usize,
-        graph: Option<&Csr>,
-        nparts: usize,
-    ) -> Vec<u32> {
-        match self {
-            Partitioner::Rcb => rcb_partition(coords, dims, nparts),
-            Partitioner::Rib => rib_partition(coords, dims, nparts),
-            Partitioner::KWay => kway_partition(
-                graph.expect("k-way partitioning needs the node graph"),
-                nparts,
-                3,
-            ),
-        }
-    }
-}
-
 /// Partition by recursive coordinate bisection. `coords` holds `dims`
 /// components per element. Returns the owning rank of every element.
 pub fn rcb_partition(coords: &[f64], dims: usize, nparts: usize) -> Vec<u32> {

@@ -517,11 +517,6 @@ impl RankComm {
         }
     }
 
-    /// Sum-allreduce (see [`RankComm::allreduce`]).
-    pub fn allreduce_sum(&mut self, vals: &mut [f64], tag: u64) -> Result<(), CommError> {
-        self.allreduce(vals, tag, op2_core::access::GblOp::Sum)
-    }
-
     /// Allreduce with an arbitrary combining operator (sum / min / max).
     ///
     /// A Bruck allgather of the per-rank contributions, then one local
@@ -660,7 +655,7 @@ mod tests {
             .map(|mut rc| {
                 std::thread::spawn(move || {
                     let mut v = [rc.rank as f64 + 1.0, 10.0];
-                    rc.allreduce_sum(&mut v, 100).unwrap();
+                    rc.allreduce(&mut v, 100, GblOp::Sum).unwrap();
                     v
                 })
             })
@@ -1002,12 +997,12 @@ mod tests {
         let tag = 100u64;
         let t = std::thread::spawn(move || {
             let mut v = [1.0];
-            r0.allreduce_sum(&mut v, tag).unwrap();
+            r0.allreduce(&mut v, tag, GblOp::Sum).unwrap();
             r0.isend(1, tag + 1, vec![42.0]);
             v
         });
         let mut v = [2.0];
-        r1.allreduce_sum(&mut v, tag).unwrap();
+        r1.allreduce(&mut v, tag, GblOp::Sum).unwrap();
         assert_eq!(r1.recv(0, tag + 1).unwrap(), vec![42.0]);
         assert_eq!(t.join().unwrap(), [3.0]);
         assert_eq!(v, [3.0]);

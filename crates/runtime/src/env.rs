@@ -31,7 +31,7 @@
 
 use crate::comm::RankComm;
 use crate::fault::{BoundaryAction, BoundaryKind};
-use crate::plan::{loop_signature, ChainPlan, LoweringKey, PlanCache};
+use crate::plan::{loop_signature, PlanCache};
 use crate::threads::{run_schedule_pooled_ctx, ThreadCtx, Threading};
 use crate::trace::{RankTrace, SchedKind, ThreadRec};
 use op2_core::par::thread_schedule;
@@ -60,8 +60,8 @@ pub struct RankEnv<'a> {
     pub valid: Vec<u8>,
     /// Instrumentation.
     pub trace: RankTrace,
-    /// Inspector–executor plan cache: one [`ChainPlan`] per (chain
-    /// signature, dirty-state class) plus the standalone-loop lowerings.
+    /// Inspector–executor plan cache: one [`crate::plan::ChainPlan`] per
+    /// (chain signature, dirty-state class), plus every pool lowering.
     pub plans: PlanCache,
     /// Monotone tag sequence (identical across ranks by construction).
     pub tag_seq: u64,
@@ -173,10 +173,10 @@ impl<'a> RankEnv<'a> {
     /// reduction accumulators), one per [`op2_core::GblDecl`].
     ///
     /// With threading active and a range worth splitting, the range is
-    /// lowered for the rank's pool (`lowering`,
-    /// cached per (loop, range, block size, width) in the rank's
-    /// [`PlanCache`]) and executed there, unless its access descriptors
-    /// admit no lowering. Results are bitwise identical either way.
+    /// lowered for the rank's pool (`lowering`, cached per (loop, range)
+    /// in the rank's [`PlanCache`]) and executed there, unless its access
+    /// descriptors admit no lowering. Results are bitwise identical
+    /// either way.
     pub fn exec_range(
         &mut self,
         spec: &LoopSpec,
@@ -184,25 +184,9 @@ impl<'a> RankEnv<'a> {
         end: usize,
         gbl_bufs: &mut [Vec<f64>],
     ) {
-        self.exec_range_in(spec, start, end, gbl_bufs, None)
-    }
-
-    /// [`RankEnv::exec_range`] over either lowering cache: the plan's
-    /// for the chain loop at position `pos` (`chain = Some((plan,
-    /// pos))` — the lowering sits alongside the other inspector
-    /// products, so repeat chain invocations re-lower nothing), the
-    /// rank's plan cache for a standalone loop.
-    pub(crate) fn exec_range_in(
-        &mut self,
-        spec: &LoopSpec,
-        start: usize,
-        end: usize,
-        gbl_bufs: &mut [Vec<f64>],
-        chain: Option<(&ChainPlan, usize)>,
-    ) {
         let lowered = self
             .threaded_block_size(spec, start, end)
-            .and_then(|block| self.lowering(spec, start, end, block, chain));
+            .and_then(|block| self.lowering(spec, start, end, block));
         match lowered {
             Some(low) => {
                 let bound = self.bind_loop(spec, gbl_bufs);
@@ -216,8 +200,8 @@ impl<'a> RankEnv<'a> {
     }
 
     /// Inspector: the pool lowering of `[start, end)` of `spec` at
-    /// `block` iterations per direct block, from the chain plan's cache
-    /// or the rank's, built on a miss over the rank's localized maps
+    /// `block` iterations per direct block, from the rank's plan cache,
+    /// built on a miss over the rank's localized maps
     /// ([`thread_schedule`]). `None` when the loop's access descriptors
     /// admit no lowering: it runs on the rank's own thread. Only
     /// executable iterations are lowered, so every dereferenced map
@@ -229,28 +213,18 @@ impl<'a> RankEnv<'a> {
         start: usize,
         end: usize,
         block: usize,
-        chain: Option<(&ChainPlan, usize)>,
     ) -> Option<Arc<Schedule>> {
-        let (cache, owner) = match chain {
-            Some((plan, pos)) => (&plan.lowered, pos as u64),
-            None => (&self.plans.lowered, loop_signature(spec)),
-        };
-        let key = LoweringKey {
-            owner,
-            start,
-            end,
-            block,
-            width: self.threading.n_threads,
-        };
-        let (low, built) = cache.get_or_build(key, || {
-            let (maps, set_sizes) = (&self.layout.maps, self.layout.set_sizes());
-            thread_schedule(maps, &spec.sig(), start, end, key.width, block, &set_sizes)
-        });
-        if built {
-            self.plans.stats.color_misses += 1;
-        } else {
+        let key = (loop_signature(spec), start, end);
+        if let Some(low) = self.plans.lowered.get(&key) {
             self.plans.stats.color_hits += 1;
+            return low.clone();
         }
+        self.plans.stats.color_misses += 1;
+        let (maps, set_sizes) = (&self.layout.maps, self.layout.set_sizes());
+        let width = self.threading.n_threads;
+        let low = thread_schedule(maps, &spec.sig(), start, end, width, block, &set_sizes)
+            .map(Arc::new);
+        self.plans.lowered.insert(key, low.clone());
         low
     }
 

@@ -15,12 +15,14 @@
 //! [`run_chain_relaxed`] are its two entry points, which differ only in
 //! the relaxed flag. It is **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
-//! the validity verdict, every lowered schedule) comes from a cached
-//! [`crate::plan::ChainPlan`] — repeat invocations of the same chain in
-//! the same dirty-state class do zero re-analysis, which the plan-cache
-//! hit counters in the trace make assertable. [`run_chain_unplanned`]
-//! keeps the original inline-analysis path as the reference executor
-//! the planned path is tested bitwise-equal against.
+//! the validity verdict) comes from a cached
+//! [`crate::plan::ChainPlan`], and every lowered schedule from the
+//! rank's [`crate::plan::PlanCache`] — repeat invocations of the same
+//! chain in the same dirty-state class do zero re-analysis, which the
+//! plan-cache hit counters in the trace make assertable.
+//! [`run_chain_unplanned`] keeps the original inline-analysis path as
+//! the reference executor the planned path is tested bitwise-equal
+//! against.
 
 use crate::env::RankEnv;
 use crate::error::RuntimeError;
@@ -232,7 +234,7 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
         debug_assert!(!spec.has_reduction());
         gbls.clear();
         gbls.extend(spec.gbls.iter().map(|g| g.init.clone()));
-        env.exec_range_in(spec, start, end, &mut gbls, Some((&plan, pos)));
+        env.exec_range(spec, start, end, &mut gbls);
     };
 
     // Pre-wait phase: every loop's core reads nothing the wait
@@ -240,8 +242,8 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
     // core retracts by the loop's in-chain dependency depth; relaxed
     // mode keeps the standard depth-1 core everywhere (the paper's
     // behaviour — staleness tolerated and counted).
-    for (pos, &core_end) in plan.core_end.iter().enumerate() {
-        run_range(env, pos, 0, core_end);
+    for (pos, &(core, _)) in plan.per_loop.iter().enumerate() {
+        run_range(env, pos, 0, core);
     }
 
     // Wait (line 13) — arrival order: whichever neighbour lands first
@@ -250,13 +252,13 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
 
     // Post-wait phase: halo regions in loop order (lines 14-18). The
     // record's `per_loop` is the plan's (prewait, postwait) split.
-    for pos in 0..chain.len() {
-        run_range(env, pos, plan.core_end[pos], plan.exec_end[pos]);
+    for (pos, &(core, halo)) in plan.per_loop.iter().enumerate() {
+        run_range(env, pos, core, core + halo);
         env.boundary(BoundaryKind::ChainLoop);
     }
 
     // Validity transitions, in loop order.
-    for &(d, v) in plan.produces.iter().flatten() {
+    for &(d, v) in &plan.produces {
         env.valid[d.idx()] = v;
         env.ckpt.note_write(d.idx());
     }
@@ -296,7 +298,8 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
     );
     let sigs = chain.sigs();
     let valid = |d: DatId| env.valid[d.idx()] as usize;
-    let import = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &valid);
+    // The import alone: the per-loop check below finds any stale read.
+    let import = op2_core::chain::import_depths(&sigs, &chain.halo_ext, &valid).import;
     let import = import.into_iter().map(|(d, t)| (d, t as u8)).collect();
     let exch = ExchangePlan::build(env.layout, env.dom, import, Split::Grouped);
 

@@ -27,10 +27,10 @@
 //!   (one copy of each dat while the world runs), scatters owned data
 //!   back out, and returns the traces.
 //! * [`plan`] — the inspector–executor plan subsystem: cached
-//!   [`plan::ChainPlan`]s (import depths, core/execute ranges, pack
-//!   index lists, and every lowered loop range under one
-//!   [`plan::LoweringKey`]) keyed by chain signature and dirty-state
-//!   class.
+//!   [`plan::ChainPlan`]s (import depths and stale reads from one walk,
+//!   core/execute ranges, pack index lists) keyed by chain signature and
+//!   dirty-state class, and one per-rank map of lowered loop ranges keyed
+//!   by loop signature and range.
 //! * [`threads`] — intra-rank threading: each rank owns a persistent
 //!   worker pool that executes any lowered [`op2_core::Schedule`]
 //!   (owner-computes windows and direct blocks alike) in one round,
@@ -88,8 +88,7 @@ pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
 pub use job::{exec_job_program, run_job, run_job_supervised, Job, JobRun, JobStep};
 pub use plan::{
-    chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, LoweringKey, PlanCache,
-    PlanStats,
+    chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, PlanCache, PlanStats,
 };
 pub use supervise::{run_supervised, SuperviseOptions};
 pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};

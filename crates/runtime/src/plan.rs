@@ -3,23 +3,21 @@
 //! The CA back-end (Alg 2) is an inspector–executor design: halo-layer
 //! analysis, import depths and the grouped per-neighbour message layout
 //! are *analysis*, reusable across every repetition of the same chain on
-//! the same partition. The
-//! executors used to re-derive all of it per invocation even though
-//! MG-CFD replays one chain `nchains` times per cycle.
+//! the same partition. MG-CFD replays one chain `nchains` times per
+//! cycle, so the executors take all of it from a cache.
 //!
 //! A [`ChainPlan`] captures that analysis once per
-//! **(chain signature, partition layout, dirty-state class)**:
+//! **(chain signature, dirty-state class)** on a rank's layout:
 //!
 //! * the chain depth `r` and the grouped entry exchange — import list
 //!   (per-dat depths), per-neighbour pack index lists and receive copy
 //!   ranges, the wire layout of Figure 8 — as one
 //!   [`ExchangePlan`] (see [`crate::halo`]);
-//! * per-loop latency-hiding core ends, execute-region ends, read
-//!   requirements and produced-validity transitions, and the validity
-//!   verdict they imply ([`ChainPlan::stale`]);
-//! * lazily, every **lowering** an executor asked for — a loop range
-//!   lowered for the thread pool — in one [`LoweringCache`] under one
-//!   [`LoweringKey`].
+//! * per-loop (core, halo) ranges and produced-validity transitions;
+//! * the reads the chain leaves stale ([`ChainPlan::stale`]).
+//!
+//! The import and the stale reads come from one forward walk of the
+//! chain's validity ([`op2_core::chain::import_depths`]).
 //!
 //! Plans live in a per-rank [`PlanCache`] keyed by a stable FNV-1a hash
 //! of [`ChainSpec::sigs`]-equivalent structure plus the entry-validity
@@ -29,20 +27,22 @@
 //! therefore a different (or freshly built) plan. Hit/miss counters
 //! land in the rank trace so tests can assert that repeat invocations
 //! do **zero** re-analysis. The same cache holds the rest of the rank's
-//! layout-dependent products, uncounted: Alg 1's per-dat exchange plans
-//! ([`loop_plan_for`]) and the standalone-loop lowerings (a second
-//! [`LoweringCache`]).
+//! layout-dependent products, uncounted as plans: Alg 1's per-dat
+//! exchange plans ([`loop_plan_for`]) and every pool **lowering** (a
+//! loop range lowered for the thread pool), one map keyed by
+//! `(loop signature, start, end)` for chain and standalone loops alike,
+//! so a chain met in a second dirty class lowers nothing new.
 //!
 //! A plan also holds what every trace record of its calls shares: the
 //! name and, for a chain, the per-loop (core, halo) split, as `Arc`s, so
 //! recording a call allocates nothing.
 
 use crate::halo::{ExchangePlan, Split};
-use op2_core::chain::{produced_validity, read_requirement};
+use op2_core::chain::{import_depths, produced_validity, StaleRead};
 use op2_core::{AccessMode, Arg, ChainSpec, DatId, Domain, LoopSpec, Schedule};
 use op2_partition::layout::RankLayout;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -110,9 +110,8 @@ fn fnv_loop(h: &mut u64, spec: &LoopSpec) {
 }
 
 /// Stable hash of one loop's structure (name, iteration set, argument
-/// access descriptors) — the standalone-loop analogue of
-/// [`chain_signature`], keying the rank's lowering cache for the Alg 1
-/// threaded path.
+/// access descriptors) — the one-loop analogue of [`chain_signature`],
+/// keying the rank's pool lowerings and Alg 1 exchanges.
 pub fn loop_signature(spec: &LoopSpec) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_loop(&mut h, spec);
@@ -147,107 +146,28 @@ pub fn dirty_class(loops: &[LoopSpec], valid: &[u8]) -> u64 {
 pub struct ChainPlan {
     /// The chain's name, shared by every record of its calls.
     pub name: Arc<str>,
-    /// Structure hash (see [`chain_signature`]).
-    pub sig: u64,
-    /// Dirty-state class (see [`dirty_class`]).
-    pub dirty: u64,
-    /// Relaxed (paper-mode) analysis?
-    pub relaxed: bool,
     /// Import depth `r` (max halo layers).
     pub depth: usize,
     /// The grouped (Alg 2) exchange at chain entry: per dat, the depth
     /// to deliver, and the per-neighbour message layout of Figure 8.
     pub exchange: ExchangePlan,
-    /// Per-loop latency-hiding core depths.
-    pub core_depths: Vec<usize>,
-    /// Per-loop prewait core end (exclusive local index).
-    pub core_end: Vec<usize>,
-    /// Per-loop execute-region end (owned + rings ≤ extent).
-    pub exec_end: Vec<usize>,
-    /// Per-loop `(core_end, exec_end - core_end)`: the (core, halo)
-    /// split every record of the plan's calls reports.
+    /// Per-loop `(core, halo)`: the loop runs `[0, core)` before the
+    /// wait and `[core, core + halo)` after it. Every record of the
+    /// plan's calls reports this split.
     pub per_loop: Arc<[(usize, usize)]>,
-    /// Per-loop read requirements: (dat, required validity depth).
-    pub reqs: Vec<Vec<(DatId, u8)>>,
-    /// Per-loop produced validity: (dat, validity after the loop).
-    pub produces: Vec<Vec<(DatId, u8)>>,
-    /// Reads the chain makes beyond what will be valid when they happen,
-    /// in loop order — pre-simulated from the entry validity (which the
-    /// dirty class pins), the import, `reqs` and `produces`, so it equals
-    /// what a live post-wait check would find. A strict executor fails
-    /// on the first ([`crate::error::RuntimeError::Validity`]); a relaxed
-    /// one reports the count as `stale_reads`.
+    /// Produced validity, in loop order: (dat, validity after the loop).
+    pub produces: Vec<(DatId, u8)>,
+    /// Reads the chain makes beyond what an earlier loop of it left
+    /// valid, in loop order. A strict executor fails on the first
+    /// ([`crate::error::RuntimeError::Validity`]); a relaxed one reports
+    /// the count as `stale_reads`.
     pub stale: Vec<StaleRead>,
-    /// Every lowering built for this plan so far (inspector work, paid
-    /// once per key), dropped with the plan.
-    pub lowered: LoweringCache,
-}
-
-/// One under-valid read found by the plan's validity pre-simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaleRead {
-    /// Chain position of the reading loop.
-    pub pos: usize,
-    /// The dat read.
-    pub dat: DatId,
-    /// Halo depth the loop requires.
-    pub need: u8,
-    /// Halo depth valid at that point.
-    pub have: u8,
-}
-
-/// Which lowering a [`LoweringCache`] entry holds: iterations
-/// `[start, end)` of one loop lowered for a `width`-thread pool
-/// ([`op2_core::par::thread_schedule`]) at `block` iterations per direct
-/// block. `owner` is the loop's chain position in a [`ChainPlan`]'s cache
-/// and its [`loop_signature`] in the [`PlanCache`]'s standalone-loop
-/// cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LoweringKey {
-    /// Chain position or loop signature.
-    pub owner: u64,
-    /// First iteration.
-    pub start: usize,
-    /// One past the last iteration.
-    pub end: usize,
-    /// Direct-block size.
-    pub block: usize,
-    /// Pool width (owner-computes lowers one window per thread).
-    pub width: usize,
-}
-
-/// The one cache of lowered schedules: key → lowering, each entry built
-/// at most once per cache. An entry is `None` when the loop admits no
-/// lowering and runs on the rank's own thread. Held by every
-/// [`ChainPlan`] (chain loops) and by the rank's [`PlanCache`]
-/// (standalone loops).
-#[derive(Debug, Default)]
-pub struct LoweringCache {
-    map: Mutex<HashMap<LoweringKey, Option<Arc<Schedule>>>>,
-}
-
-impl LoweringCache {
-    /// The lowering under `key`, running `build` on a miss. Returns
-    /// `(lowering, built)`. The lock is not held while building.
-    pub fn get_or_build(
-        &self,
-        key: LoweringKey,
-        build: impl FnOnce() -> Option<Schedule>,
-    ) -> (Option<Arc<Schedule>>, bool) {
-        let hit = self.map.lock().expect("lowering cache poisoned").get(&key).cloned();
-        if let Some(low) = hit {
-            return (low, false);
-        }
-        let fresh = build().map(Arc::new);
-        let mut map = self.map.lock().expect("lowering cache poisoned");
-        (map.entry(key).or_insert(fresh).clone(), true)
-    }
 }
 
 impl ChainPlan {
-    /// Run the full chain inspection for one rank: import depths, core
-    /// depths, execute ranges, validity bookkeeping and the grouped
-    /// per-neighbour message layout.
+    /// Run the full chain inspection for one rank: import depths and
+    /// stale reads (one walk), core depths, execute ranges, validity
+    /// transitions and the grouped per-neighbour message layout.
     pub fn build(
         layout: &RankLayout,
         dom: &Domain,
@@ -255,91 +175,44 @@ impl ChainPlan {
         chain: &ChainSpec,
         relaxed: bool,
     ) -> ChainPlan {
-        let sig = chain_signature(chain, relaxed);
-        let dirty = dirty_class(&chain.loops, valid);
-        let depth = chain.max_halo_layers();
         let sigs = chain.sigs();
-        let entry = |d: DatId| valid[d.idx()] as usize;
-        // The relaxed import analysis in both modes: on consistent
-        // extents it equals the strict one, and where a pinned extent is
-        // too small it deepens the import instead of panicking — strict
-        // executors then refuse the chain through `stale` (typed), rather
-        // than the inspector killing the rank.
-        let import: Vec<(DatId, u8)> =
-            op2_core::chain::import_depths_relaxed(&sigs, &chain.halo_ext, &entry)
-                .into_iter()
-                .map(|(d, t)| (d, t as u8))
-                .collect();
+        // Where a pinned extent is too small the walk deepens the import
+        // instead of panicking: strict executors then refuse the chain
+        // through `stale` (typed), rather than the inspector killing
+        // the rank.
+        let walk = import_depths(&sigs, &chain.halo_ext, &|d: DatId| valid[d.idx()] as usize);
+        let import = walk.import.into_iter().map(|(d, t)| (d, t as u8)).collect();
 
         let core_depths = if relaxed {
             vec![1usize; chain.len()]
         } else {
             op2_core::chain::core_depths(&sigs)
         };
-        let core_end: Vec<usize> = sigs
-            .iter()
-            .zip(&core_depths)
-            .map(|(s, &cd)| layout.sets[s.set.idx()].core_end(cd - 1))
+        let per_loop = (sigs.iter().zip(&core_depths).zip(&chain.halo_ext))
+            .map(|((s, &cd), &ext)| {
+                let sl = &layout.sets[s.set.idx()];
+                let core = sl.core_end(cd - 1);
+                (core, sl.exec_end(ext) - core)
+            })
             .collect();
-        let exec_end: Vec<usize> = sigs
-            .iter()
-            .zip(&chain.halo_ext)
-            .map(|(s, &e)| layout.sets[s.set.idx()].exec_end(e))
-            .collect();
-
-        let mut reqs = Vec::with_capacity(chain.len());
-        let mut produces = Vec::with_capacity(chain.len());
+        let mut produces = Vec::new();
         for (sig_l, &ext) in sigs.iter().zip(&chain.halo_ext) {
-            let mut r = Vec::new();
-            let mut p = Vec::new();
             for d in sig_l.dats() {
                 if let Some((mode, indirect)) = sig_l.access_of(d) {
-                    r.push((d, read_requirement(mode, indirect, ext) as u8));
                     if let Some(v) = produced_validity(mode, indirect, ext) {
-                        p.push((d, v as u8));
+                        produces.push((d, v as u8));
                     }
                 }
             }
-            reqs.push(r);
-            produces.push(p);
         }
 
-        // Validity pre-simulation: the wait raises every import to its
-        // depth, then requirements are met (or not) in loop order as
-        // each loop's produced validity lands.
-        let mut sim = valid.to_vec();
-        for &(d, t) in &import {
-            sim[d.idx()] = sim[d.idx()].max(t);
-        }
-        let mut stale = Vec::new();
-        for (pos, (r, p)) in reqs.iter().zip(&produces).enumerate() {
-            for &(dat, need) in r {
-                let have = sim[dat.idx()];
-                if have < need {
-                    stale.push(StaleRead { pos, dat, need, have });
-                }
-            }
-            for &(d, v) in p {
-                sim[d.idx()] = v;
-            }
-        }
-
-        let per_loop = core_end.iter().zip(&exec_end).map(|(&c, &e)| (c, e - c)).collect();
         ChainPlan {
             name: Arc::from(chain.name.as_str()),
-            sig,
-            dirty,
-            relaxed,
-            depth,
+            depth: chain.max_halo_layers(),
             exchange: ExchangePlan::build(layout, dom, import, Split::Grouped),
-            core_depths,
-            core_end,
-            exec_end,
             per_loop,
-            reqs,
             produces,
-            stale,
-            lowered: LoweringCache::default(),
+            stale: walk.stale,
         }
     }
 }
@@ -379,10 +252,13 @@ pub struct PlanCache {
     /// Alg 1's per-dat exchanges, `(loop signature, dirty class) →
     /// plan`: dropped with the chain plans, never counted in `stats`.
     loops: HashMap<(u64, u64), Arc<LoopPlan>>,
-    /// Standalone-loop lowerings, keyed by [`LoweringKey`] with the loop
-    /// signature as owner (chain loops keep theirs in the
-    /// [`ChainPlan`]).
-    pub(crate) lowered: LoweringCache,
+    /// Every pool lowering, `(loop signature, start, end) → lowering`,
+    /// for chain and standalone loops alike; `None` when the loop runs on
+    /// the rank's own thread. The pool width and block size are the
+    /// rank's [`crate::threads::Threading`], fixed for the whole run
+    /// (supervised attempts share one `RunOptions`), so they are not part
+    /// of the key.
+    pub(crate) lowered: HashMap<(u64, usize, usize), Option<Arc<Schedule>>>,
     /// Activity counters (see [`PlanStats`]).
     pub stats: PlanStats,
 }
@@ -475,7 +351,11 @@ mod tests {
     }
 
     fn fix() -> Fix {
-        let mut mesh = Quad2D::generate(6, 6);
+        fix_n(6)
+    }
+
+    fn fix_n(n: usize) -> Fix {
+        let mut mesh = Quad2D::generate(n, n);
         let a = mesh.dom.decl_dat_zeros("a", mesh.nodes, 1);
         let b = mesh.dom.decl_dat_zeros("b", mesh.nodes, 1);
         let produce = LoopSpec::new(
@@ -598,95 +478,53 @@ mod tests {
         let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false);
         assert_eq!(plan.depth, f.chain.max_halo_layers());
         let sigs = f.chain.sigs();
-        assert_eq!(plan.core_depths, op2_core::chain::core_depths(&sigs));
+        let walk = import_depths(&sigs, &f.chain.halo_ext, &|_| 0);
+        assert!(walk.stale.is_empty(), "{:?}", walk.stale);
+        assert!(plan.stale.is_empty(), "{:?}", plan.stale);
         let expect: Vec<(DatId, u8)> =
-            op2_core::chain::import_depths(&sigs, &f.chain.halo_ext, &|_| 0)
-                .into_iter()
-                .map(|(d, t)| (d, t as u8))
-                .collect();
+            walk.import.into_iter().map(|(d, t)| (d, t as u8)).collect();
         assert_eq!(plan.exchange.import, expect);
+        let core_depths = op2_core::chain::core_depths(&sigs);
         for (pos, sig_l) in sigs.iter().enumerate() {
-            let ext = f.chain.halo_ext[pos];
-            assert_eq!(
-                plan.exec_end[pos],
-                layout.sets[sig_l.set.idx()].exec_end(ext)
-            );
+            let sl = &layout.sets[sig_l.set.idx()];
+            let core = sl.core_end(core_depths[pos] - 1);
+            let exec_end = sl.exec_end(f.chain.halo_ext[pos]);
+            assert_eq!(plan.per_loop[pos], (core, exec_end - core));
         }
     }
 
-    /// The one lowering cache: the same key yields the same `Arc`, and
-    /// dropping the cache drops the schedules together with their plan.
+    /// Lowerings are keyed by loop and range, not by plan: a chain met
+    /// in a second dirty class builds a second plan but lowers nothing
+    /// new.
     #[test]
-    fn lowering_cache_shares_entries_and_drops_with_the_plan() {
-        let f = fix();
-        let comm = CommWorld::new(1).into_ranks().remove(0);
-        let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
-        let plan = plan_for(&mut env, &f.chain, false);
+    fn one_lowering_per_loop_range() {
+        use crate::harness::{run_distributed_with, RunOptions};
+        use crate::threads::Threading;
 
-        let key = LoweringKey {
-            owner: 0,
-            start: 0,
-            end: 8,
-            block: 4,
-            width: 2,
-        };
-        let builds = std::cell::Cell::new(0);
-        let build = || {
-            builds.set(builds.get() + 1);
-            Some(Schedule::range(0, 8))
-        };
-        let (a, built) = plan.lowered.get_or_build(key, build);
-        assert!(built, "first lookup must build");
-        let (b, built) = plan.lowered.get_or_build(key, build);
-        assert!(!built, "second lookup must hit");
-        let (a, b) = (a.unwrap(), b.unwrap());
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(builds.get(), 1);
-
-        // Replacing the cache lets go of the plan, and with it every
-        // schedule.
-        let schedule = Arc::downgrade(&a);
-        drop((a, b, plan));
-        assert!(schedule.upgrade().is_some(), "the cached plan keeps its lowerings alive");
-        env.plans = PlanCache::new();
-        assert!(schedule.upgrade().is_none(), "dropping the cache must drop the schedule");
-    }
-
-    /// Standalone-loop lowerings are cached in the plan cache by key.
-    #[test]
-    fn plan_cache_caches_standalone_lowerings_by_key() {
-        let cache = PlanCache::new();
-        let key = LoweringKey {
-            owner: 42,
-            start: 0,
-            end: 100,
-            block: 16,
-            width: 2,
-        };
-        let build = || Some(Schedule::range(0, 100));
-        let (first, built) = cache.lowered.get_or_build(key, build);
-        assert!(built, "first lookup must build");
-        let (again, built) = cache.lowered.get_or_build(key, build);
-        assert!(!built, "second lookup must hit");
-        assert!(Arc::ptr_eq(&first.unwrap(), &again.unwrap()));
-    }
-
-    /// A range lowering is per pool width: keys that differ only in
-    /// width are separate entries, each built once.
-    #[test]
-    fn range_lowerings_miss_per_width() {
-        let cache = PlanCache::new();
-        let key = |width| LoweringKey {
-            owner: 42,
-            start: 0,
-            end: 100,
-            block: 16,
-            width,
-        };
-        let build = || Some(Schedule::range(0, 100));
-        assert!(cache.lowered.get_or_build(key(2), build).1);
-        assert!(cache.lowered.get_or_build(key(4), build).1, "another width must miss");
-        assert!(!cache.lowered.get_or_build(key(2), build).1);
-        assert!(!cache.lowered.get_or_build(key(4), build).1);
+        let mut f = fix_n(16);
+        let opts = RunOptions::default().threading(Threading {
+            n_threads: 2,
+            block_size: 16,
+        });
+        let chain = f.chain.clone();
+        let out = run_distributed_with(&mut f.mesh.dom, &f.layouts, &opts, |env| {
+            // Entry class (fully valid), then the class the chain leaves
+            // behind, twice.
+            (0..3)
+                .map(|_| {
+                    crate::exec::run_chain(env, &chain)?;
+                    Ok(env.plans.stats)
+                })
+                .collect::<Result<Vec<_>, _>>()
+        });
+        for stats in out.unwrap_results() {
+            let [first, second, third] = stats[..] else {
+                panic!("three calls, got {stats:?}")
+            };
+            assert_eq!((first.misses, second.misses, third.misses), (1, 2, 2));
+            assert!(first.color_misses > 0, "{first:?}");
+            assert_eq!(second.color_misses, first.color_misses, "{second:?}");
+            assert_eq!(third.color_misses, first.color_misses, "{third:?}");
+        }
     }
 }

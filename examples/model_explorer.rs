@@ -24,7 +24,7 @@ use op2_bench_is_not_a_dep::*;
 mod op2_bench_is_not_a_dep {
     use op2::core::LoopSig;
     use op2::mesh::{Csr, Hex3DParams};
-    use op2::model::components::{chain_components, shape_from_sigs_relaxed, ChainComponents};
+    use op2::model::components::{chain_components, shape_from_sigs, ChainComponents};
     use op2::partition::{collect_stats, derive_ownership, kway_partition};
 
     /// Measured components for the MG-CFD synthetic chain at one
@@ -44,7 +44,7 @@ mod op2_bench_is_not_a_dep {
         let sigs: Vec<LoopSig> = chain.sigs();
         let gs = vec![g; sigs.len()];
         let shape =
-            shape_from_sigs_relaxed(&app.dom, "syn", &sigs, &chain.halo_ext, &gs, &|_| 0);
+            shape_from_sigs(&app.dom, "syn", &sigs, &chain.halo_ext, &gs, &|_| 0);
         chain_components(&stats, &shape)
     }
 }
