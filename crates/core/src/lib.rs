@@ -83,6 +83,7 @@ pub mod error;
 pub mod kernel;
 pub mod loops;
 pub mod par;
+pub mod rows;
 pub mod schedule;
 pub mod seq;
 

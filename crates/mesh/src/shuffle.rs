@@ -6,7 +6,7 @@
 //! permutation, rewriting every map into or out of it and every dat on it,
 //! leaving the mesh semantically identical.
 
-use op2_core::{Domain, SetId};
+use op2_core::{rows, Domain, SetId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -27,56 +27,49 @@ pub fn shuffle_set(dom: &mut Domain, set: SetId, seed: u64) -> Vec<u32> {
 /// * maps *into* the set have their values relabelled;
 /// * maps *out of* the set have their rows reordered;
 /// * dats on the set have their element blocks reordered.
+///
+/// Panics, naming the first offending entry, unless `perm` is a bijection.
 pub fn apply_permutation(dom: &mut Domain, set: SetId, perm: &[u32]) {
     let n = dom.set(set).size;
     assert_eq!(perm.len(), n, "permutation length must equal set size");
-    debug_assert!(is_permutation(perm), "perm must be a bijection");
+    // `inv[new] = old`; every row is gathered through it.
+    let mut inv = vec![u32::MAX; n];
+    for (old, &new) in perm.iter().enumerate() {
+        match inv.get_mut(new as usize) {
+            Some(slot) if *slot == u32::MAX => *slot = old as u32,
+            Some(_) => panic!("perm is not a bijection: perm[{old}] = {new} repeats an earlier entry"),
+            None => panic!("perm is not a bijection: perm[{old}] = {new} is out of range 0..{n}"),
+        }
+    }
 
+    let mut map_rows = Vec::new();
     for mid in 0..dom.n_maps() {
-        let id = op2_core::MapId(mid as u32);
-        let (from, to, arity) = {
-            let m = dom.map(id);
-            (m.from, m.to, m.arity)
-        };
-        if to == set {
-            let m = dom.map_mut(id);
+        let m = dom.map_mut(op2_core::MapId(mid as u32));
+        if m.to == set {
             for v in &mut m.values {
                 *v = perm[*v as usize];
             }
         }
-        if from == set {
-            let m = dom.map_mut(id);
-            let old = m.values.clone();
-            for (e, row) in old.chunks_exact(arity).enumerate() {
-                let ne = perm[e] as usize;
-                m.values[ne * arity..(ne + 1) * arity].copy_from_slice(row);
-            }
+        if m.from == set {
+            permute_rows(&mut m.values, &inv, m.arity, &mut map_rows);
         }
     }
+    drop(map_rows);
+    let mut dat_rows = Vec::new();
     for did in 0..dom.n_dats() {
-        let id = op2_core::DatId(did as u32);
-        if dom.dat(id).set == set {
-            let dim = dom.dat(id).dim;
-            let d = dom.dat_mut(id);
-            let old = d.data.clone();
-            for (e, block) in old.chunks_exact(dim).enumerate() {
-                let ne = perm[e] as usize;
-                d.data[ne * dim..(ne + 1) * dim].copy_from_slice(block);
-            }
+        let d = dom.dat_mut(op2_core::DatId(did as u32));
+        if d.set == set {
+            permute_rows(&mut d.data, &inv, d.dim, &mut dat_rows);
         }
     }
 }
 
-fn is_permutation(perm: &[u32]) -> bool {
-    let mut seen = vec![false; perm.len()];
-    for &p in perm {
-        let i = p as usize;
-        if i >= perm.len() || seen[i] {
-            return false;
-        }
-        seen[i] = true;
-    }
-    true
+/// Make row `k` of `data` its old row `inv[k]`, through `scratch` (one
+/// buffer reused by every map or dat, not a fresh copy of each).
+fn permute_rows<T: Copy>(data: &mut [T], inv: &[u32], dim: usize, scratch: &mut Vec<T>) {
+    scratch.clear();
+    rows::gather(scratch, data, inv, dim);
+    data.copy_from_slice(scratch);
 }
 
 #[cfg(test)]
@@ -124,10 +117,79 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// The renumbering as first written: every row scattered to
+    /// `perm[old]` out of a fresh copy of its map or dat.
+    fn scatter_reference(dom: &mut Domain, set: SetId, perm: &[u32]) {
+        for mid in 0..dom.n_maps() {
+            let m = dom.map_mut(op2_core::MapId(mid as u32));
+            if m.to == set {
+                m.values.iter_mut().for_each(|v| *v = perm[*v as usize]);
+            }
+            if m.from == set {
+                let (old, a) = (m.values.clone(), m.arity);
+                for (e, row) in old.chunks_exact(a).enumerate() {
+                    m.values[perm[e] as usize * a..][..a].copy_from_slice(row);
+                }
+            }
+        }
+        for did in 0..dom.n_dats() {
+            let d = dom.dat_mut(op2_core::DatId(did as u32));
+            if d.set == set {
+                let (old, dim) = (d.data.clone(), d.dim);
+                for (e, block) in old.chunks_exact(dim).enumerate() {
+                    d.data[perm[e] as usize * dim..][..dim].copy_from_slice(block);
+                }
+            }
+        }
+    }
+
+    /// On a tet mesh (`t2n` arity 4, `e2n` arity 2) carrying dats of
+    /// widths 1-6 and 11 on every set, renumbering each set in turn (maps
+    /// into it and out of it) is bitwise the scatter formulation.
+    #[test]
+    fn permutation_matches_the_scatter_formulation() {
+        use rand::seq::SliceRandom;
+        let mut m = crate::Tet3D::generate(3, 4, 2);
+        for set in [m.nodes, m.edges, m.tets] {
+            for dim in [1, 2, 3, 4, 5, 6, 11] {
+                let len = m.dom.set(set).size * dim;
+                let vals = (0..len).map(|i| (i * 31 + dim) as f64).collect();
+                m.dom.decl_dat(&format!("w{dim}_{}", set.0), set, dim, vals);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for set in [m.nodes, m.tets, m.edges, m.nodes] {
+            let mut perm: Vec<u32> = (0..m.dom.set(set).size as u32).collect();
+            perm.shuffle(&mut rng);
+            let mut want = m.dom.clone();
+            scatter_reference(&mut want, set, &perm);
+            apply_permutation(&mut m.dom, set, &perm);
+            for mid in 0..want.n_maps() {
+                let id = op2_core::MapId(mid as u32);
+                assert_eq!(m.dom.map(id).values, want.map(id).values, "map {mid}");
+            }
+            for did in 0..want.n_dats() {
+                let id = op2_core::DatId(did as u32);
+                let bits = |d: &Domain| d.dat(id).data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&m.dom), bits(&want), "dat {did}");
+            }
+        }
+    }
+
+    /// A permutation that is not a bijection panics, in release builds
+    /// too, naming its first offending entry.
     #[test]
     fn permutation_validation() {
-        assert!(is_permutation(&[2, 0, 1]));
-        assert!(!is_permutation(&[0, 0, 1]));
-        assert!(!is_permutation(&[0, 3]));
+        let panic_of = |perm: &'static [u32]| {
+            let mut m = Quad2D::generate(1, 1);
+            let err = std::panic::catch_unwind(move || apply_permutation(&mut m.dom, m.nodes, perm));
+            *err.unwrap_err().downcast::<String>().unwrap()
+        };
+        let msg = panic_of(&[1, 3, 1, 0]);
+        assert!(msg.contains("perm[2] = 1 repeats"), "{msg}");
+        let msg = panic_of(&[0, 4, 1, 2]);
+        assert!(msg.contains("perm[1] = 4 is out of range 0..4"), "{msg}");
+        let mut m = Quad2D::generate(1, 1);
+        apply_permutation(&mut m.dom, m.nodes, &[2, 0, 3, 1]);
     }
 }

@@ -42,7 +42,7 @@
 use crate::order::LocalityOrder;
 use crate::ownership::Ownership;
 use crate::rings::{compute_rings, find_seeds, MapAdj, RankRings};
-use op2_core::{Domain, MapData, SetId};
+use op2_core::{rows, Domain, MapData, SetId};
 
 /// Sentinel local index for map entries pointing beyond the built halo
 /// depth. Executors must never dereference it; debug executors assert.
@@ -171,12 +171,8 @@ impl RankLayout {
     /// `set`, in global order) into this rank's local order: owned
     /// elements, then every import ring.
     pub fn gather(&self, set: SetId, dim: usize, global: &[f64]) -> Vec<f64> {
-        let sl = &self.sets[set.idx()];
-        let mut out = Vec::with_capacity(sl.n_local() * dim);
-        for &g in &sl.locals {
-            let g = g as usize;
-            out.extend_from_slice(&global[g * dim..(g + 1) * dim]);
-        }
+        let mut out = Vec::new();
+        rows::gather(&mut out, global, &self.sets[set.idx()].locals, dim);
         out
     }
 
@@ -184,10 +180,7 @@ impl RankLayout {
     /// global payload (halos are the owners' responsibility).
     pub fn scatter_owned(&self, set: SetId, dim: usize, local: &[f64], global: &mut [f64]) {
         let sl = &self.sets[set.idx()];
-        for (l, &g) in sl.locals[..sl.n_owned].iter().enumerate() {
-            let g = g as usize;
-            global[g * dim..(g + 1) * dim].copy_from_slice(&local[l * dim..(l + 1) * dim]);
-        }
+        rows::scatter(global, local, &sl.locals[..sl.n_owned], dim);
     }
 }
 

@@ -75,7 +75,7 @@ fn recurse(
     owner: &mut [u32],
     axis: SplitAxis,
 ) {
-    if count == 1 {
+    if count == 1 || ids.is_empty() {
         for &e in ids.iter() {
             owner[e as usize] = first;
         }
@@ -84,36 +84,34 @@ fn recurse(
     let left_parts = count / 2;
     let right_parts = count - left_parts;
 
-    let key: Vec<f64> = match axis {
+    let mut keyed: Vec<(f64, u32)> = match axis {
         SplitAxis::Longest => {
             let ax = longest_axis(coords, dims, ids);
-            ids.iter()
-                .map(|&e| coords[e as usize * dims + ax])
-                .collect()
+            ids.iter().map(|&e| (coords[e as usize * dims + ax], e)).collect()
         }
         SplitAxis::Inertial => {
             let dir = principal_axis(coords, dims, ids);
-            ids.iter()
-                .map(|&e| {
-                    (0..dims)
-                        .map(|d| coords[e as usize * dims + d] * dir[d])
-                        .sum()
-                })
-                .collect()
+            let dot = |e: u32| (0..dims).map(|d| coords[e as usize * dims + d] * dir[d]).sum();
+            ids.iter().map(|&e| (dot(e), e)).collect()
         }
     };
-    // Order ids by key using an index sort, then select around `split`.
-    let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        key[a as usize]
-            .partial_cmp(&key[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(ids[a as usize].cmp(&ids[b as usize]))
-    });
-    let reordered: Vec<u32> = order.iter().map(|&i| ids[i as usize]).collect();
-    ids.copy_from_slice(&reordered);
-
+    // (key, id) is a total order, so a selection finds the `split`
+    // smallest elements a sort would. RIB's children sum their principal
+    // axis in element order, so a RIB side that splits again is sorted;
+    // RCB's longest axis is a min/max, which needs no order.
+    let by_key = |a: &(f64, u32), b: &(f64, u32)| {
+        (a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal)).then(a.1.cmp(&b.1))
+    };
     let split = split_point(ids.len(), left_parts, count);
+    keyed.select_nth_unstable_by(split, by_key);
+    let (left, right) = keyed.split_at_mut(split);
+    for (side, parts) in [(left, left_parts), (right, right_parts)] {
+        if parts > 1 && matches!(axis, SplitAxis::Inertial) {
+            side.sort_unstable_by(by_key);
+        }
+    }
+    ids.iter_mut().zip(&keyed).for_each(|(id, &(_, e))| *id = e);
+
     let (left, right) = ids.split_at_mut(split);
     recurse(coords, dims, left, first, left_parts, owner, axis);
     recurse(coords, dims, right, first + left_parts, right_parts, owner, axis);
@@ -321,7 +319,7 @@ pub fn cut_edges(edge_list: &[u32], owner: &[u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use op2_mesh::{Hex3D, Hex3DParams};
+    use op2_mesh::{Annulus, AnnulusParams, Hex3D, Hex3DParams};
 
     fn check_balance(owner: &[u32], nparts: usize, slack: f64) {
         let mut sizes = vec![0usize; nparts];
@@ -418,5 +416,129 @@ mod tests {
         assert!(first_half.iter().all(|&o| o == first_half[0]));
         assert!(second_half.iter().all(|&o| o == second_half[0]));
         assert_ne!(first_half[0], second_half[0]);
+    }
+
+    /// FNV-1a over an owner vector.
+    fn owner_digest(owner: &[u32]) -> u64 {
+        owner.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &o| {
+            (o.to_le_bytes().iter()).fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Owners are pinned bitwise: digests recorded from the sort-based
+    /// bisection that the selection replaced.
+    #[test]
+    fn partitions_match_parent_digest() {
+        let mut hex = Hex3D::generate(Hex3DParams::cube(12));
+        op2_mesh::shuffle::shuffle_set(&mut hex.dom, hex.nodes, 7);
+        let annulus = Annulus::generate(AnnulusParams::small(6, 6, 6));
+        // Per mesh: (rcb, rib) digests at 1, 2, 3, 4, 5 and 7 parts.
+        let golden = [
+            (
+                "hex 12 shuffled",
+                hex.node_coords(),
+                [
+                    (0x988ca9561494bf25, 0x988ca9561494bf25),
+                    (0xdf33ce1ef40caa05, 0xd71fecf7f12a70b5),
+                    (0x086b169d54b6e4f5, 0xfd13aa0372d34a05),
+                    (0xbb2c48c9f8e12d95, 0x628d0e13909f8a05),
+                    (0x40e278f33cf4e5f7, 0xe054b395be8af527),
+                    (0xeff92bbd7020d182, 0x9c09a1f59a18a472),
+                ],
+            ),
+            (
+                "annulus 6",
+                annulus.node_coords(),
+                [
+                    (0xea39157d66ff16a5, 0xea39157d66ff16a5),
+                    (0x3311b6c39f5cdc45, 0x3311b6c39f5cdc45),
+                    (0x1f98601f2c1caae5, 0x1f98601f2c1caae5),
+                    (0xd5c281274c96f0a5, 0xd5c281274c96f0a5),
+                    (0xf2333009047ef475, 0xbce2f53d6bef5165),
+                    (0x12755fe598101332, 0x6e526e0430ddbee2),
+                ],
+            ),
+        ];
+        for (mesh, coords, want) in golden {
+            for (nparts, (rcb, rib)) in [1, 2, 3, 4, 5, 7].into_iter().zip(want) {
+                let got = owner_digest(&rcb_partition(coords, 3, nparts));
+                assert_eq!(got, rcb, "{mesh}: rcb at {nparts} parts");
+                let got = owner_digest(&rib_partition(coords, 3, nparts));
+                assert_eq!(got, rib, "{mesh}: rib at {nparts} parts");
+            }
+        }
+    }
+
+    /// The bisection the selection replaced: every side is ordered
+    /// fully by (key, id) before it is split.
+    fn sorted_reference(coords: &[f64], dims: usize, nparts: usize, axis: SplitAxis) -> Vec<u32> {
+        fn rec(c: &[f64], dims: usize, ids: &mut [u32], first: u32, count: u32, owner: &mut [u32], axis: SplitAxis) {
+            if count == 1 {
+                ids.iter().for_each(|&e| owner[e as usize] = first);
+                return;
+            }
+            let key: Vec<f64> = match axis {
+                SplitAxis::Longest => {
+                    let ax = longest_axis(c, dims, ids);
+                    ids.iter().map(|&e| c[e as usize * dims + ax]).collect()
+                }
+                SplitAxis::Inertial => {
+                    let dir = principal_axis(c, dims, ids);
+                    let dot = |e: u32| (0..dims).map(|d| c[e as usize * dims + d] * dir[d]).sum();
+                    ids.iter().map(|&e| dot(e)).collect()
+                }
+            };
+            let mut order: Vec<usize> = (0..ids.len()).collect();
+            order.sort_by(|&a, &b| key[a].partial_cmp(&key[b]).unwrap().then(ids[a].cmp(&ids[b])));
+            let sorted: Vec<u32> = order.iter().map(|&i| ids[i]).collect();
+            ids.copy_from_slice(&sorted);
+            let left_parts = count / 2;
+            let (left, right) = ids.split_at_mut(split_point(ids.len(), left_parts, count));
+            rec(c, dims, left, first, left_parts, owner, axis);
+            rec(c, dims, right, first + left_parts, count - left_parts, owner, axis);
+        }
+        let n = coords.len() / dims;
+        let mut owner = vec![0u32; n];
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        rec(coords, dims, &mut ids, 0, nparts as u32, &mut owner, axis);
+        owner
+    }
+
+    /// Edge cases against the sort-based reference: fewer elements than
+    /// parts, as many, one element, one point repeated (ties resolve by
+    /// id), clouds on a small integer lattice (many ties), in 1-3 dims.
+    #[test]
+    fn selection_matches_sorted_reference_on_edge_cases() {
+        let lattice = |n: usize, dims: usize, seed: u64| -> Vec<f64> {
+            let mut x = seed;
+            (0..n * dims)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((x >> 33) % 5) as f64
+                })
+                .collect()
+        };
+        for dims in 1..=3 {
+            let line: Vec<f64> = (0..40).flat_map(|i| (0..dims).map(move |d| (i * (d + 1)) as f64)).collect();
+            let cases: [(&str, Vec<f64>, &[usize]); 6] = [
+                ("n < nparts", lattice(3, dims, 1), &[4, 5, 7]),
+                ("n = nparts", lattice(5, dims, 2), &[5]),
+                ("n = 1", lattice(1, dims, 3), &[1, 2, 3]),
+                ("identical points", vec![0.25; 17 * dims], &[2, 3, 4, 7]),
+                ("lattice", lattice(200, dims, 4), &[1, 2, 3, 4, 5, 7, 8]),
+                ("line", line, &[2, 3, 5]),
+            ];
+            for (case, coords, parts) in cases {
+                for &nparts in parts {
+                    for (name, axis, f) in [
+                        ("rcb", SplitAxis::Longest, rcb_partition as fn(&[f64], usize, usize) -> Vec<u32>),
+                        ("rib", SplitAxis::Inertial, rib_partition),
+                    ] {
+                        let want = sorted_reference(&coords, dims, nparts, axis);
+                        assert_eq!(f(&coords, dims, nparts), want, "{case}, {dims}-D, {name} at {nparts} parts");
+                    }
+                }
+            }
+        }
     }
 }

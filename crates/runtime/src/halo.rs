@@ -18,7 +18,7 @@ use crate::comm::CommError;
 use crate::env::RankEnv;
 use crate::plan::{fnv_bytes, fnv_usize, FNV_OFFSET};
 use crate::trace::ExchangeRec;
-use op2_core::{DatId, Domain};
+use op2_core::{rows, DatId, Domain};
 use op2_partition::layout::RankLayout;
 use std::ops::Range;
 use std::time::Instant;
@@ -245,10 +245,7 @@ impl ExchangePlan {
     fn pack(&self, env: &RankEnv<'_>, nbr: &NeighborPack, p: &Payload, payload: &mut Vec<f64>) {
         for k in p.dats.clone() {
             let dim = env.dom.dat(self.import[k].0).dim;
-            let buf = &env.dats[self.import[k].0.idx()];
-            for &e in &nbr.send[k] {
-                payload.extend_from_slice(&buf[e as usize * dim..][..dim]);
-            }
+            rows::gather(payload, &env.dats[self.import[k].0.idx()], &nbr.send[k], dim);
         }
     }
 
