@@ -3,9 +3,7 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; supervision by handing
-//! [`job`]'s program to [`op2_runtime::run_job_supervised`] and folding
-//! the result with [`RunOutcome::from_job`].
+//! pinning and faults through [`RunOptions`].
 
 use crate::app::{ExtentMode, Hydra, Step};
 use op2_core::seq;

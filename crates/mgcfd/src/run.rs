@@ -3,9 +3,7 @@
 //! distributed entry point ([`run`]).
 //!
 //! Everything else is the caller's composition: threading, drain policy,
-//! pinning and faults through [`RunOptions`]; supervision by handing
-//! [`job`]'s program to [`op2_runtime::run_job_supervised`] and folding
-//! the result with [`RunOutcome::from_job`].
+//! pinning and faults through [`RunOptions`].
 
 use crate::app::{MgCfd, Step};
 use op2_core::seq;
@@ -349,7 +347,7 @@ mod tests {
             + ca.iters * ca.steps.iter().filter(is_loop).count()
             + ca.finish.len();
         let last = Boundary::new(BoundaryKind::Loop, n_loops as u64 - 1);
-        let spec = FaultSpec::default().with_crash_site(1, last);
+        let spec = FaultSpec::default().with_crash(1, last);
         let opts = RunOptions::with_faults(FaultPlan::new(spec));
         match run(&mut app, &layouts, &ca, &opts) {
             Err(RuntimeError::Panicked { rank: 1, .. }) => {}

@@ -475,25 +475,6 @@ impl RankComm {
         self.pool.iter().map(Vec::len).sum()
     }
 
-    /// Detach the per-peer buffer pools so a supervisor can carry the
-    /// warmed allocations across a world restart. Leaves this endpoint
-    /// with no pool slots — only call when the rank is done with the
-    /// transport (the harness seals at rank exit).
-    pub fn take_pool(&mut self) -> Vec<Vec<Vec<f64>>> {
-        std::mem::take(&mut self.pool)
-    }
-
-    /// Re-install buffer pools detached from a previous attempt's
-    /// endpoint. The world shape must match.
-    pub fn install_pool(&mut self, pool: Vec<Vec<Vec<f64>>>) {
-        assert_eq!(
-            pool.len(),
-            self.pool.len(),
-            "carried buffer pool does not match the world size"
-        );
-        self.pool = pool;
-    }
-
     /// The fault plan this endpoint's traffic is subjected to, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.plan.clone()

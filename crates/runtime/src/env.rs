@@ -76,12 +76,8 @@ pub struct RankEnv<'a> {
     /// pre-sized into the transport's per-peer pool (see
     /// [`crate::halo::ExchangePlan::post`]).
     pub(crate) warmed: HashSet<u64>,
-    /// Checkpoint/replay state (see [`crate::checkpoint`]); inert — all
-    /// hooks are no-ops — unless [`RankEnv::ckpt_attach`] was called.
-    pub ckpt: crate::checkpoint::CheckpointCtx,
     /// Boundaries crossed so far, per [`BoundaryKind`] — the coordinates
-    /// fault plans name crash/stall points by. Restored by checkpoint
-    /// rollback so those coordinates keep their meaning across restarts.
+    /// fault plans name crash/stall points by.
     pub(crate) boundaries: [u64; 3],
 }
 
@@ -119,7 +115,6 @@ impl<'a> RankEnv<'a> {
             threads: ThreadCtx::default(),
             threading: Threading::default(),
             warmed: HashSet::new(),
-            ckpt: crate::checkpoint::CheckpointCtx::inert(),
             boundaries: [0; 3],
         }
     }

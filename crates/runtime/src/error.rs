@@ -7,7 +7,6 @@
 //! per-rank verdict the harness reports after containing panics.
 
 use crate::comm::CommError;
-use crate::trace::RankTrace;
 use op2_core::error::CoreError;
 use std::fmt;
 
@@ -20,7 +19,7 @@ pub enum RuntimeError {
     Core(CoreError),
     /// A strict-mode executor found a dat's halo shallower than the
     /// chain's inspector promised — an inspector/executor disagreement,
-    /// surfaced as a typed fault so supervision can contain it.
+    /// surfaced as a typed error instead of a panic.
     Validity {
         /// The rank that detected the violation.
         rank: u32,
@@ -44,18 +43,6 @@ pub enum RuntimeError {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// Supervised recovery ran out of budget: the fault kept recurring
-    /// after `attempts` coordinated rollbacks. Carries the partial
-    /// per-rank traces and failures of the final attempt for post
-    /// mortem.
-    RecoveryExhausted {
-        /// Restart attempts consumed (the first run plus retries).
-        attempts: u32,
-        /// Per-rank traces from the last attempt.
-        traces: Vec<RankTrace>,
-        /// Per-rank failures from the last attempt.
-        failures: Vec<RankFailure>,
-    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -78,15 +65,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Panicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")
             }
-            RuntimeError::RecoveryExhausted {
-                attempts, failures, ..
-            } => {
-                write!(f, "recovery budget exhausted after {attempts} attempt(s)")?;
-                for fail in failures {
-                    write!(f, "; {fail}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -96,9 +74,7 @@ impl std::error::Error for RuntimeError {
         match self {
             RuntimeError::Comm(e) => Some(e),
             RuntimeError::Core(e) => Some(e),
-            RuntimeError::Validity { .. }
-            | RuntimeError::Panicked { .. }
-            | RuntimeError::RecoveryExhausted { .. } => None,
+            RuntimeError::Validity { .. } | RuntimeError::Panicked { .. } => None,
         }
     }
 }

@@ -72,11 +72,6 @@ pub fn exchange_list(env: &RankEnv<'_>, spec: &LoopSpec, ext: usize) -> Vec<(Dat
 /// timeouts, hangups, tag mismatches — surface as [`RuntimeError`]s
 /// instead of panics.
 pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, RuntimeError> {
-    // Post-rollback replay: serve the journaled result (no execution,
-    // no communication, no boundary crossing).
-    if let Some(gbls) = env.ckpt_skip_loop() {
-        return Ok(LoopResult { gbls });
-    }
     let t0 = std::time::Instant::now();
     let ext = standalone_extent(spec);
     // One message per (neighbour, dat), from the rank's cache.
@@ -131,7 +126,6 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
             if let Some(v) = produced_validity(mode, indirect, ext) {
                 let conservative = if indirect { v } else { 0 };
                 env.valid[d.idx()] = env.valid[d.idx()].min(conservative as u8);
-                env.ckpt.note_write(d.idx());
             }
         }
     }
@@ -160,7 +154,6 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
     });
 
     env.boundary(BoundaryKind::Loop);
-    env.ckpt_loop_done(&gbls);
     Ok(LoopResult { gbls })
 }
 
@@ -182,16 +175,13 @@ pub fn run_chain_relaxed(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(),
     exec_chain(env, chain, true)
 }
 
-/// The Alg 2 skeleton every planned chain entry point runs: replay-skip
-/// → cached plan → depth and validity checks → grouped exchange →
-/// pre-wait phase (each loop's core `[0, core_end)`, lines 8–12) → wait
-/// → post-wait phase (each loop's halo region `[core_end, exec_end)` in
-/// loop order, lines 14–18) → validity transitions → trace record →
-/// boundary → checkpoint note. Bitwise identical to the sequential walk.
+/// The Alg 2 skeleton every planned chain entry point runs: cached plan
+/// → depth and validity checks → grouped exchange → pre-wait phase (each
+/// loop's core `[0, core_end)`, lines 8–12) → wait → post-wait phase
+/// (each loop's halo region `[core_end, exec_end)` in loop order, lines
+/// 14–18) → validity transitions → trace record → boundary. Bitwise
+/// identical to the sequential walk.
 fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result<(), RuntimeError> {
-    if env.ckpt_skip_chain() {
-        return Ok(());
-    }
     let t0 = std::time::Instant::now();
     // Inspector: cached plan lookup — analysis runs only on a miss.
     let plan = plan_for(env, chain, relaxed);
@@ -205,9 +195,9 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
     );
     // Strict mode: a read the plan's pre-simulation found under-valid
     // (config-pinned extents too small, or an inspector/executor
-    // disagreement) is typed, so supervision can treat it as a
-    // recoverable fault. Identical on every rank, so nobody is left
-    // waiting on an exchange that was never posted.
+    // disagreement) is a typed error, not a panic. Identical on every
+    // rank, so nobody is left waiting on an exchange that was never
+    // posted.
     if let (false, Some(s)) = (relaxed, plan.stale.first()) {
         return Err(RuntimeError::Validity {
             rank: env.rank,
@@ -260,7 +250,6 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
     // Validity transitions, in loop order.
     for &(d, v) in &plan.produces {
         env.valid[d.idx()] = v;
-        env.ckpt.note_write(d.idx());
     }
 
     env.trace.record_chain(ChainRec {
@@ -273,7 +262,6 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);
-    env.ckpt_chain_done();
     Ok(())
 }
 
@@ -284,9 +272,6 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
 /// tests assert the planned executor is bitwise-equal to this one on
 /// random meshes.
 pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    if env.ckpt_skip_chain() {
-        return Ok(());
-    }
     let t0 = std::time::Instant::now();
     let depth = chain.max_halo_layers();
     assert!(
@@ -351,7 +336,6 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
             if let Some((mode, indirect)) = sig.access_of(d) {
                 if let Some(v) = produced_validity(mode, indirect, ext) {
                     env.valid[d.idx()] = v as u8;
-                    env.ckpt.note_write(d.idx());
                 }
             }
         }
@@ -368,7 +352,6 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);
-    env.ckpt_chain_done();
     Ok(())
 }
 

@@ -17,12 +17,10 @@
 //! by the harness's `catch_unwind`; stalls are plain sleeps, long enough
 //! to trip peers' receive deadlines when configured that way.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Where in the executed program a boundary action fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundaryKind {
     /// After finishing the `index`-th `par_loop` (Alg 1 path).
     Loop,
@@ -33,7 +31,7 @@ pub enum BoundaryKind {
 }
 
 /// A specific boundary: the `index`-th occurrence of `kind` on a rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Boundary {
     /// Kind of boundary counted.
     pub kind: BoundaryKind,
@@ -57,23 +55,6 @@ pub enum BoundaryAction {
     Stall(Duration),
 }
 
-/// A crash with a *fire budget*: the rank panics at the named boundary
-/// at most `fires` times, then the site goes quiet. This is the
-/// recoverable-fault shape the supervised runtime is built around — a
-/// transient rank death that does **not** recur after rollback replays
-/// the same boundary coordinates — whereas [`FaultSpec::crash`] entries
-/// fire on every crossing and therefore model a permanent fault (the
-/// recovery-budget-exhaustion path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashSite {
-    /// The rank that dies.
-    pub rank: u32,
-    /// Where it dies.
-    pub boundary: Boundary,
-    /// How many times the site fires before going quiet (0 = never).
-    pub fires: u32,
-}
-
 /// Declarative description of the faults to inject. The delay
 /// probability is in permille (0–1000) and is rolled per message from a
 /// stream derived from `seed`.
@@ -85,15 +66,9 @@ pub struct FaultSpec {
     pub delay_permille: u16,
     /// Upper bound for injected latency (uniform in `1..=max_delay`).
     pub max_delay: Duration,
-    /// Ranks to crash (panic) at a boundary: `(rank, boundary)`.
-    /// Unlimited — fires on *every* crossing of the coordinate,
-    /// including replays after a rollback (a permanent fault). For
-    /// transient, recoverable crashes use [`FaultSpec::crash_sites`].
+    /// Ranks to crash (panic) at a boundary: `(rank, boundary)`. Fires
+    /// on every crossing of the coordinate.
     pub crash: Vec<(u32, Boundary)>,
-    /// Fire-limited crash sites (see [`CrashSite`]): the plan tracks how
-    /// often each has fired, so a supervised replay that re-crosses the
-    /// same boundary does not die again.
-    pub crash_sites: Vec<CrashSite>,
     /// Ranks to stall at a boundary: `(rank, boundary, how_long)`.
     pub stall: Vec<(u32, Boundary, Duration)>,
 }
@@ -105,7 +80,6 @@ impl Default for FaultSpec {
             delay_permille: 0,
             max_delay: Duration::from_micros(200),
             crash: Vec::new(),
-            crash_sites: Vec::new(),
             stall: Vec::new(),
         }
     }
@@ -123,18 +97,6 @@ impl FaultSpec {
         self.stall.push((rank, boundary, dur));
         self
     }
-
-    /// Add a crash of `rank` at `boundary` that fires exactly once
-    /// (builder style) — the transient-fault shape supervised recovery
-    /// is tested against.
-    pub fn with_crash_site(mut self, rank: u32, boundary: Boundary) -> Self {
-        self.crash_sites.push(CrashSite {
-            rank,
-            boundary,
-            fires: 1,
-        });
-        self
-    }
 }
 
 /// SplitMix64 step — the same generator the `rand` shim uses, so the
@@ -150,34 +112,17 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A compiled, shareable fault plan (wrap in `Arc` and hand to
 /// [`CommWorld::with_faults`](crate::comm::CommWorld::with_faults)).
 ///
-/// Delays are pure functions of the message coordinates; the only
-/// mutable state is the per-site fire counter for
-/// [`FaultSpec::crash_sites`], which must persist across supervised
-/// restart attempts (the same `Arc<FaultPlan>` is handed to every
-/// attempt) so a transient crash does not recur forever.
-#[derive(Debug)]
+/// The plan holds no state besides its spec: delays and boundary
+/// actions are pure functions of their coordinates.
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    /// How many times each fire-limited crash site has fired, keyed by
-    /// its (rank, boundary) coordinate.
-    fired: Mutex<HashMap<(u32, Boundary), u32>>,
-}
-
-impl Clone for FaultPlan {
-    /// Cloning resets the fire counters: a clone is a fresh compilation
-    /// of the same spec, not a live view of another plan's history.
-    fn clone(&self) -> Self {
-        FaultPlan::new(self.spec.clone())
-    }
 }
 
 impl FaultPlan {
     /// Compile a spec into a plan.
     pub fn new(spec: FaultSpec) -> Self {
-        FaultPlan {
-            spec,
-            fired: Mutex::new(HashMap::new()),
-        }
+        FaultPlan { spec }
     }
 
     /// The spec this plan was built from.
@@ -216,28 +161,10 @@ impl FaultPlan {
 
     /// Action (if any) when `rank` reaches its `index`-th boundary of
     /// `kind`. Crash takes precedence over stall if both are named.
-    ///
-    /// Fire-limited crash sites are *consumed* by this query: each call
-    /// that resolves to a site crash spends one unit of its budget, so
-    /// a supervised replay crossing the same coordinate again sees the
-    /// site exhausted and proceeds.
     pub fn boundary_action(&self, rank: u32, kind: BoundaryKind, index: u64) -> Option<BoundaryAction> {
         let b = Boundary { kind, index };
         if self.spec.crash.iter().any(|&(r, cb)| r == rank && cb == b) {
             return Some(BoundaryAction::Crash);
-        }
-        if let Some(site) = self
-            .spec
-            .crash_sites
-            .iter()
-            .find(|s| s.rank == rank && s.boundary == b)
-        {
-            let mut fired = self.fired.lock().unwrap_or_else(|p| p.into_inner());
-            let count = fired.entry((rank, b)).or_insert(0);
-            if *count < site.fires {
-                *count += 1;
-                return Some(BoundaryAction::Crash);
-            }
         }
         self.spec
             .stall
@@ -297,26 +224,6 @@ mod tests {
                 assert_eq!(got, want, "seed {seed:#x}, {permille}‰: ({src}, {dst}, {seq})");
             }
         }
-    }
-
-    #[test]
-    fn crash_sites_exhaust_their_fire_budget() {
-        let spec =
-            FaultSpec::default().with_crash_site(2, Boundary::new(BoundaryKind::ChainLoop, 3));
-        let plan = FaultPlan::new(spec);
-        // First crossing fires, second is quiet: the replay survives.
-        assert_eq!(
-            plan.boundary_action(2, BoundaryKind::ChainLoop, 3),
-            Some(BoundaryAction::Crash)
-        );
-        assert_eq!(plan.boundary_action(2, BoundaryKind::ChainLoop, 3), None);
-        // Other coordinates never fire, and a clone starts fresh.
-        assert_eq!(plan.boundary_action(2, BoundaryKind::ChainLoop, 2), None);
-        let fresh = plan.clone();
-        assert_eq!(
-            fresh.boundary_action(2, BoundaryKind::ChainLoop, 3),
-            Some(BoundaryAction::Crash)
-        );
     }
 
     #[test]

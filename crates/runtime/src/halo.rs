@@ -233,9 +233,6 @@ impl ExchangePlan {
         }
         for &(dat, depth) in &self.import {
             env.valid[dat.idx()] = env.valid[dat.idx()].max(depth);
-            // Unpack mutated the import rings: the dat is dirty for
-            // incremental checkpointing even if no loop touches it.
-            env.ckpt.note_write(dat.idx());
         }
         Ok(())
     }

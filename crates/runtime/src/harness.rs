@@ -27,14 +27,12 @@
 //! sitting out their full receive deadline. A failed rank's copy is the
 //! only one, so it is scattered back too: its owned elements hold what
 //! the rank had computed when it failed (its pre-run values if it
-//! failed before computing). A supervised restart
-//! ([`crate::supervise`]) rolls them back from its checkpoints.
+//! failed before computing).
 //!
 //! [`RunOptions`] is the whole configuration of a run: the harness
 //! copies its threading into every rank's [`RankEnv::threading`] and
 //! reads nothing from the process environment.
 
-use crate::checkpoint::CheckpointConfig;
 use crate::comm::{CommConfig, CommWorld};
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
@@ -61,9 +59,8 @@ pub enum ExecMode {
 }
 
 /// Everything that configures a distributed run besides the program
-/// itself. The defaults: a perfect network, the default receive policy,
-/// one thread per rank and (under supervision) a checkpoint after every
-/// chain.
+/// itself. The defaults: a perfect network, the default receive policy
+/// and one thread per rank.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Fault plan to subject the run's traffic (and boundaries) to.
@@ -73,10 +70,6 @@ pub struct RunOptions {
     /// Intra-rank threading for kernel execution, **per rank**, block
     /// size included.
     pub threading: Threading,
-    /// Checkpoint cadence for supervised runs
-    /// ([`run_supervised`](crate::supervise::run_supervised));
-    /// unsupervised runs ignore this field entirely.
-    pub checkpoint: CheckpointConfig,
 }
 
 impl RunOptions {
@@ -103,13 +96,6 @@ impl RunOptions {
     /// Full per-rank threading configuration (builder style).
     pub fn threading(mut self, threading: Threading) -> Self {
         self.threading = threading;
-        self
-    }
-
-    /// Checkpoint every `every` chain completions under supervision
-    /// (builder style).
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.checkpoint = CheckpointConfig::new(every);
         self
     }
 
@@ -270,11 +256,6 @@ where
                     env.comm.hangup_all();
                     env.trace.comm = env.comm.counters;
                     env.trace.plan = env.plans.stats;
-                    // Park checkpoint state (plan cache, thread pool,
-                    // comm pools, recovery counters) back into the
-                    // supervisor's slot — runs for failed ranks too,
-                    // since the env survives catch_unwind.
-                    env.ckpt_seal();
                     (env.dats, env.trace, verdict)
                 })
             })

@@ -3,8 +3,6 @@
 //! A [`Job`] is a data-described program over a mesh: setup steps, one
 //! iteration's steps repeated `iters` times, and finish steps whose loop
 //! results (a residual reduction, typically) are the program's output.
-//! Jobs carry data, not closures, so both ways of running one — plain
-//! and supervised — execute byte-for-byte the same instruction stream:
 //! [`exec_job_program`] is the only function in the workspace that walks
 //! a step list calling the executors.
 //!
@@ -14,22 +12,16 @@
 //! Threading, drain policy and fault plans stay in the caller's
 //! [`RunOptions`].
 //!
-//! Two hosts run a job on a distributed world and fold the per-rank
-//! verdicts into one `Result` — the first failed rank, in rank order, is
-//! the error; no rank's failure is dropped:
-//!
-//! * [`run_job`] — plain ([`run_distributed_with`]);
-//! * [`run_job_supervised`] — checkpointed attempts with coordinated
-//!   rollback ([`run_supervised`]).
-//!
-//! A host runs the whole job on the layouts and the domain it is handed;
-//! threading, faults and checkpoint cadence come from its options.
+//! [`run_job`] runs a job on a distributed world
+//! ([`run_distributed_with`]) and folds the per-rank verdicts into one
+//! `Result`: the first failed rank, in rank order, is the error; no
+//! rank's failure is dropped. It runs the whole job on the layouts and
+//! the domain it is handed.
 
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
 use crate::exec::{run_chain, run_chain_relaxed, run_loop};
 use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
-use crate::supervise::{run_supervised, SuperviseOptions};
 use crate::trace::RankTrace;
 use op2_core::{ChainSpec, Domain, LoopSpec};
 use op2_partition::RankLayout;
@@ -86,8 +78,7 @@ impl Job {
 }
 
 /// Execute one job's program on a rank env — **the** instruction
-/// stream, used verbatim by every host, so the bitwise-identity
-/// contracts between them are between executions of the same function.
+/// stream.
 /// Returns the finish steps' loop results (global-argument buffers;
 /// empty for chain steps).
 pub fn exec_job_program(
@@ -154,17 +145,4 @@ pub fn run_job(
     JobRun::collect(run_distributed_with(dom, layouts, opts, |env| {
         exec_job_program(env, job)
     }))
-}
-
-/// [`run_job`] under the self-healing supervisor: chain-boundary
-/// checkpointing, coordinated rollback on rank death or straggler
-/// timeout, and bitwise-deterministic replay, bounded by the recovery
-/// budget in `opts` ([`RuntimeError::RecoveryExhausted`] beyond it).
-pub fn run_job_supervised(
-    dom: &mut Domain,
-    layouts: &[RankLayout],
-    job: &Job,
-    opts: &SuperviseOptions,
-) -> Result<JobRun, RuntimeError> {
-    run_supervised(dom, layouts, opts, |env| exec_job_program(env, job)).and_then(JobRun::collect)
 }

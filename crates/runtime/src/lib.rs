@@ -36,35 +36,27 @@
 //!   (owner-computes windows and direct blocks alike) in one round,
 //!   bitwise identical to sequential execution at every
 //!   [`RunOptions::threading`] width.
-//! * [`checkpoint`] — chain-boundary checkpointing: epoch-tagged,
-//!   incremental (dirty-tracked) in-memory snapshots of each rank's dat
-//!   state, plus the unit journal that makes replay bit-exact.
-//! * [`supervise`] — the self-healing driver: failure classification
-//!   (dead rank vs straggler), coordinated rollback to the last globally
-//!   consistent epoch, world restart with carried plan caches and buffer
-//!   pools, and a bounded recovery budget degrading into
-//!   [`RuntimeError::RecoveryExhausted`].
+//! * [`fault`] — deterministic fault injection: seeded wire delays, and
+//!   crash and stall actions at loop/chain boundaries, which the harness
+//!   contains as typed per-rank failures.
 //! * [`job`] — the program representation ([`Job`]: setup / repeated
-//!   steps / finish, as data) and its one interpreter
-//!   ([`exec_job_program`]), plus the plain and supervised hosts that
-//!   fold per-rank verdicts into one `Result`.
+//!   steps / finish, as data), its one interpreter
+//!   ([`exec_job_program`]) and the host that folds per-rank verdicts
+//!   into one `Result` ([`run_job`]).
 //!
 //! One run is one simulation, as in the paper's one `mpirun`: its plans
 //! are built by its first iterations and paid back by the rest. Layouts
-//! are built once, before the run, and never change, so what a
-//! supervised run carries from one attempt to the next is never
-//! invalidated.
+//! are built once, before the run, and never change. As under flat MPI,
+//! a failed rank is reported, not recovered.
 //!
-//! A run is configured by its typed options alone ([`RunOptions`],
-//! [`SuperviseOptions`]): the runtime reads nothing from the process
-//! environment.
+//! A run is configured by its typed options alone ([`RunOptions`]): the
+//! runtime reads nothing from the process environment.
 
 // Index-based loops over parallel arrays are the dominant idiom in this
 // crate's mesh/partition kernels; iterator-zip rewrites obscure which
 // array drives the bound without changing the generated code.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checkpoint;
 pub mod comm;
 pub mod env;
 pub mod error;
@@ -74,25 +66,21 @@ pub mod halo;
 pub mod harness;
 pub mod job;
 pub mod plan;
-pub mod supervise;
 pub mod threads;
 pub mod trace;
 
-pub use checkpoint::{CheckpointConfig, CheckpointCtx, RankState};
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::RankEnv;
 pub use error::{RankFailure, RuntimeError};
 pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop};
-pub use fault::{Boundary, BoundaryAction, BoundaryKind, CrashSite, FaultPlan, FaultSpec};
+pub use fault::{Boundary, BoundaryAction, BoundaryKind, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
-pub use job::{exec_job_program, run_job, run_job_supervised, Job, JobRun, JobStep};
+pub use job::{exec_job_program, run_job, Job, JobRun, JobStep};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, PlanCache, PlanStats,
 };
-pub use supervise::{run_supervised, SuperviseOptions};
 pub use threads::{run_schedule_pooled_ctx, ExecStats, ThreadCtx, ThreadPool, Threading};
 pub use trace::{
-    CallKind, CallTotals, ChainRec, ExchangeRec, LoopRec, RankTrace, RecoveryRec, SchedKind,
-    ThreadRec,
+    CallKind, CallTotals, ChainRec, ExchangeRec, LoopRec, RankTrace, SchedKind, ThreadRec,
 };

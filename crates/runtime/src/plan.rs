@@ -255,9 +255,8 @@ pub struct PlanCache {
     /// Every pool lowering, `(loop signature, start, end) → lowering`,
     /// for chain and standalone loops alike; `None` when the loop runs on
     /// the rank's own thread. The pool width and block size are the
-    /// rank's [`crate::threads::Threading`], fixed for the whole run
-    /// (supervised attempts share one `RunOptions`), so they are not part
-    /// of the key.
+    /// rank's [`crate::threads::Threading`], fixed for the whole run,
+    /// so they are not part of the key.
     pub(crate) lowered: HashMap<(u64, usize, usize), Option<Arc<Schedule>>>,
     /// Activity counters (see [`PlanStats`]).
     pub stats: PlanStats,

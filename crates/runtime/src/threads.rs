@@ -330,8 +330,8 @@ pub struct ThreadCtx {
 
 impl ThreadCtx {
     /// The rank's own pool at `width` threads: created on first use, and
-    /// replaced when a caller asks for another width, so a pool carried
-    /// into a differently configured run never runs at the old width.
+    /// replaced when a caller asks for another width, so a rank whose
+    /// threading changed never runs at the old width.
     pub fn pool(&mut self, width: usize) -> Arc<ThreadPool> {
         match &self.pool {
             Some(p) if p.n_threads() == width => Arc::clone(p),

@@ -353,43 +353,6 @@ impl PartialEq for ThreadRec {
 
 impl Eq for ThreadRec {}
 
-/// Self-healing counters for one rank: checkpoints taken, bytes
-/// snapshotted, rollbacks driven by the supervisor, and the replay work
-/// done to catch back up after a restore.
-///
-/// All counters are deterministic given the same program and the same
-/// seeded fault plan, so they participate in trace equality: two
-/// supervised runs of the same faulted program must agree on how they
-/// healed, not just on the numerics. All zero when the run is
-/// unsupervised (or fault-free with checkpointing disabled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryRec {
-    /// Restart attempts this rank participated in (1 = fault-free run).
-    pub attempts: u32,
-    /// Checkpoints taken (including the attempt-start baseline).
-    pub checkpoints: u64,
-    /// Payload bytes actually copied into checkpoints (incremental:
-    /// clean dats are shared, not re-copied, and not counted here).
-    pub ckpt_bytes: u64,
-    /// Dats freshly snapshotted across all checkpoints.
-    pub dats_snapshotted: u64,
-    /// Dats skipped because they were unchanged since the previous
-    /// checkpoint (shared by reference instead of copied).
-    pub dats_skipped: u64,
-    /// Coordinated rollbacks this rank was rewound by.
-    pub rollbacks: u64,
-    /// Payload bytes restored into the live dats by rollbacks.
-    pub restored_bytes: u64,
-    /// Loop executions replayed from the journal (skipped re-execution)
-    /// while catching up to the restored checkpoint.
-    pub replayed_loops: u64,
-    /// Chain executions replayed from the journal while catching up.
-    pub replayed_chains: u64,
-    /// Deadline escalations: times the supervisor classified a failure
-    /// as a straggler and doubled the receive deadline before retrying.
-    pub escalations: u64,
-}
-
 /// Everything one rank recorded during a program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankTrace {
@@ -416,10 +379,6 @@ pub struct RankTrace {
     /// Pooled schedule executions (owner-computes and direct-block loop
     /// ranges), in program order. Empty when the rank ran single-threaded.
     pub threads: Vec<ThreadRec>,
-    /// Self-healing counters (checkpoints, rollbacks, replays). All
-    /// zero unless the program ran under [`crate::supervise`] or with
-    /// checkpointing enabled.
-    pub recovery: RecoveryRec,
 }
 
 impl RankTrace {

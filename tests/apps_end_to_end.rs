@@ -1,5 +1,5 @@
 //! End-to-end application tests: MG-CFD and Hydra across back-ends,
-//! rank counts, partitioners, meshes and the supervised host.
+//! rank counts, partitioners, meshes and thread counts.
 
 use op2::core::Domain;
 use op2::hydra::{self, ExtentMode, Hydra, HydraParams};
@@ -7,7 +7,7 @@ use op2::mgcfd::{self, MgCfd, MgCfdParams};
 use op2::partition::{
     build_layouts, derive_ownership, kway_partition, rcb_partition, rib_partition, RankLayout,
 };
-use op2::runtime::{run_job, run_job_supervised, Job, JobRun, JobStep, RunOptions, SuperviseOptions};
+use op2::runtime::{run_job, Job, JobRun, JobStep, RunOptions};
 use op2_mesh::Csr;
 
 fn run_mgcfd(
@@ -34,29 +34,24 @@ fn norm_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1e-30)
 }
 
-/// Runs `job` through `run_job_supervised` with a checkpoint after every
-/// chain, on `threads` pool threads per rank: real app kernels under the
-/// supervisor's checkpoint, journal and dirty tracking.
-fn run_supervised(dom: &mut Domain, layouts: &[RankLayout], job: &Job, threads: usize) -> JobRun {
-    let run = RunOptions::default()
-        .with_threads(threads)
-        .checkpoint_every(1);
-    run_job_supervised(dom, layouts, job, &SuperviseOptions::new(run))
-        .unwrap_or_else(|e| panic!("threads {threads}: {e}"))
+/// Runs `job` through the plain host on `threads` pool threads per rank.
+fn run_threaded(dom: &mut Domain, layouts: &[RankLayout], job: &Job, threads: usize) -> JobRun {
+    let opts = RunOptions::default().with_threads(threads);
+    run_job(dom, layouts, job, &opts).unwrap_or_else(|e| panic!("threads {threads}: {e}"))
 }
 
-/// Holds supervised runs to the plain run on the same layouts: within
-/// 1e-10 in the result and in every dat entry, and bitwise equal to each
-/// other, whatever their thread count.
-struct SupervisedCheck {
+/// Holds threaded runs to the default (one-thread) run on the same
+/// layouts: within 1e-10 in the result and in every dat entry, and
+/// bitwise equal to each other, whatever their thread count.
+struct ThreadSweepCheck {
     want: f64,
     want_dom: Domain,
     bits: Option<Vec<u64>>,
 }
 
-impl SupervisedCheck {
+impl ThreadSweepCheck {
     fn new(want: f64, want_dom: Domain) -> Self {
-        SupervisedCheck {
+        ThreadSweepCheck {
             want,
             want_dom,
             bits: None,
@@ -259,40 +254,21 @@ fn hydra_rank_count_sweep() {
     }
 }
 
-/// MG-CFD under the supervisor at 1, 2 and 4 threads matches the plain
-/// run (see [`SupervisedCheck`]).
+/// Hydra (`Safe` extents) at 1, 2 and 4 threads matches the default run
+/// (see [`ThreadSweepCheck`]).
 #[test]
-fn mgcfd_supervised_run_matches_plain_at_1_2_4_threads() {
-    let params = MgCfdParams::small(7);
-    let iters = 4;
-    let mut plain = MgCfd::new(params);
-    let layouts = mgcfd_layouts(&plain, 4, false);
-    let want = run_mgcfd(&mut plain, &layouts, mgcfd::Variant::Ca, iters);
-    let mut check = SupervisedCheck::new(want.rms, plain.dom);
-    for threads in [1, 2, 4] {
-        let mut app = MgCfd::new(params);
-        let job = mgcfd::job(&app, mgcfd::Variant::Ca, iters);
-        let run = run_supervised(&mut app.dom, &layouts, &job, threads);
-        let out = mgcfd::RunOutcome::from_job(&app, run);
-        check.record(out.rms, &app.dom, &format!("threads {threads}"));
-    }
-}
-
-/// Hydra (`Safe` extents) under the supervisor matches the plain run
-/// (see [`SupervisedCheck`]).
-#[test]
-fn hydra_supervised_run_matches_plain() {
+fn hydra_threaded_run_matches_default_at_1_2_4_threads() {
     let params = HydraParams::small(6);
     let iters = 4;
     let mut plain = Hydra::new(params);
     let depth = plain.required_depth(ExtentMode::Safe);
     let layouts = hydra_layouts(&plain, 4, depth);
     let want = run_hydra_ca(&mut plain, &layouts, iters, ExtentMode::Safe);
-    let mut check = SupervisedCheck::new(want.norm, plain.mesh.dom);
-    for threads in [1, 2] {
+    let mut check = ThreadSweepCheck::new(want.norm, plain.mesh.dom);
+    for threads in [1, 2, 4] {
         let mut app = Hydra::new(params);
         let job = hydra::job(&app, hydra::Variant::ca(ExtentMode::Safe), iters);
-        let run = run_supervised(&mut app.mesh.dom, &layouts, &job, threads);
+        let run = run_threaded(&mut app.mesh.dom, &layouts, &job, threads);
         let out = hydra::RunOutcome::from_job(&app, run);
         check.record(out.norm, &app.mesh.dom, &format!("threads {threads}"));
     }

@@ -4,7 +4,7 @@
 //! `cargo test` exercises it as part of tier-1, while
 //! `--no-default-features` builds can skip it.
 //!
-//! Two behaviours are pinned down:
+//! Three behaviours are pinned down:
 //!
 //! 1. **A rank crash mid-program is contained**: the dead rank is
 //!    reported by name as a typed [`RankFailure::Panicked`], survivors
@@ -13,12 +13,15 @@
 //! 2. **A silent peer is a typed timeout**: a sender stalled past the
 //!    receiver's deadline surfaces as [`CommError::Timeout`] naming the
 //!    peer and the wait, bounded by the configured deadline.
+//! 3. **A slow rank is not a false positive**: a stall well inside the
+//!    receive deadline times nothing out, and the run finishes bitwise
+//!    equal to the sequential walk.
 
 #![cfg(feature = "chaos")]
 
 use std::time::{Duration, Instant};
 
-use op2::core::{AccessMode, Arg, Args, ChainSpec, LoopSpec};
+use op2::core::{AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec};
 use op2::mesh::Quad2D;
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_loop};
@@ -48,6 +51,7 @@ struct Setup {
     /// each chain execution genuinely exchanges.
     bump: LoopSpec,
     chain: ChainSpec,
+    dats: Vec<DatId>,
 }
 
 fn setup(nparts: usize) -> Setup {
@@ -94,7 +98,20 @@ fn setup(nparts: usize) -> Setup {
         layouts,
         bump,
         chain,
+        dats: vec![dseed, a, b],
     }
+}
+
+/// The sequential walk of `iters` iterations of the test program.
+fn sequential_reference(s: &Setup, iters: usize) -> Domain {
+    let mut dom = s.mesh.dom.clone();
+    for _ in 0..iters {
+        op2::core::seq::run_loop(&mut dom, &s.bump);
+        for l in &s.chain.loops {
+            op2::core::seq::run_loop(&mut dom, l);
+        }
+    }
+    dom
 }
 
 /// Acceptance 1: a rank crashing mid-program (at a chain boundary)
@@ -226,4 +243,53 @@ fn blackholed_link_times_out_with_typed_error() {
         other => panic!("expected rank 0 timeout, got {other:?}"),
     }
     assert!(out.traces[0].comm.timeouts > 0);
+}
+
+/// Acceptance 3: a rank that is merely slow — stalled well inside the
+/// receive deadline — is neither failed nor timed out, and the run is
+/// bitwise the sequential walk's.
+#[test]
+fn slow_rank_is_not_a_false_positive() {
+    let iters = 3;
+    let mut s = setup(4);
+    let seq_dom = sequential_reference(&s, iters);
+    let spec = FaultSpec::default().with_stall(
+        1,
+        Boundary::new(BoundaryKind::Loop, 0),
+        Duration::from_millis(300),
+    );
+    let opts = RunOptions::with_faults(FaultPlan::new(spec)).comm_config(CommConfig {
+        deadline: Duration::from_secs(30),
+    });
+
+    let (bump, chain) = (&s.bump, &s.chain);
+    let out = run_distributed_with(&mut s.mesh.dom, &s.layouts, &opts, |env| {
+        for _ in 0..iters {
+            run_loop(env, bump)?;
+            run_chain(env, chain)?;
+        }
+        Ok(())
+    });
+
+    for (rank, r) in out.results.iter().enumerate() {
+        assert!(r.is_ok(), "rank {rank}: {r:?}");
+    }
+    for &d in &s.dats {
+        let bits = |dom: &Domain| {
+            dom.dat(d)
+                .data
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(&seq_dom),
+            bits(&s.mesh.dom),
+            "dat `{}` diverged",
+            seq_dom.dat(d).name
+        );
+    }
+    for t in &out.traces {
+        assert_eq!(t.comm.timeouts, 0, "rank {} timed out", t.rank);
+    }
 }
