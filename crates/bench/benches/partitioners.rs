@@ -9,8 +9,8 @@
 //! The `setup_48cube_shuffled` group times the set-up stages of the
 //! `mgcfd-compute` benchmark shape (two-level MG-CFD at 48³, every
 //! level's nodes and edges shuffled, two ranks) one by one: the 2-part
-//! RCB and RIB splits, renumbering every level, and one rank's gather
-//! of every dat. Run with `cargo bench -p op2-bench --bench partitioners`.
+//! RCB and RIB splits, the depth-2 layouts of the RCB owners,
+//! renumbering every level, and one rank's gather of every dat. Run with `cargo bench -p op2-bench --bench partitioners`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mg_cfd::{MgCfd, MgCfdParams};
@@ -83,6 +83,9 @@ fn bench_setup_stages(c: &mut Criterion) {
     group.bench_function("rcb_2parts", |b| b.iter(|| rcb_partition(black_box(&coords), 3, 2)));
     group.bench_function("rib_2parts", |b| b.iter(|| rib_partition(black_box(&coords), 3, 2)));
     let own = derive_ownership(&app.dom, fine.nodes, rcb_partition(&coords, 3, 2), 2);
+    group.bench_function("build_layouts_2parts", |b| {
+        b.iter(|| build_layouts(black_box(&app.dom), &own, 2))
+    });
     let layout = build_layouts(&app.dom, &own, 2).swap_remove(0);
     group.bench_function("gather_every_dat_rank0", |b| {
         b.iter(|| {

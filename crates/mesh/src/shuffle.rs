@@ -26,7 +26,9 @@ pub fn shuffle_set(dom: &mut Domain, set: SetId, seed: u64) -> Vec<u32> {
 ///
 /// * maps *into* the set have their values relabelled;
 /// * maps *out of* the set have their rows reordered;
-/// * dats on the set have their element blocks reordered.
+/// * dats on the set have their element blocks reordered, except a dat
+///   whose every value has all-zero bits: permuting it gives back the
+///   same array, so it keeps its buffer untouched (a `-0.0` still moves).
 ///
 /// Panics, naming the first offending entry, unless `perm` is a bijection.
 pub fn apply_permutation(dom: &mut Domain, set: SetId, perm: &[u32]) {
@@ -58,7 +60,7 @@ pub fn apply_permutation(dom: &mut Domain, set: SetId, perm: &[u32]) {
     let mut dat_rows = Vec::new();
     for did in 0..dom.n_dats() {
         let d = dom.dat_mut(op2_core::DatId(did as u32));
-        if d.set == set {
+        if d.set == set && d.data.iter().any(|v| v.to_bits() != 0) {
             permute_rows(&mut d.data, &inv, d.dim, &mut dat_rows);
         }
     }
@@ -173,6 +175,51 @@ mod tests {
                 let bits = |d: &Domain| d.dat(id).data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&m.dom), bits(&want), "dat {did}");
             }
+        }
+    }
+
+    /// Renumber the 30 nodes of a quad mesh carrying one dat of width 2
+    /// that holds `values`. Returns the dat's bits after, the scatter
+    /// formulation's, and whether the dat kept its buffer.
+    fn renumber_one_dat(values: Vec<f64>) -> (Vec<u64>, Vec<u64>, bool) {
+        use rand::seq::SliceRandom;
+        let mut m = Quad2D::generate(5, 4);
+        let dat = m.dom.decl_dat("d", m.nodes, 2, values);
+        let mut perm: Vec<u32> = (0..m.dom.set(m.nodes).size as u32).collect();
+        perm.shuffle(&mut StdRng::seed_from_u64(9));
+        let mut want = m.dom.clone();
+        scatter_reference(&mut want, m.nodes, &perm);
+        let before = m.dom.dat(dat).data.as_ptr();
+        apply_permutation(&mut m.dom, m.nodes, &perm);
+        let bits = |d: &Domain| d.dat(dat).data.iter().map(|v| v.to_bits()).collect();
+        let kept = m.dom.dat(dat).data.as_ptr() == before;
+        (bits(&m.dom), bits(&want), kept)
+    }
+
+    /// An all-zero dat keeps its buffer and its values, bitwise the
+    /// scatter formulation's.
+    #[test]
+    fn all_zero_dat_keeps_its_buffer() {
+        let (got, want, kept) = renumber_one_dat(vec![0.0; 60]);
+        assert!(kept);
+        assert_eq!(got, vec![0; 60]);
+        assert_eq!(got, want);
+    }
+
+    /// The zero rule compares bits: a dat of mixed `+0.0` and `-0.0`
+    /// moves, and so does one that is zero except for its last value.
+    #[test]
+    fn signed_zeros_and_a_last_nonzero_value_move() {
+        let signed: Vec<f64> = (0..60)
+            .map(|i| if i % 3 == 1 { -0.0 } else { 0.0 })
+            .collect();
+        let mut last = vec![0.0; 60];
+        last[59] = 7.0;
+        for values in [signed, last] {
+            let input: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            let (got, want, _) = renumber_one_dat(values);
+            assert_eq!(got, want);
+            assert_ne!(got, input, "the dat did not move");
         }
     }
 

@@ -188,8 +188,13 @@ impl RankLayout {
 ///
 /// `depth` is the maximum halo extent any loop-chain will request; the
 /// paper's configuration file carries the same bound per chain.
+///
+/// Panics, naming the first bad entry, unless `own` holds one owner
+/// below `own.nparts` for every element of every set and every map of
+/// `dom` stays inside its target set.
 pub fn build_layouts(dom: &Domain, own: &Ownership, depth: usize) -> Vec<RankLayout> {
     assert!(depth >= 1 && depth < u8::MAX as usize);
+    check_inputs(dom, own);
     let nparts = own.nparts;
     // The locality order needs only the mesh: it runs beside the seed
     // scan and every rank's ring BFS.
@@ -256,6 +261,49 @@ pub fn build_layouts(dom: &Domain, own: &Ownership, depth: usize) -> Vec<RankLay
             neighbors,
         })
         .collect()
+}
+
+/// [`build_layouts`]'s input check: one sequential pass over every owner
+/// array and every map, in release builds too.
+fn check_inputs(dom: &Domain, own: &Ownership) {
+    assert_eq!(
+        own.owner.len(),
+        dom.n_sets(),
+        "build_layouts: one owner array per set"
+    );
+    for (set, owner) in dom.sets().iter().zip(&own.owner) {
+        let name = &set.name;
+        assert_eq!(
+            owner.len(),
+            set.size,
+            "build_layouts: owner array of set `{name}` has the wrong length"
+        );
+        if let Some(k) = first_out_of_range(owner, own.nparts) {
+            panic!(
+                "build_layouts: owner of `{name}`[{k}] = {} is out of range 0..{}",
+                owner[k], own.nparts
+            );
+        }
+    }
+    for m in dom.maps() {
+        let to = dom.set(m.to);
+        if let Some(k) = first_out_of_range(&m.values, to.size) {
+            panic!(
+                "build_layouts: map `{}` entry {k} = {} is out of range 0..{} of set `{}`",
+                m.name, m.values[k], to.size, to.name
+            );
+        }
+    }
+}
+
+/// The first index of `values` holding a value ≥ `bound`. The max is one
+/// vectorised scan; the search runs only when it fails.
+fn first_out_of_range(values: &[u32], bound: usize) -> Option<usize> {
+    let max = values.iter().copied().fold(0, u32::max);
+    if (max as usize) < bound {
+        return None;
+    }
+    values.iter().position(|&v| v as usize >= bound)
 }
 
 /// One rank's Fig 6b ranges and its import runs, one per (set, level,
@@ -824,6 +872,108 @@ mod tests {
             let ls = build_layouts(&a.dom, &own, 5);
             assert_eq!(digest(&ls), want, "annulus 6, {nparts} parts");
         }
+    }
+
+    /// The panic message `build_layouts` gives on `own`.
+    fn build_panic(dom: &Domain, own: &Ownership) -> String {
+        let err = std::panic::catch_unwind(|| build_layouts(dom, own, 2)).unwrap_err();
+        *err.downcast::<String>().unwrap()
+    }
+
+    fn quad_ownership(nparts: usize) -> (Quad2D, Ownership) {
+        let m = Quad2D::generate(3, 2);
+        let base = rcb_partition(&m.dom.dat(m.coords).data, 2, nparts);
+        let own = derive_ownership(&m.dom, m.nodes, base, nparts);
+        (m, own)
+    }
+
+    #[test]
+    fn owner_array_of_the_wrong_length_is_rejected() {
+        let (m, mut own) = quad_ownership(2);
+        own.owner[m.edges.idx()].pop();
+        let msg = build_panic(&m.dom, &own);
+        assert!(
+            msg.contains("owner array of set `edges` has the wrong length"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn owner_beyond_the_part_count_is_rejected() {
+        let (m, mut own) = quad_ownership(2);
+        own.owner[m.cells.idx()][4] = 2;
+        own.owner[m.cells.idx()][5] = 7;
+        let msg = build_panic(&m.dom, &own);
+        assert!(
+            msg.contains("owner of `cells`[4] = 2 is out of range 0..2"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn map_value_beyond_its_target_set_is_rejected() {
+        let (mut m, own) = quad_ownership(2);
+        let n_nodes = m.dom.set(m.nodes).size as u32;
+        m.dom.map_mut(m.e2n).values[3] = n_nodes;
+        let msg = build_panic(&m.dom, &own);
+        assert!(
+            msg.contains("map `e2n` entry 3 = 12 is out of range 0..12 of set `nodes`"),
+            "{msg}"
+        );
+    }
+
+    /// Every set of `l` is empty: nothing owned or imported, no map
+    /// rows, no neighbours.
+    fn assert_empty(l: &RankLayout) {
+        for s in &l.sets {
+            assert_eq!((s.n_owned, s.locals.len()), (0, 0), "rank {}", l.rank);
+            assert_eq!(s.core_prefix, vec![0; l.depth + 2]);
+            assert_eq!(s.import_level_counts, vec![0; l.depth]);
+        }
+        assert!(l.maps.iter().all(|m| m.values.is_empty()));
+        assert!(l.neighbors.is_empty());
+    }
+
+    /// `(rank, neighbour ranks)` of every rank that has neighbours.
+    fn neighbor_ranks(ls: &[RankLayout]) -> Vec<(u32, Vec<u32>)> {
+        ls.iter()
+            .filter(|l| !l.neighbors.is_empty())
+            .map(|l| (l.rank, l.neighbors.iter().map(|n| n.rank).collect()))
+            .collect()
+    }
+
+    /// A rank that owns nothing gets an empty layout and nobody lists it
+    /// as a neighbour; the two others split the mesh between them.
+    #[test]
+    fn rank_owning_nothing_is_empty() {
+        let m = Quad2D::generate(3, 2);
+        let base: Vec<u32> = (0..m.dom.set(m.nodes).size)
+            .map(|g| 2 * (g % 2) as u32)
+            .collect();
+        let own = derive_ownership(&m.dom, m.nodes, base, 3);
+        let ls = build_layouts(&m.dom, &own, 2);
+        assert_empty(&ls[1]);
+        assert_eq!(neighbor_ranks(&ls), vec![(0, vec![2]), (2, vec![0])]);
+        let owned = |r: usize| ls[r].sets.iter().map(|s| s.n_owned).collect::<Vec<_>>();
+        assert_eq!((owned(0), owned(2)), (vec![6, 4, 2], vec![6, 3, 4]));
+        assert_eq!(digest(&ls), 0x000c_ec64_2392_de0a);
+    }
+
+    /// With more ranks than nodes, the two ranks past the last node
+    /// owner are empty; of the six owning one node each, only the two
+    /// around the one interior edge exchange.
+    #[test]
+    fn more_ranks_than_nodes() {
+        let m = Quad2D::generate(2, 1);
+        let base: Vec<u32> = (0..m.dom.set(m.nodes).size as u32).collect();
+        let own = derive_ownership(&m.dom, m.nodes, base, 8);
+        let ls = build_layouts(&m.dom, &own, 2);
+        assert_empty(&ls[6]);
+        assert_empty(&ls[7]);
+        let owned_nodes: Vec<usize> = ls.iter().map(|l| l.sets[m.nodes.idx()].n_owned).collect();
+        assert_eq!(owned_nodes, vec![1, 1, 1, 1, 1, 1, 0, 0]);
+        assert_eq!(neighbor_ranks(&ls), vec![(1, vec![4]), (4, vec![1])]);
+        assert_eq!(digest(&ls), 0xd197_6dae_4464_6524);
     }
 
     /// The order is a function of the input alone, however the ranks

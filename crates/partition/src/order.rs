@@ -12,15 +12,20 @@
 //!   under `e2c`) gets a **Cuthill–McKee** order: a BFS from a
 //!   minimum-degree root in each component, visiting neighbours by
 //!   ascending degree, ties by global id. It runs in (degree, id) rank
-//!   space over one neighbour CSR built from the map rows, whose rows
-//!   are sorted once, so the BFS reads one row per vertex;
+//!   space over one neighbour CSR built from the map rows, so the BFS
+//!   reads one row per vertex and sorts only the neighbours it has just
+//!   discovered;
 //! * every other set is ranked by the (min, max) positions of its first
 //!   map into an already ordered set (an edge sits next to its lowest
 //!   endpoint), ties by global id;
 //! * a set with neither keeps its numbering.
 //!
-//! Every step is linear (counting sorts; the only comparison sort is over
-//! one element's neighbour row), and the order needs nothing but the
+//! Every step is linear: vertices are bucketed by degree and rows by
+//! their min target position, and the only comparison sorts are over one
+//! vertex's new neighbours or one bucket (insertion sorts up to
+//! [`INSERTION_MAX`] entries, the library sort beyond, so a hub vertex
+//! cannot make one quadratic). All scratch is `u32`, so a set with more
+//! than `u32::MAX` incidences panics. The order needs nothing but the
 //! mesh: not the ranks, so every rank sees the same order, and not the
 //! ring BFS's reverse CSR, so [`build_layouts`](crate::build_layouts)
 //! runs it beside the BFS.
@@ -89,22 +94,25 @@ fn inverse(perm: &[u32]) -> Vec<u32> {
     inv
 }
 
-/// Stable counting sort of `items` by `key(item) < n_keys`.
-fn counting_sort(items: &[u32], n_keys: usize, key: impl Fn(u32) -> usize) -> Vec<u32> {
-    let mut start = vec![0usize; n_keys + 1];
-    for &i in items {
-        start[key(i) + 1] += 1;
+/// The longest row or bucket an insertion sort handles; a longer one
+/// goes to the library sort.
+const INSERTION_MAX: usize = 32;
+
+/// Stable sort of `items` by `key`.
+fn sort_by_key_short(items: &mut [u32], key: impl Fn(u32) -> u32) {
+    if items.len() > INSERTION_MAX {
+        items.sort_by_key(|&i| key(i));
+        return;
     }
-    for k in 1..start.len() {
-        start[k] += start[k - 1];
+    for k in 1..items.len() {
+        let (x, kx) = (items[k], key(items[k]));
+        let mut j = k;
+        while j > 0 && key(items[j - 1]) > kx {
+            items[j] = items[j - 1];
+            j -= 1;
+        }
+        items[j] = x;
     }
-    let mut out = vec![0u32; items.len()];
-    for &i in items {
-        let k = key(i);
-        out[start[k]] = i;
-        start[k] += 1;
-    }
-    out
 }
 
 /// Cuthill–McKee order of the `n` elements of a set that `maps` (every
@@ -114,44 +122,63 @@ fn counting_sort(items: &[u32], n_keys: usize, key: impl Fn(u32) -> usize) -> Ve
 ///
 /// The BFS runs in *rank space*: vertex `i` is the `i`-th element in
 /// (degree, id) order, and one neighbour CSR holds every vertex's
-/// neighbour ranks, sorted. A vertex's unvisited neighbours are then one
-/// filtered scan of its row, already in (degree, id) order, and the next
-/// root is the first unvisited rank.
+/// neighbour ranks. A vertex's unvisited neighbours are one filtered scan
+/// of its row, sorted once found (so in (degree, id) order), and the
+/// next root is the first unvisited rank.
 fn cuthill_mckee(maps: &[&MapData], n: usize) -> Vec<u32> {
-    let mut degree = vec![0usize; n];
+    let incidences: usize = maps.iter().map(|m| m.values.len() * (m.arity - 1)).sum();
+    assert!(
+        u32::try_from(incidences).is_ok(),
+        "cuthill_mckee: {incidences} incidences overflow the u32 rank space"
+    );
+    let mut degree = vec![0u32; n];
     for m in maps {
         for &t in &m.values {
-            degree[t as usize] += m.arity - 1;
+            degree[t as usize] += m.arity as u32 - 1;
         }
     }
-    let max_degree = degree.iter().copied().max().unwrap_or(0);
-    let all: Vec<u32> = (0..n as u32).collect();
-    let by_degree = counting_sort(&all, max_degree + 1, |v| degree[v as usize]);
-    let rank = inverse(&by_degree);
+    // Bucket the vertices by degree, in id order inside a bucket:
+    // `by_degree[i]` is the vertex of rank `i` and `rank` its inverse.
+    let max_degree = degree.iter().copied().max().unwrap_or(0) as usize;
+    let mut next = vec![0u32; max_degree + 2];
+    for &d in &degree {
+        next[d as usize + 1] += 1;
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut by_degree = vec![0u32; n];
+    let mut rank = vec![0u32; n];
+    for (v, &d) in degree.iter().enumerate() {
+        let slot = &mut next[d as usize];
+        by_degree[*slot as usize] = v as u32;
+        rank[v] = *slot;
+        *slot += 1;
+    }
 
     // Row `i` holds, for every incidence of vertex `i`, the ranks of the
-    // other entries of its map row.
-    let mut start = vec![0usize; n + 1];
+    // other entries of its map row. `start[i]` begins as the row's end
+    // and counts down to its start as the row fills.
+    let mut start = vec![0u32; n + 1];
+    let mut end = 0;
     for (i, &v) in by_degree.iter().enumerate() {
-        start[i + 1] = start[i] + degree[v as usize];
+        end += degree[v as usize];
+        start[i] = end;
     }
-    let mut cursor = start[..n].to_vec();
-    let mut items = vec![0u32; start[n]];
+    start[n] = end;
+    let mut items = vec![0u32; incidences];
     for m in maps {
         for row in m.values.chunks_exact(m.arity) {
             for (p, &x) in row.iter().enumerate() {
-                let slot = &mut cursor[rank[x as usize] as usize];
+                let slot = &mut start[rank[x as usize] as usize];
                 for (q, &y) in row.iter().enumerate() {
                     if p != q {
-                        items[*slot] = rank[y as usize];
-                        *slot += 1;
+                        *slot -= 1;
+                        items[*slot as usize] = rank[y as usize];
                     }
                 }
             }
         }
-    }
-    for i in 0..n {
-        items[start[i]..start[i + 1]].sort_unstable();
     }
 
     let mut visited = vec![false; n];
@@ -167,11 +194,13 @@ fn cuthill_mckee(maps: &[&MapData], n: usize) -> Vec<u32> {
         while head < order.len() {
             let i = order[head] as usize;
             head += 1;
-            for &j in &items[start[i]..start[i + 1]] {
+            let new = order.len();
+            for &j in &items[start[i] as usize..start[i + 1] as usize] {
                 if !std::mem::replace(&mut visited[j as usize], true) {
                     order.push(j);
                 }
             }
+            sort_by_key_short(&mut order[new..], |r| r);
         }
     }
     for i in &mut order {
@@ -181,9 +210,10 @@ fn cuthill_mckee(maps: &[&MapData], n: usize) -> Vec<u32> {
 }
 
 /// The from-set of `m` ordered by the (min, max) target positions of
-/// each row, ties by global id: two stable counting passes, max first.
+/// each row, ties by global id: one counting pass on the min, which
+/// keeps id order inside a bucket, then a stable sort of each bucket on
+/// the max.
 fn by_target_positions(m: &MapData, to_pos: &[u32]) -> Vec<u32> {
-    let n_to = to_pos.len();
     let (lo, hi): (Vec<u32>, Vec<u32>) = m
         .values
         .chunks_exact(m.arity)
@@ -193,9 +223,24 @@ fn by_target_positions(m: &MapData, to_pos: &[u32]) -> Vec<u32> {
                 .fold((u32::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)))
         })
         .unzip();
-    let all: Vec<u32> = (0..lo.len() as u32).collect();
-    let by_hi = counting_sort(&all, n_to, |e| hi[e as usize] as usize);
-    counting_sort(&by_hi, n_to, |e| lo[e as usize] as usize)
+    // `start[p]` begins as bucket `p`'s end and counts down to its start
+    // as the rows, taken in descending id order, fill it.
+    let mut start = vec![0u32; to_pos.len() + 1];
+    for &p in &lo {
+        start[p as usize] += 1;
+    }
+    for p in 1..start.len() {
+        start[p] += start[p - 1];
+    }
+    let mut out = vec![0u32; lo.len()];
+    for (e, &p) in lo.iter().enumerate().rev() {
+        start[p as usize] -= 1;
+        out[start[p as usize] as usize] = e as u32;
+    }
+    for w in start.windows(2) {
+        sort_by_key_short(&mut out[w[0] as usize..w[1] as usize], |e| hi[e as usize]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -205,6 +250,41 @@ mod tests {
     use op2_core::SetId;
     use op2_mesh::shuffle::shuffle_set;
     use op2_mesh::{Annulus, AnnulusParams, Hex3D, Hex3DParams, Quad2D, Tet3D};
+
+    /// Stable counting sort of `items` by `key(item) < n_keys`.
+    fn counting_sort(items: &[u32], n_keys: usize, key: impl Fn(u32) -> usize) -> Vec<u32> {
+        let mut start = vec![0usize; n_keys + 1];
+        for &i in items {
+            start[key(i) + 1] += 1;
+        }
+        for k in 1..start.len() {
+            start[k] += start[k - 1];
+        }
+        let mut out = vec![0u32; items.len()];
+        for &i in items {
+            let k = key(i);
+            out[start[k]] = i;
+            start[k] += 1;
+        }
+        out
+    }
+
+    /// The reference ranking: two stable counting passes, max first.
+    fn by_target_positions_reference(m: &MapData, to_pos: &[u32]) -> Vec<u32> {
+        let n_to = to_pos.len();
+        let (lo, hi): (Vec<u32>, Vec<u32>) = m
+            .values
+            .chunks_exact(m.arity)
+            .map(|row| {
+                row.iter()
+                    .map(|&t| to_pos[t as usize])
+                    .fold((u32::MAX, 0), |(lo, hi), p| (lo.min(p), hi.max(p)))
+            })
+            .unzip();
+        let all: Vec<u32> = (0..lo.len() as u32).collect();
+        let by_hi = counting_sort(&all, n_to, |e| hi[e as usize] as usize);
+        counting_sort(&by_hi, n_to, |e| lo[e as usize] as usize)
+    }
 
     /// The reference Cuthill–McKee: the per-incidence walk over the
     /// reverse CSR — for every visited vertex, every map row through it,
@@ -306,6 +386,62 @@ mod tests {
         dom.decl_map("e2n", edges, nodes, 2, vec![7, 2, 2, 9, 4, 0, 0, 8, 8, 5, 9, 1])
             .unwrap();
         assert_eq!(assert_cm_matches_reference(&dom), 1);
+    }
+
+    /// The one-pass ranking equals the two-pass reference for every map
+    /// into a set with an order, under the locality positions and under
+    /// the identity.
+    fn assert_ranking_matches_reference(dom: &Domain) -> usize {
+        let o = LocalityOrder::build(dom);
+        let mut checked = 0;
+        for m in dom.maps() {
+            let identity: Vec<u32> = (0..dom.sets()[m.to.idx()].size as u32).collect();
+            for to_pos in [&o.pos[m.to.idx()], &identity] {
+                let want = by_target_positions_reference(m, to_pos);
+                assert_eq!(by_target_positions(m, to_pos), want, "map {}", m.name);
+            }
+            checked += 1;
+        }
+        checked
+    }
+
+    /// A star around node 0 plus a ring over nodes 1..40, every edge
+    /// twice, one copy reversed: buckets full of (min, max) ties, and a
+    /// hub whose neighbour row and bucket outgrow the insertion sort.
+    fn hub_with_ties() -> Domain {
+        let n = 40u32;
+        let mut pairs: Vec<[u32; 2]> = (1..n).map(|v| [0, v]).collect();
+        pairs.extend((1..n).map(|v| [v, v % (n - 1) + 1]));
+        let values: Vec<u32> = pairs.iter().flat_map(|&[a, b]| [a, b, b, a]).collect();
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", n as usize);
+        let edges = dom.decl_set("edges", values.len() / 2);
+        dom.decl_map("e2n", edges, nodes, 2, values).unwrap();
+        dom
+    }
+
+    #[test]
+    fn one_pass_ranking_matches_the_two_pass_reference() {
+        let mut t = Tet3D::generate(5, 4, 3);
+        shuffle_set(&mut t.dom, t.nodes, 21);
+        shuffle_set(&mut t.dom, t.edges, 22);
+        shuffle_set(&mut t.dom, t.tets, 23);
+        assert_eq!(assert_ranking_matches_reference(&t.dom), 2);
+
+        let mut h = Hex3D::generate(Hex3DParams::cube(9));
+        shuffle_set(&mut h.dom, h.nodes, 24);
+        shuffle_set(&mut h.dom, h.edges, 25);
+        assert_eq!(assert_ranking_matches_reference(&h.dom), 2);
+
+        let mut a = Annulus::generate(AnnulusParams::small(6, 5, 7));
+        shuffle_set(&mut a.dom, a.nodes, 26);
+        shuffle_set(&mut a.dom, a.edges, 27);
+        assert_eq!(assert_ranking_matches_reference(&a.dom), 4);
+
+        let hub = hub_with_ties();
+        assert_eq!(hub.maps()[0].values.len(), 4 * 2 * 39);
+        assert_eq!(assert_ranking_matches_reference(&hub), 1);
+        assert_eq!(assert_cm_matches_reference(&hub), 1);
     }
 
     fn is_permutation(p: &[u32]) -> bool {
