@@ -3,8 +3,9 @@
 //!
 //! Three extent columns are printed side by side:
 //!
-//! * **paper** — the published Table 3/4 values (what the paper's chain
-//!   configuration file pins; used by the `Paper` execution mode);
+//! * **paper** — the published Table 3/4 values, as the chain
+//!   configuration file `configs/hydra_chains.cfg` pins them (the
+//!   `Paper` execution mode);
 //! * **alg3** — the literal Algorithm 3 as printed in the paper
 //!   ([`op2_core::chain::calc_halo_layers`]);
 //! * **safe** — the transitive dependency closure this reproduction's
@@ -28,7 +29,7 @@ fn main() {
         let sigs = chain.sigs();
         let alg3 = calc_halo_layers(&sigs);
         let safe = calc_halo_extents(&sigs);
-        let paper = Hydra::paper_extents(name);
+        let paper = app.chain(name, ExtentMode::Paper).expect("chain valid").halo_ext;
         println!(
             "loop-chain: {name} (loop count = {})",
             chain.len()

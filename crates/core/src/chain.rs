@@ -14,8 +14,8 @@ use crate::domain::DatId;
 use crate::error::{CoreError, Result};
 use crate::loops::{LoopSig, LoopSpec};
 
-/// A named, validated loop-chain: the loops (in program order) plus the
-/// result of the halo-layer analysis.
+/// A named, validated loop-chain: the loops (in program order), the
+/// result of the halo-layer analysis and the chain's execution mode.
 #[derive(Debug, Clone)]
 pub struct ChainSpec {
     /// Chain name (matches the configuration file).
@@ -24,6 +24,31 @@ pub struct ChainSpec {
     pub loops: Vec<LoopSpec>,
     /// Per-loop effective halo extension (`HE_l`), in program order.
     pub halo_ext: Vec<usize>,
+    /// Relaxed (the paper's) mode: the extents are pinned by a
+    /// configuration, reads beyond in-chain validity take the pre-chain
+    /// values of the grouped import and are counted, not refused. Strict
+    /// (`false`, what [`ChainSpec::new`] builds) refuses any such read.
+    pub relaxed: bool,
+}
+
+/// One instruction of a program: a standalone loop (Alg 1) or a
+/// loop-chain (Alg 2, strict or relaxed as the chain says).
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// A standard OP2 loop.
+    Loop(LoopSpec),
+    /// A communication-avoiding loop-chain.
+    Chain(ChainSpec),
+}
+
+impl Step {
+    /// The loops this step executes, in program order.
+    pub fn loops(&self) -> &[LoopSpec] {
+        match self {
+            Step::Loop(l) => std::slice::from_ref(l),
+            Step::Chain(c) => &c.loops,
+        }
+    }
 }
 
 impl ChainSpec {
@@ -70,6 +95,7 @@ impl ChainSpec {
             name: name.to_string(),
             loops,
             halo_ext,
+            relaxed: false,
         })
     }
 

@@ -42,17 +42,23 @@ pub struct ChainConfig {
 }
 
 impl ChainConfig {
-    /// Resolve this configuration against a program (a list of loop
-    /// declarations, looked up by name) into a validated [`ChainSpec`].
+    /// The block's loops, looked up by name in a program (a list of loop
+    /// declarations), in chain order.
+    pub fn resolve_loops(&self, program: &[LoopSpec]) -> Result<Vec<LoopSpec>> {
+        (self.loops.iter())
+            .map(|name| {
+                let spec = program.iter().find(|l| &l.name == name);
+                spec.cloned().ok_or_else(|| CoreError::UnknownLoop(name.clone()))
+            })
+            .collect()
+    }
+
+    /// Resolve this configuration against a program into a validated
+    /// [`ChainSpec`] with the block's `max_halo` and `he` lines applied.
+    /// The spec is strict; a caller that runs the pinned extents as the
+    /// paper does sets [`ChainSpec::relaxed`].
     pub fn resolve(&self, program: &[LoopSpec]) -> Result<ChainSpec> {
-        let mut loops = Vec::with_capacity(self.loops.len());
-        for name in &self.loops {
-            let spec = program
-                .iter()
-                .find(|l| &l.name == name)
-                .ok_or_else(|| CoreError::UnknownLoop(name.clone()))?;
-            loops.push(spec.clone());
-        }
+        let loops = self.resolve_loops(program)?;
         let mut positional: Vec<(usize, usize)> = Vec::new();
         for ov in &self.overrides {
             match ov {

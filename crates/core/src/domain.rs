@@ -81,9 +81,19 @@ pub struct DatData {
     pub dim: usize,
     /// Flattened `set.size * dim` values.
     pub data: Vec<f64>,
+    /// See [`DatData::known_zero`].
+    zeroed: bool,
 }
 
 impl DatData {
+    /// True while the dat holds what [`Domain::decl_dat_zeros`] gave it,
+    /// every value `+0.0`: [`Domain::dat_mut`], the one mutable path to
+    /// a dat, has not been called on it since.
+    #[inline]
+    pub fn known_zero(&self) -> bool {
+        self.zeroed
+    }
+
     /// Per-element payload in bytes (`δ` in Eq 4).
     #[inline]
     pub fn elem_bytes(&self) -> usize {
@@ -168,14 +178,18 @@ impl Domain {
             set,
             dim,
             data,
+            zeroed: false,
         });
         DatId((self.dats.len() - 1) as u32)
     }
 
-    /// Declare a zero-initialised dat.
+    /// Declare a zero-initialised dat; it is [`DatData::known_zero`]
+    /// until its first [`Domain::dat_mut`].
     pub fn decl_dat_zeros(&mut self, name: &str, set: SetId, dim: usize) -> DatId {
         let n = self.set(set).size * dim;
-        self.decl_dat(name, set, dim, vec![0.0; n])
+        let id = self.decl_dat(name, set, dim, vec![0.0; n]);
+        self.dats[id.idx()].zeroed = true;
+        id
     }
 
     /// Borrow a set.
@@ -204,10 +218,13 @@ impl Domain {
         &self.dats[id.idx()]
     }
 
-    /// Mutably borrow a dat's payload.
+    /// Mutably borrow a dat's payload. This ends the dat's
+    /// [`DatData::known_zero`] record, whatever the borrower writes.
     #[inline]
     pub fn dat_mut(&mut self, id: DatId) -> &mut DatData {
-        &mut self.dats[id.idx()]
+        let d = &mut self.dats[id.idx()];
+        d.zeroed = false;
+        d
     }
 
     /// All sets in declaration order.
@@ -294,6 +311,25 @@ mod tests {
         assert_eq!(dom.dat(x).elem_bytes(), 16);
         let z = dom.decl_dat_zeros("z", edges, 1);
         assert_eq!(dom.dat(z).data.len(), 3);
+    }
+
+    /// A zero declaration is recorded, survives a clone of the domain,
+    /// and ends at the first mutable borrow; `decl_dat` records nothing,
+    /// even for zero values.
+    #[test]
+    fn zero_record_survives_clone_and_ends_at_dat_mut() {
+        let mut dom = Domain::new();
+        let nodes = dom.decl_set("nodes", 3);
+        let z = dom.decl_dat_zeros("z", nodes, 2);
+        let x = dom.decl_dat("x", nodes, 1, vec![0.0; 3]);
+        assert!(dom.dat(z).known_zero());
+        assert!(!dom.dat(x).known_zero());
+        let mut copy = dom.clone();
+        assert!(copy.dat(z).known_zero());
+        let _ = copy.dat_mut(z);
+        assert!(!copy.dat(z).known_zero());
+        assert_eq!(copy.dat(z).data, vec![0.0; 6]);
+        assert!(dom.dat(z).known_zero(), "the original keeps its record");
     }
 
     #[test]

@@ -23,6 +23,8 @@ pub enum CoreError {
     Config { line: usize, msg: String },
     /// A chain references a loop name that does not exist in the program.
     UnknownLoop(String),
+    /// A chain name that no block of the configuration declares.
+    UnknownChain(String),
     /// A loop-chain violates a chain precondition (e.g. contains a global
     /// reduction, which is a synchronisation point).
     InvalidChain(String),
@@ -44,6 +46,7 @@ impl fmt::Display for CoreError {
             CoreError::BadArg { what, detail } => write!(f, "bad loop argument ({what}): {detail}"),
             CoreError::Config { line, msg } => write!(f, "chain config line {line}: {msg}"),
             CoreError::UnknownLoop(name) => write!(f, "chain references unknown loop `{name}`"),
+            CoreError::UnknownChain(name) => write!(f, "no chain `{name}` in the configuration"),
             CoreError::InvalidChain(msg) => write!(f, "invalid loop-chain: {msg}"),
         }
     }

@@ -20,7 +20,9 @@
 //! On top of this sits the *loop-chain* abstraction ([`chain`]): an ordered
 //! sequence of parallel loops with no global synchronisation in between,
 //! which a communication-avoiding back-end may execute with a single,
-//! deeper, grouped halo exchange instead of one exchange per loop.
+//! deeper, grouped halo exchange instead of one exchange per loop. A chain
+//! carries its own execution mode ([`ChainSpec::relaxed`]), and a program
+//! is a list of [`Step`]s, each a loop or a chain.
 //!
 //! ## A complete (tiny) program
 //!
@@ -90,6 +92,7 @@ pub mod seq;
 pub use access::{AccessMode, Arg, GblDecl, GblOp};
 pub use chain::{
     calc_halo_extents, calc_halo_layers, import_depths, ChainImport, ChainSpec, HaloLayers, StaleRead,
+    Step,
 };
 pub use config::{parse_chain_config, ChainConfig};
 pub use domain::{DatData, DatId, Domain, MapData, MapId, Set, SetId};

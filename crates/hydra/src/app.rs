@@ -1,17 +1,27 @@
 //! Hydra application assembly: the six benchmarked loop-chains over an
-//! annular rotor-passage mesh.
+//! annular rotor-passage mesh. The application is a plain list of loops;
+//! which of them form chains, and the halo extensions the paper pins
+//! for each, come from its chain configuration file (§3.4,
+//! `configs/hydra_chains.cfg`, embedded at build time).
 
 use crate::kernels;
-use op2_core::{AccessMode, Arg, ChainSpec, DatId, GblDecl, LoopSpec, Result};
+use op2_core::{
+    parse_chain_config, AccessMode, Arg, ChainConfig, ChainSpec, CoreError, DatId, GblDecl,
+    LoopSpec, Result,
+};
 use op2_mesh::{Annulus, AnnulusParams};
+
+/// The chain configuration file: each chain's loops and pinned extents.
+const CHAIN_CONFIG: &str = include_str!("../../../configs/hydra_chains.cfg");
 
 /// Which halo extents the chains are built with (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtentMode {
     /// Transitive (provably consistent) extents; strict execution.
     Safe,
-    /// The published Table 3–4 extents, pinned; relaxed execution with
-    /// one sync per chain (the paper's configuration).
+    /// The published Table 3–4 extents, pinned by the configuration
+    /// file's `he`/`max_halo` lines; relaxed execution with one sync per
+    /// chain (the paper's configuration).
     Paper,
 }
 
@@ -31,13 +41,26 @@ impl HydraParams {
     }
 }
 
-/// One step of the program.
+/// One step of the program. It converts into the one program type,
+/// [`op2_core::Step`].
 #[derive(Debug, Clone)]
 pub enum Step {
     /// A standard OP2 loop.
     Loop(LoopSpec),
-    /// A CA chain; `relaxed` selects the execution mode.
+    /// A CA chain; the `bool` repeats its [`ChainSpec::relaxed`].
     Chain(ChainSpec, bool),
+}
+
+impl From<Step> for op2_core::Step {
+    fn from(s: Step) -> Self {
+        match s {
+            Step::Loop(l) => op2_core::Step::Loop(l),
+            Step::Chain(c, relaxed) => {
+                debug_assert_eq!(relaxed, c.relaxed, "chain `{}`: the step's mode", c.name);
+                op2_core::Step::Chain(c)
+            }
+        }
+    }
 }
 
 /// The assembled application: mesh handles plus every dat.
@@ -68,6 +91,8 @@ pub struct Hydra {
     pub jaca: DatId,
     /// Parameters.
     pub params: HydraParams,
+    /// The parsed chain configuration, one block per chain.
+    chains: Vec<ChainConfig>,
 }
 
 impl Hydra {
@@ -100,6 +125,7 @@ impl Hydra {
             jac,
             jaca,
             params,
+            chains: parse_chain_config(CHAIN_CONFIG).expect("the embedded chain config parses"),
         }
     }
 
@@ -412,85 +438,69 @@ impl Hydra {
         )
     }
 
-    /// The published Table 3–4 halo extents per chain, in loop order.
-    pub fn paper_extents(name: &str) -> &'static [usize] {
-        match name {
-            "weight" => &[2, 1, 2, 2, 1],
-            "period" => &[2, 2, 1, 2, 1, 1],
-            "gradl" => &[2, 1],
-            "vflux" => &[1, 1],
-            "iflux" => &[1, 1],
-            "jacob" => &[1, 1, 1],
-            other => panic!("unknown chain `{other}`"),
-        }
+    /// Every loop a chain of the configuration may name, one of each.
+    fn chain_loops(&self) -> Vec<LoopSpec> {
+        vec![
+            self.sumbwts_loop(),
+            self.periodsym_loop(),
+            self.centreline_loop(),
+            self.edgelength_loop(),
+            self.periodicity_loop(),
+            self.negflag_loop(),
+            self.limxp_loop(),
+            self.edgecon_loop(),
+            self.period_loop(),
+            self.initres_loop(),
+            self.vflux_edge_loop(),
+            self.initviscres_loop(),
+            self.iflux_edge_loop(),
+            self.jac_period_loop(),
+            self.jac_centreline_loop(),
+            self.jac_corrections_loop(),
+        ]
     }
 
-    /// Build one of the six chains by name.
+    /// Build one of the six chains from its block of the chain
+    /// configuration. `Safe` keeps Algorithm 3's transitive extents and
+    /// runs strict; `Paper` applies the block's `he`/`max_halo` pins and
+    /// runs relaxed. A name no block declares is
+    /// [`CoreError::UnknownChain`].
     pub fn chain(&self, name: &str, mode: ExtentMode) -> Result<ChainSpec> {
-        let loops = match name {
-            "weight" => vec![
-                self.sumbwts_loop(),
-                self.periodsym_loop(),
-                self.centreline_loop(),
-                self.edgelength_loop(),
-                self.periodicity_loop(),
-            ],
-            "period" => vec![
-                self.negflag_loop(),
-                self.limxp_loop(),
-                self.periodicity_qo_alias(),
-                self.limxp_loop(),
-                self.periodicity_qo_alias(),
-                self.negflag_loop(),
-            ],
-            "gradl" => vec![self.edgecon_loop(), self.period_loop()],
-            "vflux" => vec![self.initres_loop(), self.vflux_edge_loop()],
-            "iflux" => vec![self.initviscres_loop(), self.iflux_edge_loop()],
-            "jacob" => vec![
-                self.jac_period_loop(),
-                self.jac_centreline_loop(),
-                self.jac_corrections_loop(),
-            ],
-            other => panic!("unknown chain `{other}`"),
-        };
+        let cfg = (self.chains.iter().find(|c| c.name == name))
+            .ok_or_else(|| CoreError::UnknownChain(name.to_string()))?;
+        let program = self.chain_loops();
         match mode {
-            ExtentMode::Safe => ChainSpec::new(name, loops, None, &[]),
-            ExtentMode::Paper => {
-                let pins: Vec<(usize, usize)> = Self::paper_extents(name)
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .collect();
-                ChainSpec::new(name, loops, None, &pins)
-            }
+            ExtentMode::Safe => ChainSpec::new(name, cfg.resolve_loops(&program)?, None, &[]),
+            ExtentMode::Paper => Ok(ChainSpec {
+                relaxed: true,
+                ..cfg.resolve(&program)?
+            }),
         }
     }
 
-    // `periodicity` inside the period chain acts on the same dat the
-    // weight chain version does; reuse the loop builder.
-    fn periodicity_qo_alias(&self) -> LoopSpec {
-        self.periodicity_loop()
-    }
-
-    /// The six benchmarked chain names.
+    /// The six benchmarked chain names, in Table 3–4 order.
     pub fn chain_names() -> [&'static str; 6] {
         ["weight", "period", "gradl", "vflux", "iflux", "jacob"]
+    }
+
+    /// Append chain `name` as one CA step (`ca`) or flattened into its
+    /// loops.
+    fn push_chain(&self, steps: &mut Vec<Step>, name: &str, ca: bool, mode: ExtentMode) {
+        let chain = self.chain(name, mode).expect("the configured chain is valid");
+        if ca {
+            let relaxed = chain.relaxed;
+            steps.push(Step::Chain(chain, relaxed));
+        } else {
+            steps.extend(chain.loops.into_iter().map(Step::Loop));
+        }
     }
 
     /// Setup phase: field initialisation plus the `weight` and `period`
     /// chains (they sit outside the time-marching loop, §4.2).
     pub fn setup(&self, ca: bool, mode: ExtentMode) -> Vec<Step> {
-        let relaxed = mode == ExtentMode::Paper;
         let mut steps = vec![Step::Loop(self.init_loop())];
         for name in ["weight", "period"] {
-            let chain = self.chain(name, mode).expect("setup chain is valid");
-            if ca {
-                steps.push(Step::Chain(chain, relaxed));
-            } else {
-                for l in chain.loops {
-                    steps.push(Step::Loop(l));
-                }
-            }
+            self.push_chain(&mut steps, name, ca, mode);
         }
         steps
     }
@@ -499,24 +509,13 @@ impl Hydra {
     /// `iflux`, `gradl`, `jacob`) plus the glue loops that dirty their
     /// inputs, closed by the RK accumulation.
     pub fn iteration(&self, ca: bool, mode: ExtentMode) -> Vec<Step> {
-        let relaxed = mode == ExtentMode::Paper;
         let mut steps = vec![Step::Loop(self.update_state_loop())];
-        let push_chain = |steps: &mut Vec<Step>, name: &str| {
-            let chain = self.chain(name, mode).expect("iteration chain is valid");
-            if ca {
-                steps.push(Step::Chain(chain, relaxed));
-            } else {
-                for l in chain.loops {
-                    steps.push(Step::Loop(l));
-                }
-            }
-        };
-        push_chain(&mut steps, "vflux");
+        self.push_chain(&mut steps, "vflux", ca, mode);
         steps.push(Step::Loop(self.smooth_rg_loop()));
-        push_chain(&mut steps, "iflux");
-        push_chain(&mut steps, "gradl");
+        self.push_chain(&mut steps, "iflux", ca, mode);
+        self.push_chain(&mut steps, "gradl", ca, mode);
         steps.push(Step::Loop(self.jac_assemble_loop()));
-        push_chain(&mut steps, "jacob");
+        self.push_chain(&mut steps, "jacob", ca, mode);
         steps.push(Step::Loop(self.rk_accumulate_loop()));
         steps
     }
@@ -571,21 +570,54 @@ mod tests {
 
     /// vflux / iflux / gradl: the transitive analysis reproduces the
     /// paper's extents exactly. weight / period / jacob ladder deeper
-    /// (see crate docs); their paper variants pin the published values.
+    /// (see crate docs); their paper variants pin the published values,
+    /// which the configuration file carries, and run relaxed.
     #[test]
     fn chain_extents_vs_paper() {
         let app = Hydra::new(HydraParams::small(6));
-        let safe =
-            |n: &str| app.chain(n, ExtentMode::Safe).unwrap().halo_ext;
+        let safe = |n: &str| app.chain(n, ExtentMode::Safe).unwrap().halo_ext;
         assert_eq!(safe("vflux"), vec![1, 1]);
         assert_eq!(safe("iflux"), vec![1, 1]);
         assert_eq!(safe("gradl"), vec![2, 1]);
         assert_eq!(safe("weight"), vec![2, 1, 3, 2, 1]);
         assert_eq!(safe("period"), vec![5, 4, 3, 2, 1, 1]);
         assert_eq!(safe("jacob"), vec![1, 2, 1]);
-        for name in Hydra::chain_names() {
+        let published: [(&str, &[usize]); 6] = [
+            ("weight", &[2, 1, 2, 2, 1]),
+            ("period", &[2, 2, 1, 2, 1, 1]),
+            ("gradl", &[2, 1]),
+            ("vflux", &[1, 1]),
+            ("iflux", &[1, 1]),
+            ("jacob", &[1, 1, 1]),
+        ];
+        for (name, extents) in published {
             let paper = app.chain(name, ExtentMode::Paper).unwrap();
-            assert_eq!(paper.halo_ext, Hydra::paper_extents(name));
+            assert_eq!(paper.halo_ext, extents, "{name}");
+            assert!(paper.relaxed, "{name}");
+        }
+    }
+
+    /// `Safe` chains carry Algorithm 3's transitive extents and run
+    /// strict.
+    #[test]
+    fn safe_chains_are_transitive_and_strict() {
+        let app = Hydra::new(HydraParams::small(6));
+        for name in Hydra::chain_names() {
+            let chain = app.chain(name, ExtentMode::Safe).unwrap();
+            assert_eq!(chain.halo_ext, op2_core::calc_halo_extents(&chain.sigs()), "{name}");
+            assert!(!chain.relaxed, "{name}");
+        }
+    }
+
+    /// A chain name no block declares is a typed error in either mode.
+    #[test]
+    fn unknown_chain_is_a_typed_error() {
+        let app = Hydra::new(HydraParams::small(5));
+        for mode in [ExtentMode::Safe, ExtentMode::Paper] {
+            match app.chain("no_such_chain", mode) {
+                Err(CoreError::UnknownChain(name)) => assert_eq!(name, "no_such_chain"),
+                other => panic!("expected UnknownChain, got {other:?}"),
+            }
         }
     }
 

@@ -26,10 +26,19 @@
 //! [`app::ExtentMode::Safe`] executes with provably-consistent extents
 //! (strict validity checks; bit-level agreement with the sequential
 //! reference up to float reassociation), while [`app::ExtentMode::Paper`]
-//! pins the published Table 3–4 extents and runs the chains in *relaxed*
-//! mode (one sync per chain, bounded staleness counted in the traces) —
-//! matching what the paper's configuration file does. EXPERIMENTS.md
-//! records both.
+//! pins the published Table 3–4 extents and marks the chains *relaxed*
+//! ([`op2_core::ChainSpec::relaxed`]: one sync per chain, bounded
+//! staleness counted in the traces). EXPERIMENTS.md records both.
+//!
+//! ## The chain configuration file
+//!
+//! As in the paper (§3.4), the application is a plain list of loops, and
+//! one configuration file, `configs/hydra_chains.cfg`, names each chain's
+//! loops and pins its halo extensions. The crate embeds the file and
+//! parses it once in [`Hydra::new`]; [`Hydra::chain`] resolves a block
+//! against the app's loops, applying the pins only in `Paper` mode. The
+//! programs the app builds ([`app::Step`]) convert into the workspace's
+//! one program type, [`op2_core::Step`].
 
 pub mod app;
 pub mod kernels;

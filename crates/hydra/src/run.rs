@@ -8,7 +8,7 @@
 use crate::app::{ExtentMode, Hydra, Step};
 use op2_core::seq;
 use op2_partition::RankLayout;
-use op2_runtime::{run_job, Job, JobRun, JobStep, RankTrace, RunOptions, RuntimeError};
+use op2_runtime::{run_job, Job, JobRun, RankTrace, RunOptions, RuntimeError};
 
 /// Result of a run.
 #[derive(Debug)]
@@ -31,18 +31,14 @@ impl RunOutcome {
     }
 }
 
-fn seq_steps(app: &mut Hydra, steps: &[Step]) {
-    for step in steps {
-        match step {
-            Step::Loop(l) => {
-                seq::run_loop(&mut app.mesh.dom, l);
-            }
-            Step::Chain(c, _) => {
-                for l in &c.loops {
-                    seq::run_loop(&mut app.mesh.dom, l);
-                }
-            }
-        }
+/// `steps` as the one program type, [`op2_core::Step`].
+fn lower(steps: Vec<Step>) -> Vec<op2_core::Step> {
+    steps.into_iter().map(op2_core::Step::from).collect()
+}
+
+fn seq_steps(app: &mut Hydra, steps: &[op2_core::Step]) {
+    for l in steps.iter().flat_map(op2_core::Step::loops) {
+        seq::run_loop(&mut app.mesh.dom, l);
     }
 }
 
@@ -53,8 +49,8 @@ fn seq_steps(app: &mut Hydra, steps: &[Step]) {
 /// only reads, so the two agree, and every test comparing [`run`]
 /// against this function is the check that they do.
 pub fn run_sequential(app: &mut Hydra, iters: usize, stages: usize) -> RunOutcome {
-    let setup = app.setup(false, ExtentMode::Safe);
-    let iteration = app.rk_iteration(false, ExtentMode::Safe, stages);
+    let setup = lower(app.setup(false, ExtentMode::Safe));
+    let iteration = lower(app.rk_iteration(false, ExtentMode::Safe, stages));
     let norm_spec = app.norm_loop();
     let n = app.mesh.dom.set(app.mesh.nodes).size as f64;
     seq_steps(app, &setup);
@@ -97,16 +93,6 @@ impl Variant {
     }
 }
 
-impl From<Step> for JobStep {
-    fn from(s: Step) -> JobStep {
-        match s {
-            Step::Loop(l) => JobStep::Loop(l),
-            Step::Chain(c, false) => JobStep::Chain(c),
-            Step::Chain(c, true) => JobStep::ChainRelaxed(c),
-        }
-    }
-}
-
 /// Describe `iters` iterations of this app as a [`Job`]: the setup
 /// program as setup steps, one RK iteration of `variant` as the repeated
 /// step list, and the pure norm reduction as the finish step.
@@ -123,10 +109,9 @@ pub fn job(app: &Hydra, variant: Variant, iters: usize) -> Job {
             app.rk_iteration(true, mode, stages),
         ),
     };
-    let lower = |steps: Vec<Step>| steps.into_iter().map(JobStep::from).collect();
     Job::new(name, lower(steps), iters)
         .setup(lower(setup))
-        .finish(vec![JobStep::Loop(app.norm_loop())])
+        .finish(vec![op2_core::Step::Loop(app.norm_loop())])
 }
 
 /// Run one of [`job`]'s programs distributed over `layouts`. `Err` if
@@ -146,6 +131,7 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
+    use op2_runtime::CallKind;
 
     /// Build `variant`'s job and run it.
     fn go(
@@ -252,10 +238,25 @@ mod tests {
             c.norm,
             s.norm
         );
-        // Staleness is actually detected somewhere (the weight/period
-        // chains pin extents below the transitive requirement).
-        let total_stale: usize = c.traces.iter().map(|t| t.stale_reads()).sum();
-        assert!(total_stale > 0, "expected counted stale reads");
+        // Staleness is counted where the pinned extents fall below the
+        // transitive requirement (weight, period, jacob), and nowhere
+        // else: per chain, summed over the four ranks.
+        let per_chain: Vec<(&str, usize)> = Hydra::chain_names()
+            .iter()
+            .map(|&n| {
+                let of = |t: &RankTrace| t.totals_of(CallKind::Chain, n).map(|c| c.stale_reads);
+                (n, c.traces.iter().filter_map(of).sum())
+            })
+            .collect();
+        let want = [
+            ("weight", 4),
+            ("period", 12),
+            ("gradl", 0),
+            ("vflux", 0),
+            ("iflux", 0),
+            ("jacob", 8),
+        ];
+        assert_eq!(per_chain, want);
     }
 
     /// Threaded safe-mode CA is **bitwise identical** to single-threaded

@@ -29,6 +29,8 @@ pub fn shuffle_set(dom: &mut Domain, set: SetId, seed: u64) -> Vec<u32> {
 /// * dats on the set have their element blocks reordered, except a dat
 ///   whose every value has all-zero bits: permuting it gives back the
 ///   same array, so it keeps its buffer untouched (a `-0.0` still moves).
+///   A dat still [`op2_core::DatData::known_zero`] from its declaration
+///   is left without reading it; any other dat is scanned.
 ///
 /// Panics, naming the first offending entry, unless `perm` is a bijection.
 pub fn apply_permutation(dom: &mut Domain, set: SetId, perm: &[u32]) {
@@ -59,8 +61,10 @@ pub fn apply_permutation(dom: &mut Domain, set: SetId, perm: &[u32]) {
     drop(map_rows);
     let mut dat_rows = Vec::new();
     for did in 0..dom.n_dats() {
-        let d = dom.dat_mut(op2_core::DatId(did as u32));
-        if d.set == set && d.data.iter().any(|v| v.to_bits() != 0) {
+        let id = op2_core::DatId(did as u32);
+        let d = dom.dat(id);
+        if d.set == set && !d.known_zero() && d.data.iter().any(|v| v.to_bits() != 0) {
+            let d = dom.dat_mut(id);
             permute_rows(&mut d.data, &inv, d.dim, &mut dat_rows);
         }
     }
@@ -204,6 +208,35 @@ mod tests {
         assert!(kept);
         assert_eq!(got, vec![0; 60]);
         assert_eq!(got, want);
+    }
+
+    /// A dat declared zero is left in place unread and keeps its record;
+    /// one mutably borrowed since is scanned: left in place while still
+    /// all zero, moved once the borrow wrote a value.
+    #[test]
+    fn declared_zero_dats_are_not_scanned() {
+        use rand::seq::SliceRandom;
+        let mut m = Quad2D::generate(5, 4);
+        let n = m.dom.set(m.nodes).size;
+        let [fresh, borrowed, written] =
+            ["fresh", "borrowed", "written"].map(|name| m.dom.decl_dat_zeros(name, m.nodes, 2));
+        let _ = m.dom.dat_mut(borrowed);
+        m.dom.dat_mut(written).data[2 * n - 1] = 7.0;
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.shuffle(&mut StdRng::seed_from_u64(9));
+        let mut want = m.dom.clone();
+        scatter_reference(&mut want, m.nodes, &perm);
+        let ptr = |d: &Domain, id: op2_core::DatId| d.dat(id).data.as_ptr();
+        let before = [fresh, borrowed, written].map(|id| ptr(&m.dom, id));
+        apply_permutation(&mut m.dom, m.nodes, &perm);
+        let bits = |d: &Domain, id| d.dat(id).data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for id in [fresh, borrowed, written] {
+            assert_eq!(bits(&m.dom, id), bits(&want, id), "dat {}", m.dom.dat(id).name);
+        }
+        assert_eq!((ptr(&m.dom, fresh), ptr(&m.dom, borrowed)), (before[0], before[1]));
+        assert!(m.dom.dat(fresh).known_zero());
+        assert!(!m.dom.dat(borrowed).known_zero());
+        assert_ne!(bits(&m.dom, written)[2 * n - 1], 7.0f64.to_bits(), "the dat did not move");
     }
 
     /// The zero rule compares bits: a dat of mixed `+0.0` and `-0.0`

@@ -7,6 +7,11 @@ use op2_core::{
 use op2_mesh::hex3d::{Hex3D, Hex3DIds, Hex3DParams};
 use op2_mesh::multigrid::{coarsen, mg_node_map};
 
+/// One step of the application program: the workspace's one program
+/// type, a plain loop (Alg 1 when distributed) or a CA chain (Alg 2;
+/// flattened to loops for the OP2 baseline).
+pub use op2_core::Step;
+
 /// Construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MgCfdParams {
@@ -41,16 +46,6 @@ pub struct LevelData {
     pub adt: DatId,
     /// Flux accumulator / residual (dim 5).
     pub flux: DatId,
-}
-
-/// One step of the application program: a plain loop or a CA chain.
-#[derive(Debug, Clone)]
-pub enum Step {
-    /// Execute as a standard OP2 loop (Alg 1 when distributed).
-    Loop(LoopSpec),
-    /// Execute as a CA loop-chain (Alg 2 when distributed; flattened to
-    /// loops for the OP2 baseline).
-    Chain(ChainSpec),
 }
 
 /// The assembled application.
@@ -377,13 +372,8 @@ impl MgCfd {
     /// Validate every loop of one iteration against the domain.
     pub fn validate(&self) -> Result<()> {
         for step in self.iteration(false) {
-            match step {
-                Step::Loop(l) => l.validate(&self.dom)?,
-                Step::Chain(c) => {
-                    for l in &c.loops {
-                        l.validate(&self.dom)?;
-                    }
-                }
+            for l in step.loops() {
+                l.validate(&self.dom)?;
             }
         }
         self.init_loop(0).validate(&self.dom)?;

@@ -8,7 +8,7 @@
 use crate::app::{MgCfd, Step};
 use op2_core::seq;
 use op2_partition::RankLayout;
-use op2_runtime::{run_job, Job, JobRun, JobStep, RankTrace, RunOptions, RuntimeError};
+use op2_runtime::{run_job, Job, JobRun, RankTrace, RunOptions, RuntimeError};
 
 /// Outcome of a run: final RMS residual plus (for distributed runs) the
 /// per-rank traces.
@@ -48,17 +48,8 @@ pub fn run_sequential(app: &mut MgCfd, iters: usize) -> RunOutcome {
     }
     let mut rms = 0.0;
     for _ in 0..iters {
-        for step in &iteration {
-            match step {
-                Step::Loop(l) => {
-                    seq::run_loop(&mut app.dom, l);
-                }
-                Step::Chain(c) => {
-                    for l in &c.loops {
-                        seq::run_loop(&mut app.dom, l);
-                    }
-                }
-            }
+        for l in iteration.iter().flat_map(Step::loops) {
+            seq::run_loop(&mut app.dom, l);
         }
         let r = seq::run_loop(&mut app.dom, &rms_spec);
         rms = (r.gbls[0][0] / n_fine).sqrt();
@@ -80,15 +71,6 @@ pub enum Variant {
     Ca,
 }
 
-impl From<Step> for JobStep {
-    fn from(s: Step) -> JobStep {
-        match s {
-            Step::Loop(l) => JobStep::Loop(l),
-            Step::Chain(c) => JobStep::Chain(c),
-        }
-    }
-}
-
 /// Describe `iters` iterations of this app as a [`Job`]: the per-level
 /// init loops as setup, one iteration of `variant` as the repeated step
 /// list, and the (pure, reduction-only) RMS loop as the finish step.
@@ -97,13 +79,13 @@ pub fn job(app: &MgCfd, variant: Variant, iters: usize) -> Job {
         Variant::Op2 => ("mgcfd-op2", app.iteration(false)),
         Variant::Ca => ("mgcfd-ca", app.iteration(true)),
     };
-    Job::new(name, steps.into_iter().map(JobStep::from).collect(), iters)
+    Job::new(name, steps, iters)
         .setup(
             (0..app.params.levels)
-                .map(|l| JobStep::Loop(app.init_loop(l)))
+                .map(|l| Step::Loop(app.init_loop(l)))
                 .collect(),
         )
-        .finish(vec![JobStep::Loop(app.rms_loop())])
+        .finish(vec![Step::Loop(app.rms_loop())])
 }
 
 /// Run one of [`job`]'s programs distributed over `layouts`. `Err` if
@@ -342,7 +324,7 @@ mod tests {
         let mut app = MgCfd::new(MgCfdParams::small(6));
         let layouts = layouts_for(&app, 2);
         let ca = job(&app, Variant::Ca, 2);
-        let is_loop = |s: &&JobStep| matches!(s, JobStep::Loop(_));
+        let is_loop = |s: &&Step| matches!(s, Step::Loop(_));
         let n_loops = ca.setup.len()
             + ca.iters * ca.steps.iter().filter(is_loop).count()
             + ca.finish.len();

@@ -11,9 +11,9 @@
 //! halo region executed in order, with redundant computation over up to
 //! `r` layers replacing the eliminated per-loop messages.
 //!
-//! There is one Alg 2 skeleton (`exec_chain`): [`run_chain`] and
-//! [`run_chain_relaxed`] are its two entry points, which differ only in
-//! the relaxed flag. It is **inspector–executor** split:
+//! There is one Alg 2 entry point, [`run_chain`]; the chain's own
+//! [`ChainSpec::relaxed`] says whether a read beyond in-chain validity
+//! fails the chain or is counted. It is **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
 //! the validity verdict) comes from a cached
 //! [`crate::plan::ChainPlan`], and every lowered schedule from the
@@ -158,33 +158,24 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
 }
 
 /// Algorithm 2: execute a loop-chain with the communication-avoiding
-/// back-end. Panics if the chain requires deeper halos than the layout
-/// was built with (a program error); transport failures and
-/// under-provisioned halo extents surface as [`RuntimeError`]s.
+/// back-end: cached plan → depth and validity checks → grouped exchange
+/// → pre-wait phase (each loop's core `[0, core_end)`, lines 8–12) →
+/// wait → post-wait phase (each loop's halo region `[core_end,
+/// exec_end)` in loop order, lines 14–18) → validity transitions →
+/// trace record → boundary. Bitwise identical to the sequential walk.
+///
+/// A strict chain fails on a read beyond in-chain validity (a
+/// [`RuntimeError::Validity`]). A [`ChainSpec::relaxed`] one takes its
+/// extents as configured (e.g. pinned to the paper's Table 3–4 values):
+/// such reads are satisfied by the deepened initial import (pre-chain
+/// values — the paper's one-sync-per-chain semantics) and counted in
+/// the chain record. Panics if the chain requires deeper halos than
+/// the layout was built with (a program error); transport failures
+/// surface as [`RuntimeError`]s.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, false)
-}
-
-/// [`run_chain`] in *relaxed* mode: halo extents are taken as configured
-/// (e.g. pinned to the paper's Table 3–4 values), reads beyond in-chain
-/// validity are satisfied by the deepened initial import (pre-chain
-/// values — the paper's one-sync-per-chain semantics), and every such
-/// potentially-stale read is counted in the chain record instead of
-/// failing the chain.
-pub fn run_chain_relaxed(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
-    exec_chain(env, chain, true)
-}
-
-/// The Alg 2 skeleton every planned chain entry point runs: cached plan
-/// → depth and validity checks → grouped exchange → pre-wait phase (each
-/// loop's core `[0, core_end)`, lines 8–12) → wait → post-wait phase
-/// (each loop's halo region `[core_end, exec_end)` in loop order, lines
-/// 14–18) → validity transitions → trace record → boundary. Bitwise
-/// identical to the sequential walk.
-fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result<(), RuntimeError> {
     let t0 = std::time::Instant::now();
     // Inspector: cached plan lookup — analysis runs only on a miss.
-    let plan = plan_for(env, chain, relaxed);
+    let plan = plan_for(env, chain);
     assert!(
         plan.depth <= env.layout.depth,
         "chain `{}` needs {} halo layers but the layout was built \
@@ -198,7 +189,7 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
     // disagreement) is a typed error, not a panic. Identical on every
     // rank, so nobody is left waiting on an exchange that was never
     // posted.
-    if let (false, Some(s)) = (relaxed, plan.stale.first()) {
+    if let (false, Some(s)) = (chain.relaxed, plan.stale.first()) {
         return Err(RuntimeError::Validity {
             rank: env.rank,
             chain: chain.name.clone(),
@@ -270,7 +261,8 @@ fn exec_chain(env: &mut RankEnv<'_>, chain: &ChainSpec, relaxed: bool) -> Result
 /// re-derived on every call, and a fresh, uncached grouped
 /// [`ExchangePlan`] built per call. Kept as the reference path: property
 /// tests assert the planned executor is bitwise-equal to this one on
-/// random meshes.
+/// random meshes. It runs every chain strict, whatever
+/// [`ChainSpec::relaxed`] says.
 pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     let t0 = std::time::Instant::now();
     let depth = chain.max_halo_layers();
@@ -382,9 +374,9 @@ mod tests {
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
     }
 
-    /// Every entry point runs the one lowering: strict and relaxed each
-    /// run every loop's core before the wait and its halo region after
-    /// it.
+    /// Both modes run the one lowering: a strict and a relaxed chain
+    /// each run every loop's core before the wait and its halo region
+    /// after it.
     #[test]
     fn lowering_decision_table() {
         use crate::harness::{run_distributed_with, RunOptions};
@@ -415,12 +407,14 @@ mod tests {
         let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
         let own = derive_ownership(&m.dom, m.nodes, base, chain.max_halo_layers());
         let layouts = build_layouts(&m.dom, &own, chain.max_halo_layers());
-        type Entry = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
-        let rows: [(&str, Entry); 2] = [("strict", run_chain), ("relaxed", run_chain_relaxed)];
-        for (name, entry) in rows {
+        let relaxed = ChainSpec {
+            relaxed: true,
+            ..chain.clone()
+        };
+        for (name, chain) in [("strict", &chain), ("relaxed", &relaxed)] {
             let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
-                entry(env, &chain)?;
-                entry(env, &chain)
+                run_chain(env, chain)?;
+                run_chain(env, chain)
             });
             for t in &out.traces {
                 assert_eq!(t.chains.len(), 2, "{name}: rank {}", t.rank);
@@ -434,8 +428,8 @@ mod tests {
     }
 
     /// A config-pinned halo extent that is too small is a typed
-    /// [`RuntimeError::Validity`] on the strict entry point, not a rank
-    /// panic; relaxed mode runs and counts the read.
+    /// [`RuntimeError::Validity`] on a strict chain, not a rank panic;
+    /// the same chain marked relaxed runs and counts the read.
     #[test]
     fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
         use crate::error::RankFailure;
@@ -506,8 +500,12 @@ mod tests {
                 other => panic!("expected a typed validity error, got {other:?}"),
             }
         }
+        let relaxed = ChainSpec {
+            relaxed: true,
+            ..chain
+        };
         let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
-            run_chain_relaxed(env, &chain)
+            run_chain(env, &relaxed)
         });
         for t in &out.traces {
             assert_eq!(t.chains[0].stale_reads, 1, "rank {}", t.rank);

@@ -3,14 +3,15 @@
 //! A [`Job`] is a data-described program over a mesh: setup steps, one
 //! iteration's steps repeated `iters` times, and finish steps whose loop
 //! results (a residual reduction, typically) are the program's output.
-//! [`exec_job_program`] is the only function in the workspace that walks
-//! a step list calling the executors.
+//! Every step is an [`op2_core::Step`], the one program type the apps
+//! build. [`exec_job_program`] is the only function in the workspace
+//! that walks a step list calling the executors.
 //!
-//! A strict chain step always runs the planned Alg 2 executor
-//! ([`run_chain`]); a relaxed one runs [`run_chain_relaxed`] (its pinned
-//! extents are an accuracy contract, not a performance choice).
-//! Threading, drain policy and fault plans stay in the caller's
-//! [`RunOptions`].
+//! A loop step runs Alg 1 ([`run_loop`]); a chain step runs Alg 2
+//! ([`run_chain`]), strict or relaxed as the chain itself says (a
+//! relaxed chain's pinned extents are an accuracy contract, not a
+//! performance choice). Threading, drain policy and fault plans stay in
+//! the caller's [`RunOptions`].
 //!
 //! [`run_job`] runs a job on a distributed world
 //! ([`run_distributed_with`]) and folds the per-rank verdicts into one
@@ -20,22 +21,11 @@
 
 use crate::env::RankEnv;
 use crate::error::{RankFailure, RuntimeError};
-use crate::exec::{run_chain, run_chain_relaxed, run_loop};
+use crate::exec::{run_chain, run_loop};
 use crate::harness::{run_distributed_with, DistOutcome, RunOptions};
 use crate::trace::RankTrace;
-use op2_core::{ChainSpec, Domain, LoopSpec};
+use op2_core::{Domain, Step};
 use op2_partition::RankLayout;
-
-/// One instruction of a job's program.
-#[derive(Debug, Clone)]
-pub enum JobStep {
-    /// A standard Alg 1 loop ([`run_loop`]).
-    Loop(LoopSpec),
-    /// A strict CA chain ([`run_chain`]).
-    Chain(ChainSpec),
-    /// A relaxed (paper-mode) CA chain ([`run_chain_relaxed`]).
-    ChainRelaxed(ChainSpec),
-}
 
 /// A program over a mesh.
 #[derive(Debug, Clone, Default)]
@@ -43,19 +33,19 @@ pub struct Job {
     /// Human-readable name (trace/reporting only).
     pub name: String,
     /// Run once before the iterations (initialization loops).
-    pub setup: Vec<JobStep>,
+    pub setup: Vec<Step>,
     /// One iteration's steps, repeated `iters` times.
-    pub steps: Vec<JobStep>,
+    pub steps: Vec<Step>,
     /// Run once after the iterations; these steps' loop results (e.g. a
     /// residual reduction) are the program's output.
-    pub finish: Vec<JobStep>,
+    pub finish: Vec<Step>,
     /// Iteration count.
     pub iters: usize,
 }
 
 impl Job {
     /// A job running `steps` for `iters` iterations.
-    pub fn new(name: impl Into<String>, steps: Vec<JobStep>, iters: usize) -> Self {
+    pub fn new(name: impl Into<String>, steps: Vec<Step>, iters: usize) -> Self {
         Job {
             name: name.into(),
             steps,
@@ -65,13 +55,13 @@ impl Job {
     }
 
     /// Setup steps, run once before the iterations (builder style).
-    pub fn setup(mut self, setup: Vec<JobStep>) -> Self {
+    pub fn setup(mut self, setup: Vec<Step>) -> Self {
         self.setup = setup;
         self
     }
 
     /// Finish steps, run once after the iterations (builder style).
-    pub fn finish(mut self, finish: Vec<JobStep>) -> Self {
+    pub fn finish(mut self, finish: Vec<Step>) -> Self {
         self.finish = finish;
         self
     }
@@ -85,14 +75,10 @@ pub fn exec_job_program(
     env: &mut RankEnv<'_>,
     job: &Job,
 ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-    let exec_step = |env: &mut RankEnv<'_>, step: &JobStep| {
+    let exec_step = |env: &mut RankEnv<'_>, step: &Step| {
         Ok::<_, RuntimeError>(match step {
-            JobStep::Loop(l) => run_loop(env, l)?.gbls,
-            JobStep::ChainRelaxed(c) => {
-                run_chain_relaxed(env, c)?;
-                Vec::new()
-            }
-            JobStep::Chain(c) => {
+            Step::Loop(l) => run_loop(env, l)?.gbls,
+            Step::Chain(c) => {
                 run_chain(env, c)?;
                 Vec::new()
             }

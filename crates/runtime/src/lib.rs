@@ -18,7 +18,7 @@
 //!   Alg 1 (per-loop halo exchange with latency hiding) and
 //!   [`exec::run_chain`] is Alg 2 (one grouped, multi-level exchange per
 //!   chain, cores of all loops overlapped with it, halo layers executed
-//!   after).
+//!   after; strict or relaxed as the [`op2_core::ChainSpec`] says).
 //! * [`trace`] — instrumentation records: message counts, bytes, core
 //!   and halo iteration counts per loop and per chain, as exact per-name
 //!   totals plus a bounded window of the newest records.
@@ -39,8 +39,8 @@
 //! * [`fault`] — deterministic fault injection: seeded wire delays, and
 //!   crash and stall actions at loop/chain boundaries, which the harness
 //!   contains as typed per-rank failures.
-//! * [`job`] — the program representation ([`Job`]: setup / repeated
-//!   steps / finish, as data), its one interpreter
+//! * [`job`] — the program ([`Job`]: setup / repeated steps / finish,
+//!   each a list of [`op2_core::Step`]s), its one interpreter
 //!   ([`exec_job_program`]) and the host that folds per-rank verdicts
 //!   into one `Result` ([`run_job`]).
 //!
@@ -72,11 +72,11 @@ pub mod trace;
 pub use comm::{CommConfig, CommCounters, CommError, CommWorld, RankComm};
 pub use env::RankEnv;
 pub use error::{RankFailure, RuntimeError};
-pub use exec::{run_chain, run_chain_relaxed, run_chain_unplanned, run_loop};
+pub use exec::{run_chain, run_chain_unplanned, run_loop};
 pub use fault::{Boundary, BoundaryAction, BoundaryKind, FaultPlan, FaultSpec};
 pub use halo::{ExchangePlan, Split};
 pub use harness::{run_distributed, run_distributed_with, DistOutcome, ExecMode, RunOptions};
-pub use job::{exec_job_program, run_job, Job, JobRun, JobStep};
+pub use job::{exec_job_program, run_job, Job, JobRun};
 pub use plan::{
     chain_signature, dirty_class, loop_signature, plan_for, ChainPlan, PlanCache, PlanStats,
 };

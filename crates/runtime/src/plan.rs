@@ -69,9 +69,10 @@ fn mode_code(mode: AccessMode) -> u8 {
 
 /// Stable hash of a chain's structure: loop names, iteration sets,
 /// argument access descriptors and halo extents, plus the execution
-/// mode. Identical across ranks and across process runs (no pointer or
-/// RandomState input), so it can key caches and cross-rank agreement.
-pub fn chain_signature(chain: &ChainSpec, relaxed: bool) -> u64 {
+/// mode ([`ChainSpec::relaxed`]). Identical across ranks and across
+/// process runs (no pointer or RandomState input), so it can key caches
+/// and cross-rank agreement.
+pub fn chain_signature(chain: &ChainSpec) -> u64 {
     let mut h = FNV_OFFSET;
     fnv_bytes(&mut h, chain.name.as_bytes());
     fnv_usize(&mut h, chain.loops.len());
@@ -79,7 +80,7 @@ pub fn chain_signature(chain: &ChainSpec, relaxed: bool) -> u64 {
         fnv_usize(&mut h, ext);
         fnv_loop(&mut h, spec);
     }
-    fnv_bytes(&mut h, &[u8::from(relaxed)]);
+    fnv_bytes(&mut h, &[u8::from(chain.relaxed)]);
     h
 }
 
@@ -173,7 +174,6 @@ impl ChainPlan {
         dom: &Domain,
         valid: &[u8],
         chain: &ChainSpec,
-        relaxed: bool,
     ) -> ChainPlan {
         let sigs = chain.sigs();
         // Where a pinned extent is too small the walk deepens the import
@@ -183,7 +183,7 @@ impl ChainPlan {
         let walk = import_depths(&sigs, &chain.halo_ext, &|d: DatId| valid[d.idx()] as usize);
         let import = walk.import.into_iter().map(|(d, t)| (d, t as u8)).collect();
 
-        let core_depths = if relaxed {
+        let core_depths = if chain.relaxed {
             vec![1usize; chain.len()]
         } else {
             op2_core::chain::core_depths(&sigs)
@@ -282,25 +282,15 @@ impl PlanCache {
 /// Look up (or build and cache) the plan for `chain` given the rank's
 /// current validity state. The cache hit path does zero halo-layer,
 /// import-depth or exchange-layout recomputation.
-pub fn plan_for(
-    env: &mut crate::env::RankEnv<'_>,
-    chain: &ChainSpec,
-    relaxed: bool,
-) -> Arc<ChainPlan> {
-    let sig = chain_signature(chain, relaxed);
+pub fn plan_for(env: &mut crate::env::RankEnv<'_>, chain: &ChainSpec) -> Arc<ChainPlan> {
+    let sig = chain_signature(chain);
     let dirty = dirty_class(&chain.loops, &env.valid);
     if let Some(p) = env.plans.map.get(&(sig, dirty)) {
         env.plans.stats.hits += 1;
         return Arc::clone(p);
     }
     env.plans.stats.misses += 1;
-    let plan = Arc::new(ChainPlan::build(
-        env.layout,
-        env.dom,
-        &env.valid,
-        chain,
-        relaxed,
-    ));
+    let plan = Arc::new(ChainPlan::build(env.layout, env.dom, &env.valid, chain));
     env.plans.map.insert((sig, dirty), Arc::clone(&plan));
     plan
 }
@@ -393,20 +383,13 @@ mod tests {
     #[test]
     fn signature_stable_and_discriminating() {
         let f = fix();
-        assert_eq!(
-            chain_signature(&f.chain, false),
-            chain_signature(&f.chain.clone(), false)
-        );
-        assert_ne!(
-            chain_signature(&f.chain, false),
-            chain_signature(&f.chain, true)
-        );
+        assert_eq!(chain_signature(&f.chain), chain_signature(&f.chain.clone()));
+        let mut relaxed = f.chain.clone();
+        relaxed.relaxed = true;
+        assert_ne!(chain_signature(&f.chain), chain_signature(&relaxed));
         let mut widened = f.chain.clone();
         widened.halo_ext[1] += 1;
-        assert_ne!(
-            chain_signature(&f.chain, false),
-            chain_signature(&widened, false)
-        );
+        assert_ne!(chain_signature(&f.chain), chain_signature(&widened));
     }
 
     /// Repeat lookups in the same dirty class hit; a validity change
@@ -417,16 +400,16 @@ mod tests {
         let comm = CommWorld::new(1).into_ranks().remove(0);
         let mut env = RankEnv::new(&f.layouts[0], &f.mesh.dom, comm);
 
-        let p1 = plan_for(&mut env, &f.chain, false);
+        let p1 = plan_for(&mut env, &f.chain);
         assert_eq!(env.plans.stats, PlanStats { misses: 1, ..Default::default() });
-        let p2 = plan_for(&mut env, &f.chain, false);
+        let p2 = plan_for(&mut env, &f.chain);
         assert!(Arc::ptr_eq(&p1, &p2), "same class must share the plan");
         assert_eq!(env.plans.stats.hits, 1);
 
         // Dirty-bit class change: dat `a` becomes fully dirty.
         let a = f.mesh.dom.dat_by_name("a").unwrap();
         env.valid[a.idx()] = 0;
-        let p3 = plan_for(&mut env, &f.chain, false);
+        let p3 = plan_for(&mut env, &f.chain);
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(env.plans.stats.misses, 2);
         assert_eq!(env.plans.len(), 2);
@@ -434,7 +417,7 @@ mod tests {
         // A fresh cache shares nothing with the old one.
         env.plans = PlanCache::new();
         assert!(env.plans.is_empty());
-        let p4 = plan_for(&mut env, &f.chain, false);
+        let p4 = plan_for(&mut env, &f.chain);
         assert!(!Arc::ptr_eq(&p3, &p4));
         assert_eq!(env.plans.stats, PlanStats { misses: 1, ..Default::default() });
     }
@@ -474,7 +457,7 @@ mod tests {
         let f = fix();
         let layout = &f.layouts[0];
         let valid = vec![0u8; f.mesh.dom.n_dats()];
-        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain, false);
+        let plan = ChainPlan::build(layout, &f.mesh.dom, &valid, &f.chain);
         assert_eq!(plan.depth, f.chain.max_halo_layers());
         let sigs = f.chain.sigs();
         let walk = import_depths(&sigs, &f.chain.halo_ext, &|_| 0);

@@ -43,7 +43,7 @@ fn main() {
             "{:<8} {:>6} | {:<18} {:<18} {:<18}",
             name,
             chain.len(),
-            format!("{:?}", Hydra::paper_extents(name)),
+            format!("{:?}", app.chain(name, ExtentMode::Paper).unwrap().halo_ext),
             format!("{:?}", calc_halo_layers(&sigs).per_loop),
             format!("{:?}", calc_halo_extents(&sigs)),
         );

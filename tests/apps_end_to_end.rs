@@ -1,13 +1,13 @@
 //! End-to-end application tests: MG-CFD and Hydra across back-ends,
 //! rank counts, partitioners, meshes and thread counts.
 
-use op2::core::Domain;
+use op2::core::{Domain, Step};
 use op2::hydra::{self, ExtentMode, Hydra, HydraParams};
 use op2::mgcfd::{self, MgCfd, MgCfdParams};
 use op2::partition::{
     build_layouts, derive_ownership, kway_partition, rcb_partition, rib_partition, RankLayout,
 };
-use op2::runtime::{run_job, Job, JobRun, JobStep, RunOptions};
+use op2::runtime::{run_job, Job, JobRun, RunOptions};
 use op2_mesh::Csr;
 
 fn run_mgcfd(
@@ -172,10 +172,10 @@ fn mgcfd_chain_length_sweep() {
         let mut app = MgCfd::new(params);
         let layouts = mgcfd_layouts(&app, 4, false);
         let steps = vec![
-            JobStep::Loop(app.write_pres_loop()),
-            JobStep::Chain(app.synthetic_chain_n(nchains).unwrap()),
+            Step::Loop(app.write_pres_loop()),
+            Step::Chain(app.synthetic_chain_n(nchains).unwrap()),
         ];
-        let setup = (0..params.levels).map(|l| JobStep::Loop(app.init_loop(l))).collect();
+        let setup = (0..params.levels).map(|l| Step::Loop(app.init_loop(l))).collect();
         let job = Job::new("synthetic", steps, iters).setup(setup);
         let out = run_job(&mut app.dom, &layouts, &job, &RunOptions::default())
             .expect("every rank completes");

@@ -3,11 +3,11 @@
 //! against the application's loop declarations, and executed — the
 //! shipped `configs/*.cfg` files are the fixtures.
 
-use op2::core::{parse_chain_config, seq};
+use op2::core::{parse_chain_config, seq, ChainSpec};
 use op2::hydra::{ExtentMode, Hydra, HydraParams};
 use op2::mgcfd::{MgCfd, MgCfdParams, Step};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, rib_partition};
-use op2::runtime::exec::{run_chain, run_chain_relaxed, run_loop};
+use op2::runtime::exec::{run_chain, run_loop};
 use op2::runtime::run_distributed;
 
 #[test]
@@ -54,7 +54,7 @@ fn mgcfd_config_resolves_and_runs() {
     assert_eq!(builtin.len(), 2);
     for (cfg, want) in configs[1..].iter().zip(&builtin) {
         let got = cfg.resolve(&flat).unwrap();
-        let names = |c: &op2::core::ChainSpec| -> Vec<String> {
+        let names = |c: &ChainSpec| -> Vec<String> {
             c.loops.iter().map(|l| l.name.clone()).collect()
         };
         assert_eq!(got.name, want.name);
@@ -93,33 +93,32 @@ fn mgcfd_config_resolves_and_runs() {
     }
 }
 
+/// The shipped Hydra configuration is the one `hydra-sim` embeds: every
+/// block resolves against the app's loops, the blocks are exactly
+/// `Hydra::chain_names()`, and `Paper` mode is the block's pins, relaxed.
 #[test]
-fn hydra_config_matches_builtin_paper_chains() {
+fn hydra_config_resolves_every_block() {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../configs/hydra_chains.cfg"
     ))
     .expect("shipped config present");
     let configs = parse_chain_config(&text).unwrap();
-    assert_eq!(configs.len(), 5);
+    let mut names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
+    let mut want = Hydra::chain_names().to_vec();
+    names.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(names, want);
 
     let app = Hydra::new(HydraParams::small(6));
-    // Program: one instance of every loop the configs reference.
-    let program = [app.chain("weight", ExtentMode::Safe).unwrap().loops,
-        app.chain("vflux", ExtentMode::Safe).unwrap().loops,
-        app.chain("iflux", ExtentMode::Safe).unwrap().loops,
-        app.chain("gradl", ExtentMode::Safe).unwrap().loops,
-        app.chain("jacob", ExtentMode::Safe).unwrap().loops]
-    .concat();
-
     for cfg in &configs {
-        let resolved = cfg.resolve(&program).unwrap();
-        let builtin = app.chain(&resolved.name, ExtentMode::Paper).unwrap();
-        assert_eq!(
-            resolved.halo_ext, builtin.halo_ext,
-            "chain {} extents from config differ from built-in paper mode",
-            resolved.name
-        );
+        let safe = app.chain(&cfg.name, ExtentMode::Safe).unwrap();
+        let paper = app.chain(&cfg.name, ExtentMode::Paper).unwrap();
+        let names: Vec<&str> = safe.loops.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, cfg.loops, "chain {}", cfg.name);
+        let resolved = cfg.resolve(&safe.loops).unwrap();
+        assert_eq!(resolved.halo_ext, paper.halo_ext, "chain {}", cfg.name);
+        assert!(!resolved.relaxed && paper.relaxed, "chain {}", cfg.name);
     }
 }
 
@@ -137,12 +136,10 @@ fn hydra_config_driven_execution_runs_relaxed() {
         app.chain("iflux", ExtentMode::Safe).unwrap().loops,
     ]
     .concat();
-    let vflux = configs
-        .iter()
-        .find(|c| c.name == "vflux")
-        .unwrap()
-        .resolve(&program)
-        .unwrap();
+    let vflux = ChainSpec {
+        relaxed: true,
+        ..configs.iter().find(|c| c.name == "vflux").unwrap().resolve(&program).unwrap()
+    };
 
     let init = app.init_loop();
     let base = rib_partition(app.mesh.node_coords(), 3, 3);
@@ -150,7 +147,7 @@ fn hydra_config_driven_execution_runs_relaxed() {
     let layouts = build_layouts(&app.mesh.dom, &own, 2);
     let out = run_distributed(&mut app.mesh.dom, &layouts, |env| {
         run_loop(env, &init)?;
-        run_chain_relaxed(env, &vflux)?;
+        run_chain(env, &vflux)?;
         Ok(env.trace.chains[0].d_exchanged)
     })
     .unwrap_results();

@@ -293,3 +293,51 @@ fn config_with_unknown_loop_errors() {
         other => panic!("expected UnknownLoop, got {other:?}"),
     }
 }
+
+/// An empty set with a map out of it: `build_layouts` gives it no local
+/// element on any rank, and a distributed loop over it runs on every
+/// rank, posts nothing and leaves every dat as the sequential walk
+/// does, as does the mesh loop after it.
+#[test]
+fn empty_set_with_a_map_from_it() {
+    let mut f = fixture(3);
+    let dom = &mut f.mesh.dom;
+    let faces = dom.decl_set("faces", 0);
+    let f2n = dom.decl_map("f2n", faces, f.mesh.nodes, 2, Vec::new()).unwrap();
+    let face_loop = LoopSpec::new(
+        "faces",
+        faces,
+        vec![
+            Arg::dat_indirect(f.b, f2n, 0, AccessMode::Read),
+            Arg::dat_indirect(f.b, f2n, 1, AccessMode::Read),
+            Arg::dat_indirect(f.a, f2n, 0, AccessMode::Inc),
+            Arg::dat_indirect(f.a, f2n, 1, AccessMode::Inc),
+        ],
+        read_kernel,
+    );
+    let base = rcb_partition(&dom.dat(f.mesh.coords).data, 2, 3);
+    let own = derive_ownership(dom, f.mesh.nodes, base, 3);
+    let layouts = build_layouts(dom, &own, 2);
+    for l in &layouts {
+        assert_eq!(l.sets[faces.idx()].n_local(), 0, "rank {}", l.rank);
+        assert!(l.maps[f2n.idx()].values.is_empty(), "rank {}", l.rank);
+    }
+    let mut want = dom.clone();
+    for spec in [&face_loop, &f.inc_loop] {
+        op2::core::seq::run_loop(&mut want, spec);
+    }
+    let out = run_distributed(dom, &layouts, |env| {
+        run_loop(env, &face_loop)?;
+        run_loop(env, &f.inc_loop)?;
+        Ok(())
+    });
+    for t in &out.traces {
+        let face = &t.loops[0];
+        let counts = (face.exch.n_msgs, face.core_iters, face.halo_iters);
+        assert_eq!(counts, (0, 0, 0), "rank {}", t.rank);
+    }
+    out.unwrap_results();
+    for d in [f.a, f.b] {
+        assert_eq!(dom.dat(d).data, want.dat(d).data, "dat {}", want.dat(d).name);
+    }
+}
