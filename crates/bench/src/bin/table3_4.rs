@@ -4,17 +4,21 @@
 //! Three extent columns are printed side by side:
 //!
 //! * **paper** — the published Table 3/4 values, as the chain
-//!   configuration file `configs/hydra_chains.cfg` pins them (the
-//!   `Paper` execution mode);
+//!   configuration file `configs/hydra_chains.cfg` pins them
+//!   (`ExtentMode::Paper`);
 //! * **alg3** — the literal Algorithm 3 as printed in the paper
 //!   ([`op2_core::chain::calc_halo_layers`]);
 //! * **safe** — the transitive dependency closure this reproduction's
-//!   strict executor requires ([`op2_core::chain::calc_halo_extents`]).
+//!   executor requires ([`op2_core::chain::calc_halo_extents`]).
 //!
+//! A closing table gives each chain's **stale** count: the reads the
+//! paper extents leave beyond in-chain validity, per call
+//! ([`op2_core::chain::import_depths`]; static, as entry validity only
+//! shapes the import). The executor refuses a chain with any.
 //! Divergences between the columns are analysed in EXPERIMENTS.md.
 
 use hydra_sim::{ExtentMode, Hydra, HydraParams};
-use op2_core::chain::{calc_halo_extents, calc_halo_layers};
+use op2_core::chain::{calc_halo_extents, calc_halo_layers, import_depths};
 
 fn main() {
     let csv = std::env::args().any(|a| a == "--csv");
@@ -70,12 +74,20 @@ fn main() {
         }
         println!();
     }
+    println!("reads the paper extents leave stale, per call:");
+    println!("  {:<8} {:>5}", "chain", "stale");
+    for name in Hydra::chain_names() {
+        let chain = app.chain(name, ExtentMode::Paper).expect("chain valid");
+        let stale = import_depths(&chain.sigs(), &chain.halo_ext, &|_| 0).stale.len();
+        println!("  {name:<8} {stale:>5}");
+    }
+    println!();
     println!(
         "vflux / iflux / gradl: all three columns agree with the paper.\n\
          weight / period / jacob: the literal Alg 3 and the transitive\n\
          closure disagree with individual published values — see\n\
-         EXPERIMENTS.md for the per-loop discussion. The `Paper` execution\n\
-         mode pins the published extents (relaxed chain execution);\n\
-         the `Safe` mode uses the transitive closure."
+         EXPERIMENTS.md for the per-loop discussion. The published extents\n\
+         are kept as data: the executor refuses a chain with a stale read\n\
+         (a typed validity error), and runs use the `Safe` transitive closure."
     );
 }

@@ -192,9 +192,9 @@ pub fn synthetic_components(
     let gs: Vec<f64> = (0..sigs.len())
         .map(|i| if i % 2 == 0 { g_update } else { g_flux })
         .collect();
-    // Relaxed shape: the paper's back-end keeps the standard depth-1
-    // latency-hiding core for every loop of the chain (its Table 2 CA
-    // cores barely shrink), tolerating bounded staleness — match that.
+    // The paper's back-end keeps the standard depth-1 latency-hiding
+    // core for every loop of the chain (its Table 2 CA cores barely
+    // shrink) — the model matches that.
     let shape =
         shape_from_sigs(&app.dom, "synthetic", &sigs, &chain.halo_ext, &gs, &|_| 0);
     chain_components(stats, &shape)
@@ -229,7 +229,7 @@ pub fn hydra_chain_components(
         })
         .collect();
     // Paper extents are pinned below the transitive requirement for
-    // some chains; the relaxed plan deepens the initial import instead.
+    // some chains; the modelled import deepens to cover those reads.
     // Coordinates are never modified, hence never exchanged.
     let coords = app.mesh.coords;
     let shape = shape_from_sigs(

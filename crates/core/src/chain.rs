@@ -14,8 +14,8 @@ use crate::domain::DatId;
 use crate::error::{CoreError, Result};
 use crate::loops::{LoopSig, LoopSpec};
 
-/// A named, validated loop-chain: the loops (in program order), the
-/// result of the halo-layer analysis and the chain's execution mode.
+/// A named, validated loop-chain: the loops (in program order) and the
+/// result of the halo-layer analysis.
 #[derive(Debug, Clone)]
 pub struct ChainSpec {
     /// Chain name (matches the configuration file).
@@ -24,15 +24,10 @@ pub struct ChainSpec {
     pub loops: Vec<LoopSpec>,
     /// Per-loop effective halo extension (`HE_l`), in program order.
     pub halo_ext: Vec<usize>,
-    /// Relaxed (the paper's) mode: the extents are pinned by a
-    /// configuration, reads beyond in-chain validity take the pre-chain
-    /// values of the grouped import and are counted, not refused. Strict
-    /// (`false`, what [`ChainSpec::new`] builds) refuses any such read.
-    pub relaxed: bool,
 }
 
 /// One instruction of a program: a standalone loop (Alg 1) or a
-/// loop-chain (Alg 2, strict or relaxed as the chain says).
+/// loop-chain (Alg 2).
 #[derive(Debug, Clone)]
 pub enum Step {
     /// A standard OP2 loop.
@@ -95,7 +90,6 @@ impl ChainSpec {
             name: name.to_string(),
             loops,
             halo_ext,
-            relaxed: false,
         })
     }
 
@@ -434,9 +428,9 @@ pub struct ChainImport {
 /// *pre-chain* values: exactly the paper's "all communications at the
 /// start of the loop-chain" semantics, which tolerates bounded staleness
 /// on boundary-subset loops (§2.2's order-independence assumption; the
-/// Hydra chains of Tables 3–4 are configured this way). A strict
-/// executor refuses a chain with any stale read; a relaxed one counts
-/// them.
+/// Hydra chains of Tables 3–4 are configured this way). The executor
+/// refuses a chain with any stale read; the count is a static property
+/// of the chain's extents.
 pub fn import_depths(
     sigs: &[LoopSig],
     extents: &[usize],

@@ -55,8 +55,8 @@ impl ChainConfig {
 
     /// Resolve this configuration against a program into a validated
     /// [`ChainSpec`] with the block's `max_halo` and `he` lines applied.
-    /// The spec is strict; a caller that runs the pinned extents as the
-    /// paper does sets [`ChainSpec::relaxed`].
+    /// An extent pinned below what the chain's dependencies need leaves a
+    /// stale read ([`crate::chain::import_depths`]), which executors refuse.
     pub fn resolve(&self, program: &[LoopSpec]) -> Result<ChainSpec> {
         let loops = self.resolve_loops(program)?;
         let mut positional: Vec<(usize, usize)> = Vec::new();

@@ -20,9 +20,8 @@
 //! On top of this sits the *loop-chain* abstraction ([`chain`]): an ordered
 //! sequence of parallel loops with no global synchronisation in between,
 //! which a communication-avoiding back-end may execute with a single,
-//! deeper, grouped halo exchange instead of one exchange per loop. A chain
-//! carries its own execution mode ([`ChainSpec::relaxed`]), and a program
-//! is a list of [`Step`]s, each a loop or a chain.
+//! deeper, grouped halo exchange instead of one exchange per loop. A
+//! program is a list of [`Step`]s, each a loop or a chain.
 //!
 //! ## A complete (tiny) program
 //!

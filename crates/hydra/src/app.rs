@@ -17,11 +17,12 @@ const CHAIN_CONFIG: &str = include_str!("../../../configs/hydra_chains.cfg");
 /// Which halo extents the chains are built with (see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtentMode {
-    /// Transitive (provably consistent) extents; strict execution.
+    /// Transitive (provably consistent) extents: the chains run.
     Safe,
     /// The published Table 3–4 extents, pinned by the configuration
-    /// file's `he`/`max_halo` lines; relaxed execution with one sync per
-    /// chain (the paper's configuration).
+    /// file's `he`/`max_halo` lines. Kept as data: where a pin sits below
+    /// what the chain's dependencies need (`weight`, `period`, `jacob`),
+    /// the executor refuses the chain with a typed validity error.
     Paper,
 }
 
@@ -47,7 +48,8 @@ impl HydraParams {
 pub enum Step {
     /// A standard OP2 loop.
     Loop(LoopSpec),
-    /// A CA chain; the `bool` repeats its [`ChainSpec::relaxed`].
+    /// A CA chain. The `bool` is always `false`: no chain runs with
+    /// reads beyond its in-chain validity.
     Chain(ChainSpec, bool),
 }
 
@@ -55,8 +57,8 @@ impl From<Step> for op2_core::Step {
     fn from(s: Step) -> Self {
         match s {
             Step::Loop(l) => op2_core::Step::Loop(l),
-            Step::Chain(c, relaxed) => {
-                debug_assert_eq!(relaxed, c.relaxed, "chain `{}`: the step's mode", c.name);
+            Step::Chain(c, b) => {
+                debug_assert!(!b, "chain `{}`: a step flag set", c.name);
                 op2_core::Step::Chain(c)
             }
         }
@@ -461,20 +463,16 @@ impl Hydra {
     }
 
     /// Build one of the six chains from its block of the chain
-    /// configuration. `Safe` keeps Algorithm 3's transitive extents and
-    /// runs strict; `Paper` applies the block's `he`/`max_halo` pins and
-    /// runs relaxed. A name no block declares is
-    /// [`CoreError::UnknownChain`].
+    /// configuration. `Safe` keeps Algorithm 3's transitive extents;
+    /// `Paper` applies the block's `he`/`max_halo` pins. A name no block
+    /// declares is [`CoreError::UnknownChain`].
     pub fn chain(&self, name: &str, mode: ExtentMode) -> Result<ChainSpec> {
         let cfg = (self.chains.iter().find(|c| c.name == name))
             .ok_or_else(|| CoreError::UnknownChain(name.to_string()))?;
         let program = self.chain_loops();
         match mode {
             ExtentMode::Safe => ChainSpec::new(name, cfg.resolve_loops(&program)?, None, &[]),
-            ExtentMode::Paper => Ok(ChainSpec {
-                relaxed: true,
-                ..cfg.resolve(&program)?
-            }),
+            ExtentMode::Paper => cfg.resolve(&program),
         }
     }
 
@@ -488,8 +486,7 @@ impl Hydra {
     fn push_chain(&self, steps: &mut Vec<Step>, name: &str, ca: bool, mode: ExtentMode) {
         let chain = self.chain(name, mode).expect("the configured chain is valid");
         if ca {
-            let relaxed = chain.relaxed;
-            steps.push(Step::Chain(chain, relaxed));
+            steps.push(Step::Chain(chain, false));
         } else {
             steps.extend(chain.loops.into_iter().map(Step::Loop));
         }
@@ -571,7 +568,7 @@ mod tests {
     /// vflux / iflux / gradl: the transitive analysis reproduces the
     /// paper's extents exactly. weight / period / jacob ladder deeper
     /// (see crate docs); their paper variants pin the published values,
-    /// which the configuration file carries, and run relaxed.
+    /// which the configuration file carries.
     #[test]
     fn chain_extents_vs_paper() {
         let app = Hydra::new(HydraParams::small(6));
@@ -593,19 +590,20 @@ mod tests {
         for (name, extents) in published {
             let paper = app.chain(name, ExtentMode::Paper).unwrap();
             assert_eq!(paper.halo_ext, extents, "{name}");
-            assert!(paper.relaxed, "{name}");
         }
     }
 
-    /// `Safe` chains carry Algorithm 3's transitive extents and run
-    /// strict.
+    /// `Safe` chains carry Algorithm 3's transitive extents, which
+    /// leave no read stale.
     #[test]
     fn safe_chains_are_transitive_and_strict() {
         let app = Hydra::new(HydraParams::small(6));
         for name in Hydra::chain_names() {
             let chain = app.chain(name, ExtentMode::Safe).unwrap();
-            assert_eq!(chain.halo_ext, op2_core::calc_halo_extents(&chain.sigs()), "{name}");
-            assert!(!chain.relaxed, "{name}");
+            let sigs = chain.sigs();
+            assert_eq!(chain.halo_ext, op2_core::calc_halo_extents(&sigs), "{name}");
+            let walk = op2_core::import_depths(&sigs, &chain.halo_ext, &|_| 0);
+            assert!(walk.stale.is_empty(), "{name}: {:?}", walk.stale);
         }
     }
 

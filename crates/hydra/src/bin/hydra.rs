@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! cargo run --release -p hydra-sim --bin hydra -- \
-//!     --n 10 --ranks 4 --iters 3 --backend ca --extents paper
+//!     --n 10 --ranks 4 --iters 3 --backend ca
 //! ```
 //!
-//! Backends: `seq`, `op2`, `ca`. `--extents safe|paper` selects the
-//! transitive (strict) or published (relaxed) halo extents for the CA
-//! back-end. `--threads N` runs each rank's kernels on `N` threads
-//! (default 1). Prints each chain's execution plan and the run statistics.
+//! Backends: `seq`, `op2`, `ca`. The CA back-end runs the chains with
+//! Algorithm 3's transitive halo extents. `--threads N` runs each rank's
+//! kernels on `N` threads (default 1). Prints each chain's execution
+//! plan and the run statistics.
 
 use hydra_sim::{job, run, run_sequential, ExtentMode, Hydra, HydraParams, Variant};
 use op2_mesh::AnnulusParams;
@@ -24,7 +24,6 @@ struct Opts {
     threads: usize,
     stages: usize,
     backend: String,
-    extents: String,
 }
 
 /// Print `err` as `hydra: {err}` and exit 1 — a bad flag is the
@@ -64,7 +63,6 @@ fn parse_opts() -> Opts {
         threads: 1,
         stages: 1,
         backend: "ca".into(),
-        extents: "paper".into(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -74,7 +72,6 @@ fn parse_opts() -> Opts {
             "--iters" => o.iters = count(&flag, args.next()),
             "--stages" => o.stages = count(&flag, args.next()),
             "--backend" => o.backend = value(&flag, args.next()),
-            "--extents" => o.extents = value(&flag, args.next()),
             "--threads" => {
                 o.threads = count(&flag, args.next());
                 if o.threads == 0 {
@@ -84,7 +81,7 @@ fn parse_opts() -> Opts {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --n <grid> --ranks <n> --iters <n> --stages <rk stages> \
-                     --threads <per rank> --backend seq|op2|ca --extents safe|paper"
+                     --threads <per rank> --backend seq|op2|ca"
                 );
                 std::process::exit(0);
             }
@@ -96,27 +93,21 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let o = parse_opts();
-    let mode = match o.extents.as_str() {
-        "safe" => ExtentMode::Safe,
-        "paper" => ExtentMode::Paper,
-        other => fail(format!("unknown extents `{other}` (safe|paper)")),
-    };
     let mut app = Hydra::new(HydraParams {
         mesh: AnnulusParams::small(o.n, o.n, o.n),
     });
     println!(
         "Hydra passage: {} nodes, {} edges, {} pedges, {} bnd, {} cbnd; \
-         backend = {}, extents = {}",
+         backend = {}",
         app.mesh.dom.set(app.mesh.nodes).size,
         app.mesh.dom.set(app.mesh.edges).size,
         app.mesh.dom.set(app.mesh.pedges).size,
         app.mesh.dom.set(app.mesh.bnd).size,
         app.mesh.dom.set(app.mesh.cbnd).size,
         o.backend,
-        o.extents,
     );
     for name in Hydra::chain_names() {
-        let chain = app.chain(name, mode).expect("chain valid");
+        let chain = app.chain(name, ExtentMode::Safe).expect("chain valid");
         print!("{}", chain.describe(&app.mesh.dom));
     }
 
@@ -124,7 +115,7 @@ fn main() {
         "seq" => run_sequential(&mut app, o.iters, o.stages),
         "op2" | "ca" => {
             warn_if_oversubscribed(o.ranks, o.threads);
-            let depth = app.required_depth(mode).max(2);
+            let depth = app.required_depth(ExtentMode::Safe).max(2);
             let base = rib_partition(app.mesh.node_coords(), 3, o.ranks);
             let own = derive_ownership(&app.mesh.dom, app.mesh.nodes, base, o.ranks);
             let layouts = build_layouts(&app.mesh.dom, &own, depth);
@@ -132,7 +123,7 @@ fn main() {
             let variant = if o.backend == "op2" {
                 Variant::Op2 { stages }
             } else {
-                Variant::Ca { mode, stages }
+                Variant::Ca { stages }
             };
             let job = job(&app, variant, o.iters);
             run(&mut app, &layouts, &job, &RunOptions::default().with_threads(o.threads))
@@ -147,7 +138,6 @@ fn main() {
     );
     if !outcome.traces.is_empty() {
         let msgs: usize = outcome.traces.iter().map(|t| t.total_msgs()).sum();
-        let stale: usize = outcome.traces.iter().map(|t| t.stale_reads()).sum();
-        println!("messages: {msgs}; tolerated stale reads: {stale}");
+        println!("messages: {msgs}");
     }
 }

@@ -22,13 +22,14 @@
 //! ladder up (period: `[5,4,3,2,1,1]`). The paper's Algorithm 3 tracks
 //! dats independently and reports shallower extents (period:
 //! `[2,2,1,2,1,1]`), which is sound for Hydra only because periodic-edge
-//! loops perturb a thin subset of each dat. Both are supported:
-//! [`app::ExtentMode::Safe`] executes with provably-consistent extents
-//! (strict validity checks; bit-level agreement with the sequential
-//! reference up to float reassociation), while [`app::ExtentMode::Paper`]
-//! pins the published Table 3–4 extents and marks the chains *relaxed*
-//! ([`op2_core::ChainSpec::relaxed`]: one sync per chain, bounded
-//! staleness counted in the traces). EXPERIMENTS.md records both.
+//! loops perturb a thin subset of each dat. [`app::ExtentMode::Safe`]
+//! executes with provably-consistent extents (bit-level agreement with
+//! the sequential reference up to float reassociation).
+//! [`app::ExtentMode::Paper`] keeps the published Table 3–4 extents as
+//! data: the tables and the model read them, and the executor refuses
+//! the `weight`, `period` and `jacob` pins, whose reads would outrun
+//! in-chain validity, with a typed validity error. The `table3_4` bin
+//! prints both, with each paper chain's stale-read count.
 //!
 //! ## The chain configuration file
 //!

@@ -76,11 +76,9 @@ pub enum Variant {
         /// RK stages per iteration.
         stages: usize,
     },
-    /// The CA back-end with the chosen extent mode (`Paper` runs the
-    /// chains relaxed).
+    /// The CA back-end, its chains built with Algorithm 3's transitive
+    /// extents ([`ExtentMode::Safe`]).
     Ca {
-        /// Halo extents the chains are built with.
-        mode: ExtentMode,
         /// RK stages per iteration.
         stages: usize,
     },
@@ -88,8 +86,8 @@ pub enum Variant {
 
 impl Variant {
     /// The single-stage CA program (what the tests run).
-    pub fn ca(mode: ExtentMode) -> Self {
-        Variant::Ca { mode, stages: 1 }
+    pub fn ca() -> Self {
+        Variant::Ca { stages: 1 }
     }
 }
 
@@ -103,10 +101,10 @@ pub fn job(app: &Hydra, variant: Variant, iters: usize) -> Job {
             app.setup(false, ExtentMode::Safe),
             app.rk_iteration(false, ExtentMode::Safe, stages),
         ),
-        Variant::Ca { mode, stages } => (
+        Variant::Ca { stages } => (
             "hydra-ca",
-            app.setup(true, mode),
-            app.rk_iteration(true, mode, stages),
+            app.setup(true, ExtentMode::Safe),
+            app.rk_iteration(true, ExtentMode::Safe, stages),
         ),
     };
     Job::new(name, lower(steps), iters)
@@ -131,7 +129,6 @@ mod tests {
     use super::*;
     use crate::app::HydraParams;
     use op2_partition::{build_layouts, derive_ownership, rib_partition};
-    use op2_runtime::CallKind;
 
     /// Build `variant`'s job and run it.
     fn go(
@@ -149,14 +146,8 @@ mod tests {
         go(app, layouts, v, iters, &opts)
     }
 
-    fn run_ca(
-        app: &mut Hydra,
-        layouts: &[RankLayout],
-        iters: usize,
-        mode: ExtentMode,
-    ) -> RunOutcome {
-        let opts = RunOptions::default();
-        go(app, layouts, Variant::ca(mode), iters, &opts)
+    fn run_ca(app: &mut Hydra, layouts: &[RankLayout], iters: usize) -> RunOutcome {
+        go(app, layouts, Variant::ca(), iters, &RunOptions::default())
     }
 
     fn layouts_for(app: &Hydra, nparts: usize, depth: usize) -> Vec<RankLayout> {
@@ -197,7 +188,7 @@ mod tests {
 
         let mut ca_app = Hydra::new(params);
         let l2 = layouts_for(&ca_app, 4, ca_app.required_depth(ExtentMode::Safe));
-        let c = run_ca(&mut ca_app, &l2, iters, ExtentMode::Safe);
+        let c = run_ca(&mut ca_app, &l2, iters);
 
         for dat in [seq_app.qp, seq_app.qo, seq_app.vres, seq_app.jac] {
             let name = &seq_app.mesh.dom.dat(dat).name;
@@ -216,51 +207,65 @@ mod tests {
         assert!((s.norm - c.norm).abs() <= 1e-10 * s.norm.abs().max(1e-30));
     }
 
-    /// Paper-mode (relaxed) execution stays finite and close to the
-    /// reference: staleness is confined to boundary-subset rings.
+    /// The published pins are data, not a run mode: `weight`, `period`
+    /// and `jacob` pin extents below what their dependencies need, so
+    /// `run_chain` refuses each on every rank with a typed validity
+    /// error naming the first stale read (before any exchange is
+    /// posted, so no rank hangs), and so does the reference executor,
+    /// `run_chain_unplanned`. The other three pins equal Algorithm 3's
+    /// extents.
     #[test]
-    fn paper_mode_runs_and_counts_staleness() {
-        let params = HydraParams::small(7);
-        let iters = 2;
+    fn paper_pins_below_the_closure_are_refused() {
+        use op2_core::{import_depths, ChainSpec};
+        use op2_runtime::{run_chain, run_chain_unplanned, run_distributed_with, RankEnv, RankFailure};
+        type Exec = fn(&mut RankEnv<'_>, &ChainSpec) -> Result<(), RuntimeError>;
 
-        let mut seq_app = Hydra::new(params);
-        let s = run_sequential(&mut seq_app, iters, 1);
+        let app = Hydra::new(HydraParams::small(6));
+        for name in ["gradl", "vflux", "iflux"] {
+            let safe = app.chain(name, ExtentMode::Safe).unwrap();
+            let paper = app.chain(name, ExtentMode::Paper).unwrap();
+            assert_eq!(paper.halo_ext, safe.halo_ext, "{name}");
+            assert_eq!(format!("{:?}", paper.sigs()), format!("{:?}", safe.sigs()), "{name}");
+        }
 
-        let mut ca_app = Hydra::new(params);
-        let l = layouts_for(&ca_app, 4, ca_app.required_depth(ExtentMode::Paper));
-        let c = run_ca(&mut ca_app, &l, iters, ExtentMode::Paper);
-
-        assert!(c.norm.is_finite());
-        // The result tracks the reference loosely (staleness is bounded).
-        assert!(
-            (s.norm - c.norm).abs() <= 0.05 * s.norm.abs().max(1e-30),
-            "paper-mode norm drifted: {} vs {}",
-            c.norm,
-            s.norm
-        );
-        // Staleness is counted where the pinned extents fall below the
-        // transitive requirement (weight, period, jacob), and nowhere
-        // else: per chain, summed over the four ranks.
-        let per_chain: Vec<(&str, usize)> = Hydra::chain_names()
-            .iter()
-            .map(|&n| {
-                let of = |t: &RankTrace| t.totals_of(CallKind::Chain, n).map(|c| c.stale_reads);
-                (n, c.traces.iter().filter_map(of).sum())
-            })
-            .collect();
-        let want = [
-            ("weight", 4),
-            ("period", 12),
-            ("gradl", 0),
-            ("vflux", 0),
-            ("iflux", 0),
-            ("jacob", 8),
-        ];
-        assert_eq!(per_chain, want);
+        let l = layouts_for(&app, 2, app.required_depth(ExtentMode::Safe));
+        for name in ["weight", "period", "jacob"] {
+            let chain = app.chain(name, ExtentMode::Paper).unwrap();
+            let first = import_depths(&chain.sigs(), &chain.halo_ext, &|_| 0).stale[0];
+            let want_loop = chain.loops[first.pos].name.clone();
+            let want_dat = app.mesh.dom.dat(first.dat).name.clone();
+            for exec in [run_chain as Exec, run_chain_unplanned] {
+                let mut dom = app.mesh.dom.clone();
+                let out = run_distributed_with(&mut dom, &l, &RunOptions::default(), |env| {
+                    exec(env, &chain)
+                });
+                assert_eq!(out.results.len(), 2);
+                for r in &out.results {
+                    match r {
+                        Err(RankFailure::Failed {
+                            error:
+                                RuntimeError::Validity {
+                                    chain: c,
+                                    loop_name,
+                                    dat,
+                                    need,
+                                    have,
+                                    ..
+                                },
+                            ..
+                        }) => {
+                            assert_eq!((c.as_str(), loop_name, dat), (name, &want_loop, &want_dat));
+                            assert_eq!((*need, *have), (first.need, first.have), "{name}");
+                        }
+                        other => panic!("{name}: expected a typed validity error, got {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     /// Threaded safe-mode CA is **bitwise identical** to single-threaded
-    /// CA through Hydra's relaxed and strict chains alike: the
+    /// CA through all of Hydra's chains: the
     /// owner-computes windows and direct blocks never reorder an update,
     /// and the loops neither admits (indirect `Rw`, such as `edgelength`
     /// and `limxp`) run on the rank's own thread, so thread count is
@@ -272,14 +277,13 @@ mod tests {
 
         let mut ref_app = Hydra::new(params);
         let l0 = layouts_for(&ref_app, 4, ref_app.required_depth(ExtentMode::Safe));
-        let reference = run_ca(&mut ref_app, &l0, iters, ExtentMode::Safe);
+        let reference = run_ca(&mut ref_app, &l0, iters);
 
         let mut app = Hydra::new(params);
         let l = layouts_for(&app, 4, app.required_depth(ExtentMode::Safe));
         let threading = op2_runtime::Threading { n_threads: 4, block_size: 16 };
         let opts = RunOptions::default().threading(threading);
-        let safe = Variant::ca(ExtentMode::Safe);
-        let out = go(&mut app, &l, safe, iters, &opts);
+        let out = go(&mut app, &l, Variant::ca(), iters, &opts);
 
         assert_eq!(
             out.norm.to_bits(),
@@ -318,7 +322,7 @@ mod tests {
 
         let mut ca_app = Hydra::new(params);
         let l2 = layouts_for(&ca_app, 4, ca_app.required_depth(ExtentMode::Safe));
-        let c = run_ca(&mut ca_app, &l2, iters, ExtentMode::Safe);
+        let c = run_ca(&mut ca_app, &l2, iters);
 
         // Total message count falls under CA.
         let op2_msgs: usize = o.traces.iter().map(|t| t.total_msgs()).sum();

@@ -46,10 +46,11 @@ pub struct ChainShape {
     pub ca_imports: Vec<(usize, usize, usize)>,
 }
 
-/// Derive a [`ChainShape`] from loop signatures, for a chain executed
-/// in relaxed (paper) mode: extents are taken as given (e.g. pinned to
-/// published values), the grouped-import plan deepens to cover reads
-/// beyond in-chain validity, and every loop keeps the depth-1 core.
+/// Derive a [`ChainShape`] from loop signatures, modelling (not
+/// executing) the paper's CA back-end: extents are taken as given (e.g.
+/// pinned to published values), the grouped-import plan deepens to
+/// cover reads beyond in-chain validity, and every loop keeps the
+/// depth-1 core.
 ///
 /// `entry_validity` gives each dat's halo validity at chain entry (0 =
 /// dirty, `usize::MAX` = never modified, e.g. coordinates). `g_per_loop`

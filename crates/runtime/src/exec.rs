@@ -11,9 +11,9 @@
 //! halo region executed in order, with redundant computation over up to
 //! `r` layers replacing the eliminated per-loop messages.
 //!
-//! There is one Alg 2 entry point, [`run_chain`]; the chain's own
-//! [`ChainSpec::relaxed`] says whether a read beyond in-chain validity
-//! fails the chain or is counted. It is **inspector–executor** split:
+//! There is one Alg 2 entry point, [`run_chain`], and one contract: a
+//! read beyond in-chain validity fails the chain (a typed
+//! [`RuntimeError::Validity`]). It is **inspector–executor** split:
 //! all analysis (import depths, core depths, execute ranges, pack lists,
 //! the validity verdict) comes from a cached
 //! [`crate::plan::ChainPlan`], and every lowered schedule from the
@@ -164,14 +164,11 @@ pub fn run_loop(env: &mut RankEnv<'_>, spec: &LoopSpec) -> Result<LoopResult, Ru
 /// exec_end)` in loop order, lines 14–18) → validity transitions →
 /// trace record → boundary. Bitwise identical to the sequential walk.
 ///
-/// A strict chain fails on a read beyond in-chain validity (a
-/// [`RuntimeError::Validity`]). A [`ChainSpec::relaxed`] one takes its
-/// extents as configured (e.g. pinned to the paper's Table 3–4 values):
-/// such reads are satisfied by the deepened initial import (pre-chain
-/// values — the paper's one-sync-per-chain semantics) and counted in
-/// the chain record. Panics if the chain requires deeper halos than
-/// the layout was built with (a program error); transport failures
-/// surface as [`RuntimeError`]s.
+/// A read beyond in-chain validity (an extent pinned too low, e.g. the
+/// paper's Table 3–4 values for some Hydra chains) fails the chain with
+/// a [`RuntimeError::Validity`] before anything is posted. Panics if
+/// the chain requires deeper halos than the layout was built with (a
+/// program error); transport failures surface as [`RuntimeError`]s.
 pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     let t0 = std::time::Instant::now();
     // Inspector: cached plan lookup — analysis runs only on a miss.
@@ -184,12 +181,11 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
         plan.depth,
         env.layout.depth
     );
-    // Strict mode: a read the plan's pre-simulation found under-valid
-    // (config-pinned extents too small, or an inspector/executor
-    // disagreement) is a typed error, not a panic. Identical on every
-    // rank, so nobody is left waiting on an exchange that was never
-    // posted.
-    if let (false, Some(s)) = (chain.relaxed, plan.stale.first()) {
+    // A read the plan's pre-simulation found under-valid (config-pinned
+    // extents too small, or an inspector/executor disagreement) is a
+    // typed error, not a panic. Identical on every rank, so nobody is
+    // left waiting on an exchange that was never posted.
+    if let Some(s) = plan.stale.first() {
         return Err(RuntimeError::Validity {
             rank: env.rank,
             chain: chain.name.clone(),
@@ -219,10 +215,8 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
     };
 
     // Pre-wait phase: every loop's core reads nothing the wait
-    // delivers, so it runs while the exchange is in flight. The safe
-    // core retracts by the loop's in-chain dependency depth; relaxed
-    // mode keeps the standard depth-1 core everywhere (the paper's
-    // behaviour — staleness tolerated and counted).
+    // delivers, so it runs while the exchange is in flight. The core
+    // retracts by the loop's in-chain dependency depth.
     for (pos, &(core, _)) in plan.per_loop.iter().enumerate() {
         run_range(env, pos, 0, core);
     }
@@ -249,7 +243,6 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
         d_exchanged: plan.exchange.import.len(),
         depth: plan.depth,
         exch: rec,
-        stale_reads: plan.stale.len(),
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);
@@ -261,8 +254,8 @@ pub fn run_chain(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), Runtime
 /// re-derived on every call, and a fresh, uncached grouped
 /// [`ExchangePlan`] built per call. Kept as the reference path: property
 /// tests assert the planned executor is bitwise-equal to this one on
-/// random meshes. It runs every chain strict, whatever
-/// [`ChainSpec::relaxed`] says.
+/// random meshes, and it holds the same contract: a read beyond in-chain
+/// validity is a [`RuntimeError::Validity`].
 pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(), RuntimeError> {
     let t0 = std::time::Instant::now();
     let depth = chain.max_halo_layers();
@@ -340,7 +333,6 @@ pub fn run_chain_unplanned(env: &mut RankEnv<'_>, chain: &ChainSpec) -> Result<(
         d_exchanged: exch.import.len(),
         depth,
         exch: rec,
-        stale_reads: 0,
         wall_ns: t0.elapsed().as_nanos() as u64,
     });
     env.boundary(BoundaryKind::Chain);
@@ -374,9 +366,8 @@ mod tests {
         assert_eq!(produced_validity(M::Rw, true, 3), Some(2));
     }
 
-    /// Both modes run the one lowering: a strict and a relaxed chain
-    /// each run every loop's core before the wait and its halo region
-    /// after it.
+    /// A chain runs every loop's core before the wait and its halo
+    /// region after it.
     #[test]
     fn lowering_decision_table() {
         use crate::harness::{run_distributed_with, RunOptions};
@@ -407,29 +398,22 @@ mod tests {
         let base = rcb_partition(&m.dom.dat(m.coords).data, 2, 2);
         let own = derive_ownership(&m.dom, m.nodes, base, chain.max_halo_layers());
         let layouts = build_layouts(&m.dom, &own, chain.max_halo_layers());
-        let relaxed = ChainSpec {
-            relaxed: true,
-            ..chain.clone()
-        };
-        for (name, chain) in [("strict", &chain), ("relaxed", &relaxed)] {
-            let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
-                run_chain(env, chain)?;
-                run_chain(env, chain)
-            });
-            for t in &out.traces {
-                assert_eq!(t.chains.len(), 2, "{name}: rank {}", t.rank);
-                for c in &t.chains {
-                    let prewait: usize = c.per_loop.iter().map(|&(core, _)| core).sum();
-                    assert!(prewait > 0, "{name}: rank {} {:?}", t.rank, c.per_loop);
-                }
+        let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
+            run_chain(env, &chain)?;
+            run_chain(env, &chain)
+        });
+        for t in &out.traces {
+            assert_eq!(t.chains.len(), 2, "rank {}", t.rank);
+            for c in &t.chains {
+                let prewait: usize = c.per_loop.iter().map(|&(core, _)| core).sum();
+                assert!(prewait > 0, "rank {} {:?}", t.rank, c.per_loop);
             }
-            out.unwrap_results();
         }
+        out.unwrap_results();
     }
 
     /// A config-pinned halo extent that is too small is a typed
-    /// [`RuntimeError::Validity`] on a strict chain, not a rank panic;
-    /// the same chain marked relaxed runs and counts the read.
+    /// [`RuntimeError::Validity`] on every rank, not a rank panic.
     #[test]
     fn under_pinned_chain_is_a_typed_error_on_every_lowering() {
         use crate::error::RankFailure;
@@ -500,17 +484,6 @@ mod tests {
                 other => panic!("expected a typed validity error, got {other:?}"),
             }
         }
-        let relaxed = ChainSpec {
-            relaxed: true,
-            ..chain
-        };
-        let out = run_distributed_with(&mut m.dom.clone(), &layouts, &RunOptions::default(), |env| {
-            run_chain(env, &relaxed)
-        });
-        for t in &out.traces {
-            assert_eq!(t.chains[0].stale_reads, 1, "rank {}", t.rank);
-        }
-        out.unwrap_results();
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! that walks a step list calling the executors.
 //!
 //! A loop step runs Alg 1 ([`run_loop`]); a chain step runs Alg 2
-//! ([`run_chain`]), strict or relaxed as the chain itself says (a
-//! relaxed chain's pinned extents are an accuracy contract, not a
-//! performance choice). Threading, drain policy and fault plans stay in
+//! ([`run_chain`]), which refuses a chain whose extents leave a read
+//! beyond in-chain validity. Threading, drain policy and fault plans stay in
 //! the caller's [`RunOptions`].
 //!
 //! [`run_job`] runs a job on a distributed world

@@ -18,7 +18,7 @@
 //!   Alg 1 (per-loop halo exchange with latency hiding) and
 //!   [`exec::run_chain`] is Alg 2 (one grouped, multi-level exchange per
 //!   chain, cores of all loops overlapped with it, halo layers executed
-//!   after; strict or relaxed as the [`op2_core::ChainSpec`] says).
+//!   after; a read beyond in-chain validity is a typed error).
 //! * [`trace`] — instrumentation records: message counts, bytes, core
 //!   and halo iteration counts per loop and per chain, as exact per-name
 //!   totals plus a bounded window of the newest records.

@@ -68,8 +68,7 @@ fn mode_code(mode: AccessMode) -> u8 {
 }
 
 /// Stable hash of a chain's structure: loop names, iteration sets,
-/// argument access descriptors and halo extents, plus the execution
-/// mode ([`ChainSpec::relaxed`]). Identical across ranks and across
+/// argument access descriptors and halo extents. Identical across ranks and across
 /// process runs (no pointer or RandomState input), so it can key caches
 /// and cross-rank agreement.
 pub fn chain_signature(chain: &ChainSpec) -> u64 {
@@ -80,7 +79,6 @@ pub fn chain_signature(chain: &ChainSpec) -> u64 {
         fnv_usize(&mut h, ext);
         fnv_loop(&mut h, spec);
     }
-    fnv_bytes(&mut h, &[u8::from(chain.relaxed)]);
     h
 }
 
@@ -159,9 +157,8 @@ pub struct ChainPlan {
     /// Produced validity, in loop order: (dat, validity after the loop).
     pub produces: Vec<(DatId, u8)>,
     /// Reads the chain makes beyond what an earlier loop of it left
-    /// valid, in loop order. A strict executor fails on the first
-    /// ([`crate::error::RuntimeError::Validity`]); a relaxed one reports
-    /// the count as `stale_reads`.
+    /// valid, in loop order. The executor fails on the first
+    /// ([`crate::error::RuntimeError::Validity`]).
     pub stale: Vec<StaleRead>,
 }
 
@@ -177,17 +174,13 @@ impl ChainPlan {
     ) -> ChainPlan {
         let sigs = chain.sigs();
         // Where a pinned extent is too small the walk deepens the import
-        // instead of panicking: strict executors then refuse the chain
+        // instead of panicking: the executor then refuses the chain
         // through `stale` (typed), rather than the inspector killing
         // the rank.
         let walk = import_depths(&sigs, &chain.halo_ext, &|d: DatId| valid[d.idx()] as usize);
         let import = walk.import.into_iter().map(|(d, t)| (d, t as u8)).collect();
 
-        let core_depths = if chain.relaxed {
-            vec![1usize; chain.len()]
-        } else {
-            op2_core::chain::core_depths(&sigs)
-        };
+        let core_depths = op2_core::chain::core_depths(&sigs);
         let per_loop = (sigs.iter().zip(&core_depths).zip(&chain.halo_ext))
             .map(|((s, &cd), &ext)| {
                 let sl = &layout.sets[s.set.idx()];
@@ -379,14 +372,11 @@ mod tests {
     }
 
     /// The structure hash is stable across clones and sensitive to the
-    /// execution mode and halo extents.
+    /// halo extents.
     #[test]
     fn signature_stable_and_discriminating() {
         let f = fix();
         assert_eq!(chain_signature(&f.chain), chain_signature(&f.chain.clone()));
-        let mut relaxed = f.chain.clone();
-        relaxed.relaxed = true;
-        assert_ne!(chain_signature(&f.chain), chain_signature(&relaxed));
         let mut widened = f.chain.clone();
         widened.halo_ext[1] += 1;
         assert_ne!(chain_signature(&f.chain), chain_signature(&widened));

@@ -149,10 +149,6 @@ pub struct ChainRec {
     pub depth: usize,
     /// Communication record (the single grouped exchange).
     pub exch: ExchangeRec,
-    /// Relaxed-mode only: reads whose validity requirement was met by
-    /// pre-chain (potentially stale) imported values rather than
-    /// in-chain computation. Always 0 in strict mode.
-    pub stale_reads: usize,
     /// Wall time of the whole chain execution, nanoseconds. Not
     /// compared by `==`.
     pub wall_ns: u64,
@@ -165,7 +161,6 @@ impl PartialEq for ChainRec {
             && self.d_exchanged == other.d_exchanged
             && self.depth == other.depth
             && self.exch == other.exch
-            && self.stale_reads == other.stale_reads
     }
 }
 
@@ -213,8 +208,6 @@ pub struct CallTotals {
     pub halo_iters: usize,
     /// Summed communication ([`ExchangeRec::add`]).
     pub exch: ExchangeRec,
-    /// Summed relaxed-mode stale reads (0 for loops).
-    pub stale_reads: usize,
     /// Summed wall time, nanoseconds. Not compared by `==`.
     pub wall_ns: u64,
     /// Shortest call, nanoseconds. Not compared by `==`.
@@ -231,7 +224,6 @@ impl PartialEq for CallTotals {
             && self.core_iters == other.core_iters
             && self.halo_iters == other.halo_iters
             && self.exch == other.exch
-            && self.stale_reads == other.stale_reads
     }
 }
 
@@ -247,7 +239,6 @@ impl CallTotals {
             core_iters: 0,
             halo_iters: 0,
             exch: ExchangeRec::default(),
-            stale_reads: 0,
             wall_ns: 0,
             wall_ns_min: u64::MAX,
             wall_ns_max: 0,
@@ -255,12 +246,11 @@ impl CallTotals {
     }
 
     /// Fold one call in.
-    fn add(&mut self, (core, halo): (usize, usize), exch: &ExchangeRec, stale_reads: usize, wall_ns: u64) {
+    fn add(&mut self, (core, halo): (usize, usize), exch: &ExchangeRec, wall_ns: u64) {
         self.calls += 1;
         self.core_iters += core;
         self.halo_iters += halo;
         self.exch.add(exch);
-        self.stale_reads += stale_reads;
         self.wall_ns += wall_ns;
         self.wall_ns_min = self.wall_ns_min.min(wall_ns);
         self.wall_ns_max = self.wall_ns_max.max(wall_ns);
@@ -397,7 +387,7 @@ impl RankTrace {
     /// append it to the loop window.
     pub fn record_loop(&mut self, rec: LoopRec) {
         let split = (rec.core_iters, rec.halo_iters);
-        self.slot(CallKind::Loop, &rec.name).add(split, &rec.exch, 0, rec.wall_ns);
+        self.slot(CallKind::Loop, &rec.name).add(split, &rec.exch, rec.wall_ns);
         push_window(&mut self.loops, rec);
     }
 
@@ -405,7 +395,7 @@ impl RankTrace {
     /// the chain window.
     pub fn record_chain(&mut self, rec: ChainRec) {
         let split = (rec.core_iters(), rec.halo_iters());
-        self.slot(CallKind::Chain, &rec.name).add(split, &rec.exch, rec.stale_reads, rec.wall_ns);
+        self.slot(CallKind::Chain, &rec.name).add(split, &rec.exch, rec.wall_ns);
         push_window(&mut self.chains, rec);
     }
 
@@ -442,11 +432,6 @@ impl RankTrace {
     /// chains), nanoseconds — the rank's total compute+exchange load.
     pub fn wall_ns(&self) -> u64 {
         self.totals.iter().map(|t| t.wall_ns).sum()
-    }
-
-    /// Relaxed-mode stale reads over every chain call.
-    pub fn stale_reads(&self) -> usize {
-        self.totals.iter().map(|t| t.stale_reads).sum()
     }
 }
 
@@ -565,12 +550,10 @@ mod tests {
                 bytes: 64,
                 ..Default::default()
             },
-            stale_reads: 2,
             ..Default::default()
         });
         assert_eq!(t.total_msgs(), 5);
         assert_eq!(t.total_bytes(), 96);
-        assert_eq!(t.stale_reads(), 2);
     }
 
     /// Calls fold into one slot per (kind, name), in first-seen order:
@@ -595,7 +578,6 @@ mod tests {
                 name: Arc::clone(&a),
                 per_loop: vec![(3, 1), (2, 2)].into(),
                 exch: x,
-                stale_reads: 1,
                 wall_ns,
                 ..Default::default()
             });
@@ -624,7 +606,7 @@ mod tests {
         assert_eq!(chain.exch, want);
         assert_eq!(chain.exch.wait_ns, 11);
         assert_eq!(chain.exch.n_neighbors, 2);
-        assert_eq!((chain.calls, chain.core_iters, chain.halo_iters, chain.stale_reads), (3, 15, 9, 3));
+        assert_eq!((chain.calls, chain.core_iters, chain.halo_iters), (3, 15, 9));
         assert_eq!((chain.wall_ns, chain.wall_ns_min, chain.wall_ns_max), (16, 2, 9));
         let lp = t.totals_of(CallKind::Loop, "a").unwrap();
         assert_eq!((lp.calls, lp.core_iters, lp.halo_iters, lp.wall_ns), (3, 12, 3, 3));

@@ -20,13 +20,8 @@ fn run_mgcfd(
     mgcfd::run(app, layouts, &job, &RunOptions::default()).expect("every rank completes")
 }
 
-fn run_hydra_ca(
-    app: &mut Hydra,
-    layouts: &[RankLayout],
-    iters: usize,
-    mode: ExtentMode,
-) -> hydra::RunOutcome {
-    let job = hydra::job(app, hydra::Variant::ca(mode), iters);
+fn run_hydra_ca(app: &mut Hydra, layouts: &[RankLayout], iters: usize) -> hydra::RunOutcome {
+    let job = hydra::job(app, hydra::Variant::ca(), iters);
     hydra::run(app, layouts, &job, &RunOptions::default()).expect("every rank completes")
 }
 
@@ -244,7 +239,7 @@ fn hydra_rank_count_sweep() {
         let mut app = Hydra::new(params);
         let depth = app.required_depth(ExtentMode::Safe);
         let layouts = hydra_layouts(&app, nparts, depth);
-        let out = run_hydra_ca(&mut app, &layouts, iters, ExtentMode::Safe);
+        let out = run_hydra_ca(&mut app, &layouts, iters);
         assert!(
             norm_close(reference.norm, out.norm, 1e-10),
             "nparts {nparts}: {} vs {}",
@@ -263,37 +258,15 @@ fn hydra_threaded_run_matches_default_at_1_2_4_threads() {
     let mut plain = Hydra::new(params);
     let depth = plain.required_depth(ExtentMode::Safe);
     let layouts = hydra_layouts(&plain, 4, depth);
-    let want = run_hydra_ca(&mut plain, &layouts, iters, ExtentMode::Safe);
+    let want = run_hydra_ca(&mut plain, &layouts, iters);
     let mut check = ThreadSweepCheck::new(want.norm, plain.mesh.dom);
     for threads in [1, 2, 4] {
         let mut app = Hydra::new(params);
-        let job = hydra::job(&app, hydra::Variant::ca(ExtentMode::Safe), iters);
+        let job = hydra::job(&app, hydra::Variant::ca(), iters);
         let run = run_threaded(&mut app.mesh.dom, &layouts, &job, threads);
         let out = hydra::RunOutcome::from_job(&app, run);
         check.record(out.norm, &app.mesh.dom, &format!("threads {threads}"));
     }
-}
-
-/// Paper-mode execution is stable over more iterations (staleness does
-/// not accumulate into divergence).
-#[test]
-fn hydra_paper_mode_stable_over_iterations() {
-    let params = HydraParams::small(6);
-    let iters = 5;
-    let mut ref_app = Hydra::new(params);
-    let reference = hydra::run_sequential(&mut ref_app, iters, 1);
-
-    let mut app = Hydra::new(params);
-    let depth = app.required_depth(ExtentMode::Paper);
-    let layouts = hydra_layouts(&app, 4, depth);
-    let out = run_hydra_ca(&mut app, &layouts, iters, ExtentMode::Paper);
-    assert!(out.norm.is_finite());
-    assert!(
-        norm_close(reference.norm, out.norm, 0.05),
-        "{} vs {}",
-        reference.norm,
-        out.norm
-    );
 }
 
 /// The vflux chain's grouped exchange carries the five Table-4 dats on
@@ -304,7 +277,7 @@ fn hydra_vflux_exchanges_five_dats() {
     let mut app = Hydra::new(params);
     let depth = app.required_depth(ExtentMode::Safe);
     let layouts = hydra_layouts(&app, 4, depth);
-    let out = run_hydra_ca(&mut app, &layouts, 1, ExtentMode::Safe);
+    let out = run_hydra_ca(&mut app, &layouts, 1);
     for (rank, t) in out.traces.iter().enumerate() {
         if layouts[rank].neighbors.is_empty() {
             continue;

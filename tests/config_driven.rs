@@ -95,7 +95,7 @@ fn mgcfd_config_resolves_and_runs() {
 
 /// The shipped Hydra configuration is the one `hydra-sim` embeds: every
 /// block resolves against the app's loops, the blocks are exactly
-/// `Hydra::chain_names()`, and `Paper` mode is the block's pins, relaxed.
+/// `Hydra::chain_names()`, and `Paper` mode is the block's pins.
 #[test]
 fn hydra_config_resolves_every_block() {
     let text = std::fs::read_to_string(concat!(
@@ -118,12 +118,13 @@ fn hydra_config_resolves_every_block() {
         assert_eq!(names, cfg.loops, "chain {}", cfg.name);
         let resolved = cfg.resolve(&safe.loops).unwrap();
         assert_eq!(resolved.halo_ext, paper.halo_ext, "chain {}", cfg.name);
-        assert!(!resolved.relaxed && paper.relaxed, "chain {}", cfg.name);
     }
 }
 
+/// The config-resolved `vflux` (its pins equal Algorithm 3's extents)
+/// runs, and its grouped exchange carries five dats.
 #[test]
-fn hydra_config_driven_execution_runs_relaxed() {
+fn hydra_config_driven_execution_runs_vflux() {
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../configs/hydra_chains.cfg"
@@ -136,10 +137,7 @@ fn hydra_config_driven_execution_runs_relaxed() {
         app.chain("iflux", ExtentMode::Safe).unwrap().loops,
     ]
     .concat();
-    let vflux = ChainSpec {
-        relaxed: true,
-        ..configs.iter().find(|c| c.name == "vflux").unwrap().resolve(&program).unwrap()
-    };
+    let vflux = configs.iter().find(|c| c.name == "vflux").unwrap().resolve(&program).unwrap();
 
     let init = app.init_loop();
     let base = rib_partition(app.mesh.node_coords(), 3, 3);

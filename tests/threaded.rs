@@ -734,7 +734,7 @@ mod colored_sweeps {
 /// gives the same bits and the same `ThreadRec`s under either mode.
 mod exec_mode_dataflow_is_the_leveled_drain {
     use super::*;
-    use op2::hydra::{ExtentMode, Hydra, HydraParams};
+    use op2::hydra::{Hydra, HydraParams};
     use op2::mgcfd::{MgCfd, MgCfdParams};
     use op2::runtime::{ExecMode, ThreadRec};
 
@@ -781,7 +781,7 @@ mod exec_mode_dataflow_is_the_leveled_drain {
         };
         let run = |exec| {
             let mut app = Hydra::new(params);
-            let job = op2::hydra::job(&app, op2::hydra::Variant::ca(ExtentMode::Safe), 2);
+            let job = op2::hydra::job(&app, op2::hydra::Variant::ca(), 2);
             let out = op2::hydra::run(&mut app, &layouts, &job, &modes(exec)).expect("every rank completes");
             (out.norm.to_bits(), thread_recs(&out.traces))
         };
